@@ -8,7 +8,8 @@
 //! [`serve_unix`] returns — the clean-shutdown path the CI smoke test
 //! asserts.
 
-use crate::protocol::{read_frame, write_frame, Request, Response};
+use crate::json::Json;
+use crate::protocol::{encode_frame, read_frame, read_frame_with, write_frame, Request, Response};
 use crate::service::ClosureService;
 use std::io;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -98,7 +99,13 @@ fn handle_connection(
     // notices a server shutdown instead of pinning the accept loop's
     // join forever.
     stream.set_read_timeout(Some(Duration::from_millis(200)))?;
-    while let Some(frame) = read_frame_interruptible(&mut stream, closing)? {
+    // One frame buffer for the connection's lifetime: a request is read
+    // into and parsed out of it, then the response is serialized into
+    // and written from it, so steady traffic allocates no frame-sized
+    // buffers here.
+    let mut buf = Vec::new();
+    while let Some(frame) = read_frame_interruptible(&mut stream, &mut buf, closing)? {
+        let request = Request::from_json(&frame);
         // Injected abrupt disconnect: drop the connection between a
         // request and its response — the shape of a client that
         // vanished or a peer reset. Only this connection dies; the
@@ -106,7 +113,7 @@ fn handle_connection(
         if gm_fault::fire("net.disconnect") {
             return Ok(());
         }
-        let response = match Request::from_json(&frame) {
+        let response = match request {
             Ok(request) => {
                 let response = service.handle_request(&request);
                 if matches!(request, Request::Shutdown) {
@@ -118,7 +125,7 @@ fn handle_connection(
                 message: e.to_string(),
             },
         };
-        write_response_frame(&mut stream, &response)?;
+        write_response_frame(&mut stream, &mut buf, &response)?;
         if matches!(response, Response::ShuttingDown) {
             break;
         }
@@ -131,55 +138,36 @@ fn handle_connection(
 /// reach the client before the connection errors out — the torn-write
 /// shape a crashed server leaves behind. The client's frame reader must
 /// surface this as `UnexpectedEof`, never a hang or a desynced stream.
-fn write_response_frame(stream: &mut UnixStream, response: &Response) -> io::Result<()> {
+fn write_response_frame(
+    stream: &mut UnixStream,
+    buf: &mut Vec<u8>,
+    response: &Response,
+) -> io::Result<()> {
     if gm_fault::fire("net.frame_truncate") {
         use std::io::Write;
-        let bytes = response.to_json().to_string().into_bytes();
-        let len = u32::try_from(bytes.len())
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame too large"))?;
-        stream.write_all(&len.to_be_bytes())?;
-        stream.write_all(&bytes[..bytes.len() / 2])?;
+        encode_frame(buf, &response.to_json())?;
+        stream.write_all(&buf[..4 + (buf.len() - 4) / 2])?;
         stream.flush()?;
         return Err(io::Error::new(
             io::ErrorKind::ConnectionAborted,
             "injected fault at net.frame_truncate",
         ));
     }
-    write_frame(stream, &response.to_json())
+    write_frame(stream, buf, &response.to_json())
 }
 
-/// [`read_frame`], but interruptible by the shutdown flag: between
-/// frames (and only there) a set `closing` ends the connection cleanly.
-/// Mid-frame timeouts keep the partial progress and keep waiting, so
-/// the stream never desynchronizes.
-fn read_frame_interruptible(
+/// [`crate::protocol::read_frame`], but interruptible by the shutdown
+/// flag: between frames (and only there) a set `closing` ends the
+/// connection cleanly. Mid-frame timeouts keep the partial progress and
+/// keep waiting, so the stream never desynchronizes.
+fn read_frame_interruptible<'b>(
     stream: &mut UnixStream,
+    buf: &'b mut Vec<u8>,
     closing: &AtomicBool,
-) -> io::Result<Option<crate::json::Json>> {
-    use crate::protocol::MAX_FRAME_BYTES;
-    let mut len_bytes = [0u8; 4];
-    if !read_full_interruptible(stream, &mut len_bytes, closing, true)? {
-        return Ok(None);
-    }
-    let len = u32::from_be_bytes(len_bytes);
-    if len > MAX_FRAME_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds the {MAX_FRAME_BYTES} byte cap"),
-        ));
-    }
-    let mut payload = vec![0u8; len as usize];
-    if !read_full_interruptible(stream, &mut payload, closing, false)? {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "connection closed mid-frame",
-        ));
-    }
-    let text =
-        String::from_utf8(payload).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    crate::json::parse(&text)
-        .map(Some)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+) -> io::Result<Option<Json<'b>>> {
+    read_frame_with(buf, |dst, at_boundary| {
+        read_full_interruptible(stream, dst, closing, at_boundary)
+    })
 }
 
 /// Fills `buf`, tolerating read timeouts. Returns `Ok(false)` for a
@@ -238,6 +226,9 @@ fn read_full_interruptible(
 #[derive(Debug)]
 pub struct ServeClient {
     stream: UnixStream,
+    /// The connection's frame buffer, reused for every request and
+    /// response (they never overlap on this blocking client).
+    buf: Vec<u8>,
 }
 
 impl ServeClient {
@@ -249,6 +240,7 @@ impl ServeClient {
     pub fn connect(path: &Path) -> io::Result<Self> {
         Ok(ServeClient {
             stream: UnixStream::connect(path)?,
+            buf: Vec::new(),
         })
     }
 
@@ -258,8 +250,8 @@ impl ServeClient {
     ///
     /// Fails on transport errors or a server-closed connection.
     pub fn request(&mut self, request: &Request) -> io::Result<Response> {
-        write_frame(&mut self.stream, &request.to_json())?;
-        let frame = read_frame(&mut self.stream)?
+        write_frame(&mut self.stream, &mut self.buf, &request.to_json())?;
+        let frame = read_frame(&mut self.stream, &mut self.buf)?
             .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "server closed"))?;
         Response::from_json(&frame).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
     }
@@ -444,5 +436,82 @@ impl ServeClient {
             Response::ShuttingDown => Some(()),
             _ => None,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::ClosureSummary;
+    use std::io::Write;
+    use std::time::Instant;
+
+    /// `Done` and `Trace` frames over a megabyte cross a socket pair —
+    /// far more than the socket buffers, so every read is partial, and
+    /// the writer stalls mid-frame past the reader's 200 ms timeout —
+    /// through the connection loop's interruptible reader and the
+    /// client's blocking one, reusing one buffer. The wall budget is
+    /// generous for an unoptimized build yet orders of magnitude below
+    /// what a parser quadratic in string length needs for one such
+    /// frame.
+    #[test]
+    fn megabyte_frames_cross_a_socket_with_partial_reads() {
+        let unit = "Segment { label: \"cex-7\", vectors: [[(SignalId(3), 1'h1)]] } \\ π\n";
+        let big = unit.repeat((1 << 20) / unit.len() + 1);
+        let done = Response::Done {
+            job: 9,
+            summary: ClosureSummary {
+                converged: true,
+                iterations: 6,
+                assertions: vec!["req0 => X gnt0".into(); 1000],
+                suite_cycles: 383,
+                unknown_assumed: 0,
+                outcome_debug: big.clone(),
+            },
+        };
+        let trace = Response::Trace {
+            job: 9,
+            trace: format!("{{\"traceEvents\":[\"{big}\"]}}"),
+        };
+        let (mut tx, mut rx) = UnixStream::pair().unwrap();
+        rx.set_read_timeout(Some(Duration::from_millis(200)))
+            .unwrap();
+        let closing = AtomicBool::new(false);
+        let start = Instant::now();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut buf = Vec::new();
+                encode_frame(&mut buf, &done.to_json()).unwrap();
+                assert!(buf.len() > 1 << 20);
+                let (head, tail) = buf.split_at(buf.len() / 2);
+                tx.write_all(head).unwrap();
+                std::thread::sleep(Duration::from_millis(300));
+                tx.write_all(tail).unwrap();
+                write_frame(&mut tx, &mut buf, &trace.to_json()).unwrap();
+                assert_eq!(buf.capacity(), 0, "an oversized frame's buffer is released");
+            });
+            let mut buf = Vec::new();
+            let frame = read_frame_interruptible(&mut rx, &mut buf, &closing)
+                .unwrap()
+                .expect("a frame, not a clean end");
+            assert_eq!(Response::from_json(&frame).unwrap(), done);
+            rx.set_read_timeout(None).unwrap();
+            let frame = read_frame(&mut rx, &mut buf).unwrap().unwrap();
+            assert_eq!(Response::from_json(&frame).unwrap(), trace);
+        });
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < Duration::from_secs(10),
+            "two 1 MiB frames took {elapsed:?}"
+        );
+        // A set shutdown flag ends an idle connection at the boundary.
+        rx.set_read_timeout(Some(Duration::from_millis(20)))
+            .unwrap();
+        closing.store(true, Ordering::Release);
+        let mut buf = Vec::with_capacity(2 << 20);
+        assert!(read_frame_interruptible(&mut rx, &mut buf, &closing)
+            .unwrap()
+            .is_none());
+        assert_eq!(buf.capacity(), 0, "an idle connection pins no big buffer");
     }
 }

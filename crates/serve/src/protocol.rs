@@ -6,7 +6,12 @@
 //! frame is a 4-byte big-endian payload length followed by that many
 //! bytes of UTF-8 JSON. (The derives are wired through the offline
 //! `serde` shim today; the hand-rolled [`crate::json`] codec produces
-//! the actual bytes — see `vendor/README.md`.)
+//! the actual bytes — see `vendor/README.md`.) There is one framing
+//! implementation — `encode_frame` going out, `read_frame_with` +
+//! `decode_payload` coming in — under the blocking client
+//! ([`write_frame`] / [`read_frame`]), the server's interruptible
+//! reader and the torn-frame fault path alike, and it works in a buffer
+//! the connection keeps across frames.
 //!
 //! Designs travel as Verilog source text and are parsed server-side;
 //! the [`WireConfig`] mirrors [`EngineConfig`] with signal *names*
@@ -24,7 +29,7 @@ use goldmine::{
     TargetSelection, TemporalConfig, UnknownPolicy, MAX_LANE_BLOCK,
 };
 use serde::{Deserialize, Serialize};
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 
 /// Largest accepted frame payload (a design source plus a full outcome
 /// debug render fits comfortably).
@@ -43,7 +48,7 @@ impl std::fmt::Display for ProtocolError {
 
 impl std::error::Error for ProtocolError {}
 
-fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, ProtocolError> {
+fn field<'a, 'j>(v: &'a Json<'j>, key: &str) -> Result<&'a Json<'j>, ProtocolError> {
     v.get(key)
         .ok_or_else(|| ProtocolError(format!("missing field '{key}'")))
 }
@@ -348,7 +353,7 @@ impl WireConfig {
         })
     }
 
-    fn to_json(&self) -> Json {
+    fn to_json(&self) -> Json<'_> {
         Json::obj(vec![
             ("window", Json::UInt(self.window.into())),
             ("seed", Json::UInt(self.seed)),
@@ -378,7 +383,7 @@ impl WireConfig {
                     WireTargets::Bits(bits) => Json::Arr(
                         bits.iter()
                             .map(|(name, bit)| {
-                                Json::Arr(vec![Json::Str(name.clone()), Json::UInt((*bit).into())])
+                                Json::Arr(vec![Json::str(name), Json::UInt((*bit).into())])
                             })
                             .collect(),
                     ),
@@ -562,7 +567,7 @@ impl ProgressEvent {
         }
     }
 
-    fn to_json(&self) -> Json {
+    fn to_json(&self) -> Json<'_> {
         Json::obj(vec![
             ("iteration", Json::UInt(self.iteration.into())),
             ("candidates", Json::UInt(self.candidates)),
@@ -627,22 +632,17 @@ impl ClosureSummary {
         }
     }
 
-    fn to_json(&self) -> Json {
+    fn to_json(&self) -> Json<'_> {
         Json::obj(vec![
             ("converged", Json::Bool(self.converged)),
             ("iterations", Json::UInt(self.iterations.into())),
             (
                 "assertions",
-                Json::Arr(
-                    self.assertions
-                        .iter()
-                        .map(|a| Json::Str(a.clone()))
-                        .collect(),
-                ),
+                Json::Arr(self.assertions.iter().map(|a| Json::str(a)).collect()),
             ),
             ("suite_cycles", Json::UInt(self.suite_cycles)),
             ("unknown_assumed", Json::UInt(self.unknown_assumed)),
-            ("outcome_debug", Json::Str(self.outcome_debug.clone())),
+            ("outcome_debug", Json::str(&self.outcome_debug)),
         ])
     }
 
@@ -772,7 +772,7 @@ impl WireHistogram {
         self.sum_ns as f64 / 1e9
     }
 
-    fn to_json(&self) -> Json {
+    fn to_json(&self) -> Json<'_> {
         Json::obj(vec![
             (
                 "buckets",
@@ -851,7 +851,7 @@ impl WireCountHistogram {
         self.buckets.iter().sum()
     }
 
-    fn to_json(&self) -> Json {
+    fn to_json(&self) -> Json<'_> {
         Json::obj(vec![
             (
                 "buckets",
@@ -968,7 +968,7 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
-    fn to_json(&self) -> Json {
+    fn to_json(&self) -> Json<'_> {
         Json::obj(vec![
             ("submitted", Json::UInt(self.submitted)),
             ("queued", Json::UInt(self.queued)),
@@ -1398,7 +1398,7 @@ pub enum Request {
 
 impl Request {
     /// Serializes to the wire JSON.
-    pub fn to_json(&self) -> Json {
+    pub fn to_json(&self) -> Json<'_> {
         match self {
             Request::Submit {
                 name,
@@ -1408,8 +1408,8 @@ impl Request {
                 deadline_ms,
             } => Json::obj(vec![
                 ("type", Json::Str("submit".into())),
-                ("name", Json::Str(name.clone())),
-                ("source", Json::Str(source.clone())),
+                ("name", Json::str(name)),
+                ("source", Json::str(source)),
                 ("config", config.to_json()),
                 ("trace", Json::Bool(*trace)),
                 ("deadline_ms", deadline_ms.map_or(Json::Null, Json::UInt)),
@@ -1568,7 +1568,7 @@ pub enum Response {
 
 impl Response {
     /// Serializes to the wire JSON.
-    pub fn to_json(&self) -> Json {
+    pub fn to_json(&self) -> Json<'_> {
         match self {
             Response::Submitted { job, cached } => Json::obj(vec![
                 ("type", Json::Str("submitted".into())),
@@ -1584,10 +1584,10 @@ impl Response {
             } => Json::obj(vec![
                 ("type", Json::Str("status".into())),
                 ("job", Json::UInt(*job)),
-                ("state", Json::Str(state.as_str().into())),
-                ("name", Json::Str(name.clone())),
+                ("state", Json::str(state.as_str())),
+                ("name", Json::str(name)),
                 ("progress_len", Json::UInt(*progress_len)),
-                ("error", error.clone().map_or(Json::Null, Json::Str)),
+                ("error", error.as_deref().map_or(Json::Null, Json::str)),
             ]),
             Response::Progress {
                 job,
@@ -1612,7 +1612,7 @@ impl Response {
             Response::Trace { job, trace } => Json::obj(vec![
                 ("type", Json::Str("trace".into())),
                 ("job", Json::UInt(*job)),
-                ("trace", Json::Str(trace.clone())),
+                ("trace", Json::str(trace)),
             ]),
             Response::Stats(stats) => Json::obj(vec![
                 ("type", Json::Str("stats".into())),
@@ -1620,7 +1620,7 @@ impl Response {
             ]),
             Response::Metrics { text } => Json::obj(vec![
                 ("type", Json::Str("metrics".into())),
-                ("text", Json::Str(text.clone())),
+                ("text", Json::str(text)),
             ]),
             Response::ShuttingDown => Json::obj(vec![("type", Json::Str("shutting_down".into()))]),
             Response::Overloaded { queued, limit } => Json::obj(vec![
@@ -1630,7 +1630,7 @@ impl Response {
             ]),
             Response::Error { message } => Json::obj(vec![
                 ("type", Json::Str("error".into())),
-                ("message", Json::Str(message.clone())),
+                ("message", Json::str(message)),
             ]),
         }
     }
@@ -1699,55 +1699,146 @@ impl Response {
     }
 }
 
-/// Writes one length-prefixed frame: 4 bytes big-endian payload length,
-/// then the JSON bytes.
+/// Appends UTF-8 text to a byte buffer.
+struct Utf8Sink<'a>(&'a mut Vec<u8>);
+
+impl std::fmt::Write for Utf8Sink<'_> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.0.extend_from_slice(s.as_bytes());
+        Ok(())
+    }
+}
+
+fn invalid_data(e: impl Into<Box<dyn std::error::Error + Send + Sync>>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e)
+}
+
+/// Capacity a connection's frame buffer may keep between frames. A
+/// larger frame (a flight recording, a big design) still goes through,
+/// but [`release_oversized`] frees its buffer before the connection
+/// goes back to waiting, so an idle connection never pins it.
+const RETAINED_FRAME_BYTES: usize = 1 << 20;
+
+fn release_oversized(buf: &mut Vec<u8>) {
+    if buf.capacity() > RETAINED_FRAME_BYTES {
+        *buf = Vec::new();
+    }
+}
+
+/// Payload bytes a reader commits to per step: a peer that announces a
+/// huge frame and then stalls pins this much, not the announced length.
+const READ_STEP_BYTES: usize = 1 << 20;
+
+/// Encodes one frame — 4 bytes big-endian payload length, then the JSON
+/// bytes — into `buf`, replacing its contents. The payload is
+/// serialized straight into the buffer, which connections keep across
+/// frames, so a steady stream of frames allocates nothing here.
 ///
 /// # Errors
 ///
-/// Propagates I/O failures.
-pub fn write_frame(w: &mut impl Write, payload: &Json) -> std::io::Result<()> {
-    let bytes = payload.to_string().into_bytes();
-    let len = u32::try_from(bytes.len())
-        .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "frame too large"))?;
-    if len > MAX_FRAME_BYTES {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "frame too large",
-        ));
+/// Fails when the payload exceeds [`MAX_FRAME_BYTES`].
+pub(crate) fn encode_frame(buf: &mut Vec<u8>, payload: &Json<'_>) -> io::Result<()> {
+    let mut span = gm_trace::span("serve", "serve.encode");
+    buf.clear();
+    buf.extend_from_slice(&[0; 4]);
+    payload
+        .write_to(&mut Utf8Sink(buf))
+        .expect("writing to a Vec cannot fail");
+    let len = u32::try_from(buf.len() - 4)
+        .ok()
+        .filter(|&len| len <= MAX_FRAME_BYTES)
+        .ok_or_else(|| invalid_data("frame too large"))?;
+    buf[..4].copy_from_slice(&len.to_be_bytes());
+    if span.is_active() {
+        span.arg("bytes", u64::from(len));
     }
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(&bytes)?;
+    Ok(())
+}
+
+/// Decodes one frame's payload: a single UTF-8 validation of the whole
+/// payload, then a parse that borrows from it.
+///
+/// # Errors
+///
+/// Fails on invalid UTF-8 or malformed JSON.
+fn decode_payload(payload: &[u8]) -> io::Result<Json<'_>> {
+    let mut span = gm_trace::span("serve", "serve.decode");
+    if span.is_active() {
+        span.arg("bytes", payload.len() as u64);
+    }
+    let text = std::str::from_utf8(payload).map_err(invalid_data)?;
+    json::parse(text).map_err(invalid_data)
+}
+
+/// Writes one frame with a single `write_all`; `buf` is the
+/// connection's frame buffer, reused across frames.
+///
+/// # Errors
+///
+/// Propagates encode and I/O failures.
+pub fn write_frame(w: &mut impl Write, buf: &mut Vec<u8>, payload: &Json<'_>) -> io::Result<()> {
+    encode_frame(buf, payload)?;
+    w.write_all(buf)?;
+    release_oversized(buf);
     w.flush()
 }
 
-/// Reads one length-prefixed frame. Returns `None` on a clean EOF at a
+/// Reads one frame into `buf` (the connection's decode buffer, reused
+/// across frames) and decodes it. `fill(dst, at_boundary)` is the
+/// transport: it fills `dst` completely and returns `true`, or returns
+/// `false` for a clean end of the stream, which it may only do when
+/// `at_boundary` (before the first byte of a frame). Returns `None` on
+/// such a clean end.
+///
+/// # Errors
+///
+/// Fails on oversized lengths, streams that end mid-frame, invalid
+/// UTF-8 or malformed JSON, and propagates `fill`'s failures.
+pub(crate) fn read_frame_with<'b>(
+    buf: &'b mut Vec<u8>,
+    mut fill: impl FnMut(&mut [u8], bool) -> io::Result<bool>,
+) -> io::Result<Option<Json<'b>>> {
+    release_oversized(buf);
+    let mut len_bytes = [0u8; 4];
+    if !fill(&mut len_bytes, true)? {
+        return Ok(None);
+    }
+    let len = u32::from_be_bytes(len_bytes);
+    if len > MAX_FRAME_BYTES {
+        return Err(invalid_data(format!(
+            "frame length {len} exceeds the {MAX_FRAME_BYTES} byte cap"
+        )));
+    }
+    let len = len as usize;
+    buf.clear();
+    while buf.len() < len {
+        let filled = buf.len();
+        buf.resize(len.min(filled + READ_STEP_BYTES), 0);
+        if !fill(&mut buf[filled..], false)? {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "connection closed mid-frame",
+            ));
+        }
+    }
+    decode_payload(buf).map(Some)
+}
+
+/// Reads one length-prefixed frame from a blocking reader into `buf`
+/// (the connection's frame buffer, reused across frames) and decodes
+/// it; the value borrows from `buf`. Returns `None` on a clean EOF at a
 /// frame boundary.
 ///
 /// # Errors
 ///
 /// Fails on truncated frames, oversized lengths, invalid UTF-8 or
 /// malformed JSON.
-pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Json>> {
-    let mut len_bytes = [0u8; 4];
-    match r.read_exact(&mut len_bytes) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
-    }
-    let len = u32::from_be_bytes(len_bytes);
-    if len > MAX_FRAME_BYTES {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds the {MAX_FRAME_BYTES} byte cap"),
-        ));
-    }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    let text = String::from_utf8(payload)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-    json::parse(&text)
-        .map(Some)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+pub fn read_frame<'b>(r: &mut impl Read, buf: &'b mut Vec<u8>) -> io::Result<Option<Json<'b>>> {
+    read_frame_with(buf, |dst, at_boundary| match r.read_exact(dst) {
+        Ok(()) => Ok(true),
+        Err(e) if at_boundary && e.kind() == io::ErrorKind::UnexpectedEof => Ok(false),
+        Err(e) => Err(e),
+    })
 }
 
 #[cfg(test)]
@@ -1758,9 +1849,9 @@ mod tests {
         let json = req.to_json();
         assert_eq!(Request::from_json(&json).unwrap(), req);
         // And through the framing.
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &json).unwrap();
-        let back = read_frame(&mut buf.as_slice()).unwrap().unwrap();
+        let (mut wire, mut buf) = (Vec::new(), Vec::new());
+        write_frame(&mut wire, &mut buf, &json).unwrap();
+        let back = read_frame(&mut wire.as_slice(), &mut buf).unwrap().unwrap();
         assert_eq!(Request::from_json(&back).unwrap(), req);
     }
 
@@ -2019,7 +2110,7 @@ mod tests {
         if let Json::Obj(fields) = &mut json {
             fields.retain(|(k, _)| {
                 !matches!(
-                    k.as_str(),
+                    &**k,
                     "worker_panics"
                         | "jobs_retried"
                         | "jobs_deadline_exceeded"
@@ -2068,7 +2159,8 @@ mod tests {
     fn temporal_and_refine_knobs_absent_from_the_wire_default_off() {
         // Pre-observability clients never sent the knobs; their frames
         // must resolve to the engine defaults they always ran with.
-        let mut json = WireConfig::default().to_json();
+        let default = WireConfig::default();
+        let mut json = default.to_json();
         if let Json::Obj(fields) = &mut json {
             fields.retain(|(k, _)| !k.starts_with("temporal_") && !k.starts_with("refine_"));
         }
@@ -2084,7 +2176,7 @@ mod tests {
             ("type", Json::Str("submit".into())),
             ("name", Json::Str("m".into())),
             ("source", Json::Str("module m; endmodule".into())),
-            ("config", WireConfig::default().to_json()),
+            ("config", default.to_json()),
         ]);
         match Request::from_json(&req).unwrap() {
             Request::Submit {
@@ -2144,7 +2236,8 @@ mod tests {
         // Pre-wide-lane clients never sent the field; their frames must
         // keep resolving to the backend they always ran (the default
         // 64-lane batch), not error out.
-        let mut json = WireConfig::default().to_json();
+        let default = WireConfig::default();
+        let mut json = default.to_json();
         if let Json::Obj(fields) = &mut json {
             fields.retain(|(k, _)| k != "sim_backend");
         }
@@ -2153,7 +2246,7 @@ mod tests {
         assert_eq!(back, WireConfig::default());
         // Out-of-range lane blocks are rejected loudly.
         let wide = |w: u64| {
-            let mut json = WireConfig::default().to_json();
+            let mut json = default.to_json();
             if let Json::Obj(fields) = &mut json {
                 for (k, v) in fields.iter_mut() {
                     if k == "sim_backend" {
@@ -2173,13 +2266,61 @@ mod tests {
 
     #[test]
     fn truncated_and_oversized_frames_are_rejected() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &Json::UInt(1)).unwrap();
-        buf.truncate(buf.len() - 1);
-        assert!(read_frame(&mut buf.as_slice()).is_err());
+        let (mut wire, mut buf) = (Vec::new(), Vec::new());
+        write_frame(&mut wire, &mut buf, &Json::UInt(1)).unwrap();
+        wire.truncate(wire.len() - 1);
+        assert!(read_frame(&mut wire.as_slice(), &mut buf).is_err());
         let huge = (MAX_FRAME_BYTES + 1).to_be_bytes().to_vec();
-        assert!(read_frame(&mut huge.as_slice()).is_err());
+        assert!(read_frame(&mut huge.as_slice(), &mut buf).is_err());
         // Clean EOF at a boundary is not an error.
-        assert_eq!(read_frame(&mut [].as_slice()).unwrap(), None);
+        assert_eq!(read_frame(&mut [].as_slice(), &mut buf).unwrap(), None);
+    }
+
+    /// "Wire bytes unchanged" is checked, not assumed: these frames were
+    /// captured from the pre-rewrite codec (char-by-char writer, cloned
+    /// `Json` tree). They pin key order, number forms and every escape
+    /// the writer emits, multi-byte UTF-8 included.
+    #[test]
+    fn encoded_frames_match_the_golden_bytes() {
+        const SUBMIT: &[u8] = b"\x00\x00\x01\xdf{\"type\":\"submit\",\"name\":\"arbiter2\",\"source\":\"module m(input a, output y);\\n  assign y = a; // \\\"q\\\" \\\\ \\t\xcf\x80\\nendmodule\",\"config\":{\"window\":1,\"seed\":12648430,\"random_cycles\":64,\"max_iterations\":64,\"backend\":\"auto\",\"unknown_assume\":true,\"targets\":[[\"gnt0\",0]],\"batched\":true,\"shards\":0,\"steal\":false,\"racing\":false,\"record_coverage\":true,\"temporal_horizon\":0,\"refine_variants\":0,\"refine_extra_cycles\":16,\"refine_max_absorb\":2,\"sim_backend\":\"batch\"},\"trace\":true,\"deadline_ms\":1500}";
+        const DONE: &[u8] = b"\x00\x00\x00\xdc{\"type\":\"done\",\"job\":3,\"summary\":{\"converged\":true,\"iterations\":4,\"assertions\":[\"req0 => X gnt0\",\"a \\\"b\\\"\"],\"suite_cycles\":128,\"unknown_assumed\":0,\"outcome_debug\":\"ClosureOutcome { name: \\\"s0\\\", cov: 0.625 }\\n\\u0001\xc3\xa9\"}}";
+        let submit = Request::Submit {
+            name: "arbiter2".into(),
+            source: "module m(input a, output y);\n  assign y = a; // \"q\" \\ \tπ\nendmodule"
+                .into(),
+            config: WireConfig::default().with_bit_targets(vec![("gnt0".into(), 0)]),
+            trace: true,
+            deadline_ms: Some(1500),
+        };
+        let done = Response::Done {
+            job: 3,
+            summary: ClosureSummary {
+                converged: true,
+                iterations: 4,
+                assertions: vec!["req0 => X gnt0".into(), "a \"b\"".into()],
+                suite_cycles: 128,
+                unknown_assumed: 0,
+                outcome_debug: "ClosureOutcome { name: \"s0\", cov: 0.625 }\n\u{1}é".into(),
+            },
+        };
+        let mut buf = Vec::new();
+        encode_frame(&mut buf, &submit.to_json()).unwrap();
+        assert_eq!(
+            buf.escape_ascii().to_string(),
+            SUBMIT.escape_ascii().to_string()
+        );
+        // The same buffer, reused: nothing of the longer frame is left.
+        encode_frame(&mut buf, &done.to_json()).unwrap();
+        assert_eq!(
+            buf.escape_ascii().to_string(),
+            DONE.escape_ascii().to_string()
+        );
+        // `to_string` is the same serializer.
+        assert_eq!(done.to_json().to_string().as_bytes(), &DONE[4..]);
+        // And the golden bytes decode to the messages.
+        let frame = read_frame(&mut &SUBMIT[..], &mut buf).unwrap().unwrap();
+        assert_eq!(Request::from_json(&frame).unwrap(), submit);
+        let frame = read_frame(&mut &DONE[..], &mut buf).unwrap().unwrap();
+        assert_eq!(Response::from_json(&frame).unwrap(), done);
     }
 }

@@ -260,14 +260,16 @@ pub struct JobStatus {
     pub cached: bool,
 }
 
-struct JobRecord {
-    name: String,
+/// What a job needs only while it is queued or running. A record drops
+/// it on reaching a terminal state ([`State::retire`]), so the up to
+/// [`ServeConfig::retain_jobs`] finished records keep no design
+/// artifact alive that the cache has already evicted.
+struct LiveJob {
     key: String,
     /// The design's canonical form — required to park the checker back
     /// safely (see [`DesignCache::park`]).
     canonical: Arc<str>,
     config: EngineConfig,
-    module: Arc<Module>,
     elab: Arc<Elab>,
     /// A warm checker checked out of the cache at submission (absent on
     /// cold entries or when every parked checker is busy).
@@ -275,16 +277,7 @@ struct JobRecord {
     /// The design's parked compiled tape, when the cache held one at
     /// submission (an `Arc` clone — shared, unlike the checker).
     compiled: Option<Arc<CompiledModule>>,
-    state: JobState,
-    progress: Vec<ProgressEvent>,
-    outcome: Option<Result<ClosureOutcome, JobError>>,
-    error: Option<String>,
     cancel: Arc<AtomicBool>,
-    cached: bool,
-    /// Submission timestamp on the process trace clock — the base of
-    /// the queue-latency histogram and the retroactive `serve.queue`
-    /// span.
-    submitted_ns: u64,
     /// The job's deadline in milliseconds from submission (`None` = no
     /// deadline), and its absolute expiry on the trace clock. The
     /// supervisor compares the latter against `now_ns` on every tick.
@@ -294,6 +287,38 @@ struct JobRecord {
     /// expires — what lets retire distinguish a deadline stop from a
     /// client cancellation, which share the token.
     deadline_hit: bool,
+}
+
+impl LiveJob {
+    fn deadline_error(&self) -> JobError {
+        JobError::DeadlineExceeded {
+            deadline_ms: self.deadline_ms.unwrap_or(0),
+        }
+    }
+}
+
+/// One job's table entry: what `status`, `progress`, `summary`,
+/// `take_outcome` and `trace_json` read, for as long as the record is
+/// retained, plus the [`LiveJob`] half until the job is terminal.
+struct JobRecord {
+    name: String,
+    /// Renders the summary's assertions.
+    module: Arc<Module>,
+    /// `Some` exactly while the job is queued or running. Boxed: the
+    /// config and checker are over a kilobyte inline, which the job
+    /// table would otherwise carry in every bucket, retired or empty.
+    live: Option<Box<LiveJob>>,
+    state: JobState,
+    progress: Vec<ProgressEvent>,
+    /// Shared so that [`ClosureService::summary`] can render it without
+    /// holding the state lock.
+    outcome: Option<Result<Arc<ClosureOutcome>, JobError>>,
+    error: Option<String>,
+    cached: bool,
+    /// Submission timestamp on the process trace clock — the base of
+    /// the queue-latency histogram and the retroactive `serve.queue`
+    /// span.
+    submitted_ns: u64,
     /// The per-job flight recorder, present when the submission asked
     /// for one. The worker installs it as its thread sink for the whole
     /// claim→retire window; clients fetch the export once the job is
@@ -335,9 +360,14 @@ struct State {
 }
 
 impl State {
-    /// Records that `id` reached a terminal state, evicting the oldest
-    /// finished records past the retention bound.
+    /// Records that `id` reached a terminal state: releases everything
+    /// only a live job needs, and evicts the oldest finished records
+    /// past the retention bound.
     fn retire(&mut self, id: u64, retain: usize) {
+        if let Some(job) = self.jobs.get_mut(&id) {
+            job.live = None;
+            job.progress.shrink_to_fit();
+        }
         self.finished.push_back(id);
         while self.finished.len() > retain.max(1) {
             let oldest = self
@@ -361,13 +391,9 @@ impl State {
             return;
         }
         job.state = JobState::Cancelled;
-        let checker = job.checker.take();
-        let key = job.key.clone();
-        let canonical = job.canonical.clone();
+        let live = job.live.take();
         self.cancelled += 1;
-        if let Some(checker) = checker {
-            self.cache.park(&key, &canonical, checker);
-        }
+        self.park_unclaimed(live);
         self.retire(id, retain);
     }
 
@@ -384,21 +410,28 @@ impl State {
         if job.state != JobState::Queued {
             return;
         }
-        let error = JobError::DeadlineExceeded {
-            deadline_ms: job.deadline_ms.unwrap_or(0),
-        };
+        let live = job.live.take();
+        let error = live
+            .as_ref()
+            .expect("queued jobs are live")
+            .deadline_error();
         job.state = JobState::Failed;
         job.error = Some(error.to_string());
         job.outcome = Some(Err(error));
-        let checker = job.checker.take();
-        let key = job.key.clone();
-        let canonical = job.canonical.clone();
         self.failed += 1;
         self.deadline_exceeded += 1;
-        if let Some(checker) = checker {
-            self.cache.park(&key, &canonical, checker);
-        }
+        self.park_unclaimed(live);
         self.retire(id, retain);
+    }
+
+    /// Parks the warm checker of a job that retired without ever being
+    /// claimed back into the cache.
+    fn park_unclaimed(&mut self, live: Option<Box<LiveJob>>) {
+        if let Some(live) = live {
+            if let Some(checker) = live.checker {
+                self.cache.park(&live.key, &live.canonical, checker);
+            }
+        }
     }
 
     /// Parks a retired attempt's warm artifacts back into the cache.
@@ -716,7 +749,11 @@ impl ClosureService {
                     .filter(|j| j.state == JobState::Queued)
                     .collect();
                 let depth = queued.len();
-                let bytes: usize = queued.iter().map(|j| j.canonical.len()).sum();
+                let bytes: usize = queued
+                    .iter()
+                    .filter_map(|j| j.live.as_ref())
+                    .map(|live| live.canonical.len())
+                    .sum();
                 let over = if bounds.0 > 0 && depth >= bounds.0 {
                     Some(bounds.0 as u64)
                 } else if bounds.1 > 0 && bytes.saturating_add(canonical.len()) > bounds.1 {
@@ -763,24 +800,26 @@ impl ClosureService {
                 id,
                 JobRecord {
                     name: name.to_string(),
-                    key,
-                    canonical: Arc::from(canonical.as_str()),
-                    config,
                     module,
-                    elab,
-                    checker,
-                    compiled,
+                    live: Some(Box::new(LiveJob {
+                        key,
+                        canonical: Arc::from(canonical.as_str()),
+                        config,
+                        elab,
+                        checker,
+                        compiled,
+                        cancel: Arc::new(AtomicBool::new(false)),
+                        deadline_ms,
+                        deadline_ns: deadline_ms
+                            .map(|ms| submitted_ns.saturating_add(ms.saturating_mul(1_000_000))),
+                        deadline_hit: false,
+                    })),
                     state: JobState::Queued,
                     progress: Vec::new(),
                     outcome: None,
                     error: None,
-                    cancel: Arc::new(AtomicBool::new(false)),
                     cached,
                     submitted_ns,
-                    deadline_ms,
-                    deadline_ns: deadline_ms
-                        .map(|ms| submitted_ns.saturating_add(ms.saturating_mul(1_000_000))),
-                    deadline_hit: false,
                     trace: trace_sink,
                 },
             );
@@ -828,14 +867,14 @@ impl ClosureService {
     /// [`ClosureService::take_outcome`]. Returns whether the job
     /// existed and was still cancellable.
     pub fn cancel(&self, job: u64) -> bool {
-        let mut st = self.state();
-        let Some(record) = st.jobs.get_mut(&job) else {
+        let st = self.state();
+        let Some(record) = st.jobs.get(&job) else {
             return false;
         };
-        if terminal(record.state) {
+        let Some(live) = &record.live else {
             return false;
-        }
-        record.cancel.store(true, Ordering::Release);
+        };
+        live.cancel.store(true, Ordering::Release);
         if record.state == JobState::Queued {
             // The worker will observe the flag and retire the job; wake
             // anyone already waiting.
@@ -867,17 +906,20 @@ impl ClosureService {
     /// after [`ClosureService::take_outcome`] — cancelled jobs' partial
     /// outcomes stay accessible through `take_outcome` only). Rendered
     /// on demand — the table stores one copy of the outcome, not a
-    /// duplicate multi-KB debug string per retained job.
+    /// duplicate multi-KB debug string per retained job — and rendered
+    /// *outside* the state lock: the lock is held for two `Arc` clones,
+    /// so a large reply never stalls the workers' claim/retire or
+    /// another connection.
     pub fn summary(&self, job: u64) -> Option<ClosureSummary> {
-        let st = self.state();
-        st.jobs
-            .get(&job)
-            .and_then(|j| match (&j.state, &j.outcome) {
-                (JobState::Done, Some(Ok(outcome))) => {
-                    Some(ClosureSummary::from_outcome(outcome, &j.module))
-                }
-                _ => None,
-            })
+        let (outcome, module) = {
+            let st = self.state();
+            let j = st.jobs.get(&job)?;
+            match (&j.state, &j.outcome) {
+                (JobState::Done, Some(Ok(outcome))) => (outcome.clone(), j.module.clone()),
+                _ => return None,
+            }
+        };
+        Some(ClosureSummary::from_outcome(&outcome, &module))
     }
 
     /// Removes and returns a finished job's full outcome — the
@@ -885,8 +927,12 @@ impl ClosureService {
     /// standalone engine runs. Failed jobs carry the typed [`JobError`]
     /// (engine failure, deadline, exhausted retries).
     pub fn take_outcome(&self, job: u64) -> Option<Result<ClosureOutcome, JobError>> {
-        let mut st = self.state();
-        st.jobs.get_mut(&job).and_then(|j| j.outcome.take())
+        let taken = {
+            let mut st = self.state();
+            st.jobs.get_mut(&job)?.outcome.take()?
+        };
+        // Cloned only when a concurrent `summary` is still rendering it.
+        Some(taken.map(|shared| Arc::try_unwrap(shared).unwrap_or_else(|o| (*o).clone())))
     }
 
     /// A terminal traced job's flight recording as Chrome trace-event
@@ -1126,7 +1172,7 @@ impl ClosureService {
                         .map(|(id, _)| *id)
                         .collect();
                     for id in live {
-                        if let Some(job) = st.jobs.get_mut(&id) {
+                        if let Some(job) = st.jobs.get(&id).and_then(|j| j.live.as_ref()) {
                             job.cancel.store(true, Ordering::Release);
                         }
                         st.cancel_queued(id, self.shared.config.retain_jobs);
@@ -1226,7 +1272,9 @@ fn enforce_deadlines(shared: &Arc<Shared>) {
         .jobs
         .iter()
         .filter(|(_, j)| {
-            !terminal(j.state) && !j.deadline_hit && j.deadline_ns.is_some_and(|d| now >= d)
+            j.live
+                .as_ref()
+                .is_some_and(|l| !l.deadline_hit && l.deadline_ns.is_some_and(|d| now >= d))
         })
         .map(|(id, _)| *id)
         .collect();
@@ -1238,8 +1286,11 @@ fn enforce_deadlines(shared: &Arc<Shared>) {
         let Some(job) = st.jobs.get_mut(&id) else {
             continue;
         };
-        job.deadline_hit = true;
-        job.cancel.store(true, Ordering::Release);
+        let Some(live) = &mut job.live else {
+            continue;
+        };
+        live.deadline_hit = true;
+        live.cancel.store(true, Ordering::Release);
         if job.state == JobState::Queued {
             st.expire_queued(id, shared.config.retain_jobs);
             retired = true;
@@ -1352,12 +1403,13 @@ fn cancelled_finish(shared: &Arc<Shared>, id: u64, cancel: &AtomicBool) -> Optio
     let deadline = st
         .jobs
         .get(&id)
-        .filter(|j| j.deadline_hit)
-        .map(|j| j.deadline_ms.unwrap_or(0));
+        .and_then(|j| j.live.as_ref())
+        .filter(|live| live.deadline_hit)
+        .map(|live| live.deadline_error());
     drop(st);
     Some(match deadline {
-        Some(deadline_ms) => Finish::Error {
-            error: JobError::DeadlineExceeded { deadline_ms },
+        Some(error) => Finish::Error {
+            error,
             reclaimed: None,
             built_compiled: None,
         },
@@ -1380,7 +1432,8 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
         if job.state != JobState::Queued {
             return;
         }
-        if job.cancel.load(Ordering::Acquire) {
+        let live = job.live.as_mut().expect("queued jobs are live");
+        if live.cancel.load(Ordering::Acquire) {
             st.cancel_queued(id, shared.config.retain_jobs);
             shared.done_cv.notify_all();
             return;
@@ -1388,13 +1441,13 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
         job.state = JobState::Running;
         let claim = (
             job.module.clone(),
-            job.elab.clone(),
-            job.checker.take(),
-            job.compiled.take(),
-            job.config.clone(),
-            job.cancel.clone(),
-            job.key.clone(),
-            job.canonical.clone(),
+            live.elab.clone(),
+            live.checker.take(),
+            live.compiled.take(),
+            live.config.clone(),
+            live.cancel.clone(),
+            live.key.clone(),
+            live.canonical.clone(),
             job.trace.clone(),
             job.submitted_ns,
         );
@@ -1559,21 +1612,20 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
             // A cancel raised by the deadline supervisor is a deadline
             // failure, not a client cancellation: the partial outcome
             // is discarded for the typed error.
-            if was_cancelled && job.deadline_hit {
-                let error = JobError::DeadlineExceeded {
-                    deadline_ms: job.deadline_ms.unwrap_or(0),
-                };
+            let live = job.live.as_ref().expect("running jobs are live");
+            if was_cancelled && live.deadline_hit {
+                let error = live.deadline_error();
                 job.error = Some(error.to_string());
                 job.outcome = Some(Err(error));
                 job.state = JobState::Failed;
                 st.failed += 1;
                 st.deadline_exceeded += 1;
             } else if was_cancelled {
-                job.outcome = Some(Ok(outcome));
+                job.outcome = Some(Ok(Arc::new(outcome)));
                 job.state = JobState::Cancelled;
                 st.cancelled += 1;
             } else {
-                job.outcome = Some(Ok(outcome));
+                job.outcome = Some(Ok(Arc::new(outcome)));
                 job.state = JobState::Done;
                 st.completed += 1;
             }
@@ -1841,6 +1893,76 @@ mod tests {
         assert!(service.take_outcome(ids[2]).is_some());
         assert_eq!(service.status(ids[3]).unwrap().state, JobState::Done);
         assert_eq!(service.stats().completed, 4, "counters outlive records");
+        service.shutdown();
+    }
+
+    #[test]
+    fn finished_records_release_evicted_design_artifacts() {
+        let service = ClosureService::new(ServeConfig {
+            workers: 1,
+            cache_capacity: 2,
+            ..ServeConfig::default()
+        });
+        let src = "module pin(input a, input b, output y); assign y = a & b; endmodule";
+        let (ran, _) = service
+            .submit_module("pin", parse(src), tiny_config())
+            .unwrap();
+        assert_eq!(service.wait(ran), Some(JobState::Done));
+        // Weak handles on the design's elaboration and the tape the job
+        // parked, taken through a cache checkout.
+        let canonical = crate::cache::canonical_form(&parse(src));
+        let key = crate::cache::key_of(&canonical);
+        let (elab, tape) = {
+            let mut st = service.state();
+            let out = st
+                .cache
+                .checkout(
+                    &key,
+                    &canonical,
+                    Some(false),
+                    || -> Result<_, ServeError> { unreachable!("the design is resident") },
+                )
+                .unwrap();
+            let tape = out.compiled.expect("the first job parked its tape");
+            (Arc::downgrade(&out.elab), Arc::downgrade(&tape))
+        };
+        assert!(elab.upgrade().is_some() && tape.upgrade().is_some());
+        // A second job of the design retires without running: cancelled
+        // while queued behind a slow job, holding the tape it checked
+        // out at submission.
+        let (slow, _) = service
+            .submit_module("slow", gm_designs::arbiter4(), EngineConfig::default())
+            .unwrap();
+        let (unclaimed, cached) = service
+            .submit_module("pin-again", parse(src), tiny_config())
+            .unwrap();
+        assert!(cached);
+        assert!(service.cancel(unclaimed));
+        assert_eq!(service.wait(unclaimed), Some(JobState::Cancelled));
+        assert_eq!(service.wait(slow), Some(JobState::Done));
+        // Two other designs push `pin` out of the two-entry cache.
+        for (name, op) in [("evict1", "|"), ("evict2", "^")] {
+            let src = format!(
+                "module {name}(input a, input b, output y); assign y = a {op} b; endmodule"
+            );
+            let (id, _) = service
+                .submit_module(name, parse(&src), tiny_config())
+                .unwrap();
+            assert_eq!(service.wait(id), Some(JobState::Done));
+        }
+        assert!(service.stats().cache_evictions >= 1);
+        // Both records are still retained and still answer queries...
+        assert_eq!(
+            service.status(unclaimed).unwrap().state,
+            JobState::Cancelled
+        );
+        assert!(service.summary(ran).unwrap().converged);
+        // ...but no longer keep the evicted design's artifacts alive.
+        assert!(elab.upgrade().is_none(), "a finished record pins the Elab");
+        assert!(
+            tape.upgrade().is_none(),
+            "a finished record pins the compiled tape"
+        );
         service.shutdown();
     }
 
