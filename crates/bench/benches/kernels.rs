@@ -4,7 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use gm_mc::{
-    blast, bmc, k_induction, BitAtom, Checker, ExplicitLimits, ReachableStates, WindowProperty,
+    blast, bmc, explicit_check, k_induction, BitAtom, CheckResult, Checker, ExplicitLimits,
+    ReachableStates, WindowProperty,
 };
 use gm_mine::{Dataset, DecisionTree, MiningSpec};
 use gm_rtl::{cone_of, elaborate, parse_verilog};
@@ -199,6 +200,48 @@ fn bench_model_checking(c: &mut Criterion) {
             },
             BatchSize::SmallInput,
         );
+    });
+}
+
+/// The explicit engine's two inner loops on its widest catalog design
+/// (`fetch_stage`, 128 input words per state): building the tables from
+/// cold, and one live-set pass over warm tables.
+fn bench_explicit_tables(c: &mut Criterion) {
+    let module = gm_designs::fetch_stage();
+    let elab = elaborate(&module).unwrap();
+    let blasted = blast(&module, &elab).unwrap();
+    let limits = ExplicitLimits::default();
+    let sig = |name: &str| module.require(name).unwrap();
+    // branch_mispredict@0 |-> !valid@1: proved, so the pass runs every
+    // offset over every pair.
+    let proved = WindowProperty {
+        antecedent: vec![BitAtom::new(sig("branch_mispredict"), 0, 0, true)],
+        consequent: BitAtom::new(sig("valid"), 0, 1, false),
+    };
+    // Seven input bits and one register bit: eight observation bitsets.
+    let mut antecedent = vec![
+        BitAtom::new(sig("stall_in"), 0, 0, false),
+        BitAtom::new(sig("branch_mispredict"), 0, 0, false),
+        BitAtom::new(sig("icache_rdvl_i"), 0, 0, true),
+    ];
+    antecedent.extend((0..4).map(|bit| BitAtom::new(sig("branch_pc"), bit, 0, false)));
+    let eight_literals = WindowProperty {
+        antecedent,
+        consequent: BitAtom::new(sig("valid"), 0, 1, true),
+    };
+    let warm = ReachableStates::explore(&blasted, &limits).unwrap();
+    let res = explicit_check(&module, &blasted, &warm, &proved, &limits).unwrap();
+    assert_eq!(res, CheckResult::Proved);
+    explicit_check(&module, &blasted, &warm, &eight_literals, &limits).unwrap();
+    assert_eq!(warm.cache_stats().obs_nodes, 8);
+    c.bench_function("mc/explicit_check_fetch_stage_proved", |b| {
+        b.iter(|| explicit_check(&module, &blasted, &warm, &proved, &limits).unwrap());
+    });
+    c.bench_function("mc/explicit_tables_fetch_stage", |b| {
+        b.iter(|| {
+            let cold = ReachableStates::explore(&blasted, &limits).unwrap();
+            explicit_check(&module, &blasted, &cold, &eight_literals, &limits).unwrap()
+        });
     });
 }
 
@@ -557,6 +600,7 @@ criterion_group!(
         bench_parse_blast,
         bench_sat,
         bench_model_checking,
+        bench_explicit_tables,
         bench_batched_checking,
         bench_shard_scaling,
         bench_campaign,

@@ -1,7 +1,7 @@
 //! # gm-bench — experiment harness for the paper's tables and figures
 //!
-//! One regenerator per evaluation artifact of the paper (IDs follow
-//! DESIGN.md's per-experiment index):
+//! One regenerator per evaluation artifact of the paper (this table is
+//! the per-experiment index; ROADMAP.md refers to its IDs):
 //!
 //! | ID | Paper artifact | Function | Binary |
 //! |----|----------------|----------|--------|

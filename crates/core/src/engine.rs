@@ -403,7 +403,7 @@ impl<'m> Engine<'m> {
 
     /// Like [`Engine::run_observed`], but also hands the checker back —
     /// with its design artifacts (bit-blasted AIG, reachable set,
-    /// explicit-engine caches) and session state intact — so a design
+    /// explicit-engine tables) and session state intact — so a design
     /// cache can park it for the next request of the same design. The
     /// checker is returned on the error path too.
     pub fn run_reclaim(

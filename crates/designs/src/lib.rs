@@ -10,7 +10,7 @@
 //! * ITC'99-style blocks: [`b01`], [`b02`], [`b09`] (re-implemented from
 //!   the published descriptions) and [`b12_lite`], [`b17_lite`],
 //!   [`b18_lite`] (scaled structural analogues of the large benchmarks —
-//!   see DESIGN.md for the substitution notes).
+//!   the doc comments in [`sources`] hold the substitution notes).
 //!
 //! [`catalog`] enumerates everything with per-design mining defaults, so
 //! the experiment harness can sweep the whole set.

@@ -7,8 +7,8 @@
 //! `valid`), scaled to bench-friendly widths. The ITC'99-style blocks
 //! are re-implementations from the published benchmark descriptions
 //! (`b01`, `b02`, `b09`) and scaled structural analogues for the large
-//! ones (`b12_lite`, `b17_lite`, `b18_lite`) — see DESIGN.md for the
-//! substitution rationale.
+//! ones (`b12_lite`, `b17_lite`, `b18_lite`) — each constant's doc
+//! comment below says what the analogue keeps of the original.
 
 /// Small combinational example block (the paper's `cex_small`): the
 /// mux-style function of Figure 2 plus a carry-out expression so that
@@ -78,7 +78,8 @@ endmodule
 /// Rigel-like instruction fetch stage. Carries the signals the paper's
 /// experiments name: `stall_in`, `branch_mispredict`, `branch_pc`,
 /// `icache_rdvl_i` and the mined output `valid`. The PC is scaled to 4
-/// bits so the explicit model checker stays exact (DESIGN.md).
+/// bits so the explicit model checker stays exact (`gm_mc`'s
+/// `ExplicitLimits` and the table budget in its `explicit` module docs).
 pub const FETCH_STAGE: &str = "
 module fetch_stage(input clk, input rst,
                    input stall_in, input branch_mispredict,

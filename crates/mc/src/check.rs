@@ -297,10 +297,13 @@ impl Checker {
     }
 
     /// Approximate resident size of the checker's persistent state: the
-    /// memo plus every session's unrollings. Cache-accounting input for
+    /// memo, every session's unrollings, and the reachable set with the
+    /// explicit-engine tables built on it (which outlive
+    /// [`Checker::reset_for_reuse`]). Cache-accounting input for
     /// long-lived services.
     pub fn approx_bytes(&self) -> usize {
         self.memo_stats().approx_bytes
+            + self.reach.as_ref().map_or(0, |r| r.approx_bytes())
             + self.session.approx_bytes()
             + self
                 .shard_sessions
@@ -311,7 +314,7 @@ impl Checker {
 
     /// Resets the per-run verification state — sessions, memo, stats —
     /// while keeping the expensive design artifacts (bit-blasted AIG,
-    /// reachable set, explicit-engine caches) warm. A checker recycled
+    /// reachable set, explicit-engine tables) warm. A checker recycled
     /// through this produces *byte-identical* run artifacts to a fresh
     /// [`Checker::new`], because everything it keeps is
     /// stats-invisible; a design cache that parks checkers between
@@ -964,6 +967,7 @@ fn canonicalize<P: UnrollProperty>(
 ) -> CheckResult {
     match res {
         CheckResult::Violated(session_cex) => {
+            let _span = gm_trace::span("mc", "mc.canonical_cex");
             session.note_cex_canonicalized();
             match canonical_cex(module, blasted, prop, limit) {
                 Some(cex) => CheckResult::Violated(cex),
@@ -1364,6 +1368,32 @@ mod tests {
             unbounded.check(&props[0]).unwrap()
         );
         assert!(bounded.approx_bytes() > 0);
+    }
+
+    #[test]
+    fn approx_bytes_counts_the_reachable_set_and_its_tables() {
+        let m = gm_designs::fetch_stage();
+        let stall = m.require("stall_in").unwrap();
+        let valid = m.require("valid").unwrap();
+        let prop = WindowProperty {
+            antecedent: vec![BitAtom::new(stall, 0, 0, true)],
+            consequent: BitAtom::new(valid, 0, 1, true),
+        };
+        let mut c = Checker::new(&m).unwrap();
+        let cold = c.approx_bytes();
+        c.check(&prop).unwrap();
+        assert_eq!(c.session_stats().explicit_queries, 1);
+        let states = c.reachable_count().unwrap();
+        let successor_table = 4 * states * (1usize << c.blasted().aig.input_count());
+        assert!(
+            c.approx_bytes() >= cold + successor_table,
+            "{} -> {} with a {successor_table}-byte successor table",
+            cold,
+            c.approx_bytes()
+        );
+        // What a parked checker keeps warm is what it is billed for.
+        c.reset_for_reuse();
+        assert!(c.approx_bytes() >= successor_table);
     }
 
     #[test]

@@ -48,7 +48,8 @@
 //! conveniences (each builds a private unrolling).
 //!
 //! Model-checking semantics: reset pinned deasserted, initial state =
-//! declared register init values (see DESIGN.md).
+//! declared register init values (the header of `blast.rs` says how
+//! [`blast`] pins the clock and reset inputs).
 
 #![warn(missing_docs)]
 

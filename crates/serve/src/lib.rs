@@ -15,7 +15,7 @@
 //!   [`run_campaign`] as a drop-in [`goldmine::Campaign`] executor;
 //! * [`cache`] — a content-addressed [`DesignCache`]: submissions
 //!   hash the parsed module, repeated designs reuse the elaboration,
-//!   bit-blasted AIG, reachable set and explicit-engine caches, under
+//!   bit-blasted AIG, reachable set and explicit-engine tables, under
 //!   a bounded LRU with hit/miss/eviction counters;
 //! * [`service`] — the [`ClosureService`] job table tying them
 //!   together, plus the Unix-socket transport ([`serve_unix`],
