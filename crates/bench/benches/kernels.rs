@@ -2,10 +2,10 @@
 //! (the paper's §7 runtime discussion — formal checks at ~1.5 s each on
 //! 2010 hardware dominate; these benches show where our time goes).
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use gm_mc::{
-    blast, bmc, explicit_check, k_induction, BitAtom, CheckResult, Checker, ExplicitLimits,
-    ReachableStates, WindowProperty,
+    blast, bmc, explicit_check, k_induction, BitAtom, CheckResult, CheckSession, Checker,
+    ExplicitLimits, ReachableStates, WindowProperty,
 };
 use gm_mine::{Dataset, DecisionTree, MiningSpec};
 use gm_rtl::{cone_of, elaborate, parse_verilog};
@@ -161,6 +161,131 @@ fn bench_sat(c: &mut Criterion) {
             BatchSize::SmallInput,
         );
     });
+}
+
+/// The propagation loop as the closure engine drives it: one warm
+/// `CheckSession` on `b18_lite`, a fixed list of 200 properties decided
+/// by k-induction per iteration (assumption queries against two shared
+/// unrollings, learnt clauses carried over). Also prints the cost per
+/// propagated literal, the unit the solver's hot path is judged in.
+fn bench_sat_session(c: &mut Criterion) {
+    let module = gm_designs::b18_lite();
+    let elab = elaborate(&module).unwrap();
+    let blasted = std::sync::Arc::new(blast(&module, &elab).unwrap());
+    let bits: Vec<(gm_rtl::SignalId, u32)> = ["go", "sel", "done", "fault", "bus", "a_in", "b_in"]
+        .iter()
+        .flat_map(|name| {
+            let sig = module.require(name).unwrap();
+            (0..module.signal_width(sig)).map(move |bit| (sig, bit))
+        })
+        .collect();
+    // 200 distinct two-antecedent properties of depth 1 and 2.
+    let props: Vec<WindowProperty> = (0..200usize)
+        .map(|i| {
+            let (a, abit) = bits[i % bits.len()];
+            let (b, bbit) = bits[(i / 3 + 5) % bits.len()];
+            let (cons, cbit) = bits[(i * 7 + 2) % bits.len()];
+            WindowProperty {
+                antecedent: vec![
+                    BitAtom::new(a, abit, 0, i % 2 == 0),
+                    BitAtom::new(b, bbit, (i % 3 == 0) as u32, i % 5 < 3),
+                ],
+                consequent: BitAtom::new(cons, cbit, 1 + (i % 4 == 0) as u32, i % 7 < 4),
+            }
+        })
+        .collect();
+    let mut session = CheckSession::new(blasted);
+    let pass = |session: &mut CheckSession| {
+        for p in &props {
+            black_box(session.k_induction(&module, p, 2));
+        }
+    };
+    pass(&mut session);
+    c.bench_function("sat/propagate_b18_lite_session", |b| {
+        b.iter(|| pass(&mut session));
+    });
+    let before = session.stats().solver.propagations;
+    let start = std::time::Instant::now();
+    pass(&mut session);
+    let elapsed = start.elapsed();
+    let propagations = session.stats().solver.propagations - before;
+    println!(
+        "{:<44} {:.1} ns/propagation ({propagations} propagations per pass, SAT and encoding time included)",
+        "sat/propagate_b18_lite_session",
+        elapsed.as_nanos() as f64 / propagations as f64
+    );
+}
+
+/// Canonical counterexample extraction, one violated property per
+/// kernel, decided over and over by one warm checker. The property
+/// alternates between two spellings (an antecedent atom repeated or
+/// not — the same encoding) under a one-entry memo, so no check is
+/// memo-served: each iteration is one session query plus one canonical
+/// re-extraction.
+fn bench_canonical_cex(c: &mut Criterion) {
+    let spellings = |antecedent: Vec<BitAtom>, consequent: BitAtom| {
+        let mut doubled = antecedent.clone();
+        doubled.extend(antecedent.first().copied());
+        [
+            WindowProperty {
+                antecedent,
+                consequent,
+            },
+            WindowProperty {
+                antecedent: doubled,
+                consequent,
+            },
+        ]
+    };
+    let mut kernel = |name: &str, module: &gm_rtl::Module, props: [WindowProperty; 2]| {
+        let mut checker = Checker::new(module)
+            .unwrap()
+            .with_backend(gm_mc::Backend::KInduction { max_k: 2 })
+            .with_memo_capacity(1);
+        for p in &props {
+            assert!(matches!(
+                checker.check(p).unwrap(),
+                CheckResult::Violated(_)
+            ));
+        }
+        let mut turn = 1;
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                turn ^= 1;
+                checker.check(&props[turn]).unwrap()
+            });
+        });
+        let stats = checker.session_stats();
+        assert_eq!(stats.memo_hits, 0);
+        assert_eq!(stats.cex_canonicalized, stats.sat_decided);
+    };
+    // Latch-free, 13 input bits: is_alu |-> writes_rd & uses_imm fails
+    // for opcode 0 in the single window at reset.
+    let decode = gm_designs::decode_stage();
+    let sig = |name: &str| decode.require(name).unwrap();
+    kernel(
+        "mc/canonical_cex_decode_stage",
+        &decode,
+        spellings(
+            vec![
+                BitAtom::new(sig("is_alu"), 0, 0, true),
+                BitAtom::new(sig("writes_rd"), 0, 0, true),
+            ],
+            BitAtom::new(sig("uses_imm"), 0, 0, true),
+        ),
+    );
+    // Latched: !fault@0 |-> !done@1 first fails in the window starting
+    // two cycles after reset, so the scan extends the prefix twice.
+    let b18 = gm_designs::b18_lite();
+    let sig = |name: &str| b18.require(name).unwrap();
+    kernel(
+        "mc/canonical_cex_b18_lite_k2",
+        &b18,
+        spellings(
+            vec![BitAtom::new(sig("fault"), 0, 0, false)],
+            BitAtom::new(sig("done"), 0, 1, false),
+        ),
+    );
 }
 
 fn bench_model_checking(c: &mut Criterion) {
@@ -599,6 +724,8 @@ criterion_group!(
         bench_observer_overhead,
         bench_parse_blast,
         bench_sat,
+        bench_sat_session,
+        bench_canonical_cex,
         bench_model_checking,
         bench_explicit_tables,
         bench_batched_checking,

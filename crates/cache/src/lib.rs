@@ -1,4 +1,11 @@
-//! # gm-cache — shared bounded-LRU primitives
+//! # gm-cache — shared map primitives
+//!
+//! Two things more than one layer needs and none should own a copy of:
+//! the bounded LRU below, and the deterministic multiplicative hasher
+//! ([`FxHasher`], [`FxMap`], [`FxSet`]) behind the coverage collectors'
+//! per-cycle sets and the model checker's structural AND cache.
+//!
+//! ## The bounded LRU
 //!
 //! Both long-lived memo structures in the system — the model checker's
 //! property memo (`gm_mc::Checker`) and the closure service's
@@ -15,6 +22,10 @@
 //! instead of dropping them.
 
 #![warn(missing_docs)]
+
+mod fx;
+
+pub use fx::{FxBuild, FxHasher, FxMap, FxSet};
 
 use std::borrow::Borrow;
 use std::collections::HashMap;

@@ -8,54 +8,11 @@ use crate::points::{
     branch_points, count_boolean_nodes, declared_fsm_states, observe_boolean_nodes,
 };
 use crate::ratio::{CoverageReport, Ratio};
+use gm_cache::{FxMap, FxSet};
 use gm_rtl::{Bv, Expr, Module, SignalId, StmtId};
 use gm_sim::{
     BatchObserver, BranchOutcome, ExprRole, LaneSet, LaneSnapshot, ProbeHits, SimObserver,
 };
-use std::collections::{HashMap, HashSet};
-
-/// A tiny deterministic multiplicative hasher for the per-cycle
-/// coverage sets. The batch observers sit on the compiled executor's
-/// hot path (an insert attempt per statement/point per cycle), where
-/// SipHash rounds dominate; ids and small state values mix in a couple
-/// of arithmetic ops instead. The seed is fixed, so runs stay
-/// reproducible.
-#[derive(Clone, Copy, Debug, Default)]
-struct FxHasher(u64);
-
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_f9ad_32db_e727);
-    }
-}
-
-impl std::hash::Hasher for FxHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.add(u64::from(b));
-        }
-    }
-    fn write_u8(&mut self, v: u8) {
-        self.add(u64::from(v));
-    }
-    fn write_u32(&mut self, v: u32) {
-        self.add(u64::from(v));
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.add(v);
-    }
-    fn write_usize(&mut self, v: usize) {
-        self.add(v as u64);
-    }
-}
-
-type FxBuild = std::hash::BuildHasherDefault<FxHasher>;
-type FxSet<T> = HashSet<T, FxBuild>;
-type FxMap<K, V> = HashMap<K, V, FxBuild>;
 
 /// Statement (line) coverage: every statement executed at least once.
 #[derive(Debug)]

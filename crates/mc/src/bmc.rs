@@ -14,10 +14,11 @@ use crate::prop::{
     assemble_input_vector, BitAtom, CexTrace, CheckResult, ConsequentKind, TemporalProperty,
     WindowProperty,
 };
+use gm_cache::FxMap;
 use gm_rtl::Module;
 use gm_sat::{Lit, SolveResult, Solver};
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A bounded-window property the SAT engines can unroll: anything that
 /// can encode "the window starting at `base` is violated" as one
@@ -72,16 +73,26 @@ impl UnrollProperty for TemporalProperty {
 /// A structural AND cache keeps re-encoding the same property (or
 /// overlapping properties) nearly free: the cached activation literal is
 /// returned instead of fresh clauses.
-#[derive(Debug)]
+///
+/// Everything an unrolling owns is a flat vector (the solver's arena,
+/// watch pool and per-variable tables, one frame-literal table) or a
+/// table of `Copy` entries, so [`Clone`] is a handful of `memcpy`s —
+/// which is what lets canonical counterexample extraction start from a
+/// copy of a pristine prefix (see [`PristinePrefixes`]) instead of
+/// re-encoding the design.
+#[derive(Clone, Debug)]
 pub struct Unroller {
     blasted: Arc<Blasted>,
     solver: Solver,
     true_lit: Lit,
-    /// frames[f][node] = SAT literal of that AIG node at frame f.
-    frames: Vec<Vec<Lit>>,
+    /// SAT literal of AIG node `n` at frame `f`, at `f * nodes + n`.
+    frame_lits: Vec<Lit>,
+    frames: usize,
     free_init: bool,
-    /// Structural hash-cons of encoded AND gates: (a, b) -> out.
-    and_cache: HashMap<(Lit, Lit), Lit>,
+    /// Structural hash-cons of encoded AND gates: (a, b) -> out. Keys
+    /// are solver literals the unroller made itself, hence the fast
+    /// deterministic hasher.
+    and_cache: FxMap<(Lit, Lit), Lit>,
 }
 
 impl Unroller {
@@ -96,9 +107,10 @@ impl Unroller {
             blasted,
             solver,
             true_lit: t,
-            frames: Vec::new(),
+            frame_lits: Vec::new(),
+            frames: 0,
             free_init,
-            and_cache: HashMap::new(),
+            and_cache: FxMap::default(),
         }
     }
 
@@ -117,19 +129,19 @@ impl Unroller {
 
     /// The number of time frames encoded so far.
     pub fn frame_count(&self) -> usize {
-        self.frames.len()
+        self.frames
     }
 
-    /// Approximate resident size of the unrolling: solver variables and
-    /// clauses, frame literal tables, and the structural AND cache.
-    /// Used by long-lived services for cache accounting — an estimate,
-    /// not an allocator measurement.
+    /// Approximate resident size of the unrolling: the solver (see
+    /// [`Solver::approx_bytes`]), the frame literal table, and the
+    /// structural AND cache. Used by long-lived services for cache
+    /// accounting — an estimate, not an allocator measurement.
     pub fn approx_bytes(&self) -> usize {
-        let frame_lits: usize = self.frames.iter().map(Vec::len).sum();
-        self.solver.num_vars() * 16
-            + self.solver.num_clauses() * 24
-            + frame_lits * std::mem::size_of::<Lit>()
-            + self.and_cache.len() * 3 * std::mem::size_of::<Lit>()
+        // Per cache bucket: key, value and one control byte.
+        let and_entry = 3 * std::mem::size_of::<Lit>() + 1;
+        self.solver.approx_bytes()
+            + self.frame_lits.capacity() * std::mem::size_of::<Lit>()
+            + self.and_cache.capacity() * and_entry
     }
 
     fn encode_and(&mut self, a: Lit, b: Lit) -> Lit {
@@ -161,49 +173,46 @@ impl Unroller {
 
     /// Ensures frames `0..=frame` exist.
     pub fn ensure_frame(&mut self, frame: usize) {
-        while self.frames.len() <= frame {
-            let f = self.frames.len();
+        while self.frames <= frame {
+            let f = self.frames;
             let blasted = self.blasted.clone();
             let nodes = blasted.aig.nodes();
-            let mut lits: Vec<Lit> = Vec::with_capacity(nodes.len());
+            let base = self.frame_lits.len();
+            self.frame_lits.reserve(nodes.len());
             for node in nodes {
                 let lit = match node {
                     AigNode::ConstFalse => !self.true_lit,
                     AigNode::Input { .. } => self.solver.new_var().positive(),
                     AigNode::Latch { index } => {
-                        if f == 0 {
-                            if self.free_init {
-                                self.solver.new_var().positive()
-                            } else {
-                                let init = self.blasted.aig.latches()[*index as usize].init;
-                                if init {
-                                    self.true_lit
-                                } else {
-                                    !self.true_lit
-                                }
-                            }
+                        let latch = &blasted.aig.latches()[*index as usize];
+                        if f > 0 {
+                            self.lit_in(f - 1, latch.next)
+                        } else if self.free_init {
+                            self.solver.new_var().positive()
+                        } else if latch.init {
+                            self.true_lit
                         } else {
-                            let next = self.blasted.aig.latches()[*index as usize].next;
-                            self.lit_in(f - 1, next)
+                            !self.true_lit
                         }
                     }
                     AigNode::And(a, b) => {
-                        let la = lits[a.node()];
+                        let la = self.frame_lits[base + a.node()];
                         let la = if a.is_complemented() { !la } else { la };
-                        let lb = lits[b.node()];
+                        let lb = self.frame_lits[base + b.node()];
                         let lb = if b.is_complemented() { !lb } else { lb };
                         self.encode_and(la, lb)
                     }
                 };
-                lits.push(lit);
+                self.frame_lits.push(lit);
             }
-            self.frames.push(lits);
+            self.frames += 1;
         }
     }
 
     /// The SAT literal of an AIG literal at a frame (which must exist).
     pub fn lit_in(&self, frame: usize, lit: AigLit) -> Lit {
-        let l = self.frames[frame][lit.node()];
+        assert!(frame < self.frames, "frame {frame} is not unrolled");
+        let l = self.frame_lits[frame * self.blasted.aig.len() + lit.node()];
         if lit.is_complemented() {
             !l
         } else {
@@ -276,8 +285,9 @@ impl Unroller {
     /// counterexample trace.
     pub fn extract_cex(&self, module: &Module, last: usize) -> CexTrace {
         let mut inputs = Vec::with_capacity(last + 1);
+        let nodes = self.blasted.aig.len();
         for f in 0..=last {
-            let frame = &self.frames[f];
+            let frame = &self.frame_lits[f * nodes..(f + 1) * nodes];
             let vec = assemble_input_vector(module, &self.blasted, |i| {
                 let node = self.blasted.aig.input_node(i);
                 self.solver.model_value(frame[node])
@@ -308,18 +318,30 @@ pub fn bmc<P: UnrollProperty>(
     bmc_shared(module, Arc::new(blasted.clone()), prop, max_start)
 }
 
-/// The BMC scan on a shared design handle: the common core of the
-/// one-shot [`bmc`] entry point, canonical counterexample extraction,
-/// and the racing dispatch's SAT side.
+/// The BMC scan on a shared design handle: a fresh reset-rooted
+/// unrolling through [`bmc_scan`]. The core of the one-shot [`bmc`]
+/// entry point and the racing dispatch's SAT side.
 pub(crate) fn bmc_shared<P: UnrollProperty>(
     module: &Module,
     blasted: Arc<Blasted>,
     prop: &P,
     max_start: u32,
 ) -> CheckResult {
+    bmc_scan(module, Unroller::new(blasted, false), prop, max_start)
+}
+
+/// Scans window starts `0..=max_start` on `unroller` — fresh, or a clone
+/// of a [`PristinePrefixes`] entry, which is the same solver state a
+/// fresh one reaches after its first `ensure_frame` — and stops at the
+/// first violated window.
+fn bmc_scan<P: UnrollProperty>(
+    module: &Module,
+    mut unroller: Unroller,
+    prop: &P,
+    max_start: u32,
+) -> CheckResult {
     let depth = prop.window_depth() as usize;
-    let last_start = last_scan_start(&blasted, max_start);
-    let mut unroller = Unroller::new(blasted, false);
+    let last_start = last_scan_start(&unroller.blasted, max_start);
     for start in 0..=last_start {
         unroller.ensure_frame(start + depth);
         let v = prop.encode_violation(&mut unroller, start);
@@ -346,30 +368,96 @@ pub(crate) fn last_scan_start(blasted: &Blasted, max_start: u32) -> usize {
     }
 }
 
+/// Pristine reset-rooted unrollings of frames `0..=depth`, one per
+/// window depth, kept by a [`crate::Checker`] as the starting point of
+/// every canonical counterexample extraction.
+///
+/// An entry is built once — `Unroller::new` plus `ensure_frame(depth)`,
+/// exactly the state a one-shot [`bmc`] scan is in before it encodes
+/// its first violation literal — and never solved on; extraction works
+/// on a clone. Like the reachable set, the entries depend only on the
+/// design, so they are invisible to [`crate::SessionStats`], shared by
+/// every shard session, and survive [`crate::Checker::reset_for_reuse`].
+#[derive(Debug)]
+pub(crate) struct PristinePrefixes {
+    blasted: Arc<Blasted>,
+    by_depth: Mutex<BTreeMap<usize, Arc<Unroller>>>,
+}
+
+impl PristinePrefixes {
+    /// No prefix built yet.
+    pub(crate) fn new(blasted: Arc<Blasted>) -> Self {
+        PristinePrefixes {
+            blasted,
+            by_depth: Mutex::default(),
+        }
+    }
+
+    /// An entry is inserted only once fully built, so the map is valid
+    /// even if a builder panicked while holding the lock.
+    fn lock(&self) -> MutexGuard<'_, BTreeMap<usize, Arc<Unroller>>> {
+        self.by_depth.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The prefix for `depth`, built on first use. Building happens
+    /// under the lock, so concurrent shard workers asking for one cold
+    /// depth build it once; cloning the entry happens outside it.
+    fn get(&self, depth: usize) -> Arc<Unroller> {
+        self.lock()
+            .entry(depth)
+            .or_insert_with(|| {
+                let mut prefix = Unroller::new(self.blasted.clone(), false);
+                prefix.ensure_frame(depth);
+                Arc::new(prefix)
+            })
+            .clone()
+    }
+
+    /// The prefixes built so far, by depth.
+    #[cfg(test)]
+    pub(crate) fn snapshot(&self) -> Vec<(usize, Arc<Unroller>)> {
+        self.lock()
+            .iter()
+            .map(|(&depth, prefix)| (depth, prefix.clone()))
+            .collect()
+    }
+
+    /// Approximate resident size of every prefix built so far.
+    pub(crate) fn approx_bytes(&self) -> usize {
+        self.lock()
+            .values()
+            .map(|prefix| prefix.approx_bytes())
+            .sum()
+    }
+}
+
 /// Re-derives the *canonical* counterexample of a property known to be
 /// violated within `limit` window starts.
 ///
-/// The trace is extracted from a fresh, private unrolling whose solver
-/// state depends only on `(blasted, prop)` — never on which other
-/// properties a shared session decided before this one. This is the
-/// determinism keystone of the sharded dispatch layer: a session's model
-/// for a violated query varies with its learnt-clause history (and hence
-/// with the shard partition), so [`crate::Checker`] discards the
-/// session's model and re-extracts canonically. The scan stops at the
-/// first violating start, so the work (and the trace) is independent of
-/// `limit` as long as `limit` covers the violation; it matches the trace
-/// the one-shot [`bmc`] / [`k_induction`] engines produce.
+/// The trace is extracted from a private unrolling whose solver state
+/// depends only on the design and `prop` — never on which other properties
+/// a shared session decided before this one. This is the determinism
+/// keystone of the sharded dispatch layer: a session's model for a
+/// violated query varies with its learnt-clause history (and hence with
+/// the shard partition), so [`crate::Checker`] discards the session's
+/// model and re-extracts canonically. The private unrolling is a clone
+/// of the pristine prefix for the property's depth, put through the
+/// very scan the one-shot [`bmc`] runs, so the trace is bit-for-bit the
+/// one [`bmc`] / [`k_induction`] produce on a fresh unrolling. The scan
+/// stops at the first violating start, so the work (and the trace) is
+/// independent of `limit` as long as `limit` covers the violation.
 ///
 /// Returns `None` when no violation exists within `limit` (the caller
 /// then falls back to whatever deterministic trace it already holds,
 /// e.g. an explicit-state one).
 pub(crate) fn canonical_cex<P: UnrollProperty>(
     module: &Module,
-    blasted: &Arc<Blasted>,
+    prefixes: &PristinePrefixes,
     prop: &P,
     limit: u32,
 ) -> Option<CexTrace> {
-    match bmc_shared(module, blasted.clone(), prop, limit) {
+    let prefix = prefixes.get(prop.window_depth() as usize);
+    match bmc_scan(module, Unroller::clone(&prefix), prop, limit) {
         CheckResult::Violated(cex) => Some(cex),
         _ => None,
     }

@@ -17,13 +17,13 @@
 //! shard count — returns the same [`CheckResult`] for the same property
 //! under the same configuration, *including* the counterexample trace:
 //! verdicts are solver-state-independent, and violated SAT verdicts are
-//! re-extracted on a fresh canonical unrolling whose model depends only
-//! on the design and the property (never on session history or shard
-//! partition). Racing keeps the same verdicts and traces; only its
+//! re-extracted on a clone of a pristine unrolling prefix, whose model
+//! depends only on the design and the property (never on session
+//! history or shard partition). Racing keeps the same verdicts and traces; only its
 //! work-attribution stats depend on which engine answered first.
 
 use crate::blast::{blast, Blasted};
-use crate::bmc::{bmc_shared, canonical_cex, k_induction_shared, UnrollProperty};
+use crate::bmc::{bmc_shared, canonical_cex, k_induction_shared, PristinePrefixes, UnrollProperty};
 use crate::error::McError;
 use crate::explicit::{explicit_check, ExplicitLimits, ReachableStates};
 use crate::prop::{CheckResult, TemporalProperty, WindowProperty};
@@ -56,10 +56,12 @@ pub enum Backend {
     },
 }
 
-/// The engine configuration a worker needs to decide one property:
-/// everything from the [`Checker`] except the sessions and the memo.
+/// What a worker needs from the [`Checker`] to decide one property,
+/// besides the design and a session: the engine configuration and the
+/// shared pristine prefixes canonical counterexamples start from.
 #[derive(Clone, Debug)]
 struct DecideParams {
+    prefixes: Arc<PristinePrefixes>,
     backend: Backend,
     limits: ExplicitLimits,
     bmc_bound: u32,
@@ -168,6 +170,11 @@ pub struct Checker {
     racing: bool,
     reach: Option<Arc<ReachableStates>>,
     reach_failed: bool,
+    /// Per-depth pristine unrollings every canonical counterexample
+    /// extraction clones (see [`PristinePrefixes`]): a design artifact
+    /// like `reach`, shared with shard workers and kept across
+    /// [`Checker::reset_for_reuse`].
+    prefixes: Arc<PristinePrefixes>,
     session: CheckSession,
     /// Persistent per-shard sessions, grown on demand by
     /// [`Checker::check_batch_sharded`] and reused across batches.
@@ -211,6 +218,7 @@ impl Checker {
         Ok(Checker {
             module: Arc::new(module.clone()),
             session: CheckSession::new(blasted.clone()),
+            prefixes: Arc::new(PristinePrefixes::new(blasted.clone())),
             blasted,
             backend: Backend::Auto,
             limits: ExplicitLimits::default(),
@@ -297,13 +305,15 @@ impl Checker {
     }
 
     /// Approximate resident size of the checker's persistent state: the
-    /// memo, every session's unrollings, and the reachable set with the
-    /// explicit-engine tables built on it (which outlive
-    /// [`Checker::reset_for_reuse`]). Cache-accounting input for
-    /// long-lived services.
+    /// memo, every session's unrollings, and the design artifacts that
+    /// outlive [`Checker::reset_for_reuse`] — the reachable set with
+    /// the explicit-engine tables built on it, and the pristine
+    /// unrolling prefixes canonical counterexamples are cloned from.
+    /// Cache-accounting input for long-lived services.
     pub fn approx_bytes(&self) -> usize {
         self.memo_stats().approx_bytes
             + self.reach.as_ref().map_or(0, |r| r.approx_bytes())
+            + self.prefixes.approx_bytes()
             + self.session.approx_bytes()
             + self
                 .shard_sessions
@@ -314,7 +324,8 @@ impl Checker {
 
     /// Resets the per-run verification state — sessions, memo, stats —
     /// while keeping the expensive design artifacts (bit-blasted AIG,
-    /// reachable set, explicit-engine tables) warm. A checker recycled
+    /// reachable set, explicit-engine tables, pristine unrolling
+    /// prefixes) warm. A checker recycled
     /// through this produces *byte-identical* run artifacts to a fresh
     /// [`Checker::new`], because everything it keeps is
     /// stats-invisible; a design cache that parks checkers between
@@ -469,6 +480,7 @@ impl Checker {
 
     fn params(&self) -> DecideParams {
         DecideParams {
+            prefixes: self.prefixes.clone(),
             backend: self.backend,
             limits: self.limits,
             bmc_bound: self.bmc_bound,
@@ -555,8 +567,9 @@ impl Checker {
     /// BMC-then-k-induction path (the explicit engine has no
     /// disjunctive-window evaluator, so `Explicit` degrades rather than
     /// failing). Violated verdicts carry the canonical counterexample —
-    /// re-extracted on a fresh unrolling, independent of session
-    /// history — and results are memoized like window results.
+    /// re-extracted on a clone of the pristine unrolling prefix,
+    /// independent of session history — and results are memoized like
+    /// window results.
     ///
     /// # Errors
     ///
@@ -607,7 +620,7 @@ impl Checker {
         };
         let res = canonicalize(
             &self.module,
-            &self.blasted,
+            &self.prefixes,
             &mut self.session,
             prop,
             limit,
@@ -887,6 +900,7 @@ fn decide_one(
     prop: &WindowProperty,
 ) -> Result<CheckResult, McError> {
     let cancel = params.cancel.as_deref();
+    let prefixes = &params.prefixes;
     if cancel_requested(cancel) {
         return Err(McError::Cancelled);
     }
@@ -911,12 +925,12 @@ fn decide_one(
         Backend::Bmc { bound } => {
             session.note_sat_decision();
             let res = session.bmc_cancellable(module, prop, bound, cancel)?;
-            Ok(canonicalize(module, blasted, session, prop, bound, res))
+            Ok(canonicalize(module, prefixes, session, prop, bound, res))
         }
         Backend::KInduction { max_k } => {
             session.note_sat_decision();
             let res = session.k_induction_cancellable(module, prop, max_k, cancel)?;
-            Ok(canonicalize(module, blasted, session, prop, max_k, res))
+            Ok(canonicalize(module, prefixes, session, prop, max_k, res))
         }
         Backend::Auto => {
             if params.racing {
@@ -946,10 +960,10 @@ fn decide_one(
                 session.bmc_cancellable(module, prop, params.bmc_bound, cancel)?
             {
                 let res = CheckResult::Violated(cex);
-                return Ok(canonicalize(module, blasted, session, prop, limit, res));
+                return Ok(canonicalize(module, prefixes, session, prop, limit, res));
             }
             let res = session.k_induction_cancellable(module, prop, params.kind_max_k, cancel)?;
-            Ok(canonicalize(module, blasted, session, prop, limit, res))
+            Ok(canonicalize(module, prefixes, session, prop, limit, res))
         }
     }
 }
@@ -959,7 +973,7 @@ fn decide_one(
 /// through untouched.
 fn canonicalize<P: UnrollProperty>(
     module: &Module,
-    blasted: &Arc<Blasted>,
+    prefixes: &PristinePrefixes,
     session: &mut CheckSession,
     prop: &P,
     limit: u32,
@@ -967,10 +981,22 @@ fn canonicalize<P: UnrollProperty>(
 ) -> CheckResult {
     match res {
         CheckResult::Violated(session_cex) => {
-            let _span = gm_trace::span("mc", "mc.canonical_cex");
+            let mut span = gm_trace::span("mc", "mc.canonical_cex");
             session.note_cex_canonicalized();
-            match canonical_cex(module, blasted, prop, limit) {
-                Some(cex) => CheckResult::Violated(cex),
+            match canonical_cex(module, prefixes, prop, limit) {
+                Some(cex) => {
+                    // The scan stopped at the violating start, whose
+                    // window ends the trace: the prefix covered the
+                    // first start's window and every later start
+                    // encoded one more frame.
+                    let depth = prop.window_depth() as usize;
+                    let starts = cex.len() - depth;
+                    span.arg("depth", depth);
+                    span.arg("starts", starts);
+                    span.arg("frames_cloned", depth + 1);
+                    span.arg("frames_encoded", starts - 1);
+                    CheckResult::Violated(cex)
+                }
                 // Unreachable for a sound session verdict; keep the
                 // session trace rather than panicking in release.
                 None => CheckResult::Violated(session_cex),
@@ -1133,6 +1159,9 @@ fn decide_racing(
         loser,
     )
 }
+
+#[cfg(test)]
+mod prefix_tests;
 
 #[cfg(test)]
 mod tests {
@@ -1394,6 +1423,42 @@ mod tests {
         // What a parked checker keeps warm is what it is billed for.
         c.reset_for_reuse();
         assert!(c.approx_bytes() >= successor_table);
+    }
+
+    #[test]
+    fn approx_bytes_counts_the_solver_and_the_kept_prefix() {
+        let m = gm_designs::b18_lite();
+        let go = m.require("go").unwrap();
+        let done = m.require("done").unwrap();
+        // go@0 |-> done@1: refuted at reset, so the session unrolls two
+        // frames and one depth-1 prefix is kept.
+        let prop = WindowProperty {
+            antecedent: vec![BitAtom::new(go, 0, 0, true)],
+            consequent: BitAtom::new(done, 0, 1, true),
+        };
+        let mut c = Checker::new(&m)
+            .unwrap()
+            .with_backend(Backend::Bmc { bound: 0 });
+        let cold = c.approx_bytes();
+        assert!(matches!(c.check(&prop).unwrap(), CheckResult::Violated(_)));
+        // Two frames of b18_lite in the clause arena alone: a header
+        // word per clause and, per encoded AND gate, two binary clauses
+        // and a ternary one.
+        let mut two_frames = crate::Unroller::new(Arc::new(c.blasted().clone()), false);
+        two_frames.ensure_frame(1);
+        let clauses = two_frames.solver().num_clauses();
+        let arena = 4 * (clauses + clauses / 3 * 7);
+        assert!(clauses > 0 && clauses.is_multiple_of(3), "{clauses}");
+        // Billed twice: the session's unrolling and the kept prefix.
+        assert!(
+            c.approx_bytes() >= cold + 2 * arena,
+            "{cold} -> {} with {arena}-byte arenas",
+            c.approx_bytes()
+        );
+        // What a parked checker keeps warm is what it is billed for.
+        c.reset_for_reuse();
+        assert!(c.approx_bytes() >= arena);
+        assert!(c.approx_bytes() >= two_frames.approx_bytes());
     }
 
     #[test]

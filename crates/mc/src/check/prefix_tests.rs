@@ -1,0 +1,226 @@
+//! Canonical counterexamples from cloned pristine prefixes: the traces
+//! must be those of the one-shot [`bmc`] on a fresh unrolling, under
+//! every dispatch, and the prefixes themselves must stay pristine.
+
+use super::*;
+use crate::bmc::bmc;
+use crate::prop::BitAtom;
+use crate::testgen::{
+    random_module, random_property, random_temporal_property, seeded_recipe, Recipe,
+};
+use crate::Unroller;
+use gm_sat::SolverStats;
+use proptest::prelude::*;
+use std::sync::Barrier;
+
+/// Window starts the SAT backends may scan: enough for the three-register
+/// modules below to reach every state.
+const BOUND: u32 = 6;
+
+fn checker(module: &Module, backend: Backend) -> Checker {
+    Checker::new(module).unwrap().with_backend(backend)
+}
+
+/// Decides random window and temporal properties of depth 0–3 on random
+/// latch-free and latched modules through both SAT backends and all
+/// three dispatches, and requires every violated result to be exactly
+/// the one-shot [`bmc`] result. Returns how many violations were
+/// compared, and how many of those sat beyond the first window start
+/// (where the scan has to extend the cloned prefix).
+fn canonical_sweep(bytes: &[u8]) -> Result<(usize, usize), TestCaseError> {
+    let mut recipe = Recipe::new(bytes);
+    let (mut violated, mut late) = (0, 0);
+    for (inputs, regs) in [(3usize, 0usize), (1, 1), (2, 3), (4, 3)] {
+        let (m, sigs) = random_module(inputs, regs, &mut recipe);
+        let windows: Vec<WindowProperty> = (0..6)
+            .map(|_| random_property(&sigs, recipe.next() as u32 % 4, &mut recipe))
+            .collect();
+        let temporals: Vec<TemporalProperty> = (0..4)
+            .map(|_| random_temporal_property(&sigs, recipe.next() as u32 % 4, &mut recipe))
+            .collect();
+        for backend in [
+            Backend::Bmc { bound: BOUND },
+            Backend::KInduction { max_k: BOUND },
+        ] {
+            let mut off = checker(&m, backend);
+            let sequential = off.check_batch(&windows).unwrap();
+            let fixed = checker(&m, backend)
+                .check_batch_sharded(&windows, 2)
+                .unwrap();
+            let stealing = checker(&m, backend)
+                .check_batch_stealing(&windows, 2)
+                .unwrap();
+            prop_assert_eq!(&fixed, &sequential, "Fixed(2) diverged");
+            prop_assert_eq!(&stealing, &sequential, "stealing diverged");
+            let temporal = off.check_temporal_batch(&temporals).unwrap();
+            let blasted = off.blasted();
+            let one_shot = windows
+                .iter()
+                .map(|p| (p.depth(), bmc(&m, blasted, p, BOUND)))
+                .chain(
+                    temporals
+                        .iter()
+                        .map(|p| (p.depth(), bmc(&m, blasted, p, BOUND))),
+                );
+            for (got, (depth, want)) in sequential.iter().chain(&temporal).zip(one_shot) {
+                if let CheckResult::Violated(cex) = got {
+                    prop_assert_eq!(got, &want, "trace differs from the one-shot bmc()");
+                    violated += 1;
+                    late += usize::from(cex.len() > depth as usize + 1);
+                } else {
+                    prop_assert!(!matches!(want, CheckResult::Violated(_)));
+                }
+            }
+        }
+    }
+    Ok((violated, late))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn pristine_prefix_traces_match_the_one_shot_bmc(
+        bytes in prop::collection::vec(any::<u8>(), 256..1024),
+    ) {
+        canonical_sweep(&bytes)?;
+    }
+}
+
+#[test]
+fn canonical_sweep_sees_violations_at_and_beyond_the_first_start() {
+    let (mut violated, mut late) = (0, 0);
+    for seed in 0u64..12 {
+        let (v, l) = canonical_sweep(&seeded_recipe(seed, 300)).unwrap();
+        violated += v;
+        late += l;
+    }
+    assert!(violated >= 200, "{violated} violated");
+    assert!(late >= 20, "{late} violated beyond the first window start");
+}
+
+/// `b18_lite` properties violated at depths 0, 1 and 2, `variants` of
+/// each (distinct, so none is memo-served).
+fn b18_violated(m: &Module, variants: u32) -> Vec<WindowProperty> {
+    let go = m.require("go").unwrap();
+    let sel = m.require("sel").unwrap();
+    let done = m.require("done").unwrap();
+    let a_in = m.require("a_in").unwrap();
+    (0..variants)
+        .flat_map(|i| {
+            let extra = BitAtom::new(a_in, i % 4, 0, i < 4);
+            [
+                // Depth 0: go |-> sel.
+                WindowProperty {
+                    antecedent: vec![BitAtom::new(go, 0, 0, true), extra],
+                    consequent: BitAtom::new(sel, 0, 0, true),
+                },
+                // Depth 1: go@0 |-> done@1 (done needs two more phases).
+                WindowProperty {
+                    antecedent: vec![BitAtom::new(go, 0, 0, true), extra],
+                    consequent: BitAtom::new(done, 0, 1, true),
+                },
+                // Depth 2: go@0 |-> !done@2 holds in the window at
+                // reset and fails in the next one (W1 -> XFER -> done).
+                WindowProperty {
+                    antecedent: vec![BitAtom::new(go, 0, 0, true), extra],
+                    consequent: BitAtom::new(done, 0, 2, false),
+                },
+            ]
+        })
+        .collect()
+}
+
+#[test]
+fn prefixes_are_built_once_per_depth_and_never_solved_on() {
+    let m = gm_designs::b18_lite();
+    let mut c = checker(&m, Backend::KInduction { max_k: 4 });
+    assert!(
+        c.prefixes.snapshot().is_empty(),
+        "no prefix before a violation"
+    );
+    let first = c.check_batch(&b18_violated(&m, 1)).unwrap();
+    assert!(first.iter().all(|r| matches!(r, CheckResult::Violated(_))));
+    let built = c.prefixes.snapshot();
+    assert_eq!(
+        built.iter().map(|(depth, _)| *depth).collect::<Vec<_>>(),
+        [0, 1, 2]
+    );
+    // More violations — sequential, sharded and after a recycle — keep
+    // using the very same prefixes.
+    let more = b18_violated(&m, 8);
+    c.check_batch(&more[..9]).unwrap();
+    c.check_batch_sharded(&more[9..], 4).unwrap();
+    assert_eq!(c.session_stats().cex_canonicalized, 3 + 21);
+    c.reset_for_reuse();
+    c.check_batch_stealing(&more, 2).unwrap();
+    let after = c.prefixes.snapshot();
+    assert_eq!(after.len(), built.len());
+    for ((depth, before), (_, now)) in built.iter().zip(&after) {
+        assert!(Arc::ptr_eq(before, now), "depth {depth} prefix was rebuilt");
+        assert_eq!(now.frame_count(), depth + 1);
+        // Never solved on: still the solver a fresh unrolling of these
+        // frames has (whose one propagation is the constant-true unit).
+        let mut fresh = Unroller::new(Arc::new(c.blasted().clone()), false);
+        fresh.ensure_frame(*depth);
+        let mut copy = Unroller::clone(now);
+        let stats = copy.solver().stats();
+        assert_eq!(stats, fresh.solver().stats(), "depth {depth}");
+        assert_eq!(
+            SolverStats {
+                propagations: 0,
+                ..stats
+            },
+            SolverStats::default(),
+            "depth {depth} prefix was solved on"
+        );
+        assert_eq!(copy.solver().num_clauses(), fresh.solver().num_clauses());
+    }
+    // Prefixes belong to no session.
+    assert!(c.session_stats().unrollers_built <= 2 * 3);
+}
+
+#[test]
+fn four_workers_sharing_cold_prefixes_match_the_sequential_results() {
+    let m = gm_designs::b18_lite();
+    let blasted = Arc::new(checker(&m, Backend::Auto).blasted().clone());
+    let props = b18_violated(&m, 8);
+    let sequential: Vec<Option<crate::CexTrace>> = props
+        .iter()
+        .map(|p| canonical_cex(&m, &PristinePrefixes::new(blasted.clone()), p, BOUND))
+        .collect();
+    for (p, cex) in props.iter().zip(&sequential) {
+        let one_shot = bmc(&m, &blasted, p, BOUND);
+        assert_eq!(cex.clone().map(CheckResult::Violated), Some(one_shot));
+    }
+
+    const THREADS: usize = 4;
+    let shared = PristinePrefixes::new(blasted.clone());
+    let barrier = Barrier::new(THREADS);
+    let mut parallel: Vec<Option<crate::CexTrace>> = vec![None; props.len()];
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (m, shared, props, barrier) = (&m, &shared, &props, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    (t..props.len())
+                        .step_by(THREADS)
+                        .map(|i| (i, canonical_cex(m, shared, &props[i], BOUND)))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for worker in workers {
+            for (i, cex) in worker.join().expect("worker panicked") {
+                parallel[i] = cex;
+            }
+        }
+    });
+    assert_eq!(parallel, sequential);
+    assert_eq!(
+        shared.snapshot().len(),
+        3,
+        "one prefix per depth, not per worker"
+    );
+}

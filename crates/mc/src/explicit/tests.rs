@@ -1,7 +1,8 @@
 use super::*;
 use crate::blast::blast;
 use crate::prop::BitAtom;
-use gm_rtl::{elaborate, parse_verilog, Bv, Expr, ModuleBuilder, SignalId};
+use crate::testgen::{random_module, random_property, seeded_recipe, Recipe};
+use gm_rtl::{elaborate, parse_verilog, SignalId};
 use proptest::prelude::*;
 use std::sync::Barrier;
 
@@ -182,102 +183,6 @@ fn limits_are_enforced() {
     ));
 }
 
-/// A byte cursor over a proptest recipe, wrapping around.
-struct Recipe<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl Recipe<'_> {
-    fn next(&mut self) -> usize {
-        let byte = self.bytes[self.at % self.bytes.len()];
-        self.at += 1;
-        usize::from(byte)
-    }
-}
-
-/// A random module with `inputs` one-bit inputs and `regs` one-bit
-/// registers. Every register's next state and the output `mix` are
-/// random and/or/xor chains over inputs and registers; `tied` is a
-/// constant-0 output (its literal is the AIG's constant node). Returns
-/// the module and the signals a property may observe.
-fn random_module(inputs: usize, regs: usize, recipe: &mut Recipe) -> (Module, Vec<SignalId>) {
-    let mut b = ModuleBuilder::new("rand");
-    if regs > 0 {
-        b.clock("clk");
-    }
-    let mut sigs: Vec<SignalId> = (0..inputs).map(|i| b.input(&format!("i{i}"), 1)).collect();
-    let qs: Vec<SignalId> = (0..regs)
-        .map(|r| b.output_reg(&format!("q{r}"), 1, Bv::from_bool(recipe.next() & 1 == 1)))
-        .collect();
-    sigs.extend(&qs);
-    let leaves = sigs.clone();
-    let chain = |recipe: &mut Recipe| -> Expr {
-        if leaves.is_empty() {
-            return Expr::zero();
-        }
-        let leaf = |recipe: &mut Recipe| Expr::Signal(leaves[recipe.next() % leaves.len()]);
-        let mut acc = leaf(recipe);
-        for _ in 0..recipe.next() % 4 {
-            let rhs = leaf(recipe);
-            acc = match recipe.next() % 4 {
-                0 => acc.and(rhs),
-                1 => acc.or(rhs),
-                2 => acc.xor(rhs),
-                _ => acc.not().or(rhs),
-            };
-        }
-        acc
-    };
-    let nexts: Vec<Expr> = qs.iter().map(|_| chain(recipe)).collect();
-    let mix = b.output("mix", 1);
-    b.assign(mix, chain(recipe));
-    let tied = b.output("tied", 1);
-    b.assign(tied, Expr::zero());
-    if regs > 0 {
-        b.always_seq(|p| {
-            for (&q, next) in qs.iter().zip(nexts) {
-                p.assign(q, next);
-            }
-        });
-    }
-    sigs.extend([mix, tied]);
-    (b.finish(), sigs)
-}
-
-/// A random property of window depth exactly `depth`: up to three
-/// antecedent atoms at any offset, sometimes one of them repeated or
-/// contradicted, and either the consequent or one more antecedent atom
-/// at the last cycle — so the consequent may sit below the depth.
-fn random_property(sigs: &[SignalId], depth: u32, recipe: &mut Recipe) -> WindowProperty {
-    let atom_at = |offset: u32, recipe: &mut Recipe| {
-        let sig = sigs[recipe.next() % sigs.len()];
-        BitAtom::new(sig, 0, offset, recipe.next() & 1 == 1)
-    };
-    let atom = |recipe: &mut Recipe| atom_at(recipe.next() as u32 % (depth + 1), recipe);
-    let mut antecedent: Vec<BitAtom> = (0..recipe.next() % 4).map(|_| atom(recipe)).collect();
-    if let Some(&first) = antecedent.first() {
-        match recipe.next() % 4 {
-            0 => antecedent.push(first),
-            1 => antecedent.push(BitAtom {
-                value: !first.value,
-                ..first
-            }),
-            _ => {}
-        }
-    }
-    let consequent = if recipe.next() & 1 == 1 {
-        antecedent.push(atom_at(depth, recipe));
-        atom(recipe)
-    } else {
-        atom_at(depth, recipe)
-    };
-    WindowProperty {
-        antecedent,
-        consequent,
-    }
-}
-
 /// Decides random properties on random modules of every word-boundary
 /// shape both ways and requires identical verdicts and traces: input
 /// widths below 6 bits put several states in one flat word (pair counts
@@ -285,7 +190,7 @@ fn random_property(sigs: &[SignalId], depth: u32, recipe: &mut Recipe) -> Window
 /// state; no registers is a single-state latch-free design. Returns how
 /// many properties were proved and how many violated at depth 2 or more.
 fn identity_sweep(bytes: &[u8]) -> Result<(usize, usize), TestCaseError> {
-    let mut recipe = Recipe { bytes, at: 0 };
+    let mut recipe = Recipe::new(bytes);
     let (mut proved, mut deep_violations) = (0, 0);
     for inputs in [0usize, 1, 3, 5, 6, 7, 8] {
         for regs in [0usize, 1, 3] {
@@ -337,16 +242,7 @@ fn identity_sweep_sees_both_verdicts() {
     // are neither all vacuous nor all refuted at the first cycle.
     let (mut proved, mut deep_violations) = (0, 0);
     for seed in 0u64..16 {
-        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        let bytes: Vec<u8> = (0..200)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                (state >> 56) as u8
-            })
-            .collect();
-        let (p, v) = identity_sweep(&bytes).unwrap();
+        let (p, v) = identity_sweep(&seeded_recipe(seed, 200)).unwrap();
         proved += p;
         deep_violations += v;
     }

@@ -40,7 +40,9 @@
 //!   deterministic merge: results — counterexample traces included —
 //!   are bit-identical to the single-session batch for every shard
 //!   count, because violated verdicts carry *canonical* traces
-//!   re-extracted independently of session history. A racing mode
+//!   re-extracted independently of session history (on a clone of a
+//!   pristine per-depth unrolling prefix the checker keeps, so the
+//!   design is not re-encoded per counterexample). A racing mode
 //!   ([`Checker::with_racing`]) runs the explicit and SAT engines of a
 //!   property concurrently and takes the first conclusive answer.
 //!
@@ -62,6 +64,8 @@ mod error;
 mod explicit;
 mod prop;
 mod session;
+#[cfg(test)]
+mod testgen;
 
 pub use aig::{Aig, AigLit, AigNode, Latch};
 pub use aiger::{blasted_to_aiger, parse_aiger, to_aiger, ParsedAiger};

@@ -29,10 +29,12 @@
 //! *models* (counterexample traces) are not: they vary with the queries
 //! the session decided earlier. The [`crate::Checker`] therefore never
 //! publishes a session model; violated SAT verdicts are re-extracted on
-//! a fresh canonical unrolling (counted in
-//! [`SessionStats::cex_canonicalized`]), which makes every result — and
-//! every downstream closure-outcome artifact — identical regardless of
-//! shard count or batch order.
+//! a private clone of the checker's pristine, never-solved unrolling
+//! prefix for the property's depth — the solver state a fresh one-shot
+//! unrolling would be in, without re-encoding the design — and counted
+//! in [`SessionStats::cex_canonicalized`]. That makes every result —
+//! and every downstream closure-outcome artifact — identical regardless
+//! of shard count or batch order.
 
 use crate::blast::Blasted;
 use crate::bmc::{UnrollProperty, Unroller};
@@ -101,13 +103,15 @@ pub struct SessionStats {
     /// the session avoided.
     pub frames_reused: u64,
     /// Unrollers constructed (at most one reset-rooted plus one
-    /// free-init per session). Scratch unrollers used for canonical
-    /// counterexample extraction are counted in
-    /// [`SessionStats::cex_canonicalized`] instead.
+    /// free-init per session). The checker's pristine per-depth
+    /// prefixes and the clones canonical counterexample extraction
+    /// works on belong to no session and are not counted here; each
+    /// extraction is counted in [`SessionStats::cex_canonicalized`].
     pub unrollers_built: u64,
     /// Violated SAT verdicts whose counterexample was re-extracted on a
-    /// fresh canonical unrolling (the determinism contract: traces must
-    /// not depend on session history or shard partition).
+    /// clone of the pristine unrolling prefix (the determinism
+    /// contract: traces must not depend on session history or shard
+    /// partition).
     pub cex_canonicalized: u64,
 }
 

@@ -26,6 +26,12 @@ impl VarOrder {
         }
     }
 
+    /// Approximate resident size, by capacity.
+    pub fn approx_bytes(&self) -> usize {
+        self.heap.capacity() * std::mem::size_of::<Var>()
+            + self.pos.capacity() * std::mem::size_of::<usize>()
+    }
+
     /// Whether `v` is currently queued.
     pub fn contains(&self, v: Var) -> bool {
         self.pos.get(v.index()).is_some_and(|&p| p != ABSENT)

@@ -18,16 +18,69 @@ pub enum SolveResult {
     Unsat,
 }
 
+/// A three-valued assignment, one byte per variable.
+///
+/// The encoding makes a literal's value one XOR away from its
+/// variable's: `TRUE = 0` and `FALSE = 1` line up with [`Lit`]'s sign
+/// bit, and both undefined codes (2, and 3 after the XOR) have bit 1
+/// set.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum LBool {
-    True,
-    False,
-    Undef,
+struct LBool(u8);
+
+impl LBool {
+    const TRUE: LBool = LBool(0);
+    const FALSE: LBool = LBool(1);
+    const UNDEF: LBool = LBool(2);
+
+    #[inline]
+    fn is_undef(self) -> bool {
+        self.0 & 2 != 0
+    }
 }
 
-#[derive(Debug)]
-struct Clause {
-    lits: Vec<Lit>,
+/// Sentinel in `Solver::reason`: decided, assumed or unassigned.
+const NO_REASON: u32 = u32::MAX;
+
+/// Every literal's watch list, in one pool.
+///
+/// A list is a `(start, len, cap)` window into `pool`; a push into a
+/// full list moves it to the pool's end with doubled capacity and
+/// abandons the old window (so the pool stays below twice the summed
+/// capacities). Order inside a list is search state and is preserved by
+/// every operation. Keeping the lists flat is what makes cloning a
+/// solver a handful of `memcpy`s instead of two allocations per
+/// variable.
+#[derive(Clone, Debug, Default)]
+struct Watches {
+    pool: Vec<u32>,
+    lists: Vec<WatchList>,
+}
+
+#[derive(Clone, Copy, Debug, Default)]
+struct WatchList {
+    start: u32,
+    len: u32,
+    cap: u32,
+}
+
+impl Watches {
+    /// Appends `cref` to `lit`'s list.
+    fn push(&mut self, lit: Lit, cref: u32) {
+        let list = &mut self.lists[lit.index()];
+        if list.len == list.cap {
+            let cap = (list.cap * 2).max(4);
+            let start = self.pool.len();
+            let end = start + cap as usize;
+            assert!(u32::try_from(end).is_ok(), "watch pool outgrew u32 offsets");
+            let old = list.start as usize..(list.start + list.len) as usize;
+            self.pool.extend_from_within(old);
+            self.pool.resize(end, 0);
+            list.start = start as u32;
+            list.cap = cap;
+        }
+        self.pool[(list.start + list.len) as usize] = cref;
+        list.len += 1;
+    }
 }
 
 /// Solver statistics.
@@ -101,14 +154,19 @@ impl std::ops::AddAssign for SolverStats {
 /// s.add_clause(&[b.negative()]);
 /// assert_eq!(s.solve(), SolveResult::Unsat);
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Solver {
-    clauses: Vec<Clause>,
-    /// For each literal index, the clauses watching that literal.
-    watches: Vec<Vec<u32>>,
+    /// Every clause (original and learnt) back to back: a header word
+    /// holding the length, then the literals. A clause is addressed by
+    /// the offset of its header. Literal order inside a clause is search
+    /// state (positions 0 and 1 are the watched pair).
+    arena: Vec<Lit>,
+    num_clauses: usize,
+    watches: Watches,
     assign: Vec<LBool>,
     level: Vec<u32>,
-    reason: Vec<Option<u32>>,
+    /// The clause that implied each assigned variable, or [`NO_REASON`].
+    reason: Vec<u32>,
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
     qhead: usize,
@@ -117,6 +175,10 @@ pub struct Solver {
     order: VarOrder,
     phase: Vec<bool>,
     seen: Vec<bool>,
+    /// Scratch for [`Solver::analyze`], reused across conflicts: the
+    /// learnt clause (the call's result) and its unminimized form.
+    learnt: Vec<Lit>,
+    unminimized: Vec<Lit>,
     unsat: bool,
     stats: SolverStats,
     last_call: SolverStats,
@@ -136,8 +198,9 @@ impl Solver {
     /// Creates an empty solver.
     pub fn new() -> Self {
         Solver {
-            clauses: Vec::new(),
-            watches: Vec::new(),
+            arena: Vec::new(),
+            num_clauses: 0,
+            watches: Watches::default(),
             assign: Vec::new(),
             level: Vec::new(),
             reason: Vec::new(),
@@ -149,6 +212,8 @@ impl Solver {
             order: VarOrder::new(),
             phase: Vec::new(),
             seen: Vec::new(),
+            learnt: Vec::new(),
+            unminimized: Vec::new(),
             unsat: false,
             stats: SolverStats::default(),
             last_call: SolverStats::default(),
@@ -158,14 +223,14 @@ impl Solver {
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> Var {
         let v = Var::from_index(self.assign.len());
-        self.assign.push(LBool::Undef);
+        self.assign.push(LBool::UNDEF);
         self.level.push(0);
-        self.reason.push(None);
+        self.reason.push(NO_REASON);
         self.activity.push(0.0);
         self.phase.push(false);
         self.seen.push(false);
-        self.watches.push(Vec::new());
-        self.watches.push(Vec::new());
+        self.watches.lists.push(WatchList::default());
+        self.watches.lists.push(WatchList::default());
         self.order.insert(v, &self.activity);
         v
     }
@@ -177,7 +242,28 @@ impl Solver {
 
     /// The number of clauses (original plus learnt).
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.num_clauses
+    }
+
+    /// Approximate resident size of the solver: the clause arena, the
+    /// watch pool and list table, every per-variable table, the
+    /// decision heap and the trail, by capacity. An estimate for cache
+    /// accounting, not an allocator measurement.
+    pub fn approx_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.arena.capacity() * size_of::<Lit>()
+            + self.watches.pool.capacity() * size_of::<u32>()
+            + self.watches.lists.capacity() * size_of::<WatchList>()
+            + self.assign.capacity() * size_of::<LBool>()
+            + self.level.capacity() * size_of::<u32>()
+            + self.reason.capacity() * size_of::<u32>()
+            + self.activity.capacity() * size_of::<f64>()
+            + self.phase.capacity() * size_of::<bool>()
+            + self.seen.capacity() * size_of::<bool>()
+            + self.order.approx_bytes()
+            + self.trail.capacity() * size_of::<Lit>()
+            + self.trail_lim.capacity() * size_of::<usize>()
+            + (self.learnt.capacity() + self.unminimized.capacity()) * size_of::<Lit>()
     }
 
     /// Solver statistics so far (cumulative over the solver's lifetime).
@@ -194,27 +280,31 @@ impl Solver {
 
     #[inline]
     fn lit_value(&self, l: Lit) -> LBool {
-        match self.assign[l.var().index()] {
-            LBool::Undef => LBool::Undef,
-            LBool::True => {
-                if l.is_positive() {
-                    LBool::True
-                } else {
-                    LBool::False
-                }
-            }
-            LBool::False => {
-                if l.is_positive() {
-                    LBool::False
-                } else {
-                    LBool::True
-                }
-            }
-        }
+        LBool(self.assign[l.var().index()].0 ^ (l.0 & 1) as u8)
+    }
+
+    /// The literals of the clause at `cref`, as an arena range.
+    #[inline]
+    fn clause_range(&self, cref: u32) -> std::ops::Range<usize> {
+        let first = cref as usize + 1;
+        first..first + self.arena[cref as usize].0 as usize
     }
 
     fn decision_level(&self) -> u32 {
         self.trail_lim.len() as u32
+    }
+
+    /// Seals the literals pushed since `cref` into a clause and watches
+    /// its first two.
+    fn attach_clause(&mut self, cref: usize) -> u32 {
+        let len = self.arena.len() - cref - 1;
+        debug_assert!(len >= 2);
+        self.arena[cref] = Lit(len as u32);
+        let cref = u32::try_from(cref).expect("clause arena outgrew u32 offsets");
+        self.watches.push(self.arena[cref as usize + 1], cref);
+        self.watches.push(self.arena[cref as usize + 2], cref);
+        self.num_clauses += 1;
+        cref
     }
 
     /// Adds a clause.
@@ -227,111 +317,114 @@ impl Solver {
         if self.unsat {
             return;
         }
-        let mut c: Vec<Lit> = Vec::with_capacity(lits.len());
+        // Build the simplified clause in place at the arena's tail.
+        let cref = self.arena.len();
+        self.arena.push(Lit(0));
         for &l in lits {
             assert!(
                 l.var().index() < self.num_vars(),
                 "literal {l} references an unallocated variable"
             );
-            match self.lit_value(l) {
-                LBool::True => return, // already satisfied at level 0
-                LBool::False if self.level[l.var().index()] == 0 => continue,
-                _ => {}
+            let value = self.lit_value(l);
+            if value == LBool::FALSE && self.level[l.var().index()] == 0 {
+                continue;
             }
-            if c.contains(&!l) {
-                return; // tautology
+            let kept = &self.arena[cref + 1..];
+            // Already satisfied at level 0, or a tautology.
+            if value == LBool::TRUE || kept.contains(&!l) {
+                self.arena.truncate(cref);
+                return;
             }
-            if !c.contains(&l) {
-                c.push(l);
+            if !kept.contains(&l) {
+                self.arena.push(l);
             }
         }
-        match c.len() {
-            0 => self.unsat = true,
+        match self.arena.len() - cref - 1 {
+            0 => {
+                self.arena.truncate(cref);
+                self.unsat = true;
+            }
             1 => {
-                if !self.enqueue(c[0], None) || self.propagate().is_some() {
+                let unit = self.arena[cref + 1];
+                self.arena.truncate(cref);
+                if !self.enqueue(unit, NO_REASON) || self.propagate().is_some() {
                     self.unsat = true;
                 }
             }
             _ => {
-                let ci = self.clauses.len() as u32;
-                self.watches[c[0].index()].push(ci);
-                self.watches[c[1].index()].push(ci);
-                self.clauses.push(Clause { lits: c });
+                self.attach_clause(cref);
             }
         }
     }
 
     /// Enqueues `lit` as true; returns false on immediate conflict.
-    fn enqueue(&mut self, lit: Lit, reason: Option<u32>) -> bool {
-        match self.lit_value(lit) {
-            LBool::True => true,
-            LBool::False => false,
-            LBool::Undef => {
-                let v = lit.var().index();
-                self.assign[v] = if lit.is_positive() {
-                    LBool::True
-                } else {
-                    LBool::False
-                };
-                self.level[v] = self.decision_level();
-                self.reason[v] = reason;
-                self.trail.push(lit);
-                true
-            }
+    fn enqueue(&mut self, lit: Lit, reason: u32) -> bool {
+        let value = self.lit_value(lit);
+        if !value.is_undef() {
+            return value == LBool::TRUE;
         }
+        let v = lit.var().index();
+        self.assign[v] = LBool((lit.0 & 1) as u8);
+        self.level[v] = self.decision_level();
+        self.reason[v] = reason;
+        self.trail.push(lit);
+        true
     }
 
-    /// Unit propagation; returns the index of a conflicting clause.
+    /// Unit propagation; returns the offset of a conflicting clause.
     fn propagate(&mut self) -> Option<u32> {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             self.stats.propagations += 1;
             let false_lit = !p;
-            let watchers = std::mem::take(&mut self.watches[false_lit.index()]);
-            let mut kept = Vec::with_capacity(watchers.len());
+            // Compact the list in place: `i` reads, `j` writes the
+            // watchers that stay. Pushes below go to other literals'
+            // lists (a replacement watch is never false), which may move
+            // *those* lists or grow the pool but never this window.
+            let list = self.watches.lists[false_lit.index()];
+            let start = list.start as usize;
+            let end = start + list.len as usize;
+            let (mut i, mut j) = (start, start);
             let mut conflict = None;
-            let mut wi = 0;
-            while wi < watchers.len() {
-                let ci = watchers[wi];
-                wi += 1;
+            while i < end {
+                let cref = self.watches.pool[i];
+                i += 1;
+                let lits = self.clause_range(cref);
                 // Normalize: the false literal sits at position 1.
-                if self.clauses[ci as usize].lits[0] == false_lit {
-                    self.clauses[ci as usize].lits.swap(0, 1);
+                if self.arena[lits.start] == false_lit {
+                    self.arena.swap(lits.start, lits.start + 1);
                 }
-                debug_assert_eq!(self.clauses[ci as usize].lits[1], false_lit);
-                let first = self.clauses[ci as usize].lits[0];
-                if self.lit_value(first) == LBool::True {
-                    kept.push(ci);
+                debug_assert_eq!(self.arena[lits.start + 1], false_lit);
+                let first = self.arena[lits.start];
+                let first_value = self.lit_value(first);
+                if first_value == LBool::TRUE {
+                    self.watches.pool[j] = cref;
+                    j += 1;
                     continue;
                 }
                 // Look for a non-false replacement watch.
-                let mut moved = false;
-                let len = self.clauses[ci as usize].lits.len();
-                for k in 2..len {
-                    let lk = self.clauses[ci as usize].lits[k];
-                    if self.lit_value(lk) != LBool::False {
-                        self.clauses[ci as usize].lits.swap(1, k);
-                        self.watches[lk.index()].push(ci);
-                        moved = true;
-                        break;
-                    }
-                }
-                if moved {
+                let replacement = (lits.start + 2..lits.end)
+                    .find(|&k| self.lit_value(self.arena[k]) != LBool::FALSE);
+                if let Some(k) = replacement {
+                    self.arena.swap(lits.start + 1, k);
+                    self.watches.push(self.arena[lits.start + 1], cref);
                     continue;
                 }
                 // Clause is unit or conflicting under the current trail.
-                kept.push(ci);
-                if self.lit_value(first) == LBool::False {
+                self.watches.pool[j] = cref;
+                j += 1;
+                if first_value == LBool::FALSE {
                     // Conflict: retain the rest of the watch list.
-                    kept.extend_from_slice(&watchers[wi..]);
-                    conflict = Some(ci);
+                    self.watches.pool.copy_within(i..end, j);
+                    j += end - i;
+                    conflict = Some(cref);
                     break;
                 }
-                let ok = self.enqueue(first, Some(ci));
+                let ok = self.enqueue(first, cref);
                 debug_assert!(ok);
             }
-            self.watches[false_lit.index()] = kept;
+            self.watches.lists[false_lit.index()].len = (j - start) as u32;
             if conflict.is_some() {
                 self.qhead = self.trail.len();
                 return conflict;
@@ -351,21 +444,23 @@ impl Solver {
         self.order.bumped(v, &self.activity);
     }
 
-    /// First-UIP conflict analysis. Returns the learnt clause (asserting
-    /// literal first) and the backtrack level.
-    fn analyze(&mut self, confl: u32) -> (Vec<Lit>, u32) {
-        let mut learnt: Vec<Lit> = vec![Lit::from_index(0)]; // slot 0 = UIP
+    /// First-UIP conflict analysis. Leaves the learnt clause (asserting
+    /// literal first) in `self.learnt` and returns the backtrack level.
+    fn analyze(&mut self, confl: u32) -> u32 {
+        let mut unminimized = std::mem::take(&mut self.unminimized);
+        unminimized.clear();
+        unminimized.push(Lit(0)); // slot 0 = UIP
         let mut counter = 0u32;
-        let mut p: Option<Lit> = None;
+        let mut skip_first = false;
         let mut index = self.trail.len();
         let mut confl = confl;
         let current = self.decision_level();
 
         loop {
-            let clause = &self.clauses[confl as usize];
-            let start = usize::from(p.is_some());
-            let qs: Vec<Lit> = clause.lits[start..].to_vec();
-            for q in qs {
+            let lits = self.clause_range(confl);
+            // A reason clause's first literal is the one it implied.
+            for k in lits.start + usize::from(skip_first)..lits.end {
+                let q = self.arena[k];
                 let v = q.var();
                 if !self.seen[v.index()] && self.level[v.index()] > 0 {
                     self.seen[v.index()] = true;
@@ -373,7 +468,7 @@ impl Solver {
                     if self.level[v.index()] >= current {
                         counter += 1;
                     } else {
-                        learnt.push(q);
+                        unminimized.push(q);
                     }
                 }
             }
@@ -388,39 +483,36 @@ impl Solver {
             self.seen[pl.var().index()] = false;
             counter -= 1;
             if counter == 0 {
-                learnt[0] = !pl;
+                unminimized[0] = !pl;
                 break;
             }
-            confl = self.reason[pl.var().index()].expect("resolved literal has a reason");
-            p = Some(pl);
+            confl = self.reason[pl.var().index()];
+            debug_assert_ne!(confl, NO_REASON, "resolved literal has a reason");
+            skip_first = true;
         }
 
         // Cheap clause minimization: drop literals whose entire reason is
         // already in the learnt clause (or fixed at level 0).
-        let mut minimized = vec![learnt[0]];
-        'lits: for &q in &learnt[1..] {
-            if let Some(r) = self.reason[q.var().index()] {
-                for &rl in &self.clauses[r as usize].lits {
-                    if rl.var() == q.var() {
-                        continue;
-                    }
-                    if !self.seen[rl.var().index()] && self.level[rl.var().index()] > 0 {
-                        minimized.push(q);
-                        continue 'lits;
-                    }
-                }
-                // Redundant: implied by the other learnt literals.
-            } else {
-                minimized.push(q);
+        let mut learnt = std::mem::take(&mut self.learnt);
+        learnt.clear();
+        learnt.push(unminimized[0]);
+        for &q in &unminimized[1..] {
+            let r = self.reason[q.var().index()];
+            // Redundant when implied by the other learnt literals.
+            let redundant = r != NO_REASON
+                && self.arena[self.clause_range(r)].iter().all(|rl| {
+                    rl.var() == q.var()
+                        || self.seen[rl.var().index()]
+                        || self.level[rl.var().index()] == 0
+                });
+            if !redundant {
+                learnt.push(q);
             }
         }
-        for l in &minimized[1..] {
-            debug_assert!(self.seen[l.var().index()]);
-        }
-        for l in &learnt[1..] {
+        for l in &unminimized[1..] {
             self.seen[l.var().index()] = false;
         }
-        let mut learnt = minimized;
+        self.unminimized = unminimized;
 
         // Compute backtrack level: the highest level below the current one.
         let blevel = if learnt.len() == 1 {
@@ -435,7 +527,8 @@ impl Solver {
             learnt.swap(1, max_i);
             self.level[learnt[1].var().index()]
         };
-        (learnt, blevel)
+        self.learnt = learnt;
+        blevel
     }
 
     /// Undoes decisions above `target` level.
@@ -444,37 +537,39 @@ impl Solver {
             return;
         }
         let bound = self.trail_lim[target as usize];
-        while self.trail.len() > bound {
-            let l = self.trail.pop().unwrap();
-            let v = l.var();
-            self.phase[v.index()] = self.assign[v.index()] == LBool::True;
-            self.assign[v.index()] = LBool::Undef;
-            self.reason[v.index()] = None;
+        // Latest assignment first: heap insertion order is search state.
+        for k in (bound..self.trail.len()).rev() {
+            let v = self.trail[k].var();
+            self.phase[v.index()] = self.assign[v.index()] == LBool::TRUE;
+            self.assign[v.index()] = LBool::UNDEF;
+            self.reason[v.index()] = NO_REASON;
             self.order.insert(v, &self.activity);
         }
+        self.trail.truncate(bound);
         self.trail_lim.truncate(target as usize);
         self.qhead = self.trail.len();
     }
 
-    fn record_learnt(&mut self, learnt: Vec<Lit>) {
+    /// Stores the clause [`Solver::analyze`] left in `self.learnt` and
+    /// asserts its first literal.
+    fn record_learnt(&mut self) {
         self.stats.learnt += 1;
-        if learnt.len() == 1 {
-            let ok = self.enqueue(learnt[0], None);
-            debug_assert!(ok);
-            return;
-        }
-        let ci = self.clauses.len() as u32;
-        self.watches[learnt[0].index()].push(ci);
-        self.watches[learnt[1].index()].push(ci);
-        let assert_lit = learnt[0];
-        self.clauses.push(Clause { lits: learnt });
-        let ok = self.enqueue(assert_lit, Some(ci));
+        let assert_lit = self.learnt[0];
+        let reason = if self.learnt.len() == 1 {
+            NO_REASON
+        } else {
+            let cref = self.arena.len();
+            self.arena.push(Lit(0));
+            self.arena.extend_from_slice(&self.learnt);
+            self.attach_clause(cref)
+        };
+        let ok = self.enqueue(assert_lit, reason);
         debug_assert!(ok);
     }
 
     fn pick_branch(&mut self) -> Option<Lit> {
         while let Some(v) = self.order.pop(&self.activity) {
-            if self.assign[v.index()] == LBool::Undef {
+            if self.assign[v.index()].is_undef() {
                 return Some(v.lit(self.phase[v.index()]));
             }
         }
@@ -516,9 +611,9 @@ impl Solver {
                     self.unsat = true;
                     return SolveResult::Unsat;
                 }
-                let (learnt, blevel) = self.analyze(confl);
+                let blevel = self.analyze(confl);
                 self.backtrack(blevel);
-                self.record_learnt(learnt);
+                self.record_learnt();
                 self.var_inc *= VAR_DECAY;
                 conflicts_until_restart = conflicts_until_restart.saturating_sub(1);
             } else {
@@ -535,17 +630,16 @@ impl Solver {
                     if p.var().index() >= self.num_vars() {
                         panic!("assumption {p} references an unallocated variable");
                     }
-                    match self.lit_value(p) {
-                        LBool::True => {
-                            self.trail_lim.push(self.trail.len());
-                            continue;
-                        }
-                        LBool::False => {
-                            self.backtrack(0);
-                            return SolveResult::Unsat;
-                        }
-                        LBool::Undef => Some(p),
+                    let value = self.lit_value(p);
+                    if value == LBool::TRUE {
+                        self.trail_lim.push(self.trail.len());
+                        continue;
                     }
+                    if value == LBool::FALSE {
+                        self.backtrack(0);
+                        return SolveResult::Unsat;
+                    }
+                    Some(p)
                 } else {
                     self.pick_branch()
                 };
@@ -554,7 +648,7 @@ impl Solver {
                     Some(p) => {
                         self.stats.decisions += 1;
                         self.trail_lim.push(self.trail.len());
-                        let ok = self.enqueue(p, None);
+                        let ok = self.enqueue(p, NO_REASON);
                         debug_assert!(ok);
                     }
                 }
@@ -566,13 +660,12 @@ impl Solver {
     ///
     /// Unconstrained variables read as their saved phase (deterministic).
     pub fn model_value(&self, lit: Lit) -> bool {
-        match self.lit_value(lit) {
-            LBool::True => true,
-            LBool::False => false,
-            LBool::Undef => {
-                // Unassigned after SAT: any value satisfies; use phase.
-                self.phase[lit.var().index()] == lit.is_positive()
-            }
+        let value = self.lit_value(lit);
+        if value.is_undef() {
+            // Unassigned after SAT: any value satisfies; use phase.
+            self.phase[lit.var().index()] == lit.is_positive()
+        } else {
+            value == LBool::TRUE
         }
     }
 
@@ -584,9 +677,18 @@ impl Solver {
     /// Verifies that the current assignment satisfies every clause
     /// (diagnostic; used by tests).
     pub fn model_satisfies_all(&self) -> bool {
-        self.clauses
-            .iter()
-            .all(|c| c.lits.iter().any(|&l| self.model_value(l)))
+        let mut cref = 0;
+        while cref < self.arena.len() {
+            let lits = self.clause_range(cref as u32);
+            if !self.arena[lits.clone()]
+                .iter()
+                .any(|&l| self.model_value(l))
+            {
+                return false;
+            }
+            cref = lits.end;
+        }
+        true
     }
 }
 
@@ -746,6 +848,74 @@ mod tests {
         let second = s.last_call_stats();
         assert_eq!(second, SolverStats::default());
         assert_eq!(s.stats(), first + second);
+    }
+
+    #[test]
+    fn approx_bytes_covers_the_arena_the_watches_and_the_variables() {
+        let mut s = Solver::new();
+        let empty = s.approx_bytes();
+        let vars: Vec<Var> = (0..64).map(|_| s.new_var()).collect();
+        let mut words = 0;
+        for w in vars.windows(5) {
+            let c: Vec<Lit> = w.iter().map(|v| v.positive()).collect();
+            s.add_clause(&c);
+            words += 1 + c.len();
+        }
+        // Header and literals, two watch entries per clause, and at
+        // least assignment, level, reason and activity per variable.
+        let floor = 4 * words + 8 * s.num_clauses() + vars.len() * (1 + 4 + 4 + 8);
+        assert!(
+            s.approx_bytes() >= empty + floor,
+            "{} < {floor}",
+            s.approx_bytes()
+        );
+    }
+
+    #[test]
+    fn a_clone_continues_the_same_search() {
+        // A satisfiable-but-awkward instance: pigeons 0..4 into 4 holes
+        // is unsatisfiable only under the assumption that seats pigeon 4.
+        let mut s = Solver::new();
+        let p: Vec<Vec<Var>> = (0..5)
+            .map(|_| (0..4).map(|_| s.new_var()).collect())
+            .collect();
+        for row in &p[..4] {
+            let c: Vec<Lit> = row.iter().map(|v| v.positive()).collect();
+            s.add_clause(&c);
+        }
+        #[allow(clippy::needless_range_loop)] // j spans two rows at once
+        for j in 0..4 {
+            for i1 in 0..5 {
+                for i2 in (i1 + 1)..5 {
+                    s.add_clause(&[p[i1][j].negative(), p[i2][j].negative()]);
+                }
+            }
+        }
+        let pristine = s.clone();
+        assert_eq!(pristine.stats(), SolverStats::default());
+        assert_eq!(s.solve(), SolveResult::Sat);
+        let mut copy = s.clone();
+        // Mid-session and pristine clones replay the original exactly.
+        let mut replay = pristine.clone();
+        assert_eq!(replay.solve(), SolveResult::Sat);
+        assert_eq!(replay.stats(), s.stats());
+        for solver in [&mut s, &mut copy] {
+            let seat = solver.new_var();
+            let c: Vec<Lit> = p[4].iter().map(|v| v.positive()).collect();
+            solver.add_clause(&[&c[..], &[seat.negative()]].concat());
+            assert_eq!(
+                solver.solve_with_assumptions(&[seat.positive()]),
+                SolveResult::Unsat
+            );
+            assert_eq!(solver.solve(), SolveResult::Sat);
+        }
+        assert!(s.stats().conflicts > 0);
+        assert_eq!(copy.stats(), s.stats());
+        for row in &p {
+            for &v in row {
+                assert_eq!(copy.model_var(v), s.model_var(v));
+            }
+        }
     }
 
     #[test]

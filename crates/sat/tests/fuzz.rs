@@ -3,6 +3,8 @@
 use gm_sat::{DimacsInstance, SolveResult, Solver, Var};
 use proptest::prelude::*;
 
+mod common;
+
 /// Brute-force satisfiability over at most 16 variables.
 fn brute_force(num_vars: usize, clauses: &[Vec<i32>]) -> bool {
     assert!(num_vars <= 16);
@@ -33,7 +35,7 @@ fn clause_strategy(num_vars: i32) -> impl Strategy<Value = Vec<i32>> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(200))]
+    #![proptest_config(ProptestConfig::with_cases(common::cases()))]
 
     #[test]
     fn agrees_with_brute_force(

@@ -5,6 +5,8 @@
 use gm_sat::{parse_dimacs, to_dimacs, DimacsInstance, SolveResult};
 use proptest::prelude::*;
 
+mod common;
+
 /// Brute-force satisfiability by full assignment enumeration.
 fn brute_force(num_vars: usize, clauses: &[Vec<i32>]) -> bool {
     assert!(num_vars <= 16, "enumeration bound");
@@ -56,7 +58,7 @@ fn clause3() -> impl Strategy<Value = Vec<i32>> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(200))]
+    #![proptest_config(ProptestConfig::with_cases(common::cases()))]
 
     /// Random 3-SAT vs exhaustive enumeration, up to 16 variables.
     #[test]
