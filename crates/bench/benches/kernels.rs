@@ -11,8 +11,8 @@ use gm_mine::{Dataset, DecisionTree, MiningSpec};
 use gm_rtl::{cone_of, elaborate, parse_verilog};
 use gm_sat::{Solver, Var};
 use gm_sim::{
-    collect_vectors, CompileOptions, CompiledModule, NopBatchObserver, NopObserver, RandomStimulus,
-    Simulator, TestSuite,
+    collect_vectors, run_segment, CompileOptions, CompiledModule, NopBatchObserver, NopObserver,
+    RandomStimulus, Simulator, TestSuite,
 };
 use goldmine::{Engine, EngineConfig, TargetSelection};
 
@@ -623,6 +623,90 @@ fn bench_mining(c: &mut Criterion) {
             tree.fit(&ds).unwrap();
             tree.node_count()
         });
+    });
+
+    // The two levers of a `suite_replay` mining item, one at a time, at
+    // that workload's size: 256 segments x 128 cycles, window 2,
+    // horizon 2 = 32 000 rows.
+    for (name, module, output, bit) in [
+        ("b18_lite", gm_designs::b18_lite(), "bus", 0),
+        ("fetch_stage", gm_designs::fetch_stage(), "pc", 1),
+    ] {
+        let elab = elaborate(&module).unwrap();
+        let cone = cone_of(&module, &elab, module.require(output).unwrap());
+        let spec = MiningSpec::for_output(&module, &elab, &cone, bit, 2);
+        let mut suite = TestSuite::new();
+        for seed in 0..256 {
+            suite.push(
+                format!("s{seed}"),
+                collect_vectors(&mut RandomStimulus::new(&module, seed, 128)),
+            );
+        }
+        let traces = suite.run(&module, &mut NopObserver).unwrap();
+        let mut data = Dataset::with_horizon(2);
+        data.add_traces(&spec, &traces);
+        assert_eq!(data.len(), 32_000);
+        c.bench_function(&format!("mine/fit_{name}_32000_rows"), |b| {
+            b.iter(|| {
+                let mut tree = DecisionTree::new(&spec);
+                tree.fit(&data).unwrap();
+                tree.node_count()
+            });
+        });
+        if name == "b18_lite" {
+            c.bench_function("mine/extract_b18_lite_256x128", |b| {
+                b.iter(|| {
+                    let mut ds = Dataset::with_horizon(2);
+                    ds.add_traces(&spec, &traces);
+                    ds.len()
+                });
+            });
+        }
+    }
+
+    // The closure loop's per-counterexample cost: one 6-cycle trace
+    // into four fitted targets (extraction set-up, routing, re-split).
+    // A sample absorbs 64 different such traces one after another into
+    // a fresh copy of the fitted state, the way a closure run's
+    // datasets grow; the copy is dropped outside the timing.
+    let elab = elaborate(&module).unwrap();
+    let trace_of = |seed: u64, cycles: u64| {
+        let vectors = collect_vectors(&mut RandomStimulus::new(&module, seed, cycles));
+        run_segment(&module, &vectors, &mut NopObserver).unwrap()
+    };
+    let seed_trace = trace_of(7, 500);
+    let cexes: Vec<_> = (0..64).map(|k| trace_of(100 + k, 6)).collect();
+    let fitted: Vec<(MiningSpec, Dataset, DecisionTree)> = module
+        .outputs()
+        .into_iter()
+        .map(|out| {
+            let cone = cone_of(&module, &elab, out);
+            let spec = MiningSpec::for_output(&module, &elab, &cone, 0, 1);
+            let mut ds = Dataset::with_horizon(2);
+            ds.add_trace(&spec, &seed_trace);
+            let mut tree = DecisionTree::new(&spec);
+            tree.fit(&ds).unwrap();
+            (spec, ds, tree)
+        })
+        .collect();
+    assert_eq!(fitted.len(), 4);
+    let mut spent = Vec::new();
+    c.bench_function("mine/absorb_cex_arbiter4", |b| {
+        b.iter_batched(
+            || fitted.clone(),
+            |mut targets| {
+                for cex in &cexes {
+                    for (spec, ds, tree) in targets.iter_mut() {
+                        let rows = ds.add_trace(spec, cex);
+                        tree.add_rows(ds, &rows.rows).unwrap();
+                    }
+                }
+                let nodes: usize = targets.iter().map(|(_, _, t)| t.node_count()).sum();
+                spent.push(targets);
+                nodes
+            },
+            BatchSize::LargeInput,
+        );
     });
 }
 

@@ -71,7 +71,7 @@ fn measure_extraction(name: &'static str, module: &Module) -> Vec<ExtractRecord>
                 data.add_trace(spec, &trace);
             }
         }
-        datasets.iter().map(|d| d.rows().len()).sum()
+        datasets.iter().map(|d| d.len()).sum()
     });
     let comp = rows_per_sec(3, || {
         let mut datasets: Vec<Dataset> = specs
@@ -84,7 +84,7 @@ fn measure_extraction(name: &'static str, module: &Module) -> Vec<ExtractRecord>
                 data.add_trace(spec, &trace);
             }
         }
-        datasets.iter().map(|d| d.rows().len()).sum()
+        datasets.iter().map(|d| d.len()).sum()
     });
     vec![
         ExtractRecord {

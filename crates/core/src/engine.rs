@@ -439,7 +439,11 @@ impl<'m> Engine<'m> {
             let trace = self.simulate_segment(&seed_vectors)?;
             let mut short = 0usize;
             for t in &mut self.targets {
+                let mut span = gm_trace::span("mine", "mine.extract");
                 let rows = t.dataset.add_trace(&t.spec, &trace);
+                span.arg("rows", rows.rows.len());
+                span.arg("features", t.spec.features.len());
+                span.arg("short_traces", rows.short_traces);
                 // The extraction report tells short traces apart from
                 // (impossible here) zero-row long traces.
                 debug_assert!(!rows.rows.is_empty() || rows.short_traces > 0);
@@ -910,18 +914,24 @@ impl<'m> Engine<'m> {
     /// Feeds a counterexample trace into every target's dataset and tree
     /// (the shared test suite improves all outputs, §3).
     fn absorb_trace(&mut self, trace: &Trace) {
+        let mut span = gm_trace::span("mine", "mine.absorb");
         let mut short = 0usize;
+        let (mut absorbed, mut resplit_leaves) = (0usize, 0usize);
         for t in &mut self.targets {
             if t.stuck.is_some() {
                 continue;
             }
             let rows = t.dataset.add_trace(&t.spec, trace);
             short += rows.short_traces;
-            if let Err(e) = t.tree.add_rows(&t.dataset, &rows.rows) {
-                t.stuck = Some(e);
+            absorbed += rows.rows.len();
+            match t.tree.add_rows(&t.dataset, &rows.rows) {
+                Ok(resplit) => resplit_leaves += resplit,
+                Err(e) => t.stuck = Some(e),
             }
         }
         self.short_traces += short;
+        span.arg("rows", absorbed);
+        span.arg("resplit_leaves", resplit_leaves);
     }
 
     fn snapshot_report(

@@ -7,17 +7,33 @@
 //!   cone inputs across the mining window, with state registers at the
 //!   farthest-back offset as *extension* candidates (activated only when
 //!   the window cannot explain the output, the paper's §6 move);
-//! * [`Dataset`] extracts windowed rows from [`gm_sim::Trace`]s;
+//! * [`Dataset`] extracts windowed rows from [`gm_sim::Trace`]s and
+//!   stores them bit-packed: `ceil(F / 64)` feature words per row in one
+//!   flat vector, a target bit, and the post-window target bits the
+//!   temporal miner looks ahead into;
 //! * [`DecisionTree`] is the incremental tree of §3: strict-improvement
 //!   variance splits (100% confidence), counterexample rows re-split
 //!   only the refuted leaf while everything above is preserved
-//!   (Definition 6);
+//!   (Definition 6). It fits on a scratch permutation of the packed
+//!   rows, counting every feature in one bit-sliced pass per node;
 //! * [`Assertion`] renders leaves in LTL / SVA form and carries the
-//!   paper's `2^-depth` input-space accounting.
+//!   paper's `2^-depth` input-space accounting;
+//! * [`temporal_candidates`] proposes next / eventually / stability
+//!   templates from a leaf's recorded lookahead.
+//!
+//! The data path is one representation end to end — there is no
+//! unpacked row type besides [`Row`], the argument of the synthetic
+//! [`Dataset::push_row`] seam — and *which* tree a dataset grows is
+//! pinned bit for bit (see the module docs of `tree.rs` for the order
+//! contract, `tests/fit_identity.rs` for the goldens). The work is
+//! visible to the flight recorder as `mine.extract`, `mine.fit`,
+//! `mine.absorb` (opened by the engine, one per absorbed trace) and
+//! `mine.candidates`.
 
 #![warn(missing_docs)]
 
 mod assertion;
+mod bits;
 mod dataset;
 mod features;
 mod temporal;

@@ -169,8 +169,7 @@ fn assertion_with(
 fn agreed_future(data: &Dataset, rows: &[u32], shift: usize) -> Option<bool> {
     let mut agreed: Option<bool> = None;
     for &r in rows {
-        let future = data.future_of(r as usize);
-        let v = *future.get(shift - 1)?;
+        let v = data.future(r as usize, shift - 1)?;
         match agreed {
             None => agreed = Some(v),
             Some(a) if a != v => return None,
@@ -209,7 +208,10 @@ pub fn temporal_candidates(
     if horizon == 0 {
         return out;
     }
-    for leaf in tree.leaves() {
+    let mut span = gm_trace::span("mine", "mine.candidates");
+    let leaves = tree.leaves();
+    span.arg("leaves", leaves.len());
+    for leaf in leaves {
         let rows = tree.node_rows(leaf);
         if rows.is_empty() {
             continue;
@@ -263,17 +265,11 @@ pub fn temporal_candidates(
             for value in [false, true] {
                 let reached_within = |k: usize| {
                     rows.iter().all(|&r| {
-                        let row = &data.rows()[r as usize];
-                        if row.target == value {
-                            return true;
-                        }
-                        let future = data.future_of(r as usize);
-                        if future.iter().take(k).any(|&v| v == value) {
-                            return true;
-                        }
-                        // Not reached — conclusive only if the whole
-                        // window was recorded.
-                        false
+                        let r = r as usize;
+                        // A row whose futures were clipped short of
+                        // `k` without reaching the value is
+                        // inconclusive, which counts against.
+                        data.target(r) == value || (0..k).any(|j| data.future(r, j) == Some(value))
                     })
                 };
                 if let Some(bound) = (1..=horizon).find(|&k| reached_within(k)) {
@@ -293,6 +289,7 @@ pub fn temporal_candidates(
             }
         }
     }
+    span.arg("candidates", out.len());
     out
 }
 

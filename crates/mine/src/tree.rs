@@ -14,7 +14,39 @@
 //! Split scoring uses exact integer arithmetic (no float ties): for a
 //! binary target, minimizing the summed squared error is equivalent to
 //! maximizing `ones0²/count0 + ones1²/count1`.
+//!
+//! # How a fit runs
+//!
+//! The rows to split are copied once into a scratch *permutation* of
+//! records `[id << 1 | target, feature words...]` ([`Scratch`]). Every
+//! node owns a contiguous run of records; splitting a node partitions
+//! its run stably in place (zero side first), so the children own the
+//! two halves and nothing is allocated per node. The split search gets
+//! the `c1`/`o1` counts of *every* feature from one pass over the
+//! node's run per feature word — a bit-sliced positional popcount
+//! ([`Planes`]) — rather than one walk over the rows per feature. Only
+//! leaves keep row-id lists.
+//!
+//! # The order contract
+//!
+//! Which tree comes out is pinned bit for bit (`tree/tests.rs` against
+//! a scalar reference, `tests/fit_identity.rs` against goldens), because
+//! node ids, leaf order and the partial tree left by an error all reach
+//! the closure engine's outcome:
+//!
+//! * the score is the exact integer fraction above, compared by cross
+//!   multiplication;
+//! * among equal scores the lowest feature index wins (first strictly
+//!   better over `0..active`);
+//! * a split creates its zero child, then its one child, and recurses
+//!   in that order, depth first;
+//! * extension activation is *sticky*: once one node had to widen the
+//!   search, every later node of the tree searches all features;
+//! * on [`MineError::Contradictory`] the recursion stops at once: nodes
+//!   created so far stay, the ones not yet visited stay unsplit leaves
+//!   holding their rows.
 
+use crate::bits::{bit, set_bits};
 use crate::dataset::Dataset;
 use crate::features::MiningSpec;
 use std::fmt;
@@ -31,7 +63,8 @@ pub enum LeafStatus {
 /// A node of the tree.
 #[derive(Clone, Debug)]
 pub struct Node {
-    /// Row indices (into the dataset) reaching this node.
+    /// Row indices (into the dataset) at this leaf, in arrival order;
+    /// empty on a split.
     rows: Vec<u32>,
     /// Number of rows.
     count: usize,
@@ -159,9 +192,10 @@ impl DecisionTree {
         self.nodes[idx].is_pure()
     }
 
-    /// The dataset row indices currently routed to a node. The temporal
-    /// miner reads these to inspect a leaf's post-window target values
-    /// (via [`crate::Dataset::future_of`]) without re-classifying.
+    /// The dataset row indices currently at a leaf, in arrival order
+    /// (splits keep none). The temporal miner reads these to inspect a
+    /// leaf's post-window target values (via [`crate::Dataset::future`])
+    /// without re-classifying.
     pub fn node_rows(&self, idx: usize) -> &[u32] {
         &self.nodes[idx].rows
     }
@@ -254,372 +288,369 @@ impl DecisionTree {
     /// # Errors
     ///
     /// See [`MineError::Contradictory`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the dataset's rows do not have the spec's features.
     pub fn fit(&mut self, data: &Dataset) -> Result<(), MineError> {
         debug_assert_eq!(self.nodes.len(), 1, "fit on a fresh tree");
+        let mut span = gm_trace::span("mine", "mine.fit");
+        self.check_features(data);
         let root = &mut self.nodes[0];
-        root.rows = (0..data.len() as u32).collect();
         root.count = data.len();
-        root.ones = data.rows().iter().filter(|r| r.target).count();
-        self.split_recursive(data, 0)
+        root.ones = data.target_ones();
+        let mut scratch = Scratch::new(data, 0..data.len(), self.open_features(0));
+        let fitted = self.grow(&mut scratch, 0, 0, data.len());
+        span.arg("rows", data.len());
+        span.arg("nodes", self.nodes.len());
+        span.arg("extended", self.is_extended());
+        fitted
     }
 
     /// Routes freshly added rows down the tree (updating statistics on
     /// the way) and re-splits any leaf they made impure — the paper's
     /// `Ctx_simulation` + `Recompute_error` + continued splitting.
+    /// Leaves re-split in the order the rows first reached them.
+    /// Returns how many leaves were re-split.
     ///
     /// # Errors
     ///
     /// See [`MineError`].
-    pub fn add_rows(&mut self, data: &Dataset, new_rows: &[usize]) -> Result<(), MineError> {
+    ///
+    /// # Panics
+    ///
+    /// Panics if the dataset's rows do not have the spec's features.
+    pub fn add_rows(&mut self, data: &Dataset, new_rows: &[usize]) -> Result<usize, MineError> {
+        self.check_features(data);
+        // Touched leaves in first-touch order, and the same as a bit
+        // per node so that a repeat visit costs one probe.
         let mut touched = Vec::new();
+        let mut is_touched = vec![0u64; self.nodes.len().div_ceil(64)];
         for &ri in new_rows {
-            let row = &data.rows()[ri];
+            let words = data.row_words(ri);
+            let target = data.target(ri);
             let mut cur = 0usize;
             loop {
                 let node = &mut self.nodes[cur];
-                node.rows.push(ri as u32);
                 node.count += 1;
-                node.ones += usize::from(row.target);
+                node.ones += usize::from(target);
                 match node.kind {
                     NodeKind::Leaf(_) => {
-                        if !touched.contains(&cur) {
+                        node.rows.push(row_id(ri));
+                        if !bit(&is_touched, cur) {
+                            set_bits(&mut is_touched, cur..cur + 1);
                             touched.push(cur);
                         }
                         break;
                     }
                     NodeKind::Split { feature, zero, one } => {
-                        cur = if row.features[feature] { one } else { zero };
+                        cur = if bit(words, feature) { one } else { zero };
                     }
                 }
             }
         }
+        let mut resplit = 0;
         for leaf in touched {
             if !self.nodes[leaf].is_pure() {
                 if matches!(self.nodes[leaf].kind, NodeKind::Leaf(LeafStatus::Proved)) {
                     return Err(MineError::ProvedLeafContradicted { node: leaf });
                 }
-                self.split_recursive(data, leaf)?;
+                resplit += 1;
+                let rows = std::mem::take(&mut self.nodes[leaf].rows);
+                let mut scratch = Scratch::new(
+                    data,
+                    rows.iter().map(|&r| r as usize),
+                    self.open_features(leaf),
+                );
+                self.grow(&mut scratch, leaf, 0, rows.len())?;
             }
         }
-        Ok(())
+        Ok(resplit)
     }
 
-    /// Recursively splits `node` until every descendant leaf is pure.
-    fn split_recursive(&mut self, data: &Dataset, node: usize) -> Result<(), MineError> {
+    fn check_features(&self, data: &Dataset) {
+        assert!(
+            data.is_empty() || data.feature_count() == self.total_features,
+            "dataset rows have {} features, the spec {}",
+            data.feature_count(),
+            self.total_features
+        );
+    }
+
+    /// The features a split at or under `node` may use, one bit each:
+    /// the active ones not already decided on the path to `node`.
+    fn open_features(&self, node: usize) -> Vec<u64> {
+        let mut open = vec![0u64; self.total_features.div_ceil(64)];
+        set_bits(&mut open, 0..self.active);
+        for (f, _) in self.path(node) {
+            open[f / 64] &= !(1 << (f % 64));
+        }
+        open
+    }
+
+    /// Splits `node`, which owns records `lo..hi` of the scratch, until
+    /// every descendant leaf is pure. A node that stays a leaf takes its
+    /// row ids from the scratch.
+    fn grow(
+        &mut self,
+        scratch: &mut Scratch,
+        node: usize,
+        lo: usize,
+        hi: usize,
+    ) -> Result<(), MineError> {
+        let (count, ones) = (self.nodes[node].count, self.nodes[node].ones);
         if self.nodes[node].is_pure() {
+            self.nodes[node].rows = scratch.ids(lo, hi);
             return Ok(());
         }
-        let path_features: Vec<usize> = self.path(node).into_iter().map(|(f, _)| f).collect();
-        let best = match self.best_split(data, node, &path_features) {
-            Some(f) => f,
-            None => {
-                // The paper's §6 extension: let the search see registers
-                // and outputs at the farthest-back temporal stage.
-                if self.active < self.total_features {
-                    self.active = self.total_features;
-                    match self.best_split(data, node, &path_features) {
-                        Some(f) => f,
-                        None => return Err(MineError::Contradictory { node }),
-                    }
-                } else {
-                    return Err(MineError::Contradictory { node });
-                }
-            }
-        };
-        // Partition rows.
-        let rows = std::mem::take(&mut self.nodes[node].rows);
-        let mut zero_rows = Vec::new();
-        let mut one_rows = Vec::new();
-        let mut zero_ones = 0usize;
-        let mut one_ones = 0usize;
-        for &ri in &rows {
-            let row = &data.rows()[ri as usize];
-            if row.features[best] {
-                one_ones += usize::from(row.target);
-                one_rows.push(ri);
-            } else {
-                zero_ones += usize::from(row.target);
-                zero_rows.push(ri);
-            }
+        let mut best = scratch.best_split(lo, hi, count, ones);
+        if best.is_none() && self.active < self.total_features {
+            // The paper's §6 extension: let the search see registers
+            // and outputs at the farthest-back temporal stage.
+            set_bits(&mut scratch.open, self.active..self.total_features);
+            self.active = self.total_features;
+            best = scratch.best_split(lo, hi, count, ones);
         }
-        let zero_idx = self.nodes.len();
-        self.nodes.push(Node {
-            count: zero_rows.len(),
-            ones: zero_ones,
-            rows: zero_rows,
-            parent: Some((node, false)),
-            kind: NodeKind::Leaf(LeafStatus::Open),
-        });
-        let one_idx = self.nodes.len();
-        self.nodes.push(Node {
-            count: one_rows.len(),
-            ones: one_ones,
-            rows: one_rows,
-            parent: Some((node, true)),
-            kind: NodeKind::Leaf(LeafStatus::Open),
-        });
-        self.nodes[node].rows = rows;
-        self.nodes[node].kind = NodeKind::Split {
-            feature: best,
-            zero: zero_idx,
-            one: one_idx,
+        let Some(split) = best else {
+            self.nodes[node].rows = scratch.ids(lo, hi);
+            return Err(MineError::Contradictory { node });
         };
-        self.split_recursive(data, zero_idx)?;
-        self.split_recursive(data, one_idx)
+        scratch.partition(lo, hi, split.feature);
+        let mid = hi - split.c1;
+        let zero = self.nodes.len();
+        let one = zero + 1;
+        for (side, count, ones) in [
+            (false, count - split.c1, ones - split.o1),
+            (true, split.c1, split.o1),
+        ] {
+            self.nodes.push(Node {
+                rows: Vec::new(),
+                count,
+                ones,
+                parent: Some((node, side)),
+                kind: NodeKind::Leaf(LeafStatus::Open),
+            });
+        }
+        self.nodes[node].kind = NodeKind::Split {
+            feature: split.feature,
+            zero,
+            one,
+        };
+        let (word, mask) = (split.feature / 64, 1u64 << (split.feature % 64));
+        scratch.open[word] &= !mask;
+        let grown = match self.grow(scratch, zero, lo, mid) {
+            Ok(()) => self.grow(scratch, one, mid, hi),
+            Err(e) => {
+                // The one side is never visited: it stays the leaf it
+                // was created as, holding its rows.
+                self.nodes[one].rows = scratch.ids(mid, hi);
+                Err(e)
+            }
+        };
+        scratch.open[word] |= mask;
+        grown
+    }
+}
+
+fn row_id(row: usize) -> u32 {
+    u32::try_from(row).expect("row ids fit in 32 bits")
+}
+
+/// The winner of a split search and the rows on its one side.
+struct BestSplit {
+    feature: usize,
+    /// Rows with the feature set.
+    c1: usize,
+    /// Rows with the feature set and target 1.
+    o1: usize,
+}
+
+/// Counts for 64 bit positions at once, bit-sliced: plane `j` holds bit
+/// `j` of each position's count. Adding a word is a ripple-carry over
+/// the planes; eight words go in through a carry-save adder tree
+/// (Harley–Seal) that touches the upper planes once per eight.
+struct Planes([u64; Planes::LEN]);
+
+impl Planes {
+    /// Enough for `2^32` rows, the most 32-bit row ids can name.
+    const LEN: usize = 33;
+
+    fn new() -> Self {
+        Planes([0; Planes::LEN])
     }
 
-    /// Finds the feature whose split strictly minimizes the children's
-    /// summed squared error. Exact integer scoring: maximize
+    fn add(&mut self, word: u64) {
+        self.carry_into(0, word);
+    }
+
+    fn carry_into(&mut self, mut plane: usize, mut carry: u64) {
+        while carry != 0 {
+            let p = &mut self.0[plane];
+            (*p, carry) = (*p ^ carry, *p & carry);
+            plane += 1;
+        }
+    }
+
+    fn add8(&mut self, x: [u64; 8]) {
+        /// `a + b + c` per position: (sum bit, carry bit).
+        fn csa(a: u64, b: u64, c: u64) -> (u64, u64) {
+            let u = a ^ b;
+            (u ^ c, (a & b) | (u & c))
+        }
+        let [ones, twos, fours] = [self.0[0], self.0[1], self.0[2]];
+        let (ones, twos_a) = csa(ones, x[0], x[1]);
+        let (ones, twos_b) = csa(ones, x[2], x[3]);
+        let (twos, fours_a) = csa(twos, twos_a, twos_b);
+        let (ones, twos_a) = csa(ones, x[4], x[5]);
+        let (ones, twos_b) = csa(ones, x[6], x[7]);
+        let (twos, fours_b) = csa(twos, twos_a, twos_b);
+        let (fours, eights) = csa(fours, fours_a, fours_b);
+        [self.0[0], self.0[1], self.0[2]] = [ones, twos, fours];
+        self.carry_into(3, eights);
+    }
+
+    /// The count at bit position `bit`, reading the low `planes` planes.
+    fn count(&self, bit: u32, planes: usize) -> usize {
+        self.0[..planes]
+            .iter()
+            .enumerate()
+            .map(|(j, p)| (((p >> bit) & 1) as usize) << j)
+            .sum()
+    }
+}
+
+/// The rows one fit or re-split works on, as a permutation the
+/// recursion sorts in place (see the module docs).
+struct Scratch {
+    /// Words per record: the id/target word, then the feature words.
+    stride: usize,
+    /// Record `i` is `records[i * stride..][..stride]`:
+    /// `[row id << 1 | target, feature words...]`.
+    records: Vec<u64>,
+    /// Where a partition parks the one side.
+    spill: Vec<u64>,
+    /// The features the node being searched may split on, one bit each.
+    open: Vec<u64>,
+}
+
+impl Scratch {
+    fn new(data: &Dataset, rows: impl ExactSizeIterator<Item = usize>, open: Vec<u64>) -> Scratch {
+        let stride = 1 + data.words();
+        let mut records = Vec::with_capacity(rows.len() * stride);
+        for row in rows {
+            records.push(u64::from(row_id(row)) << 1 | u64::from(data.target(row)));
+            records.extend_from_slice(data.row_words(row));
+        }
+        Scratch {
+            stride,
+            spill: vec![0; records.len()],
+            records,
+            open,
+        }
+    }
+
+    /// The row ids of records `lo..hi`, in order.
+    fn ids(&self, lo: usize, hi: usize) -> Vec<u32> {
+        self.records[lo * self.stride..hi * self.stride]
+            .iter()
+            .step_by(self.stride)
+            .map(|meta| (meta >> 1) as u32)
+            .collect()
+    }
+
+    /// Finds the open feature whose split of records `lo..hi` (`count`
+    /// rows, `ones` of them with target 1) strictly minimizes the
+    /// children's summed squared error. Exact integer scoring: maximize
     /// `ones0²·count1 + ones1²·count0` over `count0·count1`, strictly
-    /// above the parent's `ones²/count`.
-    fn best_split(&self, data: &Dataset, node: usize, path: &[usize]) -> Option<usize> {
-        let n = &self.nodes[node];
-        let parent_num = (n.ones as u128) * (n.ones as u128);
-        let parent_den = n.count as u128;
-        let mut best: Option<(usize, u128, u128)> = None;
-        for f in 0..self.active {
-            if path.contains(&f) {
+    /// above the parent's `ones²/count`; the lowest feature wins a tie.
+    fn best_split(&self, lo: usize, hi: usize, count: usize, ones: usize) -> Option<BestSplit> {
+        let records = &self.records[lo * self.stride..hi * self.stride];
+        let planes = (usize::BITS - count.leading_zeros()) as usize;
+        let parent_num = (ones as u128) * (ones as u128);
+        let parent_den = count as u128;
+        let mut best: Option<(BestSplit, u128, u128)> = None;
+        for (word, &open) in self.open.iter().enumerate() {
+            if open == 0 {
                 continue;
             }
-            let mut c1 = 0usize;
-            let mut o1 = 0usize;
-            for &ri in &n.rows {
-                let row = &data.rows()[ri as usize];
-                if row.features[f] {
-                    c1 += 1;
-                    o1 += usize::from(row.target);
+            // One pass: per feature of this word, the rows that set it
+            // (`c1`) and those of them with target 1 (`o1`); `any` /
+            // `all` collect the features some / all rows set.
+            let (mut c1, mut o1) = (Planes::new(), Planes::new());
+            let (mut any, mut all) = (0u64, !0u64);
+            let column = |record: &[u64]| {
+                let x = record[1 + word] & open;
+                (x, x & 0u64.wrapping_sub(record[0] & 1))
+            };
+            let mut blocks = records.chunks_exact(8 * self.stride);
+            for block in &mut blocks {
+                let mut x = [0u64; 8];
+                let mut t = [0u64; 8];
+                for (i, record) in block.chunks_exact(self.stride).enumerate() {
+                    (x[i], t[i]) = column(record);
+                    any |= x[i];
+                    all &= x[i];
                 }
+                c1.add8(x);
+                o1.add8(t);
             }
-            let c0 = n.count - c1;
-            let o0 = n.ones - o1;
-            if c0 == 0 || c1 == 0 {
-                continue;
+            for record in blocks.remainder().chunks_exact(self.stride) {
+                let (x, t) = column(record);
+                any |= x;
+                all &= x;
+                c1.add(x);
+                o1.add(t);
             }
-            // score = o0²/c0 + o1²/c1 = (o0²·c1 + o1²·c0) / (c0·c1)
-            let num = (o0 as u128).pow(2) * c1 as u128 + (o1 as u128).pow(2) * c0 as u128;
-            let den = c0 as u128 * c1 as u128;
-            // Strict improvement over the parent: num/den > parent_num/parent_den.
-            if num * parent_den <= parent_num * den {
-                continue;
-            }
-            match &best {
-                None => best = Some((f, num, den)),
-                Some((_, bn, bd)) => {
-                    if num * bd > bn * den {
-                        best = Some((f, num, den));
-                    }
+            // Only a feature that some rows set and some do not can
+            // split; ascending order keeps the lowest index on a tie.
+            let mut candidates = any & !all;
+            while candidates != 0 {
+                let b = candidates.trailing_zeros();
+                candidates &= candidates - 1;
+                let (c1, o1) = (c1.count(b, planes), o1.count(b, planes));
+                let (c0, o0) = (count - c1, ones - o1);
+                // score = o0²/c0 + o1²/c1 = (o0²·c1 + o1²·c0) / (c0·c1)
+                let num = (o0 as u128).pow(2) * c1 as u128 + (o1 as u128).pow(2) * c0 as u128;
+                let den = c0 as u128 * c1 as u128;
+                // Strict improvement over the parent: num/den > parent_num/parent_den.
+                if num * parent_den <= parent_num * den {
+                    continue;
+                }
+                if best
+                    .as_ref()
+                    .is_none_or(|(_, best_num, best_den)| num * best_den > best_num * den)
+                {
+                    let feature = word * 64 + b as usize;
+                    best = Some((BestSplit { feature, c1, o1 }, num, den));
                 }
             }
         }
-        best.map(|(f, _, _)| f)
+        best.map(|(split, _, _)| split)
+    }
+
+    /// Stably reorders records `lo..hi` so those with `feature` clear
+    /// come first.
+    fn partition(&mut self, lo: usize, hi: usize, feature: usize) {
+        let stride = self.stride;
+        let records = &mut self.records[lo * stride..hi * stride];
+        let (word, shift) = (1 + feature / 64, feature % 64);
+        // Branch-free: every record is written to both sides' next
+        // slot, and only the slot of the side it belongs to advances.
+        // `zeros <= i` always, so no unread record is overwritten.
+        let (mut zeros, mut ones) = (0, 0);
+        for i in 0..hi - lo {
+            let one = ((records[i * stride + word] >> shift) & 1) as usize;
+            for k in 0..stride {
+                let v = records[i * stride + k];
+                records[zeros * stride + k] = v;
+                self.spill[ones * stride + k] = v;
+            }
+            zeros += 1 - one;
+            ones += one;
+        }
+        records[zeros * stride..].copy_from_slice(&self.spill[..ones * stride]);
     }
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::dataset::Row;
-    use crate::features::{Feature, MiningSpec, Target};
-    use gm_rtl::SignalId;
-
-    /// A spec over `n` synthetic single-bit input features (offset 0) and
-    /// `ext` extension features.
-    fn spec(n: usize, ext: usize) -> MiningSpec {
-        let features = (0..n + ext)
-            .map(|i| Feature {
-                signal: SignalId::from_raw(i as u32),
-                bit: 0,
-                offset: 0,
-            })
-            .collect();
-        MiningSpec {
-            features,
-            initial_active: n,
-            target: Target {
-                signal: SignalId::from_raw((n + ext) as u32),
-                bit: 0,
-                offset: 0,
-            },
-            window: 0,
-        }
-    }
-
-    fn dataset_from(rows: &[(&[bool], bool)]) -> Dataset {
-        let mut ds = Dataset::new();
-        // Dataset only grows through add_trace normally; build directly
-        // through the testing seam.
-        for (f, t) in rows {
-            ds.push_row(Row {
-                features: f.to_vec(),
-                target: *t,
-            });
-        }
-        ds
-    }
-
-    #[test]
-    fn stale_leaf_ids_are_rejected_after_resplit() {
-        // Regression for the engine's leaf re-validation: a leaf id
-        // captured before counterexample rows arrive may be re-split
-        // into an internal node. Consumers must be able to detect that
-        // (is_leaf / leaves()) instead of silently reading the internal
-        // node's shorter path as if it were the original cube.
-        let sp = spec(2, 0);
-        let ds = dataset_from(&[(&[true, false], true), (&[false, false], false)]);
-        let mut tree = DecisionTree::new(&sp);
-        tree.fit(&ds).unwrap();
-        // The pure leaf predicting true under a=1.
-        let stale = *tree
-            .leaves()
-            .iter()
-            .find(|&&l| tree.node(l).prediction())
-            .unwrap();
-        let path_before = tree.path(stale);
-
-        // A counterexample row lands in that leaf and disagrees,
-        // forcing a re-split on b.
-        let mut ds = ds;
-        let cex = ds.push_row(Row {
-            features: vec![true, true],
-            target: false,
-        });
-        tree.add_rows(&ds, &[cex]).unwrap();
-
-        // The id still names a node — but not a leaf, and not the cube
-        // it used to be: treating it as one would check a strictly
-        // weaker antecedent.
-        assert!(
-            !tree.is_leaf(stale),
-            "re-split leaf must stop reporting as a leaf"
-        );
-        assert!(!tree.leaves().contains(&stale));
-        // No surviving leaf carries the stale cube either — the old
-        // antecedent is gone, not remapped.
-        assert!(
-            tree.leaves().iter().all(|l| tree.path(*l) != path_before),
-            "a leaf silently inherited the stale cube"
-        );
-    }
-
-    #[test]
-    fn learns_a_conjunction_exactly() {
-        // z = a & b over the full truth table.
-        let sp = spec(2, 0);
-        let ds = dataset_from(&[
-            (&[false, false], false),
-            (&[false, true], false),
-            (&[true, false], false),
-            (&[true, true], true),
-        ]);
-        let mut tree = DecisionTree::new(&sp);
-        tree.fit(&ds).unwrap();
-        for row in ds.rows() {
-            assert_eq!(tree.predict(&row.features), row.target);
-        }
-        // Tree: root split + one pure side + one further split = 5 nodes.
-        assert_eq!(tree.node_count(), 5);
-        assert_eq!(tree.leaves().len(), 3);
-    }
-
-    #[test]
-    fn empty_dataset_predicts_zero() {
-        let sp = spec(2, 0);
-        let ds = Dataset::new();
-        let mut tree = DecisionTree::new(&sp);
-        tree.fit(&ds).unwrap();
-        assert_eq!(tree.leaves(), vec![0]);
-        assert!(!tree.node(0).prediction(), "zero-seed: output always 0");
-    }
-
-    #[test]
-    fn incremental_add_preserves_structure_and_resplits_leaf() {
-        // Start with data where z looks like `a`, then add a row showing
-        // z = a & b: the a=1 leaf must re-split on b, and the a=0 side
-        // must keep its node identity (Definition 6).
-        let sp = spec(2, 0);
-        let mut ds = dataset_from(&[(&[false, true], false), (&[true, true], true)]);
-        let mut tree = DecisionTree::new(&sp);
-        tree.fit(&ds).unwrap();
-        let leaves_before = tree.leaves();
-        assert_eq!(leaves_before.len(), 2);
-        let zero_leaf = leaves_before
-            .iter()
-            .copied()
-            .find(|&l| !tree.node(l).prediction())
-            .unwrap();
-        tree.set_proved(zero_leaf);
-
-        // Counterexample: a=1, b=0 -> z=0 contradicts the a=1 leaf.
-        ds.push_row(Row {
-            features: vec![true, false],
-            target: false,
-        });
-        tree.add_rows(&ds, &[2]).unwrap();
-        assert_eq!(
-            tree.leaf_status(zero_leaf),
-            LeafStatus::Proved,
-            "untouched proved leaf survives"
-        );
-        assert_eq!(tree.leaves().len(), 3);
-        assert!(!tree.predict(&[true, false]));
-        assert!(tree.predict(&[true, true]));
-    }
-
-    #[test]
-    fn extension_features_activate_when_stuck() {
-        // Target equals the extension feature; the two active features
-        // are pure noise. With identical active values and differing
-        // targets, the tree must extend the search (the paper's
-        // gnt0(t-1) moment).
-        let sp = spec(2, 1);
-        let ds = dataset_from(&[(&[true, false, false], false), (&[true, false, true], true)]);
-        let mut tree = DecisionTree::new(&sp);
-        tree.fit(&ds).unwrap();
-        assert_eq!(tree.leaves().len(), 2);
-        assert!(tree.predict(&[true, false, true]));
-        assert!(!tree.predict(&[true, false, false]));
-    }
-
-    #[test]
-    fn contradiction_is_reported() {
-        let sp = spec(1, 0);
-        let ds = dataset_from(&[(&[true], true), (&[true], false)]);
-        let mut tree = DecisionTree::new(&sp);
-        assert!(matches!(
-            tree.fit(&ds),
-            Err(MineError::Contradictory { .. })
-        ));
-    }
-
-    #[test]
-    fn paths_and_depths() {
-        let sp = spec(2, 0);
-        let ds = dataset_from(&[
-            (&[false, false], false),
-            (&[false, true], false),
-            (&[true, false], false),
-            (&[true, true], true),
-        ]);
-        let mut tree = DecisionTree::new(&sp);
-        tree.fit(&ds).unwrap();
-        let deep = tree.classify(&[true, true]);
-        let path = tree.path(deep);
-        assert_eq!(path.len(), 2);
-        assert!(path.iter().all(|(_, v)| *v));
-        assert_eq!(tree.max_depth(), 2);
-        assert_eq!(tree.depth(0), 0);
-    }
-
-    #[test]
-    fn converged_only_when_all_leaves_proved() {
-        let sp = spec(1, 0);
-        let ds = dataset_from(&[(&[false], false), (&[true], true)]);
-        let mut tree = DecisionTree::new(&sp);
-        tree.fit(&ds).unwrap();
-        assert!(!tree.converged());
-        for leaf in tree.leaves() {
-            tree.set_proved(leaf);
-        }
-        assert!(tree.converged());
-    }
-}
+mod tests;

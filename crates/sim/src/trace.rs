@@ -78,6 +78,19 @@ impl Trace {
         self.value(cycle, sig).bit(bit)
     }
 
+    /// The raw snapshot of `cycle`: one `u64` per signal, indexed by
+    /// [`SignalId::index`], bit `i` of the word being bit `i` of the
+    /// signal (only bits below the signal's width are meaningful).
+    /// Bulk readers — the miner's window extraction — use this to pick
+    /// many bits out of a cycle without building a [`Bv`] per probe.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cycle` is out of range.
+    pub fn raw_row(&self, cycle: usize) -> &[u64] {
+        &self.rows[cycle]
+    }
+
     /// Signal names, indexed by [`SignalId::index`].
     pub fn names(&self) -> &[String] {
         &self.names
@@ -184,6 +197,9 @@ mod tests {
         assert_eq!(t.value(0, wide), Bv::new(0b1010, 4));
         assert!(t.bit(1, wide, 0));
         assert!(!t.bit(1, wide, 1));
+        // The raw row is the same data, one word per signal.
+        assert_eq!(t.raw_row(0), &[1, 0b1010, 0]);
+        assert_eq!(t.raw_row(1)[wide.index()], 0b0101);
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! # gm-trace — structured span/event flight recorder
 //!
 //! A low-overhead tracing layer for the closure pipeline. Call sites in
-//! the hot crates (`gm_sim`, `gm_mc`, `goldmine`, `gm_serve`) open
-//! [`span`]s around meaningful units of work — a simulation batch pass,
-//! a SAT query, an engine iteration, a served job — and the recorder
-//! collects them into a bounded per-sink ring that exports as Chrome
-//! trace-event JSON (loadable in Perfetto or `chrome://tracing`).
+//! the hot crates (`gm_sim`, `gm_mine`, `gm_mc`, `goldmine`, `gm_serve`)
+//! open [`span`]s around meaningful units of work — a simulation batch
+//! pass, a tree fit, a SAT query, an engine iteration, a served job —
+//! and the recorder collects them into a bounded per-sink ring that
+//! exports as Chrome trace-event JSON (loadable in Perfetto or
+//! `chrome://tracing`).
 //!
 //! ## Design
 //!
