@@ -197,7 +197,7 @@ fn bench_sat_session(c: &mut Criterion) {
     let mut session = CheckSession::new(blasted);
     let pass = |session: &mut CheckSession| {
         for p in &props {
-            black_box(session.k_induction(&module, p, 2));
+            black_box(session.k_induction(&module, p, 2, None).unwrap());
         }
     };
     pass(&mut session);
@@ -442,8 +442,13 @@ fn bench_shard_scaling(c: &mut Criterion) {
     for shards in [1usize, 2, 4, 8] {
         c.bench_function(&format!("mc/b18_lite_sharded_batch_{shards}"), |b| {
             b.iter_batched(
-                || Checker::new(&module).unwrap().with_backend(backend),
-                |mut ch| ch.check_batch_sharded(&props, shards).unwrap(),
+                || {
+                    Checker::new(&module)
+                        .unwrap()
+                        .with_backend(backend)
+                        .with_shards(shards)
+                },
+                |mut ch| ch.check_batch(&props).unwrap(),
                 BatchSize::SmallInput,
             );
         });
@@ -485,23 +490,18 @@ fn bench_campaign(c: &mut Criterion) {
     }
 }
 
-/// Tentpole comparison: the closure-service scheduler on a *skewed*
-/// multi-design workload. The static round-robin deal lands every
-/// expensive design on worker 0 (the adversarial case the ROADMAP's
-/// "skewed worklists leave shards idle" item describes); work-stealing
-/// lets the idle peers take them. Same jobs, same results — the gap is
-/// pure idle time. Two variants:
+/// The closure-service scheduler on a *skewed* multi-design workload:
+/// the round-robin deal lands every expensive design on worker 0, and
+/// the idle peers steal them. Two variants:
 ///
-/// * `skewed_12_jobs` — real closure jobs (CPU-bound): the gap shows on
+/// * `skewed_12_jobs` — real closure jobs (CPU-bound): stealing shows on
 ///   multi-core hosts; a single-core host timeslices the heavies either
 ///   way, so there the numbers mostly price the pool (the same caveat
 ///   as the shard-scaling kernels above).
 /// * `skewed_latency_jobs` — latency-bound jobs (each "heavy" job waits
-///   on a simulated external checker): round-robin leaves the peers
-///   idle while worker 0 waits out every heavy job in sequence, so
-///   work-stealing wins even on one core.
+///   on a simulated external checker): the peers overlap the waits that
+///   worker 0 alone would sit out in sequence, even on one core.
 fn bench_serve_scheduler(c: &mut Criterion) {
-    use gm_serve::SchedPolicy;
     let heavy = gm_designs::by_name("arbiter4").unwrap();
     let light = gm_designs::by_name("cex_small").unwrap();
     let workers = 4usize;
@@ -528,31 +528,27 @@ fn bench_serve_scheduler(c: &mut Criterion) {
             }
         })
         .collect();
-    for policy in [SchedPolicy::RoundRobin, SchedPolicy::WorkStealing] {
-        c.bench_function(&format!("serve/skewed_12_jobs_4_workers_{policy:?}"), |b| {
-            b.iter(|| {
-                let summary = gm_serve::run_campaign(jobs.clone(), workers, policy);
-                assert!(summary.all_ok());
-                summary.converged_count()
-            });
+    c.bench_function("serve/skewed_12_jobs_4_workers", |b| {
+        b.iter(|| {
+            let summary = gm_serve::run_campaign(jobs.clone(), workers);
+            assert!(summary.all_ok());
+            summary.converged_count()
         });
-    }
+    });
     // Latency-bound variant: every 4th job waits 20 ms on a simulated
-    // external checker, and the static deal puts all of them on worker
-    // 0 (60 ms of serialized waiting); stealing overlaps the waits.
-    for policy in [SchedPolicy::RoundRobin, SchedPolicy::WorkStealing] {
-        c.bench_function(&format!("serve/skewed_latency_jobs_{policy:?}"), |b| {
-            b.iter(|| {
-                let results = gm_serve::run_jobs((0..12u64).collect(), workers, policy, |i| {
-                    if (i as usize).is_multiple_of(workers) {
-                        std::thread::sleep(std::time::Duration::from_millis(20));
-                    }
-                    i
-                });
-                results.len()
+    // external checker, and the deal puts all of them on worker 0
+    // (60 ms of serialized waiting unless the peers steal them).
+    c.bench_function("serve/skewed_latency_jobs", |b| {
+        b.iter(|| {
+            let results = gm_serve::run_jobs((0..12u64).collect(), workers, |i| {
+                if (i as usize).is_multiple_of(workers) {
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                }
+                i
             });
+            results.len()
         });
-    }
+    });
 }
 
 /// Server throughput: repeated submissions of a small design mix
@@ -560,7 +556,7 @@ fn bench_serve_scheduler(c: &mut Criterion) {
 /// (content-addressed cache hits, parked warm checkers, work-stealing
 /// dispatch) rather than a fresh engine per design.
 fn bench_serve_throughput(c: &mut Criterion) {
-    use gm_serve::{ClosureService, ServeConfig};
+    use gm_serve::{ClosureService, ServeConfig, SubmitOptions};
     let designs: Vec<_> = ["cex_small", "b01", "b02"]
         .iter()
         .map(|n| gm_designs::by_name(n).unwrap())
@@ -578,7 +574,7 @@ fn bench_serve_throughput(c: &mut Criterion) {
     // Warm the cache once so the kernel measures the steady state.
     for d in &designs {
         let (id, _) = service
-            .submit_module(d.name, d.module(), config_for(d))
+            .submit_module(d.name, d.module(), config_for(d), SubmitOptions::default())
             .unwrap();
         service.wait(id);
     }
@@ -588,7 +584,7 @@ fn bench_serve_throughput(c: &mut Criterion) {
                 .map(|i| {
                     let d = &designs[i % designs.len()];
                     service
-                        .submit_module(d.name, d.module(), config_for(d))
+                        .submit_module(d.name, d.module(), config_for(d), SubmitOptions::default())
                         .unwrap()
                         .0
                 })

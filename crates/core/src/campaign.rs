@@ -106,10 +106,9 @@ impl Campaign {
     ///
     /// This built-in executor keeps `goldmine` dependency-free; the
     /// closure service's scheduler (`gm_serve::run_campaign`, fed by
-    /// [`Campaign::into_jobs`]) runs the same jobs on its persistent
-    /// work-stealing pool with a policy knob and steal counters — the
-    /// two produce identical summaries by the engine's determinism
-    /// contract.
+    /// [`Campaign::into_jobs`]) runs the same jobs on its work-stealing
+    /// pool with steal counters — the two produce identical summaries
+    /// by the engine's determinism contract.
     ///
     /// Workers pull jobs from a shared cursor (so a slow design does not
     /// serialize the rest behind it) and deposit results by job index:

@@ -40,14 +40,16 @@ pub enum UnknownPolicy {
 /// [`crate::ClosureOutcome`] — suite labels, iteration reports,
 /// assertion order, counterexample traces — for every policy; only the
 /// [`gm_mc::SessionStats`] work counters reflect how the work was
-/// distributed.
+/// distributed. The deal is a static round-robin, so those counters are
+/// reproducible run to run too.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ShardPolicy {
     /// One persistent session, dispatched on the engine thread (PR 2
     /// behavior). The default.
     #[default]
     Off,
-    /// A fixed number of shard sessions (clamped to at least 1).
+    /// A fixed number of shard sessions (clamped to at least 1, which
+    /// is `Off`).
     Fixed(usize),
     /// One shard session per available core
     /// ([`std::thread::available_parallelism`]).
@@ -56,8 +58,7 @@ pub enum ShardPolicy {
 
 impl ShardPolicy {
     /// The number of shard sessions this policy resolves to on the
-    /// current host. `Off` resolves to 1 (but dispatches without the
-    /// worker pool).
+    /// current host; 1 dispatches without the worker pool.
     pub fn shard_count(&self) -> usize {
         match self {
             ShardPolicy::Off => 1,
@@ -67,31 +68,6 @@ impl ShardPolicy {
                 .unwrap_or(1),
         }
     }
-}
-
-/// How a sharded verification worklist is *dealt* onto the shard
-/// sessions (only meaningful when [`EngineConfig::shards`] enables a
-/// pool).
-///
-/// Both policies produce the identical [`crate::ClosureOutcome`]
-/// artifacts — verdicts, counterexample traces, suite, assertion order
-/// — because property decisions are partition-independent (see
-/// [`crate::Engine`]'s determinism contract). They differ in *work
-/// placement*: `RoundRobin` is a static deal whose per-session
-/// [`gm_mc::SessionStats`] are reproducible run to run but can leave
-/// shards idle behind a skewed worklist; `Stealing` is work-conserving
-/// (idle shards pull the next undecided property from a shared cursor),
-/// at the price of run-to-run variation in *where* the frame/solver
-/// work counters land — exactly the trade [`EngineConfig::racing`]
-/// already makes for its attribution counters.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum StealPolicy {
-    /// Static round-robin deal (the PR 3 behavior). The default.
-    #[default]
-    RoundRobin,
-    /// Work-conserving shared-cursor dispatch
-    /// ([`gm_mc::Checker::check_batch_stealing`]).
-    Stealing,
 }
 
 /// Temporal-template mining: next-cycle implication, bounded
@@ -184,27 +160,10 @@ pub struct EngineConfig {
     pub unknown: UnknownPolicy,
     /// Target outputs.
     pub targets: TargetSelection,
-    /// Batch all candidate checks per iteration (the §7 optimization the
-    /// paper describes): the deduped cross-target worklist is dispatched
-    /// through [`gm_mc::Checker::check_batch`] against one shared
-    /// verification session, and counterexamples are absorbed in bulk.
-    /// When `false`, candidates are checked one at a time and each
-    /// counterexample feeds back immediately.
-    pub batched: bool,
-    /// How the deduped per-iteration worklist is split across concurrent
-    /// verification sessions (requires `batched`; ignored otherwise).
+    /// How each iteration's deduped verification worklists (window and
+    /// temporal) are split across concurrent verification sessions.
     /// Results are identical for every policy — see [`ShardPolicy`].
     pub shards: ShardPolicy,
-    /// How the worklist is dealt onto the shard sessions (requires a
-    /// shard pool; ignored under `ShardPolicy::Off`). Results are
-    /// identical for both policies — see [`StealPolicy`].
-    pub steal: StealPolicy,
-    /// Race the explicit and SAT backends per property and take the
-    /// first conclusive answer. Applies to every `Auto`-backend decision
-    /// the engine dispatches — sharded, batched, and unbatched alike —
-    /// whenever the design's reachable set is available; see
-    /// [`gm_mc::Checker::with_racing`] for the determinism contract.
-    pub racing: bool,
     /// Record per-iteration coverage of the accumulated suite (costs one
     /// suite re-simulation per iteration).
     pub record_coverage: bool,
@@ -235,10 +194,7 @@ impl Default for EngineConfig {
             backend: Backend::Auto,
             unknown: UnknownPolicy::AssumeTrue,
             targets: TargetSelection::AllOutputs,
-            batched: true,
             shards: ShardPolicy::Off,
-            steal: StealPolicy::RoundRobin,
-            racing: false,
             record_coverage: true,
             temporal: TemporalConfig::default(),
             refine: RefineConfig::default(),

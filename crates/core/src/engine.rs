@@ -26,7 +26,7 @@
 //!
 //! ## Sharded verification and the determinism contract
 //!
-//! The batched verification step is embarrassingly parallel across the
+//! The verification step is embarrassingly parallel across the
 //! deduped worklist, and [`crate::ShardPolicy`] splits it across a pool
 //! of persistent shard sessions (one scoped worker thread each, all
 //! over the same bit-blasted design — blasting happens once per run).
@@ -36,25 +36,20 @@
 //! when the workers join, so shard k sees the same incremental-session
 //! benefits across iterations that the single session does.
 //!
-//! **Determinism contract:** the [`ClosureOutcome`] — suite segment
-//! labels and vectors, iteration reports, assertion order, per-target
-//! summaries — is bit-identical for every shard policy and across
-//! repeated runs with the same seed and config. This is engineered, not
-//! hoped for: verdicts are solver-state-independent, counterexample
-//! traces are canonically re-extracted by `gm_mc` (never taken from a
-//! shard-history-dependent solver model), the worklist partition is a
-//! deterministic round-robin, and shard results are merged back in
-//! worklist order before any tree is touched. The only fields that may
-//! differ between shard policies are the [`gm_mc::SessionStats`] work
-//! counters inside [`IterationReport::verification`] (frame/solver work
-//! moves between sessions); those stay deterministic for a fixed policy
-//! — except under `racing`, where the explicit-vs-SAT attribution
-//! counters record whichever engine actually won each race and so may
-//! vary between runs (the outcome artifacts still never do).
+//! **Determinism contract:** repeated runs with the same seed and
+//! config produce the same [`ClosureOutcome`] in full, and every shard
+//! policy produces the same artifacts — suite segment labels and
+//! vectors, iteration reports, assertion order, per-target summaries —
+//! differing only in the [`gm_mc::SessionStats`] work counters inside
+//! [`IterationReport::verification`] (frame/solver work moves between
+//! sessions). This is engineered, not hoped for: verdicts are
+//! solver-state-independent, counterexample traces are canonically
+//! re-extracted by `gm_mc` (never taken from a shard-history-dependent
+//! solver model), the worklist partition is a deterministic
+//! round-robin, and shard results are merged back in worklist order
+//! before any tree is touched.
 
-use crate::config::{
-    EngineConfig, SeedStimulus, ShardPolicy, StealPolicy, TargetSelection, UnknownPolicy,
-};
+use crate::config::{EngineConfig, SeedStimulus, TargetSelection, UnknownPolicy};
 use crate::error::EngineError;
 use crate::report::{ClosureOutcome, IterTiming, IterationReport, TargetSummary};
 use gm_coverage::{CoverageSuite, UncoveredIndex};
@@ -183,7 +178,7 @@ pub struct Engine<'m> {
     /// coverage-identical to the interpreter, so the choice never shows
     /// in the outcome. Shared (`Arc`) so a design cache can park one
     /// tape per canonical design and hand it to every engine instead of
-    /// recompiling (see [`Engine::with_artifacts_compiled`]).
+    /// recompiling (see [`Engine::with_artifacts`]).
     compiled: Option<Arc<CompiledModule>>,
     /// Cooperative cancel token (see [`Engine::with_cancel`]).
     cancel: Option<Arc<AtomicBool>>,
@@ -225,57 +220,37 @@ impl<'m> Engine<'m> {
     pub fn new(module: &'m Module, config: EngineConfig) -> Result<Self, EngineError> {
         let elab = elaborate(module)?;
         let checker = Checker::from_elab(module, &elab)?;
-        Engine::with_artifacts(module, &elab, checker, config)
+        Ok(Engine::with_artifacts(module, &elab, checker, None, config))
     }
 
     /// Prepares an engine from pre-built design artifacts: an
-    /// elaboration and a checker that already owns the bit-blasted
-    /// design (and possibly a warm reachable set / explicit-engine
-    /// cache). This is the constructor a long-lived service uses to
-    /// amortize elaboration, blasting and reachability across repeated
-    /// closure requests for the same design — everything a recycled
-    /// checker keeps is stats-invisible, so the run's
-    /// [`ClosureOutcome`] is byte-identical to one built by
-    /// [`Engine::new`] (see [`Checker::reset_for_reuse`]).
+    /// elaboration, a checker that already owns the bit-blasted design
+    /// (and possibly a warm reachable set / explicit-engine cache), and
+    /// optionally a compiled instruction tape for the same design. This
+    /// is the constructor a long-lived service uses to amortize
+    /// elaboration, blasting, reachability and tape compilation across
+    /// repeated closure requests for the same design — everything a
+    /// recycled checker keeps is stats-invisible and compilation is
+    /// deterministic, so the run's [`ClosureOutcome`] is byte-identical
+    /// to one built by [`Engine::new`] (see
+    /// [`Checker::reset_for_reuse`]).
     ///
-    /// The engine re-applies `config`'s backend/racing settings to the
-    /// checker and starts its per-iteration stats attribution from the
-    /// checker's current counters, so carried-over sessions never leak
-    /// old work into the first iteration report.
-    ///
-    /// # Errors
-    ///
-    /// Propagates mining-spec construction failures.
+    /// The engine re-applies `config`'s backend and shard settings to
+    /// the checker and starts its per-iteration stats attribution from
+    /// the checker's current counters, so carried-over sessions never
+    /// leak old work into the first iteration report. Without a tape
+    /// (or under an interpreter backend) the engine compiles its own;
+    /// a supplied one is shared by `Arc`, never cloned.
     pub fn with_artifacts(
-        module: &'m Module,
-        elab: &gm_rtl::Elab,
-        checker: Checker,
-        config: EngineConfig,
-    ) -> Result<Self, EngineError> {
-        Engine::with_artifacts_compiled(module, elab, checker, None, config)
-    }
-
-    /// [`Engine::with_artifacts`] that additionally accepts a
-    /// pre-compiled instruction tape for the same design, so a design
-    /// cache that parks a [`CompiledModule`] alongside its checker can
-    /// skip the per-engine recompilation. `None` (or an interpreter
-    /// backend) falls back to the usual lazy compile; the tape is shared
-    /// by `Arc`, never cloned. Compilation is deterministic, so reusing
-    /// a tape never changes the outcome.
-    ///
-    /// # Errors
-    ///
-    /// Propagates mining-spec construction failures.
-    pub fn with_artifacts_compiled(
         module: &'m Module,
         elab: &gm_rtl::Elab,
         checker: Checker,
         compiled: Option<Arc<CompiledModule>>,
         config: EngineConfig,
-    ) -> Result<Self, EngineError> {
+    ) -> Self {
         let mut checker = checker
             .with_backend(config.backend)
-            .with_racing(config.racing);
+            .with_shards(config.shards.shard_count());
         // A parked checker must never carry a previous request's raised
         // cancel token into this run.
         checker.set_cancel(None);
@@ -326,7 +301,7 @@ impl<'m> Engine<'m> {
                 _ => Arc::new(CompiledModule::with_elab_opts(module, elab, want)),
             })
         };
-        Ok(Engine {
+        Engine {
             module,
             config,
             checker,
@@ -340,11 +315,11 @@ impl<'m> Engine<'m> {
             temporal_decided: HashSet::new(),
             temporal_proved: Vec::new(),
             last_uncovered: None,
-        })
+        }
     }
 
     /// Installs a cooperative cancel token for the run. Unlike the
-    /// iteration-boundary stop of [`Engine::run_observed`]'s observer, a
+    /// iteration-boundary stop of [`Engine::run_reclaim`]'s observer, a
     /// raised token takes effect *mid-iteration*: it is polled between
     /// SAT queries inside the checker's unrolling loops and once per
     /// simulated cycle of the coverage passes. The run then ends with a
@@ -380,7 +355,7 @@ impl<'m> Engine<'m> {
     /// failures (contradictory windows) are per-target and reported in
     /// the outcome's [`TargetSummary::stuck`] instead.
     pub fn run(self) -> Result<ClosureOutcome, EngineError> {
-        self.run_observed(|_| true)
+        self.run_reclaim(|_| true).0
     }
 
     /// Runs the loop, invoking `on_iteration` after every recorded
@@ -391,21 +366,15 @@ impl<'m> Engine<'m> {
     /// always return `true` leave the outcome exactly as [`Engine::run`]
     /// produces it.
     ///
+    /// Also hands the checker back — with its design artifacts
+    /// (bit-blasted AIG, reachable set, explicit-engine tables) and
+    /// session state intact — so a design cache can park it for the
+    /// next request of the same design. The checker is returned on the
+    /// error path too.
+    ///
     /// # Errors
     ///
     /// Same contract as [`Engine::run`].
-    pub fn run_observed(
-        mut self,
-        on_iteration: impl FnMut(&IterationReport) -> bool,
-    ) -> Result<ClosureOutcome, EngineError> {
-        self.run_inner(on_iteration)
-    }
-
-    /// Like [`Engine::run_observed`], but also hands the checker back —
-    /// with its design artifacts (bit-blasted AIG, reachable set,
-    /// explicit-engine tables) and session state intact — so a design
-    /// cache can park it for the next request of the same design. The
-    /// checker is returned on the error path too.
     pub fn run_reclaim(
         mut self,
         on_iteration: impl FnMut(&IterationReport) -> bool,
@@ -555,8 +524,8 @@ impl<'m> Engine<'m> {
     }
 
     /// Collects the full cross-target worklist of pure open leaves.
-    /// Trees are stable while the worklist is pending in batched mode
-    /// (counterexample absorption is deferred past the dispatch).
+    /// Trees are stable while the worklist is pending (counterexample
+    /// absorption is deferred past the dispatch).
     ///
     /// When refinement is enabled and an uncovered-point index is
     /// available, the worklist is coverage-ranked: candidates whose
@@ -595,14 +564,12 @@ impl<'m> Engine<'m> {
         worklist
     }
 
-    /// One verification pass over all open candidates; returns the number
-    /// of refuted candidates.
-    ///
-    /// Batched mode (the default): the whole worklist becomes one
+    /// One verification pass over all open candidates (the §7
+    /// optimization the paper describes): the whole worklist becomes one
     /// deduped property batch dispatched through the checker's shared
     /// verification session, and every counterexample trace is absorbed
-    /// in bulk afterwards. Unbatched mode checks candidates one at a
-    /// time and feeds each counterexample back immediately.
+    /// in bulk afterwards. The temporal and refinement passes follow
+    /// when enabled.
     fn iteration_pass(&mut self, iteration: u32) -> Result<PassCounts, EngineError> {
         // Counterexample input sequences discovered this iteration, in
         // decision order: the refinement pass extends them toward
@@ -610,11 +577,7 @@ impl<'m> Engine<'m> {
         let mut prefixes: Vec<Vec<InputVector>> = Vec::new();
         let verify_start = std::time::Instant::now();
         let mut verify_span = gm_trace::span("engine", "engine.verify");
-        let mut counts = if self.config.batched {
-            self.window_pass_batched(iteration, &mut prefixes)?
-        } else {
-            self.window_pass_sequential(iteration, &mut prefixes)?
-        };
+        let mut counts = self.window_pass(iteration, &mut prefixes)?;
         verify_span.arg("refuted", counts.refuted);
         drop(verify_span);
         counts.timing.verify_ns = verify_start.elapsed().as_nanos() as u64;
@@ -640,8 +603,8 @@ impl<'m> Engine<'m> {
         Ok(counts)
     }
 
-    /// The batched combinational pass (see [`Engine::iteration_pass`]).
-    fn window_pass_batched(
+    /// The combinational pass (see [`Engine::iteration_pass`]).
+    fn window_pass(
         &mut self,
         iteration: u32,
         prefixes: &mut Vec<Vec<InputVector>>,
@@ -666,15 +629,7 @@ impl<'m> Engine<'m> {
         // One batched dispatch for the whole iteration, split across the
         // configured shard sessions (identical results either way — see
         // the module docs' determinism contract).
-        let results = match (self.config.shards, self.config.steal) {
-            (ShardPolicy::Off, _) => self.checker.check_batch(&unique)?,
-            (policy, StealPolicy::RoundRobin) => self
-                .checker
-                .check_batch_sharded(&unique, policy.shard_count())?,
-            (policy, StealPolicy::Stealing) => self
-                .checker
-                .check_batch_stealing(&unique, policy.shard_count())?,
-        };
+        let results = self.checker.check_batch(&unique)?;
         let mut refuted = 0usize;
         let mut pending_traces: Vec<Trace> = Vec::new();
         let mut cex_count = 0usize;
@@ -707,59 +662,6 @@ impl<'m> Engine<'m> {
         // Absorb all counterexample traces in bulk.
         for trace in &pending_traces {
             self.absorb_trace(trace);
-        }
-        Ok(PassCounts {
-            refuted,
-            ..PassCounts::default()
-        })
-    }
-
-    /// The unbatched pass: each candidate is checked and its
-    /// counterexample absorbed immediately, so later candidates see the
-    /// refined trees. Leaves are re-validated because the tree may morph
-    /// under us as counterexample rows arrive.
-    fn window_pass_sequential(
-        &mut self,
-        iteration: u32,
-        prefixes: &mut Vec<Vec<InputVector>>,
-    ) -> Result<PassCounts, EngineError> {
-        let worklist = self.open_candidates();
-        let mut refuted = 0usize;
-        let mut cex_count = 0usize;
-        for (ti, leaf) in worklist {
-            let assertion = {
-                let t = &self.targets[ti];
-                if t.stuck.is_some()
-                    || !t.tree.is_leaf(leaf)
-                    || t.tree.leaf_status(leaf) != LeafStatus::Open
-                    || !t.tree.is_pure(leaf)
-                {
-                    continue;
-                }
-                assertion_at(&t.tree, &t.spec, leaf)
-            };
-            let prop = assertion_property(&assertion);
-            match self.checker.check(&prop)? {
-                CheckResult::Proved => {
-                    self.targets[ti].tree.set_proved(leaf);
-                }
-                CheckResult::Violated(cex) => {
-                    refuted += 1;
-                    cex_count += 1;
-                    let label = format!("cex-{iteration}-{cex_count}");
-                    self.suite.push(label, cex.inputs.clone());
-                    let trace = self.simulate_segment(&cex.inputs)?;
-                    self.absorb_trace(&trace);
-                    prefixes.push(cex.inputs);
-                }
-                CheckResult::Unknown { .. } => match self.config.unknown {
-                    UnknownPolicy::AssumeTrue => {
-                        self.unknown_assumed += 1;
-                        self.targets[ti].tree.set_proved(leaf);
-                    }
-                    UnknownPolicy::LeaveOpen => {}
-                },
-            }
         }
         Ok(PassCounts {
             refuted,
@@ -801,7 +703,7 @@ impl<'m> Engine<'m> {
                 mined.push(ta);
             }
         }
-        let results = self.checker.check_temporal_batch(&unique)?;
+        let results = self.checker.check_batch(&unique)?;
         let mut refuted = 0usize;
         let mut tcex_count = 0usize;
         for ((prop, ta), res) in unique.into_iter().zip(mined).zip(results) {

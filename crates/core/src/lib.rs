@@ -40,8 +40,8 @@ mod report;
 
 pub use campaign::{Campaign, CampaignJob, CampaignRun, CampaignSummary};
 pub use config::{
-    EngineConfig, RefineConfig, SeedStimulus, ShardPolicy, StealPolicy, TargetSelection,
-    TemporalConfig, UnknownPolicy,
+    EngineConfig, RefineConfig, SeedStimulus, ShardPolicy, TargetSelection, TemporalConfig,
+    UnknownPolicy,
 };
 pub use engine::{assertion_property, temporal_property, Engine};
 pub use error::EngineError;

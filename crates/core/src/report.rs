@@ -183,7 +183,7 @@ pub struct ClosureOutcome {
     /// *mid-iteration* (see [`crate::Engine::with_cancel`]). The outcome
     /// is still valid — proved assertions are sound, the suite replays —
     /// it just reflects only the work completed before the cancel
-    /// landed. Iteration-boundary stops via `run_observed`'s observer
+    /// landed. Iteration-boundary stops via `run_reclaim`'s observer
     /// leave this `false`.
     pub interrupted: bool,
 }

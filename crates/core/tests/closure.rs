@@ -325,15 +325,3 @@ fn closure_outcomes_byte_identical_across_sim_backends() {
         }
     }
 }
-
-#[test]
-fn unbatched_mode_also_converges() {
-    let m = parse_verilog(ARBITER2).unwrap();
-    let config = EngineConfig {
-        batched: false,
-        record_coverage: false,
-        ..EngineConfig::default()
-    };
-    let outcome = Engine::new(&m, config).unwrap().run().unwrap();
-    assert!(outcome.converged);
-}

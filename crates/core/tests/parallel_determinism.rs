@@ -13,7 +13,8 @@
 use gm_mc::{Backend, SessionStats};
 use gm_rtl::SignalId;
 use goldmine::{
-    ClosureOutcome, Engine, EngineConfig, SeedStimulus, ShardPolicy, TargetSelection, UnknownPolicy,
+    ClosureOutcome, Engine, EngineConfig, SeedStimulus, ShardPolicy, TargetSelection,
+    TemporalConfig, UnknownPolicy,
 };
 
 const POLICIES: [ShardPolicy; 3] = [
@@ -123,39 +124,25 @@ fn zero_seed_bootstrap_is_identical_across_policies_and_runs() {
 }
 
 #[test]
-fn racing_runs_reproduce_their_outcome() {
-    // Racing keeps verdicts and traces deterministic; only the stats
-    // attribution depends on which engine answered first, so repeated
-    // runs compare work-normalized.
-    let module = gm_designs::arbiter2();
+fn temporal_outcome_is_identical_across_policies_and_runs() {
+    // Temporal worklists go through the same shard pool as window ones:
+    // multi-consequent candidates are SAT-decided on shard sessions and
+    // their `tcex-*` counterexamples feed the suite.
+    let module = gm_designs::arbiter4();
     let config = EngineConfig {
         window: 1,
         stimulus: SeedStimulus::Random { cycles: 32 },
-        shards: ShardPolicy::Fixed(2),
-        racing: true,
+        temporal: TemporalConfig { horizon: 2 },
         record_coverage: false,
         ..EngineConfig::default()
     };
-    let first = Engine::new(&module, config.clone()).unwrap().run().unwrap();
-    let second = Engine::new(&module, config).unwrap().run().unwrap();
-    assert_eq!(
-        work_normalized_fingerprint(&first),
-        work_normalized_fingerprint(&second),
-        "racing perturbed the outcome"
+    let outcome = run_with(config.clone(), &module, ShardPolicy::Fixed(3));
+    let total = outcome.verification_total();
+    assert!(
+        total.sat_decided > 0 && total.cex_canonicalized > 0,
+        "no temporal candidate reached the SAT engines: {total:?}"
     );
-    // And racing never changes what the non-racing engine concludes.
-    let plain = run_with(
-        EngineConfig {
-            window: 1,
-            stimulus: SeedStimulus::Random { cycles: 32 },
-            record_coverage: false,
-            ..EngineConfig::default()
-        },
-        &module,
-        ShardPolicy::Fixed(2),
-    );
-    assert_eq!(first.converged, plain.converged);
-    assert_eq!(first.assertions.len(), plain.assertions.len());
+    assert_deterministic("arbiter4/temporal", &module, config);
 }
 
 /// Stress/soak on the largest catalog design with per-core sharding:
@@ -210,7 +197,8 @@ fn soak_b18_lite_100_iterations_per_core_no_drift() {
     // do no engine work after round one.
     let mut checker = gm_mc::Checker::new(&module)
         .unwrap()
-        .with_backend(Backend::KInduction { max_k: 1 });
+        .with_backend(Backend::KInduction { max_k: 1 })
+        .with_shards(ShardPolicy::PerCore.shard_count());
     let props: Vec<gm_mc::WindowProperty> = single
         .assertions
         .iter()
@@ -218,12 +206,11 @@ fn soak_b18_lite_100_iterations_per_core_no_drift() {
         .map(goldmine::assertion_property)
         .collect();
     assert!(!props.is_empty(), "soak needs a non-trivial worklist");
-    let shards = ShardPolicy::PerCore.shard_count();
-    let first = checker.check_batch_sharded(&props, shards).unwrap();
+    let first = checker.check_batch(&props).unwrap();
     let memo_after_first = checker.memo_len();
     let queries_after_first = checker.session_stats().engine_queries();
     for _ in 0..99 {
-        let again = checker.check_batch_sharded(&props, shards).unwrap();
+        let again = checker.check_batch(&props).unwrap();
         assert_eq!(first, again, "soak round diverged");
     }
     assert_eq!(checker.memo_len(), memo_after_first, "memo grew unbounded");
@@ -232,48 +219,4 @@ fn soak_b18_lite_100_iterations_per_core_no_drift() {
         queries_after_first,
         "soak rounds re-did engine work"
     );
-}
-
-/// The work-stealing shard dispatch ([`goldmine::StealPolicy::Stealing`])
-/// produces the identical closure artifacts as the static round-robin
-/// deal: everything except the per-iteration verification work counters
-/// (which legitimately depend on which session claimed which property,
-/// like racing's attribution counters) must match byte-for-byte, and it
-/// must do so across repeated runs.
-#[test]
-fn stealing_dispatch_is_artifact_identical_to_round_robin() {
-    let module = gm_designs::b09();
-    let config = EngineConfig {
-        window: 1,
-        stimulus: SeedStimulus::Random { cycles: 48 },
-        targets: TargetSelection::Bits(one_bit_targets(&module)),
-        unknown: UnknownPolicy::AssumeTrue,
-        shards: ShardPolicy::Fixed(3),
-        record_coverage: false,
-        ..EngineConfig::default()
-    };
-    let round_robin = Engine::new(&module, config.clone()).unwrap().run().unwrap();
-    let baseline = work_normalized_fingerprint(&round_robin);
-    for run in 0..2 {
-        let stealing = Engine::new(
-            &module,
-            EngineConfig {
-                steal: goldmine::StealPolicy::Stealing,
-                ..config.clone()
-            },
-        )
-        .unwrap()
-        .run()
-        .unwrap();
-        assert_eq!(
-            work_normalized_fingerprint(&stealing),
-            baseline,
-            "stealing run {run} changed the closure artifacts"
-        );
-        assert_eq!(
-            stealing.verification_total().engine_queries(),
-            round_robin.verification_total().engine_queries(),
-            "stealing run {run} changed the total engine work"
-        );
-    }
 }

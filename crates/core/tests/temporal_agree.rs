@@ -69,7 +69,7 @@ fn proved_temporal_assertions_reverify_on_a_fresh_checker() {
         assert_eq!(outcome.unknown_assumed, 0);
         let mut checker = Checker::new(&m).unwrap();
         for a in &outcome.temporal {
-            let res = checker.check_temporal(&temporal_property(a)).unwrap();
+            let res = checker.check(&temporal_property(a)).unwrap();
             assert_eq!(
                 res,
                 CheckResult::Proved,

@@ -10,6 +10,7 @@
 
 use crate::aig::{AigLit, AigNode};
 use crate::blast::Blasted;
+use crate::check::Normalized;
 use crate::prop::{
     assemble_input_vector, BitAtom, CexTrace, CheckResult, ConsequentKind, TemporalProperty,
     WindowProperty,
@@ -24,10 +25,15 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// can encode "the window starting at `base` is violated" as one
 /// activation literal. Implemented by [`WindowProperty`] (single
 /// consequent) and [`TemporalProperty`] (conjunctive / disjunctive
-/// consequents), which lets [`bmc`], [`k_induction`], and the
-/// incremental [`crate::CheckSession`] engines decide both through the
-/// same code path.
+/// consequents), which lets [`bmc`], [`k_induction`], the incremental
+/// [`crate::CheckSession`] engines and [`crate::Checker`] decide both
+/// through the same code path.
 pub trait UnrollProperty {
+    /// The name of the span a [`crate::Checker::check_batch`] of this
+    /// kind records (the benchmark folds batch time by kind).
+    #[doc(hidden)]
+    const BATCH_SPAN: &'static str;
+
     /// The largest cycle offset any atom uses (the window spans
     /// `window_depth() + 1` cycles).
     fn window_depth(&self) -> u32;
@@ -40,9 +46,15 @@ pub trait UnrollProperty {
     fn encode_holds(&self, unroller: &mut Unroller, base: usize) -> Lit {
         !self.encode_violation(unroller, base)
     }
+
+    /// The form [`crate::Checker`] memoizes and decides the property in.
+    #[doc(hidden)]
+    fn normalized(&self) -> Normalized;
 }
 
 impl UnrollProperty for WindowProperty {
+    const BATCH_SPAN: &'static str = "mc.check_batch";
+
     fn window_depth(&self) -> u32 {
         self.depth()
     }
@@ -50,15 +62,28 @@ impl UnrollProperty for WindowProperty {
     fn encode_violation(&self, unroller: &mut Unroller, base: usize) -> Lit {
         unroller.violation_lit(base, self)
     }
+
+    fn normalized(&self) -> Normalized {
+        Normalized::Window(self.clone())
+    }
 }
 
 impl UnrollProperty for TemporalProperty {
+    const BATCH_SPAN: &'static str = "mc.check_temporal_batch";
+
     fn window_depth(&self) -> u32 {
         self.depth()
     }
 
     fn encode_violation(&self, unroller: &mut Unroller, base: usize) -> Lit {
         unroller.temporal_violation_lit(base, self)
+    }
+
+    fn normalized(&self) -> Normalized {
+        match self.as_window() {
+            Some(window) => Normalized::Window(window),
+            None => Normalized::Temporal(self.clone()),
+        }
     }
 }
 
@@ -78,8 +103,8 @@ impl UnrollProperty for TemporalProperty {
 /// watch pool and per-variable tables, one frame-literal table) or a
 /// table of `Copy` entries, so [`Clone`] is a handful of `memcpy`s —
 /// which is what lets canonical counterexample extraction start from a
-/// copy of a pristine prefix (see [`PristinePrefixes`]) instead of
-/// re-encoding the design.
+/// copy of a pristine prefix (the checker keeps one per window depth)
+/// instead of re-encoding the design.
 #[derive(Clone, Debug)]
 pub struct Unroller {
     blasted: Arc<Blasted>,
@@ -315,19 +340,7 @@ pub fn bmc<P: UnrollProperty>(
     prop: &P,
     max_start: u32,
 ) -> CheckResult {
-    bmc_shared(module, Arc::new(blasted.clone()), prop, max_start)
-}
-
-/// The BMC scan on a shared design handle: a fresh reset-rooted
-/// unrolling through [`bmc_scan`]. The core of the one-shot [`bmc`]
-/// entry point and the racing dispatch's SAT side.
-pub(crate) fn bmc_shared<P: UnrollProperty>(
-    module: &Module,
-    blasted: Arc<Blasted>,
-    prop: &P,
-    max_start: u32,
-) -> CheckResult {
-    bmc_scan(module, Unroller::new(blasted, false), prop, max_start)
+    bmc_scan(module, Unroller::from_ref(blasted, false), prop, max_start)
 }
 
 /// Scans window starts `0..=max_start` on `unroller` — fresh, or a clone
@@ -477,18 +490,7 @@ pub fn k_induction<P: UnrollProperty>(
     max_k: u32,
 ) -> CheckResult {
     // Clone the design into one shared handle for every unroller below.
-    k_induction_shared(module, Arc::new(blasted.clone()), prop, max_k)
-}
-
-/// [`k_induction`] on an already-shared design handle — used by the
-/// racing dispatch, which fires one-shot SAT engines from worker
-/// threads and must not clone the design per query.
-pub(crate) fn k_induction_shared<P: UnrollProperty>(
-    module: &Module,
-    shared: Arc<Blasted>,
-    prop: &P,
-    max_k: u32,
-) -> CheckResult {
+    let shared = Arc::new(blasted.clone());
     let depth = prop.window_depth() as usize;
     // Base cases, shared incrementally.
     let mut base = Unroller::new(shared.clone(), false);

@@ -5,34 +5,36 @@
 //! computes the reachable state set once, keeps a persistent
 //! [`CheckSession`] (shared unrollings, retained learnt clauses) for
 //! the SAT engines, and memoizes every decided property so repeated
-//! candidates across refinement iterations are free. Whole batches go
-//! through [`Checker::check_batch`]; multi-core hosts can split a batch
-//! across a pool of persistent shard sessions with
-//! [`Checker::check_batch_sharded`], optionally racing the explicit and
-//! SAT backends per property ([`Checker::with_racing`]).
+//! candidates across refinement iterations are free. Properties of
+//! either kind — [`WindowProperty`] or [`TemporalProperty`] — are
+//! decided one at a time by [`Checker::check`] or as whole worklists by
+//! [`Checker::check_batch`], which multi-core hosts can split across a
+//! pool of persistent shard sessions ([`Checker::with_shards`]).
 //!
 //! ## Determinism contract
 //!
-//! Every code path — single checks, batches, sharded batches with any
-//! shard count — returns the same [`CheckResult`] for the same property
-//! under the same configuration, *including* the counterexample trace:
-//! verdicts are solver-state-independent, and violated SAT verdicts are
-//! re-extracted on a clone of a pristine unrolling prefix, whose model
-//! depends only on the design and the property (never on session
-//! history or shard partition). Racing keeps the same verdicts and traces; only its
-//! work-attribution stats depend on which engine answered first.
+//! A run of the same calls under the same configuration is reproducible
+//! in full: every [`CheckResult`], the memo, and the [`SessionStats`].
+//! The results — counterexample traces included — and the memo are
+//! moreover the same for every entry point and every shard count; the
+//! shard count only decides which session's counters the frame and
+//! solver work lands in. This is by construction: verdicts are
+//! solver-state-independent, violated SAT verdicts are re-extracted on
+//! a clone of a pristine unrolling prefix, whose model depends only on
+//! the design and the property, and a sharded worklist is dealt onto
+//! its sessions in a fixed round-robin and merged back in worklist
+//! order.
 
 use crate::blast::{blast, Blasted};
-use crate::bmc::{bmc_shared, canonical_cex, k_induction_shared, PristinePrefixes, UnrollProperty};
+use crate::bmc::{canonical_cex, PristinePrefixes, UnrollProperty};
 use crate::error::McError;
 use crate::explicit::{explicit_check, ExplicitLimits, ReachableStates};
-use crate::prop::{CheckResult, TemporalProperty, WindowProperty};
+use crate::prop::{BitAtom, CheckResult, TemporalProperty, WindowProperty};
 use crate::session::{cancel_requested, CheckSession, SessionStats};
 use gm_cache::BoundedLru;
 use gm_rtl::{elaborate, Elab, Module};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 /// Which engine decides a property.
@@ -56,6 +58,30 @@ pub enum Backend {
     },
 }
 
+/// A property in the one form the [`Checker`] memoizes and decides it
+/// in: every single-consequent property is a `Window`, whichever type
+/// it arrived as, so it shares one memo entry and reaches the explicit
+/// engine; only multi-consequent temporal properties stay `Temporal`.
+/// Built by [`UnrollProperty::normalized`].
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub enum Normalized {
+    /// A single-consequent window implication.
+    Window(WindowProperty),
+    /// A conjunctive / disjunctive window over two or more consequents.
+    Temporal(TemporalProperty),
+}
+
+impl Normalized {
+    /// Approximate resident size as a memo key.
+    fn approx_bytes(&self) -> usize {
+        let atom = std::mem::size_of::<BitAtom>();
+        match self {
+            Normalized::Window(p) => 48 + p.antecedent.len() * atom,
+            Normalized::Temporal(p) => 64 + (p.antecedent.len() + p.consequents.len()) * atom,
+        }
+    }
+}
+
 /// What a worker needs from the [`Checker`] to decide one property,
 /// besides the design and a session: the engine configuration and the
 /// shared pristine prefixes canonical counterexamples start from.
@@ -66,26 +92,10 @@ struct DecideParams {
     limits: ExplicitLimits,
     bmc_bound: u32,
     kind_max_k: u32,
-    racing: bool,
     /// Cooperative cancel token, polled between SAT queries inside the
     /// unrolling loops. A raised token turns the decision into
     /// [`McError::Cancelled`]; cancelled decisions are never memoized.
     cancel: Option<Arc<AtomicBool>>,
-}
-
-/// How a pooled batch deals its worklist onto the shard sessions.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum PoolDispatch {
-    /// Static round-robin: shard `k` gets worklist items `k`, `k + n`,
-    /// … — deterministic work attribution, but a skewed worklist can
-    /// leave shards idle.
-    RoundRobin,
-    /// Work-conserving: every shard pulls the next undecided property
-    /// from a shared cursor, so no shard idles while work remains.
-    /// Results are still deterministic (verdicts and canonical traces
-    /// are partition-independent); only the per-session work counters
-    /// in [`SessionStats`] depend on the actual claim order.
-    Stealing,
 }
 
 /// Size and churn counters for the property memo (see
@@ -103,11 +113,6 @@ pub struct MemoStats {
     pub evictions: u64,
 }
 
-/// Approximate resident size of a memoized property key.
-fn memo_prop_bytes(prop: &WindowProperty) -> usize {
-    48 + prop.antecedent.len() * std::mem::size_of::<crate::prop::BitAtom>()
-}
-
 /// Approximate resident size of a memoized decision.
 fn memo_result_bytes(result: &CheckResult) -> usize {
     match result {
@@ -118,21 +123,11 @@ fn memo_result_bytes(result: &CheckResult) -> usize {
     }
 }
 
-/// Approximate resident size of one memo entry.
-fn memo_entry_bytes(prop: &WindowProperty, result: &CheckResult) -> usize {
-    memo_prop_bytes(prop) + memo_result_bytes(result)
-}
-
-fn memo_temporal_prop_bytes(prop: &TemporalProperty) -> usize {
-    64 + (prop.antecedent.len() + prop.consequents.len()) * std::mem::size_of::<crate::BitAtom>()
-}
-
 /// A reusable model checker for one module.
 ///
 /// The checker owns its module (an `Arc` clone of the one it was built
 /// from), so it is `Send` and free of borrow lifetimes — sharded
-/// batches move sessions into worker threads, and racing dispatch hands
-/// `Arc` handles to detached engine threads.
+/// batches move sessions into scoped worker threads.
 ///
 /// # Examples
 ///
@@ -156,7 +151,8 @@ fn memo_temporal_prop_bytes(prop: &TemporalProperty) -> usize {
 /// assert!(batch.iter().all(|r| r.is_proved()));
 /// assert!(checker.session_stats().memo_hits >= 2);
 /// // Sharded batches agree bit-for-bit with the single session.
-/// assert_eq!(checker.check_batch_sharded(&[prop], 4)?, batch[..1]);
+/// let mut sharded = Checker::new(&m)?.with_shards(4);
+/// assert_eq!(sharded.check_batch(&[prop])?, batch[..1]);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug)]
@@ -167,7 +163,9 @@ pub struct Checker {
     limits: ExplicitLimits,
     bmc_bound: u32,
     kind_max_k: u32,
-    racing: bool,
+    /// How many sessions a batch is dealt onto (see
+    /// [`Checker::with_shards`]); 1 = the main session, inline.
+    shards: usize,
     reach: Option<Arc<ReachableStates>>,
     reach_failed: bool,
     /// Per-depth pristine unrollings every canonical counterexample
@@ -176,21 +174,16 @@ pub struct Checker {
     /// [`Checker::reset_for_reuse`].
     prefixes: Arc<PristinePrefixes>,
     session: CheckSession,
-    /// Persistent per-shard sessions, grown on demand by
-    /// [`Checker::check_batch_sharded`] and reused across batches.
+    /// Persistent per-shard sessions, grown on demand by sharded
+    /// batches and reused across them.
     shard_sessions: Vec<CheckSession>,
-    /// The property memo: O(1) lookup, insert and LRU eviction (the
-    /// shared [`gm_cache::BoundedLru`]); unbounded until
-    /// [`Checker::with_memo_capacity`] sets a bound.
-    memo: BoundedLru<WindowProperty, CheckResult>,
-    /// Memo for multi-consequent temporal properties (single-consequent
-    /// ones collapse to [`WindowProperty`] and share `memo`). Same
-    /// lifecycle as `memo`: cleared together, bounded together.
-    temporal_memo: BoundedLru<TemporalProperty, CheckResult>,
+    /// The property memo, both kinds under one bound: O(1) lookup,
+    /// insert and LRU eviction (the shared [`gm_cache::BoundedLru`]);
+    /// unbounded until [`Checker::with_memo_capacity`] sets a bound.
+    memo: BoundedLru<Normalized, CheckResult>,
     memo_insertions: u64,
     memo_evictions: u64,
-    /// Incrementally maintained byte estimate (see [`MemoStats`]),
-    /// covering both memos.
+    /// Incrementally maintained byte estimate (see [`MemoStats`]).
     memo_bytes: usize,
     /// Cooperative cancel token (see [`Checker::set_cancel`]).
     cancel: Option<Arc<AtomicBool>>,
@@ -224,12 +217,11 @@ impl Checker {
             limits: ExplicitLimits::default(),
             bmc_bound: 32,
             kind_max_k: 16,
-            racing: false,
+            shards: 1,
             reach: None,
             reach_failed: false,
             shard_sessions: Vec::new(),
             memo: BoundedLru::unbounded(),
-            temporal_memo: BoundedLru::unbounded(),
             memo_insertions: 0,
             memo_evictions: 0,
             memo_bytes: 0,
@@ -279,15 +271,25 @@ impl Checker {
         self
     }
 
-    /// Bounds the property memo to at most `entries` decisions,
-    /// evicting least-recently-used ones past the bound — the knob that
-    /// keeps very long sessions (a persistent closure service) from
-    /// growing without bound. Applies immediately and to every later
-    /// insertion; eviction only forgets — a re-checked evicted property
-    /// is re-decided identically, so results never change.
+    /// Sets how many persistent sessions [`Checker::check_batch`] deals
+    /// a worklist onto, one scoped worker thread each (clamped to at
+    /// least 1). With 1, the default, a batch runs inline on the main
+    /// session. Results never depend on the count, so the memo stays
+    /// warm.
+    pub fn with_shards(mut self, shards: usize) -> Self {
+        self.shards = shards.max(1);
+        self
+    }
+
+    /// Bounds the property memo to at most `entries` decisions, window
+    /// and temporal together, evicting least-recently-used ones past
+    /// the bound — the knob that keeps very long sessions (a persistent
+    /// closure service) from growing without bound. Applies immediately
+    /// and to every later insertion; eviction only forgets — a
+    /// re-checked evicted property is re-decided identically, so
+    /// results never change.
     pub fn with_memo_capacity(mut self, entries: usize) -> Self {
         self.memo.set_capacity(Some(entries.max(1)));
-        self.temporal_memo.set_capacity(Some(entries.max(1)));
         self.evict_over_capacity();
         self
     }
@@ -297,7 +299,7 @@ impl Checker {
     /// monitoring polls never walk the memo.
     pub fn memo_stats(&self) -> MemoStats {
         MemoStats {
-            entries: self.memo.len() + self.temporal_memo.len(),
+            entries: self.memo.len(),
             approx_bytes: self.memo_bytes,
             insertions: self.memo_insertions,
             evictions: self.memo_evictions,
@@ -359,45 +361,21 @@ impl Checker {
         self
     }
 
-    /// Serves `prop` from the memo, refreshing its LRU position.
-    fn memo_get(&mut self, prop: &WindowProperty) -> Option<CheckResult> {
-        self.memo.get(prop).cloned()
-    }
-
     fn memo_clear(&mut self) {
         self.memo.clear();
-        self.temporal_memo.clear();
         self.memo_bytes = 0;
-    }
-
-    fn temporal_memo_insert(&mut self, prop: TemporalProperty, result: CheckResult) {
-        self.memo_insertions += 1;
-        let prop_bytes = memo_temporal_prop_bytes(&prop);
-        self.memo_bytes += prop_bytes + memo_result_bytes(&result);
-        if let Some(old) = self.temporal_memo.insert(prop, result) {
-            // Same key re-inserted: the fresh value replaced `old`, so
-            // only one property's worth of atoms is resident.
-            self.memo_bytes = self
-                .memo_bytes
-                .saturating_sub(prop_bytes + memo_result_bytes(&old));
-        }
-        while let Some((prop, result)) = self.temporal_memo.pop_over_capacity() {
-            self.memo_bytes = self
-                .memo_bytes
-                .saturating_sub(memo_temporal_prop_bytes(&prop) + memo_result_bytes(&result));
-            self.memo_evictions += 1;
-        }
     }
 
     /// Memoizes a decision; O(1) including the eviction of
     /// least-recently-used entries past the bound.
-    fn memo_insert(&mut self, prop: WindowProperty, result: CheckResult) {
+    fn memo_insert(&mut self, prop: Normalized, result: CheckResult) {
         self.memo_insertions += 1;
-        let prop_bytes = memo_prop_bytes(&prop);
+        let prop_bytes = prop.approx_bytes();
         self.memo_bytes += prop_bytes + memo_result_bytes(&result);
         if let Some(old) = self.memo.insert(prop, result) {
-            // Same-key replacement (not reachable from the batch paths,
-            // which dedupe first): keep the byte estimate consistent.
+            // Same-key replacement (not reachable from `check` or the
+            // batch paths, which look up or dedupe first): one
+            // property's worth of atoms stays resident.
             self.memo_bytes = self
                 .memo_bytes
                 .saturating_sub(prop_bytes + memo_result_bytes(&old));
@@ -409,33 +387,9 @@ impl Checker {
         while let Some((prop, result)) = self.memo.pop_over_capacity() {
             self.memo_bytes = self
                 .memo_bytes
-                .saturating_sub(memo_entry_bytes(&prop, &result));
+                .saturating_sub(prop.approx_bytes() + memo_result_bytes(&result));
             self.memo_evictions += 1;
         }
-    }
-
-    /// Enables racing mode for `Auto`-backend decisions (single checks
-    /// and every shard of a sharded batch alike): the explicit and SAT
-    /// engines of a property run concurrently and the first *conclusive*
-    /// (`Proved` / `Violated`) answer wins; `Unknown` and over-limit
-    /// errors wait for the other engine. Requires the reachable set —
-    /// designs over the explicit limits fall back to the plain SAT
-    /// session path. For a fixed racing setting, results are fully
-    /// deterministic: verdicts never depend on which engine answered
-    /// first, and violated verdicts carry the canonical SAT trace when
-    /// the violation is within the SAT bounds (the deterministic
-    /// explicit trace otherwise). Racing *verdicts* always agree with
-    /// the non-racing checker, but a violated property's trace may be
-    /// the canonical SAT one where plain `Auto` would report the
-    /// explicit one — so this clears the memo, like every other setting
-    /// that can change results. Only the per-engine attribution in
-    /// [`SessionStats`] records the actual race winner.
-    pub fn with_racing(mut self, racing: bool) -> Self {
-        if self.racing != racing {
-            self.racing = racing;
-            self.memo_clear();
-        }
-        self
     }
 
     /// The bit-blasted design.
@@ -460,7 +414,7 @@ impl Checker {
     /// The number of distinct properties decided and memoized so far
     /// (window and multi-consequent temporal alike).
     pub fn memo_len(&self) -> usize {
-        self.memo.len() + self.temporal_memo.len()
+        self.memo.len()
     }
 
     /// The number of reachable states, if explicit exploration ran.
@@ -478,6 +432,16 @@ impl Checker {
         }
     }
 
+    /// Builds the reachable set when deciding `prop` can use it: the
+    /// explicit engine evaluates single-consequent windows only.
+    fn ensure_reach_for(&mut self, prop: &Normalized) {
+        if matches!(prop, Normalized::Window(_))
+            && matches!(self.backend, Backend::Auto | Backend::Explicit)
+        {
+            self.ensure_reach();
+        }
+    }
+
     fn params(&self) -> DecideParams {
         DecideParams {
             prefixes: self.prefixes.clone(),
@@ -485,245 +449,104 @@ impl Checker {
             limits: self.limits,
             bmc_bound: self.bmc_bound,
             kind_max_k: self.kind_max_k,
-            racing: self.racing,
             cancel: self.cancel.clone(),
         }
     }
 
     /// Decides `prop` with the configured backend.
     ///
+    /// A single-consequent [`TemporalProperty`] *is* a
+    /// [`WindowProperty`] and is decided (and memoized) as one.
+    /// Multi-consequent properties (bounded eventualities and stability
+    /// windows) are decided by the SAT engines: [`Backend::Bmc`] /
+    /// [`Backend::KInduction`] respect their configured bounds, while
+    /// [`Backend::Auto`] and [`Backend::Explicit`] take the
+    /// BMC-then-k-induction path (the explicit engine has no
+    /// disjunctive-window evaluator, so `Explicit` degrades rather than
+    /// failing). Violated SAT verdicts carry the canonical
+    /// counterexample.
+    ///
     /// Results are memoized: checking the same property again (in any
     /// later call or batch) is a lookup, not a solver query.
     ///
     /// # Errors
     ///
-    /// Fails if a forced backend exceeds its limits; `Auto` degrades to
-    /// the SAT engines instead of failing.
-    pub fn check(&mut self, prop: &WindowProperty) -> Result<CheckResult, McError> {
-        if let Some(res) = self.memo_get(prop) {
+    /// Fails if a forced backend exceeds its limits (`Auto` degrades to
+    /// the SAT engines instead of failing), and with
+    /// [`McError::Cancelled`] when the cooperative cancel token is
+    /// raised mid-decision.
+    pub fn check<P: UnrollProperty>(&mut self, prop: &P) -> Result<CheckResult, McError> {
+        let prop = prop.normalized();
+        if let Some(res) = self.memo.get(&prop).cloned() {
             self.session.note_memo_hit();
             return Ok(res);
         }
-        self.ensure_reach_for_backend();
+        self.ensure_reach_for(&prop);
         let params = self.params();
-        let mut pending_loser = None;
         let res = decide_one(
             &self.module,
             &self.blasted,
-            self.reach.as_ref(),
+            self.reach.as_deref(),
             &params,
             &mut self.session,
-            &mut pending_loser,
-            prop,
-        );
-        // Single checks have no next race to overlap with: reap the
-        // losing engine before returning.
-        if let Some(h) = pending_loser {
-            let _ = h.join();
-        }
-        let res = res?;
-        self.memo_insert(prop.clone(), res.clone());
+            &prop,
+        )?;
+        self.memo_insert(prop, res.clone());
         Ok(res)
     }
 
-    fn ensure_reach_for_backend(&mut self) {
-        if matches!(self.backend, Backend::Auto | Backend::Explicit) {
-            self.ensure_reach();
-        }
-    }
-
-    /// Decides a whole batch of properties against the shared session.
+    /// Decides a whole batch of properties, in input order.
     ///
     /// Within one batch (and across batches) each distinct property is
     /// decided exactly once — duplicates are served from the memo — and
-    /// at most one unrolling per (backend, bound) configuration is
-    /// built. Under `Auto`, properties the explicit engine can handle
-    /// are decided against the one shared reachable set; the rest share
-    /// the session's BMC / k-induction unrollings.
+    /// each session builds at most one unrolling per (backend, bound)
+    /// configuration. Under `Auto`, properties the explicit engine can
+    /// handle are decided against the one shared reachable set; the
+    /// rest share the session's BMC / k-induction unrollings.
+    ///
+    /// With [`Checker::with_shards`] above 1 the batch is deduped and
+    /// memo-served, and the remaining unique properties are dealt
+    /// round-robin onto that many persistent shard sessions (all over
+    /// the same `Arc<Blasted>` — blasting still happens once per
+    /// checker), one scoped worker thread each. Results are merged back
+    /// in worklist order, so the returned vector — verdicts *and*
+    /// counterexample traces — and the memo left behind are identical
+    /// for every shard count. Shard sessions persist across calls,
+    /// keeping their unrollings and learnt clauses like the main
+    /// session does.
     ///
     /// # Errors
     ///
     /// Same contract as [`Checker::check`], failing on the first
-    /// property a forced backend cannot handle.
-    pub fn check_batch(&mut self, props: &[WindowProperty]) -> Result<Vec<CheckResult>, McError> {
-        let mut span = gm_trace::span("mc", "mc.check_batch");
+    /// property that errors in input order, whatever the shard count;
+    /// properties before it are memoized.
+    pub fn check_batch<P: UnrollProperty>(
+        &mut self,
+        props: &[P],
+    ) -> Result<Vec<CheckResult>, McError> {
+        let mut span = gm_trace::span("mc", P::BATCH_SPAN);
         span.arg("props", props.len());
-        let mut out = Vec::with_capacity(props.len());
-        for prop in props {
-            out.push(self.check(prop)?);
+        if self.shards == 1 {
+            return props.iter().map(|prop| self.check(prop)).collect();
         }
-        Ok(out)
+        let props: Vec<Normalized> = props.iter().map(P::normalized).collect();
+        self.check_batch_pooled(&props)
     }
 
-    /// Decides a temporal property.
-    ///
-    /// A single-consequent temporal property *is* a [`WindowProperty`]
-    /// and takes the full window dispatch — memo, explicit engine,
-    /// racing — via [`Checker::check`]. Multi-consequent properties
-    /// (bounded eventualities and stability windows) are decided by the
-    /// SAT engines on the shared session: [`Backend::Bmc`] /
-    /// [`Backend::KInduction`] respect their configured bounds, while
-    /// [`Backend::Auto`] and [`Backend::Explicit`] take the
-    /// BMC-then-k-induction path (the explicit engine has no
-    /// disjunctive-window evaluator, so `Explicit` degrades rather than
-    /// failing). Violated verdicts carry the canonical counterexample —
-    /// re-extracted on a clone of the pristine unrolling prefix,
-    /// independent of session history — and results are memoized like
-    /// window results.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`McError::Cancelled`] when the cooperative cancel token
-    /// is raised mid-decision.
-    pub fn check_temporal(&mut self, prop: &TemporalProperty) -> Result<CheckResult, McError> {
-        if let Some(window) = prop.as_window() {
-            return self.check(&window);
-        }
-        if let Some(res) = self.temporal_memo.get(prop).cloned() {
-            self.session.note_memo_hit();
-            return Ok(res);
-        }
-        let cancel = self.cancel.as_deref();
-        if cancel_requested(cancel) {
-            return Err(McError::Cancelled);
-        }
-        self.session.note_sat_decision();
-        let (limit, res) = match self.backend {
-            Backend::Bmc { bound } => (
-                bound,
-                self.session
-                    .bmc_cancellable(&self.module, prop, bound, cancel)?,
-            ),
-            Backend::KInduction { max_k } => (
-                max_k,
-                self.session
-                    .k_induction_cancellable(&self.module, prop, max_k, cancel)?,
-            ),
-            Backend::Auto | Backend::Explicit => {
-                let limit = self.bmc_bound.max(self.kind_max_k);
-                let res = match self.session.bmc_cancellable(
-                    &self.module,
-                    prop,
-                    self.bmc_bound,
-                    cancel,
-                )? {
-                    CheckResult::Violated(cex) => CheckResult::Violated(cex),
-                    _ => self.session.k_induction_cancellable(
-                        &self.module,
-                        prop,
-                        self.kind_max_k,
-                        cancel,
-                    )?,
-                };
-                (limit, res)
-            }
-        };
-        let res = canonicalize(
-            &self.module,
-            &self.prefixes,
-            &mut self.session,
-            prop,
-            limit,
-            res,
-        );
-        self.temporal_memo_insert(prop.clone(), res.clone());
-        Ok(res)
-    }
-
-    /// Decides a batch of temporal properties sequentially against the
-    /// shared session. Duplicates are served from the memo; the result
-    /// order matches the input order. Temporal batches are not sharded:
-    /// the engine's temporal worklists are small (a few candidates per
-    /// open leaf), so the dispatch overhead would dominate.
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first property that errors, like
-    /// [`Checker::check_batch`].
-    pub fn check_temporal_batch(
-        &mut self,
-        props: &[TemporalProperty],
-    ) -> Result<Vec<CheckResult>, McError> {
-        let mut span = gm_trace::span("mc", "mc.check_temporal_batch");
-        span.arg("props", props.len());
-        let mut out = Vec::with_capacity(props.len());
-        for prop in props {
-            out.push(self.check_temporal(prop)?);
-        }
-        Ok(out)
-    }
-
-    /// Decides a batch across `shards` persistent worker sessions, one
-    /// scoped thread per shard.
-    ///
-    /// The batch is deduped, memo-served, and the remaining unique
-    /// properties are dealt round-robin to the shard sessions (all built
-    /// over the same `Arc<Blasted>` — blasting still happens once per
-    /// checker). Workers decide their shard concurrently; results are
-    /// merged back in worklist order, so the returned vector — verdicts
-    /// *and* counterexample traces — is identical to
-    /// [`Checker::check_batch`] for every shard count, as is the memo
-    /// state left behind. Shard sessions persist across calls, keeping
-    /// their unrollings and learnt clauses like the single session does.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Checker::check_batch`]: the error reported is
-    /// the one the sequential walk would have hit first, and properties
-    /// before it are memoized.
-    pub fn check_batch_sharded(
-        &mut self,
-        props: &[WindowProperty],
-        shards: usize,
-    ) -> Result<Vec<CheckResult>, McError> {
-        self.check_batch_pooled(props, shards, PoolDispatch::RoundRobin)
-    }
-
-    /// Decides a batch across `shards` persistent worker sessions with a
-    /// *work-conserving* dispatch: instead of the static round-robin
-    /// deal, every shard pulls the next undecided property from a shared
-    /// cursor, so a skewed worklist (a few expensive properties bunched
-    /// together) never leaves shards idle.
-    ///
-    /// Results — verdicts, canonical counterexample traces, memo state,
-    /// total engine-query counts — are identical to
-    /// [`Checker::check_batch`] and [`Checker::check_batch_sharded`];
-    /// the determinism contract is unchanged because every decision is
-    /// partition-independent. The only observable difference is *where*
-    /// the work landed: per-session [`SessionStats`] (frames encoded vs
-    /// reused, solver work) depend on the claim order and may vary
-    /// between runs, like the racing mode's attribution counters.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Checker::check_batch_sharded`].
-    pub fn check_batch_stealing(
-        &mut self,
-        props: &[WindowProperty],
-        shards: usize,
-    ) -> Result<Vec<CheckResult>, McError> {
-        self.check_batch_pooled(props, shards, PoolDispatch::Stealing)
-    }
-
-    fn check_batch_pooled(
-        &mut self,
-        props: &[WindowProperty],
-        shards: usize,
-        dispatch: PoolDispatch,
-    ) -> Result<Vec<CheckResult>, McError> {
-        let shards = shards.max(1);
+    fn check_batch_pooled(&mut self, props: &[Normalized]) -> Result<Vec<CheckResult>, McError> {
+        let shards = self.shards;
         // Memo pass + dedupe, preserving first-occurrence order. Memo
         // hits are recorded by position and counted only after the first
         // error position (if any) is known, so the stats match what the
         // sequential walk — which stops at the error — would count.
         let mut out: Vec<Option<CheckResult>> = vec![None; props.len()];
         let mut memo_hit_positions: Vec<usize> = Vec::new();
-        let mut unique: Vec<&WindowProperty> = Vec::new();
-        let mut index_of: HashMap<&WindowProperty, usize> = HashMap::new();
+        let mut unique: Vec<&Normalized> = Vec::new();
+        let mut index_of: HashMap<&Normalized, usize> = HashMap::new();
         // For each unique property: every batch position it fills.
         let mut positions: Vec<Vec<usize>> = Vec::new();
         for (i, prop) in props.iter().enumerate() {
-            if let Some(res) = self.memo_get(prop) {
+            if let Some(res) = self.memo.get(prop).cloned() {
                 memo_hit_positions.push(i);
                 out[i] = Some(res);
                 continue;
@@ -741,7 +564,9 @@ impl Checker {
         // error), known only after the workers report back.
         let mut stop_pos = usize::MAX;
         if !unique.is_empty() {
-            self.ensure_reach_for_backend();
+            for prop in &unique {
+                self.ensure_reach_for(prop);
+            }
             while self.shard_sessions.len() < shards {
                 self.shard_sessions
                     .push(CheckSession::new(self.blasted.clone()));
@@ -760,17 +585,11 @@ impl Checker {
             // deterministic order).
             let active = shards.min(unique.len());
             let mut idle: Vec<CheckSession> = self.shard_sessions.drain(..).collect();
-            let mut work: Vec<(CheckSession, Vec<(usize, &WindowProperty)>)> =
+            let mut work: Vec<(CheckSession, Vec<(usize, &Normalized)>)> =
                 idle.drain(..active).map(|s| (s, Vec::new())).collect();
-            if dispatch == PoolDispatch::RoundRobin {
-                for (ui, &prop) in unique.iter().enumerate() {
-                    work[ui % shards].1.push((ui, prop));
-                }
+            for (ui, &prop) in unique.iter().enumerate() {
+                work[ui % shards].1.push((ui, prop));
             }
-            // Under `Stealing` the pre-dealt lists stay empty and every
-            // worker claims from this shared cursor instead.
-            let cursor = AtomicUsize::new(0);
-            let unique_ref = &unique;
             let mut decided: Vec<Option<Result<CheckResult, McError>>> = vec![None; unique.len()];
             let shard_results: Vec<ShardYield> = std::thread::scope(|scope| {
                 let handles: Vec<_> = work
@@ -778,53 +597,23 @@ impl Checker {
                     .map(|(mut session, items)| {
                         let module = &module;
                         let blasted = &blasted;
-                        let reach = reach.as_ref();
+                        let reach = reach.as_deref();
                         let params = &params;
-                        let cursor = &cursor;
                         scope.spawn(move || {
-                            let mut pending_loser = None;
-                            let mut results: Vec<(usize, Result<CheckResult, McError>)> = items
+                            let results = items
                                 .into_iter()
                                 .map(|(ui, prop)| {
-                                    (
-                                        ui,
-                                        decide_one(
-                                            module,
-                                            blasted,
-                                            reach,
-                                            params,
-                                            &mut session,
-                                            &mut pending_loser,
-                                            prop,
-                                        ),
-                                    )
+                                    let res = decide_one(
+                                        module,
+                                        blasted,
+                                        reach,
+                                        params,
+                                        &mut session,
+                                        prop,
+                                    );
+                                    (ui, res)
                                 })
                                 .collect();
-                            if dispatch == PoolDispatch::Stealing {
-                                loop {
-                                    let ui = cursor.fetch_add(1, Ordering::Relaxed);
-                                    let Some(&prop) = unique_ref.get(ui) else {
-                                        break;
-                                    };
-                                    results.push((
-                                        ui,
-                                        decide_one(
-                                            module,
-                                            blasted,
-                                            reach,
-                                            params,
-                                            &mut session,
-                                            &mut pending_loser,
-                                            prop,
-                                        ),
-                                    ));
-                                }
-                            }
-                            // Reap the last race's losing engine before
-                            // handing the session back.
-                            if let Some(h) = pending_loser {
-                                let _ = h.join();
-                            }
                             (session, results)
                         })
                     })
@@ -891,16 +680,31 @@ impl Checker {
 /// Decides one property against one session — the single source of
 /// truth shared by [`Checker::check`] and every shard worker.
 fn decide_one(
-    module: &Arc<Module>,
-    blasted: &Arc<Blasted>,
-    reach: Option<&Arc<ReachableStates>>,
+    module: &Module,
+    blasted: &Blasted,
+    reach: Option<&ReachableStates>,
     params: &DecideParams,
     session: &mut CheckSession,
-    pending_loser: &mut Option<LoserHandle>,
-    prop: &WindowProperty,
+    prop: &Normalized,
+) -> Result<CheckResult, McError> {
+    match prop {
+        Normalized::Window(p) => decide(module, blasted, reach, params, session, p, Some(p)),
+        Normalized::Temporal(p) => decide(module, blasted, reach, params, session, p, None),
+    }
+}
+
+/// [`decide_one`] for either property kind; `window` is the view the
+/// explicit engine can evaluate, when the property has one.
+fn decide<P: UnrollProperty>(
+    module: &Module,
+    blasted: &Blasted,
+    reach: Option<&ReachableStates>,
+    params: &DecideParams,
+    session: &mut CheckSession,
+    prop: &P,
+    window: Option<&WindowProperty>,
 ) -> Result<CheckResult, McError> {
     let cancel = params.cancel.as_deref();
-    let prefixes = &params.prefixes;
     if cancel_requested(cancel) {
         return Err(McError::Cancelled);
     }
@@ -911,61 +715,52 @@ fn decide_one(
     if let Some(fault) = crate::session::injected_fault(cancel) {
         return Err(fault);
     }
-    match params.backend {
-        Backend::Explicit => match reach {
-            Some(r) => {
-                let res = explicit_check(module, blasted, r, prop, &params.limits)?;
+    if let Some(window) = window {
+        match (params.backend, reach) {
+            (Backend::Explicit, Some(r)) => {
+                let res = explicit_check(module, blasted, r, window, &params.limits)?;
                 session.note_explicit_query();
-                Ok(res)
+                return Ok(res);
             }
-            None => Err(McError::StateSpaceExceeded {
-                limit: params.limits.max_states,
-            }),
-        },
-        Backend::Bmc { bound } => {
-            session.note_sat_decision();
-            let res = session.bmc_cancellable(module, prop, bound, cancel)?;
-            Ok(canonicalize(module, prefixes, session, prop, bound, res))
-        }
-        Backend::KInduction { max_k } => {
-            session.note_sat_decision();
-            let res = session.k_induction_cancellable(module, prop, max_k, cancel)?;
-            Ok(canonicalize(module, prefixes, session, prop, max_k, res))
-        }
-        Backend::Auto => {
-            if params.racing {
-                // Racing spawns one-shot engine threads that cannot be
-                // interrupted mid-run; the entry check above is the
-                // cancel point for racing decisions.
-                if let Some(r) = reach {
-                    let (res, loser) =
-                        decide_racing(module, blasted, r, params, session, pending_loser, prop);
-                    *pending_loser = loser;
-                    return Ok(res);
-                }
+            (Backend::Explicit, None) => {
+                return Err(McError::StateSpaceExceeded {
+                    limit: params.limits.max_states,
+                })
             }
-            if let Some(r) = reach {
-                if let Ok(res) = explicit_check(module, blasted, r, prop, &params.limits) {
+            (Backend::Auto, Some(r)) => {
+                if let Ok(res) = explicit_check(module, blasted, r, window, &params.limits) {
                     session.note_explicit_query();
                     return Ok(res);
                 }
                 // Window too wide for the explicit walk: fall through to
                 // the SAT engines.
             }
-            // SAT path: BMC to refute, k-induction to prove — both on
-            // the session's shared unrollings. One property decision.
-            session.note_sat_decision();
-            let limit = params.bmc_bound.max(params.kind_max_k);
-            if let CheckResult::Violated(cex) =
-                session.bmc_cancellable(module, prop, params.bmc_bound, cancel)?
-            {
-                let res = CheckResult::Violated(cex);
-                return Ok(canonicalize(module, prefixes, session, prop, limit, res));
-            }
-            let res = session.k_induction_cancellable(module, prop, params.kind_max_k, cancel)?;
-            Ok(canonicalize(module, prefixes, session, prop, limit, res))
+            _ => {}
         }
     }
+    // SAT path, on the session's shared unrollings. One property
+    // decision, however many queries it takes.
+    session.note_sat_decision();
+    let (limit, res) = match params.backend {
+        Backend::Bmc { bound } => (bound, session.bmc(module, prop, bound, cancel)?),
+        Backend::KInduction { max_k } => (max_k, session.k_induction(module, prop, max_k, cancel)?),
+        // BMC to refute, k-induction to prove.
+        Backend::Auto | Backend::Explicit => {
+            let res = match session.bmc(module, prop, params.bmc_bound, cancel)? {
+                CheckResult::Violated(cex) => CheckResult::Violated(cex),
+                _ => session.k_induction(module, prop, params.kind_max_k, cancel)?,
+            };
+            (params.bmc_bound.max(params.kind_max_k), res)
+        }
+    };
+    Ok(canonicalize(
+        module,
+        &params.prefixes,
+        session,
+        prop,
+        limit,
+        res,
+    ))
 }
 
 /// Replaces a session-extracted counterexample with the canonical one
@@ -1010,163 +805,13 @@ fn canonicalize<P: UnrollProperty>(
 /// accumulated stats) and the decided results, tagged by worklist index.
 type ShardYield = (CheckSession, Vec<(usize, Result<CheckResult, McError>)>);
 
-/// One message from a racing engine thread.
-struct RaceAnswer {
-    from_explicit: bool,
-    result: Result<CheckResult, McError>,
-}
-
-impl RaceAnswer {
-    fn conclusive(&self) -> bool {
-        matches!(
-            self.result,
-            Ok(CheckResult::Proved) | Ok(CheckResult::Violated(_))
-        )
-    }
-}
-
-/// A still-running losing engine thread from an earlier race. Each
-/// caller keeps at most one pending loser and joins it before the next
-/// race (and at the end of its batch), so orphan engine threads are
-/// bounded at one per shard worker instead of accumulating.
-type LoserHandle = std::thread::JoinHandle<()>;
-
-/// Races the explicit and SAT engines for one property and takes the
-/// first conclusive answer.
-///
-/// Both engines run on their own threads over `Arc` handles (the SAT
-/// side uses the canonical one-shot engines, so its traces need no
-/// re-extraction). When the winner returns early, the loser's handle is
-/// handed back to the caller, which joins it before starting the next
-/// race; the join happens *after* the next race's threads are spawned,
-/// so a slow loser overlaps with the next property's race instead of
-/// stalling it, and orphan engine threads stay bounded at one per
-/// caller. Determinism:
-/// whenever both engines are conclusive they agree on the verdict
-/// (explicit is exact, the SAT engines are sound), and a violated
-/// verdict always carries the canonical SAT trace when the violation is
-/// within the SAT bounds — otherwise the deterministic explicit trace —
-/// so the *result* never depends on which thread won. The one-shot SAT
-/// side needs no re-extraction: a fresh BMC scan and a fresh
-/// k-induction base case issue the *identical* query sequence to
-/// identical fresh solvers (ensure-frame, violation literal, solve, per
-/// start from 0), so whichever of the two finds the violation, its
-/// model is bit-for-bit the [`canonical_cex`] trace. Only the stats
-/// attribution (explicit vs SAT decision) records the actual winner.
-fn decide_racing(
-    module: &Arc<Module>,
-    blasted: &Arc<Blasted>,
-    reach: &Arc<ReachableStates>,
-    params: &DecideParams,
-    session: &mut CheckSession,
-    previous_loser: &mut Option<LoserHandle>,
-    prop: &WindowProperty,
-) -> (CheckResult, Option<LoserHandle>) {
-    let (tx, rx) = mpsc::channel::<RaceAnswer>();
-    let explicit_handle = {
-        let (module, blasted, reach, prop, limits, tx) = (
-            module.clone(),
-            blasted.clone(),
-            reach.clone(),
-            prop.clone(),
-            params.limits,
-            tx.clone(),
-        );
-        std::thread::spawn(move || {
-            let result = explicit_check(&module, &blasted, &reach, &prop, &limits);
-            let _ = tx.send(RaceAnswer {
-                from_explicit: true,
-                result,
-            });
-        })
-    };
-    let sat_handle = {
-        let (module, blasted, prop) = (module.clone(), blasted.clone(), prop.clone());
-        let (bmc_bound, kind_max_k) = (params.bmc_bound, params.kind_max_k);
-        std::thread::spawn(move || {
-            let result = match bmc_shared(&module, blasted.clone(), &prop, bmc_bound) {
-                CheckResult::Violated(cex) => CheckResult::Violated(cex),
-                _ => k_induction_shared(&module, blasted, &prop, kind_max_k),
-            };
-            let _ = tx.send(RaceAnswer {
-                from_explicit: false,
-                result: Ok(result),
-            });
-        })
-    };
-    // Both engines of this race are now running: reap the previous
-    // property's loser while they work, keeping orphans bounded at one
-    // without serializing behind a slow loser.
-    if let Some(h) = previous_loser.take() {
-        let _ = h.join();
-    }
-    let first = rx.recv().expect("racing engines always answer");
-    // A violated explicit verdict still needs the canonical SAT trace
-    // when the violation is within the SAT bounds, so that case waits
-    // for the SAT engine like the unconclusive path does.
-    let early_win = first.conclusive()
-        && !(first.from_explicit && matches!(first.result, Ok(CheckResult::Violated(_))));
-    let (answer, loser) = if early_win {
-        // Reap the winner's (already finished) thread; hand the loser
-        // back for the caller to join before its next race.
-        let (winner_handle, loser_handle) = if first.from_explicit {
-            (explicit_handle, sat_handle)
-        } else {
-            (sat_handle, explicit_handle)
-        };
-        let _ = winner_handle.join();
-        (first, Some(loser_handle))
-    } else {
-        let held = first;
-        let other = rx.recv().expect("racing engines always answer");
-        let _ = explicit_handle.join();
-        let _ = sat_handle.join();
-        // Prefer a conclusive answer; for violated verdicts prefer the
-        // SAT side's canonical trace (deterministic regardless of
-        // arrival order — the preference depends only on the two
-        // results, and by this point both are in hand).
-        let answer = match (&held.result, &other.result) {
-            (Ok(CheckResult::Violated(_)), Ok(CheckResult::Violated(_))) => {
-                if held.from_explicit {
-                    other
-                } else {
-                    held
-                }
-            }
-            _ => {
-                if other.conclusive() {
-                    other
-                } else if held.conclusive() {
-                    held
-                } else if held.from_explicit {
-                    // Neither conclusive: report the SAT engines'
-                    // bounded-unknown, never the explicit error.
-                    other
-                } else {
-                    held
-                }
-            }
-        };
-        (answer, None)
-    };
-    if answer.from_explicit {
-        session.note_explicit_query();
-    } else {
-        session.note_sat_decision();
-    }
-    (
-        answer.result.unwrap_or(CheckResult::Unknown { bound: 0 }),
-        loser,
-    )
-}
-
 #[cfg(test)]
 mod prefix_tests;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prop::BitAtom;
+    use crate::prop::ConsequentKind;
     use gm_rtl::parse_verilog;
 
     const ARBITER2: &str = "
@@ -1314,8 +959,8 @@ mod tests {
         let mut plain = Checker::new(&m).unwrap();
         let sequential = plain.check_batch(&batch).unwrap();
         for shards in [1, 2, 3, 8] {
-            let mut sharded = Checker::new(&m).unwrap();
-            let res = sharded.check_batch_sharded(&batch, shards).unwrap();
+            let mut sharded = Checker::new(&m).unwrap().with_shards(shards);
+            let res = sharded.check_batch(&batch).unwrap();
             assert_eq!(res, sequential, "{shards} shards diverged");
             assert_eq!(sharded.memo_len(), plain.memo_len());
             assert_eq!(
@@ -1327,43 +972,12 @@ mod tests {
                 sharded.session_stats().engine_queries(),
                 plain.session_stats().engine_queries(),
             );
-            assert_eq!(sharded.shard_session_count(), shards);
+            // One shard is the main session, inline: no pool.
+            let pool = if shards == 1 { 0 } else { shards };
+            assert_eq!(sharded.shard_session_count(), pool);
             // A repeated sharded batch is fully memo-served.
-            let again = sharded.check_batch_sharded(&batch, shards).unwrap();
+            let again = sharded.check_batch(&batch).unwrap();
             assert_eq!(again, sequential);
-        }
-    }
-
-    #[test]
-    fn stealing_batch_matches_sequential_results_and_memo() {
-        let m = parse_verilog(ARBITER2).unwrap();
-        let req0 = m.require("req0").unwrap();
-        let req1 = m.require("req1").unwrap();
-        let gnt0 = m.require("gnt0").unwrap();
-        let gnt1 = m.require("gnt1").unwrap();
-        let batch: Vec<WindowProperty> = (0..6)
-            .map(|i| WindowProperty {
-                antecedent: vec![
-                    BitAtom::new(req0, 0, 0, i % 2 == 0),
-                    BitAtom::new(req1, 0, 1, i % 3 == 0),
-                ],
-                consequent: BitAtom::new(if i < 3 { gnt0 } else { gnt1 }, 0, 2, i % 2 == 1),
-            })
-            .collect();
-        let mut plain = Checker::new(&m).unwrap();
-        let sequential = plain.check_batch(&batch).unwrap();
-        for shards in [1, 2, 4] {
-            let mut stealing = Checker::new(&m).unwrap();
-            let res = stealing.check_batch_stealing(&batch, shards).unwrap();
-            assert_eq!(res, sequential, "{shards} stealing shards diverged");
-            assert_eq!(stealing.memo_len(), plain.memo_len());
-            assert_eq!(
-                stealing.session_stats().engine_queries(),
-                plain.session_stats().engine_queries(),
-                "stealing must not change the total work"
-            );
-            // A repeated stealing batch is fully memo-served.
-            assert_eq!(stealing.check_batch_stealing(&batch, shards).unwrap(), res);
         }
     }
 
@@ -1397,6 +1011,63 @@ mod tests {
             unbounded.check(&props[0]).unwrap()
         );
         assert!(bounded.approx_bytes() > 0);
+    }
+
+    #[test]
+    fn memo_capacity_is_one_bound_across_both_property_kinds() {
+        let m = parse_verilog(ARBITER2).unwrap();
+        let req0 = m.require("req0").unwrap();
+        let gnt0 = m.require("gnt0").unwrap();
+        let gnt1 = m.require("gnt1").unwrap();
+        let windows: Vec<WindowProperty> = (0..4)
+            .map(|i| WindowProperty {
+                antecedent: vec![BitAtom::new(req0, 0, 0, i % 2 == 0)],
+                consequent: BitAtom::new(gnt0, 0, 1 + i / 2, true),
+            })
+            .collect();
+        let temporals: Vec<TemporalProperty> = (0..4)
+            .map(|i| TemporalProperty {
+                antecedent: vec![BitAtom::new(req0, 0, 0, i % 2 == 0)],
+                consequents: vec![
+                    BitAtom::new(gnt0, 0, 1, true),
+                    BitAtom::new(gnt1, 0, 2, true),
+                ],
+                kind: if i < 2 {
+                    ConsequentKind::All
+                } else {
+                    ConsequentKind::Any
+                },
+            })
+            .collect();
+        let mut bounded = Checker::new(&m).unwrap().with_memo_capacity(3);
+        let mut unbounded = Checker::new(&m).unwrap();
+        // Fill each kind past the bound on its own, interleaved.
+        for (w, t) in windows.iter().zip(&temporals) {
+            assert_eq!(bounded.check(w).unwrap(), unbounded.check(w).unwrap());
+            assert_eq!(bounded.check(t).unwrap(), unbounded.check(t).unwrap());
+            let stats = bounded.memo_stats();
+            assert!(stats.entries <= 3, "{stats:?}");
+            assert_eq!(stats.entries, bounded.memo_len());
+        }
+        let stats = bounded.memo_stats();
+        assert_eq!(stats.insertions, 8);
+        assert_eq!(stats.evictions, 5);
+        // The three most recent decisions are the residents, whatever
+        // their kind.
+        let hits = bounded.session_stats().memo_hits;
+        bounded.check(&temporals[3]).unwrap();
+        bounded.check(&windows[3]).unwrap();
+        bounded.check(&temporals[2]).unwrap();
+        assert_eq!(bounded.session_stats().memo_hits, hits + 3);
+        // Bytes are accounted once for both kinds: evicting everything
+        // but one entry leaves exactly that entry's estimate.
+        let bounded = bounded.with_memo_capacity(1);
+        let last = Normalized::Temporal(temporals[2].clone());
+        let decision = unbounded.check(&temporals[2]).unwrap();
+        assert_eq!(
+            bounded.memo_stats().approx_bytes,
+            last.approx_bytes() + memo_result_bytes(&decision)
+        );
     }
 
     #[test]
@@ -1507,43 +1178,9 @@ mod tests {
         let mut c = Checker::new(&m).unwrap();
         c.check(&prop).unwrap();
         assert_eq!(c.memo_len(), 1);
-        c = c.with_backend(Backend::Auto).with_racing(false);
+        c = c.with_backend(Backend::Auto);
         assert_eq!(c.memo_len(), 1, "unchanged settings keep the memo");
         c = c.with_backend(Backend::KInduction { max_k: 4 });
         assert_eq!(c.memo_len(), 0, "a real change clears it");
-    }
-
-    #[test]
-    fn racing_matches_plain_auto_verdicts() {
-        let m = parse_verilog(ARBITER2).unwrap();
-        let req0 = m.require("req0").unwrap();
-        let gnt0 = m.require("gnt0").unwrap();
-        let gnt1 = m.require("gnt1").unwrap();
-        let props = vec![
-            // Violated: !req0@0 |-> gnt0@1 (the paper's A0).
-            WindowProperty {
-                antecedent: vec![BitAtom::new(req0, 0, 0, false)],
-                consequent: BitAtom::new(gnt0, 0, 1, true),
-            },
-            // Proved: mutual exclusion.
-            WindowProperty {
-                antecedent: vec![BitAtom::new(gnt0, 0, 0, true)],
-                consequent: BitAtom::new(gnt1, 0, 0, false),
-            },
-        ];
-        let mut plain = Checker::new(&m).unwrap();
-        let expected = plain.check_batch(&props).unwrap();
-        let mut racing = Checker::new(&m).unwrap().with_racing(true);
-        let got = racing.check_batch_sharded(&props, 2).unwrap();
-        for (e, g) in expected.iter().zip(&got) {
-            match (e, g) {
-                (CheckResult::Proved, CheckResult::Proved) => {}
-                (CheckResult::Violated(_), CheckResult::Violated(_)) => {}
-                other => panic!("racing diverged: {other:?}"),
-            }
-        }
-        // Racing twice returns identical results (determinism contract).
-        let mut again = Checker::new(&m).unwrap().with_racing(true);
-        assert_eq!(got, again.check_batch_sharded(&props, 2).unwrap());
     }
 }

@@ -22,14 +22,16 @@ fn checker(module: &Module, backend: Backend) -> Checker {
 }
 
 /// Decides random window and temporal properties of depth 0–3 on random
-/// latch-free and latched modules through both SAT backends and all
-/// three dispatches, and requires every violated result to be exactly
-/// the one-shot [`bmc`] result. Returns how many violations were
-/// compared, and how many of those sat beyond the first window start
-/// (where the scan has to extend the cloned prefix).
-fn canonical_sweep(bytes: &[u8]) -> Result<(usize, usize), TestCaseError> {
+/// latch-free and latched modules through both SAT backends, inline and
+/// sharded, and requires the two dispatches to agree — results, memo
+/// length, engine-query totals — and every violated result to be
+/// exactly the one-shot [`bmc`] result. Returns how many violations
+/// were compared, how many of those sat beyond the first window start
+/// (where the scan has to extend the cloned prefix), and how many
+/// belonged to multi-consequent temporal properties.
+fn canonical_sweep(bytes: &[u8]) -> Result<(usize, usize, usize), TestCaseError> {
     let mut recipe = Recipe::new(bytes);
-    let (mut violated, mut late) = (0, 0);
+    let (mut violated, mut late, mut multi) = (0, 0, 0);
     for (inputs, regs) in [(3usize, 0usize), (1, 1), (2, 3), (4, 3)] {
         let (m, sigs) = random_module(inputs, regs, &mut recipe);
         let windows: Vec<WindowProperty> = (0..6)
@@ -43,37 +45,45 @@ fn canonical_sweep(bytes: &[u8]) -> Result<(usize, usize), TestCaseError> {
             Backend::KInduction { max_k: BOUND },
         ] {
             let mut off = checker(&m, backend);
+            let mut fixed = checker(&m, backend).with_shards(2);
             let sequential = off.check_batch(&windows).unwrap();
-            let fixed = checker(&m, backend)
-                .check_batch_sharded(&windows, 2)
-                .unwrap();
-            let stealing = checker(&m, backend)
-                .check_batch_stealing(&windows, 2)
-                .unwrap();
-            prop_assert_eq!(&fixed, &sequential, "Fixed(2) diverged");
-            prop_assert_eq!(&stealing, &sequential, "stealing diverged");
-            let temporal = off.check_temporal_batch(&temporals).unwrap();
+            prop_assert_eq!(
+                &fixed.check_batch(&windows).unwrap(),
+                &sequential,
+                "2 shards diverged"
+            );
+            let temporal = off.check_batch(&temporals).unwrap();
+            prop_assert_eq!(
+                &fixed.check_batch(&temporals).unwrap(),
+                &temporal,
+                "2 shards diverged on the temporal batch"
+            );
+            prop_assert_eq!(fixed.memo_len(), off.memo_len());
+            prop_assert_eq!(
+                fixed.session_stats().engine_queries(),
+                off.session_stats().engine_queries()
+            );
             let blasted = off.blasted();
             let one_shot = windows
                 .iter()
-                .map(|p| (p.depth(), bmc(&m, blasted, p, BOUND)))
-                .chain(
-                    temporals
-                        .iter()
-                        .map(|p| (p.depth(), bmc(&m, blasted, p, BOUND))),
-                );
-            for (got, (depth, want)) in sequential.iter().chain(&temporal).zip(one_shot) {
+                .map(|p| (p.depth(), false, bmc(&m, blasted, p, BOUND)))
+                .chain(temporals.iter().map(|p| {
+                    let multi = p.consequents.len() > 1;
+                    (p.depth(), multi, bmc(&m, blasted, p, BOUND))
+                }));
+            for (got, (depth, is_multi, want)) in sequential.iter().chain(&temporal).zip(one_shot) {
                 if let CheckResult::Violated(cex) = got {
                     prop_assert_eq!(got, &want, "trace differs from the one-shot bmc()");
                     violated += 1;
                     late += usize::from(cex.len() > depth as usize + 1);
+                    multi += usize::from(is_multi);
                 } else {
                     prop_assert!(!matches!(want, CheckResult::Violated(_)));
                 }
             }
         }
     }
-    Ok((violated, late))
+    Ok((violated, late, multi))
 }
 
 proptest! {
@@ -89,14 +99,16 @@ proptest! {
 
 #[test]
 fn canonical_sweep_sees_violations_at_and_beyond_the_first_start() {
-    let (mut violated, mut late) = (0, 0);
+    let (mut violated, mut late, mut multi) = (0, 0, 0);
     for seed in 0u64..12 {
-        let (v, l) = canonical_sweep(&seeded_recipe(seed, 300)).unwrap();
+        let (v, l, t) = canonical_sweep(&seeded_recipe(seed, 300)).unwrap();
         violated += v;
         late += l;
+        multi += t;
     }
     assert!(violated >= 200, "{violated} violated");
     assert!(late >= 20, "{late} violated beyond the first window start");
+    assert!(multi >= 20, "{multi} violated multi-consequent properties");
 }
 
 /// `b18_lite` properties violated at depths 0, 1 and 2, `variants` of
@@ -150,10 +162,12 @@ fn prefixes_are_built_once_per_depth_and_never_solved_on() {
     // using the very same prefixes.
     let more = b18_violated(&m, 8);
     c.check_batch(&more[..9]).unwrap();
-    c.check_batch_sharded(&more[9..], 4).unwrap();
+    let mut c = c.with_shards(4);
+    c.check_batch(&more[9..]).unwrap();
     assert_eq!(c.session_stats().cex_canonicalized, 3 + 21);
     c.reset_for_reuse();
-    c.check_batch_stealing(&more, 2).unwrap();
+    let mut c = c.with_shards(2);
+    c.check_batch(&more).unwrap();
     let after = c.prefixes.snapshot();
     assert_eq!(after.len(), built.len());
     for ((depth, before), (_, now)) in built.iter().zip(&after) {

@@ -32,19 +32,24 @@
 //! * [`Checker`] bit-blasts once, lazily computes the reachable state
 //!   set once, routes queries to the configured backend through its
 //!   persistent session, memoizes every decided property, and accepts
-//!   whole worklists via [`Checker::check_batch`] — repeated candidates
-//!   across refinement iterations cost a hash lookup;
-//! * [`Checker::check_batch_sharded`] splits a worklist across a pool
-//!   of persistent `Send` shard sessions (one scoped worker thread
-//!   each, all over one `Arc`-shared blasted design) with a
-//!   deterministic merge: results — counterexample traces included —
-//!   are bit-identical to the single-session batch for every shard
-//!   count, because violated verdicts carry *canonical* traces
-//!   re-extracted independently of session history (on a clone of a
-//!   pristine per-depth unrolling prefix the checker keeps, so the
-//!   design is not re-encoded per counterexample). A racing mode
-//!   ([`Checker::with_racing`]) runs the explicit and SAT engines of a
-//!   property concurrently and takes the first conclusive answer.
+//!   single properties ([`Checker::check`]) or whole worklists
+//!   ([`Checker::check_batch`]) of either kind, [`WindowProperty`] or
+//!   [`TemporalProperty`] — repeated candidates across refinement
+//!   iterations cost a hash lookup;
+//! * [`Checker::with_shards`] splits every worklist across a pool of
+//!   persistent `Send` shard sessions (one scoped worker thread each,
+//!   all over one `Arc`-shared blasted design), dealt round-robin and
+//!   merged back in worklist order.
+//!
+//! **Determinism contract:** a run of the same calls under the same
+//! configuration is reproducible in full — every [`CheckResult`], the
+//! memo, and the [`SessionStats`] — and the results and the memo are
+//! the same for every entry point and every shard count (which only
+//! decides which session's counters the work lands in). Verdicts are
+//! solver-state-independent, and violated verdicts carry *canonical*
+//! traces re-extracted independently of session history (on a clone of
+//! a pristine per-depth unrolling prefix the checker keeps, so the
+//! design is not re-encoded per counterexample).
 //!
 //! The free [`bmc`] / [`k_induction`] functions remain as one-shot
 //! conveniences (each builds a private unrolling).

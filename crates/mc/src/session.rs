@@ -12,11 +12,10 @@
 //! ## Shard lifecycle
 //!
 //! Sessions are plain owned data over an `Arc<Blasted>`, so they are
-//! `Send`: the sharded dispatch layer
-//! ([`crate::Checker::check_batch_sharded`]) keeps a pool of them — one
-//! per shard — moves each into a scoped worker thread for the duration
-//! of a batch, and takes them back (with their unrollings, learnt
-//! clauses and stats) when the workers join. A shard session therefore
+//! `Send`: the sharded dispatch layer ([`crate::Checker::with_shards`])
+//! keeps a pool of them — one per shard — moves each into a scoped
+//! worker thread for the duration of a batch, and takes them back (with
+//! their unrollings, learnt clauses and stats) when the workers join. A shard session therefore
 //! persists across engine iterations exactly like the single session
 //! does, and blasting still happens once: every session shares the same
 //! `Arc<Blasted>`.
@@ -54,11 +53,11 @@ pub(crate) fn cancel_requested(cancel: Option<&AtomicBool>) -> bool {
 /// poll site (between SAT queries). Disarmed cost is one relaxed
 /// atomic load per poll — the same budget as the cancel check itself.
 ///
-/// Both points are gated on a cancel token being *present*: the
-/// non-cancellable wrappers ([`CheckSession::bmc`] /
-/// [`CheckSession::k_induction`]) promise infallibility without a
-/// token, and the conditions these faults emulate (a wedged or flaky
-/// SAT service) are only recoverable on the served, cancellable path.
+/// Both points are gated on a cancel token being *present*:
+/// [`CheckSession::bmc`] / [`CheckSession::k_induction`] are infallible
+/// without a token, and the conditions these faults emulate (a wedged
+/// or flaky SAT service) are only recoverable on the served,
+/// cancellable path.
 pub(crate) fn injected_fault(cancel: Option<&AtomicBool>) -> Option<McError> {
     if !gm_fault::enabled() {
         return None;
@@ -302,21 +301,14 @@ impl CheckSession {
     /// Latch-free designs are start-invariant, so their scan collapses
     /// to the single window at reset (the reported `Unknown` bound stays
     /// the requested one).
+    ///
+    /// # Errors
+    ///
+    /// `cancel` is a cooperative token polled between SAT queries (once
+    /// per window start of the scan): [`McError::Cancelled`] as soon as
+    /// it is raised, no partial verdict published. Infallible with
+    /// `None`.
     pub fn bmc<P: UnrollProperty>(
-        &mut self,
-        module: &Module,
-        prop: &P,
-        max_start: u32,
-    ) -> CheckResult {
-        self.bmc_cancellable(module, prop, max_start, None)
-            .expect("bmc without a cancel token is infallible")
-    }
-
-    /// [`CheckSession::bmc`] with a cooperative cancel token polled
-    /// between SAT queries (once per window start of the unrolling
-    /// scan). Returns [`McError::Cancelled`] as soon as the token is
-    /// raised; no partial verdict is published.
-    pub fn bmc_cancellable<P: UnrollProperty>(
         &mut self,
         module: &Module,
         prop: &P,
@@ -345,21 +337,12 @@ impl CheckSession {
     /// reset-rooted one, step cases on the free-init one.
     ///
     /// Same verdict as the one-shot [`crate::k_induction`].
+    ///
+    /// # Errors
+    ///
+    /// `cancel` is polled once per induction depth `k`, with the
+    /// contract of [`CheckSession::bmc`].
     pub fn k_induction<P: UnrollProperty>(
-        &mut self,
-        module: &Module,
-        prop: &P,
-        max_k: u32,
-    ) -> CheckResult {
-        self.k_induction_cancellable(module, prop, max_k, None)
-            .expect("k-induction without a cancel token is infallible")
-    }
-
-    /// [`CheckSession::k_induction`] with a cooperative cancel token
-    /// polled between SAT queries (once per induction depth `k`).
-    /// Returns [`McError::Cancelled`] as soon as the token is raised;
-    /// no partial verdict is published.
-    pub fn k_induction_cancellable<P: UnrollProperty>(
         &mut self,
         module: &Module,
         prop: &P,
@@ -435,10 +418,13 @@ mod tests {
         let mut session = CheckSession::new(b.clone());
         for prop in [&proved, &violated] {
             assert_eq!(
-                session.k_induction(&m, prop, 4),
+                session.k_induction(&m, prop, 4, None).unwrap(),
                 k_induction(&m, &b, prop, 4)
             );
-            assert_eq!(session.bmc(&m, prop, 4), bmc(&m, &b, prop, 4));
+            assert_eq!(
+                session.bmc(&m, prop, 4, None).unwrap(),
+                bmc(&m, &b, prop, 4)
+            );
         }
         let stats = session.stats();
         assert!(stats.sat_queries > 0);
@@ -459,9 +445,9 @@ mod tests {
             consequent: BitAtom::new(q, 0, 1, true),
         };
         let mut session = CheckSession::new(b);
-        let first = session.k_induction(&m, &prop, 4);
+        let first = session.k_induction(&m, &prop, 4, None).unwrap();
         let after_first = session.stats();
-        let second = session.k_induction(&m, &prop, 4);
+        let second = session.k_induction(&m, &prop, 4, None).unwrap();
         let delta = session.stats() - after_first;
         assert_eq!(first, second);
         assert_eq!(delta.frames_encoded, 0, "everything already unrolled");

@@ -1,5 +1,7 @@
 //! Differential suite for the sharded dispatch layer: sharded ≡ batched
-//! ≡ sequential on every catalog design, for shard counts {1, 2, 4, 7}.
+//! ≡ sequential on every catalog design, for shard counts {1, 2, 4, 7},
+//! on window batches and on multi-consequent temporal batches (which
+//! must also be the one-shot `bmc()` results).
 //!
 //! Thanks to canonical counterexample extraction the comparison is
 //! *exact* — `assert_eq!` on whole `CheckResult` vectors, traces
@@ -8,7 +10,10 @@
 //! shard counts merge to results identical to the single-session batch,
 //! leaving identical memo state behind.
 
-use gm_mc::{Backend, BitAtom, CexTrace, CheckResult, Checker, ExplicitLimits, WindowProperty};
+use gm_mc::{
+    bmc, Backend, BitAtom, CexTrace, CheckResult, Checker, ConsequentKind, ExplicitLimits,
+    TemporalProperty, WindowProperty,
+};
 use gm_rtl::{Bv, Module, SignalId};
 use gm_sim::{NopObserver, Simulator};
 use proptest::prelude::*;
@@ -64,6 +69,28 @@ fn properties_for(module: &Module, seed: u64, count: usize) -> Vec<WindowPropert
         .collect()
 }
 
+/// Multi-consequent temporal properties over the same mix: each window
+/// property's consequent joined by the same output bit one cycle later,
+/// alternately as a stability (`All`) and an eventuality (`Any`) window.
+fn temporal_properties_for(module: &Module, seed: u64, count: usize) -> Vec<TemporalProperty> {
+    properties_for(module, seed, count)
+        .into_iter()
+        .enumerate()
+        .map(|(i, p)| {
+            let c = p.consequent;
+            TemporalProperty {
+                antecedent: p.antecedent,
+                consequents: vec![c, BitAtom::new(c.signal, c.bit, c.offset + 1, c.value)],
+                kind: if i % 2 == 0 {
+                    ConsequentKind::All
+                } else {
+                    ConsequentKind::Any
+                },
+            }
+        })
+        .collect()
+}
+
 /// Small explicit limits and SAT bounds so the 12-design sweep stays
 /// fast (matches the batch_agree suite's rationale).
 fn checker(module: &Module, backend: Backend) -> Checker {
@@ -101,9 +128,11 @@ fn cex_violates(module: &Module, prop: &WindowProperty, cex: &CexTrace) -> bool 
 
 #[test]
 fn sharded_equals_batched_equals_sequential_on_all_catalog_designs() {
+    let mut temporal_violations = 0usize;
     for design in gm_designs::catalog() {
         let module = design.module();
         let props = properties_for(&module, 0x5EED_0000, 6);
+        let temporals = temporal_properties_for(&module, 0x7E3A_0000, 4);
         for backend in [
             Backend::Auto,
             Backend::Bmc { bound: 4 },
@@ -116,20 +145,28 @@ fn sharded_equals_batched_equals_sequential_on_all_catalog_designs() {
                 .iter()
                 .map(|p| seq_checker.check(p).unwrap())
                 .collect();
-            // Single-session batch.
+            let sequential_temporal: Vec<CheckResult> = temporals
+                .iter()
+                .map(|p| seq_checker.check(p).unwrap())
+                .collect();
+            // Single-session batches.
             let mut batch_checker = checker(&module, backend);
             let batched = batch_checker.check_batch(&props).unwrap();
+            let batched_temporal = batch_checker.check_batch(&temporals).unwrap();
             assert_eq!(
-                sequential, batched,
+                (&sequential, &sequential_temporal),
+                (&batched, &batched_temporal),
                 "batch != sequential on {} ({backend:?})",
                 design.name
             );
             // Sharded batches, every shard count.
             for shards in SHARD_COUNTS {
-                let mut sharded_checker = checker(&module, backend);
-                let sharded = sharded_checker.check_batch_sharded(&props, shards).unwrap();
+                let mut sharded_checker = checker(&module, backend).with_shards(shards);
+                let sharded = sharded_checker.check_batch(&props).unwrap();
+                let sharded_temporal = sharded_checker.check_batch(&temporals).unwrap();
                 assert_eq!(
-                    batched, sharded,
+                    (&batched, &batched_temporal),
+                    (&sharded, &sharded_temporal),
                     "sharded({shards}) != batched on {} ({backend:?})",
                     design.name
                 );
@@ -152,45 +189,25 @@ fn sharded_equals_batched_equals_sequential_on_all_catalog_designs() {
                     );
                 }
             }
-        }
-    }
-}
-
-#[test]
-fn racing_shards_agree_with_plain_auto_verdicts_on_all_catalog_designs() {
-    for design in gm_designs::catalog() {
-        let module = design.module();
-        let props = properties_for(&module, 0x7ACE_0000, 4);
-        let mut plain = checker(&module, Backend::Auto);
-        let expected = plain.check_batch(&props).unwrap();
-        let mut racing = checker(&module, Backend::Auto).with_racing(true);
-        let got = racing.check_batch_sharded(&props, 2).unwrap();
-        for (i, (e, g)) in expected.iter().zip(&got).enumerate() {
-            match (e, g) {
-                (CheckResult::Proved, CheckResult::Proved) => {}
-                (CheckResult::Unknown { .. }, CheckResult::Unknown { .. }) => {}
-                // Racing may prefer the SAT side's canonical trace where
-                // plain Auto reports the explicit one; both must replay.
-                (CheckResult::Violated(_), CheckResult::Violated(cex)) => {
-                    assert!(
-                        cex_violates(&module, &props[i], cex),
-                        "bogus racing cex on {} prop {i}",
-                        design.name
-                    );
+            // Multi-consequent properties are SAT-decided under every
+            // backend, and a violated one carries the one-shot trace.
+            // (k-induction's base cases stop one start short of the
+            // one-shot scan, so only its violations are comparable.)
+            for (p, r) in temporals.iter().zip(&batched_temporal) {
+                let one_shot = bmc(&module, batch_checker.blasted(), p, 4);
+                if matches!(r, CheckResult::Violated(_)) {
+                    assert_eq!(*r, one_shot, "{} ({backend:?})", design.name);
+                    temporal_violations += 1;
+                } else if backend != (Backend::KInduction { max_k: 3 }) {
+                    assert!(!matches!(one_shot, CheckResult::Violated(_)));
                 }
-                // Plain Auto consults the same explicit engine racing
-                // does, so both modes are equally conclusive: any verdict
-                // divergence is a bug.
-                (e, g) => panic!(
-                    "racing diverged on {} prop {i}: plain {e:?} vs racing {g:?}",
-                    design.name
-                ),
             }
         }
-        // Racing twice yields byte-identical results.
-        let mut again = checker(&module, Backend::Auto).with_racing(true);
-        assert_eq!(got, again.check_batch_sharded(&props, 2).unwrap());
     }
+    assert!(
+        temporal_violations >= 30,
+        "{temporal_violations} violated temporal properties compared"
+    );
 }
 
 proptest! {
@@ -214,8 +231,8 @@ proptest! {
             .collect();
         let mut plain = checker(&module, Backend::Auto);
         let batched = plain.check_batch(&props).unwrap();
-        let mut sharded_checker = checker(&module, Backend::Auto);
-        let sharded = sharded_checker.check_batch_sharded(&props, shards).unwrap();
+        let mut sharded_checker = checker(&module, Backend::Auto).with_shards(shards);
+        let sharded = sharded_checker.check_batch(&props).unwrap();
         prop_assert_eq!(&batched, &sharded);
         prop_assert_eq!(plain.memo_len(), sharded_checker.memo_len());
         prop_assert_eq!(
@@ -225,7 +242,8 @@ proptest! {
         // Re-dispatching the same worklist with a different shard count
         // on the *same* checker is fully memo-served and identical.
         let again = sharded_checker
-            .check_batch_sharded(&props, (shards % 8) + 1)
+            .with_shards((shards % 8) + 1)
+            .check_batch(&props)
             .unwrap();
         prop_assert_eq!(&batched, &again);
     }

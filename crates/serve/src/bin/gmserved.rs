@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! gmserved <socket-path> [--workers N] [--cache N] [--cache-bytes N]
-//!          [--round-robin] [--warm-memo]
+//!          [--warm-memo]
 //!          [--deadline-ms N] [--max-retries N] [--retry-backoff-ms N]
 //!          [--max-queued N] [--max-queued-bytes N] [--drain-timeout-ms N]
 //! ```
@@ -12,7 +12,7 @@
 //! exits 0. Drive it with `gm_serve::ServeClient` or the
 //! `serve_closure` example.
 
-use gm_serve::{bind_unix, serve_unix, ClosureService, SchedPolicy, ServeConfig};
+use gm_serve::{bind_unix, serve_unix, ClosureService, ServeConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -20,7 +20,7 @@ use std::sync::Arc;
 fn usage() -> ExitCode {
     eprintln!(
         "usage: gmserved <socket-path> [--workers N] [--cache N] [--cache-bytes N] \
-         [--round-robin] [--warm-memo] [--deadline-ms N] [--max-retries N] \
+         [--warm-memo] [--deadline-ms N] [--max-retries N] \
          [--retry-backoff-ms N] [--max-queued N] [--max-queued-bytes N] \
          [--drain-timeout-ms N]"
     );
@@ -47,7 +47,6 @@ fn main() -> ExitCode {
                 Some(n) => config.cache_max_bytes = n,
                 None => return usage(),
             },
-            "--round-robin" => config.policy = SchedPolicy::RoundRobin,
             "--warm-memo" => config.warm_memo = true,
             "--deadline-ms" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(n) => config.default_deadline_ms = n,
@@ -85,10 +84,9 @@ fn main() -> ExitCode {
     };
     let service = Arc::new(ClosureService::new(config.clone()));
     println!(
-        "gmserved: listening on {} ({} workers, {:?}, cache {})",
+        "gmserved: listening on {} ({} workers, cache {})",
         path.display(),
         service.stats().workers,
-        config.policy,
         config.cache_capacity,
     );
     let result = serve_unix(service.clone(), listener);

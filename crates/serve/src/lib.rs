@@ -10,8 +10,8 @@
 //!   [`protocol::read_frame`]) that work identically in-process and
 //!   across a Unix-domain socket;
 //! * [`scheduler`] — a work-stealing deque pool (each worker owns a
-//!   local queue, idle workers steal from peers) replacing the static
-//!   round-robin deal, with [`run_jobs`] for batch workloads and
+//!   local queue, idle workers steal from peers), with [`run_jobs`]
+//!   for batch workloads and
 //!   [`run_campaign`] as a drop-in [`goldmine::Campaign`] executor;
 //! * [`cache`] — a content-addressed [`DesignCache`]: submissions
 //!   hash the parsed module, repeated designs reuse the elaboration,
@@ -23,14 +23,14 @@
 //!
 //! Serving never changes results: a served job's
 //! [`goldmine::ClosureOutcome`] is byte-identical to a standalone
-//! [`goldmine::Engine`] run under every scheduling policy and cache
-//! state (enforced by `tests/serve_agree.rs` across the whole design
+//! [`goldmine::Engine`] run wherever the scheduler ran it and in every
+//! cache state (enforced by `tests/serve_agree.rs` across the whole design
 //! catalog).
 //!
 //! ## Quick start
 //!
 //! ```
-//! use gm_serve::{ClosureService, ServeConfig};
+//! use gm_serve::{ClosureService, ServeConfig, SubmitOptions};
 //! use goldmine::{EngineConfig, SeedStimulus};
 //!
 //! let service = ClosureService::new(ServeConfig { workers: 2, ..ServeConfig::default() });
@@ -42,7 +42,8 @@
 //!     record_coverage: false,
 //!     ..EngineConfig::default()
 //! };
-//! let (job, _) = service.submit_module("inverter", module, config)?;
+//! let (job, _) =
+//!     service.submit_module("inverter", module, config, SubmitOptions::default())?;
 //! service.wait(job);
 //! assert!(service.summary(job).unwrap().converged);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -68,5 +69,5 @@ pub use protocol::{
     WireConfig, WireCountHistogram, WireHistogram, WireTargets, LATENCY_BUCKETS_NS, RETRY_BUCKETS,
 };
 pub use retry::RetryPolicy;
-pub use scheduler::{run_campaign, run_jobs, run_jobs_stats, SchedPolicy, SchedStats};
+pub use scheduler::{run_campaign, run_jobs, run_jobs_stats, SchedStats};
 pub use service::{ClosureService, JobError, JobStatus, ServeConfig, ServeError, SubmitOptions};

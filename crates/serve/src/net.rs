@@ -10,7 +10,7 @@
 
 use crate::json::Json;
 use crate::protocol::{encode_frame, read_frame, read_frame_with, write_frame, Request, Response};
-use crate::service::ClosureService;
+use crate::service::{ClosureService, SubmitOptions};
 use std::io;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
@@ -286,50 +286,33 @@ impl ServeClient {
         source: &str,
         config: &crate::protocol::WireConfig,
     ) -> io::Result<(u64, bool)> {
-        self.submit_traced(name, source, config, false)
+        self.submit_with(name, source, config, SubmitOptions::default())
     }
 
-    /// [`ServeClient::submit`] with an optional per-job flight
-    /// recorder; fetch the recording with [`ServeClient::trace`] once
-    /// the job is terminal.
+    /// [`ServeClient::submit`] with per-submission options: a per-job
+    /// flight recorder (fetch the recording with [`ServeClient::trace`]
+    /// once the job is terminal) and a per-job deadline (`None` = the
+    /// server's default; `Some(0)` opts out of any deadline). A shed
+    /// submission (the server's queue bound) surfaces as a `WouldBlock`
+    /// error — retry once the backlog drains.
     ///
     /// # Errors
     ///
     /// Propagates transport and server-side submission errors.
-    pub fn submit_traced(
+    pub fn submit_with(
         &mut self,
         name: &str,
         source: &str,
         config: &crate::protocol::WireConfig,
-        trace: bool,
-    ) -> io::Result<(u64, bool)> {
-        self.submit_opts(name, source, config, trace, None)
-    }
-
-    /// [`ServeClient::submit`] with every per-submission option:
-    /// tracing and a per-job deadline (`None` = the server's default;
-    /// `Some(0)` opts out of any deadline). A shed submission (the
-    /// server's queue bound) surfaces as a `WouldBlock` error — retry
-    /// once the backlog drains.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport and server-side submission errors.
-    pub fn submit_opts(
-        &mut self,
-        name: &str,
-        source: &str,
-        config: &crate::protocol::WireConfig,
-        trace: bool,
-        deadline_ms: Option<u64>,
+        opts: SubmitOptions,
     ) -> io::Result<(u64, bool)> {
         self.expect(
             &Request::Submit {
                 name: name.to_string(),
                 source: source.to_string(),
                 config: config.clone(),
-                trace,
-                deadline_ms,
+                trace: opts.trace,
+                deadline_ms: opts.deadline_ms,
             },
             |r| match r {
                 Response::Submitted { job, cached } => Some((job, cached)),

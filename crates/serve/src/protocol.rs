@@ -25,8 +25,8 @@ use crate::json::{self, Json};
 use gm_mc::Backend;
 use gm_rtl::Module;
 use goldmine::{
-    EngineConfig, RefineConfig, SeedStimulus, ShardPolicy, SimBackend, StealPolicy,
-    TargetSelection, TemporalConfig, UnknownPolicy, MAX_LANE_BLOCK,
+    EngineConfig, RefineConfig, SeedStimulus, ShardPolicy, SimBackend, TargetSelection,
+    TemporalConfig, UnknownPolicy, MAX_LANE_BLOCK,
 };
 use serde::{Deserialize, Serialize};
 use std::io::{self, Read, Write};
@@ -141,14 +141,8 @@ pub struct WireConfig {
     pub unknown_assume: bool,
     /// Target selection.
     pub targets: WireTargets,
-    /// Batch candidate checks per iteration.
-    pub batched: bool,
     /// Shard sessions: 0 = off, `n` = fixed, `None` = per-core.
     pub shards: Option<u32>,
-    /// Work-conserving shard dispatch (see [`StealPolicy`]).
-    pub steal: bool,
-    /// Race explicit vs SAT backends.
-    pub racing: bool,
     /// Record per-iteration coverage.
     pub record_coverage: bool,
     /// Temporal-mining lookahead horizon (the wire form of
@@ -251,14 +245,11 @@ impl WireConfig {
             },
             unknown_assume: config.unknown == UnknownPolicy::AssumeTrue,
             targets,
-            batched: config.batched,
             shards: match config.shards {
                 ShardPolicy::Off => Some(0),
                 ShardPolicy::Fixed(n) => Some(n as u32),
                 ShardPolicy::PerCore => None,
             },
-            steal: config.steal == StealPolicy::Stealing,
-            racing: config.racing,
             record_coverage: config.record_coverage,
             temporal_horizon: config.temporal.horizon,
             refine_variants: config.refine.variants as u64,
@@ -323,18 +314,11 @@ impl WireConfig {
                 UnknownPolicy::LeaveOpen
             },
             targets,
-            batched: self.batched,
             shards: match self.shards {
                 Some(0) => ShardPolicy::Off,
                 Some(n) => ShardPolicy::Fixed(n as usize),
                 None => ShardPolicy::PerCore,
             },
-            steal: if self.steal {
-                StealPolicy::Stealing
-            } else {
-                StealPolicy::RoundRobin
-            },
-            racing: self.racing,
             record_coverage: self.record_coverage,
             temporal: TemporalConfig {
                 horizon: self.temporal_horizon,
@@ -389,13 +373,10 @@ impl WireConfig {
                     ),
                 },
             ),
-            ("batched", Json::Bool(self.batched)),
             (
                 "shards",
                 self.shards.map_or(Json::Null, |n| Json::UInt(n.into())),
             ),
-            ("steal", Json::Bool(self.steal)),
-            ("racing", Json::Bool(self.racing)),
             ("record_coverage", Json::Bool(self.record_coverage)),
             ("temporal_horizon", Json::UInt(self.temporal_horizon.into())),
             ("refine_variants", Json::UInt(self.refine_variants)),
@@ -480,6 +461,16 @@ impl WireConfig {
             },
             _ => return Err(ProtocolError("unknown sim backend".into())),
         };
+        // Older clients still send `batched`, `steal` and `racing`. The
+        // last two never changed a run's artifacts and are ignored like
+        // any unknown key; unbatched verification absorbed
+        // counterexamples in a different order, so a request for it is
+        // refused rather than silently run batched.
+        if !opt_bool_field(v, "batched", true)? {
+            return Err(ProtocolError(
+                "field 'batched' must be true: unbatched verification was removed".into(),
+            ));
+        }
         Ok(WireConfig {
             window: u32_field(v, "window")?,
             seed: u64_field(v, "seed")?,
@@ -493,7 +484,6 @@ impl WireConfig {
             backend,
             unknown_assume: bool_field(v, "unknown_assume")?,
             targets,
-            batched: bool_field(v, "batched")?,
             shards: match field(v, "shards")? {
                 Json::Null => None,
                 other => Some(narrow_u32(
@@ -503,8 +493,6 @@ impl WireConfig {
                     "shards",
                 )?),
             },
-            steal: bool_field(v, "steal")?,
-            racing: bool_field(v, "racing")?,
             record_coverage: bool_field(v, "record_coverage")?,
             // Absent temporal/refine knobs are the pre-observability
             // wire form: resolve to the engine defaults those clients
@@ -2276,13 +2264,16 @@ mod tests {
         assert_eq!(read_frame(&mut [].as_slice(), &mut buf).unwrap(), None);
     }
 
+    /// The golden `Submit` frame (see
+    /// `encoded_frames_match_the_golden_bytes`).
+    const SUBMIT: &[u8] = b"\x00\x00\x01\xb3{\"type\":\"submit\",\"name\":\"arbiter2\",\"source\":\"module m(input a, output y);\\n  assign y = a; // \\\"q\\\" \\\\ \\t\xcf\x80\\nendmodule\",\"config\":{\"window\":1,\"seed\":12648430,\"random_cycles\":64,\"max_iterations\":64,\"backend\":\"auto\",\"unknown_assume\":true,\"targets\":[[\"gnt0\",0]],\"shards\":0,\"record_coverage\":true,\"temporal_horizon\":0,\"refine_variants\":0,\"refine_extra_cycles\":16,\"refine_max_absorb\":2,\"sim_backend\":\"batch\"},\"trace\":true,\"deadline_ms\":1500}";
+
     /// "Wire bytes unchanged" is checked, not assumed: these frames were
     /// captured from the pre-rewrite codec (char-by-char writer, cloned
     /// `Json` tree). They pin key order, number forms and every escape
     /// the writer emits, multi-byte UTF-8 included.
     #[test]
     fn encoded_frames_match_the_golden_bytes() {
-        const SUBMIT: &[u8] = b"\x00\x00\x01\xdf{\"type\":\"submit\",\"name\":\"arbiter2\",\"source\":\"module m(input a, output y);\\n  assign y = a; // \\\"q\\\" \\\\ \\t\xcf\x80\\nendmodule\",\"config\":{\"window\":1,\"seed\":12648430,\"random_cycles\":64,\"max_iterations\":64,\"backend\":\"auto\",\"unknown_assume\":true,\"targets\":[[\"gnt0\",0]],\"batched\":true,\"shards\":0,\"steal\":false,\"racing\":false,\"record_coverage\":true,\"temporal_horizon\":0,\"refine_variants\":0,\"refine_extra_cycles\":16,\"refine_max_absorb\":2,\"sim_backend\":\"batch\"},\"trace\":true,\"deadline_ms\":1500}";
         const DONE: &[u8] = b"\x00\x00\x00\xdc{\"type\":\"done\",\"job\":3,\"summary\":{\"converged\":true,\"iterations\":4,\"assertions\":[\"req0 => X gnt0\",\"a \\\"b\\\"\"],\"suite_cycles\":128,\"unknown_assumed\":0,\"outcome_debug\":\"ClosureOutcome { name: \\\"s0\\\", cov: 0.625 }\\n\\u0001\xc3\xa9\"}}";
         let submit = Request::Submit {
             name: "arbiter2".into(),
@@ -2322,5 +2313,37 @@ mod tests {
         assert_eq!(Request::from_json(&frame).unwrap(), submit);
         let frame = read_frame(&mut &DONE[..], &mut buf).unwrap().unwrap();
         assert_eq!(Response::from_json(&frame).unwrap(), done);
+    }
+
+    /// The golden `Submit` payload as clients sent it while `WireConfig`
+    /// still had its three dispatch keys, at their old key positions.
+    fn legacy_submit(batched: bool, steal: bool, racing: bool) -> String {
+        let text = std::str::from_utf8(&SUBMIT[4..]).unwrap();
+        let legacy = text.replace(
+            "\"shards\":0,",
+            &format!("\"batched\":{batched},\"shards\":0,\"steal\":{steal},\"racing\":{racing},"),
+        );
+        assert_ne!(legacy, text);
+        legacy
+    }
+
+    #[test]
+    fn legacy_dispatch_keys_decode_to_the_same_config() {
+        let text = std::str::from_utf8(&SUBMIT[4..]).unwrap();
+        let golden = Request::from_json(&crate::json::parse(text).unwrap()).unwrap();
+        // `steal` and `racing` never changed a run's artifacts: ignored
+        // whatever they carry.
+        for (steal, racing) in [(false, false), (true, true)] {
+            let legacy = legacy_submit(true, steal, racing);
+            let decoded = Request::from_json(&crate::json::parse(&legacy).unwrap()).unwrap();
+            assert_eq!(decoded, golden);
+        }
+    }
+
+    #[test]
+    fn a_request_for_unbatched_verification_is_a_typed_error() {
+        let unbatched = legacy_submit(false, false, false);
+        let err = Request::from_json(&crate::json::parse(&unbatched).unwrap()).unwrap_err();
+        assert!(err.0.contains("'batched'"), "{}", err.0);
     }
 }

@@ -13,7 +13,7 @@
 //! delay stays within `[cap/2, cap] ⊆ [0, max]`.
 
 /// Bounded-retry knobs, embedded in
-/// [`crate::ServeConfig`](crate::ServeConfig).
+/// [`crate::ServeConfig`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// How many times a retryable failure is retried before the job

@@ -1,14 +1,11 @@
 //! The work-stealing scheduler.
 //!
 //! Each worker owns a local deque; jobs are dealt round-robin at
-//! submission, owners pop oldest-first from their own queue, and — under
-//! [`SchedPolicy::WorkStealing`] — an idle worker scans its peers in a
-//! fixed ring order and steals from the *back* of the first non-empty
-//! queue it finds. [`SchedPolicy::RoundRobin`] keeps the same static
-//! deal but never steals: that is the baseline whose idle-shard skew
-//! this module exists to fix (a few expensive designs bunched onto one
-//! worker leave the rest idle; see the `serve` bench kernels for the
-//! measured gap).
+//! submission, owners pop oldest-first from their own queue, and an
+//! idle worker scans its peers in a fixed ring order and steals from
+//! the *back* of the first non-empty queue it finds — so a few
+//! expensive designs bunched onto one worker never leave the rest idle
+//! (see the `serve` bench kernels).
 //!
 //! Scheduling never changes results: jobs are independent, results are
 //! merged back in submission order, and each job's outcome is identical
@@ -23,18 +20,6 @@ use goldmine::{CampaignJob, CampaignRun, CampaignSummary, Engine};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
-
-/// How the worker pool schedules its queues.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum SchedPolicy {
-    /// Static round-robin deal, no stealing — a skewed workload can
-    /// leave workers idle.
-    RoundRobin,
-    /// Round-robin deal plus idle-worker stealing (work-conserving).
-    /// The default.
-    #[default]
-    WorkStealing,
-}
 
 /// Counters from one scheduler run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -51,7 +36,6 @@ pub struct SchedStats {
 #[derive(Debug)]
 pub(crate) struct StealQueues<T> {
     queues: Vec<Mutex<VecDeque<T>>>,
-    policy: SchedPolicy,
     steals: AtomicU64,
     /// Wakes parked workers on new work or shutdown. Guarded by its own
     /// mutex: waiters re-check the queues after every wake.
@@ -60,12 +44,11 @@ pub(crate) struct StealQueues<T> {
 }
 
 impl<T> StealQueues<T> {
-    pub(crate) fn new(workers: usize, policy: SchedPolicy) -> Self {
+    pub(crate) fn new(workers: usize) -> Self {
         StealQueues {
             queues: (0..workers.max(1))
                 .map(|_| Mutex::new(VecDeque::new()))
                 .collect(),
-            policy,
             steals: AtomicU64::new(0),
             signal: Mutex::new(()),
             cv: Condvar::new(),
@@ -90,8 +73,8 @@ impl<T> StealQueues<T> {
     }
 
     /// Claims the next item for `worker`: oldest from its own queue,
-    /// else — under `WorkStealing` — from the back of the first
-    /// non-empty peer queue in ring order.
+    /// else from the back of the first non-empty peer queue in ring
+    /// order.
     pub(crate) fn pop(&self, worker: usize) -> Option<T> {
         if let Some(item) = self.queues[worker]
             .lock()
@@ -100,18 +83,16 @@ impl<T> StealQueues<T> {
         {
             return Some(item);
         }
-        if self.policy == SchedPolicy::WorkStealing {
-            let n = self.queues.len();
-            for step in 1..n {
-                let victim = (worker + step) % n;
-                if let Some(item) = self.queues[victim]
-                    .lock()
-                    .expect("queue poisoned")
-                    .pop_back()
-                {
-                    self.steals.fetch_add(1, Ordering::Relaxed);
-                    return Some(item);
-                }
+        let n = self.queues.len();
+        for step in 1..n {
+            let victim = (worker + step) % n;
+            if let Some(item) = self.queues[victim]
+                .lock()
+                .expect("queue poisoned")
+                .pop_back()
+            {
+                self.steals.fetch_add(1, Ordering::Relaxed);
+                return Some(item);
             }
         }
         None
@@ -139,26 +120,21 @@ impl<T> StealQueues<T> {
     }
 }
 
-/// Runs `jobs` on `workers` threads under `policy`, returning results
-/// in submission order plus the scheduler counters.
+/// Runs `jobs` on `workers` threads, returning results in submission
+/// order plus the scheduler counters.
 ///
 /// The deal is deterministic (job `i` lands on worker `i % workers`);
-/// under `WorkStealing` idle workers then rebalance dynamically. Each
-/// job runs exactly once, so the result vector is identical under both
-/// policies — only wall time and the steal counters differ.
-pub fn run_jobs_stats<T, R, F>(
-    jobs: Vec<T>,
-    workers: usize,
-    policy: SchedPolicy,
-    run: F,
-) -> (Vec<R>, SchedStats)
+/// idle workers then rebalance dynamically. Each job runs exactly once,
+/// so the result vector never depends on who stole what — only wall
+/// time and the steal counters do.
+pub fn run_jobs_stats<T, R, F>(jobs: Vec<T>, workers: usize, run: F) -> (Vec<R>, SchedStats)
 where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Sync,
 {
     let workers = workers.max(1).min(jobs.len().max(1));
-    let queues: StealQueues<(usize, T)> = StealQueues::new(workers, policy);
+    let queues: StealQueues<(usize, T)> = StealQueues::new(workers);
     let total = jobs.len();
     for (i, job) in jobs.into_iter().enumerate() {
         queues.push(i % workers, (i, job));
@@ -198,13 +174,13 @@ where
 }
 
 /// [`run_jobs_stats`] without the counters.
-pub fn run_jobs<T, R, F>(jobs: Vec<T>, workers: usize, policy: SchedPolicy, run: F) -> Vec<R>
+pub fn run_jobs<T, R, F>(jobs: Vec<T>, workers: usize, run: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    run_jobs_stats(jobs, workers, policy, run).0
+    run_jobs_stats(jobs, workers, run).0
 }
 
 /// Runs a batch of closure jobs — [`goldmine::Campaign`] jobs, e.g.
@@ -215,7 +191,7 @@ where
 /// # Examples
 ///
 /// ```
-/// use gm_serve::{run_campaign, SchedPolicy};
+/// use gm_serve::run_campaign;
 /// use goldmine::{Campaign, EngineConfig, SeedStimulus};
 ///
 /// let mut campaign = Campaign::new();
@@ -228,16 +204,12 @@ where
 ///     ..EngineConfig::default()
 /// };
 /// campaign.push("m", module, config);
-/// let summary = run_campaign(campaign.into_jobs(), 2, SchedPolicy::WorkStealing);
+/// let summary = run_campaign(campaign.into_jobs(), 2);
 /// assert!(summary.all_converged());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn run_campaign(
-    jobs: Vec<CampaignJob>,
-    workers: usize,
-    policy: SchedPolicy,
-) -> CampaignSummary {
-    let runs = run_jobs(jobs, workers, policy, |job: CampaignJob| {
+pub fn run_campaign(jobs: Vec<CampaignJob>, workers: usize) -> CampaignSummary {
+    let runs = run_jobs(jobs, workers, |job: CampaignJob| {
         let outcome = Engine::new(&job.module, job.config.clone()).and_then(|engine| engine.run());
         CampaignRun {
             name: job.name,
@@ -253,15 +225,10 @@ mod tests {
 
     #[test]
     fn all_jobs_run_once_in_submission_order() {
-        for policy in [SchedPolicy::RoundRobin, SchedPolicy::WorkStealing] {
-            let jobs: Vec<u64> = (0..23).collect();
-            let (results, stats) = run_jobs_stats(jobs, 4, policy, |j| j * 2);
-            assert_eq!(results, (0..23).map(|j| j * 2).collect::<Vec<_>>());
-            assert_eq!(stats.per_worker.iter().sum::<u64>(), 23);
-            if policy == SchedPolicy::RoundRobin {
-                assert_eq!(stats.steals, 0, "round-robin never steals");
-            }
-        }
+        let jobs: Vec<u64> = (0..23).collect();
+        let (results, stats) = run_jobs_stats(jobs, 4, |j| j * 2);
+        assert_eq!(results, (0..23).map(|j| j * 2).collect::<Vec<_>>());
+        assert_eq!(stats.per_worker.iter().sum::<u64>(), 23);
     }
 
     #[test]
@@ -275,7 +242,7 @@ mod tests {
             }
             j
         };
-        let (_, stats) = run_jobs_stats(jobs, 4, SchedPolicy::WorkStealing, slow);
+        let (_, stats) = run_jobs_stats(jobs, 4, slow);
         assert!(
             stats.steals > 0,
             "idle workers must steal the skewed tail: {stats:?}"
@@ -284,8 +251,7 @@ mod tests {
 
     #[test]
     fn single_worker_degenerates_to_sequential() {
-        let (results, stats) =
-            run_jobs_stats(vec![1, 2, 3], 1, SchedPolicy::WorkStealing, |j| j + 1);
+        let (results, stats) = run_jobs_stats(vec![1, 2, 3], 1, |j| j + 1);
         assert_eq!(results, vec![2, 3, 4]);
         assert_eq!(stats.steals, 0);
         assert_eq!(stats.per_worker, vec![3]);

@@ -55,7 +55,7 @@ use crate::protocol::{
     WireCountHistogram, WireHistogram,
 };
 use crate::retry::RetryPolicy;
-use crate::scheduler::{SchedPolicy, StealQueues};
+use crate::scheduler::StealQueues;
 use gm_mc::{Checker, SessionStats};
 use gm_rtl::{Elab, Module};
 use goldmine::{
@@ -81,8 +81,6 @@ pub struct ServeConfig {
     /// memory while tiny warm designs are evicted by the entry count.
     /// See [`DesignCache::with_max_bytes`].
     pub cache_max_bytes: usize,
-    /// Queue discipline (work-stealing by default).
-    pub policy: SchedPolicy,
     /// Keep verification memos warm across runs of the same design.
     /// Off by default: warm memos change the work counters embedded in
     /// the outcome's iteration reports (verdicts and artifacts stay
@@ -129,7 +127,6 @@ impl Default for ServeConfig {
             workers: 0,
             cache_capacity: 8,
             cache_max_bytes: 0,
-            policy: SchedPolicy::WorkStealing,
             warm_memo: false,
             retain_jobs: 1024,
             warm_memo_capacity: 4096,
@@ -231,12 +228,17 @@ impl From<EngineError> for JobError {
     }
 }
 
-/// Per-submission options for [`ClosureService::submit_module_opts`] /
-/// [`ClosureService::submit_source_opts`].
+/// Per-submission options for [`ClosureService::submit_module`] /
+/// [`ClosureService::submit_source`] and, over the socket,
+/// [`crate::ServeClient::submit_with`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SubmitOptions {
-    /// Capture a per-job flight recording (see
-    /// [`ClosureService::submit_module_traced`]).
+    /// Capture a per-job flight recording: structured spans for the
+    /// job's whole claim→retire window (engine iterations, SAT queries,
+    /// simulation batches, cache interactions), retrievable as Chrome
+    /// trace-event JSON via [`ClosureService::trace_json`] once
+    /// terminal. Tracing never changes the outcome — the `trace_agree`
+    /// suite proves byte-identity recorder on/off.
     pub trace: bool,
     /// Per-job deadline in milliseconds from submission. `None` falls
     /// back to [`ServeConfig::default_deadline_ms`]; an explicit
@@ -488,7 +490,7 @@ struct Shared {
 /// # Examples
 ///
 /// ```
-/// use gm_serve::{ClosureService, ServeConfig};
+/// use gm_serve::{ClosureService, ServeConfig, SubmitOptions};
 /// use goldmine::{EngineConfig, SeedStimulus};
 ///
 /// let service = ClosureService::new(ServeConfig { workers: 2, ..ServeConfig::default() });
@@ -500,7 +502,8 @@ struct Shared {
 ///     record_coverage: false,
 ///     ..EngineConfig::default()
 /// };
-/// let (job, cached) = service.submit_module("andgate", module, config)?;
+/// let (job, cached) =
+///     service.submit_module("andgate", module, config, SubmitOptions::default())?;
 /// assert!(!cached, "first submission is a cache miss");
 /// service.wait(job);
 /// let outcome = service.take_outcome(job).unwrap()?;
@@ -517,9 +520,8 @@ impl std::fmt::Debug for ClosureService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "ClosureService({} workers, {:?})",
-            self.shared.queues.worker_count(),
-            self.shared.config.policy
+            "ClosureService({} workers)",
+            self.shared.queues.worker_count()
         )
     }
 }
@@ -544,7 +546,7 @@ impl ClosureService {
             config.workers
         };
         let shared = Arc::new(Shared {
-            queues: StealQueues::new(workers, config.policy),
+            queues: StealQueues::new(workers),
             state: Mutex::new(State {
                 jobs: HashMap::new(),
                 finished: std::collections::VecDeque::new(),
@@ -595,52 +597,14 @@ impl ClosureService {
         lock_state(&self.shared.state)
     }
 
-    /// Submits Verilog source with a wire config (the socket path).
+    /// Submits Verilog source with a wire config (the socket path);
+    /// `opts` as for [`ClosureService::submit_module`].
     ///
     /// # Errors
     ///
     /// Fails on parse, elaboration or target-resolution errors, when
     /// admission control sheds the request, or after shutdown.
     pub fn submit_source(
-        &self,
-        name: &str,
-        source: &str,
-        wire: &WireConfig,
-    ) -> Result<(u64, bool), ServeError> {
-        self.submit_source_opts(name, source, wire, SubmitOptions::default())
-    }
-
-    /// [`ClosureService::submit_source`] with an optional per-job
-    /// flight recorder (see [`ClosureService::submit_module_traced`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`ClosureService::submit_source`].
-    pub fn submit_source_traced(
-        &self,
-        name: &str,
-        source: &str,
-        wire: &WireConfig,
-        trace: bool,
-    ) -> Result<(u64, bool), ServeError> {
-        self.submit_source_opts(
-            name,
-            source,
-            wire,
-            SubmitOptions {
-                trace,
-                ..SubmitOptions::default()
-            },
-        )
-    }
-
-    /// [`ClosureService::submit_source`] with full per-submission
-    /// options (tracing, deadline).
-    ///
-    /// # Errors
-    ///
-    /// As [`ClosureService::submit_source`].
-    pub fn submit_source_opts(
         &self,
         name: &str,
         source: &str,
@@ -652,62 +616,20 @@ impl ClosureService {
         let config = wire
             .to_engine(&module)
             .map_err(|e| ServeError::Rejected(e.to_string()))?;
-        self.submit_module_opts(name, module, config, opts)
+        self.submit_module(name, module, config, opts)
     }
 
     /// Submits a parsed module with a resolved engine config (the
     /// in-process path). Returns the job id and whether the design's
-    /// artifacts were already cached.
+    /// artifacts were already cached. `opts` carries the
+    /// per-submission extras — a flight recording, a deadline — and
+    /// [`SubmitOptions::default`] asks for neither.
     ///
     /// # Errors
     ///
     /// Fails on elaboration errors, when admission control sheds the
     /// request, or after shutdown.
     pub fn submit_module(
-        &self,
-        name: &str,
-        module: Module,
-        config: EngineConfig,
-    ) -> Result<(u64, bool), ServeError> {
-        self.submit_module_opts(name, module, config, SubmitOptions::default())
-    }
-
-    /// [`ClosureService::submit_module`] with an optional per-job
-    /// flight recorder: when `trace` is set the job captures structured
-    /// spans for its whole claim→retire window (engine iterations, SAT
-    /// queries, simulation batches, cache interactions), retrievable as
-    /// Chrome trace-event JSON via [`ClosureService::trace_json`] once
-    /// terminal. Tracing never changes the outcome — the `trace_agree`
-    /// suite proves byte-identity recorder on/off.
-    ///
-    /// # Errors
-    ///
-    /// As [`ClosureService::submit_module`].
-    pub fn submit_module_traced(
-        &self,
-        name: &str,
-        module: Module,
-        config: EngineConfig,
-        trace: bool,
-    ) -> Result<(u64, bool), ServeError> {
-        self.submit_module_opts(
-            name,
-            module,
-            config,
-            SubmitOptions {
-                trace,
-                ..SubmitOptions::default()
-            },
-        )
-    }
-
-    /// [`ClosureService::submit_module`] with full per-submission
-    /// options (tracing, deadline).
-    ///
-    /// # Errors
-    ///
-    /// As [`ClosureService::submit_module`].
-    pub fn submit_module_opts(
         &self,
         name: &str,
         module: Module,
@@ -936,7 +858,7 @@ impl ClosureService {
     }
 
     /// A terminal traced job's flight recording as Chrome trace-event
-    /// JSON (see [`ClosureService::submit_module_traced`]). Exported on
+    /// JSON (see [`SubmitOptions::trace`]). Exported on
     /// demand from the job's sink; repeat calls re-export the same
     /// recording.
     ///
@@ -1035,7 +957,7 @@ impl ClosureService {
                     trace: *trace,
                     deadline_ms: *deadline_ms,
                 };
-                match self.submit_source_opts(name, source, config, opts) {
+                match self.submit_source(name, source, config, opts) {
                     Ok((job, cached)) => Response::Submitted { job, cached },
                     Err(ServeError::Overloaded { queued, limit }) => {
                         Response::Overloaded { queued, limit }
@@ -1731,31 +1653,21 @@ fn run_attempt(
     let (outcome, reclaimed) = match checker_result {
         Err(e) => (Err(EngineError::from(e)), None),
         Ok(checker) => {
-            match Engine::with_artifacts_compiled(module, elab, checker, compiled, config) {
-                // `with_artifacts_compiled` is infallible today (its
-                // `Result` covers future fallible mining-spec
-                // construction); if it ever gains real failure modes it
-                // should hand the checker back on error so this arm can
-                // re-park it instead of dropping the design's warm state.
-                Err(e) => (Err(e), None),
-                Ok(engine) => {
-                    let shared_for_progress = shared.clone();
-                    let observed_cancel = &mut observed_cancel;
-                    let job_cancel = cancel.clone();
-                    let (outcome, checker) =
-                        engine.with_cancel(cancel.clone()).run_reclaim(|report| {
-                            let mut st = lock_state(&shared_for_progress.state);
-                            if let Some(job) = st.jobs.get_mut(&id) {
-                                job.progress.push(ProgressEvent::from_report(report));
-                            }
-                            if job_cancel.load(Ordering::Acquire) {
-                                *observed_cancel = true;
-                            }
-                            !*observed_cancel
-                        });
-                    (outcome, Some(checker))
+            let engine = Engine::with_artifacts(module, elab, checker, compiled, config);
+            let shared_for_progress = shared.clone();
+            let observed_cancel = &mut observed_cancel;
+            let job_cancel = cancel.clone();
+            let (outcome, checker) = engine.with_cancel(cancel.clone()).run_reclaim(|report| {
+                let mut st = lock_state(&shared_for_progress.state);
+                if let Some(job) = st.jobs.get_mut(&id) {
+                    job.progress.push(ProgressEvent::from_report(report));
                 }
-            }
+                if job_cancel.load(Ordering::Acquire) {
+                    *observed_cancel = true;
+                }
+                !*observed_cancel
+            });
+            (outcome, Some(checker))
         }
     };
     Attempt {
@@ -1792,7 +1704,7 @@ mod tests {
         });
         let src = "module m(input a, input b, output y); assign y = a ^ b; endmodule";
         let (first, cached) = service
-            .submit_module("m", parse(src), tiny_config())
+            .submit_module("m", parse(src), tiny_config(), SubmitOptions::default())
             .unwrap();
         assert!(!cached);
         assert_eq!(service.wait(first), Some(JobState::Done));
@@ -1801,7 +1713,12 @@ mod tests {
 
         // Same design again: a cache hit, with an identical outcome.
         let (second, cached) = service
-            .submit_module("m-again", parse(src), tiny_config())
+            .submit_module(
+                "m-again",
+                parse(src),
+                tiny_config(),
+                SubmitOptions::default(),
+            )
             .unwrap();
         assert!(cached);
         service.wait(second);
@@ -1830,7 +1747,9 @@ mod tests {
             record_coverage: false,
             ..EngineConfig::default()
         };
-        let (job, _) = service.submit_module("arbiter2", module, config).unwrap();
+        let (job, _) = service
+            .submit_module("arbiter2", module, config, SubmitOptions::default())
+            .unwrap();
         service.wait(job);
         let (events, terminal) = service.progress(job, 0).unwrap();
         assert!(terminal);
@@ -1853,13 +1772,19 @@ mod tests {
         });
         let module = gm_designs::arbiter4();
         let (slow, _) = service
-            .submit_module("slow", module, EngineConfig::default())
+            .submit_module(
+                "slow",
+                module,
+                EngineConfig::default(),
+                SubmitOptions::default(),
+            )
             .unwrap();
         let (victim, _) = service
             .submit_module(
                 "victim",
                 parse("module v(input a, output y); assign y = a; endmodule"),
                 tiny_config(),
+                SubmitOptions::default(),
             )
             .unwrap();
         assert!(service.cancel(victim));
@@ -1880,7 +1805,12 @@ mod tests {
         let ids: Vec<u64> = (0..4)
             .map(|i| {
                 let (id, _) = service
-                    .submit_module(&format!("r{i}"), parse(src), tiny_config())
+                    .submit_module(
+                        &format!("r{i}"),
+                        parse(src),
+                        tiny_config(),
+                        SubmitOptions::default(),
+                    )
                     .unwrap();
                 service.wait(id);
                 id
@@ -1905,7 +1835,7 @@ mod tests {
         });
         let src = "module pin(input a, input b, output y); assign y = a & b; endmodule";
         let (ran, _) = service
-            .submit_module("pin", parse(src), tiny_config())
+            .submit_module("pin", parse(src), tiny_config(), SubmitOptions::default())
             .unwrap();
         assert_eq!(service.wait(ran), Some(JobState::Done));
         // Weak handles on the design's elaboration and the tape the job
@@ -1931,10 +1861,20 @@ mod tests {
         // while queued behind a slow job, holding the tape it checked
         // out at submission.
         let (slow, _) = service
-            .submit_module("slow", gm_designs::arbiter4(), EngineConfig::default())
+            .submit_module(
+                "slow",
+                gm_designs::arbiter4(),
+                EngineConfig::default(),
+                SubmitOptions::default(),
+            )
             .unwrap();
         let (unclaimed, cached) = service
-            .submit_module("pin-again", parse(src), tiny_config())
+            .submit_module(
+                "pin-again",
+                parse(src),
+                tiny_config(),
+                SubmitOptions::default(),
+            )
             .unwrap();
         assert!(cached);
         assert!(service.cancel(unclaimed));
@@ -1946,7 +1886,7 @@ mod tests {
                 "module {name}(input a, input b, output y); assign y = a {op} b; endmodule"
             );
             let (id, _) = service
-                .submit_module(name, parse(&src), tiny_config())
+                .submit_module(name, parse(&src), tiny_config(), SubmitOptions::default())
                 .unwrap();
             assert_eq!(service.wait(id), Some(JobState::Done));
         }
@@ -1983,7 +1923,9 @@ mod tests {
             backend: gm_mc::Backend::Explicit,
             ..tiny_config()
         };
-        let (job, _) = service.submit_module("wide", module, config).unwrap();
+        let (job, _) = service
+            .submit_module("wide", module, config, SubmitOptions::default())
+            .unwrap();
         assert_eq!(service.wait(job), Some(JobState::Failed));
         let status = service.status(job).unwrap();
         assert!(status.error.is_some(), "{status:?}");
@@ -2004,10 +1946,18 @@ mod tests {
         });
         let src = "module t(input a, input b, output y); assign y = a & b; endmodule";
         let (traced, _) = service
-            .submit_module_traced("traced", parse(src), tiny_config(), true)
+            .submit_module(
+                "traced",
+                parse(src),
+                tiny_config(),
+                SubmitOptions {
+                    trace: true,
+                    ..SubmitOptions::default()
+                },
+            )
             .unwrap();
         let (plain, _) = service
-            .submit_module("plain", parse(src), tiny_config())
+            .submit_module("plain", parse(src), tiny_config(), SubmitOptions::default())
             .unwrap();
         service.wait(traced);
         service.wait(plain);
@@ -2089,6 +2039,7 @@ mod tests {
                         &format!("job{i}"),
                         parse("module d(input a, input b, output y); assign y = a | b; endmodule"),
                         tiny_config(),
+                        SubmitOptions::default(),
                     )
                     .unwrap()
                     .0
@@ -2106,7 +2057,8 @@ mod tests {
             service.submit_module(
                 "late",
                 parse("module z(input a, output y); assign y = a; endmodule"),
-                tiny_config()
+                tiny_config(),
+                SubmitOptions::default()
             ),
             Err(ServeError::ShutDown),
             "submissions after shutdown are rejected"
@@ -2124,10 +2076,15 @@ mod tests {
         });
         let src = "module o(input a, output y); assign y = a; endmodule";
         let (defaulted, _) = service
-            .submit_module("defaulted", parse(src), tiny_config())
+            .submit_module(
+                "defaulted",
+                parse(src),
+                tiny_config(),
+                SubmitOptions::default(),
+            )
             .unwrap();
         let (opted_out, _) = service
-            .submit_module_opts(
+            .submit_module(
                 "opted-out",
                 parse(src),
                 tiny_config(),

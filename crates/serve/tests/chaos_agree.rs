@@ -10,7 +10,9 @@
 //!
 //! Fault arming is process-global, so every test in this binary holds
 //! the `CHAOS` mutex for its whole body (CI additionally runs this
-//! binary with `--test-threads=1`).
+//! binary with `--test-threads=1`, and with `GM_TEST_SHARDS=<n>` to
+//! put the sweep's engines on a fixed shard count, so faults land on
+//! shard workers too).
 
 use gm_serve::{
     ClosureService, JobError, JobState, Request, Response, RetryPolicy, ServeConfig, ServeError,
@@ -37,6 +39,15 @@ fn chaos_retry() -> RetryPolicy {
     }
 }
 
+/// The shard policy under test: `GM_TEST_SHARDS=<n>` forces
+/// `Fixed(n)` (the CI chaos leg), otherwise the default `Off`.
+fn shard_policy_under_test() -> ShardPolicy {
+    match std::env::var("GM_TEST_SHARDS") {
+        Ok(v) => ShardPolicy::Fixed(v.parse().expect("GM_TEST_SHARDS must be a number")),
+        Err(_) => ShardPolicy::Off,
+    }
+}
+
 /// Fast bounded catalog designs for the sweep (the agreement property
 /// needs real engine runs, not big ones).
 fn sweep_jobs() -> Vec<(String, gm_rtl::Module, EngineConfig)> {
@@ -59,6 +70,7 @@ fn sweep_jobs() -> Vec<(String, gm_rtl::Module, EngineConfig)> {
                 backend: gm_mc::Backend::Auto,
                 max_iterations: 10,
                 unknown: UnknownPolicy::AssumeTrue,
+                shards: shard_policy_under_test(),
                 record_coverage: false,
                 ..EngineConfig::default()
             };
@@ -166,7 +178,12 @@ fn seeded_fault_sweeps_preserve_outcomes_byte_for_byte() {
             .iter()
             .map(|(name, module, config)| {
                 service
-                    .submit_module(name, module.clone(), config.clone())
+                    .submit_module(
+                        name,
+                        module.clone(),
+                        config.clone(),
+                        SubmitOptions::default(),
+                    )
                     .unwrap()
                     .0
             })
@@ -242,7 +259,7 @@ fn deadlines_cut_stalled_jobs_loose_with_the_typed_error() {
         gm_fault::arm(gm_fault::FaultPlan::new(7).point_limited("sat.stall", gm_fault::PPM, 1));
     let submitted_at = Instant::now();
     let (job, _) = service
-        .submit_module_opts(
+        .submit_module(
             "stalled",
             module,
             config,
@@ -273,7 +290,12 @@ fn deadlines_cut_stalled_jobs_loose_with_the_typed_error() {
 
     // The worker survived the stalled job and keeps serving.
     let (next, _) = service
-        .submit_module("after-stall", tiny_module(), tiny_config())
+        .submit_module(
+            "after-stall",
+            tiny_module(),
+            tiny_config(),
+            SubmitOptions::default(),
+        )
         .unwrap();
     assert_eq!(service.wait(next), Some(JobState::Done));
     service.shutdown();
@@ -291,13 +313,13 @@ fn queued_jobs_expire_at_their_deadline_without_running() {
     });
     let (slow_module, slow_config) = slow_job();
     let (slow, _) = service
-        .submit_module("hog", slow_module, slow_config)
+        .submit_module("hog", slow_module, slow_config, SubmitOptions::default())
         .unwrap();
     poll_until(&service, slow, Duration::from_secs(30), |s| {
         s.state == JobState::Running
     });
     let (victim, _) = service
-        .submit_module_opts(
+        .submit_module(
             "expiring",
             tiny_module(),
             tiny_config(),
@@ -331,16 +353,26 @@ fn overload_sheds_submissions_with_the_typed_refusal() {
     });
     let (slow_module, slow_config) = slow_job();
     let (slow, _) = service
-        .submit_module("hog", slow_module, slow_config)
+        .submit_module("hog", slow_module, slow_config, SubmitOptions::default())
         .unwrap();
     poll_until(&service, slow, Duration::from_secs(30), |s| {
         s.state == JobState::Running
     });
     // The queue takes exactly one job; the next submission is shed.
     let (queued, _) = service
-        .submit_module("queued", tiny_module(), tiny_config())
+        .submit_module(
+            "queued",
+            tiny_module(),
+            tiny_config(),
+            SubmitOptions::default(),
+        )
         .unwrap();
-    match service.submit_module("shed", tiny_module(), tiny_config()) {
+    match service.submit_module(
+        "shed",
+        tiny_module(),
+        tiny_config(),
+        SubmitOptions::default(),
+    ) {
         Err(ServeError::Overloaded {
             queued: 1,
             limit: 1,
@@ -388,7 +420,12 @@ fn the_supervisor_respawns_dead_workers() {
         ..ServeConfig::default()
     });
     let (job, _) = service
-        .submit_module("survivor", tiny_module(), tiny_config())
+        .submit_module(
+            "survivor",
+            tiny_module(),
+            tiny_config(),
+            SubmitOptions::default(),
+        )
         .unwrap();
     assert_eq!(service.wait(job), Some(JobState::Done));
     assert_eq!(fault.fired("worker.exit"), 1, "the exit must have fired");
@@ -413,7 +450,7 @@ fn shutdown_drain_is_bounded_by_the_drain_timeout() {
     });
     let (slow_module, slow_config) = slow_job();
     let (slow, _) = service
-        .submit_module("hog", slow_module, slow_config)
+        .submit_module("hog", slow_module, slow_config, SubmitOptions::default())
         .unwrap();
     poll_until(&service, slow, Duration::from_secs(30), |s| {
         s.state == JobState::Running

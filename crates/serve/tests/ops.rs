@@ -6,10 +6,10 @@
 
 use gm_mc::Checker;
 use gm_serve::cache::{canonical_form, DesignCache};
-use gm_serve::{ClosureService, JobState, Request, Response, ServeConfig};
+use gm_serve::{ClosureService, JobState, Request, Response, ServeConfig, SubmitOptions};
 use goldmine::{EngineConfig, SeedStimulus, ShardPolicy, TargetSelection};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -83,7 +83,9 @@ fn cancellation_frees_the_worker_mid_iteration() {
         shards: ShardPolicy::Off,
         ..EngineConfig::default()
     };
-    let (job, _) = service.submit_module("cnt16", m, config).unwrap();
+    let (job, _) = service
+        .submit_module("cnt16", m, config, SubmitOptions::default())
+        .unwrap();
 
     // Wait for the slow verification pass: the iteration-0 snapshot has
     // been reported (progress_len >= 1) and the worker is inside the
@@ -115,7 +117,9 @@ fn cancellation_frees_the_worker_mid_iteration() {
 
     // The freed worker picks up new work immediately.
     let (m, config) = tiny_job();
-    let (next, _) = service.submit_module("and2", m, config).unwrap();
+    let (next, _) = service
+        .submit_module("and2", m, config, SubmitOptions::default())
+        .unwrap();
     assert_eq!(service.wait(next), Some(JobState::Done));
     service.shutdown();
 }
@@ -246,12 +250,17 @@ fn concurrent_metrics_scrapes_are_internally_consistent() {
         ..ServeConfig::default()
     }));
     let stop = Arc::new(AtomicBool::new(false));
+    // Scrapers that have taken their first snapshot: the jobs start
+    // only once all four are scraping, so the snapshots race the job
+    // flow however the host schedules the threads.
+    let scraping = Arc::new(AtomicUsize::new(0));
 
     std::thread::scope(|s| {
         let scrapers: Vec<_> = (0..4)
             .map(|_| {
                 let service = service.clone();
                 let stop = stop.clone();
+                let scraping = scraping.clone();
                 s.spawn(move || {
                     let mut scrapes = 0u64;
                     while !stop.load(Ordering::Acquire) {
@@ -296,16 +305,25 @@ fn concurrent_metrics_scrapes_are_internally_consistent() {
                             "retry observations outnumber retired jobs"
                         );
                         scrapes += 1;
+                        if scrapes == 1 {
+                            scraping.fetch_add(1, Ordering::Release);
+                        }
                     }
                     scrapes
                 })
             })
             .collect();
+        // (A scraper that panicked shows up at the join below.)
+        while scraping.load(Ordering::Acquire) < 4 && !scrapers.iter().any(|h| h.is_finished()) {
+            std::thread::yield_now();
+        }
 
         let mut jobs = Vec::new();
         for i in 0..24 {
             let (m, config) = tiny_job();
-            let (job, _) = service.submit_module("and2", m, config).unwrap();
+            let (job, _) = service
+                .submit_module("and2", m, config, SubmitOptions::default())
+                .unwrap();
             // Cancel a third of them so every lifecycle counter moves.
             if i % 3 == 0 {
                 service.cancel(job);

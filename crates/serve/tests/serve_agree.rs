@@ -5,7 +5,7 @@
 //! rebuild, and over the Unix-socket wire.
 
 use gm_rtl::{Module, SignalId};
-use gm_serve::{ClosureService, JobState, SchedPolicy, ServeClient, ServeConfig, WireConfig};
+use gm_serve::{ClosureService, JobState, ServeClient, ServeConfig, SubmitOptions, WireConfig};
 use goldmine::{
     ClosureOutcome, Engine, EngineConfig, SeedStimulus, TargetSelection, UnknownPolicy,
 };
@@ -102,46 +102,40 @@ fn baselines_for(names: &[&str]) -> Vec<&'static Baseline> {
 
 #[test]
 fn served_outcomes_match_standalone_across_the_catalog_under_both_policies() {
-    for policy in [SchedPolicy::RoundRobin, SchedPolicy::WorkStealing] {
-        let jobs: Vec<&Baseline> = baselines().iter().collect();
-        let expected: Vec<String> = jobs.iter().map(|b| format!("{:?}", b.outcome)).collect();
-        let service = ClosureService::new(ServeConfig {
-            workers: 3,
-            cache_capacity: 16,
-            policy,
-            ..ServeConfig::default()
-        });
-        let ids: Vec<u64> = jobs
-            .iter()
-            .map(|b| {
-                service
-                    .submit_module(&b.name, b.module.clone(), b.config.clone())
-                    .unwrap()
-                    .0
-            })
-            .collect();
-        for ((id, expect), b) in ids.into_iter().zip(&expected).zip(&jobs) {
-            assert_eq!(
-                service.wait(id),
-                Some(JobState::Done),
-                "{} under {policy:?}",
-                b.name
-            );
-            let outcome = service.take_outcome(id).unwrap().unwrap();
-            assert_eq!(
-                format!("{outcome:?}"),
-                *expect,
-                "{}: served outcome diverged from standalone under {policy:?}",
-                b.name
-            );
-        }
-        let stats = service.stats();
-        assert_eq!(stats.completed, jobs.len() as u64);
-        if policy == SchedPolicy::RoundRobin {
-            assert_eq!(stats.steals, 0, "round-robin must never steal");
-        }
-        service.shutdown();
+    let jobs: Vec<&Baseline> = baselines().iter().collect();
+    let expected: Vec<String> = jobs.iter().map(|b| format!("{:?}", b.outcome)).collect();
+    let service = ClosureService::new(ServeConfig {
+        workers: 3,
+        cache_capacity: 16,
+        ..ServeConfig::default()
+    });
+    let ids: Vec<u64> = jobs
+        .iter()
+        .map(|b| {
+            service
+                .submit_module(
+                    &b.name,
+                    b.module.clone(),
+                    b.config.clone(),
+                    SubmitOptions::default(),
+                )
+                .unwrap()
+                .0
+        })
+        .collect();
+    for ((id, expect), b) in ids.into_iter().zip(&expected).zip(&jobs) {
+        assert_eq!(service.wait(id), Some(JobState::Done), "{}", b.name);
+        let outcome = service.take_outcome(id).unwrap().unwrap();
+        assert_eq!(
+            format!("{outcome:?}"),
+            *expect,
+            "{}: served outcome diverged from standalone",
+            b.name
+        );
     }
+    let stats = service.stats();
+    assert_eq!(stats.completed, jobs.len() as u64);
+    service.shutdown();
 }
 
 #[test]
@@ -167,6 +161,7 @@ fn concurrent_multi_client_submissions_agree_with_standalone() {
                             &format!("{}-client{client}", b.name),
                             b.module.clone(),
                             b.config.clone(),
+                            SubmitOptions::default(),
                         )
                         .unwrap();
                     assert_eq!(service.wait(id), Some(JobState::Done));
@@ -202,7 +197,12 @@ fn cache_eviction_and_rebuild_never_change_outcomes() {
     for round in 0..2 {
         for (b, expect) in jobs.iter().zip(&expected) {
             let (id, _) = service
-                .submit_module(&b.name, b.module.clone(), b.config.clone())
+                .submit_module(
+                    &b.name,
+                    b.module.clone(),
+                    b.config.clone(),
+                    SubmitOptions::default(),
+                )
                 .unwrap();
             assert_eq!(service.wait(id), Some(JobState::Done));
             let outcome = service.take_outcome(id).unwrap().unwrap();
@@ -237,7 +237,12 @@ fn warm_memo_mode_keeps_verdicts_and_artifacts_identical() {
     });
     for round in 0..2 {
         let (id, _) = service
-            .submit_module(&b.name, b.module.clone(), b.config.clone())
+            .submit_module(
+                &b.name,
+                b.module.clone(),
+                b.config.clone(),
+                SubmitOptions::default(),
+            )
             .unwrap();
         service.wait(id);
         let outcome = service.take_outcome(id).unwrap().unwrap();
@@ -270,7 +275,15 @@ fn traced_served_runs_agree_and_export_loadable_recordings() {
     });
     for b in &jobs {
         let (id, _) = service
-            .submit_module_traced(&b.name, b.module.clone(), b.config.clone(), true)
+            .submit_module(
+                &b.name,
+                b.module.clone(),
+                b.config.clone(),
+                SubmitOptions {
+                    trace: true,
+                    ..SubmitOptions::default()
+                },
+            )
             .unwrap();
         assert_eq!(service.wait(id), Some(JobState::Done), "{}", b.name);
         let outcome = service.take_outcome(id).unwrap().unwrap();
@@ -332,7 +345,15 @@ fn traces_and_histograms_travel_the_socket() {
 
     let mut client = ServeClient::connect(&path).unwrap();
     let (job, _) = client
-        .submit_traced("arbiter2", gm_designs::sources::ARBITER2, &wire, true)
+        .submit_with(
+            "arbiter2",
+            gm_designs::sources::ARBITER2,
+            &wire,
+            SubmitOptions {
+                trace: true,
+                ..SubmitOptions::default()
+            },
+        )
         .unwrap();
     // Traces are refused until the job is terminal or when it was
     // submitted untraced.

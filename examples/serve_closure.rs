@@ -21,7 +21,7 @@
 //! to a path to save it (load the file in Perfetto / `chrome://tracing`
 //! to see the queue/engine/solver span tree).
 
-use gm_serve::{ClosureService, ServeClient, ServeConfig, WireConfig};
+use gm_serve::{ClosureService, ServeClient, ServeConfig, SubmitOptions, WireConfig};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -125,11 +125,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // that ask for it, and the trace is served once the job is
     // terminal.
     let design = gm_designs::by_name("arbiter2").expect("catalog design");
-    let (traced_job, _) = conn.submit_traced(
+    let (traced_job, _) = conn.submit_with(
         "arbiter2-traced",
         design.source,
         &wire_config(&design),
-        true,
+        SubmitOptions {
+            trace: true,
+            ..SubmitOptions::default()
+        },
     )?;
     conn.wait(traced_job)?;
     let trace = conn.trace(traced_job)?;

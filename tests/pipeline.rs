@@ -11,7 +11,6 @@
 
 use gm_mc::Backend;
 use gm_rtl::SignalId;
-use gm_serve::SchedPolicy;
 use goldmine::{
     Campaign, CampaignSummary, Engine, EngineConfig, SeedStimulus, ShardPolicy, TargetSelection,
     UnknownPolicy,
@@ -21,7 +20,7 @@ use goldmine::{
 /// per core, like `Campaign::run`).
 fn run_stealing(campaign: Campaign) -> CampaignSummary {
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-    gm_serve::run_campaign(campaign.into_jobs(), workers, SchedPolicy::WorkStealing)
+    gm_serve::run_campaign(campaign.into_jobs(), workers)
 }
 
 fn one_bit_targets(m: &gm_rtl::Module) -> Vec<(SignalId, u32)> {
