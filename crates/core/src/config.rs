@@ -178,8 +178,8 @@ pub struct EngineConfig {
     /// Every backend produces a byte-identical [`crate::ClosureOutcome`]
     /// — the compiled tape is proven trace- and coverage-identical to
     /// the interpreter by `sim/compiled_agree`, for every lane-block
-    /// width. The default is the 64-lane compiled backend;
-    /// [`SimBackend::CompiledBatchWide`] widens a pass to up to 512
+    /// width. The default is the 64-lane compiled backend; a wider
+    /// [`SimBackend::CompiledBatch`] block takes a pass to up to 512
     /// stimulus vectors for suite-heavy workloads.
     pub sim_backend: SimBackend,
 }

@@ -303,10 +303,10 @@ fn closure_outcomes_byte_identical_across_sim_backends() {
         let backends = [
             goldmine::SimBackend::Interpreter,
             goldmine::SimBackend::CompiledScalar,
-            goldmine::SimBackend::CompiledBatch,
-            goldmine::SimBackend::CompiledBatchWide(2),
-            goldmine::SimBackend::CompiledBatchWide(4),
-            goldmine::SimBackend::CompiledBatchWide(8),
+            goldmine::SimBackend::CompiledBatch(1),
+            goldmine::SimBackend::CompiledBatch(2),
+            goldmine::SimBackend::CompiledBatch(4),
+            goldmine::SimBackend::CompiledBatch(8),
         ];
         let outcomes: Vec<String> = backends
             .into_iter()

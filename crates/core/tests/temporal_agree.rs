@@ -119,8 +119,8 @@ fn temporal_outcomes_byte_identical_across_sim_backends() {
         let backends = [
             SimBackend::Interpreter,
             SimBackend::CompiledScalar,
-            SimBackend::CompiledBatch,
-            SimBackend::CompiledBatchWide(4),
+            SimBackend::CompiledBatch(1),
+            SimBackend::CompiledBatch(4),
         ];
         let outcomes: Vec<String> = backends
             .into_iter()

@@ -56,8 +56,8 @@ fn outcomes_byte_identical_recorder_on_and_off_across_backends() {
         for sim_backend in [
             SimBackend::Interpreter,
             SimBackend::CompiledScalar,
-            SimBackend::CompiledBatch,
-            SimBackend::CompiledBatchWide(4),
+            SimBackend::CompiledBatch(1),
+            SimBackend::CompiledBatch(4),
         ] {
             let off = run_debug(src, full_config(sim_backend));
             let sink = gm_trace::TraceSink::new();
@@ -79,7 +79,7 @@ fn recorder_captures_nested_engine_spans() {
     let sink = gm_trace::TraceSink::new();
     {
         let _guard = gm_trace::push_thread_sink(sink.clone());
-        run_debug(ARBITER2, full_config(SimBackend::CompiledBatch));
+        run_debug(ARBITER2, full_config(SimBackend::CompiledBatch(1)));
     }
     let events = sink.events();
     let find = |name: &str| events.iter().filter(|e| e.name == name).collect::<Vec<_>>();
@@ -122,7 +122,7 @@ fn chrome_export_is_well_formed() {
     let sink = gm_trace::TraceSink::new();
     {
         let _guard = gm_trace::push_thread_sink(sink.clone());
-        run_debug(STICKY, full_config(SimBackend::CompiledBatch));
+        run_debug(STICKY, full_config(SimBackend::CompiledBatch(1)));
     }
     let json = sink.export_chrome_json();
     assert!(json.starts_with("{\"traceEvents\":["), "{json}");
@@ -166,7 +166,7 @@ fn timing_breakdown_is_measured_without_the_recorder() {
     // IterTiming rides in the outcome whether or not a sink exists; it
     // is excluded from the Debug/PartialEq identity oracles instead.
     let m = parse_verilog(ARBITER2).unwrap();
-    let outcome = Engine::new(&m, full_config(SimBackend::CompiledBatch))
+    let outcome = Engine::new(&m, full_config(SimBackend::CompiledBatch(1)))
         .unwrap()
         .run()
         .unwrap();

@@ -428,7 +428,7 @@ impl Dataset {
                     .map(|seg| compiled.run_segment(module, &seg.vectors, &mut NopBatchObserver))
                     .collect()
             }
-            SimBackend::CompiledBatch | SimBackend::CompiledBatchWide(_) => {
+            SimBackend::CompiledBatch(_) => {
                 let compiled =
                     CompiledModule::compile_with(module, CompileOptions { probes: false })?;
                 suite.run_compiled(
@@ -583,7 +583,7 @@ mod tests {
         for backend in [
             SimBackend::Interpreter,
             SimBackend::CompiledScalar,
-            SimBackend::CompiledBatch,
+            SimBackend::CompiledBatch(1),
         ] {
             let mut ds = Dataset::new();
             let added = ds.add_suite(&spec, &m, &suite, backend).unwrap();

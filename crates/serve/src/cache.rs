@@ -155,13 +155,10 @@ pub struct DesignCache {
     map: BoundedLru<String, CachedDesign>,
     /// Byte budget over every entry's [`entry_bytes`] (0 = unbounded).
     max_bytes: usize,
-    hits: u64,
-    misses: u64,
-    evictions_capacity: u64,
-    evictions_bytes: u64,
-    evictions_collision: u64,
-    compiled_built: u64,
-    compiled_reused: u64,
+    /// The event counters, updated where the event happens; the fields
+    /// read off the map (`entries`, `capacity`, `approx_bytes`, …) stay
+    /// zero here and are filled by [`DesignCache::stats`].
+    counters: CacheStats,
 }
 
 impl DesignCache {
@@ -182,13 +179,7 @@ impl DesignCache {
         DesignCache {
             map: BoundedLru::with_capacity(capacity),
             max_bytes,
-            hits: 0,
-            misses: 0,
-            evictions_capacity: 0,
-            evictions_bytes: 0,
-            evictions_collision: 0,
-            compiled_built: 0,
-            compiled_reused: 0,
+            counters: CacheStats::default(),
         }
     }
 
@@ -209,7 +200,7 @@ impl DesignCache {
         }
         while self.map.len() > 1 && self.resident_bytes() > self.max_bytes {
             self.map.pop_lru();
-            self.evictions_bytes += 1;
+            self.counters.evictions_bytes += 1;
         }
         if self.resident_bytes() > self.max_bytes {
             if let Some((key, mut entry)) = self.map.pop_lru() {
@@ -258,7 +249,7 @@ impl DesignCache {
         let mut collision = false;
         if let Some(entry) = self.map.get_mut(key) {
             if entry.canonical == canonical {
-                self.hits += 1;
+                self.counters.hits += 1;
                 let compiled = match want_probes {
                     None => None,
                     Some(p) => entry.compiled[usize::from(p)].clone().or_else(|| {
@@ -270,7 +261,7 @@ impl DesignCache {
                     }),
                 };
                 if compiled.is_some() {
-                    self.compiled_reused += 1;
+                    self.counters.compiled_reused += 1;
                 }
                 return Ok(Checkout {
                     module: entry.module.clone(),
@@ -286,9 +277,9 @@ impl DesignCache {
             // 64-bit collision: drop the resident design rather than
             // ever serving the wrong artifacts.
             self.map.remove(key);
-            self.evictions_collision += 1;
+            self.counters.evictions_collision += 1;
         }
-        self.misses += 1;
+        self.counters.misses += 1;
         let (module, elab) = build()?;
         let entry = CachedDesign {
             module: module.clone(),
@@ -299,7 +290,7 @@ impl DesignCache {
         };
         self.map.insert(key.to_string(), entry);
         while self.map.pop_over_capacity().is_some() {
-            self.evictions_capacity += 1;
+            self.counters.evictions_capacity += 1;
         }
         self.enforce_byte_budget();
         Ok(Checkout {
@@ -335,7 +326,7 @@ impl DesignCache {
     /// tape keeps its existing one (compilation is deterministic — they
     /// are equivalent).
     pub fn park_compiled(&mut self, key: &str, canonical: &str, compiled: Arc<CompiledModule>) {
-        self.compiled_built += 1;
+        self.counters.compiled_built += 1;
         if let Some(entry) = self.map.peek_mut(key) {
             let slot = usize::from(compiled.has_probes());
             if entry.canonical == canonical && entry.compiled[slot].is_none() {
@@ -360,19 +351,14 @@ impl DesignCache {
 
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
+        let c = self.counters;
         CacheStats {
             entries: self.map.len(),
             capacity: self.map.capacity().unwrap_or(usize::MAX),
-            hits: self.hits,
-            misses: self.misses,
-            evictions: self.evictions_capacity + self.evictions_bytes + self.evictions_collision,
-            evictions_capacity: self.evictions_capacity,
-            evictions_bytes: self.evictions_bytes,
-            evictions_collision: self.evictions_collision,
+            evictions: c.evictions_capacity + c.evictions_bytes + c.evictions_collision,
             approx_bytes: self.resident_bytes(),
             max_bytes: self.max_bytes,
-            compiled_built: self.compiled_built,
-            compiled_reused: self.compiled_reused,
+            ..c
         }
     }
 }

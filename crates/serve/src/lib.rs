@@ -65,8 +65,8 @@ pub mod service;
 pub use cache::{content_key, CacheStats, DesignCache};
 pub use net::{bind_unix, serve_unix, ServeClient};
 pub use protocol::{
-    ClosureSummary, JobState, ProgressEvent, Request, Response, ServeStats, WireBackend,
-    WireConfig, WireCountHistogram, WireHistogram, WireTargets, LATENCY_BUCKETS_NS, RETRY_BUCKETS,
+    ClosureSummary, JobState, ProgressEvent, Request, Response, ServeStats, WireConfig,
+    WireHistogram, WireTargets, LATENCY_BUCKETS_NS, RETRY_BUCKETS,
 };
 pub use retry::RetryPolicy;
 pub use scheduler::{run_campaign, run_jobs, run_jobs_stats, SchedStats};

@@ -35,8 +35,46 @@ use std::io::{self, Read, Write};
 /// debug render fits comfortably).
 pub const MAX_FRAME_BYTES: u32 = 64 << 20;
 
+// Bounds on the sizes a [`WireConfig`] carries. Each of these fields
+// sizes an allocation, or a loop that runs before the job first polls
+// its cancel token, so a value from the wire could otherwise exhaust
+// memory — which aborts the whole daemon, past `catch_unwind`,
+// deadlines and retries alike. [`WireConfig::to_engine`] refuses
+// anything above them. Every bound is at least 16× the largest value
+// any test, example or benchmark workload sends.
+
+/// Largest accepted [`WireConfig::window`]: the miner builds
+/// `(window + 1) × cone bits` features per target before the run
+/// starts (catalog windows are at most 1).
+pub const MAX_WINDOW: u64 = 64;
+
+/// Largest accepted [`WireConfig::random_cycles`]: every seed cycle is
+/// materialised as an input vector before the first one is simulated
+/// (seeds in use are at most 64 cycles).
+pub const MAX_RANDOM_CYCLES: u64 = 1 << 16;
+
+/// Largest accepted [`WireConfig::shards`]: the checker fills its pool
+/// with this many unrolling sessions before it decides a property.
+pub const MAX_SHARDS: u64 = 64;
+
+/// Largest accepted [`WireConfig::temporal_horizon`]: candidate
+/// proposal scans every shift up to the horizon, per tree leaf, without
+/// a cancel poll.
+pub const MAX_TEMPORAL_HORIZON: u64 = 64;
+
+/// Largest accepted [`WireConfig::refine_variants`]: a refinement pass
+/// synthesizes this many stimulus variants per counterexample prefix
+/// before its first cancel poll.
+pub const MAX_REFINE_VARIANTS: u64 = 256;
+
+/// Largest accepted [`WireConfig::refine_extra_cycles`]: the length of
+/// the random suffix materialised for every one of those variants.
+/// ([`WireConfig::refine_max_absorb`] needs no bound: it only truncates
+/// the ranked variant list.)
+pub const MAX_REFINE_EXTRA_CYCLES: u64 = 4096;
+
 /// A protocol-level failure: malformed frames, unknown message tags,
-/// unresolvable signal names.
+/// unresolvable signal names, sizes above their wire bounds.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ProtocolError(pub String);
 
@@ -53,10 +91,28 @@ fn field<'a, 'j>(v: &'a Json<'j>, key: &str) -> Result<&'a Json<'j>, ProtocolErr
         .ok_or_else(|| ProtocolError(format!("missing field '{key}'")))
 }
 
+/// An optional field: absent or `null` reads as `None`. The wire
+/// back-compat shape for keys added after the first protocol version —
+/// older clients never send them and must keep resolving to the
+/// behavior they always had.
+fn opt_field<'a, 'j>(v: &'a Json<'j>, key: &str) -> Option<&'a Json<'j>> {
+    v.get(key).filter(|value| !matches!(value, Json::Null))
+}
+
 fn u64_field(v: &Json, key: &str) -> Result<u64, ProtocolError> {
     field(v, key)?
         .as_u64()
         .ok_or_else(|| ProtocolError(format!("field '{key}' must be an unsigned integer")))
+}
+
+fn opt_u64_field(v: &Json, key: &str) -> Result<Option<u64>, ProtocolError> {
+    opt_field(v, key).map(|_| u64_field(v, key)).transpose()
+}
+
+/// A field that must be present but may be `null`.
+fn nullable_u64_field(v: &Json, key: &str) -> Result<Option<u64>, ProtocolError> {
+    field(v, key)?;
+    opt_u64_field(v, key)
 }
 
 fn u32_field(v: &Json, key: &str) -> Result<u32, ProtocolError> {
@@ -80,33 +136,25 @@ fn bool_field(v: &Json, key: &str) -> Result<bool, ProtocolError> {
         .ok_or_else(|| ProtocolError(format!("field '{key}' must be a boolean")))
 }
 
-/// An optional unsigned field: absent or `null` yields `default`. The
-/// wire back-compat shape for knobs added after the first protocol
-/// version — older clients never send them and must keep resolving to
-/// the behavior they always had.
-fn opt_u64_field(v: &Json, key: &str, default: u64) -> Result<u64, ProtocolError> {
-    match v.get(key) {
-        None | Some(Json::Null) => Ok(default),
-        Some(other) => other
-            .as_u64()
-            .ok_or_else(|| ProtocolError(format!("field '{key}' must be an unsigned integer"))),
-    }
-}
-
-/// An optional boolean field: absent or `null` yields `default` (see
-/// [`opt_u64_field`]).
-fn opt_bool_field(v: &Json, key: &str, default: bool) -> Result<bool, ProtocolError> {
-    match v.get(key) {
-        None | Some(Json::Null) => Ok(default),
-        Some(other) => other
-            .as_bool()
-            .ok_or_else(|| ProtocolError(format!("field '{key}' must be a boolean"))),
-    }
+fn opt_bool_field(v: &Json, key: &str) -> Result<Option<bool>, ProtocolError> {
+    opt_field(v, key).map(|_| bool_field(v, key)).transpose()
 }
 
 fn wide_usize(value: u64, what: &str) -> Result<usize, ProtocolError> {
     usize::try_from(value)
         .map_err(|_| ProtocolError(format!("{what} exceeds the platform word size")))
+}
+
+/// Refuses a wire-supplied size above its bound (see
+/// [`MAX_WINDOW`] and the constants after it).
+fn bounded<T: Copy + Into<u64>>(key: &str, value: T, max: u64) -> Result<T, ProtocolError> {
+    let size: u64 = value.into();
+    if size > max {
+        return Err(ProtocolError(format!(
+            "field '{key}' is {size}, above its bound of {max}"
+        )));
+    }
+    Ok(value)
 }
 
 /// Mining-target selection by signal *name* (wire form of
@@ -126,77 +174,54 @@ pub enum WireTargets {
 /// module-local vectors); requests use random or empty seeds.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct WireConfig {
-    /// Mining window length.
+    /// Mining window length, at most [`MAX_WINDOW`].
     pub window: u32,
     /// RNG seed for random stimulus.
     pub seed: u64,
-    /// Random seed cycles; `None` = the zero-pattern limit study.
+    /// Random seed cycles, at most [`MAX_RANDOM_CYCLES`]; `None` =
+    /// the zero-pattern limit study.
     pub random_cycles: Option<u64>,
     /// Iteration budget.
     pub max_iterations: u32,
-    /// Backend: `"auto"`, `"explicit"`, `("bmc", bound)`,
-    /// `("kind", max_k)`.
-    pub backend: WireBackend,
+    /// Model-checking backend; on the wire `"auto"`, `"explicit"`,
+    /// `["bmc", bound]` or `["kind", max_k]`.
+    pub backend: Backend,
     /// Whether `Unknown` verdicts are assumed true.
     pub unknown_assume: bool,
     /// Target selection.
     pub targets: WireTargets,
-    /// Shard sessions: 0 = off, `n` = fixed, `None` = per-core.
+    /// Shard sessions: 0 = off, `n` = fixed (at most
+    /// [`MAX_SHARDS`]), `None` = per-core.
     pub shards: Option<u32>,
     /// Record per-iteration coverage.
     pub record_coverage: bool,
     /// Temporal-mining lookahead horizon (the wire form of
-    /// [`TemporalConfig::horizon`]); `0` disables temporal mining.
+    /// [`TemporalConfig::horizon`]), at most
+    /// [`MAX_TEMPORAL_HORIZON`]; `0` disables temporal mining.
     /// Absent on the wire = `0` — pre-temporal clients keep the
     /// behavior they always had.
     pub temporal_horizon: u32,
     /// Directed variants synthesized per counterexample prefix
-    /// ([`RefineConfig::variants`]); `0` disables the refinement pass.
+    /// ([`RefineConfig::variants`]), at most
+    /// [`MAX_REFINE_VARIANTS`]; `0` disables the refinement pass.
     /// Absent on the wire = `0`.
     pub refine_variants: u64,
     /// Random data-input cycles appended after each replayed prefix
-    /// ([`RefineConfig::extra_cycles`]). Absent on the wire = the
+    /// ([`RefineConfig::extra_cycles`]), at most
+    /// [`MAX_REFINE_EXTRA_CYCLES`]. Absent on the wire = the
     /// engine default.
     pub refine_extra_cycles: u64,
     /// Top-ranked directed segments absorbed per iteration
     /// ([`RefineConfig::max_absorb`]). Absent on the wire = the engine
     /// default.
     pub refine_max_absorb: u64,
-    /// Simulation backend: `"interpreter"`, `"scalar"`, `"batch"`, or
-    /// `("wide", W)`. Absent on the wire = the default (64-lane
-    /// compiled batch) — older clients keep working unchanged. Every
-    /// backend yields a byte-identical outcome (`sim/compiled_agree`);
-    /// the knob only trades throughput.
-    pub sim_backend: WireSimBackend,
-}
-
-/// Wire form of [`SimBackend`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum WireSimBackend {
-    /// The reference event-driven interpreter.
-    Interpreter,
-    /// The compiled tape, one lane at a time.
-    CompiledScalar,
-    /// The compiled tape, 64 lanes per pass (the default).
-    #[default]
-    CompiledBatch,
-    /// The compiled tape with a lane block of `W` words — `64 * W`
-    /// stimulus vectors per pass. `W` must be in
-    /// `1..=`[`MAX_LANE_BLOCK`].
-    CompiledBatchWide(u8),
-}
-
-/// Wire form of [`Backend`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum WireBackend {
-    /// Explicit when in limits, SAT otherwise.
-    Auto,
-    /// Explicit-state only.
-    Explicit,
-    /// BMC with the given bound.
-    Bmc(u32),
-    /// k-induction with the given depth.
-    KInduction(u32),
+    /// Simulation backend; on the wire `"interpreter"`, `"scalar"`,
+    /// `"batch"` (the 64-lane compiled batch) or `["wide", W]` for a
+    /// lane block of `W` words, `W` in `1..=`[`MAX_LANE_BLOCK`]. Absent
+    /// on the wire = the default (`"batch"`) — older clients keep
+    /// working unchanged. Every backend yields a byte-identical outcome
+    /// (`sim/compiled_agree`); the knob only trades throughput.
+    pub sim_backend: SimBackend,
 }
 
 impl Default for WireConfig {
@@ -213,7 +238,8 @@ impl WireConfig {
     ///
     /// # Errors
     ///
-    /// Fails on directed stimulus or id-based target selections.
+    /// Fails on directed stimulus, id-based target selections, and a
+    /// fixed shard count above [`MAX_SHARDS`].
     pub fn from_engine(config: &EngineConfig) -> Result<Self, ProtocolError> {
         let random_cycles = match &config.stimulus {
             SeedStimulus::Random { cycles } => Some(*cycles),
@@ -237,17 +263,12 @@ impl WireConfig {
             seed: config.seed,
             random_cycles,
             max_iterations: config.max_iterations,
-            backend: match config.backend {
-                Backend::Auto => WireBackend::Auto,
-                Backend::Explicit => WireBackend::Explicit,
-                Backend::Bmc { bound } => WireBackend::Bmc(bound),
-                Backend::KInduction { max_k } => WireBackend::KInduction(max_k),
-            },
+            backend: config.backend,
             unknown_assume: config.unknown == UnknownPolicy::AssumeTrue,
             targets,
             shards: match config.shards {
                 ShardPolicy::Off => Some(0),
-                ShardPolicy::Fixed(n) => Some(n as u32),
+                ShardPolicy::Fixed(n) => Some(bounded("shards", n as u64, MAX_SHARDS)? as u32),
                 ShardPolicy::PerCore => None,
             },
             record_coverage: config.record_coverage,
@@ -255,16 +276,7 @@ impl WireConfig {
             refine_variants: config.refine.variants as u64,
             refine_extra_cycles: config.refine.extra_cycles,
             refine_max_absorb: config.refine.max_absorb as u64,
-            sim_backend: match config.sim_backend {
-                SimBackend::Interpreter => WireSimBackend::Interpreter,
-                SimBackend::CompiledScalar => WireSimBackend::CompiledScalar,
-                SimBackend::CompiledBatch => WireSimBackend::CompiledBatch,
-                // Normalize to the width the executor will actually
-                // use, so the wire form always round-trips.
-                b @ SimBackend::CompiledBatchWide(_) => {
-                    WireSimBackend::CompiledBatchWide(b.lane_block() as u8)
-                }
-            },
+            sim_backend: config.sim_backend,
         })
     }
 
@@ -275,11 +287,15 @@ impl WireConfig {
     }
 
     /// Resolves the wire config against a parsed module, producing the
-    /// exact [`EngineConfig`] a standalone engine would run with.
+    /// exact [`EngineConfig`] a standalone engine would run with. Every
+    /// wire config passes through here before an engine sees it, so
+    /// this is where the size bounds are enforced.
     ///
     /// # Errors
     ///
-    /// Fails when a named target signal does not exist in `module`.
+    /// Fails when a size is above its bound ([`MAX_WINDOW`] and
+    /// the constants after it) or a named target signal does not exist
+    /// in `module`.
     pub fn to_engine(&self, module: &Module) -> Result<EngineConfig, ProtocolError> {
         let targets = match &self.targets {
             WireTargets::AllOutputs => TargetSelection::AllOutputs,
@@ -295,19 +311,16 @@ impl WireConfig {
             ),
         };
         Ok(EngineConfig {
-            window: self.window,
+            window: bounded("window", self.window, MAX_WINDOW)?,
             seed: self.seed,
             stimulus: match self.random_cycles {
-                Some(cycles) => SeedStimulus::Random { cycles },
+                Some(cycles) => SeedStimulus::Random {
+                    cycles: bounded("random_cycles", cycles, MAX_RANDOM_CYCLES)?,
+                },
                 None => SeedStimulus::None,
             },
             max_iterations: self.max_iterations,
-            backend: match self.backend {
-                WireBackend::Auto => Backend::Auto,
-                WireBackend::Explicit => Backend::Explicit,
-                WireBackend::Bmc(bound) => Backend::Bmc { bound },
-                WireBackend::KInduction(max_k) => Backend::KInduction { max_k },
-            },
+            backend: self.backend,
             unknown: if self.unknown_assume {
                 UnknownPolicy::AssumeTrue
             } else {
@@ -316,28 +329,35 @@ impl WireConfig {
             targets,
             shards: match self.shards {
                 Some(0) => ShardPolicy::Off,
-                Some(n) => ShardPolicy::Fixed(n as usize),
+                Some(n) => ShardPolicy::Fixed(bounded("shards", n, MAX_SHARDS)? as usize),
                 None => ShardPolicy::PerCore,
             },
             record_coverage: self.record_coverage,
             temporal: TemporalConfig {
-                horizon: self.temporal_horizon,
+                horizon: bounded(
+                    "temporal_horizon",
+                    self.temporal_horizon,
+                    MAX_TEMPORAL_HORIZON,
+                )?,
             },
             refine: RefineConfig {
-                variants: wide_usize(self.refine_variants, "refine_variants")?,
-                extra_cycles: self.refine_extra_cycles,
+                variants: wide_usize(
+                    bounded("refine_variants", self.refine_variants, MAX_REFINE_VARIANTS)?,
+                    "refine_variants",
+                )?,
+                extra_cycles: bounded(
+                    "refine_extra_cycles",
+                    self.refine_extra_cycles,
+                    MAX_REFINE_EXTRA_CYCLES,
+                )?,
                 max_absorb: wide_usize(self.refine_max_absorb, "refine_max_absorb")?,
             },
-            sim_backend: match self.sim_backend {
-                WireSimBackend::Interpreter => SimBackend::Interpreter,
-                WireSimBackend::CompiledScalar => SimBackend::CompiledScalar,
-                WireSimBackend::CompiledBatch => SimBackend::CompiledBatch,
-                WireSimBackend::CompiledBatchWide(w) => SimBackend::CompiledBatchWide(w),
-            },
+            sim_backend: self.sim_backend,
         })
     }
 
     fn to_json(&self) -> Json<'_> {
+        let tagged = |tag: &'static str, n: u64| Json::Arr(vec![Json::str(tag), Json::UInt(n)]);
         Json::obj(vec![
             ("window", Json::UInt(self.window.into())),
             ("seed", Json::UInt(self.seed)),
@@ -349,14 +369,10 @@ impl WireConfig {
             (
                 "backend",
                 match self.backend {
-                    WireBackend::Auto => Json::Str("auto".into()),
-                    WireBackend::Explicit => Json::Str("explicit".into()),
-                    WireBackend::Bmc(b) => {
-                        Json::Arr(vec![Json::Str("bmc".into()), Json::UInt(b.into())])
-                    }
-                    WireBackend::KInduction(k) => {
-                        Json::Arr(vec![Json::Str("kind".into()), Json::UInt(k.into())])
-                    }
+                    Backend::Auto => Json::str("auto"),
+                    Backend::Explicit => Json::str("explicit"),
+                    Backend::Bmc { bound } => tagged("bmc", bound.into()),
+                    Backend::KInduction { max_k } => tagged("kind", max_k.into()),
                 },
             ),
             ("unknown_assume", Json::Bool(self.unknown_assume)),
@@ -384,33 +400,35 @@ impl WireConfig {
             ("refine_max_absorb", Json::UInt(self.refine_max_absorb)),
             (
                 "sim_backend",
-                match self.sim_backend {
-                    WireSimBackend::Interpreter => Json::Str("interpreter".into()),
-                    WireSimBackend::CompiledScalar => Json::Str("scalar".into()),
-                    WireSimBackend::CompiledBatch => Json::Str("batch".into()),
-                    WireSimBackend::CompiledBatchWide(w) => {
-                        Json::Arr(vec![Json::Str("wide".into()), Json::UInt(w.into())])
-                    }
+                // By the width the executor will actually use, so every
+                // block the wire writes is one it also accepts.
+                match (self.sim_backend, self.sim_backend.lane_block()) {
+                    (SimBackend::Interpreter, _) => Json::str("interpreter"),
+                    (SimBackend::CompiledScalar, _) => Json::str("scalar"),
+                    (SimBackend::CompiledBatch(_), 1) => Json::str("batch"),
+                    (SimBackend::CompiledBatch(_), w) => tagged("wide", w as u64),
                 },
             ),
         ])
     }
 
     fn from_json(v: &Json) -> Result<Self, ProtocolError> {
+        let depth = |value: &Json, what: &str| {
+            let n = value
+                .as_u64()
+                .ok_or_else(|| ProtocolError(format!("{what} must be an integer")))?;
+            narrow_u32(n, what)
+        };
         let backend = match field(v, "backend")? {
-            Json::Str(s) if s == "auto" => WireBackend::Auto,
-            Json::Str(s) if s == "explicit" => WireBackend::Explicit,
+            Json::Str(s) if s == "auto" => Backend::Auto,
+            Json::Str(s) if s == "explicit" => Backend::Explicit,
             Json::Arr(items) => match (items.first().and_then(Json::as_str), items.get(1)) {
-                (Some("bmc"), Some(b)) => WireBackend::Bmc(narrow_u32(
-                    b.as_u64()
-                        .ok_or_else(|| ProtocolError("bmc bound must be an integer".into()))?,
-                    "bmc bound",
-                )?),
-                (Some("kind"), Some(k)) => WireBackend::KInduction(narrow_u32(
-                    k.as_u64()
-                        .ok_or_else(|| ProtocolError("kind depth must be an integer".into()))?,
-                    "kind depth",
-                )?),
+                (Some("bmc"), Some(b)) => Backend::Bmc {
+                    bound: depth(b, "bmc bound")?,
+                },
+                (Some("kind"), Some(k)) => Backend::KInduction {
+                    max_k: depth(k, "kind depth")?,
+                },
                 _ => return Err(ProtocolError("unknown backend".into())),
             },
             _ => return Err(ProtocolError("unknown backend".into())),
@@ -440,17 +458,17 @@ impl WireConfig {
         };
         // Absent (or null) is the pre-wide-lane wire form: default to
         // the 64-lane compiled batch, as those clients always ran.
-        let sim_backend = match v.get("sim_backend") {
-            None | Some(Json::Null) => WireSimBackend::CompiledBatch,
-            Some(Json::Str(s)) if s == "interpreter" => WireSimBackend::Interpreter,
-            Some(Json::Str(s)) if s == "scalar" => WireSimBackend::CompiledScalar,
-            Some(Json::Str(s)) if s == "batch" => WireSimBackend::CompiledBatch,
+        let sim_backend = match opt_field(v, "sim_backend") {
+            None => SimBackend::CompiledBatch(1),
+            Some(Json::Str(s)) if s == "interpreter" => SimBackend::Interpreter,
+            Some(Json::Str(s)) if s == "scalar" => SimBackend::CompiledScalar,
+            Some(Json::Str(s)) if s == "batch" => SimBackend::CompiledBatch(1),
             Some(Json::Arr(items)) => match (
                 items.first().and_then(Json::as_str),
                 items.get(1).and_then(Json::as_u64),
             ) {
                 (Some("wide"), Some(w)) if (1..=MAX_LANE_BLOCK as u64).contains(&w) => {
-                    WireSimBackend::CompiledBatchWide(w as u8)
+                    SimBackend::CompiledBatch(w as u8)
                 }
                 (Some("wide"), Some(w)) => {
                     return Err(ProtocolError(format!(
@@ -466,60 +484,36 @@ impl WireConfig {
         // any unknown key; unbatched verification absorbed
         // counterexamples in a different order, so a request for it is
         // refused rather than silently run batched.
-        if !opt_bool_field(v, "batched", true)? {
+        if opt_bool_field(v, "batched")? == Some(false) {
             return Err(ProtocolError(
                 "field 'batched' must be true: unbatched verification was removed".into(),
             ));
         }
+        // Absent temporal/refine knobs are the pre-observability wire
+        // form: resolve to the engine defaults those clients always ran
+        // with.
+        let refine = RefineConfig::default();
         Ok(WireConfig {
             window: u32_field(v, "window")?,
             seed: u64_field(v, "seed")?,
-            random_cycles: match field(v, "random_cycles")? {
-                Json::Null => None,
-                other => Some(other.as_u64().ok_or_else(|| {
-                    ProtocolError("random_cycles must be an integer or null".into())
-                })?),
-            },
+            random_cycles: nullable_u64_field(v, "random_cycles")?,
             max_iterations: u32_field(v, "max_iterations")?,
             backend,
             unknown_assume: bool_field(v, "unknown_assume")?,
             targets,
-            shards: match field(v, "shards")? {
-                Json::Null => None,
-                other => Some(narrow_u32(
-                    other
-                        .as_u64()
-                        .ok_or_else(|| ProtocolError("shards must be an integer or null".into()))?,
-                    "shards",
-                )?),
-            },
+            shards: nullable_u64_field(v, "shards")?
+                .map(|n| narrow_u32(n, "shards"))
+                .transpose()?,
             record_coverage: bool_field(v, "record_coverage")?,
-            // Absent temporal/refine knobs are the pre-observability
-            // wire form: resolve to the engine defaults those clients
-            // always ran with.
-            temporal_horizon: narrow_u32(
-                opt_u64_field(
-                    v,
-                    "temporal_horizon",
-                    TemporalConfig::default().horizon.into(),
-                )?,
-                "temporal_horizon",
-            )?,
-            refine_variants: opt_u64_field(
-                v,
-                "refine_variants",
-                RefineConfig::default().variants as u64,
-            )?,
-            refine_extra_cycles: opt_u64_field(
-                v,
-                "refine_extra_cycles",
-                RefineConfig::default().extra_cycles,
-            )?,
-            refine_max_absorb: opt_u64_field(
-                v,
-                "refine_max_absorb",
-                RefineConfig::default().max_absorb as u64,
-            )?,
+            temporal_horizon: match opt_u64_field(v, "temporal_horizon")? {
+                Some(horizon) => narrow_u32(horizon, "temporal_horizon")?,
+                None => TemporalConfig::default().horizon,
+            },
+            refine_variants: opt_u64_field(v, "refine_variants")?.unwrap_or(refine.variants as u64),
+            refine_extra_cycles: opt_u64_field(v, "refine_extra_cycles")?
+                .unwrap_or(refine.extra_cycles),
+            refine_max_absorb: opt_u64_field(v, "refine_max_absorb")?
+                .unwrap_or(refine.max_absorb as u64),
             sim_backend,
         })
     }
@@ -695,7 +689,7 @@ impl JobState {
 }
 
 /// Upper bounds of the service latency-histogram buckets, as
-/// `(nanoseconds, Prometheus le-label)` pairs. Shared by every
+/// `(nanoseconds, Prometheus le-label)` pairs. Shared by every latency
 /// [`WireHistogram`] so bucket counts stay comparable across metrics;
 /// the final implicit bucket is `+Inf`.
 pub const LATENCY_BUCKETS_NS: [(u64, &str); 12] = [
@@ -713,125 +707,57 @@ pub const LATENCY_BUCKETS_NS: [(u64, &str); 12] = [
     (5_000_000_000, "5"),
 ];
 
-/// A fixed-bucket latency histogram in wire form.
-///
-/// Bucket bounds are the process-wide [`LATENCY_BUCKETS_NS`]; counts
-/// are stored per bucket (not cumulative) plus one overflow slot, and
-/// durations sum in integer nanoseconds, so snapshots stay exactly
-/// comparable (`Eq`) and render to the Prometheus cumulative-`le` form
-/// on demand.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WireHistogram {
-    /// Per-bucket observation counts aligned with
-    /// [`LATENCY_BUCKETS_NS`]; the extra final slot counts observations
-    /// above every bound (the `+Inf` bucket).
-    pub buckets: Vec<u64>,
-    /// Sum of every observed duration, in nanoseconds.
-    pub sum_ns: u64,
-}
-
-impl Default for WireHistogram {
-    fn default() -> Self {
-        WireHistogram {
-            buckets: vec![0; LATENCY_BUCKETS_NS.len() + 1],
-            sum_ns: 0,
-        }
-    }
-}
-
-impl WireHistogram {
-    /// Records one observed duration.
-    pub fn observe_ns(&mut self, ns: u64) {
-        let slot = LATENCY_BUCKETS_NS
-            .iter()
-            .position(|&(bound, _)| ns <= bound)
-            .unwrap_or(LATENCY_BUCKETS_NS.len());
-        self.buckets[slot] += 1;
-        self.sum_ns = self.sum_ns.saturating_add(ns);
-    }
-
-    /// Total observations (the Prometheus `_count` sample).
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().sum()
-    }
-
-    /// The observed-duration sum in seconds (the `_sum` sample).
-    pub fn sum_seconds(&self) -> f64 {
-        self.sum_ns as f64 / 1e9
-    }
-
-    fn to_json(&self) -> Json<'_> {
-        Json::obj(vec![
-            (
-                "buckets",
-                Json::Arr(self.buckets.iter().map(|&c| Json::UInt(c)).collect()),
-            ),
-            ("sum_ns", Json::UInt(self.sum_ns)),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<Self, ProtocolError> {
-        let buckets = field(v, "buckets")?
-            .as_arr()
-            .ok_or_else(|| ProtocolError("histogram buckets must be an array".into()))?
-            .iter()
-            .map(|c| {
-                c.as_u64()
-                    .ok_or_else(|| ProtocolError("histogram bucket must be an integer".into()))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        if buckets.len() != LATENCY_BUCKETS_NS.len() + 1 {
-            return Err(ProtocolError(format!(
-                "histogram must have {} buckets, got {}",
-                LATENCY_BUCKETS_NS.len() + 1,
-                buckets.len()
-            )));
-        }
-        Ok(WireHistogram {
-            buckets,
-            sum_ns: u64_field(v, "sum_ns")?,
-        })
-    }
-}
-
 /// Upper bounds of the per-job retry-count histogram buckets, as
 /// `(retries, le-label)` pairs; the final implicit bucket is `+Inf`.
 /// Unit-less (counts, not durations) — most jobs land in the `0`
 /// bucket, and anything past the `8` bound signals a retry storm.
 pub const RETRY_BUCKETS: [(u64, &str); 5] = [(0, "0"), (1, "1"), (2, "2"), (4, "4"), (8, "8")];
 
-/// A fixed-bucket histogram over small unit-less counts (per-job
-/// retries), bucketed by [`RETRY_BUCKETS`]. Same storage discipline as
-/// [`WireHistogram`]: per-bucket (non-cumulative) counts plus one
-/// overflow slot, integer sum, rendered to the Prometheus
-/// cumulative-`le` form on demand.
+/// A fixed-bucket histogram in wire form, over one of the process-wide
+/// bucket tables: [`LATENCY_BUCKETS_NS`] for durations,
+/// [`RETRY_BUCKETS`] for small unit-less counts.
+///
+/// Counts are stored per bucket (not cumulative) plus one overflow
+/// slot, and observations sum in integers, so snapshots stay exactly
+/// comparable (`Eq`) and render to the Prometheus cumulative-`le` form
+/// on demand.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WireCountHistogram {
-    /// Per-bucket observation counts aligned with [`RETRY_BUCKETS`];
-    /// the extra final slot is the `+Inf` bucket.
+pub struct WireHistogram {
+    /// Per-bucket observation counts aligned with the bucket table; the
+    /// extra final slot counts observations above every bound (the
+    /// `+Inf` bucket).
     pub buckets: Vec<u64>,
-    /// Sum of every observed value.
+    /// Sum of every observed value, in the table's unit (nanoseconds
+    /// under [`LATENCY_BUCKETS_NS`]).
     pub sum: u64,
+    /// The bucket table: `(upper bound, le-label)` pairs.
+    bounds: &'static [(u64, &'static str)],
 }
 
-impl Default for WireCountHistogram {
-    fn default() -> Self {
-        WireCountHistogram {
-            buckets: vec![0; RETRY_BUCKETS.len() + 1],
+impl WireHistogram {
+    /// An empty histogram over `bounds`.
+    pub fn new(bounds: &'static [(u64, &'static str)]) -> Self {
+        WireHistogram {
+            buckets: vec![0; bounds.len() + 1],
             sum: 0,
+            bounds,
         }
     }
-}
 
-impl WireCountHistogram {
     /// Records one observed value.
     pub fn observe(&mut self, value: u64) {
-        let slot = RETRY_BUCKETS
+        let slot = self
+            .bounds
             .iter()
             .position(|&(bound, _)| value <= bound)
-            .unwrap_or(RETRY_BUCKETS.len());
+            .unwrap_or(self.bounds.len());
         self.buckets[slot] += 1;
         self.sum = self.sum.saturating_add(value);
+    }
+
+    /// Records one observed duration, in nanoseconds.
+    pub fn observe_ns(&mut self, ns: u64) {
+        self.observe(ns);
     }
 
     /// Total observations (the Prometheus `_count` sample).
@@ -839,17 +765,24 @@ impl WireCountHistogram {
         self.buckets.iter().sum()
     }
 
-    fn to_json(&self) -> Json<'_> {
+    /// The sum of a latency histogram in seconds (its `_sum` sample).
+    pub fn sum_seconds(&self) -> f64 {
+        self.sum as f64 / 1e9
+    }
+
+    fn to_json(&self, sum_key: &'static str) -> Json<'_> {
         Json::obj(vec![
             (
                 "buckets",
                 Json::Arr(self.buckets.iter().map(|&c| Json::UInt(c)).collect()),
             ),
-            ("sum", Json::UInt(self.sum)),
+            (sum_key, Json::UInt(self.sum)),
         ])
     }
 
-    fn from_json(v: &Json) -> Result<Self, ProtocolError> {
+    /// Replaces the counts with the ones `v` carries; the bucket table
+    /// stays, and `v` must match its length.
+    fn read_json(&mut self, v: &Json, sum_key: &str) -> Result<(), ProtocolError> {
         let buckets = field(v, "buckets")?
             .as_arr()
             .ok_or_else(|| ProtocolError("histogram buckets must be an array".into()))?
@@ -859,455 +792,282 @@ impl WireCountHistogram {
                     .ok_or_else(|| ProtocolError("histogram bucket must be an integer".into()))
             })
             .collect::<Result<Vec<_>, _>>()?;
-        if buckets.len() != RETRY_BUCKETS.len() + 1 {
+        if buckets.len() != self.buckets.len() {
             return Err(ProtocolError(format!(
-                "count histogram must have {} buckets, got {}",
-                RETRY_BUCKETS.len() + 1,
+                "histogram must have {} buckets, got {}",
+                self.buckets.len(),
                 buckets.len()
             )));
         }
-        Ok(WireCountHistogram {
-            buckets,
-            sum: u64_field(v, "sum")?,
-        })
+        self.buckets = buckets;
+        self.sum = u64_field(v, sum_key)?;
+        Ok(())
     }
 }
 
-/// Aggregate service counters.
+/// One [`ServeStats`] field, classified as its table row says.
+enum Stat<S, H> {
+    /// A monotonic total.
+    Counter(S),
+    /// A point-in-time value or a configuration bound.
+    Gauge(S),
+    /// A histogram, with the wire key of its sum and how many sum units
+    /// make one unit of the rendered `_sum` sample (1e9: nanoseconds
+    /// rendered as seconds; 1: counts).
+    Histogram(H, &'static str, f64),
+}
+
+/// The columns every row of the [`ServeStats`] table has.
+struct StatRow {
+    /// The field's name, which is also its wire key.
+    key: &'static str,
+    /// The Prometheus family name, after the `gmserve_` prefix.
+    family: &'static str,
+    /// Whether a stats frame without the key is malformed. Keys added
+    /// after the first protocol version are not: absent or `null`, they
+    /// read as zero (an empty histogram).
+    required: bool,
+    /// The `# HELP` text.
+    help: &'static str,
+}
+
+/// Declares [`ServeStats`] from its table, one row per counter:
 ///
-/// Snapshots are internally consistent — every field is read under one
-/// acquisition of the service's state lock, so
-/// `submitted == queued + running + completed + failed + cancelled`
-/// holds in every snapshot.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ServeStats {
+/// ```text
+/// /// doc comment
+/// field: type [= empty value] => Kind[(kind columns)], required | optional, "family", "help";
+/// ```
+///
+/// and generates the struct, its `Default`, the shared columns as
+/// [`STAT_ROWS`], and `fields` / `fields_mut`, which hand out every
+/// field as a [`Stat`] in table order. The wire codec and the metrics
+/// page are loops over those; nothing else names a field.
+macro_rules! serve_stats {
+    ($(
+        $(#[$doc:meta])*
+        $field:ident: $ty:ty $(= $empty:expr)? => $kind:ident $(($($column:expr),+))?,
+        $presence:ident, $family:literal, $help:literal;
+    )*) => {
+        /// Aggregate service counters.
+        ///
+        /// Snapshots are internally consistent — every field is read
+        /// under one acquisition of the service's state lock, so
+        /// `submitted == queued + running + completed + failed + cancelled`
+        /// holds in every snapshot.
+        #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+        pub struct ServeStats {
+            $($(#[$doc])* pub $field: $ty,)*
+        }
+
+        impl Default for ServeStats {
+            fn default() -> Self {
+                ServeStats {
+                    $($field: serve_stats!(@empty $($empty)?),)*
+                }
+            }
+        }
+
+        /// The shared columns of the [`ServeStats`] table, in table
+        /// order — which is the JSON key order.
+        const STAT_ROWS: &[StatRow] = &[$(StatRow {
+            key: stringify!($field),
+            family: $family,
+            required: serve_stats!(@required $presence),
+            help: $help,
+        },)*];
+
+        impl ServeStats {
+            /// Every field, in table order (zip with [`STAT_ROWS`]).
+            fn fields(&self) -> [Stat<&u64, &WireHistogram>; STAT_ROWS.len()] {
+                [$(Stat::$kind(&self.$field $($(, $column)+)?),)*]
+            }
+
+            /// [`ServeStats::fields`], mutably.
+            fn fields_mut(&mut self) -> [Stat<&mut u64, &mut WireHistogram>; STAT_ROWS.len()] {
+                [$(Stat::$kind(&mut self.$field $($(, $column)+)?),)*]
+            }
+        }
+    };
+    (@empty) => { 0 };
+    (@empty $empty:expr) => { $empty };
+    (@required required) => { true };
+    (@required optional) => { false };
+}
+
+// Table order is the JSON key order; the metrics page renders the
+// scalars in table order, then the histograms in table order. To add a
+// counter, add its row here and increment the field where the event
+// happens (`service.rs` accumulates straight into a `ServeStats`).
+serve_stats! {
     /// Jobs accepted.
-    pub submitted: u64,
+    submitted: u64 => Counter, required, "jobs_submitted_total", "Jobs accepted.";
     /// Jobs waiting in a worker queue right now (gauge).
-    pub queued: u64,
+    queued: u64 => Gauge, required, "jobs_queued", "Jobs waiting in a worker queue.";
     /// Jobs a worker is running right now (gauge).
-    pub running: u64,
+    running: u64 => Gauge, required, "jobs_running", "Jobs currently running.";
     /// Jobs finished successfully.
-    pub completed: u64,
+    completed: u64 => Counter, required, "jobs_completed_total", "Jobs finished successfully.";
     /// Jobs that failed with an engine error.
-    pub failed: u64,
+    failed: u64 => Counter, required, "jobs_failed_total", "Jobs failed with an engine error.";
     /// Jobs cancelled.
-    pub cancelled: u64,
+    cancelled: u64 => Counter, required, "jobs_cancelled_total", "Jobs cancelled.";
     /// Worker-pool size.
-    pub workers: u64,
+    workers: u64 => Gauge, required, "workers", "Worker-pool size.";
     /// Jobs a worker claimed from a peer's queue.
-    pub steals: u64,
+    steals: u64 => Counter, required, "steals_total", "Jobs claimed from a peer's queue.";
     /// Design-cache entries currently resident.
-    pub cache_entries: u64,
+    cache_entries: u64 => Gauge, required, "cache_entries", "Design-cache entries resident.";
     /// Submissions whose design was already cached.
-    pub cache_hits: u64,
+    cache_hits: u64 => Counter, required,
+        "cache_hits_total", "Submissions served from the design cache.";
     /// Submissions that had to build design artifacts.
-    pub cache_misses: u64,
+    cache_misses: u64 => Counter, required,
+        "cache_misses_total", "Submissions that built design artifacts.";
     /// Cache entries evicted for any reason (the sum of the per-reason
     /// counters below).
-    pub cache_evictions: u64,
+    cache_evictions: u64 => Counter, required,
+        "cache_evictions_total", "Cache entries evicted, any reason.";
     /// Cache entries evicted by the entry-count bound.
-    pub cache_evictions_capacity: u64,
+    cache_evictions_capacity: u64 => Counter, required,
+        "cache_evictions_capacity_total", "Cache entries evicted by the entry-count bound.";
     /// Cache entries evicted LRU-first by the byte budget.
-    pub cache_evictions_bytes: u64,
+    cache_evictions_bytes: u64 => Counter, required,
+        "cache_evictions_bytes_total", "Cache entries evicted by the byte budget.";
     /// Cache entries dropped on a content-key collision.
-    pub cache_evictions_collision: u64,
+    cache_evictions_collision: u64 => Counter, required,
+        "cache_evictions_collision_total", "Cache entries dropped on a key collision.";
     /// Approximate resident bytes of the cached design artifacts.
-    pub cache_bytes: u64,
+    cache_bytes: u64 => Gauge, required,
+        "cache_bytes", "Approximate resident bytes of cached artifacts.";
     /// The cache byte budget (0 = unbounded).
-    pub cache_max_bytes: u64,
+    cache_max_bytes: u64 => Gauge, required,
+        "cache_max_bytes", "Cache byte budget (0 = unbounded).";
     /// Compiled instruction tapes built and parked into cache entries.
-    pub compiled_built: u64,
+    compiled_built: u64 => Counter, required,
+        "compiled_built_total", "Compiled tapes built and parked.";
     /// Submissions that reused a parked compiled tape instead of
     /// recompiling.
-    pub compiled_reused: u64,
+    compiled_reused: u64 => Counter, required,
+        "compiled_reused_total", "Submissions that reused a parked compiled tape.";
     /// SAT solver calls across every retired job's verification work.
-    pub verify_sat_queries: u64,
+    verify_sat_queries: u64 => Counter, required,
+        "verify_sat_queries_total", "SAT solver calls across retired jobs.";
     /// Property checks decided by the SAT engines.
-    pub verify_sat_decided: u64,
+    verify_sat_decided: u64 => Counter, required,
+        "verify_sat_decided_total", "Property checks decided by the SAT engines.";
     /// Property checks decided by explicit-state reachability.
-    pub verify_explicit_queries: u64,
+    verify_explicit_queries: u64 => Counter, required,
+        "verify_explicit_queries_total", "Property checks decided by explicit-state reachability.";
     /// Property results served from checker memos.
-    pub verify_memo_hits: u64,
+    verify_memo_hits: u64 => Counter, required,
+        "verify_memo_hits_total", "Property results served from checker memos.";
     /// Time frames newly encoded into unrollings.
-    pub verify_frames_encoded: u64,
+    verify_frames_encoded: u64 => Counter, required,
+        "verify_frames_encoded_total", "Time frames newly encoded into unrollings.";
     /// Frames reused from warm unrollings.
-    pub verify_frames_reused: u64,
+    verify_frames_reused: u64 => Counter, required,
+        "verify_frames_reused_total", "Frames reused from warm unrollings.";
     /// Counterexamples re-extracted on canonical unrollings.
-    pub verify_cex_canonicalized: u64,
-    /// Queue latency: submission to worker claim, per claimed job.
-    pub queue_seconds: WireHistogram,
+    verify_cex_canonicalized: u64 => Counter, required,
+        "verify_cex_canonicalized_total", "Counterexamples re-extracted canonically.";
+    /// Queue latency: submission to worker claim, per claimed job —
+    /// cancelled-while-queued jobs never waited a full queue turn and
+    /// are not sampled. Optional on the wire, as is `wall_seconds`:
+    /// pre-observability frames carry neither.
+    queue_seconds: WireHistogram = WireHistogram::new(&LATENCY_BUCKETS_NS)
+        => Histogram("sum_ns", 1e9), optional,
+        "job_queue_seconds", "Time jobs spent queued before a worker claimed them.";
     /// Job wall time: worker claim to terminal state, per retired job.
-    pub wall_seconds: WireHistogram,
+    wall_seconds: WireHistogram = WireHistogram::new(&LATENCY_BUCKETS_NS)
+        => Histogram("sum_ns", 1e9), optional,
+        "job_wall_seconds", "Job wall time from worker claim to terminal state.";
     /// Worker panics caught by the job isolation boundary
     /// (`catch_unwind`) — each one cost a retry or a typed failure,
-    /// never a wedged worker.
-    pub worker_panics: u64,
+    /// never a wedged worker. Optional on the wire, as are the four
+    /// counters and the histogram after it: pre-fault-injection frames
+    /// carry none of them.
+    worker_panics: u64 => Counter, optional,
+        "worker_panics_total", "Worker panics caught by the job isolation boundary.";
     /// Retry attempts scheduled for retryable job failures.
-    pub jobs_retried: u64,
+    jobs_retried: u64 => Counter, optional,
+        "jobs_retried_total", "Retry attempts scheduled for retryable job failures.";
     /// Jobs that failed because their deadline expired.
-    pub jobs_deadline_exceeded: u64,
+    jobs_deadline_exceeded: u64 => Counter, optional,
+        "jobs_deadline_exceeded_total", "Jobs failed because their deadline expired.";
     /// Submissions refused by admission control (queue bounds).
-    pub requests_shed: u64,
+    requests_shed: u64 => Counter, optional,
+        "requests_shed_total", "Submissions refused by admission control.";
     /// Dead worker threads respawned by the supervisor.
-    pub workers_respawned: u64,
+    workers_respawned: u64 => Counter, optional,
+        "workers_respawned_total", "Dead worker threads respawned by the supervisor.";
     /// Per-retired-job retry counts (most jobs observe 0).
-    pub job_retries: WireCountHistogram,
+    job_retries: WireHistogram = WireHistogram::new(&RETRY_BUCKETS)
+        => Histogram("sum", 1.0), optional,
+        "job_retries", "Retries per retired job (0 = first attempt succeeded).";
 }
 
 impl ServeStats {
     fn to_json(&self) -> Json<'_> {
-        Json::obj(vec![
-            ("submitted", Json::UInt(self.submitted)),
-            ("queued", Json::UInt(self.queued)),
-            ("running", Json::UInt(self.running)),
-            ("completed", Json::UInt(self.completed)),
-            ("failed", Json::UInt(self.failed)),
-            ("cancelled", Json::UInt(self.cancelled)),
-            ("workers", Json::UInt(self.workers)),
-            ("steals", Json::UInt(self.steals)),
-            ("cache_entries", Json::UInt(self.cache_entries)),
-            ("cache_hits", Json::UInt(self.cache_hits)),
-            ("cache_misses", Json::UInt(self.cache_misses)),
-            ("cache_evictions", Json::UInt(self.cache_evictions)),
-            (
-                "cache_evictions_capacity",
-                Json::UInt(self.cache_evictions_capacity),
-            ),
-            (
-                "cache_evictions_bytes",
-                Json::UInt(self.cache_evictions_bytes),
-            ),
-            (
-                "cache_evictions_collision",
-                Json::UInt(self.cache_evictions_collision),
-            ),
-            ("cache_bytes", Json::UInt(self.cache_bytes)),
-            ("cache_max_bytes", Json::UInt(self.cache_max_bytes)),
-            ("compiled_built", Json::UInt(self.compiled_built)),
-            ("compiled_reused", Json::UInt(self.compiled_reused)),
-            ("verify_sat_queries", Json::UInt(self.verify_sat_queries)),
-            ("verify_sat_decided", Json::UInt(self.verify_sat_decided)),
-            (
-                "verify_explicit_queries",
-                Json::UInt(self.verify_explicit_queries),
-            ),
-            ("verify_memo_hits", Json::UInt(self.verify_memo_hits)),
-            (
-                "verify_frames_encoded",
-                Json::UInt(self.verify_frames_encoded),
-            ),
-            (
-                "verify_frames_reused",
-                Json::UInt(self.verify_frames_reused),
-            ),
-            (
-                "verify_cex_canonicalized",
-                Json::UInt(self.verify_cex_canonicalized),
-            ),
-            ("queue_seconds", self.queue_seconds.to_json()),
-            ("wall_seconds", self.wall_seconds.to_json()),
-            ("worker_panics", Json::UInt(self.worker_panics)),
-            ("jobs_retried", Json::UInt(self.jobs_retried)),
-            (
-                "jobs_deadline_exceeded",
-                Json::UInt(self.jobs_deadline_exceeded),
-            ),
-            ("requests_shed", Json::UInt(self.requests_shed)),
-            ("workers_respawned", Json::UInt(self.workers_respawned)),
-            ("job_retries", self.job_retries.to_json()),
-        ])
+        let pairs = STAT_ROWS.iter().zip(self.fields()).map(|(row, stat)| {
+            let value = match stat {
+                Stat::Counter(n) | Stat::Gauge(n) => Json::UInt(*n),
+                Stat::Histogram(h, sum_key, _) => h.to_json(sum_key),
+            };
+            (row.key, value)
+        });
+        Json::obj(pairs.collect())
     }
 
     fn from_json(v: &Json) -> Result<Self, ProtocolError> {
-        Ok(ServeStats {
-            submitted: u64_field(v, "submitted")?,
-            queued: u64_field(v, "queued")?,
-            running: u64_field(v, "running")?,
-            completed: u64_field(v, "completed")?,
-            failed: u64_field(v, "failed")?,
-            cancelled: u64_field(v, "cancelled")?,
-            workers: u64_field(v, "workers")?,
-            steals: u64_field(v, "steals")?,
-            cache_entries: u64_field(v, "cache_entries")?,
-            cache_hits: u64_field(v, "cache_hits")?,
-            cache_misses: u64_field(v, "cache_misses")?,
-            cache_evictions: u64_field(v, "cache_evictions")?,
-            cache_evictions_capacity: u64_field(v, "cache_evictions_capacity")?,
-            cache_evictions_bytes: u64_field(v, "cache_evictions_bytes")?,
-            cache_evictions_collision: u64_field(v, "cache_evictions_collision")?,
-            cache_bytes: u64_field(v, "cache_bytes")?,
-            cache_max_bytes: u64_field(v, "cache_max_bytes")?,
-            compiled_built: u64_field(v, "compiled_built")?,
-            compiled_reused: u64_field(v, "compiled_reused")?,
-            verify_sat_queries: u64_field(v, "verify_sat_queries")?,
-            verify_sat_decided: u64_field(v, "verify_sat_decided")?,
-            verify_explicit_queries: u64_field(v, "verify_explicit_queries")?,
-            verify_memo_hits: u64_field(v, "verify_memo_hits")?,
-            verify_frames_encoded: u64_field(v, "verify_frames_encoded")?,
-            verify_frames_reused: u64_field(v, "verify_frames_reused")?,
-            verify_cex_canonicalized: u64_field(v, "verify_cex_canonicalized")?,
-            // Absent histograms are the pre-observability wire form.
-            queue_seconds: match v.get("queue_seconds") {
-                None | Some(Json::Null) => WireHistogram::default(),
-                Some(other) => WireHistogram::from_json(other)?,
-            },
-            wall_seconds: match v.get("wall_seconds") {
-                None | Some(Json::Null) => WireHistogram::default(),
-                Some(other) => WireHistogram::from_json(other)?,
-            },
-            // Absent resilience counters are the pre-fault-injection
-            // wire form.
-            worker_panics: opt_u64_field(v, "worker_panics", 0)?,
-            jobs_retried: opt_u64_field(v, "jobs_retried", 0)?,
-            jobs_deadline_exceeded: opt_u64_field(v, "jobs_deadline_exceeded", 0)?,
-            requests_shed: opt_u64_field(v, "requests_shed", 0)?,
-            workers_respawned: opt_u64_field(v, "workers_respawned", 0)?,
-            job_retries: match v.get("job_retries") {
-                None | Some(Json::Null) => WireCountHistogram::default(),
-                Some(other) => WireCountHistogram::from_json(other)?,
-            },
-        })
+        let mut stats = ServeStats::default();
+        for (row, stat) in STAT_ROWS.iter().zip(stats.fields_mut()) {
+            if !row.required && opt_field(v, row.key).is_none() {
+                continue;
+            }
+            match stat {
+                Stat::Counter(n) | Stat::Gauge(n) => *n = u64_field(v, row.key)?,
+                Stat::Histogram(h, sum_key, _) => h.read_json(field(v, row.key)?, sum_key)?,
+            }
+        }
+        Ok(stats)
     }
 
     /// Renders the counters in the Prometheus text exposition format —
-    /// the scrapeable answer to [`Request::Metrics`]. Counters get
-    /// `# TYPE … counter`, point-in-time values (`queued`, `running`,
-    /// `cache_entries`, `cache_bytes`, configuration bounds) get
-    /// `gauge`.
+    /// the scrapeable answer to [`Request::Metrics`]. Every table row
+    /// is one `gmserve_*` family with its `# HELP` and `# TYPE` lines:
+    /// the scalars first, then the histograms in the cumulative-`le`
+    /// form, then `gmserve_build_info`.
     pub fn to_prometheus(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        let mut metric = |name: &str, kind: &str, help: &str, value: u64| {
-            let _ = writeln!(out, "# HELP gmserve_{name} {help}");
-            let _ = writeln!(out, "# TYPE gmserve_{name} {kind}");
-            let _ = writeln!(out, "gmserve_{name} {value}");
+        let head = |out: &mut String, row: &StatRow, kind: &str| {
+            let _ = writeln!(out, "# HELP gmserve_{} {}", row.family, row.help);
+            let _ = writeln!(out, "# TYPE gmserve_{} {kind}", row.family);
         };
-        metric(
-            "jobs_submitted_total",
-            "counter",
-            "Jobs accepted.",
-            self.submitted,
-        );
-        metric(
-            "jobs_queued",
-            "gauge",
-            "Jobs waiting in a worker queue.",
-            self.queued,
-        );
-        metric(
-            "jobs_running",
-            "gauge",
-            "Jobs currently running.",
-            self.running,
-        );
-        metric(
-            "jobs_completed_total",
-            "counter",
-            "Jobs finished successfully.",
-            self.completed,
-        );
-        metric(
-            "jobs_failed_total",
-            "counter",
-            "Jobs failed with an engine error.",
-            self.failed,
-        );
-        metric(
-            "jobs_cancelled_total",
-            "counter",
-            "Jobs cancelled.",
-            self.cancelled,
-        );
-        metric("workers", "gauge", "Worker-pool size.", self.workers);
-        metric(
-            "steals_total",
-            "counter",
-            "Jobs claimed from a peer's queue.",
-            self.steals,
-        );
-        metric(
-            "cache_entries",
-            "gauge",
-            "Design-cache entries resident.",
-            self.cache_entries,
-        );
-        metric(
-            "cache_hits_total",
-            "counter",
-            "Submissions served from the design cache.",
-            self.cache_hits,
-        );
-        metric(
-            "cache_misses_total",
-            "counter",
-            "Submissions that built design artifacts.",
-            self.cache_misses,
-        );
-        metric(
-            "cache_evictions_total",
-            "counter",
-            "Cache entries evicted, any reason.",
-            self.cache_evictions,
-        );
-        metric(
-            "cache_evictions_capacity_total",
-            "counter",
-            "Cache entries evicted by the entry-count bound.",
-            self.cache_evictions_capacity,
-        );
-        metric(
-            "cache_evictions_bytes_total",
-            "counter",
-            "Cache entries evicted by the byte budget.",
-            self.cache_evictions_bytes,
-        );
-        metric(
-            "cache_evictions_collision_total",
-            "counter",
-            "Cache entries dropped on a key collision.",
-            self.cache_evictions_collision,
-        );
-        metric(
-            "cache_bytes",
-            "gauge",
-            "Approximate resident bytes of cached artifacts.",
-            self.cache_bytes,
-        );
-        metric(
-            "cache_max_bytes",
-            "gauge",
-            "Cache byte budget (0 = unbounded).",
-            self.cache_max_bytes,
-        );
-        metric(
-            "compiled_built_total",
-            "counter",
-            "Compiled tapes built and parked.",
-            self.compiled_built,
-        );
-        metric(
-            "compiled_reused_total",
-            "counter",
-            "Submissions that reused a parked compiled tape.",
-            self.compiled_reused,
-        );
-        metric(
-            "verify_sat_queries_total",
-            "counter",
-            "SAT solver calls across retired jobs.",
-            self.verify_sat_queries,
-        );
-        metric(
-            "verify_sat_decided_total",
-            "counter",
-            "Property checks decided by the SAT engines.",
-            self.verify_sat_decided,
-        );
-        metric(
-            "verify_explicit_queries_total",
-            "counter",
-            "Property checks decided by explicit-state reachability.",
-            self.verify_explicit_queries,
-        );
-        metric(
-            "verify_memo_hits_total",
-            "counter",
-            "Property results served from checker memos.",
-            self.verify_memo_hits,
-        );
-        metric(
-            "verify_frames_encoded_total",
-            "counter",
-            "Time frames newly encoded into unrollings.",
-            self.verify_frames_encoded,
-        );
-        metric(
-            "verify_frames_reused_total",
-            "counter",
-            "Frames reused from warm unrollings.",
-            self.verify_frames_reused,
-        );
-        metric(
-            "verify_cex_canonicalized_total",
-            "counter",
-            "Counterexamples re-extracted canonically.",
-            self.verify_cex_canonicalized,
-        );
-        metric(
-            "worker_panics_total",
-            "counter",
-            "Worker panics caught by the job isolation boundary.",
-            self.worker_panics,
-        );
-        metric(
-            "jobs_retried_total",
-            "counter",
-            "Retry attempts scheduled for retryable job failures.",
-            self.jobs_retried,
-        );
-        metric(
-            "jobs_deadline_exceeded_total",
-            "counter",
-            "Jobs failed because their deadline expired.",
-            self.jobs_deadline_exceeded,
-        );
-        metric(
-            "requests_shed_total",
-            "counter",
-            "Submissions refused by admission control.",
-            self.requests_shed,
-        );
-        metric(
-            "workers_respawned_total",
-            "counter",
-            "Dead worker threads respawned by the supervisor.",
-            self.workers_respawned,
-        );
-        let mut histogram = |name: &str, help: &str, h: &WireHistogram| {
-            let _ = writeln!(out, "# HELP gmserve_{name} {help}");
-            let _ = writeln!(out, "# TYPE gmserve_{name} histogram");
+        for (row, stat) in STAT_ROWS.iter().zip(self.fields()) {
+            let (kind, value) = match stat {
+                Stat::Counter(n) => ("counter", n),
+                Stat::Gauge(n) => ("gauge", n),
+                Stat::Histogram(..) => continue,
+            };
+            head(&mut out, row, kind);
+            let _ = writeln!(out, "gmserve_{} {value}", row.family);
+        }
+        for (row, stat) in STAT_ROWS.iter().zip(self.fields()) {
+            let Stat::Histogram(h, _, sum_per_unit) = stat else {
+                continue;
+            };
+            head(&mut out, row, "histogram");
+            let name = row.family;
             let mut cumulative = 0u64;
-            for (&(_, label), count) in LATENCY_BUCKETS_NS.iter().zip(&h.buckets) {
+            for (&(_, label), count) in h.bounds.iter().zip(&h.buckets) {
                 cumulative += count;
                 let _ = writeln!(out, "gmserve_{name}_bucket{{le=\"{label}\"}} {cumulative}");
             }
             let total = h.count();
             let _ = writeln!(out, "gmserve_{name}_bucket{{le=\"+Inf\"}} {total}");
-            let _ = writeln!(out, "gmserve_{name}_sum {}", h.sum_seconds());
+            let _ = writeln!(out, "gmserve_{name}_sum {}", h.sum as f64 / sum_per_unit);
             let _ = writeln!(out, "gmserve_{name}_count {total}");
-        };
-        histogram(
-            "job_queue_seconds",
-            "Time jobs spent queued before a worker claimed them.",
-            &self.queue_seconds,
-        );
-        histogram(
-            "job_wall_seconds",
-            "Job wall time from worker claim to terminal state.",
-            &self.wall_seconds,
-        );
-        // The retry histogram buckets counts, not durations, so it
-        // renders from its own bounds rather than the latency bounds.
-        {
-            let h = &self.job_retries;
-            let _ = writeln!(
-                out,
-                "# HELP gmserve_job_retries Retries per retired job (0 = first attempt succeeded)."
-            );
-            let _ = writeln!(out, "# TYPE gmserve_job_retries histogram");
-            let mut cumulative = 0u64;
-            for (&(_, label), count) in RETRY_BUCKETS.iter().zip(&h.buckets) {
-                cumulative += count;
-                let _ = writeln!(
-                    out,
-                    "gmserve_job_retries_bucket{{le=\"{label}\"}} {cumulative}"
-                );
-            }
-            let total = h.count();
-            let _ = writeln!(out, "gmserve_job_retries_bucket{{le=\"+Inf\"}} {total}");
-            let _ = writeln!(out, "gmserve_job_retries_sum {}", h.sum);
-            let _ = writeln!(out, "gmserve_job_retries_count {total}");
         }
         let _ = writeln!(
             out,
@@ -1441,14 +1201,9 @@ impl Request {
                 source: str_field(v, "source")?.to_string(),
                 config: WireConfig::from_json(field(v, "config")?)?,
                 // Absent = untraced, the pre-observability wire form.
-                trace: opt_bool_field(v, "trace", false)?,
+                trace: opt_bool_field(v, "trace")?.unwrap_or(false),
                 // Absent = server-default deadline; 0 = explicitly none.
-                deadline_ms: match v.get("deadline_ms") {
-                    None | Some(Json::Null) => None,
-                    Some(other) => Some(other.as_u64().ok_or_else(|| {
-                        ProtocolError("field 'deadline_ms' must be an unsigned integer".into())
-                    })?),
-                },
+                deadline_ms: opt_u64_field(v, "deadline_ms")?,
             }),
             "status" => Ok(Request::Status {
                 job: u64_field(v, "job")?,
@@ -1853,10 +1608,10 @@ mod tests {
             deadline_ms: None,
         });
         for sim_backend in [
-            WireSimBackend::Interpreter,
-            WireSimBackend::CompiledScalar,
-            WireSimBackend::CompiledBatch,
-            WireSimBackend::CompiledBatchWide(4),
+            SimBackend::Interpreter,
+            SimBackend::CompiledScalar,
+            SimBackend::CompiledBatch(1),
+            SimBackend::CompiledBatch(4),
         ] {
             round_trip_request(Request::Submit {
                 name: "arbiter2".into(),
@@ -1951,13 +1706,13 @@ mod tests {
                 compiled_reused: 4,
                 verify_sat_queries: 17,
                 queue_seconds: {
-                    let mut h = WireHistogram::default();
+                    let mut h = WireHistogram::new(&LATENCY_BUCKETS_NS);
                     h.observe_ns(40_000);
                     h.observe_ns(7_000_000);
                     h
                 },
                 wall_seconds: {
-                    let mut h = WireHistogram::default();
+                    let mut h = WireHistogram::new(&LATENCY_BUCKETS_NS);
                     h.observe_ns(800_000_000);
                     h.observe_ns(90_000_000_000);
                     h
@@ -2072,8 +1827,8 @@ mod tests {
             fields.retain(|(k, _)| k != "queue_seconds" && k != "wall_seconds");
         }
         let old = ServeStats::from_json(&json).unwrap();
-        assert_eq!(old.queue_seconds, WireHistogram::default());
-        assert_eq!(old.wall_seconds, WireHistogram::default());
+        assert_eq!(old.queue_seconds, WireHistogram::new(&LATENCY_BUCKETS_NS));
+        assert_eq!(old.wall_seconds, WireHistogram::new(&LATENCY_BUCKETS_NS));
         assert_eq!(old.submitted, 2);
     }
 
@@ -2111,7 +1866,7 @@ mod tests {
         let old = ServeStats::from_json(&json).unwrap();
         assert_eq!(old.worker_panics, 0);
         assert_eq!(old.requests_shed, 0);
-        assert_eq!(old.job_retries, WireCountHistogram::default());
+        assert_eq!(old.job_retries, WireHistogram::new(&RETRY_BUCKETS));
     }
 
     #[test]
@@ -2141,6 +1896,171 @@ mod tests {
         assert!(text.contains("gmserve_job_retries_bucket{le=\"+Inf\"} 3"));
         assert!(text.contains("gmserve_job_retries_sum 3"));
         assert!(text.contains("gmserve_job_retries_count 3"));
+    }
+
+    /// Driven by the table, so a row added to it is covered without
+    /// touching this test.
+    #[test]
+    fn the_stats_table_covers_the_frame_and_the_page() {
+        let stats = golden_stats();
+        let json = stats.to_json();
+        let Json::Obj(fields) = &json else {
+            panic!("stats encode to an object");
+        };
+        // The frame's keys are the table's keys, each once, in order.
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| &**k).collect();
+        let table: Vec<&str> = STAT_ROWS.iter().map(|row| row.key).collect();
+        assert_eq!(keys, table);
+        let mut unique = table.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), table.len(), "duplicate table key");
+        // The page has one family per row, plus `build_info`.
+        let page = stats.to_prometheus();
+        let families: Vec<&str> = page
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE gmserve_"))
+            .filter_map(|l| l.split_whitespace().next())
+            .collect();
+        assert_eq!(families.len(), STAT_ROWS.len() + 1);
+        for row in STAT_ROWS {
+            assert!(
+                families.contains(&row.family),
+                "{} not rendered",
+                row.family
+            );
+        }
+        assert!(families.contains(&"build_info"));
+        // Without any optional key the frame decodes, and every
+        // optional field reads as zero / empty.
+        let without = |dropped: &dyn Fn(&StatRow) -> bool| {
+            let mut json = json.clone();
+            if let Json::Obj(fields) = &mut json {
+                fields
+                    .retain(|(k, _)| !STAT_ROWS.iter().any(|row| row.key == &**k && dropped(row)));
+            }
+            json
+        };
+        let old = ServeStats::from_json(&without(&|row| !row.required)).unwrap();
+        let mut want = stats.clone();
+        for (row, stat) in STAT_ROWS.iter().zip(want.fields_mut()) {
+            match stat {
+                _ if row.required => {}
+                Stat::Counter(n) | Stat::Gauge(n) => *n = 0,
+                Stat::Histogram(h, ..) => *h = WireHistogram::new(h.bounds),
+            }
+        }
+        assert_eq!(old, want);
+        assert_eq!(old.jobs_retried, 0);
+        assert_eq!(old.job_retries.count(), 0);
+        // Without a required key it is an error naming the key.
+        for row in STAT_ROWS.iter().filter(|row| row.required) {
+            let err = ServeStats::from_json(&without(&|r| r.key == row.key)).unwrap_err();
+            assert_eq!(err.0, format!("missing field '{}'", row.key));
+        }
+    }
+
+    /// README "Operating `gmserved`" carries the metric reference: one
+    /// line per table row.
+    #[test]
+    fn the_readme_documents_every_metric_family() {
+        let readme = include_str!("../../../README.md");
+        for row in STAT_ROWS {
+            assert!(
+                readme.contains(&format!("`gmserve_{}`", row.family)),
+                "README.md has no reference line for gmserve_{}",
+                row.family
+            );
+        }
+    }
+
+    #[test]
+    fn sizes_above_their_wire_bounds_are_refused_before_an_engine_sees_them() {
+        let m =
+            gm_rtl::parse_verilog("module m(input a, output y); assign y = a; endmodule").unwrap();
+        let base = WireConfig::default;
+        let over: [(&str, u64, WireConfig); 6] = [
+            (
+                "window",
+                MAX_WINDOW,
+                WireConfig {
+                    window: MAX_WINDOW as u32 + 1,
+                    ..base()
+                },
+            ),
+            (
+                "random_cycles",
+                MAX_RANDOM_CYCLES,
+                WireConfig {
+                    random_cycles: Some(MAX_RANDOM_CYCLES + 1),
+                    ..base()
+                },
+            ),
+            (
+                "shards",
+                MAX_SHARDS,
+                WireConfig {
+                    shards: Some(MAX_SHARDS as u32 + 1),
+                    ..base()
+                },
+            ),
+            (
+                "temporal_horizon",
+                MAX_TEMPORAL_HORIZON,
+                WireConfig {
+                    temporal_horizon: u32::MAX,
+                    ..base()
+                },
+            ),
+            (
+                "refine_variants",
+                MAX_REFINE_VARIANTS,
+                WireConfig {
+                    refine_variants: u64::MAX,
+                    ..base()
+                },
+            ),
+            (
+                "refine_extra_cycles",
+                MAX_REFINE_EXTRA_CYCLES,
+                WireConfig {
+                    refine_extra_cycles: MAX_REFINE_EXTRA_CYCLES + 1,
+                    ..base()
+                },
+            ),
+        ];
+        for (key, max, wire) in over {
+            let err = wire.to_engine(&m).unwrap_err();
+            assert!(
+                err.0.contains(&format!("'{key}'")) && err.0.ends_with(&format!("bound of {max}")),
+                "{key}: {}",
+                err.0
+            );
+        }
+        // At the bounds everything resolves.
+        let at = WireConfig {
+            window: MAX_WINDOW as u32,
+            random_cycles: Some(MAX_RANDOM_CYCLES),
+            shards: Some(MAX_SHARDS as u32),
+            temporal_horizon: MAX_TEMPORAL_HORIZON as u32,
+            refine_variants: MAX_REFINE_VARIANTS,
+            refine_extra_cycles: MAX_REFINE_EXTRA_CYCLES,
+            ..base()
+        };
+        assert_eq!(
+            at.to_engine(&m).unwrap().shards,
+            ShardPolicy::Fixed(MAX_SHARDS as usize)
+        );
+        // A fixed shard count the wire cannot carry is refused going
+        // out, not truncated.
+        for n in [MAX_SHARDS as usize + 1, usize::MAX] {
+            let engine = EngineConfig {
+                shards: ShardPolicy::Fixed(n),
+                ..EngineConfig::default()
+            };
+            let err = WireConfig::from_engine(&engine).unwrap_err();
+            assert!(err.0.contains("'shards'"), "{}", err.0);
+        }
     }
 
     #[test]
@@ -2230,7 +2150,7 @@ mod tests {
             fields.retain(|(k, _)| k != "sim_backend");
         }
         let back = WireConfig::from_json(&json).unwrap();
-        assert_eq!(back.sim_backend, WireSimBackend::CompiledBatch);
+        assert_eq!(back.sim_backend, SimBackend::CompiledBatch(1));
         assert_eq!(back, WireConfig::default());
         // Out-of-range lane blocks are rejected loudly.
         let wide = |w: u64| {
@@ -2244,10 +2164,7 @@ mod tests {
             }
             WireConfig::from_json(&json)
         };
-        assert_eq!(
-            wide(8).unwrap().sim_backend,
-            WireSimBackend::CompiledBatchWide(8)
-        );
+        assert_eq!(wide(8).unwrap().sim_backend, SimBackend::CompiledBatch(8));
         assert!(wide(0).is_err());
         assert!(wide(9).is_err());
     }
@@ -2313,6 +2230,89 @@ mod tests {
         assert_eq!(Request::from_json(&frame).unwrap(), submit);
         let frame = read_frame(&mut &DONE[..], &mut buf).unwrap().unwrap();
         assert_eq!(Response::from_json(&frame).unwrap(), done);
+    }
+
+    /// A `ServeStats` with every scalar distinct and non-zero (its
+    /// 1-based table position) and every histogram holding at least two
+    /// buckets plus the overflow slot.
+    fn golden_stats() -> ServeStats {
+        let mut stats = ServeStats {
+            submitted: 1,
+            queued: 2,
+            running: 3,
+            completed: 4,
+            failed: 5,
+            cancelled: 6,
+            workers: 7,
+            steals: 8,
+            cache_entries: 9,
+            cache_hits: 10,
+            cache_misses: 11,
+            cache_evictions: 12,
+            cache_evictions_capacity: 13,
+            cache_evictions_bytes: 14,
+            cache_evictions_collision: 15,
+            cache_bytes: 16,
+            cache_max_bytes: 17,
+            compiled_built: 18,
+            compiled_reused: 19,
+            verify_sat_queries: 20,
+            verify_sat_decided: 21,
+            verify_explicit_queries: 22,
+            verify_memo_hits: 23,
+            verify_frames_encoded: 24,
+            verify_frames_reused: 25,
+            verify_cex_canonicalized: 26,
+            worker_panics: 27,
+            jobs_retried: 28,
+            jobs_deadline_exceeded: 29,
+            requests_shed: 30,
+            workers_respawned: 31,
+            ..ServeStats::default()
+        };
+        for ns in [500_000, 2_000_000, 90_000_000_000] {
+            stats.queue_seconds.observe_ns(ns);
+        }
+        for ns in [800_000_000, 3_000_000_000, 3_000_000_000, 7_000_000_000] {
+            stats.wall_seconds.observe_ns(ns);
+        }
+        for retries in [0, 0, 2, 11] {
+            stats.job_retries.observe(retries);
+        }
+        stats
+    }
+
+    /// The `stats` frame and the metrics page of [`golden_stats`], as
+    /// the hand-written codec produced them before the table existed
+    /// (captured at d465afe): key order, optional keys, histogram
+    /// shapes, family order, help texts and `_sum` forms are pinned
+    /// byte for byte.
+    #[test]
+    fn stats_frame_and_metrics_page_match_the_golden_bytes() {
+        const STATS: &[u8] = b"\x00\x00\x03X{\"type\":\"stats\",\"stats\":{\"submitted\":1,\"queued\":2,\"running\":3,\"completed\":4,\"failed\":5,\"cancelled\":6,\"workers\":7,\"steals\":8,\"cache_entries\":9,\"cache_hits\":10,\"cache_misses\":11,\"cache_evictions\":12,\"cache_evictions_capacity\":13,\"cache_evictions_bytes\":14,\"cache_evictions_collision\":15,\"cache_bytes\":16,\"cache_max_bytes\":17,\"compiled_built\":18,\"compiled_reused\":19,\"verify_sat_queries\":20,\"verify_sat_decided\":21,\"verify_explicit_queries\":22,\"verify_memo_hits\":23,\"verify_frames_encoded\":24,\"verify_frames_reused\":25,\"verify_cex_canonicalized\":26,\"queue_seconds\":{\"buckets\":[1,1,0,0,0,0,0,0,0,0,0,0,1],\"sum_ns\":90002500000},\"wall_seconds\":{\"buckets\":[0,0,0,0,0,0,0,0,0,1,0,2,1],\"sum_ns\":13800000000},\"worker_panics\":27,\"jobs_retried\":28,\"jobs_deadline_exceeded\":29,\"requests_shed\":30,\"workers_respawned\":31,\"job_retries\":{\"buckets\":[2,0,1,0,0,1],\"sum\":13}}}";
+        let stats = golden_stats();
+        let mut buf = Vec::new();
+        encode_frame(
+            &mut buf,
+            &Response::Stats(Box::new(stats.clone())).to_json(),
+        )
+        .unwrap();
+        assert_eq!(
+            buf.escape_ascii().to_string(),
+            STATS.escape_ascii().to_string()
+        );
+        let frame = read_frame(&mut &STATS[..], &mut buf).unwrap().unwrap();
+        assert_eq!(
+            Response::from_json(&frame).unwrap(),
+            Response::Stats(Box::new(stats.clone()))
+        );
+        // The page was captured at crate version 0.1.0; only the
+        // `build_info` label follows the version.
+        let page = include_str!("../tests/golden/metrics_page.txt").replace(
+            "version=\"0.1.0\"",
+            &format!("version=\"{}\"", env!("CARGO_PKG_VERSION")),
+        );
+        assert_eq!(stats.to_prometheus(), page);
     }
 
     /// The golden `Submit` payload as clients sent it while `WireConfig`

@@ -52,11 +52,10 @@
 use crate::cache::DesignCache;
 use crate::protocol::{
     ClosureSummary, JobState, ProgressEvent, Request, Response, ServeStats, WireConfig,
-    WireCountHistogram, WireHistogram,
 };
 use crate::retry::RetryPolicy;
 use crate::scheduler::StealQueues;
-use gm_mc::{Checker, SessionStats};
+use gm_mc::Checker;
 use gm_rtl::{Elab, Module};
 use goldmine::{
     ClosureOutcome, CompileOptions, CompiledModule, Engine, EngineConfig, EngineError, SimBackend,
@@ -335,30 +334,11 @@ struct State {
     finished: std::collections::VecDeque<u64>,
     cache: DesignCache,
     next_id: u64,
-    submitted: u64,
-    completed: u64,
-    failed: u64,
-    cancelled: u64,
-    /// Resilience counters (see the matching `gmserve_*_total`
-    /// Prometheus families).
-    worker_panics: u64,
-    jobs_retried: u64,
-    deadline_exceeded: u64,
-    requests_shed: u64,
-    workers_respawned: u64,
-    /// Retries per retired job (0 = first attempt succeeded).
-    retry_hist: WireCountHistogram,
-    /// Verification work aggregated from every retired job's outcome
-    /// (the per-job [`SessionStats`] totals) — the service-level view a
-    /// metrics scrape exposes.
-    verify: SessionStats,
-    /// Queue latency (submission → worker claim), observed at every
-    /// real claim — cancelled-while-queued jobs never waited a full
-    /// queue turn and are not sampled.
-    queue_hist: WireHistogram,
-    /// Job wall time (worker claim → terminal state), observed at
-    /// retire.
-    wall_hist: WireHistogram,
+    /// Every counter the service accumulates itself, updated where the
+    /// event happens. The values owned elsewhere — the job-table
+    /// gauges, the scheduler's and the cache's counters — stay zero
+    /// here; [`ClosureService::stats`] fills them into its snapshot.
+    stats: ServeStats,
 }
 
 impl State {
@@ -394,7 +374,7 @@ impl State {
         }
         job.state = JobState::Cancelled;
         let live = job.live.take();
-        self.cancelled += 1;
+        self.stats.cancelled += 1;
         self.park_unclaimed(live);
         self.retire(id, retain);
     }
@@ -417,13 +397,25 @@ impl State {
             .as_ref()
             .expect("queued jobs are live")
             .deadline_error();
+        self.fail(id, error);
+        self.park_unclaimed(live);
+        self.retire(id, retain);
+    }
+
+    /// Marks a not-yet-retired job failed with `error` and counts the
+    /// failure.
+    fn fail(&mut self, id: u64, error: JobError) {
+        self.stats.failed += 1;
+        if matches!(error, JobError::DeadlineExceeded { .. }) {
+            self.stats.jobs_deadline_exceeded += 1;
+        }
+        let job = self
+            .jobs
+            .get_mut(&id)
+            .expect("unretired jobs stay in the table");
         job.state = JobState::Failed;
         job.error = Some(error.to_string());
         job.outcome = Some(Err(error));
-        self.failed += 1;
-        self.deadline_exceeded += 1;
-        self.park_unclaimed(live);
-        self.retire(id, retain);
     }
 
     /// Parks the warm checker of a job that retired without ever being
@@ -552,19 +544,7 @@ impl ClosureService {
                 finished: std::collections::VecDeque::new(),
                 cache: DesignCache::with_max_bytes(config.cache_capacity, config.cache_max_bytes),
                 next_id: 1,
-                submitted: 0,
-                completed: 0,
-                failed: 0,
-                cancelled: 0,
-                worker_panics: 0,
-                jobs_retried: 0,
-                deadline_exceeded: 0,
-                requests_shed: 0,
-                workers_respawned: 0,
-                retry_hist: WireCountHistogram::default(),
-                verify: SessionStats::default(),
-                queue_hist: WireHistogram::default(),
-                wall_hist: WireHistogram::default(),
+                stats: ServeStats::default(),
             }),
             done_cv: Condvar::new(),
             open: AtomicBool::new(true),
@@ -684,7 +664,7 @@ impl ClosureService {
                     None
                 };
                 if let Some(limit) = over {
-                    st.requests_shed += 1;
+                    st.stats.requests_shed += 1;
                     return Err(ServeError::Overloaded {
                         queued: depth as u64,
                         limit,
@@ -716,7 +696,7 @@ impl ClosureService {
             );
             let id = st.next_id;
             st.next_id += 1;
-            st.submitted += 1;
+            st.stats.submitted += 1;
             let submitted_ns = gm_trace::now_ns();
             st.jobs.insert(
                 id,
@@ -894,23 +874,10 @@ impl ClosureService {
     pub fn stats(&self) -> ServeStats {
         let st = self.state();
         let cache = st.cache.stats();
-        let queued = st
-            .jobs
-            .values()
-            .filter(|j| j.state == JobState::Queued)
-            .count() as u64;
-        let running = st
-            .jobs
-            .values()
-            .filter(|j| j.state == JobState::Running)
-            .count() as u64;
+        let in_state = |state| st.jobs.values().filter(|j| j.state == state).count() as u64;
         ServeStats {
-            submitted: st.submitted,
-            queued,
-            running,
-            completed: st.completed,
-            failed: st.failed,
-            cancelled: st.cancelled,
+            queued: in_state(JobState::Queued),
+            running: in_state(JobState::Running),
             workers: self.shared.queues.worker_count() as u64,
             steals: self.shared.queues.steals(),
             cache_entries: cache.entries as u64,
@@ -924,21 +891,7 @@ impl ClosureService {
             cache_max_bytes: cache.max_bytes as u64,
             compiled_built: cache.compiled_built,
             compiled_reused: cache.compiled_reused,
-            verify_sat_queries: st.verify.sat_queries,
-            verify_sat_decided: st.verify.sat_decided,
-            verify_explicit_queries: st.verify.explicit_queries,
-            verify_memo_hits: st.verify.memo_hits,
-            verify_frames_encoded: st.verify.frames_encoded,
-            verify_frames_reused: st.verify.frames_reused,
-            verify_cex_canonicalized: st.verify.cex_canonicalized,
-            worker_panics: st.worker_panics,
-            jobs_retried: st.jobs_retried,
-            jobs_deadline_exceeded: st.deadline_exceeded,
-            requests_shed: st.requests_shed,
-            workers_respawned: st.workers_respawned,
-            job_retries: st.retry_hist.clone(),
-            queue_seconds: st.queue_hist.clone(),
-            wall_seconds: st.wall_hist.clone(),
+            ..st.stats.clone()
         }
     }
 
@@ -1241,7 +1194,7 @@ fn respawn_dead_workers(shared: &Arc<Shared>) {
             let _ = old.join();
         }
         slots[w] = Some(spawn_worker(shared, w));
-        lock_state(&shared.state).workers_respawned += 1;
+        lock_state(&shared.state).stats.workers_respawned += 1;
     }
 }
 
@@ -1374,7 +1327,9 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
             job.submitted_ns,
         );
         let started_ns = gm_trace::now_ns();
-        st.queue_hist.observe_ns(started_ns.saturating_sub(claim.9));
+        st.stats
+            .queue_seconds
+            .observe_ns(started_ns.saturating_sub(claim.9));
         (claim, started_ns)
     };
     let (module, elab, checker, compiled, config, cancel, key, canonical, trace, submitted_ns) =
@@ -1460,7 +1415,7 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
                 // The attempt panicked; the job fails or retries, the
                 // worker survives.
                 let message = panic_message(payload);
-                lock_state(&shared.state).worker_panics += 1;
+                lock_state(&shared.state).stats.worker_panics += 1;
                 format!("worker panic: {message}")
             }
         };
@@ -1483,7 +1438,7 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
             // The failed attempt may have poisoned the design's warm
             // state; drop the entry so the retry rebuilds from source.
             st.cache.invalidate(&key);
-            st.jobs_retried += 1;
+            st.stats.jobs_retried += 1;
             if let Some(job) = st.jobs.get_mut(&id) {
                 // The retry restarts the run; stale events from the
                 // failed attempt would corrupt the progress stream.
@@ -1515,9 +1470,10 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
 
     // Retire: record the result, park the warm artifacts, classify.
     let mut st = lock_state(&shared.state);
-    st.wall_hist
+    st.stats
+        .wall_seconds
         .observe_ns(gm_trace::now_ns().saturating_sub(started_ns));
-    st.retry_hist.observe(u64::from(retries));
+    st.stats.job_retries.observe(u64::from(retries));
     match finish {
         Finish::Finished {
             outcome,
@@ -1526,7 +1482,16 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
             built_compiled,
         } => {
             st.park_artifacts(&shared.config, &key, &canonical, reclaimed, built_compiled);
-            st.verify += outcome.verification_total();
+            // The service-level view of verification work: every
+            // retired job's per-session totals, summed.
+            let verify = outcome.verification_total();
+            st.stats.verify_sat_queries += verify.sat_queries;
+            st.stats.verify_sat_decided += verify.sat_decided;
+            st.stats.verify_explicit_queries += verify.explicit_queries;
+            st.stats.verify_memo_hits += verify.memo_hits;
+            st.stats.verify_frames_encoded += verify.frames_encoded;
+            st.stats.verify_frames_reused += verify.frames_reused;
+            st.stats.verify_cex_canonicalized += verify.cex_canonicalized;
             let job = st
                 .jobs
                 .get_mut(&id)
@@ -1537,19 +1502,15 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
             let live = job.live.as_ref().expect("running jobs are live");
             if was_cancelled && live.deadline_hit {
                 let error = live.deadline_error();
-                job.error = Some(error.to_string());
-                job.outcome = Some(Err(error));
-                job.state = JobState::Failed;
-                st.failed += 1;
-                st.deadline_exceeded += 1;
+                st.fail(id, error);
             } else if was_cancelled {
                 job.outcome = Some(Ok(Arc::new(outcome)));
                 job.state = JobState::Cancelled;
-                st.cancelled += 1;
+                st.stats.cancelled += 1;
             } else {
                 job.outcome = Some(Ok(Arc::new(outcome)));
                 job.state = JobState::Done;
-                st.completed += 1;
+                st.stats.completed += 1;
             }
         }
         Finish::Error {
@@ -1558,20 +1519,10 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
             built_compiled,
         } => {
             st.park_artifacts(&shared.config, &key, &canonical, reclaimed, built_compiled);
-            if matches!(error, JobError::DeadlineExceeded { .. }) {
-                st.deadline_exceeded += 1;
-            }
-            st.failed += 1;
-            let job = st
-                .jobs
-                .get_mut(&id)
-                .expect("running jobs are never retired");
-            job.error = Some(error.to_string());
-            job.outcome = Some(Err(error));
-            job.state = JobState::Failed;
+            st.fail(id, error);
         }
         Finish::CancelledBare => {
-            st.cancelled += 1;
+            st.stats.cancelled += 1;
             let job = st
                 .jobs
                 .get_mut(&id)
@@ -1987,7 +1938,7 @@ mod tests {
         let stats = service.stats();
         assert_eq!(stats.queue_seconds.count(), 2);
         assert_eq!(stats.wall_seconds.count(), 2);
-        assert!(stats.wall_seconds.sum_ns > 0);
+        assert!(stats.wall_seconds.sum > 0);
         // Fault-free runs still populate the retry histogram's zero
         // bucket: one observation per retired job.
         assert_eq!(stats.job_retries.count(), 2);
@@ -2023,6 +1974,51 @@ mod tests {
             Response::Error { .. } => {}
             other => panic!("unexpected response {other:?}"),
         }
+        service.shutdown();
+    }
+
+    #[test]
+    fn an_over_bound_wire_config_is_refused_before_it_becomes_a_job() {
+        let service = ClosureService::new(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        });
+        let submit = |config: WireConfig| Request::Submit {
+            name: "hostile".into(),
+            source: "module h(input a, output y); assign y = a; endmodule".into(),
+            config,
+            trace: false,
+            deadline_ms: None,
+        };
+        for hostile in [
+            WireConfig {
+                window: u32::MAX,
+                ..WireConfig::default()
+            },
+            WireConfig {
+                random_cycles: Some(u64::MAX),
+                ..WireConfig::default()
+            },
+            WireConfig {
+                shards: Some(u32::MAX),
+                ..WireConfig::default()
+            },
+        ] {
+            match service.handle_request(&submit(hostile)) {
+                Response::Error { message } => {
+                    assert!(message.contains("above its bound"), "{message}")
+                }
+                other => panic!("unexpected response {other:?}"),
+            }
+        }
+        let stats = service.stats();
+        assert_eq!((stats.submitted, stats.queued, stats.running), (0, 0, 0));
+        // The service keeps serving.
+        match service.handle_request(&submit(WireConfig::default())) {
+            Response::Submitted { job, .. } => assert_eq!(service.wait(job), Some(JobState::Done)),
+            other => panic!("unexpected response {other:?}"),
+        }
+        assert_eq!(service.stats().submitted, 1);
         service.shutdown();
     }
 

@@ -81,23 +81,27 @@ use std::collections::HashMap;
 pub const MAX_LANE_BLOCK: usize = 8;
 
 /// Which simulation engine executes stimulus.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SimBackend {
     /// The tree-walking interpreter ([`crate::Simulator`]): the
     /// reference semantics and the differential oracle.
     Interpreter,
     /// The compiled instruction tape, one stimulus vector per pass.
     CompiledScalar,
-    /// The compiled tape in 64-lane bit-parallel mode: bit `k` of every
-    /// tape word carries stimulus vector `k`, so one tape execution
-    /// simulates up to 64 segments. The default.
-    #[default]
-    CompiledBatch,
-    /// The compiled tape over a lane block of `W` words: up to `64·W`
-    /// stimulus vectors per pass. The width is normalized to the
-    /// nearest supported block (1, 2, 4 or 8 words → 64–512 lanes);
-    /// `CompiledBatchWide(1)` is exactly [`SimBackend::CompiledBatch`].
-    CompiledBatchWide(u8),
+    /// The compiled tape in bit-parallel mode over a lane block of `W`
+    /// 64-lane words: bit `k` of every tape word carries stimulus
+    /// vector `k`, so one tape execution simulates up to `64·W`
+    /// segments. The width is normalized to the nearest supported
+    /// block (1, 2, 4 or 8 words → 64–512 lanes — see
+    /// [`SimBackend::lane_block`]). The default is `CompiledBatch(1)`,
+    /// the 64-lane batch.
+    CompiledBatch(u8),
+}
+
+impl Default for SimBackend {
+    fn default() -> Self {
+        SimBackend::CompiledBatch(1)
+    }
 }
 
 impl SimBackend {
@@ -107,7 +111,7 @@ impl SimBackend {
     /// backends run one vector at a time and report 1.
     pub fn lane_block(&self) -> usize {
         match self {
-            SimBackend::CompiledBatchWide(w) => match w {
+            SimBackend::CompiledBatch(w) => match w {
                 0 | 1 => 1,
                 2 => 2,
                 3 | 4 => 4,
@@ -122,7 +126,7 @@ impl SimBackend {
     pub fn lanes(&self) -> usize {
         match self {
             SimBackend::Interpreter | SimBackend::CompiledScalar => 1,
-            SimBackend::CompiledBatch | SimBackend::CompiledBatchWide(_) => 64 * self.lane_block(),
+            SimBackend::CompiledBatch(_) => 64 * self.lane_block(),
         }
     }
 }
@@ -2257,13 +2261,14 @@ mod tests {
 
     #[test]
     fn lane_block_normalizes_widths() {
-        assert_eq!(SimBackend::CompiledBatch.lane_block(), 1);
-        assert_eq!(SimBackend::CompiledBatchWide(0).lane_block(), 1);
-        assert_eq!(SimBackend::CompiledBatchWide(2).lane_block(), 2);
-        assert_eq!(SimBackend::CompiledBatchWide(3).lane_block(), 4);
-        assert_eq!(SimBackend::CompiledBatchWide(8).lane_block(), 8);
-        assert_eq!(SimBackend::CompiledBatchWide(200).lane_block(), 8);
-        assert_eq!(SimBackend::CompiledBatchWide(4).lanes(), 256);
+        assert_eq!(SimBackend::default(), SimBackend::CompiledBatch(1));
+        assert_eq!(SimBackend::CompiledBatch(1).lane_block(), 1);
+        assert_eq!(SimBackend::CompiledBatch(0).lane_block(), 1);
+        assert_eq!(SimBackend::CompiledBatch(2).lane_block(), 2);
+        assert_eq!(SimBackend::CompiledBatch(3).lane_block(), 4);
+        assert_eq!(SimBackend::CompiledBatch(8).lane_block(), 8);
+        assert_eq!(SimBackend::CompiledBatch(200).lane_block(), 8);
+        assert_eq!(SimBackend::CompiledBatch(4).lanes(), 256);
         assert_eq!(SimBackend::Interpreter.lanes(), 1);
     }
 }

@@ -16,6 +16,9 @@
 //! per-iteration progress, and print the merged results plus the
 //! server's scheduler/cache counters.
 //!
+//! Before any of that, one submission carries a size above its wire
+//! bound; the server must answer with a typed refusal and keep serving.
+//!
 //! Afterwards one job is re-submitted with the flight recorder on and
 //! its Chrome trace is fetched over the wire; set `GM_SERVE_TRACE_OUT`
 //! to a path to save it (load the file in Perfetto / `chrome://tracing`
@@ -101,6 +104,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // below hold against an external server with prior traffic too.
     let baseline = ServeClient::connect(&path)?.stats()?;
 
+    // A hostile config first: a window that would size a multi-gigabyte
+    // feature table. The server must refuse it with a typed error
+    // before it becomes a job — and keep serving everything below.
+    let design = gm_designs::by_name("arbiter2").expect("catalog design");
+    let hostile = WireConfig {
+        window: u32::MAX,
+        ..wire_config(&design)
+    };
+    let refusal = ServeClient::connect(&path)?
+        .submit("hostile", design.source, &hostile)
+        .expect_err("an over-bound window must be refused");
+    assert!(
+        refusal.to_string().contains("field 'window'") && refusal.to_string().contains("bound"),
+        "unexpected refusal: {refusal}"
+    );
+    println!("hostile config refused: {refusal}");
+
     let results: Vec<Vec<String>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..3)
             .map(|client| {
@@ -124,7 +144,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One traced job: the recorder rides along only for submissions
     // that ask for it, and the trace is served once the job is
     // terminal.
-    let design = gm_designs::by_name("arbiter2").expect("catalog design");
     let (traced_job, _) = conn.submit_with(
         "arbiter2-traced",
         design.source,
@@ -164,11 +183,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.cache_evictions,
         stats.cache_bytes / 1024,
     );
-    // The three scenario clients plus the traced re-submission.
-    assert_eq!(
-        stats.completed - baseline.completed,
-        (DESIGNS.len() * 3 + 1) as u64
-    );
+    // The three scenario clients plus the traced re-submission; the
+    // refused config never counted as submitted.
+    let jobs = (DESIGNS.len() * 3 + 1) as u64;
+    assert_eq!(stats.completed - baseline.completed, jobs);
+    assert_eq!(stats.submitted - baseline.submitted, jobs);
     assert!(
         stats.cache_hits - baseline.cache_hits >= (DESIGNS.len() * 2) as u64,
         "repeats must hit the cache"
