@@ -5,7 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use gm_mc::{
     blast, bmc, explicit_check, k_induction, BitAtom, CheckResult, CheckSession, Checker,
-    ExplicitLimits, ReachableStates, WindowProperty,
+    ConsequentKind, ExplicitLimits, ReachableStates, TemporalProperty, WindowProperty,
 };
 use gm_mine::{Dataset, DecisionTree, MiningSpec};
 use gm_rtl::{cone_of, elaborate, parse_verilog};
@@ -368,6 +368,59 @@ fn bench_explicit_tables(c: &mut Criterion) {
             explicit_check(&module, &blasted, &cold, &eight_literals, &limits).unwrap()
         });
     });
+}
+
+/// What `closure_temporal` pays per multi-consequent candidate: a fixed
+/// batch of mined-shape properties on `b12_lite` — two antecedent
+/// literals over cycles 0 and 1, the target bit held (`All`, a
+/// stability window) or reached (`Any`, a bounded eventuality) over
+/// cycles 2 and 3 — through a default checker whose design artifacts
+/// are warm and whose memo and sessions are reset every iteration.
+fn bench_temporal_batch(c: &mut Criterion) {
+    let module = gm_designs::b12_lite();
+    let sig = |name: &str| module.require(name).unwrap();
+    let features = [
+        (sig("start"), 0),
+        (sig("guess"), 0),
+        (sig("guess"), 1),
+        (sig("win"), 0),
+        (sig("lose"), 0),
+        (sig("speaker"), 0),
+        (sig("speaker"), 1),
+    ];
+    let targets = [features[3], features[4], features[5], features[6]];
+    for (name, kind) in [("all", ConsequentKind::All), ("any", ConsequentKind::Any)] {
+        let mut props = Vec::new();
+        for (i, &(first, first_bit)) in features.iter().enumerate() {
+            let (second, second_bit) = features[(i + 1) % features.len()];
+            for (j, &(target, bit)) in targets.iter().enumerate() {
+                for value in [false, true] {
+                    props.push(TemporalProperty {
+                        antecedent: vec![
+                            BitAtom::new(first, first_bit, 0, (i + j) % 2 == 0),
+                            BitAtom::new(second, second_bit, 1, value),
+                        ],
+                        consequents: (2..=3)
+                            .map(|offset| BitAtom::new(target, bit, offset, value))
+                            .collect(),
+                        kind,
+                    });
+                }
+            }
+        }
+        let mut checker = Checker::new(&module).unwrap();
+        let verdicts = checker.check_batch(&props).unwrap();
+        assert!(verdicts.iter().any(CheckResult::is_proved));
+        assert!(verdicts
+            .iter()
+            .any(|r| matches!(r, CheckResult::Violated(_))));
+        c.bench_function(&format!("mc/temporal_batch_b12_lite_{name}"), |b| {
+            b.iter(|| {
+                checker.reset_for_reuse();
+                checker.check_batch(&props).unwrap()
+            });
+        });
+    }
 }
 
 /// Tentpole comparison: per-query unrollings (the pre-session dispatch,
@@ -808,6 +861,7 @@ criterion_group!(
         bench_canonical_cex,
         bench_model_checking,
         bench_explicit_tables,
+        bench_temporal_batch,
         bench_batched_checking,
         bench_shard_scaling,
         bench_campaign,

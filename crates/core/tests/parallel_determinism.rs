@@ -125,24 +125,38 @@ fn zero_seed_bootstrap_is_identical_across_policies_and_runs() {
 
 #[test]
 fn temporal_outcome_is_identical_across_policies_and_runs() {
-    // Temporal worklists go through the same shard pool as window ones:
-    // multi-consequent candidates are SAT-decided on shard sessions and
-    // their `tcex-*` counterexamples feed the suite.
+    // Temporal worklists go through the same shard pool as window ones
+    // and their `tcex-*` counterexamples feed the suite. Under `Auto`
+    // the explicit tables decide every candidate of this design, of
+    // either kind; a forced SAT backend keeps multi-consequent
+    // candidates on the shard sessions' unrollings.
     let module = gm_designs::arbiter4();
-    let config = EngineConfig {
+    let auto = EngineConfig {
         window: 1,
         stimulus: SeedStimulus::Random { cycles: 32 },
         temporal: TemporalConfig { horizon: 2 },
         record_coverage: false,
         ..EngineConfig::default()
     };
-    let outcome = run_with(config.clone(), &module, ShardPolicy::Fixed(3));
-    let total = outcome.verification_total();
+    let total = run_with(auto.clone(), &module, ShardPolicy::Fixed(3)).verification_total();
+    assert!(
+        total.explicit_queries > 0 && total.sat_decided == 0,
+        "a temporal candidate left the explicit tables: {total:?}"
+    );
+    assert_deterministic("arbiter4/temporal", &module, auto.clone());
+
+    let sat = EngineConfig {
+        backend: Backend::KInduction { max_k: 2 },
+        unknown: UnknownPolicy::AssumeTrue,
+        max_iterations: 2,
+        ..auto
+    };
+    let total = run_with(sat.clone(), &module, ShardPolicy::Fixed(3)).verification_total();
     assert!(
         total.sat_decided > 0 && total.cex_canonicalized > 0,
         "no temporal candidate reached the SAT engines: {total:?}"
     );
-    assert_deterministic("arbiter4/temporal", &module, config);
+    assert_deterministic("arbiter4/temporal/k-induction", &module, sat);
 }
 
 /// Stress/soak on the largest catalog design with per-core sharding:

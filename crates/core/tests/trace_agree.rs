@@ -7,7 +7,9 @@
 //! sound (nested spans, well-formed Chrome export).
 
 use gm_rtl::parse_verilog;
-use goldmine::{Engine, EngineConfig, RefineConfig, SeedStimulus, SimBackend, TemporalConfig};
+use goldmine::{
+    Engine, EngineConfig, RefineConfig, SeedStimulus, SimBackend, TemporalConfig, UnknownPolicy,
+};
 
 const STICKY: &str = "
 module sticky(input clk, input rst, input set, output reg q);
@@ -76,10 +78,17 @@ fn outcomes_byte_identical_recorder_on_and_off_across_backends() {
 
 #[test]
 fn recorder_captures_nested_engine_spans() {
+    // A forced SAT backend: `Auto` decides a design this small on the
+    // explicit tables and never opens an `mc.sat_query` span.
+    let config = EngineConfig {
+        backend: gm_mc::Backend::KInduction { max_k: 4 },
+        unknown: UnknownPolicy::AssumeTrue,
+        ..full_config(SimBackend::CompiledBatch(1))
+    };
     let sink = gm_trace::TraceSink::new();
     {
         let _guard = gm_trace::push_thread_sink(sink.clone());
-        run_debug(ARBITER2, full_config(SimBackend::CompiledBatch(1)));
+        run_debug(ARBITER2, config);
     }
     let events = sink.events();
     let find = |name: &str| events.iter().filter(|e| e.name == name).collect::<Vec<_>>();

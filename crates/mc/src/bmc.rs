@@ -13,7 +13,7 @@ use crate::blast::Blasted;
 use crate::check::Normalized;
 use crate::prop::{
     assemble_input_vector, BitAtom, CexTrace, CheckResult, ConsequentKind, TemporalProperty,
-    WindowProperty,
+    Violation, WindowProperty,
 };
 use gm_cache::FxMap;
 use gm_rtl::Module;
@@ -47,7 +47,13 @@ pub trait UnrollProperty {
         !self.encode_violation(unroller, base)
     }
 
-    /// The form [`crate::Checker`] memoizes and decides the property in.
+    /// The window's violation as plain atoms — what the explicit-state
+    /// engine evaluates where the SAT engines use
+    /// [`UnrollProperty::encode_violation`].
+    #[doc(hidden)]
+    fn violation(&self) -> Violation<'_>;
+
+    /// The form [`crate::Checker`] memoizes the property in.
     #[doc(hidden)]
     fn normalized(&self) -> Normalized;
 }
@@ -61,6 +67,14 @@ impl UnrollProperty for WindowProperty {
 
     fn encode_violation(&self, unroller: &mut Unroller, base: usize) -> Lit {
         unroller.violation_lit(base, self)
+    }
+
+    fn violation(&self) -> Violation<'_> {
+        Violation {
+            antecedent: &self.antecedent,
+            consequents: std::slice::from_ref(&self.consequent),
+            kind: ConsequentKind::Any,
+        }
     }
 
     fn normalized(&self) -> Normalized {
@@ -77,6 +91,14 @@ impl UnrollProperty for TemporalProperty {
 
     fn encode_violation(&self, unroller: &mut Unroller, base: usize) -> Lit {
         unroller.temporal_violation_lit(base, self)
+    }
+
+    fn violation(&self) -> Violation<'_> {
+        Violation {
+            antecedent: &self.antecedent,
+            consequents: &self.consequents,
+            kind: self.kind,
+        }
     }
 
     fn normalized(&self) -> Normalized {

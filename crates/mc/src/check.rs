@@ -18,10 +18,14 @@
 //! The results — counterexample traces included — and the memo are
 //! moreover the same for every entry point and every shard count; the
 //! shard count only decides which session's counters the frame and
-//! solver work lands in. This is by construction: verdicts are
-//! solver-state-independent, violated SAT verdicts are re-extracted on
-//! a clone of a pristine unrolling prefix, whose model depends only on
-//! the design and the property, and a sharded worklist is dealt onto
+//! solver work lands in. This is by construction: which engine answers
+//! — the *source* of a verdict, and with it the shape of its trace — is
+//! a function of the design, the limits and the backend, never of the
+//! property's kind or of what was decided before it; explicit-state
+//! verdicts carry the direct walk's first violation; SAT verdicts are
+//! solver-state-independent, and violated ones are re-extracted on a
+//! clone of a pristine unrolling prefix, whose model depends only on
+//! the design and the property; and a sharded worklist is dealt onto
 //! its sessions in a fixed round-robin and merged back in worklist
 //! order.
 
@@ -37,14 +41,16 @@ use std::collections::HashMap;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
-/// Which engine decides a property.
+/// Which engine decides a property — of either kind: no backend routes
+/// by [`WindowProperty`] versus [`TemporalProperty`].
 #[derive(Clone, Copy, Debug, PartialEq, Default)]
 pub enum Backend {
     /// Explicit-state when the design fits the limits, otherwise BMC
     /// followed by k-induction. The default.
     #[default]
     Auto,
-    /// Explicit-state reachability only (errors if over limits).
+    /// Explicit-state reachability only (errors if over limits; never
+    /// runs a SAT query, never answers `Unknown`).
     Explicit,
     /// Bounded model checking only — can only refute, never prove.
     Bmc {
@@ -58,11 +64,12 @@ pub enum Backend {
     },
 }
 
-/// A property in the one form the [`Checker`] memoizes and decides it
-/// in: every single-consequent property is a `Window`, whichever type
-/// it arrived as, so it shares one memo entry and reaches the explicit
-/// engine; only multi-consequent temporal properties stay `Temporal`.
-/// Built by [`UnrollProperty::normalized`].
+/// A property in the one form the [`Checker`] memoizes it in: every
+/// single-consequent property is a `Window`, whichever type it arrived
+/// as, so the two spellings share one memo entry; only multi-consequent
+/// temporal properties stay `Temporal`. The split is a memo key, not a
+/// route: both variants are decided by the same engines. Built by
+/// [`UnrollProperty::normalized`].
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Normalized {
     /// A single-consequent window implication.
@@ -432,12 +439,9 @@ impl Checker {
         }
     }
 
-    /// Builds the reachable set when deciding `prop` can use it: the
-    /// explicit engine evaluates single-consequent windows only.
-    fn ensure_reach_for(&mut self, prop: &Normalized) {
-        if matches!(prop, Normalized::Window(_))
-            && matches!(self.backend, Backend::Auto | Backend::Explicit)
-        {
+    /// Builds the reachable set when the backend can use it.
+    fn ensure_reach_for_backend(&mut self) {
+        if matches!(self.backend, Backend::Auto | Backend::Explicit) {
             self.ensure_reach();
         }
     }
@@ -456,15 +460,15 @@ impl Checker {
     /// Decides `prop` with the configured backend.
     ///
     /// A single-consequent [`TemporalProperty`] *is* a
-    /// [`WindowProperty`] and is decided (and memoized) as one.
-    /// Multi-consequent properties (bounded eventualities and stability
-    /// windows) are decided by the SAT engines: [`Backend::Bmc`] /
-    /// [`Backend::KInduction`] respect their configured bounds, while
-    /// [`Backend::Auto`] and [`Backend::Explicit`] take the
-    /// BMC-then-k-induction path (the explicit engine has no
-    /// disjunctive-window evaluator, so `Explicit` degrades rather than
-    /// failing). Violated SAT verdicts carry the canonical
-    /// counterexample.
+    /// [`WindowProperty`] and is memoized as one. Every property, single-
+    /// or multi-consequent (bounded eventualities and stability
+    /// windows), takes the same route: [`Backend::Explicit`] and — on a
+    /// design within the explicit limits — [`Backend::Auto`] decide it
+    /// exactly by explicit-state reachability, whose violated verdicts
+    /// carry the direct walk's first counterexample; [`Backend::Bmc`] /
+    /// [`Backend::KInduction`] respect their configured bounds, and
+    /// `Auto` over the limits runs BMC then k-induction. Violated SAT
+    /// verdicts carry the canonical counterexample.
     ///
     /// Results are memoized: checking the same property again (in any
     /// later call or batch) is a lookup, not a solver query.
@@ -481,7 +485,7 @@ impl Checker {
             self.session.note_memo_hit();
             return Ok(res);
         }
-        self.ensure_reach_for(&prop);
+        self.ensure_reach_for_backend();
         let params = self.params();
         let res = decide_one(
             &self.module,
@@ -500,9 +504,10 @@ impl Checker {
     /// Within one batch (and across batches) each distinct property is
     /// decided exactly once — duplicates are served from the memo — and
     /// each session builds at most one unrolling per (backend, bound)
-    /// configuration. Under `Auto`, properties the explicit engine can
-    /// handle are decided against the one shared reachable set; the
-    /// rest share the session's BMC / k-induction unrollings.
+    /// configuration. Under `Auto`, a design within the explicit limits
+    /// has every property decided against the one shared reachable
+    /// set; on any other, they share the session's BMC / k-induction
+    /// unrollings.
     ///
     /// With [`Checker::with_shards`] above 1 the batch is deduped and
     /// memo-served, and the remaining unique properties are dealt
@@ -526,11 +531,21 @@ impl Checker {
     ) -> Result<Vec<CheckResult>, McError> {
         let mut span = gm_trace::span("mc", P::BATCH_SPAN);
         span.arg("props", props.len());
-        if self.shards == 1 {
-            return props.iter().map(|prop| self.check(prop)).collect();
+        let before = span.is_active().then(|| self.session_stats());
+        let results = if self.shards == 1 {
+            props.iter().map(|prop| self.check(prop)).collect()
+        } else {
+            let props: Vec<Normalized> = props.iter().map(P::normalized).collect();
+            self.check_batch_pooled(&props)
+        };
+        if let Some(before) = before {
+            // Who answered: the memo, the explicit engine, or SAT.
+            let answered = self.session_stats() - before;
+            span.arg("memo", answered.memo_hits);
+            span.arg("explicit", answered.explicit_queries);
+            span.arg("sat", answered.sat_decided);
         }
-        let props: Vec<Normalized> = props.iter().map(P::normalized).collect();
-        self.check_batch_pooled(&props)
+        results
     }
 
     fn check_batch_pooled(&mut self, props: &[Normalized]) -> Result<Vec<CheckResult>, McError> {
@@ -564,9 +579,7 @@ impl Checker {
         // error), known only after the workers report back.
         let mut stop_pos = usize::MAX;
         if !unique.is_empty() {
-            for prop in &unique {
-                self.ensure_reach_for(prop);
-            }
+            self.ensure_reach_for_backend();
             while self.shard_sessions.len() < shards {
                 self.shard_sessions
                     .push(CheckSession::new(self.blasted.clone()));
@@ -688,13 +701,14 @@ fn decide_one(
     prop: &Normalized,
 ) -> Result<CheckResult, McError> {
     match prop {
-        Normalized::Window(p) => decide(module, blasted, reach, params, session, p, Some(p)),
-        Normalized::Temporal(p) => decide(module, blasted, reach, params, session, p, None),
+        Normalized::Window(p) => decide(module, blasted, reach, params, session, p),
+        Normalized::Temporal(p) => decide(module, blasted, reach, params, session, p),
     }
 }
 
-/// [`decide_one`] for either property kind; `window` is the view the
-/// explicit engine can evaluate, when the property has one.
+/// [`decide_one`] for either property kind. Which engine answers
+/// depends on the backend, the design and the limits — never on the
+/// kind.
 fn decide<P: UnrollProperty>(
     module: &Module,
     blasted: &Blasted,
@@ -702,7 +716,6 @@ fn decide<P: UnrollProperty>(
     params: &DecideParams,
     session: &mut CheckSession,
     prop: &P,
-    window: Option<&WindowProperty>,
 ) -> Result<CheckResult, McError> {
     let cancel = params.cancel.as_deref();
     if cancel_requested(cancel) {
@@ -715,42 +728,38 @@ fn decide<P: UnrollProperty>(
     if let Some(fault) = crate::session::injected_fault(cancel) {
         return Err(fault);
     }
-    if let Some(window) = window {
-        match (params.backend, reach) {
-            (Backend::Explicit, Some(r)) => {
-                let res = explicit_check(module, blasted, r, window, &params.limits)?;
-                session.note_explicit_query();
+    let explicit = |session: &mut CheckSession| {
+        let reach = reach.ok_or(McError::StateSpaceExceeded {
+            limit: params.limits.max_states,
+        })?;
+        let res = explicit_check(module, blasted, reach, prop, &params.limits)?;
+        session.note_explicit_query();
+        Ok(res)
+    };
+    // The SAT engines run on the session's shared unrollings; one
+    // property decision, however many queries it takes.
+    let (limit, res) = match params.backend {
+        Backend::Explicit => return explicit(session),
+        Backend::Auto => {
+            if let Ok(res) = explicit(session) {
                 return Ok(res);
             }
-            (Backend::Explicit, None) => {
-                return Err(McError::StateSpaceExceeded {
-                    limit: params.limits.max_states,
-                })
-            }
-            (Backend::Auto, Some(r)) => {
-                if let Ok(res) = explicit_check(module, blasted, r, window, &params.limits) {
-                    session.note_explicit_query();
-                    return Ok(res);
-                }
-                // Window too wide for the explicit walk: fall through to
-                // the SAT engines.
-            }
-            _ => {}
-        }
-    }
-    // SAT path, on the session's shared unrollings. One property
-    // decision, however many queries it takes.
-    session.note_sat_decision();
-    let (limit, res) = match params.backend {
-        Backend::Bmc { bound } => (bound, session.bmc(module, prop, bound, cancel)?),
-        Backend::KInduction { max_k } => (max_k, session.k_induction(module, prop, max_k, cancel)?),
-        // BMC to refute, k-induction to prove.
-        Backend::Auto | Backend::Explicit => {
+            // Over the explicit limits: BMC to refute, k-induction to
+            // prove.
+            session.note_sat_decision();
             let res = match session.bmc(module, prop, params.bmc_bound, cancel)? {
                 CheckResult::Violated(cex) => CheckResult::Violated(cex),
                 _ => session.k_induction(module, prop, params.kind_max_k, cancel)?,
             };
             (params.bmc_bound.max(params.kind_max_k), res)
+        }
+        Backend::Bmc { bound } => {
+            session.note_sat_decision();
+            (bound, session.bmc(module, prop, bound, cancel)?)
+        }
+        Backend::KInduction { max_k } => {
+            session.note_sat_decision();
+            (max_k, session.k_induction(module, prop, max_k, cancel)?)
         }
     };
     Ok(canonicalize(
@@ -861,6 +870,115 @@ mod tests {
             consequent: BitAtom::new(gnt0, 0, 2, true),
         };
         assert_eq!(auto.check(&a7).unwrap(), CheckResult::Proved);
+    }
+
+    #[test]
+    fn the_explicit_backend_never_reaches_the_sat_engines() {
+        let m = parse_verilog(ARBITER2).unwrap();
+        let req0 = m.require("req0").unwrap();
+        let gnt0 = m.require("gnt0").unwrap();
+        let idle = |offset| BitAtom::new(req0, 0, offset, false);
+        let no_grant = vec![
+            BitAtom::new(gnt0, 0, 1, false),
+            BitAtom::new(gnt0, 0, 2, false),
+        ];
+        let grant: Vec<BitAtom> = (no_grant.iter())
+            .map(|a| BitAtom { value: true, ..*a })
+            .collect();
+        let temporal = |antecedent, consequents: &[BitAtom], kind| TemporalProperty {
+            antecedent,
+            consequents: consequents.to_vec(),
+            kind,
+        };
+        // gnt0 rises only on req0: idle for two cycles keeps it low for
+        // two, idle for one keeps it low for one; and a request is not
+        // granted while port 1 holds it off.
+        let props = [
+            temporal(vec![idle(0), idle(1)], &no_grant, ConsequentKind::All),
+            temporal(vec![idle(0)], &no_grant, ConsequentKind::All),
+            temporal(vec![idle(0)], &no_grant, ConsequentKind::Any),
+            temporal(
+                vec![BitAtom::new(req0, 0, 0, true)],
+                &grant,
+                ConsequentKind::Any,
+            ),
+        ];
+        let mut c = Checker::new(&m).unwrap().with_backend(Backend::Explicit);
+        let results = c.check_batch(&props).unwrap();
+        for (result, proved) in results.iter().zip([true, false, true, false]) {
+            let violated = matches!(result, CheckResult::Violated(_));
+            assert!(
+                result.is_proved() == proved && violated != proved,
+                "{results:?}"
+            );
+        }
+        let stats = c.session_stats();
+        assert_eq!(stats.explicit_queries, 4);
+        assert_eq!((stats.sat_decided, stats.sat_queries), (0, 0), "{stats:?}");
+        // Over its limits the backend fails as it does for a window.
+        let mut tight = c.with_limits(ExplicitLimits {
+            max_states: 2,
+            ..ExplicitLimits::default()
+        });
+        assert_eq!(
+            tight.check(&props[0]),
+            Err(McError::StateSpaceExceeded { limit: 2 })
+        );
+        assert_eq!(tight.session_stats().sat_queries, 0);
+    }
+
+    #[test]
+    fn the_batch_span_says_who_answered() {
+        let m = parse_verilog(ARBITER2).unwrap();
+        let req0 = m.require("req0").unwrap();
+        let gnt0 = m.require("gnt0").unwrap();
+        let window = WindowProperty {
+            antecedent: vec![BitAtom::new(req0, 0, 0, false)],
+            consequent: BitAtom::new(gnt0, 0, 1, false),
+        };
+        let stable = TemporalProperty {
+            antecedent: window.antecedent.clone(),
+            consequents: vec![window.consequent, BitAtom::new(gnt0, 0, 2, false)],
+            kind: ConsequentKind::All,
+        };
+        // (backend, shards) -> (memo, explicit, sat) of the temporal
+        // batch below: its single-consequent view was decided by the
+        // window batch before it, under either dispatch.
+        for (backend, shards, answered) in [
+            (Backend::Auto, 1, [2, 1, 0]),
+            (Backend::Auto, 2, [2, 1, 0]),
+            (Backend::Bmc { bound: 4 }, 2, [2, 0, 1]),
+        ] {
+            let sink = gm_trace::TraceSink::new();
+            {
+                let _guard = gm_trace::push_thread_sink(sink.clone());
+                let mut c = Checker::new(&m)
+                    .unwrap()
+                    .with_backend(backend)
+                    .with_shards(shards);
+                c.check_batch(std::slice::from_ref(&window)).unwrap();
+                let single = TemporalProperty {
+                    consequents: vec![window.consequent],
+                    ..stable.clone()
+                };
+                c.check_batch(&[single, stable.clone(), stable.clone()])
+                    .unwrap();
+            }
+            let events = sink.events();
+            let batch = (events.iter())
+                .find(|e| e.name == "mc.check_temporal_batch")
+                .expect("the temporal batch span");
+            let arg = |key: &str| match batch.args.iter().find(|(k, _)| *k == key) {
+                Some((_, gm_trace::ArgValue::U64(n))) => *n,
+                other => panic!("{key}: {other:?}"),
+            };
+            assert_eq!(arg("props"), 3);
+            assert_eq!(
+                [arg("memo"), arg("explicit"), arg("sat")],
+                answered,
+                "{backend:?}, {shards} shards"
+            );
+        }
     }
 
     #[test]

@@ -6,7 +6,14 @@
 //! every reachable state, so — unlike k-induction — it never answers
 //! `Unknown` and never reports violations from unreachable states.
 //! The reachable set is computed once per design and shared across all
-//! assertion checks of a refinement run.
+//! assertion checks of a refinement run. It decides every bounded-window
+//! property — [`crate::WindowProperty`] and [`crate::TemporalProperty`]
+//! alike — through one evaluator, on the violation the property hands
+//! it ([`crate::UnrollProperty::violation`]): a conjunction of *must*
+//! literals (the antecedent, and under [`ConsequentKind::Any`] every
+//! inverted consequent — a window property's single one included) plus,
+//! under [`ConsequentKind::All`], one disjunction of *fail* literals
+//! (the inverted consequents, of which one has to hold).
 //!
 //! ## Tables and live sets
 //!
@@ -36,42 +43,63 @@
 //! successors.
 //!
 //! A property with window depth `d` is then decided backwards. For
-//! offset `k = d … 0`, `alive_k` is the set of pairs at which every
-//! antecedent atom of offset `k` holds, the consequent *fails* if it
-//! sits at `k`, and (below `d`) whose successor is in `live_{k+1}`;
-//! `live_k` is the set of states owning an alive pair. `alive_k` is
-//! word-wise AND/ANDN of observation bitsets. A state is in `live_0`
-//! iff a violating window starts there, so an empty live set at any
-//! offset is `Proved` — `O((d + 1) · pairs / 64)` word operations plus
-//! one successor lookup per surviving pair, where a walk over input
+//! offset `k = d … 0`, `done_k` is the set of pairs at which every must
+//! literal of offset `k` holds and (below `d`) whose successor is in
+//! `live_done_{k+1}`, the states owning a `done_{k+1}` pair: the pairs
+//! from which the rest of the conjunction can still be completed.
+//! `done_k` is word-wise AND/ANDN of observation bitsets. Without a
+//! disjunction that is the whole check: a state is in `live_done_0` iff
+//! a violating window starts there, so an empty set at any offset is
+//! `Proved` — `O((d + 1) · pairs / 64)` word operations plus one
+//! successor lookup per surviving pair, where a walk over input
 //! sequences is exponential in `d`.
+//!
+//! With a disjunction a window is in one of two conditions at every
+//! cycle: a consequent *has already failed*, and only the conjunction is
+//! left to complete (`done_k`, as above), or none has yet, and one still
+//! must. The second is the subset `open_k ⊆ done_k` of pairs at which a
+//! fail literal of offset `k` holds, or whose successor is in
+//! `live_open_{k+1}` (nothing is open past `d`: `open_d` is `done_d` ∧
+//! "a consequent fails here"). A violating window starts exactly at the
+//! states of `live_open_0`; the property is `Proved` as soon as `done_k`
+//! is empty, or `open_k` is and no fail literal sits below `k`. An
+//! empty disjunction (`All` of no consequents) is never violated; an
+//! empty conjunction of inverted consequents (`Any` of none) is
+//! violated wherever the antecedent can be completed.
 //!
 //! **Traversal order.** The direct walk ([`explicit_check_direct`],
 //! kept for designs over the table budget and as the reference the
 //! tests compare against) is a depth-first search: start states in
 //! discovery order, a LIFO stack per start state, children pushed for
-//! input words `0, 1, …` — so popped *highest word first*. A child's
-//! subtree holds a violating leaf exactly when its pair is alive, so
-//! the first violation the search reaches is: the lowest start state in
-//! `live_0`, then at each offset the highest input word whose pair is
-//! in `alive_k`. The live-set pass reports that window, prefixed by the
-//! same BFS path from reset, and is byte-identical to the search on
-//! verdicts *and* traces.
+//! input words `0, 1, …` — so popped *highest word first* — each
+//! carrying whether a consequent has failed on the way to it, and a
+//! leaf violating iff one has (or there is no disjunction). A child's
+//! subtree holds a violating leaf exactly when its pair is in `done_k`
+//! if a consequent has failed by then — at an earlier cycle or at this
+//! very pair — and in `open_k` otherwise; for a pair at which one fails,
+//! the two memberships coincide. So the first violation the search
+//! reaches is: the lowest start state in `live_open_0` (`live_done_0`
+//! without a disjunction), then at each offset the highest input word
+//! whose pair is in `open_k` until a consequent has failed and in
+//! `done_k` from the next cycle on. The live-set pass reports that
+//! window, prefixed by the same BFS path from reset, and is
+//! byte-identical to the search on verdicts *and* traces. That window
+//! *defines* the canonical counterexample of every property the engine
+//! decides.
 //!
 //! **Budgets.** Tables are built only while `states · 2^input_bits`
 //! stays within 2^22 pairs (16 MiB of successors, 512 KiB per
 //! observation bitset); beyond that every check is the direct walk.
-//! [`ExplicitLimits::max_window_bits`] bounded the *walk's* cost and no
-//! longer bounds the tabled path's, but it still routes: a window over
-//! the limit is refused here and `Backend::Auto` sends it to the SAT
-//! engines, whose counterexamples differ from the explicit ones.
-//! Keeping the routing keeps every verdict source — and so every trace
-//! — where it was.
+//! [`ExplicitLimits::max_window_bits`] bounds the *walk's* cost, which
+//! is exponential in the window, and is checked there only: the tabled
+//! pass costs one sweep per cycle however wide the window and refuses
+//! nothing.
 
 use crate::aig::{Aig, AigLit, AigNode};
 use crate::blast::Blasted;
+use crate::bmc::UnrollProperty;
 use crate::error::McError;
-use crate::prop::{assemble_input_vector, BitAtom, CexTrace, CheckResult, WindowProperty};
+use crate::prop::{assemble_input_vector, BitAtom, CexTrace, CheckResult, ConsequentKind};
 use gm_rtl::Module;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -87,7 +115,9 @@ pub struct ExplicitLimits {
     pub max_input_bits: u32,
     /// Maximum number of reachable states to enumerate.
     pub max_states: usize,
-    /// Maximum `(depth + 1) * input_bits` for window enumeration.
+    /// Maximum `(depth + 1) * input_bits` for window enumeration — the
+    /// direct walk's budget; designs within the table budget never
+    /// enumerate windows.
     pub max_window_bits: u32,
 }
 
@@ -492,6 +522,21 @@ impl ReachableStates {
         rev
     }
 
+    /// The states owning a pair of `set`, as a bitset over state
+    /// indices; `None` when `set` is empty.
+    fn owners(&self, set: &[u64]) -> Option<Vec<u64>> {
+        let mut hit = next_set_bit(set, 0)?;
+        let mut live = vec![0u64; self.states.len().div_ceil(64)];
+        loop {
+            let state = hit >> self.input_bits;
+            live[state >> 6] |= 1u64 << (state & 63);
+            match next_set_bit(set, (state + 1) << self.input_bits) {
+                Some(next) => hit = next,
+                None => return Some(live),
+            }
+        }
+    }
+
     /// The violated verdict for a window of input `words` starting at
     /// state `start`: the BFS path from reset, then the window.
     fn violation(
@@ -511,7 +556,56 @@ impl ReachableStates {
     }
 }
 
-/// Checks `prop` against every reachable window of the design.
+/// A window's violation over AIG literals — the form both the tabled
+/// pass and the direct walk evaluate. The window is violated when every
+/// `must` literal is true at its offset and, if the property has a
+/// disjunction of consequent failures, some `fail` literal is true at
+/// its offset too.
+struct Terms {
+    depth: usize,
+    /// `(offset, literal)`: the antecedent atoms, and under
+    /// [`ConsequentKind::Any`] (a [`crate::WindowProperty`] included)
+    /// every inverted consequent.
+    must: Vec<(usize, AigLit)>,
+    /// Under [`ConsequentKind::All`], the inverted consequents: one of
+    /// them has to hold, so an empty list is never violated. `None`
+    /// when the violation is the plain conjunction.
+    fail: Option<Vec<(usize, AigLit)>>,
+}
+
+impl Terms {
+    fn new<P: UnrollProperty>(blasted: &Blasted, prop: &P) -> Self {
+        let violation = prop.violation();
+        let lit = |a: &BitAtom, value: bool| {
+            let lit = blasted.signal_bit(a.signal, a.bit);
+            (a.offset as usize, if value { lit } else { !lit })
+        };
+        let atoms = violation.antecedent.len() + violation.consequents.len();
+        let mut must = Vec::with_capacity(atoms);
+        must.extend(violation.antecedent.iter().map(|a| lit(a, a.value)));
+        let failures = violation.consequents.iter().map(|c| lit(c, !c.value));
+        let fail = match violation.kind {
+            ConsequentKind::Any => {
+                must.extend(failures);
+                None
+            }
+            ConsequentKind::All => Some(failures.collect::<Vec<_>>()),
+        };
+        Terms {
+            depth: prop.window_depth() as usize,
+            must,
+            fail,
+        }
+    }
+
+    /// The consequent failures (empty without a disjunction).
+    fn failures(&self) -> &[(usize, AigLit)] {
+        self.fail.as_deref().unwrap_or(&[])
+    }
+}
+
+/// Checks `prop` — of either kind — against every reachable window of
+/// the design.
 ///
 /// Decided on the design's tables when the `(state, input)` space fits
 /// the budget and by the direct walk otherwise (see the module docs);
@@ -519,26 +613,50 @@ impl ReachableStates {
 ///
 /// # Errors
 ///
-/// Fails when `(depth + 1) * input_bits` exceeds the window budget.
-pub fn explicit_check(
+/// Fails when the design is over the table budget and `(depth + 1) *
+/// input_bits` exceeds the walk's window budget.
+pub fn explicit_check<P: UnrollProperty>(
     module: &Module,
     blasted: &Blasted,
     reach: &ReachableStates,
-    prop: &WindowProperty,
+    prop: &P,
     limits: &ExplicitLimits,
 ) -> Result<CheckResult, McError> {
-    let depth = prop.depth();
-    let window_bits = (depth + 1) * reach.input_bits;
+    if reach.cache_enabled() {
+        let terms = Terms::new(blasted, prop);
+        return Ok(explicit_check_cached(module, blasted, reach, &terms));
+    }
+    let cycles = prop.window_depth().saturating_add(1);
+    let window_bits = cycles.saturating_mul(reach.input_bits);
     if window_bits > limits.max_window_bits.min(63) {
         return Err(McError::WindowTooWide {
             bits: window_bits,
             limit: limits.max_window_bits.min(63),
         });
     }
-    if reach.cache_enabled() {
-        Ok(explicit_check_cached(module, blasted, reach, prop))
-    } else {
-        explicit_check_direct(module, blasted, reach, prop)
+    let terms = Terms::new(blasted, prop);
+    Ok(explicit_check_direct(module, blasted, reach, &terms))
+}
+
+/// The words of the bitset of pairs at which `lit` is true, given its
+/// node's observation bitset.
+fn literal_words(bits: &[u64], lit: AigLit) -> impl Iterator<Item = u64> + '_ {
+    let flip = broadcast(u64::from(lit.is_complemented()));
+    bits.iter().map(move |&b| b ^ flip)
+}
+
+/// Removes from `set` every pair outside `exempt` whose successor is not
+/// in `live`.
+fn retain_live_successors(set: &mut [u64], exempt: Option<&[u64]>, succ: &[u32], live: &[u64]) {
+    for (wi, word) in set.iter_mut().enumerate() {
+        let mut rest = *word & !exempt.map_or(0, |e| e[wi]);
+        while rest != 0 {
+            let lane = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            if !bitset_get(live, succ[(wi << 6) + lane] as usize) {
+                *word &= !(1u64 << lane);
+            }
+        }
     }
 }
 
@@ -549,79 +667,98 @@ fn explicit_check_cached(
     module: &Module,
     blasted: &Blasted,
     reach: &ReachableStates,
-    prop: &WindowProperty,
+    terms: &Terms,
 ) -> CheckResult {
     let aig = &blasted.aig;
-    let depth = prop.depth() as usize;
+    let depth = terms.depth;
     let combos = 1usize << reach.input_bits;
     let pairs = reach.states.len() * combos;
     let succ = reach.successors(aig);
-    // Every atom as (offset, node, value the node must take); the
-    // consequent inverted, because a violating window fails it.
-    let atom = |a: &BitAtom, value: bool| {
-        let lit = blasted.signal_bit(a.signal, a.bit);
-        let want = value != lit.is_complemented();
-        (a.offset as usize, lit.node(), want)
-    };
-    let antecedent = prop.antecedent.iter().map(|a| atom(a, a.value));
-    let consequent = atom(&prop.consequent, !prop.consequent.value);
-    let atoms: Vec<(usize, usize, bool)> = antecedent.chain([consequent]).collect();
-    let nodes: Vec<usize> = atoms.iter().map(|&(_, node, _)| node).collect();
+    let literals = terms.must.iter().chain(terms.failures());
+    let nodes: Vec<usize> = literals.map(|&(_, lit)| lit.node()).collect();
     let obs = reach.observations(aig, &nodes);
+    let (must_obs, fail_obs) = obs.split_at(terms.must.len());
+    // No consequent can fail below this offset.
+    let first_fail = terms.failures().iter().map(|&(offset, _)| offset).min();
 
+    let words = pairs.div_ceil(64);
     let tail = !0u64 >> ((64 - pairs % 64) % 64);
-    let mut alive: Vec<Vec<u64>> = vec![Vec::new(); depth + 1];
-    let mut live: Vec<u64> = Vec::new();
+    // Per offset: the pairs a window that has already failed a
+    // consequent (or has none to fail) can continue through, and the
+    // pairs one that has not yet failed can.
+    let mut done: Vec<Vec<u64>> = vec![Vec::new(); depth + 1];
+    let mut open: Vec<Vec<u64>> = match terms.fail {
+        Some(_) => vec![Vec::new(); depth + 1],
+        None => Vec::new(),
+    };
+    let mut live_done: Vec<u64> = Vec::new();
+    let mut live_open: Vec<u64> = Vec::new();
     for k in (0..=depth).rev() {
-        let mut set = vec![!0u64; pairs.div_ceil(64)];
+        let mut set = vec![!0u64; words];
         *set.last_mut().expect("at least the reset state's pairs") &= tail;
-        for (&(offset, _, want), bits) in atoms.iter().zip(&obs) {
+        for (&(offset, lit), bits) in terms.must.iter().zip(must_obs) {
             if offset == k {
-                let flip = broadcast(u64::from(!want));
-                for (word, &b) in set.iter_mut().zip(bits.iter()) {
-                    *word &= b ^ flip;
+                for (word, b) in set.iter_mut().zip(literal_words(bits, lit)) {
+                    *word &= b;
                 }
             }
         }
         if k < depth {
-            for (wi, word) in set.iter_mut().enumerate() {
-                let mut rest = *word;
-                while rest != 0 {
-                    let lane = rest.trailing_zeros() as usize;
-                    rest &= rest - 1;
-                    if !bitset_get(&live, succ[(wi << 6) + lane] as usize) {
-                        *word &= !(1u64 << lane);
+            retain_live_successors(&mut set, None, succ, &live_done);
+        }
+        match reach.owners(&set) {
+            Some(owners) => live_done = owners,
+            None => return CheckResult::Proved,
+        }
+        if terms.fail.is_some() {
+            // A pair of `done_k` stays open when a consequent fails at
+            // it or its successor is still open.
+            let mut failing = vec![0u64; words];
+            for (&(offset, lit), bits) in terms.failures().iter().zip(fail_obs) {
+                if offset == k {
+                    for (word, b) in failing.iter_mut().zip(literal_words(bits, lit)) {
+                        *word |= b;
                     }
                 }
             }
+            let mut pending = set.clone();
+            if k < depth {
+                retain_live_successors(&mut pending, Some(&failing), succ, &live_open);
+            } else {
+                for (word, &f) in pending.iter_mut().zip(&failing) {
+                    *word &= f;
+                }
+            }
+            match reach.owners(&pending) {
+                Some(owners) => live_open = owners,
+                None if first_fail.is_none_or(|first| first >= k) => return CheckResult::Proved,
+                None => live_open = vec![0u64; live_done.len()],
+            }
+            open[k] = pending;
         }
-        let mut hit = next_set_bit(&set, 0);
-        if hit.is_none() {
-            return CheckResult::Proved;
-        }
-        // live_k: the states owning an alive pair.
-        live = vec![0u64; reach.states.len().div_ceil(64)];
-        while let Some(flat) = hit {
-            let state = flat >> reach.input_bits;
-            live[state >> 6] |= 1u64 << (state & 63);
-            hit = next_set_bit(&set, (state + 1) << reach.input_bits);
-        }
-        alive[k] = set;
+        done[k] = set;
     }
     // The window the depth-first walk reaches first.
-    let start = next_set_bit(&live, 0).expect("live_0 is non-empty here");
+    let mut failed = terms.fail.is_none();
+    let starts = if failed { &live_done } else { &live_open };
+    let start = next_set_bit(starts, 0).expect("the start set is non-empty here");
     let mut state = start;
-    let mut words = Vec::with_capacity(depth + 1);
-    for set in &alive {
+    let mut inputs = Vec::with_capacity(depth + 1);
+    for k in 0..=depth {
+        let set = if failed { &done[k] } else { &open[k] };
         let base = state * combos;
         let word = (0..combos)
             .rev()
             .find(|&u| bitset_get(set, base + u))
             .expect("a live state owns an alive pair");
-        words.push(word as u64);
+        inputs.push(word as u64);
+        failed = failed
+            || (terms.failures().iter().zip(fail_obs)).any(|(&(offset, lit), bits)| {
+                offset == k && bitset_get(bits, base + word) != lit.is_complemented()
+            });
         state = succ[base + word] as usize;
     }
-    reach.violation(module, blasted, start, &words)
+    reach.violation(module, blasted, start, &inputs)
 }
 
 /// The direct walk for designs over the table budget, and the reference
@@ -632,61 +769,39 @@ fn explicit_check_direct(
     module: &Module,
     blasted: &Blasted,
     reach: &ReachableStates,
-    prop: &WindowProperty,
-) -> Result<CheckResult, McError> {
+    terms: &Terms,
+) -> CheckResult {
     let aig = &blasted.aig;
-    let depth = prop.depth();
-    // Group atoms by offset for incremental checking during the window walk.
-    let mut ant_by_offset: Vec<Vec<&BitAtom>> = vec![Vec::new(); depth as usize + 1];
-    for a in &prop.antecedent {
-        ant_by_offset[a.offset as usize].push(a);
-    }
     let combos = 1u64 << reach.input_bits;
-
     for (si, &packed) in reach.states.iter().enumerate() {
-        let start_latches = unpack(packed, reach.state_bits);
-        // Depth-first walk over input sequences with antecedent pruning.
-        // (next_offset, latches_at_offset, inputs_so_far, consequent_value)
-        type WindowFrame = (u32, Vec<bool>, Vec<u64>, Option<bool>);
-        let mut stack: Vec<WindowFrame> = Vec::new();
-        stack.push((0, start_latches.clone(), Vec::new(), None));
-        while let Some((offset, latches, words, cons_seen)) = stack.pop() {
-            if offset > depth {
-                // All antecedent atoms held; check the consequent.
-                let cons_val = cons_seen.expect("consequent evaluated in-window");
-                if cons_val != prop.consequent.value {
-                    return Ok(reach.violation(module, blasted, si, &words));
+        // (next offset, latches there, inputs so far, whether a
+        // consequent has failed — true from the start when the
+        // violation has no disjunction)
+        type WindowFrame = (usize, Vec<bool>, Vec<u64>, bool);
+        let start = unpack(packed, reach.state_bits);
+        let mut stack: Vec<WindowFrame> = vec![(0, start, Vec::new(), terms.fail.is_none())];
+        while let Some((offset, latches, words, failed)) = stack.pop() {
+            if offset > terms.depth {
+                if failed {
+                    return reach.violation(module, blasted, si, &words);
                 }
                 continue;
             }
             for u in 0..combos {
-                let inputs = unpack(u, reach.input_bits);
-                let vals = aig.eval(&inputs, &latches);
-                // Antecedent atoms at this offset must hold.
-                let ant_ok = ant_by_offset[offset as usize]
-                    .iter()
-                    .all(|a| aig.lit_value(&vals, blasted.signal_bit(a.signal, a.bit)) == a.value);
-                if !ant_ok {
+                let vals = aig.eval(&unpack(u, reach.input_bits), &latches);
+                let value = |lit| aig.lit_value(&vals, lit);
+                if (terms.must.iter()).any(|&(at, lit)| at == offset && !value(lit)) {
                     continue;
                 }
-                let mut cons = cons_seen;
-                if prop.consequent.offset == offset {
-                    cons = Some(aig.lit_value(
-                        &vals,
-                        blasted.signal_bit(prop.consequent.signal, prop.consequent.bit),
-                    ));
-                }
+                let fails = |&(at, lit): &(usize, AigLit)| at == offset && value(lit);
+                let failed = failed || terms.failures().iter().any(fails);
                 let mut w = words.clone();
                 w.push(u);
-                stack.push((offset + 1, next_latches(aig, &vals), w, cons));
+                stack.push((offset + 1, aig.next_state(&vals), w, failed));
             }
         }
     }
-    Ok(CheckResult::Proved)
-}
-
-fn next_latches(aig: &Aig, vals: &[bool]) -> Vec<bool> {
-    aig.next_state(vals)
+    CheckResult::Proved
 }
 
 #[cfg(test)]

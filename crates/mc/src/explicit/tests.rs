@@ -1,8 +1,12 @@
 use super::*;
 use crate::blast::blast;
-use crate::prop::BitAtom;
-use crate::testgen::{random_module, random_property, seeded_recipe, Recipe};
+use crate::bmc::{bmc, k_induction};
+use crate::prop::{BitAtom, TemporalProperty, WindowProperty};
+use crate::testgen::{
+    random_module, random_property, random_temporal_property, seeded_recipe, Recipe,
+};
 use gm_rtl::{elaborate, parse_verilog, SignalId};
+use gm_sim::{NopObserver, Simulator};
 use proptest::prelude::*;
 use std::sync::Barrier;
 
@@ -27,6 +31,16 @@ fn setup_module(m: Module) -> (Module, Blasted, ReachableStates) {
     let b = blast(&m, &e).unwrap();
     let r = ReachableStates::explore(&b, &ExplicitLimits::default()).unwrap();
     (m, b, r)
+}
+
+/// The tabled pass alone, whatever the table budget says.
+fn tabled<P: UnrollProperty>(m: &Module, b: &Blasted, r: &ReachableStates, p: &P) -> CheckResult {
+    explicit_check_cached(m, b, r, &Terms::new(b, p))
+}
+
+/// The direct walk alone: the reference.
+fn walk<P: UnrollProperty>(m: &Module, b: &Blasted, r: &ReachableStates, p: &P) -> CheckResult {
+    explicit_check_direct(m, b, r, &Terms::new(b, p))
 }
 
 #[test]
@@ -128,9 +142,12 @@ fn cached_walk_matches_direct_walk_exactly() {
         },
     ];
     for p in &props {
-        let cached = explicit_check_cached(&m, &b, &r, p);
-        let direct = explicit_check_direct(&m, &b, &r, p).unwrap();
-        assert_eq!(cached, direct, "tables diverged on {}", p.display(&m));
+        assert_eq!(
+            tabled(&m, &b, &r, p),
+            walk(&m, &b, &r, p),
+            "tables diverged on {}",
+            p.display(&m)
+        );
     }
     let stats = r.cache_stats();
     assert_eq!(stats.entries, 3 * 4, "successor table covers every pair");
@@ -138,7 +155,7 @@ fn cached_walk_matches_direct_walk_exactly() {
     // Re-checking does no new passes over the pairs: everything is warm.
     let passes = stats.eval_passes;
     for p in &props {
-        let _ = explicit_check_cached(&m, &b, &r, p);
+        let _ = tabled(&m, &b, &r, p);
     }
     assert_eq!(r.cache_stats().eval_passes, passes);
 }
@@ -183,46 +200,64 @@ fn limits_are_enforced() {
     ));
 }
 
-/// Decides random properties on random modules of every word-boundary
-/// shape both ways and requires identical verdicts and traces: input
-/// widths below 6 bits put several states in one flat word (pair counts
-/// off the multiple of 64), widths from 6 up put several words in one
-/// state; no registers is a single-state latch-free design. Returns how
-/// many properties were proved and how many violated at depth 2 or more.
-fn identity_sweep(bytes: &[u8]) -> Result<(usize, usize), TestCaseError> {
+/// Decides `prop` on the tables and by the direct walk and requires
+/// the same verdict and trace.
+fn tabled_like_the_walk<P: UnrollProperty>(
+    (m, b, r): &(Module, Blasted, ReachableStates),
+    prop: &P,
+    shown: impl std::fmt::Display,
+) -> Result<CheckResult, TestCaseError> {
+    let result = tabled(m, b, r, prop);
+    prop_assert_eq!(
+        &result,
+        &walk(m, b, r, prop),
+        "{} inputs, {} states: {}",
+        r.input_bits,
+        r.len(),
+        shown
+    );
+    Ok(result)
+}
+
+/// Decides random properties of both kinds on random modules of every
+/// word-boundary shape both ways and requires identical verdicts and
+/// traces: input widths below 6 bits put several states in one flat
+/// word (pair counts off the multiple of 64), widths from 6 up put
+/// several words in one state; no registers is a single-state
+/// latch-free design. Returns how many properties were proved, how many
+/// violated at depth 2 or more, and how many multi-consequent ones were
+/// violated over bitsets of more than one word.
+fn identity_sweep(bytes: &[u8]) -> Result<(usize, usize, usize), TestCaseError> {
     let mut recipe = Recipe::new(bytes);
-    let (mut proved, mut deep_violations) = (0, 0);
+    let (mut proved, mut deep_violations, mut wide_temporal) = (0, 0, 0);
     for inputs in [0usize, 1, 3, 5, 6, 7, 8] {
         for regs in [0usize, 1, 3] {
             let (module, sigs) = random_module(inputs, regs, &mut recipe);
-            let (m, b, r) = setup_module(module);
+            let design = setup_module(module);
+            let (m, _, r) = &design;
             prop_assert!(r.cache_enabled());
             // The direct walk is exponential in the window: keep
             // (depth + 1) * inputs within 16 bits.
             let max_depth = (16 / inputs.max(1)).clamp(1, 4) as u32 - 1;
             for _ in 0..4 {
                 let depth = recipe.next() as u32 % (max_depth + 1);
-                let prop = random_property(&sigs, depth, &mut recipe);
-                prop_assert_eq!(prop.depth(), depth);
-                let tabled = explicit_check_cached(&m, &b, &r, &prop);
-                let direct = explicit_check_direct(&m, &b, &r, &prop).unwrap();
-                prop_assert_eq!(
-                    &tabled,
-                    &direct,
-                    "{} inputs, {} states: {}",
-                    inputs,
-                    r.len(),
-                    prop.display(&m)
-                );
-                match tabled {
+                let window = random_property(&sigs, depth, &mut recipe);
+                prop_assert_eq!(window.depth(), depth);
+                match tabled_like_the_walk(&design, &window, window.display(m))? {
                     CheckResult::Proved => proved += 1,
                     CheckResult::Violated(_) if depth >= 2 => deep_violations += 1,
                     _ => {}
                 }
+                let temporal = random_temporal_property(&sigs, depth, &mut recipe);
+                prop_assert_eq!(temporal.depth(), depth);
+                let result = tabled_like_the_walk(&design, &temporal, temporal.display(m))?;
+                if result != CheckResult::Proved && r.pairs() > 64 {
+                    wide_temporal += 1;
+                }
             }
         }
     }
-    Ok((proved, deep_violations))
+    Ok((proved, deep_violations, wide_temporal))
 }
 
 proptest! {
@@ -240,16 +275,278 @@ proptest! {
 fn identity_sweep_sees_both_verdicts() {
     // The sweep above is only worth its name if its random properties
     // are neither all vacuous nor all refuted at the first cycle.
-    let (mut proved, mut deep_violations) = (0, 0);
+    let (mut proved, mut deep_violations, mut wide_temporal) = (0, 0, 0);
     for seed in 0u64..16 {
-        let (p, v) = identity_sweep(&seeded_recipe(seed, 200)).unwrap();
+        let (p, v, w) = identity_sweep(&seeded_recipe(seed, 200)).unwrap();
         proved += p;
         deep_violations += v;
+        wide_temporal += w;
     }
     assert!(proved >= 100, "{proved} proved");
     assert!(
         deep_violations >= 100,
         "{deep_violations} violated at depth >= 2"
+    );
+    assert!(
+        wide_temporal >= 100,
+        "{wide_temporal} multi-consequent violations over multi-word bitsets"
+    );
+}
+
+/// Replays `cex` on the interpreter and evaluates `prop` on the trace's
+/// last window, from the property's definition: whether the window
+/// violates it, and the offset of its earliest failing consequent.
+fn replay(m: &Module, prop: &TemporalProperty, cex: &CexTrace) -> (bool, Option<u32>) {
+    let mut sim = Simulator::new(m).unwrap();
+    let trace = sim.run_vectors(&cex.inputs, &mut NopObserver);
+    let Some(base) = trace.len().checked_sub(prop.depth() as usize + 1) else {
+        return (false, None);
+    };
+    let holds = |a: &BitAtom| trace.bit(base + a.offset as usize, a.signal, a.bit) == a.value;
+    let failing: Vec<u32> = (prop.consequents.iter())
+        .filter(|c| !holds(c))
+        .map(|c| c.offset)
+        .collect();
+    let consequent_fails = match prop.kind {
+        ConsequentKind::All => !failing.is_empty(),
+        ConsequentKind::Any => failing.len() == prop.consequents.len(),
+    };
+    let violated = prop.antecedent.iter().all(holds) && consequent_fails;
+    (violated, failing.into_iter().min())
+}
+
+/// What [`engines_sweep`] compared, for its non-vacuity floors.
+#[derive(Debug, Default)]
+struct Tally {
+    violated_all: usize,
+    violated_any: usize,
+    /// Violations whose earliest failing consequent sits below the
+    /// window's last cycle.
+    early_failures: usize,
+    proved: usize,
+    /// Proofs that hold because no reachable window completes the
+    /// antecedent.
+    vacuous: usize,
+}
+
+/// Window starts the one-shot SAT engines scan: short of the deepest
+/// state of a three-register module, so both sides of "violated within
+/// the bound" occur.
+const SAT_BOUND: u32 = 4;
+
+/// Decides random multi-consequent properties of depth 0–3 on random
+/// modules of 0–3 registers and 1–3 inputs on the tables, and holds
+/// the verdict against three independent references: the direct walk
+/// (verdict and trace), the one-shot [`bmc`] and [`k_induction`]
+/// (verdicts), and — for a violation — the interpreter replaying the
+/// trace.
+fn engines_sweep(bytes: &[u8], tally: &mut Tally) -> Result<(), TestCaseError> {
+    let mut recipe = Recipe::new(bytes);
+    for _ in 0..3 {
+        let (regs, inputs) = (recipe.next() % 4, 1 + recipe.next() % 3);
+        let (module, sigs) = random_module(inputs, regs, &mut recipe);
+        let design = setup_module(module);
+        let (m, b, r) = &design;
+        for _ in 0..4 {
+            let depth = recipe.next() as u32 % 4;
+            let prop = random_temporal_property(&sigs, depth, &mut recipe);
+            let exact = tabled_like_the_walk(&design, &prop, prop.display(m))?;
+            let sat = [
+                ("bmc", bmc(m, b, &prop, SAT_BOUND)),
+                ("k-induction", k_induction(m, b, &prop, SAT_BOUND)),
+            ];
+            match &exact {
+                CheckResult::Proved => {
+                    for (engine, res) in &sat {
+                        prop_assert!(
+                            !matches!(res, CheckResult::Violated(_)),
+                            "{} refuted the proved {}",
+                            engine,
+                            prop.display(m)
+                        );
+                    }
+                    tally.proved += 1;
+                    let antecedent_alone = TemporalProperty {
+                        consequents: Vec::new(),
+                        kind: ConsequentKind::Any,
+                        ..prop.clone()
+                    };
+                    if tabled(m, b, r, &antecedent_alone) == CheckResult::Proved {
+                        tally.vacuous += 1;
+                    }
+                }
+                CheckResult::Violated(cex) => {
+                    // States are numbered in breadth-first order, so the
+                    // lowest violating start is a nearest one: the scans
+                    // reach a violation exactly when it is within their
+                    // bound, and then at the same start.
+                    let start = cex.len() - depth as usize - 1;
+                    for (engine, res) in &sat {
+                        match res {
+                            CheckResult::Violated(found) => prop_assert_eq!(
+                                found.len(),
+                                cex.len(),
+                                "{} on {}",
+                                engine,
+                                prop.display(m)
+                            ),
+                            CheckResult::Unknown { .. } => prop_assert!(
+                                start > SAT_BOUND as usize,
+                                "{} missed the violation of {} at start {}",
+                                engine,
+                                prop.display(m),
+                                start
+                            ),
+                            CheckResult::Proved => prop_assert!(
+                                false,
+                                "{} proved the violated {}",
+                                engine,
+                                prop.display(m)
+                            ),
+                        }
+                    }
+                    let (violated, first_failure) = replay(m, &prop, cex);
+                    prop_assert!(violated, "{} does not replay", prop.display(m));
+                    match prop.kind {
+                        ConsequentKind::All => tally.violated_all += 1,
+                        ConsequentKind::Any => tally.violated_any += 1,
+                    }
+                    if first_failure.is_some_and(|offset| offset < depth) {
+                        tally.early_failures += 1;
+                    }
+                }
+                CheckResult::Unknown { .. } => prop_assert!(false, "explicit cannot be unknown"),
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Cases per property: 200 in tier-1; CI's release job raises it
+/// through proptest's `PROPTEST_CASES` variable, which an explicit
+/// `ProptestConfig::with_cases` would otherwise override.
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(200)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+    #[test]
+    fn tables_agree_with_the_walk_the_sat_engines_and_the_interpreter(
+        bytes in prop::collection::vec(any::<u8>(), 256..1024),
+    ) {
+        engines_sweep(&bytes, &mut Tally::default())?;
+    }
+}
+
+/// The property above is only as strong as what its cases reach: over
+/// the very same seeds, count the hard paths that were compared.
+#[test]
+fn the_engines_sweep_is_not_vacuous() {
+    let mut tally = Tally::default();
+    let recipes = prop::collection::vec(any::<u8>(), 256..1024);
+    for case in 0..cases() {
+        let mut rng = proptest::rng_for_case(
+            "tables_agree_with_the_walk_the_sat_engines_and_the_interpreter",
+            case,
+        );
+        engines_sweep(&recipes.generate(&mut rng), &mut tally).unwrap();
+    }
+    println!("{tally:?}");
+    // Twelve properties a case.
+    let floor = cases() as usize;
+    assert!(floor >= 200, "run at least 200 cases");
+    assert!(tally.violated_all >= floor, "{tally:?}");
+    assert!(tally.violated_any >= floor, "{tally:?}");
+    assert!(tally.early_failures >= floor, "{tally:?}");
+    assert!(tally.vacuous >= floor, "{tally:?}");
+    assert!(tally.proved - tally.vacuous >= floor, "{tally:?}");
+}
+
+#[test]
+fn empty_consequent_lists_mean_what_the_sat_encoding_documents() {
+    // `All` of nothing holds, so it is never violated; `Any` of nothing
+    // fails, so it is violated wherever the antecedent is satisfiable.
+    let design = setup(ARBITER2);
+    let (m, b, _) = &design;
+    let gnt0 = m.require("gnt0").unwrap();
+    let gnt1 = m.require("gnt1").unwrap();
+    let reachable = vec![BitAtom::new(gnt0, 0, 1, true)];
+    let unreachable = vec![
+        BitAtom::new(gnt0, 0, 0, true),
+        BitAtom::new(gnt1, 0, 0, true),
+    ];
+    for (antecedent, kind, violated) in [
+        (&reachable, ConsequentKind::All, false),
+        (&reachable, ConsequentKind::Any, true),
+        (&unreachable, ConsequentKind::All, false),
+        (&unreachable, ConsequentKind::Any, false),
+    ] {
+        let prop = TemporalProperty {
+            antecedent: antecedent.clone(),
+            consequents: Vec::new(),
+            kind,
+        };
+        let exact = tabled_like_the_walk(&design, &prop, prop.display(m)).unwrap();
+        let refuted = bmc(m, b, &prop, 4);
+        if violated {
+            // Nearest start: one cycle to raise gnt0, then the window.
+            let CheckResult::Violated(cex) = &exact else {
+                panic!("{}: {exact:?}", prop.display(m));
+            };
+            assert_eq!(cex.len(), 2);
+            assert!(replay(m, &prop, cex).0);
+            assert!(matches!(&refuted, CheckResult::Violated(found) if found.len() == 2));
+        } else {
+            assert_eq!(exact, CheckResult::Proved, "{}", prop.display(m));
+            assert_eq!(refuted, CheckResult::Unknown { bound: 4 });
+        }
+    }
+}
+
+#[test]
+fn the_window_budget_bounds_the_walk_only() {
+    let limits = ExplicitLimits::default();
+    // On the tables a window costs one pass per cycle, however wide:
+    // four cycles of fetch_stage's seven input bits are over the
+    // 24-bit budget and decided all the same.
+    let (m, b, r) = setup_module(gm_designs::fetch_stage());
+    assert!(r.cache_enabled());
+    let stall = m.require("stall_in").unwrap();
+    let valid = m.require("valid").unwrap();
+    let wide = WindowProperty {
+        antecedent: vec![BitAtom::new(stall, 0, 0, true)],
+        consequent: BitAtom::new(valid, 0, 3, true),
+    };
+    assert!((wide.depth() + 1) * r.input_bits > limits.max_window_bits);
+    assert!(matches!(
+        explicit_check(&m, &b, &r, &wide, &limits),
+        Ok(CheckResult::Violated(_))
+    ));
+    // Over the table budget the walk enumerates input sequences, and
+    // the budget refuses what it always refused.
+    let (m, b, r) = setup(
+        "module m(input clk, input [11:0] d, output reg [10:0] q, output y);
+           always @(posedge clk) q <= q + 11'd1;
+           assign y = d[0];
+         endmodule",
+    );
+    assert!(!r.cache_enabled(), "{} pairs", r.pairs());
+    let (q, y) = (m.require("q").unwrap(), m.require("y").unwrap());
+    let prop = WindowProperty {
+        antecedent: vec![BitAtom::new(q, 0, 0, true)],
+        consequent: BitAtom::new(y, 0, 2, true),
+    };
+    assert_eq!(
+        explicit_check(&m, &b, &r, &prop, &limits),
+        Err(McError::WindowTooWide {
+            bits: 36,
+            limit: 24
+        })
     );
 }
 

@@ -7,11 +7,14 @@
 //! Pipeline: [`blast`] compiles an elaborated `gm-rtl` module into an
 //! and-inverter graph ([`Aig`]) with hash-consing; properties are
 //! [`WindowProperty`]s (bounded-window implications, the shape of every
-//! decision-tree assertion); three engines decide them:
+//! decision-tree assertion) and [`TemporalProperty`]s (the same over a
+//! conjunction or disjunction of consequents); three engines decide
+//! both kinds:
 //!
 //! * **explicit-state reachability** ([`ReachableStates`],
 //!   [`explicit_check`]) — exact for benchmark-scale designs, never
-//!   `Unknown`, never confused by unreachable states;
+//!   `Unknown`, never confused by unreachable states; what
+//!   [`Backend::Auto`] uses whenever the design fits its limits;
 //! * **BMC** ([`bmc`]) — SAT-based refutation with reset-rooted traces;
 //! * **k-induction** ([`k_induction`]) — SAT-based proof, may answer
 //!   `Unknown`.
@@ -45,11 +48,14 @@
 //! configuration is reproducible in full — every [`CheckResult`], the
 //! memo, and the [`SessionStats`] — and the results and the memo are
 //! the same for every entry point and every shard count (which only
-//! decides which session's counters the work lands in). Verdicts are
-//! solver-state-independent, and violated verdicts carry *canonical*
-//! traces re-extracted independently of session history (on a clone of
-//! a pristine per-depth unrolling prefix the checker keeps, so the
-//! design is not re-encoded per counterexample).
+//! decides which session's counters the work lands in). Which engine
+//! answers depends on the design, the limits and the backend, never on
+//! the property's kind; explicit-state verdicts carry the first
+//! violation of a fixed depth-first order, SAT verdicts are
+//! solver-state-independent, and violated SAT verdicts carry
+//! *canonical* traces re-extracted independently of session history
+//! (on a clone of a pristine per-depth unrolling prefix the checker
+//! keeps, so the design is not re-encoded per counterexample).
 //!
 //! The free [`bmc`] / [`k_induction`] functions remain as one-shot
 //! conveniences (each builds a private unrolling).

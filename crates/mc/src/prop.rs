@@ -124,8 +124,9 @@ pub enum ConsequentKind {
 /// produces: next-cycle implications (`a -> Xb`), bounded eventualities
 /// (`a -> F<=k b`, `Any` over offsets `d..=d+k`), and stability windows
 /// (`a -> G<=k b`, `All` over the same offsets). All three stay bounded
-/// safety properties over finite windows, so the BMC/k-induction
-/// engines decide them exactly like window properties.
+/// safety properties over finite windows, so every engine — explicit
+/// state, BMC, k-induction — decides them exactly like window
+/// properties.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct TemporalProperty {
     /// Antecedent atoms (conjoined). Empty means `true`.
@@ -150,8 +151,8 @@ impl TemporalProperty {
 
     /// The single-consequent view, when one exists: a one-atom temporal
     /// property is exactly a [`WindowProperty`] (the `All`/`Any`
-    /// distinction collapses), so checkers can reuse the full window
-    /// dispatch — memoization, explicit engines, racing — for it.
+    /// distinction collapses), so the checker memoizes the two
+    /// spellings as one.
     pub fn as_window(&self) -> Option<WindowProperty> {
         match self.consequents.as_slice() {
             [single] => Some(WindowProperty {
@@ -217,6 +218,26 @@ impl fmt::Display for DisplayTemporal<'_> {
         }
         Ok(())
     }
+}
+
+/// What violates one window of a bounded property, in the one form every
+/// property kind reduces to: all `antecedent` atoms hold and the
+/// `consequents` fail as `kind` says — [`ConsequentKind::All`]: some
+/// consequent is false (never, when there is none);
+/// [`ConsequentKind::Any`]: every consequent is false. A
+/// [`WindowProperty`]'s single consequent fails the same way under
+/// either kind; it is viewed as `Any`, whose inverted consequents simply
+/// join the antecedent's conjunction. Built by
+/// [`crate::UnrollProperty::violation`].
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug)]
+pub struct Violation<'a> {
+    /// Atoms that all hold in a violating window.
+    pub antecedent: &'a [BitAtom],
+    /// Atoms whose combination fails in a violating window.
+    pub consequents: &'a [BitAtom],
+    /// How the consequents combine.
+    pub kind: ConsequentKind,
 }
 
 /// A counterexample: a reset-rooted sequence of data-input vectors that
