@@ -11,8 +11,8 @@ use gm_mine::{Dataset, DecisionTree, MiningSpec};
 use gm_rtl::{cone_of, elaborate, parse_verilog};
 use gm_sat::{Solver, Var};
 use gm_sim::{
-    collect_vectors, run_segment, CompileOptions, CompiledModule, NopBatchObserver, NopObserver,
-    RandomStimulus, Simulator, TestSuite,
+    collect_vectors, run_segment, CompileOptions, CompiledModule, NopObserver, RandomStimulus,
+    Simulator, TestSuite,
 };
 use goldmine::{Engine, EngineConfig, TargetSelection};
 
@@ -39,9 +39,9 @@ fn bench_simulation(c: &mut Criterion) {
 
 /// The compiled-backend kernels behind `BENCH_sim.json`: the same
 /// stimulus suite (ragged random segments, enough to fill the widest
-/// 512-lane block) through the interpreter, the compiled scalar tape,
-/// and the bit-parallel tape at every lane-block width — with coverage
-/// attached, which is how the closure loop simulates.
+/// 512-lane block) through the interpreter and the bit-parallel tape at
+/// every lane-block width — with coverage attached, which is how the
+/// closure loop simulates.
 fn bench_sim_backends(c: &mut Criterion) {
     let module = gm_designs::b12_lite();
     let compiled = CompiledModule::compile(&module).unwrap();
@@ -59,15 +59,6 @@ fn bench_sim_backends(c: &mut Criterion) {
             cov.report()
         });
     });
-    c.bench_function("sim/backend_compiled_scalar_512x64_coverage", |b| {
-        b.iter(|| {
-            let mut cov = gm_coverage::CoverageSuite::new(&module);
-            for seg in suite.segments() {
-                compiled.run_segment(&module, &seg.vectors, &mut cov);
-            }
-            cov.report()
-        });
-    });
     for block in [1usize, 2, 4, 8] {
         c.bench_function(
             &format!("sim/backend_compiled_batch_w{block}_coverage"),
@@ -82,7 +73,7 @@ fn bench_sim_backends(c: &mut Criterion) {
     }
     // Trace extraction included (the mining data-generation shape).
     c.bench_function("sim/backend_compiled_batch_512x64_traces", |b| {
-        b.iter(|| suite.run_compiled(&module, &compiled, &mut NopBatchObserver, 1));
+        b.iter(|| suite.run_compiled(&module, &compiled, &mut NopObserver, 1));
     });
 }
 
@@ -116,7 +107,7 @@ fn bench_observer_overhead(c: &mut Criterion) {
         c.bench_function(
             &format!("sim/backend_observer_overhead_w{block}_bare"),
             |b| {
-                b.iter(|| suite.observe_compiled(&module, &bare, &mut NopBatchObserver, block));
+                b.iter(|| suite.observe_compiled(&module, &bare, &mut NopObserver, block));
             },
         );
     }
@@ -543,67 +534,6 @@ fn bench_campaign(c: &mut Criterion) {
     }
 }
 
-/// The closure-service scheduler on a *skewed* multi-design workload:
-/// the round-robin deal lands every expensive design on worker 0, and
-/// the idle peers steal them. Two variants:
-///
-/// * `skewed_12_jobs` — real closure jobs (CPU-bound): stealing shows on
-///   multi-core hosts; a single-core host timeslices the heavies either
-///   way, so there the numbers mostly price the pool (the same caveat
-///   as the shard-scaling kernels above).
-/// * `skewed_latency_jobs` — latency-bound jobs (each "heavy" job waits
-///   on a simulated external checker): the peers overlap the waits that
-///   worker 0 alone would sit out in sequence, even on one core.
-fn bench_serve_scheduler(c: &mut Criterion) {
-    let heavy = gm_designs::by_name("arbiter4").unwrap();
-    let light = gm_designs::by_name("cex_small").unwrap();
-    let workers = 4usize;
-    // 12 jobs; indices 0, 4, 8 (worker 0's static share) are the heavy
-    // ones.
-    let jobs: Vec<goldmine::CampaignJob> = (0..12)
-        .map(|i| {
-            let d = if usize::is_multiple_of(i, workers) {
-                &heavy
-            } else {
-                &light
-            };
-            let module = d.module();
-            let config = EngineConfig {
-                window: d.window,
-                stimulus: goldmine::SeedStimulus::Random { cycles: 32 },
-                record_coverage: false,
-                ..EngineConfig::default()
-            };
-            goldmine::CampaignJob {
-                name: format!("{}-{i}", d.name),
-                module,
-                config,
-            }
-        })
-        .collect();
-    c.bench_function("serve/skewed_12_jobs_4_workers", |b| {
-        b.iter(|| {
-            let summary = gm_serve::run_campaign(jobs.clone(), workers);
-            assert!(summary.all_ok());
-            summary.converged_count()
-        });
-    });
-    // Latency-bound variant: every 4th job waits 20 ms on a simulated
-    // external checker, and the deal puts all of them on worker 0
-    // (60 ms of serialized waiting unless the peers steal them).
-    c.bench_function("serve/skewed_latency_jobs", |b| {
-        b.iter(|| {
-            let results = gm_serve::run_jobs((0..12u64).collect(), workers, |i| {
-                if (i as usize).is_multiple_of(workers) {
-                    std::thread::sleep(std::time::Duration::from_millis(20));
-                }
-                i
-            });
-            results.len()
-        });
-    });
-}
-
 /// Server throughput: repeated submissions of a small design mix
 /// through the persistent service — the steady-state request path
 /// (content-addressed cache hits, parked warm checkers, work-stealing
@@ -865,7 +795,6 @@ criterion_group!(
         bench_batched_checking,
         bench_shard_scaling,
         bench_campaign,
-        bench_serve_scheduler,
         bench_serve_throughput,
         bench_mining,
         bench_full_loop,

@@ -142,7 +142,7 @@ fn main() {
 
     let idle_overhead = armed_idle_s / fault_free_s - 1.0;
 
-    // Hand-rolled JSON: the vendored serde shim is a no-op.
+    // Hand-rolled JSON: the workspace has no JSON dependency.
     let mut json = String::from("{\n  \"bench\": \"fault_points\",\n");
     let _ = writeln!(
         json,

@@ -1,6 +1,6 @@
 //! CI bench smoke for the mining layer: measures (a) the trace-to-
 //! dataset extraction pipeline (simulate + `Dataset::add_trace` with a
-//! temporal horizon) in rows/second through both simulation backends,
+//! temporal horizon) in rows/second through both simulation engines,
 //! and (b) the coverage-ranked refinement loop's iterations-to-closure
 //! against the random-only engine on the catalog designs, emitting a
 //! `BENCH_mine.json` record for the performance trajectory.
@@ -13,9 +13,7 @@
 
 use gm_mine::{Dataset, MiningSpec};
 use gm_rtl::{cone_of, elaborate, Module};
-use gm_sim::{
-    collect_vectors, run_segment, CompiledModule, NopBatchObserver, NopObserver, RandomStimulus,
-};
+use gm_sim::{collect_vectors, CompiledModule, NopObserver, RandomStimulus, Replay, TestSuite};
 use goldmine::{ClosureOutcome, Engine, EngineConfig, RefineConfig, SeedStimulus};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -55,37 +53,44 @@ fn measure_extraction(name: &'static str, module: &Module) -> Vec<ExtractRecord>
             specs.push(MiningSpec::for_output(module, &elab, &cone, bit, WINDOW));
         }
     }
-    let segments: Vec<Vec<_>> = (0..SEGMENTS)
-        .map(|seed| collect_vectors(&mut RandomStimulus::new(module, seed, CYCLES)))
-        .collect();
+    let mut suite = TestSuite::new();
+    for seed in 0..SEGMENTS {
+        suite.push(
+            format!("s{seed}"),
+            collect_vectors(&mut RandomStimulus::new(module, seed, CYCLES)),
+        );
+    }
     let compiled = CompiledModule::compile(module).expect("catalog designs compile");
 
-    let interp = rows_per_sec(3, || {
-        let mut datasets: Vec<Dataset> = specs
-            .iter()
-            .map(|_| Dataset::with_horizon(HORIZON))
-            .collect();
-        for vectors in &segments {
-            let trace = run_segment(module, vectors, &mut NopObserver).unwrap();
-            for (spec, data) in specs.iter().zip(&mut datasets) {
-                data.add_trace(spec, &trace);
+    // The engine's own path: one replay of the whole suite through the
+    // seam (the interpreter without a tape, one lane batch with it),
+    // then every trace into every target's dataset.
+    let extract = |compiled: Option<&CompiledModule>| {
+        let replay = Replay {
+            module,
+            compiled,
+            block: 1,
+            cancel: None,
+        };
+        rows_per_sec(3, || {
+            let mut datasets: Vec<Dataset> = specs
+                .iter()
+                .map(|_| Dataset::with_horizon(HORIZON))
+                .collect();
+            let traces = replay
+                .traces(suite.segments(), &mut NopObserver)
+                .expect("catalog designs elaborate")
+                .expect("no cancel token");
+            for trace in &traces {
+                for (spec, data) in specs.iter().zip(&mut datasets) {
+                    data.add_trace(spec, trace);
+                }
             }
-        }
-        datasets.iter().map(|d| d.len()).sum()
-    });
-    let comp = rows_per_sec(3, || {
-        let mut datasets: Vec<Dataset> = specs
-            .iter()
-            .map(|_| Dataset::with_horizon(HORIZON))
-            .collect();
-        for vectors in &segments {
-            let trace = compiled.run_segment(module, vectors, &mut NopBatchObserver);
-            for (spec, data) in specs.iter().zip(&mut datasets) {
-                data.add_trace(spec, &trace);
-            }
-        }
-        datasets.iter().map(|d| d.len()).sum()
-    });
+            datasets.iter().map(|d| d.len()).sum()
+        })
+    };
+    let interp = extract(None);
+    let comp = extract(Some(&compiled));
     vec![
         ExtractRecord {
             name,
@@ -167,7 +172,7 @@ fn main() {
         .map(measure_refinement)
         .collect();
 
-    // Hand-rolled JSON: the vendored serde shim is a no-op.
+    // Hand-rolled JSON: the workspace has no JSON dependency.
     let mut json = String::from("{\n  \"bench\": \"mine\",\n");
     let _ = writeln!(
         json,

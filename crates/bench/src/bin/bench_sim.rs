@@ -3,12 +3,12 @@
 //! throughput record (vectors/second, where one vector is one stimulus
 //! cycle of one segment) for the performance trajectory.
 //!
-//! Per design it measures the interpreter, the compiled scalar
-//! executor, and the compiled batch executor at every supported
-//! lane-block width (W ∈ {1, 2, 4, 8} → 64–512 lanes per pass), each
-//! W both coverage-attached (probed tape + `CoverageSuite`) and bare
-//! (probe-free tape + `NopBatchObserver`) — the fused-probe win and
-//! the wide-lane win are both visible run-over-run.
+//! Per design it measures the interpreter and the compiled tape at
+//! every supported lane-block width (W ∈ {1, 2, 4, 8} → 64–512 lanes
+//! per pass), each W both coverage-attached (probed tape +
+//! `CoverageSuite`) and bare (probe-free tape + `NopObserver`) — the
+//! fused-probe win and the wide-lane win are both visible
+//! run-over-run.
 //!
 //! The binary asserts ratcheted per-design floors (see `FLOORS`), so a
 //! wide-design regression can't hide behind a small-design win.
@@ -18,7 +18,7 @@
 use gm_coverage::CoverageSuite;
 use gm_rtl::Module;
 use gm_sim::{
-    collect_vectors, CompileOptions, CompiledModule, NopBatchObserver, RandomStimulus, TestSuite,
+    collect_vectors, CompileOptions, CompiledModule, NopObserver, RandomStimulus, TestSuite,
 };
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -56,7 +56,6 @@ struct WidthRecord {
 struct Record {
     name: &'static str,
     interpreter_vps: f64,
-    compiled_scalar_vps: f64,
     widths: Vec<WidthRecord>,
 }
 
@@ -109,13 +108,6 @@ fn measure(name: &'static str, module: &Module) -> Record {
         suite.run(module, &mut cov).unwrap();
         std::hint::black_box(cov.report());
     });
-    let compiled_scalar_vps = vps(total, 1, || {
-        let mut cov = CoverageSuite::new(module);
-        for seg in suite.segments() {
-            probed.run_segment(module, &seg.vectors, &mut cov);
-        }
-        std::hint::black_box(cov.report());
-    });
     let widths = WIDTHS
         .iter()
         .map(|&w| {
@@ -125,7 +117,7 @@ fn measure(name: &'static str, module: &Module) -> Record {
                 std::hint::black_box(cov.report());
             });
             let bare_vps = vps(total, 5, || {
-                suite.observe_compiled(module, &bare, &mut NopBatchObserver, w);
+                suite.observe_compiled(module, &bare, &mut NopObserver, w);
             });
             WidthRecord {
                 w,
@@ -137,7 +129,6 @@ fn measure(name: &'static str, module: &Module) -> Record {
     Record {
         name,
         interpreter_vps,
-        compiled_scalar_vps,
         widths,
     }
 }
@@ -156,7 +147,7 @@ fn main() {
         .map(|(name, module)| measure(name, module))
         .collect();
 
-    // Hand-rolled JSON: the vendored serde shim is a no-op.
+    // Hand-rolled JSON: the workspace has no JSON dependency.
     let mut json = String::from("{\n  \"bench\": \"sim_backends\",\n");
     let _ = writeln!(
         json,
@@ -167,8 +158,8 @@ fn main() {
         let best = r.best_cov();
         let _ = write!(
             json,
-            "    {{\"name\": \"{}\", \"interpreter_vps\": {:.0}, \"compiled_scalar_vps\": {:.0}, \"batch\": [",
-            r.name, r.interpreter_vps, r.compiled_scalar_vps,
+            "    {{\"name\": \"{}\", \"interpreter_vps\": {:.0}, \"batch\": [",
+            r.name, r.interpreter_vps,
         );
         for (j, wr) in r.widths.iter().enumerate() {
             let _ = write!(

@@ -114,7 +114,7 @@ fn main() {
     let off_overhead = off_s / baseline_s - 1.0;
     let on_overhead = on_s / baseline_s - 1.0;
 
-    // Hand-rolled JSON: the vendored serde shim is a no-op.
+    // Hand-rolled JSON: the workspace has no JSON dependency.
     let mut json = String::from("{\n  \"bench\": \"trace_recorder\",\n");
     let _ = writeln!(
         json,

@@ -90,13 +90,6 @@ impl Campaign {
         self.jobs.len()
     }
 
-    /// Consumes the campaign, yielding its jobs in submission order —
-    /// for alternative executors (like `gm_serve`'s work-stealing
-    /// scheduler) that run the same jobs under their own pool.
-    pub fn into_jobs(self) -> Vec<CampaignJob> {
-        self.jobs
-    }
-
     /// Whether the campaign has no jobs.
     pub fn is_empty(&self) -> bool {
         self.jobs.is_empty()
@@ -104,14 +97,9 @@ impl Campaign {
 
     /// Runs every job to completion and returns the merged summary.
     ///
-    /// This built-in executor keeps `goldmine` dependency-free; the
-    /// closure service's scheduler (`gm_serve::run_campaign`, fed by
-    /// [`Campaign::into_jobs`]) runs the same jobs on its work-stealing
-    /// pool with steal counters — the two produce identical summaries
-    /// by the engine's determinism contract.
-    ///
-    /// Workers pull jobs from a shared cursor (so a slow design does not
-    /// serialize the rest behind it) and deposit results by job index:
+    /// Workers pull jobs from a shared cursor (a free worker takes the
+    /// next job, so a slow design never strands the rest behind it and
+    /// there is nothing to steal) and deposit results by job index:
     /// the summary lists runs in submission order, and each run's
     /// [`ClosureOutcome`] is identical to what a standalone
     /// [`Engine::run`] with the same module/config/seed would produce.

@@ -14,8 +14,9 @@
 //!    verification session ([`gm_mc::Checker::check_batch`]): one shared
 //!    unrolling per iteration, memoized repeats free. Proved leaves
 //!    freeze, refuted ones yield counterexample traces;
-//! 5. **Ctx_simulation** — replay each counterexample from reset, append
-//!    it to the test suite, extend every target's dataset in bulk, and
+//! 5. **Ctx_simulation** — append the iteration's counterexamples to
+//!    the test suite, replay them from reset as one batch
+//!    ([`gm_sim::Replay`]), extend every target's dataset in bulk, and
 //!    re-split only the refuted leaves;
 //! 6. repeat until every leaf is proved (*coverage closure*) or the
 //!    iteration budget runs out.
@@ -63,11 +64,11 @@ use gm_mine::{
 };
 use gm_rtl::{cone_of, elaborate, Module, SignalId};
 use gm_sim::{
-    collect_vectors, run_segment, synthesize_directed, CompileOptions, CompiledModule, InputVector,
-    NopBatchObserver, NopObserver, RandomStimulus, SimBackend, TestSuite, Trace,
+    collect_vectors, synthesize_directed, CompileOptions, CompiledModule, InputVector, NopObserver,
+    RandomStimulus, Replay, Segment, SimBackend, TestSuite, Trace,
 };
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 /// Converts a mined assertion into the model checker's property form.
@@ -174,7 +175,7 @@ pub struct Engine<'m> {
     /// Session stats already attributed to earlier iteration reports.
     reported_stats: SessionStats,
     /// The lowered instruction tape for the compiled simulation
-    /// backends (`None` when the interpreter is configured). Trace- and
+    /// backend (`None` when the interpreter is configured). Trace- and
     /// coverage-identical to the interpreter, so the choice never shows
     /// in the outcome. Shared (`Arc`) so a design cache can park one
     /// tape per canonical design and hand it to every engine instead of
@@ -322,24 +323,36 @@ impl<'m> Engine<'m> {
     /// iteration-boundary stop of [`Engine::run_reclaim`]'s observer, a
     /// raised token takes effect *mid-iteration*: it is polled between
     /// SAT queries inside the checker's unrolling loops and once per
-    /// simulated cycle of the coverage passes. The run then ends with a
+    /// simulated cycle of every replay — counterexample and refinement
+    /// batches as well as the coverage passes. The run then ends with a
     /// valid outcome of the work completed so far, marked
-    /// [`ClosureOutcome::interrupted`] — an in-flight verification batch
-    /// or coverage pass is discarded whole, never half-applied, so
-    /// proved assertions stay sound and the suite still replays.
+    /// [`ClosureOutcome::interrupted`] — an in-flight verification
+    /// batch, replay or coverage pass is discarded whole (no trace of a
+    /// cancelled replay is absorbed), never half-applied, so proved
+    /// assertions stay sound and the suite still replays.
     pub fn with_cancel(mut self, cancel: Arc<AtomicBool>) -> Self {
         self.checker.set_cancel(Some(cancel.clone()));
         self.cancel = Some(cancel);
         self
     }
 
-    /// Simulates one reset-rooted segment through the configured
-    /// simulation backend. Trace-identical across backends.
-    fn simulate_segment(&self, vectors: &[InputVector]) -> Result<Trace, EngineError> {
-        match &self.compiled {
-            None => Ok(run_segment(self.module, vectors, &mut NopObserver)?),
-            Some(c) => Ok(c.run_segment(self.module, vectors, &mut NopBatchObserver)),
+    /// How this run replays reset-rooted segments: on the tape when it
+    /// has one, on the interpreter otherwise, under the run's cancel
+    /// token. Trace- and coverage-identical either way.
+    fn replay(&self) -> Replay<'_> {
+        Replay {
+            module: self.module,
+            compiled: self.compiled.as_deref(),
+            block: self.config.sim_backend.lane_block(),
+            cancel: self.cancel.as_deref(),
         }
+    }
+
+    /// Replays `segments` as one batch into traces; a raised cancel
+    /// token surfaces as [`McError::Cancelled`] with nothing absorbed.
+    fn replay_traces(&self, segments: &[Segment]) -> Result<Vec<Trace>, EngineError> {
+        let traces = self.replay().traces(segments, &mut NopObserver)?;
+        Ok(traces.ok_or(McError::Cancelled)?)
     }
 
     /// The accumulated test suite (useful mid-run from examples).
@@ -392,51 +405,22 @@ impl<'m> Engine<'m> {
             run_span.arg("module", self.module.name());
             run_span.arg("targets", self.targets.len());
         }
-        // Phase 1: seed data.
-        let seed_start = std::time::Instant::now();
-        let seed_span = gm_trace::span("engine", "engine.seed");
-        let seed_vectors = match &self.config.stimulus {
-            SeedStimulus::Random { cycles } => {
-                let mut stim = RandomStimulus::new(self.module, self.config.seed, *cycles);
-                collect_vectors(&mut stim)
-            }
-            SeedStimulus::Directed(v) => v.clone(),
-            SeedStimulus::None => Vec::new(),
-        };
-        if !seed_vectors.is_empty() {
-            self.suite.push("seed", seed_vectors.clone());
-            let trace = self.simulate_segment(&seed_vectors)?;
-            let mut short = 0usize;
-            for t in &mut self.targets {
-                let mut span = gm_trace::span("mine", "mine.extract");
-                let rows = t.dataset.add_trace(&t.spec, &trace);
-                span.arg("rows", rows.rows.len());
-                span.arg("features", t.spec.features.len());
-                span.arg("short_traces", rows.short_traces);
-                // The extraction report tells short traces apart from
-                // (impossible here) zero-row long traces.
-                debug_assert!(!rows.rows.is_empty() || rows.short_traces > 0);
-                short += rows.short_traces;
-            }
-            self.short_traces += short;
-        }
-        for t in &mut self.targets {
-            if let Err(e) = t.tree.fit(&t.dataset) {
-                t.stuck = Some(e);
-            }
-        }
-        drop(seed_span);
-
         // A raised cancel token surfaces as `McError::Cancelled` from
-        // the checker or the coverage pass. The interrupted pass's
-        // results are discarded whole — a failed batch never touches the
-        // trees (see `iteration_pass`), and a failed snapshot pushes no
-        // report — so the outcome stays valid, just truncated.
+        // the checker, a replay or the coverage pass. The interrupted
+        // pass's results are discarded whole — a failed batch never
+        // touches the trees, a cancelled replay's traces are never
+        // absorbed (see `iteration_pass`), and a failed snapshot pushes
+        // no report — so the outcome stays valid, just truncated.
         let mut interrupted = false;
         let mut history: Vec<IterationReport> = Vec::new();
-        let mut go = match self.snapshot_report(0, PassCounts::default()) {
+        // Phase 1: seed data, then the iteration-0 snapshot (whose wall
+        // time covers both).
+        let seed_start = std::time::Instant::now();
+        let seeded = self
+            .seed()
+            .and_then(|()| self.snapshot_report(0, PassCounts::default()));
+        let mut go = match seeded {
             Ok(mut report) => {
-                // Iteration 0's wall time covers seeding + the snapshot.
                 report.timing.total_ns = seed_start.elapsed().as_nanos() as u64;
                 history.push(report);
                 on_iteration(&history[0])
@@ -515,6 +499,43 @@ impl<'m> Engine<'m> {
             unknown_assumed: self.unknown_assumed,
             interrupted,
         })
+    }
+
+    /// The data generator: simulates the seed stimulus into the first
+    /// suite segment and fits every target's tree on its rows.
+    fn seed(&mut self) -> Result<(), EngineError> {
+        let _span = gm_trace::span("engine", "engine.seed");
+        let seed_vectors = match &self.config.stimulus {
+            SeedStimulus::Random { cycles } => {
+                let mut stim = RandomStimulus::new(self.module, self.config.seed, *cycles);
+                collect_vectors(&mut stim)
+            }
+            SeedStimulus::Directed(v) => v.clone(),
+            SeedStimulus::None => Vec::new(),
+        };
+        if !seed_vectors.is_empty() {
+            self.suite.push("seed", seed_vectors);
+            let traces = self.replay_traces(self.suite.segments())?;
+            let mut short = 0usize;
+            for t in &mut self.targets {
+                let mut span = gm_trace::span("mine", "mine.extract");
+                let rows = t.dataset.add_trace(&t.spec, &traces[0]);
+                span.arg("rows", rows.rows.len());
+                span.arg("features", t.spec.features.len());
+                span.arg("short_traces", rows.short_traces);
+                // The extraction report tells short traces apart from
+                // (impossible here) zero-row long traces.
+                debug_assert!(!rows.rows.is_empty() || rows.short_traces > 0);
+                short += rows.short_traces;
+            }
+            self.short_traces += short;
+        }
+        for t in &mut self.targets {
+            if let Err(e) = t.tree.fit(&t.dataset) {
+                t.stuck = Some(e);
+            }
+        }
+        Ok(())
     }
 
     fn all_converged(&self) -> bool {
@@ -631,7 +652,6 @@ impl<'m> Engine<'m> {
         // the module docs' determinism contract).
         let results = self.checker.check_batch(&unique)?;
         let mut refuted = 0usize;
-        let mut pending_traces: Vec<Trace> = Vec::new();
         let mut cex_count = 0usize;
         for (idx, res) in results.into_iter().enumerate() {
             match res {
@@ -645,7 +665,6 @@ impl<'m> Engine<'m> {
                     cex_count += 1;
                     let label = format!("cex-{iteration}-{cex_count}");
                     self.suite.push(label, cex.inputs.clone());
-                    pending_traces.push(self.simulate_segment(&cex.inputs)?);
                     prefixes.push(cex.inputs);
                 }
                 CheckResult::Unknown { .. } => match self.config.unknown {
@@ -659,10 +678,7 @@ impl<'m> Engine<'m> {
                 },
             }
         }
-        // Absorb all counterexample traces in bulk.
-        for trace in &pending_traces {
-            self.absorb_trace(trace);
-        }
+        self.absorb_suite_tail(cex_count)?;
         Ok(PassCounts {
             refuted,
             ..PassCounts::default()
@@ -718,8 +734,6 @@ impl<'m> Engine<'m> {
                     tcex_count += 1;
                     let label = format!("tcex-{iteration}-{tcex_count}");
                     self.suite.push(label, cex.inputs.clone());
-                    let trace = self.simulate_segment(&cex.inputs)?;
-                    self.absorb_trace(&trace);
                     prefixes.push(cex.inputs);
                 }
                 CheckResult::Unknown { .. } => {
@@ -733,7 +747,23 @@ impl<'m> Engine<'m> {
                 }
             }
         }
+        // Simulation never depended on absorption, so the `tcex-*`
+        // segments replay together and are absorbed in decision order.
+        self.absorb_suite_tail(tcex_count)?;
         Ok((seen.len(), refuted))
+    }
+
+    /// Ctx_simulation for one pass: replays the `count` counterexample
+    /// segments the pass has just pushed — the tail of the suite,
+    /// borrowed in place — as one batch, then absorbs their traces in
+    /// push order.
+    fn absorb_suite_tail(&mut self, count: usize) -> Result<(), EngineError> {
+        let segments = self.suite.segments();
+        let traces = self.replay_traces(&segments[segments.len() - count..])?;
+        for trace in &traces {
+            self.absorb_trace(trace);
+        }
+        Ok(())
     }
 
     /// One coverage-ranked refinement pass: extend this iteration's
@@ -771,33 +801,30 @@ impl<'m> Engine<'m> {
         } else {
             prefixes
         };
-        let mut variants: Vec<Vec<InputVector>> = Vec::new();
+        let mut variants: Vec<Segment> = Vec::new();
         for (pi, prefix) in prefixes.iter().enumerate() {
-            variants.extend(synthesize_directed(
+            let synthesized = synthesize_directed(
                 self.module,
                 prefix,
                 base_seed.wrapping_add(pi as u64),
                 rc.extra_cycles,
                 rc.variants,
-            ));
+            );
+            // Labels are given to the winners only.
+            variants.extend(synthesized.into_iter().map(|vectors| Segment {
+                label: String::new(),
+                vectors,
+            }));
         }
-        let cancelled = || {
-            self.cancel
-                .as_deref()
-                .is_some_and(|c| c.load(Ordering::Acquire))
-        };
-        let mut scored: Vec<(usize, usize)> = Vec::with_capacity(variants.len());
-        let mut traces: Vec<Trace> = Vec::with_capacity(variants.len());
-        for (i, vectors) in variants.iter().enumerate() {
-            if cancelled() {
-                // Nothing has been absorbed yet: the pass is discarded
-                // whole, keeping the interrupted-outcome contract.
-                return Err(McError::Cancelled.into());
-            }
-            let trace = self.simulate_segment(vectors)?;
-            scored.push((i, index.trace_gain(&trace)));
-            traces.push(trace);
-        }
+        // One batch for every variant. A cancelled replay returns before
+        // anything has been absorbed: the pass is discarded whole,
+        // keeping the interrupted-outcome contract.
+        let traces = self.replay_traces(&variants)?;
+        let mut scored: Vec<(usize, usize)> = traces
+            .iter()
+            .enumerate()
+            .map(|(i, trace)| (i, index.trace_gain(trace)))
+            .collect();
         // Rank by gain, stable on synthesis order for ties.
         scored.sort_by_key(|&(_, gain)| std::cmp::Reverse(gain));
         let mut absorbed = 0usize;
@@ -807,7 +834,8 @@ impl<'m> Engine<'m> {
             }
             absorbed += 1;
             let label = format!("dir-{iteration}-{absorbed}");
-            self.suite.push(label, variants[i].clone());
+            self.suite
+                .push(label, std::mem::take(&mut variants[i].vectors));
             self.absorb_trace(&traces[i]);
         }
         Ok(absorbed)
@@ -865,43 +893,12 @@ impl<'m> Engine<'m> {
             let coverage_start = std::time::Instant::now();
             let mut coverage_span = gm_trace::span("engine", "engine.coverage");
             coverage_span.arg("segments", self.suite.len());
-            let cancel = self.cancel.as_deref();
-            let cancelled = || cancel.is_some_and(|c| c.load(Ordering::Acquire));
             let mut cov = CoverageSuite::new(self.module);
-            match (&self.compiled, self.config.sim_backend) {
-                (None, _) => {
-                    // Per-segment walk (identical to `TestSuite::run`)
-                    // so the cancel token is polled between segments.
-                    for seg in self.suite.segments() {
-                        if cancelled() {
-                            return Err(McError::Cancelled.into());
-                        }
-                        run_segment(self.module, &seg.vectors, &mut cov)?;
-                    }
-                }
-                (Some(c), SimBackend::CompiledScalar) => {
-                    for seg in self.suite.segments() {
-                        if cancelled() {
-                            return Err(McError::Cancelled.into());
-                        }
-                        c.run_segment(self.module, &seg.vectors, &mut cov);
-                    }
-                }
-                // 64·block segments per pass; no traces are
-                // materialized. The token is polled once per simulated
-                // cycle inside.
-                (Some(c), backend) => {
-                    if !self.suite.observe_compiled_cancellable(
-                        self.module,
-                        c,
-                        &mut cov,
-                        cancel,
-                        backend.lane_block(),
-                    ) {
-                        return Err(McError::Cancelled.into());
-                    }
-                }
-            }
+            // No traces are materialized. A cancelled pass has shown
+            // `cov` a partial suite, so it is dropped with the report.
+            self.replay()
+                .observe(self.suite.segments(), &mut cov)?
+                .ok_or(McError::Cancelled)?;
             // Freeze this snapshot's uncovered points for the next
             // refinement pass's gain ranking.
             if self.config.refine.enabled() {

@@ -302,7 +302,6 @@ fn closure_outcomes_byte_identical_across_sim_backends() {
         let m = parse_verilog(src).unwrap();
         let backends = [
             goldmine::SimBackend::Interpreter,
-            goldmine::SimBackend::CompiledScalar,
             goldmine::SimBackend::CompiledBatch(1),
             goldmine::SimBackend::CompiledBatch(2),
             goldmine::SimBackend::CompiledBatch(4),

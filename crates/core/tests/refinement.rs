@@ -107,7 +107,6 @@ fn refined_outcomes_byte_identical_across_sim_backends() {
     let m = design.module();
     let backends = [
         SimBackend::Interpreter,
-        SimBackend::CompiledScalar,
         SimBackend::CompiledBatch(1),
         SimBackend::CompiledBatch(4),
     ];

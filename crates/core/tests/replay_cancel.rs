@@ -1,0 +1,210 @@
+//! The engine's replays ride the lane-batched tape one *pass* at a
+//! time, and a cancel token that lands inside such a batch ends the
+//! run cleanly: an `interrupted` outcome whose last report predates the
+//! cancelled pass, nothing of the batch absorbed, and a suite that
+//! still replays on the interpreter.
+//!
+//! The token is raised deterministically, without threads or sleeps:
+//! the run under test reuses the warm checker of an identical first
+//! run, so every property of the cancelled iteration is answered from
+//! the memo (which never polls the token), and the first poll after the
+//! iteration boundary is the first simulated cycle of the replay batch.
+//! The recorded `sim.batch` span confirms where the cancel landed.
+
+use gm_designs::catalog;
+use gm_rtl::{elaborate, Module};
+use gm_sim::NopObserver;
+use gm_trace::{ArgValue, TraceEvent, TraceSink};
+use goldmine::{ClosureOutcome, Engine, EngineConfig, RefineConfig, SeedStimulus};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+
+fn design(name: &str) -> (Module, EngineConfig) {
+    let design = catalog()
+        .into_iter()
+        .find(|d| d.name == name)
+        .expect("design in catalog");
+    let config = EngineConfig {
+        window: design.window,
+        stimulus: SeedStimulus::Random { cycles: 4 },
+        record_coverage: true,
+        refine: RefineConfig {
+            variants: 4,
+            extra_cycles: 16,
+            max_absorb: 2,
+        },
+        ..EngineConfig::default()
+    };
+    (design.module(), config)
+}
+
+fn arg<'e>(event: &'e TraceEvent, key: &str) -> &'e ArgValue {
+    let found = event.args.iter().find(|(k, _)| *k == key);
+    &found
+        .unwrap_or_else(|| panic!("{} has no `{key}`", event.name))
+        .1
+}
+
+/// Runs the design once to completion, then again on the first run's
+/// checker (memo warm) with a token raised when the report of the
+/// iteration `boundary_of` picks arrives. Returns that iteration, both
+/// outcomes and the second run's recording.
+fn cancel_in_iteration_after(
+    m: &Module,
+    config: &EngineConfig,
+    boundary_of: impl Fn(&ClosureOutcome) -> u32,
+) -> (u32, ClosureOutcome, ClosureOutcome, Vec<TraceEvent>) {
+    let (full, checker) = Engine::new(m, config.clone())
+        .unwrap()
+        .run_reclaim(|_| true);
+    let full = full.unwrap();
+    assert!(!full.interrupted);
+    let boundary = boundary_of(&full);
+
+    let token = Arc::new(AtomicBool::new(false));
+    let elab = elaborate(m).unwrap();
+    let engine =
+        Engine::with_artifacts(m, &elab, checker, None, config.clone()).with_cancel(token.clone());
+    let sink = TraceSink::new();
+    let cut = {
+        let _guard = gm_trace::push_thread_sink(sink.clone());
+        let (cut, _checker) = engine.run_reclaim(|report| {
+            if report.iteration == boundary {
+                token.store(true, Ordering::Release);
+            }
+            true
+        });
+        cut.unwrap()
+    };
+    (boundary, full, cut, sink.events())
+}
+
+/// What every cancelled-replay outcome must satisfy.
+fn assert_cut_cleanly(
+    m: &Module,
+    full: &ClosureOutcome,
+    cut: &ClosureOutcome,
+    events: &[TraceEvent],
+    boundary: u32,
+) {
+    assert!(cut.interrupted, "the token landed mid-iteration");
+    // The last report predates the cancelled pass, and everything up to
+    // it is what the uninterrupted run reported.
+    assert_eq!(cut.iterations.len() as u32, boundary + 1);
+    for (a, b) in cut.iterations.iter().zip(&full.iterations) {
+        assert_eq!(a.proved_total, b.proved_total);
+        assert_eq!(a.refuted, b.refuted);
+        assert_eq!(a.suite_cycles, b.suite_cycles);
+        assert_eq!(a.coverage, b.coverage);
+    }
+    // The cancel was seen by a trace-collecting replay batch — not by
+    // the checker or a coverage pass — and it was the last batch.
+    let last_batch = events
+        .iter()
+        .filter(|e| e.name == "sim.batch")
+        .max_by_key(|e| e.ts_ns)
+        .expect("replays recorded");
+    assert_eq!(arg(last_batch, "cancelled"), &ArgValue::Bool(true));
+    assert_eq!(arg(last_batch, "traces"), &ArgValue::Bool(true));
+    // The suite is a prefix of the uninterrupted run's and still
+    // replays on the interpreter.
+    let kept = cut.suite.segments();
+    assert_eq!(kept, &full.suite.segments()[..kept.len()]);
+    let traces = cut.suite.run(m, &mut NopObserver).unwrap();
+    assert_eq!(traces.len(), kept.len());
+}
+
+#[test]
+fn a_cancel_inside_a_counterexample_batch_interrupts_before_absorption() {
+    let (m, config) = design("b01");
+    // Iteration 1 refutes candidates, so its first replay is `cex-1-*`.
+    let (boundary, full, cut, events) = cancel_in_iteration_after(&m, &config, |full| {
+        assert!(
+            full.iterations[1].refuted > 0,
+            "iteration 1 has counterexamples"
+        );
+        0
+    });
+    assert_cut_cleanly(&m, &full, &cut, &events, boundary);
+    assert!(!cut.converged, "the refuted leaves were never re-split");
+    // The counterexamples were pushed for replay and nothing else: no
+    // refinement pass ran after the cancelled batch.
+    let labels: Vec<&str> = cut.suite.segments().iter().map(|s| &*s.label).collect();
+    assert_eq!(labels[0], "seed");
+    assert!(labels.len() > 1);
+    assert!(
+        labels[1..].iter().all(|l| l.starts_with("cex-1-")),
+        "{labels:?}"
+    );
+}
+
+#[test]
+fn a_cancel_inside_a_refinement_batch_discards_the_pass_whole() {
+    let (m, config) = design("b01");
+    // An iteration without counterexamples (the closing one): with
+    // coverage still open its refinement pass probes outward from
+    // reset, and that variant batch is its only trace replay.
+    let (boundary, full, cut, events) = cancel_in_iteration_after(&m, &config, |full| {
+        let quiet = full
+            .iterations
+            .iter()
+            .find(|r| r.iteration > 0 && r.refuted == 0)
+            .expect("an iteration that refutes nothing");
+        quiet.iteration - 1
+    });
+    assert_cut_cleanly(&m, &full, &cut, &events, boundary);
+    // Nothing of the cancelled pass reached the suite: it ends where
+    // the previous iteration left it.
+    assert_eq!(
+        cut.suite.total_cycles(),
+        cut.iterations.last().unwrap().suite_cycles
+    );
+    assert!(boundary > 0, "earlier iterations ran in full");
+    // The verification pass before it had completed; its verdicts stand.
+    assert!(cut.converged);
+}
+
+#[test]
+fn compiled_runs_replay_one_batch_per_pass_and_never_per_segment() {
+    let (m, config) = design("b01");
+    let sink = TraceSink::new();
+    let outcome = {
+        let _guard = gm_trace::push_thread_sink(sink.clone());
+        Engine::new(&m, config).unwrap().run().unwrap()
+    };
+    let events = sink.events();
+    assert!(
+        events.iter().all(|e| e.name != "sim.segment"),
+        "only the interpreter replays segment by segment"
+    );
+    // Every trace-collecting batch is the one replay of an engine pass.
+    let within = |outer: &TraceEvent, inner: &TraceEvent| {
+        outer.ts_ns <= inner.ts_ns && inner.ts_ns + inner.dur_ns() <= outer.ts_ns + outer.dur_ns()
+    };
+    let replays: Vec<&TraceEvent> = events
+        .iter()
+        .filter(|e| e.name == "sim.batch" && arg(e, "traces") == &ArgValue::Bool(true))
+        .collect();
+    let passes: Vec<&TraceEvent> = events
+        .iter()
+        .filter(|e| ["engine.seed", "engine.verify", "engine.refine"].contains(&e.name))
+        .collect();
+    for pass in &passes {
+        let inside = replays.iter().filter(|r| within(pass, r)).count();
+        assert!(inside <= 1, "{} replayed {inside} batches", pass.name);
+    }
+    for replay in &replays {
+        assert!(
+            passes.iter().any(|p| within(p, replay)),
+            "a replay outside every pass"
+        );
+    }
+    // Far fewer batches than segments: the suite's counterexamples and
+    // directed variants went through iteration-many replays.
+    assert!(
+        outcome.suite.len() > replays.len(),
+        "{} segments",
+        outcome.suite.len()
+    );
+    assert!(replays.len() <= 1 + 2 * outcome.iteration_count() as usize);
+}

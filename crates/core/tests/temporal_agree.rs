@@ -123,7 +123,6 @@ fn temporal_outcomes_byte_identical_across_sim_backends() {
         let m = parse_verilog(src).unwrap();
         let backends = [
             SimBackend::Interpreter,
-            SimBackend::CompiledScalar,
             SimBackend::CompiledBatch(1),
             SimBackend::CompiledBatch(4),
         ];

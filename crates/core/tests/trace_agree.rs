@@ -57,7 +57,6 @@ fn outcomes_byte_identical_recorder_on_and_off_across_backends() {
     for src in [STICKY, ARBITER2] {
         for sim_backend in [
             SimBackend::Interpreter,
-            SimBackend::CompiledScalar,
             SimBackend::CompiledBatch(1),
             SimBackend::CompiledBatch(4),
         ] {

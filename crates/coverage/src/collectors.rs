@@ -170,24 +170,6 @@ impl BoolNodeCoverage {
         });
     }
 
-    /// Lane-parallel observation of one boolean node: `values` carries
-    /// the node's value per lane, `lanes` the lanes that executed the
-    /// statement. The node index is the same pre-order enumeration
-    /// [`crate::points::boolean_nodes`] produces, so the polarity sets
-    /// end up identical to the interpreter path's.
-    fn observe_lanes(&mut self, stmt: StmtId, node: u32, values: u64, lanes: u64) {
-        if lanes == 0 {
-            return;
-        }
-        let p = self.seen.entry((stmt, node as usize)).or_default();
-        if values & lanes != 0 {
-            p.seen_true = true;
-        }
-        if !values & lanes != 0 {
-            p.seen_false = true;
-        }
-    }
-
     /// Applies one drained fused-probe hit: the node was seen at the
     /// given polarities in some active lane. Polarity is monotone, so
     /// applying a cumulative drain repeatedly is idempotent.
@@ -232,11 +214,6 @@ impl SimObserver for ConditionCoverage<'_> {
 }
 
 impl BatchObserver for ConditionCoverage<'_> {
-    fn on_bool_node(&mut self, stmt: StmtId, role: ExprRole, node: u32, values: u64, lanes: u64) {
-        if role == ExprRole::Condition {
-            self.inner.observe_lanes(stmt, node, values, lanes);
-        }
-    }
     fn drain_probes(&mut self, hits: &ProbeHits<'_>) {
         hits.for_each(|stmt, role, node, t, f| {
             if role == ExprRole::Condition {
@@ -281,11 +258,6 @@ impl SimObserver for ExpressionCoverage<'_> {
 }
 
 impl BatchObserver for ExpressionCoverage<'_> {
-    fn on_bool_node(&mut self, stmt: StmtId, role: ExprRole, node: u32, values: u64, lanes: u64) {
-        if role == ExprRole::AssignRhs {
-            self.inner.observe_lanes(stmt, node, values, lanes);
-        }
-    }
     fn drain_probes(&mut self, hits: &ProbeHits<'_>) {
         hits.for_each(|stmt, role, node, t, f| {
             if role == ExprRole::AssignRhs {
@@ -718,11 +690,6 @@ impl BatchObserver for CoverageSuite<'_> {
     }
     fn on_branch(&mut self, stmt: StmtId, outcome: BranchOutcome, lanes: &LaneSet<'_>) {
         BatchObserver::on_branch(&mut self.branch, stmt, outcome, lanes);
-    }
-    fn on_bool_node(&mut self, stmt: StmtId, role: ExprRole, node: u32, values: u64, lanes: u64) {
-        self.condition.on_bool_node(stmt, role, node, values, lanes);
-        self.expression
-            .on_bool_node(stmt, role, node, values, lanes);
     }
     fn drain_probes(&mut self, hits: &ProbeHits<'_>) {
         self.condition.drain_probes(hits);

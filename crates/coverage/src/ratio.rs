@@ -1,10 +1,9 @@
 //! Coverage ratios and report formatting.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A covered/total pair for one coverage metric.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Ratio {
     /// Number of points hit at least once.
     pub covered: usize,
@@ -46,7 +45,7 @@ impl fmt::Display for Ratio {
 }
 
 /// A full coverage report across all instrumented metrics.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct CoverageReport {
     /// Statement (line) coverage.
     pub line: Ratio,

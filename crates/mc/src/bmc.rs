@@ -40,7 +40,9 @@ pub trait UnrollProperty {
 
     /// Encodes the violation of the window starting at `base` as an
     /// activation literal.
-    fn encode_violation(&self, unroller: &mut Unroller, base: usize) -> Lit;
+    fn encode_violation(&self, unroller: &mut Unroller, base: usize) -> Lit {
+        unroller.violation_lit(base, &self.violation())
+    }
 
     /// Encodes "the window starting at `base` satisfies the property".
     fn encode_holds(&self, unroller: &mut Unroller, base: usize) -> Lit {
@@ -65,10 +67,6 @@ impl UnrollProperty for WindowProperty {
         self.depth()
     }
 
-    fn encode_violation(&self, unroller: &mut Unroller, base: usize) -> Lit {
-        unroller.violation_lit(base, self)
-    }
-
     fn violation(&self) -> Violation<'_> {
         Violation {
             antecedent: &self.antecedent,
@@ -87,10 +85,6 @@ impl UnrollProperty for TemporalProperty {
 
     fn window_depth(&self) -> u32 {
         self.depth()
-    }
-
-    fn encode_violation(&self, unroller: &mut Unroller, base: usize) -> Lit {
-        unroller.temporal_violation_lit(base, self)
     }
 
     fn violation(&self) -> Violation<'_> {
@@ -279,48 +273,31 @@ impl Unroller {
         }
     }
 
-    /// A literal equivalent to "the property's window starting at `base`
-    /// is violated" (antecedent true, consequent false).
-    pub fn violation_lit(&mut self, base: usize, prop: &WindowProperty) -> Lit {
+    /// A literal equivalent to "the window starting at `base` is
+    /// violated": the antecedent holds and the consequent combination
+    /// fails (`All`: some atom false; `Any`: every atom false — a
+    /// [`WindowProperty`] is `Any` of its one consequent). An empty
+    /// consequent set degenerates to `All` = true (never violated) /
+    /// `Any` = false (violated whenever the antecedent holds) — the
+    /// miner never emits one.
+    pub fn violation_lit(&mut self, base: usize, violation: &Violation<'_>) -> Lit {
         let mut acc = self.true_lit;
-        for atom in prop.antecedent.clone() {
-            let al = self.atom_lit(base, &atom);
+        for atom in violation.antecedent {
+            let al = self.atom_lit(base, atom);
             acc = self.encode_and(acc, al);
         }
-        let cons = self.atom_lit(base, &prop.consequent);
-        self.encode_and(acc, !cons)
-    }
-
-    /// A literal equivalent to "the window starting at `base` satisfies
-    /// the property".
-    pub fn holds_lit(&mut self, base: usize, prop: &WindowProperty) -> Lit {
-        !self.violation_lit(base, prop)
-    }
-
-    /// A literal equivalent to "the temporal property's window starting
-    /// at `base` is violated": the antecedent holds and the consequent
-    /// combination fails (`All`: some atom false; `Any`: every atom
-    /// false). An empty consequent set degenerates to `All` = true
-    /// (never violated) / `Any` = false (violated whenever the
-    /// antecedent holds) — the miner never emits one.
-    pub fn temporal_violation_lit(&mut self, base: usize, prop: &TemporalProperty) -> Lit {
-        let mut acc = self.true_lit;
-        for atom in prop.antecedent.clone() {
-            let al = self.atom_lit(base, &atom);
-            acc = self.encode_and(acc, al);
-        }
-        match prop.kind {
+        match violation.kind {
             ConsequentKind::All => {
                 let mut all = self.true_lit;
-                for atom in prop.consequents.clone() {
-                    let cl = self.atom_lit(base, &atom);
+                for atom in violation.consequents {
+                    let cl = self.atom_lit(base, atom);
                     all = self.encode_and(all, cl);
                 }
                 self.encode_and(acc, !all)
             }
             ConsequentKind::Any => {
-                for atom in prop.consequents.clone() {
-                    let cl = self.atom_lit(base, &atom);
+                for atom in violation.consequents {
+                    let cl = self.atom_lit(base, atom);
                     acc = self.encode_and(acc, !cl);
                 }
                 acc

@@ -27,9 +27,7 @@
 use crate::bits::{bit, get_bits, put_bits, Bits};
 use crate::features::MiningSpec;
 use gm_rtl::Module;
-use gm_sim::{
-    CompileOptions, CompiledModule, NopBatchObserver, NopObserver, SimBackend, TestSuite, Trace,
-};
+use gm_sim::{CompileOptions, CompiledModule, NopObserver, Replay, SimBackend, TestSuite, Trace};
 use std::collections::HashMap;
 
 /// One hand-built training example, for [`Dataset::push_row`]: feature
@@ -400,8 +398,8 @@ impl Dataset {
     /// Simulates every segment of `suite` on `module` through the
     /// chosen simulation backend and adds the resulting traces — the
     /// dataset-extraction path of the paper's data generator. The
-    /// compiled backends produce traces bit-identical to the
-    /// interpreter, so the extracted rows never depend on the backend.
+    /// compiled tape produces traces bit-identical to the interpreter,
+    /// so the extracted rows never depend on the backend.
     ///
     /// # Errors
     ///
@@ -414,31 +412,19 @@ impl Dataset {
         backend: SimBackend,
     ) -> gm_rtl::Result<ExtractedRows> {
         let mut span = gm_trace::span("mine", "mine.extract");
-        let traces = match backend {
-            SimBackend::Interpreter => suite.run(module, &mut NopObserver)?,
-            SimBackend::CompiledScalar => {
-                // No coverage is attached here, so compile the tape
-                // probe-free: feature extraction pays nothing for
-                // observation.
-                let compiled =
-                    CompiledModule::compile_with(module, CompileOptions { probes: false })?;
-                suite
-                    .segments()
-                    .iter()
-                    .map(|seg| compiled.run_segment(module, &seg.vectors, &mut NopBatchObserver))
-                    .collect()
-            }
-            SimBackend::CompiledBatch(_) => {
-                let compiled =
-                    CompiledModule::compile_with(module, CompileOptions { probes: false })?;
-                suite.run_compiled(
-                    module,
-                    &compiled,
-                    &mut NopBatchObserver,
-                    backend.lane_block(),
-                )
-            }
-        };
+        // No coverage is attached here, so a tape is compiled
+        // probe-free: feature extraction pays nothing for observation.
+        let compiled = (backend != SimBackend::Interpreter)
+            .then(|| CompiledModule::compile_with(module, CompileOptions { probes: false }))
+            .transpose()?;
+        let traces = Replay {
+            module,
+            compiled: compiled.as_ref(),
+            block: backend.lane_block(),
+            cancel: None,
+        }
+        .traces(suite.segments(), &mut NopObserver)?
+        .expect("no cancel token");
         let added = self.add_traces(spec, &traces);
         span.arg("rows", added.rows.len());
         span.arg("features", spec.features.len());
@@ -582,8 +568,8 @@ mod tests {
         let mut by_backend = Vec::new();
         for backend in [
             SimBackend::Interpreter,
-            SimBackend::CompiledScalar,
             SimBackend::CompiledBatch(1),
+            SimBackend::CompiledBatch(8),
         ] {
             let mut ds = Dataset::new();
             let added = ds.add_suite(&spec, &m, &suite, backend).unwrap();

@@ -276,7 +276,7 @@ fn extraction_does_not_depend_on_backend_or_feeding() {
                 assert!(recorded.contains(&clipped), "{design}[{output}]: {clipped}");
             }
 
-            for backend in [SimBackend::CompiledScalar, SimBackend::CompiledBatch(1)] {
+            for backend in [SimBackend::CompiledBatch(1), SimBackend::CompiledBatch(4)] {
                 let mut data = Dataset::with_horizon(HORIZON);
                 let got = data.add_suite(spec, &module, &suite, backend).unwrap();
                 assert_eq!(got, added, "{design}[{output}] {backend:?}");

@@ -1,6 +1,6 @@
 //! A minimal JSON value, writer and parser.
 //!
-//! The build environment vendors `serde` as a no-op shim (see
+//! The workspace has no JSON dependency (no registry access — see
 //! `vendor/README.md`), so the wire protocol carries its own tiny JSON
 //! implementation: exactly the subset the protocol emits — objects with
 //! ordered keys, arrays, strings, booleans, `null`, unsigned/signed

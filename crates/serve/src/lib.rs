@@ -5,14 +5,17 @@
 //! design state across them, and streams per-iteration results back.
 //! Four layers:
 //!
-//! * [`protocol`] — serde-annotated [`Request`]/[`Response`] wire types
-//!   over length-prefixed JSON frames ([`protocol::write_frame`] /
-//!   [`protocol::read_frame`]) that work identically in-process and
-//!   across a Unix-domain socket;
-//! * [`scheduler`] — a work-stealing deque pool (each worker owns a
-//!   local queue, idle workers steal from peers), with [`run_jobs`]
-//!   for batch workloads and
-//!   [`run_campaign`] as a drop-in [`goldmine::Campaign`] executor;
+//! * [`protocol`] — [`Request`]/[`Response`] wire types over
+//!   length-prefixed JSON frames ([`protocol::write_frame`] /
+//!   [`protocol::read_frame`]), written and parsed by the hand-written
+//!   [`json`] codec, that work identically in-process and across a
+//!   Unix-domain socket;
+//! * the scheduler — the service's long-lived workers each own a local
+//!   queue (jobs dealt round-robin at submission, popped oldest-first)
+//!   and an idle worker steals from the back of a peer's, so expensive
+//!   designs bunched onto one worker never leave the rest idle; a
+//!   one-shot batch of jobs needs no service at all —
+//!   [`goldmine::Campaign::run`]'s shared-cursor pool runs it;
 //! * [`cache`] — a content-addressed [`DesignCache`]: submissions
 //!   hash the parsed module, repeated designs reuse the elaboration,
 //!   bit-blasted AIG, reachable set and explicit-engine tables, under
@@ -59,7 +62,7 @@ pub mod json;
 pub mod net;
 pub mod protocol;
 pub mod retry;
-pub mod scheduler;
+mod scheduler;
 pub mod service;
 
 pub use cache::{content_key, CacheStats, DesignCache};
@@ -69,5 +72,4 @@ pub use protocol::{
     WireHistogram, WireTargets, LATENCY_BUCKETS_NS, RETRY_BUCKETS,
 };
 pub use retry::RetryPolicy;
-pub use scheduler::{run_campaign, run_jobs, run_jobs_stats, SchedStats};
 pub use service::{ClosureService, JobError, JobStatus, ServeConfig, ServeError, SubmitOptions};

@@ -1,12 +1,11 @@
 //! The closure-service wire protocol.
 //!
-//! Serde-serializable [`Request`] / [`Response`] types carried as JSON
-//! over a length-prefixed framing that works identically in-process
-//! (any `Read`/`Write` pair) and across a Unix-domain socket: each
-//! frame is a 4-byte big-endian payload length followed by that many
-//! bytes of UTF-8 JSON. (The derives are wired through the offline
-//! `serde` shim today; the hand-rolled [`crate::json`] codec produces
-//! the actual bytes — see `vendor/README.md`.) There is one framing
+//! [`Request`] / [`Response`] types carried as JSON over a
+//! length-prefixed framing that works identically in-process (any
+//! `Read`/`Write` pair) and across a Unix-domain socket: each frame is
+//! a 4-byte big-endian payload length followed by that many bytes of
+//! UTF-8 JSON, written and parsed by the hand-written [`crate::json`]
+//! codec — the only codec there is. There is one framing
 //! implementation — `encode_frame` going out, `read_frame_with` +
 //! `decode_payload` coming in — under the blocking client
 //! ([`write_frame`] / [`read_frame`]), the server's interruptible
@@ -28,7 +27,6 @@ use goldmine::{
     EngineConfig, RefineConfig, SeedStimulus, ShardPolicy, SimBackend, TargetSelection,
     TemporalConfig, UnknownPolicy, MAX_LANE_BLOCK,
 };
-use serde::{Deserialize, Serialize};
 use std::io::{self, Read, Write};
 
 /// Largest accepted frame payload (a design source plus a full outcome
@@ -159,7 +157,7 @@ fn bounded<T: Copy + Into<u64>>(key: &str, value: T, max: u64) -> Result<T, Prot
 
 /// Mining-target selection by signal *name* (wire form of
 /// [`TargetSelection`]).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WireTargets {
     /// Every bit of every primary output.
     AllOutputs,
@@ -172,7 +170,7 @@ pub enum WireTargets {
 ///
 /// Directed seed stimulus is not representable on the wire (it embeds
 /// module-local vectors); requests use random or empty seeds.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WireConfig {
     /// Mining window length, at most [`MAX_WINDOW`].
     pub window: u32,
@@ -215,12 +213,14 @@ pub struct WireConfig {
     /// ([`RefineConfig::max_absorb`]). Absent on the wire = the engine
     /// default.
     pub refine_max_absorb: u64,
-    /// Simulation backend; on the wire `"interpreter"`, `"scalar"`,
-    /// `"batch"` (the 64-lane compiled batch) or `["wide", W]` for a
-    /// lane block of `W` words, `W` in `1..=`[`MAX_LANE_BLOCK`]. Absent
-    /// on the wire = the default (`"batch"`) — older clients keep
-    /// working unchanged. Every backend yields a byte-identical outcome
-    /// (`sim/compiled_agree`); the knob only trades throughput.
+    /// Simulation backend; on the wire `"interpreter"`, `"batch"` (the
+    /// 64-lane compiled batch) or `["wide", W]` for a lane block of `W`
+    /// words, `W` in `1..=`[`MAX_LANE_BLOCK`]. Absent on the wire = the
+    /// default (`"batch"`), and the `"scalar"` older clients may still
+    /// send (a one-vector executor of the same tape, since removed) is
+    /// read as `"batch"` — both keep working unchanged. Every backend
+    /// yields a byte-identical outcome (`sim/compiled_agree`); the knob
+    /// only trades throughput.
     pub sim_backend: SimBackend,
 }
 
@@ -404,7 +404,6 @@ impl WireConfig {
                 // block the wire writes is one it also accepts.
                 match (self.sim_backend, self.sim_backend.lane_block()) {
                     (SimBackend::Interpreter, _) => Json::str("interpreter"),
-                    (SimBackend::CompiledScalar, _) => Json::str("scalar"),
                     (SimBackend::CompiledBatch(_), 1) => Json::str("batch"),
                     (SimBackend::CompiledBatch(_), w) => tagged("wide", w as u64),
                 },
@@ -461,8 +460,9 @@ impl WireConfig {
         let sim_backend = match opt_field(v, "sim_backend") {
             None => SimBackend::CompiledBatch(1),
             Some(Json::Str(s)) if s == "interpreter" => SimBackend::Interpreter,
-            Some(Json::Str(s)) if s == "scalar" => SimBackend::CompiledScalar,
-            Some(Json::Str(s)) if s == "batch" => SimBackend::CompiledBatch(1),
+            // `"scalar"` only ever chose how byte-identical traces were
+            // computed: accepted and ignored, never written.
+            Some(Json::Str(s)) if s == "batch" || s == "scalar" => SimBackend::CompiledBatch(1),
             Some(Json::Arr(items)) => match (
                 items.first().and_then(Json::as_str),
                 items.get(1).and_then(Json::as_u64),
@@ -520,7 +520,7 @@ impl WireConfig {
 }
 
 /// One per-iteration progress event streamed back to clients.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ProgressEvent {
     /// Iteration number (0 = seed snapshot).
     pub iteration: u32,
@@ -578,7 +578,7 @@ impl ProgressEvent {
 }
 
 /// The final result of a served closure job.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ClosureSummary {
     /// Whether every target converged.
     pub converged: bool,
@@ -650,7 +650,7 @@ impl ClosureSummary {
 }
 
 /// The lifecycle state of a served job.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum JobState {
     /// Waiting in a worker queue.
     Queued,
@@ -721,7 +721,7 @@ pub const RETRY_BUCKETS: [(u64, &str); 5] = [(0, "0"), (1, "1"), (2, "2"), (4, "
 /// slot, and observations sum in integers, so snapshots stay exactly
 /// comparable (`Eq`) and render to the Prometheus cumulative-`le` form
 /// on demand.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WireHistogram {
     /// Per-bucket observation counts aligned with the bucket table; the
     /// extra final slot counts observations above every bound (the
@@ -854,7 +854,7 @@ macro_rules! serve_stats {
         /// under one acquisition of the service's state lock, so
         /// `submitted == queued + running + completed + failed + cancelled`
         /// holds in every snapshot.
-        #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+        #[derive(Clone, Debug, PartialEq, Eq)]
         pub struct ServeStats {
             $($(#[$doc])* pub $field: $ty,)*
         }
@@ -1084,7 +1084,7 @@ impl ServeStats {
 }
 
 /// A client-to-server message.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Request {
     /// Submit a design (Verilog source) for closure.
     Submit {
@@ -1230,7 +1230,7 @@ impl Request {
 }
 
 /// A server-to-client message.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Response {
     /// A submission was accepted.
     Submitted {
@@ -1609,7 +1609,6 @@ mod tests {
         });
         for sim_backend in [
             SimBackend::Interpreter,
-            SimBackend::CompiledScalar,
             SimBackend::CompiledBatch(1),
             SimBackend::CompiledBatch(4),
         ] {
@@ -2338,6 +2337,20 @@ mod tests {
             let decoded = Request::from_json(&crate::json::parse(&legacy).unwrap()).unwrap();
             assert_eq!(decoded, golden);
         }
+    }
+
+    #[test]
+    fn the_removed_scalar_sim_backend_decodes_to_the_default_batch() {
+        let text = std::str::from_utf8(&SUBMIT[4..]).unwrap();
+        let golden = Request::from_json(&crate::json::parse(text).unwrap()).unwrap();
+        let legacy = text.replace("\"sim_backend\":\"batch\"", "\"sim_backend\":\"scalar\"");
+        assert_ne!(legacy, text);
+        let decoded = Request::from_json(&crate::json::parse(&legacy).unwrap()).unwrap();
+        assert_eq!(decoded, golden);
+        // Accepted, never written: re-encoding yields the golden bytes.
+        let mut wire = Vec::new();
+        encode_frame(&mut wire, &decoded.to_json()).unwrap();
+        assert_eq!(wire, SUBMIT);
     }
 
     #[test]

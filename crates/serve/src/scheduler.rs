@@ -1,38 +1,24 @@
-//! The work-stealing scheduler.
+//! The work-stealing queues of the persistent [`crate::ClosureService`].
 //!
-//! Each worker owns a local deque; jobs are dealt round-robin at
-//! submission, owners pop oldest-first from their own queue, and an
-//! idle worker scans its peers in a fixed ring order and steals from
-//! the *back* of the first non-empty queue it finds — so a few
-//! expensive designs bunched onto one worker never leave the rest idle
-//! (see the `serve` bench kernels).
+//! Each long-lived worker owns a local deque; jobs are dealt
+//! round-robin at submission, owners pop oldest-first from their own
+//! queue, and an idle worker scans its peers in a fixed ring order and
+//! steals from the *back* of the first non-empty queue it finds — so a
+//! few expensive designs bunched onto one worker never leave the rest
+//! idle. (A one-shot batch needs none of this: [`goldmine::Campaign`]'s
+//! workers pull from one shared cursor, where nothing can be stranded.)
 //!
-//! Scheduling never changes results: jobs are independent, results are
-//! merged back in submission order, and each job's outcome is identical
-//! to a standalone run — the engine's own determinism contract. Only
-//! *where* a job ran (and the [`SchedStats`] steal counters) varies.
-//!
-//! [`run_jobs`] is the batch entry point used by [`run_campaign`] and
-//! the bench kernels; the persistent [`crate::ClosureService`] runs the
-//! same queue discipline with long-lived workers.
+//! Scheduling never changes results: jobs are independent and each
+//! job's outcome is identical to a standalone run — the engine's own
+//! determinism contract. Only *where* a job ran (and the steal counter)
+//! varies.
 
-use goldmine::{CampaignJob, CampaignRun, CampaignSummary, Engine};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 
-/// Counters from one scheduler run.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SchedStats {
-    /// Jobs a worker claimed from a peer's queue.
-    pub steals: u64,
-    /// Jobs executed per worker (index = worker).
-    pub per_worker: Vec<u64>,
-}
-
 /// The shared queue set: one mutex-guarded deque per worker plus the
-/// blocking/steal discipline. Used by both the batch [`run_jobs`] and
-/// the persistent service pool.
+/// blocking/steal discipline.
 #[derive(Debug)]
 pub(crate) struct StealQueues<T> {
     queues: Vec<Mutex<VecDeque<T>>>,
@@ -120,140 +106,81 @@ impl<T> StealQueues<T> {
     }
 }
 
-/// Runs `jobs` on `workers` threads, returning results in submission
-/// order plus the scheduler counters.
-///
-/// The deal is deterministic (job `i` lands on worker `i % workers`);
-/// idle workers then rebalance dynamically. Each job runs exactly once,
-/// so the result vector never depends on who stole what — only wall
-/// time and the steal counters do.
-pub fn run_jobs_stats<T, R, F>(jobs: Vec<T>, workers: usize, run: F) -> (Vec<R>, SchedStats)
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let workers = workers.max(1).min(jobs.len().max(1));
-    let queues: StealQueues<(usize, T)> = StealQueues::new(workers);
-    let total = jobs.len();
-    for (i, job) in jobs.into_iter().enumerate() {
-        queues.push(i % workers, (i, job));
-    }
-    let results: Mutex<Vec<Option<R>>> = Mutex::new((0..total).map(|_| None).collect());
-    let per_worker: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
-    std::thread::scope(|scope| {
-        for (w, counter) in per_worker.iter().enumerate() {
-            let queues = &queues;
-            let results = &results;
-            let run = &run;
-            scope.spawn(move || {
-                while let Some((i, job)) = queues.pop(w) {
-                    let r = run(job);
-                    counter.fetch_add(1, Ordering::Relaxed);
-                    results.lock().expect("results poisoned")[i] = Some(r);
-                }
-            });
-        }
-    });
-    let stats = SchedStats {
-        steals: queues.steals(),
-        per_worker: per_worker
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect(),
-    };
-    (
-        results
-            .into_inner()
-            .expect("results poisoned")
-            .into_iter()
-            .map(|r| r.expect("every job ran"))
-            .collect(),
-        stats,
-    )
-}
-
-/// [`run_jobs_stats`] without the counters.
-pub fn run_jobs<T, R, F>(jobs: Vec<T>, workers: usize, run: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    run_jobs_stats(jobs, workers, run).0
-}
-
-/// Runs a batch of closure jobs — [`goldmine::Campaign`] jobs, e.g.
-/// from [`goldmine::Campaign::into_jobs`] — on the work-stealing pool,
-/// producing the same submission-ordered [`CampaignSummary`] the
-/// campaign runner would.
-///
-/// # Examples
-///
-/// ```
-/// use gm_serve::run_campaign;
-/// use goldmine::{Campaign, EngineConfig, SeedStimulus};
-///
-/// let mut campaign = Campaign::new();
-/// let module = gm_rtl::parse_verilog(
-///     "module m(input a, output y); assign y = a; endmodule")?;
-/// let config = EngineConfig {
-///     window: 0,
-///     stimulus: SeedStimulus::Random { cycles: 8 },
-///     record_coverage: false,
-///     ..EngineConfig::default()
-/// };
-/// campaign.push("m", module, config);
-/// let summary = run_campaign(campaign.into_jobs(), 2);
-/// assert!(summary.all_converged());
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub fn run_campaign(jobs: Vec<CampaignJob>, workers: usize) -> CampaignSummary {
-    let runs = run_jobs(jobs, workers, |job: CampaignJob| {
-        let outcome = Engine::new(&job.module, job.config.clone()).and_then(|engine| engine.run());
-        CampaignRun {
-            name: job.name,
-            outcome,
-        }
-    });
-    CampaignSummary { runs }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Every queued item, claimed by `worker` until nothing is left.
+    fn drain(queues: &StealQueues<u64>, worker: usize) -> Vec<u64> {
+        std::iter::from_fn(|| queues.pop(worker)).collect()
+    }
+
     #[test]
     fn all_jobs_run_once_in_submission_order() {
-        let jobs: Vec<u64> = (0..23).collect();
-        let (results, stats) = run_jobs_stats(jobs, 4, |j| j * 2);
-        assert_eq!(results, (0..23).map(|j| j * 2).collect::<Vec<_>>());
-        assert_eq!(stats.per_worker.iter().sum::<u64>(), 23);
+        // The round-robin deal: `push` wraps the worker index, so job i
+        // lands on queue i % 4. Every job is claimed exactly once, each
+        // owner seeing its own share oldest-first.
+        let queues = StealQueues::new(4);
+        assert_eq!(queues.worker_count(), 4);
+        for job in 0..23u64 {
+            queues.push(job as usize, job);
+        }
+        let mut claimed = Vec::new();
+        for worker in 0..4u64 {
+            let own: Vec<u64> = (0..23).filter(|j| j % 4 == worker).collect();
+            let got: Vec<u64> = (0..own.len())
+                .map(|_| queues.pop(worker as usize).expect("own share queued"))
+                .collect();
+            assert_eq!(got, own, "worker {worker} pops its own queue oldest-first");
+            claimed.extend(got);
+        }
+        assert_eq!(queues.steals(), 0, "own-queue pops are not steals");
+        assert_eq!(queues.pop(0), None, "nothing is handed out twice");
+        claimed.sort_unstable();
+        assert_eq!(claimed, (0..23).collect::<Vec<_>>());
     }
 
     #[test]
     fn stealing_rebalances_a_skewed_deal() {
-        // Worker 0 gets every slow job under the static deal; with
-        // stealing, its peers must take some of them.
-        let jobs: Vec<u64> = (0..12).collect();
-        let slow = |j: u64| {
-            if j.is_multiple_of(4) {
-                std::thread::sleep(std::time::Duration::from_millis(30));
-            }
-            j
-        };
-        let (_, stats) = run_jobs_stats(jobs, 4, slow);
-        assert!(
-            stats.steals > 0,
-            "idle workers must steal the skewed tail: {stats:?}"
-        );
+        // Everything lands on worker 0; an idle peer takes the *newest*
+        // job from the back while the owner keeps the oldest, and only
+        // the peer's claims count as steals.
+        let queues = StealQueues::new(4);
+        for job in 0..6u64 {
+            queues.push(0, job);
+        }
+        assert_eq!(queues.pop(2), Some(5));
+        assert_eq!(queues.pop(0), Some(0));
+        assert_eq!(queues.pop(3), Some(4));
+        assert_eq!(queues.steals(), 2);
+        assert_eq!(drain(&queues, 0), [1, 2, 3]);
+        assert_eq!(queues.steals(), 2);
+        assert_eq!(queues.pop(1), None, "nothing left to steal");
+    }
+
+    #[test]
+    fn idle_workers_scan_their_peers_in_ring_order() {
+        // Worker 2's ring is 3, 0, 1: it empties queue 3 before touching
+        // queue 0, and queue 0 before queue 1.
+        let queues = StealQueues::new(4);
+        queues.push(1, 10);
+        queues.push(0, 20);
+        queues.push(3, 30);
+        queues.push(3, 31);
+        assert_eq!(drain(&queues, 2), [31, 30, 20, 10]);
+        assert_eq!(queues.steals(), 4);
     }
 
     #[test]
     fn single_worker_degenerates_to_sequential() {
-        let (results, stats) = run_jobs_stats(vec![1, 2, 3], 1, |j| j + 1);
-        assert_eq!(results, vec![2, 3, 4]);
-        assert_eq!(stats.steals, 0);
-        assert_eq!(stats.per_worker, vec![3]);
+        // Zero workers is clamped to one; its only queue is a FIFO and
+        // there is nobody to steal from.
+        let queues = StealQueues::new(0);
+        assert_eq!(queues.worker_count(), 1);
+        for job in [1u64, 2, 3] {
+            queues.push(job as usize, job);
+        }
+        assert_eq!(drain(&queues, 0), [1, 2, 3]);
+        assert_eq!(queues.steals(), 0);
     }
 }

@@ -1,7 +1,7 @@
 //! The persistent closure service.
 //!
 //! A [`ClosureService`] owns a pool of long-lived workers running the
-//! [`crate::scheduler`] queue discipline, a job table, and the
+//! work-stealing queue discipline (`scheduler.rs`), a job table, and the
 //! content-addressed [`DesignCache`]. Requests arrive through the typed
 //! API ([`ClosureService::submit_module`] & co., used in-process) or
 //! through [`ClosureService::handle_request`] (the wire dispatcher the

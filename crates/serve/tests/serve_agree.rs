@@ -1,8 +1,8 @@
 //! Differential suite: everything the service returns must be
 //! *byte-identical* to a standalone [`Engine`] run of the same module
-//! and config — across the whole design catalog, under both scheduler
-//! policies, through concurrent clients, across cache eviction and
-//! rebuild, and over the Unix-socket wire.
+//! and config — across the whole design catalog, through concurrent
+//! clients, across cache eviction and rebuild, and over the Unix-socket
+//! wire.
 
 use gm_rtl::{Module, SignalId};
 use gm_serve::{ClosureService, JobState, ServeClient, ServeConfig, SubmitOptions, WireConfig};
@@ -101,7 +101,7 @@ fn baselines_for(names: &[&str]) -> Vec<&'static Baseline> {
 }
 
 #[test]
-fn served_outcomes_match_standalone_across_the_catalog_under_both_policies() {
+fn served_outcomes_match_standalone_across_the_catalog() {
     let jobs: Vec<&Baseline> = baselines().iter().collect();
     let expected: Vec<String> = jobs.iter().map(|b| format!("{:?}", b.outcome)).collect();
     let service = ClosureService::new(ServeConfig {

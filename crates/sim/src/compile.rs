@@ -28,48 +28,45 @@
 //!
 //! # Lane encoding (bit parallelism in blocks of W words)
 //!
-//! The same tape runs in two modes:
-//!
-//! * [`ScalarSim`] — one register = one `u64` value, one stimulus
-//!   vector per pass. Word-level arithmetic, fastest for single
-//!   segments (counterexample replay).
-//! * [`BatchSim<W>`] — one register bit = a *lane block* of `W` words
-//!   (`W` ∈ {1, 2, 4, 8}), where **bit `k` of block word `j` carries
-//!   stimulus vector (lane) `j*64 + k`**. Bitwise ops are lane-parallel
-//!   for free; arithmetic ripples carries across the bit-sliced words;
-//!   predication masks become per-lane words. One tape execution
-//!   simulates up to `64·W` independent reset-rooted segments
-//!   simultaneously, and the per-instruction inner loops unroll over
-//!   the block so tape dispatch amortizes across `W` words. Ragged
-//!   segment tails keep the active-lane-mask treatment at every
-//!   64-lane boundary of the block.
+//! There is one executor, [`BatchSim<W>`]: one register bit = a *lane
+//! block* of `W` words (`W` ∈ {1, 2, 4, 8}), where **bit `k` of block
+//! word `j` carries stimulus vector (lane) `j*64 + k`**. Bitwise ops are
+//! lane-parallel for free; arithmetic ripples carries across the
+//! bit-sliced words; predication masks become per-lane words. One tape
+//! execution simulates up to `64·W` independent reset-rooted segments
+//! simultaneously, and the per-instruction inner loops unroll over the
+//! block so tape dispatch amortizes across `W` words. Ragged segment
+//! tails keep the active-lane-mask treatment at every 64-lane boundary
+//! of the block. A lone segment is a batch of one lane — which is why
+//! callers with several segments to replay hand them over together
+//! ([`crate::Replay`]) instead of one call each: a pass costs the same
+//! whether one lane or all of them are active.
 //!
 //! Observation happens through [`BatchObserver`]: statement/branch
 //! events carry a per-lane-block hit set ([`LaneSet`]), and cycle
 //! boundaries expose a [`LaneSnapshot`] for toggle/FSM/trace consumers.
 //! Boolean-node probes (compiled in for every width-1 non-constant
 //! subexpression of watched expressions, in the same pre-order the
-//! coverage collectors enumerate) are *fused* into the tape: the batch
-//! executors OR-accumulate per-probe hit words inline (one true word
+//! coverage collectors enumerate) are *fused* into the tape: the
+//! executor OR-accumulates per-probe hit words inline (one true word
 //! and one false word per probe per block word, no dynamic dispatch)
 //! and collectors drain them in bulk through
-//! [`BatchObserver::drain_probes`]. The scalar executor reports probes
-//! through [`BatchObserver::on_bool_node`] with a single active lane.
-//! Callers that attach no observer at all can compile a probe-free
-//! tape ([`CompileOptions`] with `probes: false`) that executes no
-//! observation instructions whatsoever.
+//! [`BatchObserver::drain_probes`]. Callers that attach no observer at
+//! all can compile a probe-free tape ([`CompileOptions`] with
+//! `probes: false`) that executes no observation instructions
+//! whatsoever.
 //!
 //! # When the interpreter is still used
 //!
 //! The interpreter remains the reference semantics and the differential
 //! oracle: `sim/compiled_agree` proves trace- and coverage-identity on
 //! the whole design catalog plus randomized modules, for every
-//! supported lane-block width. Callers pick an engine via
-//! [`SimBackend`]; the interpreter is also what observer code using the
+//! supported lane-block width, down to one-segment and ragged suites.
+//! [`SimBackend::Interpreter`] selects it for a whole run (the agree
+//! suites' reference leg); it is also what observer code using the
 //! borrowing [`crate::SimObserver`] API keeps running on.
 
 use crate::sim::{BranchOutcome, ExprRole};
-use crate::stim::InputVector;
 use crate::suite::Segment;
 use crate::trace::Trace;
 use gm_rtl::{
@@ -86,8 +83,6 @@ pub enum SimBackend {
     /// The tree-walking interpreter ([`crate::Simulator`]): the
     /// reference semantics and the differential oracle.
     Interpreter,
-    /// The compiled instruction tape, one stimulus vector per pass.
-    CompiledScalar,
     /// The compiled tape in bit-parallel mode over a lane block of `W`
     /// 64-lane words: bit `k` of every tape word carries stimulus
     /// vector `k`, so one tape execution simulates up to `64·W`
@@ -107,25 +102,20 @@ impl Default for SimBackend {
 impl SimBackend {
     /// Words per lane block for the batch executors — 1, 2, 4 or 8,
     /// rounding an unsupported requested width up to the next
-    /// supported one (capped at [`MAX_LANE_BLOCK`]). Non-batch
-    /// backends run one vector at a time and report 1.
+    /// supported one (capped at [`MAX_LANE_BLOCK`]). The interpreter
+    /// runs one vector at a time and reports 1.
     pub fn lane_block(&self) -> usize {
         match self {
-            SimBackend::CompiledBatch(w) => match w {
-                0 | 1 => 1,
-                2 => 2,
-                3 | 4 => 4,
-                _ => MAX_LANE_BLOCK,
-            },
-            _ => 1,
+            SimBackend::Interpreter => 1,
+            SimBackend::CompiledBatch(w) => CompiledModule::normalized_block(usize::from(*w)),
         }
     }
 
     /// Stimulus vectors simulated per pass: `64·lane_block` for the
-    /// batch executors, 1 otherwise.
+    /// compiled tape, 1 for the interpreter.
     pub fn lanes(&self) -> usize {
         match self {
-            SimBackend::Interpreter | SimBackend::CompiledScalar => 1,
+            SimBackend::Interpreter => 1,
             SimBackend::CompiledBatch(_) => 64 * self.lane_block(),
         }
     }
@@ -150,8 +140,7 @@ impl Default for CompileOptions {
 }
 
 /// The set of lanes an observation event fired in: one `u64` per block
-/// word, bit `k` of word `j` = lane `j*64 + k`. The scalar executor
-/// reports a single word with only bit 0 meaningful.
+/// word, bit `k` of word `j` = lane `j*64 + k`.
 #[derive(Clone, Copy, Debug)]
 pub struct LaneSet<'a>(&'a [u64]);
 
@@ -214,8 +203,9 @@ impl ProbeHits<'_> {
 
     /// Calls `f(stmt, role, node, any_true, any_false)` for every probe
     /// that fired at least once with either polarity. `node` is the
-    /// pre-order boolean-node index within the watched expression — the
-    /// same enumeration [`BatchObserver::on_bool_node`] reports.
+    /// pre-order boolean-node index within the watched expression
+    /// (node before children, children in syntactic order) — the
+    /// enumeration the coverage collectors use.
     pub fn for_each(&self, mut f: impl FnMut(StmtId, ExprRole, u32, bool, bool)) {
         for (p, &(stmt, role, node)) in self.probes.iter().enumerate() {
             let words = p * self.block;
@@ -235,52 +225,32 @@ impl ProbeHits<'_> {
 /// Observation hooks for compiled simulation, lane-parallel.
 ///
 /// Statement/branch/cycle events carry a [`LaneSet`] (one stimulus
-/// vector per bit of each block word); the scalar executor reports
-/// single-word sets with lane 0 only. Events with an empty lane set
+/// vector per bit of each block word). Events with an empty lane set
 /// are not delivered, mirroring the interpreter (statements in untaken
 /// branches produce no events).
 ///
-/// Boolean-node probes arrive differently per executor: the scalar
-/// executor dispatches [`BatchObserver::on_bool_node`] per probe
-/// instruction, while the batch executors accumulate fused per-probe
-/// hit words inline and deliver them in bulk through
-/// [`BatchObserver::drain_probes`] — at least once per completed pass,
-/// possibly batching many cycles into one drain. Probe polarity is
-/// monotone (a node that was ever true in an active lane stays
-/// "seen true"), so a batched drain is observationally identical to a
-/// per-cycle one, and repeated drains are idempotent.
+/// Boolean-node probes are fused into the tape: the executor
+/// accumulates per-probe hit words inline and delivers them in bulk
+/// through [`BatchObserver::drain_probes`] — at least once per
+/// completed pass, possibly batching many cycles into one drain. Probe
+/// polarity is monotone (a node that was ever true in an active lane
+/// stays "seen true"), so a batched drain is observationally identical
+/// to a per-cycle one, and repeated drains are idempotent.
 pub trait BatchObserver {
     /// A statement executed in the given lanes.
     fn on_stmt(&mut self, _stmt: StmtId, _lanes: &LaneSet<'_>) {}
     /// A control statement resolved to `outcome` in the given lanes.
     fn on_branch(&mut self, _stmt: StmtId, _outcome: BranchOutcome, _lanes: &LaneSet<'_>) {}
-    /// Boolean node `node` (pre-order index among the width-1
-    /// non-constant subexpressions of the watched expression, the same
-    /// enumeration coverage uses) evaluated to `values` (per lane) in
-    /// the given lanes. Scalar executor only; the batch executors
-    /// deliver probes through [`BatchObserver::drain_probes`].
-    fn on_bool_node(
-        &mut self,
-        _stmt: StmtId,
-        _role: ExprRole,
-        _node: u32,
-        _values: u64,
-        _lanes: u64,
-    ) {
-    }
-    /// Fused probe hits accumulated by a batch executor, drained in
-    /// bulk (see the trait docs for delivery granularity).
+    /// Fused probe hits accumulated by the executor, drained in bulk
+    /// (see the trait docs for delivery granularity).
     fn drain_probes(&mut self, _hits: &ProbeHits<'_>) {}
     /// A cycle finished settling in the given lanes; `snap` is the
     /// settled pre-edge snapshot of every signal.
     fn on_cycle_end(&mut self, _cycle: u64, _lanes: &LaneSet<'_>, _snap: &LaneSnapshot<'_>) {}
 }
 
-/// A [`BatchObserver`] that ignores every event.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NopBatchObserver;
-
-impl BatchObserver for NopBatchObserver {}
+/// The one no-op observer serves both engines.
+impl BatchObserver for crate::NopObserver {}
 
 /// Register index into a compiled tape's register file.
 type Reg = u32;
@@ -561,40 +531,12 @@ impl CompiledModule {
             + self.probes.len() * 2 * MAX_LANE_BLOCK * std::mem::size_of::<u64>()
     }
 
-    /// Runs one reset-rooted stimulus segment on a fresh scalar
-    /// executor, mirroring [`crate::run_segment`]'s reset protocol and
-    /// trace shape exactly.
-    pub fn run_segment(
-        &self,
-        module: &Module,
-        vectors: &[InputVector],
-        obs: &mut dyn BatchObserver,
-    ) -> Trace {
-        let mut span = gm_trace::span("sim", "sim.segment");
-        if span.is_active() {
-            span.arg("engine", "compiled_scalar");
-            span.arg("cycles", vectors.len());
-        }
-        let mut sim = ScalarSim::new(self);
-        sim.apply_reset(obs);
-        let mut trace = Trace::for_module(module);
-        for vec in vectors {
-            sim.set_inputs(vec);
-            sim.settle_observed(obs);
-            let snap = sim.snapshot();
-            obs.on_cycle_end(sim.cycle(), &LaneSet::new(&[1]), &snap);
-            trace.push_row_raw(snap.row(0));
-            sim.clock_edge(obs);
-        }
-        trace
-    }
-
     /// Runs `segments` through a batch executor with a lane block of
     /// `block` words (`64·block` lanes per pass), `collect_traces`
     /// deciding whether per-lane traces are materialized (coverage-only
     /// callers skip the transpose). Segments are dealt onto lanes in
     /// chunks of `64·block`; each chunk starts from reset, so lane `k`
-    /// replays segment `chunk·64·block + k` exactly as a scalar run
+    /// replays segment `chunk·64·block + k` exactly as a run of its own
     /// would. `block` is normalized to the nearest supported width
     /// (1, 2, 4, 8).
     ///
@@ -1163,35 +1105,16 @@ impl<'m> Compiler<'m> {
     }
 }
 
-#[inline]
-fn vmask(width: u32) -> u64 {
-    if width == 64 {
-        u64::MAX
-    } else {
-        (1u64 << width) - 1
-    }
-}
-
 /// A settled pre-edge snapshot of every signal, readable per bit-lane
-/// word or per lane value. Produced by both executors so observers are
-/// mode-agnostic.
+/// word or per lane value, over the executor's bit-sliced arena:
+/// `words[(base[sig] + bit) * block + j]` is block word `j` of one
+/// signal bit.
 #[derive(Debug)]
 pub struct LaneSnapshot<'a> {
     widths: &'a [u32],
-    mode: SnapMode<'a>,
-}
-
-#[derive(Debug)]
-enum SnapMode<'a> {
-    /// One value word per signal; lane 0 is the only lane.
-    Scalar { values: &'a [u64] },
-    /// Bit-sliced arena: `words[(base[sig] + bit) * block + j]` is
-    /// block word `j` of one signal bit.
-    Batch {
-        words: &'a [u64],
-        base: &'a [u32],
-        block: usize,
-    },
+    words: &'a [u64],
+    base: &'a [u32],
+    block: usize,
 }
 
 impl LaneSnapshot<'_> {
@@ -1200,23 +1123,16 @@ impl LaneSnapshot<'_> {
         self.widths.len()
     }
 
-    /// Words per lane block: 1 for the scalar executor, the executor's
-    /// `W` for batch snapshots.
+    /// Words per lane block (the executor's `W`).
     pub fn block(&self) -> usize {
-        match &self.mode {
-            SnapMode::Scalar { .. } => 1,
-            SnapMode::Batch { block, .. } => *block,
-        }
+        self.block
     }
 
-    /// How many lanes this snapshot carries: 1 for the scalar executor,
-    /// `64·block` for a batch executor (inactive lanes included — mask
-    /// with the [`LaneSet`] delivered alongside the snapshot).
+    /// How many lanes this snapshot carries: `64·block`, inactive lanes
+    /// included — mask with the [`LaneSet`] delivered alongside the
+    /// snapshot.
     pub fn lane_count(&self) -> u32 {
-        match &self.mode {
-            SnapMode::Scalar { .. } => 1,
-            SnapMode::Batch { block, .. } => (64 * block) as u32,
-        }
+        (64 * self.block) as u32
     }
 
     /// The width of a signal.
@@ -1225,161 +1141,29 @@ impl LaneSnapshot<'_> {
     }
 
     /// Block word `word` of one bit of `sig`: bit `k` of the result is
-    /// lane `word*64 + k`'s value of `sig[bit]`. Scalar snapshots have
-    /// one block word (lane 0 in bit 0).
+    /// lane `word*64 + k`'s value of `sig[bit]`.
     #[inline]
     pub fn bit_word(&self, sig: SignalId, bit: u32, word: usize) -> u64 {
-        match &self.mode {
-            SnapMode::Scalar { values } => {
-                debug_assert_eq!(word, 0, "scalar snapshots have one block word");
-                (values[sig.index()] >> bit) & 1
-            }
-            SnapMode::Batch { words, base, block } => {
-                words[(base[sig.index()] + bit) as usize * block + word]
-            }
-        }
+        self.words[(self.base[sig.index()] + bit) as usize * self.block + word]
     }
 
     /// The value of `sig` in lane `lane`.
     pub fn value(&self, sig: SignalId, lane: u32) -> Bv {
         let w = self.widths[sig.index()];
-        match &self.mode {
-            SnapMode::Scalar { values } => {
-                debug_assert_eq!(lane, 0, "scalar snapshots have one lane");
-                Bv::new(values[sig.index()], w)
-            }
-            SnapMode::Batch { words, base, block } => {
-                let b = base[sig.index()] as usize;
-                let (word, bit) = ((lane / 64) as usize, lane % 64);
-                let mut bits = 0u64;
-                for i in 0..w as usize {
-                    bits |= ((words[(b + i) * block + word] >> bit) & 1) << i;
-                }
-                Bv::new(bits, w)
-            }
+        let b = self.base[sig.index()] as usize;
+        let (word, bit) = ((lane / 64) as usize, lane % 64);
+        let mut bits = 0u64;
+        for i in 0..w as usize {
+            bits |= ((self.words[(b + i) * self.block + word] >> bit) & 1) << i;
         }
+        Bv::new(bits, w)
     }
 
     /// Raw trace row (one `u64` of bits per signal) for `lane`.
     pub(crate) fn row(&self, lane: u32) -> Vec<u64> {
-        match &self.mode {
-            SnapMode::Scalar { values } => values.to_vec(),
-            SnapMode::Batch { .. } => (0..self.widths.len())
-                .map(|i| self.value(SignalId::from_raw(i as u32), lane).bits())
-                .collect(),
-        }
-    }
-}
-
-/// Scalar executor for a [`CompiledModule`]: one stimulus vector per
-/// pass, one `u64` value per register. The drop-in replacement for
-/// [`crate::Simulator`] on single-segment paths (counterexample
-/// replay), reporting through [`BatchObserver`] with a single lane.
-#[derive(Debug)]
-pub struct ScalarSim<'c> {
-    c: &'c CompiledModule,
-    regs: Vec<u64>,
-    cycle: u64,
-}
-
-impl<'c> ScalarSim<'c> {
-    /// Creates an executor at the reset state.
-    pub fn new(c: &'c CompiledModule) -> Self {
-        let mut regs = vec![0u64; c.widths.len()];
-        for &(r, bits) in &c.const_inits {
-            regs[r as usize] = bits;
-        }
-        regs[..c.n_signals].copy_from_slice(&c.sig_init);
-        ScalarSim { c, regs, cycle: 0 }
-    }
-
-    /// The number of completed cycles.
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    /// The current value of a signal.
-    pub fn value(&self, sig: SignalId) -> Bv {
-        Bv::new(self.regs[sig.index()], self.c.widths[sig.index()])
-    }
-
-    /// Drives an input (values are truncated/extended to the width).
-    pub fn set_input(&mut self, sig: SignalId, value: Bv) {
-        self.regs[sig.index()] = value.resize(self.c.widths[sig.index()]).bits();
-    }
-
-    /// Drives several inputs at once.
-    pub fn set_inputs(&mut self, inputs: &[(SignalId, Bv)]) {
-        for (s, v) in inputs {
-            self.set_input(*s, *v);
-        }
-    }
-
-    /// Returns registers to their declared init values, clears inputs
-    /// and resets the cycle counter.
-    pub fn reset_to_initial(&mut self) {
-        self.regs[..self.c.n_signals].copy_from_slice(&self.c.sig_init);
-        self.cycle = 0;
-    }
-
-    /// The settled snapshot view.
-    pub fn snapshot(&self) -> LaneSnapshot<'_> {
-        LaneSnapshot {
-            widths: &self.c.widths[..self.c.n_signals],
-            mode: SnapMode::Scalar {
-                values: &self.regs[..self.c.n_signals],
-            },
-        }
-    }
-
-    /// Settles combinational logic without advancing the clock.
-    pub fn settle(&mut self) {
-        exec_scalar(self.c, &mut self.regs, &self.c.comb, &mut None);
-    }
-
-    /// Settles combinational logic, reporting events to `obs`.
-    pub fn settle_observed(&mut self, obs: &mut dyn BatchObserver) {
-        let mut o: Option<&mut dyn BatchObserver> = Some(obs);
-        exec_scalar(self.c, &mut self.regs, &self.c.comb, &mut o);
-    }
-
-    /// Fires the sequential processes and commits next state.
-    pub fn clock_edge(&mut self, obs: &mut dyn BatchObserver) {
-        for &(cur, next) in &self.c.state_pairs {
-            self.regs[next as usize] = self.regs[cur as usize];
-        }
-        let mut o: Option<&mut dyn BatchObserver> = Some(obs);
-        exec_scalar(self.c, &mut self.regs, &self.c.seq, &mut o);
-        for &(cur, next) in &self.c.state_pairs {
-            self.regs[cur as usize] = self.regs[next as usize];
-        }
-        self.cycle += 1;
-    }
-
-    /// Runs one full clock cycle: settle, sample, clock edge.
-    pub fn step(&mut self) {
-        self.step_observed(&mut NopBatchObserver);
-    }
-
-    /// Runs one full clock cycle, reporting events to `obs`.
-    pub fn step_observed(&mut self, obs: &mut dyn BatchObserver) {
-        self.settle_observed(obs);
-        obs.on_cycle_end(self.cycle, &LaneSet::new(&[1]), &self.snapshot());
-        self.clock_edge(obs);
-    }
-
-    /// Drives the suite reset protocol: zero the data inputs, pulse the
-    /// designated reset for one observed cycle, deassert it. A no-op
-    /// for modules without a reset input.
-    pub fn apply_reset(&mut self, obs: &mut dyn BatchObserver) {
-        if let Some(rst) = self.c.reset {
-            for &d in &self.c.data_inputs {
-                self.regs[d.index()] = 0;
-            }
-            self.set_input(rst, Bv::one_bit());
-            self.step_observed(obs);
-            self.set_input(rst, Bv::zero_bit());
-        }
+        (0..self.widths.len())
+            .map(|i| self.value(SignalId::from_raw(i as u32), lane).bits())
+            .collect()
     }
 }
 
@@ -1387,8 +1171,8 @@ impl<'c> ScalarSim<'c> {
 /// `W` words: bit `k` of block word `j` carries stimulus vector
 /// `j*64 + k`, so one tape execution advances up to `64·W` independent
 /// simulations by one cycle. `W` must be one of 1, 2, 4, 8 (the widths
-/// [`SimBackend::lane_block`] normalizes to); [`BatchSim`] with the
-/// default `W = 1` is the PR 5 64-lane executor.
+/// [`SimBackend::lane_block`] normalizes to); the default `W = 1` is
+/// the 64-lane executor.
 ///
 /// Fused boolean-node probe hits accumulate inside the executor (one
 /// true/false word pair per probe per block word) and are delivered
@@ -1460,11 +1244,9 @@ impl<'c, const W: usize> BatchSim<'c, W> {
     pub fn snapshot(&self) -> LaneSnapshot<'_> {
         LaneSnapshot {
             widths: &self.c.widths[..self.c.n_signals],
-            mode: SnapMode::Batch {
-                words: &self.words,
-                base: &self.c.base[..self.c.n_signals],
-                block: W,
-            },
+            words: &self.words,
+            base: &self.c.base[..self.c.n_signals],
+            block: W,
         }
     }
 
@@ -1542,8 +1324,9 @@ impl<'c, const W: usize> BatchSim<'c, W> {
         });
     }
 
-    /// Drives the suite reset protocol in every active lane (see
-    /// [`ScalarSim::apply_reset`]).
+    /// Drives the suite reset protocol in every active lane: zero the
+    /// data inputs, pulse the designated reset for one observed cycle,
+    /// deassert it. A no-op for modules without a reset input.
     pub fn apply_reset(&mut self, active: &[u64; W], obs: &mut dyn BatchObserver) {
         let c = self.c;
         if let Some(rst) = c.reset {
@@ -1564,127 +1347,6 @@ fn broadcast<const W: usize>(words: &mut [u64], base: u32, width: u32, bits: u64
         let v = if (bits >> i) & 1 == 1 { u64::MAX } else { 0 };
         for j in 0..W {
             words[(base as usize + i) * W + j] = v;
-        }
-    }
-}
-
-/// Executes one tape in scalar mode.
-fn exec_scalar(
-    c: &CompiledModule,
-    regs: &mut [u64],
-    tape: &[Inst],
-    obs: &mut Option<&mut dyn BatchObserver>,
-) {
-    let wd = |r: Reg| c.widths[r as usize];
-    for inst in tape {
-        match *inst {
-            Inst::And { d, a, b } => regs[d as usize] = regs[a as usize] & regs[b as usize],
-            Inst::Or { d, a, b } => regs[d as usize] = regs[a as usize] | regs[b as usize],
-            Inst::Xor { d, a, b } => regs[d as usize] = regs[a as usize] ^ regs[b as usize],
-            Inst::Not { d, a } => regs[d as usize] = !regs[a as usize] & vmask(wd(d)),
-            Inst::Neg { d, a } => regs[d as usize] = regs[a as usize].wrapping_neg() & vmask(wd(d)),
-            Inst::Add { d, a, b } => {
-                regs[d as usize] = regs[a as usize].wrapping_add(regs[b as usize]) & vmask(wd(d));
-            }
-            Inst::Sub { d, a, b } => {
-                regs[d as usize] = regs[a as usize].wrapping_sub(regs[b as usize]) & vmask(wd(d));
-            }
-            Inst::Mul { d, a, b } => {
-                regs[d as usize] = regs[a as usize].wrapping_mul(regs[b as usize]) & vmask(wd(d));
-            }
-            Inst::Eq { d, a, b } => {
-                regs[d as usize] = u64::from(regs[a as usize] == regs[b as usize]);
-            }
-            Inst::Ne { d, a, b } => {
-                regs[d as usize] = u64::from(regs[a as usize] != regs[b as usize]);
-            }
-            Inst::Lt { d, a, b } => {
-                regs[d as usize] = u64::from(regs[a as usize] < regs[b as usize]);
-            }
-            Inst::Le { d, a, b } => {
-                regs[d as usize] = u64::from(regs[a as usize] <= regs[b as usize]);
-            }
-            Inst::Shl { d, a, amt } => {
-                let w = wd(d);
-                let sh = regs[amt as usize];
-                regs[d as usize] = if sh >= u64::from(w) {
-                    0
-                } else {
-                    (regs[a as usize] << sh) & vmask(w)
-                };
-            }
-            Inst::Shr { d, a, amt } => {
-                let sh = regs[amt as usize];
-                regs[d as usize] = if sh >= u64::from(wd(d)) {
-                    0
-                } else {
-                    regs[a as usize] >> sh
-                };
-            }
-            Inst::ShlC { d, a, amt } => {
-                regs[d as usize] = (regs[a as usize] << amt) & vmask(wd(d));
-            }
-            Inst::ShrC { d, a, amt } => regs[d as usize] = regs[a as usize] >> amt,
-            Inst::RedAnd { d, a } => {
-                regs[d as usize] = u64::from(regs[a as usize] == vmask(wd(a)));
-            }
-            Inst::RedOr { d, a } | Inst::Truth { d, a } => {
-                regs[d as usize] = u64::from(regs[a as usize] != 0);
-            }
-            Inst::RedXor { d, a } => {
-                regs[d as usize] = u64::from(regs[a as usize].count_ones() % 2 == 1);
-            }
-            Inst::LogicNot { d, a } => regs[d as usize] = u64::from(regs[a as usize] == 0),
-            Inst::Mux { d, c: cnd, t, e } => {
-                regs[d as usize] = if regs[cnd as usize] != 0 {
-                    regs[t as usize]
-                } else {
-                    regs[e as usize]
-                };
-            }
-            Inst::Index { d, a, bit } => regs[d as usize] = (regs[a as usize] >> bit) & 1,
-            Inst::Slice { d, a, lo } => {
-                regs[d as usize] = (regs[a as usize] >> lo) & vmask(wd(d));
-            }
-            Inst::Concat { d, hi, lo } => {
-                regs[d as usize] = (regs[hi as usize] << wd(lo)) | regs[lo as usize];
-            }
-            Inst::Resize { d, a } => regs[d as usize] = regs[a as usize] & vmask(wd(d)),
-            Inst::AndNot { d, a, b } => {
-                regs[d as usize] = regs[a as usize] & !regs[b as usize] & 1;
-            }
-            Inst::Store { d, src, mask } => {
-                if regs[mask as usize] != 0 {
-                    regs[d as usize] = regs[src as usize];
-                }
-            }
-            Inst::ObsStmt { stmt, mask } => {
-                if let Some(o) = obs.as_deref_mut() {
-                    if regs[mask as usize] & 1 != 0 {
-                        o.on_stmt(stmt, &LaneSet::new(&[1]));
-                    }
-                }
-            }
-            Inst::ObsBranch {
-                stmt,
-                outcome,
-                mask,
-            } => {
-                if let Some(o) = obs.as_deref_mut() {
-                    if regs[mask as usize] & 1 != 0 {
-                        o.on_branch(stmt, outcome, &LaneSet::new(&[1]));
-                    }
-                }
-            }
-            Inst::ObsBool { probe, val, mask } => {
-                if let Some(o) = obs.as_deref_mut() {
-                    let lanes = regs[mask as usize] & 1;
-                    if lanes != 0 {
-                        let (stmt, role, node) = c.probes[probe as usize];
-                        o.on_bool_node(stmt, role, node, regs[val as usize] & 1, lanes);
-                    }
-                }
-            }
         }
     }
 }
@@ -2101,7 +1763,7 @@ fn barrel_wide<const W: usize>(
 mod tests {
     use super::*;
     use crate::sim::Simulator;
-    use crate::stim::{collect_vectors, RandomStimulus};
+    use crate::stim::{collect_vectors, InputVector, RandomStimulus};
     use crate::NopObserver;
     use gm_rtl::parse_verilog;
 
@@ -2139,15 +1801,26 @@ mod tests {
         crate::suite::run_segment(&m, &vectors, &mut NopObserver).unwrap()
     }
 
+    /// One segment alone on the tape: a batch with a single active lane.
+    fn one_segment(c: &CompiledModule, m: &Module, vectors: Vec<InputVector>) -> Trace {
+        let segment = Segment {
+            label: String::new(),
+            vectors,
+        };
+        c.run_segments_batched(m, &[segment], &mut NopObserver, true, None, 1)
+            .expect("no cancel token")
+            .pop()
+            .expect("one trace per segment")
+    }
+
     fn compiled_trace(src: &str, seed: u64, cycles: u64) -> Trace {
         let m = parse_verilog(src).unwrap();
         let vectors = collect_vectors(&mut RandomStimulus::new(&m, seed, cycles));
-        let c = CompiledModule::compile(&m).unwrap();
-        c.run_segment(&m, &vectors, &mut NopBatchObserver)
+        one_segment(&CompiledModule::compile(&m).unwrap(), &m, vectors)
     }
 
     #[test]
-    fn scalar_matches_interpreter_on_arbiter() {
+    fn single_segment_matches_interpreter_on_arbiter() {
         for seed in 0..4 {
             assert_eq!(
                 interp_trace(ARBITER2, seed, 40),
@@ -2157,7 +1830,7 @@ mod tests {
     }
 
     #[test]
-    fn scalar_matches_interpreter_on_arithmetic() {
+    fn single_segment_matches_interpreter_on_arithmetic() {
         for seed in 0..4 {
             assert_eq!(interp_trace(ALU, seed, 60), compiled_trace(ALU, seed, 60));
         }
@@ -2179,7 +1852,7 @@ mod tests {
             .collect();
         for block in [1usize, 2, 4, 8] {
             let batched = c
-                .run_segments_batched(&m, &segments, &mut NopBatchObserver, true, None, block)
+                .run_segments_batched(&m, &segments, &mut NopObserver, true, None, block)
                 .expect("no cancel token");
             for (seg, got) in segments.iter().zip(&batched) {
                 let want = crate::suite::run_segment(&m, &seg.vectors, &mut NopObserver).unwrap();
@@ -2201,7 +1874,7 @@ mod tests {
             })
             .collect();
         let batched = c
-            .run_segments_batched(&m, &segments, &mut NopBatchObserver, true, None, 2)
+            .run_segments_batched(&m, &segments, &mut NopObserver, true, None, 2)
             .expect("no cancel token");
         for (seg, got) in segments.iter().zip(&batched) {
             let want = crate::suite::run_segment(&m, &seg.vectors, &mut NopObserver).unwrap();
@@ -2210,21 +1883,29 @@ mod tests {
     }
 
     #[test]
-    fn scalar_step_matches_simulator_step() {
+    fn batch_step_matches_simulator_step() {
+        // Lanes 0 and 70 (second block word) are driven identically and
+        // must both track the interpreter cycle by cycle.
         let m = parse_verilog(ARBITER2).unwrap();
         let c = CompiledModule::compile(&m).unwrap();
         let mut interp = Simulator::new(&m).unwrap();
-        let mut comp = ScalarSim::new(&c);
+        let mut comp = BatchSim::<2>::new(&c);
         let req0 = m.require("req0").unwrap();
         let req1 = m.require("req1").unwrap();
+        let active = [1u64, 1 << 6];
         for t in 0..16u64 {
             let (v0, v1) = (Bv::from_bool(t % 2 == 0), Bv::from_bool(t % 3 == 0));
             interp.set_inputs(&[(req0, v0), (req1, v1)]);
-            comp.set_inputs(&[(req0, v0), (req1, v1)]);
+            for lane in [0, 70] {
+                comp.set_input_lane(lane, req0, v0);
+                comp.set_input_lane(lane, req1, v1);
+            }
             interp.step();
-            comp.step();
+            comp.step_observed(&active, &mut NopObserver);
             for sig in m.signal_ids() {
-                assert_eq!(interp.value(sig), comp.value(sig), "cycle {t}");
+                for lane in [0, 70] {
+                    assert_eq!(interp.value(sig), comp.lane_value(sig, lane), "cycle {t}");
+                }
             }
         }
     }
@@ -2254,8 +1935,8 @@ mod tests {
         // Traces are unaffected by the missing observation work.
         let vectors = collect_vectors(&mut RandomStimulus::new(&m, 7, 50));
         assert_eq!(
-            probed.run_segment(&m, &vectors, &mut NopBatchObserver),
-            bare.run_segment(&m, &vectors, &mut NopBatchObserver)
+            one_segment(&probed, &m, vectors.clone()),
+            one_segment(&bare, &m, vectors)
         );
     }
 

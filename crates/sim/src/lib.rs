@@ -16,30 +16,40 @@
 //! processes blocking semantics in elaboration's topological order.
 //!
 //! Two engines share those semantics: the tree-walking interpreter
-//! ([`Simulator`], the reference) and the compiled backend
-//! ([`CompiledModule`]), which lowers the design once into a flat
-//! instruction tape and executes it either one vector at a time
-//! ([`ScalarSim`]) or bit-parallel in lane blocks of 1–8 words — 64 to
-//! 512 stimulus vectors per pass ([`BatchSim`], bit `k` of block word
-//! `j` = vector `j*64 + k`) — with boolean-node coverage probes fused
-//! into the tape and drained in bulk ([`BatchObserver::drain_probes`]).
-//! Callers select an engine (and lane-block width) via [`SimBackend`],
-//! and can compile observation out entirely with [`CompileOptions`];
-//! `sim/compiled_agree` proves every backend trace- and
-//! coverage-identical.
+//! ([`Simulator`], the reference and the differential oracle) and the
+//! compiled backend ([`CompiledModule`]), which lowers the design once
+//! into a flat instruction tape with one executor: bit-parallel in lane
+//! blocks of 1–8 words — 64 to 512 stimulus vectors per pass
+//! ([`BatchSim`], bit `k` of block word `j` = vector `j*64 + k`) — with
+//! boolean-node coverage probes fused into the tape and drained in bulk
+//! ([`BatchObserver::drain_probes`]). Code that replays reset-rooted
+//! segments goes through one seam, [`Replay`], which rides the tape
+//! when it is given one and walks the interpreter otherwise; a run
+//! picks between them (and the lane-block width) with [`SimBackend`],
+//! and can compile observation out entirely with [`CompileOptions`].
+//! The interpreter is still what runs under
+//! [`SimBackend::Interpreter`] — the reference leg of every agree
+//! suite — and under any [`SimObserver`] that wants expressions and
+//! values rather than lane sets; `sim/compiled_agree` proves the two
+//! trace- and coverage-identical.
 
 #![warn(missing_docs)]
 
 mod compile;
+mod replay;
 mod sim;
 mod stim;
 mod suite;
 mod trace;
 
 pub use compile::{
-    BatchObserver, BatchSim, CompileOptions, CompiledModule, LaneSet, LaneSnapshot,
-    NopBatchObserver, ProbeHits, ScalarSim, SimBackend, MAX_LANE_BLOCK,
+    BatchObserver, BatchSim, CompileOptions, CompiledModule, LaneSet, LaneSnapshot, ProbeHits,
+    SimBackend, MAX_LANE_BLOCK,
 };
+pub use replay::Replay;
+/// [`NopObserver`] under the name the compiled entry points' callers
+/// import; it ignores both engines' events.
+pub use sim::NopObserver as NopBatchObserver;
 pub use sim::{BranchOutcome, ExprRole, MultiObserver, NopObserver, SimObserver, Simulator};
 pub use stim::{
     collect_vectors, synthesize_directed, DirectedStimulus, InputVector, RandomStimulus, Stimulus,

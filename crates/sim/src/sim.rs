@@ -45,7 +45,8 @@ pub trait SimObserver {
     fn on_cycle_end(&mut self, _cycle: u64, _values: &[Bv]) {}
 }
 
-/// An observer that ignores every event.
+/// An observer that ignores every event, from either engine (it is also
+/// a [`crate::BatchObserver`]).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NopObserver;
 

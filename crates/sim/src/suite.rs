@@ -125,23 +125,6 @@ impl TestSuite {
     ) {
         compiled.run_segments_batched_untraced(module, &self.segments, obs, false, None, block);
     }
-
-    /// [`TestSuite::observe_compiled`] with a cooperative cancel token
-    /// polled once per simulated cycle. Returns `false` when the token
-    /// cut the pass short — the observer has then seen a *partial*
-    /// pass, so the caller must discard whatever it accumulated.
-    pub fn observe_compiled_cancellable(
-        &self,
-        module: &Module,
-        compiled: &crate::CompiledModule,
-        obs: &mut dyn crate::BatchObserver,
-        cancel: Option<&std::sync::atomic::AtomicBool>,
-        block: usize,
-    ) -> bool {
-        compiled
-            .run_segments_batched(module, &self.segments, obs, false, cancel, block)
-            .is_some()
-    }
 }
 
 /// Runs one reset-rooted stimulus segment on a fresh simulator,

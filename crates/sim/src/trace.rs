@@ -7,11 +7,10 @@
 //! and its row-`t+1` value is the post-edge state (`gnt0(t+1)`).
 
 use gm_rtl::{Bv, Module, SignalId};
-use serde::{Deserialize, Serialize};
 use std::io::{self, Write};
 
 /// A recorded simulation trace.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Trace {
     names: Vec<String>,
     widths: Vec<u32>,

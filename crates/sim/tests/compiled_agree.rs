@@ -1,21 +1,24 @@
 //! `sim/compiled_agree` — the differential contract of the compiled
 //! bit-parallel backend: for every design and every stimulus, the
-//! compiled tape (scalar, and batch at every lane-block width W ∈
-//! {1, 2, 4, 8} — 64 to 512 lanes per pass) must be **trace-identical**
-//! and **coverage-identical** (ratios *and* uncovered point sets) to
-//! the tree-walking interpreter. The whole design catalog is swept,
+//! compiled tape at every lane-block width W ∈ {1, 2, 4, 8} (64 to 512
+//! lanes per pass) must be **trace-identical** and
+//! **coverage-identical** (ratios *and* uncovered point sets) to the
+//! tree-walking interpreter. The whole design catalog is swept,
 //! lane-block boundaries are straddled with segment counts around every
-//! 64-lane multiple, the probe-free tape (`CompileOptions { probes:
-//! false }`) is checked against the interpreter's coverage run, and a
-//! proptest drives randomly generated modules (case/default overlap,
-//! non-blocking swaps, double writes, every operator) under random
-//! vector suites at random widths.
+//! 64-lane multiple, the suites the closure engine replays — one lone
+//! segment, and ragged batches inside one 64-lane chunk and across its
+//! boundary — are checked on the catalog and on random modules, the
+//! probe-free tape (`CompileOptions { probes: false }`) is checked
+//! against the interpreter's coverage run, and a proptest drives
+//! randomly generated modules (case/default overlap, non-blocking
+//! swaps, double writes, every operator) under random vector suites at
+//! random widths.
 
 use gm_coverage::{CoverageReport, CoverageSuite};
 use gm_rtl::{BinaryOp, Bv, Expr, Module, ModuleBuilder, SignalId, StmtId, UnaryOp};
 use gm_sim::{
-    collect_vectors, BranchOutcome, CompileOptions, CompiledModule, NopBatchObserver,
-    RandomStimulus, TestSuite, Trace,
+    collect_vectors, BranchOutcome, CompileOptions, CompiledModule, NopObserver, RandomStimulus,
+    Replay, TestSuite, Trace,
 };
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -47,17 +50,6 @@ fn run_interpreter(module: &Module, suite: &TestSuite) -> RunResult {
     result_of(&cov, traces)
 }
 
-fn run_compiled_scalar(module: &Module, suite: &TestSuite) -> RunResult {
-    let compiled = CompiledModule::compile(module).expect("compiles");
-    let mut cov = CoverageSuite::new(module);
-    let traces = suite
-        .segments()
-        .iter()
-        .map(|seg| compiled.run_segment(module, &seg.vectors, &mut cov))
-        .collect();
-    result_of(&cov, traces)
-}
-
 fn run_compiled_batch(module: &Module, suite: &TestSuite, block: usize) -> RunResult {
     let compiled = CompiledModule::compile(module).expect("compiles");
     let mut cov = CoverageSuite::new(module);
@@ -65,13 +57,11 @@ fn run_compiled_batch(module: &Module, suite: &TestSuite, block: usize) -> RunRe
     result_of(&cov, traces)
 }
 
-/// Asserts every backend — scalar and batch at every lane-block width —
-/// agrees on `suite`, returning the interpreter result for further
+/// Asserts the tape at every lane-block width agrees with the
+/// interpreter on `suite`, returning the interpreter result for further
 /// checks.
 fn assert_backends_agree(module: &Module, suite: &TestSuite, label: &str) -> RunResult {
     let interp = run_interpreter(module, suite);
-    let scalar = run_compiled_scalar(module, suite);
-    assert_eq!(interp, scalar, "{label}: compiled-scalar diverged");
     for block in BLOCKS {
         let batch = run_compiled_batch(module, suite, block);
         assert_eq!(interp, batch, "{label}: compiled batch W={block} diverged");
@@ -102,6 +92,38 @@ fn whole_catalog_is_trace_and_coverage_identical() {
         );
         let got = assert_backends_agree(&module, &suite, design.name);
         assert_eq!(got.traces.len(), suite.len());
+    }
+}
+
+/// The shapes the closure engine hands the tape: a lone segment (the
+/// seed, an iteration's only counterexample), a ragged batch that fits
+/// one 64-lane chunk (lanes fall inactive at different cycles, one is
+/// the reset pulse alone), and a ragged batch two segments past the
+/// chunk boundary.
+fn engine_shaped_suites(module: &Module, seed: u64) -> [(&'static str, TestSuite); 3] {
+    let across: Vec<u64> = (0..66).map(|i| (i * 5) % 13).collect();
+    [
+        ("one segment", random_suite(module, seed, &[23])),
+        (
+            "ragged inside a chunk",
+            random_suite(module, seed ^ 1, &[9, 2, 14, 0, 6, 11, 1]),
+        ),
+        (
+            "ragged across a chunk boundary",
+            random_suite(module, seed ^ 2, &across),
+        ),
+    ]
+}
+
+#[test]
+fn one_segment_and_ragged_suites_agree_across_the_catalog() {
+    for design in gm_designs::catalog() {
+        let module = design.module();
+        for (shape, suite) in engine_shaped_suites(&module, 0xD1CE ^ design.window as u64) {
+            let label = format!("{}: {shape}", design.name);
+            let got = assert_backends_agree(&module, &suite, &label);
+            assert_eq!(got.traces.len(), suite.len());
+        }
     }
 }
 
@@ -168,11 +190,22 @@ fn probe_free_tape_agrees_with_interpreter_coverage_run() {
             assert_eq!(report.condition.covered, 0, "{}", design.name);
             assert_eq!(report.expression.covered, 0, "{}", design.name);
         }
-        // Bare trace-only replay (the cex/seed-trace shape) also agrees.
-        for (seg, want) in suite.segments().iter().zip(&interp.traces) {
-            let got = bare.run_segment(&module, &seg.vectors, &mut NopBatchObserver);
-            assert_eq!(&got, want, "{}: bare scalar replay diverged", design.name);
+        // Bare trace-only replay through the seam (the engine's
+        // cex/seed-trace shape) also agrees.
+        let replayed = Replay {
+            module: &module,
+            compiled: Some(&bare),
+            block: 1,
+            cancel: None,
         }
+        .traces(suite.segments(), &mut NopObserver)
+        .expect("interpreter not involved");
+        assert_eq!(
+            replayed.as_ref(),
+            Some(&interp.traces),
+            "{}: bare replay diverged",
+            design.name
+        );
     }
 }
 
@@ -498,8 +531,9 @@ fn random_module(seed: u64) -> Module {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random modules x random vector suites: the three backends agree
-    /// on traces, coverage ratios and uncovered point sets.
+    /// Random modules x random vector suites: the tape and the
+    /// interpreter agree on traces, coverage ratios and uncovered point
+    /// sets.
     #[test]
     fn random_modules_and_vectors_agree(
         seed in any::<u64>(),
@@ -515,17 +549,33 @@ proptest! {
         let lengths: Vec<u64> = (0..nseg as u64).map(|i| (len + 3 * i) % 19).collect();
         let suite = random_suite(&module, seed ^ 0x9E37, &lengths);
         let interp = run_interpreter(&module, &suite);
-        let scalar = run_compiled_scalar(&module, &suite);
-        prop_assert_eq!(&interp, &scalar, "scalar diverged (seed {})", seed);
         let batch = run_compiled_batch(&module, &suite, block);
         prop_assert_eq!(&interp, &batch, "batch W={} diverged (seed {})", block, seed);
         // The probe-free tape must still be trace-identical.
         let bare = CompiledModule::compile_with(&module, CompileOptions { probes: false })
             .expect("compiles");
-        let bare_traces = suite.run_compiled(&module, &bare, &mut NopBatchObserver, block);
+        let bare_traces = suite.run_compiled(&module, &bare, &mut NopObserver, block);
         prop_assert_eq!(
             &interp.traces, &bare_traces,
             "probe-free W={} diverged (seed {})", block, seed
         );
+    }
+
+    /// Random modules x the engine's replay shapes (one segment, ragged
+    /// inside a chunk, ragged across its boundary), at every lane
+    /// block.
+    #[test]
+    fn random_modules_agree_on_one_segment_and_ragged_suites(seed in any::<u64>()) {
+        let module = random_module(seed);
+        for (shape, suite) in engine_shaped_suites(&module, seed ^ 0x51DE) {
+            let interp = run_interpreter(&module, &suite);
+            for block in BLOCKS {
+                let batch = run_compiled_batch(&module, &suite, block);
+                prop_assert_eq!(
+                    &interp, &batch,
+                    "{}: W={} diverged (seed {})", shape, block, seed
+                );
+            }
+        }
     }
 }

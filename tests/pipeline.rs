@@ -1,27 +1,17 @@
 //! Workspace-level integration: the full pipeline across the whole
-//! design catalog, driven concurrently through `gm_serve`'s
-//! work-stealing scheduler (the [`Campaign`] jobs, the service's
-//! executor — so the sweep also exercises the scheduler end to end; the
-//! summary and every outcome are identical to the plain campaign
-//! runner's by the engine's determinism contract).
+//! design catalog, run concurrently as one [`Campaign`] (every outcome
+//! is identical to a standalone engine run by the engine's determinism
+//! contract).
 //!
 //! The CI matrix re-runs this suite with `GM_TEST_SHARDS=<n>` (and a
 //! serial test scheduler) to force every engine onto a fixed shard
-//! count — scheduler-order bugs in the shard dispatch surface here.
+//! count — order bugs in the shard dispatch surface here.
 
 use gm_mc::Backend;
 use gm_rtl::SignalId;
 use goldmine::{
-    Campaign, CampaignSummary, Engine, EngineConfig, SeedStimulus, ShardPolicy, TargetSelection,
-    UnknownPolicy,
+    Campaign, Engine, EngineConfig, SeedStimulus, ShardPolicy, TargetSelection, UnknownPolicy,
 };
-
-/// Runs a campaign's jobs through the work-stealing pool (one worker
-/// per core, like `Campaign::run`).
-fn run_stealing(campaign: Campaign) -> CampaignSummary {
-    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-    gm_serve::run_campaign(campaign.into_jobs(), workers)
-}
 
 fn one_bit_targets(m: &gm_rtl::Module) -> Vec<(SignalId, u32)> {
     m.outputs()
@@ -70,7 +60,7 @@ fn every_catalog_design_runs_through_the_loop() {
         };
         campaign.push(d.name, module, config);
     }
-    let summary = run_stealing(campaign);
+    let summary = campaign.run();
     // The campaign must visit every design, in catalog order.
     assert_eq!(summary.runs.len(), catalog.len());
     for (d, run) in catalog.iter().zip(&summary.runs) {
@@ -133,7 +123,7 @@ fn exact_backends_converge_on_the_small_designs() {
         };
         campaign.push(name, module, config);
     }
-    let summary = run_stealing(campaign);
+    let summary = campaign.run();
     assert_eq!(summary.runs.len(), names.len());
     assert!(summary.all_ok(), "{}", summary.report());
     for run in &summary.runs {
