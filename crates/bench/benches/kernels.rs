@@ -7,7 +7,7 @@ use gm_mc::{
     blast, bmc, explicit_check, k_induction, BitAtom, CheckResult, CheckSession, Checker,
     ConsequentKind, ExplicitLimits, ReachableStates, TemporalProperty, WindowProperty,
 };
-use gm_mine::{Dataset, DecisionTree, MiningSpec};
+use gm_mine::{input_space_coverage, Assertion, Dataset, DecisionTree, MiningSpec};
 use gm_rtl::{cone_of, elaborate, parse_verilog};
 use gm_sat::{Solver, Var};
 use gm_sim::{
@@ -686,6 +686,34 @@ fn bench_mining(c: &mut Criterion) {
             },
             BatchSize::LargeInput,
         );
+    });
+
+    // The input-space measure at the size a closure report pays for it:
+    // every target's proved set at the end of `b12_lite`'s default
+    // closure, one exact union measure per target.
+    let module = gm_designs::b12_lite();
+    let outcome = Engine::new(&module, EngineConfig::default())
+        .unwrap()
+        .run()
+        .unwrap();
+    let mut rest = &outcome.assertions[..];
+    let proved_sets: Vec<&[Assertion]> = outcome
+        .targets
+        .iter()
+        .map(|t| {
+            let (own, others) = rest.split_at(t.proved);
+            rest = others;
+            own
+        })
+        .collect();
+    assert!(outcome.assertions.len() > 1_000, "a closure-sized set");
+    c.bench_function("mine/input_space_coverage_b12_lite_proved_set", |b| {
+        b.iter(|| {
+            let terms = proved_sets
+                .iter()
+                .map(|own| input_space_coverage(black_box(own), &module));
+            terms.sum::<f64>()
+        });
     });
 }
 

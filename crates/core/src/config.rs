@@ -165,7 +165,8 @@ pub struct EngineConfig {
     /// Results are identical for every policy — see [`ShardPolicy`].
     pub shards: ShardPolicy,
     /// Record per-iteration coverage of the accumulated suite (costs one
-    /// suite re-simulation per iteration).
+    /// more simulation of each iteration's new segments: the engine
+    /// keeps one coverage suite for the run).
     pub record_coverage: bool,
     /// Temporal-template mining (disabled by default — see
     /// [`TemporalConfig`]).

@@ -14,16 +14,49 @@
 //!    verification session ([`gm_mc::Checker::check_batch`]): one shared
 //!    unrolling per iteration, memoized repeats free. Proved leaves
 //!    freeze, refuted ones yield counterexample traces;
-//! 5. **Ctx_simulation** — append the iteration's counterexamples to
+//! 5. **Ctx_simulation** — move the iteration's counterexamples into
 //!    the test suite, replay them from reset as one batch
 //!    ([`gm_sim::Replay`]), extend every target's dataset in bulk, and
 //!    re-split only the refuted leaves;
-//! 6. repeat until every leaf is proved (*coverage closure*) or the
-//!    iteration budget runs out.
+//! 6. **report** — show the run's coverage suite the segments the
+//!    iteration added, refresh the input-space term of every target
+//!    whose proved set grew, and push the [`IterationReport`]; repeat
+//!    until every leaf is proved (*coverage closure*) or the iteration
+//!    budget runs out.
 //!
 //! Each [`IterationReport`] carries the verification session's stats
 //! delta ([`gm_mc::SessionStats`]): queries by engine, memo hits,
 //! solver conflicts/propagations, and unrolling frames reused.
+//!
+//! ## What an iteration costs
+//!
+//! The paper reports design and input-space coverage after *every*
+//! iteration, so the report must cost what the iteration changed, not
+//! what the run has accumulated. Four things are kept across
+//! iterations, each with one way to read it and no from-scratch path
+//! beside it (the from-scratch oracles live in
+//! `tests/incremental_snapshot.rs` and the benchmark):
+//!
+//! * **one [`CoverageSuite`] per run**, shown only
+//!   `suite.segments()[observed..]`. Sound because every collector is a
+//!   monotone set union and every segment is replayed from reset (the
+//!   toggle and FSM collectors drop their previous-cycle state at cycle
+//!   0), so the union over batches is the union over one pass
+//!   (`sim/compiled_agree` pins it). A cancelled pass has shown the
+//!   suite a partial batch: it is dropped with the unpublished report
+//!   and the run ends;
+//! * **each target's proved leaves and their assertions**, in ascending
+//!   node order, filed when a leaf is proved or assumed true. Sound
+//!   because node indices are stable and a proved leaf never splits (a
+//!   contradicting row is [`gm_mine::MineError::ProvedLeafContradicted`]),
+//!   so the list only ever gains entries;
+//! * **each target's input-space term**, recomputed
+//!   ([`gm_mine::input_space_coverage`], an exact union measure) only
+//!   when that list grew — it is a function of the list alone;
+//! * **each tree's candidate set and open-leaf count**
+//!   ([`DecisionTree::candidate_leaves`], [`DecisionTree::converged`]),
+//!   maintained by the tree as rows and proofs arrive, so building the
+//!   worklist and testing for closure visit no other node.
 //!
 //! ## Sharded verification and the determinism contract
 //!
@@ -59,8 +92,8 @@ use gm_mc::{
     WindowProperty,
 };
 use gm_mine::{
-    assertion_at, input_space_coverage, proved_assertions, temporal_candidates, Assertion, Dataset,
-    DecisionTree, LeafStatus, MiningSpec, TemporalAssertion, TemporalTemplate,
+    assertion_at, input_space_coverage, temporal_candidates, Assertion, Dataset, DecisionTree,
+    MiningSpec, TemporalAssertion, TemporalTemplate,
 };
 use gm_rtl::{cone_of, elaborate, Module, SignalId};
 use gm_sim::{
@@ -137,6 +170,30 @@ struct TargetState {
     dataset: Dataset,
     tree: DecisionTree,
     stuck: Option<gm_mine::MineError>,
+    /// The proved leaves in ascending node order — node indices are
+    /// stable and a proved leaf never splits, so the list only grows —
+    /// and, index for index, their assertions: what
+    /// [`gm_mine::proved_assertions`] would re-derive from the tree.
+    proved_leaves: Vec<usize>,
+    proved: Vec<Assertion>,
+    /// This target's input-space coverage term, and whether `proved`
+    /// has grown since it was computed.
+    input_space: f64,
+    input_space_stale: bool,
+}
+
+impl TargetState {
+    /// Freezes `leaf` as proved (or assumed true) and files its
+    /// assertion at the leaf's place in the kept list.
+    fn set_proved(&mut self, leaf: usize) {
+        self.tree.set_proved(leaf);
+        if let Err(at) = self.proved_leaves.binary_search(&leaf) {
+            self.proved_leaves.insert(at, leaf);
+            self.proved
+                .insert(at, assertion_at(&self.tree, &self.spec, leaf));
+            self.input_space_stale = true;
+        }
+    }
 }
 
 /// The GoldMine coverage-closure engine.
@@ -171,6 +228,11 @@ pub struct Engine<'m> {
     checker: Checker,
     targets: Vec<TargetState>,
     suite: TestSuite,
+    /// The run's one coverage suite (`None` when coverage is not
+    /// recorded, and after a cancelled pass left it half-fed), and how
+    /// many segments of `suite` it has been shown.
+    coverage: Option<CoverageSuite<'m>>,
+    observed: usize,
     unknown_assumed: usize,
     /// Session stats already attributed to earlier iteration reports.
     reported_stats: SessionStats,
@@ -280,6 +342,10 @@ impl<'m> Engine<'m> {
                     dataset: Dataset::with_horizon(config.temporal.horizon),
                     tree,
                     stuck: None,
+                    proved_leaves: Vec::new(),
+                    proved: Vec::new(),
+                    input_space: 0.0,
+                    input_space_stale: false,
                 }
             })
             .collect();
@@ -302,12 +368,15 @@ impl<'m> Engine<'m> {
                 _ => Arc::new(CompiledModule::with_elab_opts(module, elab, want)),
             })
         };
+        let coverage = config.record_coverage.then(|| CoverageSuite::new(module));
         Engine {
             module,
             config,
             checker,
             targets,
             suite: TestSuite::new(),
+            coverage,
+            observed: 0,
             unknown_assumed: 0,
             reported_stats,
             compiled,
@@ -471,11 +540,6 @@ impl<'m> Engine<'m> {
             }
         }
 
-        let assertions: Vec<Assertion> = self
-            .targets
-            .iter()
-            .flat_map(|t| proved_assertions(&t.tree, &t.spec))
-            .collect();
         let targets = self
             .targets
             .iter()
@@ -483,7 +547,7 @@ impl<'m> Engine<'m> {
                 signal: t.signal,
                 bit: t.bit,
                 converged: t.stuck.is_none() && t.tree.converged(),
-                proved: proved_assertions(&t.tree, &t.spec).len(),
+                proved: t.proved.len(),
                 tree_nodes: t.tree.node_count(),
                 extended: t.tree.is_extended(),
                 stuck: t.stuck.clone(),
@@ -492,7 +556,11 @@ impl<'m> Engine<'m> {
         Ok(ClosureOutcome {
             converged: self.all_converged(),
             iterations: history,
-            assertions,
+            assertions: self
+                .targets
+                .iter_mut()
+                .flat_map(|t| std::mem::take(&mut t.proved))
+                .collect(),
             temporal: std::mem::take(&mut self.temporal_proved),
             suite: std::mem::replace(&mut self.suite, TestSuite::new()),
             targets,
@@ -544,9 +612,12 @@ impl<'m> Engine<'m> {
             .all(|t| t.stuck.is_none() && t.tree.converged())
     }
 
-    /// Collects the full cross-target worklist of pure open leaves.
-    /// Trees are stable while the worklist is pending (counterexample
-    /// absorption is deferred past the dispatch).
+    /// Collects the full cross-target worklist of pure open leaves,
+    /// target-major and ascending by leaf within a target (the
+    /// `cex-{iteration}-{n}` labels follow this order), reading each
+    /// tree's kept candidate set. Trees are stable while the worklist is
+    /// pending (counterexample absorption is deferred past the
+    /// dispatch).
     ///
     /// When refinement is enabled and an uncovered-point index is
     /// available, the worklist is coverage-ranked: candidates whose
@@ -561,11 +632,7 @@ impl<'m> Engine<'m> {
             if t.stuck.is_some() {
                 continue;
             }
-            for leaf in t.tree.leaves() {
-                if t.tree.leaf_status(leaf) == LeafStatus::Open && t.tree.is_pure(leaf) {
-                    worklist.push((ti, leaf));
-                }
-            }
+            worklist.extend(t.tree.candidate_leaves().map(|leaf| (ti, leaf)));
         }
         if self.config.refine.enabled() {
             if let Some(index) = &self.last_uncovered {
@@ -592,20 +659,21 @@ impl<'m> Engine<'m> {
     /// in bulk afterwards. The temporal and refinement passes follow
     /// when enabled.
     fn iteration_pass(&mut self, iteration: u32) -> Result<PassCounts, EngineError> {
-        // Counterexample input sequences discovered this iteration, in
-        // decision order: the refinement pass extends them toward
+        // The counterexamples this iteration discovers are moved into
+        // the suite, in decision order, from here on: the refinement
+        // pass reads them back as the prefixes it extends toward
         // uncovered logic.
-        let mut prefixes: Vec<Vec<InputVector>> = Vec::new();
+        let first_cex = self.suite.len();
         let verify_start = std::time::Instant::now();
         let mut verify_span = gm_trace::span("engine", "engine.verify");
-        let mut counts = self.window_pass(iteration, &mut prefixes)?;
+        let mut counts = self.window_pass(iteration)?;
         verify_span.arg("refuted", counts.refuted);
         drop(verify_span);
         counts.timing.verify_ns = verify_start.elapsed().as_nanos() as u64;
         if self.config.temporal.enabled() {
             let temporal_start = std::time::Instant::now();
             let mut span = gm_trace::span("engine", "engine.temporal");
-            let (dispatched, refuted) = self.temporal_pass(iteration, &mut prefixes)?;
+            let (dispatched, refuted) = self.temporal_pass(iteration)?;
             span.arg("candidates", dispatched);
             span.arg("refuted", refuted);
             drop(span);
@@ -616,7 +684,7 @@ impl<'m> Engine<'m> {
         if self.config.refine.enabled() {
             let refine_start = std::time::Instant::now();
             let mut span = gm_trace::span("engine", "engine.refine");
-            counts.directed_absorbed = self.refinement_pass(iteration, &prefixes)?;
+            counts.directed_absorbed = self.refinement_pass(iteration, first_cex)?;
             span.arg("absorbed", counts.directed_absorbed);
             drop(span);
             counts.timing.refine_ns = refine_start.elapsed().as_nanos() as u64;
@@ -625,11 +693,7 @@ impl<'m> Engine<'m> {
     }
 
     /// The combinational pass (see [`Engine::iteration_pass`]).
-    fn window_pass(
-        &mut self,
-        iteration: u32,
-        prefixes: &mut Vec<Vec<InputVector>>,
-    ) -> Result<PassCounts, EngineError> {
+    fn window_pass(&mut self, iteration: u32) -> Result<PassCounts, EngineError> {
         let worklist = self.open_candidates();
         // Dedupe identical properties across targets: distinct target
         // bits often mine the same implication, which must cost one
@@ -657,21 +721,20 @@ impl<'m> Engine<'m> {
             match res {
                 CheckResult::Proved => {
                     for &(ti, leaf) in &prop_leaves[idx] {
-                        self.targets[ti].tree.set_proved(leaf);
+                        self.targets[ti].set_proved(leaf);
                     }
                 }
                 CheckResult::Violated(cex) => {
                     refuted += prop_leaves[idx].len();
                     cex_count += 1;
                     let label = format!("cex-{iteration}-{cex_count}");
-                    self.suite.push(label, cex.inputs.clone());
-                    prefixes.push(cex.inputs);
+                    self.suite.push(label, cex.inputs);
                 }
                 CheckResult::Unknown { .. } => match self.config.unknown {
                     UnknownPolicy::AssumeTrue => {
                         for &(ti, leaf) in &prop_leaves[idx] {
                             self.unknown_assumed += 1;
-                            self.targets[ti].tree.set_proved(leaf);
+                            self.targets[ti].set_proved(leaf);
                         }
                     }
                     UnknownPolicy::LeaveOpen => {}
@@ -698,11 +761,7 @@ impl<'m> Engine<'m> {
     /// remembered so a candidate the (stable) leaf keeps re-proposing
     /// costs one query and one counterexample total, which also
     /// guarantees the pass converges.
-    fn temporal_pass(
-        &mut self,
-        iteration: u32,
-        prefixes: &mut Vec<Vec<InputVector>>,
-    ) -> Result<(usize, usize), EngineError> {
+    fn temporal_pass(&mut self, iteration: u32) -> Result<(usize, usize), EngineError> {
         let mut unique: Vec<TemporalProperty> = Vec::new();
         let mut mined: Vec<TemporalAssertion> = Vec::new();
         let mut seen: HashSet<TemporalProperty> = HashSet::new();
@@ -733,8 +792,7 @@ impl<'m> Engine<'m> {
                     refuted += 1;
                     tcex_count += 1;
                     let label = format!("tcex-{iteration}-{tcex_count}");
-                    self.suite.push(label, cex.inputs.clone());
-                    prefixes.push(cex.inputs);
+                    self.suite.push(label, cex.inputs);
                 }
                 CheckResult::Unknown { .. } => {
                     // Decided either way: the verdict is deterministic,
@@ -767,7 +825,8 @@ impl<'m> Engine<'m> {
     }
 
     /// One coverage-ranked refinement pass: extend this iteration's
-    /// counterexample prefixes with deterministic random suffixes
+    /// counterexamples (the suite segments from `first_cex` on, in
+    /// decision order) with deterministic random suffixes
     /// ([`gm_sim::synthesize_directed`]), score every variant's trace
     /// against the last coverage snapshot's uncovered-point index, and
     /// absorb the top gainers as `dir-*` suite segments (and mining
@@ -777,11 +836,7 @@ impl<'m> Engine<'m> {
     /// re-queried between absorptions; only strictly-positive gains are
     /// absorbed, so total absorptions over a run are bounded by the
     /// design's coverage-point count and the loop cannot spin.
-    fn refinement_pass(
-        &mut self,
-        iteration: u32,
-        prefixes: &[Vec<InputVector>],
-    ) -> Result<usize, EngineError> {
+    fn refinement_pass(&mut self, iteration: u32, first_cex: usize) -> Result<usize, EngineError> {
         let Some(index) = self.last_uncovered.clone() else {
             return Ok(0);
         };
@@ -795,14 +850,13 @@ impl<'m> Engine<'m> {
             .config
             .seed
             .wrapping_add((iteration as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let empty_prefix = [Vec::new()];
-        let prefixes: &[Vec<InputVector>] = if prefixes.is_empty() {
-            &empty_prefix
-        } else {
-            prefixes
-        };
+        let found = &self.suite.segments()[first_cex..];
+        let mut prefixes: Vec<&[InputVector]> = found.iter().map(|s| &s.vectors[..]).collect();
+        if prefixes.is_empty() {
+            prefixes.push(&[]);
+        }
         let mut variants: Vec<Segment> = Vec::new();
-        for (pi, prefix) in prefixes.iter().enumerate() {
+        for (pi, prefix) in prefixes.into_iter().enumerate() {
             let synthesized = synthesize_directed(
                 self.module,
                 prefix,
@@ -872,16 +926,13 @@ impl<'m> Engine<'m> {
         let mut proved_total = 0usize;
         let mut candidates = 0usize;
         let mut isc_sum = 0.0f64;
-        for t in &self.targets {
-            let proved = proved_assertions(&t.tree, &t.spec);
-            proved_total += proved.len();
-            isc_sum += input_space_coverage(&proved, self.module);
-            candidates += t
-                .tree
-                .leaves()
-                .into_iter()
-                .filter(|&l| t.tree.leaf_status(l) == LeafStatus::Open && t.tree.is_pure(l))
-                .count();
+        for t in &mut self.targets {
+            if std::mem::take(&mut t.input_space_stale) {
+                t.input_space = input_space_coverage(&t.proved, self.module);
+            }
+            proved_total += t.proved.len();
+            isc_sum += t.input_space;
+            candidates += t.tree.candidate_count();
         }
         let input_space = if self.targets.is_empty() {
             0.0
@@ -889,16 +940,21 @@ impl<'m> Engine<'m> {
             isc_sum / self.targets.len() as f64
         };
         let mut timing = counts.timing;
-        let coverage = if self.config.record_coverage {
+        // The kept suite is taken out for the pass and put back only
+        // once the pass has completed: a cancelled pass has shown it a
+        // partial batch, so it is dropped with the report and nothing
+        // can read it again.
+        let coverage = if let Some(mut cov) = self.coverage.take() {
             let coverage_start = std::time::Instant::now();
             let mut coverage_span = gm_trace::span("engine", "engine.coverage");
+            let unseen = &self.suite.segments()[self.observed..];
             coverage_span.arg("segments", self.suite.len());
-            let mut cov = CoverageSuite::new(self.module);
-            // No traces are materialized. A cancelled pass has shown
-            // `cov` a partial suite, so it is dropped with the report.
+            coverage_span.arg("new_segments", unseen.len());
+            // No traces are materialized.
             self.replay()
-                .observe(self.suite.segments(), &mut cov)?
+                .observe(unseen, &mut cov)?
                 .ok_or(McError::Cancelled)?;
+            self.observed = self.suite.len();
             // Freeze this snapshot's uncovered points for the next
             // refinement pass's gain ranking.
             if self.config.refine.enabled() {
@@ -906,7 +962,9 @@ impl<'m> Engine<'m> {
             }
             drop(coverage_span);
             timing.coverage_ns = coverage_start.elapsed().as_nanos() as u64;
-            Some(cov.report())
+            let report = cov.report();
+            self.coverage = Some(cov);
+            Some(report)
         } else {
             None
         };

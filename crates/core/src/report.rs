@@ -24,8 +24,10 @@ pub struct IterTiming {
     pub temporal_ns: u64,
     /// Coverage-ranked refinement pass (zero when refinement is off).
     pub refine_ns: u64,
-    /// Coverage snapshot pass over the accumulated suite (zero when
-    /// coverage recording is off).
+    /// Coverage snapshot pass (zero when coverage recording is off):
+    /// the run's kept coverage suite is shown the segments this
+    /// iteration added — not the accumulated suite again — so this
+    /// scales with the iteration's counterexamples.
     pub coverage_ns: u64,
     /// Whole iteration wall time (pass + snapshot + bookkeeping).
     pub total_ns: u64,

@@ -10,10 +10,18 @@
 //! the memo (which never polls the token), and the first poll after the
 //! iteration boundary is the first simulated cycle of the replay batch.
 //! The recorded `sim.batch` span confirms where the cancel landed.
+//!
+//! A coverage pass cannot be reached that way — every segment it is
+//! about to see was trace-replayed (and the token polled) earlier in
+//! the same iteration, and no test code runs in between — so the last
+//! test raises the token from a second thread that watches the
+//! recording itself for the pass to have begun; where it landed is
+//! again read off the recording, never assumed.
 
+use gm_coverage::CoverageSuite;
 use gm_designs::catalog;
 use gm_rtl::{elaborate, Module};
-use gm_sim::NopObserver;
+use gm_sim::{NopObserver, Replay, SimBackend};
 use gm_trace::{ArgValue, TraceEvent, TraceSink};
 use goldmine::{ClosureOutcome, Engine, EngineConfig, RefineConfig, SeedStimulus};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -207,4 +215,135 @@ fn compiled_runs_replay_one_batch_per_pass_and_never_per_segment() {
         outcome.suite.len()
     );
     assert!(replays.len() <= 1 + 2 * outcome.iteration_count() as usize);
+}
+
+#[test]
+fn a_cancel_inside_an_incremental_coverage_pass_leaks_into_no_report() {
+    // The interpreter side of the seam: one `sim.segment` event per
+    // replayed segment and one poll of the token before each, so a long
+    // coverage pass flushes events to the sink while it still has
+    // segments — and polls — ahead of it.
+    let (m, config) = design("b12_lite");
+    let config = EngineConfig {
+        stimulus: SeedStimulus::Random { cycles: 64 },
+        refine: RefineConfig::default(),
+        sim_backend: SimBackend::Interpreter,
+        ..config
+    };
+    let elab = elaborate(&m).unwrap();
+    // Every run below is on the first one's checker, memo warm, so
+    // their reports agree down to the verification counters.
+    let (cold, checker) = Engine::new(&m, config.clone())
+        .unwrap()
+        .run_reclaim(|_| true);
+    let cold = cold.unwrap();
+    // One recorded run on the warm checker. With `raise_past`, a second
+    // thread raises the run's cancel token once the sink holds more
+    // than that many events.
+    let record = |checker, raise_past: Option<usize>| {
+        let token = Arc::new(AtomicBool::new(false));
+        let engine = Engine::with_artifacts(&m, &elab, checker, None, config.clone())
+            .with_cancel(token.clone());
+        let sink = TraceSink::with_capacity(1 << 20);
+        let done = AtomicBool::new(false);
+        let (outcome, checker) = std::thread::scope(|threads| {
+            threads.spawn(|| {
+                while !done.load(Ordering::Acquire) {
+                    if raise_past.is_some_and(|events| sink.len() > events) {
+                        token.store(true, Ordering::Release);
+                    }
+                    std::hint::spin_loop();
+                }
+            });
+            let _guard = gm_trace::push_thread_sink(sink.clone());
+            let ran = engine.run_reclaim(|_| true);
+            done.store(true, Ordering::Release);
+            ran
+        });
+        (outcome.unwrap(), checker, sink.events())
+    };
+    let coverage_passes = |events: &[TraceEvent]| -> Vec<(usize, u64)> {
+        let passes = events.iter().enumerate();
+        passes
+            .filter(|(_, e)| e.name == "engine.coverage")
+            .map(|(at, e)| match arg(e, "new_segments") {
+                ArgValue::U64(new) => (at, *new),
+                other => panic!("new_segments is {other:?}"),
+            })
+            .collect()
+    };
+
+    // The reference recording: which pass to aim for, and how many
+    // events precede its first replayed segment.
+    let (full, mut checker, events) = record(checker, None);
+    assert!(!full.interrupted);
+    assert_eq!(full.suite.segments(), cold.suite.segments());
+    let passes = coverage_passes(&events);
+    // Two sink flushes' worth of segments: the watcher sees the pass
+    // begun while a flush's worth of polls is still to come.
+    let n = (2..passes.len())
+        .find(|&n| passes[n].1 >= 128)
+        .expect("an iteration >= 2 with a long coverage pass");
+    let (at, new) = passes[n];
+    let before_the_pass = at - new as usize;
+    assert!(events[before_the_pass..at]
+        .iter()
+        .all(|e| e.name == "sim.segment"));
+
+    // The watcher can be late (a descheduled thread): the token then
+    // lands in a later pass, which serves as well, or in none — the run
+    // says which, and is tried again.
+    let full_passes = passes;
+    let mut landed = None;
+    for _attempt in 0..20 {
+        let (cut, reclaimed, events) = record(checker, Some(before_the_pass));
+        checker = reclaimed;
+        let passes = coverage_passes(&events);
+        // A pass that began and pushed no report is the cancelled one.
+        if cut.interrupted && passes.len() == cut.iterations.len() + 1 {
+            landed = Some((cut, passes));
+            break;
+        }
+    }
+    let (cut, passes) = landed.expect("the token never landed inside a coverage pass");
+    let cancelled = passes.len() - 1;
+    assert!(cancelled >= n, "not before the pass that was watched for");
+    let new = passes[cancelled].1;
+    assert_eq!(new, full_passes[cancelled].1, "the same unseen segments");
+
+    // The last report is the iteration before's, and everything
+    // published is what the uninterrupted run published.
+    let last = cut.iterations.last().unwrap();
+    assert_eq!(last.iteration as usize, cancelled - 1);
+    assert_eq!(cut.iterations[..], full.iterations[..cancelled]);
+    let kept = cut.suite.segments();
+    assert_eq!(kept, &full.suite.segments()[..kept.len()]);
+    // The half-observed batch is in no report: each one's coverage is
+    // what a fresh suite measures over the prefix it was taken at.
+    let interpreter = Replay {
+        module: &m,
+        compiled: None,
+        block: 1,
+        cancel: None,
+    };
+    let mut seen = 0;
+    for (report, &(_, new)) in cut.iterations.iter().zip(&passes) {
+        seen += new as usize;
+        let mut fresh = CoverageSuite::new(&m);
+        let done = interpreter.observe(&kept[..seen], &mut fresh).unwrap();
+        assert_eq!(done, Some(()));
+        assert_eq!(report.coverage, Some(fresh.report()));
+        assert_eq!(
+            report.suite_cycles,
+            kept[..seen].iter().map(|s| s.vectors.len()).sum::<usize>()
+        );
+    }
+    // The pushed-but-never-reported counterexamples of the cancelled
+    // iteration are still there, after the reported prefix, and still
+    // replay.
+    assert_eq!(kept.len(), seen + new as usize);
+    assert_eq!(
+        cut.suite.run(&m, &mut NopObserver).unwrap().len(),
+        kept.len()
+    );
 }

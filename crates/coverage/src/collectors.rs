@@ -584,6 +584,16 @@ impl BatchObserver for FsmCoverage {
 
 /// All collectors bundled behind one observer.
 ///
+/// A suite may be shown its stimulus in any number of batches: every
+/// collector is a set union, and a run that starts at cycle 0 starts
+/// from reset (the toggle and FSM collectors forget the previous
+/// cycle there), so observing reset-rooted segments a batch at a time
+/// — empty batches included, on the interpreter or the tape — leaves
+/// the same ratios and uncovered sets as observing them in one pass.
+/// The closure engine keeps one suite per run on the strength of this;
+/// `sim/tests/compiled_agree.rs` pins it. A pass cut short by a cancel
+/// token has shown the suite part of a batch: discard the suite.
+///
 /// # Examples
 ///
 /// ```

@@ -6,9 +6,11 @@
 //! notation, e.g. `req0 & X req0 & X !req1 => X X gnt0`) and
 //! SystemVerilog Assertion syntax.
 
+use crate::bits::bit;
 use crate::features::{Feature, MiningSpec, Target};
 use crate::tree::{DecisionTree, LeafStatus};
 use gm_rtl::Module;
+use std::collections::HashMap;
 
 /// A mined candidate assertion for one output bit.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -211,58 +213,136 @@ pub fn proved_assertions(tree: &DecisionTree, spec: &MiningSpec) -> Vec<Assertio
         .collect()
 }
 
-/// The input-literal cube of one assertion: its path literals projected
-/// onto the input signals. `None` when the projection is contradictory
-/// (the same input atom required both `0` and `1`), i.e. an empty cube.
-fn input_cube(a: &Assertion, module: &Module) -> Option<Vec<(Feature, bool)>> {
-    let mut cube: Vec<(Feature, bool)> = Vec::new();
-    for &(f, v) in &a.literals {
-        if !module.signal(f.signal).is_input() {
-            continue;
-        }
-        match cube.iter().find(|(g, _)| *g == f) {
-            Some(&(_, prev)) if prev != v => return None,
-            Some(_) => {}
-            None => cube.push((f, v)),
-        }
-    }
-    Some(cube)
+/// The input cubes of an assertion set, packed for [`CubeSet::union_measure`].
+///
+/// A cube is an assertion's path literals projected onto the input
+/// signals. Features are numbered locally, in the order the set first
+/// mentions them, and a cube is a *care* mask (the features it tests)
+/// and a *value* mask (what each must be), `words` words each — as many
+/// as the set's distinct features need, so there is no feature cap. A
+/// contradictory projection (the same input atom required both `0` and
+/// `1`) is an empty cube and is left out.
+struct CubeSet {
+    words: usize,
+    /// Cube `c` owns `care[c * words..][..words]`; `value` likewise.
+    care: Vec<u64>,
+    value: Vec<u64>,
+    /// Every cube's tested features in path order, back to back: cube
+    /// `c` owns `order[starts[c]..starts[c + 1]]`. The masks cannot say
+    /// which literal came first on the path, and the split order below
+    /// depends on it.
+    order: Vec<u32>,
+    starts: Vec<usize>,
 }
 
-/// The exact measure of a union of cubes over uniformly random inputs,
-/// by Shannon expansion: pick a variable some cube tests, split on it,
-/// and recurse on the co-factored cube sets. Exponential only in the
-/// number of *distinct* variables the overlapping cubes share — leaf
-/// cubes of one tree are near-disjoint, so the recursion collapses
-/// almost immediately in practice.
-fn union_measure(cubes: &[Vec<(Feature, bool)>]) -> f64 {
-    if cubes.is_empty() {
-        return 0.0;
-    }
-    if cubes.iter().any(Vec::is_empty) {
-        // An unconditional cube covers the whole space.
-        return 1.0;
-    }
-    let var = cubes[0][0].0;
-    let cofactor = |val: bool| -> Vec<Vec<(Feature, bool)>> {
-        cubes
-            .iter()
-            .filter_map(|c| {
-                let mut rest = Vec::with_capacity(c.len());
-                for &(f, v) in c {
-                    if f == var {
-                        if v != val {
-                            return None;
-                        }
-                    } else {
-                        rest.push((f, v));
+impl CubeSet {
+    fn new(assertions: &[Assertion], module: &Module) -> CubeSet {
+        let mut index_of: HashMap<Feature, u32> = HashMap::new();
+        // `order`, and beside it the value each literal requires.
+        let (mut order, mut required) = (Vec::new(), Vec::new());
+        let mut starts = vec![0];
+        'cubes: for a in assertions {
+            let start = order.len();
+            for &(f, v) in &a.literals {
+                if !module.signal(f.signal).is_input() {
+                    continue;
+                }
+                let next = index_of.len() as u32;
+                let local = *index_of.entry(f).or_insert(next);
+                match order[start..].iter().position(|&g| g == local) {
+                    Some(at) if required[start + at] != v => {
+                        order.truncate(start);
+                        required.truncate(start);
+                        continue 'cubes;
+                    }
+                    Some(_) => {}
+                    None => {
+                        order.push(local);
+                        required.push(v);
                     }
                 }
-                Some(rest)
-            })
-            .collect()
-    };
-    0.5 * union_measure(&cofactor(false)) + 0.5 * union_measure(&cofactor(true))
+            }
+            starts.push(order.len());
+        }
+        let words = index_of.len().div_ceil(64);
+        let cubes = starts.len() - 1;
+        let (mut care, mut value) = (vec![0u64; cubes * words], vec![0u64; cubes * words]);
+        for c in 0..cubes {
+            for at in starts[c]..starts[c + 1] {
+                let (word, mask) = (c * words + order[at] as usize / 64, 1 << (order[at] % 64));
+                care[word] |= mask;
+                value[word] |= if required[at] { mask } else { 0 };
+            }
+        }
+        CubeSet {
+            words,
+            care,
+            value,
+            order,
+            starts,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// How many features cube `c` tests.
+    fn literals(&self, c: usize) -> usize {
+        self.starts[c + 1] - self.starts[c]
+    }
+
+    /// The exact measure of the union of the cubes over uniformly random
+    /// inputs, by Shannon expansion: pick a variable some cube tests,
+    /// split on it, and recurse on the co-factored cube sets.
+    /// Exponential only in the number of *distinct* variables the
+    /// overlapping cubes share — leaf cubes of one tree are
+    /// near-disjoint, so the recursion collapses almost immediately in
+    /// practice.
+    fn union_measure(&self) -> f64 {
+        let mut live: Vec<u32> = (0..self.len() as u32).collect();
+        self.measure(&mut live, 0, &mut vec![0; self.words])
+    }
+
+    /// The measure of the cubes `live[lo..]` co-factored on the
+    /// `decided` variables: a cube's remaining literals are its care
+    /// bits outside `decided`. The split variable is the first remaining
+    /// literal, in path order, of the first cube; both cofactors keep
+    /// the cubes in order. `live` is one stack for the whole recursion —
+    /// a level pushes its cofactors above `live.len()` and pops them.
+    fn measure(&self, live: &mut Vec<u32>, lo: usize, decided: &mut [u64]) -> f64 {
+        let hi = live.len();
+        if lo == hi {
+            return 0.0;
+        }
+        let care = |c: u32| &self.care[c as usize * self.words..][..self.words];
+        let value = |c: u32| &self.value[c as usize * self.words..][..self.words];
+        let settled = |c: u32| care(c).iter().zip(&*decided).all(|(m, d)| m & !d == 0);
+        if live[lo..].iter().any(|&c| settled(c)) {
+            // An unconditional cube covers the whole space.
+            return 1.0;
+        }
+        let first = live[lo] as usize;
+        let var = self.order[self.starts[first]..self.starts[first + 1]]
+            .iter()
+            .map(|&f| f as usize)
+            .find(|&f| !bit(decided, f))
+            .expect("an unsettled cube has an undecided literal");
+        decided[var / 64] |= 1 << (var % 64);
+        let halves = [false, true].map(|val| {
+            for i in lo..hi {
+                let c = live[i];
+                if !bit(care(c), var) || bit(value(c), var) == val {
+                    live.push(c);
+                }
+            }
+            let half = self.measure(live, hi, decided);
+            live.truncate(hi);
+            half
+        });
+        decided[var / 64] &= !(1 << (var % 64));
+        0.5 * halves[0] + 0.5 * halves[1]
+    }
 }
 
 /// The paper's input-space coverage of a set of true assertions,
@@ -276,11 +356,7 @@ fn union_measure(cubes: &[Vec<(Feature, bool)>]) -> f64 {
 /// convergence. Use [`input_space_overlap`] to see how much mass a set
 /// double-counts.
 pub fn input_space_coverage(assertions: &[Assertion], module: &Module) -> f64 {
-    let cubes: Vec<_> = assertions
-        .iter()
-        .filter_map(|a| input_cube(a, module))
-        .collect();
-    let union = union_measure(&cubes);
+    let union = CubeSet::new(assertions, module).union_measure();
     debug_assert!(
         (0.0..=1.0 + 1e-12).contains(&union),
         "union measure must be a probability, got {union}"
@@ -293,18 +369,19 @@ pub fn input_space_coverage(assertions: &[Assertion], module: &Module) -> f64 {
 /// state-literal projection made leaf cubes overlap (the case the old
 /// clamped sum silently hid).
 pub fn input_space_overlap(assertions: &[Assertion], module: &Module) -> f64 {
-    let cubes: Vec<_> = assertions
-        .iter()
-        .filter_map(|a| input_cube(a, module))
-        .collect();
-    let sum: f64 = cubes.iter().map(|c| 0.5f64.powi(c.len() as i32)).sum();
-    (sum - union_measure(&cubes)).max(0.0)
+    let cubes = CubeSet::new(assertions, module);
+    let sum: f64 = (0..cubes.len())
+        .map(|c| 0.5f64.powi(cubes.literals(c) as i32))
+        .sum();
+    (sum - cubes.union_measure()).max(0.0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use gm_rtl::{parse_verilog, SignalId};
+    use proptest::prelude::*;
+    use proptest::TestRng;
 
     fn arbiter() -> gm_rtl::Module {
         parse_verilog(
@@ -439,6 +516,286 @@ mod tests {
         let mut contradictory = mk("req0", true);
         contradictory.literals.push((feat(&m, "req0", 0), false));
         assert_eq!(input_space_coverage(&[contradictory], &m), 0.0);
+    }
+
+    // -----------------------------------------------------------------
+    // packed measure ≡ the Vec-of-literals measure it replaced
+    // -----------------------------------------------------------------
+
+    /// The measure as it was before cubes were packed into masks: one
+    /// `Vec` of literals per cube, re-allocated for every cofactor.
+    /// Kept as the reference the packed recursion must match bit for
+    /// bit.
+    mod reference {
+        use super::*;
+
+        type Cube = Vec<(Feature, bool)>;
+
+        fn input_cube(a: &Assertion, module: &Module) -> Option<Cube> {
+            let mut cube: Cube = Vec::new();
+            for &(f, v) in &a.literals {
+                if !module.signal(f.signal).is_input() {
+                    continue;
+                }
+                match cube.iter().find(|(g, _)| *g == f) {
+                    Some(&(_, prev)) if prev != v => return None,
+                    Some(_) => {}
+                    None => cube.push((f, v)),
+                }
+            }
+            Some(cube)
+        }
+
+        pub fn cubes(assertions: &[Assertion], module: &Module) -> Vec<Cube> {
+            let cubes = assertions.iter().filter_map(|a| input_cube(a, module));
+            cubes.collect()
+        }
+
+        pub fn union_measure(cubes: &[Cube]) -> f64 {
+            if cubes.is_empty() {
+                return 0.0;
+            }
+            if cubes.iter().any(Vec::is_empty) {
+                return 1.0;
+            }
+            let var = cubes[0][0].0;
+            let cofactor = |val: bool| -> Vec<Cube> {
+                cubes
+                    .iter()
+                    .filter_map(|c| {
+                        let mut rest = Vec::with_capacity(c.len());
+                        for &(f, v) in c {
+                            if f == var {
+                                if v != val {
+                                    return None;
+                                }
+                            } else {
+                                rest.push((f, v));
+                            }
+                        }
+                        Some(rest)
+                    })
+                    .collect()
+            };
+            0.5 * union_measure(&cofactor(false)) + 0.5 * union_measure(&cofactor(true))
+        }
+
+        pub fn coverage(assertions: &[Assertion], module: &Module) -> f64 {
+            union_measure(&cubes(assertions, module)).min(1.0)
+        }
+
+        pub fn overlap(assertions: &[Assertion], module: &Module) -> f64 {
+            let cubes = cubes(assertions, module);
+            let sum: f64 = cubes.iter().map(|c| 0.5f64.powi(c.len() as i32)).sum();
+            (sum - union_measure(&cubes)).max(0.0)
+        }
+    }
+
+    /// Three 64-bit inputs (384 input features over two offsets) and a
+    /// register whose literals the projection drops.
+    fn wide() -> gm_rtl::Module {
+        parse_verilog(
+            "module wide(input clk, input [63:0] a, input [63:0] b, input [63:0] c,
+                         output reg [7:0] q);
+               always @(posedge clk) q <= a[7:0] ^ b[7:0] ^ c[7:0];
+             endmodule",
+        )
+        .unwrap()
+    }
+
+    /// What one random cube set contained.
+    #[derive(Default)]
+    struct Tally {
+        over_64: usize,
+        over_128: usize,
+        contradictory: usize,
+        empty_cube: usize,
+        duplicates: usize,
+        overlapping: usize,
+    }
+
+    fn below(rng: &mut TestRng, n: usize) -> usize {
+        rng.below(n as u128) as usize
+    }
+
+    /// One random assertion set, measured both ways (panics where the
+    /// bits differ). Either a handful of short cubes over a few
+    /// features — heavy overlap, repeated and contradicting literals,
+    /// the empty cube — or the leaves of a random tree of up to 220
+    /// leaves, some missing, some twice, a couple of its splits on the
+    /// register (projected away, so whole subtrees overlap), which is
+    /// the shape the engine feeds it and reaches three mask words.
+    fn run_case(seed: u64, tally: &mut Tally) {
+        let rng = &mut TestRng::new(seed);
+        let m = wide();
+        let inputs: Vec<Feature> = ["a", "b", "c"]
+            .iter()
+            .flat_map(|name| {
+                let signal = m.require(name).unwrap();
+                (0..2).flat_map(move |offset| {
+                    (0..64).map(move |bit| Feature {
+                        signal,
+                        bit,
+                        offset,
+                    })
+                })
+            })
+            .collect();
+        let state = |bit: usize| Feature {
+            signal: m.require("q").unwrap(),
+            bit: bit as u32,
+            offset: 0,
+        };
+        let assertion = |literals: Vec<(Feature, bool)>| Assertion {
+            literals,
+            target: Target {
+                signal: m.require("q").unwrap(),
+                bit: 0,
+                offset: 1,
+            },
+            value: true,
+        };
+        let mut set: Vec<Assertion> = Vec::new();
+        let short_cube = |rng: &mut TestRng, pool: usize| {
+            let literals = (0..below(rng, 5)).map(|_| {
+                let f = match below(rng, 6) {
+                    0 => state(below(rng, 2)),
+                    _ => inputs[below(rng, pool)],
+                };
+                (f, below(rng, 2) == 1)
+            });
+            assertion(literals.collect())
+        };
+        if below(rng, 3) == 0 {
+            let pool = [2, 4, 8][below(rng, 3)];
+            set.extend((0..below(rng, 9)).map(|_| short_cube(rng, pool)));
+        } else {
+            // Leaf paths of a random tree: split a random leaf on a
+            // feature its path has not used — mostly a fresh one,
+            // sometimes one another subtree already tests.
+            let leaves = [5, 90, 220][below(rng, 3)];
+            let mut fresh = 0;
+            let mut state_splits = 0;
+            let mut paths: Vec<Vec<(Feature, bool)>> = vec![Vec::new()];
+            while paths.len() < leaves {
+                let path = paths.swap_remove(below(rng, paths.len()));
+                let reused = inputs[below(rng, fresh.max(1))];
+                let f = match below(rng, 12) {
+                    0 if state_splits < 2 => {
+                        state_splits += 1;
+                        state(state_splits)
+                    }
+                    1..=3 if path.iter().all(|(g, _)| *g != reused) => reused,
+                    _ => {
+                        fresh += 1;
+                        inputs[fresh - 1]
+                    }
+                };
+                for side in [false, true] {
+                    let mut longer = path.clone();
+                    longer.push((f, side));
+                    paths.push(longer);
+                }
+            }
+            for path in paths {
+                match below(rng, 10) {
+                    0 | 1 => {}
+                    2 => set.extend([assertion(path.clone()), assertion(path)]),
+                    _ => set.push(assertion(path)),
+                }
+            }
+            if below(rng, 4) == 0 {
+                set.push(short_cube(rng, 8));
+            }
+        }
+
+        let cubes = reference::cubes(&set, &m);
+        let mut features: Vec<Feature> = cubes.iter().flatten().map(|(f, _)| *f).collect();
+        features.sort_unstable();
+        features.dedup();
+        let mut sorted = cubes.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        tally.over_64 += usize::from(features.len() > 64);
+        tally.over_128 += usize::from(features.len() > 128);
+        tally.contradictory += usize::from(cubes.len() < set.len());
+        tally.empty_cube += usize::from(cubes.iter().any(Vec::is_empty));
+        tally.duplicates += usize::from(sorted.len() < cubes.len());
+
+        let (packed, want) = (
+            input_space_coverage(&set, &m),
+            reference::coverage(&set, &m),
+        );
+        assert_eq!(packed.to_bits(), want.to_bits(), "{packed} vs {want}");
+        let (packed, want) = (input_space_overlap(&set, &m), reference::overlap(&set, &m));
+        assert_eq!(
+            packed.to_bits(),
+            want.to_bits(),
+            "overlap {packed} vs {want}"
+        );
+        tally.overlapping += usize::from(want > 0.0);
+    }
+
+    /// Cases per property: 300 in tier-1; CI's release job raises it
+    /// through `PROPTEST_CASES` (see `tree/tests.rs`).
+    fn cases() -> u32 {
+        std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(300)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+        #[test]
+        fn packed_measure_equals_the_vec_reference(seed in any::<u64>()) {
+            run_case(seed, &mut Tally::default());
+        }
+    }
+
+    /// Over the very same seeds, the hard shapes were all compared.
+    #[test]
+    fn the_measure_comparison_is_not_vacuous() {
+        let mut tally = Tally::default();
+        for case in 0..cases() {
+            let mut rng = proptest::rng_for_case("packed_measure_equals_the_vec_reference", case);
+            run_case(any::<u64>().generate(&mut rng), &mut tally);
+        }
+        println!(
+            "{} over 64 features, {} over 128, {} contradictory, {} with the empty cube, \
+             {} with duplicates, {} overlapping",
+            tally.over_64,
+            tally.over_128,
+            tally.contradictory,
+            tally.empty_cube,
+            tally.duplicates,
+            tally.overlapping
+        );
+        let floor = cases() as usize / 20;
+        assert!(floor >= 15, "run at least 300 cases");
+        assert!(tally.over_64 >= 2 * floor, "{} over 64", tally.over_64);
+        assert!(tally.over_128 >= floor, "{} over 128", tally.over_128);
+        assert!(
+            tally.contradictory >= floor,
+            "{} contradictory",
+            tally.contradictory
+        );
+        assert!(
+            tally.empty_cube >= floor,
+            "{} empty cubes",
+            tally.empty_cube
+        );
+        assert!(
+            tally.duplicates >= 2 * floor,
+            "{} duplicates",
+            tally.duplicates
+        );
+        assert!(
+            tally.overlapping >= 2 * floor,
+            "{} overlapping",
+            tally.overlapping
+        );
     }
 
     #[test]

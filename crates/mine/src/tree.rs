@@ -147,12 +147,21 @@ pub struct DecisionTree {
     active: usize,
     initial_active: usize,
     total_features: usize,
+    /// One bit per node: set on the *candidates*, the open leaves whose
+    /// rows all agree. Kept current wherever a leaf is created, gets
+    /// rows or is proved (see `sync_candidate`), so asking for the
+    /// candidates never scans the nodes.
+    candidates: Vec<u64>,
+    /// Set bits in `candidates`.
+    candidate_count: usize,
+    /// Leaves not yet proved, pure or not.
+    open_leaves: usize,
 }
 
 impl DecisionTree {
     /// Creates a tree with a single empty root leaf for `spec`.
     pub fn new(spec: &MiningSpec) -> Self {
-        DecisionTree {
+        let mut tree = DecisionTree {
             nodes: vec![Node {
                 rows: Vec::new(),
                 count: 0,
@@ -163,7 +172,14 @@ impl DecisionTree {
             active: spec.initial_active,
             initial_active: spec.initial_active,
             total_features: spec.features.len(),
-        }
+            candidates: Vec::new(),
+            candidate_count: 0,
+            open_leaves: 1,
+        };
+        // The empty root predicts 0 for everything: the paper's
+        // zero-seed first candidate.
+        tree.sync_candidate(0);
+        tree
     }
 
     /// The number of nodes.
@@ -222,17 +238,56 @@ impl DecisionTree {
     /// Marks a leaf's candidate as formally proved.
     pub fn set_proved(&mut self, leaf: usize) {
         match &mut self.nodes[leaf].kind {
-            NodeKind::Leaf(s) => *s = LeafStatus::Proved,
+            NodeKind::Leaf(s) => {
+                self.open_leaves -= usize::from(*s == LeafStatus::Open);
+                *s = LeafStatus::Proved;
+            }
             NodeKind::Split { .. } => panic!("node {leaf} is not a leaf"),
         }
+        self.sync_candidate(leaf);
     }
 
     /// Whether every leaf is proved — the convergence condition (the
-    /// tree is then the paper's *final decision tree* `F_z`).
+    /// tree is then the paper's *final decision tree* `F_z`). A read of
+    /// the open-leaf count, not a scan.
     pub fn converged(&self) -> bool {
-        self.leaves()
-            .into_iter()
-            .all(|l| self.leaf_status(l) == LeafStatus::Proved)
+        self.open_leaves == 0
+    }
+
+    /// The candidates — open leaves whose rows all agree, the ones worth
+    /// a formal check — in ascending node order, without visiting any
+    /// other node.
+    pub fn candidate_leaves(&self) -> impl Iterator<Item = usize> + '_ {
+        self.candidates.iter().enumerate().flat_map(|(w, &word)| {
+            std::iter::successors(Some(word), |&rest| Some(rest & rest.wrapping_sub(1)))
+                .take_while(|&rest| rest != 0)
+                .map(move |rest| w * 64 + rest.trailing_zeros() as usize)
+        })
+    }
+
+    /// How many candidates there are (see
+    /// [`DecisionTree::candidate_leaves`]).
+    pub fn candidate_count(&self) -> usize {
+        self.candidate_count
+    }
+
+    /// Re-derives `node`'s candidate bit. Called wherever a leaf's
+    /// status or row statistics change: creation, new rows, a proof.
+    fn sync_candidate(&mut self, node: usize) {
+        let n = &self.nodes[node];
+        let live = matches!(n.kind, NodeKind::Leaf(LeafStatus::Open)) && n.is_pure();
+        let (word, mask) = (node / 64, 1u64 << (node % 64));
+        if self.candidates.len() <= word {
+            self.candidates.resize(word + 1, 0);
+        }
+        let was = self.candidates[word] & mask != 0;
+        if live && !was {
+            self.candidates[word] |= mask;
+            self.candidate_count += 1;
+        } else if was && !live {
+            self.candidates[word] &= !mask;
+            self.candidate_count -= 1;
+        }
     }
 
     /// The (feature, value) path from the root to `node`.
@@ -299,6 +354,7 @@ impl DecisionTree {
         let root = &mut self.nodes[0];
         root.count = data.len();
         root.ones = data.target_ones();
+        self.sync_candidate(0);
         let mut scratch = Scratch::new(data, 0..data.len(), self.open_features(0));
         let fitted = self.grow(&mut scratch, 0, 0, data.len());
         span.arg("rows", data.len());
@@ -348,6 +404,11 @@ impl DecisionTree {
                     }
                 }
             }
+        }
+        // Before anything can fail: an error below leaves the later
+        // touched leaves as they are, new rows included.
+        for &leaf in &touched {
+            self.sync_candidate(leaf);
         }
         let mut resplit = 0;
         for leaf in touched {
@@ -430,7 +491,12 @@ impl DecisionTree {
                 parent: Some((node, side)),
                 kind: NodeKind::Leaf(LeafStatus::Open),
             });
+            self.sync_candidate(self.nodes.len() - 1);
         }
+        // Only an open, impure leaf splits (a proved one that turned
+        // impure is an error before it gets here, and impure means it
+        // is no candidate): one open leaf becomes two.
+        self.open_leaves += 1;
         self.nodes[node].kind = NodeKind::Split {
             feature: split.feature,
             zero,

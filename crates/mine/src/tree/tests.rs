@@ -480,6 +480,24 @@ impl Lockstep {
                 "{when}: split {i} holds rows"
             );
         }
+        self.assert_tracked(when);
+    }
+
+    /// The candidate set and the open-leaf count the packed tree keeps
+    /// as it changes equal a scan of its nodes.
+    fn assert_tracked(&self, when: &str) {
+        let tree = &self.packed;
+        let open = |&l: &usize| tree.leaf_status(l) == LeafStatus::Open;
+        let scan: Vec<usize> = tree.leaves().into_iter().filter(open).collect();
+        let pure: Vec<usize> = scan.iter().copied().filter(|&l| tree.is_pure(l)).collect();
+        let tracked: Vec<usize> = tree.candidate_leaves().collect();
+        assert_eq!(tracked, pure, "{when}: candidates");
+        assert_eq!(
+            tree.candidate_count(),
+            pure.len(),
+            "{when}: candidate count"
+        );
+        assert_eq!(tree.converged(), scan.is_empty(), "{when}: converged");
     }
 
     fn fit(&mut self) -> Result<(), MineError> {
@@ -503,6 +521,7 @@ impl Lockstep {
     fn set_proved(&mut self, leaf: usize) {
         self.packed.set_proved(leaf);
         self.reference.nodes[leaf].kind = NodeKind::Leaf(LeafStatus::Proved);
+        self.assert_tracked("after set_proved");
     }
 }
 

@@ -13,12 +13,17 @@
 //! randomly generated modules (case/default overlap, non-blocking
 //! swaps, double writes, every operator) under random vector suites at
 //! random widths.
+//!
+//! The last section pins what the closure engine's persistent coverage
+//! suite leans on: one `CoverageSuite` shown a suite in consecutive
+//! batches — empty ones, splits inside a 64-lane chunk — answers every
+//! query exactly as after one pass, on either side of the replay seam.
 
-use gm_coverage::{CoverageReport, CoverageSuite};
+use gm_coverage::{CoverageReport, CoverageSuite, UncoveredIndex};
 use gm_rtl::{BinaryOp, Bv, Expr, Module, ModuleBuilder, SignalId, StmtId, UnaryOp};
 use gm_sim::{
     collect_vectors, BranchOutcome, CompileOptions, CompiledModule, NopObserver, RandomStimulus,
-    Replay, TestSuite, Trace,
+    Replay, Segment, TestSuite, Trace,
 };
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -577,5 +582,118 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// One coverage suite fed in batches ≡ one pass
+// ---------------------------------------------------------------------------
+
+/// Everything a coverage suite can be asked.
+#[derive(Debug, PartialEq)]
+struct Answers {
+    report: CoverageReport,
+    line_uncovered: Vec<StmtId>,
+    branch_uncovered: Vec<(StmtId, BranchOutcome)>,
+    toggle_uncovered: Vec<(SignalId, u32, bool)>,
+    fsm_unvisited: Vec<(SignalId, Bv)>,
+    /// `UncoveredIndex` is opaque; its `Debug` render shows all of it.
+    uncovered_index: String,
+}
+
+/// One `CoverageSuite` shown `segments` as the consecutive batches
+/// `..cuts[0]`, `cuts[0]..cuts[1]`, …, `cuts[last]..` (`cuts` ascending;
+/// equal neighbours make an empty batch), one `Replay::observe` each.
+fn answers_fed_in_batches(replay: Replay<'_>, segments: &[Segment], cuts: &[usize]) -> Answers {
+    let mut cov = CoverageSuite::new(replay.module);
+    let mut from = 0;
+    for &to in cuts.iter().chain([&segments.len()]) {
+        let done = replay.observe(&segments[from..to], &mut cov).unwrap();
+        assert_eq!(done, Some(()), "no token, no cancel");
+        from = to;
+    }
+    Answers {
+        report: cov.report(),
+        line_uncovered: cov.line().uncovered(),
+        branch_uncovered: cov.branch().uncovered(),
+        toggle_uncovered: cov.toggle().uncovered(),
+        fsm_unvisited: cov.fsm().unvisited(),
+        uncovered_index: format!("{:?}", UncoveredIndex::from_suite(&cov)),
+    }
+}
+
+/// Asserts that, on the interpreter and on the tape at lane blocks 1, 2
+/// and 8, feeding `suite` in the batches `cuts` makes gives the answers
+/// of one interpreter pass.
+fn assert_batches_equal_one_pass(module: &Module, suite: &TestSuite, cuts: &[usize], label: &str) {
+    let compiled = CompiledModule::compile(module).expect("compiles");
+    let replay = |compiled, block| Replay {
+        module,
+        compiled,
+        block,
+        cancel: None,
+    };
+    let one_pass = answers_fed_in_batches(replay(None, 1), suite.segments(), &[]);
+    let engines = [
+        (None, 1),
+        (Some(&compiled), 1),
+        (Some(&compiled), 2),
+        (Some(&compiled), 8),
+    ];
+    for (tape, block) in engines {
+        let batched = answers_fed_in_batches(replay(tape, block), suite.segments(), cuts);
+        let engine = if tape.is_some() {
+            "tape"
+        } else {
+            "interpreter"
+        };
+        assert_eq!(
+            batched, one_pass,
+            "{label}: {engine} W={block}, cuts {cuts:?}"
+        );
+    }
+}
+
+/// `n` ascending cut points in `0..=len`, repeats allowed.
+fn random_cuts(rng: &mut TestRng, n: usize, len: usize) -> Vec<usize> {
+    let mut cuts: Vec<usize> = (0..n)
+        .map(|_| rng.below(len as u128 + 1) as usize)
+        .collect();
+    cuts.sort_unstable();
+    cuts
+}
+
+#[test]
+fn a_coverage_suite_fed_in_batches_equals_one_pass_across_the_catalog() {
+    for design in gm_designs::catalog() {
+        let module = design.module();
+        // 70 ragged segments: one full 64-lane chunk and a bit.
+        let lengths: Vec<u64> = (0..70).map(|i| (i * 5) % 13).collect();
+        let suite = random_suite(&module, 0xBA7C ^ design.window as u64, &lengths);
+        let rng = &mut TestRng::new(design.name.len() as u64);
+        // Empty batches first, last and in the middle; the seed alone;
+        // a split inside the chunk and one on its boundary.
+        let fixed = vec![0, 0, 1, 30, 30, 64, 70];
+        for cuts in [fixed, random_cuts(rng, 3, 70), random_cuts(rng, 9, 70)] {
+            assert_batches_equal_one_pass(&module, &suite, &cuts, design.name);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random modules x random suites x random split points.
+    #[test]
+    fn a_coverage_suite_fed_in_batches_equals_one_pass_on_random_modules(
+        seed in any::<u64>(),
+        nseg in 1usize..80,
+        ncuts in 0usize..7,
+    ) {
+        let module = random_module(seed);
+        let lengths: Vec<u64> = (0..nseg as u64).map(|i| (seed % 7 + 3 * i) % 11).collect();
+        let suite = random_suite(&module, seed ^ 0xBA7C, &lengths);
+        let cuts = random_cuts(&mut TestRng::new(seed), ncuts, nseg);
+        assert_batches_equal_one_pass(&module, &suite, &cuts, &format!("seed {seed}"));
     }
 }
