@@ -11,6 +11,7 @@ use crate::error::EngineError;
 use gm_mc::{CheckResult, Checker, WindowProperty};
 use gm_mine::Assertion;
 use gm_rtl::{Bv, Module, SignalId};
+use gm_sim::{CompileOptions, CompiledModule, NopObserver, Replay, SimBackend};
 
 /// A stuck-at fault on a signal's fanout.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -125,6 +126,10 @@ pub fn fault_campaign(
 /// detection. The paper's §7.4 notes the generated vector suite "would
 /// also be an effective regression suite" — this is that experiment.
 ///
+/// Both replays ride probe-free tapes through [`Replay::suite_traces`],
+/// so golden, mutant and every further fault of a campaign over the
+/// same suite read one packed stimulus form.
+///
 /// Returns the first differing `(segment index, cycle, output)` or
 /// `None` if the fault escapes the suite.
 ///
@@ -139,8 +144,19 @@ pub fn suite_detects_fault(
 ) -> Result<Option<(usize, usize, SignalId)>, EngineError> {
     let width = module.signal_width(signal);
     let mutant = module.with_stuck_signal(signal, fault.stuck_value(width));
-    let golden_traces = suite.run(module, &mut gm_sim::NopObserver)?;
-    let mutant_traces = suite.run(&mutant, &mut gm_sim::NopObserver)?;
+    let traces = |design: &Module| -> Result<Vec<gm_sim::Trace>, EngineError> {
+        let tape = CompiledModule::compile_with(design, CompileOptions { probes: false })?;
+        let replay = Replay {
+            module: design,
+            compiled: Some(&tape),
+            block: SimBackend::default().lane_block(),
+            cancel: None,
+        };
+        Ok(replay
+            .suite_traces(suite, &mut NopObserver)?
+            .expect("no cancel token"))
+    };
+    let (golden_traces, mutant_traces) = (traces(module)?, traces(&mutant)?);
     let outputs = module.outputs();
     for (si, (g, m)) in golden_traces.iter().zip(&mutant_traces).enumerate() {
         for cycle in 0..g.len().min(m.len()) {

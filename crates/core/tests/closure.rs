@@ -236,6 +236,27 @@ fn generated_suite_detects_faults_by_simulation() {
             "suite missed {} {fault}",
             m.signal(sig).name()
         );
+        // The tapes find what the interpreter finds: same first
+        // differing (segment, cycle, output).
+        let mutant = m.with_stuck_signal(sig, fault.stuck_value(m.signal_width(sig)));
+        let golden = outcome.suite.run(&m, &mut gm_sim::NopObserver).unwrap();
+        let faulty = outcome
+            .suite
+            .run(&mutant, &mut gm_sim::NopObserver)
+            .unwrap();
+        let reference = golden
+            .iter()
+            .zip(&faulty)
+            .enumerate()
+            .find_map(|(si, (g, f))| {
+                (0..g.len()).find_map(|cycle| {
+                    m.outputs()
+                        .into_iter()
+                        .find(|&out| g.value(cycle, out) != f.value(cycle, out))
+                        .map(|out| (si, cycle, out))
+                })
+            });
+        assert_eq!(hit, reference, "{} {fault}", m.signal(sig).name());
     }
 }
 

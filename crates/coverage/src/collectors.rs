@@ -417,6 +417,55 @@ pub struct FsmCoverage {
     prev_active: Vec<u64>,
     /// Reused current-cycle scratch (batch path).
     cur_bits: Vec<u64>,
+    /// Dense first-hit guards per register (batch path only), empty
+    /// for registers wider than [`DENSE_FSM_BITS`]: a state or
+    /// transition already recorded costs one bit test, not a set
+    /// insert.
+    dense: Vec<DenseFsm>,
+}
+
+/// Widest FSM register the batch path guards densely: 64 states, 4096
+/// transitions — 65 words per register.
+const DENSE_FSM_BITS: u32 = 6;
+
+/// Seen-state and seen-transition bitmaps of one narrow FSM register,
+/// indexed by state value and by `from * 64 + to`.
+#[derive(Debug)]
+struct DenseFsm {
+    states: u64,
+    transitions: Vec<u64>,
+}
+
+impl DenseFsm {
+    fn for_width(width: u32) -> Self {
+        DenseFsm {
+            states: 0,
+            transitions: vec![0; if width <= DENSE_FSM_BITS { 64 } else { 0 }],
+        }
+    }
+
+    /// Whether this is the first sighting of `state` (always, for a
+    /// register too wide to guard).
+    #[inline]
+    fn first_state(&mut self, state: u64) -> bool {
+        if self.transitions.is_empty() {
+            return true;
+        }
+        let first = self.states >> state & 1 == 0;
+        self.states |= 1 << state;
+        first
+    }
+
+    /// Whether this is the first sighting of `from → to`.
+    #[inline]
+    fn first_transition(&mut self, from: u64, to: u64) -> bool {
+        let Some(word) = self.transitions.get_mut(from as usize) else {
+            return true;
+        };
+        let first = *word >> to & 1 == 0;
+        *word |= 1 << to;
+        first
+    }
 }
 
 impl FsmCoverage {
@@ -428,7 +477,12 @@ impl FsmCoverage {
             .map(|&r| (r, declared_fsm_states(module, r)))
             .collect();
         let count = regs.len();
+        let dense = regs
+            .iter()
+            .map(|&(r, _)| DenseFsm::for_width(module.signal_width(r)))
+            .collect();
         FsmCoverage {
+            dense,
             regs,
             visited: FxMap::default(),
             transitions: FxMap::default(),
@@ -523,9 +577,11 @@ impl BatchObserver for FsmCoverage {
             have_prev,
             prev_active,
             cur_bits,
+            dense,
             ..
         } = self;
         for (ri, (reg, _)) in regs.iter().enumerate() {
+            let guard = &mut dense[ri];
             let w = snap.width(*reg) as usize;
             cur_bits.clear();
             for i in 0..w {
@@ -558,16 +614,22 @@ impl BatchObserver for FsmCoverage {
                     for i in 0..w {
                         v |= ((cur_bits[i * block + j] >> k) & 1) << i;
                     }
-                    let v = Bv::new(v, w as u32);
-                    visited.entry(*reg).or_default().insert(v);
+                    if guard.first_state(v) {
+                        visited
+                            .entry(*reg)
+                            .or_default()
+                            .insert(Bv::new(v, w as u32));
+                    }
                     if seen_before >> k & 1 != 0 {
                         let mut o = 0u64;
                         for i in 0..w {
                             o |= ((prev[i * block + j] >> k) & 1) << i;
                         }
-                        let o = Bv::new(o, w as u32);
-                        if o != v {
-                            transitions.entry(*reg).or_default().insert((o, v));
+                        if o != v && guard.first_transition(o, v) {
+                            transitions
+                                .entry(*reg)
+                                .or_default()
+                                .insert((Bv::new(o, w as u32), Bv::new(v, w as u32)));
                         }
                     }
                 }

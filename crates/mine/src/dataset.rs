@@ -423,7 +423,7 @@ impl Dataset {
             block: backend.lane_block(),
             cancel: None,
         }
-        .traces(suite.segments(), &mut NopObserver)?
+        .suite_traces(suite, &mut NopObserver)?
         .expect("no cancel token");
         let added = self.add_traces(spec, &traces);
         span.arg("rows", added.rows.len());

@@ -42,6 +42,27 @@
 //! ([`crate::Replay`]) instead of one call each: a pass costs the same
 //! whether one lane or all of them are active.
 //!
+//! Stimulus reaches the lanes in the same encoding. The executor reads
+//! a [`crate::PackedStimulus`] and nothing else: segments dealt onto
+//! *lane groups* of 64 (segment `s` is lane `s % 64` of group `s / 64`;
+//! block word `j` of chunk `c` reads group `c·W + j`, so one form feeds
+//! every `W`), and per group and cycle one *active* word plus, per
+//! driven input bit, a *value* word and a *drive* word. Feeding a cycle
+//! is `slot = (slot & !drive) | value` per input-bit row — no per-lane
+//! loop — and the drive word is what keeps the interpreter's semantics
+//! that an input a vector does not name (or a lane whose segment has
+//! ended) holds its previous value, and that a signal named twice takes
+//! the last one. A [`crate::TestSuite`] replayed whole owns its form:
+//! the first such replay pays one segment-major walk to build it, later
+//! replays on any tape of a design with the same signal table read it,
+//! `push` extends it in place. A borrowed `&[Segment]` slice
+//! ([`crate::Replay::traces`] / [`crate::Replay::observe`]) is packed
+//! into a scratch form one chunk at a time through the same routine.
+//! The other end is as flat: a batch's [`Trace`]s share one signal
+//! table and store rows in one `Vec<u64>` each, filled from one pass
+//! over the cycle's snapshot per block word
+//! (`LaneSnapshot::gather_rows`).
+//!
 //! Observation happens through [`BatchObserver`]: statement/branch
 //! events carry a per-lane-block hit set ([`LaneSet`]), and cycle
 //! boundaries expose a [`LaneSnapshot`] for toggle/FSM/trace consumers.
@@ -66,9 +87,10 @@
 //! suites' reference leg); it is also what observer code using the
 //! borrowing [`crate::SimObserver`] API keeps running on.
 
+use crate::packed::PackedStimulus;
 use crate::sim::{BranchOutcome, ExprRole};
 use crate::suite::Segment;
-use crate::trace::Trace;
+use crate::trace::{Trace, TraceShape};
 use gm_rtl::{
     elaborate, BinaryOp, Bv, Elab, Expr, Module, Result, SignalId, Stmt, StmtId, StmtKind, UnaryOp,
 };
@@ -531,6 +553,12 @@ impl CompiledModule {
             + self.probes.len() * 2 * MAX_LANE_BLOCK * std::mem::size_of::<u64>()
     }
 
+    /// Widths of the module's signals, by signal index — the key a
+    /// [`PackedStimulus`] is built against.
+    pub(crate) fn signal_widths(&self) -> &[u32] {
+        &self.widths[..self.n_signals]
+    }
+
     /// Runs `segments` through a batch executor with a lane block of
     /// `block` words (`64·block` lanes per pass), `collect_traces`
     /// deciding whether per-lane traces are materialized (coverage-only
@@ -540,15 +568,22 @@ impl CompiledModule {
     /// would. `block` is normalized to the nearest supported width
     /// (1, 2, 4, 8).
     ///
+    /// The executor reads stimulus only as a [`PackedStimulus`]:
+    /// `owned`, when the caller holds the packed form of exactly these
+    /// segments (a [`crate::TestSuite`] does), and otherwise a scratch
+    /// form packed one chunk at a time.
+    ///
     /// The cooperative `cancel` token is polled once per simulated cycle
     /// of every chunk; a raised token returns `None` — no partial traces
     /// or coverage for the pass are published (observer callbacks up to
     /// the cancel point have already fired, which is why cancelled
     /// passes must be discarded by the caller).
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_segments_batched(
         &self,
         module: &Module,
         segments: &[Segment],
+        owned: Option<&PackedStimulus>,
         obs: &mut dyn BatchObserver,
         collect_traces: bool,
         cancel: Option<&std::sync::atomic::AtomicBool>,
@@ -561,6 +596,7 @@ impl CompiledModule {
             span.arg("lanes", 64 * Self::normalized_block(block));
             span.arg("probes", self.probes.len());
             span.arg("traces", collect_traces);
+            span.arg("packed", owned.is_some());
             span.arg(
                 "cycles",
                 segments.iter().map(|s| s.vectors.len()).sum::<usize>(),
@@ -569,6 +605,7 @@ impl CompiledModule {
         let out = self.run_segments_batched_untraced(
             module,
             segments,
+            owned,
             obs,
             collect_traces,
             cancel,
@@ -582,20 +619,27 @@ impl CompiledModule {
     /// pre-trace machine code, kept callable so the recorder-overhead
     /// bench can measure the instrumented entry against a true
     /// baseline on identical inner code.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_segments_batched_untraced(
         &self,
         module: &Module,
         segments: &[Segment],
+        owned: Option<&PackedStimulus>,
         obs: &mut dyn BatchObserver,
         collect_traces: bool,
         cancel: Option<&std::sync::atomic::AtomicBool>,
         block: usize,
     ) -> Option<Vec<Trace>> {
-        match block {
-            0 | 1 => self.run_segments_blocked::<1>(module, segments, obs, collect_traces, cancel),
-            2 => self.run_segments_blocked::<2>(module, segments, obs, collect_traces, cancel),
-            3 | 4 => self.run_segments_blocked::<4>(module, segments, obs, collect_traces, cancel),
-            _ => self.run_segments_blocked::<8>(module, segments, obs, collect_traces, cancel),
+        assert!(
+            owned.is_none_or(|p| p.segments() == segments.len()),
+            "the packed form is of other segments"
+        );
+        let shape = collect_traces.then(|| TraceShape::for_module(module));
+        match Self::normalized_block(block) {
+            1 => self.run_segments_blocked::<1>(segments, owned, obs, shape, cancel),
+            2 => self.run_segments_blocked::<2>(segments, owned, obs, shape, cancel),
+            4 => self.run_segments_blocked::<4>(segments, owned, obs, shape, cancel),
+            _ => self.run_segments_blocked::<8>(segments, owned, obs, shape, cancel),
         }
     }
 
@@ -612,47 +656,69 @@ impl CompiledModule {
 
     fn run_segments_blocked<const W: usize>(
         &self,
-        module: &Module,
         segments: &[Segment],
+        owned: Option<&PackedStimulus>,
         obs: &mut dyn BatchObserver,
-        collect_traces: bool,
+        trace_shape: Option<std::sync::Arc<TraceShape>>,
         cancel: Option<&std::sync::atomic::AtomicBool>,
     ) -> Option<Vec<Trace>> {
         let cancelled = || cancel.is_some_and(|c| c.load(std::sync::atomic::Ordering::Acquire));
-        let mut traces: Vec<Trace> = if collect_traces {
-            segments.iter().map(|_| Trace::for_module(module)).collect()
-        } else {
-            Vec::new()
+        let mut traces: Vec<Trace> = match &trace_shape {
+            Some(shape) => segments
+                .iter()
+                .map(|s| Trace::with_shape(shape.clone(), s.vectors.len()))
+                .collect(),
+            None => Vec::new(),
         };
+        // One word's worth of trace rows, lane-major.
+        let stride = self.n_signals;
+        let mut stage = vec![0u64; trace_shape.as_ref().map_or(0, |_| 64 * stride)];
+        let mut scratch = PackedStimulus::new(self.signal_widths());
+        let mut rows = Vec::new();
         let lanes = 64 * W;
         for (chunk_idx, chunk) in segments.chunks(lanes).enumerate() {
+            // Block word `j` reads lane group `first + j`.
+            let (packed, first) = match owned {
+                Some(packed) => (packed, chunk_idx * W),
+                None => {
+                    scratch.clear();
+                    scratch.extend(chunk);
+                    (&scratch, 0)
+                }
+            };
+            packed.arena_rows(&self.base, &mut rows);
             let mut sim = BatchSim::<W>::new(self);
             let mut full = [0u64; W];
             for (j, word) in full.iter_mut().enumerate() {
                 *word = ones_mask(chunk.len().saturating_sub(j * 64).min(64));
             }
             sim.apply_reset(&full, obs);
-            let max_len = chunk.iter().map(|s| s.vectors.len()).max().unwrap_or(0);
-            for t in 0..max_len {
+            for t in 0..packed.cycles(first, W) {
                 if cancelled() {
                     return None;
                 }
                 let mut active = [0u64; W];
-                for (k, seg) in chunk.iter().enumerate() {
-                    if t < seg.vectors.len() {
-                        active[k / 64] |= 1u64 << (k % 64);
-                        for (sig, v) in &seg.vectors[t] {
-                            sim.set_input_lane(k as u32, *sig, *v);
-                        }
+                for (j, word) in active.iter_mut().enumerate() {
+                    if let Some(record) = packed.record(first + j, t) {
+                        *word = record[0];
+                        sim.drive_word(j, &rows, &record[1..]);
                     }
                 }
                 sim.settle(&active, Some(obs));
                 let snap = sim.snapshot();
                 obs.on_cycle_end(sim.cycle(), &LaneSet::new(&active), &snap);
-                if collect_traces {
-                    for k in 0..chunk.len() {
-                        if active[k / 64] >> (k % 64) & 1 == 1 {
-                            traces[chunk_idx * lanes + k].push_row_raw(snap.row(k as u32));
+                if trace_shape.is_some() {
+                    for (j, &word) in active.iter().enumerate() {
+                        if word == 0 {
+                            continue;
+                        }
+                        snap.gather_rows(j, word, &mut stage);
+                        let mut left = word;
+                        while left != 0 {
+                            let k = left.trailing_zeros() as usize;
+                            left &= left - 1;
+                            traces[chunk_idx * lanes + j * 64 + k]
+                                .push_row_raw(&stage[k * stride..][..stride]);
                         }
                     }
                 }
@@ -1159,11 +1225,24 @@ impl LaneSnapshot<'_> {
         Bv::new(bits, w)
     }
 
-    /// Raw trace row (one `u64` of bits per signal) for `lane`.
-    pub(crate) fn row(&self, lane: u32) -> Vec<u64> {
-        (0..self.widths.len())
-            .map(|i| self.value(SignalId::from_raw(i as u32), lane).bits())
-            .collect()
+    /// Raw trace rows (one `u64` of bits per signal) of the `lanes` of
+    /// block word `word`, lane-major into `stage` (`64 · signal_count`
+    /// words; lane `k`'s row starts at `k · signal_count`; rows of
+    /// lanes outside `lanes` are left zero). One pass over the
+    /// snapshot: each set bit of each bit-slice lands in its lane's row.
+    pub(crate) fn gather_rows(&self, word: usize, lanes: u64, stage: &mut [u64]) {
+        let n = self.widths.len();
+        stage.fill(0);
+        for (sig, (&base, &width)) in self.base.iter().zip(self.widths).enumerate() {
+            for i in 0..width as usize {
+                let mut set = self.words[(base as usize + i) * self.block + word] & lanes;
+                while set != 0 {
+                    let k = set.trailing_zeros() as usize;
+                    set &= set - 1;
+                    stage[k * n + sig] |= 1 << i;
+                }
+            }
+        }
     }
 }
 
@@ -1225,6 +1304,18 @@ impl<'c, const W: usize> BatchSim<'c, W> {
         for i in 0..w as usize {
             let slot = &mut self.words[(b + i) * W + word];
             *slot = (*slot & !(1u64 << bit)) | (((bits >> i) & 1) << bit);
+        }
+    }
+
+    /// Drives block word `word` from one cycle record of a
+    /// [`PackedStimulus`]: `pairs` is `[val, drv]` per packed row and
+    /// `rows[r]` the arena row of packed row `r`. Lanes outside a
+    /// row's `drv` word hold their value.
+    #[inline]
+    pub(crate) fn drive_word(&mut self, word: usize, rows: &[u32], pairs: &[u64]) {
+        for (pair, &row) in pairs.chunks_exact(2).zip(rows) {
+            let slot = &mut self.words[row as usize * W + word];
+            *slot = (*slot & !pair[1]) | pair[0];
         }
     }
 
@@ -1807,7 +1898,7 @@ mod tests {
             label: String::new(),
             vectors,
         };
-        c.run_segments_batched(m, &[segment], &mut NopObserver, true, None, 1)
+        c.run_segments_batched(m, &[segment], None, &mut NopObserver, true, None, 1)
             .expect("no cancel token")
             .pop()
             .expect("one trace per segment")
@@ -1852,7 +1943,7 @@ mod tests {
             .collect();
         for block in [1usize, 2, 4, 8] {
             let batched = c
-                .run_segments_batched(&m, &segments, &mut NopObserver, true, None, block)
+                .run_segments_batched(&m, &segments, None, &mut NopObserver, true, None, block)
                 .expect("no cancel token");
             for (seg, got) in segments.iter().zip(&batched) {
                 let want = crate::suite::run_segment(&m, &seg.vectors, &mut NopObserver).unwrap();
@@ -1874,7 +1965,7 @@ mod tests {
             })
             .collect();
         let batched = c
-            .run_segments_batched(&m, &segments, &mut NopObserver, true, None, 2)
+            .run_segments_batched(&m, &segments, None, &mut NopObserver, true, None, 2)
             .expect("no cancel token");
         for (seg, got) in segments.iter().zip(&batched) {
             let want = crate::suite::run_segment(&m, &seg.vectors, &mut NopObserver).unwrap();

@@ -24,7 +24,16 @@
 //! boolean-node coverage probes fused into the tape and drained in bulk
 //! ([`BatchObserver::drain_probes`]). Code that replays reset-rooted
 //! segments goes through one seam, [`Replay`], which rides the tape
-//! when it is given one and walks the interpreter otherwise; a run
+//! when it is given one and walks the interpreter otherwise. The tape
+//! reads stimulus in one form only, [`PackedStimulus`]: 64-segment lane
+//! groups holding, per cycle, an active-lane word and a value word and
+//! a drive word per driven input bit (an undriven lane *holds* its
+//! input). A [`TestSuite`] replayed whole ([`Replay::suite_traces`],
+//! [`Replay::suite_observe`]) owns that form — the first replay pays
+//! one walk over the segments to build it, later replays read it,
+//! `push` extends it — while a borrowed segment slice is packed into a
+//! scratch form one chunk at a time; see the "Lane encoding" section
+//! of the compiled backend's module docs. A run
 //! picks between them (and the lane-block width) with [`SimBackend`],
 //! and can compile observation out entirely with [`CompileOptions`].
 //! The interpreter is still what runs under
@@ -36,6 +45,7 @@
 #![warn(missing_docs)]
 
 mod compile;
+mod packed;
 mod replay;
 mod sim;
 mod stim;
@@ -46,6 +56,7 @@ pub use compile::{
     BatchObserver, BatchSim, CompileOptions, CompiledModule, LaneSet, LaneSnapshot, ProbeHits,
     SimBackend, MAX_LANE_BLOCK,
 };
+pub use packed::PackedStimulus;
 pub use replay::Replay;
 /// [`NopObserver`] under the name the compiled entry points' callers
 /// import; it ignores both engines' events.

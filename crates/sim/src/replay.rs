@@ -19,7 +19,7 @@
 
 use crate::compile::{BatchObserver, CompiledModule};
 use crate::sim::SimObserver;
-use crate::suite::{run_segment, Segment};
+use crate::suite::{run_segment, Segment, TestSuite};
 use crate::trace::Trace;
 use gm_rtl::{Module, Result};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -55,7 +55,7 @@ impl Replay<'_> {
         segments: &[Segment],
         obs: &mut O,
     ) -> Result<Option<Vec<Trace>>> {
-        self.run(segments, obs, true)
+        self.run(segments, None, obs, true)
     }
 
     /// [`Replay::traces`] without materializing traces — the coverage
@@ -70,12 +70,47 @@ impl Replay<'_> {
         segments: &[Segment],
         obs: &mut O,
     ) -> Result<Option<()>> {
-        Ok(self.run(segments, obs, false)?.map(drop))
+        Ok(self.run(segments, None, obs, false)?.map(drop))
     }
 
+    /// [`Replay::traces`] of every segment of `suite`. On the tape the
+    /// stimulus is read from the lane-packed form the suite owns —
+    /// built by the first such replay, shared by every later one on a
+    /// design with the same signal table — instead of being packed
+    /// again per call: the entry for a suite replayed more than once.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the interpreter's elaboration errors.
+    pub fn suite_traces<O: SimObserver + BatchObserver>(
+        &self,
+        suite: &TestSuite,
+        obs: &mut O,
+    ) -> Result<Option<Vec<Trace>>> {
+        self.run(suite.segments(), Some(suite), obs, true)
+    }
+
+    /// [`Replay::observe`] of every segment of `suite`, read like
+    /// [`Replay::suite_traces`] reads them.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the interpreter's elaboration errors.
+    pub fn suite_observe<O: SimObserver + BatchObserver>(
+        &self,
+        suite: &TestSuite,
+        obs: &mut O,
+    ) -> Result<Option<()>> {
+        Ok(self
+            .run(suite.segments(), Some(suite), obs, false)?
+            .map(drop))
+    }
+
+    /// `owner`, when given, is the suite `segments` are all of.
     fn run<O: SimObserver + BatchObserver>(
         &self,
         segments: &[Segment],
+        owner: Option<&TestSuite>,
         obs: &mut O,
         collect_traces: bool,
     ) -> Result<Option<Vec<Trace>>> {
@@ -95,9 +130,13 @@ impl Replay<'_> {
             }
             return Ok(Some(traces));
         };
+        // A suite's own packed form when there is one to read; a
+        // borrowed slice is packed chunk by chunk inside.
+        let owned = owner.and_then(|suite| suite.packed_for(compiled.signal_widths()));
         Ok(compiled.run_segments_batched(
             self.module,
             segments,
+            owned,
             obs,
             collect_traces,
             self.cancel,

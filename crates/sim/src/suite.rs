@@ -5,10 +5,12 @@
 //! segment starts from the design's reset state (counterexample traces
 //! are reset-rooted), so segments are replayed independently.
 
+use crate::packed::PackedStimulus;
 use crate::sim::{SimObserver, Simulator};
 use crate::stim::InputVector;
 use crate::trace::Trace;
 use gm_rtl::{Bv, Module, Result};
+use std::sync::OnceLock;
 
 /// A named stimulus segment, run from reset.
 #[derive(Clone, Debug, PartialEq)]
@@ -20,9 +22,35 @@ pub struct Segment {
 }
 
 /// An ordered collection of segments forming the validation stimulus.
-#[derive(Clone, Debug, Default, PartialEq)]
+///
+/// A suite replayed whole on the compiled tape
+/// ([`crate::Replay::suite_traces`] / [`crate::Replay::suite_observe`],
+/// [`TestSuite::run_compiled`] / [`TestSuite::observe_compiled`]) also
+/// owns the lane-packed form of its segments ([`PackedStimulus`]): the
+/// first such replay pays one walk over the
+/// segments to build it, later ones read it, [`TestSuite::push`]
+/// extends it in place and a clone carries it. It is derived data —
+/// equality and the `Debug` render are functions of the segments alone.
+#[derive(Clone, Default)]
 pub struct TestSuite {
     segments: Vec<Segment>,
+    /// Always the packed form of exactly `segments`, once set (boxed:
+    /// suites are moved around inside outcomes, most never replayed).
+    packed: OnceLock<Box<PackedStimulus>>,
+}
+
+impl PartialEq for TestSuite {
+    fn eq(&self, other: &Self) -> bool {
+        self.segments == other.segments
+    }
+}
+
+impl std::fmt::Debug for TestSuite {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TestSuite")
+            .field("segments", &self.segments)
+            .finish()
+    }
 }
 
 impl TestSuite {
@@ -33,10 +61,30 @@ impl TestSuite {
 
     /// Appends a segment.
     pub fn push(&mut self, label: impl Into<String>, vectors: Vec<InputVector>) {
+        if let Some(packed) = self.packed.get_mut() {
+            packed.push(&vectors);
+        }
         self.segments.push(Segment {
             label: label.into(),
             vectors,
         });
+    }
+
+    /// The lane-packed form of the segments, if a whole-suite tape
+    /// replay has built it yet.
+    pub fn packed(&self) -> Option<&PackedStimulus> {
+        self.packed.get().map(|packed| &**packed)
+    }
+
+    /// The packed form for a design whose signals have `widths`,
+    /// building it on first use. `None` when the suite was first
+    /// replayed on a design with another signal table: values were
+    /// resized for that one, so this caller packs its own.
+    pub(crate) fn packed_for(&self, widths: &[u32]) -> Option<&PackedStimulus> {
+        let packed = self
+            .packed
+            .get_or_init(|| Box::new(PackedStimulus::pack(widths, &self.segments)));
+        (packed.widths() == widths).then_some(packed)
     }
 
     /// The segments in insertion order.
@@ -57,6 +105,28 @@ impl TestSuite {
     /// Total stimulus cycles across all segments (excluding reset cycles).
     pub fn total_cycles(&self) -> usize {
         self.segments.iter().map(|s| s.vectors.len()).sum()
+    }
+
+    /// The whole suite on the tape, fed from the owned packed form (see
+    /// [`crate::CompiledModule::run_segments_batched`] for the rest).
+    fn replay_on_tape(
+        &self,
+        module: &Module,
+        compiled: &crate::CompiledModule,
+        obs: &mut dyn crate::BatchObserver,
+        collect_traces: bool,
+        cancel: Option<&std::sync::atomic::AtomicBool>,
+        block: usize,
+    ) -> Option<Vec<Trace>> {
+        compiled.run_segments_batched(
+            module,
+            &self.segments,
+            self.packed_for(compiled.signal_widths()),
+            obs,
+            collect_traces,
+            cancel,
+            block,
+        )
     }
 
     /// Runs every segment from reset on `module`, reporting events to
@@ -93,8 +163,7 @@ impl TestSuite {
         obs: &mut dyn crate::BatchObserver,
         block: usize,
     ) -> Vec<Trace> {
-        compiled
-            .run_segments_batched(module, &self.segments, obs, true, None, block)
+        self.replay_on_tape(module, compiled, obs, true, None, block)
             .expect("no cancel token")
     }
 
@@ -108,7 +177,7 @@ impl TestSuite {
         obs: &mut dyn crate::BatchObserver,
         block: usize,
     ) {
-        compiled.run_segments_batched(module, &self.segments, obs, false, None, block);
+        self.replay_on_tape(module, compiled, obs, false, None, block);
     }
 
     /// Bench-only twin of [`TestSuite::observe_compiled`] that enters
@@ -123,7 +192,16 @@ impl TestSuite {
         obs: &mut dyn crate::BatchObserver,
         block: usize,
     ) {
-        compiled.run_segments_batched_untraced(module, &self.segments, obs, false, None, block);
+        let owned = self.packed_for(compiled.signal_widths());
+        compiled.run_segments_batched_untraced(
+            module,
+            &self.segments,
+            owned,
+            obs,
+            false,
+            None,
+            block,
+        );
     }
 }
 

@@ -8,26 +8,54 @@
 
 use gm_rtl::{Bv, Module, SignalId};
 use std::io::{self, Write};
+use std::sync::Arc;
 
-/// A recorded simulation trace.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Trace {
+/// The signal table a trace's rows are read against. One is shared by
+/// every trace of a batch replay, so a trace costs its rows alone.
+#[derive(Debug, PartialEq)]
+pub(crate) struct TraceShape {
     names: Vec<String>,
     widths: Vec<u32>,
-    rows: Vec<Vec<u64>>,
 }
 
-impl Trace {
-    /// Creates an empty trace shaped for `module`'s signal table.
-    pub fn for_module(module: &Module) -> Self {
-        Trace {
+impl TraceShape {
+    pub(crate) fn for_module(module: &Module) -> Arc<Self> {
+        Arc::new(TraceShape {
             names: module
                 .signals()
                 .iter()
                 .map(|s| s.name().to_string())
                 .collect(),
             widths: module.signals().iter().map(|s| s.width()).collect(),
-            rows: Vec::new(),
+        })
+    }
+}
+
+/// A recorded simulation trace: one flat row-major arena, `signal_count`
+/// words per cycle.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Trace {
+    shape: Arc<TraceShape>,
+    /// Recorded cycles (`rows.len() / signal_count`, kept so a module
+    /// without signals still counts its cycles).
+    len: usize,
+    rows: Vec<u64>,
+}
+
+impl Trace {
+    /// Creates an empty trace shaped for `module`'s signal table.
+    pub fn for_module(module: &Module) -> Self {
+        Trace::with_shape(TraceShape::for_module(module), 0)
+    }
+
+    /// An empty trace over a shared signal table, with room for
+    /// `cycles` rows.
+    pub(crate) fn with_shape(shape: Arc<TraceShape>, cycles: usize) -> Self {
+        let rows = Vec::with_capacity(cycles * shape.names.len());
+        Trace {
+            shape,
+            len: 0,
+            rows,
         }
     }
 
@@ -37,30 +65,32 @@ impl Trace {
     ///
     /// Panics if `values` does not match the trace's signal count.
     pub fn push_row(&mut self, values: &[Bv]) {
-        assert_eq!(values.len(), self.names.len(), "snapshot arity mismatch");
-        self.rows.push(values.iter().map(|v| v.bits()).collect());
+        assert_eq!(values.len(), self.signal_count(), "snapshot arity mismatch");
+        self.rows.extend(values.iter().map(|v| v.bits()));
+        self.len += 1;
     }
 
     /// Appends a pre-extracted raw row (one `u64` of bits per signal).
-    /// The compiled executors use this to skip `Bv` materialization.
-    pub(crate) fn push_row_raw(&mut self, row: Vec<u64>) {
-        debug_assert_eq!(row.len(), self.names.len(), "snapshot arity mismatch");
-        self.rows.push(row);
+    /// The compiled executor uses this to skip `Bv` materialization.
+    pub(crate) fn push_row_raw(&mut self, row: &[u64]) {
+        debug_assert_eq!(row.len(), self.signal_count(), "snapshot arity mismatch");
+        self.rows.extend_from_slice(row);
+        self.len += 1;
     }
 
     /// The number of recorded cycles.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.len
     }
 
     /// Whether the trace has no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len == 0
     }
 
     /// The number of signals per row.
     pub fn signal_count(&self) -> usize {
-        self.names.len()
+        self.shape.names.len()
     }
 
     /// The value of signal `sig` at `cycle`.
@@ -69,7 +99,10 @@ impl Trace {
     ///
     /// Panics if `cycle` or `sig` is out of range.
     pub fn value(&self, cycle: usize, sig: SignalId) -> Bv {
-        Bv::new(self.rows[cycle][sig.index()], self.widths[sig.index()])
+        Bv::new(
+            self.raw_row(cycle)[sig.index()],
+            self.shape.widths[sig.index()],
+        )
     }
 
     /// The value of a single bit of `sig` at `cycle`.
@@ -87,17 +120,19 @@ impl Trace {
     ///
     /// Panics if `cycle` is out of range.
     pub fn raw_row(&self, cycle: usize) -> &[u64] {
-        &self.rows[cycle]
+        assert!(cycle < self.len, "cycle {cycle} beyond the trace");
+        let stride = self.signal_count();
+        &self.rows[cycle * stride..(cycle + 1) * stride]
     }
 
     /// Signal names, indexed by [`SignalId::index`].
     pub fn names(&self) -> &[String] {
-        &self.names
+        &self.shape.names
     }
 
     /// Signal widths, indexed by [`SignalId::index`].
     pub fn widths(&self) -> &[u32] {
-        &self.widths
+        &self.shape.widths
     }
 
     /// Appends all rows of `other` (same shape) to this trace.
@@ -106,8 +141,9 @@ impl Trace {
     ///
     /// Panics if the traces have different signal tables.
     pub fn extend_from(&mut self, other: &Trace) {
-        assert_eq!(self.names, other.names, "trace shape mismatch");
-        self.rows.extend(other.rows.iter().cloned());
+        assert_eq!(self.names(), other.names(), "trace shape mismatch");
+        self.rows.extend_from_slice(&other.rows);
+        self.len += other.len;
     }
 
     /// Writes the trace as a minimal VCD (value change dump) document.
@@ -121,18 +157,19 @@ impl Trace {
     pub fn write_vcd(&self, w: &mut impl Write) -> io::Result<()> {
         writeln!(w, "$timescale 1ns $end")?;
         writeln!(w, "$scope module top $end")?;
-        let ids: Vec<String> = (0..self.names.len()).map(vcd_id).collect();
-        for (i, name) in self.names.iter().enumerate() {
-            writeln!(w, "$var wire {} {} {} $end", self.widths[i], ids[i], name)?;
+        let (names, widths) = (self.names(), self.widths());
+        let ids: Vec<String> = (0..names.len()).map(vcd_id).collect();
+        for (i, name) in names.iter().enumerate() {
+            writeln!(w, "$var wire {} {} {} $end", widths[i], ids[i], name)?;
         }
         writeln!(w, "$upscope $end")?;
         writeln!(w, "$enddefinitions $end")?;
-        let mut last: Vec<Option<u64>> = vec![None; self.names.len()];
-        for (t, row) in self.rows.iter().enumerate() {
+        let mut last: Vec<Option<u64>> = vec![None; names.len()];
+        for t in 0..self.len {
             writeln!(w, "#{t}")?;
-            for (i, &v) in row.iter().enumerate() {
+            for (i, &v) in self.raw_row(t).iter().enumerate() {
                 if last[i] != Some(v) {
-                    if self.widths[i] == 1 {
+                    if widths[i] == 1 {
                         writeln!(w, "{}{}", v & 1, ids[i])?;
                     } else {
                         writeln!(w, "b{:b} {}", v, ids[i])?;
@@ -141,7 +178,7 @@ impl Trace {
                 }
             }
         }
-        writeln!(w, "#{}", self.rows.len())?;
+        writeln!(w, "#{}", self.len)?;
         Ok(())
     }
 

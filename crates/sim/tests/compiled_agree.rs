@@ -14,10 +14,20 @@
 //! swaps, double writes, every operator) under random vector suites at
 //! random widths.
 //!
-//! The last section pins what the closure engine's persistent coverage
+//! One section pins what the closure engine's persistent coverage
 //! suite leans on: one `CoverageSuite` shown a suite in consecutive
 //! batches — empty ones, splits inside a 64-lane chunk — answers every
 //! query exactly as after one pass, on either side of the replay seam.
+//!
+//! The last two are about the tape's stimulus feed. *Partial vectors*:
+//! suites whose vectors are randomly thinned (a lane drives a signal in
+//! a cycle its neighbours do not), name a signal twice, and first drive
+//! one signal mid-suite must replay exactly as on the interpreter —
+//! where an unnamed input holds — through the slice feed and through
+//! the packed form the suite owns, at every W and across lane 63/64 and
+//! every `64·W` chunk boundary. *Ownership*: replay → push → replay
+//! equals a fresh suite down to the packed words, clones carry the
+//! form, and having replayed shows in neither `==` nor `Debug`.
 
 use gm_coverage::{CoverageReport, CoverageSuite, UncoveredIndex};
 use gm_rtl::{BinaryOp, Bv, Expr, Module, ModuleBuilder, SignalId, StmtId, UnaryOp};
@@ -695,5 +705,223 @@ proptest! {
         let suite = random_suite(&module, seed ^ 0xBA7C, &lengths);
         let cuts = random_cuts(&mut TestRng::new(seed), ncuts, nseg);
         assert_batches_equal_one_pass(&module, &suite, &cuts, &format!("seed {seed}"));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Partial vectors: an input nobody names holds its value
+// ---------------------------------------------------------------------------
+
+/// A random suite whose vectors are *thinned*: each `(signal, value)`
+/// pair survives with probability 2/3 (so in any cycle a lane drives
+/// signals its neighbours leave alone, and some vectors are empty), one
+/// vector in eight names a signal a second time with another value —
+/// sometimes at another width — and one data input is named by nobody
+/// before the middle of segment `late`, so its rows join the packed
+/// form mid-suite, mid-group and mid-segment.
+fn thinned_suite(module: &Module, seed: u64, lengths: &[u64], late: usize) -> TestSuite {
+    let full = random_suite(module, seed, lengths);
+    let rng = &mut TestRng::new(seed ^ 0x7415);
+    let inputs = module.data_inputs();
+    let late_sig = (!inputs.is_empty()).then(|| inputs[rng.below(inputs.len() as u128) as usize]);
+    let mut suite = TestSuite::new();
+    for (s, segment) in full.segments().iter().enumerate() {
+        let cycles = segment.vectors.len();
+        let vectors = segment
+            .vectors
+            .iter()
+            .enumerate()
+            .map(|(t, vector)| {
+                let mut thin: Vec<(SignalId, Bv)> = vector
+                    .iter()
+                    .filter(|_| rng.below(3) != 0)
+                    .filter(|(sig, _)| {
+                        Some(*sig) != late_sig || s > late || (s == late && t >= cycles / 2)
+                    })
+                    .copied()
+                    .collect();
+                if !thin.is_empty() && rng.below(8) == 0 {
+                    let (sig, old) = thin[rng.below(thin.len() as u128) as usize];
+                    let width = [old.width(), 1, 64][rng.below(3) as usize];
+                    thin.push((sig, Bv::new(rng.next_u64(), width)));
+                }
+                thin
+            })
+            .collect();
+        suite.push(segment.label.clone(), vectors);
+    }
+    suite
+}
+
+/// Asserts that the tape agrees with the interpreter on `suite` at
+/// every lane block through both feeds: the slice path (a scratch form
+/// packed per chunk) and the form the suite owns (built by the first
+/// `run_compiled`, read by the later ones).
+fn assert_both_feeds_agree(module: &Module, suite: &TestSuite, label: &str) {
+    let interp = run_interpreter(module, suite);
+    let compiled = CompiledModule::compile(module).expect("compiles");
+    for block in BLOCKS {
+        let mut cov = CoverageSuite::new(module);
+        let traces = Replay {
+            module,
+            compiled: Some(&compiled),
+            block,
+            cancel: None,
+        }
+        .traces(suite.segments(), &mut cov)
+        .expect("interpreter not involved")
+        .expect("no cancel token");
+        assert_eq!(
+            interp,
+            result_of(&cov, traces),
+            "{label}: slice feed W={block} diverged"
+        );
+        let owned = run_compiled_batch(module, suite, block);
+        assert_eq!(interp, owned, "{label}: owned feed W={block} diverged");
+    }
+    let packed = suite.packed().expect("run_compiled built the form");
+    assert_eq!(packed.segments(), suite.len(), "{label}");
+}
+
+#[test]
+fn unnamed_inputs_hold_and_the_last_naming_wins() {
+    // Directed: every row below is worked out by hand, so this pins the
+    // semantics, not just agreement. `acc` adds `a + b` per cycle.
+    let src = "
+    module hold(input clk, input rst, input a, input [2:0] b, output reg [3:0] acc);
+      always @(posedge clk)
+        if (rst) acc <= 0;
+        else acc <= acc + {3'b0, a} + {1'b0, b};
+    endmodule";
+    let module = gm_rtl::parse_verilog(src).unwrap();
+    let (a, b, acc) = (
+        module.require("a").unwrap(),
+        module.require("b").unwrap(),
+        module.require("acc").unwrap(),
+    );
+    let mut suite = TestSuite::new();
+    suite.push(
+        "holds",
+        vec![
+            vec![(a, Bv::one_bit()), (b, Bv::new(3, 3))],
+            vec![],                                        // both held: +4
+            vec![(b, Bv::new(1, 3))],                      // a held:    +2
+            vec![(a, Bv::zero_bit()), (a, Bv::one_bit())], // last wins: +2
+        ],
+    );
+    // Its neighbours drive other signals in other cycles.
+    suite.push("late a", vec![vec![], vec![(a, Bv::one_bit())], vec![]]);
+    suite.push(
+        "b once",
+        vec![vec![], vec![], vec![(b, Bv::new(7, 3))], vec![], vec![]],
+    );
+    assert_both_feeds_agree(&module, &suite, "hold");
+    let compiled = CompiledModule::compile(&module).unwrap();
+    let traces = suite.run_compiled(&module, &compiled, &mut NopObserver, 1);
+    let acc_rows = |s: usize| -> Vec<u64> {
+        (0..traces[s].len())
+            .map(|t| traces[s].value(t, acc).bits())
+            .collect()
+    };
+    assert_eq!(acc_rows(0), [0, 4, 8, 10]);
+    assert_eq!(acc_rows(1), [0, 0, 1]);
+    assert_eq!(acc_rows(2), [0, 0, 0, 7, 14]);
+}
+
+#[test]
+fn partial_vectors_agree_across_lane_and_block_boundaries() {
+    // Thinned suites with counts one under, at and one over lane 63/64
+    // and every 64·W chunk boundary (W = 8 → 512), ragged lengths, and
+    // the late signal arriving in a second or later lane group whenever
+    // there is one.
+    let module = gm_designs::arbiter4();
+    for count in [
+        1usize, 63, 64, 65, 127, 128, 129, 255, 256, 257, 511, 512, 513,
+    ] {
+        let lengths: Vec<u64> = (0..count as u64).map(|i| (i * 5) % 11).collect();
+        let late = if count > 70 { 70 } else { count / 2 };
+        let suite = thinned_suite(&module, 0x4011D ^ count as u64, &lengths, late);
+        assert_both_feeds_agree(&module, &suite, &format!("arbiter4 thinned x{count}"));
+    }
+}
+
+#[test]
+fn partial_vectors_agree_across_the_catalog() {
+    for design in gm_designs::catalog() {
+        let module = design.module();
+        let lengths: Vec<u64> = (0..67).map(|i| (i * 7) % 19).collect();
+        let suite = thinned_suite(&module, 0x7A1E ^ design.window as u64, &lengths, 64);
+        assert_both_feeds_agree(&module, &suite, design.name);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random modules x thinned suites: both feeds agree with the
+    /// interpreter at every lane block.
+    #[test]
+    fn random_modules_agree_on_partial_vectors(
+        seed in any::<u64>(),
+        nseg in 1usize..140,
+        late in 0usize..140,
+    ) {
+        let module = random_module(seed);
+        let lengths: Vec<u64> = (0..nseg as u64).map(|i| (seed % 5 + 3 * i) % 9).collect();
+        let suite = thinned_suite(&module, seed ^ 0x401D, &lengths, late % nseg);
+        assert_both_feeds_agree(&module, &suite, &format!("seed {seed}"));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The form a suite owns follows the suite
+// ---------------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Replay, push more, replay: the suite answers — traces, coverage
+    /// and the packed words themselves — exactly as a fresh suite of
+    /// the same segments. A clone carries the form and replays
+    /// identically; having replayed changes neither equality nor the
+    /// `Debug` render.
+    #[test]
+    fn the_owned_form_follows_pushes_and_clones(
+        seed in any::<u64>(),
+        first in 0usize..140,
+        more in 1usize..140,
+        block_idx in 0usize..BLOCKS.len(),
+    ) {
+        let block = BLOCKS[block_idx];
+        let module = random_module(seed);
+        let lengths: Vec<u64> = (0..(first + more) as u64).map(|i| (seed % 3 + 5 * i) % 9).collect();
+        let all = thinned_suite(&module, seed ^ 0x57A1E, &lengths, first + more / 2);
+        let mut grown = TestSuite::new();
+        for segment in &all.segments()[..first] {
+            grown.push(segment.label.clone(), segment.vectors.clone());
+        }
+
+        let twin = grown.clone();
+        let before = run_compiled_batch(&module, &grown, block);
+        prop_assert!(grown.packed().is_some() && twin.packed().is_none());
+        prop_assert_eq!(&grown, &twin, "a replay is not a change (seed {})", seed);
+        prop_assert_eq!(format!("{grown:?}"), format!("{twin:?}"));
+        prop_assert_eq!(&before, &run_interpreter(&module, &twin));
+
+        let early = grown.clone();
+        prop_assert_eq!(early.packed(), grown.packed(), "a clone carries the form");
+
+        for segment in &all.segments()[first..] {
+            grown.push(segment.label.clone(), segment.vectors.clone());
+        }
+        prop_assert_eq!(&grown, &all);
+        let after = run_compiled_batch(&module, &grown, block);
+        prop_assert_eq!(&after, &run_compiled_batch(&module, &all, block), "seed {}", seed);
+        prop_assert_eq!(&after, &run_interpreter(&module, &all), "seed {}", seed);
+        prop_assert_eq!(grown.packed(), all.packed(), "extended in place == packed afresh");
+
+        // The clone taken before the pushes is still the shorter suite.
+        prop_assert_eq!(&run_compiled_batch(&module, &early, block), &before);
+        prop_assert_eq!(early.packed().map(|p| p.segments()), Some(first));
     }
 }
