@@ -191,9 +191,13 @@ fn bench_sat(c: &mut Criterion) {
 
 /// The propagation loop as the closure engine drives it: one warm
 /// `CheckSession` on `b18_lite`, a fixed list of 200 properties decided
-/// by k-induction per iteration (assumption queries against two shared
-/// unrollings, learnt clauses carried over). Also prints the cost per
-/// propagated literal, the unit the solver's hot path is judged in.
+/// by k-induction per iteration (scoped assumption queries against two
+/// shared unrollings, each deciding the fan-in cone of its own
+/// assumptions; learnt clauses carried over; violated verdicts replayed
+/// on a cloned pristine prefix for their trace). Also prints the cost
+/// per propagated literal, the unit the solver's hot path is judged in
+/// — since queries are scoped, most of those literals are fan-out
+/// propagation out of the cone, not decisions.
 fn bench_sat_session(c: &mut Criterion) {
     let module = gm_designs::b18_lite();
     let elab = elaborate(&module).unwrap();
@@ -246,8 +250,9 @@ fn bench_sat_session(c: &mut Criterion) {
 /// kernel, decided over and over by one warm checker. The property
 /// alternates between two spellings (an antecedent atom repeated or
 /// not — the same encoding) under a one-entry memo, so no check is
-/// memo-served: each iteration is one session query plus one canonical
-/// re-extraction.
+/// memo-served: each iteration is one scoped session query (the
+/// verdict) plus the session's replay on a cloned pristine prefix (the
+/// trace).
 fn bench_canonical_cex(c: &mut Criterion) {
     let spellings = |antecedent: Vec<BitAtom>, consequent: BitAtom| {
         let mut doubled = antecedent.clone();

@@ -17,7 +17,7 @@ use crate::prop::{
 };
 use gm_cache::FxMap;
 use gm_rtl::Module;
-use gm_sat::{Lit, SolveResult, Solver};
+use gm_sat::{Lit, SolveResult, Solver, Var};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -108,19 +108,51 @@ impl UnrollProperty for TemporalProperty {
 /// The unroller is the persistent half of an incremental verification
 /// session: frames, gate clauses and the solver's learnt clauses all
 /// survive across property queries. Each query is posed as an
-/// *activation literal* (see [`Unroller::violation_lit`]) passed to
-/// [`Solver::solve_with_assumptions`], so nothing is ever asserted
-/// permanently and the same unrolling serves every property of a batch.
+/// *activation literal* (see [`Unroller::violation_lit`]) assumed for
+/// one solver call, so nothing is ever asserted permanently and the
+/// same unrolling serves every property of a batch.
 /// A structural AND cache keeps re-encoding the same property (or
 /// overlapping properties) nearly free: the cached activation literal is
 /// returned instead of fresh clauses.
 ///
+/// ## Two kinds of query
+///
+/// A caller that reads a model — [`Unroller::extract_cex`] after it —
+/// asks [`Solver::solve_with_assumptions`] through
+/// [`Unroller::solver`]: the one-shot [`bmc`] / [`k_induction`] and
+/// canonical counterexample extraction do. A caller that wants the
+/// verdict alone asks [`Unroller::solve_scoped`], which decides only
+/// the *fan-in cone* of its assumptions — the variables the
+/// assumptions are functions of — instead of every frame and every
+/// other property's AND-chain the unrolling has accumulated. That is
+/// what [`crate::CheckSession`] does for every query.
+///
+/// The scoped verdict is the full one. Every clause the unroller adds
+/// is the constant-true unit or one of the three Tseitin clauses
+/// `out ↔ a ∧ b` of an AND gate whose fan-ins `a`, `b` were allocated
+/// before `out`; every other clause is learnt, hence implied by those.
+/// Suppose a scoped query ends `Sat`: every cone variable is assigned,
+/// propagation is at its fixpoint and no clause is falsified. A gate
+/// whose output is in the cone has both fan-ins in it (the cone is
+/// fan-in closed), so its three clauses are fully assigned, and not
+/// being falsified they are satisfied: inside the cone, every output
+/// equals its function. Now complete the assignment outside the cone
+/// in allocation order: the constant is true, a free variable (a
+/// primary input, a free-init latch) takes any value, and a gate
+/// output takes the AND of its fan-ins, which are older and so already
+/// valued. No cone value is touched, every gate clause and the unit
+/// hold, and with them every learnt clause: a model of the whole
+/// database that agrees with the assumptions. `Unsat` is the solver's
+/// usual refutation and needs no argument. The precondition is the
+/// clause inventory above — an unrolling somebody added other clauses
+/// to through [`Unroller::solver`] must be asked full queries only.
+///
 /// Everything an unrolling owns is a flat vector (the solver's arena,
-/// watch pool and per-variable tables, one frame-literal table) or a
-/// table of `Copy` entries, so [`Clone`] is a handful of `memcpy`s —
-/// which is what lets canonical counterexample extraction start from a
-/// copy of a pristine prefix (the checker keeps one per window depth)
-/// instead of re-encoding the design.
+/// watch pool and per-variable tables, one frame-literal table, one
+/// gate table) or a table of `Copy` entries, so [`Clone`] is a handful
+/// of `memcpy`s — which is what lets canonical counterexample
+/// extraction start from a copy of a pristine prefix (the checker keeps
+/// one per window depth) instead of re-encoding the design.
 #[derive(Clone, Debug)]
 pub struct Unroller {
     blasted: Arc<Blasted>,
@@ -134,6 +166,25 @@ pub struct Unroller {
     /// are solver literals the unroller made itself, hence the fast
     /// deterministic hasher.
     and_cache: FxMap<(Lit, Lit), Lit>,
+    /// One row per solver variable, by variable index: what
+    /// `and_cache` maps, read the other way.
+    gates: Vec<Gate>,
+    /// The cone of the latest [`Unroller::solve_scoped`], in the order
+    /// the walk reached it (its own work list), and the epoch that walk
+    /// stamped into [`Gate::walk`].
+    cone: Vec<Var>,
+    cone_epoch: u32,
+}
+
+/// A solver variable as the cone walk sees it.
+#[derive(Clone, Copy, Debug)]
+struct Gate {
+    /// An AND output's two fan-ins; twice the constant-true literal for
+    /// any other variable (and for the constant itself), so the walk
+    /// tests no kind and every branch of it ends at variable 0.
+    fanin: [Lit; 2],
+    /// The epoch of the last walk that reached this variable.
+    walk: u32,
 }
 
 impl Unroller {
@@ -152,6 +203,12 @@ impl Unroller {
             frames: 0,
             free_init,
             and_cache: FxMap::default(),
+            gates: vec![Gate {
+                fanin: [t, t],
+                walk: 0,
+            }],
+            cone: Vec::new(),
+            cone_epoch: 0,
         }
     }
 
@@ -163,7 +220,9 @@ impl Unroller {
         Unroller::new(Arc::new(blasted.clone()), free_init)
     }
 
-    /// The underlying solver.
+    /// The underlying solver — for full queries and their models, and
+    /// for statistics. Adding clauses of one's own through it forfeits
+    /// [`Unroller::solve_scoped`] (see the type's docs).
     pub fn solver(&mut self) -> &mut Solver {
         &mut self.solver
     }
@@ -174,15 +233,79 @@ impl Unroller {
     }
 
     /// Approximate resident size of the unrolling: the solver (see
-    /// [`Solver::approx_bytes`]), the frame literal table, and the
-    /// structural AND cache. Used by long-lived services for cache
-    /// accounting — an estimate, not an allocator measurement.
+    /// [`Solver::approx_bytes`]), the frame literal table, the
+    /// structural AND cache, the gate table and the cone scratch. Used
+    /// by long-lived services for cache accounting — an estimate, not
+    /// an allocator measurement.
     pub fn approx_bytes(&self) -> usize {
+        use std::mem::size_of;
         // Per cache bucket: key, value and one control byte.
-        let and_entry = 3 * std::mem::size_of::<Lit>() + 1;
+        let and_entry = 3 * size_of::<Lit>() + 1;
         self.solver.approx_bytes()
-            + self.frame_lits.capacity() * std::mem::size_of::<Lit>()
+            + self.frame_lits.capacity() * size_of::<Lit>()
             + self.and_cache.capacity() * and_entry
+            + self.gates.capacity() * size_of::<Gate>()
+            + self.cone.capacity() * size_of::<Var>()
+    }
+
+    /// A fresh solver variable with its gate-table row.
+    fn new_var(&mut self, fanin: [Lit; 2]) -> Lit {
+        self.gates.push(Gate { fanin, walk: 0 });
+        self.solver.new_var().positive()
+    }
+
+    /// A fresh variable no gate defines: a primary input or a free
+    /// initial latch value.
+    fn free_var(&mut self) -> Lit {
+        self.new_var([self.true_lit; 2])
+    }
+
+    /// Leaves in `self.cone` every variable `roots` are functions of:
+    /// the roots' own and, transitively, each AND output's two fan-ins
+    /// (plus the constant, where every branch ends). One epoch-stamped
+    /// walk whose work list is the result; no allocation once the
+    /// scratch has grown to the largest cone seen.
+    fn walk_cone(&mut self, roots: &[Lit]) {
+        self.cone_epoch = self.cone_epoch.wrapping_add(1);
+        if self.cone_epoch == 0 {
+            self.gates.iter_mut().for_each(|g| g.walk = 0);
+            self.cone_epoch = 1;
+        }
+        self.cone.clear();
+        let epoch = self.cone_epoch;
+        let reach = |cone: &mut Vec<Var>, gates: &mut [Gate], lit: Lit| {
+            let gate = &mut gates[lit.var().index()];
+            if gate.walk != epoch {
+                gate.walk = epoch;
+                cone.push(lit.var());
+            }
+        };
+        for &root in roots {
+            reach(&mut self.cone, &mut self.gates, root);
+        }
+        let mut next = 0;
+        while let Some(&v) = self.cone.get(next) {
+            next += 1;
+            for lit in self.gates[v.index()].fanin {
+                reach(&mut self.cone, &mut self.gates, lit);
+            }
+        }
+    }
+
+    /// Decides `assumptions` for the verdict alone:
+    /// [`Solver::solve_scoped`] over their fan-in cone. The cost follows
+    /// the cone, not the unrolling; no model is left to read (see the
+    /// type's docs for why the verdict is the full query's).
+    pub fn solve_scoped(&mut self, assumptions: &[Lit]) -> SolveResult {
+        self.walk_cone(assumptions);
+        self.solver.solve_scoped(assumptions, &self.cone)
+    }
+
+    /// How many variables the latest [`Unroller::solve_scoped`] had in
+    /// scope (against [`Solver::num_vars`]: the share of the unrolling
+    /// the query paid for).
+    pub fn scope_len(&self) -> usize {
+        self.cone.len()
     }
 
     fn encode_and(&mut self, a: Lit, b: Lit) -> Lit {
@@ -204,7 +327,7 @@ impl Unroller {
         if let Some(&out) = self.and_cache.get(&key) {
             return out;
         }
-        let out = self.solver.new_var().positive();
+        let out = self.new_var([a, b]);
         self.solver.add_clause(&[!out, a]);
         self.solver.add_clause(&[!out, b]);
         self.solver.add_clause(&[out, !a, !b]);
@@ -223,13 +346,13 @@ impl Unroller {
             for node in nodes {
                 let lit = match node {
                     AigNode::ConstFalse => !self.true_lit,
-                    AigNode::Input { .. } => self.solver.new_var().positive(),
+                    AigNode::Input { .. } => self.free_var(),
                     AigNode::Latch { index } => {
                         let latch = &blasted.aig.latches()[*index as usize];
                         if f > 0 {
                             self.lit_in(f - 1, latch.next)
                         } else if self.free_init {
-                            self.solver.new_var().positive()
+                            self.free_var()
                         } else if latch.init {
                             self.true_lit
                         } else {
@@ -405,6 +528,11 @@ impl PristinePrefixes {
         }
     }
 
+    /// The design every prefix unrolls.
+    pub(crate) fn blasted(&self) -> &Arc<Blasted> {
+        &self.blasted
+    }
+
     /// An entry is inserted only once fully built, so the map is valid
     /// even if a builder panicked while holding the lock.
     fn lock(&self) -> MutexGuard<'_, BTreeMap<usize, Arc<Unroller>>> {
@@ -443,25 +571,24 @@ impl PristinePrefixes {
     }
 }
 
-/// Re-derives the *canonical* counterexample of a property known to be
-/// violated within `limit` window starts.
+/// Derives the *canonical* counterexample of a property violated
+/// within `limit` window starts.
 ///
 /// The trace is extracted from a private unrolling whose solver state
 /// depends only on the design and `prop` — never on which other properties
 /// a shared session decided before this one. This is the determinism
-/// keystone of the sharded dispatch layer: a session's model for a
-/// violated query varies with its learnt-clause history (and hence with
-/// the shard partition), so [`crate::Checker`] discards the session's
-/// model and re-extracts canonically. The private unrolling is a clone
+/// keystone of the sharded dispatch layer: a session's solver state
+/// varies with its learnt-clause history (and hence with the shard
+/// partition), so a [`crate::CheckSession`] takes verdicts from it and
+/// nothing else, and gets the trace of a violated one here. The private
+/// unrolling is a clone
 /// of the pristine prefix for the property's depth, put through the
 /// very scan the one-shot [`bmc`] runs, so the trace is bit-for-bit the
 /// one [`bmc`] / [`k_induction`] produce on a fresh unrolling. The scan
 /// stops at the first violating start, so the work (and the trace) is
 /// independent of `limit` as long as `limit` covers the violation.
 ///
-/// Returns `None` when no violation exists within `limit` (the caller
-/// then falls back to whatever deterministic trace it already holds,
-/// e.g. an explicit-state one).
+/// Returns `None` when no violation exists within `limit`.
 pub(crate) fn canonical_cex<P: UnrollProperty>(
     module: &Module,
     prefixes: &PristinePrefixes,

@@ -23,14 +23,15 @@
 //! a function of the design, the limits and the backend, never of the
 //! property's kind or of what was decided before it; explicit-state
 //! verdicts carry the direct walk's first violation; SAT verdicts are
-//! solver-state-independent, and violated ones are re-extracted on a
-//! clone of a pristine unrolling prefix, whose model depends only on
+//! solver-state-independent (a session asks scoped queries and reads
+//! no model), and a violated one's trace is replayed by the session on
+//! a clone of a pristine unrolling prefix, whose model depends only on
 //! the design and the property; and a sharded worklist is dealt onto
 //! its sessions in a fixed round-robin and merged back in worklist
 //! order.
 
 use crate::blast::{blast, Blasted};
-use crate::bmc::{canonical_cex, PristinePrefixes, UnrollProperty};
+use crate::bmc::{PristinePrefixes, UnrollProperty};
 use crate::error::McError;
 use crate::explicit::{explicit_check, ExplicitLimits, ReachableStates};
 use crate::prop::{BitAtom, CheckResult, TemporalProperty, WindowProperty};
@@ -90,11 +91,9 @@ impl Normalized {
 }
 
 /// What a worker needs from the [`Checker`] to decide one property,
-/// besides the design and a session: the engine configuration and the
-/// shared pristine prefixes canonical counterexamples start from.
+/// besides the design and a session: the engine configuration.
 #[derive(Clone, Debug)]
 struct DecideParams {
-    prefixes: Arc<PristinePrefixes>,
     backend: Backend,
     limits: ExplicitLimits,
     bmc_bound: u32,
@@ -177,8 +176,8 @@ pub struct Checker {
     reach_failed: bool,
     /// Per-depth pristine unrollings every canonical counterexample
     /// extraction clones (see [`PristinePrefixes`]): a design artifact
-    /// like `reach`, shared with shard workers and kept across
-    /// [`Checker::reset_for_reuse`].
+    /// like `reach`, handed to every session this checker builds and
+    /// kept across [`Checker::reset_for_reuse`].
     prefixes: Arc<PristinePrefixes>,
     session: CheckSession,
     /// Persistent per-shard sessions, grown on demand by sharded
@@ -215,10 +214,11 @@ impl Checker {
     /// Propagates blasting failures.
     pub fn from_elab(module: &Module, elab: &Elab) -> Result<Self, McError> {
         let blasted = Arc::new(blast(module, elab)?);
+        let prefixes = Arc::new(PristinePrefixes::new(blasted.clone()));
         Ok(Checker {
             module: Arc::new(module.clone()),
-            session: CheckSession::new(blasted.clone()),
-            prefixes: Arc::new(PristinePrefixes::new(blasted.clone())),
+            session: CheckSession::sharing(prefixes.clone()),
+            prefixes,
             blasted,
             backend: Backend::Auto,
             limits: ExplicitLimits::default(),
@@ -340,7 +340,7 @@ impl Checker {
     /// stats-invisible; a design cache that parks checkers between
     /// closure requests calls this before reuse.
     pub fn reset_for_reuse(&mut self) {
-        self.session = CheckSession::new(self.blasted.clone());
+        self.session = CheckSession::sharing(self.prefixes.clone());
         self.shard_sessions.clear();
         self.memo_clear();
         self.memo_insertions = 0;
@@ -448,7 +448,6 @@ impl Checker {
 
     fn params(&self) -> DecideParams {
         DecideParams {
-            prefixes: self.prefixes.clone(),
             backend: self.backend,
             limits: self.limits,
             bmc_bound: self.bmc_bound,
@@ -582,7 +581,7 @@ impl Checker {
             self.ensure_reach_for_backend();
             while self.shard_sessions.len() < shards {
                 self.shard_sessions
-                    .push(CheckSession::new(self.blasted.clone()));
+                    .push(CheckSession::sharing(self.prefixes.clone()));
             }
             let params = self.params();
             let module = self.module.clone();
@@ -737,9 +736,10 @@ fn decide<P: UnrollProperty>(
         Ok(res)
     };
     // The SAT engines run on the session's shared unrollings; one
-    // property decision, however many queries it takes.
-    let (limit, res) = match params.backend {
-        Backend::Explicit => return explicit(session),
+    // property decision, however many queries it takes. A violated
+    // verdict comes back carrying its canonical trace.
+    match params.backend {
+        Backend::Explicit => explicit(session),
         Backend::Auto => {
             if let Ok(res) = explicit(session) {
                 return Ok(res);
@@ -747,66 +747,19 @@ fn decide<P: UnrollProperty>(
             // Over the explicit limits: BMC to refute, k-induction to
             // prove.
             session.note_sat_decision();
-            let res = match session.bmc(module, prop, params.bmc_bound, cancel)? {
-                CheckResult::Violated(cex) => CheckResult::Violated(cex),
-                _ => session.k_induction(module, prop, params.kind_max_k, cancel)?,
-            };
-            (params.bmc_bound.max(params.kind_max_k), res)
+            match session.bmc(module, prop, params.bmc_bound, cancel)? {
+                refuted @ CheckResult::Violated(_) => Ok(refuted),
+                _ => session.k_induction(module, prop, params.kind_max_k, cancel),
+            }
         }
         Backend::Bmc { bound } => {
             session.note_sat_decision();
-            (bound, session.bmc(module, prop, bound, cancel)?)
+            session.bmc(module, prop, bound, cancel)
         }
         Backend::KInduction { max_k } => {
             session.note_sat_decision();
-            (max_k, session.k_induction(module, prop, max_k, cancel)?)
+            session.k_induction(module, prop, max_k, cancel)
         }
-    };
-    Ok(canonicalize(
-        module,
-        &params.prefixes,
-        session,
-        prop,
-        limit,
-        res,
-    ))
-}
-
-/// Replaces a session-extracted counterexample with the canonical one
-/// (see [`crate::session`]'s determinism contract). Verdicts pass
-/// through untouched.
-fn canonicalize<P: UnrollProperty>(
-    module: &Module,
-    prefixes: &PristinePrefixes,
-    session: &mut CheckSession,
-    prop: &P,
-    limit: u32,
-    res: CheckResult,
-) -> CheckResult {
-    match res {
-        CheckResult::Violated(session_cex) => {
-            let mut span = gm_trace::span("mc", "mc.canonical_cex");
-            session.note_cex_canonicalized();
-            match canonical_cex(module, prefixes, prop, limit) {
-                Some(cex) => {
-                    // The scan stopped at the violating start, whose
-                    // window ends the trace: the prefix covered the
-                    // first start's window and every later start
-                    // encoded one more frame.
-                    let depth = prop.window_depth() as usize;
-                    let starts = cex.len() - depth;
-                    span.arg("depth", depth);
-                    span.arg("starts", starts);
-                    span.arg("frames_cloned", depth + 1);
-                    span.arg("frames_encoded", starts - 1);
-                    CheckResult::Violated(cex)
-                }
-                // Unreachable for a sound session verdict; keep the
-                // session trace rather than panicking in release.
-                None => CheckResult::Violated(session_cex),
-            }
-        }
-        other => other,
     }
 }
 
@@ -1248,6 +1201,26 @@ mod tests {
         c.reset_for_reuse();
         assert!(c.approx_bytes() >= arena);
         assert!(c.approx_bytes() >= two_frames.approx_bytes());
+        // Outside its solver, an unrolling nobody queried is its frame
+        // literals, its AND cache — whose capacity is that of any map
+        // that took as many entries — and a gate-table row (two
+        // fan-ins, one walk stamp) per variable.
+        let outside = |u: &mut crate::Unroller| u.approx_bytes() - u.solver().approx_bytes();
+        let mut as_many = gm_cache::FxMap::default();
+        as_many.extend((0..clauses / 3).map(|gate| (gate, ())));
+        let frame_lits = 4 * 2 * c.blasted().aig.len();
+        let rows = 12 * two_frames.solver().num_vars();
+        assert!(
+            outside(&mut two_frames) >= frame_lits + 13 * as_many.capacity() + rows,
+            "{} with {rows} bytes of gate rows",
+            outside(&mut two_frames)
+        );
+        // A scoped query leaves its cone behind as scratch.
+        let v = prop.encode_violation(&mut two_frames, 0);
+        let before = outside(&mut two_frames);
+        two_frames.solve_scoped(&[v]);
+        let cone = 4 * two_frames.scope_len();
+        assert!(cone > 0 && outside(&mut two_frames) >= before + cone);
     }
 
     #[test]

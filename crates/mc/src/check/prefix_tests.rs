@@ -1,9 +1,10 @@
 //! Canonical counterexamples from cloned pristine prefixes: the traces
 //! must be those of the one-shot [`bmc`] on a fresh unrolling, under
-//! every dispatch, and the prefixes themselves must stay pristine.
+//! every dispatch and after any session history, and the prefixes
+//! themselves must stay pristine.
 
 use super::*;
-use crate::bmc::bmc;
+use crate::bmc::{bmc, canonical_cex, k_induction};
 use crate::prop::BitAtom;
 use crate::testgen::{
     random_module, random_property, random_temporal_property, seeded_recipe, Recipe,
@@ -95,6 +96,99 @@ proptest! {
     ) {
         canonical_sweep(&bytes)?;
     }
+}
+
+/// Properties one session decides per module in [`history_sweep`], and
+/// how many of them count as its history: results are compared from the
+/// first, and tallied once the session holds `HISTORY` earlier
+/// properties' gates, learnt clauses and saved phases.
+const PER_SESSION: usize = 64;
+const HISTORY: usize = 50;
+
+/// `prop` through both SAT engines: what `session` answers next to what
+/// the one-shot engine answers on a fresh unrolling.
+fn session_and_one_shot<P: UnrollProperty>(
+    session: &mut CheckSession,
+    m: &Module,
+    blasted: &Blasted,
+    prop: &P,
+) -> [(&'static str, CheckResult, CheckResult); 2] {
+    [
+        (
+            "bmc",
+            session.bmc(m, prop, BOUND, None).unwrap(),
+            bmc(m, blasted, prop, BOUND),
+        ),
+        (
+            "k_induction",
+            session.k_induction(m, prop, BOUND, None).unwrap(),
+            k_induction(m, blasted, prop, BOUND),
+        ),
+    ]
+}
+
+/// One [`CheckSession`] per random module decides `PER_SESSION` random
+/// window and temporal properties, each through both SAT engines, and
+/// every result — trace included — must be the one-shot engine's.
+/// Returns how many results were compared with at least `HISTORY`
+/// properties behind them: violated, proved.
+fn history_sweep(bytes: &[u8]) -> Result<(usize, usize), TestCaseError> {
+    let mut recipe = Recipe::new(bytes);
+    let (mut violated, mut proved) = (0, 0);
+    for (inputs, regs) in [(3usize, 0usize), (2, 3), (4, 3)] {
+        let (m, sigs) = random_module(inputs, regs, &mut recipe);
+        let blasted = Arc::new(checker(&m, Backend::Auto).blasted().clone());
+        let mut session = CheckSession::new(blasted.clone());
+        let mut traces = 0;
+        for i in 0..PER_SESSION {
+            let depth = recipe.next() as u32 % 4;
+            let compared = if i % 2 == 0 {
+                let prop = random_property(&sigs, depth, &mut recipe);
+                session_and_one_shot(&mut session, &m, &blasted, &prop)
+            } else {
+                let prop = random_temporal_property(&sigs, depth, &mut recipe);
+                session_and_one_shot(&mut session, &m, &blasted, &prop)
+            };
+            for (engine, got, want) in compared {
+                prop_assert_eq!(&got, &want, "{} after {} properties", engine, i);
+                let is_violated = matches!(got, CheckResult::Violated(_));
+                traces += u64::from(is_violated);
+                if i >= HISTORY {
+                    violated += usize::from(is_violated);
+                    proved += usize::from(got.is_proved());
+                }
+            }
+        }
+        // Every trace handed out was a replay on a pristine prefix.
+        prop_assert_eq!(session.stats().cex_canonicalized, traces);
+    }
+    Ok((violated, proved))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn a_session_with_history_returns_the_one_shot_results(
+        bytes in prop::collection::vec(any::<u8>(), 512..2048),
+    ) {
+        history_sweep(&bytes)?;
+    }
+}
+
+#[test]
+fn history_sweep_sees_late_violations_and_late_proofs() {
+    let (mut violated, mut proved) = (0, 0);
+    for seed in 0u64..4 {
+        let (v, p) = history_sweep(&seeded_recipe(seed, 1500)).unwrap();
+        violated += v;
+        proved += p;
+    }
+    assert!(
+        violated >= 100,
+        "{violated} violated with history behind them"
+    );
+    assert!(proved >= 20, "{proved} proved with history behind them");
 }
 
 #[test]

@@ -31,7 +31,10 @@
 //! * [`CheckSession`] owns at most two unrollings (reset-rooted for BMC
 //!   and induction bases, free-init for induction steps) and reuses
 //!   them — frames, gate encodings and learnt clauses — across every
-//!   property it decides, reporting the work in [`SessionStats`];
+//!   property it decides, reporting the work in [`SessionStats`]; each
+//!   of its queries is *scoped* to the fan-in cone of its assumptions
+//!   ([`Unroller::solve_scoped`]), so it costs its own cone rather than
+//!   everything the unrolling has accumulated, and reads no model;
 //! * [`Checker`] bit-blasts once, lazily computes the reachable state
 //!   set once, routes queries to the configured backend through its
 //!   persistent session, memoizes every decided property, and accepts

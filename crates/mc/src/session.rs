@@ -22,25 +22,38 @@
 //!
 //! ## Determinism contract
 //!
-//! A session's *verdicts* (`Proved` / `Violated` / `Unknown`) depend
-//! only on the design, the property and the query bounds — SAT / UNSAT
-//! answers are independent of learnt-clause history. A session's
-//! *models* (counterexample traces) are not: they vary with the queries
-//! the session decided earlier. The [`crate::Checker`] therefore never
-//! publishes a session model; violated SAT verdicts are re-extracted on
-//! a private clone of the checker's pristine, never-solved unrolling
-//! prefix for the property's depth — the solver state a fresh one-shot
-//! unrolling would be in, without re-encoding the design — and counted
-//! in [`SessionStats::cex_canonicalized`]. That makes every result —
-//! and every downstream closure-outcome artifact — identical regardless
-//! of shard count or batch order.
+//! A session never reads a model. Every query it poses is a *scoped*
+//! one ([`Unroller::solve_scoped`]): the solver decides the fan-in cone
+//! of the query's assumptions and answers `Sat` or `Unsat`, and that
+//! answer depends only on the design, the property and the query bounds
+//! — never on the learnt clauses, the other properties' gates or the
+//! decision order the session's history left behind. So a session's
+//! verdicts (`Proved` / `Violated` / `Unknown`), the sequence of queries
+//! behind them and every counter of [`SessionStats`] except the
+//! solver's own work ([`SessionStats::solver`]) are functions of the
+//! calls made on it.
+//!
+//! The trace of a `Violated` verdict is not taken from the session's
+//! solver either: the session replays the scan, up to the violating
+//! start it just found, on a private clone of the pristine,
+//! never-solved unrolling prefix for the property's depth (the
+//! [`crate::Checker`] shares one set of prefixes among all its
+//! sessions) — the solver state a fresh one-shot unrolling would be in,
+//! without re-encoding the design — and counts it in
+//! [`SessionStats::cex_canonicalized`]. That full-model path is
+//! search-pinned (`gm_sat`'s `search_identity` suite); the scoped one is
+//! not and need not be. Every result — and every downstream
+//! closure-outcome artifact — is therefore identical regardless of
+//! shard count, batch order or what the session decided before, and
+//! equal to what the one-shot [`crate::bmc`] / [`crate::k_induction`]
+//! return.
 
 use crate::blast::Blasted;
-use crate::bmc::{UnrollProperty, Unroller};
+use crate::bmc::{canonical_cex, PristinePrefixes, UnrollProperty, Unroller};
 use crate::error::McError;
-use crate::prop::CheckResult;
+use crate::prop::{CexTrace, CheckResult};
 use gm_rtl::Module;
-use gm_sat::{SolveResult, SolverStats};
+use gm_sat::{Lit, SolveResult, SolverStats};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -171,22 +184,31 @@ impl SessionStats {
 /// k-induction base case) and one free-init unroller (shared by every
 /// induction step), both built lazily on first use and reused for the
 /// session's lifetime. All queries go through
-/// [`gm_sat::Solver::solve_with_assumptions`], so the clause database
+/// [`Unroller::solve_scoped`] under assumptions, so the clause database
 /// only ever grows with gate definitions and learnt clauses — no query
-/// can contaminate a later one.
+/// can contaminate a later one, and each costs its own cone.
 #[derive(Debug)]
 pub struct CheckSession {
-    blasted: Arc<Blasted>,
+    /// The design, and where violated verdicts get their traces (see
+    /// the module docs).
+    prefixes: Arc<PristinePrefixes>,
     base: Option<Unroller>,
     step: Option<Unroller>,
     stats: SessionStats,
 }
 
 impl CheckSession {
-    /// Creates an empty session over a shared blasted design.
+    /// Creates an empty session over a shared blasted design, with
+    /// pristine prefixes of its own.
     pub fn new(blasted: Arc<Blasted>) -> Self {
+        CheckSession::sharing(Arc::new(PristinePrefixes::new(blasted)))
+    }
+
+    /// Creates an empty session over the design of `prefixes`, which a
+    /// checker shares among all its sessions.
+    pub(crate) fn sharing(prefixes: Arc<PristinePrefixes>) -> Self {
         CheckSession {
-            blasted,
+            prefixes,
             base: None,
             step: None,
             stats: SessionStats::default(),
@@ -195,7 +217,7 @@ impl CheckSession {
 
     /// The design this session unrolls.
     pub fn blasted(&self) -> &Blasted {
-        &self.blasted
+        self.prefixes.blasted()
     }
 
     /// Cumulative statistics for the session.
@@ -205,7 +227,8 @@ impl CheckSession {
 
     /// Approximate resident size of the session's unrollings (see
     /// [`Unroller::approx_bytes`]) — the number a long-lived service
-    /// weighs when deciding which warm design state to evict.
+    /// weighs when deciding which warm design state to evict. The
+    /// pristine prefixes are billed by whoever shares them out.
     pub fn approx_bytes(&self) -> usize {
         self.base.as_ref().map_or(0, Unroller::approx_bytes)
             + self.step.as_ref().map_or(0, Unroller::approx_bytes)
@@ -221,10 +244,6 @@ impl CheckSession {
 
     pub(crate) fn note_sat_decision(&mut self) {
         self.stats.sat_decided += 1;
-    }
-
-    pub(crate) fn note_cex_canonicalized(&mut self) {
-        self.stats.cex_canonicalized += 1;
     }
 
     /// Lazily builds one of the two unrollers, counting construction.
@@ -251,20 +270,22 @@ impl CheckSession {
         stats.frames_encoded += need.saturating_sub(have) as u64;
     }
 
-    /// One assumption-based query, folding the solver's per-call cost
-    /// into the session stats.
+    /// One scoped query, folding the solver's per-call cost into the
+    /// session stats.
     fn solve(
         unroller: &mut Unroller,
-        assumptions: &[gm_sat::Lit],
+        assumptions: &[Lit],
         stats: &mut SessionStats,
     ) -> SolveResult {
         let mut span = gm_trace::span("mc", "mc.sat_query");
         stats.sat_queries += 1;
-        let res = unroller.solver().solve_with_assumptions(assumptions);
+        let res = unroller.solve_scoped(assumptions);
         let delta = unroller.solver().last_call_stats();
         stats.solver += delta;
         if span.is_active() {
             span.arg("assumptions", assumptions.len());
+            span.arg("scope", unroller.scope_len());
+            span.arg("vars", unroller.solver().num_vars());
             span.arg("sat", res == SolveResult::Sat);
             span.arg("conflicts", delta.conflicts);
             span.arg("decisions", delta.decisions);
@@ -275,29 +296,52 @@ impl CheckSession {
     }
 
     /// Asks the reset-rooted unrolling whether the window starting at
-    /// `start` can violate `prop`; returns the trace if so.
-    fn base_violation<P: UnrollProperty>(
+    /// `start` can violate `prop`.
+    fn base_violation<P: UnrollProperty>(&mut self, prop: &P, start: usize) -> bool {
+        let depth = prop.window_depth() as usize;
+        let base = Self::unroller(
+            &mut self.base,
+            self.prefixes.blasted(),
+            false,
+            &mut self.stats,
+        );
+        Self::extend_frames(base, start + depth, &mut self.stats);
+        let v = prop.encode_violation(base, start);
+        Self::solve(base, &[v], &mut self.stats) == SolveResult::Sat
+    }
+
+    /// The trace of a violation [`CheckSession::base_violation`] just
+    /// found at `start` (every earlier start having been refuted): the
+    /// one-shot scan's, replayed on a clone of the pristine prefix.
+    fn canonical_trace<P: UnrollProperty>(
         &mut self,
         module: &Module,
         prop: &P,
         start: usize,
-    ) -> Option<crate::prop::CexTrace> {
+    ) -> CexTrace {
+        let mut span = gm_trace::span("mc", "mc.canonical_cex");
+        self.stats.cex_canonicalized += 1;
+        let limit = u32::try_from(start).expect("window starts are bounded by a u32");
+        let cex = canonical_cex(module, &self.prefixes, prop, limit)
+            .expect("a scoped Sat verdict is the full query's: the replay finds the violation");
+        // The replay stopped at the violating start, whose window ends
+        // the trace: the prefix covered the first start's window and
+        // every later start encoded one more frame.
         let depth = prop.window_depth() as usize;
-        let base = Self::unroller(&mut self.base, &self.blasted, false, &mut self.stats);
-        Self::extend_frames(base, start + depth, &mut self.stats);
-        let v = prop.encode_violation(base, start);
-        if Self::solve(base, &[v], &mut self.stats) == SolveResult::Sat {
-            Some(base.extract_cex(module, start + depth))
-        } else {
-            None
-        }
+        let starts = cex.len() - depth;
+        span.arg("depth", depth);
+        span.arg("starts", starts);
+        span.arg("frames_cloned", depth + 1);
+        span.arg("frames_encoded", starts - 1);
+        cex
     }
 
     /// Bounded model checking against the shared reset-rooted unrolling:
     /// window starts range over `0..=max_start`.
     ///
-    /// Same verdict as the one-shot [`crate::bmc`], but frames, gate
-    /// encodings and learnt clauses persist for the next property.
+    /// Same result as the one-shot [`crate::bmc`], trace included, but
+    /// frames, gate encodings and learnt clauses persist for the next
+    /// property.
     /// Latch-free designs are start-invariant, so their scan collapses
     /// to the single window at reset (the reported `Unknown` bound stays
     /// the requested one).
@@ -315,7 +359,7 @@ impl CheckSession {
         max_start: u32,
         cancel: Option<&AtomicBool>,
     ) -> Result<CheckResult, McError> {
-        let last_start = crate::bmc::last_scan_start(&self.blasted, max_start);
+        let last_start = crate::bmc::last_scan_start(self.blasted(), max_start);
         for start in 0..=last_start {
             if cancel_requested(cancel) {
                 return Err(McError::Cancelled);
@@ -325,9 +369,13 @@ impl CheckSession {
             }
             let mut span = gm_trace::span("mc", "mc.bmc_window");
             span.arg("start", start as u64);
-            if let Some(cex) = self.base_violation(module, prop, start) {
+            if self.base_violation(prop, start) {
                 span.arg("violated", true);
-                return Ok(CheckResult::Violated(cex));
+                // The replay is its own span, beside this window's.
+                drop(span);
+                return Ok(CheckResult::Violated(
+                    self.canonical_trace(module, prop, start),
+                ));
             }
         }
         Ok(CheckResult::Unknown { bound: max_start })
@@ -336,7 +384,8 @@ impl CheckSession {
     /// k-induction against the shared unrollings: base cases on the
     /// reset-rooted one, step cases on the free-init one.
     ///
-    /// Same verdict as the one-shot [`crate::k_induction`].
+    /// Same result as the one-shot [`crate::k_induction`], trace
+    /// included.
     ///
     /// # Errors
     ///
@@ -350,6 +399,10 @@ impl CheckSession {
         cancel: Option<&AtomicBool>,
     ) -> Result<CheckResult, McError> {
         let depth = prop.window_depth() as usize;
+        // The step query's assumptions: windows `0..k` hold, then
+        // window `k` fails. One vector for the whole call; each depth
+        // turns its last entry around and appends the next violation.
+        let mut assumptions = Vec::with_capacity(max_k as usize + 1);
         for k in 0..=max_k as usize {
             if cancel_requested(cancel) {
                 return Err(McError::Cancelled);
@@ -360,21 +413,25 @@ impl CheckSession {
             let mut span = gm_trace::span("mc", "mc.kind_depth");
             span.arg("k", k);
             // Base: violation in the window starting at k from reset?
-            if let Some(cex) = self.base_violation(module, prop, k) {
+            if self.base_violation(prop, k) {
                 span.arg("violated", true);
-                return Ok(CheckResult::Violated(cex));
+                // The replay is its own span, beside this depth's.
+                drop(span);
+                return Ok(CheckResult::Violated(self.canonical_trace(module, prop, k)));
             }
             // Step: from a free state, k windows hold but window k fails?
-            let step = Self::unroller(&mut self.step, &self.blasted, true, &mut self.stats);
+            let step = Self::unroller(
+                &mut self.step,
+                self.prefixes.blasted(),
+                true,
+                &mut self.stats,
+            );
             Self::extend_frames(step, k + depth, &mut self.stats);
-            let mut assumptions = Vec::with_capacity(k + 1);
-            for j in 0..k {
-                assumptions.push(prop.encode_holds(step, j));
-            }
             assumptions.push(prop.encode_violation(step, k));
             if Self::solve(step, &assumptions, &mut self.stats) == SolveResult::Unsat {
                 return Ok(CheckResult::Proved);
             }
+            assumptions[k] = prop.encode_holds(step, k);
         }
         Ok(CheckResult::Unknown { bound: max_k })
     }

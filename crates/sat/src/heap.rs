@@ -37,6 +37,13 @@ impl VarOrder {
         self.pos.get(v.index()).is_some_and(|&p| p != ABSENT)
     }
 
+    /// Empties the heap, in time linear in what it held.
+    pub fn clear(&mut self) {
+        for v in self.heap.drain(..) {
+            self.pos[v.index()] = ABSENT;
+        }
+    }
+
     /// Inserts `v` if absent.
     pub fn insert(&mut self, v: Var, activity: &[f64]) {
         self.grow(v.index() + 1);
@@ -139,6 +146,20 @@ mod tests {
         assert_eq!(h.pop(&act), Some(v0));
         assert!(!h.contains(v0));
         assert_eq!(h.pop(&act), None);
+    }
+
+    #[test]
+    fn clear_forgets_every_member() {
+        let act = vec![1.0, 2.0, 3.0];
+        let mut h = VarOrder::new();
+        for i in 0..3 {
+            h.insert(Var::from_index(i), &act);
+        }
+        h.clear();
+        assert!((0..3).all(|i| !h.contains(Var::from_index(i))));
+        assert_eq!(h.pop(&act), None);
+        h.insert(Var::from_index(1), &act);
+        assert_eq!(h.pop(&act), Some(Var::from_index(1)));
     }
 
     #[test]

@@ -5,6 +5,15 @@
 //! decision order, phase saving and Luby restarts. Supports incremental
 //! use (adding clauses between solves) and solving under assumptions —
 //! exactly what the bounded-model-checking loop in `gm-mc` needs.
+//!
+//! A query comes in two strengths. [`Solver::solve_with_assumptions`]
+//! decides every variable and leaves a model of the whole clause
+//! database. [`Solver::solve_scoped`] decides only the variables of a
+//! caller-given *scope* and answers `Sat` as soon as those are assigned
+//! without conflict: a verdict, for callers whose clause database lets
+//! a consistent assignment of the scope always be completed (a circuit
+//! and a fan-in-closed cone of it), at the cost of the scope instead of
+//! the cost of everything the solver has ever been told.
 
 use crate::heap::VarOrder;
 use crate::lit::{Lit, Var};
@@ -175,6 +184,14 @@ pub struct Solver {
     order: VarOrder,
     phase: Vec<bool>,
     seen: Vec<bool>,
+    /// The decision scope: `v` is in it when `scope_stamp[v] ==
+    /// scope_epoch`, and only variables in it are ever queued in
+    /// `order`. Epoch 0 with every stamp 0 is "every variable" — the
+    /// state of a solver that never took a scoped query, and the one a
+    /// full query restores; each [`Solver::solve_scoped`] takes a fresh
+    /// epoch and stamps its scope with it.
+    scope_stamp: Vec<u32>,
+    scope_epoch: u32,
     /// Scratch for [`Solver::analyze`], reused across conflicts: the
     /// learnt clause (the call's result) and its unminimized form.
     learnt: Vec<Lit>,
@@ -212,6 +229,8 @@ impl Solver {
             order: VarOrder::new(),
             phase: Vec::new(),
             seen: Vec::new(),
+            scope_stamp: Vec::new(),
+            scope_epoch: 0,
             learnt: Vec::new(),
             unminimized: Vec::new(),
             unsat: false,
@@ -229,10 +248,19 @@ impl Solver {
         self.activity.push(0.0);
         self.phase.push(false);
         self.seen.push(false);
+        self.scope_stamp.push(0);
         self.watches.lists.push(WatchList::default());
         self.watches.lists.push(WatchList::default());
-        self.order.insert(v, &self.activity);
+        if self.in_scope(v) {
+            self.order.insert(v, &self.activity);
+        }
         v
+    }
+
+    /// Whether the current query may decide `v`.
+    #[inline]
+    fn in_scope(&self, v: Var) -> bool {
+        self.scope_stamp[v.index()] == self.scope_epoch
     }
 
     /// The number of allocated variables.
@@ -246,9 +274,9 @@ impl Solver {
     }
 
     /// Approximate resident size of the solver: the clause arena, the
-    /// watch pool and list table, every per-variable table, the
-    /// decision heap and the trail, by capacity. An estimate for cache
-    /// accounting, not an allocator measurement.
+    /// watch pool and list table, every per-variable table (the scope
+    /// stamps included), the decision heap and the trail, by capacity.
+    /// An estimate for cache accounting, not an allocator measurement.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         self.arena.capacity() * size_of::<Lit>()
@@ -260,6 +288,7 @@ impl Solver {
             + self.activity.capacity() * size_of::<f64>()
             + self.phase.capacity() * size_of::<bool>()
             + self.seen.capacity() * size_of::<bool>()
+            + self.scope_stamp.capacity() * size_of::<u32>()
             + self.order.approx_bytes()
             + self.trail.capacity() * size_of::<Lit>()
             + self.trail_lim.capacity() * size_of::<usize>()
@@ -272,8 +301,9 @@ impl Solver {
     }
 
     /// The stats delta of the most recent [`Solver::solve`] /
-    /// [`Solver::solve_with_assumptions`] call alone — the per-query
-    /// cost an incremental caller wants to attribute to one property.
+    /// [`Solver::solve_with_assumptions`] / [`Solver::solve_scoped`]
+    /// call alone — the per-query cost an incremental caller wants to
+    /// attribute to one property.
     pub fn last_call_stats(&self) -> SolverStats {
         self.last_call
     }
@@ -543,7 +573,9 @@ impl Solver {
             self.phase[v.index()] = self.assign[v.index()] == LBool::TRUE;
             self.assign[v.index()] = LBool::UNDEF;
             self.reason[v.index()] = NO_REASON;
-            self.order.insert(v, &self.activity);
+            if self.in_scope(v) {
+                self.order.insert(v, &self.activity);
+            }
         }
         self.trail.truncate(bound);
         self.trail_lim.truncate(target as usize);
@@ -587,7 +619,78 @@ impl Solver {
     /// assumptions; the clause database — including every clause learnt
     /// during this call — remains usable afterwards, which is what makes
     /// back-to-back property queries against one unrolling cheap.
+    ///
+    /// `Sat` leaves a model of every clause. A solver that never takes
+    /// a [`Solver::solve_scoped`] query runs exactly the search it
+    /// always ran; the first full query after a scoped one re-queues
+    /// every unassigned variable, once.
     pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SolveResult {
+        if self.scope_epoch != 0 {
+            self.backtrack(0);
+            self.scope_stamp.fill(0);
+            self.scope_epoch = 0;
+            self.order.clear();
+            for v in (0..self.num_vars()).map(Var::from_index) {
+                if self.assign[v.index()].is_undef() {
+                    self.order.insert(v, &self.activity);
+                }
+            }
+        }
+        self.solve_counted(assumptions)
+    }
+
+    /// Solves under `assumptions`, deciding only the variables in
+    /// `scope`: the decision heap holds the scope and nothing else, and
+    /// `Sat` means every scope variable is assigned, propagation is at
+    /// its fixpoint and no clause is falsified — a verdict, not a
+    /// model. Variables outside the scope are assigned only where unit
+    /// propagation reaches them; [`Solver::model_value`] is meaningful
+    /// for scope variables alone, and
+    /// [`Solver::model_satisfies_all`] for none.
+    ///
+    /// The verdict equals [`Solver::solve_with_assumptions`]'s whenever
+    /// every conflict-free total assignment of the scope extends to a
+    /// model of all clauses, which is the caller's to guarantee. It
+    /// holds when every clause is a gate definition (an output variable
+    /// as a function of earlier ones), a unit, or implied by those, and
+    /// the scope holds the assumptions' variables and is closed under
+    /// gate fan-in: the gates outside it can then be evaluated from
+    /// their fan-ins, in definition order, without touching it. `Unsat`
+    /// needs no such condition.
+    ///
+    /// The cost is the scope's, not the solver's: setting up takes time
+    /// linear in `scope` and in the previous scope, and nothing outside
+    /// it is ever decided or re-queued.
+    ///
+    /// # Panics
+    ///
+    /// If `scope` or `assumptions` name an unallocated variable.
+    pub fn solve_scoped(&mut self, assumptions: &[Lit], scope: &[Var]) -> SolveResult {
+        self.order.clear();
+        // Under a fresh epoch nothing is in scope yet, so undoing the
+        // previous query re-queues nothing.
+        self.scope_epoch = self.scope_epoch.wrapping_add(1);
+        if self.scope_epoch == 0 {
+            self.scope_stamp.fill(0);
+            self.scope_epoch = 1;
+        }
+        self.backtrack(0);
+        for &v in scope {
+            assert!(
+                v.index() < self.num_vars(),
+                "scope variable {v} is unallocated"
+            );
+            self.scope_stamp[v.index()] = self.scope_epoch;
+            if self.assign[v.index()].is_undef() {
+                self.order.insert(v, &self.activity);
+            }
+        }
+        self.solve_counted(assumptions)
+    }
+
+    /// [`Solver::solve_inner`], with the call's cost left in
+    /// `last_call`.
+    fn solve_counted(&mut self, assumptions: &[Lit]) -> SolveResult {
         let before = self.stats;
         let res = self.solve_inner(assumptions);
         self.last_call = self.stats - before;
@@ -659,6 +762,9 @@ impl Solver {
     /// The model value of a literal after a `Sat` answer.
     ///
     /// Unconstrained variables read as their saved phase (deterministic).
+    /// After a [`Solver::solve_scoped`] answer only scope variables
+    /// have a model value; the rest read as whatever propagation or an
+    /// earlier query left.
     pub fn model_value(&self, lit: Lit) -> bool {
         let value = self.lit_value(lit);
         if value.is_undef() {
@@ -855,6 +961,17 @@ mod tests {
         let mut s = Solver::new();
         let empty = s.approx_bytes();
         let vars: Vec<Var> = (0..64).map(|_| s.new_var()).collect();
+        // Every per-variable table, before a clause's slack can hide
+        // one: assignment, level, reason, activity, phase, seen flag
+        // and scope stamp, the heap's slot and position, and two watch
+        // list headers.
+        let per_var = 1 + 4 + 4 + 8 + 1 + 1 + 4 + (4 + 8) + 2 * 12;
+        assert!(
+            s.approx_bytes() >= empty + vars.len() * per_var,
+            "{} < {}",
+            s.approx_bytes(),
+            vars.len() * per_var
+        );
         let mut words = 0;
         for w in vars.windows(5) {
             let c: Vec<Lit> = w.iter().map(|v| v.positive()).collect();
