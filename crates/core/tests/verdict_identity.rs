@@ -13,8 +13,10 @@
 //! the parent, then the change), so a pass says the scoped sessions
 //! decide exactly what the full-model sessions decided and hand back
 //! exactly the same traces. The solver counters are the one thing
-//! allowed to move, and only down: their sums must stay strictly below
-//! what the parent recorded.
+//! allowed to move: summed propagations and conflicts must stay
+//! strictly below what the parent commit recorded (re-captured by every
+//! PR that moves them; why decisions are not compared is noted at
+//! `PARENT_PROPAGATIONS`).
 //!
 //! Under `GM_TEST_SHARDS=<n>` (CI's sharded leg, read as
 //! `tests/pipeline.rs` reads it) every leg also runs on `n` fixed
@@ -62,10 +64,13 @@ const GOLDEN: [[u64; 2]; 4] = [
     [0xcdcc_6b3b_4940_abb9, 0x76bb_8f60_e384_271d],
 ];
 
-/// Summed over the eight runs at the parent commit, where every session
-/// query decided every unassigned variable.
-const PARENT_DECISIONS: u64 = 174_460;
-const PARENT_PROPAGATIONS: u64 = 6_849_208;
+/// Summed over the eight runs at the parent commit, where a session
+/// posed every violated window as one AND-chain activation literal.
+/// Decisions are not compared: a violation assumed as its atoms' own
+/// literals takes one decision level per unassigned atom where the
+/// chain took one, so they rise while the work behind them drops.
+const PARENT_PROPAGATIONS: u64 = 4_873_877;
+const PARENT_CONFLICTS: u64 = 2_388;
 
 fn run(
     (design, kind2_outputs, cap): (&str, Option<usize>, Option<u32>),
@@ -110,13 +115,14 @@ fn scoped_sessions_leave_every_closure_sat_artifact_as_the_parent_left_it() {
         .ok()
         .map(|n| ShardPolicy::Fixed(n.parse().expect("GM_TEST_SHARDS must be a number")));
     let mut hashes = [[0u64; 2]; 4];
-    let (mut decisions, mut propagations, mut sat_queries) = (0, 0, 0);
+    let (mut decisions, mut propagations, mut conflicts, mut sat_queries) = (0, 0, 0, 0);
     for (leg, &config) in LEGS.iter().enumerate() {
         for (slot, seed) in palette(config.0).take(2).enumerate() {
             let mut outcome = run(config, seed, ShardPolicy::Off);
             for it in &mut outcome.iterations {
                 decisions += it.verification.solver.decisions;
                 propagations += it.verification.solver.propagations;
+                conflicts += it.verification.solver.conflicts;
                 sat_queries += it.verification.sat_queries;
                 it.verification.solver = Default::default();
             }
@@ -134,11 +140,12 @@ fn scoped_sessions_leave_every_closure_sat_artifact_as_the_parent_left_it() {
     assert!(sat_queries > 1000, "the legs reach SAT: {sat_queries}");
     assert_eq!(
         hashes, GOLDEN,
-        "an artifact moved; got {hashes:#x?} with {decisions} decisions, {propagations} propagations"
+        "an artifact moved; got {hashes:#x?} with {decisions} decisions, \
+         {propagations} propagations, {conflicts} conflicts"
     );
     assert!(
-        decisions < PARENT_DECISIONS && propagations < PARENT_PROPAGATIONS,
-        "{decisions} decisions / {propagations} propagations are not below the parent's \
-         {PARENT_DECISIONS} / {PARENT_PROPAGATIONS}"
+        propagations < PARENT_PROPAGATIONS && conflicts < PARENT_CONFLICTS,
+        "{propagations} propagations / {conflicts} conflicts are not below the parent's \
+         {PARENT_PROPAGATIONS} / {PARENT_CONFLICTS}"
     );
 }

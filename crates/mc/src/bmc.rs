@@ -21,9 +21,14 @@ use gm_sat::{Lit, SolveResult, Solver, Var};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// A bounded-window property the SAT engines can unroll: anything that
-/// can encode "the window starting at `base` is violated" as one
-/// activation literal. Implemented by [`WindowProperty`] (single
+/// A bounded-window property the SAT engines can unroll: anything whose
+/// "the window starting at `base` is violated" reduces to antecedent
+/// atoms and combined consequents, which the unroller poses either as
+/// one activation literal ([`UnrollProperty::encode_violation`]: the
+/// one-shot engines, canonical extraction, an induction step's `holds`)
+/// or as the atoms' own literals (every violated window a
+/// [`crate::CheckSession`] asks about). Implemented by
+/// [`WindowProperty`] (single
 /// consequent) and [`TemporalProperty`] (conjunctive / disjunctive
 /// consequents), which lets [`bmc`], [`k_induction`], the incremental
 /// [`crate::CheckSession`] engines and [`crate::Checker`] decide both
@@ -107,13 +112,16 @@ impl UnrollProperty for TemporalProperty {
 ///
 /// The unroller is the persistent half of an incremental verification
 /// session: frames, gate clauses and the solver's learnt clauses all
-/// survive across property queries. Each query is posed as an
-/// *activation literal* (see [`Unroller::violation_lit`]) assumed for
-/// one solver call, so nothing is ever asserted permanently and the
-/// same unrolling serves every property of a batch.
-/// A structural AND cache keeps re-encoding the same property (or
-/// overlapping properties) nearly free: the cached activation literal is
-/// returned instead of fresh clauses.
+/// survive across property queries. Each query is posed as assumptions
+/// for one solver call, so nothing is ever asserted permanently and the
+/// same unrolling serves every property of a batch. A session assumes a
+/// window's violation as its atoms' literals, which adds no gate for a
+/// disjunctive-consequent property and only the consequent conjunction
+/// for a conjunctive one; a caller that wants one *activation literal*
+/// for it ([`Unroller::violation_lit`]: the one-shot engines, canonical
+/// extraction, an induction step's `holds`) gets a chain of AND gates.
+/// A structural AND cache keeps re-encoding the same gates nearly free:
+/// the cached output is returned instead of fresh clauses.
 ///
 /// ## Two kinds of query
 ///
@@ -124,8 +132,9 @@ impl UnrollProperty for TemporalProperty {
 /// verdict alone asks [`Unroller::solve_scoped`], which decides only
 /// the *fan-in cone* of its assumptions — the variables the
 /// assumptions are functions of — instead of every frame and every
-/// other property's AND-chain the unrolling has accumulated. That is
-/// what [`crate::CheckSession`] does for every query.
+/// gate the unrolling has accumulated. That is what
+/// [`crate::CheckSession`] does for every query; with a violation
+/// posed as atom literals, the cone is the union of the atoms' cones.
 ///
 /// The scoped verdict is the full one. Every clause the unroller adds
 /// is the constant-true unit or one of the three Tseitin clauses
@@ -424,6 +433,40 @@ impl Unroller {
                     acc = self.encode_and(acc, !cl);
                 }
                 acc
+            }
+        }
+    }
+
+    /// The same violation as [`Unroller::violation_lit`], pushed onto
+    /// `out` as assumptions whose conjunction it is: the antecedent's
+    /// atom literals, then the inverted consequent literals (`Any`) or
+    /// one literal `¬AND(consequents)` (`All`). An `Any` violation — every
+    /// [`WindowProperty`] — allocates no variable; an `All` one only its
+    /// consequent conjunction (none for a single consequent). Constant,
+    /// repeated or contradictory atoms need no folding: the solver takes
+    /// a true assumption for free and answers `Unsat` on a false one.
+    pub(crate) fn violation_assumptions(
+        &mut self,
+        base: usize,
+        violation: &Violation<'_>,
+        out: &mut Vec<Lit>,
+    ) {
+        for atom in violation.antecedent {
+            out.push(self.atom_lit(base, atom));
+        }
+        match violation.kind {
+            ConsequentKind::All => {
+                let mut all = self.true_lit;
+                for atom in violation.consequents {
+                    let cl = self.atom_lit(base, atom);
+                    all = self.encode_and(all, cl);
+                }
+                out.push(!all);
+            }
+            ConsequentKind::Any => {
+                for atom in violation.consequents {
+                    out.push(!self.atom_lit(base, atom));
+                }
             }
         }
     }

@@ -1,15 +1,18 @@
 //! Canonical counterexamples from cloned pristine prefixes: the traces
 //! must be those of the one-shot [`bmc`] on a fresh unrolling, under
 //! every dispatch and after any session history, and the prefixes
-//! themselves must stay pristine.
+//! themselves must stay pristine. A session assumes a violation's atom
+//! literals where the one-shot engines assume one AND-chain literal;
+//! the results must not tell the two apart.
 
 use super::*;
 use crate::bmc::{bmc, canonical_cex, k_induction};
-use crate::prop::BitAtom;
+use crate::prop::{BitAtom, ConsequentKind};
 use crate::testgen::{
-    random_module, random_property, random_temporal_property, seeded_recipe, Recipe,
+    cases, random_module, random_property, random_temporal_property, seeded_recipe, Recipe,
 };
 use crate::Unroller;
+use gm_rtl::SignalId;
 use gm_sat::SolverStats;
 use proptest::prelude::*;
 use std::sync::Barrier;
@@ -189,6 +192,176 @@ fn history_sweep_sees_late_violations_and_late_proofs() {
         "{violated} violated with history behind them"
     );
     assert!(proved >= 20, "{proved} proved with history behind them");
+}
+
+/// Property shapes [`assumed_violation_sweep`] decides, by how a session
+/// assumes their violation: a [`WindowProperty`], then temporal
+/// properties of kind `Any`, of kind `All` with one consequent and of
+/// kind `All` with two or three. Only the last needs a gate.
+const SHAPES: usize = 4;
+
+/// Properties one session decides per module in [`assumed_violation_sweep`].
+const PER_ASSUMED_SESSION: usize = 40;
+
+/// `prop` with atoms a session must assume as they are, by `kind`: none
+/// added (0); `constant` at offset 0 (1) — a register, constant on the
+/// reset unrolling's frame 0, or the constant output `tied`; the first
+/// antecedent atom repeated (2) or next to its negation (3); no
+/// antecedent at all (4).
+fn degenerate(
+    mut prop: WindowProperty,
+    kind: usize,
+    constant: SignalId,
+    sigs: &[SignalId],
+    recipe: &mut Recipe,
+) -> WindowProperty {
+    let atom = |sig: SignalId, recipe: &mut Recipe| BitAtom::new(sig, 0, 0, recipe.next() & 1 == 1);
+    match kind {
+        1 => prop.antecedent.push(atom(constant, recipe)),
+        2 | 3 => {
+            if prop.antecedent.is_empty() {
+                prop.antecedent
+                    .push(atom(sigs[recipe.next() % sigs.len()], recipe));
+            }
+            let first = prop.antecedent[0];
+            let value = if kind == 2 { first.value } else { !first.value };
+            prop.antecedent.push(BitAtom { value, ..first });
+        }
+        4 => prop.antecedent.clear(),
+        _ => {}
+    }
+    prop
+}
+
+/// `window` as a temporal property of shape `shape` (1–3 of [`SHAPES`]),
+/// extra consequents at offsets up to `depth`.
+fn shaped(
+    window: WindowProperty,
+    shape: usize,
+    sigs: &[SignalId],
+    depth: u32,
+    recipe: &mut Recipe,
+) -> TemporalProperty {
+    let mut consequents = vec![window.consequent];
+    if shape != 2 {
+        for _ in 0..1 + recipe.next() % 2 {
+            let sig = sigs[recipe.next() % sigs.len()];
+            let offset = recipe.next() as u32 % (depth + 1);
+            consequents.push(BitAtom::new(sig, 0, offset, recipe.next() & 1 == 1));
+        }
+    }
+    TemporalProperty {
+        antecedent: window.antecedent,
+        consequents,
+        kind: if shape == 1 {
+            ConsequentKind::Any
+        } else {
+            ConsequentKind::All
+        },
+    }
+}
+
+/// One [`CheckSession`] per random module decides properties of every
+/// shape with [`degenerate`] atoms, each through both SAT engines, and
+/// every result — trace included — must be the one-shot engine's, which
+/// poses the violation as one activation literal where the session
+/// assumes the atoms' literals. The base unrolling's frames are laid
+/// down first, so a property whose violation needs no gate (every shape
+/// but `All` of several consequents) must leave its variable count
+/// where it was. Returns, by shape, how many results were violated and
+/// how many proved.
+fn assumed_violation_sweep(bytes: &[u8]) -> Result<[[usize; 2]; SHAPES], TestCaseError> {
+    let mut recipe = Recipe::new(bytes);
+    let mut tally = [[0; 2]; SHAPES];
+    for (inputs, regs) in [(3usize, 0usize), (2, 3), (4, 3)] {
+        let (m, sigs) = random_module(inputs, regs, &mut recipe);
+        let constant = if regs > 0 {
+            sigs[inputs]
+        } else {
+            *sigs.last().expect("`tied` comes last")
+        };
+        let blasted = Arc::new(checker(&m, Backend::Auto).blasted().clone());
+        let mut session = CheckSession::new(blasted.clone());
+        // Every window either engine asks about: starts up to BOUND,
+        // depths up to 3.
+        session.base_unroller().ensure_frame(BOUND as usize + 3);
+        for i in 0..PER_ASSUMED_SESSION {
+            let depth = recipe.next() as u32 % 4;
+            let window = random_property(&sigs, depth, &mut recipe);
+            let window = degenerate(window, i % 5, constant, &sigs, &mut recipe);
+            let shape = i % SHAPES;
+            let vars = session.base_unroller().solver().num_vars();
+            let compared = if shape == 0 {
+                session_and_one_shot(&mut session, &m, &blasted, &window)
+            } else {
+                let prop = shaped(window, shape, &sigs, depth, &mut recipe);
+                session_and_one_shot(&mut session, &m, &blasted, &prop)
+            };
+            if shape < 3 {
+                prop_assert_eq!(
+                    session.base_unroller().solver().num_vars(),
+                    vars,
+                    "shape {} allocated base-query variables after {} properties",
+                    shape,
+                    i
+                );
+            }
+            for (engine, got, want) in compared {
+                prop_assert_eq!(
+                    &got,
+                    &want,
+                    "{} on shape {} after {} properties",
+                    engine,
+                    shape,
+                    i
+                );
+                tally[shape][0] += usize::from(matches!(got, CheckResult::Violated(_)));
+                tally[shape][1] += usize::from(got.is_proved());
+            }
+        }
+    }
+    Ok(tally)
+}
+
+/// Recipes for [`assumed_violation_sweep`]: 64 cases in tier-1 (see
+/// [`crate::testgen::cases`]).
+fn assumed_recipes() -> (u32, impl Strategy<Value = Vec<u8>>) {
+    (cases(64), prop::collection::vec(any::<u8>(), 512..2048))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(assumed_recipes().0))]
+
+    #[test]
+    fn assumed_violations_return_the_one_shot_results(bytes in assumed_recipes().1) {
+        assumed_violation_sweep(&bytes)?;
+    }
+}
+
+/// The oracle above is only as strong as what its cases reach: over the
+/// very same recipes, every shape must have been violated and proved
+/// ten times a case.
+#[test]
+fn assumed_violation_sweep_violates_and_proves_every_shape() {
+    let (cases, recipes) = assumed_recipes();
+    let mut tally = [[0; 2]; SHAPES];
+    for case in 0..cases {
+        let mut rng =
+            proptest::rng_for_case("assumed_violations_return_the_one_shot_results", case);
+        let got = assumed_violation_sweep(&recipes.generate(&mut rng)).unwrap();
+        for (total, n) in tally.iter_mut().flatten().zip(got.iter().flatten()) {
+            *total += n;
+        }
+    }
+    println!("{tally:?}");
+    // Thirty properties of each shape a case, each decided twice.
+    let floor = 10 * cases as usize;
+    for (shape, [violated, proved]) in tally.into_iter().enumerate() {
+        assert!(
+            violated >= floor && proved >= floor,
+            "shape {shape}: {violated} violated, {proved} proved in {cases} cases"
+        );
+    }
 }
 
 #[test]

@@ -3,7 +3,7 @@ use crate::blast::blast;
 use crate::bmc::{bmc, k_induction};
 use crate::prop::{BitAtom, TemporalProperty, WindowProperty};
 use crate::testgen::{
-    random_module, random_property, random_temporal_property, seeded_recipe, Recipe,
+    self, random_module, random_property, random_temporal_property, seeded_recipe, Recipe,
 };
 use gm_rtl::{elaborate, parse_verilog, SignalId};
 use gm_sim::{NopObserver, Simulator};
@@ -422,14 +422,9 @@ fn engines_sweep(bytes: &[u8], tally: &mut Tally) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// Cases per property: 200 in tier-1; CI's release job raises it
-/// through proptest's `PROPTEST_CASES` variable, which an explicit
-/// `ProptestConfig::with_cases` would otherwise override.
+/// Cases per property: 200 in tier-1 (see [`testgen::cases`]).
 fn cases() -> u32 {
-    std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200)
+    testgen::cases(200)
 }
 
 proptest! {

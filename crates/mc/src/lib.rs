@@ -26,8 +26,9 @@
 //! around that shape:
 //!
 //! * [`Unroller`] lays time frames into one incremental SAT solver and
-//!   hands out *activation literals* for property windows, so a query
-//!   is an assumption, never a permanent assertion;
+//!   encodes a property window's violation as assumptions — its atoms'
+//!   own literals, or one activation literal where a caller needs one —
+//!   so a query is an assumption, never a permanent assertion;
 //! * [`CheckSession`] owns at most two unrollings (reset-rooted for BMC
 //!   and induction bases, free-init for induction steps) and reuses
 //!   them — frames, gate encodings and learnt clauses — across every

@@ -4,10 +4,24 @@
 //! the *same* blasted design every iteration. A [`CheckSession`] owns
 //! the two unrollings those checks need — one reset-rooted (BMC and
 //! induction base cases) and one free-init (induction steps) — and
-//! poses every property as an activation-literal query against them, so
+//! poses every property as queries under assumptions against them, so
 //! the per-iteration cost drops from O(candidates × unroll) to one
 //! shared unrolling per session. The solver's learnt clauses carry over
 //! between queries, and [`SessionStats`] exposes where the time went.
+//!
+//! ## What a query adds to the solver
+//!
+//! Only what it cannot assume. A violated window is posed as its atoms'
+//! own literals ([`Unroller::violation_assumptions`]): the antecedent's,
+//! then the inverted consequents of a disjunctive (`Any`) property —
+//! every [`crate::WindowProperty`] — or one `¬AND(consequents)` gate
+//! literal of a conjunctive (`All`) one. A base query (a BMC window, an
+//! induction base case) assumes that list and nothing else, so for an
+//! `Any` property it allocates no variable once its frames exist. An
+//! induction step at depth `k` assumes `holds(j)` for the windows
+//! `j < k` — one activation literal each, whose AND gates stay — and
+//! then window `k`'s list. The `mc.sat_query` span's `new_vars` is what
+//! the query's own encoding allocated.
 //!
 //! ## Shard lifecycle
 //!
@@ -186,7 +200,8 @@ impl SessionStats {
 /// session's lifetime. All queries go through
 /// [`Unroller::solve_scoped`] under assumptions, so the clause database
 /// only ever grows with gate definitions and learnt clauses — no query
-/// can contaminate a later one, and each costs its own cone.
+/// can contaminate a later one, and each costs its own cone (see the
+/// module docs for which gates a query still adds).
 #[derive(Debug)]
 pub struct CheckSession {
     /// The design, and where violated verdicts get their traces (see
@@ -195,6 +210,8 @@ pub struct CheckSession {
     base: Option<Unroller>,
     step: Option<Unroller>,
     stats: SessionStats,
+    /// A base query's assumptions, kept so no query allocates them.
+    assumptions: Vec<Lit>,
 }
 
 impl CheckSession {
@@ -212,6 +229,7 @@ impl CheckSession {
             base: None,
             step: None,
             stats: SessionStats::default(),
+            assumptions: Vec::new(),
         }
     }
 
@@ -260,6 +278,17 @@ impl CheckSession {
         slot.as_mut().expect("unroller just ensured")
     }
 
+    /// The reset-rooted unrolling base queries ask, built if need be.
+    #[cfg(test)]
+    pub(crate) fn base_unroller(&mut self) -> &mut Unroller {
+        Self::unroller(
+            &mut self.base,
+            self.prefixes.blasted(),
+            false,
+            &mut self.stats,
+        )
+    }
+
     /// Extends `unroller` to cover frames `0..=last`, attributing newly
     /// encoded frames vs reused ones to the session stats.
     fn extend_frames(unroller: &mut Unroller, last: usize, stats: &mut SessionStats) {
@@ -271,10 +300,12 @@ impl CheckSession {
     }
 
     /// One scoped query, folding the solver's per-call cost into the
-    /// session stats.
+    /// session stats. `vars_before` is the variable count before the
+    /// query encoded its assumptions (its frames already existing).
     fn solve(
         unroller: &mut Unroller,
         assumptions: &[Lit],
+        vars_before: usize,
         stats: &mut SessionStats,
     ) -> SolveResult {
         let mut span = gm_trace::span("mc", "mc.sat_query");
@@ -283,9 +314,11 @@ impl CheckSession {
         let delta = unroller.solver().last_call_stats();
         stats.solver += delta;
         if span.is_active() {
+            let vars = unroller.solver().num_vars();
             span.arg("assumptions", assumptions.len());
+            span.arg("new_vars", vars - vars_before);
             span.arg("scope", unroller.scope_len());
-            span.arg("vars", unroller.solver().num_vars());
+            span.arg("vars", vars);
             span.arg("sat", res == SolveResult::Sat);
             span.arg("conflicts", delta.conflicts);
             span.arg("decisions", delta.decisions);
@@ -296,7 +329,7 @@ impl CheckSession {
     }
 
     /// Asks the reset-rooted unrolling whether the window starting at
-    /// `start` can violate `prop`.
+    /// `start` can violate `prop`, assuming the violation's literals.
     fn base_violation<P: UnrollProperty>(&mut self, prop: &P, start: usize) -> bool {
         let depth = prop.window_depth() as usize;
         let base = Self::unroller(
@@ -306,8 +339,10 @@ impl CheckSession {
             &mut self.stats,
         );
         Self::extend_frames(base, start + depth, &mut self.stats);
-        let v = prop.encode_violation(base, start);
-        Self::solve(base, &[v], &mut self.stats) == SolveResult::Sat
+        let vars = base.solver().num_vars();
+        self.assumptions.clear();
+        base.violation_assumptions(start, &prop.violation(), &mut self.assumptions);
+        Self::solve(base, &self.assumptions, vars, &mut self.stats) == SolveResult::Sat
     }
 
     /// The trace of a violation [`CheckSession::base_violation`] just
@@ -400,9 +435,10 @@ impl CheckSession {
     ) -> Result<CheckResult, McError> {
         let depth = prop.window_depth() as usize;
         // The step query's assumptions: windows `0..k` hold, then
-        // window `k` fails. One vector for the whole call; each depth
-        // turns its last entry around and appends the next violation.
-        let mut assumptions = Vec::with_capacity(max_k as usize + 1);
+        // window `k`'s violation literals. One vector for the whole
+        // call; each depth drops the previous depth's violation and
+        // appends that window's `holds`, then its own violation.
+        let mut assumptions = Vec::new();
         for k in 0..=max_k as usize {
             if cancel_requested(cancel) {
                 return Err(McError::Cancelled);
@@ -427,11 +463,15 @@ impl CheckSession {
                 &mut self.stats,
             );
             Self::extend_frames(step, k + depth, &mut self.stats);
-            assumptions.push(prop.encode_violation(step, k));
-            if Self::solve(step, &assumptions, &mut self.stats) == SolveResult::Unsat {
+            let vars = step.solver().num_vars();
+            if let Some(held) = k.checked_sub(1) {
+                assumptions.truncate(held);
+                assumptions.push(prop.encode_holds(step, held));
+            }
+            step.violation_assumptions(k, &prop.violation(), &mut assumptions);
+            if Self::solve(step, &assumptions, vars, &mut self.stats) == SolveResult::Unsat {
                 return Ok(CheckResult::Proved);
             }
-            assumptions[k] = prop.encode_holds(step, k);
         }
         Ok(CheckResult::Unknown { bound: max_k })
     }
@@ -442,7 +482,7 @@ mod tests {
     use super::*;
     use crate::blast::blast;
     use crate::bmc::{bmc, k_induction};
-    use crate::prop::{BitAtom, WindowProperty};
+    use crate::prop::{BitAtom, ConsequentKind, TemporalProperty, WindowProperty};
     use gm_rtl::{elaborate, parse_verilog};
 
     const DFF: &str = "
@@ -490,6 +530,55 @@ mod tests {
             stats.frames_reused > stats.frames_encoded,
             "the second property should ride the first one's unrolling: {stats:?}"
         );
+    }
+
+    #[test]
+    fn the_query_span_counts_what_its_encoding_allocated() {
+        // `q` counts in twos from 0, so `q[0]` stays low — a fact no
+        // single step from a free state sees.
+        let (m, b) = setup(
+            "module even(input clk, input rst, input d, output reg [1:0] q);
+               always @(posedge clk)
+                 if (rst) q <= 0;
+                 else if (d) q <= q + 2'd2;
+             endmodule",
+        );
+        let d = m.require("d").unwrap();
+        let q = m.require("q").unwrap();
+        // Never violated and not provable at k ≤ 1, so every query of
+        // each call below is asked.
+        let low = WindowProperty {
+            antecedent: vec![BitAtom::new(d, 0, 0, true)],
+            consequent: BitAtom::new(q, 0, 0, false),
+        };
+        // Two consequents neither of which is a constant at reset.
+        let stays_high = TemporalProperty {
+            antecedent: vec![BitAtom::new(d, 0, 0, true)],
+            consequents: vec![BitAtom::new(q, 1, 1, true), BitAtom::new(q, 1, 2, true)],
+            kind: ConsequentKind::All,
+        };
+        let mut session = CheckSession::new(b);
+        let sink = gm_trace::TraceSink::new();
+        {
+            let _guard = gm_trace::push_thread_sink(sink.clone());
+            session.bmc(&m, &low, 2, None).unwrap();
+            session.bmc(&m, &stays_high, 0, None).unwrap();
+            let unknown = session.k_induction(&m, &low, 1, None).unwrap();
+            assert_eq!(unknown, CheckResult::Unknown { bound: 1 });
+        }
+        let new_vars: Vec<u64> = (sink.events().iter())
+            .filter(|e| e.name == "mc.sat_query")
+            .map(
+                |e| match e.args.iter().find(|(key, _)| *key == "new_vars") {
+                    Some((_, gm_trace::ArgValue::U64(n))) => *n,
+                    other => panic!("new_vars is {other:?}"),
+                },
+            )
+            .collect();
+        // Three `Any` base queries: nothing. The `All` one: its
+        // consequent conjunction. Then base k = 0, step k = 0 (the atoms
+        // alone), base k = 1, and step k = 1: `holds(0)`'s one AND gate.
+        assert_eq!(new_vars, [0, 0, 0, 1, 0, 0, 0, 1]);
     }
 
     #[test]

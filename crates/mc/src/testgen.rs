@@ -24,6 +24,16 @@ impl<'a> Recipe<'a> {
     }
 }
 
+/// Cases per property: `tier1` by default; CI's release job raises it
+/// through proptest's `PROPTEST_CASES` variable, which an explicit
+/// `ProptestConfig::with_cases` would otherwise override.
+pub(crate) fn cases(tier1: u32) -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(tier1)
+}
+
 /// `len` recipe bytes from a fixed generator, for the deterministic
 /// companions of the proptest sweeps.
 pub(crate) fn seeded_recipe(seed: u64, len: usize) -> Vec<u8> {
