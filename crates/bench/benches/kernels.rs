@@ -11,8 +11,8 @@ use gm_mine::{input_space_coverage, Assertion, Dataset, DecisionTree, MiningSpec
 use gm_rtl::{cone_of, elaborate, parse_verilog};
 use gm_sat::{Solver, Var};
 use gm_sim::{
-    collect_vectors, run_segment, CompileOptions, CompiledModule, NopObserver, PackedStimulus,
-    RandomStimulus, Replay, Simulator, TestSuite,
+    collect_vectors, run_segment, CompileOptions, CompiledModule, InputVector, NopObserver,
+    RandomStimulus, Simulator, TestSuite,
 };
 use goldmine::{Engine, EngineConfig, TargetSelection};
 
@@ -113,39 +113,28 @@ fn bench_observer_overhead(c: &mut Criterion) {
     }
 }
 
-/// The stimulus feed on its own: `pack` is the one walk a suite's first
-/// whole-suite tape replay pays (and every slice replay pays per
-/// chunk); `replay_packed` is a bare pass reading the form the suite
-/// owns, `replay_slice` the same pass packing as it goes — their
-/// difference is what owning the form saves per replay.
+/// What building a suite costs: every vector is packed into the lanes
+/// as it is pushed (1024 b18_lite segments × 128 cycles, the
+/// `suite_replay` shape). Replaying what was built is the `bare`
+/// kernels above.
 fn bench_stimulus_feed(c: &mut Criterion) {
-    let module = gm_designs::b12_lite();
-    let bare = CompiledModule::compile_with(&module, CompileOptions { probes: false }).unwrap();
-    let widths: Vec<u32> = module.signals().iter().map(|s| s.width()).collect();
-    let mut suite = TestSuite::new();
-    for seed in 0..512u64 {
-        suite.push(
-            format!("s{seed}"),
-            collect_vectors(&mut RandomStimulus::new(&module, seed, 64)),
+    let module = gm_designs::b18_lite();
+    let segments: Vec<Vec<InputVector>> = (0..1024u64)
+        .map(|seed| collect_vectors(&mut RandomStimulus::new(&module, seed, 128)))
+        .collect();
+    c.bench_function("sim/suite_push_b18_lite", |b| {
+        b.iter_batched(
+            || segments.clone(),
+            |segments| {
+                let mut suite = TestSuite::new();
+                for (k, vectors) in segments.into_iter().enumerate() {
+                    suite.push(format!("s{k}"), vectors);
+                }
+                suite
+            },
+            BatchSize::LargeInput,
         );
-    }
-    c.bench_function("sim/pack_512x64", |b| {
-        b.iter(|| PackedStimulus::pack(&widths, suite.segments()));
     });
-    for block in [1usize, 8] {
-        let replay = Replay {
-            module: &module,
-            compiled: Some(&bare),
-            block,
-            cancel: None,
-        };
-        c.bench_function(&format!("sim/replay_packed_512x64_w{block}"), |b| {
-            b.iter(|| replay.suite_observe(&suite, &mut NopObserver).unwrap());
-        });
-        c.bench_function(&format!("sim/replay_slice_512x64_w{block}"), |b| {
-            b.iter(|| replay.observe(suite.segments(), &mut NopObserver).unwrap());
-        });
-    }
 }
 
 fn bench_parse_blast(c: &mut Criterion) {

@@ -78,7 +78,7 @@ fn measure_extraction(name: &'static str, module: &Module) -> Vec<ExtractRecord>
                 .map(|_| Dataset::with_horizon(HORIZON))
                 .collect();
             let traces = replay
-                .traces(suite.segments(), &mut NopObserver)
+                .traces(&suite, 0..suite.len(), &mut NopObserver)
                 .expect("catalog designs elaborate")
                 .expect("no cancel token");
             for trace in &traces {

@@ -37,8 +37,9 @@
 //! beside it (the from-scratch oracles live in
 //! `tests/incremental_snapshot.rs` and the benchmark):
 //!
-//! * **one [`CoverageSuite`] per run**, shown only
-//!   `suite.segments()[observed..]`. Sound because every collector is a
+//! * **one [`CoverageSuite`] per run**, shown only the segments pushed
+//!   since its last pass (`observed..`, a range replay that reads them
+//!   where the suite stores them). Sound because every collector is a
 //!   monotone set union and every segment is replayed from reset (the
 //!   toggle and FSM collectors drop their previous-cycle state at cycle
 //!   0), so the union over batches is the union over one pass
@@ -98,7 +99,7 @@ use gm_mine::{
 use gm_rtl::{cone_of, elaborate, Module, SignalId};
 use gm_sim::{
     collect_vectors, synthesize_directed, CompileOptions, CompiledModule, InputVector, NopObserver,
-    RandomStimulus, Replay, Segment, SimBackend, TestSuite, Trace,
+    RandomStimulus, Replay, SimBackend, TestSuite, Trace,
 };
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::AtomicBool;
@@ -417,10 +418,15 @@ impl<'m> Engine<'m> {
         }
     }
 
-    /// Replays `segments` as one batch into traces; a raised cancel
-    /// token surfaces as [`McError::Cancelled`] with nothing absorbed.
-    fn replay_traces(&self, segments: &[Segment]) -> Result<Vec<Trace>, EngineError> {
-        let traces = self.replay().traces(segments, &mut NopObserver)?;
+    /// Replays segments `range` of `suite` as one batch into traces; a
+    /// raised cancel token surfaces as [`McError::Cancelled`] with
+    /// nothing absorbed.
+    fn replay_traces(
+        &self,
+        suite: &TestSuite,
+        range: std::ops::Range<usize>,
+    ) -> Result<Vec<Trace>, EngineError> {
+        let traces = self.replay().traces(suite, range, &mut NopObserver)?;
         Ok(traces.ok_or(McError::Cancelled)?)
     }
 
@@ -583,7 +589,7 @@ impl<'m> Engine<'m> {
         };
         if !seed_vectors.is_empty() {
             self.suite.push("seed", seed_vectors);
-            let traces = self.replay_traces(self.suite.segments())?;
+            let traces = self.replay_traces(&self.suite, 0..1)?;
             let mut short = 0usize;
             for t in &mut self.targets {
                 let mut span = gm_trace::span("mine", "mine.extract");
@@ -812,12 +818,11 @@ impl<'m> Engine<'m> {
     }
 
     /// Ctx_simulation for one pass: replays the `count` counterexample
-    /// segments the pass has just pushed — the tail of the suite,
-    /// borrowed in place — as one batch, then absorbs their traces in
+    /// segments the pass has just pushed — the tail of the suite, read
+    /// where it is stored — as one batch, then absorbs their traces in
     /// push order.
     fn absorb_suite_tail(&mut self, count: usize) -> Result<(), EngineError> {
-        let segments = self.suite.segments();
-        let traces = self.replay_traces(&segments[segments.len() - count..])?;
+        let traces = self.replay_traces(&self.suite, self.suite.len() - count..self.suite.len())?;
         for trace in &traces {
             self.absorb_trace(trace);
         }
@@ -850,13 +855,16 @@ impl<'m> Engine<'m> {
             .config
             .seed
             .wrapping_add((iteration as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let found = &self.suite.segments()[first_cex..];
-        let mut prefixes: Vec<&[InputVector]> = found.iter().map(|s| &s.vectors[..]).collect();
+        let mut prefixes: Vec<Vec<InputVector>> = (first_cex..self.suite.len())
+            .map(|s| self.suite.segment(s).vectors)
+            .collect();
         if prefixes.is_empty() {
-            prefixes.push(&[]);
+            prefixes.push(Vec::new());
         }
-        let mut variants: Vec<Segment> = Vec::new();
-        for (pi, prefix) in prefixes.into_iter().enumerate() {
+        // The variants are a suite of their own; labels are given to the
+        // winners only.
+        let mut variants = TestSuite::new();
+        for (pi, prefix) in prefixes.iter().enumerate() {
             let synthesized = synthesize_directed(
                 self.module,
                 prefix,
@@ -864,16 +872,14 @@ impl<'m> Engine<'m> {
                 rc.extra_cycles,
                 rc.variants,
             );
-            // Labels are given to the winners only.
-            variants.extend(synthesized.into_iter().map(|vectors| Segment {
-                label: String::new(),
-                vectors,
-            }));
+            for vectors in synthesized {
+                variants.push("", vectors);
+            }
         }
         // One batch for every variant. A cancelled replay returns before
         // anything has been absorbed: the pass is discarded whole,
         // keeping the interrupted-outcome contract.
-        let traces = self.replay_traces(&variants)?;
+        let traces = self.replay_traces(&variants, 0..variants.len())?;
         let mut scored: Vec<(usize, usize)> = traces
             .iter()
             .enumerate()
@@ -888,8 +894,7 @@ impl<'m> Engine<'m> {
             }
             absorbed += 1;
             let label = format!("dir-{iteration}-{absorbed}");
-            self.suite
-                .push(label, std::mem::take(&mut variants[i].vectors));
+            self.suite.push(label, variants.segment(i).vectors);
             self.absorb_trace(&traces[i]);
         }
         Ok(absorbed)
@@ -947,12 +952,11 @@ impl<'m> Engine<'m> {
         let coverage = if let Some(mut cov) = self.coverage.take() {
             let coverage_start = std::time::Instant::now();
             let mut coverage_span = gm_trace::span("engine", "engine.coverage");
-            let unseen = &self.suite.segments()[self.observed..];
             coverage_span.arg("segments", self.suite.len());
-            coverage_span.arg("new_segments", unseen.len());
+            coverage_span.arg("new_segments", self.suite.len() - self.observed);
             // No traces are materialized.
             self.replay()
-                .observe(unseen, &mut cov)?
+                .observe(&self.suite, self.observed..self.suite.len(), &mut cov)?
                 .ok_or(McError::Cancelled)?;
             self.observed = self.suite.len();
             // Freeze this snapshot's uncovered points for the next

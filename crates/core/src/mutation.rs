@@ -126,9 +126,9 @@ pub fn fault_campaign(
 /// detection. The paper's §7.4 notes the generated vector suite "would
 /// also be an effective regression suite" — this is that experiment.
 ///
-/// Both replays ride probe-free tapes through [`Replay::suite_traces`],
-/// so golden, mutant and every further fault of a campaign over the
-/// same suite read one packed stimulus form.
+/// Both replays ride probe-free tapes through [`Replay::traces`], so
+/// golden, mutant and every further fault of a campaign over the same
+/// suite read the one lane-packed form the suite stores.
 ///
 /// Returns the first differing `(segment index, cycle, output)` or
 /// `None` if the fault escapes the suite.
@@ -153,7 +153,7 @@ pub fn suite_detects_fault(
             cancel: None,
         };
         Ok(replay
-            .suite_traces(suite, &mut NopObserver)?
+            .traces(suite, 0..suite.len(), &mut NopObserver)?
             .expect("no cancel token"))
     };
     let (golden_traces, mutant_traces) = (traces(module)?, traces(&mutant)?);

@@ -112,7 +112,6 @@ fn zero_seed_mode_matches_table1_shape() {
     assert!(outcome
         .suite
         .segments()
-        .iter()
         .all(|s| s.label.starts_with("cex-")));
 }
 

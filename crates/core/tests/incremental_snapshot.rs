@@ -47,7 +47,7 @@ use gm_designs::catalog;
 use gm_mc::Backend;
 use gm_mine::{assertion_at, input_space_coverage, Assertion, Dataset, DecisionTree, MiningSpec};
 use gm_rtl::{cone_of, elaborate, Module};
-use gm_sim::{NopObserver, Replay, Segment, SimBackend};
+use gm_sim::{NopObserver, Replay, SimBackend, TestSuite};
 use gm_trace::{ArgValue, TraceEvent, TraceSink};
 use goldmine::{
     ClosureOutcome, Engine, EngineConfig, IterationReport, RefineConfig, SeedStimulus,
@@ -99,25 +99,28 @@ fn arg_u64(event: &TraceEvent, key: &str) -> u64 {
     }
 }
 
-/// A fresh coverage suite over an interpreter replay of `segments`.
-fn coverage_from_scratch(module: &Module, segments: &[Segment]) -> CoverageReport {
+/// A fresh coverage suite over an interpreter replay of the first
+/// `len` segments of `suite`.
+fn coverage_from_scratch(module: &Module, suite: &TestSuite, len: usize) -> CoverageReport {
     let mut cov = CoverageSuite::new(module);
-    let done = interpreter(module).observe(segments, &mut cov).unwrap();
+    let done = interpreter(module)
+        .observe(suite, 0..len, &mut cov)
+        .unwrap();
     assert_eq!(done, Some(()));
     cov.report()
 }
 
-/// The suite prefix `report` was taken over: the segments that hold its
-/// `suite_cycles` cycles.
-fn prefix_of<'s>(suite: &'s [Segment], report: &IterationReport) -> &'s [Segment] {
+/// The length of the suite prefix `report` was taken over: the
+/// segments that hold its `suite_cycles` cycles.
+fn prefix_of(suite: &TestSuite, report: &IterationReport) -> usize {
     let mut cycles = 0;
     let mut len = 0;
     while cycles < report.suite_cycles {
-        cycles += suite[len].vectors.len();
+        cycles += suite.segment(len).vectors.len();
         len += 1;
     }
     assert_eq!(cycles, report.suite_cycles, "reports end on segment seams");
-    &suite[..len]
+    len
 }
 
 /// Every report's coverage is what a replay from scratch of its suite
@@ -129,17 +132,17 @@ fn assert_coverage_matches_from_scratch(
     events: &[TraceEvent],
     label: &str,
 ) {
-    let suite = outcome.suite.segments();
+    let suite = &outcome.suite;
     let mut prefixes = Vec::new();
     for report in &outcome.iterations {
         let prefix = prefix_of(suite, report);
         assert_eq!(
             report.coverage,
-            Some(coverage_from_scratch(module, prefix)),
+            Some(coverage_from_scratch(module, suite, prefix)),
             "{label}: iteration {}",
             report.iteration
         );
-        prefixes.push(prefix.len() as u64);
+        prefixes.push(prefix as u64);
     }
     assert_eq!(prefixes.last(), Some(&(suite.len() as u64)), "{label}");
     let passes: Vec<&TraceEvent> = events
@@ -163,7 +166,7 @@ fn assert_summaries_match_from_scratch(
 ) {
     let elab = elaborate(module).unwrap();
     let traces = interpreter(module)
-        .traces(outcome.suite.segments(), &mut NopObserver)
+        .traces(&outcome.suite, 0..outcome.suite.len(), &mut NopObserver)
         .unwrap()
         .expect("no token, no cancel");
     let seeded = !matches!(config.stimulus, SeedStimulus::None);

@@ -62,7 +62,6 @@ fn ranked_refinement_beats_random_only_stimulus() {
         let dir_segments = refined
             .suite
             .segments()
-            .iter()
             .filter(|s| s.label.starts_with("dir-"))
             .count();
         let reported: usize = refined.iterations.iter().map(|r| r.directed_absorbed).sum();

@@ -21,7 +21,7 @@
 use gm_coverage::CoverageSuite;
 use gm_designs::catalog;
 use gm_rtl::{elaborate, Module};
-use gm_sim::{NopObserver, Replay, SimBackend};
+use gm_sim::{NopObserver, Replay, Segment, SimBackend};
 use gm_trace::{ArgValue, TraceEvent, TraceSink};
 use goldmine::{ClosureOutcome, Engine, EngineConfig, RefineConfig, SeedStimulus};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -116,8 +116,9 @@ fn assert_cut_cleanly(
     assert_eq!(arg(last_batch, "traces"), &ArgValue::Bool(true));
     // The suite is a prefix of the uninterrupted run's and still
     // replays on the interpreter.
-    let kept = cut.suite.segments();
-    assert_eq!(kept, &full.suite.segments()[..kept.len()]);
+    let kept: Vec<Segment> = cut.suite.segments().collect();
+    let full_kept: Vec<Segment> = full.suite.segments().take(kept.len()).collect();
+    assert_eq!(kept, full_kept);
     let traces = cut.suite.run(m, &mut NopObserver).unwrap();
     assert_eq!(traces.len(), kept.len());
 }
@@ -137,7 +138,7 @@ fn a_cancel_inside_a_counterexample_batch_interrupts_before_absorption() {
     assert!(!cut.converged, "the refuted leaves were never re-split");
     // The counterexamples were pushed for replay and nothing else: no
     // refinement pass ran after the cancelled batch.
-    let labels: Vec<&str> = cut.suite.segments().iter().map(|s| &*s.label).collect();
+    let labels: Vec<String> = cut.suite.segments().map(|s| s.label).collect();
     assert_eq!(labels[0], "seed");
     assert!(labels.len() > 1);
     assert!(
@@ -277,7 +278,10 @@ fn a_cancel_inside_an_incremental_coverage_pass_leaks_into_no_report() {
     // events precede its first replayed segment.
     let (full, mut checker, events) = record(checker, None);
     assert!(!full.interrupted);
-    assert_eq!(full.suite.segments(), cold.suite.segments());
+    assert_eq!(
+        full.suite.segments().collect::<Vec<_>>(),
+        cold.suite.segments().collect::<Vec<_>>()
+    );
     let passes = coverage_passes(&events);
     // Two sink flushes' worth of segments: the watcher sees the pass
     // begun while a flush's worth of polls is still to come.
@@ -316,8 +320,9 @@ fn a_cancel_inside_an_incremental_coverage_pass_leaks_into_no_report() {
     let last = cut.iterations.last().unwrap();
     assert_eq!(last.iteration as usize, cancelled - 1);
     assert_eq!(cut.iterations[..], full.iterations[..cancelled]);
-    let kept = cut.suite.segments();
-    assert_eq!(kept, &full.suite.segments()[..kept.len()]);
+    let kept: Vec<Segment> = cut.suite.segments().collect();
+    let full_kept: Vec<Segment> = full.suite.segments().take(kept.len()).collect();
+    assert_eq!(kept, full_kept);
     // The half-observed batch is in no report: each one's coverage is
     // what a fresh suite measures over the prefix it was taken at.
     let interpreter = Replay {
@@ -330,7 +335,9 @@ fn a_cancel_inside_an_incremental_coverage_pass_leaks_into_no_report() {
     for (report, &(_, new)) in cut.iterations.iter().zip(&passes) {
         seen += new as usize;
         let mut fresh = CoverageSuite::new(&m);
-        let done = interpreter.observe(&kept[..seen], &mut fresh).unwrap();
+        let done = interpreter
+            .observe(&cut.suite, 0..seen, &mut fresh)
+            .unwrap();
         assert_eq!(done, Some(()));
         assert_eq!(report.coverage, Some(fresh.report()));
         assert_eq!(

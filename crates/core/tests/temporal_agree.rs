@@ -103,7 +103,6 @@ fn refuted_temporal_candidates_feed_the_suite() {
     let tcex_segments = outcome
         .suite
         .segments()
-        .iter()
         .filter(|s| s.label.starts_with("tcex-"))
         .count();
     assert_eq!(total_refuted, tcex_segments);

@@ -423,7 +423,7 @@ impl Dataset {
             block: backend.lane_block(),
             cancel: None,
         }
-        .suite_traces(suite, &mut NopObserver)?
+        .traces(suite, 0..suite.len(), &mut NopObserver)?
         .expect("no cancel token");
         let added = self.add_traces(spec, &traces);
         span.arg("rows", added.rows.len());

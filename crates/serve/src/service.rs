@@ -1221,7 +1221,7 @@ enum AttemptError {
 /// How the retry loop ended; consumed by the retire block.
 enum Finish {
     Finished {
-        outcome: ClosureOutcome,
+        outcome: Box<ClosureOutcome>,
         was_cancelled: bool,
         reclaimed: Option<Checker>,
         built_compiled: Option<Arc<CompiledModule>>,
@@ -1395,7 +1395,7 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
                 Ok(outcome) => {
                     let was_cancelled = attempt.observed_cancel || outcome.interrupted;
                     break Finish::Finished {
-                        outcome,
+                        outcome: Box::new(outcome),
                         was_cancelled,
                         reclaimed: attempt.reclaimed,
                         built_compiled: attempt.built_compiled,
@@ -1504,11 +1504,11 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
                 let error = live.deadline_error();
                 st.fail(id, error);
             } else if was_cancelled {
-                job.outcome = Some(Ok(Arc::new(outcome)));
+                job.outcome = Some(Ok(Arc::from(outcome)));
                 job.state = JobState::Cancelled;
                 st.stats.cancelled += 1;
             } else {
-                job.outcome = Some(Ok(Arc::new(outcome)));
+                job.outcome = Some(Ok(Arc::from(outcome)));
                 job.state = JobState::Done;
                 st.stats.completed += 1;
             }

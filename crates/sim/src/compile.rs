@@ -52,12 +52,10 @@
 //! loop — and the drive word is what keeps the interpreter's semantics
 //! that an input a vector does not name (or a lane whose segment has
 //! ended) holds its previous value, and that a signal named twice takes
-//! the last one. A [`crate::TestSuite`] replayed whole owns its form:
-//! the first such replay pays one segment-major walk to build it, later
-//! replays on any tape of a design with the same signal table read it,
-//! `push` extends it in place. A borrowed `&[Segment]` slice
-//! ([`crate::Replay::traces`] / [`crate::Replay::observe`]) is packed
-//! into a scratch form one chunk at a time through the same routine.
+//! the last one. That form is the only storage a [`crate::TestSuite`]
+//! has, so a replay of any range of a suite reads the range's lane
+//! groups where they lie and masks the lanes outside it: nothing is
+//! packed per replay.
 //! The other end is as flat: a batch's [`Trace`]s share one signal
 //! table and store rows in one `Vec<u64>` each, filled from one pass
 //! over the cycle's snapshot per block word
@@ -87,14 +85,15 @@
 //! suites' reference leg); it is also what observer code using the
 //! borrowing [`crate::SimObserver`] API keeps running on.
 
-use crate::packed::PackedStimulus;
+use crate::packed::{PackedStimulus, GROUP_LANES};
 use crate::sim::{BranchOutcome, ExprRole};
-use crate::suite::Segment;
+use crate::suite::TestSuite;
 use crate::trace::{Trace, TraceShape};
 use gm_rtl::{
     elaborate, BinaryOp, Bv, Elab, Expr, Module, Result, SignalId, Stmt, StmtId, StmtKind, UnaryOp,
 };
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// The widest supported lane block, in 64-lane words (512 lanes).
 pub const MAX_LANE_BLOCK: usize = 8;
@@ -553,59 +552,59 @@ impl CompiledModule {
             + self.probes.len() * 2 * MAX_LANE_BLOCK * std::mem::size_of::<u64>()
     }
 
-    /// Widths of the module's signals, by signal index — the key a
-    /// [`PackedStimulus`] is built against.
+    /// Widths of the module's signals, by signal index — what a
+    /// [`PackedStimulus`]'s learned row widths must match.
     pub(crate) fn signal_widths(&self) -> &[u32] {
         &self.widths[..self.n_signals]
     }
 
-    /// Runs `segments` through a batch executor with a lane block of
-    /// `block` words (`64·block` lanes per pass), `collect_traces`
-    /// deciding whether per-lane traces are materialized (coverage-only
-    /// callers skip the transpose). Segments are dealt onto lanes in
-    /// chunks of `64·block`; each chunk starts from reset, so lane `k`
-    /// replays segment `chunk·64·block + k` exactly as a run of its own
-    /// would. `block` is normalized to the nearest supported width
-    /// (1, 2, 4, 8).
+    /// Runs segments `range` of `suite` through a batch executor with a
+    /// lane block of `block` words (`64·block` lanes per pass),
+    /// `collect_traces` deciding whether per-lane traces are
+    /// materialized (coverage-only callers skip the transpose). `block`
+    /// is normalized to the nearest supported width (1, 2, 4, 8).
     ///
-    /// The executor reads stimulus only as a [`PackedStimulus`]:
-    /// `owned`, when the caller holds the packed form of exactly these
-    /// segments (a [`crate::TestSuite`] does), and otherwise a scratch
-    /// form packed one chunk at a time.
+    /// A pass reads `block` consecutive lane groups of the suite's
+    /// packed form where they lie; lane `k` of group `g` replays segment
+    /// `64·g + k` from reset exactly as a run of its own would, and lanes
+    /// outside the range are masked out of the reset and active words
+    /// (they compute, but nothing observes them).
     ///
     /// The cooperative `cancel` token is polled once per simulated cycle
-    /// of every chunk; a raised token returns `None` — no partial traces
-    /// or coverage for the pass are published (observer callbacks up to
+    /// of every pass; a raised token returns `None` — no partial traces
+    /// or coverage for the batch are published (observer callbacks up to
     /// the cancel point have already fired, which is why cancelled
     /// passes must be discarded by the caller).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_segments_batched(
         &self,
         module: &Module,
-        segments: &[Segment],
-        owned: Option<&PackedStimulus>,
+        suite: &TestSuite,
+        range: Range<usize>,
         obs: &mut dyn BatchObserver,
         collect_traces: bool,
         cancel: Option<&std::sync::atomic::AtomicBool>,
         block: usize,
     ) -> Option<Vec<Trace>> {
+        let (stimulus, range) = suite.feed(self.signal_widths(), range);
         let mut span = gm_trace::span("sim", "sim.batch");
         if span.is_active() {
-            span.arg("segments", segments.len());
+            span.arg("segments", range.len());
+            span.arg("first_segment", range.start);
+            span.arg("groups", lane_groups(&range).len());
             span.arg("lane_block", Self::normalized_block(block));
             span.arg("lanes", 64 * Self::normalized_block(block));
             span.arg("probes", self.probes.len());
             span.arg("traces", collect_traces);
-            span.arg("packed", owned.is_some());
             span.arg(
                 "cycles",
-                segments.iter().map(|s| s.vectors.len()).sum::<usize>(),
+                stimulus.lens()[range.clone()].iter().sum::<usize>(),
             );
         }
         let out = self.run_segments_batched_untraced(
             module,
-            segments,
-            owned,
+            &stimulus,
+            range,
             obs,
             collect_traces,
             cancel,
@@ -615,31 +614,28 @@ impl CompiledModule {
         out
     }
 
-    /// [`Self::run_segments_batched`] minus the span wrapper — the
-    /// pre-trace machine code, kept callable so the recorder-overhead
-    /// bench can measure the instrumented entry against a true
-    /// baseline on identical inner code.
+    /// [`Self::run_segments_batched`] minus the span wrapper and the
+    /// width check ([`TestSuite::feed`]) — the pre-trace machine code,
+    /// kept callable so the recorder-overhead bench can measure the
+    /// instrumented entry against a true baseline on identical inner
+    /// code.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_segments_batched_untraced(
         &self,
         module: &Module,
-        segments: &[Segment],
-        owned: Option<&PackedStimulus>,
+        stimulus: &PackedStimulus,
+        range: Range<usize>,
         obs: &mut dyn BatchObserver,
         collect_traces: bool,
         cancel: Option<&std::sync::atomic::AtomicBool>,
         block: usize,
     ) -> Option<Vec<Trace>> {
-        assert!(
-            owned.is_none_or(|p| p.segments() == segments.len()),
-            "the packed form is of other segments"
-        );
         let shape = collect_traces.then(|| TraceShape::for_module(module));
         match Self::normalized_block(block) {
-            1 => self.run_segments_blocked::<1>(segments, owned, obs, shape, cancel),
-            2 => self.run_segments_blocked::<2>(segments, owned, obs, shape, cancel),
-            4 => self.run_segments_blocked::<4>(segments, owned, obs, shape, cancel),
-            _ => self.run_segments_blocked::<8>(segments, owned, obs, shape, cancel),
+            1 => self.run_segments_blocked::<1>(stimulus, range, obs, shape, cancel),
+            2 => self.run_segments_blocked::<2>(stimulus, range, obs, shape, cancel),
+            4 => self.run_segments_blocked::<4>(stimulus, range, obs, shape, cancel),
+            _ => self.run_segments_blocked::<8>(stimulus, range, obs, shape, cancel),
         }
     }
 
@@ -656,53 +652,44 @@ impl CompiledModule {
 
     fn run_segments_blocked<const W: usize>(
         &self,
-        segments: &[Segment],
-        owned: Option<&PackedStimulus>,
+        stimulus: &PackedStimulus,
+        range: Range<usize>,
         obs: &mut dyn BatchObserver,
         trace_shape: Option<std::sync::Arc<TraceShape>>,
         cancel: Option<&std::sync::atomic::AtomicBool>,
     ) -> Option<Vec<Trace>> {
         let cancelled = || cancel.is_some_and(|c| c.load(std::sync::atomic::Ordering::Acquire));
         let mut traces: Vec<Trace> = match &trace_shape {
-            Some(shape) => segments
-                .iter()
-                .map(|s| Trace::with_shape(shape.clone(), s.vectors.len()))
+            Some(shape) => range
+                .clone()
+                .map(|s| Trace::with_shape(shape.clone(), stimulus.lens()[s]))
                 .collect(),
             None => Vec::new(),
         };
         // One word's worth of trace rows, lane-major.
         let stride = self.n_signals;
         let mut stage = vec![0u64; trace_shape.as_ref().map_or(0, |_| 64 * stride)];
-        let mut scratch = PackedStimulus::new(self.signal_widths());
-        let mut rows = Vec::new();
-        let lanes = 64 * W;
-        for (chunk_idx, chunk) in segments.chunks(lanes).enumerate() {
-            // Block word `j` reads lane group `first + j`.
-            let (packed, first) = match owned {
-                Some(packed) => (packed, chunk_idx * W),
-                None => {
-                    scratch.clear();
-                    scratch.extend(chunk);
-                    (&scratch, 0)
-                }
-            };
-            packed.arena_rows(&self.base, &mut rows);
+        let rows = stimulus.arena_rows(&self.base);
+        for first in lane_groups(&range).step_by(W) {
+            // Block word `j` reads lane group `first + j`, masked to the
+            // range's lanes.
+            let lanes: [u64; W] = std::array::from_fn(|j| lanes_in(&range, first + j));
             let mut sim = BatchSim::<W>::new(self);
-            let mut full = [0u64; W];
-            for (j, word) in full.iter_mut().enumerate() {
-                *word = ones_mask(chunk.len().saturating_sub(j * 64).min(64));
-            }
-            sim.apply_reset(&full, obs);
-            for t in 0..packed.cycles(first, W) {
-                if cancelled() {
-                    return None;
-                }
+            sim.apply_reset(&lanes, obs);
+            // Until every lane of the pass has ended.
+            for t in 0.. {
                 let mut active = [0u64; W];
                 for (j, word) in active.iter_mut().enumerate() {
-                    if let Some(record) = packed.record(first + j, t) {
-                        *word = record[0];
+                    if let Some(record) = stimulus.record(first + j, t) {
+                        *word = record[0] & lanes[j];
                         sim.drive_word(j, &rows, &record[1..]);
                     }
+                }
+                if active == [0; W] {
+                    break;
+                }
+                if cancelled() {
+                    return None;
                 }
                 sim.settle(&active, Some(obs));
                 let snap = sim.snapshot();
@@ -717,7 +704,7 @@ impl CompiledModule {
                         while left != 0 {
                             let k = left.trailing_zeros() as usize;
                             left &= left - 1;
-                            traces[chunk_idx * lanes + j * 64 + k]
+                            traces[(first + j) * GROUP_LANES + k - range.start]
                                 .push_row_raw(&stage[k * stride..][..stride]);
                         }
                     }
@@ -727,6 +714,22 @@ impl CompiledModule {
             sim.drain_probes_to(obs);
         }
         Some(traces)
+    }
+}
+
+/// The lane groups segments `range` lie in.
+fn lane_groups(range: &Range<usize>) -> Range<usize> {
+    range.start / GROUP_LANES..range.end.div_ceil(GROUP_LANES)
+}
+
+/// The lanes of group `group` that hold segments of `range`.
+fn lanes_in(range: &Range<usize>, group: usize) -> u64 {
+    let first = group * GROUP_LANES;
+    let (lo, hi) = (range.start.max(first), range.end.min(first + GROUP_LANES));
+    if lo >= hi {
+        0
+    } else {
+        ones_mask(hi - lo) << (lo - first)
     }
 }
 
@@ -1894,11 +1897,9 @@ mod tests {
 
     /// One segment alone on the tape: a batch with a single active lane.
     fn one_segment(c: &CompiledModule, m: &Module, vectors: Vec<InputVector>) -> Trace {
-        let segment = Segment {
-            label: String::new(),
-            vectors,
-        };
-        c.run_segments_batched(m, &[segment], None, &mut NopObserver, true, None, 1)
+        let mut suite = TestSuite::new();
+        suite.push("", vectors);
+        c.run_segments_batched(m, &suite, 0..1, &mut NopObserver, true, None, 1)
             .expect("no cancel token")
             .pop()
             .expect("one trace per segment")
@@ -1931,21 +1932,18 @@ mod tests {
     fn batch_lanes_replay_independent_segments() {
         let m = parse_verilog(ALU).unwrap();
         let c = CompiledModule::compile(&m).unwrap();
-        let segments: Vec<Segment> = (0..70)
-            .map(|seed| Segment {
-                label: format!("s{seed}"),
-                vectors: collect_vectors(&mut RandomStimulus::new(
-                    &m,
-                    seed,
-                    5 + (seed % 13), // ragged lengths across lane boundaries
-                )),
-            })
-            .collect();
+        let mut suite = TestSuite::new();
+        for seed in 0..70 {
+            // Ragged lengths across lane boundaries.
+            let mut stim = RandomStimulus::new(&m, seed, 5 + (seed % 13));
+            suite.push(format!("s{seed}"), collect_vectors(&mut stim));
+        }
         for block in [1usize, 2, 4, 8] {
             let batched = c
-                .run_segments_batched(&m, &segments, None, &mut NopObserver, true, None, block)
+                .run_segments_batched(&m, &suite, 0..70, &mut NopObserver, true, None, block)
                 .expect("no cancel token");
-            for (seg, got) in segments.iter().zip(&batched) {
+            assert_eq!(batched.len(), 70);
+            for (seg, got) in suite.segments().zip(&batched) {
                 let want = crate::suite::run_segment(&m, &seg.vectors, &mut NopObserver).unwrap();
                 assert_eq!(*got, want, "{} at block {block}", seg.label);
             }
@@ -1958,16 +1956,16 @@ mod tests {
         // ragged tail in its second word) plus a 22-lane remainder.
         let m = parse_verilog(ARBITER2).unwrap();
         let c = CompiledModule::compile(&m).unwrap();
-        let segments: Vec<Segment> = (0..150)
-            .map(|seed| Segment {
-                label: format!("s{seed}"),
-                vectors: collect_vectors(&mut RandomStimulus::new(&m, seed, 1 + (seed % 9))),
-            })
-            .collect();
+        let mut suite = TestSuite::new();
+        for seed in 0..150 {
+            let mut stim = RandomStimulus::new(&m, seed, 1 + (seed % 9));
+            suite.push(format!("s{seed}"), collect_vectors(&mut stim));
+        }
         let batched = c
-            .run_segments_batched(&m, &segments, None, &mut NopObserver, true, None, 2)
+            .run_segments_batched(&m, &suite, 0..150, &mut NopObserver, true, None, 2)
             .expect("no cancel token");
-        for (seg, got) in segments.iter().zip(&batched) {
+        assert_eq!(batched.len(), 150);
+        for (seg, got) in suite.segments().zip(&batched) {
             let want = crate::suite::run_segment(&m, &seg.vectors, &mut NopObserver).unwrap();
             assert_eq!(*got, want, "{}", seg.label);
         }

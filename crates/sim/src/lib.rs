@@ -24,16 +24,14 @@
 //! boolean-node coverage probes fused into the tape and drained in bulk
 //! ([`BatchObserver::drain_probes`]). Code that replays reset-rooted
 //! segments goes through one seam, [`Replay`], which rides the tape
-//! when it is given one and walks the interpreter otherwise. The tape
-//! reads stimulus in one form only, [`PackedStimulus`]: 64-segment lane
-//! groups holding, per cycle, an active-lane word and a value word and
-//! a drive word per driven input bit (an undriven lane *holds* its
-//! input). A [`TestSuite`] replayed whole ([`Replay::suite_traces`],
-//! [`Replay::suite_observe`]) owns that form — the first replay pays
-//! one walk over the segments to build it, later replays read it,
-//! `push` extends it — while a borrowed segment slice is packed into a
-//! scratch form one chunk at a time; see the "Lane encoding" section
-//! of the compiled backend's module docs. A run
+//! when it is given one and walks the interpreter otherwise. Stimulus
+//! has one form, [`PackedStimulus`]: 64-segment lane groups holding,
+//! per cycle, an active-lane word and a value word and a drive word per
+//! driven input bit (an undriven lane *holds* its input). It is the
+//! only storage a [`TestSuite`] has — `push` packs — and a replay of
+//! any range of a suite reads the range's groups in place; a
+//! [`Segment`] is decoded from it on request. See the "Lane encoding"
+//! section of the compiled backend's module docs. A run
 //! picks between them (and the lane-block width) with [`SimBackend`],
 //! and can compile observation out entirely with [`CompileOptions`].
 //! The interpreter is still what runs under

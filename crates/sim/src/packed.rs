@@ -1,17 +1,13 @@
-//! Lane-packed stimulus: segments stored the way the tape reads them.
-//!
-//! A [`crate::Segment`] keeps one `Vec<(SignalId, Bv)>` per cycle — the
-//! form stimulus is built, absorbed and printed in. The batch executor
-//! wants the transpose: per cycle, one word per input bit carrying 64
-//! segments' values. [`PackedStimulus`] is that transpose, built once
-//! in a single segment-major walk and append-only afterwards.
+//! Lane-packed stimulus: the one form a [`crate::TestSuite`] stores its
+//! segments in and the tape reads — per cycle, one word per input bit
+//! carrying 64 segments' values, written as each segment is pushed.
 //!
 //! # Layout
 //!
-//! Segments are dealt onto **lane groups** of 64, in order: segment `s`
-//! is lane `s % 64` of group `s / 64`. Groups do not depend on the
-//! executor's lane block `W`: block word `j` of chunk `c` reads group
-//! `c·W + j`, so one form feeds every width.
+//! Segments are dealt onto **lane groups** of 64: segment `s` is lane
+//! `s % 64` of group `s / 64`. A pass over groups `g..g + W` reads group
+//! `g + j` into block word `j`, so one form feeds every lane block and
+//! any range of segments is read where it lies.
 //!
 //! A group holds one *cycle record* per cycle of its longest segment:
 //!
@@ -19,24 +15,29 @@
 //! [ active | val₀ drv₀ | val₁ drv₁ | … ]      1 + 2·rows words
 //! ```
 //!
-//! `active` has bit `k` set while lane `k`'s segment is still running.
-//! A *row* is one bit of one driven signal; rows are handed out in
-//! order of first appearance (all bits of a signal together) and a
-//! group carries the rows known when its last lane was packed, which is
-//! a prefix of the table. `drv` has bit `k` set when lane `k`'s vector
-//! names the signal in that cycle and `val` then carries the bit
-//! (`val ⊆ drv`), so the executor's whole feed is
-//! `slot = (slot & !drv) | val` per row: a lane whose vector does not
-//! name a signal — or whose segment has ended — *holds* what it drove
-//! last, and a signal named twice in one vector keeps the later value,
-//! exactly as a loop of `set_input` calls would.
+//! `active` has bit `k` set while lane `k`'s segment is running. A *row*
+//! is one bit of one driven signal; rows are handed out in order of
+//! first appearance, a signal's width **learned** from its first naming
+//! (a form has no design), and a group carries the rows known when its
+//! last lane was packed — a prefix of the table. `drv` has bit `k` set
+//! when lane `k`'s vector names the signal and `val` then carries the
+//! bit, so the executor's whole feed is `slot = (slot & !drv) | val` per
+//! row: an unnamed signal (or an ended lane) *holds*, and a signal named
+//! twice keeps the later value cut or zero-extended to the row width —
+//! exactly as a loop of `set_input` calls.
+//!
+//! A vector is *regular* when it names each signal at most once, at its
+//! row width, in ascending row order — what random stimulus, canonical
+//! counterexamples and synthesized variants build. It is then exactly
+//! the driven rows of its record, so [`PackedStimulus::decode`] gives a
+//! segment [`PackedStimulus::push`] found regular back from the lanes
+//! alone; the suite keeps any other segment verbatim.
 
 use crate::stim::InputVector;
-use crate::suite::Segment;
-use gm_rtl::SignalId;
+use gm_rtl::{Bv, SignalId};
 
 /// Segments per lane group: the lanes of one block word.
-const GROUP_LANES: usize = 64;
+pub(crate) const GROUP_LANES: usize = 64;
 
 /// `row_of` entry of a signal no vector has named yet.
 const NO_ROW: u32 = u32::MAX;
@@ -59,13 +60,11 @@ impl Group {
 }
 
 /// Reset-rooted segments transposed into per-cycle lane words (see the
-/// module docs for the layout). Values are resized to the signal
-/// widths given at construction, so a form is only meaningful on a
-/// design with that signal table; the widths are the key
-/// [`crate::TestSuite`] compares before handing its form to a tape.
-#[derive(Clone, Debug, PartialEq)]
+/// module docs for the layout).
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct PackedStimulus {
-    /// Signal widths of the design, by signal index.
+    /// Row width of each signal, by signal index (meaningful once the
+    /// signal has rows).
     widths: Vec<u32>,
     /// First row of each signal, by signal index.
     row_of: Vec<u32>,
@@ -77,62 +76,35 @@ pub struct PackedStimulus {
     /// Every group's records, back to back; the last group is the tail,
     /// which is what lets it grow in place.
     words: Vec<u64>,
-    segments: usize,
+    /// Cycles of every segment, in push order.
+    lens: Vec<usize>,
 }
 
 impl PackedStimulus {
-    /// An empty form for a design with the given signal widths.
-    pub(crate) fn new(widths: &[u32]) -> Self {
-        PackedStimulus {
-            widths: widths.to_vec(),
-            row_of: vec![NO_ROW; widths.len()],
-            driven: Vec::new(),
-            rows: 0,
-            groups: Vec::new(),
-            words: Vec::new(),
-            segments: 0,
-        }
-    }
-
-    /// Packs `segments` in order.
-    pub fn pack(widths: &[u32], segments: &[Segment]) -> Self {
-        let mut packed = PackedStimulus::new(widths);
-        packed.extend(segments);
-        packed
-    }
-
-    /// The signal widths values were resized to.
-    pub(crate) fn widths(&self) -> &[u32] {
-        &self.widths
-    }
-
     /// Segments packed so far.
     pub fn segments(&self) -> usize {
-        self.segments
+        self.lens.len()
     }
 
-    /// Forgets every segment but keeps the row table and the
-    /// allocation — the executor's per-chunk scratch.
-    pub(crate) fn clear(&mut self) {
-        self.groups.clear();
-        self.words.clear();
-        self.segments = 0;
+    /// Cycles of every segment, in push order.
+    pub(crate) fn lens(&self) -> &[usize] {
+        &self.lens
     }
 
-    /// Appends `segments` as the next lanes.
-    pub(crate) fn extend(&mut self, segments: &[Segment]) {
-        for segment in segments {
-            self.push(&segment.vectors);
-        }
+    /// Whether every driven signal's row width is its width in a
+    /// design with signal widths `widths`, so the lanes drive that
+    /// design exactly as `set_input` would.
+    pub(crate) fn fits(&self, widths: &[u32]) -> bool {
+        self.driven
+            .iter()
+            .all(|sig| widths.get(sig.index()) == Some(&self.widths[sig.index()]))
     }
 
-    /// Appends one segment as the next lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a vector names a signal outside the width table.
-    pub(crate) fn push(&mut self, vectors: &[InputVector]) {
-        let lane = self.segments % GROUP_LANES;
+    /// Appends one segment as the next lane, returning whether every
+    /// vector was regular (see the module docs) — then, and only then,
+    /// [`PackedStimulus::decode`] gives `vectors` back.
+    pub(crate) fn push(&mut self, vectors: &[InputVector]) -> bool {
+        let lane = self.lens.len() % GROUP_LANES;
         if lane == 0 {
             self.groups.push(Group {
                 start: self.words.len(),
@@ -140,26 +112,37 @@ impl PackedStimulus {
                 rows: self.rows,
             });
         }
-        self.segments += 1;
+        self.lens.push(vectors.len());
         let mut group = self.tail_cycles(vectors.len());
         let bit = 1u64 << lane;
+        let mut regular = true;
         for (t, vector) in vectors.iter().enumerate() {
-            self.words[group.start + t * group.stride()] |= bit;
+            let mut record = group.start + t * group.stride();
+            self.words[record] |= bit;
+            let mut prev = None;
             for &(sig, value) in vector {
-                if self.row_of[sig.index()] == NO_ROW {
-                    group = self.add_signal(sig);
-                }
+                let row = match self.row_of.get(sig.index()) {
+                    Some(&row) if row != NO_ROW => row,
+                    _ => {
+                        // The tail is re-strided: this record moves.
+                        group = self.add_signal(sig, value.width());
+                        record = group.start + t * group.stride();
+                        self.row_of[sig.index()]
+                    }
+                };
                 let width = self.widths[sig.index()];
-                let bits = value.resize(width).bits();
-                let first =
-                    group.start + t * group.stride() + 1 + 2 * self.row_of[sig.index()] as usize;
-                let pairs = &mut self.words[first..first + 2 * width as usize];
-                for (i, pair) in pairs.chunks_exact_mut(2).enumerate() {
-                    pair[0] = (pair[0] & !bit) | ((bits >> i & 1) << lane);
+                regular &= value.width() == width && prev.is_none_or(|p| p < row);
+                prev = Some(row);
+                // Bits past the row width are cut, missing ones read 0.
+                let bits = value.bits();
+                let pairs = &mut self.words[record + 1 + 2 * row as usize..][..2 * width as usize];
+                for (b, pair) in pairs.chunks_exact_mut(2).enumerate() {
+                    pair[0] = (pair[0] & !bit) | ((bits >> b & 1) << lane);
                     pair[1] |= bit;
                 }
             }
         }
+        regular
     }
 
     /// Makes the tail group hold at least `cycles` records (new ones
@@ -173,10 +156,15 @@ impl PackedStimulus {
         *group
     }
 
-    /// Hands `sig` its rows and widens the tail group's records to
+    /// Hands `sig` `width` rows and widens the tail group's records to
     /// carry them (earlier groups never drove the signal and keep their
     /// narrower records). Returns the re-strided tail group.
-    fn add_signal(&mut self, sig: SignalId) -> Group {
+    fn add_signal(&mut self, sig: SignalId, width: u32) -> Group {
+        if sig.index() >= self.row_of.len() {
+            self.row_of.resize(sig.index() + 1, NO_ROW);
+            self.widths.resize(sig.index() + 1, 0);
+        }
+        self.widths[sig.index()] = width;
         self.row_of[sig.index()] = u32::try_from(self.rows).expect("rows fit u32");
         self.driven.push(sig);
         self.rows += self.widths[sig.index()] as usize;
@@ -194,20 +182,40 @@ impl PackedStimulus {
         *group
     }
 
-    /// The design-arena row of every packed row, given where each
-    /// signal's bits start (`base`, by signal index), into `out`.
-    pub(crate) fn arena_rows(&self, base: &[u32], out: &mut Vec<u32>) {
-        out.clear();
-        for &sig in &self.driven {
-            let first = base[sig.index()];
-            out.extend((0..self.widths[sig.index()]).map(|i| first + i));
-        }
+    /// Segment `s` read back from its lane: per cycle, every signal the
+    /// lane drives, in row order, at its row width. This is the segment
+    /// as pushed when [`PackedStimulus::push`] found it regular.
+    pub(crate) fn decode(&self, s: usize) -> Vec<InputVector> {
+        let (group, lane) = (self.groups[s / GROUP_LANES], s % GROUP_LANES);
+        // The signals the group has rows for: a prefix of the table.
+        let signals = &self.driven[..self
+            .driven
+            .partition_point(|sig| (self.row_of[sig.index()] as usize) < group.rows)];
+        (0..self.lens[s])
+            .map(|t| {
+                let record = &self.words[group.start + t * group.stride()..][..group.stride()];
+                let mut vector = Vec::with_capacity(signals.len());
+                for &sig in signals {
+                    let at = 1 + 2 * self.row_of[sig.index()] as usize;
+                    if record[at + 1] >> lane & 1 == 0 {
+                        continue;
+                    }
+                    let width = self.widths[sig.index()];
+                    let bits = (0..width as usize).fold(0u64, |bits, b| {
+                        bits | ((record[at + 2 * b] >> lane & 1) << b)
+                    });
+                    vector.push((sig, Bv::new(bits, width)));
+                }
+                vector
+            })
+            .collect()
     }
 
-    /// The longest segment among groups `first..first + n`.
-    pub(crate) fn cycles(&self, first: usize, n: usize) -> usize {
-        let groups = &self.groups[first.min(self.groups.len())..];
-        groups.iter().take(n).map(|g| g.cycles).max().unwrap_or(0)
+    /// The design-arena row of every packed row, given where each
+    /// signal's bits start (`base`, by signal index).
+    pub(crate) fn arena_rows(&self, base: &[u32]) -> Vec<u32> {
+        let rows = |sig: &SignalId| base[sig.index()]..base[sig.index()] + self.widths[sig.index()];
+        self.driven.iter().flat_map(rows).collect()
     }
 
     /// Group `group`'s record of cycle `t` — `[active, val₀, drv₀, …]`
@@ -223,7 +231,6 @@ impl PackedStimulus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gm_rtl::Bv;
 
     fn sig(i: u32) -> SignalId {
         SignalId::from_raw(i)
@@ -234,7 +241,7 @@ mod tests {
     fn read(p: &PackedStimulus, segment: usize, t: usize, signal: SignalId) -> (bool, u64) {
         let (group, lane) = (segment / 64, segment % 64);
         let record = p.record(group, t).expect("cycle is recorded");
-        let row = p.row_of[signal.index()];
+        let row = p.row_of.get(signal.index()).copied().unwrap_or(NO_ROW);
         if row == NO_ROW || row as usize >= p.groups[group].rows {
             return (false, 0);
         }
@@ -250,42 +257,53 @@ mod tests {
 
     #[test]
     fn unnamed_signals_are_not_driven_and_the_last_naming_wins() {
-        // Signals 0 (1 bit) and 1 (3 bits); 2 is never named.
-        let mut p = PackedStimulus::new(&[1, 3, 8]);
-        p.push(&[
+        // Signal 0 learns 1 bit and signal 1 three; 2 is never named.
+        let mut p = PackedStimulus::default();
+        let holds = [
             vec![(sig(1), Bv::new(5, 3))],
             vec![(sig(0), Bv::one_bit())],
             vec![(sig(1), Bv::new(1, 3)), (sig(1), Bv::new(6, 3))],
-        ]);
+        ];
+        assert!(!p.push(&holds), "signal 1 named twice");
         assert_eq!(read(&p, 0, 0, sig(1)), (true, 5));
         assert_eq!(read(&p, 0, 0, sig(0)), (false, 0), "not named in cycle 0");
         assert_eq!(read(&p, 0, 1, sig(0)), (true, 1));
         assert_eq!(read(&p, 0, 1, sig(1)), (false, 0), "held, not re-driven");
         assert_eq!(read(&p, 0, 2, sig(1)), (true, 6), "named twice: last wins");
+        assert_eq!(read(&p, 0, 2, sig(2)), (false, 0));
         assert_eq!(p.rows, 4, "signal 2 has no rows");
-        // Values are cut to the signal's width, like `set_input`.
-        p.push(&[vec![(sig(0), Bv::new(0b10, 2)), (sig(1), Bv::new(1, 1))]]);
+        // Values are cut to the row width, like `set_input`.
+        let cut = [vec![(sig(0), Bv::new(0b10, 2)), (sig(1), Bv::new(1, 1))]];
+        assert!(!p.push(&cut), "namings at other widths");
         assert_eq!(read(&p, 1, 0, sig(0)), (true, 0));
         assert_eq!(read(&p, 1, 0, sig(1)), (true, 1), "zero-extended");
         assert_eq!(p.record(0, 0).unwrap()[0], 0b11, "both lanes active");
         assert_eq!(p.record(0, 1).unwrap()[0], 0b01, "lane 1 has ended");
         assert!(p.record(0, 3).is_none() && p.record(1, 0).is_none());
+        // Row order, each signal once, at its width: read back as is.
+        let regular = [
+            vec![(sig(1), Bv::new(2, 3)), (sig(0), Bv::one_bit())],
+            vec![],
+        ];
+        assert!(p.push(&regular));
+        assert_eq!(p.decode(2), regular);
+        assert!(!p.push(&[vec![(sig(0), Bv::one_bit()), (sig(1), Bv::new(2, 3))]]));
+        assert!(p.fits(&[1, 3, 8]) && !p.fits(&[1, 4, 8]) && !p.fits(&[1]));
     }
 
     #[test]
     fn a_late_signal_widens_only_the_tail_group() {
-        let mut p = PackedStimulus::new(&[1, 2]);
+        let mut p = PackedStimulus::default();
         for s in 0..64u64 {
-            p.push(&vec![vec![(sig(0), Bv::new(s & 1, 1))]; 2]);
+            assert!(p.push(&vec![vec![(sig(0), Bv::new(s & 1, 1))]; 2]));
         }
         // Lane 0 of group 1 runs three cycles before lane 1 names a
         // new signal in its second: the records already written move.
         p.push(&vec![vec![(sig(0), Bv::one_bit())]; 3]);
         p.push(&[vec![], vec![(sig(1), Bv::new(2, 2))]]);
         assert_eq!((p.groups[0].rows, p.groups[1].rows), (1, 3));
-        assert_eq!(p.cycles(0, 1), 2);
-        assert_eq!(p.cycles(0, 8), 3);
-        assert_eq!(p.cycles(2, 8), 0);
+        assert_eq!((p.groups[0].cycles, p.groups[1].cycles), (2, 3));
+        assert_eq!(p.lens()[63..], [2, 3, 2]);
         for s in 0..64 {
             for t in 0..2 {
                 assert_eq!(read(&p, s, t, sig(0)), (true, s as u64 & 1));
@@ -300,17 +318,16 @@ mod tests {
         assert_eq!(read(&p, 65, 1, sig(1)), (true, 2));
         assert_eq!(p.record(1, 1).unwrap()[0], 0b11);
         assert_eq!(p.record(1, 2).unwrap()[0], 0b01);
-        let mut rows = Vec::new();
-        p.arena_rows(&[10, 20], &mut rows);
-        assert_eq!(rows, [10, 20, 21]);
+        assert_eq!(p.decode(64), vec![vec![(sig(0), Bv::one_bit())]; 3]);
+        assert_eq!(p.decode(65), [vec![], vec![(sig(1), Bv::new(2, 2))]]);
+        assert_eq!(p.arena_rows(&[10, 20]), [10, 20, 21]);
     }
 
     #[test]
     fn appending_equals_packing_afresh() {
-        let segments: Vec<Segment> = (0..150u64)
-            .map(|s| Segment {
-                label: String::new(),
-                vectors: (0..s % 7)
+        let segments: Vec<Vec<InputVector>> = (0..150u64)
+            .map(|s| {
+                (0..s % 7)
                     .map(|t| {
                         let mut v = vec![(sig(0), Bv::new(s ^ t, 1))];
                         if (s + t) % 3 == 0 {
@@ -318,22 +335,29 @@ mod tests {
                         }
                         v
                     })
-                    .collect(),
+                    .collect()
             })
             .collect();
-        let widths = [1, 4, 4];
-        let whole = PackedStimulus::pack(&widths, &segments);
+        let mut whole = PackedStimulus::default();
+        for segment in &segments {
+            assert!(whole.push(segment));
+        }
         for cut in [0, 1, 63, 64, 65, 128, 149] {
-            let mut grown = PackedStimulus::pack(&widths, &segments[..cut]);
-            grown.extend(&segments[cut..]);
+            let mut grown = PackedStimulus::default();
+            for segment in &segments[..cut] {
+                grown.push(segment);
+            }
+            let early = grown.clone();
+            for segment in &segments[cut..] {
+                grown.push(segment);
+            }
             assert_eq!(grown, whole, "cut at {cut}");
+            assert_eq!(early.segments(), cut, "a clone does not follow");
         }
         assert_eq!((whole.segments(), whole.groups.len()), (150, 3));
-        // The scratch use: cleared, the rows stay known.
-        let mut scratch = whole.clone();
-        scratch.clear();
-        scratch.extend(&segments[..2]);
-        assert_eq!((scratch.segments(), scratch.groups.len()), (2, 1));
-        assert_eq!(scratch.groups[0].rows, 9);
+        for (s, segment) in segments.iter().enumerate() {
+            assert_eq!(&whole.decode(s), segment, "segment {s}");
+        }
+        assert!(whole.fits(&[1, 4, 4]) && !whole.fits(&[1, 4, 3]));
     }
 }

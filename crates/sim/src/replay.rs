@@ -12,16 +12,21 @@
 //!   `64·block` per pass, the token polled once per simulated cycle.
 //!
 //! Traces and coverage are identical either way (`sim/compiled_agree`),
-//! so the choice never shows in a result. Callers hand over *all* the
-//! segments of a pass in one call: a tape pass costs the same for one
-//! active lane as for 64, so a loop of one-segment replays would pay
-//! the whole batch price per segment.
+//! so the choice never shows in a result. What is replayed is always a
+//! range of a [`TestSuite`]: the tape reads the range's lane groups
+//! where the suite stores them (a range that starts or ends inside a
+//! 64-lane group reads that whole group with the other lanes masked),
+//! and the interpreter decodes one segment at a time. Callers hand over
+//! *all* the segments of a pass in one call: a tape pass costs the same
+//! for one active lane as for 64, so a loop of one-segment replays
+//! would pay the whole batch price per segment.
 
 use crate::compile::{BatchObserver, CompiledModule};
 use crate::sim::SimObserver;
-use crate::suite::{run_segment, Segment, TestSuite};
+use crate::suite::{run_segment, TestSuite};
 use crate::trace::Trace;
 use gm_rtl::{Module, Result};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A borrowed description of how to replay segments on one design.
@@ -43,19 +48,21 @@ pub struct Replay<'a> {
 }
 
 impl Replay<'_> {
-    /// Replays every segment from reset, reporting events to `obs`, and
-    /// returns one trace per segment — `None` when the cancel token cut
-    /// the replay short (no trace of the batch is returned then).
+    /// Replays segments `range` of `suite` from reset, reporting events
+    /// to `obs`, and returns one trace per segment — `None` when the
+    /// cancel token cut the replay short (no trace of the batch is
+    /// returned then).
     ///
     /// # Errors
     ///
     /// Propagates the interpreter's elaboration errors.
     pub fn traces<O: SimObserver + BatchObserver>(
         &self,
-        segments: &[Segment],
+        suite: &TestSuite,
+        range: Range<usize>,
         obs: &mut O,
     ) -> Result<Option<Vec<Trace>>> {
-        self.run(segments, None, obs, true)
+        self.run(suite, range, obs, true)
     }
 
     /// [`Replay::traces`] without materializing traces — the coverage
@@ -67,76 +74,40 @@ impl Replay<'_> {
     /// Propagates the interpreter's elaboration errors.
     pub fn observe<O: SimObserver + BatchObserver>(
         &self,
-        segments: &[Segment],
+        suite: &TestSuite,
+        range: Range<usize>,
         obs: &mut O,
     ) -> Result<Option<()>> {
-        Ok(self.run(segments, None, obs, false)?.map(drop))
+        Ok(self.run(suite, range, obs, false)?.map(drop))
     }
 
-    /// [`Replay::traces`] of every segment of `suite`. On the tape the
-    /// stimulus is read from the lane-packed form the suite owns —
-    /// built by the first such replay, shared by every later one on a
-    /// design with the same signal table — instead of being packed
-    /// again per call: the entry for a suite replayed more than once.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the interpreter's elaboration errors.
-    pub fn suite_traces<O: SimObserver + BatchObserver>(
-        &self,
-        suite: &TestSuite,
-        obs: &mut O,
-    ) -> Result<Option<Vec<Trace>>> {
-        self.run(suite.segments(), Some(suite), obs, true)
-    }
-
-    /// [`Replay::observe`] of every segment of `suite`, read like
-    /// [`Replay::suite_traces`] reads them.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the interpreter's elaboration errors.
-    pub fn suite_observe<O: SimObserver + BatchObserver>(
-        &self,
-        suite: &TestSuite,
-        obs: &mut O,
-    ) -> Result<Option<()>> {
-        Ok(self
-            .run(suite.segments(), Some(suite), obs, false)?
-            .map(drop))
-    }
-
-    /// `owner`, when given, is the suite `segments` are all of.
     fn run<O: SimObserver + BatchObserver>(
         &self,
-        segments: &[Segment],
-        owner: Option<&TestSuite>,
+        suite: &TestSuite,
+        range: Range<usize>,
         obs: &mut O,
         collect_traces: bool,
     ) -> Result<Option<Vec<Trace>>> {
-        if segments.is_empty() {
+        if range.is_empty() {
             return Ok(Some(Vec::new()));
         }
         let Some(compiled) = self.compiled else {
-            let mut traces = Vec::with_capacity(segments.len());
-            for seg in segments {
+            let mut traces = Vec::with_capacity(range.len());
+            for s in range {
                 if self.cancel.is_some_and(|c| c.load(Ordering::Acquire)) {
                     return Ok(None);
                 }
-                let trace = run_segment(self.module, &seg.vectors, obs)?;
+                let trace = run_segment(self.module, &suite.segment(s).vectors, obs)?;
                 if collect_traces {
                     traces.push(trace);
                 }
             }
             return Ok(Some(traces));
         };
-        // A suite's own packed form when there is one to read; a
-        // borrowed slice is packed chunk by chunk inside.
-        let owned = owner.and_then(|suite| suite.packed_for(compiled.signal_widths()));
         Ok(compiled.run_segments_batched(
             self.module,
-            segments,
-            owned,
+            suite,
+            range,
             obs,
             collect_traces,
             self.cancel,
@@ -161,13 +132,13 @@ mod tests {
         else q <= q;
     endmodule";
 
-    fn segments(m: &Module, n: u64) -> Vec<Segment> {
-        (0..n)
-            .map(|seed| Segment {
-                label: format!("s{seed}"),
-                vectors: collect_vectors(&mut RandomStimulus::new(m, seed, 4 + seed % 5)),
-            })
-            .collect()
+    fn segments(m: &Module, n: u64) -> TestSuite {
+        let mut suite = TestSuite::new();
+        for seed in 0..n {
+            let mut stim = RandomStimulus::new(m, seed, 4 + seed % 5);
+            suite.push(format!("s{seed}"), collect_vectors(&mut stim));
+        }
+        suite
     }
 
     /// Raises the token from inside the replay, after `after` cycle-end
@@ -209,16 +180,28 @@ mod tests {
             block,
             cancel: None,
         };
-        let want = replay(None, 1).traces(&segs, &mut NopObserver).unwrap();
+        let want = replay(None, 1)
+            .traces(&segs, 0..70, &mut NopObserver)
+            .unwrap();
         assert_eq!(want.as_ref().map(Vec::len), Some(70));
+        let want = want.unwrap();
         for block in [1, 2, 8] {
-            let got = replay(Some(&c), block).traces(&segs, &mut NopObserver);
-            assert_eq!(got.unwrap(), want, "block {block}");
-            let observed = replay(Some(&c), block).observe(&segs, &mut NopObserver);
+            let got = replay(Some(&c), block).traces(&segs, 0..70, &mut NopObserver);
+            assert_eq!(got.unwrap().as_ref(), Some(&want), "block {block}");
+            let observed = replay(Some(&c), block).observe(&segs, 0..70, &mut NopObserver);
             assert_eq!(observed.unwrap(), Some(()));
+            // A range across the group seam is those segments alone.
+            let got = replay(Some(&c), block).traces(&segs, 60..67, &mut NopObserver);
+            assert_eq!(
+                got.unwrap().as_deref(),
+                Some(&want[60..67]),
+                "block {block}"
+            );
         }
         // Nothing to replay is not a pass: no reset cycle, no trace.
-        let none = replay(Some(&c), 1).traces(&[], &mut NopObserver).unwrap();
+        let none = replay(Some(&c), 1)
+            .traces(&segs, 5..5, &mut NopObserver)
+            .unwrap();
         assert_eq!(none, Some(Vec::new()));
     }
 
@@ -242,9 +225,9 @@ mod tests {
                 token: &token,
                 after: 2,
             };
-            assert_eq!(replay.traces(&segs, &mut obs).unwrap(), None);
+            assert_eq!(replay.traces(&segs, 0..3, &mut obs).unwrap(), None);
             // Still raised: the next replay ends at its first poll.
-            assert_eq!(replay.observe(&segs, &mut NopObserver).unwrap(), None);
+            assert_eq!(replay.observe(&segs, 0..3, &mut NopObserver).unwrap(), None);
         }
     }
 }

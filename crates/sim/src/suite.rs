@@ -4,13 +4,21 @@
 //! seed patterns plus one directed segment per counterexample. Each
 //! segment starts from the design's reset state (counterexample traces
 //! are reset-rooted), so segments are replayed independently.
+//!
+//! A suite stores its stimulus lane-packed only ([`PackedStimulus`]):
+//! [`TestSuite::push`] packs, and every tape replay reads the lanes in
+//! place. A [`Segment`] is decoded on request — from the lanes when all
+//! its vectors were regular, else from a verbatim copy kept of that
+//! segment alone — so it is always the segment as pushed, and equality
+//! and `Debug` are functions of the pushed segments only.
 
 use crate::packed::PackedStimulus;
 use crate::sim::{SimObserver, Simulator};
 use crate::stim::InputVector;
 use crate::trace::Trace;
 use gm_rtl::{Bv, Module, Result};
-use std::sync::OnceLock;
+use std::borrow::Cow;
+use std::ops::Range;
 
 /// A named stimulus segment, run from reset.
 #[derive(Clone, Debug, PartialEq)]
@@ -21,34 +29,22 @@ pub struct Segment {
     pub vectors: Vec<InputVector>,
 }
 
-/// An ordered collection of segments forming the validation stimulus.
-///
-/// A suite replayed whole on the compiled tape
-/// ([`crate::Replay::suite_traces`] / [`crate::Replay::suite_observe`],
-/// [`TestSuite::run_compiled`] / [`TestSuite::observe_compiled`]) also
-/// owns the lane-packed form of its segments ([`PackedStimulus`]): the
-/// first such replay pays one walk over the
-/// segments to build it, later ones read it, [`TestSuite::push`]
-/// extends it in place and a clone carries it. It is derived data —
-/// equality and the `Debug` render are functions of the segments alone.
-#[derive(Clone, Default)]
+/// An ordered collection of segments forming the validation stimulus,
+/// stored lane-packed (see the module docs).
+#[derive(Clone, Default, PartialEq)]
 pub struct TestSuite {
-    segments: Vec<Segment>,
-    /// Always the packed form of exactly `segments`, once set (boxed:
-    /// suites are moved around inside outcomes, most never replayed).
-    packed: OnceLock<Box<PackedStimulus>>,
-}
-
-impl PartialEq for TestSuite {
-    fn eq(&self, other: &Self) -> bool {
-        self.segments == other.segments
-    }
+    labels: Vec<String>,
+    stimulus: PackedStimulus,
+    /// The segments with an irregular vector, as pushed, by ascending
+    /// index.
+    verbatim: Vec<(usize, Vec<InputVector>)>,
 }
 
 impl std::fmt::Debug for TestSuite {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let segments: Vec<Segment> = self.segments().collect();
         f.debug_struct("TestSuite")
-            .field("segments", &self.segments)
+            .field("segments", &segments)
             .finish()
     }
 }
@@ -59,74 +55,73 @@ impl TestSuite {
         TestSuite::default()
     }
 
-    /// Appends a segment.
+    /// Appends a segment, packing it into the lanes at once.
     pub fn push(&mut self, label: impl Into<String>, vectors: Vec<InputVector>) {
-        if let Some(packed) = self.packed.get_mut() {
-            packed.push(&vectors);
+        let index = self.labels.len();
+        self.labels.push(label.into());
+        if !self.stimulus.push(&vectors) {
+            self.verbatim.push((index, vectors));
         }
-        self.segments.push(Segment {
-            label: label.into(),
+    }
+
+    /// The lane-packed stimulus: every segment, in push order.
+    pub fn packed(&self) -> &PackedStimulus {
+        &self.stimulus
+    }
+
+    /// Segment `s`, exactly as it was pushed.
+    pub fn segment(&self, s: usize) -> Segment {
+        let vectors = match self.verbatim.binary_search_by_key(&s, |&(index, _)| index) {
+            Ok(at) => self.verbatim[at].1.clone(),
+            Err(_) => self.stimulus.decode(s),
+        };
+        Segment {
+            label: self.labels[s].clone(),
             vectors,
-        });
+        }
     }
 
-    /// The lane-packed form of the segments, if a whole-suite tape
-    /// replay has built it yet.
-    pub fn packed(&self) -> Option<&PackedStimulus> {
-        self.packed.get().map(|packed| &**packed)
-    }
-
-    /// The packed form for a design whose signals have `widths`,
-    /// building it on first use. `None` when the suite was first
-    /// replayed on a design with another signal table: values were
-    /// resized for that one, so this caller packs its own.
-    pub(crate) fn packed_for(&self, widths: &[u32]) -> Option<&PackedStimulus> {
-        let packed = self
-            .packed
-            .get_or_init(|| Box::new(PackedStimulus::pack(widths, &self.segments)));
-        (packed.widths() == widths).then_some(packed)
-    }
-
-    /// The segments in insertion order.
-    pub fn segments(&self) -> &[Segment] {
-        &self.segments
+    /// The segments in insertion order, each decoded as it is reached.
+    pub fn segments(&self) -> impl ExactSizeIterator<Item = Segment> + '_ {
+        (0..self.len()).map(|s| self.segment(s))
     }
 
     /// The number of segments.
     pub fn len(&self) -> usize {
-        self.segments.len()
+        self.labels.len()
     }
 
     /// Whether the suite has no segments.
     pub fn is_empty(&self) -> bool {
-        self.segments.is_empty()
+        self.labels.is_empty()
     }
 
     /// Total stimulus cycles across all segments (excluding reset cycles).
     pub fn total_cycles(&self) -> usize {
-        self.segments.iter().map(|s| s.vectors.len()).sum()
+        self.stimulus.lens().iter().sum()
     }
 
-    /// The whole suite on the tape, fed from the owned packed form (see
-    /// [`crate::CompiledModule::run_segments_batched`] for the rest).
-    fn replay_on_tape(
+    /// What the tape reads for segments `range` on a design with signal
+    /// widths `widths`, and where the range lies in it: the stored lanes
+    /// when every learned row width is the design's, else (hand-written
+    /// vectors only) the range re-packed at the design's widths.
+    pub(crate) fn feed(
         &self,
-        module: &Module,
-        compiled: &crate::CompiledModule,
-        obs: &mut dyn crate::BatchObserver,
-        collect_traces: bool,
-        cancel: Option<&std::sync::atomic::AtomicBool>,
-        block: usize,
-    ) -> Option<Vec<Trace>> {
-        compiled.run_segments_batched(
-            module,
-            &self.segments,
-            self.packed_for(compiled.signal_widths()),
-            obs,
-            collect_traces,
-            cancel,
-            block,
-        )
+        widths: &[u32],
+        range: Range<usize>,
+    ) -> (Cow<'_, PackedStimulus>, Range<usize>) {
+        if self.stimulus.fits(widths) {
+            return (Cow::Borrowed(&self.stimulus), range);
+        }
+        let mut packed = PackedStimulus::default();
+        for s in range.clone() {
+            let mut vectors = self.segment(s).vectors;
+            for (sig, value) in vectors.iter_mut().flatten() {
+                *value = value.resize(widths[sig.index()]);
+            }
+            packed.push(&vectors);
+        }
+        (Cow::Owned(packed), 0..range.len())
     }
 
     /// Runs every segment from reset on `module`, reporting events to
@@ -142,11 +137,9 @@ impl TestSuite {
     ///
     /// Propagates elaboration errors.
     pub fn run(&self, module: &Module, obs: &mut dyn SimObserver) -> Result<Vec<Trace>> {
-        let mut traces = Vec::with_capacity(self.segments.len());
-        for seg in &self.segments {
-            traces.push(run_segment(module, &seg.vectors, obs)?);
-        }
-        Ok(traces)
+        (0..self.len())
+            .map(|s| run_segment(module, &self.segment(s).vectors, obs))
+            .collect()
     }
 
     /// Runs every segment through the compiled bit-parallel executor
@@ -163,7 +156,8 @@ impl TestSuite {
         obs: &mut dyn crate::BatchObserver,
         block: usize,
     ) -> Vec<Trace> {
-        self.replay_on_tape(module, compiled, obs, true, None, block)
+        compiled
+            .run_segments_batched(module, self, 0..self.len(), obs, true, None, block)
             .expect("no cancel token")
     }
 
@@ -177,7 +171,7 @@ impl TestSuite {
         obs: &mut dyn crate::BatchObserver,
         block: usize,
     ) {
-        self.replay_on_tape(module, compiled, obs, false, None, block);
+        compiled.run_segments_batched(module, self, 0..self.len(), obs, false, None, block);
     }
 
     /// Bench-only twin of [`TestSuite::observe_compiled`] that enters
@@ -192,16 +186,8 @@ impl TestSuite {
         obs: &mut dyn crate::BatchObserver,
         block: usize,
     ) {
-        let owned = self.packed_for(compiled.signal_widths());
-        compiled.run_segments_batched_untraced(
-            module,
-            &self.segments,
-            owned,
-            obs,
-            false,
-            None,
-            block,
-        );
+        let (stimulus, range) = self.feed(compiled.signal_widths(), 0..self.len());
+        compiled.run_segments_batched_untraced(module, &stimulus, range, obs, false, None, block);
     }
 }
 
@@ -287,7 +273,7 @@ mod tests {
         suite.push("cex", collect_vectors(&mut d));
         assert_eq!(suite.len(), 2);
         assert_eq!(suite.total_cycles(), 11);
-        assert_eq!(suite.segments()[1].label, "cex");
+        assert_eq!(suite.segment(1).label, "cex");
     }
 
     #[test]

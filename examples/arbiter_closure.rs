@@ -101,6 +101,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!();
     println!("== accumulated validation stimulus ==");
+    // Decoded from the suite's lane-packed store as the iterator reaches it.
     for seg in outcome.suite.segments() {
         println!("  segment {:<10} {} cycles", seg.label, seg.vectors.len());
     }
