@@ -14,8 +14,10 @@
 //! under the frame encoder), and the parser slices runs
 //! out of its already-validated `&str` input, borrowing whole strings
 //! that carry no escape. The parser accepts RFC 8259 and nothing more —
-//! frames come from untrusted sockets.
+//! frames come from untrusted sockets. The string escaper is
+//! [`gm_trace::write_json_string`], shared with the trace exporter.
 
+use gm_trace::write_json_string;
 use std::borrow::Cow;
 use std::fmt;
 
@@ -129,7 +131,7 @@ impl<'a> Json<'a> {
             Json::Float(n) if n.is_finite() => write!(out, "{n}"),
             // JSON has no NaN/Inf; the protocol never sends them.
             Json::Float(_) => out.write_str("null"),
-            Json::Str(s) => write_escaped(s, out),
+            Json::Str(s) => write_json_string(s, out),
             Json::Arr(items) => {
                 out.write_char('[')?;
                 for (i, v) in items.iter().enumerate() {
@@ -146,7 +148,7 @@ impl<'a> Json<'a> {
                     if i > 0 {
                         out.write_char(',')?;
                     }
-                    write_escaped(k, out)?;
+                    write_json_string(k, out)?;
                     out.write_char(':')?;
                     v.write_to(out)?;
                 }
@@ -161,34 +163,6 @@ impl fmt::Display for Json<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         self.write_to(f)
     }
-}
-
-/// Writes `s` quoted, copying each run of bytes that need no escape in
-/// one piece. Every byte that does need one is ASCII, so run boundaries
-/// are always char boundaries.
-fn write_escaped(s: &str, out: &mut impl fmt::Write) -> fmt::Result {
-    out.write_char('"')?;
-    let mut run = 0;
-    for (i, b) in s.bytes().enumerate() {
-        let escape = match b {
-            b'"' => "\\\"",
-            b'\\' => "\\\\",
-            b'\n' => "\\n",
-            b'\r' => "\\r",
-            b'\t' => "\\t",
-            0..=0x1f => "",
-            _ => continue,
-        };
-        out.write_str(&s[run..i])?;
-        if escape.is_empty() {
-            write!(out, "\\u{b:04x}")?;
-        } else {
-            out.write_str(escape)?;
-        }
-        run = i + 1;
-    }
-    out.write_str(&s[run..])?;
-    out.write_char('"')
 }
 
 /// A JSON parse failure: byte offset and message.

@@ -20,9 +20,10 @@
 //!   hash the parsed module, repeated designs reuse the elaboration,
 //!   bit-blasted AIG, reachable set and explicit-engine tables, under
 //!   a bounded LRU with hit/miss/eviction counters;
-//! * [`service`] — the [`ClosureService`] job table tying them
-//!   together, plus the Unix-socket transport ([`serve_unix`],
-//!   [`ServeClient`]) and the `gmserved` daemon binary.
+//! * [`service`] — the [`ClosureService`] tying them together around a
+//!   job table that is a pure state machine (`lifecycle.rs`), plus the
+//!   Unix-socket transport ([`serve_unix`], [`ServeClient`]) and the
+//!   `gmserved` daemon binary.
 //!
 //! Serving never changes results: a served job's
 //! [`goldmine::ClosureOutcome`] is byte-identical to a standalone
@@ -59,6 +60,7 @@
 
 pub mod cache;
 pub mod json;
+mod lifecycle;
 pub mod net;
 pub mod protocol;
 pub mod retry;

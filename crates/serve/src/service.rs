@@ -2,7 +2,7 @@
 //!
 //! A [`ClosureService`] owns a pool of long-lived workers running the
 //! work-stealing queue discipline (`scheduler.rs`), a job table, and the
-//! content-addressed [`DesignCache`]. Requests arrive through the typed
+//! content-addressed [`crate::DesignCache`]. Requests arrive through the typed
 //! API ([`ClosureService::submit_module`] & co., used in-process) or
 //! through [`ClosureService::handle_request`] (the wire dispatcher the
 //! Unix-socket server calls); both paths share all state, so a design
@@ -48,19 +48,24 @@
 //!   queue grow without bound;
 //! * [`ClosureService::shutdown`] drains gracefully, bounded by
 //!   [`ServeConfig::drain_timeout_ms`].
+//!
+//! The job table itself is a pure state machine (`lifecycle.rs`): this
+//! module only drives it — submission, the workers' retry loop, the
+//! supervisor tick and shutdown each call one transition under the
+//! state lock. The README's *Resilience* section has the transition
+//! table: which event ends a job how, and which counter it moves.
 
-use crate::cache::DesignCache;
+use crate::lifecycle::{terminal, Claim, Ending, JobTable, Reclaimed, Refusal, Submission};
 use crate::protocol::{
     ClosureSummary, JobState, ProgressEvent, Request, Response, ServeStats, WireConfig,
 };
 use crate::retry::RetryPolicy;
 use crate::scheduler::StealQueues;
 use gm_mc::Checker;
-use gm_rtl::{Elab, Module};
+use gm_rtl::Module;
 use goldmine::{
     ClosureOutcome, CompileOptions, CompiledModule, Engine, EngineConfig, EngineError, SimBackend,
 };
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -78,7 +83,7 @@ pub struct ServeConfig {
     /// state exceeds it, entries are evicted LRU-first until back under
     /// budget — so a handful of huge designs can no longer hold ~all
     /// memory while tiny warm designs are evicted by the entry count.
-    /// See [`DesignCache::with_max_bytes`].
+    /// See [`crate::DesignCache::with_max_bytes`].
     pub cache_max_bytes: usize,
     /// Keep verification memos warm across runs of the same design.
     /// Off by default: warm memos change the work counters embedded in
@@ -261,212 +266,19 @@ pub struct JobStatus {
     pub cached: bool,
 }
 
-/// What a job needs only while it is queued or running. A record drops
-/// it on reaching a terminal state ([`State::retire`]), so the up to
-/// [`ServeConfig::retain_jobs`] finished records keep no design
-/// artifact alive that the cache has already evicted.
-struct LiveJob {
-    key: String,
-    /// The design's canonical form — required to park the checker back
-    /// safely (see [`DesignCache::park`]).
-    canonical: Arc<str>,
-    config: EngineConfig,
-    elab: Arc<Elab>,
-    /// A warm checker checked out of the cache at submission (absent on
-    /// cold entries or when every parked checker is busy).
-    checker: Option<Checker>,
-    /// The design's parked compiled tape, when the cache held one at
-    /// submission (an `Arc` clone — shared, unlike the checker).
-    compiled: Option<Arc<CompiledModule>>,
-    cancel: Arc<AtomicBool>,
-    /// The job's deadline in milliseconds from submission (`None` = no
-    /// deadline), and its absolute expiry on the trace clock. The
-    /// supervisor compares the latter against `now_ns` on every tick.
-    deadline_ms: Option<u64>,
-    deadline_ns: Option<u64>,
-    /// Set (with the cancel token) by the supervisor when the deadline
-    /// expires — what lets retire distinguish a deadline stop from a
-    /// client cancellation, which share the token.
-    deadline_hit: bool,
-}
-
-impl LiveJob {
-    fn deadline_error(&self) -> JobError {
-        JobError::DeadlineExceeded {
-            deadline_ms: self.deadline_ms.unwrap_or(0),
-        }
-    }
-}
-
-/// One job's table entry: what `status`, `progress`, `summary`,
-/// `take_outcome` and `trace_json` read, for as long as the record is
-/// retained, plus the [`LiveJob`] half until the job is terminal.
-struct JobRecord {
-    name: String,
-    /// Renders the summary's assertions.
-    module: Arc<Module>,
-    /// `Some` exactly while the job is queued or running. Boxed: the
-    /// config and checker are over a kilobyte inline, which the job
-    /// table would otherwise carry in every bucket, retired or empty.
-    live: Option<Box<LiveJob>>,
-    state: JobState,
-    progress: Vec<ProgressEvent>,
-    /// Shared so that [`ClosureService::summary`] can render it without
-    /// holding the state lock.
-    outcome: Option<Result<Arc<ClosureOutcome>, JobError>>,
-    error: Option<String>,
-    cached: bool,
-    /// Submission timestamp on the process trace clock — the base of
-    /// the queue-latency histogram and the retroactive `serve.queue`
-    /// span.
-    submitted_ns: u64,
-    /// The per-job flight recorder, present when the submission asked
-    /// for one. The worker installs it as its thread sink for the whole
-    /// claim→retire window; clients fetch the export once the job is
-    /// terminal.
-    trace: Option<gm_trace::TraceSink>,
-}
-
-struct State {
-    jobs: HashMap<u64, JobRecord>,
-    /// Finished job ids in completion order — the FIFO behind
-    /// [`ServeConfig::retain_jobs`].
-    finished: std::collections::VecDeque<u64>,
-    cache: DesignCache,
-    next_id: u64,
-    /// Every counter the service accumulates itself, updated where the
-    /// event happens. The values owned elsewhere — the job-table
-    /// gauges, the scheduler's and the cache's counters — stay zero
-    /// here; [`ClosureService::stats`] fills them into its snapshot.
-    stats: ServeStats,
-}
-
-impl State {
-    /// Records that `id` reached a terminal state: releases everything
-    /// only a live job needs, and evicts the oldest finished records
-    /// past the retention bound.
-    fn retire(&mut self, id: u64, retain: usize) {
-        if let Some(job) = self.jobs.get_mut(&id) {
-            job.live = None;
-            job.progress.shrink_to_fit();
-        }
-        self.finished.push_back(id);
-        while self.finished.len() > retain.max(1) {
-            let oldest = self
-                .finished
-                .pop_front()
-                .expect("pop is guarded by the length check above");
-            self.jobs.remove(&oldest);
-        }
-    }
-
-    /// Retires a still-queued job as cancelled: parks its checked-out
-    /// warm checker back into the cache, counts the cancellation, and
-    /// applies retention. No-op for jobs past `Queued`. Used by both
-    /// the worker claim path and the shutdown queue drain — callers
-    /// notify `done_cv` afterwards.
-    fn cancel_queued(&mut self, id: u64, retain: usize) {
-        let Some(job) = self.jobs.get_mut(&id) else {
-            return;
-        };
-        if job.state != JobState::Queued {
-            return;
-        }
-        job.state = JobState::Cancelled;
-        let live = job.live.take();
-        self.stats.cancelled += 1;
-        self.park_unclaimed(live);
-        self.retire(id, retain);
-    }
-
-    /// Retires a still-queued job whose deadline expired before any
-    /// worker claimed it: typed [`JobError::DeadlineExceeded`] outcome,
-    /// warm checker parked back, retention applied. No-op past
-    /// `Queued`. Called by the supervisor under the same lock that
-    /// marks `deadline_hit`, so a claim can never observe a queued job
-    /// with the flag set. Callers notify `done_cv` afterwards.
-    fn expire_queued(&mut self, id: u64, retain: usize) {
-        let Some(job) = self.jobs.get_mut(&id) else {
-            return;
-        };
-        if job.state != JobState::Queued {
-            return;
-        }
-        let live = job.live.take();
-        let error = live
-            .as_ref()
-            .expect("queued jobs are live")
-            .deadline_error();
-        self.fail(id, error);
-        self.park_unclaimed(live);
-        self.retire(id, retain);
-    }
-
-    /// Marks a not-yet-retired job failed with `error` and counts the
-    /// failure.
-    fn fail(&mut self, id: u64, error: JobError) {
-        self.stats.failed += 1;
-        if matches!(error, JobError::DeadlineExceeded { .. }) {
-            self.stats.jobs_deadline_exceeded += 1;
-        }
-        let job = self
-            .jobs
-            .get_mut(&id)
-            .expect("unretired jobs stay in the table");
-        job.state = JobState::Failed;
-        job.error = Some(error.to_string());
-        job.outcome = Some(Err(error));
-    }
-
-    /// Parks the warm checker of a job that retired without ever being
-    /// claimed back into the cache.
-    fn park_unclaimed(&mut self, live: Option<Box<LiveJob>>) {
-        if let Some(live) = live {
-            if let Some(checker) = live.checker {
-                self.cache.park(&live.key, &live.canonical, checker);
-            }
-        }
-    }
-
-    /// Parks a retired attempt's warm artifacts back into the cache.
-    fn park_artifacts(
-        &mut self,
-        config: &ServeConfig,
-        key: &str,
-        canonical: &Arc<str>,
-        reclaimed: Option<Checker>,
-        built_compiled: Option<Arc<CompiledModule>>,
-    ) {
-        if let Some(mut checker) = reclaimed {
-            if config.warm_memo {
-                // Warm memos persist across requests — bound them so a
-                // long-lived daemon's parked checkers cannot grow
-                // forever.
-                checker = checker.with_memo_capacity(config.warm_memo_capacity);
-            } else {
-                checker.reset_for_reuse();
-            }
-            self.cache.park(key, canonical, checker);
-        }
-        if let Some(c) = built_compiled {
-            self.cache.park_compiled(key, canonical, c);
-        }
-    }
-}
-
 /// Locks the service state, recovering from poisoning. Job execution —
 /// the only panic-prone code — runs under `catch_unwind` *outside* this
 /// lock, and every critical section leaves the table consistent before
 /// unlocking, so a poisoned lock (a panicking progress callback, say)
 /// carries no torn state worth wedging the whole service over.
-fn lock_state(state: &Mutex<State>) -> MutexGuard<'_, State> {
+fn lock_state(state: &Mutex<JobTable>) -> MutexGuard<'_, JobTable> {
     state.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 struct Shared {
     config: ServeConfig,
     queues: StealQueues<u64>,
-    state: Mutex<State>,
+    state: Mutex<JobTable>,
     /// Notified (with the state mutex) whenever a job reaches a
     /// terminal state.
     done_cv: Condvar,
@@ -518,13 +330,6 @@ impl std::fmt::Debug for ClosureService {
     }
 }
 
-fn terminal(state: JobState) -> bool {
-    matches!(
-        state,
-        JobState::Done | JobState::Failed | JobState::Cancelled
-    )
-}
-
 /// How often the supervisor checks deadlines and dead workers.
 const SUPERVISOR_TICK: Duration = Duration::from_millis(10);
 
@@ -539,13 +344,7 @@ impl ClosureService {
         };
         let shared = Arc::new(Shared {
             queues: StealQueues::new(workers),
-            state: Mutex::new(State {
-                jobs: HashMap::new(),
-                finished: std::collections::VecDeque::new(),
-                cache: DesignCache::with_max_bytes(config.cache_capacity, config.cache_max_bytes),
-                next_id: 1,
-                stats: ServeStats::default(),
-            }),
+            state: Mutex::new(JobTable::new(config.clone())),
             done_cv: Condvar::new(),
             open: AtomicBool::new(true),
             workers: Mutex::new(Vec::new()),
@@ -573,7 +372,7 @@ impl ClosureService {
         }
     }
 
-    fn state(&self) -> MutexGuard<'_, State> {
+    fn state(&self) -> MutexGuard<'_, JobTable> {
         lock_state(&self.shared.state)
     }
 
@@ -616,13 +415,19 @@ impl ClosureService {
         config: EngineConfig,
         opts: SubmitOptions,
     ) -> Result<(u64, bool), ServeError> {
-        let trace_sink = opts.trace.then(gm_trace::TraceSink::new);
         let deadline_ms = opts
             .deadline_ms
             .unwrap_or(self.shared.config.default_deadline_ms);
-        let deadline_ms = (deadline_ms > 0).then_some(deadline_ms);
         let canonical = crate::cache::canonical_form(&module);
-        let key = crate::cache::key_of(&canonical);
+        let mut sub = Box::new(Submission {
+            name: name.to_string(),
+            key: crate::cache::key_of(&canonical),
+            canonical,
+            config,
+            deadline_ms: (deadline_ms > 0).then_some(deadline_ms),
+            trace: opts.trace.then(gm_trace::TraceSink::new),
+            built: None,
+        });
         // Elaboration is the expensive part of a cold submission; do it
         // *outside* the state lock so a big design never stalls status
         // polls, progress streams or running jobs' iteration callbacks.
@@ -630,116 +435,39 @@ impl ClosureService {
         // design while we build (our build is discarded), or evict it
         // between our peek and our checkout (we build and retry).
         let mut module = Some(module);
-        let mut prebuilt: Option<(Arc<Module>, Arc<Elab>)> = None;
         loop {
             let mut st = self.state();
             if !self.shared.open.load(Ordering::Acquire) {
                 return Err(ServeError::ShutDown);
             }
-            // Admission control, before any expensive build work: shed
-            // the request while the queue is at its bound. Recomputed
-            // from the table on every pass (O(live jobs) under the
-            // lock), so the gauge can never drift from the truth.
-            let bounds = (
-                self.shared.config.max_queued,
-                self.shared.config.max_queued_bytes,
-            );
-            if bounds.0 > 0 || bounds.1 > 0 {
-                let queued: Vec<&JobRecord> = st
-                    .jobs
-                    .values()
-                    .filter(|j| j.state == JobState::Queued)
-                    .collect();
-                let depth = queued.len();
-                let bytes: usize = queued
-                    .iter()
-                    .filter_map(|j| j.live.as_ref())
-                    .map(|live| live.canonical.len())
-                    .sum();
-                let over = if bounds.0 > 0 && depth >= bounds.0 {
-                    Some(bounds.0 as u64)
-                } else if bounds.1 > 0 && bytes.saturating_add(canonical.len()) > bounds.1 {
-                    Some(bounds.1 as u64)
-                } else {
-                    None
-                };
-                if let Some(limit) = over {
-                    st.stats.requests_shed += 1;
-                    return Err(ServeError::Overloaded {
-                        queued: depth as u64,
-                        limit,
-                    });
+            match st.admit(sub, gm_trace::now_ns()) {
+                Ok((id, cached)) => {
+                    // Deal to the owning worker's local queue (still
+                    // under the state lock: `shutdown`'s post-join drain
+                    // takes the same lock, so a submission racing
+                    // shutdown either saw `open` false above or its id
+                    // is visible to the drain); idle peers steal.
+                    let worker = (id - 1) as usize % self.shared.queues.worker_count();
+                    self.shared.queues.push(worker, id);
+                    return Ok((id, cached));
+                }
+                Err(Refusal::Shed(e)) => return Err(e),
+                Err(Refusal::Build(back)) => {
+                    drop(st);
+                    let module = module.take().expect("module consumed at most once");
+                    let elab = gm_rtl::elaborate(&module)
+                        .map_err(|e| ServeError::Rejected(format!("elaboration error: {e}")))?;
+                    sub = back;
+                    sub.built = Some((Arc::new(module), Arc::new(elab)));
                 }
             }
-            if !st.cache.matches(&key, &canonical) && prebuilt.is_none() {
-                drop(st);
-                let module = module.take().expect("module consumed at most once");
-                let elab = gm_rtl::elaborate(&module)
-                    .map_err(|e| ServeError::Rejected(format!("elaboration error: {e}")))?;
-                prebuilt = Some((Arc::new(module), Arc::new(elab)));
-                continue;
-            }
-            // Which parked tape this job can use: none for the
-            // interpreter; otherwise one whose probes match the job's
-            // coverage setting (a probed tape also serves probe-free).
-            let want_probes =
-                (config.sim_backend != SimBackend::Interpreter).then_some(config.record_coverage);
-            let checkout = st.cache.checkout(&key, &canonical, want_probes, || {
-                Ok::<_, ServeError>(prebuilt.take().expect("artifacts prebuilt on miss"))
-            })?;
-            let (module, elab, checker, compiled, cached) = (
-                checkout.module,
-                checkout.elab,
-                checkout.checker,
-                checkout.compiled,
-                checkout.hit,
-            );
-            let id = st.next_id;
-            st.next_id += 1;
-            st.stats.submitted += 1;
-            let submitted_ns = gm_trace::now_ns();
-            st.jobs.insert(
-                id,
-                JobRecord {
-                    name: name.to_string(),
-                    module,
-                    live: Some(Box::new(LiveJob {
-                        key,
-                        canonical: Arc::from(canonical.as_str()),
-                        config,
-                        elab,
-                        checker,
-                        compiled,
-                        cancel: Arc::new(AtomicBool::new(false)),
-                        deadline_ms,
-                        deadline_ns: deadline_ms
-                            .map(|ms| submitted_ns.saturating_add(ms.saturating_mul(1_000_000))),
-                        deadline_hit: false,
-                    })),
-                    state: JobState::Queued,
-                    progress: Vec::new(),
-                    outcome: None,
-                    error: None,
-                    cached,
-                    submitted_ns,
-                    trace: trace_sink,
-                },
-            );
-            // Deal to the owning worker's local queue (still under the
-            // state lock: `shutdown`'s post-join drain takes the same
-            // lock, so a submission racing shutdown either saw `open`
-            // false above or its id is visible to the drain); idle
-            // peers steal.
-            let worker = (id - 1) as usize % self.shared.queues.worker_count();
-            self.shared.queues.push(worker, id);
-            return Ok((id, cached));
         }
     }
 
     /// A job's current status.
     pub fn status(&self, job: u64) -> Option<JobStatus> {
         let st = self.state();
-        st.jobs.get(&job).map(|j| JobStatus {
+        st.job(job).map(|j| JobStatus {
             state: j.state,
             name: j.name.clone(),
             progress_len: j.progress.len(),
@@ -754,7 +482,7 @@ impl ClosureService {
     /// failed attempt's events are cleared before the retry runs.
     pub fn progress(&self, job: u64, from: usize) -> Option<(Vec<ProgressEvent>, bool)> {
         let st = self.state();
-        st.jobs.get(&job).map(|j| {
+        st.job(job).map(|j| {
             let events = j.progress.get(from..).unwrap_or(&[]).to_vec();
             (events, terminal(j.state))
         })
@@ -769,20 +497,12 @@ impl ClosureService {
     /// [`ClosureService::take_outcome`]. Returns whether the job
     /// existed and was still cancellable.
     pub fn cancel(&self, job: u64) -> bool {
-        let st = self.state();
-        let Some(record) = st.jobs.get(&job) else {
-            return false;
-        };
-        let Some(live) = &record.live else {
-            return false;
-        };
-        live.cancel.store(true, Ordering::Release);
-        if record.state == JobState::Queued {
-            // The worker will observe the flag and retire the job; wake
-            // anyone already waiting.
+        let state = self.state().cancel(job);
+        if state == Some(JobState::Queued) {
+            // A worker's claim ends the job; wake any parked one.
             self.shared.queues.notify_all();
         }
-        true
+        state.is_some()
     }
 
     /// Blocks until `job` reaches a terminal state; returns it (`None`
@@ -790,7 +510,7 @@ impl ClosureService {
     pub fn wait(&self, job: u64) -> Option<JobState> {
         let mut st = self.state();
         loop {
-            match st.jobs.get(&job) {
+            match st.job(job) {
                 None => return None,
                 Some(j) if terminal(j.state) => return Some(j.state),
                 Some(_) => {
@@ -815,7 +535,7 @@ impl ClosureService {
     pub fn summary(&self, job: u64) -> Option<ClosureSummary> {
         let (outcome, module) = {
             let st = self.state();
-            let j = st.jobs.get(&job)?;
+            let j = st.job(job)?;
             match (&j.state, &j.outcome) {
                 (JobState::Done, Some(Ok(outcome))) => (outcome.clone(), j.module.clone()),
                 _ => return None,
@@ -829,10 +549,7 @@ impl ClosureService {
     /// standalone engine runs. Failed jobs carry the typed [`JobError`]
     /// (engine failure, deadline, exhausted retries).
     pub fn take_outcome(&self, job: u64) -> Option<Result<ClosureOutcome, JobError>> {
-        let taken = {
-            let mut st = self.state();
-            st.jobs.get_mut(&job)?.outcome.take()?
-        };
+        let taken = self.state().take_outcome(job)?;
         // Cloned only when a concurrent `summary` is still rendering it.
         Some(taken.map(|shared| Arc::try_unwrap(shared).unwrap_or_else(|o| (*o).clone())))
     }
@@ -848,7 +565,7 @@ impl ClosureService {
     /// that were not submitted with tracing.
     pub fn trace_json(&self, job: u64) -> Result<String, ServeError> {
         let st = self.state();
-        let Some(j) = st.jobs.get(&job) else {
+        let Some(j) = st.job(job) else {
             return Err(ServeError::Rejected(format!("unknown job {job}")));
         };
         if !terminal(j.state) {
@@ -872,26 +589,26 @@ impl ClosureService {
     /// holds in every snapshot (shed requests are refused before they
     /// count as submitted).
     pub fn stats(&self) -> ServeStats {
-        let st = self.state();
-        let cache = st.cache.stats();
-        let in_state = |state| st.jobs.values().filter(|j| j.state == state).count() as u64;
         ServeStats {
-            queued: in_state(JobState::Queued),
-            running: in_state(JobState::Running),
             workers: self.shared.queues.worker_count() as u64,
             steals: self.shared.queues.steals(),
-            cache_entries: cache.entries as u64,
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
-            cache_evictions: cache.evictions,
-            cache_evictions_capacity: cache.evictions_capacity,
-            cache_evictions_bytes: cache.evictions_bytes,
-            cache_evictions_collision: cache.evictions_collision,
-            cache_bytes: cache.approx_bytes as u64,
-            cache_max_bytes: cache.max_bytes as u64,
-            compiled_built: cache.compiled_built,
-            compiled_reused: cache.compiled_reused,
-            ..st.stats.clone()
+            ..self.state().snapshot()
+        }
+    }
+
+    /// `job`'s status as a wire response.
+    fn status_response(&self, job: u64) -> Response {
+        match self.status(job) {
+            Some(s) => Response::Status {
+                job,
+                state: s.state,
+                name: s.name,
+                progress_len: s.progress_len as u64,
+                error: s.error,
+            },
+            None => Response::Error {
+                message: format!("unknown job {job}"),
+            },
         }
     }
 
@@ -920,18 +637,7 @@ impl ClosureService {
                     },
                 }
             }
-            Request::Status { job } => match self.status(*job) {
-                Some(s) => Response::Status {
-                    job: *job,
-                    state: s.state,
-                    name: s.name,
-                    progress_len: s.progress_len as u64,
-                    error: s.error,
-                },
-                None => Response::Error {
-                    message: format!("unknown job {job}"),
-                },
-            },
+            Request::Status { job } => self.status_response(*job),
             Request::Progress { job, from } => match self.progress(*job, *from as usize) {
                 Some((events, terminal)) => Response::Progress {
                     job: *job,
@@ -967,17 +673,7 @@ impl ClosureService {
             },
             Request::Cancel { job } => {
                 if self.cancel(*job) {
-                    self.status(*job)
-                        .map(|s| Response::Status {
-                            job: *job,
-                            state: s.state,
-                            name: s.name,
-                            progress_len: s.progress_len as u64,
-                            error: s.error,
-                        })
-                        .unwrap_or(Response::Error {
-                            message: format!("unknown job {job}"),
-                        })
+                    self.status_response(*job)
                 } else {
                     Response::Error {
                         message: format!("job {job} is unknown or already finished"),
@@ -1034,23 +730,15 @@ impl ClosureService {
         if drain_ms > 0 {
             let deadline = Instant::now() + Duration::from_millis(drain_ms);
             let mut st = self.state();
-            while st.jobs.values().any(|j| !terminal(j.state)) {
+            while !st.live_ids().is_empty() {
                 let left = deadline.saturating_duration_since(Instant::now());
                 if left.is_zero() {
                     // Timed out: cancel everything still live. Running
-                    // jobs stop mid-iteration; queued ones are retired
-                    // here so the joins below never wait on them.
-                    let live: Vec<u64> = st
-                        .jobs
-                        .iter()
-                        .filter(|(_, j)| !terminal(j.state))
-                        .map(|(id, _)| *id)
-                        .collect();
-                    for id in live {
-                        if let Some(job) = st.jobs.get(&id).and_then(|j| j.live.as_ref()) {
-                            job.cancel.store(true, Ordering::Release);
-                        }
-                        st.cancel_queued(id, self.shared.config.retain_jobs);
+                    // jobs stop mid-iteration; queued ones end here so
+                    // the joins below never wait on them.
+                    let now_ns = gm_trace::now_ns();
+                    for id in st.live_ids() {
+                        abandon(&mut st, id, now_ns);
                     }
                     break;
                 }
@@ -1077,12 +765,13 @@ impl ClosureService {
             let _ = h.join();
         }
         // A submission that raced the close can have pushed after the
-        // workers exited; retire anything left in the queues as
-        // cancelled so no waiter blocks on a job nobody will run.
+        // workers exited; end anything left in the queues as cancelled
+        // so no waiter blocks on a job nobody will run.
         let mut st = self.state();
+        let now_ns = gm_trace::now_ns();
         for w in 0..self.shared.queues.worker_count() {
             while let Some(id) = self.shared.queues.pop(w) {
-                st.cancel_queued(id, self.shared.config.retain_jobs);
+                abandon(&mut st, id, now_ns);
             }
         }
         drop(st);
@@ -1093,6 +782,14 @@ impl ClosureService {
 impl Drop for ClosureService {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+/// Shutdown's drain: raises `id`'s token and, while it is still queued,
+/// ends it `Cancelled` on the spot — no worker will claim it.
+fn abandon(st: &mut JobTable, id: u64, now_ns: u64) {
+    if st.cancel(id) == Some(JobState::Queued) {
+        st.end(id, Ending::Cancelled, Reclaimed::default(), now_ns);
     }
 }
 
@@ -1128,52 +825,11 @@ fn worker_loop(shared: &Arc<Shared>, w: usize) {
 /// fixed tick until shutdown begins.
 fn supervisor_loop(shared: &Arc<Shared>) {
     while shared.open.load(Ordering::Acquire) {
-        enforce_deadlines(shared);
+        if lock_state(&shared.state).expire(gm_trace::now_ns()) {
+            shared.done_cv.notify_all();
+        }
         respawn_dead_workers(shared);
         std::thread::sleep(SUPERVISOR_TICK);
-    }
-}
-
-/// Marks every live job past its deadline: raises the cooperative
-/// cancel token (running jobs stop mid-iteration and retire as
-/// [`JobError::DeadlineExceeded`]) and retires still-queued ones on the
-/// spot. Marking and queued-expiry happen under one lock acquisition,
-/// so the claim path can never observe a queued job with
-/// `deadline_hit` set.
-fn enforce_deadlines(shared: &Arc<Shared>) {
-    let now = gm_trace::now_ns();
-    let mut st = lock_state(&shared.state);
-    let expired: Vec<u64> = st
-        .jobs
-        .iter()
-        .filter(|(_, j)| {
-            j.live
-                .as_ref()
-                .is_some_and(|l| !l.deadline_hit && l.deadline_ns.is_some_and(|d| now >= d))
-        })
-        .map(|(id, _)| *id)
-        .collect();
-    if expired.is_empty() {
-        return;
-    }
-    let mut retired = false;
-    for id in expired {
-        let Some(job) = st.jobs.get_mut(&id) else {
-            continue;
-        };
-        let Some(live) = &mut job.live else {
-            continue;
-        };
-        live.deadline_hit = true;
-        live.cancel.store(true, Ordering::Release);
-        if job.state == JobState::Queued {
-            st.expire_queued(id, shared.config.retain_jobs);
-            retired = true;
-        }
-    }
-    drop(st);
-    if retired {
-        shared.done_cv.notify_all();
     }
 }
 
@@ -1201,10 +857,9 @@ fn respawn_dead_workers(shared: &Arc<Shared>) {
 /// One attempt's result, handed back to the retry loop.
 struct Attempt {
     outcome: Result<ClosureOutcome, AttemptError>,
-    /// The checker reclaimed from the engine, to park back warm.
-    reclaimed: Option<Checker>,
-    /// A compiled tape this attempt built (parked per design).
-    built_compiled: Option<Arc<CompiledModule>>,
+    /// The checker reclaimed from the engine and any tape the attempt
+    /// built, to park back warm.
+    reclaimed: Reclaimed,
     /// Whether the run observed the cancel token and stopped early.
     observed_cancel: bool,
 }
@@ -1216,23 +871,6 @@ enum AttemptError {
     Engine(EngineError),
     /// A serve-layer injected fault (always retryable).
     Fault(&'static str),
-}
-
-/// How the retry loop ended; consumed by the retire block.
-enum Finish {
-    Finished {
-        outcome: Box<ClosureOutcome>,
-        was_cancelled: bool,
-        reclaimed: Option<Checker>,
-        built_compiled: Option<Arc<CompiledModule>>,
-    },
-    Error {
-        error: JobError,
-        reclaimed: Option<Checker>,
-        built_compiled: Option<Arc<CompiledModule>>,
-    },
-    /// Cancelled between attempts — no partial outcome to keep.
-    CancelledBare,
 }
 
 /// Renders a caught panic payload (`&str` / `String` are what `panic!`
@@ -1268,88 +906,27 @@ fn wait_backoff(cancel: &AtomicBool, ms: u64) {
     }
 }
 
-/// If the job was cancelled (or its deadline expired) between attempts,
-/// the [`Finish`] that ends it; `None` to keep going.
-fn cancelled_finish(shared: &Arc<Shared>, id: u64, cancel: &AtomicBool) -> Option<Finish> {
-    if !cancel.load(Ordering::Acquire) {
-        return None;
-    }
-    let st = lock_state(&shared.state);
-    let deadline = st
-        .jobs
-        .get(&id)
-        .and_then(|j| j.live.as_ref())
-        .filter(|live| live.deadline_hit)
-        .map(|live| live.deadline_error());
-    drop(st);
-    Some(match deadline {
-        Some(error) => Finish::Error {
-            error,
-            reclaimed: None,
-            built_compiled: None,
-        },
-        None => Finish::CancelledBare,
-    })
-}
-
 /// Executes one job end to end on the claiming worker: a bounded retry
-/// loop of panic-isolated attempts, then a single retire.
+/// loop of panic-isolated attempts, then a single end.
 fn run_job(shared: &Arc<Shared>, id: u64) {
-    // Claim: move the job's artifacts out of the record, stamp the
-    // claim on the trace clock and sample the queue-latency histogram
-    // (real claims only — a cancelled-while-queued job never waited a
-    // full queue turn).
-    let (claim, started_ns) = {
-        let mut st = lock_state(&shared.state);
-        let Some(job) = st.jobs.get_mut(&id) else {
-            return;
-        };
-        if job.state != JobState::Queued {
-            return;
-        }
-        let live = job.live.as_mut().expect("queued jobs are live");
-        if live.cancel.load(Ordering::Acquire) {
-            st.cancel_queued(id, shared.config.retain_jobs);
-            shared.done_cv.notify_all();
-            return;
-        }
-        job.state = JobState::Running;
-        let claim = (
-            job.module.clone(),
-            live.elab.clone(),
-            live.checker.take(),
-            live.compiled.take(),
-            live.config.clone(),
-            live.cancel.clone(),
-            live.key.clone(),
-            live.canonical.clone(),
-            job.trace.clone(),
-            job.submitted_ns,
-        );
-        let started_ns = gm_trace::now_ns();
-        st.stats
-            .queue_seconds
-            .observe_ns(started_ns.saturating_sub(claim.9));
-        (claim, started_ns)
+    let started_ns = gm_trace::now_ns();
+    let claim = lock_state(&shared.state).claim(id, started_ns);
+    let Some(mut claim) = claim else {
+        // No longer queued, or ended on the spot for a raised token.
+        shared.done_cv.notify_all();
+        return;
     };
-    let (module, elab, checker, compiled, config, cancel, key, canonical, trace, submitted_ns) =
-        claim;
 
     // Install the per-job flight recorder (when the submission asked
-    // for one) for the whole claim→retire window: every span the
-    // engine, checker, and simulator open on this thread records into
-    // the job's sink. The queue phase predates the claim, so it is
-    // recorded retroactively from the stored submission timestamp.
-    let trace_guard = trace.map(|sink| {
-        sink.record(
-            gm_trace::TraceEvent::complete(
-                "serve",
-                "serve.queue",
-                submitted_ns,
-                started_ns.saturating_sub(submitted_ns),
-            )
-            .with_arg("job", id),
-        );
+    // for one) for the whole claim→end window: every span the engine,
+    // checker, and simulator open on this thread records into the
+    // job's sink. The queue phase predates the claim, so it is recorded
+    // retroactively from the stored submission timestamp.
+    let trace_guard = claim.trace.take().map(|sink| {
+        let queued_ns = started_ns.saturating_sub(claim.submitted_ns);
+        let queue =
+            gm_trace::TraceEvent::complete("serve", "serve.queue", claim.submitted_ns, queued_ns);
+        sink.record(queue.with_arg("job", id));
         gm_trace::push_thread_sink(sink)
     });
     let mut job_span = gm_trace::span("serve", "serve.job");
@@ -1358,55 +935,31 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
     }
 
     // The attempt loop. The first attempt consumes the warm artifacts
-    // checked out at submission; retries run from scratch (the cache
-    // entry is invalidated first, so a poisoned checker or tape cannot
+    // checked out at submission; retries run from scratch (`restart`
+    // invalidates the cache entry, so a poisoned checker or tape cannot
     // carry a fault into the retry).
     let policy = shared.config.retry;
     let mut retries: u32 = 0;
-    let mut warm_checker = checker;
-    let mut warm_compiled = compiled;
-    let finish = loop {
-        if retries > 0 {
-            // Between attempts: a raised cancel or an expired deadline
-            // ends the job without another engine run. (The first
-            // attempt is covered by the claim's check above.)
-            if let Some(finish) = cancelled_finish(shared, id, &cancel) {
-                break finish;
-            }
+    let (ending, reclaimed) = loop {
+        // Between attempts, a raised token (a client cancel or an
+        // expired deadline) ends the job without another engine run.
+        // The first attempt is covered by the claim's check.
+        if retries > 0 && claim.cancel.load(Ordering::Acquire) {
+            break (Ending::Cancelled, Reclaimed::default());
         }
-        let attempt_checker = warm_checker.take();
-        let attempt_compiled = warm_compiled.take();
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            run_attempt(
-                shared,
-                id,
-                &module,
-                &elab,
-                attempt_checker,
-                attempt_compiled,
-                config.clone(),
-                &cancel,
-            )
-        }));
+        let warm = std::mem::take(&mut claim.warm);
+        let caught = catch_unwind(AssertUnwindSafe(|| run_attempt(shared, id, &claim, warm)));
         // Every break is terminal; falling through means one retryable
         // failure, described by `failure`.
         let failure = match caught {
             Ok(attempt) => match attempt.outcome {
                 Ok(outcome) => {
-                    let was_cancelled = attempt.observed_cancel || outcome.interrupted;
-                    break Finish::Finished {
-                        outcome: Box::new(outcome),
-                        was_cancelled,
-                        reclaimed: attempt.reclaimed,
-                        built_compiled: attempt.built_compiled,
-                    };
+                    let cancelled = attempt.observed_cancel || outcome.interrupted;
+                    let outcome = Box::new(outcome);
+                    break (Ending::Ran { outcome, cancelled }, attempt.reclaimed);
                 }
                 Err(AttemptError::Engine(e)) if !e.retryable() => {
-                    break Finish::Error {
-                        error: JobError::Engine(e),
-                        reclaimed: attempt.reclaimed,
-                        built_compiled: attempt.built_compiled,
-                    };
+                    break (Ending::Failed(JobError::Engine(e)), attempt.reclaimed);
                 }
                 Err(AttemptError::Engine(e)) => e.to_string(),
                 Err(AttemptError::Fault(point)) => format!("injected fault at {point}"),
@@ -1419,138 +972,49 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
                 format!("worker panic: {message}")
             }
         };
-        if let Some(finish) = cancelled_finish(shared, id, &cancel) {
-            break finish;
+        if claim.cancel.load(Ordering::Acquire) {
+            break (Ending::Cancelled, Reclaimed::default());
         }
         if !policy.allows(retries + 1) {
-            break Finish::Error {
-                error: JobError::RetriesExhausted {
-                    attempts: retries + 1,
-                    last: failure,
-                },
-                reclaimed: None,
-                built_compiled: None,
+            let attempts = retries + 1;
+            let error = JobError::RetriesExhausted {
+                attempts,
+                last: failure,
             };
+            break (Ending::Failed(error), Reclaimed::default());
         }
         retries += 1;
-        {
-            let mut st = lock_state(&shared.state);
-            // The failed attempt may have poisoned the design's warm
-            // state; drop the entry so the retry rebuilds from source.
-            st.cache.invalidate(&key);
-            st.stats.jobs_retried += 1;
-            if let Some(job) = st.jobs.get_mut(&id) {
-                // The retry restarts the run; stale events from the
-                // failed attempt would corrupt the progress stream.
-                job.progress.clear();
-            }
-        }
-        wait_backoff(&cancel, policy.backoff_ms(id, retries));
+        lock_state(&shared.state).restart(id);
+        wait_backoff(&claim.cancel, policy.backoff_ms(id, retries));
     };
 
     // Close the job span and detach the recorder *before* taking the
-    // retire lock: the trace must be fully flushed into the sink before
+    // end lock: the trace must be fully flushed into the sink before
     // any client can observe the terminal state (and fetch the export).
     if job_span.is_active() {
-        job_span.arg(
-            "cancelled",
-            matches!(
-                &finish,
-                Finish::Finished {
-                    was_cancelled: true,
-                    ..
-                } | Finish::CancelledBare
-            ),
+        let cancelled = matches!(
+            ending,
+            Ending::Ran {
+                cancelled: true,
+                ..
+            } | Ending::Cancelled
         );
-        job_span.arg("failed", matches!(&finish, Finish::Error { .. }));
+        job_span.arg("cancelled", cancelled);
+        job_span.arg("failed", matches!(ending, Ending::Failed(_)));
         job_span.arg("retries", u64::from(retries));
     }
     drop(job_span);
     drop(trace_guard);
-
-    // Retire: record the result, park the warm artifacts, classify.
-    let mut st = lock_state(&shared.state);
-    st.stats
-        .wall_seconds
-        .observe_ns(gm_trace::now_ns().saturating_sub(started_ns));
-    st.stats.job_retries.observe(u64::from(retries));
-    match finish {
-        Finish::Finished {
-            outcome,
-            was_cancelled,
-            reclaimed,
-            built_compiled,
-        } => {
-            st.park_artifacts(&shared.config, &key, &canonical, reclaimed, built_compiled);
-            // The service-level view of verification work: every
-            // retired job's per-session totals, summed.
-            let verify = outcome.verification_total();
-            st.stats.verify_sat_queries += verify.sat_queries;
-            st.stats.verify_sat_decided += verify.sat_decided;
-            st.stats.verify_explicit_queries += verify.explicit_queries;
-            st.stats.verify_memo_hits += verify.memo_hits;
-            st.stats.verify_frames_encoded += verify.frames_encoded;
-            st.stats.verify_frames_reused += verify.frames_reused;
-            st.stats.verify_cex_canonicalized += verify.cex_canonicalized;
-            let job = st
-                .jobs
-                .get_mut(&id)
-                .expect("running jobs are never retired");
-            // A cancel raised by the deadline supervisor is a deadline
-            // failure, not a client cancellation: the partial outcome
-            // is discarded for the typed error.
-            let live = job.live.as_ref().expect("running jobs are live");
-            if was_cancelled && live.deadline_hit {
-                let error = live.deadline_error();
-                st.fail(id, error);
-            } else if was_cancelled {
-                job.outcome = Some(Ok(Arc::from(outcome)));
-                job.state = JobState::Cancelled;
-                st.stats.cancelled += 1;
-            } else {
-                job.outcome = Some(Ok(Arc::from(outcome)));
-                job.state = JobState::Done;
-                st.stats.completed += 1;
-            }
-        }
-        Finish::Error {
-            error,
-            reclaimed,
-            built_compiled,
-        } => {
-            st.park_artifacts(&shared.config, &key, &canonical, reclaimed, built_compiled);
-            st.fail(id, error);
-        }
-        Finish::CancelledBare => {
-            st.stats.cancelled += 1;
-            let job = st
-                .jobs
-                .get_mut(&id)
-                .expect("running jobs are never retired");
-            job.state = JobState::Cancelled;
-        }
-    }
-    st.retire(id, shared.config.retain_jobs);
+    lock_state(&shared.state).end(id, ending, reclaimed, gm_trace::now_ns());
     shared.done_cv.notify_all();
 }
 
 /// One panic-isolated attempt: build (or reuse) the artifacts, run the
 /// engine, hand everything back for the retry loop to classify.
-#[allow(clippy::too_many_arguments)]
-fn run_attempt(
-    shared: &Arc<Shared>,
-    id: u64,
-    module: &Arc<Module>,
-    elab: &Arc<Elab>,
-    checker: Option<Checker>,
-    compiled: Option<Arc<CompiledModule>>,
-    config: EngineConfig,
-    cancel: &Arc<AtomicBool>,
-) -> Attempt {
+fn run_attempt(shared: &Arc<Shared>, id: u64, claim: &Claim, warm: Reclaimed) -> Attempt {
     let inert = |outcome| Attempt {
         outcome,
-        reclaimed: None,
-        built_compiled: None,
+        reclaimed: Reclaimed::default(),
         observed_cancel: false,
     };
     if gm_fault::fire("worker.panic") {
@@ -1562,9 +1026,10 @@ fn run_attempt(
         // rebuilds the design from source.
         return inert(Err(AttemptError::Fault("cache.checkout_fail")));
     }
+    let (module, elab, config) = (&claim.module, &claim.elab, &claim.config);
 
     // Build (or reuse) the checker and run the engine outside the lock.
-    let checker_result = match checker {
+    let checker_result = match warm.checker {
         Some(c) => Ok(c),
         None => {
             let _span = gm_trace::span("serve", "serve.build_checker");
@@ -1578,7 +1043,7 @@ fn run_attempt(
     let compiled = if config.sim_backend == SimBackend::Interpreter {
         None
     } else {
-        Some(compiled.unwrap_or_else(|| {
+        Some(warm.compiled.unwrap_or_else(|| {
             // Compile with the probes this job needs: a coverage run
             // gets a probed tape, a trace-only run a leaner probe-free
             // one. The cache slots the parked tape by these options.
@@ -1604,16 +1069,12 @@ fn run_attempt(
     let (outcome, reclaimed) = match checker_result {
         Err(e) => (Err(EngineError::from(e)), None),
         Ok(checker) => {
-            let engine = Engine::with_artifacts(module, elab, checker, compiled, config);
-            let shared_for_progress = shared.clone();
+            let engine = Engine::with_artifacts(module, elab, checker, compiled, config.clone());
             let observed_cancel = &mut observed_cancel;
-            let job_cancel = cancel.clone();
+            let cancel = &claim.cancel;
             let (outcome, checker) = engine.with_cancel(cancel.clone()).run_reclaim(|report| {
-                let mut st = lock_state(&shared_for_progress.state);
-                if let Some(job) = st.jobs.get_mut(&id) {
-                    job.progress.push(ProgressEvent::from_report(report));
-                }
-                if job_cancel.load(Ordering::Acquire) {
+                lock_state(&shared.state).progress(id, ProgressEvent::from_report(report));
+                if cancel.load(Ordering::Acquire) {
                     *observed_cancel = true;
                 }
                 !*observed_cancel
@@ -1623,8 +1084,10 @@ fn run_attempt(
     };
     Attempt {
         outcome: outcome.map_err(AttemptError::Engine),
-        reclaimed,
-        built_compiled,
+        reclaimed: Reclaimed {
+            checker: reclaimed,
+            compiled: built_compiled,
+        },
         observed_cancel,
     }
 }

@@ -342,9 +342,9 @@ impl TraceSink {
         for ev in &ring.events {
             out.push(',');
             out.push_str("{\"name\":");
-            write_json_str(&mut out, ev.name);
+            let _ = write_json_string(ev.name, &mut out);
             out.push_str(",\"cat\":");
-            write_json_str(&mut out, ev.cat);
+            let _ = write_json_string(ev.cat, &mut out);
             match ev.kind {
                 EventKind::Complete { dur_ns } => {
                     out.push_str(",\"ph\":\"X\",\"dur\":");
@@ -362,7 +362,7 @@ impl TraceSink {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_json_str(&mut out, key);
+                    let _ = write_json_string(key, &mut out);
                     out.push(':');
                     match value {
                         ArgValue::U64(v) => {
@@ -378,7 +378,9 @@ impl TraceSink {
                         ArgValue::Bool(v) => {
                             let _ = write!(out, "{v}");
                         }
-                        ArgValue::Str(v) => write_json_str(&mut out, v),
+                        ArgValue::Str(v) => {
+                            let _ = write_json_string(v, &mut out);
+                        }
                     }
                 }
                 out.push('}');
@@ -433,22 +435,38 @@ fn write_us(out: &mut String, ns: u64) {
     let _ = write!(out, "{}.{:03}", ns / 1_000, ns % 1_000);
 }
 
-fn write_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Writes `s` as a quoted JSON string, copying each run of bytes that
+/// need no escape in one piece. Every byte that does need one is ASCII,
+/// so run boundaries are always char boundaries. The program's one JSON
+/// string escaper: the Chrome exporter and `gm_serve`'s wire codec both
+/// write through it.
+///
+/// # Errors
+///
+/// Propagates `out`'s write failures.
+pub fn write_json_string(s: &str, out: &mut impl std::fmt::Write) -> std::fmt::Result {
+    out.write_char('"')?;
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.write_str(&s[run..i])?;
+        if escape.is_empty() {
+            write!(out, "\\u{b:04x}")?;
+        } else {
+            out.write_str(escape)?;
         }
+        run = i + 1;
     }
-    out.push('"');
+    out.write_str(&s[run..])?;
+    out.write_char('"')
 }
 
 // ---------------------------------------------------------------------
