@@ -2229,6 +2229,165 @@ mod tests {
         assert_eq!(Request::from_json(&frame).unwrap(), submit);
         let frame = read_frame(&mut &DONE[..], &mut buf).unwrap().unwrap();
         assert_eq!(Response::from_json(&frame).unwrap(), done);
+        // Every other variant, both directions.
+        for (request, golden) in golden_requests() {
+            encode_frame(&mut buf, &request.to_json()).unwrap();
+            assert_eq!(
+                buf.escape_ascii().to_string(),
+                golden.escape_ascii().to_string()
+            );
+            let frame = read_frame(&mut &golden[..], &mut buf).unwrap().unwrap();
+            assert_eq!(Request::from_json(&frame).unwrap(), request);
+        }
+        for (response, golden) in golden_responses() {
+            encode_frame(&mut buf, &response.to_json()).unwrap();
+            assert_eq!(
+                buf.escape_ascii().to_string(),
+                golden.escape_ascii().to_string()
+            );
+            let frame = read_frame(&mut &golden[..], &mut buf).unwrap().unwrap();
+            assert_eq!(Response::from_json(&frame).unwrap(), response);
+        }
+    }
+
+    /// A golden frame for every request variant besides [`SUBMIT`] (and a
+    /// second `Submit` with the other forms of the config's value
+    /// codecs), captured from the hand-written codec.
+    fn golden_requests() -> Vec<(Request, &'static [u8])> {
+        let config = WireConfig {
+            window: 2,
+            seed: 7,
+            random_cycles: None,
+            max_iterations: 9,
+            backend: Backend::KInduction { max_k: 2 },
+            unknown_assume: false,
+            targets: WireTargets::AllOutputs,
+            shards: None,
+            record_coverage: false,
+            temporal_horizon: 3,
+            refine_variants: 8,
+            refine_extra_cycles: 24,
+            refine_max_absorb: 4,
+            sim_backend: SimBackend::CompiledBatch(4),
+        };
+        vec![
+            (
+                Request::Submit {
+                    name: "b12".into(),
+                    source: "module m; endmodule".into(),
+                    config,
+                    trace: false,
+                    deadline_ms: Some(0),
+                },
+                b"\x00\x00\x01}{\"type\":\"submit\",\"name\":\"b12\",\"source\":\"module m; endmodule\",\"config\":{\"window\":2,\"seed\":7,\"random_cycles\":null,\"max_iterations\":9,\"backend\":[\"kind\",2],\"unknown_assume\":false,\"targets\":\"all_outputs\",\"shards\":null,\"record_coverage\":false,\"temporal_horizon\":3,\"refine_variants\":8,\"refine_extra_cycles\":24,\"refine_max_absorb\":4,\"sim_backend\":[\"wide\",4]},\"trace\":false,\"deadline_ms\":0}",
+            ),
+            (
+                Request::Status { job: 7 },
+                b"\x00\x00\x00\x19{\"type\":\"status\",\"job\":7}",
+            ),
+            (
+                Request::Progress { job: 7, from: 3 },
+                b"\x00\x00\x00${\"type\":\"progress\",\"job\":7,\"from\":3}",
+            ),
+            (
+                Request::Wait { job: u64::MAX },
+                b"\x00\x00\x00*{\"type\":\"wait\",\"job\":18446744073709551615}",
+            ),
+            (
+                Request::Cancel { job: 0 },
+                b"\x00\x00\x00\x19{\"type\":\"cancel\",\"job\":0}",
+            ),
+            (
+                Request::Trace { job: 12 },
+                b"\x00\x00\x00\x19{\"type\":\"trace\",\"job\":12}",
+            ),
+            (Request::Stats, b"\x00\x00\x00\x10{\"type\":\"stats\"}"),
+            (Request::Metrics, b"\x00\x00\x00\x12{\"type\":\"metrics\"}"),
+            (Request::Shutdown, b"\x00\x00\x00\x13{\"type\":\"shutdown\"}"),
+        ]
+    }
+
+    /// A golden frame for every response variant besides `Done` and
+    /// `Stats`, captured from the hand-written codec: `Status` with and
+    /// without an error, `Progress` with a fractional and an integral
+    /// coverage.
+    fn golden_responses() -> Vec<(Response, &'static [u8])> {
+        let event = |iteration, input_space_coverage| ProgressEvent {
+            iteration,
+            candidates: 12,
+            proved_total: 5,
+            refuted: 2,
+            input_space_coverage,
+            suite_cycles: 96,
+        };
+        vec![
+            (
+                Response::Submitted {
+                    job: 3,
+                    cached: true,
+                },
+                b"\x00\x00\x00*{\"type\":\"submitted\",\"job\":3,\"cached\":true}",
+            ),
+            (
+                Response::Status {
+                    job: 3,
+                    state: JobState::Running,
+                    name: "b09".into(),
+                    progress_len: 4,
+                    error: None,
+                },
+                b"\x00\x00\x00V{\"type\":\"status\",\"job\":3,\"state\":\"running\",\"name\":\"b09\",\"progress_len\":4,\"error\":null}",
+            ),
+            (
+                Response::Status {
+                    job: 4,
+                    state: JobState::Failed,
+                    name: "b09".into(),
+                    progress_len: 0,
+                    error: Some("engine: unknown signal 'x'".into()),
+                },
+                b"\x00\x00\x00m{\"type\":\"status\",\"job\":4,\"state\":\"failed\",\"name\":\"b09\",\"progress_len\":0,\"error\":\"engine: unknown signal \'x\'\"}",
+            ),
+            (
+                Response::Progress {
+                    job: 3,
+                    from: 1,
+                    events: vec![event(1, 0.625), event(2, 1.0)],
+                    terminal: false,
+                },
+                b"\x00\x00\x01\x16{\"type\":\"progress\",\"job\":3,\"from\":1,\"events\":[{\"iteration\":1,\"candidates\":12,\"proved_total\":5,\"refuted\":2,\"input_space_coverage\":0.625,\"suite_cycles\":96},{\"iteration\":2,\"candidates\":12,\"proved_total\":5,\"refuted\":2,\"input_space_coverage\":1.0,\"suite_cycles\":96}],\"terminal\":false}",
+            ),
+            (
+                Response::Trace {
+                    job: 3,
+                    trace: "{\"traceEvents\":[]}".into(),
+                },
+                b"\x00\x00\x007{\"type\":\"trace\",\"job\":3,\"trace\":\"{\\\"traceEvents\\\":[]}\"}",
+            ),
+            (
+                Response::Metrics {
+                    text: "# TYPE gmserve_workers gauge\ngmserve_workers 4\n".into(),
+                },
+                b"\x00\x00\x00M{\"type\":\"metrics\",\"text\":\"# TYPE gmserve_workers gauge\\ngmserve_workers 4\\n\"}",
+            ),
+            (
+                Response::ShuttingDown,
+                b"\x00\x00\x00\x18{\"type\":\"shutting_down\"}",
+            ),
+            (
+                Response::Overloaded {
+                    queued: 64,
+                    limit: 64,
+                },
+                b"\x00\x00\x00,{\"type\":\"overloaded\",\"queued\":64,\"limit\":64}",
+            ),
+            (
+                Response::Error {
+                    message: "unknown job 99".into(),
+                },
+                b"\x00\x00\x00+{\"type\":\"error\",\"message\":\"unknown job 99\"}",
+            ),
+        ]
     }
 
     /// A `ServeStats` with every scalar distinct and non-zero (its
