@@ -75,3 +75,14 @@ pub use protocol::{
 };
 pub use retry::RetryPolicy;
 pub use service::{ClosureService, JobError, JobStatus, ServeConfig, ServeError, SubmitOptions};
+
+/// Cases per property test: `tier1` by default; CI's release job raises
+/// it through proptest's `PROPTEST_CASES` variable, which an explicit
+/// `ProptestConfig::with_cases` would otherwise override.
+#[cfg(test)]
+fn proptest_cases(tier1: u32) -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(tier1)
+}

@@ -323,7 +323,7 @@ impl JobTable {
         job.state = JobState::Running;
         live.started_ns = Some(now_ns);
         let queued_ns = now_ns.saturating_sub(job.submitted_ns);
-        self.stats.queue_seconds.observe_ns(queued_ns);
+        self.stats.queue_seconds.observe(queued_ns);
         Some(Claim {
             module: job.module.clone(),
             elab: live.elab.clone(),
@@ -433,7 +433,7 @@ impl JobTable {
         }
         if let Some(started_ns) = live.started_ns {
             let wall_ns = now_ns.saturating_sub(started_ns);
-            self.stats.wall_seconds.observe_ns(wall_ns);
+            self.stats.wall_seconds.observe(wall_ns);
             self.stats.job_retries.observe(u64::from(live.retries));
         }
         if let Ending::Ran { outcome, .. } = &ending {
@@ -568,16 +568,6 @@ mod tests {
         Box::new(outcome.clone())
     }
 
-    /// Cases per property: 64 by default; CI's release job raises it
-    /// through proptest's `PROPTEST_CASES` variable, which an explicit
-    /// `ProptestConfig::with_cases` would otherwise override.
-    fn cases(tier1: u32) -> u32 {
-        std::env::var("PROPTEST_CASES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(tier1)
-    }
-
     #[test]
     fn a_deadline_during_a_retry_backoff_fails_the_job_once() {
         let mut t = table(8, 0);
@@ -678,7 +668,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(cases(64)))]
+        #![proptest_config(ProptestConfig::with_cases(crate::proptest_cases(64)))]
 
         /// Random sequences of every transition keep the table's books.
         /// Workers are modelled by the claims the sequence holds: only a

@@ -391,7 +391,7 @@ impl ServeClient {
     /// Propagates transport and server errors.
     pub fn stats(&mut self) -> io::Result<crate::protocol::ServeStats> {
         self.expect(&Request::Stats, |r| match r {
-            Response::Stats(stats) => Some(*stats),
+            Response::Stats { stats } => Some(*stats),
             _ => None,
         })
     }

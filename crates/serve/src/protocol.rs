@@ -12,6 +12,12 @@
 //! reader and the torn-frame fault path alike, and it works in a buffer
 //! the connection keeps across frames.
 //!
+//! Each message and config is declared once: its keys in wire order,
+//! each optional key with the value older clients imply. The
+//! `wire_struct!` and `wire_enum!` declarations generate both
+//! directions of its codec from that list, so a key is never spelled
+//! twice and every decode refusal names its key.
+//!
 //! Designs travel as Verilog source text and are parsed server-side;
 //! the [`WireConfig`] mirrors [`EngineConfig`] with signal *names*
 //! instead of module-local ids, so a config resolves against whatever
@@ -84,6 +90,23 @@ impl std::fmt::Display for ProtocolError {
 
 impl std::error::Error for ProtocolError {}
 
+/// A value with a wire form. Every message is built from these: a
+/// struct's codec is its field list (`wire_struct!`), a message
+/// enum's is one row per variant (`wire_enum!`), and only the field
+/// types below spell out a JSON shape.
+trait Wire: Sized {
+    /// The JSON form, borrowing the value's strings.
+    fn encode(&self) -> Json<'_>;
+
+    /// Reads the value stored under `key`; every refusal names `key`.
+    fn decode(v: &Json, key: &str) -> Result<Self, ProtocolError>;
+}
+
+/// The uniform decode refusal: `field '<key>' must be <what>`.
+fn expected(key: &str, what: &str) -> ProtocolError {
+    ProtocolError(format!("field '{key}' must be {what}"))
+}
+
 fn field<'a, 'j>(v: &'a Json<'j>, key: &str) -> Result<&'a Json<'j>, ProtocolError> {
     v.get(key)
         .ok_or_else(|| ProtocolError(format!("missing field '{key}'")))
@@ -97,45 +120,197 @@ fn opt_field<'a, 'j>(v: &'a Json<'j>, key: &str) -> Option<&'a Json<'j>> {
     v.get(key).filter(|value| !matches!(value, Json::Null))
 }
 
-fn u64_field(v: &Json, key: &str) -> Result<u64, ProtocolError> {
-    field(v, key)?
-        .as_u64()
-        .ok_or_else(|| ProtocolError(format!("field '{key}' must be an unsigned integer")))
+/// Decodes the key `key` of the object `v`, which must be present.
+fn required<T: Wire>(v: &Json, key: &str) -> Result<T, ProtocolError> {
+    T::decode(field(v, key)?, key)
 }
 
-fn opt_u64_field(v: &Json, key: &str) -> Result<Option<u64>, ProtocolError> {
-    opt_field(v, key).map(|_| u64_field(v, key)).transpose()
+/// Decodes an optional key (see [`opt_field`]): absent or `null`, it
+/// reads as `default`.
+fn optional<T: Wire>(v: &Json, key: &str, default: impl FnOnce() -> T) -> Result<T, ProtocolError> {
+    opt_field(v, key).map_or_else(|| Ok(default()), |value| T::decode(value, key))
 }
 
-/// A field that must be present but may be `null`.
-fn nullable_u64_field(v: &Json, key: &str) -> Result<Option<u64>, ProtocolError> {
-    field(v, key)?;
-    opt_u64_field(v, key)
+/// Refuses a value under `key` that is not an object.
+fn object(v: &Json, key: &str) -> Result<(), ProtocolError> {
+    let is_object = matches!(v, Json::Obj(_));
+    is_object
+        .then_some(())
+        .ok_or_else(|| expected(key, "an object"))
 }
 
-fn u32_field(v: &Json, key: &str) -> Result<u32, ProtocolError> {
-    u32::try_from(u64_field(v, key)?)
-        .map_err(|_| ProtocolError(format!("field '{key}' exceeds 32 bits")))
+/// The parts of a `[tag, value]` pair.
+fn pair<'a, 'j>(v: &'a Json<'j>) -> Option<(Option<&'a str>, &'a Json<'j>)> {
+    match v.as_arr()? {
+        [tag, value, ..] => Some((tag.as_str(), value)),
+        _ => None,
+    }
 }
 
-fn narrow_u32(value: u64, what: &str) -> Result<u32, ProtocolError> {
-    u32::try_from(value).map_err(|_| ProtocolError(format!("{what} exceeds 32 bits")))
+fn tagged(tag: &'static str, n: u64) -> Json<'static> {
+    Json::Arr(vec![Json::str(tag), Json::UInt(n)])
 }
 
-fn str_field<'a>(v: &'a Json, key: &str) -> Result<&'a str, ProtocolError> {
-    field(v, key)?
-        .as_str()
-        .ok_or_else(|| ProtocolError(format!("field '{key}' must be a string")))
+impl Wire for u64 {
+    fn encode(&self) -> Json<'_> {
+        Json::UInt(*self)
+    }
+
+    fn decode(v: &Json, key: &str) -> Result<Self, ProtocolError> {
+        v.as_u64()
+            .ok_or_else(|| expected(key, "an unsigned integer"))
+    }
 }
 
-fn bool_field(v: &Json, key: &str) -> Result<bool, ProtocolError> {
-    field(v, key)?
-        .as_bool()
-        .ok_or_else(|| ProtocolError(format!("field '{key}' must be a boolean")))
+impl Wire for u32 {
+    fn encode(&self) -> Json<'_> {
+        Json::UInt((*self).into())
+    }
+
+    fn decode(v: &Json, key: &str) -> Result<Self, ProtocolError> {
+        u32::try_from(u64::decode(v, key)?).map_err(|_| expected(key, "below 2^32"))
+    }
 }
 
-fn opt_bool_field(v: &Json, key: &str) -> Result<Option<bool>, ProtocolError> {
-    opt_field(v, key).map(|_| bool_field(v, key)).transpose()
+impl Wire for bool {
+    fn encode(&self) -> Json<'_> {
+        Json::Bool(*self)
+    }
+
+    fn decode(v: &Json, key: &str) -> Result<Self, ProtocolError> {
+        v.as_bool().ok_or_else(|| expected(key, "a boolean"))
+    }
+}
+
+impl Wire for f64 {
+    fn encode(&self) -> Json<'_> {
+        Json::Float(*self)
+    }
+
+    fn decode(v: &Json, key: &str) -> Result<Self, ProtocolError> {
+        v.as_f64().ok_or_else(|| expected(key, "a number"))
+    }
+}
+
+impl Wire for String {
+    fn encode(&self) -> Json<'_> {
+        Json::str(self)
+    }
+
+    fn decode(v: &Json, key: &str) -> Result<Self, ProtocolError> {
+        v.as_str()
+            .map(str::to_string)
+            .ok_or_else(|| expected(key, "a string"))
+    }
+}
+
+/// `null` is `None`.
+impl<T: Wire> Wire for Option<T> {
+    fn encode(&self) -> Json<'_> {
+        self.as_ref().map_or(Json::Null, T::encode)
+    }
+
+    fn decode(v: &Json, key: &str) -> Result<Self, ProtocolError> {
+        match v {
+            Json::Null => Ok(None),
+            value => T::decode(value, key).map(Some),
+        }
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn encode(&self) -> Json<'_> {
+        Json::Arr(self.iter().map(T::encode).collect())
+    }
+
+    fn decode(v: &Json, key: &str) -> Result<Self, ProtocolError> {
+        v.as_arr()
+            .ok_or_else(|| expected(key, "an array"))?
+            .iter()
+            .map(|item| T::decode(item, key))
+            .collect()
+    }
+}
+
+impl<T: Wire> Wire for Box<T> {
+    fn encode(&self) -> Json<'_> {
+        (**self).encode()
+    }
+
+    fn decode(v: &Json, key: &str) -> Result<Self, ProtocolError> {
+        T::decode(v, key).map(Box::new)
+    }
+}
+
+/// Declares a struct's wire codec: its fields in key order, each
+/// `field` required and each `field = default` optional (absent or
+/// `null`, it reads as `default` — what clients that predate the key
+/// always ran with). `checked by f` runs `f` on the object first.
+macro_rules! wire_struct {
+    ($ty:ident $(checked by $check:ident)? {
+        $($field:ident $(= $default:expr)?),* $(,)?
+    }) => {
+        impl Wire for $ty {
+            fn encode(&self) -> Json<'_> {
+                Json::obj(vec![$((stringify!($field), self.$field.encode()),)*])
+            }
+
+            fn decode(v: &Json, key: &str) -> Result<Self, ProtocolError> {
+                object(v, key)?;
+                $($check(v)?;)?
+                Ok($ty {
+                    $($field: wire_field!(v, $field $(= $default)?),)*
+                })
+            }
+        }
+    };
+}
+
+/// Declares a message enum's wire codec, one row per variant: its
+/// `"type"` tag, then its fields in key order as in `wire_struct!`
+/// (a unit variant has none: `Variant {}`). Generates the public
+/// `to_json` and `from_json`.
+macro_rules! wire_enum {
+    ($ty:ident, $what:literal {
+        $($tag:literal => $variant:ident { $($field:ident $(= $default:expr)?),* }),* $(,)?
+    }) => {
+        impl $ty {
+            /// Serializes to the wire JSON.
+            pub fn to_json(&self) -> Json<'_> {
+                match self {
+                    $($ty::$variant { $($field),* } => Json::obj(vec![
+                        ("type", Json::str($tag)),
+                        $((stringify!($field), $field.encode()),)*
+                    ]),)*
+                }
+            }
+
+            /// Deserializes from the wire JSON.
+            ///
+            /// # Errors
+            ///
+            /// Fails on unknown tags, missing fields and values of the
+            /// wrong shape, naming the key.
+            pub fn from_json(v: &Json) -> Result<Self, ProtocolError> {
+                match field(v, "type")?.as_str() {
+                    $(Some($tag) => Ok($ty::$variant {
+                        $($field: wire_field!(v, $field $(= $default)?),)*
+                    }),)*
+                    _ => Err(expected("type", concat!("a ", $what, " type"))),
+                }
+            }
+        }
+    };
+}
+
+/// Decodes one declared field of the object `v`.
+macro_rules! wire_field {
+    ($v:ident, $field:ident) => {
+        required($v, stringify!($field))?
+    };
+    ($v:ident, $field:ident = $default:expr) => {
+        optional($v, stringify!($field), || $default)?
+    };
 }
 
 fn wide_usize(value: u64, what: &str) -> Result<usize, ProtocolError> {
@@ -355,167 +530,122 @@ impl WireConfig {
             sim_backend: self.sim_backend,
         })
     }
+}
 
-    fn to_json(&self) -> Json<'_> {
-        let tagged = |tag: &'static str, n: u64| Json::Arr(vec![Json::str(tag), Json::UInt(n)]);
-        Json::obj(vec![
-            ("window", Json::UInt(self.window.into())),
-            ("seed", Json::UInt(self.seed)),
-            (
-                "random_cycles",
-                self.random_cycles.map_or(Json::Null, Json::UInt),
-            ),
-            ("max_iterations", Json::UInt(self.max_iterations.into())),
-            (
-                "backend",
-                match self.backend {
-                    Backend::Auto => Json::str("auto"),
-                    Backend::Explicit => Json::str("explicit"),
-                    Backend::Bmc { bound } => tagged("bmc", bound.into()),
-                    Backend::KInduction { max_k } => tagged("kind", max_k.into()),
-                },
-            ),
-            ("unknown_assume", Json::Bool(self.unknown_assume)),
-            (
-                "targets",
-                match &self.targets {
-                    WireTargets::AllOutputs => Json::Str("all_outputs".into()),
-                    WireTargets::Bits(bits) => Json::Arr(
-                        bits.iter()
-                            .map(|(name, bit)| {
-                                Json::Arr(vec![Json::str(name), Json::UInt((*bit).into())])
-                            })
-                            .collect(),
-                    ),
-                },
-            ),
-            (
-                "shards",
-                self.shards.map_or(Json::Null, |n| Json::UInt(n.into())),
-            ),
-            ("record_coverage", Json::Bool(self.record_coverage)),
-            ("temporal_horizon", Json::UInt(self.temporal_horizon.into())),
-            ("refine_variants", Json::UInt(self.refine_variants)),
-            ("refine_extra_cycles", Json::UInt(self.refine_extra_cycles)),
-            ("refine_max_absorb", Json::UInt(self.refine_max_absorb)),
-            (
-                "sim_backend",
-                // By the width the executor will actually use, so every
-                // block the wire writes is one it also accepts.
-                match (self.sim_backend, self.sim_backend.lane_block()) {
-                    (SimBackend::Interpreter, _) => Json::str("interpreter"),
-                    (SimBackend::CompiledBatch(_), 1) => Json::str("batch"),
-                    (SimBackend::CompiledBatch(_), w) => tagged("wide", w as u64),
-                },
-            ),
-        ])
+/// `"auto"`, `"explicit"`, `["bmc", bound]` or `["kind", max_k]`.
+impl Wire for Backend {
+    fn encode(&self) -> Json<'_> {
+        match *self {
+            Backend::Auto => Json::str("auto"),
+            Backend::Explicit => Json::str("explicit"),
+            Backend::Bmc { bound } => tagged("bmc", bound.into()),
+            Backend::KInduction { max_k } => tagged("kind", max_k.into()),
+        }
     }
 
-    fn from_json(v: &Json) -> Result<Self, ProtocolError> {
-        let depth = |value: &Json, what: &str| {
-            let n = value
-                .as_u64()
-                .ok_or_else(|| ProtocolError(format!("{what} must be an integer")))?;
-            narrow_u32(n, what)
-        };
-        let backend = match field(v, "backend")? {
-            Json::Str(s) if s == "auto" => Backend::Auto,
-            Json::Str(s) if s == "explicit" => Backend::Explicit,
-            Json::Arr(items) => match (items.first().and_then(Json::as_str), items.get(1)) {
-                (Some("bmc"), Some(b)) => Backend::Bmc {
-                    bound: depth(b, "bmc bound")?,
-                },
-                (Some("kind"), Some(k)) => Backend::KInduction {
-                    max_k: depth(k, "kind depth")?,
-                },
-                _ => return Err(ProtocolError("unknown backend".into())),
-            },
-            _ => return Err(ProtocolError("unknown backend".into())),
-        };
-        let targets = match field(v, "targets")? {
-            Json::Str(s) if s == "all_outputs" => WireTargets::AllOutputs,
-            Json::Arr(items) => WireTargets::Bits(
-                items
-                    .iter()
-                    .map(|pair| {
-                        let items = pair
-                            .as_arr()
-                            .ok_or_else(|| ProtocolError("target must be [name, bit]".into()))?;
-                        match (
-                            items.first().and_then(Json::as_str),
-                            items.get(1).and_then(Json::as_u64),
-                        ) {
-                            (Some(name), Some(bit)) => {
-                                Ok((name.to_string(), narrow_u32(bit, "target bit")?))
-                            }
-                            _ => Err(ProtocolError("target must be [name, bit]".into())),
-                        }
-                    })
-                    .collect::<Result<Vec<_>, _>>()?,
+    fn decode(v: &Json, key: &str) -> Result<Self, ProtocolError> {
+        match (v.as_str(), pair(v)) {
+            (Some("auto"), _) => Ok(Backend::Auto),
+            (Some("explicit"), _) => Ok(Backend::Explicit),
+            (_, Some((Some("bmc"), bound))) => Ok(Backend::Bmc {
+                bound: u32::decode(bound, key)?,
+            }),
+            (_, Some((Some("kind"), max_k))) => Ok(Backend::KInduction {
+                max_k: u32::decode(max_k, key)?,
+            }),
+            _ => Err(expected(
+                key,
+                "auto, explicit, [bmc, bound] or [kind, max_k]",
+            )),
+        }
+    }
+}
+
+/// `"all_outputs"` or a list of `[name, bit]` pairs.
+impl Wire for WireTargets {
+    fn encode(&self) -> Json<'_> {
+        match self {
+            WireTargets::AllOutputs => Json::str("all_outputs"),
+            WireTargets::Bits(bits) => Json::Arr(
+                bits.iter()
+                    .map(|(name, bit)| Json::Arr(vec![name.encode(), bit.encode()]))
+                    .collect(),
             ),
-            _ => return Err(ProtocolError("unknown target selection".into())),
-        };
-        // Absent (or null) is the pre-wide-lane wire form: default to
-        // the 64-lane compiled batch, as those clients always ran.
-        let sim_backend = match opt_field(v, "sim_backend") {
-            None => SimBackend::CompiledBatch(1),
-            Some(Json::Str(s)) if s == "interpreter" => SimBackend::Interpreter,
+        }
+    }
+
+    fn decode(v: &Json, key: &str) -> Result<Self, ProtocolError> {
+        const SHAPE: &str = "all_outputs or a list of [name, bit] pairs";
+        if v.as_str() == Some("all_outputs") {
+            return Ok(WireTargets::AllOutputs);
+        }
+        let bits = v.as_arr().ok_or_else(|| expected(key, SHAPE))?;
+        bits.iter()
+            .map(|target| match pair(target) {
+                Some((Some(name), bit)) => Ok((name.to_string(), u32::decode(bit, key)?)),
+                _ => Err(expected(key, SHAPE)),
+            })
+            .collect::<Result<_, _>>()
+            .map(WireTargets::Bits)
+    }
+}
+
+/// `"interpreter"`, `"batch"` or `["wide", W]`.
+impl Wire for SimBackend {
+    fn encode(&self) -> Json<'_> {
+        // By the width the executor will actually use, so every block
+        // the wire writes is one it also accepts.
+        match (self, self.lane_block()) {
+            (SimBackend::Interpreter, _) => Json::str("interpreter"),
+            (SimBackend::CompiledBatch(_), 1) => Json::str("batch"),
+            (SimBackend::CompiledBatch(_), w) => tagged("wide", w as u64),
+        }
+    }
+
+    fn decode(v: &Json, key: &str) -> Result<Self, ProtocolError> {
+        match (v.as_str(), pair(v)) {
+            (Some("interpreter"), _) => Ok(SimBackend::Interpreter),
             // `"scalar"` only ever chose how byte-identical traces were
             // computed: accepted and ignored, never written.
-            Some(Json::Str(s)) if s == "batch" || s == "scalar" => SimBackend::CompiledBatch(1),
-            Some(Json::Arr(items)) => match (
-                items.first().and_then(Json::as_str),
-                items.get(1).and_then(Json::as_u64),
-            ) {
-                (Some("wide"), Some(w)) if (1..=MAX_LANE_BLOCK as u64).contains(&w) => {
-                    SimBackend::CompiledBatch(w as u8)
+            (Some("batch" | "scalar"), _) => Ok(SimBackend::CompiledBatch(1)),
+            (_, Some((Some("wide"), w))) => match u64::decode(w, key)? {
+                w if (1..=MAX_LANE_BLOCK as u64).contains(&w) => {
+                    Ok(SimBackend::CompiledBatch(w as u8))
                 }
-                (Some("wide"), Some(w)) => {
-                    return Err(ProtocolError(format!(
-                        "wide lane block must be 1..={MAX_LANE_BLOCK}, got {w}"
-                    )))
-                }
-                _ => return Err(ProtocolError("unknown sim backend".into())),
+                w => Err(ProtocolError(format!(
+                    "wide lane block must be 1..={MAX_LANE_BLOCK}, got {w}"
+                ))),
             },
-            _ => return Err(ProtocolError("unknown sim backend".into())),
-        };
-        // Older clients still send `batched`, `steal` and `racing`. The
-        // last two never changed a run's artifacts and are ignored like
-        // any unknown key; unbatched verification absorbed
-        // counterexamples in a different order, so a request for it is
-        // refused rather than silently run batched.
-        if opt_bool_field(v, "batched")? == Some(false) {
-            return Err(ProtocolError(
-                "field 'batched' must be true: unbatched verification was removed".into(),
-            ));
+            _ => Err(expected(key, "interpreter, batch or [wide, W]")),
         }
-        // Absent temporal/refine knobs are the pre-observability wire
-        // form: resolve to the engine defaults those clients always ran
-        // with.
-        let refine = RefineConfig::default();
-        Ok(WireConfig {
-            window: u32_field(v, "window")?,
-            seed: u64_field(v, "seed")?,
-            random_cycles: nullable_u64_field(v, "random_cycles")?,
-            max_iterations: u32_field(v, "max_iterations")?,
-            backend,
-            unknown_assume: bool_field(v, "unknown_assume")?,
-            targets,
-            shards: nullable_u64_field(v, "shards")?
-                .map(|n| narrow_u32(n, "shards"))
-                .transpose()?,
-            record_coverage: bool_field(v, "record_coverage")?,
-            temporal_horizon: match opt_u64_field(v, "temporal_horizon")? {
-                Some(horizon) => narrow_u32(horizon, "temporal_horizon")?,
-                None => TemporalConfig::default().horizon,
-            },
-            refine_variants: opt_u64_field(v, "refine_variants")?.unwrap_or(refine.variants as u64),
-            refine_extra_cycles: opt_u64_field(v, "refine_extra_cycles")?
-                .unwrap_or(refine.extra_cycles),
-            refine_max_absorb: opt_u64_field(v, "refine_max_absorb")?
-                .unwrap_or(refine.max_absorb as u64),
-            sim_backend,
-        })
+    }
+}
+
+/// Older clients still send `batched`, `steal` and `racing`. The last
+/// two never changed a run's artifacts and are ignored like any unknown
+/// key; unbatched verification absorbed counterexamples in a different
+/// order, so a request for it is refused rather than silently run
+/// batched.
+fn refuse_unbatched(v: &Json) -> Result<(), ProtocolError> {
+    let refusal = "field 'batched' must be true: unbatched verification was removed";
+    let batched = optional(v, "batched", || true)?;
+    batched
+        .then_some(())
+        .ok_or_else(|| ProtocolError(refusal.into()))
+}
+
+// Keys added after the first protocol version default to what those
+// clients always ran: no temporal mining, the engine's refinement
+// defaults and the 64-lane compiled batch.
+wire_struct! {
+    WireConfig checked by refuse_unbatched {
+        window, seed, random_cycles, max_iterations, backend, unknown_assume, targets, shards,
+        record_coverage,
+        temporal_horizon = TemporalConfig::default().horizon,
+        refine_variants = RefineConfig::default().variants as u64,
+        refine_extra_cycles = RefineConfig::default().extra_cycles,
+        refine_max_absorb = RefineConfig::default().max_absorb as u64,
+        sim_backend = SimBackend::CompiledBatch(1),
     }
 }
 
@@ -548,32 +678,11 @@ impl ProgressEvent {
             suite_cycles: r.suite_cycles as u64,
         }
     }
+}
 
-    fn to_json(&self) -> Json<'_> {
-        Json::obj(vec![
-            ("iteration", Json::UInt(self.iteration.into())),
-            ("candidates", Json::UInt(self.candidates)),
-            ("proved_total", Json::UInt(self.proved_total)),
-            ("refuted", Json::UInt(self.refuted)),
-            (
-                "input_space_coverage",
-                Json::Float(self.input_space_coverage),
-            ),
-            ("suite_cycles", Json::UInt(self.suite_cycles)),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<Self, ProtocolError> {
-        Ok(ProgressEvent {
-            iteration: u32_field(v, "iteration")?,
-            candidates: u64_field(v, "candidates")?,
-            proved_total: u64_field(v, "proved_total")?,
-            refuted: u64_field(v, "refuted")?,
-            input_space_coverage: field(v, "input_space_coverage")?
-                .as_f64()
-                .ok_or_else(|| ProtocolError("input_space_coverage must be a number".into()))?,
-            suite_cycles: u64_field(v, "suite_cycles")?,
-        })
+wire_struct! {
+    ProgressEvent {
+        iteration, candidates, proved_total, refuted, input_space_coverage, suite_cycles,
     }
 }
 
@@ -613,39 +722,11 @@ impl ClosureSummary {
             outcome_debug: format!("{outcome:?}"),
         }
     }
+}
 
-    fn to_json(&self) -> Json<'_> {
-        Json::obj(vec![
-            ("converged", Json::Bool(self.converged)),
-            ("iterations", Json::UInt(self.iterations.into())),
-            (
-                "assertions",
-                Json::Arr(self.assertions.iter().map(|a| Json::str(a)).collect()),
-            ),
-            ("suite_cycles", Json::UInt(self.suite_cycles)),
-            ("unknown_assumed", Json::UInt(self.unknown_assumed)),
-            ("outcome_debug", Json::str(&self.outcome_debug)),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<Self, ProtocolError> {
-        Ok(ClosureSummary {
-            converged: bool_field(v, "converged")?,
-            iterations: u32_field(v, "iterations")?,
-            assertions: field(v, "assertions")?
-                .as_arr()
-                .ok_or_else(|| ProtocolError("assertions must be an array".into()))?
-                .iter()
-                .map(|a| {
-                    a.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| ProtocolError("assertion must be a string".into()))
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            suite_cycles: u64_field(v, "suite_cycles")?,
-            unknown_assumed: u64_field(v, "unknown_assumed")?,
-            outcome_debug: str_field(v, "outcome_debug")?.to_string(),
-        })
+wire_struct! {
+    ClosureSummary {
+        converged, iterations, assertions, suite_cycles, unknown_assumed, outcome_debug,
     }
 }
 
@@ -675,16 +756,19 @@ impl JobState {
             JobState::Cancelled => "cancelled",
         }
     }
+}
 
-    fn from_str(s: &str) -> Result<Self, ProtocolError> {
-        Ok(match s {
-            "queued" => JobState::Queued,
-            "running" => JobState::Running,
-            "done" => JobState::Done,
-            "failed" => JobState::Failed,
-            "cancelled" => JobState::Cancelled,
-            other => return Err(ProtocolError(format!("unknown job state '{other}'"))),
-        })
+impl Wire for JobState {
+    fn encode(&self) -> Json<'_> {
+        Json::str(self.as_str())
+    }
+
+    fn decode(v: &Json, key: &str) -> Result<Self, ProtocolError> {
+        use JobState::*;
+        [Queued, Running, Done, Failed, Cancelled]
+            .into_iter()
+            .find(|state| v.as_str() == Some(state.as_str()))
+            .ok_or_else(|| expected(key, "a job state"))
     }
 }
 
@@ -755,11 +839,6 @@ impl WireHistogram {
         self.sum = self.sum.saturating_add(value);
     }
 
-    /// Records one observed duration, in nanoseconds.
-    pub fn observe_ns(&mut self, ns: u64) {
-        self.observe(ns);
-    }
-
     /// Total observations (the Prometheus `_count` sample).
     pub fn count(&self) -> u64 {
         self.buckets.iter().sum()
@@ -772,35 +851,22 @@ impl WireHistogram {
 
     fn to_json(&self, sum_key: &'static str) -> Json<'_> {
         Json::obj(vec![
-            (
-                "buckets",
-                Json::Arr(self.buckets.iter().map(|&c| Json::UInt(c)).collect()),
-            ),
-            (sum_key, Json::UInt(self.sum)),
+            ("buckets", self.buckets.encode()),
+            (sum_key, self.sum.encode()),
         ])
     }
 
-    /// Replaces the counts with the ones `v` carries; the bucket table
-    /// stays, and `v` must match its length.
-    fn read_json(&mut self, v: &Json, sum_key: &str) -> Result<(), ProtocolError> {
-        let buckets = field(v, "buckets")?
-            .as_arr()
-            .ok_or_else(|| ProtocolError("histogram buckets must be an array".into()))?
-            .iter()
-            .map(|c| {
-                c.as_u64()
-                    .ok_or_else(|| ProtocolError("histogram bucket must be an integer".into()))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+    /// Replaces the counts with the ones `v`, stored under `key`,
+    /// carries; the bucket table stays, and `v` must match its length.
+    fn read_json(&mut self, v: &Json, key: &str, sum_key: &str) -> Result<(), ProtocolError> {
+        object(v, key)?;
+        let buckets: Vec<u64> = required(v, "buckets")?;
         if buckets.len() != self.buckets.len() {
-            return Err(ProtocolError(format!(
-                "histogram must have {} buckets, got {}",
-                self.buckets.len(),
-                buckets.len()
-            )));
+            let shape = format!("{} counts, got {}", self.buckets.len(), buckets.len());
+            return Err(expected("buckets", &shape));
         }
         self.buckets = buckets;
-        self.sum = u64_field(v, sum_key)?;
+        self.sum = required(v, sum_key)?;
         Ok(())
     }
 }
@@ -1006,11 +1072,12 @@ serve_stats! {
         "job_retries", "Retries per retired job (0 = first attempt succeeded).";
 }
 
-impl ServeStats {
-    fn to_json(&self) -> Json<'_> {
+/// Every row of the table, in table order.
+impl Wire for ServeStats {
+    fn encode(&self) -> Json<'_> {
         let pairs = STAT_ROWS.iter().zip(self.fields()).map(|(row, stat)| {
             let value = match stat {
-                Stat::Counter(n) | Stat::Gauge(n) => Json::UInt(*n),
+                Stat::Counter(n) | Stat::Gauge(n) => n.encode(),
                 Stat::Histogram(h, sum_key, _) => h.to_json(sum_key),
             };
             (row.key, value)
@@ -1018,20 +1085,25 @@ impl ServeStats {
         Json::obj(pairs.collect())
     }
 
-    fn from_json(v: &Json) -> Result<Self, ProtocolError> {
+    fn decode(v: &Json, key: &str) -> Result<Self, ProtocolError> {
+        object(v, key)?;
         let mut stats = ServeStats::default();
         for (row, stat) in STAT_ROWS.iter().zip(stats.fields_mut()) {
             if !row.required && opt_field(v, row.key).is_none() {
                 continue;
             }
             match stat {
-                Stat::Counter(n) | Stat::Gauge(n) => *n = u64_field(v, row.key)?,
-                Stat::Histogram(h, sum_key, _) => h.read_json(field(v, row.key)?, sum_key)?,
+                Stat::Counter(n) | Stat::Gauge(n) => *n = required(v, row.key)?,
+                Stat::Histogram(h, sum_key, _) => {
+                    h.read_json(field(v, row.key)?, row.key, sum_key)?
+                }
             }
         }
         Ok(stats)
     }
+}
 
+impl ServeStats {
     /// Renders the counters in the Prometheus text exposition format —
     /// the scrapeable answer to [`Request::Metrics`]. Every table row
     /// is one `gmserve_*` family with its `# HELP` and `# TYPE` lines:
@@ -1144,88 +1216,17 @@ pub enum Request {
     Shutdown,
 }
 
-impl Request {
-    /// Serializes to the wire JSON.
-    pub fn to_json(&self) -> Json<'_> {
-        match self {
-            Request::Submit {
-                name,
-                source,
-                config,
-                trace,
-                deadline_ms,
-            } => Json::obj(vec![
-                ("type", Json::Str("submit".into())),
-                ("name", Json::str(name)),
-                ("source", Json::str(source)),
-                ("config", config.to_json()),
-                ("trace", Json::Bool(*trace)),
-                ("deadline_ms", deadline_ms.map_or(Json::Null, Json::UInt)),
-            ]),
-            Request::Status { job } => Json::obj(vec![
-                ("type", Json::Str("status".into())),
-                ("job", Json::UInt(*job)),
-            ]),
-            Request::Progress { job, from } => Json::obj(vec![
-                ("type", Json::Str("progress".into())),
-                ("job", Json::UInt(*job)),
-                ("from", Json::UInt(*from)),
-            ]),
-            Request::Wait { job } => Json::obj(vec![
-                ("type", Json::Str("wait".into())),
-                ("job", Json::UInt(*job)),
-            ]),
-            Request::Cancel { job } => Json::obj(vec![
-                ("type", Json::Str("cancel".into())),
-                ("job", Json::UInt(*job)),
-            ]),
-            Request::Trace { job } => Json::obj(vec![
-                ("type", Json::Str("trace".into())),
-                ("job", Json::UInt(*job)),
-            ]),
-            Request::Stats => Json::obj(vec![("type", Json::Str("stats".into()))]),
-            Request::Metrics => Json::obj(vec![("type", Json::Str("metrics".into()))]),
-            Request::Shutdown => Json::obj(vec![("type", Json::Str("shutdown".into()))]),
-        }
-    }
-
-    /// Deserializes from the wire JSON.
-    ///
-    /// # Errors
-    ///
-    /// Fails on unknown tags or missing fields.
-    pub fn from_json(v: &Json) -> Result<Self, ProtocolError> {
-        match str_field(v, "type")? {
-            "submit" => Ok(Request::Submit {
-                name: str_field(v, "name")?.to_string(),
-                source: str_field(v, "source")?.to_string(),
-                config: WireConfig::from_json(field(v, "config")?)?,
-                // Absent = untraced, the pre-observability wire form.
-                trace: opt_bool_field(v, "trace")?.unwrap_or(false),
-                // Absent = server-default deadline; 0 = explicitly none.
-                deadline_ms: opt_u64_field(v, "deadline_ms")?,
-            }),
-            "status" => Ok(Request::Status {
-                job: u64_field(v, "job")?,
-            }),
-            "progress" => Ok(Request::Progress {
-                job: u64_field(v, "job")?,
-                from: u64_field(v, "from")?,
-            }),
-            "wait" => Ok(Request::Wait {
-                job: u64_field(v, "job")?,
-            }),
-            "cancel" => Ok(Request::Cancel {
-                job: u64_field(v, "job")?,
-            }),
-            "trace" => Ok(Request::Trace {
-                job: u64_field(v, "job")?,
-            }),
-            "stats" => Ok(Request::Stats),
-            "metrics" => Ok(Request::Metrics),
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(ProtocolError(format!("unknown request type '{other}'"))),
-        }
+wire_enum! {
+    Request, "request" {
+        "submit" => Submit { name, source, config, trace = false, deadline_ms = None },
+        "status" => Status { job },
+        "progress" => Progress { job, from },
+        "wait" => Wait { job },
+        "cancel" => Cancel { job },
+        "trace" => Trace { job },
+        "stats" => Stats {},
+        "metrics" => Metrics {},
+        "shutdown" => Shutdown {},
     }
 }
 
@@ -1280,9 +1281,12 @@ pub enum Response {
         /// `chrome://tracing`).
         trace: String,
     },
-    /// Aggregate counters. Boxed: the stats block (histograms included)
-    /// dwarfs every other variant.
-    Stats(Box<ServeStats>),
+    /// Aggregate counters.
+    Stats {
+        /// The counters. Boxed: the stats block (histograms included)
+        /// dwarfs every other variant.
+        stats: Box<ServeStats>,
+    },
     /// The counters in the Prometheus text exposition format.
     Metrics {
         /// The rendered metrics page.
@@ -1309,136 +1313,18 @@ pub enum Response {
     },
 }
 
-impl Response {
-    /// Serializes to the wire JSON.
-    pub fn to_json(&self) -> Json<'_> {
-        match self {
-            Response::Submitted { job, cached } => Json::obj(vec![
-                ("type", Json::Str("submitted".into())),
-                ("job", Json::UInt(*job)),
-                ("cached", Json::Bool(*cached)),
-            ]),
-            Response::Status {
-                job,
-                state,
-                name,
-                progress_len,
-                error,
-            } => Json::obj(vec![
-                ("type", Json::Str("status".into())),
-                ("job", Json::UInt(*job)),
-                ("state", Json::str(state.as_str())),
-                ("name", Json::str(name)),
-                ("progress_len", Json::UInt(*progress_len)),
-                ("error", error.as_deref().map_or(Json::Null, Json::str)),
-            ]),
-            Response::Progress {
-                job,
-                from,
-                events,
-                terminal,
-            } => Json::obj(vec![
-                ("type", Json::Str("progress".into())),
-                ("job", Json::UInt(*job)),
-                ("from", Json::UInt(*from)),
-                (
-                    "events",
-                    Json::Arr(events.iter().map(ProgressEvent::to_json).collect()),
-                ),
-                ("terminal", Json::Bool(*terminal)),
-            ]),
-            Response::Done { job, summary } => Json::obj(vec![
-                ("type", Json::Str("done".into())),
-                ("job", Json::UInt(*job)),
-                ("summary", summary.to_json()),
-            ]),
-            Response::Trace { job, trace } => Json::obj(vec![
-                ("type", Json::Str("trace".into())),
-                ("job", Json::UInt(*job)),
-                ("trace", Json::str(trace)),
-            ]),
-            Response::Stats(stats) => Json::obj(vec![
-                ("type", Json::Str("stats".into())),
-                ("stats", stats.to_json()),
-            ]),
-            Response::Metrics { text } => Json::obj(vec![
-                ("type", Json::Str("metrics".into())),
-                ("text", Json::str(text)),
-            ]),
-            Response::ShuttingDown => Json::obj(vec![("type", Json::Str("shutting_down".into()))]),
-            Response::Overloaded { queued, limit } => Json::obj(vec![
-                ("type", Json::Str("overloaded".into())),
-                ("queued", Json::UInt(*queued)),
-                ("limit", Json::UInt(*limit)),
-            ]),
-            Response::Error { message } => Json::obj(vec![
-                ("type", Json::Str("error".into())),
-                ("message", Json::str(message)),
-            ]),
-        }
-    }
-
-    /// Deserializes from the wire JSON.
-    ///
-    /// # Errors
-    ///
-    /// Fails on unknown tags or missing fields.
-    pub fn from_json(v: &Json) -> Result<Self, ProtocolError> {
-        match str_field(v, "type")? {
-            "submitted" => Ok(Response::Submitted {
-                job: u64_field(v, "job")?,
-                cached: bool_field(v, "cached")?,
-            }),
-            "status" => Ok(Response::Status {
-                job: u64_field(v, "job")?,
-                state: JobState::from_str(str_field(v, "state")?)?,
-                name: str_field(v, "name")?.to_string(),
-                progress_len: u64_field(v, "progress_len")?,
-                error: match field(v, "error")? {
-                    Json::Null => None,
-                    other => Some(
-                        other
-                            .as_str()
-                            .ok_or_else(|| ProtocolError("error must be a string".into()))?
-                            .to_string(),
-                    ),
-                },
-            }),
-            "progress" => Ok(Response::Progress {
-                job: u64_field(v, "job")?,
-                from: u64_field(v, "from")?,
-                events: field(v, "events")?
-                    .as_arr()
-                    .ok_or_else(|| ProtocolError("events must be an array".into()))?
-                    .iter()
-                    .map(ProgressEvent::from_json)
-                    .collect::<Result<Vec<_>, _>>()?,
-                terminal: bool_field(v, "terminal")?,
-            }),
-            "done" => Ok(Response::Done {
-                job: u64_field(v, "job")?,
-                summary: ClosureSummary::from_json(field(v, "summary")?)?,
-            }),
-            "trace" => Ok(Response::Trace {
-                job: u64_field(v, "job")?,
-                trace: str_field(v, "trace")?.to_string(),
-            }),
-            "stats" => Ok(Response::Stats(Box::new(ServeStats::from_json(field(
-                v, "stats",
-            )?)?))),
-            "metrics" => Ok(Response::Metrics {
-                text: str_field(v, "text")?.to_string(),
-            }),
-            "shutting_down" => Ok(Response::ShuttingDown),
-            "overloaded" => Ok(Response::Overloaded {
-                queued: u64_field(v, "queued")?,
-                limit: u64_field(v, "limit")?,
-            }),
-            "error" => Ok(Response::Error {
-                message: str_field(v, "message")?.to_string(),
-            }),
-            other => Err(ProtocolError(format!("unknown response type '{other}'"))),
-        }
+wire_enum! {
+    Response, "response" {
+        "submitted" => Submitted { job, cached },
+        "status" => Status { job, state, name, progress_len, error },
+        "progress" => Progress { job, from, events, terminal },
+        "done" => Done { job, summary },
+        "trace" => Trace { job, trace },
+        "stats" => Stats { stats },
+        "metrics" => Metrics { text },
+        "shutting_down" => ShuttingDown {},
+        "overloaded" => Overloaded { queued, limit },
+        "error" => Error { message },
     }
 }
 
@@ -1587,6 +1473,7 @@ pub fn read_frame<'b>(r: &mut impl Read, buf: &'b mut Vec<u8>) -> io::Result<Opt
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn round_trip_request(req: Request) {
         let json = req.to_json();
@@ -1694,30 +1581,32 @@ mod tests {
                     outcome_debug: "ClosureOutcome { .. }".into(),
                 },
             },
-            Response::Stats(Box::new(ServeStats {
-                submitted: 9,
-                queued: 1,
-                running: 2,
-                workers: 4,
-                steals: 2,
-                cache_hits: 5,
-                cache_evictions_bytes: 3,
-                compiled_reused: 4,
-                verify_sat_queries: 17,
-                queue_seconds: {
-                    let mut h = WireHistogram::new(&LATENCY_BUCKETS_NS);
-                    h.observe_ns(40_000);
-                    h.observe_ns(7_000_000);
-                    h
-                },
-                wall_seconds: {
-                    let mut h = WireHistogram::new(&LATENCY_BUCKETS_NS);
-                    h.observe_ns(800_000_000);
-                    h.observe_ns(90_000_000_000);
-                    h
-                },
-                ..ServeStats::default()
-            })),
+            Response::Stats {
+                stats: Box::new(ServeStats {
+                    submitted: 9,
+                    queued: 1,
+                    running: 2,
+                    workers: 4,
+                    steals: 2,
+                    cache_hits: 5,
+                    cache_evictions_bytes: 3,
+                    compiled_reused: 4,
+                    verify_sat_queries: 17,
+                    queue_seconds: {
+                        let mut h = WireHistogram::new(&LATENCY_BUCKETS_NS);
+                        h.observe(40_000);
+                        h.observe(7_000_000);
+                        h
+                    },
+                    wall_seconds: {
+                        let mut h = WireHistogram::new(&LATENCY_BUCKETS_NS);
+                        h.observe(800_000_000);
+                        h.observe(90_000_000_000);
+                        h
+                    },
+                    ..ServeStats::default()
+                }),
+            },
             Response::Trace {
                 job: 3,
                 trace: "{\"traceEvents\":[]}".into(),
@@ -1791,9 +1680,9 @@ mod tests {
     #[test]
     fn prometheus_histograms_render_cumulative_le_buckets() {
         let mut stats = ServeStats::default();
-        stats.queue_seconds.observe_ns(500_000); // ≤ 0.001s
-        stats.queue_seconds.observe_ns(2_000_000); // ≤ 0.0025s
-        stats.queue_seconds.observe_ns(90_000_000_000); // overflow
+        stats.queue_seconds.observe(500_000); // ≤ 0.001s
+        stats.queue_seconds.observe(2_000_000); // ≤ 0.0025s
+        stats.queue_seconds.observe(90_000_000_000); // overflow
         let text = stats.to_prometheus();
         assert!(text.contains("# TYPE gmserve_job_queue_seconds histogram"));
         assert!(text.contains("gmserve_job_queue_seconds_bucket{le=\"0.001\"} 1"));
@@ -1815,17 +1704,17 @@ mod tests {
             completed: 2,
             ..ServeStats::default()
         };
-        stats.queue_seconds.observe_ns(1_500_000);
-        stats.wall_seconds.observe_ns(3_000_000_000);
-        let back = ServeStats::from_json(&stats.to_json()).unwrap();
+        stats.queue_seconds.observe(1_500_000);
+        stats.wall_seconds.observe(3_000_000_000);
+        let back = ServeStats::decode(&stats.encode(), "stats").unwrap();
         assert_eq!(back, stats);
         // Pre-observability stats frames carry no histograms; they
         // resolve to empty ones, not an error.
-        let mut json = stats.to_json();
+        let mut json = stats.encode();
         if let Json::Obj(fields) = &mut json {
             fields.retain(|(k, _)| k != "queue_seconds" && k != "wall_seconds");
         }
-        let old = ServeStats::from_json(&json).unwrap();
+        let old = ServeStats::decode(&json, "stats").unwrap();
         assert_eq!(old.queue_seconds, WireHistogram::new(&LATENCY_BUCKETS_NS));
         assert_eq!(old.wall_seconds, WireHistogram::new(&LATENCY_BUCKETS_NS));
         assert_eq!(old.submitted, 2);
@@ -1844,11 +1733,11 @@ mod tests {
         stats.job_retries.observe(0);
         stats.job_retries.observe(2);
         stats.job_retries.observe(11); // overflow bucket
-        let back = ServeStats::from_json(&stats.to_json()).unwrap();
+        let back = ServeStats::decode(&stats.encode(), "stats").unwrap();
         assert_eq!(back, stats);
         // Pre-fault-injection stats frames carry none of the resilience
         // fields; they resolve to zeros, not an error.
-        let mut json = stats.to_json();
+        let mut json = stats.encode();
         if let Json::Obj(fields) = &mut json {
             fields.retain(|(k, _)| {
                 !matches!(
@@ -1862,7 +1751,7 @@ mod tests {
                 )
             });
         }
-        let old = ServeStats::from_json(&json).unwrap();
+        let old = ServeStats::decode(&json, "stats").unwrap();
         assert_eq!(old.worker_panics, 0);
         assert_eq!(old.requests_shed, 0);
         assert_eq!(old.job_retries, WireHistogram::new(&RETRY_BUCKETS));
@@ -1902,7 +1791,7 @@ mod tests {
     #[test]
     fn the_stats_table_covers_the_frame_and_the_page() {
         let stats = golden_stats();
-        let json = stats.to_json();
+        let json = stats.encode();
         let Json::Obj(fields) = &json else {
             panic!("stats encode to an object");
         };
@@ -1940,7 +1829,7 @@ mod tests {
             }
             json
         };
-        let old = ServeStats::from_json(&without(&|row| !row.required)).unwrap();
+        let old = ServeStats::decode(&without(&|row| !row.required), "stats").unwrap();
         let mut want = stats.clone();
         for (row, stat) in STAT_ROWS.iter().zip(want.fields_mut()) {
             match stat {
@@ -1954,7 +1843,7 @@ mod tests {
         assert_eq!(old.job_retries.count(), 0);
         // Without a required key it is an error naming the key.
         for row in STAT_ROWS.iter().filter(|row| row.required) {
-            let err = ServeStats::from_json(&without(&|r| r.key == row.key)).unwrap_err();
+            let err = ServeStats::decode(&without(&|r| r.key == row.key), "stats").unwrap_err();
             assert_eq!(err.0, format!("missing field '{}'", row.key));
         }
     }
@@ -2067,11 +1956,11 @@ mod tests {
         // Pre-observability clients never sent the knobs; their frames
         // must resolve to the engine defaults they always ran with.
         let default = WireConfig::default();
-        let mut json = default.to_json();
+        let mut json = default.encode();
         if let Json::Obj(fields) = &mut json {
             fields.retain(|(k, _)| !k.starts_with("temporal_") && !k.starts_with("refine_"));
         }
-        let back = WireConfig::from_json(&json).unwrap();
+        let back = WireConfig::decode(&json, "config").unwrap();
         assert_eq!(back, WireConfig::default());
         let m =
             gm_rtl::parse_verilog("module m(input a, output y); assign y = a; endmodule").unwrap();
@@ -2083,7 +1972,7 @@ mod tests {
             ("type", Json::Str("submit".into())),
             ("name", Json::Str("m".into())),
             ("source", Json::Str("module m; endmodule".into())),
-            ("config", default.to_json()),
+            ("config", default.encode()),
         ]);
         match Request::from_json(&req).unwrap() {
             Request::Submit {
@@ -2144,16 +2033,16 @@ mod tests {
         // keep resolving to the backend they always ran (the default
         // 64-lane batch), not error out.
         let default = WireConfig::default();
-        let mut json = default.to_json();
+        let mut json = default.encode();
         if let Json::Obj(fields) = &mut json {
             fields.retain(|(k, _)| k != "sim_backend");
         }
-        let back = WireConfig::from_json(&json).unwrap();
+        let back = WireConfig::decode(&json, "config").unwrap();
         assert_eq!(back.sim_backend, SimBackend::CompiledBatch(1));
         assert_eq!(back, WireConfig::default());
         // Out-of-range lane blocks are rejected loudly.
         let wide = |w: u64| {
-            let mut json = default.to_json();
+            let mut json = default.encode();
             if let Json::Obj(fields) = &mut json {
                 for (k, v) in fields.iter_mut() {
                     if k == "sim_backend" {
@@ -2161,7 +2050,7 @@ mod tests {
                     }
                 }
             }
-            WireConfig::from_json(&json)
+            WireConfig::decode(&json, "config")
         };
         assert_eq!(wide(8).unwrap().sim_backend, SimBackend::CompiledBatch(8));
         assert!(wide(0).is_err());
@@ -2184,13 +2073,16 @@ mod tests {
     /// `encoded_frames_match_the_golden_bytes`).
     const SUBMIT: &[u8] = b"\x00\x00\x01\xb3{\"type\":\"submit\",\"name\":\"arbiter2\",\"source\":\"module m(input a, output y);\\n  assign y = a; // \\\"q\\\" \\\\ \\t\xcf\x80\\nendmodule\",\"config\":{\"window\":1,\"seed\":12648430,\"random_cycles\":64,\"max_iterations\":64,\"backend\":\"auto\",\"unknown_assume\":true,\"targets\":[[\"gnt0\",0]],\"shards\":0,\"record_coverage\":true,\"temporal_horizon\":0,\"refine_variants\":0,\"refine_extra_cycles\":16,\"refine_max_absorb\":2,\"sim_backend\":\"batch\"},\"trace\":true,\"deadline_ms\":1500}";
 
+    /// The golden `Done` frame (see
+    /// `encoded_frames_match_the_golden_bytes`).
+    const DONE: &[u8] = b"\x00\x00\x00\xdc{\"type\":\"done\",\"job\":3,\"summary\":{\"converged\":true,\"iterations\":4,\"assertions\":[\"req0 => X gnt0\",\"a \\\"b\\\"\"],\"suite_cycles\":128,\"unknown_assumed\":0,\"outcome_debug\":\"ClosureOutcome { name: \\\"s0\\\", cov: 0.625 }\\n\\u0001\xc3\xa9\"}}";
+
     /// "Wire bytes unchanged" is checked, not assumed: these frames were
     /// captured from the pre-rewrite codec (char-by-char writer, cloned
     /// `Json` tree). They pin key order, number forms and every escape
     /// the writer emits, multi-byte UTF-8 included.
     #[test]
     fn encoded_frames_match_the_golden_bytes() {
-        const DONE: &[u8] = b"\x00\x00\x00\xdc{\"type\":\"done\",\"job\":3,\"summary\":{\"converged\":true,\"iterations\":4,\"assertions\":[\"req0 => X gnt0\",\"a \\\"b\\\"\"],\"suite_cycles\":128,\"unknown_assumed\":0,\"outcome_debug\":\"ClosureOutcome { name: \\\"s0\\\", cov: 0.625 }\\n\\u0001\xc3\xa9\"}}";
         let submit = Request::Submit {
             name: "arbiter2".into(),
             source: "module m(input a, output y);\n  assign y = a; // \"q\" \\ \tπ\nendmodule"
@@ -2429,16 +2321,20 @@ mod tests {
             ..ServeStats::default()
         };
         for ns in [500_000, 2_000_000, 90_000_000_000] {
-            stats.queue_seconds.observe_ns(ns);
+            stats.queue_seconds.observe(ns);
         }
         for ns in [800_000_000, 3_000_000_000, 3_000_000_000, 7_000_000_000] {
-            stats.wall_seconds.observe_ns(ns);
+            stats.wall_seconds.observe(ns);
         }
         for retries in [0, 0, 2, 11] {
             stats.job_retries.observe(retries);
         }
         stats
     }
+
+    /// The golden `stats` frame of [`golden_stats`] (see
+    /// `stats_frame_and_metrics_page_match_the_golden_bytes`).
+    const STATS: &[u8] = b"\x00\x00\x03X{\"type\":\"stats\",\"stats\":{\"submitted\":1,\"queued\":2,\"running\":3,\"completed\":4,\"failed\":5,\"cancelled\":6,\"workers\":7,\"steals\":8,\"cache_entries\":9,\"cache_hits\":10,\"cache_misses\":11,\"cache_evictions\":12,\"cache_evictions_capacity\":13,\"cache_evictions_bytes\":14,\"cache_evictions_collision\":15,\"cache_bytes\":16,\"cache_max_bytes\":17,\"compiled_built\":18,\"compiled_reused\":19,\"verify_sat_queries\":20,\"verify_sat_decided\":21,\"verify_explicit_queries\":22,\"verify_memo_hits\":23,\"verify_frames_encoded\":24,\"verify_frames_reused\":25,\"verify_cex_canonicalized\":26,\"queue_seconds\":{\"buckets\":[1,1,0,0,0,0,0,0,0,0,0,0,1],\"sum_ns\":90002500000},\"wall_seconds\":{\"buckets\":[0,0,0,0,0,0,0,0,0,1,0,2,1],\"sum_ns\":13800000000},\"worker_panics\":27,\"jobs_retried\":28,\"jobs_deadline_exceeded\":29,\"requests_shed\":30,\"workers_respawned\":31,\"job_retries\":{\"buckets\":[2,0,1,0,0,1],\"sum\":13}}}";
 
     /// The `stats` frame and the metrics page of [`golden_stats`], as
     /// the hand-written codec produced them before the table existed
@@ -2447,12 +2343,14 @@ mod tests {
     /// byte for byte.
     #[test]
     fn stats_frame_and_metrics_page_match_the_golden_bytes() {
-        const STATS: &[u8] = b"\x00\x00\x03X{\"type\":\"stats\",\"stats\":{\"submitted\":1,\"queued\":2,\"running\":3,\"completed\":4,\"failed\":5,\"cancelled\":6,\"workers\":7,\"steals\":8,\"cache_entries\":9,\"cache_hits\":10,\"cache_misses\":11,\"cache_evictions\":12,\"cache_evictions_capacity\":13,\"cache_evictions_bytes\":14,\"cache_evictions_collision\":15,\"cache_bytes\":16,\"cache_max_bytes\":17,\"compiled_built\":18,\"compiled_reused\":19,\"verify_sat_queries\":20,\"verify_sat_decided\":21,\"verify_explicit_queries\":22,\"verify_memo_hits\":23,\"verify_frames_encoded\":24,\"verify_frames_reused\":25,\"verify_cex_canonicalized\":26,\"queue_seconds\":{\"buckets\":[1,1,0,0,0,0,0,0,0,0,0,0,1],\"sum_ns\":90002500000},\"wall_seconds\":{\"buckets\":[0,0,0,0,0,0,0,0,0,1,0,2,1],\"sum_ns\":13800000000},\"worker_panics\":27,\"jobs_retried\":28,\"jobs_deadline_exceeded\":29,\"requests_shed\":30,\"workers_respawned\":31,\"job_retries\":{\"buckets\":[2,0,1,0,0,1],\"sum\":13}}}";
         let stats = golden_stats();
         let mut buf = Vec::new();
         encode_frame(
             &mut buf,
-            &Response::Stats(Box::new(stats.clone())).to_json(),
+            &Response::Stats {
+                stats: Box::new(stats.clone()),
+            }
+            .to_json(),
         )
         .unwrap();
         assert_eq!(
@@ -2462,7 +2360,9 @@ mod tests {
         let frame = read_frame(&mut &STATS[..], &mut buf).unwrap().unwrap();
         assert_eq!(
             Response::from_json(&frame).unwrap(),
-            Response::Stats(Box::new(stats.clone()))
+            Response::Stats {
+                stats: Box::new(stats.clone()),
+            }
         );
         // The page was captured at crate version 0.1.0; only the
         // `build_info` label follows the version.
@@ -2517,5 +2417,293 @@ mod tests {
         let unbatched = legacy_submit(false, false, false);
         let err = Request::from_json(&crate::json::parse(&unbatched).unwrap()).unwrap_err();
         assert!(err.0.contains("'batched'"), "{}", err.0);
+    }
+
+    /// One step into a JSON value: an object key or an array index.
+    #[derive(Clone, Debug, PartialEq)]
+    enum Step {
+        Key(String),
+        Index(usize),
+    }
+
+    /// One hostile edit of a golden frame: the value at `path` removed
+    /// (`None`, only under a key) or replaced.
+    #[derive(Debug)]
+    struct Mutant {
+        path: Vec<Step>,
+        value: Option<Json<'static>>,
+    }
+
+    /// A `u32` field's overflow.
+    const OVERFLOW: u64 = 1 << 32;
+    /// Request keys a client may leave out or send as `null`.
+    const REQUEST_OPTIONAL: [&str; 7] = [
+        "trace",
+        "deadline_ms",
+        "config.temporal_horizon",
+        "config.refine_variants",
+        "config.refine_extra_cycles",
+        "config.refine_max_absorb",
+        "config.sim_backend",
+    ];
+    /// Keys that must be present but may be `null`, each with a value of
+    /// its type (which decodes where the golden frame has `null`).
+    const NULLABLE: [(&str, Json); 3] = [
+        ("config.random_cycles", Json::UInt(7)),
+        ("config.shards", Json::UInt(7)),
+        ("error", Json::Str(std::borrow::Cow::Borrowed("x"))),
+    ];
+    /// The `u32` fields: 2^32 is refused.
+    const U32_FIELDS: [&str; 6] = [
+        "config.window",
+        "config.max_iterations",
+        "config.shards",
+        "config.temporal_horizon",
+        "events.iteration",
+        "summary.iterations",
+    ];
+    /// The one float field: any number decodes into it.
+    const FLOAT_FIELD: &str = "events.input_space_coverage";
+
+    impl Mutant {
+        /// The keys on the path, outermost first.
+        fn keys(&self) -> Vec<&str> {
+            let keys = self.path.iter().filter_map(|step| match step {
+                Step::Key(key) => Some(key.as_str()),
+                Step::Index(_) => None,
+            });
+            keys.collect()
+        }
+
+        /// The key the edited value sits under (the nearest one, for an
+        /// array element).
+        fn key(&self) -> &str {
+            let keys = self.keys().into_iter();
+            keys.last().expect("every path starts at a key")
+        }
+
+        /// The keys on the path, dotted: `config.window`,
+        /// `events.iteration`.
+        fn dotted(&self) -> String {
+            self.keys().join(".")
+        }
+
+        /// Whether the edited frame must still decode: an optional key
+        /// dropped or `null`, a nullable key `null` or a value of its
+        /// type, any number in the float field, 2^32 in a `u64` field —
+        /// nothing else.
+        fn decodes(&self, request: bool) -> bool {
+            let keys = self.dotted();
+            let at_key = matches!(self.path.last(), Some(Step::Key(_)));
+            let optional = if request {
+                REQUEST_OPTIONAL.contains(&keys.as_str())
+            } else {
+                let stat = keys.strip_prefix("stats.");
+                STAT_ROWS
+                    .iter()
+                    .any(|row| !row.required && stat == Some(row.key))
+            };
+            let nullable = NULLABLE.iter().find(|(k, _)| *k == keys);
+            let of_type = |value: &Json| {
+                nullable.is_some_and(|(_, t)| {
+                    std::mem::discriminant(t) == std::mem::discriminant(value)
+                })
+            };
+            match &self.value {
+                None => optional,
+                Some(Json::UInt(OVERFLOW)) => !U32_FIELDS.contains(&keys.as_str()),
+                Some(Json::Null) => at_key && (optional || nullable.is_some()),
+                Some(value) if at_key && of_type(value) => true,
+                Some(Json::UInt(_) | Json::Int(_) | Json::Float(_)) => {
+                    at_key && keys == FLOAT_FIELD
+                }
+                Some(_) => false,
+            }
+        }
+
+        /// Edits `frame`; `false` when the path is no longer there.
+        fn apply(&self, frame: &mut Json<'static>) -> bool {
+            let (last, parent) = self.path.split_last().expect("paths are never empty");
+            let Some(parent) = at_mut(frame, parent) else {
+                return false;
+            };
+            match (&self.value, parent, last) {
+                (None, Json::Obj(pairs), Step::Key(key)) => {
+                    let before = pairs.len();
+                    pairs.retain(|(k, _)| k != key);
+                    pairs.len() < before
+                }
+                (Some(value), parent, last) => match at_mut(parent, std::slice::from_ref(last)) {
+                    Some(slot) => {
+                        *slot = value.clone();
+                        true
+                    }
+                    None => false,
+                },
+                _ => false,
+            }
+        }
+    }
+
+    fn at_mut<'v>(v: &'v mut Json<'static>, path: &[Step]) -> Option<&'v mut Json<'static>> {
+        path.iter().try_fold(v, |v, step| match (v, step) {
+            (Json::Obj(pairs), Step::Key(key)) => {
+                pairs.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v)
+            }
+            (Json::Arr(items), Step::Index(i)) => items.get_mut(*i),
+            _ => None,
+        })
+    }
+
+    /// Every single mutant of `frame`: an unknown `type`; every key
+    /// dropped; every value, array elements included, replaced by one
+    /// of each other JSON type; every integer under a key set to 2^32.
+    fn mutants(frame: &Json) -> Vec<Mutant> {
+        fn walk(v: &Json, path: &mut Vec<Step>, out: &mut Vec<Mutant>) {
+            let children: Vec<(Step, &Json)> = match v {
+                Json::Obj(pairs) => pairs
+                    .iter()
+                    .map(|(k, child)| (Step::Key(k.to_string()), child))
+                    .collect(),
+                Json::Arr(items) => items
+                    .iter()
+                    .enumerate()
+                    .map(|(i, child)| (Step::Index(i), child))
+                    .collect(),
+                _ => Vec::new(),
+            };
+            for (step, child) in children {
+                let at_key = matches!(step, Step::Key(_));
+                path.push(step);
+                let mut edit = |value| {
+                    out.push(Mutant {
+                        path: path.clone(),
+                        value,
+                    })
+                };
+                if at_key {
+                    edit(None);
+                }
+                if at_key && matches!(child, Json::UInt(_)) {
+                    edit(Some(Json::UInt(OVERFLOW)));
+                }
+                for other in [
+                    Json::Null,
+                    Json::Bool(true),
+                    Json::UInt(7),
+                    Json::Int(-1),
+                    Json::Float(0.5),
+                    Json::str("x"),
+                    Json::Arr(vec![Json::Null]),
+                    Json::Obj(Vec::new()),
+                ] {
+                    if std::mem::discriminant(&other) != std::mem::discriminant(child) {
+                        edit(Some(other));
+                    }
+                }
+                walk(child, path, out);
+                path.pop();
+            }
+        }
+        let mut out = vec![Mutant {
+            path: vec![Step::Key("type".into())],
+            value: Some(Json::str("bogus")),
+        }];
+        walk(frame, &mut Vec::new(), &mut out);
+        out
+    }
+
+    /// Every golden frame, parsed, and whether it is a request.
+    fn golden_frames() -> Vec<(Json<'static>, bool)> {
+        let parse =
+            |bytes: &'static [u8]| json::parse(std::str::from_utf8(&bytes[4..]).unwrap()).unwrap();
+        let requests = golden_requests().into_iter().map(|(_, bytes)| bytes);
+        let responses = golden_responses().into_iter().map(|(_, bytes)| bytes);
+        let requests = requests.chain([SUBMIT]).map(|bytes| (parse(bytes), true));
+        let responses = responses
+            .chain([DONE, STATS])
+            .map(|bytes| (parse(bytes), false));
+        requests.chain(responses).collect()
+    }
+
+    /// Decodes a frame carrying the `applied` edits: it must decode
+    /// (and re-encode to itself) exactly when every edit allows it, and
+    /// otherwise fail in the uniform form, naming the key of an edit
+    /// that does not.
+    fn check(frame: &Json, request: bool, applied: &[&Mutant]) {
+        let decoded = if request {
+            Request::from_json(frame)
+                .map(|m| assert_eq!(Request::from_json(&m.to_json()).unwrap(), m))
+        } else {
+            Response::from_json(frame)
+                .map(|m| assert_eq!(Response::from_json(&m.to_json()).unwrap(), m))
+        };
+        let refused: Vec<&str> = applied
+            .iter()
+            .filter(|m| !m.decodes(request))
+            .map(|m| m.key())
+            .collect();
+        match decoded {
+            Ok(()) => assert!(refused.is_empty(), "decoded: {applied:?}"),
+            Err(err) => {
+                let uniform = err.0.starts_with("field '") || err.0.starts_with("missing field '");
+                let named = refused
+                    .iter()
+                    .any(|key| err.0.contains(&format!("'{key}'")));
+                assert!(uniform && named, "{}: {applied:?}", err.0);
+            }
+        }
+    }
+
+    /// The hostile-frame lane, one edit at a time, over every golden
+    /// frame. The key lists above are checked against the frames, so a
+    /// misspelt entry cannot pass vacuously.
+    #[test]
+    fn hostile_frames_decode_or_name_the_key() {
+        let mut seen = std::collections::BTreeSet::new();
+        for (golden, request) in golden_frames() {
+            for mutant in mutants(&golden) {
+                let mut frame = golden.clone();
+                assert!(mutant.apply(&mut frame), "{mutant:?}");
+                check(&frame, request, &[&mutant]);
+                seen.insert(mutant.dotted());
+            }
+        }
+        let nullable = NULLABLE.iter().map(|(keys, _)| keys);
+        let listed = REQUEST_OPTIONAL.iter().chain(nullable).chain(&U32_FIELDS);
+        for keys in listed.chain([&FLOAT_FIELD]) {
+            assert!(seen.contains(*keys), "no golden frame has {keys}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(crate::proptest_cases(64)))]
+
+        /// The same lane, several edits of one frame at once, at paths
+        /// none of which contains another.
+        #[test]
+        fn hostile_frames_with_several_edits_decode_or_name_a_key(
+            pick in any::<u64>(),
+            picks in prop::collection::vec(any::<u64>(), 1..6),
+        ) {
+            let frames = golden_frames();
+            let (golden, request) = &frames[(pick % frames.len() as u64) as usize];
+            let all = mutants(golden);
+            let mut applied: Vec<&Mutant> = Vec::new();
+            for pick in picks {
+                let m = &all[(pick % all.len() as u64) as usize];
+                if applied
+                    .iter()
+                    .all(|a| !m.path.starts_with(&a.path) && !a.path.starts_with(&m.path))
+                {
+                    applied.push(m);
+                }
+            }
+            let mut frame = golden.clone();
+            for m in &applied {
+                prop_assert!(m.apply(&mut frame));
+            }
+            check(&frame, *request, &applied);
+        }
     }
 }

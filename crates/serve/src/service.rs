@@ -686,7 +686,9 @@ impl ClosureService {
                     message: e.to_string(),
                 },
             },
-            Request::Stats => Response::Stats(Box::new(self.stats())),
+            Request::Stats => Response::Stats {
+                stats: Box::new(self.stats()),
+            },
             Request::Metrics => Response::Metrics {
                 text: self.stats().to_prometheus(),
             },
