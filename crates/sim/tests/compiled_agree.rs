@@ -157,6 +157,41 @@ fn segment_counts_straddle_every_block_boundary() {
     }
 }
 
+/// `[tape_len, register_count, probe_count]` per catalog design, with
+/// probes and without. A change to how the compiler lowers a design
+/// moves a row; both tapes share every register.
+const TAPE_SHAPES: [(&str, [usize; 3], [usize; 3]); 12] = [
+    ("cex_small", [32, 15, 19], [11, 15, 0]),
+    ("arbiter2", [50, 26, 23], [20, 26, 0]),
+    ("arbiter4", [98, 70, 22], [55, 70, 0]),
+    ("fetch_stage", [51, 28, 5], [24, 28, 0]),
+    ("decode_stage", [83, 51, 33], [40, 51, 0]),
+    ("wb_stage", [32, 21, 14], [13, 21, 0]),
+    ("b01", [193, 83, 48], [90, 83, 0]),
+    ("b02", [111, 61, 4], [65, 61, 0]),
+    ("b09", [111, 58, 7], [63, 58, 0]),
+    ("b12_lite", [168, 79, 18], [92, 79, 0]),
+    ("b17_lite", [168, 83, 10], [94, 83, 0]),
+    ("b18_lite", [161, 74, 13], [87, 74, 0]),
+];
+
+#[test]
+fn tape_shapes_match_the_goldens() {
+    let catalog = gm_designs::catalog();
+    assert_eq!(catalog.len(), TAPE_SHAPES.len(), "one golden per design");
+    for (design, (name, probed, bare)) in catalog.iter().zip(TAPE_SHAPES) {
+        assert_eq!(design.name, name);
+        let module = design.module();
+        let shape = |probes| {
+            let c =
+                CompiledModule::compile_with(&module, CompileOptions { probes }).expect("compiles");
+            [c.tape_len(), c.register_count(), c.probe_count()]
+        };
+        assert_eq!(shape(true), probed, "{name}: probed tape");
+        assert_eq!(shape(false), bare, "{name}: probe-free tape");
+    }
+}
+
 #[test]
 fn probe_free_tape_agrees_with_interpreter_coverage_run() {
     // A probe-free tape executes no observation instructions: traces
