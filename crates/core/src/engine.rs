@@ -354,10 +354,13 @@ impl<'m> Engine<'m> {
         // reports: a warm checker may arrive with non-zero counters.
         let reported_stats = checker.session_stats();
         // Coverage-recording runs need the fused probes compiled in;
-        // trace-only runs take the probe-free tape and pay nothing for
-        // observation. A supplied (cached) probed tape also serves a
-        // probe-free run — probes are a superset — but never the other
-        // way around.
+        // trace-only runs take the probe-free tape. Either way a replay
+        // pays only for the points its observer still has open: the
+        // `NopObserver` replays below close every point and so run the
+        // probed tape's cached probe-free residual, and the coverage
+        // pass stops observing what the run's suite has covered. A
+        // supplied (cached) probed tape therefore serves a probe-free
+        // run at no extra cost, but never the other way around.
         let want = CompileOptions {
             probes: config.record_coverage,
         };

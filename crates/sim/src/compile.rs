@@ -70,10 +70,22 @@
 //! executor OR-accumulates per-probe hit words inline (one true word
 //! and one false word per probe per block word, no dynamic dispatch)
 //! and collectors drain them in bulk through
-//! [`BatchObserver::drain_probes`]. Callers that attach no observer at
-//! all can compile a probe-free tape ([`CompileOptions`] with
-//! `probes: false`) that executes no observation instructions
-//! whatsoever.
+//! [`BatchObserver::drain_probes`].
+//!
+//! Observation costs only what is still open. Every observation
+//! instruction reports one [`ObsPoint`], and an observer says through
+//! [`BatchObserver::closed`] which points it has nothing left to learn
+//! from. The executor runs the *residual* tape: the tape minus the
+//! observation instructions of the closed points. It asks at the start
+//! of every pass over a range's lane groups and again after 1, 2, 4, …
+//! cycles of the pass (draining probe hits first), and rebuilds the
+//! residual only when the closed set grew. Lowering emits
+//! the same instructions and registers with or without observation, so
+//! the all-closed residual is exactly the probe-free tape
+//! ([`CompileOptions`] with `probes: false`, itself the probed lowering
+//! stripped); a probed module keeps that residual cached, and a
+//! [`crate::NopObserver`] (everything closed) on it costs what the
+//! probe-free tape costs.
 //!
 //! # When the interpreter is still used
 //!
@@ -150,7 +162,10 @@ pub struct CompileOptions {
     /// the tape carries no observation work at all (and an empty probe
     /// table): the fast shape for trace-only callers such as
     /// counterexample replay, seed-trace generation and mining-feature
-    /// extraction, which attach no coverage collector.
+    /// extraction, which attach no coverage collector. It is the probed
+    /// tape with every observation instruction stripped, so a probed
+    /// tape replayed under an observer that closes every point (a
+    /// [`crate::NopObserver`]) runs the same instructions.
     pub probes: bool,
 }
 
@@ -257,7 +272,23 @@ impl ProbeHits<'_> {
 /// polarity is monotone (a node that was ever true in an active lane
 /// stays "seen true"), so a batched drain is observationally identical
 /// to a per-cycle one, and repeated drains are idempotent.
+///
+/// At the start of every pass, and after 1, 2, 4, … cycles of it, the
+/// executor asks [`BatchObserver::closed`] about every observation
+/// point still on its tape and stops reporting the closed ones (see the
+/// module docs): the statement, branch and probe events above arrive
+/// only for points the observer has not closed. Cycle events always
+/// arrive.
 pub trait BatchObserver {
+    /// Whether this observer has recorded everything it ever will from
+    /// `point`, so that no further event there can change what it
+    /// reports. Must be monotone: once a point is closed it stays
+    /// closed, because the executor drops its observation instruction
+    /// and does not put it back for the rest of the replay. The
+    /// default, never closed, keeps every event flowing.
+    fn closed(&self, _point: ObsPoint) -> bool {
+        false
+    }
     /// A statement executed in the given lanes.
     fn on_stmt(&mut self, _stmt: StmtId, _lanes: &LaneSet<'_>) {}
     /// A control statement resolved to `outcome` in the given lanes.
@@ -270,8 +301,26 @@ pub trait BatchObserver {
     fn on_cycle_end(&mut self, _cycle: u64, _lanes: &LaneSet<'_>, _snap: &LaneSnapshot<'_>) {}
 }
 
-/// The one no-op observer serves both engines.
-impl BatchObserver for crate::NopObserver {}
+/// What one observation instruction of a tape reports: the point an
+/// observer can close ([`BatchObserver::closed`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum ObsPoint {
+    /// A statement executed ([`BatchObserver::on_stmt`]).
+    Stmt(StmtId),
+    /// A control statement took an outcome ([`BatchObserver::on_branch`]).
+    Branch(StmtId, BranchOutcome),
+    /// Boolean node `node` of the expression `stmt` watches in `role`
+    /// was seen true or false ([`BatchObserver::drain_probes`]).
+    Probe(StmtId, ExprRole, u32),
+}
+
+/// The one no-op observer serves both engines; it learns nothing from
+/// any point, so on a probed tape it runs the probe-free instructions.
+impl BatchObserver for crate::NopObserver {
+    fn closed(&self, _point: ObsPoint) -> bool {
+        true
+    }
+}
 
 /// Register index into a compiled tape's register file.
 type Reg = u32;
@@ -432,14 +481,126 @@ enum Inst {
     },
 }
 
-/// An elaborated module lowered to instruction tapes, shareable across
-/// any number of executors.
+impl Inst {
+    fn is_obs(&self) -> bool {
+        matches!(
+            self,
+            Inst::ObsStmt { .. } | Inst::ObsBranch { .. } | Inst::ObsBool { .. }
+        )
+    }
+
+    /// The point an observation instruction reports (`probes` resolves
+    /// probe indices); `None` for design logic.
+    fn point(&self, probes: &[(StmtId, ExprRole, u32)]) -> Option<ObsPoint> {
+        match *self {
+            Inst::ObsStmt { stmt, .. } => Some(ObsPoint::Stmt(stmt)),
+            Inst::ObsBranch { stmt, outcome, .. } => Some(ObsPoint::Branch(stmt, outcome)),
+            Inst::ObsBool { probe, .. } => {
+                let (stmt, role, node) = probes[probe as usize];
+                Some(ObsPoint::Probe(stmt, role, node))
+            }
+            _ => None,
+        }
+    }
+}
+
+/// A settle tape and an edge tape.
 #[derive(Clone, Debug)]
-pub struct CompiledModule {
+struct Tape {
     /// Combinational settle tape (processes in topological order).
     comb: Vec<Inst>,
     /// Sequential edge tape (writes next-state shadows).
     seq: Vec<Inst>,
+}
+
+impl Tape {
+    fn len(&self) -> usize {
+        self.comb.len() + self.seq.len()
+    }
+
+    fn insts(&self) -> impl Iterator<Item = &Inst> {
+        self.comb.iter().chain(&self.seq)
+    }
+
+    /// The observation instructions on the tape.
+    fn obs_count(&self) -> usize {
+        self.insts().filter(|i| i.is_obs()).count()
+    }
+
+    /// The tape without the observation instructions whose point is
+    /// `closed` — design logic is always kept, in order.
+    fn residual(
+        &self,
+        probes: &[(StmtId, ExprRole, u32)],
+        closed: impl Fn(ObsPoint) -> bool,
+    ) -> Tape {
+        let keep = |i: &&Inst| i.point(probes).is_none_or(|p| !closed(p));
+        Tape {
+            comb: self.comb.iter().filter(keep).copied().collect(),
+            seq: self.seq.iter().filter(keep).copied().collect(),
+        }
+    }
+}
+
+/// The part of a module's tape an observer still watches during one
+/// replay: the tape minus the observation instructions of the points
+/// the observer has closed. Closure is monotone, so it only shrinks;
+/// once nothing is open it is the module's cached probe-free tape.
+struct Residual<'c> {
+    module: &'c CompiledModule,
+    /// The filtered tape while it differs from both the module's tape
+    /// and its probe-free one.
+    own: Option<Tape>,
+    /// Observation instructions left on [`Residual::tape`].
+    open: usize,
+}
+
+impl<'c> Residual<'c> {
+    fn new(module: &'c CompiledModule) -> Self {
+        Residual {
+            module,
+            own: None,
+            open: module.tape.obs_count(),
+        }
+    }
+
+    fn tape(&self) -> &Tape {
+        match &self.own {
+            Some(tape) => tape,
+            None if self.open == 0 => self.module.probe_free(),
+            None => &self.module.tape,
+        }
+    }
+
+    /// Drops the observation instructions of every point `obs` has
+    /// closed since the last call; a no-op when it closed none.
+    fn refresh(&mut self, obs: &dyn BatchObserver) {
+        if self.open == 0 {
+            return;
+        }
+        let probes = &self.module.probes;
+        let tape = self.tape();
+        let closed = |p: ObsPoint| obs.closed(p);
+        if !tape.insts().any(|i| i.point(probes).is_some_and(closed)) {
+            return;
+        }
+        let next = tape.residual(probes, closed);
+        self.open = next.obs_count();
+        self.own = (self.open > 0).then_some(next);
+    }
+}
+
+/// An elaborated module lowered to instruction tapes, shareable across
+/// any number of executors.
+#[derive(Clone, Debug)]
+pub struct CompiledModule {
+    /// The settle and edge tapes, with observation instructions when
+    /// compiled with probes.
+    tape: Tape,
+    /// With probes, the probed tape with every observation instruction
+    /// stripped — the residual once every point is closed. `None`
+    /// without probes: `tape` is that tape then.
+    bare: Option<Tape>,
     /// Width of each register.
     widths: Vec<u32>,
     /// Per-register bit offset for the bit-sliced arena (one lane-block
@@ -458,9 +619,6 @@ pub struct CompiledModule {
     const_inits: Vec<(Reg, u64)>,
     /// Probe table: `ObsBool` indices resolve to `(stmt, role, node)`.
     probes: Vec<(StmtId, ExprRole, u32)>,
-    /// What this tape was compiled with (probe-free tapes must not be
-    /// handed to coverage-observing callers).
-    options: CompileOptions,
     /// The designated reset input, for the suite reset protocol.
     reset: Option<SignalId>,
     /// Data inputs (cleared during the reset pulse).
@@ -496,14 +654,28 @@ impl CompiledModule {
     }
 
     /// Lowers an already elaborated module to tapes with the given
-    /// options.
+    /// options. There is one lowering: without probes the tape is the
+    /// probed one with its observation instructions stripped.
     pub fn with_elab_opts(module: &Module, elab: &Elab, options: CompileOptions) -> Self {
-        Compiler::lower(module, elab, options)
+        let mut c = Compiler::lower(module, elab);
+        if !options.probes {
+            c.tape = c
+                .bare
+                .take()
+                .expect("the probed lowering keeps its stripped tape");
+            c.probes = Vec::new();
+        }
+        c
     }
 
     /// Total instruction count across both tapes.
     pub fn tape_len(&self) -> usize {
-        self.comb.len() + self.seq.len()
+        self.tape.len()
+    }
+
+    /// The tape with no observation instructions.
+    fn probe_free(&self) -> &Tape {
+        self.bare.as_ref().unwrap_or(&self.tape)
     }
 
     /// The number of registers in the tape's register file.
@@ -518,27 +690,31 @@ impl CompiledModule {
 
     /// The options this tape was compiled with.
     pub fn options(&self) -> CompileOptions {
-        self.options
+        CompileOptions {
+            probes: self.has_probes(),
+        }
     }
 
     /// Whether observation instructions (and the probe table) were
     /// compiled in.
     pub fn has_probes(&self) -> bool {
-        self.options.probes
+        self.bare.is_some()
     }
 
     /// Approximate resident size of the compiled module — the
     /// accounting input for a design cache that parks compiled modules
     /// alongside checkers (an estimate, not an allocator figure).
     ///
-    /// Beyond the tapes and tables this includes the per-executor
-    /// arenas a parked tape feeds — the bit-sliced register file and
-    /// the fused probe-hit buffers — sized at the widest supported
-    /// lane block ([`MAX_LANE_BLOCK`]), so a byte-budgeted cache stays
-    /// honest no matter which `W` a checkout later runs at.
+    /// Beyond the tapes (the cached probe-free one included) and tables
+    /// this includes the per-executor arenas a parked tape feeds — the
+    /// bit-sliced register file and the fused probe-hit buffers — sized
+    /// at the widest supported lane block ([`MAX_LANE_BLOCK`]), so a
+    /// byte-budgeted cache stays honest no matter which `W` a checkout
+    /// later runs at.
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
-            + self.tape_len() * std::mem::size_of::<Inst>()
+            + (self.tape_len() + self.bare.as_ref().map_or(0, Tape::len))
+                * std::mem::size_of::<Inst>()
             + (self.widths.len() + self.base.len()) * std::mem::size_of::<u32>()
             + self.sig_init.len() * std::mem::size_of::<u64>()
             + self.state_pairs.len() * std::mem::size_of::<(Reg, Reg)>()
@@ -670,14 +846,16 @@ impl CompiledModule {
         let stride = self.n_signals;
         let mut stage = vec![0u64; trace_shape.as_ref().map_or(0, |_| 64 * stride)];
         let rows = stimulus.arena_rows(&self.base);
+        let mut residual = Residual::new(self);
         for first in lane_groups(&range).step_by(W) {
             // Block word `j` reads lane group `first + j`, masked to the
             // range's lanes.
             let lanes: [u64; W] = std::array::from_fn(|j| lanes_in(&range, first + j));
             let mut sim = BatchSim::<W>::new(self);
-            sim.apply_reset(&lanes, obs);
+            residual.refresh(obs);
+            sim.reset_on(residual.tape(), &lanes, obs);
             // Until every lane of the pass has ended.
-            for t in 0.. {
+            for t in 0usize.. {
                 let mut active = [0u64; W];
                 for (j, word) in active.iter_mut().enumerate() {
                     if let Some(record) = stimulus.record(first + j, t) {
@@ -691,7 +869,17 @@ impl CompiledModule {
                 if cancelled() {
                     return None;
                 }
-                sim.settle(&active, Some(obs));
+                // What the observer closed so far goes unobserved:
+                // checked at the pass start and after 1, 2, 4, … of its
+                // cycles (probe hits drained first), so a wide pass sheds
+                // points about as early as a narrow one, at a cost
+                // logarithmic in its length.
+                if t.is_power_of_two() && residual.open > 0 {
+                    sim.drain_probes_to(obs);
+                    residual.refresh(obs);
+                }
+                let tape = residual.tape();
+                sim.settle_on(tape, &active, Some(obs));
                 let snap = sim.snapshot();
                 obs.on_cycle_end(sim.cycle(), &LaneSet::new(&active), &snap);
                 if trace_shape.is_some() {
@@ -709,7 +897,7 @@ impl CompiledModule {
                         }
                     }
                 }
-                sim.clock_edge(&active, Some(obs));
+                sim.clock_edge_on(tape, &active, Some(obs));
             }
             sim.drain_probes_to(obs);
         }
@@ -762,11 +950,13 @@ struct Compiler<'m> {
     tape: Vec<Inst>,
     next_of: Vec<Option<Reg>>,
     in_seq: bool,
-    options: CompileOptions,
 }
 
 impl<'m> Compiler<'m> {
-    fn lower(module: &'m Module, elab: &Elab, options: CompileOptions) -> CompiledModule {
+    /// The probed lowering of `module` — every statement, branch outcome
+    /// and watched boolean node gets its observation instruction — with
+    /// its stripped tape cached.
+    fn lower(module: &'m Module, elab: &Elab) -> CompiledModule {
         let n = module.signals().len();
         let mut c = Compiler {
             module,
@@ -777,7 +967,6 @@ impl<'m> Compiler<'m> {
             tape: Vec::new(),
             next_of: vec![None; n],
             in_seq: false,
-            options,
         };
         let mut state_pairs = Vec::new();
         for sig in elab.state_signals() {
@@ -806,9 +995,10 @@ impl<'m> Compiler<'m> {
             base.push(off);
             off += w;
         }
+        let tape = Tape { comb, seq };
         CompiledModule {
-            comb,
-            seq,
+            bare: Some(tape.residual(&c.probes, |_| true)),
+            tape,
             base,
             words_total: off as usize,
             n_signals: n,
@@ -816,7 +1006,6 @@ impl<'m> Compiler<'m> {
             state_pairs,
             const_inits: c.const_inits,
             probes: c.probes,
-            options,
             reset: module.reset(),
             data_inputs: module.data_inputs(),
             widths: c.widths,
@@ -888,15 +1077,11 @@ impl<'m> Compiler<'m> {
     }
 
     fn compile_watched(&mut self, e: &Expr, stmt: StmtId, role: ExprRole, mask: Reg) -> Reg {
-        let mut probe = if self.options.probes {
-            Some(ProbeCtx {
-                stmt,
-                role,
-                mask,
-                next: 0,
-            })
-        } else {
-            None
+        let mut probe = ProbeCtx {
+            stmt,
+            role,
+            mask,
+            next: 0,
         };
         self.compile_expr(e, &mut probe)
     }
@@ -905,16 +1090,12 @@ impl<'m> Compiler<'m> {
     /// width-1 non-constant node. Probe indices are assigned pre-order
     /// (node before children, children in syntactic order) — exactly
     /// the enumeration the coverage collectors use.
-    fn compile_expr(&mut self, e: &Expr, probe: &mut Option<ProbeCtx>) -> Reg {
+    fn compile_expr(&mut self, e: &Expr, probe: &mut ProbeCtx) -> Reg {
         let w = self.width_of(e);
-        let probe_idx = match probe {
-            Some(p) if w == 1 && !matches!(e, Expr::Const(_)) => {
-                let i = p.next;
-                p.next += 1;
-                Some(i)
-            }
-            _ => None,
-        };
+        let probe_idx = (w == 1 && !matches!(e, Expr::Const(_))).then(|| {
+            probe.next += 1;
+            probe.next - 1
+        });
         let r = match e {
             Expr::Const(b) => self.const_reg(b.bits(), b.width()),
             Expr::Signal(s) => s.index() as Reg,
@@ -1018,13 +1199,12 @@ impl<'m> Compiler<'m> {
             }
         };
         if let Some(i) = probe_idx {
-            let p = probe.as_ref().expect("probe context present");
             let pid = self.probes.len() as u32;
-            self.probes.push((p.stmt, p.role, i));
+            self.probes.push((probe.stmt, probe.role, i));
             self.emit(Inst::ObsBool {
                 probe: pid,
                 val: r,
-                mask: p.mask,
+                mask: probe.mask,
             });
         }
         r
@@ -1061,12 +1241,10 @@ impl<'m> Compiler<'m> {
     }
 
     fn compile_stmt(&mut self, stmt: &Stmt, mask: Reg) {
-        if self.options.probes {
-            self.emit(Inst::ObsStmt {
-                stmt: stmt.id,
-                mask,
-            });
-        }
+        self.emit(Inst::ObsStmt {
+            stmt: stmt.id,
+            mask,
+        });
         match &stmt.kind {
             StmtKind::Assign { lhs, rhs } => {
                 let r = self.compile_watched(rhs, stmt.id, ExprRole::AssignRhs, mask);
@@ -1088,18 +1266,16 @@ impl<'m> Compiler<'m> {
                 let taken = self.truthy(rc);
                 let then_mask = self.and1(mask, taken);
                 let else_mask = self.andnot1(mask, taken);
-                if self.options.probes {
-                    self.emit(Inst::ObsBranch {
-                        stmt: stmt.id,
-                        outcome: BranchOutcome::Then,
-                        mask: then_mask,
-                    });
-                    self.emit(Inst::ObsBranch {
-                        stmt: stmt.id,
-                        outcome: BranchOutcome::Else,
-                        mask: else_mask,
-                    });
-                }
+                self.emit(Inst::ObsBranch {
+                    stmt: stmt.id,
+                    outcome: BranchOutcome::Then,
+                    mask: then_mask,
+                });
+                self.emit(Inst::ObsBranch {
+                    stmt: stmt.id,
+                    outcome: BranchOutcome::Else,
+                    mask: else_mask,
+                });
                 for s in then_body {
                     self.compile_stmt(s, then_mask);
                 }
@@ -1142,13 +1318,11 @@ impl<'m> Compiler<'m> {
                         None => hit,
                         Some(m) => self.or1(m, hit),
                     });
-                    if self.options.probes {
-                        self.emit(Inst::ObsBranch {
-                            stmt: stmt.id,
-                            outcome: BranchOutcome::Arm(i as u32),
-                            mask: take,
-                        });
-                    }
+                    self.emit(Inst::ObsBranch {
+                        stmt: stmt.id,
+                        outcome: BranchOutcome::Arm(i as u32),
+                        mask: take,
+                    });
                     for s in &arm.body {
                         self.compile_stmt(s, take);
                     }
@@ -1157,13 +1331,11 @@ impl<'m> Compiler<'m> {
                     None => mask,
                     Some(m) => self.andnot1(mask, m),
                 };
-                if self.options.probes {
-                    self.emit(Inst::ObsBranch {
-                        stmt: stmt.id,
-                        outcome: BranchOutcome::Default,
-                        mask: def_mask,
-                    });
-                }
+                self.emit(Inst::ObsBranch {
+                    stmt: stmt.id,
+                    outcome: BranchOutcome::Default,
+                    mask: def_mask,
+                });
                 if let Some(d) = default {
                     for s in d {
                         self.compile_stmt(s, def_mask);
@@ -1347,13 +1519,20 @@ impl<'c, const W: usize> BatchSim<'c, W> {
     /// Settles combinational logic in every lane; observations are
     /// restricted to `active` lanes.
     pub fn settle(&mut self, active: &[u64; W], obs: Option<&mut dyn BatchObserver>) {
+        let c = self.c;
+        self.settle_on(&c.tape, active, obs);
+    }
+
+    /// [`BatchSim::settle`] running `tape`: the module's tape or a
+    /// residual of it (the `*_on` methods below likewise).
+    fn settle_on(&mut self, tape: &Tape, active: &[u64; W], obs: Option<&mut dyn BatchObserver>) {
         let mut o = obs;
         exec_wide::<W>(
             self.c,
             &mut self.words,
             &mut self.probe_true,
             &mut self.probe_false,
-            &self.c.comb,
+            &tape.comb,
             active,
             &mut o,
         );
@@ -1362,6 +1541,16 @@ impl<'c, const W: usize> BatchSim<'c, W> {
     /// Fires the sequential processes and commits next state in every
     /// lane; observations are restricted to `active` lanes.
     pub fn clock_edge(&mut self, active: &[u64; W], obs: Option<&mut dyn BatchObserver>) {
+        let c = self.c;
+        self.clock_edge_on(&c.tape, active, obs);
+    }
+
+    fn clock_edge_on(
+        &mut self,
+        tape: &Tape,
+        active: &[u64; W],
+        obs: Option<&mut dyn BatchObserver>,
+    ) {
         for &(cur, next) in &self.c.state_pairs {
             let (cb, nb) = (
                 self.c.base[cur as usize] as usize,
@@ -1377,7 +1566,7 @@ impl<'c, const W: usize> BatchSim<'c, W> {
             &mut self.words,
             &mut self.probe_true,
             &mut self.probe_false,
-            &self.c.seq,
+            &tape.seq,
             active,
             &mut o,
         );
@@ -1396,9 +1585,14 @@ impl<'c, const W: usize> BatchSim<'c, W> {
     /// Runs one full clock cycle, reporting events to `obs` (including
     /// a probe drain after the edge).
     pub fn step_observed(&mut self, active: &[u64; W], obs: &mut dyn BatchObserver) {
-        self.settle(active, Some(obs));
+        let c = self.c;
+        self.step_on(&c.tape, active, obs);
+    }
+
+    fn step_on(&mut self, tape: &Tape, active: &[u64; W], obs: &mut dyn BatchObserver) {
+        self.settle_on(tape, active, Some(obs));
         obs.on_cycle_end(self.cycle, &LaneSet::new(active), &self.snapshot());
-        self.clock_edge(active, Some(obs));
+        self.clock_edge_on(tape, active, Some(obs));
         self.drain_probes_to(obs);
     }
 
@@ -1423,12 +1617,17 @@ impl<'c, const W: usize> BatchSim<'c, W> {
     /// deassert it. A no-op for modules without a reset input.
     pub fn apply_reset(&mut self, active: &[u64; W], obs: &mut dyn BatchObserver) {
         let c = self.c;
+        self.reset_on(&c.tape, active, obs);
+    }
+
+    fn reset_on(&mut self, tape: &Tape, active: &[u64; W], obs: &mut dyn BatchObserver) {
+        let c = self.c;
         if let Some(rst) = c.reset {
             for &d in &c.data_inputs {
                 broadcast::<W>(&mut self.words, c.base[d.index()], c.widths[d.index()], 0);
             }
             self.set_input_all(rst, Bv::one_bit());
-            self.step_observed(active, obs);
+            self.step_on(tape, active, obs);
             self.set_input_all(rst, Bv::zero_bit());
         }
     }

@@ -22,7 +22,9 @@
 //! blocks of 1–8 words — 64 to 512 stimulus vectors per pass
 //! ([`BatchSim`], bit `k` of block word `j` = vector `j*64 + k`) — with
 //! boolean-node coverage probes fused into the tape and drained in bulk
-//! ([`BatchObserver::drain_probes`]). Code that replays reset-rooted
+//! ([`BatchObserver::drain_probes`]), and every observation point
+//! dropped from the tape, within a pass, once the observer reports it
+//! closed ([`BatchObserver::closed`]). Code that replays reset-rooted
 //! segments goes through one seam, [`Replay`], which rides the tape
 //! when it is given one and walks the interpreter otherwise. Stimulus
 //! has one form, [`PackedStimulus`]: 64-segment lane groups holding,
@@ -51,8 +53,8 @@ mod suite;
 mod trace;
 
 pub use compile::{
-    BatchObserver, BatchSim, CompileOptions, CompiledModule, LaneSet, LaneSnapshot, ProbeHits,
-    SimBackend, MAX_LANE_BLOCK,
+    BatchObserver, BatchSim, CompileOptions, CompiledModule, LaneSet, LaneSnapshot, ObsPoint,
+    ProbeHits, SimBackend, MAX_LANE_BLOCK,
 };
 pub use packed::PackedStimulus;
 pub use replay::Replay;

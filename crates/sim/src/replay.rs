@@ -20,6 +20,14 @@
 //! *all* the segments of a pass in one call: a tape pass costs the same
 //! for one active lane as for 64, so a loop of one-segment replays
 //! would pay the whole batch price per segment.
+//!
+//! Observation cost follows the observer's open points. At the start of
+//! each pass and after 1, 2, 4, … of its cycles, the tape drops the
+//! observation instructions of every point the observer reports closed
+//! ([`BatchObserver::closed`]), so a
+//! `CoverageSuite` that has covered most of a design pays for the rest
+//! alone, and a [`crate::NopObserver`] on a probed tape runs the
+//! probe-free instructions.
 
 use crate::compile::{BatchObserver, CompiledModule};
 use crate::sim::SimObserver;

@@ -1,5 +1,7 @@
 //! Stimulus and module generators shared by the gm_sim differential
-//! suites (`compiled_agree`, `suite_store`).
+//! suites (`compiled_agree`, `suite_store`, `open_points`), each of which
+//! uses its own subset.
+#![allow(dead_code)]
 
 use gm_rtl::{BinaryOp, Bv, Expr, Module, ModuleBuilder, SignalId, UnaryOp};
 use gm_sim::{collect_vectors, RandomStimulus, TestSuite};
