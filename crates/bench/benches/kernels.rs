@@ -236,47 +236,21 @@ fn bench_sat_session(c: &mut Criterion) {
 }
 
 /// Canonical counterexample extraction, one violated property per
-/// kernel, decided over and over by one warm checker. The property
-/// alternates between two spellings (an antecedent atom repeated or
-/// not — the same encoding) under a one-entry memo, so no check is
-/// memo-served: each iteration is one scoped session query (the
+/// kernel, decided over and over by one warm checker. The checker keeps
+/// no verdicts, so each iteration is one scoped session query (the
 /// verdict) plus the session's replay on a cloned pristine prefix (the
 /// trace).
 fn bench_canonical_cex(c: &mut Criterion) {
-    let spellings = |antecedent: Vec<BitAtom>, consequent: BitAtom| {
-        let mut doubled = antecedent.clone();
-        doubled.extend(antecedent.first().copied());
-        [
-            WindowProperty {
-                antecedent,
-                consequent,
-            },
-            WindowProperty {
-                antecedent: doubled,
-                consequent,
-            },
-        ]
-    };
-    let mut kernel = |name: &str, module: &gm_rtl::Module, props: [WindowProperty; 2]| {
+    let mut kernel = |name: &str, module: &gm_rtl::Module, prop: WindowProperty| {
         let mut checker = Checker::new(module)
             .unwrap()
-            .with_backend(gm_mc::Backend::KInduction { max_k: 2 })
-            .with_memo_capacity(1);
-        for p in &props {
-            assert!(matches!(
-                checker.check(p).unwrap(),
-                CheckResult::Violated(_)
-            ));
-        }
-        let mut turn = 1;
-        c.bench_function(name, |b| {
-            b.iter(|| {
-                turn ^= 1;
-                checker.check(&props[turn]).unwrap()
-            });
-        });
+            .with_backend(gm_mc::Backend::KInduction { max_k: 2 });
+        assert!(matches!(
+            checker.check(&prop).unwrap(),
+            CheckResult::Violated(_)
+        ));
+        c.bench_function(name, |b| b.iter(|| checker.check(&prop).unwrap()));
         let stats = checker.session_stats();
-        assert_eq!(stats.memo_hits, 0);
         assert_eq!(stats.cex_canonicalized, stats.sat_decided);
     };
     // Latch-free, 13 input bits: is_alu |-> writes_rd & uses_imm fails
@@ -286,13 +260,13 @@ fn bench_canonical_cex(c: &mut Criterion) {
     kernel(
         "mc/canonical_cex_decode_stage",
         &decode,
-        spellings(
-            vec![
+        WindowProperty {
+            antecedent: vec![
                 BitAtom::new(sig("is_alu"), 0, 0, true),
                 BitAtom::new(sig("writes_rd"), 0, 0, true),
             ],
-            BitAtom::new(sig("uses_imm"), 0, 0, true),
-        ),
+            consequent: BitAtom::new(sig("uses_imm"), 0, 0, true),
+        },
     );
     // Latched: !fault@0 |-> !done@1 first fails in the window starting
     // two cycles after reset, so the scan extends the prefix twice.
@@ -301,10 +275,10 @@ fn bench_canonical_cex(c: &mut Criterion) {
     kernel(
         "mc/canonical_cex_b18_lite_k2",
         &b18,
-        spellings(
-            vec![BitAtom::new(sig("fault"), 0, 0, false)],
-            BitAtom::new(sig("done"), 0, 1, false),
-        ),
+        WindowProperty {
+            antecedent: vec![BitAtom::new(sig("fault"), 0, 0, false)],
+            consequent: BitAtom::new(sig("done"), 0, 1, false),
+        },
     );
 }
 
@@ -395,7 +369,7 @@ fn bench_explicit_tables(c: &mut Criterion) {
 /// literals over cycles 0 and 1, the target bit held (`All`, a
 /// stability window) or reached (`Any`, a bounded eventuality) over
 /// cycles 2 and 3 — through a default checker whose design artifacts
-/// are warm and whose memo and sessions are reset every iteration.
+/// are warm and whose sessions are reset every iteration.
 fn bench_temporal_batch(c: &mut Criterion) {
     let module = gm_designs::b12_lite();
     let sig = |name: &str| module.require(name).unwrap();
@@ -445,8 +419,7 @@ fn bench_temporal_batch(c: &mut Criterion) {
 
 /// Tentpole comparison: per-query unrollings (the pre-session dispatch,
 /// one fresh `Unroller` per property) vs one persistent batched session
-/// on the largest catalog design, plus the memoized re-batch that the
-/// refinement loop sees on repeated candidates.
+/// on the largest catalog design.
 fn bench_batched_checking(c: &mut Criterion) {
     let module = gm_designs::b18_lite();
     let elab = elaborate(&module).unwrap();
@@ -479,11 +452,6 @@ fn bench_batched_checking(c: &mut Criterion) {
             |mut ch| ch.check_batch(&props).unwrap(),
             BatchSize::SmallInput,
         );
-    });
-    c.bench_function("mc/b18_lite_rebatch_memoized", |b| {
-        let mut ch = Checker::new(&module).unwrap().with_backend(backend);
-        ch.check_batch(&props).unwrap();
-        b.iter(|| ch.check_batch(&props).unwrap());
     });
 }
 

@@ -65,10 +65,10 @@ fn main() {
         })
         .collect();
 
-    // Fresh checker per rep: memoized re-batches would skip the
-    // decision dispatch (and its fault polls) entirely. The cancel
-    // token stays low; it exists because the fault sites only engage on
-    // the cancellable path the closure service uses.
+    // Fresh checker per rep: every rep starts from the same cold
+    // session, so both variants do the same work. The cancel token
+    // stays low; it exists because the fault sites only engage on the
+    // cancellable path the closure service uses.
     let cancel = Arc::new(AtomicBool::new(false));
     let run = |cancel: &Arc<AtomicBool>| {
         let mut checker = Checker::new(&module)

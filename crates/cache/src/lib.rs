@@ -1,20 +1,18 @@
 //! # gm-cache — shared map primitives
 //!
-//! Two things more than one layer needs and none should own a copy of:
-//! the bounded LRU below, and the deterministic multiplicative hasher
-//! ([`FxHasher`], [`FxMap`], [`FxSet`]) behind the coverage collectors'
-//! per-cycle sets and the model checker's structural AND cache.
+//! Two map primitives: the bounded LRU below, and the deterministic
+//! multiplicative hasher ([`FxHasher`], [`FxMap`], [`FxSet`]) behind
+//! the coverage collectors' per-cycle sets, the model checker's
+//! structural AND cache and batch dedupe, and the refinement engine's
+//! worklist dedupe.
 //!
 //! ## The bounded LRU
 //!
-//! Both long-lived memo structures in the system — the model checker's
-//! property memo (`gm_mc::Checker`) and the closure service's
-//! content-addressed design cache (`gm_serve::DesignCache`) — bound
-//! their footprint with least-recently-used eviction. They used to
-//! carry two intentionally parallel copies of a stamp-based
-//! implementation whose eviction was an O(capacity) min-stamp scan;
-//! [`BoundedLru`] replaces both with one O(1) structure (hash map into
-//! an intrusive doubly-linked recency list over a slab).
+//! The closure service's content-addressed design cache
+//! (`gm_serve::DesignCache`) bounds its footprint with
+//! least-recently-used eviction through [`BoundedLru`]: O(1) lookup,
+//! insert and eviction (hash map into an intrusive doubly-linked
+//! recency list over a slab).
 //!
 //! The helper deliberately owns *only* the recency/eviction mechanics:
 //! hit/miss/eviction counters and byte accounting stay with the
@@ -43,8 +41,7 @@ struct Slot<K, V> {
 }
 
 /// A map with O(1) insert/lookup/remove and O(1) least-recently-used
-/// eviction. `get`/`get_mut`/`insert` refresh recency; `peek*` does
-/// not.
+/// eviction. `get_mut`/`insert` refresh recency; `peek*` does not.
 ///
 /// # Examples
 ///
@@ -54,7 +51,7 @@ struct Slot<K, V> {
 /// let mut lru = BoundedLru::with_capacity(2);
 /// lru.insert("a", 1);
 /// lru.insert("b", 2);
-/// lru.get(&"a"); // refresh: "b" is now the LRU entry
+/// lru.get_mut(&"a"); // refresh: "b" is now the LRU entry
 /// lru.insert("c", 3);
 /// let evicted = lru.pop_over_capacity().unwrap();
 /// assert_eq!(evicted, ("b", 2));
@@ -71,45 +68,24 @@ pub struct BoundedLru<K, V> {
     head: usize,
     /// Least recently used slot.
     tail: usize,
-    capacity: Option<usize>,
-}
-
-impl<K: Clone + Eq + Hash, V> Default for BoundedLru<K, V> {
-    fn default() -> Self {
-        Self::unbounded()
-    }
+    capacity: usize,
 }
 
 impl<K: Clone + Eq + Hash, V> BoundedLru<K, V> {
-    /// An LRU with no capacity bound ([`BoundedLru::pop_over_capacity`]
-    /// never yields).
-    pub fn unbounded() -> Self {
+    /// An LRU bounded to `capacity` entries (at least 1).
+    pub fn with_capacity(capacity: usize) -> Self {
         BoundedLru {
             map: HashMap::new(),
             slots: Vec::new(),
             free: Vec::new(),
             head: NIL,
             tail: NIL,
-            capacity: None,
+            capacity: capacity.max(1),
         }
     }
 
-    /// An LRU bounded to `capacity` entries (at least 1).
-    pub fn with_capacity(capacity: usize) -> Self {
-        let mut lru = Self::unbounded();
-        lru.capacity = Some(capacity.max(1));
-        lru
-    }
-
-    /// Sets or clears the capacity bound. Shrinking does not evict by
-    /// itself — drain [`BoundedLru::pop_over_capacity`] afterwards so
-    /// the caller can account for each evicted entry.
-    pub fn set_capacity(&mut self, capacity: Option<usize>) {
-        self.capacity = capacity.map(|c| c.max(1));
-    }
-
-    /// The current capacity bound.
-    pub fn capacity(&self) -> Option<usize> {
+    /// The capacity bound.
+    pub fn capacity(&self) -> usize {
         self.capacity
     }
 
@@ -173,19 +149,9 @@ impl<K: Clone + Eq + Hash, V> BoundedLru<K, V> {
         }
     }
 
-    /// Looks a key up, refreshing its recency. Like [`HashMap::get`],
-    /// any borrowed form of the key works (`&str` for `String` keys).
-    pub fn get<Q>(&mut self, key: &Q) -> Option<&V>
-    where
-        K: Borrow<Q>,
-        Q: Eq + Hash + ?Sized,
-    {
-        let i = *self.map.get(key)?;
-        self.touch(i);
-        Some(&self.slot(i).value)
-    }
-
-    /// Looks a key up mutably, refreshing its recency.
+    /// Looks a key up mutably, refreshing its recency. Like
+    /// [`HashMap::get_mut`], any borrowed form of the key works (`&str`
+    /// for `String` keys).
     pub fn get_mut<Q>(&mut self, key: &Q) -> Option<&mut V>
     where
         K: Borrow<Q>,
@@ -258,10 +224,9 @@ impl<K: Clone + Eq + Hash, V> BoundedLru<K, V> {
     }
 
     /// Pops the least-recently-used entry while over capacity; `None`
-    /// once within bounds (or unbounded).
+    /// once within bounds.
     pub fn pop_over_capacity(&mut self) -> Option<(K, V)> {
-        let cap = self.capacity?;
-        if self.map.len() <= cap {
+        if self.map.len() <= self.capacity {
             return None;
         }
         self.pop_lru()
@@ -278,15 +243,6 @@ impl<K: Clone + Eq + Hash, V> BoundedLru<K, V> {
         let slot = self.slots[i].take().expect("tail slot is occupied");
         self.map.remove(&slot.key);
         Some((slot.key, slot.value))
-    }
-
-    /// Drops every entry.
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.slots.clear();
-        self.free.clear();
-        self.head = NIL;
-        self.tail = NIL;
     }
 
     /// Iterates resident values in most-recently-used-first order.
@@ -330,7 +286,7 @@ mod tests {
         for k in 0..3 {
             lru.insert(k, k * 10);
         }
-        assert_eq!(lru.get(&0), Some(&0)); // order now 0, 2, 1
+        assert_eq!(lru.get_mut(&0), Some(&mut 0)); // order now 0, 2, 1
         lru.insert(3, 30);
         assert_eq!(lru.pop_over_capacity(), Some((1, 10)));
         assert_eq!(lru.pop_over_capacity(), None);
@@ -359,12 +315,12 @@ mod tests {
         assert_eq!(lru.insert("a", 9), Some(1));
         lru.insert("c", 3);
         assert_eq!(lru.pop_over_capacity(), Some(("b", 2)));
-        assert_eq!(lru.get(&"a"), Some(&9));
+        assert_eq!(lru.peek(&"a"), Some(&9));
     }
 
     #[test]
     fn remove_and_slot_reuse() {
-        let mut lru: BoundedLru<u32, String> = BoundedLru::unbounded();
+        let mut lru: BoundedLru<u32, String> = BoundedLru::with_capacity(10);
         for k in 0..10 {
             lru.insert(k, format!("v{k}"));
         }
@@ -373,35 +329,6 @@ mod tests {
         lru.insert(99, "v99".to_string());
         assert_eq!(lru.len(), 10);
         assert_eq!(lru.slots.len(), 10, "freed slot was reused");
-        assert!(lru.pop_over_capacity().is_none(), "unbounded never evicts");
-    }
-
-    #[test]
-    fn shrink_capacity_then_drain() {
-        let mut lru = BoundedLru::unbounded();
-        for k in 0..6 {
-            lru.insert(k, k);
-        }
-        lru.set_capacity(Some(2));
-        let mut evicted = Vec::new();
-        while let Some((k, _)) = lru.pop_over_capacity() {
-            evicted.push(k);
-        }
-        assert_eq!(evicted, vec![0, 1, 2, 3], "oldest first");
-        assert_eq!(lru.len(), 2);
-    }
-
-    #[test]
-    fn clear_resets_everything() {
-        let mut lru = BoundedLru::with_capacity(4);
-        for k in 0..4 {
-            lru.insert(k, k);
-        }
-        lru.clear();
-        assert!(lru.is_empty());
-        assert_eq!(lru.values().count(), 0);
-        lru.insert(1, 1);
-        assert_eq!(lru.pop_lru(), Some((1, 1)));
-        assert_eq!(lru.pop_lru(), None);
+        assert!(lru.pop_over_capacity().is_none(), "within capacity");
     }
 }

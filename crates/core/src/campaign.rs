@@ -227,14 +227,13 @@ impl CampaignSummary {
         }
         let v = self.verification_total();
         out.push_str(&format!(
-            "total: {}/{} converged, {} assertions, {} queries ({} explicit, {} SAT), {} memo hits\n",
+            "total: {}/{} converged, {} assertions, {} queries ({} explicit, {} SAT)\n",
             self.converged_count(),
             self.runs.len(),
             self.total_assertions(),
             v.engine_queries(),
             v.explicit_queries,
             v.sat_decided,
-            v.memo_hits,
         ));
         out
     }

@@ -12,8 +12,9 @@
 //!    (distinct target bits often mine the same implication), and
 //!    dispatch the whole batch through the checker's persistent
 //!    verification session ([`gm_mc::Checker::check_batch`]): one shared
-//!    unrolling per iteration, memoized repeats free. Proved leaves
-//!    freeze, refuted ones yield counterexample traces;
+//!    unrolling per iteration. Proved leaves freeze, refuted ones yield
+//!    counterexample traces, and a property left open on an `Unknown`
+//!    verdict is remembered, so no decided property is asked again;
 //! 5. **Ctx_simulation** — move the iteration's counterexamples into
 //!    the test suite, replay them from reset as one batch
 //!    ([`gm_sim::Replay`]), extend every target's dataset in bulk, and
@@ -25,8 +26,10 @@
 //!    budget runs out.
 //!
 //! Each [`IterationReport`] carries the verification session's stats
-//! delta ([`gm_mc::SessionStats`]): queries by engine, memo hits,
-//! solver conflicts/propagations, and unrolling frames reused.
+//! delta ([`gm_mc::SessionStats`]): queries by engine, solver
+//! conflicts/propagations, and unrolling frames reused. Its `memo_hits`
+//! (in-batch duplicates) stays 0: the engine dedupes every batch itself
+//! (`tests/no_repeated_queries.rs`).
 //!
 //! ## What an iteration costs
 //!
@@ -87,6 +90,7 @@
 use crate::config::{EngineConfig, SeedStimulus, TargetSelection, UnknownPolicy};
 use crate::error::EngineError;
 use crate::report::{ClosureOutcome, IterTiming, IterationReport, TargetSummary};
+use gm_cache::{FxMap, FxSet};
 use gm_coverage::{CoverageSuite, UncoveredIndex};
 use gm_mc::{
     BitAtom, CheckResult, Checker, ConsequentKind, McError, SessionStats, TemporalProperty,
@@ -101,7 +105,6 @@ use gm_sim::{
     collect_vectors, synthesize_directed, CompileOptions, CompiledModule, InputVector, NopObserver,
     RandomStimulus, Replay, SimBackend, TestSuite, Trace,
 };
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
@@ -252,7 +255,12 @@ pub struct Engine<'m> {
     /// Temporal properties already decided this run, so a candidate the
     /// tree keeps re-proposing is dispatched (and its counterexample
     /// absorbed) exactly once.
-    temporal_decided: HashSet<TemporalProperty>,
+    temporal_decided: FxSet<TemporalProperty>,
+    /// Window properties left open on an `Unknown` verdict under
+    /// [`UnknownPolicy::LeaveOpen`]. Their leaves stay open and pure, so
+    /// the trees keep proposing them; the verdict is deterministic, so
+    /// they are dropped from the worklist instead of being decided again.
+    window_unknown: FxSet<WindowProperty>,
     /// Proved (or assumed-true) temporal assertions, in decision order.
     temporal_proved: Vec<TemporalAssertion>,
     /// The uncovered-point index of the latest coverage snapshot, kept
@@ -386,7 +394,8 @@ impl<'m> Engine<'m> {
             compiled,
             cancel: None,
             short_traces: 0,
-            temporal_decided: HashSet::new(),
+            temporal_decided: FxSet::default(),
+            window_unknown: FxSet::default(),
             temporal_proved: Vec::new(),
             last_uncovered: None,
         }
@@ -703,30 +712,40 @@ impl<'m> Engine<'m> {
 
     /// The combinational pass (see [`Engine::iteration_pass`]).
     fn window_pass(&mut self, iteration: u32) -> Result<PassCounts, EngineError> {
-        let worklist = self.open_candidates();
+        let (worklist, props): (Vec<(usize, usize)>, Vec<WindowProperty>) =
+            (self.open_candidates().into_iter())
+                .map(|(ti, leaf)| {
+                    let t = &self.targets[ti];
+                    let prop = assertion_property(&assertion_at(&t.tree, &t.spec, leaf));
+                    ((ti, leaf), prop)
+                })
+                .filter(|(_, prop)| !self.window_unknown.contains(prop))
+                .unzip();
         // Dedupe identical properties across targets: distinct target
         // bits often mine the same implication, which must cost one
-        // query, not one per leaf.
-        let mut unique: Vec<WindowProperty> = Vec::new();
-        let mut index_of: HashMap<WindowProperty, usize> = HashMap::new();
+        // query, not one per leaf. First occurrences move into the
+        // batch; nothing is cloned.
+        let mut index_of: FxMap<&WindowProperty, usize> = FxMap::default();
+        let mut first = vec![false; props.len()];
         let mut prop_leaves: Vec<Vec<(usize, usize)>> = Vec::new();
-        for &(ti, leaf) in &worklist {
-            let t = &self.targets[ti];
-            let prop = assertion_property(&assertion_at(&t.tree, &t.spec, leaf));
-            let idx = *index_of.entry(prop.clone()).or_insert_with(|| {
-                unique.push(prop);
+        for (i, (prop, &target_leaf)) in props.iter().zip(&worklist).enumerate() {
+            let idx = *index_of.entry(prop).or_insert_with(|| {
+                first[i] = true;
                 prop_leaves.push(Vec::new());
-                unique.len() - 1
+                prop_leaves.len() - 1
             });
-            prop_leaves[idx].push((ti, leaf));
+            prop_leaves[idx].push(target_leaf);
         }
+        let unique: Vec<WindowProperty> = (props.into_iter().zip(first))
+            .filter_map(|(prop, first)| first.then_some(prop))
+            .collect();
         // One batched dispatch for the whole iteration, split across the
         // configured shard sessions (identical results either way — see
         // the module docs' determinism contract).
         let results = self.checker.check_batch(&unique)?;
         let mut refuted = 0usize;
         let mut cex_count = 0usize;
-        for (idx, res) in results.into_iter().enumerate() {
+        for (idx, (prop, res)) in unique.into_iter().zip(results).enumerate() {
             match res {
                 CheckResult::Proved => {
                     for &(ti, leaf) in &prop_leaves[idx] {
@@ -746,7 +765,9 @@ impl<'m> Engine<'m> {
                             self.targets[ti].set_proved(leaf);
                         }
                     }
-                    UnknownPolicy::LeaveOpen => {}
+                    UnknownPolicy::LeaveOpen => {
+                        self.window_unknown.insert(prop);
+                    }
                 },
             }
         }
@@ -771,22 +792,29 @@ impl<'m> Engine<'m> {
     /// costs one query and one counterexample total, which also
     /// guarantees the pass converges.
     fn temporal_pass(&mut self, iteration: u32) -> Result<(usize, usize), EngineError> {
-        let mut unique: Vec<TemporalProperty> = Vec::new();
-        let mut mined: Vec<TemporalAssertion> = Vec::new();
-        let mut seen: HashSet<TemporalProperty> = HashSet::new();
+        let mut undecided: Vec<(TemporalProperty, TemporalAssertion)> = Vec::new();
         for t in &self.targets {
             if t.stuck.is_some() {
                 continue;
             }
             for (_leaf, ta) in temporal_candidates(&t.tree, &t.spec, &t.dataset) {
                 let prop = temporal_property(&ta);
-                if self.temporal_decided.contains(&prop) || !seen.insert(prop.clone()) {
-                    continue;
+                if !self.temporal_decided.contains(&prop) {
+                    undecided.push((prop, ta));
                 }
-                unique.push(prop);
-                mined.push(ta);
             }
         }
+        // First occurrences move into the batch; nothing is cloned.
+        let mut seen: FxSet<&TemporalProperty> = FxSet::default();
+        let first: Vec<bool> = undecided
+            .iter()
+            .map(|(prop, _)| seen.insert(prop))
+            .collect();
+        let (unique, mined): (Vec<TemporalProperty>, Vec<TemporalAssertion>) =
+            (undecided.into_iter().zip(first))
+                .filter_map(|(candidate, first)| first.then_some(candidate))
+                .unzip();
+        let dispatched = unique.len();
         let results = self.checker.check_batch(&unique)?;
         let mut refuted = 0usize;
         let mut tcex_count = 0usize;
@@ -817,7 +845,7 @@ impl<'m> Engine<'m> {
         // Simulation never depended on absorption, so the `tcex-*`
         // segments replay together and are absorbed in decision order.
         self.absorb_suite_tail(tcex_count)?;
-        Ok((seen.len(), refuted))
+        Ok((dispatched, refuted))
     }
 
     /// Ctx_simulation for one pass: replays the `count` counterexample

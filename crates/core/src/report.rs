@@ -93,8 +93,9 @@ pub struct IterationReport {
     /// disabled).
     pub directed_absorbed: usize,
     /// Verification-session work done during this iteration: queries by
-    /// engine, memo hits, solver conflicts/propagations, unrolling
-    /// frames encoded vs reused.
+    /// engine, solver conflicts/propagations, unrolling frames encoded
+    /// vs reused (`memo_hits`, the checker's in-batch duplicates, is 0:
+    /// the engine dedupes its batches).
     pub verification: SessionStats,
     /// Wall-clock phase breakdown of this iteration (excluded from
     /// `Debug`/`PartialEq`; see [`IterTiming`]).

@@ -207,8 +207,8 @@ fn soak_b18_lite_100_iterations_per_core_no_drift() {
 
     // The 100-round sharded budget: hammering one checker's persistent
     // per-core session pool with the same worklist for 100 rounds must
-    // keep the memo at the unique-property count (bounded growth) and
-    // do no engine work after round one.
+    // re-decide it identically every round, doing the same engine work
+    // each time (the checker keeps no verdicts).
     let mut checker = gm_mc::Checker::new(&module)
         .unwrap()
         .with_backend(Backend::KInduction { max_k: 1 })
@@ -221,16 +221,14 @@ fn soak_b18_lite_100_iterations_per_core_no_drift() {
         .collect();
     assert!(!props.is_empty(), "soak needs a non-trivial worklist");
     let first = checker.check_batch(&props).unwrap();
-    let memo_after_first = checker.memo_len();
-    let queries_after_first = checker.session_stats().engine_queries();
+    let per_round = checker.session_stats().engine_queries();
     for _ in 0..99 {
         let again = checker.check_batch(&props).unwrap();
         assert_eq!(first, again, "soak round diverged");
     }
-    assert_eq!(checker.memo_len(), memo_after_first, "memo grew unbounded");
     assert_eq!(
         checker.session_stats().engine_queries(),
-        queries_after_first,
-        "soak rounds re-did engine work"
+        100 * per_round,
+        "a soak round did other engine work"
     );
 }

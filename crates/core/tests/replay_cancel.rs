@@ -4,26 +4,37 @@
 //! cancelled pass, nothing of the batch absorbed, and a suite that
 //! still replays on the interpreter.
 //!
-//! The token is raised deterministically, without threads or sleeps:
-//! the run under test reuses the warm checker of an identical first
-//! run, so every property of the cancelled iteration is answered from
-//! the memo (which never polls the token), and the first poll after the
-//! iteration boundary is the first simulated cycle of the replay batch.
-//! The recorded `sim.batch` span confirms where the cancel landed.
+//! The checker polls the token at every decision, so a token raised at
+//! an iteration boundary lands in the next verification batch — unless
+//! that batch is empty. A refinement batch is reached that way without
+//! threads or sleeps: after the boundary where every tree has closed
+//! while refinement still absorbs, the next iteration asks the checker
+//! nothing, and the first poll is the first simulated cycle of the
+//! refinement's replay. The recorded `sim.batch` span confirms where
+//! the cancel landed.
 //!
-//! A coverage pass cannot be reached that way — every segment it is
-//! about to see was trace-replayed (and the token polled) earlier in
-//! the same iteration, and no test code runs in between — so the last
-//! test raises the token from a second thread that watches the
-//! recording itself for the pass to have begun; where it landed is
-//! again read off the recording, never assumed.
+//! A counterexample replay and a coverage pass cannot be reached that
+//! way — the checker decides (and polls) right before the one, and every
+//! segment the other is about to see was trace-replayed (and the token
+//! polled) earlier in the same iteration, with no test code in between
+//! — so those tests run on the interpreter, which polls before every
+//! segment and records one `sim.segment` span per segment, and raise
+//! the token from a second thread that watches the recording for the
+//! replay to have begun; where it landed is again read off the
+//! recording, never assumed, and a late landing is tried again.
+//!
+//! So the flags a cancelled compiled batch records (`cancelled`,
+//! `traces`) are pinned by the refinement case alone. Its replay is a
+//! trace-collecting batch, the same executor path a counterexample
+//! replay takes.
 
 use gm_coverage::CoverageSuite;
 use gm_designs::catalog;
-use gm_rtl::{elaborate, Module};
+use gm_mc::Checker;
+use gm_rtl::{elaborate, Elab, Module};
 use gm_sim::{NopObserver, Replay, Segment, SimBackend};
 use gm_trace::{ArgValue, TraceEvent, TraceSink};
-use goldmine::{ClosureOutcome, Engine, EngineConfig, RefineConfig, SeedStimulus};
+use goldmine::{ClosureOutcome, Engine, EngineConfig, RefineConfig, SeedStimulus, TargetSelection};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -46,6 +57,20 @@ fn design(name: &str) -> (Module, EngineConfig) {
     (design.module(), config)
 }
 
+/// `b12_lite` on the interpreter with a longer seed: its iterations push
+/// and replay hundreds of segments, one poll and one `sim.segment` span
+/// each.
+fn interpreted_b12_lite() -> (Module, EngineConfig) {
+    let (m, config) = design("b12_lite");
+    let config = EngineConfig {
+        stimulus: SeedStimulus::Random { cycles: 64 },
+        refine: RefineConfig::default(),
+        sim_backend: SimBackend::Interpreter,
+        ..config
+    };
+    (m, config)
+}
+
 fn arg<'e>(event: &'e TraceEvent, key: &str) -> &'e ArgValue {
     let found = event.args.iter().find(|(k, _)| *k == key);
     &found
@@ -53,26 +78,23 @@ fn arg<'e>(event: &'e TraceEvent, key: &str) -> &'e ArgValue {
         .1
 }
 
-/// Runs the design once to completion, then again on the first run's
-/// checker (memo warm) with a token raised when the report of the
-/// iteration `boundary_of` picks arrives. Returns that iteration, both
-/// outcomes and the second run's recording.
+/// Runs the design once to completion, then again with a token raised
+/// when the report of the iteration `boundary_of` picks arrives.
+/// Returns that iteration, both outcomes and the second run's
+/// recording.
 fn cancel_in_iteration_after(
     m: &Module,
     config: &EngineConfig,
     boundary_of: impl Fn(&ClosureOutcome) -> u32,
 ) -> (u32, ClosureOutcome, ClosureOutcome, Vec<TraceEvent>) {
-    let (full, checker) = Engine::new(m, config.clone())
-        .unwrap()
-        .run_reclaim(|_| true);
-    let full = full.unwrap();
+    let full = Engine::new(m, config.clone()).unwrap().run().unwrap();
     assert!(!full.interrupted);
     let boundary = boundary_of(&full);
 
     let token = Arc::new(AtomicBool::new(false));
-    let elab = elaborate(m).unwrap();
-    let engine =
-        Engine::with_artifacts(m, &elab, checker, None, config.clone()).with_cancel(token.clone());
+    let engine = Engine::new(m, config.clone())
+        .unwrap()
+        .with_cancel(token.clone());
     let sink = TraceSink::new();
     let cut = {
         let _guard = gm_trace::push_thread_sink(sink.clone());
@@ -85,6 +107,39 @@ fn cancel_in_iteration_after(
         cut.unwrap()
     };
     (boundary, full, cut, sink.events())
+}
+
+/// One recorded run of `m` on `checker` (the artifacts of an earlier
+/// run, so repeated runs agree down to the verification counters). With
+/// `raise_past`, a second thread raises the run's cancel token once the
+/// sink holds more than that many events.
+fn record(
+    m: &Module,
+    elab: &Elab,
+    config: &EngineConfig,
+    checker: Checker,
+    raise_past: Option<usize>,
+) -> (ClosureOutcome, Checker, Vec<TraceEvent>) {
+    let token = Arc::new(AtomicBool::new(false));
+    let engine =
+        Engine::with_artifacts(m, elab, checker, None, config.clone()).with_cancel(token.clone());
+    let sink = TraceSink::with_capacity(1 << 20);
+    let done = AtomicBool::new(false);
+    let (outcome, checker) = std::thread::scope(|threads| {
+        threads.spawn(|| {
+            while !done.load(Ordering::Acquire) {
+                if raise_past.is_some_and(|events| sink.len() > events) {
+                    token.store(true, Ordering::Release);
+                }
+                std::hint::spin_loop();
+            }
+        });
+        let _guard = gm_trace::push_thread_sink(sink.clone());
+        let ran = engine.run_reclaim(|_| true);
+        done.store(true, Ordering::Release);
+        ran
+    });
+    (outcome.unwrap(), checker, sink.events())
 }
 
 /// What every cancelled-replay outcome must satisfy.
@@ -106,14 +161,28 @@ fn assert_cut_cleanly(
         assert_eq!(a.coverage, b.coverage);
     }
     // The cancel was seen by a trace-collecting replay batch — not by
-    // the checker or a coverage pass — and it was the last batch.
+    // the checker or a coverage pass — and it was the last batch. The
+    // interpreter records no batches: there the run's last replay is
+    // the segments after its last verification batch, and no coverage
+    // pass began after them.
     let last_batch = events
         .iter()
         .filter(|e| e.name == "sim.batch")
-        .max_by_key(|e| e.ts_ns)
-        .expect("replays recorded");
-    assert_eq!(arg(last_batch, "cancelled"), &ArgValue::Bool(true));
-    assert_eq!(arg(last_batch, "traces"), &ArgValue::Bool(true));
+        .max_by_key(|e| e.ts_ns);
+    match last_batch {
+        Some(last_batch) => {
+            assert_eq!(arg(last_batch, "cancelled"), &ArgValue::Bool(true));
+            assert_eq!(arg(last_batch, "traces"), &ArgValue::Bool(true));
+        }
+        None => {
+            let verified = (events.iter())
+                .rposition(|e| e.name == "mc.check_batch")
+                .expect("verification recorded");
+            let after = &events[verified + 1..];
+            assert!(after.iter().any(|e| e.name == "sim.segment"));
+            assert!(after.iter().all(|e| e.name != "engine.coverage"));
+        }
+    }
     // The suite is a prefix of the uninterrupted run's and still
     // replays on the interpreter.
     let kept: Vec<Segment> = cut.suite.segments().collect();
@@ -125,42 +194,89 @@ fn assert_cut_cleanly(
 
 #[test]
 fn a_cancel_inside_a_counterexample_batch_interrupts_before_absorption() {
-    let (m, config) = design("b01");
-    // Iteration 1 refutes candidates, so its first replay is `cex-1-*`.
-    let (boundary, full, cut, events) = cancel_in_iteration_after(&m, &config, |full| {
-        assert!(
-            full.iterations[1].refuted > 0,
-            "iteration 1 has counterexamples"
-        );
-        0
-    });
+    let (m, config) = interpreted_b12_lite();
+    let elab = elaborate(&m).unwrap();
+    let (cold, checker) = Engine::new(&m, config.clone())
+        .unwrap()
+        .run_reclaim(|_| true);
+    cold.unwrap();
+    // Each verification batch of the reference recording: where it
+    // ended, and how many counterexample segments were replayed right
+    // after it.
+    let (full, mut checker, events) = record(&m, &elab, &config, checker, None);
+    assert!(!full.interrupted);
+    let replays = |events: &[TraceEvent]| -> Vec<(usize, usize)> {
+        let batches = events.iter().enumerate();
+        (batches.filter(|(_, e)| e.name == "mc.check_batch"))
+            .map(|(at, _)| {
+                let after = events[at + 1..].iter();
+                (at, after.take_while(|e| e.name == "sim.segment").count())
+            })
+            .collect()
+    };
+    // Two sink flushes' worth of segments: the watcher sees the replay
+    // begun while a flush's worth of polls is still to come.
+    let full_replays = replays(&events);
+    let n = (full_replays.iter())
+        .position(|&(_, cex)| cex >= 128)
+        .expect("an iteration with a long counterexample replay");
+    let (at, cex) = full_replays[n];
+
+    // The watcher can be late: the token then lands after the replay,
+    // or in none — the recording says which, and the run is tried again.
+    let mut landed = None;
+    for _attempt in 0..20 {
+        let (cut, reclaimed, events) = record(&m, &elab, &config, checker, Some(at));
+        checker = reclaimed;
+        // Inside the aimed-at replay: its verification batch is the
+        // run's last, and fewer segments followed it than it refuted.
+        let cut_replays = replays(&events);
+        let inside = cut_replays.len() == n + 1
+            && (1..cex).contains(&cut_replays.last().expect("verified").1);
+        if cut.interrupted && inside {
+            landed = Some((cut, events));
+            break;
+        }
+    }
+    let (cut, events) = landed.expect("the token never landed inside a counterexample replay");
+    let boundary = cut.iterations.len() as u32 - 1;
     assert_cut_cleanly(&m, &full, &cut, &events, boundary);
     assert!(!cut.converged, "the refuted leaves were never re-split");
-    // The counterexamples were pushed for replay and nothing else: no
-    // refinement pass ran after the cancelled batch.
+    // The counterexamples were pushed for replay and nothing else: the
+    // suite is the reported prefix, then the batch's `cex-*` segments.
     let labels: Vec<String> = cut.suite.segments().map(|s| s.label).collect();
-    assert_eq!(labels[0], "seed");
-    assert!(labels.len() > 1);
-    assert!(
-        labels[1..].iter().all(|l| l.starts_with("cex-1-")),
-        "{labels:?}"
-    );
+    let (reported, pushed) = labels.split_at(labels.len() - cex);
+    let reported_cycles: usize = (cut.suite.segments().take(reported.len()))
+        .map(|s| s.vectors.len())
+        .sum();
+    assert_eq!(reported_cycles, cut.iterations.last().unwrap().suite_cycles);
+    let prefix = format!("cex-{}-", boundary + 1);
+    assert!(pushed.iter().all(|l| l.starts_with(&prefix)), "{pushed:?}");
 }
 
 #[test]
 fn a_cancel_inside_a_refinement_batch_discards_the_pass_whole() {
-    let (m, config) = design("b01");
-    // An iteration without counterexamples (the closing one): with
-    // coverage still open its refinement pass probes outward from
-    // reset, and that variant batch is its only trace replay.
+    // One target bit that closes early, while the design's coverage is
+    // still open enough for refinement to keep absorbing.
+    let (m, config) = design("b12_lite");
+    let config = EngineConfig {
+        targets: TargetSelection::Bits(vec![(m.require("win").unwrap(), 0)]),
+        ..config
+    };
+    // An iteration after which every tree has closed while refinement
+    // still absorbs: the next one verifies nothing, so its refinement
+    // replay is the first place the token is polled.
     let (boundary, full, cut, events) = cancel_in_iteration_after(&m, &config, |full| {
-        let quiet = full
+        let closed = full
             .iterations
             .iter()
-            .find(|r| r.iteration > 0 && r.refuted == 0)
-            .expect("an iteration that refutes nothing");
-        quiet.iteration - 1
+            .find(|r| r.candidates == 0 && (r.iteration as usize) + 1 < full.iterations.len())
+            .expect("an iteration that closes every tree before the run ends");
+        assert!(closed.directed_absorbed > 0, "refinement still absorbing");
+        closed.iteration
     });
+    // The compiled backend: the cut is checked on its recorded batches.
+    assert!(events.iter().any(|e| e.name == "sim.batch"));
     assert_cut_cleanly(&m, &full, &cut, &events, boundary);
     // Nothing of the cancelled pass reached the suite: it ends where
     // the previous iteration left it.
@@ -220,49 +336,14 @@ fn compiled_runs_replay_one_batch_per_pass_and_never_per_segment() {
 
 #[test]
 fn a_cancel_inside_an_incremental_coverage_pass_leaks_into_no_report() {
-    // The interpreter side of the seam: one `sim.segment` event per
-    // replayed segment and one poll of the token before each, so a long
-    // coverage pass flushes events to the sink while it still has
-    // segments — and polls — ahead of it.
-    let (m, config) = design("b12_lite");
-    let config = EngineConfig {
-        stimulus: SeedStimulus::Random { cycles: 64 },
-        refine: RefineConfig::default(),
-        sim_backend: SimBackend::Interpreter,
-        ..config
-    };
+    let (m, config) = interpreted_b12_lite();
     let elab = elaborate(&m).unwrap();
-    // Every run below is on the first one's checker, memo warm, so
-    // their reports agree down to the verification counters.
+    // Every run below is on the first one's checker, so their reports
+    // agree down to the verification counters.
     let (cold, checker) = Engine::new(&m, config.clone())
         .unwrap()
         .run_reclaim(|_| true);
     let cold = cold.unwrap();
-    // One recorded run on the warm checker. With `raise_past`, a second
-    // thread raises the run's cancel token once the sink holds more
-    // than that many events.
-    let record = |checker, raise_past: Option<usize>| {
-        let token = Arc::new(AtomicBool::new(false));
-        let engine = Engine::with_artifacts(&m, &elab, checker, None, config.clone())
-            .with_cancel(token.clone());
-        let sink = TraceSink::with_capacity(1 << 20);
-        let done = AtomicBool::new(false);
-        let (outcome, checker) = std::thread::scope(|threads| {
-            threads.spawn(|| {
-                while !done.load(Ordering::Acquire) {
-                    if raise_past.is_some_and(|events| sink.len() > events) {
-                        token.store(true, Ordering::Release);
-                    }
-                    std::hint::spin_loop();
-                }
-            });
-            let _guard = gm_trace::push_thread_sink(sink.clone());
-            let ran = engine.run_reclaim(|_| true);
-            done.store(true, Ordering::Release);
-            ran
-        });
-        (outcome.unwrap(), checker, sink.events())
-    };
     let coverage_passes = |events: &[TraceEvent]| -> Vec<(usize, u64)> {
         let passes = events.iter().enumerate();
         passes
@@ -276,7 +357,7 @@ fn a_cancel_inside_an_incremental_coverage_pass_leaks_into_no_report() {
 
     // The reference recording: which pass to aim for, and how many
     // events precede its first replayed segment.
-    let (full, mut checker, events) = record(checker, None);
+    let (full, mut checker, events) = record(&m, &elab, &config, checker, None);
     assert!(!full.interrupted);
     assert_eq!(
         full.suite.segments().collect::<Vec<_>>(),
@@ -300,7 +381,7 @@ fn a_cancel_inside_an_incremental_coverage_pass_leaks_into_no_report() {
     let full_passes = passes;
     let mut landed = None;
     for _attempt in 0..20 {
-        let (cut, reclaimed, events) = record(checker, Some(before_the_pass));
+        let (cut, reclaimed, events) = record(&m, &elab, &config, checker, Some(before_the_pass));
         checker = reclaimed;
         let passes = coverage_passes(&events);
         // A pass that began and pushed no report is the cancelled one.

@@ -60,7 +60,7 @@ pub trait UnrollProperty {
     #[doc(hidden)]
     fn violation(&self) -> Violation<'_>;
 
-    /// The form [`crate::Checker`] memoizes the property in.
+    /// The form [`crate::Checker`] decides (and dedupes) the property in.
     #[doc(hidden)]
     fn normalized(&self) -> Normalized;
 }

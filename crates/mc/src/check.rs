@@ -2,21 +2,23 @@
 //!
 //! The GoldMine refinement loop checks hundreds of candidate assertions
 //! against the same design, so the [`Checker`] bit-blasts once, lazily
-//! computes the reachable state set once, keeps a persistent
+//! computes the reachable state set once, and keeps a persistent
 //! [`CheckSession`] (shared unrollings, retained learnt clauses) for
-//! the SAT engines, and memoizes every decided property so repeated
-//! candidates across refinement iterations are free. Properties of
-//! either kind — [`WindowProperty`] or [`TemporalProperty`] — are
-//! decided one at a time by [`Checker::check`] or as whole worklists by
-//! [`Checker::check_batch`], which multi-core hosts can split across a
-//! pool of persistent shard sessions ([`Checker::with_shards`]).
+//! the SAT engines. It keeps no verdicts: the refinement engine never
+//! asks a decided property again, so a batch costs only its own
+//! decisions. Properties of either kind — [`WindowProperty`] or
+//! [`TemporalProperty`] — are decided one at a time by
+//! [`Checker::check`] or as whole worklists by [`Checker::check_batch`],
+//! which decides each distinct property of a batch once and which
+//! multi-core hosts can split across a pool of persistent shard
+//! sessions ([`Checker::with_shards`]).
 //!
 //! ## Determinism contract
 //!
 //! A run of the same calls under the same configuration is reproducible
-//! in full: every [`CheckResult`], the memo, and the [`SessionStats`].
-//! The results — counterexample traces included — and the memo are
-//! moreover the same for every entry point and every shard count; the
+//! in full: every [`CheckResult`] and the [`SessionStats`]. The results
+//! — counterexample traces included — are moreover the same for every
+//! entry point and every shard count; the
 //! shard count only decides which session's counters the frame and
 //! solver work lands in. This is by construction: which engine answers
 //! — the *source* of a verdict, and with it the shape of its trace — is
@@ -34,11 +36,10 @@ use crate::blast::{blast, Blasted};
 use crate::bmc::{PristinePrefixes, UnrollProperty};
 use crate::error::McError;
 use crate::explicit::{explicit_check, ExplicitLimits, ReachableStates};
-use crate::prop::{BitAtom, CheckResult, TemporalProperty, WindowProperty};
+use crate::prop::{CheckResult, TemporalProperty, WindowProperty};
 use crate::session::{cancel_requested, CheckSession, SessionStats};
-use gm_cache::BoundedLru;
+use gm_cache::FxMap;
 use gm_rtl::{elaborate, Elab, Module};
-use std::collections::HashMap;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
@@ -65,29 +66,18 @@ pub enum Backend {
     },
 }
 
-/// A property in the one form the [`Checker`] memoizes it in: every
+/// A property in the one form the [`Checker`] decides it in: every
 /// single-consequent property is a `Window`, whichever type it arrived
-/// as, so the two spellings share one memo entry; only multi-consequent
-/// temporal properties stay `Temporal`. The split is a memo key, not a
-/// route: both variants are decided by the same engines. Built by
-/// [`UnrollProperty::normalized`].
+/// as, so the two spellings are one decision (and one batch entry);
+/// only multi-consequent temporal properties stay `Temporal`. The split
+/// is a dedupe key, not a route: both variants are decided by the same
+/// engines. Built by [`UnrollProperty::normalized`].
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Normalized {
     /// A single-consequent window implication.
     Window(WindowProperty),
     /// A conjunctive / disjunctive window over two or more consequents.
     Temporal(TemporalProperty),
-}
-
-impl Normalized {
-    /// Approximate resident size as a memo key.
-    fn approx_bytes(&self) -> usize {
-        let atom = std::mem::size_of::<BitAtom>();
-        match self {
-            Normalized::Window(p) => 48 + p.antecedent.len() * atom,
-            Normalized::Temporal(p) => 64 + (p.antecedent.len() + p.consequents.len()) * atom,
-        }
-    }
 }
 
 /// What a worker needs from the [`Checker`] to decide one property,
@@ -100,33 +90,8 @@ struct DecideParams {
     kind_max_k: u32,
     /// Cooperative cancel token, polled between SAT queries inside the
     /// unrolling loops. A raised token turns the decision into
-    /// [`McError::Cancelled`]; cancelled decisions are never memoized.
+    /// [`McError::Cancelled`].
     cancel: Option<Arc<AtomicBool>>,
-}
-
-/// Size and churn counters for the property memo (see
-/// [`Checker::memo_stats`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MemoStats {
-    /// Distinct properties currently memoized.
-    pub entries: usize,
-    /// Approximate resident bytes of the memo (atoms plus retained
-    /// counterexample traces — an estimate, not an allocator figure).
-    pub approx_bytes: usize,
-    /// Decisions inserted over the checker's lifetime.
-    pub insertions: u64,
-    /// Entries evicted by the LRU bound (0 when unbounded).
-    pub evictions: u64,
-}
-
-/// Approximate resident size of a memoized decision.
-fn memo_result_bytes(result: &CheckResult) -> usize {
-    match result {
-        CheckResult::Violated(cex) => {
-            48 + cex.inputs.iter().map(|v| 24 + v.len() * 40).sum::<usize>()
-        }
-        _ => 16,
-    }
 }
 
 /// A reusable model checker for one module.
@@ -152,10 +117,12 @@ fn memo_result_bytes(result: &CheckResult) -> usize {
 ///     consequent: BitAtom::new(q, 0, 1, true),
 /// };
 /// assert_eq!(checker.check(&prop)?, CheckResult::Proved);
-/// // Batches reuse the same session; repeats hit the memo.
+/// // Batches reuse the same session and decide an in-batch duplicate
+/// // once: one decision above, one more here, and one duplicate.
 /// let batch = checker.check_batch(&[prop.clone(), prop.clone()])?;
 /// assert!(batch.iter().all(|r| r.is_proved()));
-/// assert!(checker.session_stats().memo_hits >= 2);
+/// let stats = checker.session_stats();
+/// assert_eq!((stats.engine_queries(), stats.memo_hits), (2, 1));
 /// // Sharded batches agree bit-for-bit with the single session.
 /// let mut sharded = Checker::new(&m)?.with_shards(4);
 /// assert_eq!(sharded.check_batch(&[prop])?, batch[..1]);
@@ -183,14 +150,6 @@ pub struct Checker {
     /// Persistent per-shard sessions, grown on demand by sharded
     /// batches and reused across them.
     shard_sessions: Vec<CheckSession>,
-    /// The property memo, both kinds under one bound: O(1) lookup,
-    /// insert and LRU eviction (the shared [`gm_cache::BoundedLru`]);
-    /// unbounded until [`Checker::with_memo_capacity`] sets a bound.
-    memo: BoundedLru<Normalized, CheckResult>,
-    memo_insertions: u64,
-    memo_evictions: u64,
-    /// Incrementally maintained byte estimate (see [`MemoStats`]).
-    memo_bytes: usize,
     /// Cooperative cancel token (see [`Checker::set_cancel`]).
     cancel: Option<Arc<AtomicBool>>,
 }
@@ -228,32 +187,21 @@ impl Checker {
             reach: None,
             reach_failed: false,
             shard_sessions: Vec::new(),
-            memo: BoundedLru::unbounded(),
-            memo_insertions: 0,
-            memo_evictions: 0,
-            memo_bytes: 0,
             cancel: None,
         })
     }
 
-    /// Overrides the backend. Clears the property memo when the backend
-    /// actually changes (verdicts and `Unknown` bounds depend on the
-    /// engine configuration); re-applying the current backend keeps the
-    /// memo warm.
+    /// Overrides the backend.
     pub fn with_backend(mut self, backend: Backend) -> Self {
-        if self.backend != backend {
-            self.backend = backend;
-            self.memo_clear();
-        }
+        self.backend = backend;
         self
     }
 
-    /// Overrides the explicit-engine limits. When they change, clears
-    /// the memo and any reachable set computed under the old limits.
+    /// Overrides the explicit-engine limits. When they change, drops any
+    /// reachable set computed under the old limits.
     pub fn with_limits(mut self, limits: ExplicitLimits) -> Self {
         if self.limits != limits {
             self.limits = limits;
-            self.memo_clear();
             self.reach = None;
             self.reach_failed = false;
         }
@@ -262,66 +210,33 @@ impl Checker {
 
     /// Sets the BMC bound used by the `Auto` fallback.
     pub fn with_bmc_bound(mut self, bound: u32) -> Self {
-        if self.bmc_bound != bound {
-            self.bmc_bound = bound;
-            self.memo_clear();
-        }
+        self.bmc_bound = bound;
         self
     }
 
     /// Sets the maximum induction depth used by the `Auto` fallback.
     pub fn with_kind_depth(mut self, max_k: u32) -> Self {
-        if self.kind_max_k != max_k {
-            self.kind_max_k = max_k;
-            self.memo_clear();
-        }
+        self.kind_max_k = max_k;
         self
     }
 
     /// Sets how many persistent sessions [`Checker::check_batch`] deals
     /// a worklist onto, one scoped worker thread each (clamped to at
     /// least 1). With 1, the default, a batch runs inline on the main
-    /// session. Results never depend on the count, so the memo stays
-    /// warm.
+    /// session. Results never depend on the count.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
         self
     }
 
-    /// Bounds the property memo to at most `entries` decisions, window
-    /// and temporal together, evicting least-recently-used ones past
-    /// the bound — the knob that keeps very long sessions (a persistent
-    /// closure service) from growing without bound. Applies immediately
-    /// and to every later insertion; eviction only forgets — a
-    /// re-checked evicted property is re-decided identically, so
-    /// results never change.
-    pub fn with_memo_capacity(mut self, entries: usize) -> Self {
-        self.memo.set_capacity(Some(entries.max(1)));
-        self.evict_over_capacity();
-        self
-    }
-
-    /// Size and churn counters for the property memo. O(1): the byte
-    /// estimate is maintained incrementally at insert/evict time, so
-    /// monitoring polls never walk the memo.
-    pub fn memo_stats(&self) -> MemoStats {
-        MemoStats {
-            entries: self.memo.len(),
-            approx_bytes: self.memo_bytes,
-            insertions: self.memo_insertions,
-            evictions: self.memo_evictions,
-        }
-    }
-
-    /// Approximate resident size of the checker's persistent state: the
-    /// memo, every session's unrollings, and the design artifacts that
+    /// Approximate resident size of the checker's persistent state:
+    /// every session's unrollings, and the design artifacts that
     /// outlive [`Checker::reset_for_reuse`] — the reachable set with
     /// the explicit-engine tables built on it, and the pristine
     /// unrolling prefixes canonical counterexamples are cloned from.
     /// Cache-accounting input for long-lived services.
     pub fn approx_bytes(&self) -> usize {
-        self.memo_stats().approx_bytes
-            + self.reach.as_ref().map_or(0, |r| r.approx_bytes())
+        self.reach.as_ref().map_or(0, |r| r.approx_bytes())
             + self.prefixes.approx_bytes()
             + self.session.approx_bytes()
             + self
@@ -331,7 +246,7 @@ impl Checker {
                 .sum::<usize>()
     }
 
-    /// Resets the per-run verification state — sessions, memo, stats —
+    /// Resets the per-run verification state — sessions and their stats —
     /// while keeping the expensive design artifacts (bit-blasted AIG,
     /// reachable set, explicit-engine tables, pristine unrolling
     /// prefixes) warm. A checker recycled
@@ -342,9 +257,6 @@ impl Checker {
     pub fn reset_for_reuse(&mut self) {
         self.session = CheckSession::sharing(self.prefixes.clone());
         self.shard_sessions.clear();
-        self.memo_clear();
-        self.memo_insertions = 0;
-        self.memo_evictions = 0;
         self.cancel = None;
     }
 
@@ -354,7 +266,7 @@ impl Checker {
     /// single checks, batch items, every shard worker — returns
     /// [`McError::Cancelled`] at its next poll point: decision entry,
     /// and between SAT queries inside the BMC / k-induction unrolling
-    /// loops. Cancelled decisions are never memoized, so re-checking
+    /// loops. A cancelled decision leaves nothing behind, so re-checking
     /// after clearing the token decides the property normally. A parked
     /// checker keeps no stale token: [`Checker::reset_for_reuse`]
     /// clears it.
@@ -368,37 +280,6 @@ impl Checker {
         self
     }
 
-    fn memo_clear(&mut self) {
-        self.memo.clear();
-        self.memo_bytes = 0;
-    }
-
-    /// Memoizes a decision; O(1) including the eviction of
-    /// least-recently-used entries past the bound.
-    fn memo_insert(&mut self, prop: Normalized, result: CheckResult) {
-        self.memo_insertions += 1;
-        let prop_bytes = prop.approx_bytes();
-        self.memo_bytes += prop_bytes + memo_result_bytes(&result);
-        if let Some(old) = self.memo.insert(prop, result) {
-            // Same-key replacement (not reachable from `check` or the
-            // batch paths, which look up or dedupe first): one
-            // property's worth of atoms stays resident.
-            self.memo_bytes = self
-                .memo_bytes
-                .saturating_sub(prop_bytes + memo_result_bytes(&old));
-        }
-        self.evict_over_capacity();
-    }
-
-    fn evict_over_capacity(&mut self) {
-        while let Some((prop, result)) = self.memo.pop_over_capacity() {
-            self.memo_bytes = self
-                .memo_bytes
-                .saturating_sub(prop.approx_bytes() + memo_result_bytes(&result));
-            self.memo_evictions += 1;
-        }
-    }
-
     /// The bit-blasted design.
     pub fn blasted(&self) -> &Blasted {
         &self.blasted
@@ -406,7 +287,8 @@ impl Checker {
 
     /// Cumulative statistics across the checker's verification sessions
     /// (the main session plus every shard session): queries by engine,
-    /// memo hits, solver conflict/propagation work and frame reuse.
+    /// in-batch duplicates, solver conflict/propagation work and frame
+    /// reuse.
     pub fn session_stats(&self) -> SessionStats {
         self.shard_sessions
             .iter()
@@ -416,12 +298,6 @@ impl Checker {
     /// The number of persistent shard sessions built so far.
     pub fn shard_session_count(&self) -> usize {
         self.shard_sessions.len()
-    }
-
-    /// The number of distinct properties decided and memoized so far
-    /// (window and multi-consequent temporal alike).
-    pub fn memo_len(&self) -> usize {
-        self.memo.len()
     }
 
     /// The number of reachable states, if explicit exploration ran.
@@ -459,7 +335,7 @@ impl Checker {
     /// Decides `prop` with the configured backend.
     ///
     /// A single-consequent [`TemporalProperty`] *is* a
-    /// [`WindowProperty`] and is memoized as one. Every property, single-
+    /// [`WindowProperty`] and is decided as one. Every property, single-
     /// or multi-consequent (bounded eventualities and stability
     /// windows), takes the same route: [`Backend::Explicit`] and — on a
     /// design within the explicit limits — [`Backend::Auto`] decide it
@@ -469,8 +345,8 @@ impl Checker {
     /// `Auto` over the limits runs BMC then k-induction. Violated SAT
     /// verdicts carry the canonical counterexample.
     ///
-    /// Results are memoized: checking the same property again (in any
-    /// later call or batch) is a lookup, not a solver query.
+    /// Nothing is remembered: checking the same property again decides
+    /// it again, identically.
     ///
     /// # Errors
     ///
@@ -479,51 +355,55 @@ impl Checker {
     /// [`McError::Cancelled`] when the cooperative cancel token is
     /// raised mid-decision.
     pub fn check<P: UnrollProperty>(&mut self, prop: &P) -> Result<CheckResult, McError> {
-        let prop = prop.normalized();
-        if let Some(res) = self.memo.get(&prop).cloned() {
-            self.session.note_memo_hit();
-            return Ok(res);
-        }
         self.ensure_reach_for_backend();
         let params = self.params();
-        let res = decide_one(
+        self.decide_inline(&params, &prop.normalized())
+    }
+
+    /// Decides one property on the main session.
+    fn decide_inline(
+        &mut self,
+        params: &DecideParams,
+        prop: &Normalized,
+    ) -> Result<CheckResult, McError> {
+        let reach = self.reach.as_deref();
+        decide_one(
             &self.module,
             &self.blasted,
-            self.reach.as_deref(),
-            &params,
+            reach,
+            params,
             &mut self.session,
-            &prop,
-        )?;
-        self.memo_insert(prop, res.clone());
-        Ok(res)
+            prop,
+        )
     }
 
     /// Decides a whole batch of properties, in input order.
     ///
-    /// Within one batch (and across batches) each distinct property is
-    /// decided exactly once — duplicates are served from the memo — and
-    /// each session builds at most one unrolling per (backend, bound)
+    /// Each distinct property of the batch is decided once: the batch
+    /// is deduped first, and every later position of a property takes
+    /// the verdict of its first, counted in
+    /// [`SessionStats::memo_hits`]. Nothing carries over to the next
+    /// batch — a repeated batch is decided again, identically. Each
+    /// session builds at most one unrolling per (backend, bound)
     /// configuration. Under `Auto`, a design within the explicit limits
     /// has every property decided against the one shared reachable
     /// set; on any other, they share the session's BMC / k-induction
     /// unrollings.
     ///
-    /// With [`Checker::with_shards`] above 1 the batch is deduped and
-    /// memo-served, and the remaining unique properties are dealt
-    /// round-robin onto that many persistent shard sessions (all over
-    /// the same `Arc<Blasted>` — blasting still happens once per
-    /// checker), one scoped worker thread each. Results are merged back
-    /// in worklist order, so the returned vector — verdicts *and*
-    /// counterexample traces — and the memo left behind are identical
-    /// for every shard count. Shard sessions persist across calls,
-    /// keeping their unrollings and learnt clauses like the main
-    /// session does.
+    /// With [`Checker::with_shards`] at 1, the default, the distinct
+    /// properties are decided inline on the main session. Above 1 they
+    /// are dealt round-robin onto that many persistent shard sessions
+    /// (all over the same `Arc<Blasted>` — blasting still happens once
+    /// per checker), one scoped worker thread each. Results are
+    /// scattered back in worklist order, so the returned vector —
+    /// verdicts *and* counterexample traces — is identical for every
+    /// shard count. Shard sessions persist across calls, keeping their
+    /// unrollings and learnt clauses like the main session does.
     ///
     /// # Errors
     ///
     /// Same contract as [`Checker::check`], failing on the first
-    /// property that errors in input order, whatever the shard count;
-    /// properties before it are memoized.
+    /// property that errors in input order, whatever the shard count.
     pub fn check_batch<P: UnrollProperty>(
         &mut self,
         props: &[P],
@@ -531,14 +411,12 @@ impl Checker {
         let mut span = gm_trace::span("mc", P::BATCH_SPAN);
         span.arg("props", props.len());
         let before = span.is_active().then(|| self.session_stats());
-        let results = if self.shards == 1 {
-            props.iter().map(|prop| self.check(prop)).collect()
-        } else {
-            let props: Vec<Normalized> = props.iter().map(P::normalized).collect();
-            self.check_batch_pooled(&props)
-        };
+        let props: Vec<Normalized> = props.iter().map(P::normalized).collect();
+        let results = self.decide_batch(&props);
         if let Some(before) = before {
-            // Who answered: the memo, the explicit engine, or SAT.
+            // Who answered: an earlier position of the batch (the
+            // `memo` arg counts in-batch duplicates), the explicit
+            // engine, or SAT.
             let answered = self.session_stats() - before;
             span.arg("memo", answered.memo_hits);
             span.arg("explicit", answered.explicit_queries);
@@ -547,145 +425,111 @@ impl Checker {
         results
     }
 
-    fn check_batch_pooled(&mut self, props: &[Normalized]) -> Result<Vec<CheckResult>, McError> {
+    /// [`Checker::check_batch`] on normalized properties: dedupe,
+    /// decide each distinct property once (inline, or on the shard
+    /// pool), scatter the verdicts back over the batch.
+    fn decide_batch(&mut self, props: &[Normalized]) -> Result<Vec<CheckResult>, McError> {
+        // Dedupe in first-occurrence order: `first[u]` is where the
+        // `u`-th distinct property first occurs, `slot[i]` which
+        // distinct property position `i` holds.
+        let mut index_of: FxMap<&Normalized, usize> = FxMap::default();
+        let mut first: Vec<usize> = Vec::new();
+        let slot: Vec<usize> = (props.iter().enumerate())
+            .map(|(i, prop)| {
+                *index_of.entry(prop).or_insert_with(|| {
+                    first.push(i);
+                    first.len() - 1
+                })
+            })
+            .collect();
+        if first.is_empty() {
+            return Ok(Vec::new());
+        }
+        self.ensure_reach_for_backend();
+        let params = self.params();
+        let decided = if self.shards == 1 {
+            let mut decided = Vec::with_capacity(first.len());
+            for &i in &first {
+                let res = self.decide_inline(&params, &props[i]);
+                let failed = res.is_err();
+                decided.push(res);
+                if failed {
+                    break;
+                }
+            }
+            decided
+        } else {
+            self.decide_pooled(&params, first.iter().map(|&i| &props[i]).collect())
+        };
+        // Duplicates count as far as a walk in input order gets: up to
+        // where the first property that failed first occurs.
+        let stop = (decided.iter().position(Result::is_err)).map_or(props.len(), |u| first[u]);
+        let duplicates = (0..stop).filter(|&i| first[slot[i]] != i).count();
+        self.session.note_memo_hits(duplicates as u64);
+        let decided = decided.into_iter().collect::<Result<Vec<_>, _>>()?;
+        if decided.len() == props.len() {
+            return Ok(decided);
+        }
+        Ok(slot.into_iter().map(|u| decided[u].clone()).collect())
+    }
+
+    /// Decides `unique` on the shard sessions, in `unique` order.
+    /// Properties are dealt round-robin; each *active* shard's session
+    /// moves into a scoped worker and comes back when the worker joins.
+    /// Sessions that would receive no items — shard indices past the
+    /// worklist length, or pool entries beyond `shards` left over from
+    /// a wider earlier batch — skip the worker round-trip entirely (they
+    /// rejoin the pool after the active ones, a deterministic order).
+    fn decide_pooled(
+        &mut self,
+        params: &DecideParams,
+        unique: Vec<&Normalized>,
+    ) -> Vec<Result<CheckResult, McError>> {
         let shards = self.shards;
-        // Memo pass + dedupe, preserving first-occurrence order. Memo
-        // hits are recorded by position and counted only after the first
-        // error position (if any) is known, so the stats match what the
-        // sequential walk — which stops at the error — would count.
-        let mut out: Vec<Option<CheckResult>> = vec![None; props.len()];
-        let mut memo_hit_positions: Vec<usize> = Vec::new();
-        let mut unique: Vec<&Normalized> = Vec::new();
-        let mut index_of: HashMap<&Normalized, usize> = HashMap::new();
-        // For each unique property: every batch position it fills.
-        let mut positions: Vec<Vec<usize>> = Vec::new();
-        for (i, prop) in props.iter().enumerate() {
-            if let Some(res) = self.memo.get(prop).cloned() {
-                memo_hit_positions.push(i);
-                out[i] = Some(res);
-                continue;
-            }
-            match index_of.get(prop) {
-                Some(&ui) => positions[ui].push(i),
-                None => {
-                    index_of.insert(prop, unique.len());
-                    unique.push(prop);
-                    positions.push(vec![i]);
-                }
-            }
+        while self.shard_sessions.len() < shards {
+            self.shard_sessions
+                .push(CheckSession::sharing(self.prefixes.clone()));
         }
-        // The position the sequential walk would stop at (its first
-        // error), known only after the workers report back.
-        let mut stop_pos = usize::MAX;
-        if !unique.is_empty() {
-            self.ensure_reach_for_backend();
-            while self.shard_sessions.len() < shards {
-                self.shard_sessions
-                    .push(CheckSession::sharing(self.prefixes.clone()));
-            }
-            let params = self.params();
-            let module = self.module.clone();
-            let blasted = self.blasted.clone();
-            let reach = self.reach.clone();
-            // Deal unique properties round-robin onto the shards, move
-            // each *active* shard's session into a scoped worker, and
-            // take the session back when the worker joins. Sessions that
-            // would receive no items — shard indices past the worklist
-            // length, or pool entries beyond `shards` left over from a
-            // wider earlier batch — skip the worker round-trip entirely
-            // (they rejoin the pool after the active ones, a
-            // deterministic order).
-            let active = shards.min(unique.len());
-            let mut idle: Vec<CheckSession> = self.shard_sessions.drain(..).collect();
-            let mut work: Vec<(CheckSession, Vec<(usize, &Normalized)>)> =
-                idle.drain(..active).map(|s| (s, Vec::new())).collect();
-            for (ui, &prop) in unique.iter().enumerate() {
-                work[ui % shards].1.push((ui, prop));
-            }
-            let mut decided: Vec<Option<Result<CheckResult, McError>>> = vec![None; unique.len()];
-            let shard_results: Vec<ShardYield> = std::thread::scope(|scope| {
-                let handles: Vec<_> = work
-                    .into_iter()
-                    .map(|(mut session, items)| {
-                        let module = &module;
-                        let blasted = &blasted;
-                        let reach = reach.as_deref();
-                        let params = &params;
-                        scope.spawn(move || {
-                            let results = items
-                                .into_iter()
-                                .map(|(ui, prop)| {
-                                    let res = decide_one(
-                                        module,
-                                        blasted,
-                                        reach,
-                                        params,
-                                        &mut session,
-                                        prop,
-                                    );
-                                    (ui, res)
-                                })
-                                .collect();
-                            (session, results)
-                        })
+        let mut decided: Vec<Option<Result<CheckResult, McError>>> = vec![None; unique.len()];
+        let mut idle: Vec<CheckSession> = self.shard_sessions.drain(..).collect();
+        let mut work: Vec<(CheckSession, Vec<(usize, &Normalized)>)> = (idle
+            .drain(..shards.min(unique.len())))
+        .map(|s| (s, Vec::new()))
+        .collect();
+        for (u, prop) in unique.into_iter().enumerate() {
+            work[u % shards].1.push((u, prop));
+        }
+        let (module, blasted, reach) = (&*self.module, &*self.blasted, self.reach.as_deref());
+        let joined: Vec<ShardYield> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (work.into_iter())
+                .map(|(mut session, items)| {
+                    scope.spawn(move || {
+                        let results = (items.into_iter())
+                            .map(|(u, prop)| {
+                                (
+                                    u,
+                                    decide_one(module, blasted, reach, params, &mut session, prop),
+                                )
+                            })
+                            .collect();
+                        (session, results)
                     })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard worker panicked"))
-                    .collect()
-            });
-            for (session, items) in shard_results {
-                self.shard_sessions.push(session);
-                for (ui, res) in items {
-                    decided[ui] = Some(res);
-                }
-            }
-            self.shard_sessions.append(&mut idle);
-            if let Some(ei) = decided.iter().position(|r| matches!(r, Some(Err(_)))) {
-                stop_pos = positions[ei][0];
-            }
-            // Merge in worklist order: memoize up to the first error (the
-            // sequential walk would have stopped there), then fail.
-            let mut first_err = None;
-            for (ui, res) in decided.into_iter().enumerate() {
-                match res.expect("every unique property decided") {
-                    Ok(res) => {
-                        self.memo_insert(unique[ui].clone(), res.clone());
-                        for (extra, &i) in positions[ui].iter().enumerate() {
-                            if extra > 0 && i < stop_pos {
-                                // The sequential walk serves in-batch
-                                // duplicates from the memo (up to its
-                                // first error).
-                                self.session.note_memo_hit();
-                            }
-                            out[i] = Some(res.clone());
-                        }
-                    }
-                    Err(e) => {
-                        first_err = Some(e);
-                        break;
-                    }
-                }
-            }
-            if let Some(e) = first_err {
-                for &i in &memo_hit_positions {
-                    if i < stop_pos {
-                        self.session.note_memo_hit();
-                    }
-                }
-                return Err(e);
+                })
+                .collect();
+            (handles.into_iter())
+                .map(|h| h.join().expect("shard worker panicked"))
+                .collect()
+        });
+        for (session, items) in joined {
+            self.shard_sessions.push(session);
+            for (u, res) in items {
+                decided[u] = Some(res);
             }
         }
-        for &i in &memo_hit_positions {
-            if i < stop_pos {
-                self.session.note_memo_hit();
-            }
-        }
-        Ok(out
-            .into_iter()
-            .map(|r| r.expect("every batch position filled"))
-            .collect())
+        self.shard_sessions.append(&mut idle);
+        (decided.into_iter())
+            .map(|res| res.expect("every distinct property decided"))
+            .collect()
     }
 }
 
@@ -773,7 +617,7 @@ mod prefix_tests;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prop::ConsequentKind;
+    use crate::prop::{BitAtom, ConsequentKind};
     use gm_rtl::parse_verilog;
 
     const ARBITER2: &str = "
@@ -895,12 +739,13 @@ mod tests {
             kind: ConsequentKind::All,
         };
         // (backend, shards) -> (memo, explicit, sat) of the temporal
-        // batch below: its single-consequent view was decided by the
-        // window batch before it, under either dispatch.
+        // batch below: its second `stable` is an in-batch duplicate, and
+        // its single-consequent view is decided again — nothing carries
+        // over from the window batch before it — under either dispatch.
         for (backend, shards, answered) in [
-            (Backend::Auto, 1, [2, 1, 0]),
-            (Backend::Auto, 2, [2, 1, 0]),
-            (Backend::Bmc { bound: 4 }, 2, [2, 0, 1]),
+            (Backend::Auto, 1, [1, 2, 0]),
+            (Backend::Auto, 2, [1, 2, 0]),
+            (Backend::Bmc { bound: 4 }, 2, [1, 0, 2]),
         ] {
             let sink = gm_trace::TraceSink::new();
             {
@@ -998,16 +843,17 @@ mod tests {
         assert!(matches!(first[0], CheckResult::Violated(_)));
         assert_eq!(first[1], CheckResult::Proved);
         assert_eq!(first[0], first[2]);
-        assert_eq!(c.memo_len(), 2);
-        let hits_after_first = c.session_stats().memo_hits;
-        assert!(hits_after_first >= 1, "in-batch duplicate served by memo");
-        // The identical batch again: all results from the memo.
+        let after_first = c.session_stats();
+        assert_eq!(
+            (after_first.engine_queries(), after_first.memo_hits),
+            (2, 1),
+            "the duplicate takes its first occurrence's verdict"
+        );
+        // The identical batch again: decided again, identically.
         let second = c.check_batch(&batch).unwrap();
         assert_eq!(first, second);
-        assert_eq!(
-            c.session_stats().memo_hits - hits_after_first,
-            batch.len() as u64
-        );
+        let again = c.session_stats() - after_first;
+        assert_eq!((again.engine_queries(), again.memo_hits), (2, 1));
     }
 
     #[test]
@@ -1033,7 +879,6 @@ mod tests {
             let mut sharded = Checker::new(&m).unwrap().with_shards(shards);
             let res = sharded.check_batch(&batch).unwrap();
             assert_eq!(res, sequential, "{shards} shards diverged");
-            assert_eq!(sharded.memo_len(), plain.memo_len());
             assert_eq!(
                 sharded.session_stats().memo_hits,
                 plain.session_stats().memo_hits,
@@ -1046,99 +891,10 @@ mod tests {
             // One shard is the main session, inline: no pool.
             let pool = if shards == 1 { 0 } else { shards };
             assert_eq!(sharded.shard_session_count(), pool);
-            // A repeated sharded batch is fully memo-served.
+            // A repeated sharded batch is decided again, identically.
             let again = sharded.check_batch(&batch).unwrap();
             assert_eq!(again, sequential);
         }
-    }
-
-    #[test]
-    fn memo_capacity_bounds_entries_and_counts_evictions() {
-        let m = parse_verilog(ARBITER2).unwrap();
-        let req0 = m.require("req0").unwrap();
-        let gnt0 = m.require("gnt0").unwrap();
-        let props: Vec<WindowProperty> = (0..5)
-            .map(|i| WindowProperty {
-                antecedent: vec![BitAtom::new(req0, 0, 0, i % 2 == 0)],
-                consequent: BitAtom::new(gnt0, 0, i % 3, i < 2),
-            })
-            .collect();
-        let mut bounded = Checker::new(&m).unwrap().with_memo_capacity(2);
-        let mut unbounded = Checker::new(&m).unwrap();
-        for p in &props {
-            // Eviction only forgets: every decision matches the
-            // unbounded checker's.
-            assert_eq!(bounded.check(p).unwrap(), unbounded.check(p).unwrap());
-        }
-        let stats = bounded.memo_stats();
-        assert!(stats.entries <= 2, "{stats:?}");
-        assert_eq!(stats.insertions, props.len() as u64);
-        assert_eq!(stats.evictions, (props.len() - 2) as u64);
-        assert!(stats.approx_bytes > 0);
-        assert_eq!(unbounded.memo_stats().evictions, 0);
-        // Re-checking an evicted property re-decides it identically.
-        assert_eq!(
-            bounded.check(&props[0]).unwrap(),
-            unbounded.check(&props[0]).unwrap()
-        );
-        assert!(bounded.approx_bytes() > 0);
-    }
-
-    #[test]
-    fn memo_capacity_is_one_bound_across_both_property_kinds() {
-        let m = parse_verilog(ARBITER2).unwrap();
-        let req0 = m.require("req0").unwrap();
-        let gnt0 = m.require("gnt0").unwrap();
-        let gnt1 = m.require("gnt1").unwrap();
-        let windows: Vec<WindowProperty> = (0..4)
-            .map(|i| WindowProperty {
-                antecedent: vec![BitAtom::new(req0, 0, 0, i % 2 == 0)],
-                consequent: BitAtom::new(gnt0, 0, 1 + i / 2, true),
-            })
-            .collect();
-        let temporals: Vec<TemporalProperty> = (0..4)
-            .map(|i| TemporalProperty {
-                antecedent: vec![BitAtom::new(req0, 0, 0, i % 2 == 0)],
-                consequents: vec![
-                    BitAtom::new(gnt0, 0, 1, true),
-                    BitAtom::new(gnt1, 0, 2, true),
-                ],
-                kind: if i < 2 {
-                    ConsequentKind::All
-                } else {
-                    ConsequentKind::Any
-                },
-            })
-            .collect();
-        let mut bounded = Checker::new(&m).unwrap().with_memo_capacity(3);
-        let mut unbounded = Checker::new(&m).unwrap();
-        // Fill each kind past the bound on its own, interleaved.
-        for (w, t) in windows.iter().zip(&temporals) {
-            assert_eq!(bounded.check(w).unwrap(), unbounded.check(w).unwrap());
-            assert_eq!(bounded.check(t).unwrap(), unbounded.check(t).unwrap());
-            let stats = bounded.memo_stats();
-            assert!(stats.entries <= 3, "{stats:?}");
-            assert_eq!(stats.entries, bounded.memo_len());
-        }
-        let stats = bounded.memo_stats();
-        assert_eq!(stats.insertions, 8);
-        assert_eq!(stats.evictions, 5);
-        // The three most recent decisions are the residents, whatever
-        // their kind.
-        let hits = bounded.session_stats().memo_hits;
-        bounded.check(&temporals[3]).unwrap();
-        bounded.check(&windows[3]).unwrap();
-        bounded.check(&temporals[2]).unwrap();
-        assert_eq!(bounded.session_stats().memo_hits, hits + 3);
-        // Bytes are accounted once for both kinds: evicting everything
-        // but one entry leaves exactly that entry's estimate.
-        let bounded = bounded.with_memo_capacity(1);
-        let last = Normalized::Temporal(temporals[2].clone());
-        let decision = unbounded.check(&temporals[2]).unwrap();
-        assert_eq!(
-            bounded.memo_stats().approx_bytes,
-            last.approx_bytes() + memo_result_bytes(&decision)
-        );
     }
 
     #[test]
@@ -1248,30 +1004,11 @@ mod tests {
         recycled.check_batch(&props).unwrap();
         recycled.reset_for_reuse();
         assert_eq!(recycled.session_stats(), SessionStats::default());
-        assert_eq!(recycled.memo_len(), 0);
         assert_eq!(recycled.check_batch(&props).unwrap(), expected);
         assert_eq!(
             recycled.session_stats(),
             fresh_stats,
             "a recycled checker must replay with fresh-checker stats"
         );
-    }
-
-    #[test]
-    fn reapplying_the_same_setting_keeps_the_memo_warm() {
-        let m = parse_verilog(ARBITER2).unwrap();
-        let gnt0 = m.require("gnt0").unwrap();
-        let gnt1 = m.require("gnt1").unwrap();
-        let prop = WindowProperty {
-            antecedent: vec![BitAtom::new(gnt0, 0, 0, true)],
-            consequent: BitAtom::new(gnt1, 0, 0, false),
-        };
-        let mut c = Checker::new(&m).unwrap();
-        c.check(&prop).unwrap();
-        assert_eq!(c.memo_len(), 1);
-        c = c.with_backend(Backend::Auto);
-        assert_eq!(c.memo_len(), 1, "unchanged settings keep the memo");
-        c = c.with_backend(Backend::KInduction { max_k: 4 });
-        assert_eq!(c.memo_len(), 0, "a real change clears it");
     }
 }

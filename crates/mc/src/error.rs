@@ -36,7 +36,7 @@ pub enum McError {
         limit: u32,
     },
     /// A cooperative cancel token stopped the check before a verdict.
-    /// Cancelled decisions are never memoized — re-checking the
+    /// A cancelled decision leaves nothing behind — re-checking the
     /// property after the cancel decides it normally.
     Cancelled,
     /// An injected transient fault (`gm_fault`) aborted the check. Only

@@ -38,20 +38,19 @@
 //!   everything the unrolling has accumulated, and reads no model;
 //! * [`Checker`] bit-blasts once, lazily computes the reachable state
 //!   set once, routes queries to the configured backend through its
-//!   persistent session, memoizes every decided property, and accepts
-//!   single properties ([`Checker::check`]) or whole worklists
-//!   ([`Checker::check_batch`]) of either kind, [`WindowProperty`] or
-//!   [`TemporalProperty`] — repeated candidates across refinement
-//!   iterations cost a hash lookup;
+//!   persistent session, and accepts single properties
+//!   ([`Checker::check`]) or whole worklists ([`Checker::check_batch`],
+//!   each distinct property decided once) of either kind,
+//!   [`WindowProperty`] or [`TemporalProperty`];
 //! * [`Checker::with_shards`] splits every worklist across a pool of
 //!   persistent `Send` shard sessions (one scoped worker thread each,
 //!   all over one `Arc`-shared blasted design), dealt round-robin and
 //!   merged back in worklist order.
 //!
 //! **Determinism contract:** a run of the same calls under the same
-//! configuration is reproducible in full — every [`CheckResult`], the
-//! memo, and the [`SessionStats`] — and the results and the memo are
-//! the same for every entry point and every shard count (which only
+//! configuration is reproducible in full — every [`CheckResult`] and
+//! the [`SessionStats`] — and the results are the same for every entry
+//! point and every shard count (which only
 //! decides which session's counters the work lands in). Which engine
 //! answers depends on the design, the limits and the backend, never on
 //! the property's kind; explicit-state verdicts carry the first
@@ -86,7 +85,7 @@ pub use aig::{Aig, AigLit, AigNode, Latch};
 pub use aiger::{blasted_to_aiger, parse_aiger, to_aiger, ParsedAiger};
 pub use blast::{blast, Blasted};
 pub use bmc::{bmc, k_induction, UnrollProperty, Unroller};
-pub use check::{Backend, Checker, MemoStats};
+pub use check::{Backend, Checker};
 pub use error::McError;
 pub use explicit::{explicit_check, ExplicitCacheStats, ExplicitLimits, ReachableStates};
 pub use prop::{BitAtom, CexTrace, CheckResult, ConsequentKind, TemporalProperty, WindowProperty};

@@ -40,8 +40,8 @@ impl BitAtom {
 
 /// A windowed safety property: `G (/\ antecedent -> consequent)`.
 ///
-/// Hashable so batch checkers can dedupe and memoize property results
-/// (distinct mining targets often produce the same implication).
+/// Hashable so batch checkers can dedupe properties (distinct mining
+/// targets often produce the same implication).
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct WindowProperty {
     /// Antecedent atoms (conjoined). Empty means `true`.
@@ -151,7 +151,7 @@ impl TemporalProperty {
 
     /// The single-consequent view, when one exists: a one-atom temporal
     /// property is exactly a [`WindowProperty`] (the `All`/`Any`
-    /// distinction collapses), so the checker memoizes the two
+    /// distinction collapses), so the checker decides the two
     /// spellings as one.
     pub fn as_window(&self) -> Option<WindowProperty> {
         match self.consequents.as_slice() {

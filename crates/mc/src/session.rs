@@ -118,8 +118,9 @@ pub struct SessionStats {
     pub sat_decided: u64,
     /// Property checks decided by explicit-state reachability.
     pub explicit_queries: u64,
-    /// Property results served from the checker's memo without any
-    /// engine work.
+    /// Batch positions that repeated an earlier position's property and
+    /// took its verdict without any engine work: the in-batch
+    /// duplicates [`crate::Checker::check_batch`] decided once.
     pub memo_hits: u64,
     /// Aggregated solver work across all SAT queries.
     pub solver: SolverStats,
@@ -184,7 +185,7 @@ impl std::ops::AddAssign for SessionStats {
 }
 
 impl SessionStats {
-    /// Total property decisions made by an engine (memo hits excluded),
+    /// Total property decisions made by an engine (duplicates excluded),
     /// in comparable units: one per property, whether it was decided by
     /// explicit-state reachability or by the SAT engines.
     pub fn engine_queries(&self) -> u64 {
@@ -252,8 +253,8 @@ impl CheckSession {
             + self.step.as_ref().map_or(0, Unroller::approx_bytes)
     }
 
-    pub(crate) fn note_memo_hit(&mut self) {
-        self.stats.memo_hits += 1;
+    pub(crate) fn note_memo_hits(&mut self, duplicates: u64) {
+        self.stats.memo_hits += duplicates;
     }
 
     pub(crate) fn note_explicit_query(&mut self) {

@@ -1,8 +1,8 @@
 //! Cross-validation of batched vs sequential checking.
 //!
 //! `Checker::check_batch` must agree with per-property `check` on every
-//! catalog design, for every backend, while the memo makes repeated
-//! batches free. The properties are generated deterministically per
+//! catalog design, for every backend, deciding each distinct property of
+//! a batch once. The properties are generated deterministically per
 //! design (a fixed LCG), mixing proved, violated and unknown verdicts.
 
 use gm_mc::{Backend, CexTrace, CheckResult, Checker, ExplicitLimits, WindowProperty};
@@ -188,28 +188,40 @@ fn check_batch_agrees_with_sequential_check_on_all_catalog_designs() {
     }
 }
 
+/// A batch with every property twice decides each once (the second
+/// copies count as in-batch duplicates), and the same batch again on
+/// the same checker is decided again — nothing carries over — with
+/// identical results and identical work.
 #[test]
 fn repeated_batches_are_deterministic_and_fully_memoized() {
     for design in gm_designs::catalog() {
         let module = design.module();
         let props = properties_for(&module, 5);
+        let doubled: Vec<WindowProperty> = props.iter().chain(&props).cloned().collect();
         let mut c = checker(&module, Backend::Auto);
-        let first = c.check_batch(&props).unwrap();
-        let hits_after_first = c.session_stats().memo_hits;
-        let queries_after_first = c.session_stats().engine_queries();
-        let second = c.check_batch(&props).unwrap();
-        assert_eq!(first, second, "nondeterministic batch on {}", design.name);
-        let stats = c.session_stats();
+        let first = c.check_batch(&doubled).unwrap();
         assert_eq!(
-            stats.memo_hits - hits_after_first,
-            props.len() as u64,
-            "second batch not fully memoized on {}",
+            first[..props.len()],
+            first[props.len()..],
+            "{}",
             design.name
         );
+        let after_first = c.session_stats();
+        let distinct = after_first.engine_queries();
+        assert!(distinct <= props.len() as u64, "{}", design.name);
         assert_eq!(
-            stats.engine_queries(),
-            queries_after_first,
-            "second batch did engine work on {}",
+            after_first.memo_hits,
+            doubled.len() as u64 - distinct,
+            "every position past a property's first is a duplicate on {}",
+            design.name
+        );
+        let second = c.check_batch(&doubled).unwrap();
+        assert_eq!(first, second, "nondeterministic batch on {}", design.name);
+        let again = c.session_stats() - after_first;
+        assert_eq!(
+            (again.engine_queries(), again.memo_hits),
+            (after_first.engine_queries(), after_first.memo_hits),
+            "the repeated batch did other work on {}",
             design.name
         );
     }

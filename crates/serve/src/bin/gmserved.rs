@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! gmserved <socket-path> [--workers N] [--cache N] [--cache-bytes N]
-//!          [--warm-memo]
 //!          [--deadline-ms N] [--max-retries N] [--retry-backoff-ms N]
 //!          [--max-queued N] [--max-queued-bytes N] [--drain-timeout-ms N]
 //! ```
@@ -20,7 +19,7 @@ use std::sync::Arc;
 fn usage() -> ExitCode {
     eprintln!(
         "usage: gmserved <socket-path> [--workers N] [--cache N] [--cache-bytes N] \
-         [--warm-memo] [--deadline-ms N] [--max-retries N] \
+         [--deadline-ms N] [--max-retries N] \
          [--retry-backoff-ms N] [--max-queued N] [--max-queued-bytes N] \
          [--drain-timeout-ms N]"
     );
@@ -47,7 +46,6 @@ fn main() -> ExitCode {
                 Some(n) => config.cache_max_bytes = n,
                 None => return usage(),
             },
-            "--warm-memo" => config.warm_memo = true,
             "--deadline-ms" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(n) => config.default_deadline_ms = n,
                 None => return usage(),

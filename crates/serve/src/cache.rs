@@ -10,9 +10,9 @@
 //! counters.
 //!
 //! Reuse is outcome-preserving by construction: a parked checker is
-//! [`Checker::reset_for_reuse`]d (fresh sessions, empty memo, zeroed
-//! stats) unless the service opts into `warm_memo`, so a cached run's
-//! [`goldmine::ClosureOutcome`] is byte-identical to a cold one's.
+//! [`Checker::reset_for_reuse`]d (fresh sessions, zeroed stats), so a
+//! cached run's [`goldmine::ClosureOutcome`] is byte-identical to a cold
+//! one's.
 
 use gm_cache::BoundedLru;
 use gm_mc::Checker;
@@ -42,8 +42,8 @@ pub struct CacheStats {
     /// Resident entries dropped because a 64-bit key collision would
     /// otherwise serve the wrong design.
     pub evictions_collision: u64,
-    /// Approximate resident bytes (sources, parked checker memos and
-    /// sessions, parked compiled tapes — an estimate).
+    /// Approximate resident bytes (sources, parked checkers' sessions
+    /// and design artifacts, parked compiled tapes — an estimate).
     pub approx_bytes: usize,
     /// The byte budget (0 = unbounded).
     pub max_bytes: usize,
@@ -354,7 +354,7 @@ impl DesignCache {
         let c = self.counters;
         CacheStats {
             entries: self.map.len(),
-            capacity: self.map.capacity().unwrap_or(usize::MAX),
+            capacity: self.map.capacity(),
             evictions: c.evictions_capacity + c.evictions_bytes + c.evictions_collision,
             approx_bytes: self.resident_bytes(),
             max_bytes: self.max_bytes,

@@ -165,8 +165,8 @@ pub(crate) struct JobTable {
 }
 
 impl JobTable {
-    /// An empty table under `config`'s retention, admission, cache and
-    /// warm-memo settings.
+    /// An empty table under `config`'s retention, admission and cache
+    /// settings.
     pub(crate) fn new(config: ServeConfig) -> Self {
         JobTable {
             cache: DesignCache::with_max_bytes(config.cache_capacity, config.cache_max_bytes),
@@ -413,15 +413,10 @@ impl JobTable {
         let Some(live) = job.live.take() else {
             return false;
         };
-        // A reclaimed checker has run: reset it, or under `warm_memo`
-        // bound its memos so a long-lived daemon's parked checkers
-        // cannot grow forever. An unclaimed checkout goes back as is.
+        // A reclaimed checker has run: reset it. An unclaimed checkout
+        // goes back as is.
         if let Some(mut checker) = artifacts.checker {
-            if self.config.warm_memo {
-                checker = checker.with_memo_capacity(self.config.warm_memo_capacity);
-            } else {
-                checker.reset_for_reuse();
-            }
+            checker.reset_for_reuse();
             self.cache.park(&live.key, &live.canonical, checker);
         }
         if let Some(checker) = live.warm.checker {

@@ -1024,9 +1024,10 @@ serve_stats! {
     /// Property checks decided by explicit-state reachability.
     verify_explicit_queries: u64 => Counter, required,
         "verify_explicit_queries_total", "Property checks decided by explicit-state reachability.";
-    /// Property results served from checker memos.
+    /// In-batch duplicate properties that took an earlier position's
+    /// verdict.
     verify_memo_hits: u64 => Counter, required,
-        "verify_memo_hits_total", "Property results served from checker memos.";
+        "verify_memo_hits_total", "In-batch duplicate properties decided once.";
     /// Time frames newly encoded into unrollings.
     verify_frames_encoded: u64 => Counter, required,
         "verify_frames_encoded_total", "Time frames newly encoded into unrollings.";

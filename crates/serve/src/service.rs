@@ -18,11 +18,7 @@
 //! stats-invisible ([`gm_mc::Checker::reset_for_reuse`]), and the
 //! engine's own determinism contract covers everything inside the run.
 //! The differential suite (`tests/serve_agree.rs`) enforces this across
-//! the whole design catalog. The one opt-out is
-//! [`ServeConfig::warm_memo`], which carries verification memos across
-//! runs of the same design — verdicts and artifacts stay identical, but
-//! the work counters in the outcome's iteration reports then reflect
-//! the memo hits.
+//! the whole design catalog.
 //!
 //! ## Resilience
 //!
@@ -85,24 +81,12 @@ pub struct ServeConfig {
     /// memory while tiny warm designs are evicted by the entry count.
     /// See [`crate::DesignCache::with_max_bytes`].
     pub cache_max_bytes: usize,
-    /// Keep verification memos warm across runs of the same design.
-    /// Off by default: warm memos change the work counters embedded in
-    /// the outcome's iteration reports (verdicts and artifacts stay
-    /// identical), so the default preserves byte-identity with
-    /// standalone runs.
-    pub warm_memo: bool,
     /// How many *finished* job records (progress, summary, any
     /// untaken outcome) the table retains; the oldest finished records
     /// are dropped past the bound, so a long-lived daemon's memory
     /// stays bounded. Queued/running jobs are never dropped. A client
     /// polling a dropped job sees "unknown job".
     pub retain_jobs: usize,
-    /// Property-memo bound applied to checkers parked under
-    /// `warm_memo` ([`gm_mc::Checker::with_memo_capacity`]) — the
-    /// eviction knob that keeps a daemon's warm memos from growing
-    /// without bound across requests. Irrelevant when `warm_memo` is
-    /// off (memos are cleared by the reset).
-    pub warm_memo_capacity: usize,
     /// Default per-job deadline in milliseconds, applied to
     /// submissions that don't carry their own
     /// [`SubmitOptions::deadline_ms`]. 0 = no deadline. Enforced by
@@ -131,9 +115,7 @@ impl Default for ServeConfig {
             workers: 0,
             cache_capacity: 8,
             cache_max_bytes: 0,
-            warm_memo: false,
             retain_jobs: 1024,
-            warm_memo_capacity: 4096,
             default_deadline_ms: 0,
             retry: RetryPolicy::default(),
             max_queued: 0,

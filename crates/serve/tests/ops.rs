@@ -191,7 +191,7 @@ fn byte_budget_evicts_lru_first_and_never_exceeds_budget() {
     // A sole entry larger than the whole budget sheds its parked
     // checkers rather than evicting itself. Budget sits strictly
     // between the bare entry and the entry with a *warm* parked
-    // checker (one decided property puts bytes in its memo/session).
+    // checker (one decided property builds its reachable set).
     let module_a = gm_rtl::parse_verilog(A).unwrap();
     let x = module_a.require("x").unwrap();
     let y = module_a.require("y").unwrap();

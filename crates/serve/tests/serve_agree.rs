@@ -224,45 +224,6 @@ fn cache_eviction_and_rebuild_never_change_outcomes() {
 }
 
 #[test]
-fn warm_memo_mode_keeps_verdicts_and_artifacts_identical() {
-    // warm_memo changes only the work counters inside the iteration
-    // reports; the convergence verdicts, proved assertions and suite
-    // must still match a standalone run exactly.
-    let b = baselines_for(&["arbiter2"])[0];
-    let standalone = &b.outcome;
-    let service = ClosureService::new(ServeConfig {
-        workers: 1,
-        warm_memo: true,
-        ..ServeConfig::default()
-    });
-    for round in 0..2 {
-        let (id, _) = service
-            .submit_module(
-                &b.name,
-                b.module.clone(),
-                b.config.clone(),
-                SubmitOptions::default(),
-            )
-            .unwrap();
-        service.wait(id);
-        let outcome = service.take_outcome(id).unwrap().unwrap();
-        assert_eq!(outcome.converged, standalone.converged, "round {round}");
-        assert_eq!(
-            format!("{:?}", outcome.assertions),
-            format!("{:?}", standalone.assertions),
-            "round {round}"
-        );
-        assert_eq!(
-            format!("{:?}", outcome.suite),
-            format!("{:?}", standalone.suite),
-            "round {round}"
-        );
-        assert_eq!(outcome.iteration_count(), standalone.iteration_count());
-    }
-    service.shutdown();
-}
-
-#[test]
 fn traced_served_runs_agree_and_export_loadable_recordings() {
     // A traced submission must produce the same bytes as the untraced
     // standalone baseline — the flight recorder is pure observation —

@@ -36,15 +36,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("== counterexample iterations (paper Fig. 12 shape) ==");
     println!(
-        "{:<10} {:>11} {:>8} {:>8} {:>14} {:>12} {:>8} {:>6}",
-        "iteration",
-        "candidates",
-        "proved",
-        "refuted",
-        "input-space %",
-        "expr cov %",
-        "queries",
-        "memo"
+        "{:<10} {:>11} {:>8} {:>8} {:>14} {:>12} {:>8}",
+        "iteration", "candidates", "proved", "refuted", "input-space %", "expr cov %", "queries"
     );
     for r in &outcome.iterations {
         let expr = r
@@ -52,27 +45,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .map(|c| format!("{:.1}", c.expression.percent()))
             .unwrap_or_else(|| "-".into());
         println!(
-            "{:<10} {:>11} {:>8} {:>8} {:>14.2} {:>12} {:>8} {:>6}",
+            "{:<10} {:>11} {:>8} {:>8} {:>14.2} {:>12} {:>8}",
             r.iteration,
             r.candidates,
             r.proved_total,
             r.refuted,
             100.0 * r.input_space_coverage,
             expr,
-            r.verification.engine_queries(),
-            r.verification.memo_hits
+            r.verification.engine_queries()
         );
     }
     let verif = outcome.verification_total();
     println!();
     println!(
-        "session totals: {} queries ({} explicit, {} SAT / {} solver calls), {} memo hits, \
+        "session totals: {} queries ({} explicit, {} SAT / {} solver calls), \
          {} unrollers, {} frames encoded / {} reused, {} conflicts",
         verif.engine_queries(),
         verif.explicit_queries,
         verif.sat_decided,
         verif.sat_queries,
-        verif.memo_hits,
         verif.unrollers_built,
         verif.frames_encoded,
         verif.frames_reused,

@@ -25,11 +25,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("iterations  : {}", outcome.iteration_count());
     println!("suite cycles: {}", outcome.suite.total_cycles());
     println!(
-        "verification: {} queries ({} explicit, {} SAT), {} memo hits",
+        "verification: {} queries ({} explicit, {} SAT)",
         verif.engine_queries(),
         verif.explicit_queries,
-        verif.sat_decided,
-        verif.memo_hits
+        verif.sat_decided
     );
     println!();
     println!("proved assertions (LTL):");
