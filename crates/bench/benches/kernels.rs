@@ -497,8 +497,10 @@ fn bench_shard_scaling(c: &mut Criterion) {
 }
 
 /// Campaign kernel: the whole small-design catalog closed concurrently
-/// vs one design at a time.
+/// on an in-process closure service vs one design at a time. Each
+/// iteration starts a fresh service, so every design is a cache miss.
 fn bench_campaign(c: &mut Criterion) {
+    use gm_serve::{ClosureService, ServeConfig, SubmitOptions};
     let names = ["cex_small", "arbiter2", "b01", "b02", "b09"];
     let jobs: Vec<_> = names
         .iter()
@@ -510,7 +512,7 @@ fn bench_campaign(c: &mut Criterion) {
                 record_coverage: false,
                 ..EngineConfig::default()
             };
-            (n.to_string(), module, config)
+            (*n, module, config)
         })
         .collect();
     for workers in [1usize, 4] {
@@ -518,13 +520,27 @@ fn bench_campaign(c: &mut Criterion) {
             &format!("engine/campaign_5_designs_{workers}_workers"),
             |b| {
                 b.iter(|| {
-                    let mut campaign = goldmine::Campaign::new().with_workers(workers);
-                    for (n, m, cfg) in &jobs {
-                        campaign.push(n.clone(), m.clone(), cfg.clone());
-                    }
-                    let summary = campaign.run();
-                    assert!(summary.all_ok());
-                    summary.converged_count()
+                    let service = ClosureService::new(ServeConfig {
+                        workers,
+                        ..ServeConfig::default()
+                    });
+                    let ids: Vec<u64> = (jobs.iter())
+                        .map(|(n, m, cfg)| {
+                            let opts = SubmitOptions::default();
+                            service
+                                .submit_module(n, m.clone(), cfg.clone(), opts)
+                                .unwrap()
+                                .0
+                        })
+                        .collect();
+                    let converged = (ids.into_iter())
+                        .filter(|&id| {
+                            service.wait(id);
+                            service.take_outcome(id).unwrap().unwrap().converged
+                        })
+                        .count();
+                    service.shutdown();
+                    converged
                 });
             },
         );

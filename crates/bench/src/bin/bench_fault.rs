@@ -73,8 +73,8 @@ fn main() {
     let run = |cancel: &Arc<AtomicBool>| {
         let mut checker = Checker::new(&module)
             .expect("arbiter2 blasts")
-            .with_backend(Backend::Bmc { bound: BOUND })
-            .with_cancel(cancel.clone());
+            .with_backend(Backend::Bmc { bound: BOUND });
+        checker.set_cancel(Some(cancel.clone()));
         let results = checker
             .check_batch(&props)
             .expect("idle plans never inject a fault");

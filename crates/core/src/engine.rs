@@ -200,7 +200,60 @@ impl TargetState {
     }
 }
 
+/// What one [`Engine::step`] produced.
+#[derive(Debug)]
+pub enum Step<'e> {
+    /// A report, and the run goes on: step again, or stop here and
+    /// [`Engine::finish`].
+    Continue(&'e IterationReport),
+    /// The run is over. `last` is the report this call produced, if it
+    /// produced one (an interrupted pass publishes none).
+    Stop {
+        /// Why the loop ended.
+        reason: StopReason,
+        /// The run's last report, when this call produced it.
+        last: Option<&'e IterationReport>,
+    },
+}
+
+/// Why a closure run ended.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StopReason {
+    /// Every target's tree converged and refinement absorbed nothing
+    /// more: coverage closure.
+    Closed,
+    /// [`EngineConfig::max_iterations`] counterexample iterations ran.
+    IterationCap,
+    /// An iteration refuted nothing and absorbed nothing: the open
+    /// leaves are stuck or left open on `Unknown` verdicts.
+    NoProgress,
+    /// The cancel token landed mid-pass (see [`Engine::with_cancel`]).
+    Interrupted,
+}
+
 /// The GoldMine coverage-closure engine.
+///
+/// [`Engine::run`] drives the loop to its end. [`Engine::step`] drives
+/// it one report at a time, so a caller can watch, steer or stop the
+/// run between iterations, then [`Engine::finish`] it:
+///
+/// ```
+/// use goldmine::{Engine, EngineConfig, Step, StopReason};
+///
+/// let m = gm_rtl::parse_verilog(
+///     "module m(input a, input b, output z); assign z = a & b; endmodule")?;
+/// let mut engine = Engine::new(&m, EngineConfig::default())?;
+/// let reason = loop {
+///     match engine.step()? {
+///         Step::Continue(report) => println!("iteration {}", report.iteration),
+///         Step::Stop { reason, .. } => break reason,
+///     }
+/// };
+/// let (outcome, _checker) = engine.finish();
+/// assert_eq!(reason, StopReason::Closed);
+/// assert!(outcome.converged);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
 ///
 /// # Examples
 ///
@@ -267,6 +320,14 @@ pub struct Engine<'m> {
     /// for the refinement pass's gain ranking (only populated when
     /// refinement is enabled).
     last_uncovered: Option<UncoveredIndex>,
+    /// The reports published so far: iteration `i` at index `i`, so its
+    /// length is the next iteration's number.
+    history: Vec<IterationReport>,
+    /// Why the run stopped, once it has.
+    stopped: Option<StopReason>,
+    /// The `engine.run` span, open from the first step to
+    /// [`Engine::finish`].
+    run_span: Option<gm_trace::SpanGuard>,
 }
 
 impl std::fmt::Debug for Engine<'_> {
@@ -398,20 +459,24 @@ impl<'m> Engine<'m> {
             window_unknown: FxSet::default(),
             temporal_proved: Vec::new(),
             last_uncovered: None,
+            history: Vec::new(),
+            stopped: None,
+            run_span: None,
         }
     }
 
-    /// Installs a cooperative cancel token for the run. Unlike the
-    /// iteration-boundary stop of [`Engine::run_reclaim`]'s observer, a
-    /// raised token takes effect *mid-iteration*: it is polled between
-    /// SAT queries inside the checker's unrolling loops and once per
-    /// simulated cycle of every replay — counterexample and refinement
-    /// batches as well as the coverage passes. The run then ends with a
-    /// valid outcome of the work completed so far, marked
-    /// [`ClosureOutcome::interrupted`] — an in-flight verification
-    /// batch, replay or coverage pass is discarded whole (no trace of a
-    /// cancelled replay is absorbed), never half-applied, so proved
-    /// assertions stay sound and the suite still replays.
+    /// Installs a cooperative cancel token for the run. Unlike a caller
+    /// that stops stepping at an iteration boundary, a raised token
+    /// takes effect *mid-iteration*: it is polled between SAT queries
+    /// inside the checker's unrolling loops and once per simulated
+    /// cycle of every replay — counterexample and refinement batches as
+    /// well as the coverage passes. The run then ends
+    /// ([`StopReason::Interrupted`]) with a valid outcome of the work
+    /// completed so far, marked [`ClosureOutcome::interrupted`] — an
+    /// in-flight verification batch, replay or coverage pass is
+    /// discarded whole (no trace of a cancelled replay is absorbed),
+    /// never half-applied, so proved assertions stay sound and the suite
+    /// still replays.
     pub fn with_cancel(mut self, cancel: Arc<AtomicBool>) -> Self {
         self.checker.set_cancel(Some(cancel.clone()));
         self.cancel = Some(cancel);
@@ -460,16 +525,12 @@ impl<'m> Engine<'m> {
 
     /// Runs the loop, invoking `on_iteration` after every recorded
     /// [`IterationReport`] (including the iteration-0 seed snapshot).
-    /// Returning `false` stops the run cooperatively at that iteration
-    /// boundary — the closure-service cancel path — yielding a valid
-    /// (if unconverged) outcome of the work done so far. Observers that
-    /// always return `true` leave the outcome exactly as [`Engine::run`]
-    /// produces it.
+    /// Returning `false` stops the run at that iteration boundary,
+    /// exactly as a [`Engine::step`] caller that stops stepping there.
+    /// Observers that always return `true` leave the outcome exactly as
+    /// [`Engine::run`] produces it.
     ///
-    /// Also hands the checker back — with its design artifacts
-    /// (bit-blasted AIG, reachable set, explicit-engine tables) and
-    /// session state intact — so a design cache can park it for the
-    /// next request of the same design. The checker is returned on the
+    /// Also hands the checker back (see [`Engine::finish`]), on the
     /// error path too.
     ///
     /// # Errors
@@ -477,20 +538,53 @@ impl<'m> Engine<'m> {
     /// Same contract as [`Engine::run`].
     pub fn run_reclaim(
         mut self,
-        on_iteration: impl FnMut(&IterationReport) -> bool,
+        mut on_iteration: impl FnMut(&IterationReport) -> bool,
     ) -> (Result<ClosureOutcome, EngineError>, Checker) {
-        let outcome = self.run_inner(on_iteration);
-        (outcome, self.checker)
+        let ran = loop {
+            match self.step() {
+                Ok(Step::Continue(report)) if on_iteration(report) => {}
+                Ok(Step::Continue(_)) => break Ok(()),
+                Ok(Step::Stop { last, .. }) => {
+                    if let Some(report) = last {
+                        on_iteration(report);
+                    }
+                    break Ok(());
+                }
+                Err(e) => break Err(e),
+            }
+        };
+        let (outcome, checker) = self.finish();
+        (ran.map(|()| outcome), checker)
     }
 
-    fn run_inner(
-        &mut self,
-        mut on_iteration: impl FnMut(&IterationReport) -> bool,
-    ) -> Result<ClosureOutcome, EngineError> {
-        let mut run_span = gm_trace::span("engine", "engine.run");
-        if run_span.is_active() {
-            run_span.arg("module", self.module.name());
-            run_span.arg("targets", self.targets.len());
+    /// Advances the run by one report: the first call seeds and returns
+    /// the iteration-0 snapshot, each later call runs one
+    /// counterexample iteration. The call that produces the run's last
+    /// report returns it as [`Step::Stop`]; a call after that returns
+    /// `Stop` again with no report. A caller may stop stepping at any
+    /// [`Step::Continue`] and [`Engine::finish`] there: the outcome is
+    /// the run's up to that report.
+    ///
+    /// A raised cancel token (see [`Engine::with_cancel`]) surfaces as
+    /// [`StopReason::Interrupted`] with no report: the cancelled pass is
+    /// discarded whole.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Engine::run`]. An error ends the run: call
+    /// [`Engine::finish`] (for the checker) rather than step again.
+    pub fn step(&mut self) -> Result<Step<'_>, EngineError> {
+        if let Some(reason) = self.stopped {
+            return Ok(Step::Stop { reason, last: None });
+        }
+        let iteration = self.history.len() as u32;
+        if iteration == 0 {
+            let mut span = gm_trace::span("engine", "engine.run");
+            if span.is_active() {
+                span.arg("module", self.module.name());
+                span.arg("targets", self.targets.len());
+            }
+            self.run_span = Some(span);
         }
         // A raised cancel token surfaces as `McError::Cancelled` from
         // the checker, a replay or the coverage pass. The interrupted
@@ -498,68 +592,81 @@ impl<'m> Engine<'m> {
         // touches the trees, a cancelled replay's traces are never
         // absorbed (see `iteration_pass`), and a failed snapshot pushes
         // no report — so the outcome stays valid, just truncated.
-        let mut interrupted = false;
-        let mut history: Vec<IterationReport> = Vec::new();
-        // Phase 1: seed data, then the iteration-0 snapshot (whose wall
-        // time covers both).
-        let seed_start = std::time::Instant::now();
-        let seeded = self
-            .seed()
-            .and_then(|()| self.snapshot_report(0, PassCounts::default()));
-        let mut go = match seeded {
-            Ok(mut report) => {
-                report.timing.total_ns = seed_start.elapsed().as_nanos() as u64;
-                history.push(report);
-                on_iteration(&history[0])
-            }
+        let counts = match self.advance(iteration) {
+            Ok(counts) => counts,
             Err(EngineError::Mc(McError::Cancelled)) => {
-                interrupted = true;
-                false
+                self.stopped = Some(StopReason::Interrupted);
+                return Ok(Step::Stop {
+                    reason: StopReason::Interrupted,
+                    last: None,
+                });
             }
             Err(e) => return Err(e),
         };
+        // The seed snapshot is only ever stopped by the cap.
+        self.stopped = if iteration > 0 && self.all_converged() && counts.directed_absorbed == 0 {
+            Some(StopReason::Closed)
+        } else if iteration > 0 && counts.progress() == 0 {
+            // No forward progress possible: remaining leaves are stuck
+            // or unknown-open, and (when refinement is on) no directed
+            // variant gains coverage anymore.
+            Some(StopReason::NoProgress)
+        } else if iteration >= self.config.max_iterations {
+            Some(StopReason::IterationCap)
+        } else {
+            None
+        };
+        let last = self.history.last().expect("just pushed");
+        Ok(match self.stopped {
+            None => Step::Continue(last),
+            Some(reason) => Step::Stop {
+                reason,
+                last: Some(last),
+            },
+        })
+    }
 
-        // Phase 2: counterexample iterations.
-        let mut iteration = 0;
-        while go && iteration < self.config.max_iterations {
-            iteration += 1;
-            let iter_start = std::time::Instant::now();
-            let mut iter_span = gm_trace::span("engine", "engine.iteration");
-            iter_span.arg("iteration", iteration);
-            let counts = match self.iteration_pass(iteration) {
-                Ok(counts) => counts,
-                Err(EngineError::Mc(McError::Cancelled)) => {
-                    interrupted = true;
-                    break;
-                }
-                Err(e) => return Err(e),
-            };
-            match self.snapshot_report(iteration, counts) {
-                Ok(mut report) => {
-                    report.timing.total_ns = iter_start.elapsed().as_nanos() as u64;
-                    history.push(report);
-                }
-                Err(EngineError::Mc(McError::Cancelled)) => {
-                    interrupted = true;
-                    break;
-                }
-                Err(e) => return Err(e),
-            }
-            drop(iter_span);
-            go = on_iteration(history.last().expect("just pushed"));
-            if self.all_converged() && counts.directed_absorbed == 0 {
-                break;
-            }
-            if counts.progress() == 0 {
-                // No forward progress possible: remaining leaves are
-                // stuck or unknown-open, and (when refinement is on) no
-                // directed variant gains coverage anymore.
-                break;
-            }
-        }
+    /// Runs iteration `iteration` — the seed data for 0, a
+    /// counterexample iteration otherwise — and pushes its report, whose
+    /// wall time covers both the pass and the snapshot.
+    fn advance(&mut self, iteration: u32) -> Result<PassCounts, EngineError> {
+        let start = std::time::Instant::now();
+        let _span = (iteration > 0).then(|| {
+            let mut span = gm_trace::span("engine", "engine.iteration");
+            span.arg("iteration", iteration);
+            span
+        });
+        let counts = if iteration == 0 {
+            self.seed()?;
+            PassCounts::default()
+        } else {
+            self.iteration_pass(iteration)?
+        };
+        let mut report = self.snapshot_report(iteration, counts)?;
+        report.timing.total_ns = start.elapsed().as_nanos() as u64;
+        self.history.push(report);
+        Ok(counts)
+    }
 
-        let targets = self
-            .targets
+    /// Ends the run where it stands and hands back its outcome and the
+    /// checker — with its design artifacts (bit-blasted AIG, reachable
+    /// set, explicit-engine tables) and session state intact — so a
+    /// design cache can park it for the next request of the same
+    /// design.
+    pub fn finish(self) -> (ClosureOutcome, Checker) {
+        let converged = self.all_converged();
+        let Engine {
+            checker,
+            targets,
+            suite,
+            history,
+            temporal_proved,
+            unknown_assumed,
+            stopped,
+            run_span,
+            ..
+        } = self;
+        let summaries = targets
             .iter()
             .map(|t| TargetSummary {
                 signal: t.signal,
@@ -571,20 +678,18 @@ impl<'m> Engine<'m> {
                 stuck: t.stuck.clone(),
             })
             .collect();
-        Ok(ClosureOutcome {
-            converged: self.all_converged(),
+        let outcome = ClosureOutcome {
+            converged,
             iterations: history,
-            assertions: self
-                .targets
-                .iter_mut()
-                .flat_map(|t| std::mem::take(&mut t.proved))
-                .collect(),
-            temporal: std::mem::take(&mut self.temporal_proved),
-            suite: std::mem::replace(&mut self.suite, TestSuite::new()),
-            targets,
-            unknown_assumed: self.unknown_assumed,
-            interrupted,
-        })
+            assertions: targets.into_iter().flat_map(|t| t.proved).collect(),
+            temporal: temporal_proved,
+            suite,
+            targets: summaries,
+            unknown_assumed,
+            interrupted: stopped == Some(StopReason::Interrupted),
+        };
+        drop(run_span);
+        (outcome, checker)
     }
 
     /// The data generator: simulates the seed stimulus into the first

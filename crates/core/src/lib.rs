@@ -31,19 +31,17 @@
 
 #![warn(missing_docs)]
 
-mod campaign;
 mod config;
 mod engine;
 mod error;
 mod mutation;
 mod report;
 
-pub use campaign::{Campaign, CampaignJob, CampaignRun, CampaignSummary};
 pub use config::{
     EngineConfig, RefineConfig, SeedStimulus, ShardPolicy, TargetSelection, TemporalConfig,
     UnknownPolicy,
 };
-pub use engine::{assertion_property, temporal_property, Engine};
+pub use engine::{assertion_property, temporal_property, Engine, Step, StopReason};
 pub use error::EngineError;
 pub use gm_sim::{CompileOptions, CompiledModule, SimBackend, MAX_LANE_BLOCK};
 pub use mutation::{check_fault, fault_campaign, suite_detects_fault, FaultKind, FaultReport};

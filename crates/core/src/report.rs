@@ -183,11 +183,13 @@ pub struct ClosureOutcome {
     /// Candidates assumed true under [`crate::UnknownPolicy::AssumeTrue`].
     pub unknown_assumed: usize,
     /// Whether a cooperative cancel token cut the run short
-    /// *mid-iteration* (see [`crate::Engine::with_cancel`]). The outcome
+    /// *mid-iteration* (see [`crate::Engine::with_cancel`]); the run
+    /// then stopped with [`crate::StopReason::Interrupted`]. The outcome
     /// is still valid — proved assertions are sound, the suite replays —
     /// it just reflects only the work completed before the cancel
-    /// landed. Iteration-boundary stops via `run_reclaim`'s observer
-    /// leave this `false`.
+    /// landed. A caller that stops stepping at an iteration boundary
+    /// (or a `run_reclaim` observer that returns `false`) leaves this
+    /// `false`.
     pub interrupted: bool,
 }
 

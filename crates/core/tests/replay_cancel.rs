@@ -23,10 +23,19 @@
 //! replay to have begun; where it landed is again read off the
 //! recording, never assumed, and a late landing is tried again.
 //!
-//! So the flags a cancelled compiled batch records (`cancelled`,
-//! `traces`) are pinned by the refinement case alone. Its replay is a
-//! trace-collecting batch, the same executor path a counterexample
-//! replay takes.
+//! On the compiled backend a counterexample replay is one batch with
+//! no span inside it, so the watcher cannot see it begin; it times the
+//! end of the verification batch before it instead. After the checker's
+//! last poll the engine pushes the counterexamples and replays them,
+//! and nothing polls the token until the replay's first cycle, so a
+//! token raised anywhere from the batch's end to the replay's lands in
+//! the replay. A reference recording says when that window opens and
+//! how long it lasts, counted from the last time the sink grew before
+//! it; the watcher raises the token that long after the sink reaches
+//! the same length, and the recorded `sim.batch` (`cancelled`,
+//! `traces`) says where the cancel landed. An early or late landing
+//! moves the delay and is tried again. The refinement case pins the
+//! same flags on a refinement replay.
 
 use gm_coverage::CoverageSuite;
 use gm_designs::catalog;
@@ -36,7 +45,8 @@ use gm_sim::{NopObserver, Replay, Segment, SimBackend};
 use gm_trace::{ArgValue, TraceEvent, TraceSink};
 use goldmine::{ClosureOutcome, Engine, EngineConfig, RefineConfig, SeedStimulus, TargetSelection};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 fn design(name: &str) -> (Module, EngineConfig) {
     let design = catalog()
@@ -109,6 +119,13 @@ fn cancel_in_iteration_after(
     (boundary, full, cut, sink.events())
 }
 
+/// Recorded runs take turns: another test's recorded runs, each with a
+/// spinning watcher, would skew the timing a delayed raise aims with.
+fn turn() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// One recorded run of `m` on `checker` (the artifacts of an earlier
 /// run, so repeated runs agree down to the verification counters). With
 /// `raise_past`, a second thread raises the run's cancel token once the
@@ -120,26 +137,55 @@ fn record(
     checker: Checker,
     raise_past: Option<usize>,
 ) -> (ClosureOutcome, Checker, Vec<TraceEvent>) {
+    let _turn = turn();
+    let raise = raise_past.map(|events| (events, Duration::ZERO));
+    let (outcome, checker, events, _) = record_raising(m, elab, config, checker, raise);
+    (outcome, checker, events)
+}
+
+/// [`record`], with the token raised `delay` after the sink first holds
+/// more than `events` events. Also returns every length the watcher saw
+/// the sink grow to: the run's events are visible to another thread
+/// only in the batches the recorder flushes.
+fn record_raising(
+    m: &Module,
+    elab: &Elab,
+    config: &EngineConfig,
+    checker: Checker,
+    raise: Option<(usize, Duration)>,
+) -> (ClosureOutcome, Checker, Vec<TraceEvent>, Vec<usize>) {
     let token = Arc::new(AtomicBool::new(false));
     let engine =
         Engine::with_artifacts(m, elab, checker, None, config.clone()).with_cancel(token.clone());
     let sink = TraceSink::with_capacity(1 << 20);
     let done = AtomicBool::new(false);
-    let (outcome, checker) = std::thread::scope(|threads| {
-        threads.spawn(|| {
+    let (outcome, checker, lengths) = std::thread::scope(|threads| {
+        let watcher = threads.spawn(|| {
+            let mut lengths = vec![0];
+            let mut seen: Option<Instant> = None;
             while !done.load(Ordering::Acquire) {
-                if raise_past.is_some_and(|events| sink.len() > events) {
-                    token.store(true, Ordering::Release);
+                let len = sink.len();
+                if lengths.last() != Some(&len) {
+                    lengths.push(len);
+                }
+                if let Some((events, delay)) = raise {
+                    if seen.is_none() && len > events {
+                        seen = Some(Instant::now());
+                    }
+                    if seen.is_some_and(|at| at.elapsed() >= delay) {
+                        token.store(true, Ordering::Release);
+                    }
                 }
                 std::hint::spin_loop();
             }
+            lengths
         });
         let _guard = gm_trace::push_thread_sink(sink.clone());
-        let ran = engine.run_reclaim(|_| true);
+        let (outcome, checker) = engine.run_reclaim(|_| true);
         done.store(true, Ordering::Release);
-        ran
+        (outcome, checker, watcher.join().unwrap())
     });
-    (outcome.unwrap(), checker, sink.events())
+    (outcome.unwrap(), checker, sink.events(), lengths)
 }
 
 /// What every cancelled-replay outcome must satisfy.
@@ -244,6 +290,139 @@ fn a_cancel_inside_a_counterexample_batch_interrupts_before_absorption() {
     assert!(!cut.converged, "the refuted leaves were never re-split");
     // The counterexamples were pushed for replay and nothing else: the
     // suite is the reported prefix, then the batch's `cex-*` segments.
+    let labels: Vec<String> = cut.suite.segments().map(|s| s.label).collect();
+    let (reported, pushed) = labels.split_at(labels.len() - cex);
+    let reported_cycles: usize = (cut.suite.segments().take(reported.len()))
+        .map(|s| s.vectors.len())
+        .sum();
+    assert_eq!(reported_cycles, cut.iterations.last().unwrap().suite_cycles);
+    let prefix = format!("cex-{}-", boundary + 1);
+    assert!(pushed.iter().all(|l| l.starts_with(&prefix)), "{pushed:?}");
+}
+
+#[test]
+fn a_cancel_inside_a_compiled_counterexample_batch_interrupts_before_absorption() {
+    let (m, config) = interpreted_b12_lite();
+    let config = EngineConfig {
+        sim_backend: SimBackend::default(),
+        ..config
+    };
+    let elab = elaborate(&m).unwrap();
+    let (cold, checker) = Engine::new(&m, config.clone())
+        .unwrap()
+        .run_reclaim(|_| true);
+    cold.unwrap();
+    // A counterexample replay is the trace-collecting batch right after
+    // a verification batch.
+    let cex_replay = |events: &[TraceEvent], at: usize| {
+        let (verify, replay) = (&events[at], events.get(at + 1));
+        verify.name == "mc.check_batch"
+            && replay
+                .is_some_and(|r| r.name == "sim.batch" && arg(r, "traces") == &ArgValue::Bool(true))
+    };
+    let batches_to = |events: &[TraceEvent], at: usize| {
+        (events[..=at].iter())
+            .filter(|e| e.name == "mc.check_batch")
+            .count()
+    };
+    let end = |e: &TraceEvent| e.ts_ns + e.dur_ns();
+
+    // Every run below is timed against a reference: no other test's
+    // recorded run may come between them. A round takes the quickest
+    // of three recordings as its reference — a busy machine stretches
+    // the times it is read for — and a round that never lands starts
+    // over from a new one.
+    let _turn = turn();
+    let (mut checker, mut landed) = (checker, None);
+    for _round in 0..3 {
+        let mut reference = None;
+        for _ in 0..3 {
+            let (full, reclaimed, events, lengths) =
+                record_raising(&m, &elab, &config, checker, None);
+            checker = reclaimed;
+            let run = events.iter().find(|e| e.name == "engine.run");
+            let wall = run.expect("the run span").dur_ns();
+            if reference
+                .as_ref()
+                .is_none_or(|(_, _, _, best)| wall < *best)
+            {
+                reference = Some((full, events, lengths, wall));
+            }
+        }
+        let (full, events, lengths, _) = reference.expect("three recordings");
+        assert!(!full.interrupted);
+        // For each verification batch `at` followed by its replay: the
+        // last sink length the watcher saw before the batch ended
+        // (`visible`), how long after that event the batch ended
+        // (`lead`), and the window from there to the replay's end,
+        // where the token lands in the replay. The aim is the one whose
+        // window is widest against the lead the watcher must time.
+        let aims = (0..events.len()).filter(|&at| cex_replay(&events, at));
+        let (at, visible, lead, window) = (aims.filter_map(|at| {
+            let visible = *lengths
+                .iter()
+                .filter(|&&len| len > 0 && len <= at + 1)
+                .max()?;
+            let lead = end(&events[at]) - end(&events[visible - 1]);
+            let window = end(&events[at + 1]) - end(&events[at]);
+            Some((at, visible, lead, window))
+        }))
+        .max_by_key(|&(_, _, lead, window)| window * 1000 / (2 * lead + window))
+        .expect("a counterexample replay after the first flush");
+        let aimed = batches_to(&events, at);
+
+        // The watcher's clock is not the recording's: a landing before
+        // the window (in the checker) waits longer next time, one after
+        // it (a later pass, or none) shorter, by a step that halves at
+        // every turn down to a sixteenth of the window — the delay
+        // settles where early and late landings balance, around the
+        // window.
+        let mut delay = lead + window / 2;
+        let mut step = window / 4;
+        let mut was_early = None;
+        for _attempt in 0..20 {
+            let raise = Some((visible - 1, Duration::from_nanos(delay)));
+            let (cut, reclaimed, events, _) = record_raising(&m, &elab, &config, checker, raise);
+            checker = reclaimed;
+            let last = |name: &str| events.iter().rposition(|e| e.name == name);
+            let cancelled_replay = last("sim.batch")
+                .filter(|&b| b > 0 && arg(&events[b], "cancelled") == &ArgValue::Bool(true));
+            if cut.interrupted && cancelled_replay.is_some_and(|b| cex_replay(&events, b - 1)) {
+                landed = Some((full, cut, events));
+                break;
+            }
+            let verified = batches_to(&events, events.len() - 1);
+            let in_checker = last("sim.batch") < last("mc.check_batch");
+            let early = cut.interrupted && (verified < aimed || verified == aimed && in_checker);
+            if was_early.is_some_and(|was| was != early) {
+                step = (step / 2).max(window / 16);
+            }
+            was_early = Some(early);
+            delay = if early {
+                delay + step
+            } else {
+                delay.saturating_sub(step)
+            };
+        }
+        if landed.is_some() {
+            break;
+        }
+    }
+    let (full, cut, events) =
+        landed.expect("the token never landed inside a counterexample replay");
+    let boundary = cut.iterations.len() as u32 - 1;
+    assert_cut_cleanly(&m, &full, &cut, &events, boundary);
+    assert!(!cut.converged, "the refuted leaves were never re-split");
+    // The counterexamples were pushed for replay and nothing else: the
+    // suite is the reported prefix, then the cancelled batch's `cex-*`
+    // segments.
+    let cancelled = (events.iter().rev())
+        .find(|e| e.name == "sim.batch")
+        .expect("the cancelled batch");
+    let cex = match arg(cancelled, "segments") {
+        ArgValue::U64(n) => *n as usize,
+        other => panic!("segments is {other:?}"),
+    };
     let labels: Vec<String> = cut.suite.segments().map(|s| s.label).collect();
     let (reported, pushed) = labels.split_at(labels.len() - cex);
     let reported_cycles: usize = (cut.suite.segments().take(reported.len()))

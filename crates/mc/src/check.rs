@@ -274,12 +274,6 @@ impl Checker {
         self.cancel = cancel;
     }
 
-    /// Builder form of [`Checker::set_cancel`].
-    pub fn with_cancel(mut self, cancel: Arc<AtomicBool>) -> Self {
-        self.cancel = Some(cancel);
-        self
-    }
-
     /// The bit-blasted design.
     pub fn blasted(&self) -> &Blasted {
         &self.blasted

@@ -14,8 +14,8 @@
 //!   queue (jobs dealt round-robin at submission, popped oldest-first)
 //!   and an idle worker steals from the back of a peer's, so expensive
 //!   designs bunched onto one worker never leave the rest idle; a
-//!   one-shot batch of jobs needs no service at all —
-//!   [`goldmine::Campaign::run`]'s shared-cursor pool runs it;
+//!   one-shot batch of jobs is an in-process [`ClosureService`] too —
+//!   submit every job, then wait on each;
 //! * [`cache`] — a content-addressed [`DesignCache`]: submissions
 //!   hash the parsed module, repeated designs reuse the elaboration,
 //!   bit-blasted AIG, reachable set and explicit-engine tables, under

@@ -5,8 +5,8 @@
 //! queue, and an idle worker scans its peers in a fixed ring order and
 //! steals from the *back* of the first non-empty queue it finds — so a
 //! few expensive designs bunched onto one worker never leave the rest
-//! idle. (A one-shot batch needs none of this: [`goldmine::Campaign`]'s
-//! workers pull from one shared cursor, where nothing can be stranded.)
+//! idle. These queues are the workspace's one batch runner: a one-shot
+//! batch of designs runs on an in-process service as well.
 //!
 //! Scheduling never changes results: jobs are independent and each
 //! job's outcome is identical to a standalone run — the engine's own

@@ -60,7 +60,8 @@ use crate::scheduler::StealQueues;
 use gm_mc::Checker;
 use gm_rtl::Module;
 use goldmine::{
-    ClosureOutcome, CompileOptions, CompiledModule, Engine, EngineConfig, EngineError, SimBackend,
+    ClosureOutcome, CompileOptions, CompiledModule, Engine, EngineConfig, EngineError,
+    IterationReport, SimBackend, Step, StopReason,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -840,12 +841,11 @@ fn respawn_dead_workers(shared: &Arc<Shared>) {
 
 /// One attempt's result, handed back to the retry loop.
 struct Attempt {
-    outcome: Result<ClosureOutcome, AttemptError>,
+    /// The run's outcome, and whether the job's token stopped it.
+    outcome: Result<(ClosureOutcome, bool), AttemptError>,
     /// The checker reclaimed from the engine and any tape the attempt
     /// built, to park back warm.
     reclaimed: Reclaimed,
-    /// Whether the run observed the cancel token and stopped early.
-    observed_cancel: bool,
 }
 
 /// Why one attempt failed — the retry loop's classification input.
@@ -937,8 +937,7 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
         // failure, described by `failure`.
         let failure = match caught {
             Ok(attempt) => match attempt.outcome {
-                Ok(outcome) => {
-                    let cancelled = attempt.observed_cancel || outcome.interrupted;
+                Ok((outcome, cancelled)) => {
                     let outcome = Box::new(outcome);
                     break (Ending::Ran { outcome, cancelled }, attempt.reclaimed);
                 }
@@ -999,7 +998,6 @@ fn run_attempt(shared: &Arc<Shared>, id: u64, claim: &Claim, warm: Reclaimed) ->
     let inert = |outcome| Attempt {
         outcome,
         reclaimed: Reclaimed::default(),
-        observed_cancel: false,
     };
     if gm_fault::fire("worker.panic") {
         panic!("injected fault at worker.panic");
@@ -1043,27 +1041,39 @@ fn run_attempt(shared: &Arc<Shared>, id: u64, claim: &Claim, warm: Reclaimed) ->
             c
         }))
     };
-    // Whether the *run itself* observed the cancel and stopped early —
-    // a cancel that lands after the final iteration has discarded
-    // nothing, so the completed result stays `Done`. The iteration
-    // observer catches boundary cancels; the engine's own token
-    // (`with_cancel`) catches them mid-iteration, surfacing as
-    // `ClosureOutcome::interrupted`.
-    let mut observed_cancel = false;
     let (outcome, reclaimed) = match checker_result {
         Err(e) => (Err(EngineError::from(e)), None),
         Ok(checker) => {
-            let engine = Engine::with_artifacts(module, elab, checker, compiled, config.clone());
-            let observed_cancel = &mut observed_cancel;
             let cancel = &claim.cancel;
-            let (outcome, checker) = engine.with_cancel(cancel.clone()).run_reclaim(|report| {
+            let mut engine =
+                Engine::with_artifacts(module, elab, checker, compiled, config.clone())
+                    .with_cancel(cancel.clone());
+            let progress = |report: &IterationReport| {
                 lock_state(&shared.state).progress(id, ProgressEvent::from_report(report));
-                if cancel.load(Ordering::Acquire) {
-                    *observed_cancel = true;
+            };
+            // The job is cancelled when its token stopped the run: seen
+            // after a `Continue`, or landed mid-pass (`Interrupted`). A
+            // `Stop` never consults the token — a run that did all its
+            // work stays `Done`, however late a cancel arrives.
+            let ran = loop {
+                match engine.step() {
+                    Ok(Step::Continue(report)) => {
+                        progress(report);
+                        if cancel.load(Ordering::Acquire) {
+                            break Ok(true);
+                        }
+                    }
+                    Ok(Step::Stop { reason, last }) => {
+                        if let Some(report) = last {
+                            progress(report);
+                        }
+                        break Ok(reason == StopReason::Interrupted);
+                    }
+                    Err(e) => break Err(e),
                 }
-                !*observed_cancel
-            });
-            (outcome, Some(checker))
+            };
+            let (outcome, checker) = engine.finish();
+            (ran.map(|cancelled| (outcome, cancelled)), Some(checker))
         }
     };
     Attempt {
@@ -1072,7 +1082,6 @@ fn run_attempt(shared: &Arc<Shared>, id: u64, claim: &Claim, warm: Reclaimed) ->
             checker: reclaimed,
             compiled: built_compiled,
         },
-        observed_cancel,
     }
 }
 

@@ -1,14 +1,16 @@
-//! Close coverage on the whole benchmark catalog concurrently: a
-//! [`goldmine::Campaign`] runs one closure engine per design on a
-//! per-core worker pool, while each engine shards its own verification
-//! worklist ([`goldmine::ShardPolicy::PerCore`]) — the two levels of
-//! parallelism this reproduction layers on the paper's Figure 3 loop.
+//! Close coverage on the whole benchmark catalog concurrently: an
+//! in-process [`gm_serve::ClosureService`] runs one closure engine per
+//! design on a per-core worker pool, while each engine shards its own
+//! verification worklist ([`goldmine::ShardPolicy::PerCore`]) — the two
+//! levels of parallelism this reproduction layers on the paper's
+//! Figure 3 loop.
 //!
 //! Run with: `cargo run --release --example campaign_closure`
 
-use gm_mc::Backend;
+use gm_mc::{Backend, SessionStats};
 use gm_rtl::SignalId;
-use goldmine::{Campaign, EngineConfig, SeedStimulus, ShardPolicy, TargetSelection, UnknownPolicy};
+use gm_serve::{ClosureService, ServeConfig, SubmitOptions};
+use goldmine::{EngineConfig, SeedStimulus, ShardPolicy, TargetSelection, UnknownPolicy};
 
 fn one_bit_targets(m: &gm_rtl::Module) -> Vec<(SignalId, u32)> {
     m.outputs()
@@ -19,8 +21,16 @@ fn one_bit_targets(m: &gm_rtl::Module) -> Vec<(SignalId, u32)> {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut campaign = Campaign::new();
-    for d in gm_designs::catalog() {
+    let service = ClosureService::new(ServeConfig::default());
+    let workers = std::thread::available_parallelism().map(|n| n.get())?;
+    let catalog = gm_designs::catalog();
+    println!(
+        "closing {} designs on {workers} workers, per-core shard sessions\n",
+        catalog.len()
+    );
+    let t0 = std::time::Instant::now();
+    let mut jobs = Vec::new();
+    for d in &catalog {
         let module = d.module();
         // Bound the two big lite blocks like the integration suite does.
         let (backend, max_iterations, targets) = match d.name {
@@ -42,14 +52,38 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             record_coverage: false,
             ..EngineConfig::default()
         };
-        campaign.push(d.name, module, config);
+        let (id, _) = service.submit_module(d.name, module, config, SubmitOptions::default())?;
+        jobs.push((d.name, id));
     }
-    let jobs = campaign.len();
-    let workers = std::thread::available_parallelism().map(|n| n.get())?;
-    println!("closing {jobs} designs on {workers} workers, per-core shard sessions\n");
-    let t0 = std::time::Instant::now();
-    let summary = campaign.run();
-    print!("{}", summary.report());
+    let (mut converged, mut assertions) = (0, 0);
+    let mut verification = SessionStats::default();
+    for (name, id) in jobs {
+        service.wait(id);
+        match service.take_outcome(id).expect("a finished job") {
+            Ok(o) => {
+                println!(
+                    "{name:<14} converged={:<5} iterations={:<3} proved={:<4} coverage={:.1}% cycles={}",
+                    o.converged,
+                    o.iteration_count(),
+                    o.assertions.len(),
+                    100.0 * o.final_input_space_coverage(),
+                    o.suite.total_cycles(),
+                );
+                converged += usize::from(o.converged);
+                assertions += o.assertions.len();
+                verification += o.verification_total();
+            }
+            Err(e) => println!("{name:<14} error: {e}"),
+        }
+    }
+    service.shutdown();
+    println!(
+        "total: {converged}/{} converged, {assertions} assertions, {} queries ({} explicit, {} SAT)",
+        catalog.len(),
+        verification.engine_queries(),
+        verification.explicit_queries,
+        verification.sat_decided,
+    );
     println!("wall time: {:.2?}", t0.elapsed());
     Ok(())
 }

@@ -1,16 +1,17 @@
 //! Workspace-level integration: the full pipeline across the whole
-//! design catalog, run concurrently as one [`Campaign`] (every outcome
-//! is identical to a standalone engine run by the engine's determinism
-//! contract).
+//! design catalog, run concurrently as jobs of one in-process closure
+//! service (every served outcome is identical to a standalone engine
+//! run by the service's determinism contract).
 //!
 //! The CI matrix re-runs this suite with `GM_TEST_SHARDS=<n>` (and a
 //! serial test scheduler) to force every engine onto a fixed shard
 //! count — order bugs in the shard dispatch surface here.
 
 use gm_mc::Backend;
-use gm_rtl::SignalId;
+use gm_rtl::{Module, SignalId};
+use gm_serve::{ClosureService, ServeConfig, SubmitOptions};
 use goldmine::{
-    Campaign, Engine, EngineConfig, SeedStimulus, ShardPolicy, TargetSelection, UnknownPolicy,
+    ClosureOutcome, Engine, EngineConfig, SeedStimulus, ShardPolicy, TargetSelection, UnknownPolicy,
 };
 
 fn one_bit_targets(m: &gm_rtl::Module) -> Vec<(SignalId, u32)> {
@@ -19,6 +20,32 @@ fn one_bit_targets(m: &gm_rtl::Module) -> Vec<(SignalId, u32)> {
         .filter(|&s| m.signal_width(s) == 1)
         .map(|s| (s, 0))
         .collect()
+}
+
+/// Closes every job on one in-process service (one worker per core)
+/// and returns the outcomes in submission order; a failed job fails the
+/// test with its design's name.
+fn close_all(
+    jobs: Vec<(&'static str, Module, EngineConfig)>,
+) -> Vec<(&'static str, ClosureOutcome)> {
+    let service = ClosureService::new(ServeConfig::default());
+    let submitted: Vec<_> = (jobs.into_iter())
+        .map(|(name, module, config)| {
+            let opts = SubmitOptions::default();
+            let (id, _) = (service.submit_module(name, module, config, opts))
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            (name, id)
+        })
+        .collect();
+    let outcomes = (submitted.into_iter())
+        .map(|(name, id)| {
+            service.wait(id);
+            let outcome = service.take_outcome(id).expect("a finished job");
+            (name, outcome.unwrap_or_else(|e| panic!("{name}: {e}")))
+        })
+        .collect();
+    service.shutdown();
+    outcomes
 }
 
 /// The shard policy under test: `GM_TEST_SHARDS=<n>` forces
@@ -33,7 +60,7 @@ fn shard_policy_under_test() -> ShardPolicy {
 #[test]
 fn every_catalog_design_runs_through_the_loop() {
     let catalog = gm_designs::catalog();
-    let mut campaign = Campaign::new();
+    let mut jobs = Vec::new();
     for d in &catalog {
         let module = d.module();
         // The two big lite blocks exceed explicit limits; bound their
@@ -58,17 +85,11 @@ fn every_catalog_design_runs_through_the_loop() {
             record_coverage: false,
             ..EngineConfig::default()
         };
-        campaign.push(d.name, module, config);
+        jobs.push((d.name, module, config));
     }
-    let summary = campaign.run();
-    // The campaign must visit every design, in catalog order.
-    assert_eq!(summary.runs.len(), catalog.len());
-    for (d, run) in catalog.iter().zip(&summary.runs) {
-        assert_eq!(d.name, run.name, "campaign skipped or reordered a design");
-    }
-    assert!(summary.all_ok(), "{}", summary.report());
-    for run in &summary.runs {
-        let outcome = run.outcome.as_ref().unwrap();
+    let runs = close_all(jobs);
+    assert_eq!(runs.len(), catalog.len());
+    for (name, outcome) in &runs {
         // Monotonic input-space coverage on every design (the paper's
         // forward-progress claim).
         let series: Vec<f64> = outcome
@@ -77,18 +98,13 @@ fn every_catalog_design_runs_through_the_loop() {
             .map(|r| r.input_space_coverage)
             .collect();
         for w in series.windows(2) {
-            assert!(
-                w[1] >= w[0] - 1e-12,
-                "{}: regression in {series:?}",
-                run.name
-            );
+            assert!(w[1] >= w[0] - 1e-12, "{name}: regression in {series:?}");
         }
         // No target may get stuck on a mining contradiction.
         for t in &outcome.targets {
             assert!(
                 t.stuck.is_none(),
-                "{}: target {:?}[{}] stuck: {:?}",
-                run.name,
+                "{name}: target {:?}[{}] stuck: {:?}",
                 t.signal,
                 t.bit,
                 t.stuck
@@ -108,7 +124,7 @@ fn exact_backends_converge_on_the_small_designs() {
         "b12_lite",
         "fetch_stage",
     ];
-    let mut campaign = Campaign::new();
+    let mut jobs = Vec::new();
     for name in names {
         let d = gm_designs::by_name(name).unwrap();
         let module = d.module();
@@ -121,23 +137,16 @@ fn exact_backends_converge_on_the_small_designs() {
             max_iterations: 64,
             ..EngineConfig::default()
         };
-        campaign.push(name, module, config);
+        jobs.push((name, module, config));
     }
-    let summary = campaign.run();
-    assert_eq!(summary.runs.len(), names.len());
-    assert!(summary.all_ok(), "{}", summary.report());
-    for run in &summary.runs {
-        let outcome = run.outcome.as_ref().unwrap();
-        assert!(outcome.converged, "{} failed to converge", run.name);
-        assert_eq!(
-            outcome.unknown_assumed, 0,
-            "{} needed unknown-assume",
-            run.name
-        );
+    let runs = close_all(jobs);
+    assert_eq!(runs.len(), names.len());
+    for (name, outcome) in &runs {
+        assert!(outcome.converged, "{name} failed to converge");
+        assert_eq!(outcome.unknown_assumed, 0, "{name} needed unknown-assume");
         assert!(
             (outcome.final_input_space_coverage() - 1.0).abs() < 1e-9,
-            "{}: coverage closure incomplete",
-            run.name
+            "{name}: coverage closure incomplete"
         );
     }
 }
