@@ -92,10 +92,12 @@ impl TemporalConfig {
 }
 
 /// Coverage-ranked directed refinement: counterexample prefixes are
-/// extended with deterministic random suffixes
-/// ([`gm_sim::synthesize_directed`]), scored against the uncovered-point
-/// index of the previous iteration's coverage snapshot, and the
-/// top-ranked variants are absorbed as `dir-*` suite segments.
+/// extended with deterministic random suffixes, written straight into
+/// lane words ([`gm_sim::DirectedVariants`]); every variant is scored
+/// in one observe-only replay against the uncovered-point index of the
+/// previous iteration's coverage snapshot
+/// ([`gm_coverage::GainObserver`]), and only the top-ranked variants
+/// are replayed into traces and absorbed as `dir-*` suite segments.
 ///
 /// The default (`variants: 0`) disables the pass entirely and
 /// reproduces the unrefined engine byte for byte. The pass also

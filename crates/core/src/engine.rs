@@ -91,7 +91,7 @@ use crate::config::{EngineConfig, SeedStimulus, TargetSelection, UnknownPolicy};
 use crate::error::EngineError;
 use crate::report::{ClosureOutcome, IterTiming, IterationReport, TargetSummary};
 use gm_cache::{FxMap, FxSet};
-use gm_coverage::{CoverageSuite, UncoveredIndex};
+use gm_coverage::{CoverageSuite, GainObserver, UncoveredIndex};
 use gm_mc::{
     BitAtom, CheckResult, Checker, ConsequentKind, McError, SessionStats, TemporalProperty,
     WindowProperty,
@@ -102,8 +102,8 @@ use gm_mine::{
 };
 use gm_rtl::{cone_of, elaborate, Module, SignalId};
 use gm_sim::{
-    collect_vectors, synthesize_directed, CompileOptions, CompiledModule, InputVector, NopObserver,
-    RandomStimulus, Replay, SimBackend, TestSuite, Trace,
+    collect_vectors, CompileOptions, CompiledModule, DirectedVariants, NopObserver, RandomStimulus,
+    Replay, SimBackend, TestSuite, Trace,
 };
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -769,7 +769,9 @@ impl<'m> Engine<'m> {
                     sigs.dedup();
                     sigs.into_iter().map(|s| index.signal_gain(s)).sum()
                 };
-                worklist.sort_by_key(|cand| std::cmp::Reverse(gain_of(cand)));
+                // Stable, so the order and every `cex-*` label are
+                // those of a plain sort; each key is computed once.
+                worklist.sort_by_cached_key(|cand| std::cmp::Reverse(gain_of(cand)));
             }
         }
         worklist
@@ -967,23 +969,31 @@ impl<'m> Engine<'m> {
 
     /// One coverage-ranked refinement pass: extend this iteration's
     /// counterexamples (the suite segments from `first_cex` on, in
-    /// decision order) with deterministic random suffixes
-    /// ([`gm_sim::synthesize_directed`]), score every variant's trace
-    /// against the last coverage snapshot's uncovered-point index, and
-    /// absorb the top gainers as `dir-*` suite segments (and mining
-    /// rows). Returns the number of segments absorbed.
+    /// decision order) with deterministic random suffixes, score every
+    /// variant against the last coverage snapshot's uncovered-point
+    /// index, and absorb the top gainers as `dir-*` suite segments (and
+    /// mining rows). Returns the number of segments absorbed.
+    ///
+    /// A variant costs its lane words: [`DirectedVariants`] writes each
+    /// one straight into a scratch suite, one observe-only replay of
+    /// that suite scores all of them at once ([`GainObserver`]), and
+    /// only the at most `max_absorb` winners are replayed again, as one
+    /// batch, into the traces the miner absorbs. Nothing reaches the
+    /// suite or the trees until those traces are back: a cancelled
+    /// batch, either one, discards the pass whole.
     ///
     /// Scores are computed against the frozen snapshot index, not
     /// re-queried between absorptions; only strictly-positive gains are
     /// absorbed, so total absorptions over a run are bounded by the
     /// design's coverage-point count and the loop cannot spin.
     fn refinement_pass(&mut self, iteration: u32, first_cex: usize) -> Result<usize, EngineError> {
-        let Some(index) = self.last_uncovered.clone() else {
+        let Some(index) = self
+            .last_uncovered
+            .as_ref()
+            .filter(|index| !index.is_empty())
+        else {
             return Ok(0);
         };
-        if index.is_empty() {
-            return Ok(0);
-        }
         let rc = self.config.refine;
         // Iteration-distinct but run-deterministic seeds; with no
         // counterexamples this iteration, probe outward from reset.
@@ -991,49 +1001,39 @@ impl<'m> Engine<'m> {
             .config
             .seed
             .wrapping_add((iteration as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let mut prefixes: Vec<Vec<InputVector>> = (first_cex..self.suite.len())
-            .map(|s| self.suite.segment(s).vectors)
-            .collect();
-        if prefixes.is_empty() {
-            prefixes.push(Vec::new());
-        }
         // The variants are a suite of their own; labels are given to the
         // winners only.
         let mut variants = TestSuite::new();
-        for (pi, prefix) in prefixes.iter().enumerate() {
-            let synthesized = synthesize_directed(
-                self.module,
-                prefix,
-                base_seed.wrapping_add(pi as u64),
-                rc.extra_cycles,
-                rc.variants,
-            );
-            for vectors in synthesized {
-                variants.push("", vectors);
-            }
+        let mut writer = DirectedVariants::new(self.module, rc.extra_cycles);
+        if first_cex == self.suite.len() {
+            writer.push(&mut variants, None, base_seed, rc.variants);
         }
-        // One batch for every variant. A cancelled replay returns before
-        // anything has been absorbed: the pass is discarded whole,
-        // keeping the interrupted-outcome contract.
-        let traces = self.replay_traces(&variants, 0..variants.len())?;
-        let mut scored: Vec<(usize, usize)> = traces
-            .iter()
-            .enumerate()
-            .map(|(i, trace)| (i, index.trace_gain(trace)))
-            .collect();
+        for (pi, s) in (first_cex..self.suite.len()).enumerate() {
+            let seed = base_seed.wrapping_add(pi as u64);
+            writer.push(&mut variants, Some((&self.suite, s)), seed, rc.variants);
+        }
+        let mut gains = GainObserver::new(self.module, index, variants.len());
+        (self.replay())
+            .observe(&variants, 0..variants.len(), &mut gains)?
+            .ok_or(McError::Cancelled)?;
+        let mut scored: Vec<(usize, usize)> = gains.into_gains().into_iter().enumerate().collect();
         // Rank by gain, stable on synthesis order for ties.
         scored.sort_by_key(|&(_, gain)| std::cmp::Reverse(gain));
-        let mut absorbed = 0usize;
-        for &(i, gain) in scored.iter().take(rc.max_absorb) {
-            if gain == 0 {
-                break;
-            }
-            absorbed += 1;
-            let label = format!("dir-{iteration}-{absorbed}");
-            self.suite.push(label, variants.segment(i).vectors);
-            self.absorb_trace(&traces[i]);
+        let mut winners = TestSuite::new();
+        for &(i, _) in scored
+            .iter()
+            .take(rc.max_absorb)
+            .take_while(|&&(_, gain)| gain > 0)
+        {
+            let label = format!("dir-{iteration}-{}", winners.len() + 1);
+            winners.push(label, variants.segment(i).vectors);
         }
-        Ok(absorbed)
+        let traces = self.replay_traces(&winners, 0..winners.len())?;
+        for (segment, trace) in winners.segments().zip(&traces) {
+            self.suite.push(segment.label, segment.vectors);
+            self.absorb_trace(trace);
+        }
+        Ok(winners.len())
     }
 
     /// Feeds a counterexample trace into every target's dataset and tree

@@ -10,8 +10,8 @@
 //! threads or sleeps: after the boundary where every tree has closed
 //! while refinement still absorbs, the next iteration asks the checker
 //! nothing, and the first poll is the first simulated cycle of the
-//! refinement's replay. The recorded `sim.batch` span confirms where
-//! the cancel landed.
+//! refinement's scoring replay. The recorded `sim.batch` span confirms
+//! where the cancel landed.
 //!
 //! A counterexample replay and a coverage pass cannot be reached that
 //! way — the checker decides (and polls) right before the one, and every
@@ -35,7 +35,8 @@
 //! the same length, and the recorded `sim.batch` (`cancelled`,
 //! `traces`) says where the cancel landed. An early or late landing
 //! moves the delay and is tried again. The refinement case pins the
-//! same flags on a refinement replay.
+//! same landing on a refinement's first batch, the observe-only replay
+//! that scores its variants (`traces: false`, inside `engine.refine`).
 
 use gm_coverage::CoverageSuite;
 use gm_designs::catalog;
@@ -188,13 +189,16 @@ fn record_raising(
     (outcome.unwrap(), checker, sink.events(), lengths)
 }
 
-/// What every cancelled-replay outcome must satisfy.
+/// What every cancelled-replay outcome must satisfy. `traces` is what
+/// the cancelled batch collected: traces for a counterexample replay,
+/// scores only for a refinement's first batch.
 fn assert_cut_cleanly(
     m: &Module,
     full: &ClosureOutcome,
     cut: &ClosureOutcome,
     events: &[TraceEvent],
     boundary: u32,
+    traces: bool,
 ) {
     assert!(cut.interrupted, "the token landed mid-iteration");
     // The last report predates the cancelled pass, and everything up to
@@ -206,8 +210,8 @@ fn assert_cut_cleanly(
         assert_eq!(a.suite_cycles, b.suite_cycles);
         assert_eq!(a.coverage, b.coverage);
     }
-    // The cancel was seen by a trace-collecting replay batch — not by
-    // the checker or a coverage pass — and it was the last batch. The
+    // The cancel was seen by a replay batch — not by the checker or a
+    // coverage pass — and it was the last batch. The
     // interpreter records no batches: there the run's last replay is
     // the segments after its last verification batch, and no coverage
     // pass began after them.
@@ -218,7 +222,7 @@ fn assert_cut_cleanly(
     match last_batch {
         Some(last_batch) => {
             assert_eq!(arg(last_batch, "cancelled"), &ArgValue::Bool(true));
-            assert_eq!(arg(last_batch, "traces"), &ArgValue::Bool(true));
+            assert_eq!(arg(last_batch, "traces"), &ArgValue::Bool(traces));
         }
         None => {
             let verified = (events.iter())
@@ -286,7 +290,7 @@ fn a_cancel_inside_a_counterexample_batch_interrupts_before_absorption() {
     }
     let (cut, events) = landed.expect("the token never landed inside a counterexample replay");
     let boundary = cut.iterations.len() as u32 - 1;
-    assert_cut_cleanly(&m, &full, &cut, &events, boundary);
+    assert_cut_cleanly(&m, &full, &cut, &events, boundary, true);
     assert!(!cut.converged, "the refuted leaves were never re-split");
     // The counterexamples were pushed for replay and nothing else: the
     // suite is the reported prefix, then the batch's `cex-*` segments.
@@ -411,7 +415,7 @@ fn a_cancel_inside_a_compiled_counterexample_batch_interrupts_before_absorption(
     let (full, cut, events) =
         landed.expect("the token never landed inside a counterexample replay");
     let boundary = cut.iterations.len() as u32 - 1;
-    assert_cut_cleanly(&m, &full, &cut, &events, boundary);
+    assert_cut_cleanly(&m, &full, &cut, &events, boundary, true);
     assert!(!cut.converged, "the refuted leaves were never re-split");
     // The counterexamples were pushed for replay and nothing else: the
     // suite is the reported prefix, then the cancelled batch's `cex-*`
@@ -455,8 +459,17 @@ fn a_cancel_inside_a_refinement_batch_discards_the_pass_whole() {
         closed.iteration
     });
     // The compiled backend: the cut is checked on its recorded batches.
+    // The refinement's first poll is its observe-only scoring batch,
+    // inside the run's last `engine.refine` span.
     assert!(events.iter().any(|e| e.name == "sim.batch"));
-    assert_cut_cleanly(&m, &full, &cut, &events, boundary);
+    assert_cut_cleanly(&m, &full, &cut, &events, boundary, false);
+    let last = |name: &str| (events.iter().filter(|e| e.name == name)).max_by_key(|e| e.ts_ns);
+    let (batch, refine) = (last("sim.batch").unwrap(), last("engine.refine").unwrap());
+    assert!(
+        refine.ts_ns <= batch.ts_ns
+            && batch.ts_ns + batch.dur_ns() <= refine.ts_ns + refine.dur_ns(),
+        "the cancelled batch is the refinement's"
+    );
     // Nothing of the cancelled pass reached the suite: it ends where
     // the previous iteration left it.
     assert_eq!(
@@ -511,6 +524,32 @@ fn compiled_runs_replay_one_batch_per_pass_and_never_per_segment() {
         outcome.suite.len()
     );
     assert!(replays.len() <= 1 + 2 * outcome.iteration_count() as usize);
+    // A refinement pass scores every variant in one observe-only batch
+    // and replays into traces only the winners it absorbs.
+    let refines = passes.iter().filter(|p| p.name == "engine.refine");
+    let mut scored = 0;
+    for pass in refines {
+        let batches: Vec<&TraceEvent> = (events.iter())
+            .filter(|e| e.name == "sim.batch" && within(pass, e))
+            .collect();
+        let absorbed = match arg(pass, "absorbed") {
+            ArgValue::U64(n) => *n,
+            other => panic!("absorbed: {other:?}"),
+        };
+        let segments = |e: &TraceEvent| match arg(e, "segments") {
+            ArgValue::U64(n) => *n,
+            other => panic!("segments: {other:?}"),
+        };
+        if let Some(first) = batches.first() {
+            scored += 1;
+            assert_eq!(arg(first, "traces"), &ArgValue::Bool(false));
+        }
+        let traced: Vec<u64> = (batches.iter().skip(1)).map(|e| segments(e)).collect();
+        assert!(traced.len() <= 1 && traced.iter().all(|&n| n == absorbed && n <= 2));
+        assert_eq!(traced.len(), usize::from(absorbed > 0));
+    }
+    assert!(scored > 0, "some refinement pass scored variants");
+    assert!(outcome.iterations.iter().any(|r| r.directed_absorbed > 0));
 }
 
 #[test]

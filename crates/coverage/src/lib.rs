@@ -33,4 +33,4 @@ pub use points::{
     boolean_nodes, branch_points, count_boolean_nodes, declared_fsm_states, observe_boolean_nodes,
 };
 pub use ratio::{CoverageReport, Ratio};
-pub use uncovered::UncoveredIndex;
+pub use uncovered::{GainObserver, UncoveredIndex};

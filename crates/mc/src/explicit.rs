@@ -523,18 +523,44 @@ impl ReachableStates {
     }
 
     /// The states owning a pair of `set`, as a bitset over state
-    /// indices; `None` when `set` is empty.
+    /// indices; `None` when `set` is empty. One pass over the words of
+    /// `set` from its first non-zero one: a state owns `2^input_bits`
+    /// consecutive pairs, so from 6 input bits on it owns whole words
+    /// and is live when one of them is non-zero; below that each word
+    /// holds `64 >> input_bits` states, and a fold ORs every state's
+    /// lane group onto its lowest lane.
     fn owners(&self, set: &[u64]) -> Option<Vec<u64>> {
-        let mut hit = next_set_bit(set, 0)?;
+        let first = set.iter().position(|&w| w != 0)?;
         let mut live = vec![0u64; self.states.len().div_ceil(64)];
-        loop {
-            let state = hit >> self.input_bits;
-            live[state >> 6] |= 1u64 << (state & 63);
-            match next_set_bit(set, (state + 1) << self.input_bits) {
-                Some(next) => hit = next,
-                None => return Some(live),
+        let mut mark = |state: usize| live[state >> 6] |= 1u64 << (state & 63);
+        if self.input_bits >= 6 {
+            let per_state = 1usize << (self.input_bits - 6);
+            let from = first / per_state;
+            for (state, words) in set.chunks(per_state).enumerate().skip(from) {
+                if words.iter().any(|&w| w != 0) {
+                    mark(state);
+                }
+            }
+        } else {
+            let group = 1usize << self.input_bits;
+            // Bit 0 of every lane group.
+            let leads = (0..64).step_by(group).fold(0u64, |m, lane| m | 1 << lane);
+            for (w, &word) in set.iter().enumerate().skip(first) {
+                let mut folded = word;
+                let mut shift = 1;
+                while shift < group {
+                    folded |= folded >> shift;
+                    shift <<= 1;
+                }
+                let mut owned = folded & leads;
+                while owned != 0 {
+                    let lane = owned.trailing_zeros() as usize;
+                    owned &= owned - 1;
+                    mark((w << 6 | lane) >> self.input_bits);
+                }
             }
         }
+        Some(live)
     }
 
     /// The violated verdict for a window of input `words` starting at

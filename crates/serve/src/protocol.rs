@@ -67,12 +67,13 @@ pub const MAX_SHARDS: u64 = 64;
 pub const MAX_TEMPORAL_HORIZON: u64 = 64;
 
 /// Largest accepted [`WireConfig::refine_variants`]: a refinement pass
-/// synthesizes this many stimulus variants per counterexample prefix
-/// before its first cancel poll.
+/// writes this many stimulus variants per counterexample prefix before
+/// its first cancel poll.
 pub const MAX_REFINE_VARIANTS: u64 = 256;
 
 /// Largest accepted [`WireConfig::refine_extra_cycles`]: the length of
-/// the random suffix materialised for every one of those variants.
+/// the random suffix written into the lanes of every one of those
+/// variants.
 /// ([`WireConfig::refine_max_absorb`] needs no bound: it only truncates
 /// the ranked variant list.)
 pub const MAX_REFINE_EXTRA_CYCLES: u64 = 4096;

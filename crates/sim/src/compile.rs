@@ -299,6 +299,13 @@ pub trait BatchObserver {
     /// A cycle finished settling in the given lanes; `snap` is the
     /// settled pre-edge snapshot of every signal.
     fn on_cycle_end(&mut self, _cycle: u64, _lanes: &LaneSet<'_>, _snap: &LaneSnapshot<'_>) {}
+    /// A pass is about to run `lanes` from reset (before its reset
+    /// cycle, if the design has one). The lanes are contiguous: the
+    /// lowest replays the `first`-th segment of the replayed range and
+    /// each next lane the next segment. A zero-length segment on a
+    /// reset-free design reports no cycle, so this is how an observer
+    /// maps lanes to segments.
+    fn on_pass_start(&mut self, _first: usize, _lanes: &LaneSet<'_>) {}
 }
 
 /// What one observation instruction of a tape reports: the point an
@@ -852,6 +859,10 @@ impl CompiledModule {
             // range's lanes.
             let lanes: [u64; W] = std::array::from_fn(|j| lanes_in(&range, first + j));
             let mut sim = BatchSim::<W>::new(self);
+            obs.on_pass_start(
+                (first * GROUP_LANES).max(range.start) - range.start,
+                &LaneSet::new(&lanes),
+            );
             residual.refresh(obs);
             sim.reset_on(residual.tape(), &lanes, obs);
             // Until every lane of the pass has ended.

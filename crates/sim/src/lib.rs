@@ -63,7 +63,7 @@ pub use replay::Replay;
 pub use sim::NopObserver as NopBatchObserver;
 pub use sim::{BranchOutcome, ExprRole, MultiObserver, NopObserver, SimObserver, Simulator};
 pub use stim::{
-    collect_vectors, synthesize_directed, DirectedStimulus, InputVector, RandomStimulus, Stimulus,
+    collect_vectors, DirectedStimulus, DirectedVariants, InputVector, RandomStimulus, Stimulus,
 };
 pub use suite::{run_segment, Segment, TestSuite};
 pub use trace::Trace;

@@ -28,7 +28,7 @@
 //!
 //! A vector is *regular* when it names each signal at most once, at its
 //! row width, in ascending row order — what random stimulus, canonical
-//! counterexamples and synthesized variants build. It is then exactly
+//! counterexamples and directed variants build. It is then exactly
 //! the driven rows of its record, so [`PackedStimulus::decode`] gives a
 //! segment [`PackedStimulus::push`] found regular back from the lanes
 //! alone; the suite keeps any other segment verbatim.
@@ -104,42 +104,61 @@ impl PackedStimulus {
     /// vector was regular (see the module docs) — then, and only then,
     /// [`PackedStimulus::decode`] gives `vectors` back.
     pub(crate) fn push(&mut self, vectors: &[InputVector]) -> bool {
-        let lane = self.lens.len() % GROUP_LANES;
-        if lane == 0 {
+        self.open(vectors.len());
+        let mut regular = true;
+        for vector in vectors {
+            regular &= self.push_cycle(vector);
+        }
+        regular
+    }
+
+    /// Appends an empty segment as the next lane, with room for
+    /// `cycles` cycles, for [`PackedStimulus::push_cycle`] to extend.
+    pub(crate) fn open(&mut self, cycles: usize) {
+        if self.lens.len().is_multiple_of(GROUP_LANES) {
             self.groups.push(Group {
                 start: self.words.len(),
                 cycles: 0,
                 rows: self.rows,
             });
         }
-        self.lens.push(vectors.len());
-        let mut group = self.tail_cycles(vectors.len());
+        self.lens.push(0);
+        self.tail_cycles(cycles);
+    }
+
+    /// Appends `vector` as the next cycle of the last segment, returning
+    /// whether it was regular. This is the one packing core: every lane
+    /// word a suite holds was written here.
+    pub(crate) fn push_cycle(&mut self, vector: &[(SignalId, Bv)]) -> bool {
+        let lane = (self.lens.len() - 1) % GROUP_LANES;
+        let len = self.lens.last_mut().expect("a segment was opened");
+        let t = *len;
+        *len += 1;
+        let mut group = self.tail_cycles(t + 1);
         let bit = 1u64 << lane;
+        let mut record = group.start + t * group.stride();
+        self.words[record] |= bit;
         let mut regular = true;
-        for (t, vector) in vectors.iter().enumerate() {
-            let mut record = group.start + t * group.stride();
-            self.words[record] |= bit;
-            let mut prev = None;
-            for &(sig, value) in vector {
-                let row = match self.row_of.get(sig.index()) {
-                    Some(&row) if row != NO_ROW => row,
-                    _ => {
-                        // The tail is re-strided: this record moves.
-                        group = self.add_signal(sig, value.width());
-                        record = group.start + t * group.stride();
-                        self.row_of[sig.index()]
-                    }
-                };
-                let width = self.widths[sig.index()];
-                regular &= value.width() == width && prev.is_none_or(|p| p < row);
-                prev = Some(row);
-                // Bits past the row width are cut, missing ones read 0.
-                let bits = value.bits();
-                let pairs = &mut self.words[record + 1 + 2 * row as usize..][..2 * width as usize];
-                for (b, pair) in pairs.chunks_exact_mut(2).enumerate() {
-                    pair[0] = (pair[0] & !bit) | ((bits >> b & 1) << lane);
-                    pair[1] |= bit;
+        let mut prev = None;
+        for &(sig, value) in vector {
+            let row = match self.row_of.get(sig.index()) {
+                Some(&row) if row != NO_ROW => row,
+                _ => {
+                    // The tail is re-strided: this record moves.
+                    group = self.add_signal(sig, value.width());
+                    record = group.start + t * group.stride();
+                    self.row_of[sig.index()]
                 }
+            };
+            let width = self.widths[sig.index()];
+            regular &= value.width() == width && prev.is_none_or(|p| p < row);
+            prev = Some(row);
+            // Bits past the row width are cut, missing ones read 0.
+            let bits = value.bits();
+            let pairs = &mut self.words[record + 1 + 2 * row as usize..][..2 * width as usize];
+            for (b, pair) in pairs.chunks_exact_mut(2).enumerate() {
+                pair[0] = (pair[0] & !bit) | ((bits >> b & 1) << lane);
+                pair[1] |= bit;
             }
         }
         regular
@@ -186,29 +205,46 @@ impl PackedStimulus {
     /// lane drives, in row order, at its row width. This is the segment
     /// as pushed when [`PackedStimulus::push`] found it regular.
     pub(crate) fn decode(&self, s: usize) -> Vec<InputVector> {
-        let (group, lane) = (self.groups[s / GROUP_LANES], s % GROUP_LANES);
-        // The signals the group has rows for: a prefix of the table.
-        let signals = &self.driven[..self
-            .driven
-            .partition_point(|sig| (self.row_of[sig.index()] as usize) < group.rows)];
+        let signals = self.signals_of(s);
         (0..self.lens[s])
             .map(|t| {
-                let record = &self.words[group.start + t * group.stride()..][..group.stride()];
-                let mut vector = Vec::with_capacity(signals.len());
-                for &sig in signals {
-                    let at = 1 + 2 * self.row_of[sig.index()] as usize;
-                    if record[at + 1] >> lane & 1 == 0 {
-                        continue;
-                    }
-                    let width = self.widths[sig.index()];
-                    let bits = (0..width as usize).fold(0u64, |bits, b| {
-                        bits | ((record[at + 2 * b] >> lane & 1) << b)
-                    });
-                    vector.push((sig, Bv::new(bits, width)));
-                }
+                let mut vector = Vec::new();
+                self.decode_record(s, t, signals, &mut vector);
                 vector
             })
             .collect()
+    }
+
+    /// Cycle `t` of segment `s` read back from its lane into `out`
+    /// (cleared first), as [`PackedStimulus::decode`] reads it.
+    pub(crate) fn decode_cycle(&self, s: usize, t: usize, out: &mut InputVector) {
+        self.decode_record(s, t, self.signals_of(s), out);
+    }
+
+    /// The signals segment `s`'s group has rows for: a prefix of the
+    /// table.
+    fn signals_of(&self, s: usize) -> &[SignalId] {
+        let rows = self.groups[s / GROUP_LANES].rows;
+        let known = (self.driven).partition_point(|sig| (self.row_of[sig.index()] as usize) < rows);
+        &self.driven[..known]
+    }
+
+    fn decode_record(&self, s: usize, t: usize, signals: &[SignalId], out: &mut InputVector) {
+        let (group, lane) = (self.groups[s / GROUP_LANES], s % GROUP_LANES);
+        let record = &self.words[group.start + t * group.stride()..][..group.stride()];
+        out.clear();
+        out.reserve_exact(signals.len());
+        for &sig in signals {
+            let at = 1 + 2 * self.row_of[sig.index()] as usize;
+            if record[at + 1] >> lane & 1 == 0 {
+                continue;
+            }
+            let width = self.widths[sig.index()];
+            let bits = (0..width as usize).fold(0u64, |bits, b| {
+                bits | ((record[at + 2 * b] >> lane & 1) << b)
+            });
+            out.push((sig, Bv::new(bits, width)));
+        }
     }
 
     /// The design-arena row of every packed row, given where each

@@ -21,6 +21,13 @@
 //! for one active lane as for 64, so a loop of one-segment replays
 //! would pay the whole batch price per segment.
 //!
+//! Before each pass (each segment, on the interpreter) the observer is
+//! told which segments of the range it holds
+//! ([`BatchObserver::on_pass_start`],
+//! [`SimObserver::on_segment_start`]), so an observer that scores
+//! segments apart — the refinement's gain observer — needs no cycle
+//! event to tell them apart.
+//!
 //! Observation cost follows the observer's open points. At the start of
 //! each pass and after 1, 2, 4, … of its cycles, the tape drops the
 //! observation instructions of every point the observer reports closed
@@ -101,10 +108,11 @@ impl Replay<'_> {
         }
         let Some(compiled) = self.compiled else {
             let mut traces = Vec::with_capacity(range.len());
-            for s in range {
+            for (index, s) in range.enumerate() {
                 if self.cancel.is_some_and(|c| c.load(Ordering::Acquire)) {
                     return Ok(None);
                 }
+                SimObserver::on_segment_start(obs, index);
                 let trace = run_segment(self.module, &suite.segment(s).vectors, obs)?;
                 if collect_traces {
                     traces.push(trace);

@@ -43,6 +43,11 @@ pub trait SimObserver {
     fn on_expr(&mut self, _stmt: StmtId, _role: ExprRole, _expr: &Expr, _values: &[Bv]) {}
     /// A cycle finished: `values` holds the settled pre-edge snapshot.
     fn on_cycle_end(&mut self, _cycle: u64, _values: &[Bv]) {}
+    /// A replay is about to run the `index`-th segment of its range
+    /// from reset (before its reset cycle, if the design has one). A
+    /// zero-length segment on a reset-free design reports no cycle, so
+    /// this is how an observer tells segments apart.
+    fn on_segment_start(&mut self, _index: usize) {}
 }
 
 /// An observer that ignores every event, from either engine (it is also
@@ -98,6 +103,11 @@ impl SimObserver for MultiObserver<'_> {
     fn on_cycle_end(&mut self, cycle: u64, values: &[Bv]) {
         for o in &mut self.observers {
             o.on_cycle_end(cycle, values);
+        }
+    }
+    fn on_segment_start(&mut self, index: usize) {
+        for o in &mut self.observers {
+            o.on_segment_start(index);
         }
     }
 }

@@ -4,6 +4,7 @@
 //! directed/regression tests (§2.1 of the paper); counterexample traces
 //! are later replayed as additional directed vectors.
 
+use crate::suite::TestSuite;
 use gm_rtl::{Bv, Module, SignalId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -60,20 +61,44 @@ impl RandomStimulus {
             remaining: cycles,
         }
     }
-}
 
-impl Stimulus for RandomStimulus {
-    fn next_vector(&mut self) -> Option<InputVector> {
+    /// Draws the next vector into `out` (cleared first), or returns
+    /// `false` when the source is exhausted — [`Stimulus::next_vector`]
+    /// without the allocation, for a caller that reuses one buffer
+    /// ([`DirectedVariants`]).
+    pub fn draw_into(&mut self, out: &mut InputVector) -> bool {
+        let Some(draws) = self.draws() else {
+            return false;
+        };
+        out.clear();
+        out.extend(draws);
+        true
+    }
+
+    /// The next vector, drawn as it is read, or `None` when the source
+    /// is exhausted. This is the one definition of a random vector:
+    /// [`Stimulus::next_vector`] collects it and
+    /// [`RandomStimulus::draw_into`] writes it into a buffer.
+    fn draws(&mut self) -> Option<impl Iterator<Item = (SignalId, Bv)> + '_> {
         if self.remaining == 0 {
             return None;
         }
         self.remaining -= 1;
-        Some(
-            self.inputs
-                .iter()
-                .map(|(s, w)| (*s, Bv::new(self.rng.gen::<u64>(), *w)))
-                .collect(),
-        )
+        let rng = &mut self.rng;
+        Some((self.inputs.iter()).map(move |&(s, w)| (s, Bv::new(rng.gen::<u64>(), w))))
+    }
+
+    /// Starts the stream over as [`RandomStimulus::new`] with `seed` and
+    /// `cycles` would, keeping the input table.
+    fn restart(&mut self, seed: u64, cycles: u64) {
+        self.rng = SmallRng::seed_from_u64(seed);
+        self.remaining = cycles;
+    }
+}
+
+impl Stimulus for RandomStimulus {
+    fn next_vector(&mut self) -> Option<InputVector> {
+        self.draws().map(Iterator::collect)
     }
 }
 
@@ -123,35 +148,84 @@ impl Stimulus for DirectedStimulus {
     }
 }
 
-/// Synthesizes `variants` directed vector sequences from a
-/// counterexample prefix.
+/// Directed stimulus written straight into a suite's lanes.
 ///
-/// Each variant replays `prefix` verbatim — steering the design back
-/// into the state the counterexample reached — then appends
-/// `extra_cycles` of random data-input vectors so the run explores
-/// outward from that state instead of stopping where the witness did.
-/// Variant suffixes are seeded from `seed` and the variant index only,
-/// so the result is reproducible across runs and backends.
-pub fn synthesize_directed(
-    module: &Module,
-    prefix: &[InputVector],
-    seed: u64,
+/// Each variant replays a counterexample prefix verbatim — steering the
+/// design back into the state the counterexample reached — then appends
+/// random data-input vectors so the run explores outward from that
+/// state instead of stopping where the witness did. Prefix cycles are
+/// read from the suite that holds them and suffix cycles drawn, one at
+/// a time, into a reused buffer that the suite packs through the same
+/// core as [`TestSuite::push`]: a variant costs its lane words, not a
+/// vector allocation per cycle.
+///
+/// # Examples
+///
+/// ```
+/// use gm_sim::{DirectedVariants, RandomStimulus, TestSuite};
+/// # let m = gm_rtl::parse_verilog(
+/// #   "module m(input a, input b, output y); assign y = a & b; endmodule")?;
+/// let mut source = TestSuite::new();
+/// source.push("cex-1", gm_sim::collect_vectors(&mut RandomStimulus::new(&m, 1, 3)));
+/// let mut variants = TestSuite::new();
+/// let mut writer = DirectedVariants::new(&m, 8);
+/// writer.push(&mut variants, Some((&source, 0)), 42, 4);
+/// assert_eq!(variants.len(), 4);
+/// assert_eq!(variants.segment(3).vectors[..3], source.segment(0).vectors[..]);
+/// assert_eq!(variants.total_cycles(), 4 * (3 + 8));
+/// # Ok::<(), gm_rtl::RtlError>(())
+/// ```
+#[derive(Debug)]
+pub struct DirectedVariants {
+    suffix: RandomStimulus,
     extra_cycles: u64,
-    variants: usize,
-) -> Vec<Vec<InputVector>> {
-    (0..variants as u64)
-        .map(|i| {
-            let mut vectors = prefix.to_vec();
-            // Weyl-sequence mix keeps variant 0 distinct from a plain
-            // `RandomStimulus::new(module, seed, ..)` stream.
-            let variant_seed = seed ^ (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let mut suffix = RandomStimulus::new(module, variant_seed, extra_cycles);
-            while let Some(v) = suffix.next_vector() {
-                vectors.push(v);
-            }
-            vectors
-        })
-        .collect()
+    scratch: InputVector,
+}
+
+impl DirectedVariants {
+    /// A writer appending `extra_cycles` random vectors over the data
+    /// inputs of `module` after each prefix.
+    pub fn new(module: &Module, extra_cycles: u64) -> Self {
+        DirectedVariants {
+            suffix: RandomStimulus::new(module, 0, 0),
+            extra_cycles,
+            scratch: Vec::new(),
+        }
+    }
+
+    /// Appends `variants` unlabelled segments to `out`, each segment `s`
+    /// of `source` for `prefix: Some((source, s))` (nothing for `None`:
+    /// a probe outward from reset) followed by the random suffix.
+    /// Variant suffixes are seeded from `seed` and the variant index
+    /// only, so the result is reproducible across runs and backends.
+    pub fn push(
+        &mut self,
+        out: &mut TestSuite,
+        prefix: Option<(&TestSuite, usize)>,
+        seed: u64,
+        variants: usize,
+    ) {
+        let held = prefix.map_or(0, |(source, s)| source.packed().lens()[s]);
+        for i in 0..variants as u64 {
+            self.suffix
+                .restart(variant_seed(seed, i), self.extra_cycles);
+            let suffix = &mut self.suffix;
+            let cycles = held + self.extra_cycles as usize;
+            out.push_with("", cycles, &mut self.scratch, |t, vector| match prefix {
+                Some((source, s)) if t < held => source.vector_into(s, t, vector),
+                _ => {
+                    suffix.draw_into(vector);
+                }
+            });
+        }
+    }
+}
+
+/// The suffix seed of variant `i`. The Weyl-sequence mix keeps variant
+/// 0 distinct from a plain `RandomStimulus::new(module, seed, ..)`
+/// stream.
+fn variant_seed(seed: u64, i: u64) -> u64 {
+    seed ^ (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 /// Collects every vector a stimulus will produce.
@@ -211,12 +285,29 @@ mod tests {
         }
     }
 
+    /// `variants` directed variants of `prefix` (none: from reset),
+    /// decoded back out of the suite the writer wrote them into.
+    fn written(
+        m: &Module,
+        prefix: Option<&[InputVector]>,
+        seed: u64,
+        extra: u64,
+        variants: usize,
+    ) -> Vec<Vec<InputVector>> {
+        let mut source = TestSuite::new();
+        source.push("cex", prefix.unwrap_or_default().to_vec());
+        let mut out = TestSuite::new();
+        let at = prefix.map(|_| (&source, 0));
+        DirectedVariants::new(m, extra).push(&mut out, at, seed, variants);
+        out.segments().map(|s| s.vectors).collect()
+    }
+
     #[test]
     fn synthesized_variants_share_the_prefix_and_diverge_after() {
         let m = module();
         let a = m.require("a").unwrap();
         let prefix: Vec<InputVector> = vec![vec![(a, Bv::one_bit())], vec![(a, Bv::zero_bit())]];
-        let out = synthesize_directed(&m, &prefix, 11, 8, 3);
+        let out = written(&m, Some(&prefix), 11, 8, 3);
         assert_eq!(out.len(), 3);
         for v in &out {
             assert_eq!(v.len(), prefix.len() + 8);
@@ -224,8 +315,56 @@ mod tests {
         }
         assert_ne!(out[0][2..], out[1][2..], "variant suffixes must differ");
         // Deterministic: same arguments, same vectors.
-        assert_eq!(out, synthesize_directed(&m, &prefix, 11, 8, 3));
-        assert_ne!(out, synthesize_directed(&m, &prefix, 12, 8, 3));
+        assert_eq!(out, written(&m, Some(&prefix), 11, 8, 3));
+        assert_ne!(out, written(&m, Some(&prefix), 12, 8, 3));
+        // No prefix: the suffix alone, from reset.
+        let probes = written(&m, None, 11, 8, 3);
+        for (probe, v) in probes.iter().zip(&out) {
+            assert_eq!(probe[..], v[2..]);
+        }
+    }
+
+    #[test]
+    fn the_writer_packs_what_push_packs() {
+        let m = module();
+        let (a, b) = (m.require("a").unwrap(), m.require("b").unwrap());
+        // Regular prefixes, a partial one, an irregular one (b before
+        // a: the suite keeps it verbatim) and an empty one.
+        let mut source = TestSuite::new();
+        for seed in 0..5 {
+            source.push(
+                "cex",
+                collect_vectors(&mut RandomStimulus::new(&m, seed, seed)),
+            );
+        }
+        source.push("partial", vec![vec![(b, Bv::new(3, 4))], vec![]]);
+        source.push(
+            "irregular",
+            vec![vec![(b, Bv::new(9, 4)), (a, Bv::one_bit())]; 3],
+        );
+        source.push("empty", Vec::new());
+        // Enough variants to cross a lane-group seam.
+        let (extra, variants) = (6, 11);
+        let mut written = TestSuite::new();
+        let mut pushed = TestSuite::new();
+        let mut writer = DirectedVariants::new(&m, extra);
+        let prefixes = (0..source.len()).map(Some).chain([None]);
+        for (pi, prefix) in prefixes.enumerate() {
+            let seed = 100 + pi as u64;
+            writer.push(&mut written, prefix.map(|s| (&source, s)), seed, variants);
+            for i in 0..variants as u64 {
+                let mut vectors = prefix.map_or_else(Vec::new, |s| source.segment(s).vectors);
+                let stim = &mut RandomStimulus::new(&m, variant_seed(seed, i), extra);
+                vectors.extend(collect_vectors(stim));
+                pushed.push("", vectors);
+            }
+        }
+        assert_eq!(written.len(), (source.len() + 1) * variants);
+        assert_eq!(written.packed(), pushed.packed());
+        assert_eq!(written, pushed);
+        for (w, p) in written.segments().zip(pushed.segments()) {
+            assert_eq!(w, p);
+        }
     }
 
     #[test]

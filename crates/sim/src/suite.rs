@@ -64,6 +64,63 @@ impl TestSuite {
         }
     }
 
+    /// Appends a segment of `cycles` vectors written straight into the
+    /// lanes, one cycle at a time: `fill(t, out)` writes cycle `t`'s
+    /// vector into `out`, a scratch buffer reused across cycles (and
+    /// across calls, by the caller). The segment is the one
+    /// [`TestSuite::push`] of the filled vectors would store — a
+    /// verbatim copy is made only from the first irregular vector on —
+    /// so a regular segment costs its lane words and nothing else.
+    pub(crate) fn push_with(
+        &mut self,
+        label: impl Into<String>,
+        cycles: usize,
+        out: &mut InputVector,
+        mut fill: impl FnMut(usize, &mut InputVector),
+    ) {
+        let index = self.labels.len();
+        self.labels.push(label.into());
+        self.stimulus.open(cycles);
+        let mut verbatim: Option<Vec<InputVector>> = None;
+        for t in 0..cycles {
+            out.clear();
+            fill(t, out);
+            let regular = self.stimulus.push_cycle(out);
+            match &mut verbatim {
+                Some(kept) => kept.push(out.clone()),
+                // The cycles before were regular: they read back as is.
+                None if !regular => {
+                    let mut kept: Vec<InputVector> = (0..t)
+                        .map(|u| {
+                            let mut vector = Vec::new();
+                            self.stimulus.decode_cycle(index, u, &mut vector);
+                            vector
+                        })
+                        .collect();
+                    kept.push(out.clone());
+                    verbatim = Some(kept);
+                }
+                None => {}
+            }
+        }
+        if let Some(kept) = verbatim {
+            self.verbatim.push((index, kept));
+        }
+    }
+
+    /// Cycle `t` of segment `s`, exactly as it was pushed, into `out`
+    /// (cleared first) — [`TestSuite::segment`] one vector at a time,
+    /// without allocating when `out` has room.
+    pub(crate) fn vector_into(&self, s: usize, t: usize, out: &mut InputVector) {
+        match self.verbatim.binary_search_by_key(&s, |&(index, _)| index) {
+            Ok(at) => {
+                out.clear();
+                out.extend_from_slice(&self.verbatim[at].1[t]);
+            }
+            Err(_) => self.stimulus.decode_cycle(s, t, out),
+        }
+    }
+
     /// The lane-packed stimulus: every segment, in push order.
     pub fn packed(&self) -> &PackedStimulus {
         &self.stimulus
@@ -138,7 +195,10 @@ impl TestSuite {
     /// Propagates elaboration errors.
     pub fn run(&self, module: &Module, obs: &mut dyn SimObserver) -> Result<Vec<Trace>> {
         (0..self.len())
-            .map(|s| run_segment(module, &self.segment(s).vectors, obs))
+            .map(|s| {
+                obs.on_segment_start(s);
+                run_segment(module, &self.segment(s).vectors, obs)
+            })
             .collect()
     }
 
