@@ -139,22 +139,28 @@ impl UnrollProperty for TemporalProperty {
 /// The scoped verdict is the full one. Every clause the unroller adds
 /// is the constant-true unit or one of the three Tseitin clauses
 /// `out ↔ a ∧ b` of an AND gate whose fan-ins `a`, `b` were allocated
-/// before `out`; every other clause is learnt, hence implied by those.
-/// Suppose a scoped query ends `Sat`: every cone variable is assigned,
-/// propagation is at its fixpoint and no clause is falsified. A gate
-/// whose output is in the cone has both fan-ins in it (the cone is
-/// fan-in closed), so its three clauses are fully assigned, and not
-/// being falsified they are satisfied: inside the cone, every output
-/// equals its function. Now complete the assignment outside the cone
-/// in allocation order: the constant is true, a free variable (a
-/// primary input, a free-init latch) takes any value, and a gate
-/// output takes the AND of its fan-ins, which are older and so already
-/// valued. No cone value is touched, every gate clause and the unit
-/// hold, and with them every learnt clause: a model of the whole
-/// database that agrees with the assumptions. `Unsat` is the solver's
-/// usual refutation and needs no argument. The precondition is the
-/// clause inventory above — an unrolling somebody added other clauses
-/// to through [`Unroller::solver`] must be asked full queries only.
+/// before `out`; every other clause is learnt, and every level-0 fact
+/// derived, hence implied by those. The solver both decides and
+/// propagates inside the cone only: a clause that becomes unit on a
+/// variable outside it implies nothing, and the argument never needs
+/// it to. Suppose a scoped query ends `Sat`: every cone variable is
+/// assigned and no clause is falsified. A gate whose output is in the
+/// cone has both fan-ins in it (the cone is fan-in closed), so its
+/// three clauses lie in the cone and are fully assigned, and not being
+/// falsified they are satisfied: inside the cone, every output equals
+/// its function. Now complete the assignment outside the cone in
+/// allocation order: the constant is true, a free variable (a primary
+/// input, a free-init latch) takes any value, and a gate output takes
+/// the AND of its fan-ins, which are older and so already valued. No
+/// cone value is touched, every gate clause and the unit hold, and
+/// with them every learnt clause and every level-0 fact: a model of
+/// the whole database that agrees with the assumptions. `Unsat` is the
+/// solver's usual refutation and needs no argument. The precondition
+/// is the clause inventory above (the solver's contract: gate
+/// definitions, units on variables no gate defines, and what they
+/// imply) — an unrolling somebody added other clauses to through
+/// [`Unroller::solver`], a unit on a gate output above all, must be
+/// asked full queries only.
 ///
 /// Everything an unrolling owns is a flat vector (the solver's arena,
 /// watch pool and per-variable tables, one frame-literal table, one

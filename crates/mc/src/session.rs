@@ -37,11 +37,12 @@
 //! ## Determinism contract
 //!
 //! A session never reads a model. Every query it poses is a *scoped*
-//! one ([`Unroller::solve_scoped`]): the solver decides the fan-in cone
-//! of the query's assumptions and answers `Sat` or `Unsat`, and that
-//! answer depends only on the design, the property and the query bounds
-//! — never on the learnt clauses, the other properties' gates or the
-//! decision order the session's history left behind. So a session's
+//! one ([`Unroller::solve_scoped`]): the solver decides and propagates
+//! only inside the fan-in cone of the query's assumptions and answers
+//! `Sat` or `Unsat`, and that answer depends only on the design, the
+//! property and the query bounds — never on the learnt clauses, the
+//! other properties' gates or the decision order the session's history
+//! left behind. So a session's
 //! verdicts (`Proved` / `Violated` / `Unknown`), the sequence of queries
 //! behind them and every counter of [`SessionStats`] except the
 //! solver's own work ([`SessionStats::solver`]) are functions of the
@@ -201,8 +202,10 @@ impl SessionStats {
 /// session's lifetime. All queries go through
 /// [`Unroller::solve_scoped`] under assumptions, so the clause database
 /// only ever grows with gate definitions and learnt clauses — no query
-/// can contaminate a later one, and each costs its own cone (see the
-/// module docs for which gates a query still adds).
+/// can contaminate a later one (a unit on a gate output would void the
+/// scoped verdicts: see the solver's contract), and each costs its own
+/// cone, where it is decided and propagated (see the module docs for
+/// which gates a query still adds).
 #[derive(Debug)]
 pub struct CheckSession {
     /// The design, and where violated verdicts get their traces (see

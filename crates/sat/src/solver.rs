@@ -8,12 +8,16 @@
 //!
 //! A query comes in two strengths. [`Solver::solve_with_assumptions`]
 //! decides every variable and leaves a model of the whole clause
-//! database. [`Solver::solve_scoped`] decides only the variables of a
-//! caller-given *scope* and answers `Sat` as soon as those are assigned
-//! without conflict: a verdict, for callers whose clause database lets
-//! a consistent assignment of the scope always be completed (a circuit
-//! and a fan-in-closed cone of it), at the cost of the scope instead of
-//! the cost of everything the solver has ever been told.
+//! database. [`Solver::solve_scoped`] decides and propagates only the
+//! variables of a caller-given *scope* and answers `Sat` as soon as
+//! those are assigned without conflict: a verdict, for callers whose
+//! clause database lets a consistent assignment of the scope always be
+//! completed (a circuit and a fan-in-closed cone of it), at the cost of
+//! the scope instead of the cost of everything the solver has ever been
+//! told. Above decision level 0 a scoped query assigns nothing outside
+//! its scope; level 0 is propagated in full by every query and every
+//! `add_clause`, so what one query fixes there never depends on an
+//! earlier query's scope.
 
 use crate::heap::VarOrder;
 use crate::lit::{Lit, Var};
@@ -186,10 +190,11 @@ pub struct Solver {
     seen: Vec<bool>,
     /// The decision scope: `v` is in it when `scope_stamp[v] ==
     /// scope_epoch`, and only variables in it are ever queued in
-    /// `order`. Epoch 0 with every stamp 0 is "every variable" — the
-    /// state of a solver that never took a scoped query, and the one a
-    /// full query restores; each [`Solver::solve_scoped`] takes a fresh
-    /// epoch and stamps its scope with it.
+    /// `order` or, above level 0, implied by propagation. Epoch 0 with
+    /// every stamp 0 is "every variable" — the state of a solver that
+    /// never took a scoped query, and the one a full query restores;
+    /// each [`Solver::solve_scoped`] takes a fresh epoch and stamps its
+    /// scope with it.
     scope_stamp: Vec<u32>,
     scope_epoch: u32,
     /// Scratch for [`Solver::analyze`], reused across conflicts: the
@@ -451,6 +456,14 @@ impl Solver {
                     conflict = Some(cref);
                     break;
                 }
+                // Inside a scoped query an implication outside the scope
+                // is not made: the clause keeps both watches, and a
+                // backtrack below this level restores its invariant.
+                // Level 0 stays complete, so no later query inherits
+                // this one's scope.
+                if self.decision_level() > 0 && !self.in_scope(first.var()) {
+                    continue;
+                }
                 let ok = self.enqueue(first, cref);
                 debug_assert!(ok);
             }
@@ -639,28 +652,44 @@ impl Solver {
         self.solve_counted(assumptions)
     }
 
-    /// Solves under `assumptions`, deciding only the variables in
-    /// `scope`: the decision heap holds the scope and nothing else, and
-    /// `Sat` means every scope variable is assigned, propagation is at
-    /// its fixpoint and no clause is falsified — a verdict, not a
-    /// model. Variables outside the scope are assigned only where unit
-    /// propagation reaches them; [`Solver::model_value`] is meaningful
-    /// for scope variables alone, and
-    /// [`Solver::model_satisfies_all`] for none.
+    /// Solves under `assumptions`, deciding and propagating only the
+    /// variables in `scope`: the decision heap holds the scope and
+    /// nothing else, and above decision level 0 a clause that becomes
+    /// unit on a variable outside the scope implies nothing — it keeps
+    /// its watches and waits for the backtrack that undoes it. `Sat`
+    /// means every scope variable is assigned, propagation inside the
+    /// scope is at its fixpoint and no clause is falsified — a verdict,
+    /// not a model. A variable outside the scope is assigned only if
+    /// level 0 fixes it (or an assumption names it);
+    /// [`Solver::model_value`] is meaningful for scope variables alone,
+    /// and [`Solver::model_satisfies_all`] for none.
+    /// A conflict is a conflict whatever the scope: a clause the
+    /// assignment falsifies refutes the query even where its variables
+    /// lie outside the scope, so `Unsat` is always the solver's usual
+    /// refutation and needs no condition.
     ///
-    /// The verdict equals [`Solver::solve_with_assumptions`]'s whenever
-    /// every conflict-free total assignment of the scope extends to a
-    /// model of all clauses, which is the caller's to guarantee. It
-    /// holds when every clause is a gate definition (an output variable
-    /// as a function of earlier ones), a unit, or implied by those, and
-    /// the scope holds the assumptions' variables and is closed under
-    /// gate fan-in: the gates outside it can then be evaluated from
-    /// their fan-ins, in definition order, without touching it. `Unsat`
-    /// needs no such condition.
+    /// `Sat` equals [`Solver::solve_with_assumptions`]'s verdict
+    /// whenever every conflict-free assignment of the scope extends to
+    /// a model of all clauses, which is the caller's to guarantee. It
+    /// holds when the scope holds the assumptions' variables and is
+    /// closed under gate fan-in, and every clause is
+    ///
+    /// - a gate definition (an output variable as a function of
+    ///   earlier ones),
+    /// - a unit on a variable no gate defines (an input, the constant),
+    /// - or implied by those (learnt clauses, level-0 facts):
+    ///
+    /// the gates outside the scope can then be evaluated forward from
+    /// their fan-ins, in definition order, without touching it. A unit
+    /// on a gate output is outside this contract: it constrains the
+    /// gate's inputs through variables the query never propagates.
+    /// With `o = a ∧ b`, `p = o ∧ c` and the unit `¬p`, a scoped query
+    /// assuming `a`, `b`, `c` over their scope `{a, b, c}` answers
+    /// `Sat`, where the full query answers `Unsat`.
     ///
     /// The cost is the scope's, not the solver's: setting up takes time
     /// linear in `scope` and in the previous scope, and nothing outside
-    /// it is ever decided or re-queued.
+    /// it is ever decided, re-queued or (above level 0) propagated.
     ///
     /// # Panics
     ///
@@ -763,8 +792,8 @@ impl Solver {
     ///
     /// Unconstrained variables read as their saved phase (deterministic).
     /// After a [`Solver::solve_scoped`] answer only scope variables
-    /// have a model value; the rest read as whatever propagation or an
-    /// earlier query left.
+    /// have a model value; the rest read as their level-0 value if they
+    /// have one, else as the phase an earlier query left.
     pub fn model_value(&self, lit: Lit) -> bool {
         let value = self.lit_value(lit);
         if value.is_undef() {
@@ -778,6 +807,17 @@ impl Solver {
     /// The model value of a variable after a `Sat` answer.
     pub fn model_var(&self, var: Var) -> bool {
         self.model_value(var.positive())
+    }
+
+    /// The literals assigned above decision level 0 — the latest
+    /// query's assumptions, decisions and their implications, in
+    /// assignment order — while its answer stands: empty after `Unsat`
+    /// and after [`Solver::add_clause`] (diagnostic; used by tests).
+    /// After a [`Solver::solve_scoped`] `Sat` each of them is a scope
+    /// variable's or an assumption's.
+    pub fn assigned_above_root(&self) -> &[Lit] {
+        let root = self.trail_lim.first().map_or(self.trail.len(), |&at| at);
+        &self.trail[root..]
     }
 
     /// Verifies that the current assignment satisfies every clause

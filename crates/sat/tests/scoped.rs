@@ -16,14 +16,43 @@
 //!   leaves a model of all clauses;
 //! - a scoped query decides nothing outside its scope: between two
 //!   conflicts or restarts it makes at most one decision per assumption
-//!   and per scope variable that is not an assumption's.
+//!   and per scope variable that is not an assumption's;
+//! - it propagates nothing outside its scope either: after a scoped
+//!   `Sat`, every literal assigned above level 0 is a scope variable's
+//!   (the propagation bound);
+//! - after every scoped query, a copy of the solver with every input
+//!   assumed values every gate by propagation alone — no conflict, no
+//!   decision beyond the assumptions — and at the end of a sweep, units
+//!   on every input leave a query nothing to decide (level 0 is
+//!   complete whatever scope came before).
 //!
-//! Two mutants say the checks have teeth. A scope missing one fan-in is
+//! Two cases pin the contract's edges: a conflict among assumptions
+//! outside the scope still refutes, and a unit on a gate output —
+//! outside the contract — makes a scoped query answer `Sat` where the
+//! full one answers `Unsat`.
+//!
+//! Mutants say the checks have teeth. A scope missing one fan-in is
 //! a permanent member of the suite (`a_scope_missing_one_fan_in_…`): on
 //! a circuit built for it, the extension check catches it. A solver
 //! whose `backtrack` re-queues variables outside the scope fails the
-//! decision bound on the input-only queries (applied by hand when the
-//! scoped query was written; see CHANGES.md, PR 24).
+//! decision bound on the input-only queries. Both were applied by hand
+//! when the scoped query was written, and four more to
+//! `Solver::propagate`'s scope test when scoped propagation was (see
+//! CHANGES.md):
+//!
+//! - no scope test at all (every implication made) fails the
+//!   propagation bound;
+//! - a quiet clause that loses its watch (the scope test's `continue`
+//!   ahead of the line that keeps the watcher) fails the
+//!   every-input-assumed check: the clause keeps one watch, and an
+//!   implication through the other is never made again;
+//! - the scope test ahead of the conflict test is equivalent under the
+//!   contract (an out-of-scope literal is false above level 0 only if
+//!   an assumption outside the scope made it so) and fails
+//!   `a_conflict_outside_the_scope_still_refutes`;
+//! - a scope test that also holds at level 0 fails both forward
+//!   checks: a level-0 fact implied while a scope was current is never
+//!   made, for any later query.
 
 use gm_sat::{Lit, SolveResult, Solver, Tseitin, Var};
 use proptest::prelude::*;
@@ -243,6 +272,10 @@ fn scoped_query(
         if let Some(r) = roots.iter().find(|&&r| !solved.model_value(r)) {
             return Err(format!("Sat with assumption {r} false"));
         }
+        let in_scope = |l: &Lit| scope.contains(&l.var());
+        if let Some(l) = solved.assigned_above_root().iter().find(|l| !in_scope(l)) {
+            return Err(format!("{l} assigned above level 0 outside the scope"));
+        }
         let pinned: Vec<Lit> = scope.iter().map(|&v| v.lit(solved.model_var(v))).collect();
         if circuit.pristine.clone().solve_with_assumptions(&pinned) != SolveResult::Sat {
             return Err("the scope's assignment does not extend to a model".to_string());
@@ -252,6 +285,30 @@ fn scoped_query(
         sat: got == SolveResult::Sat,
         small: scope.len() * 4 < solved.num_vars(),
     })
+}
+
+/// Every input assumed, by `pattern`'s bits, on a copy of `solved`:
+/// the gates are functions of the inputs, so propagation alone must
+/// value every one of them — `Sat` with no conflict and no decision
+/// beyond the assumptions. A clause that lost a watch in an earlier
+/// query leaves its implication unmade, and a gate gets decided.
+fn forward(circuit: &Circuit, solved: &Solver, pattern: u64) -> Result<(), String> {
+    let inputs: Vec<Lit> = (circuit.nodes[..circuit.inputs].iter().enumerate())
+        .map(|(i, &l)| if pattern >> i & 1 == 1 { l } else { !l })
+        .collect();
+    let mut copy = solved.clone();
+    let got = copy.solve_with_assumptions(&inputs);
+    let cost = copy.last_call_stats();
+    if got != SolveResult::Sat || cost.conflicts > 0 || cost.decisions > inputs.len() as u64 {
+        return Err(format!("{got:?} {cost:?} with every input assumed"));
+    }
+    Ok(())
+}
+
+/// A step's input pattern for [`forward`], not drawn from the recipe so
+/// the sweep's own draws stay where they were.
+fn pattern(step: u64) -> u64 {
+    (step + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 7
 }
 
 /// Counts over a sweep: scoped `Sat`s on small scopes, scoped `Unsat`s,
@@ -264,13 +321,16 @@ struct Tally {
     grown: usize,
 }
 
-/// One circuit, one solver, 24 steps of scoped queries, full queries
-/// and growth in recipe order.
+/// Steps per sweep.
+const STEPS: u64 = 24;
+
+/// One circuit, one solver, [`STEPS`] steps of scoped queries, full
+/// queries and growth in recipe order.
 fn interleaved(bytes: &[u8], tally: &mut Tally) -> Result<(), TestCaseError> {
     let mut recipe = Recipe { bytes, at: 0 };
     let mut circuit = Circuit::random(&mut recipe);
     let mut solved = circuit.pristine.clone();
-    for step in 0..24 {
+    for step in 0..STEPS {
         match recipe.below(5) {
             0 => {
                 circuit.grow(&mut recipe, &mut solved);
@@ -296,9 +356,25 @@ fn interleaved(bytes: &[u8], tally: &mut Tally) -> Result<(), TestCaseError> {
                     }
                     Err(e) => prop_assert!(false, "step {}, roots {:?}: {}", step, roots, e),
                 }
+                if let Err(e) = forward(&circuit, &solved, pattern(step)) {
+                    prop_assert!(false, "step {}, after roots {:?}: {}", step, roots, e);
+                }
             }
         }
     }
+    // Every input fixed by a unit, after whatever scope the last query
+    // had: level 0 then values every gate, and a query decides nothing.
+    let units = pattern(STEPS);
+    for (i, &input) in circuit.nodes[..circuit.inputs].iter().enumerate() {
+        solved.add_clause(&[if units >> i & 1 == 1 { input } else { !input }]);
+    }
+    prop_assert_eq!(solved.solve(), SolveResult::Sat);
+    let cost = solved.last_call_stats();
+    prop_assert!(
+        cost.decisions == 0 && cost.conflicts == 0,
+        "{:?} with every input a level-0 fact",
+        cost
+    );
     Ok(())
 }
 
@@ -356,4 +432,37 @@ fn a_scope_missing_one_fan_in_is_caught_by_the_extension_check() {
         caught,
         Err("the scope's assignment does not extend to a model".to_string())
     );
+}
+
+#[test]
+fn a_conflict_outside_the_scope_still_refutes() {
+    // Outside the contract on purpose: both assumptions lie outside the
+    // scope. Assuming ¬y leaves (y ∨ z) unit on z, which the query does
+    // not imply; assuming ¬z then falsifies the clause, and that is a
+    // conflict whatever the scope — not a quiet clause to step over.
+    let mut s = Solver::new();
+    let [x, y, z] = [(); 3].map(|()| s.new_var());
+    s.add_clause(&[y.positive(), z.positive()]);
+    let refuted = s.solve_scoped(&[y.negative(), z.negative()], &[x]);
+    assert_eq!(refuted, SolveResult::Unsat);
+}
+
+#[test]
+fn a_unit_on_a_gate_output_is_outside_the_contract() {
+    // o = a ∧ b, p = o ∧ c and the unit ¬p: a ∧ b ∧ c is refuted only
+    // through o, which the scope {a, b, c} leaves unpropagated — so the
+    // scoped query answers Sat where the full query answers Unsat. The
+    // contract admits units on inputs and the constant alone.
+    let mut c = Circuit::of_inputs(3);
+    let [a, b, i] = c.nodes[..] else {
+        unreachable!("three inputs");
+    };
+    let o = c.gate(a, b, None);
+    let p = c.gate(o, i, None);
+    let mut s = c.pristine;
+    s.add_clause(&[!p]);
+    let roots = [a, b, i];
+    assert_eq!(s.clone().solve_with_assumptions(&roots), SolveResult::Unsat);
+    let scope = roots.map(|l| l.var());
+    assert_eq!(s.solve_scoped(&roots, &scope), SolveResult::Sat);
 }
