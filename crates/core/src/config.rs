@@ -166,9 +166,10 @@ pub struct EngineConfig {
     /// temporal) are split across concurrent verification sessions.
     /// Results are identical for every policy — see [`ShardPolicy`].
     pub shards: ShardPolicy,
-    /// Record per-iteration coverage of the accumulated suite (costs one
-    /// more simulation of each iteration's new segments: the engine
-    /// keeps one coverage suite for the run).
+    /// Record per-iteration coverage of the accumulated suite. The
+    /// engine keeps one coverage suite for the run and lets it observe
+    /// the replays that already produce the miner's traces, so this
+    /// costs observation, not another simulation.
     pub record_coverage: bool,
     /// Temporal-template mining (disabled by default — see
     /// [`TemporalConfig`]).
@@ -176,8 +177,9 @@ pub struct EngineConfig {
     /// Coverage-ranked directed refinement (disabled by default — see
     /// [`RefineConfig`]).
     pub refine: RefineConfig,
-    /// Which simulation engine runs the data-generation and coverage
-    /// passes (seed traces, counterexample replay, suite coverage).
+    /// Which simulation engine runs the replays (seed traces,
+    /// counterexample replay, refinement scoring) and the coverage
+    /// observation they carry.
     /// Every backend produces a byte-identical [`crate::ClosureOutcome`]
     /// — the compiled tape is proven trace- and coverage-identical to
     /// the interpreter by `sim/compiled_agree`, for every lane-block
@@ -202,17 +204,6 @@ impl Default for EngineConfig {
             temporal: TemporalConfig::default(),
             refine: RefineConfig::default(),
             sim_backend: SimBackend::default(),
-        }
-    }
-}
-
-impl EngineConfig {
-    /// A zero-seed configuration (the paper's Table 1 limit study).
-    pub fn zero_seed(window: u32) -> Self {
-        EngineConfig {
-            window,
-            stimulus: SeedStimulus::None,
-            ..EngineConfig::default()
         }
     }
 }

@@ -17,13 +17,13 @@
 //!    verdict is remembered, so no decided property is asked again;
 //! 5. **Ctx_simulation** — move the iteration's counterexamples into
 //!    the test suite, replay them from reset as one batch
-//!    ([`gm_sim::Replay`]), extend every target's dataset in bulk, and
-//!    re-split only the refuted leaves;
-//! 6. **report** — show the run's coverage suite the segments the
-//!    iteration added, refresh the input-space term of every target
-//!    whose proved set grew, and push the [`IterationReport`]; repeat
-//!    until every leaf is proved (*coverage closure*) or the iteration
-//!    budget runs out.
+//!    ([`gm_sim::Replay`]) with the run's coverage suite observing,
+//!    extend every target's dataset in bulk, and re-split only the
+//!    refuted leaves;
+//! 6. **report** — read the coverage suite, refresh the input-space
+//!    term of every target whose proved set grew, and push the
+//!    [`IterationReport`]; repeat until every leaf is proved (*coverage
+//!    closure*) or the iteration budget runs out.
 //!
 //! Each [`IterationReport`] carries the verification session's stats
 //! delta ([`gm_mc::SessionStats`]): queries by engine, solver
@@ -40,15 +40,17 @@
 //! beside it (the from-scratch oracles live in
 //! `tests/incremental_snapshot.rs` and the benchmark):
 //!
-//! * **one [`CoverageSuite`] per run**, shown only the segments pushed
-//!   since its last pass (`observed..`, a range replay that reads them
-//!   where the suite stores them). Sound because every collector is a
-//!   monotone set union and every segment is replayed from reset (the
-//!   toggle and FSM collectors drop their previous-cycle state at cycle
-//!   0), so the union over batches is the union over one pass
-//!   (`sim/compiled_agree` pins it). A cancelled pass has shown the
-//!   suite a partial batch: it is dropped with the unpublished report
-//!   and the run ends;
+//! * **one [`CoverageSuite`] per run**, the observer of every replay
+//!   that produces traces — the seed, each pass's `cex-*`/`tcex-*`
+//!   tail and the refinement winners — so each segment the suite
+//!   absorbs is simulated once, for the miner and for coverage alike,
+//!   and a report reads the suite without replaying anything. Sound
+//!   because every collector is a monotone set union and every segment
+//!   is replayed from reset (the toggle and FSM collectors drop their
+//!   previous-cycle state at cycle 0), so the union over batches is the
+//!   union over one pass (`sim/compiled_agree` pins it). A cancelled
+//!   replay has shown the suite a partial batch: it is dropped with the
+//!   unpublished report and the run ends;
 //! * **each target's proved leaves and their assertions**, in ascending
 //!   node order, filed when a leaf is proved or assumed true. Sound
 //!   because node indices are stable and a proved leaf never splits (a
@@ -102,8 +104,8 @@ use gm_mine::{
 };
 use gm_rtl::{cone_of, elaborate, Module, SignalId};
 use gm_sim::{
-    collect_vectors, CompileOptions, CompiledModule, DirectedVariants, NopObserver, RandomStimulus,
-    Replay, SimBackend, TestSuite, Trace,
+    collect_vectors, CompiledModule, DirectedVariants, NopObserver, RandomStimulus, Replay,
+    SimBackend, TestSuite, Trace,
 };
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -154,7 +156,8 @@ struct PassCounts {
     temporal_refuted: usize,
     directed_absorbed: usize,
     /// Phase wall clocks gathered along the way (verify/temporal/refine
-    /// here, coverage and total filled in around the snapshot).
+    /// here, the report's coverage and total filled in around the
+    /// snapshot).
     timing: IterTiming,
 }
 
@@ -285,16 +288,18 @@ pub struct Engine<'m> {
     checker: Checker,
     targets: Vec<TargetState>,
     suite: TestSuite,
-    /// The run's one coverage suite (`None` when coverage is not
-    /// recorded, and after a cancelled pass left it half-fed), and how
-    /// many segments of `suite` it has been shown.
+    /// The run's one coverage suite, observing every trace replay
+    /// (`None` when coverage is not recorded, and after a cancelled
+    /// replay left it half-fed), and how many segments those replays
+    /// have shown it since the last report.
     coverage: Option<CoverageSuite<'m>>,
-    observed: usize,
+    unreported: usize,
     unknown_assumed: usize,
     /// Session stats already attributed to earlier iteration reports.
     reported_stats: SessionStats,
     /// The lowered instruction tape for the compiled simulation
-    /// backend (`None` when the interpreter is configured). Trace- and
+    /// backend (`None` when the interpreter is configured): the design's
+    /// one probed tape, whether or not coverage is recorded. Trace- and
     /// coverage-identical to the interpreter, so the choice never shows
     /// in the outcome. Shared (`Arc`) so a design cache can park one
     /// tape per canonical design and hand it to every engine instead of
@@ -372,8 +377,10 @@ impl<'m> Engine<'m> {
     /// the checker and starts its per-iteration stats attribution from
     /// the checker's current counters, so carried-over sessions never
     /// leak old work into the first iteration report. Without a tape
-    /// (or under an interpreter backend) the engine compiles its own;
-    /// a supplied one is shared by `Arc`, never cloned.
+    /// the engine compiles its own (none under an interpreter backend);
+    /// a supplied one — the design's probed tape
+    /// ([`CompiledModule::with_elab`]) — is shared by `Arc`, never
+    /// cloned.
     pub fn with_artifacts(
         module: &'m Module,
         elab: &gm_rtl::Elab,
@@ -422,25 +429,13 @@ impl<'m> Engine<'m> {
         // Attribute only work done *during this run* to its iteration
         // reports: a warm checker may arrive with non-zero counters.
         let reported_stats = checker.session_stats();
-        // Coverage-recording runs need the fused probes compiled in;
-        // trace-only runs take the probe-free tape. Either way a replay
-        // pays only for the points its observer still has open: the
-        // `NopObserver` replays below close every point and so run the
-        // probed tape's cached probe-free residual, and the coverage
-        // pass stops observing what the run's suite has covered. A
-        // supplied (cached) probed tape therefore serves a probe-free
-        // run at no extra cost, but never the other way around.
-        let want = CompileOptions {
-            probes: config.record_coverage,
-        };
-        let compiled = if config.sim_backend == SimBackend::Interpreter {
-            None
-        } else {
-            Some(match compiled {
-                Some(c) if c.has_probes() || !want.probes => c,
-                _ => Arc::new(CompiledModule::with_elab_opts(module, elab, want)),
-            })
-        };
+        // One tape whether or not coverage is recorded: a replay pays
+        // only for the points its observer still has open, so a
+        // `NopObserver` replay runs the tape's cached probe-free
+        // residual, and the coverage suite stops observing what it has
+        // covered.
+        let compiled = (config.sim_backend != SimBackend::Interpreter)
+            .then(|| compiled.unwrap_or_else(|| Arc::new(CompiledModule::with_elab(module, elab))));
         let coverage = config.record_coverage.then(|| CoverageSuite::new(module));
         Engine {
             module,
@@ -449,7 +444,7 @@ impl<'m> Engine<'m> {
             targets,
             suite: TestSuite::new(),
             coverage,
-            observed: 0,
+            unreported: 0,
             unknown_assumed: 0,
             reported_stats,
             compiled,
@@ -469,13 +464,14 @@ impl<'m> Engine<'m> {
     /// that stops stepping at an iteration boundary, a raised token
     /// takes effect *mid-iteration*: it is polled between SAT queries
     /// inside the checker's unrolling loops and once per simulated
-    /// cycle of every replay — counterexample and refinement batches as
-    /// well as the coverage passes. The run then ends
-    /// ([`StopReason::Interrupted`]) with a valid outcome of the work
-    /// completed so far, marked [`ClosureOutcome::interrupted`] — an
-    /// in-flight verification batch, replay or coverage pass is
-    /// discarded whole (no trace of a cancelled replay is absorbed),
-    /// never half-applied, so proved assertions stay sound and the suite
+    /// cycle of every replay — the seed, counterexample and refinement
+    /// batches, which also carry the coverage observation. The run then
+    /// ends ([`StopReason::Interrupted`]) with a valid outcome of the
+    /// work completed so far, marked [`ClosureOutcome::interrupted`] —
+    /// an in-flight verification batch or replay is discarded whole (no
+    /// trace of a cancelled replay is absorbed, and the coverage suite
+    /// it fed is dropped with the unpublished report), never
+    /// half-applied, so proved assertions stay sound and the suite
     /// still replays.
     pub fn with_cancel(mut self, cancel: Arc<AtomicBool>) -> Self {
         self.checker.set_cancel(Some(cancel.clone()));
@@ -495,16 +491,28 @@ impl<'m> Engine<'m> {
         }
     }
 
-    /// Replays segments `range` of `suite` as one batch into traces; a
-    /// raised cancel token surfaces as [`McError::Cancelled`] with
-    /// nothing absorbed.
+    /// Replays segments `range` of `other` — of the run's own suite
+    /// when `None` — as one batch into traces, with the run's coverage
+    /// suite observing. The coverage suite is taken out for the replay
+    /// and put back only once it completes; a raised cancel token
+    /// surfaces as [`McError::Cancelled`] with nothing absorbed, and the
+    /// half-fed coverage suite dropped.
     fn replay_traces(
-        &self,
-        suite: &TestSuite,
+        &mut self,
+        other: Option<&TestSuite>,
         range: std::ops::Range<usize>,
     ) -> Result<Vec<Trace>, EngineError> {
-        let traces = self.replay().traces(suite, range, &mut NopObserver)?;
-        Ok(traces.ok_or(McError::Cancelled)?)
+        let mut coverage = self.coverage.take();
+        let (suite, replay) = (other.unwrap_or(&self.suite), self.replay());
+        let shown = range.len();
+        let traces = match &mut coverage {
+            Some(cov) => replay.traces(suite, range, cov)?,
+            None => replay.traces(suite, range, &mut NopObserver)?,
+        };
+        let traces = traces.ok_or(McError::Cancelled)?;
+        self.coverage = coverage;
+        self.unreported += shown;
+        Ok(traces)
     }
 
     /// The accumulated test suite (useful mid-run from examples).
@@ -587,11 +595,12 @@ impl<'m> Engine<'m> {
             self.run_span = Some(span);
         }
         // A raised cancel token surfaces as `McError::Cancelled` from
-        // the checker, a replay or the coverage pass. The interrupted
-        // pass's results are discarded whole — a failed batch never
-        // touches the trees, a cancelled replay's traces are never
-        // absorbed (see `iteration_pass`), and a failed snapshot pushes
-        // no report — so the outcome stays valid, just truncated.
+        // the checker or a replay. The interrupted pass's results are
+        // discarded whole — a failed batch never touches the trees, a
+        // cancelled replay's traces are never absorbed (see
+        // `iteration_pass`) and its half-fed coverage suite is dropped,
+        // and no report is pushed — so the outcome stays valid, just
+        // truncated.
         let counts = match self.advance(iteration) {
             Ok(counts) => counts,
             Err(EngineError::Mc(McError::Cancelled)) => {
@@ -642,7 +651,7 @@ impl<'m> Engine<'m> {
         } else {
             self.iteration_pass(iteration)?
         };
-        let mut report = self.snapshot_report(iteration, counts)?;
+        let mut report = self.snapshot_report(iteration, counts);
         report.timing.total_ns = start.elapsed().as_nanos() as u64;
         self.history.push(report);
         Ok(counts)
@@ -706,7 +715,7 @@ impl<'m> Engine<'m> {
         };
         if !seed_vectors.is_empty() {
             self.suite.push("seed", seed_vectors);
-            let traces = self.replay_traces(&self.suite, 0..1)?;
+            let traces = self.replay_traces(None, 0..1)?;
             let mut short = 0usize;
             for t in &mut self.targets {
                 let mut span = gm_trace::span("mine", "mine.extract");
@@ -957,10 +966,11 @@ impl<'m> Engine<'m> {
 
     /// Ctx_simulation for one pass: replays the `count` counterexample
     /// segments the pass has just pushed — the tail of the suite, read
-    /// where it is stored — as one batch, then absorbs their traces in
-    /// push order.
+    /// where it is stored — as one batch, coverage observing, then
+    /// absorbs their traces in push order.
     fn absorb_suite_tail(&mut self, count: usize) -> Result<(), EngineError> {
-        let traces = self.replay_traces(&self.suite, self.suite.len() - count..self.suite.len())?;
+        let len = self.suite.len();
+        let traces = self.replay_traces(None, len - count..len)?;
         for trace in &traces {
             self.absorb_trace(trace);
         }
@@ -978,9 +988,10 @@ impl<'m> Engine<'m> {
     /// one straight into a scratch suite, one observe-only replay of
     /// that suite scores all of them at once ([`GainObserver`]), and
     /// only the at most `max_absorb` winners are replayed again, as one
-    /// batch, into the traces the miner absorbs. Nothing reaches the
-    /// suite or the trees until those traces are back: a cancelled
-    /// batch, either one, discards the pass whole.
+    /// batch, into the traces the miner absorbs and the coverage suite
+    /// observes. Nothing reaches the suite or the trees until those
+    /// traces are back: a cancelled batch, either one, discards the pass
+    /// whole.
     ///
     /// Scores are computed against the frozen snapshot index, not
     /// re-queried between absorptions; only strictly-positive gains are
@@ -1028,7 +1039,7 @@ impl<'m> Engine<'m> {
             let label = format!("dir-{iteration}-{}", winners.len() + 1);
             winners.push(label, variants.segment(i).vectors);
         }
-        let traces = self.replay_traces(&winners, 0..winners.len())?;
+        let traces = self.replay_traces(Some(&winners), 0..winners.len())?;
         for (segment, trace) in winners.segments().zip(&traces) {
             self.suite.push(segment.label, segment.vectors);
             self.absorb_trace(trace);
@@ -1059,11 +1070,10 @@ impl<'m> Engine<'m> {
         span.arg("resplit_leaves", resplit_leaves);
     }
 
-    fn snapshot_report(
-        &mut self,
-        iteration: u32,
-        counts: PassCounts,
-    ) -> Result<IterationReport, EngineError> {
+    /// The iteration's report. Coverage is read off the run's coverage
+    /// suite, which every trace replay has already fed: nothing is
+    /// replayed here.
+    fn snapshot_report(&mut self, iteration: u32, counts: PassCounts) -> IterationReport {
         let mut proved_total = 0usize;
         let mut candidates = 0usize;
         let mut isc_sum = 0.0f64;
@@ -1081,39 +1091,28 @@ impl<'m> Engine<'m> {
             isc_sum / self.targets.len() as f64
         };
         let mut timing = counts.timing;
-        // The kept suite is taken out for the pass and put back only
-        // once the pass has completed: a cancelled pass has shown it a
-        // partial batch, so it is dropped with the report and nothing
-        // can read it again.
-        let coverage = if let Some(mut cov) = self.coverage.take() {
+        let coverage = self.coverage.as_ref().map(|cov| {
             let coverage_start = std::time::Instant::now();
             let mut coverage_span = gm_trace::span("engine", "engine.coverage");
             coverage_span.arg("segments", self.suite.len());
-            coverage_span.arg("new_segments", self.suite.len() - self.observed);
-            // No traces are materialized.
-            self.replay()
-                .observe(&self.suite, self.observed..self.suite.len(), &mut cov)?
-                .ok_or(McError::Cancelled)?;
-            self.observed = self.suite.len();
+            coverage_span.arg("new_segments", self.unreported);
             // Freeze this snapshot's uncovered points for the next
             // refinement pass's gain ranking.
             if self.config.refine.enabled() {
-                self.last_uncovered = Some(UncoveredIndex::from_suite(&cov));
+                self.last_uncovered = Some(UncoveredIndex::from_suite(cov));
             }
+            let report = cov.report();
             drop(coverage_span);
             timing.coverage_ns = coverage_start.elapsed().as_nanos() as u64;
-            let report = cov.report();
-            self.coverage = Some(cov);
-            Some(report)
-        } else {
-            None
-        };
+            report
+        });
+        self.unreported = 0;
         // Attribute the session work done since the last report to this
         // iteration.
         let cumulative = self.checker.session_stats();
         let verification = cumulative - self.reported_stats;
         self.reported_stats = cumulative;
-        Ok(IterationReport {
+        IterationReport {
             iteration,
             candidates,
             proved_total,
@@ -1128,6 +1127,6 @@ impl<'m> Engine<'m> {
             directed_absorbed: counts.directed_absorbed,
             verification,
             timing,
-        })
+        }
     }
 }

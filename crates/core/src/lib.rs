@@ -43,6 +43,6 @@ pub use config::{
 };
 pub use engine::{assertion_property, temporal_property, Engine, Step, StopReason};
 pub use error::EngineError;
-pub use gm_sim::{CompileOptions, CompiledModule, SimBackend, MAX_LANE_BLOCK};
+pub use gm_sim::{CompiledModule, SimBackend, MAX_LANE_BLOCK};
 pub use mutation::{check_fault, fault_campaign, suite_detects_fault, FaultKind, FaultReport};
 pub use report::{ClosureOutcome, IterTiming, IterationReport, TargetSummary};

@@ -11,7 +11,7 @@ use crate::error::EngineError;
 use gm_mc::{CheckResult, Checker, WindowProperty};
 use gm_mine::Assertion;
 use gm_rtl::{Bv, Module, SignalId};
-use gm_sim::{CompileOptions, CompiledModule, NopObserver, Replay, SimBackend};
+use gm_sim::{CompiledModule, NopObserver, Replay, SimBackend};
 
 /// A stuck-at fault on a signal's fanout.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -126,9 +126,11 @@ pub fn fault_campaign(
 /// detection. The paper's §7.4 notes the generated vector suite "would
 /// also be an effective regression suite" — this is that experiment.
 ///
-/// Both replays ride probe-free tapes through [`Replay::traces`], so
-/// golden, mutant and every further fault of a campaign over the same
-/// suite read the one lane-packed form the suite stores.
+/// Both replays ride each design's one tape through [`Replay::traces`]
+/// under a [`NopObserver`], which closes every observation point, so
+/// they run the tape's probe-free residual; golden, mutant and every
+/// further fault of a campaign over the same suite read the one
+/// lane-packed form the suite stores.
 ///
 /// Returns the first differing `(segment index, cycle, output)` or
 /// `None` if the fault escapes the suite.
@@ -145,7 +147,7 @@ pub fn suite_detects_fault(
     let width = module.signal_width(signal);
     let mutant = module.with_stuck_signal(signal, fault.stuck_value(width));
     let traces = |design: &Module| -> Result<Vec<gm_sim::Trace>, EngineError> {
-        let tape = CompiledModule::compile_with(design, CompileOptions { probes: false })?;
+        let tape = CompiledModule::compile(design)?;
         let replay = Replay {
             module: design,
             compiled: Some(&tape),

@@ -24,10 +24,11 @@ pub struct IterTiming {
     pub temporal_ns: u64,
     /// Coverage-ranked refinement pass (zero when refinement is off).
     pub refine_ns: u64,
-    /// Coverage snapshot pass (zero when coverage recording is off):
-    /// the run's kept coverage suite is shown the segments this
-    /// iteration added — not the accumulated suite again — so this
-    /// scales with the iteration's counterexamples.
+    /// Coverage report (zero when coverage recording is off): reading
+    /// the run's kept coverage suite and, under refinement, indexing
+    /// its uncovered points. No simulation: the suite observed this
+    /// iteration's segments during the replays timed in the other
+    /// phases, so that cost lands in verify, temporal and refine.
     pub coverage_ns: u64,
     /// Whole iteration wall time (pass + snapshot + bookkeeping).
     pub total_ns: u64,

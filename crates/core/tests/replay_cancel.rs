@@ -13,15 +13,22 @@
 //! refinement's scoring replay. The recorded `sim.batch` span confirms
 //! where the cancel landed.
 //!
-//! A counterexample replay and a coverage pass cannot be reached that
-//! way — the checker decides (and polls) right before the one, and every
-//! segment the other is about to see was trace-replayed (and the token
-//! polled) earlier in the same iteration, with no test code in between
-//! — so those tests run on the interpreter, which polls before every
-//! segment and records one `sim.segment` span per segment, and raise
-//! the token from a second thread that watches the recording for the
-//! replay to have begun; where it landed is again read off the
-//! recording, never assumed, and a late landing is tried again.
+//! A counterexample replay cannot be reached that way — the checker
+//! decides (and polls) right before it — so that test runs on the
+//! interpreter, which polls before every segment and records one
+//! `sim.segment` span per segment, and raises the token from a second
+//! thread that watches the recording for the replay to have begun;
+//! where it landed is again read off the recording, never assumed, and
+//! a late landing is tried again.
+//!
+//! Coverage has no pass of its own: the run's coverage suite observes
+//! the seed, counterexample and refinement-winner replays, and a report
+//! only reads it. So a cancelled counterexample replay is also a
+//! cancelled coverage observation, and every cut is checked for what
+//! that must leave behind: no report of the cancelled iteration, the
+//! published reports (coverage included) equal to the uninterrupted
+//! run's, and each report's coverage what a coverage suite of the
+//! test's own measures over the suite prefix it was taken at.
 //!
 //! On the compiled backend a counterexample replay is one batch with
 //! no span inside it, so the watcher cannot see it begin; it times the
@@ -202,19 +209,14 @@ fn assert_cut_cleanly(
 ) {
     assert!(cut.interrupted, "the token landed mid-iteration");
     // The last report predates the cancelled pass, and everything up to
-    // it is what the uninterrupted run reported.
+    // it is what the uninterrupted run reported, coverage included.
     assert_eq!(cut.iterations.len() as u32, boundary + 1);
-    for (a, b) in cut.iterations.iter().zip(&full.iterations) {
-        assert_eq!(a.proved_total, b.proved_total);
-        assert_eq!(a.refuted, b.refuted);
-        assert_eq!(a.suite_cycles, b.suite_cycles);
-        assert_eq!(a.coverage, b.coverage);
-    }
-    // The cancel was seen by a replay batch — not by the checker or a
-    // coverage pass — and it was the last batch. The
-    // interpreter records no batches: there the run's last replay is
-    // the segments after its last verification batch, and no coverage
-    // pass began after them.
+    assert!(cut.iterations.iter().all(|r| r.coverage.is_some()));
+    assert_eq!(cut.iterations[..], full.iterations[..cut.iterations.len()]);
+    // The cancel was seen by a replay batch — not by the checker — and
+    // it was the last batch. The interpreter records no batches: there
+    // the run's last replay is the segments after its last verification
+    // batch, and no coverage report was read after them.
     let last_batch = events
         .iter()
         .filter(|e| e.name == "sim.batch")
@@ -240,6 +242,29 @@ fn assert_cut_cleanly(
     assert_eq!(kept, full_kept);
     let traces = cut.suite.run(m, &mut NopObserver).unwrap();
     assert_eq!(traces.len(), kept.len());
+    // The batch the cancelled replay half-observed is in no report: each
+    // one's coverage is what a coverage suite of our own measures over
+    // the prefix that holds its `suite_cycles`, grown report by report
+    // on the interpreter.
+    let interpreter = Replay {
+        module: m,
+        compiled: None,
+        block: 1,
+        cancel: None,
+    };
+    let mut ours = CoverageSuite::new(m);
+    let (mut seen, mut cycles) = (0, 0);
+    for report in &cut.iterations {
+        let from = seen;
+        while cycles < report.suite_cycles {
+            cycles += kept[seen].vectors.len();
+            seen += 1;
+        }
+        assert_eq!(cycles, report.suite_cycles, "reports end on segment seams");
+        let done = interpreter.observe(&cut.suite, from..seen, &mut ours);
+        assert_eq!(done.unwrap(), Some(()));
+        assert_eq!(report.coverage, Some(ours.report()));
+    }
 }
 
 #[test]
@@ -550,106 +575,4 @@ fn compiled_runs_replay_one_batch_per_pass_and_never_per_segment() {
     }
     assert!(scored > 0, "some refinement pass scored variants");
     assert!(outcome.iterations.iter().any(|r| r.directed_absorbed > 0));
-}
-
-#[test]
-fn a_cancel_inside_an_incremental_coverage_pass_leaks_into_no_report() {
-    let (m, config) = interpreted_b12_lite();
-    let elab = elaborate(&m).unwrap();
-    // Every run below is on the first one's checker, so their reports
-    // agree down to the verification counters.
-    let (cold, checker) = Engine::new(&m, config.clone())
-        .unwrap()
-        .run_reclaim(|_| true);
-    let cold = cold.unwrap();
-    let coverage_passes = |events: &[TraceEvent]| -> Vec<(usize, u64)> {
-        let passes = events.iter().enumerate();
-        passes
-            .filter(|(_, e)| e.name == "engine.coverage")
-            .map(|(at, e)| match arg(e, "new_segments") {
-                ArgValue::U64(new) => (at, *new),
-                other => panic!("new_segments is {other:?}"),
-            })
-            .collect()
-    };
-
-    // The reference recording: which pass to aim for, and how many
-    // events precede its first replayed segment.
-    let (full, mut checker, events) = record(&m, &elab, &config, checker, None);
-    assert!(!full.interrupted);
-    assert_eq!(
-        full.suite.segments().collect::<Vec<_>>(),
-        cold.suite.segments().collect::<Vec<_>>()
-    );
-    let passes = coverage_passes(&events);
-    // Two sink flushes' worth of segments: the watcher sees the pass
-    // begun while a flush's worth of polls is still to come.
-    let n = (2..passes.len())
-        .find(|&n| passes[n].1 >= 128)
-        .expect("an iteration >= 2 with a long coverage pass");
-    let (at, new) = passes[n];
-    let before_the_pass = at - new as usize;
-    assert!(events[before_the_pass..at]
-        .iter()
-        .all(|e| e.name == "sim.segment"));
-
-    // The watcher can be late (a descheduled thread): the token then
-    // lands in a later pass, which serves as well, or in none — the run
-    // says which, and is tried again.
-    let full_passes = passes;
-    let mut landed = None;
-    for _attempt in 0..20 {
-        let (cut, reclaimed, events) = record(&m, &elab, &config, checker, Some(before_the_pass));
-        checker = reclaimed;
-        let passes = coverage_passes(&events);
-        // A pass that began and pushed no report is the cancelled one.
-        if cut.interrupted && passes.len() == cut.iterations.len() + 1 {
-            landed = Some((cut, passes));
-            break;
-        }
-    }
-    let (cut, passes) = landed.expect("the token never landed inside a coverage pass");
-    let cancelled = passes.len() - 1;
-    assert!(cancelled >= n, "not before the pass that was watched for");
-    let new = passes[cancelled].1;
-    assert_eq!(new, full_passes[cancelled].1, "the same unseen segments");
-
-    // The last report is the iteration before's, and everything
-    // published is what the uninterrupted run published.
-    let last = cut.iterations.last().unwrap();
-    assert_eq!(last.iteration as usize, cancelled - 1);
-    assert_eq!(cut.iterations[..], full.iterations[..cancelled]);
-    let kept: Vec<Segment> = cut.suite.segments().collect();
-    let full_kept: Vec<Segment> = full.suite.segments().take(kept.len()).collect();
-    assert_eq!(kept, full_kept);
-    // The half-observed batch is in no report: each one's coverage is
-    // what a fresh suite measures over the prefix it was taken at.
-    let interpreter = Replay {
-        module: &m,
-        compiled: None,
-        block: 1,
-        cancel: None,
-    };
-    let mut seen = 0;
-    for (report, &(_, new)) in cut.iterations.iter().zip(&passes) {
-        seen += new as usize;
-        let mut fresh = CoverageSuite::new(&m);
-        let done = interpreter
-            .observe(&cut.suite, 0..seen, &mut fresh)
-            .unwrap();
-        assert_eq!(done, Some(()));
-        assert_eq!(report.coverage, Some(fresh.report()));
-        assert_eq!(
-            report.suite_cycles,
-            kept[..seen].iter().map(|s| s.vectors.len()).sum::<usize>()
-        );
-    }
-    // The pushed-but-never-reported counterexamples of the cancelled
-    // iteration are still there, after the reported prefix, and still
-    // replay.
-    assert_eq!(kept.len(), seen + new as usize);
-    assert_eq!(
-        cut.suite.run(&m, &mut NopObserver).unwrap().len(),
-        kept.len()
-    );
 }

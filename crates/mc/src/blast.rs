@@ -36,11 +36,6 @@ impl Blasted {
     pub fn input_bit_count(&self) -> usize {
         self.input_bits.len()
     }
-
-    /// Total number of state bits.
-    pub fn state_bit_count(&self) -> usize {
-        self.latch_bits.len()
-    }
 }
 
 /// Bit-blasts `module` (elaborated as `elab`) into an AIG.

@@ -27,7 +27,7 @@
 use crate::bits::{bit, get_bits, put_bits, Bits};
 use crate::features::MiningSpec;
 use gm_rtl::Module;
-use gm_sim::{CompileOptions, CompiledModule, NopObserver, Replay, SimBackend, TestSuite, Trace};
+use gm_sim::{CompiledModule, NopObserver, Replay, SimBackend, TestSuite, Trace};
 use std::collections::HashMap;
 
 /// One hand-built training example, for [`Dataset::push_row`]: feature
@@ -412,10 +412,11 @@ impl Dataset {
         backend: SimBackend,
     ) -> gm_rtl::Result<ExtractedRows> {
         let mut span = gm_trace::span("mine", "mine.extract");
-        // No coverage is attached here, so a tape is compiled
-        // probe-free: feature extraction pays nothing for observation.
+        // No coverage is attached here: the `NopObserver` closes every
+        // point, so the replay runs the tape's probe-free residual and
+        // feature extraction pays nothing for observation.
         let compiled = (backend != SimBackend::Interpreter)
-            .then(|| CompiledModule::compile_with(module, CompileOptions { probes: false }))
+            .then(|| CompiledModule::compile(module))
             .transpose()?;
         let traces = Replay {
             module,

@@ -80,12 +80,6 @@ impl Lit {
     pub fn from_index(i: usize) -> Self {
         Lit(i as u32)
     }
-
-    /// The truth value this literal assigns to its variable when true.
-    #[inline]
-    pub fn sign_value(self) -> bool {
-        self.is_positive()
-    }
 }
 
 impl Not for Lit {

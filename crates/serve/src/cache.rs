@@ -66,18 +66,15 @@ pub struct CachedDesign {
     /// queued same-design jobs can otherwise build (and park) one
     /// checker per job, not per concurrent worker.
     parked: Vec<Checker>,
-    /// The compiled instruction tapes for this design, parked by the
-    /// first job that built each, slotted by compile options: index 0
-    /// holds the probe-free tape ([`goldmine::CompileOptions`]
-    /// `probes: false`),
-    /// index 1 the probed one. Probed tapes also serve probe-free
-    /// requests (the probes are a superset; engines ignore them when
-    /// coverage is off), but never vice versa. Compiled tapes are
-    /// immutable and all
-    /// run methods take `&self`, so one `Arc` feeds any number of
+    /// The design's compiled instruction tape, parked by the first job
+    /// that built it. There is one per design: it carries the coverage
+    /// probes, and a job that records no coverage replays it under an
+    /// observer that closes every point, which runs its cached
+    /// probe-free residual. Compiled tapes are immutable and all run
+    /// methods take `&self`, so one `Arc` feeds any number of
     /// concurrent engines (unlike checkers, which are checked out
     /// exclusively).
-    compiled: [Option<Arc<CompiledModule>>; 2],
+    compiled: Option<Arc<CompiledModule>>,
     /// The canonical source — the collision guard: a hit must match it
     /// exactly, so a 64-bit key collision can never hand out the wrong
     /// design's artifacts.
@@ -88,11 +85,7 @@ pub struct CachedDesign {
 fn entry_bytes(e: &CachedDesign) -> usize {
     e.canonical.len()
         + e.parked.iter().map(Checker::approx_bytes).sum::<usize>()
-        + e.compiled
-            .iter()
-            .flatten()
-            .map(|c| c.approx_bytes())
-            .sum::<usize>()
+        + e.compiled.as_ref().map_or(0, |c| c.approx_bytes())
 }
 
 /// What [`DesignCache::checkout`] hands the caller.
@@ -107,10 +100,9 @@ pub struct Checkout {
     /// running job — the caller builds a fresh one from the
     /// elaboration).
     pub checker: Option<Checker>,
-    /// A parked compiled tape satisfying the checkout's `want_probes`,
-    /// when the entry holds one (an `Arc` clone — the entry keeps its
-    /// copy for concurrent and later jobs). A probed tape is handed out
-    /// for a probe-free want when no probe-free tape is parked.
+    /// The design's parked compiled tape, when the checkout wanted one
+    /// and the entry holds it (an `Arc` clone — the entry keeps its
+    /// copy for concurrent and later jobs).
     pub compiled: Option<Arc<CompiledModule>>,
     /// Whether the design was already cached.
     pub hit: bool,
@@ -191,9 +183,8 @@ impl DesignCache {
     /// Evicts LRU-first until the byte budget holds again. Called after
     /// every operation that can grow an entry (insert, park). When only
     /// one entry remains over budget, its parked checkers (oldest
-    /// first) and compiled tapes (probe-free slot first — the probed
-    /// tape can still serve both kinds of request) are shed instead of
-    /// the entry itself.
+    /// first) and then its compiled tape are shed instead of the entry
+    /// itself.
     fn enforce_byte_budget(&mut self) {
         if self.max_bytes == 0 {
             return;
@@ -209,10 +200,7 @@ impl DesignCache {
                     entry.parked.remove(0);
                 }
                 if base + entry_bytes(&entry) > self.max_bytes {
-                    entry.compiled[0] = None;
-                }
-                if base + entry_bytes(&entry) > self.max_bytes {
-                    entry.compiled[1] = None;
+                    entry.compiled = None;
                 }
                 self.map.insert(key, entry);
             }
@@ -234,32 +222,21 @@ impl DesignCache {
     /// miss, `build` supplies the artifacts (the evicting insert
     /// happens before returning).
     ///
-    /// `want_probes` selects which parked tape (if any) rides along:
-    /// `None` means the job simulates without a tape (interpreter
-    /// backend), `Some(p)` asks for a tape whose probes match `p` — a
-    /// probed tape also satisfies `Some(false)` since its probes are a
-    /// superset the engine ignores when coverage is off.
+    /// `want_tape` says whether the design's parked tape (if any) rides
+    /// along: `false` for a job that simulates without one (the
+    /// interpreter backend).
     pub fn checkout<E>(
         &mut self,
         key: &str,
         canonical: &str,
-        want_probes: Option<bool>,
+        want_tape: bool,
         build: impl FnOnce() -> Result<(Arc<Module>, Arc<Elab>), E>,
     ) -> Result<Checkout, E> {
         let mut collision = false;
         if let Some(entry) = self.map.get_mut(key) {
             if entry.canonical == canonical {
                 self.counters.hits += 1;
-                let compiled = match want_probes {
-                    None => None,
-                    Some(p) => entry.compiled[usize::from(p)].clone().or_else(|| {
-                        if p {
-                            None
-                        } else {
-                            entry.compiled[1].clone()
-                        }
-                    }),
-                };
+                let compiled = entry.compiled.clone().filter(|_| want_tape);
                 if compiled.is_some() {
                     self.counters.compiled_reused += 1;
                 }
@@ -285,7 +262,7 @@ impl DesignCache {
             module: module.clone(),
             elab: elab.clone(),
             parked: Vec::new(),
-            compiled: [None, None],
+            compiled: None,
             canonical: canonical.to_string(),
         };
         self.map.insert(key.to_string(), entry);
@@ -319,18 +296,15 @@ impl DesignCache {
     }
 
     /// Parks the compiled instruction tape a job built for this design,
-    /// counting the build. The tape lands in the slot matching its
-    /// compile options (probed vs probe-free — the entry records what
-    /// each parked tape observes). Subject to the same collision guard
-    /// as [`DesignCache::park`]; an entry whose slot already holds a
-    /// tape keeps its existing one (compilation is deterministic — they
-    /// are equivalent).
+    /// counting the build. Subject to the same collision guard as
+    /// [`DesignCache::park`]; an entry that already holds a tape keeps
+    /// its existing one (compilation is deterministic — they are
+    /// equivalent).
     pub fn park_compiled(&mut self, key: &str, canonical: &str, compiled: Arc<CompiledModule>) {
         self.counters.compiled_built += 1;
         if let Some(entry) = self.map.peek_mut(key) {
-            let slot = usize::from(compiled.has_probes());
-            if entry.canonical == canonical && entry.compiled[slot].is_none() {
-                entry.compiled[slot] = Some(compiled);
+            if entry.canonical == canonical && entry.compiled.is_none() {
+                entry.compiled = Some(compiled);
             }
         }
         self.enforce_byte_budget();
@@ -395,20 +369,20 @@ mod tests {
         let mut cache = DesignCache::new(2);
         let (ka, kb, kc) = ("a", "b", "c");
         let ok = |src: &'static str| move || Ok::<_, ()>(build(src));
-        cache.checkout(ka, A, Some(true), ok(A)).unwrap();
-        cache.checkout(kb, B, Some(true), ok(B)).unwrap();
+        cache.checkout(ka, A, true, ok(A)).unwrap();
+        cache.checkout(kb, B, true, ok(B)).unwrap();
         // Touch A so B is the LRU victim when C arrives.
-        assert!(cache.checkout(ka, A, Some(true), ok(A)).unwrap().hit);
-        cache.checkout(kc, C, Some(true), ok(C)).unwrap();
+        assert!(cache.checkout(ka, A, true, ok(A)).unwrap().hit);
+        cache.checkout(kc, C, true, ok(C)).unwrap();
         let stats = cache.stats();
         assert_eq!(stats.entries, 2);
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 3);
         // A (recently touched) survived…
-        assert!(cache.checkout(ka, A, Some(true), ok(A)).unwrap().hit);
+        assert!(cache.checkout(ka, A, true, ok(A)).unwrap().hit);
         // …and B was evicted: checking it out again is a miss.
-        let back = cache.checkout(kb, B, Some(true), ok(B)).unwrap();
+        let back = cache.checkout(kb, B, true, ok(B)).unwrap();
         assert!(!back.hit);
         assert!(back.checker.is_none());
     }
@@ -419,8 +393,8 @@ mod tests {
         // canonical forms: the second checkout must NOT hit.
         let mut cache = DesignCache::new(4);
         let ok = |src: &'static str| move || Ok::<_, ()>(build(src));
-        cache.checkout("k", A, Some(true), ok(A)).unwrap();
-        let other = cache.checkout("k", B, Some(true), ok(B)).unwrap();
+        cache.checkout("k", A, true, ok(A)).unwrap();
+        let other = cache.checkout("k", B, true, ok(B)).unwrap();
         assert!(!other.hit, "colliding canonical forms are a miss");
         assert_eq!(other.module.name(), "b");
         let stats = cache.stats();
@@ -431,7 +405,7 @@ mod tests {
         // new resident under the shared key.
         let a = parse_verilog(A).unwrap();
         cache.park("k", A, Checker::new(&a).unwrap());
-        let again = cache.checkout("k", B, Some(true), ok(B)).unwrap();
+        let again = cache.checkout("k", B, true, ok(B)).unwrap();
         assert!(again.hit);
         assert!(
             again.checker.is_none(),
@@ -443,53 +417,18 @@ mod tests {
     fn parked_checkers_come_back_and_dropped_ones_are_harmless() {
         let mut cache = DesignCache::new(1);
         let ok = |src: &'static str| move || Ok::<_, ()>(build(src));
-        let cold = cache.checkout("a", A, Some(true), ok(A)).unwrap();
+        let cold = cache.checkout("a", A, true, ok(A)).unwrap();
         assert!(
             cold.checker.is_none(),
             "cold entries have no parked checker"
         );
         cache.park("a", A, Checker::new(&cold.module).unwrap());
-        let warm = cache.checkout("a", A, Some(true), ok(A)).unwrap();
+        let warm = cache.checkout("a", A, true, ok(A)).unwrap();
         assert!(warm.hit && warm.checker.is_some());
         assert!(cache.stats().approx_bytes > 0);
         // Evict "a" while its checker is out; parking it back is a no-op.
-        cache.checkout("b", B, Some(true), ok(B)).unwrap();
+        cache.checkout("b", B, true, ok(B)).unwrap();
         cache.park("a", A, warm.checker.unwrap());
         assert_eq!(cache.stats().entries, 1);
-    }
-
-    #[test]
-    fn compiled_tapes_are_slotted_by_probe_options() {
-        use goldmine::{CompileOptions, CompiledModule};
-        let mut cache = DesignCache::new(2);
-        let ok = |src: &'static str| move || Ok::<_, ()>(build(src));
-        let cold = cache.checkout("a", A, Some(true), ok(A)).unwrap();
-        assert!(cold.compiled.is_none(), "cold entries hold no tape");
-        let probed = Arc::new(CompiledModule::compile(&cold.module).unwrap());
-        let bare = Arc::new(
-            CompiledModule::compile_with(&cold.module, CompileOptions { probes: false }).unwrap(),
-        );
-        cache.park_compiled("a", A, probed.clone());
-        // A probed tape serves both probed and probe-free wants…
-        let want_probed = cache.checkout("a", A, Some(true), ok(A)).unwrap();
-        assert!(want_probed.compiled.is_some_and(|c| c.has_probes()));
-        let want_bare = cache.checkout("a", A, Some(false), ok(A)).unwrap();
-        assert!(want_bare.compiled.is_some_and(|c| c.has_probes()));
-        // …an interpreter job takes none…
-        let no_tape = cache.checkout("a", A, None, ok(A)).unwrap();
-        assert!(no_tape.compiled.is_none());
-        // …and once a probe-free tape is parked, probe-free wants get
-        // the exact match while probed wants keep theirs.
-        cache.park_compiled("a", A, bare);
-        let exact = cache.checkout("a", A, Some(false), ok(A)).unwrap();
-        assert!(exact.compiled.is_some_and(|c| !c.has_probes()));
-        let still = cache.checkout("a", A, Some(true), ok(A)).unwrap();
-        assert!(still.compiled.is_some_and(|c| c.has_probes()));
-        let stats = cache.stats();
-        assert_eq!(stats.compiled_built, 2);
-        assert_eq!(
-            stats.compiled_reused, 4,
-            "only tape-carrying checkouts count"
-        );
     }
 }

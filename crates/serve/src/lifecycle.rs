@@ -262,14 +262,12 @@ impl JobTable {
             trace,
             mut built,
         } = *sub;
-        // Which parked tape this job can use: none for the interpreter;
-        // otherwise one whose probes match the job's coverage setting
-        // (a probed tape also serves probe-free).
-        let want_probes =
-            (config.sim_backend != SimBackend::Interpreter).then_some(config.record_coverage);
+        // An interpreter job takes no tape; every other job takes the
+        // design's one parked tape, if there is one.
+        let want_tape = config.sim_backend != SimBackend::Interpreter;
         let out = self
             .cache
-            .checkout(&key, &canonical, want_probes, || built.take().ok_or(()))
+            .checkout(&key, &canonical, want_tape, || built.take().ok_or(()))
             .expect("a miss is admitted only with its artifacts built");
         let id = self.next_id;
         self.next_id += 1;

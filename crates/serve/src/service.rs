@@ -60,8 +60,8 @@ use crate::scheduler::StealQueues;
 use gm_mc::Checker;
 use gm_rtl::Module;
 use goldmine::{
-    ClosureOutcome, CompileOptions, CompiledModule, Engine, EngineConfig, EngineError,
-    IterationReport, SimBackend, Step, StopReason,
+    ClosureOutcome, CompiledModule, Engine, EngineConfig, EngineError, IterationReport, SimBackend,
+    Step, StopReason,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -474,7 +474,7 @@ impl ClosureService {
     /// Requests cancellation. Queued jobs are dropped before they run;
     /// running jobs stop cooperatively *mid-iteration* — the token is
     /// polled between the checker's SAT queries and once per simulated
-    /// cycle of the coverage passes (see [`Engine::with_cancel`]), so a
+    /// cycle of every replay (see [`Engine::with_cancel`]), so a
     /// stuck job frees its worker without waiting for the iteration
     /// boundary. The partial outcome stays valid and is retrievable via
     /// [`ClosureService::take_outcome`]. Returns whether the job
@@ -1020,27 +1020,17 @@ fn run_attempt(shared: &Arc<Shared>, id: u64, claim: &Claim, warm: Reclaimed) ->
     };
     // Reuse the design's parked compiled tape, or build (and later
     // park) one — per canonical design, not per engine. Compilation is
-    // deterministic, so reuse never changes the outcome.
+    // deterministic, so reuse never changes the outcome, and there is
+    // one tape per design whether or not the job records coverage.
     let mut built_compiled: Option<Arc<CompiledModule>> = None;
-    let compiled = if config.sim_backend == SimBackend::Interpreter {
-        None
-    } else {
-        Some(warm.compiled.unwrap_or_else(|| {
-            // Compile with the probes this job needs: a coverage run
-            // gets a probed tape, a trace-only run a leaner probe-free
-            // one. The cache slots the parked tape by these options.
-            let opts = CompileOptions {
-                probes: config.record_coverage,
-            };
-            let mut span = gm_trace::span("serve", "serve.compile_tape");
-            if span.is_active() {
-                span.arg("probes", opts.probes);
-            }
-            let c = Arc::new(CompiledModule::with_elab_opts(module, elab, opts));
+    let compiled = (config.sim_backend != SimBackend::Interpreter).then(|| {
+        warm.compiled.unwrap_or_else(|| {
+            let _span = gm_trace::span("serve", "serve.compile_tape");
+            let c = Arc::new(CompiledModule::with_elab(module, elab));
             built_compiled = Some(c.clone());
             c
-        }))
-    };
+        })
+    });
     let (outcome, reclaimed) = match checker_result {
         Err(e) => (Err(EngineError::from(e)), None),
         Ok(checker) => {
@@ -1253,12 +1243,9 @@ mod tests {
             let mut st = service.state();
             let out = st
                 .cache
-                .checkout(
-                    &key,
-                    &canonical,
-                    Some(false),
-                    || -> Result<_, ServeError> { unreachable!("the design is resident") },
-                )
+                .checkout(&key, &canonical, true, || -> Result<_, ServeError> {
+                    unreachable!("the design is resident")
+                })
                 .unwrap();
             let tape = out.compiled.expect("the first job parked its tape");
             (Arc::downgrade(&out.elab), Arc::downgrade(&tape))

@@ -7,7 +7,7 @@
 use gm_mc::Checker;
 use gm_serve::cache::{canonical_form, DesignCache};
 use gm_serve::{ClosureService, JobState, Request, Response, ServeConfig, SubmitOptions};
-use goldmine::{EngineConfig, SeedStimulus, ShardPolicy, TargetSelection};
+use goldmine::{Engine, EngineConfig, SeedStimulus, ShardPolicy, TargetSelection};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -145,25 +145,14 @@ fn byte_budget_evicts_lru_first_and_never_exceeds_budget() {
     // Room for two resident sources but never three.
     let budget = canon(A).len() + canon(B).len() + canon(C).len() - 1;
     let mut cache = DesignCache::with_max_bytes(8, budget);
-    cache
-        .checkout("a", &canon(A), Some(true), build(A))
-        .unwrap();
-    cache
-        .checkout("b", &canon(B), Some(true), build(B))
-        .unwrap();
+    cache.checkout("a", &canon(A), true, build(A)).unwrap();
+    cache.checkout("b", &canon(B), true, build(B)).unwrap();
     assert!(cache.stats().approx_bytes <= budget);
     assert_eq!(cache.stats().evictions_bytes, 0);
 
     // Touch A so B is the LRU victim when C overflows the budget.
-    assert!(
-        cache
-            .checkout("a", &canon(A), Some(true), build(A))
-            .unwrap()
-            .hit
-    );
-    cache
-        .checkout("c", &canon(C), Some(true), build(C))
-        .unwrap();
+    assert!(cache.checkout("a", &canon(A), true, build(A)).unwrap().hit);
+    cache.checkout("c", &canon(C), true, build(C)).unwrap();
     let stats = cache.stats();
     assert!(stats.approx_bytes <= budget, "budget violated after insert");
     assert_eq!(stats.evictions_bytes, 1);
@@ -172,15 +161,8 @@ fn byte_budget_evicts_lru_first_and_never_exceeds_budget() {
     assert!(cache.matches("c", &canon(C)));
 
     // Touch C so A is next out when D arrives.
-    assert!(
-        cache
-            .checkout("c", &canon(C), Some(true), build(C))
-            .unwrap()
-            .hit
-    );
-    cache
-        .checkout("d", &canon(D), Some(true), build(D))
-        .unwrap();
+    assert!(cache.checkout("c", &canon(C), true, build(C)).unwrap().hit);
+    cache.checkout("d", &canon(D), true, build(D)).unwrap();
     assert!(!cache.matches("a", &canon(A)), "victim order follows LRU");
     assert!(cache.matches("c", &canon(C)));
     assert!(cache.matches("d", &canon(D)));
@@ -205,9 +187,7 @@ fn byte_budget_evicts_lru_first_and_never_exceeds_budget() {
     assert!(parked.approx_bytes() > 0, "warm checkers account bytes");
     let sole_budget = canon(A).len() + parked.approx_bytes() - 1;
     let mut small = DesignCache::with_max_bytes(8, sole_budget);
-    small
-        .checkout("a", &canon(A), Some(true), build(A))
-        .unwrap();
+    small.checkout("a", &canon(A), true, build(A)).unwrap();
     small.park("a", &canon(A), parked);
     assert!(
         small.stats().approx_bytes <= sole_budget,
@@ -217,10 +197,46 @@ fn byte_budget_evicts_lru_first_and_never_exceeds_budget() {
         small.matches("a", &canon(A)),
         "the design itself stays resident"
     );
-    let warm = small
-        .checkout("a", &canon(A), Some(true), build(A))
-        .unwrap();
+    let warm = small.checkout("a", &canon(A), true, build(A)).unwrap();
     assert!(warm.hit && warm.checker.is_none());
+}
+
+/// A design has one parked tape: a coverage-off job builds and parks
+/// it, a coverage-on job of the same design after it runs on that same
+/// tape, and both outcomes are a standalone engine run's.
+#[test]
+fn coverage_off_and_on_jobs_share_one_parked_tape() {
+    let design = gm_designs::catalog()
+        .into_iter()
+        .find(|d| d.name == "b01")
+        .expect("b01 in the catalog");
+    let module = design.module();
+    let config = |record_coverage| EngineConfig {
+        window: design.window,
+        stimulus: SeedStimulus::Random { cycles: 32 },
+        max_iterations: 10,
+        record_coverage,
+        ..EngineConfig::default()
+    };
+    let service = ClosureService::new(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    for record_coverage in [false, true] {
+        let config = config(record_coverage);
+        let standalone = Engine::new(&module, config.clone()).unwrap().run().unwrap();
+        assert_eq!(standalone.iterations[0].coverage.is_some(), record_coverage);
+        let (id, _) = service
+            .submit_module("b01", module.clone(), config, SubmitOptions::default())
+            .unwrap();
+        assert_eq!(service.wait(id), Some(JobState::Done));
+        let served = service.take_outcome(id).unwrap().unwrap();
+        assert_eq!(format!("{served:?}"), format!("{standalone:?}"));
+    }
+    let stats = service.stats();
+    assert_eq!(stats.compiled_built, 1, "{stats:?}");
+    assert_eq!(stats.compiled_reused, 1, "{stats:?}");
+    service.shutdown();
 }
 
 /// Parses a Prometheus exposition page into name → value, keeping the

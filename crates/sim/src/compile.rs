@@ -81,11 +81,14 @@
 //! cycles of the pass (draining probe hits first), and rebuilds the
 //! residual only when the closed set grew. Lowering emits
 //! the same instructions and registers with or without observation, so
-//! the all-closed residual is exactly the probe-free tape
-//! ([`CompileOptions`] with `probes: false`, itself the probed lowering
-//! stripped); a probed module keeps that residual cached, and a
-//! [`crate::NopObserver`] (everything closed) on it costs what the
-//! probe-free tape costs.
+//! the all-closed residual is exactly the probe-free tape; a module
+//! keeps it cached and switches to it, without filtering, once every
+//! point is closed. A [`crate::NopObserver`] (everything closed) on a
+//! module therefore costs what the probe-free tape costs, which is why
+//! a design has one tape: trace-only replays and coverage-carrying ones
+//! run the same module. ([`CompileOptions`] with `probes: false`
+//! compiles that stripped tape as a module of its own, for the
+//! benchmarks and tests that pin it.)
 //!
 //! # When the interpreter is still used
 //!
@@ -155,17 +158,22 @@ impl SimBackend {
 }
 
 /// What gets compiled into a tape beyond the design logic.
+///
+/// Program code has one tape per design, the probed one
+/// ([`CompiledModule::compile`], [`CompiledModule::with_elab`]): a
+/// replay whose observer has closed every point (a
+/// [`crate::NopObserver`]) already runs its cached probe-free residual.
+/// This type and [`CompiledModule::compile_with`] remain for the
+/// benchmark harness, `crates/bench` and the simulator's own tests,
+/// which measure or pin the stripped tape as a module of its own.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct CompileOptions {
     /// Compile observation instructions — statement/branch events and
     /// the fused boolean-node probes — into the tapes. With `false`
     /// the tape carries no observation work at all (and an empty probe
-    /// table): the fast shape for trace-only callers such as
-    /// counterexample replay, seed-trace generation and mining-feature
-    /// extraction, which attach no coverage collector. It is the probed
-    /// tape with every observation instruction stripped, so a probed
-    /// tape replayed under an observer that closes every point (a
-    /// [`crate::NopObserver`]) runs the same instructions.
+    /// table): it is the probed tape with every observation instruction
+    /// stripped, the instructions a probed tape runs under an observer
+    /// that closes every point.
     pub probes: bool,
 }
 
@@ -206,11 +214,6 @@ impl<'a> LaneSet<'a> {
     #[inline]
     pub fn contains(&self, lane: u32) -> bool {
         self.word(lane as usize / 64) >> (lane % 64) & 1 == 1
-    }
-
-    /// Total lanes addressed by the set (64 per block word).
-    pub fn lane_count(&self) -> u32 {
-        (self.0.len() * 64) as u32
     }
 }
 
@@ -580,7 +583,9 @@ impl<'c> Residual<'c> {
     }
 
     /// Drops the observation instructions of every point `obs` has
-    /// closed since the last call; a no-op when it closed none.
+    /// closed since the last call; a no-op when it closed none, and a
+    /// switch to the cached probe-free tape, with nothing filtered,
+    /// when it closed all.
     fn refresh(&mut self, obs: &dyn BatchObserver) {
         if self.open == 0 {
             return;
@@ -588,12 +593,14 @@ impl<'c> Residual<'c> {
         let probes = &self.module.probes;
         let tape = self.tape();
         let closed = |p: ObsPoint| obs.closed(p);
-        if !tape.insts().any(|i| i.point(probes).is_some_and(closed)) {
+        let closing = (tape.insts())
+            .filter(|i| i.point(probes).is_some_and(closed))
+            .count();
+        if closing == 0 {
             return;
         }
-        let next = tape.residual(probes, closed);
-        self.open = next.obs_count();
-        self.own = (self.open > 0).then_some(next);
+        self.own = (closing < self.open).then(|| tape.residual(probes, closed));
+        self.open -= closing;
     }
 }
 
@@ -644,27 +651,14 @@ impl CompiledModule {
     }
 
     /// Elaborates `module` and lowers it to tapes with the given
-    /// options.
+    /// options. There is one lowering: without probes the tape is the
+    /// probed one with its observation instructions stripped.
     ///
     /// # Errors
     ///
     /// Propagates elaboration errors (see [`gm_rtl::elaborate`]).
     pub fn compile_with(module: &Module, options: CompileOptions) -> Result<Self> {
-        let elab = elaborate(module)?;
-        Ok(Self::with_elab_opts(module, &elab, options))
-    }
-
-    /// Lowers an already elaborated module to tapes with default
-    /// options.
-    pub fn with_elab(module: &Module, elab: &Elab) -> Self {
-        Self::with_elab_opts(module, elab, CompileOptions::default())
-    }
-
-    /// Lowers an already elaborated module to tapes with the given
-    /// options. There is one lowering: without probes the tape is the
-    /// probed one with its observation instructions stripped.
-    pub fn with_elab_opts(module: &Module, elab: &Elab, options: CompileOptions) -> Self {
-        let mut c = Compiler::lower(module, elab);
+        let mut c = Self::with_elab(module, &elaborate(module)?);
         if !options.probes {
             c.tape = c
                 .bare
@@ -672,7 +666,13 @@ impl CompiledModule {
                 .expect("the probed lowering keeps its stripped tape");
             c.probes = Vec::new();
         }
-        c
+        Ok(c)
+    }
+
+    /// Lowers an already elaborated module to tapes, probes compiled
+    /// in.
+    pub fn with_elab(module: &Module, elab: &Elab) -> Self {
+        Compiler::lower(module, elab)
     }
 
     /// Total instruction count across both tapes.
@@ -693,19 +693,6 @@ impl CompiledModule {
     /// The number of compiled boolean-node probes.
     pub fn probe_count(&self) -> usize {
         self.probes.len()
-    }
-
-    /// The options this tape was compiled with.
-    pub fn options(&self) -> CompileOptions {
-        CompileOptions {
-            probes: self.has_probes(),
-        }
-    }
-
-    /// Whether observation instructions (and the probe table) were
-    /// compiled in.
-    pub fn has_probes(&self) -> bool {
-        self.bare.is_some()
     }
 
     /// Approximate resident size of the compiled module — the
@@ -1380,13 +1367,6 @@ impl LaneSnapshot<'_> {
         self.block
     }
 
-    /// How many lanes this snapshot carries: `64·block`, inactive lanes
-    /// included — mask with the [`LaneSet`] delivered alongside the
-    /// snapshot.
-    pub fn lane_count(&self) -> u32 {
-        (64 * self.block) as u32
-    }
-
     /// The width of a signal.
     pub fn width(&self, sig: SignalId) -> u32 {
         self.widths[sig.index()]
@@ -1476,11 +1456,6 @@ impl<'c, const W: usize> BatchSim<'c, W> {
         self.cycle
     }
 
-    /// Stimulus vectors per pass (`64·W`).
-    pub fn lane_count(&self) -> u32 {
-        (64 * W) as u32
-    }
-
     /// Drives an input in one lane.
     pub fn set_input_lane(&mut self, lane: u32, sig: SignalId, value: Bv) {
         let w = self.c.widths[sig.index()];
@@ -1549,13 +1524,8 @@ impl<'c, const W: usize> BatchSim<'c, W> {
         );
     }
 
-    /// Fires the sequential processes and commits next state in every
-    /// lane; observations are restricted to `active` lanes.
-    pub fn clock_edge(&mut self, active: &[u64; W], obs: Option<&mut dyn BatchObserver>) {
-        let c = self.c;
-        self.clock_edge_on(&c.tape, active, obs);
-    }
-
+    /// Fires the sequential processes of `tape` and commits next state
+    /// in every lane; observations are restricted to `active` lanes.
     fn clock_edge_on(
         &mut self,
         tape: &Tape,
@@ -2216,7 +2186,19 @@ mod tests {
         assert!(c.tape_len() > 0);
         assert!(c.register_count() > m.signals().len());
         assert!(c.probe_count() > 0, "rhs boolean nodes are probed");
-        assert!(c.has_probes());
+        assert!(c.bare.is_some(), "the probe-free residual is cached");
+    }
+
+    #[test]
+    fn a_residual_closed_everywhere_is_the_cached_probe_free_tape() {
+        let m = parse_verilog(ALU).unwrap();
+        let c = CompiledModule::compile(&m).unwrap();
+        let mut residual = Residual::new(&c);
+        assert!(residual.open > 0);
+        residual.refresh(&NopObserver);
+        assert!(residual.own.is_none());
+        assert_eq!(residual.open, 0);
+        assert!(std::ptr::eq(residual.tape(), c.probe_free()));
     }
 
     #[test]
@@ -2224,7 +2206,7 @@ mod tests {
         let m = parse_verilog(ALU).unwrap();
         let probed = CompiledModule::compile(&m).unwrap();
         let bare = CompiledModule::compile_with(&m, CompileOptions { probes: false }).unwrap();
-        assert!(!bare.has_probes());
+        assert!(bare.bare.is_none());
         assert_eq!(bare.probe_count(), 0);
         assert!(
             bare.tape_len() < probed.tape_len(),

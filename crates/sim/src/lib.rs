@@ -34,8 +34,12 @@
 //! any range of a suite reads the range's groups in place; a
 //! [`Segment`] is decoded from it on request. See the "Lane encoding"
 //! section of the compiled backend's module docs. A run
-//! picks between them (and the lane-block width) with [`SimBackend`],
-//! and can compile observation out entirely with [`CompileOptions`].
+//! picks between them (and the lane-block width) with [`SimBackend`].
+//! A design has one tape, compiled with its observation instructions:
+//! a replay whose observer has closed every point (a [`NopObserver`])
+//! runs the tape's cached probe-free residual, so trace-only callers
+//! need no tape of their own ([`CompileOptions`] remains for the
+//! benchmarks and tests that measure the stripped tape alone).
 //! The interpreter is still what runs under
 //! [`SimBackend::Interpreter`] — the reference leg of every agree
 //! suite — and under any [`SimObserver`] that wants expressions and

@@ -2,7 +2,8 @@
 //!
 //! Everything above the simulator that turns stimulus into traces or
 //! coverage — the closure engine's seed, counterexample and refinement
-//! replays, its coverage snapshots, the miner's suite extraction — asks
+//! replays (which also feed its coverage suite), the miner's suite
+//! extraction — asks
 //! a [`Replay`] and never names an executor. The decision is the
 //! `compiled` field alone:
 //!
