@@ -5,7 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use gm_mc::{
     blast, bmc, explicit_check, k_induction, BitAtom, CheckResult, CheckSession, Checker,
-    ConsequentKind, ExplicitLimits, ReachableStates, TemporalProperty, WindowProperty,
+    ConsequentKind, ExplicitLimits, ReachableStates, WindowProperty,
 };
 use gm_mine::{input_space_coverage, Assertion, Dataset, DecisionTree, MiningSpec};
 use gm_rtl::{cone_of, elaborate, parse_verilog};
@@ -204,13 +204,13 @@ fn bench_sat_session(c: &mut Criterion) {
             let (a, abit) = bits[i % bits.len()];
             let (b, bbit) = bits[(i / 3 + 5) % bits.len()];
             let (cons, cbit) = bits[(i * 7 + 2) % bits.len()];
-            WindowProperty {
-                antecedent: vec![
+            WindowProperty::implication(
+                vec![
                     BitAtom::new(a, abit, 0, i % 2 == 0),
                     BitAtom::new(b, bbit, (i % 3 == 0) as u32, i % 5 < 3),
                 ],
-                consequent: BitAtom::new(cons, cbit, 1 + (i % 4 == 0) as u32, i % 7 < 4),
-            }
+                BitAtom::new(cons, cbit, 1 + (i % 4 == 0) as u32, i % 7 < 4),
+            )
         })
         .collect();
     let mut session = CheckSession::new(blasted);
@@ -245,11 +245,12 @@ fn bench_canonical_cex(c: &mut Criterion) {
         let mut checker = Checker::new(module)
             .unwrap()
             .with_backend(gm_mc::Backend::KInduction { max_k: 2 });
+        let prop = std::slice::from_ref(&prop);
         assert!(matches!(
-            checker.check(&prop).unwrap(),
-            CheckResult::Violated(_)
+            checker.check_batch(prop).unwrap()[..],
+            [CheckResult::Violated(_)]
         ));
-        c.bench_function(name, |b| b.iter(|| checker.check(&prop).unwrap()));
+        c.bench_function(name, |b| b.iter(|| checker.check_batch(prop).unwrap()));
         let stats = checker.session_stats();
         assert_eq!(stats.cex_canonicalized, stats.sat_decided);
     };
@@ -260,13 +261,13 @@ fn bench_canonical_cex(c: &mut Criterion) {
     kernel(
         "mc/canonical_cex_decode_stage",
         &decode,
-        WindowProperty {
-            antecedent: vec![
+        WindowProperty::implication(
+            vec![
                 BitAtom::new(sig("is_alu"), 0, 0, true),
                 BitAtom::new(sig("writes_rd"), 0, 0, true),
             ],
-            consequent: BitAtom::new(sig("uses_imm"), 0, 0, true),
-        },
+            BitAtom::new(sig("uses_imm"), 0, 0, true),
+        ),
     );
     // Latched: !fault@0 |-> !done@1 first fails in the window starting
     // two cycles after reset, so the scan extends the prefix twice.
@@ -275,10 +276,10 @@ fn bench_canonical_cex(c: &mut Criterion) {
     kernel(
         "mc/canonical_cex_b18_lite_k2",
         &b18,
-        WindowProperty {
-            antecedent: vec![BitAtom::new(sig("fault"), 0, 0, false)],
-            consequent: BitAtom::new(sig("done"), 0, 1, false),
-        },
+        WindowProperty::implication(
+            vec![BitAtom::new(sig("fault"), 0, 0, false)],
+            BitAtom::new(sig("done"), 0, 1, false),
+        ),
     );
 }
 
@@ -289,17 +290,17 @@ fn bench_model_checking(c: &mut Criterion) {
     let req0 = module.require("req0").unwrap();
     let gnt0 = module.require("gnt0").unwrap();
     // The paper's A2 (true) and A0 (false).
-    let a2 = WindowProperty {
-        antecedent: vec![
+    let a2 = WindowProperty::implication(
+        vec![
             BitAtom::new(req0, 0, 0, false),
             BitAtom::new(req0, 0, 1, false),
         ],
-        consequent: BitAtom::new(gnt0, 0, 2, false),
-    };
-    let a0 = WindowProperty {
-        antecedent: vec![BitAtom::new(req0, 0, 0, false)],
-        consequent: BitAtom::new(gnt0, 0, 1, true),
-    };
+        BitAtom::new(gnt0, 0, 2, false),
+    );
+    let a0 = WindowProperty::implication(
+        vec![BitAtom::new(req0, 0, 0, false)],
+        BitAtom::new(gnt0, 0, 1, true),
+    );
     c.bench_function("mc/explicit_reach_arbiter2", |b| {
         b.iter(|| ReachableStates::explore(&blasted, &ExplicitLimits::default()).unwrap());
     });
@@ -313,8 +314,8 @@ fn bench_model_checking(c: &mut Criterion) {
         b.iter_batched(
             || Checker::new(&module).unwrap(),
             |mut ch| {
-                let r1 = ch.check(&a2).unwrap();
-                let r2 = ch.check(&a0).unwrap();
+                let r1 = ch.check_batch(std::slice::from_ref(&a2)).unwrap();
+                let r2 = ch.check_batch(std::slice::from_ref(&a0)).unwrap();
                 (r1, r2)
             },
             BatchSize::SmallInput,
@@ -333,10 +334,10 @@ fn bench_explicit_tables(c: &mut Criterion) {
     let sig = |name: &str| module.require(name).unwrap();
     // branch_mispredict@0 |-> !valid@1: proved, so the pass runs every
     // offset over every pair.
-    let proved = WindowProperty {
-        antecedent: vec![BitAtom::new(sig("branch_mispredict"), 0, 0, true)],
-        consequent: BitAtom::new(sig("valid"), 0, 1, false),
-    };
+    let proved = WindowProperty::implication(
+        vec![BitAtom::new(sig("branch_mispredict"), 0, 0, true)],
+        BitAtom::new(sig("valid"), 0, 1, false),
+    );
     // Seven input bits and one register bit: eight observation bitsets.
     let mut antecedent = vec![
         BitAtom::new(sig("stall_in"), 0, 0, false),
@@ -344,10 +345,8 @@ fn bench_explicit_tables(c: &mut Criterion) {
         BitAtom::new(sig("icache_rdvl_i"), 0, 0, true),
     ];
     antecedent.extend((0..4).map(|bit| BitAtom::new(sig("branch_pc"), bit, 0, false)));
-    let eight_literals = WindowProperty {
-        antecedent,
-        consequent: BitAtom::new(sig("valid"), 0, 1, true),
-    };
+    let eight_literals =
+        WindowProperty::implication(antecedent, BitAtom::new(sig("valid"), 0, 1, true));
     let warm = ReachableStates::explore(&blasted, &limits).unwrap();
     let res = explicit_check(&module, &blasted, &warm, &proved, &limits).unwrap();
     assert_eq!(res, CheckResult::Proved);
@@ -389,7 +388,7 @@ fn bench_temporal_batch(c: &mut Criterion) {
             let (second, second_bit) = features[(i + 1) % features.len()];
             for (j, &(target, bit)) in targets.iter().enumerate() {
                 for value in [false, true] {
-                    props.push(TemporalProperty {
+                    props.push(WindowProperty {
                         antecedent: vec![
                             BitAtom::new(first, first_bit, 0, (i + j) % 2 == 0),
                             BitAtom::new(second, second_bit, 1, value),
@@ -403,7 +402,7 @@ fn bench_temporal_batch(c: &mut Criterion) {
             }
         }
         let mut checker = Checker::new(&module).unwrap();
-        let verdicts = checker.check_batch(&props).unwrap();
+        let verdicts = checker.check_temporal_batch(&props).unwrap();
         assert!(verdicts.iter().any(CheckResult::is_proved));
         assert!(verdicts
             .iter()
@@ -411,7 +410,7 @@ fn bench_temporal_batch(c: &mut Criterion) {
         c.bench_function(&format!("mc/temporal_batch_b12_lite_{name}"), |b| {
             b.iter(|| {
                 checker.reset_for_reuse();
-                checker.check_batch(&props).unwrap()
+                checker.check_temporal_batch(&props).unwrap()
             });
         });
     }
@@ -429,12 +428,14 @@ fn bench_batched_checking(c: &mut Criterion) {
     let fault = module.require("fault").unwrap();
     let bus = module.require("bus").unwrap();
     let props: Vec<WindowProperty> = (0..4)
-        .map(|i| WindowProperty {
-            antecedent: vec![
-                BitAtom::new(go, 0, 0, i % 2 == 0),
-                BitAtom::new(done, 0, 0, false),
-            ],
-            consequent: BitAtom::new(if i < 2 { fault } else { bus }, u32::from(i == 3), 1, false),
+        .map(|i| {
+            WindowProperty::implication(
+                vec![
+                    BitAtom::new(go, 0, 0, i % 2 == 0),
+                    BitAtom::new(done, 0, 0, false),
+                ],
+                BitAtom::new(if i < 2 { fault } else { bus }, u32::from(i == 3), 1, false),
+            )
         })
         .collect();
     let backend = gm_mc::Backend::KInduction { max_k: 2 };
@@ -467,16 +468,18 @@ fn bench_shard_scaling(c: &mut Criterion) {
     let fault = module.require("fault").unwrap();
     let bus = module.require("bus").unwrap();
     let props: Vec<WindowProperty> = (0..16u32)
-        .map(|i| WindowProperty {
-            antecedent: vec![
-                BitAtom::new(go, 0, 0, i % 2 == 0),
-                BitAtom::new(done, 0, 0, i % 3 == 0),
-            ],
-            consequent: if i % 4 < 2 {
-                BitAtom::new(fault, 0, 1, i % 5 == 0)
-            } else {
-                BitAtom::new(bus, i % 2, 1, i % 5 == 0)
-            },
+        .map(|i| {
+            WindowProperty::implication(
+                vec![
+                    BitAtom::new(go, 0, 0, i % 2 == 0),
+                    BitAtom::new(done, 0, 0, i % 3 == 0),
+                ],
+                if i % 4 < 2 {
+                    BitAtom::new(fault, 0, 1, i % 5 == 0)
+                } else {
+                    BitAtom::new(bus, i % 2, 1, i % 5 == 0)
+                },
+            )
         })
         .collect();
     let backend = gm_mc::Backend::KInduction { max_k: 2 };

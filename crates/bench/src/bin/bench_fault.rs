@@ -56,12 +56,14 @@ fn main() {
     // decision dispatch; outcomes are irrelevant as long as both
     // variants do byte-identical work.
     let props: Vec<WindowProperty> = (0..4)
-        .map(|i| WindowProperty {
-            antecedent: vec![
-                BitAtom::new(req0, 0, 0, i % 2 == 0),
-                BitAtom::new(req0, 0, 1, false),
-            ],
-            consequent: BitAtom::new(gnt0, 0, 2, i >= 2),
+        .map(|i| {
+            WindowProperty::implication(
+                vec![
+                    BitAtom::new(req0, 0, 0, i % 2 == 0),
+                    BitAtom::new(req0, 0, 1, false),
+                ],
+                BitAtom::new(gnt0, 0, 2, i >= 2),
+            )
         })
         .collect();
 

@@ -94,10 +94,7 @@ use crate::error::EngineError;
 use crate::report::{ClosureOutcome, IterTiming, IterationReport, TargetSummary};
 use gm_cache::{FxMap, FxSet};
 use gm_coverage::{CoverageSuite, GainObserver, UncoveredIndex};
-use gm_mc::{
-    BitAtom, CheckResult, Checker, ConsequentKind, McError, SessionStats, TemporalProperty,
-    WindowProperty,
-};
+use gm_mc::{BitAtom, CheckResult, Checker, ConsequentKind, McError, SessionStats, WindowProperty};
 use gm_mine::{
     assertion_at, input_space_coverage, temporal_candidates, Assertion, Dataset, DecisionTree,
     MiningSpec, TemporalAssertion, TemporalTemplate,
@@ -112,22 +109,23 @@ use std::sync::Arc;
 
 /// Converts a mined assertion into the model checker's property form.
 pub fn assertion_property(a: &Assertion) -> WindowProperty {
-    WindowProperty {
-        antecedent: a
-            .literals
+    WindowProperty::implication(
+        a.literals
             .iter()
             .map(|(f, v)| BitAtom::new(f.signal, f.bit, f.offset, *v))
             .collect(),
-        consequent: BitAtom::new(a.target.signal, a.target.bit, a.target.offset, a.value),
-    }
+        BitAtom::new(a.target.signal, a.target.bit, a.target.offset, a.value),
+    )
 }
 
 /// Converts a mined temporal assertion into the model checker's
-/// multi-consequent property form: `Next`/`Stability` templates demand
-/// the value at every consequent offset (conjunctive,
-/// [`ConsequentKind::All`]), bounded eventuality demands it at *some*
-/// offset (disjunctive, [`ConsequentKind::Any`]).
-pub fn temporal_property(a: &TemporalAssertion) -> TemporalProperty {
+/// property form: `Next`/`Stability` templates demand the value at
+/// every consequent offset (conjunctive, [`ConsequentKind::All`]),
+/// bounded eventuality demands it at *some* offset (disjunctive,
+/// [`ConsequentKind::Any`]). A `Next` template's one consequent is
+/// built through [`WindowProperty::new`], so it is the same property —
+/// `Any` of one atom — as a combinational assertion over the same atoms.
+pub fn temporal_property(a: &TemporalAssertion) -> WindowProperty {
     let antecedent = a
         .literals
         .iter()
@@ -141,11 +139,7 @@ pub fn temporal_property(a: &TemporalAssertion) -> TemporalProperty {
         TemporalTemplate::Eventually { .. } => ConsequentKind::Any,
         TemporalTemplate::Next { .. } | TemporalTemplate::Stability { .. } => ConsequentKind::All,
     };
-    TemporalProperty {
-        antecedent,
-        consequents,
-        kind,
-    }
+    WindowProperty::new(antecedent, consequents, kind)
 }
 
 /// Per-iteration progress counters produced by one `iteration_pass`.
@@ -313,7 +307,7 @@ pub struct Engine<'m> {
     /// Temporal properties already decided this run, so a candidate the
     /// tree keeps re-proposing is dispatched (and its counterexample
     /// absorbed) exactly once.
-    temporal_decided: FxSet<TemporalProperty>,
+    temporal_decided: FxSet<WindowProperty>,
     /// Window properties left open on an `Unknown` verdict under
     /// [`UnknownPolicy::LeaveOpen`]. Their leaves stay open and pure, so
     /// the trees keep proposing them; the verdict is deterministic, so
@@ -896,10 +890,10 @@ impl<'m> Engine<'m> {
 
     /// One temporal-template pass: collect the undecided temporal
     /// candidates across all targets (deduped by property), dispatch
-    /// them through the checker's temporal path, accumulate proved ones
-    /// into the run's temporal assertion list, and absorb refuted ones'
-    /// counterexamples as `tcex-*` segments. Returns `(dispatched,
-    /// refuted)`.
+    /// them as one [`Checker::check_temporal_batch`], accumulate proved
+    /// ones into the run's temporal assertion list, and absorb refuted
+    /// ones' counterexamples as `tcex-*` segments. Returns
+    /// `(dispatched, refuted)`.
     ///
     /// Unlike combinational candidates, temporal verdicts never touch
     /// leaf statuses — a refuted stability window says nothing about
@@ -908,7 +902,7 @@ impl<'m> Engine<'m> {
     /// costs one query and one counterexample total, which also
     /// guarantees the pass converges.
     fn temporal_pass(&mut self, iteration: u32) -> Result<(usize, usize), EngineError> {
-        let mut undecided: Vec<(TemporalProperty, TemporalAssertion)> = Vec::new();
+        let mut undecided: Vec<(WindowProperty, TemporalAssertion)> = Vec::new();
         for t in &self.targets {
             if t.stuck.is_some() {
                 continue;
@@ -921,17 +915,17 @@ impl<'m> Engine<'m> {
             }
         }
         // First occurrences move into the batch; nothing is cloned.
-        let mut seen: FxSet<&TemporalProperty> = FxSet::default();
+        let mut seen: FxSet<&WindowProperty> = FxSet::default();
         let first: Vec<bool> = undecided
             .iter()
             .map(|(prop, _)| seen.insert(prop))
             .collect();
-        let (unique, mined): (Vec<TemporalProperty>, Vec<TemporalAssertion>) =
+        let (unique, mined): (Vec<WindowProperty>, Vec<TemporalAssertion>) =
             (undecided.into_iter().zip(first))
                 .filter_map(|(candidate, first)| first.then_some(candidate))
                 .unzip();
         let dispatched = unique.len();
-        let results = self.checker.check_batch(&unique)?;
+        let results = self.checker.check_temporal_batch(&unique)?;
         let mut refuted = 0usize;
         let mut tcex_count = 0usize;
         for ((prop, ta), res) in unique.into_iter().zip(mined).zip(results) {

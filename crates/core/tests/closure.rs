@@ -44,10 +44,11 @@ fn arbiter_converges_and_assertions_are_sound() {
     // Every reported assertion must independently re-verify.
     let mut checker = Checker::new(&m).unwrap();
     for a in &outcome.assertions {
-        let res = checker.check(&assertion_property(a)).unwrap();
+        let prop = assertion_property(a);
+        let res = checker.check_batch(std::slice::from_ref(&prop)).unwrap();
         assert_eq!(
             res,
-            CheckResult::Proved,
+            [CheckResult::Proved],
             "unsound assertion {}",
             a.to_ltl(&m)
         );

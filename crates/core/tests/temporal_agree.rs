@@ -74,10 +74,11 @@ fn proved_temporal_assertions_reverify_on_a_fresh_checker() {
             .unwrap()
             .with_backend(Backend::KInduction { max_k: 8 });
         for a in &outcome.temporal {
-            let res = checker.check(&temporal_property(a)).unwrap();
+            let prop = temporal_property(a);
+            let res = checker.check_batch(std::slice::from_ref(&prop)).unwrap();
             assert_eq!(
                 res,
-                CheckResult::Proved,
+                [CheckResult::Proved],
                 "unsound temporal assertion {}",
                 a.to_ltl(&m)
             );

@@ -13,7 +13,7 @@
 //! declared states are all visited.
 
 use crate::points::{
-    branch_points, count_boolean_nodes, declared_fsm_states, observe_boolean_nodes,
+    boolean_node_counts, branch_points, declared_fsm_states, observe_boolean_nodes,
 };
 use crate::ratio::{CoverageReport, Ratio};
 use gm_cache::{FxMap, FxSet};
@@ -168,48 +168,63 @@ impl Polarity {
 /// be observed at both 0 and 1.
 #[derive(Debug)]
 struct BoolNodeCoverage {
-    seen: FxMap<(StmtId, usize), Polarity>,
-    total: usize,
+    /// Where each statement's nodes start in `seen`, by statement index,
+    /// plus the total: statement `s` owns `first[s]..first[s + 1]`.
+    first: Vec<u32>,
+    /// Polarities seen, by node, in statement order and each
+    /// statement's [`crate::boolean_nodes`] order.
+    seen: Vec<Polarity>,
 }
 
 impl BoolNodeCoverage {
     fn new(module: &Module, watch_conditions: bool) -> Self {
+        let mut total = 0;
+        let mut first = vec![0];
+        for n in boolean_node_counts(module, watch_conditions) {
+            total += n;
+            first.push(total);
+        }
         BoolNodeCoverage {
-            seen: FxMap::default(),
-            total: count_boolean_nodes(module, watch_conditions),
+            first,
+            seen: vec![Polarity::default(); total as usize],
         }
     }
 
     fn ratio(&self) -> Ratio {
-        let covered = self.seen.values().filter(|p| p.covered()).count();
-        Ratio::new(covered, self.total)
+        let covered = self.seen.iter().filter(|p| p.covered()).count();
+        Ratio::new(covered, self.seen.len())
+    }
+
+    /// Where `stmt`'s node `node` sits in `seen`; `None` outside the
+    /// universe.
+    fn index(&self, stmt: StmtId, node: usize) -> Option<usize> {
+        let start = *self.first.get(stmt.index())? as usize;
+        let end = *self.first.get(stmt.index() + 1)? as usize;
+        (start + node < end).then_some(start + node)
     }
 
     fn observe(&mut self, module: &Module, stmt: StmtId, expr: &Expr, values: &[Bv]) {
         observe_boolean_nodes(expr, module, values, &mut |i, v| {
-            let p = self.seen.entry((stmt, i)).or_default();
-            if v {
-                p.seen_true = true;
-            } else {
-                p.seen_false = true;
-            }
+            self.apply_hit(stmt, i as u32, v, !v);
         });
     }
 
     /// Applies one drained fused-probe hit: the node was seen at the
     /// given polarities in some active lane. Polarity is monotone, so
-    /// applying a cumulative drain repeatedly is idempotent.
+    /// applying a cumulative drain repeatedly is idempotent. A node
+    /// outside the universe counts for nothing.
     fn apply_hit(&mut self, stmt: StmtId, node: u32, any_true: bool, any_false: bool) {
-        let p = self.seen.entry((stmt, node as usize)).or_default();
-        p.seen_true |= any_true;
-        p.seen_false |= any_false;
+        if let Some(at) = self.index(stmt, node as usize) {
+            let p = &mut self.seen[at];
+            p.seen_true |= any_true;
+            p.seen_false |= any_false;
+        }
     }
 
-    /// Whether the node has been seen at both polarities.
+    /// Whether the node has been seen at both polarities (or is outside
+    /// the universe, where nothing is left to see).
     fn covered(&self, stmt: StmtId, node: u32) -> bool {
-        self.seen
-            .get(&(stmt, node as usize))
-            .is_some_and(Polarity::covered)
+        (self.index(stmt, node as usize)).is_none_or(|at| self.seen[at].covered())
     }
 
     /// Whether a probe is closed for a collector watching `role`: one
@@ -838,6 +853,27 @@ mod tests {
         sim.set_inputs(&[(s, Bv::one_bit()), (a, Bv::one_bit()), (b, Bv::one_bit())]);
         sim.step_observed(&mut cov);
         assert!(cov.ratio().is_full(), "{:?}", cov.ratio());
+    }
+
+    #[test]
+    fn each_statement_keeps_its_own_node_flags() {
+        let m = parse_verilog(
+            "module m(input a, input b, output y, output z);
+               assign y = a & b;
+               assign z = ~a;
+             endmodule",
+        )
+        .unwrap();
+        let (a, b) = (m.require("a").unwrap(), m.require("b").unwrap());
+        let mut cov = ExpressionCoverage::new(&m);
+        let mut sim = Simulator::new(&m).unwrap();
+        // `a` toggles and `b` stays low: `a & b` and `b` are seen low
+        // only; `a` (in both right-hand sides) and `~a` both ways.
+        for value in [false, true] {
+            sim.set_inputs(&[(a, Bv::from_bool(value)), (b, Bv::zero_bit())]);
+            sim.step_observed(&mut cov);
+        }
+        assert_eq!(cov.ratio(), Ratio::new(3, 5));
     }
 
     #[test]

@@ -96,7 +96,17 @@ pub fn observe_boolean_nodes(
 /// Counts the boolean nodes of the expressions in a given statement role
 /// across the whole module; used for denominators.
 pub fn count_boolean_nodes(module: &Module, want_conditions: bool) -> usize {
-    let mut total = 0usize;
+    boolean_node_counts(module, want_conditions)
+        .iter()
+        .map(|&n| n as usize)
+        .sum()
+}
+
+/// The number of boolean nodes of each statement's expression in the
+/// given role (an `if` condition, or an assignment's right-hand side),
+/// by statement index; zero for a statement without one.
+pub(crate) fn boolean_node_counts(module: &Module, want_conditions: bool) -> Vec<u32> {
+    let mut counts = vec![0; module.stmt_count() as usize];
     for p in module.processes() {
         p.for_each_stmt(&mut |s: &Stmt| {
             let expr = match (&s.kind, want_conditions) {
@@ -107,11 +117,11 @@ pub fn count_boolean_nodes(module: &Module, want_conditions: bool) -> usize {
             if let Some(e) = expr {
                 let mut nodes = Vec::new();
                 boolean_nodes(e, module, &mut nodes);
-                total += nodes.len();
+                counts[s.id.index()] = nodes.len() as u32;
             }
         });
     }
-    total
+    counts
 }
 
 /// The declared FSM state values for a register: the union of the labels

@@ -10,103 +10,14 @@
 
 use crate::aig::{AigLit, AigNode};
 use crate::blast::Blasted;
-use crate::check::Normalized;
 use crate::prop::{
-    assemble_input_vector, BitAtom, CexTrace, CheckResult, ConsequentKind, TemporalProperty,
-    Violation, WindowProperty,
+    assemble_input_vector, BitAtom, CexTrace, CheckResult, ConsequentKind, WindowProperty,
 };
 use gm_cache::FxMap;
 use gm_rtl::Module;
 use gm_sat::{Lit, SolveResult, Solver, Var};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-
-/// A bounded-window property the SAT engines can unroll: anything whose
-/// "the window starting at `base` is violated" reduces to antecedent
-/// atoms and combined consequents, which the unroller poses either as
-/// one activation literal ([`UnrollProperty::encode_violation`]: the
-/// one-shot engines, canonical extraction, an induction step's `holds`)
-/// or as the atoms' own literals (every violated window a
-/// [`crate::CheckSession`] asks about). Implemented by
-/// [`WindowProperty`] (single
-/// consequent) and [`TemporalProperty`] (conjunctive / disjunctive
-/// consequents), which lets [`bmc`], [`k_induction`], the incremental
-/// [`crate::CheckSession`] engines and [`crate::Checker`] decide both
-/// through the same code path.
-pub trait UnrollProperty {
-    /// The name of the span a [`crate::Checker::check_batch`] of this
-    /// kind records (the benchmark folds batch time by kind).
-    #[doc(hidden)]
-    const BATCH_SPAN: &'static str;
-
-    /// The largest cycle offset any atom uses (the window spans
-    /// `window_depth() + 1` cycles).
-    fn window_depth(&self) -> u32;
-
-    /// Encodes the violation of the window starting at `base` as an
-    /// activation literal.
-    fn encode_violation(&self, unroller: &mut Unroller, base: usize) -> Lit {
-        unroller.violation_lit(base, &self.violation())
-    }
-
-    /// Encodes "the window starting at `base` satisfies the property".
-    fn encode_holds(&self, unroller: &mut Unroller, base: usize) -> Lit {
-        !self.encode_violation(unroller, base)
-    }
-
-    /// The window's violation as plain atoms — what the explicit-state
-    /// engine evaluates where the SAT engines use
-    /// [`UnrollProperty::encode_violation`].
-    #[doc(hidden)]
-    fn violation(&self) -> Violation<'_>;
-
-    /// The form [`crate::Checker`] decides (and dedupes) the property in.
-    #[doc(hidden)]
-    fn normalized(&self) -> Normalized;
-}
-
-impl UnrollProperty for WindowProperty {
-    const BATCH_SPAN: &'static str = "mc.check_batch";
-
-    fn window_depth(&self) -> u32 {
-        self.depth()
-    }
-
-    fn violation(&self) -> Violation<'_> {
-        Violation {
-            antecedent: &self.antecedent,
-            consequents: std::slice::from_ref(&self.consequent),
-            kind: ConsequentKind::Any,
-        }
-    }
-
-    fn normalized(&self) -> Normalized {
-        Normalized::Window(self.clone())
-    }
-}
-
-impl UnrollProperty for TemporalProperty {
-    const BATCH_SPAN: &'static str = "mc.check_temporal_batch";
-
-    fn window_depth(&self) -> u32 {
-        self.depth()
-    }
-
-    fn violation(&self) -> Violation<'_> {
-        Violation {
-            antecedent: &self.antecedent,
-            consequents: &self.consequents,
-            kind: self.kind,
-        }
-    }
-
-    fn normalized(&self) -> Normalized {
-        match self.as_window() {
-            Some(window) => Normalized::Window(window),
-            None => Normalized::Temporal(self.clone()),
-        }
-    }
-}
 
 /// Lays AIG time frames into a SAT solver.
 ///
@@ -411,30 +322,32 @@ impl Unroller {
         }
     }
 
-    /// A literal equivalent to "the window starting at `base` is
-    /// violated": the antecedent holds and the consequent combination
-    /// fails (`All`: some atom false; `Any`: every atom false — a
-    /// [`WindowProperty`] is `Any` of its one consequent). An empty
+    /// An activation literal equivalent to "the window of `prop`
+    /// starting at `base` is violated": the antecedent holds and the
+    /// consequent combination fails (`All`: some atom false; `Any`:
+    /// every atom false — a single consequent is `Any`). An empty
     /// consequent set degenerates to `All` = true (never violated) /
     /// `Any` = false (violated whenever the antecedent holds) — the
-    /// miner never emits one.
-    pub fn violation_lit(&mut self, base: usize, violation: &Violation<'_>) -> Lit {
+    /// miner never emits one. What the one-shot engines, canonical
+    /// extraction and an induction step's `holds` (its complement)
+    /// encode.
+    pub fn violation_lit(&mut self, base: usize, prop: &WindowProperty) -> Lit {
         let mut acc = self.true_lit;
-        for atom in violation.antecedent {
+        for atom in &prop.antecedent {
             let al = self.atom_lit(base, atom);
             acc = self.encode_and(acc, al);
         }
-        match violation.kind {
+        match prop.kind {
             ConsequentKind::All => {
                 let mut all = self.true_lit;
-                for atom in violation.consequents {
+                for atom in &prop.consequents {
                     let cl = self.atom_lit(base, atom);
                     all = self.encode_and(all, cl);
                 }
                 self.encode_and(acc, !all)
             }
             ConsequentKind::Any => {
-                for atom in violation.consequents {
+                for atom in &prop.consequents {
                     let cl = self.atom_lit(base, atom);
                     acc = self.encode_and(acc, !cl);
                 }
@@ -446,31 +359,31 @@ impl Unroller {
     /// The same violation as [`Unroller::violation_lit`], pushed onto
     /// `out` as assumptions whose conjunction it is: the antecedent's
     /// atom literals, then the inverted consequent literals (`Any`) or
-    /// one literal `¬AND(consequents)` (`All`). An `Any` violation — every
-    /// [`WindowProperty`] — allocates no variable; an `All` one only its
-    /// consequent conjunction (none for a single consequent). Constant,
+    /// one literal `¬AND(consequents)` (`All`). An `Any` violation —
+    /// every single-consequent property among them — allocates no
+    /// variable; an `All` one only its consequent conjunction. Constant,
     /// repeated or contradictory atoms need no folding: the solver takes
     /// a true assumption for free and answers `Unsat` on a false one.
     pub(crate) fn violation_assumptions(
         &mut self,
         base: usize,
-        violation: &Violation<'_>,
+        prop: &WindowProperty,
         out: &mut Vec<Lit>,
     ) {
-        for atom in violation.antecedent {
+        for atom in &prop.antecedent {
             out.push(self.atom_lit(base, atom));
         }
-        match violation.kind {
+        match prop.kind {
             ConsequentKind::All => {
                 let mut all = self.true_lit;
-                for atom in violation.consequents {
+                for atom in &prop.consequents {
                     let cl = self.atom_lit(base, atom);
                     all = self.encode_and(all, cl);
                 }
                 out.push(!all);
             }
             ConsequentKind::Any => {
-                for atom in violation.consequents {
+                for atom in &prop.consequents {
                     out.push(!self.atom_lit(base, atom));
                 }
             }
@@ -505,10 +418,10 @@ impl Unroller {
 /// workloads should use [`crate::CheckSession`] (or
 /// [`crate::Checker::check_batch`]), which keeps the unrolling and the
 /// solver's learnt clauses alive across properties.
-pub fn bmc<P: UnrollProperty>(
+pub fn bmc(
     module: &Module,
     blasted: &Blasted,
-    prop: &P,
+    prop: &WindowProperty,
     max_start: u32,
 ) -> CheckResult {
     bmc_scan(module, Unroller::from_ref(blasted, false), prop, max_start)
@@ -518,17 +431,17 @@ pub fn bmc<P: UnrollProperty>(
 /// of a [`PristinePrefixes`] entry, which is the same solver state a
 /// fresh one reaches after its first `ensure_frame` — and stops at the
 /// first violated window.
-fn bmc_scan<P: UnrollProperty>(
+fn bmc_scan(
     module: &Module,
     mut unroller: Unroller,
-    prop: &P,
+    prop: &WindowProperty,
     max_start: u32,
 ) -> CheckResult {
-    let depth = prop.window_depth() as usize;
+    let depth = prop.depth() as usize;
     let last_start = last_scan_start(&unroller.blasted, max_start);
     for start in 0..=last_start {
         unroller.ensure_frame(start + depth);
-        let v = prop.encode_violation(&mut unroller, start);
+        let v = unroller.violation_lit(start, prop);
         if unroller.solver().solve_with_assumptions(&[v]) == SolveResult::Sat {
             let cex = unroller.extract_cex(module, start + depth);
             return CheckResult::Violated(cex);
@@ -638,13 +551,13 @@ impl PristinePrefixes {
 /// independent of `limit` as long as `limit` covers the violation.
 ///
 /// Returns `None` when no violation exists within `limit`.
-pub(crate) fn canonical_cex<P: UnrollProperty>(
+pub(crate) fn canonical_cex(
     module: &Module,
     prefixes: &PristinePrefixes,
-    prop: &P,
+    prop: &WindowProperty,
     limit: u32,
 ) -> Option<CexTrace> {
-    let prefix = prefixes.get(prop.window_depth() as usize);
+    let prefix = prefixes.get(prop.depth() as usize);
     match bmc_scan(module, Unroller::clone(&prefix), prop, limit) {
         CheckResult::Violated(cex) => Some(cex),
         _ => None,
@@ -658,21 +571,21 @@ pub(crate) fn canonical_cex<P: UnrollProperty>(
 /// step case assumes the property on `k` consecutive windows from an
 /// arbitrary state and asks whether the next window can fail. If the
 /// step is UNSAT the property is proved.
-pub fn k_induction<P: UnrollProperty>(
+pub fn k_induction(
     module: &Module,
     blasted: &Blasted,
-    prop: &P,
+    prop: &WindowProperty,
     max_k: u32,
 ) -> CheckResult {
     // Clone the design into one shared handle for every unroller below.
     let shared = Arc::new(blasted.clone());
-    let depth = prop.window_depth() as usize;
+    let depth = prop.depth() as usize;
     // Base cases, shared incrementally.
     let mut base = Unroller::new(shared.clone(), false);
     for k in 0..=max_k as usize {
         // Base: violation in window starting at k from reset?
         base.ensure_frame(k + depth);
-        let v = prop.encode_violation(&mut base, k);
+        let v = base.violation_lit(k, prop);
         if base.solver().solve_with_assumptions(&[v]) == SolveResult::Sat {
             let cex = base.extract_cex(module, k + depth);
             return CheckResult::Violated(cex);
@@ -682,10 +595,10 @@ pub fn k_induction<P: UnrollProperty>(
         step.ensure_frame(k + depth);
         let mut assumptions = Vec::new();
         for j in 0..k {
-            let h = prop.encode_holds(&mut step, j);
+            let h = !step.violation_lit(j, prop);
             assumptions.push(h);
         }
-        let v = prop.encode_violation(&mut step, k);
+        let v = step.violation_lit(k, prop);
         assumptions.push(v);
         if step.solver().solve_with_assumptions(&assumptions) == SolveResult::Unsat {
             return CheckResult::Proved;
@@ -720,10 +633,10 @@ mod tests {
         let a = m.require("a").unwrap();
         let y = m.require("y").unwrap();
         // Claim: a -> y. Violated by a=1.
-        let prop = WindowProperty {
-            antecedent: vec![BitAtom::new(a, 0, 0, true)],
-            consequent: BitAtom::new(y, 0, 0, true),
-        };
+        let prop = WindowProperty::implication(
+            vec![BitAtom::new(a, 0, 0, true)],
+            BitAtom::new(y, 0, 0, true),
+        );
         match bmc(&m, &b, &prop, 0) {
             CheckResult::Violated(cex) => {
                 assert_eq!(cex.len(), 1);
@@ -740,10 +653,10 @@ mod tests {
         let (m, b) = setup("module m(input a, output y); assign y = ~a; endmodule");
         let a = m.require("a").unwrap();
         let y = m.require("y").unwrap();
-        let prop = WindowProperty {
-            antecedent: vec![BitAtom::new(a, 0, 0, true)],
-            consequent: BitAtom::new(y, 0, 0, false),
-        };
+        let prop = WindowProperty::implication(
+            vec![BitAtom::new(a, 0, 0, true)],
+            BitAtom::new(y, 0, 0, false),
+        );
         assert_eq!(bmc(&m, &b, &prop, 5), CheckResult::Unknown { bound: 5 });
     }
 
@@ -753,10 +666,10 @@ mod tests {
         let d = m.require("d").unwrap();
         let q = m.require("q").unwrap();
         // d@0 |-> q@1 — inductive with k=1.
-        let prop = WindowProperty {
-            antecedent: vec![BitAtom::new(d, 0, 0, true)],
-            consequent: BitAtom::new(q, 0, 1, true),
-        };
+        let prop = WindowProperty::implication(
+            vec![BitAtom::new(d, 0, 0, true)],
+            BitAtom::new(q, 0, 1, true),
+        );
         assert_eq!(k_induction(&m, &b, &prop, 4), CheckResult::Proved);
     }
 
@@ -766,10 +679,10 @@ mod tests {
         let d = m.require("d").unwrap();
         let q = m.require("q").unwrap();
         // Claim: d@0 |-> !q@1, false: needs one step from reset.
-        let prop = WindowProperty {
-            antecedent: vec![BitAtom::new(d, 0, 0, true)],
-            consequent: BitAtom::new(q, 0, 1, false),
-        };
+        let prop = WindowProperty::implication(
+            vec![BitAtom::new(d, 0, 0, true)],
+            BitAtom::new(q, 0, 1, false),
+        );
         match k_induction(&m, &b, &prop, 4) {
             CheckResult::Violated(cex) => {
                 assert!(!cex.is_empty());
@@ -789,7 +702,7 @@ mod tests {
         let q = m.require("q").unwrap();
         // d@0 |-> F<=1 q@1: q@1 alone already follows d@0, so the
         // disjunctive window (q@1 | q@2) is provable.
-        let eventually = TemporalProperty {
+        let eventually = WindowProperty {
             antecedent: vec![BitAtom::new(d, 0, 0, true)],
             consequents: vec![BitAtom::new(q, 0, 1, true), BitAtom::new(q, 0, 2, true)],
             kind: ConsequentKind::Any,
@@ -797,7 +710,7 @@ mod tests {
         assert_eq!(k_induction(&m, &b, &eventually, 4), CheckResult::Proved);
         // d@0 |-> G<=1 q@1: q@2 tracks the free input d@1, so the
         // conjunctive window is violated.
-        let stable = TemporalProperty {
+        let stable = WindowProperty {
             antecedent: vec![BitAtom::new(d, 0, 0, true)],
             consequents: vec![BitAtom::new(q, 0, 1, true), BitAtom::new(q, 0, 2, true)],
             kind: ConsequentKind::All,
@@ -812,7 +725,7 @@ mod tests {
             other => panic!("expected violation, got {other:?}"),
         }
         // The stability claim that holds: d@0 & d@1 |-> q@1 & q@2.
-        let stable_ok = TemporalProperty {
+        let stable_ok = WindowProperty {
             antecedent: vec![BitAtom::new(d, 0, 0, true), BitAtom::new(d, 0, 1, true)],
             consequents: vec![BitAtom::new(q, 0, 1, true), BitAtom::new(q, 0, 2, true)],
             kind: ConsequentKind::All,
@@ -833,10 +746,10 @@ mod tests {
         );
         let q = m.require("q").unwrap();
         // q[0]@0 & q[1]@0 |-> q[0]@1 (saturated stays saturated).
-        let prop = WindowProperty {
-            antecedent: vec![BitAtom::new(q, 0, 0, true), BitAtom::new(q, 1, 0, true)],
-            consequent: BitAtom::new(q, 0, 1, true),
-        };
+        let prop = WindowProperty::implication(
+            vec![BitAtom::new(q, 0, 0, true), BitAtom::new(q, 1, 0, true)],
+            BitAtom::new(q, 0, 1, true),
+        );
         assert_eq!(k_induction(&m, &b, &prop, 4), CheckResult::Proved);
     }
 }

@@ -6,45 +6,46 @@
 //! [`CheckSession`] (shared unrollings, retained learnt clauses) for
 //! the SAT engines. It keeps no verdicts: the refinement engine never
 //! asks a decided property again, so a batch costs only its own
-//! decisions. Properties of either kind — [`WindowProperty`] or
-//! [`TemporalProperty`] — are decided one at a time by
-//! [`Checker::check`] or as whole worklists by [`Checker::check_batch`],
-//! which decides each distinct property of a batch once and which
-//! multi-core hosts can split across a pool of persistent shard
-//! sessions ([`Checker::with_shards`]).
+//! decisions. Properties — one [`WindowProperty`] type, whether a
+//! single-consequent implication or a temporal window — are decided as
+//! whole worklists by [`Checker::check_batch`] (the temporal pass's
+//! worklists by [`Checker::check_temporal_batch`], the same batch under
+//! its own span name), which decides each distinct property of a batch
+//! once and which multi-core hosts can split across a pool of
+//! persistent shard sessions ([`Checker::with_shards`]).
 //!
 //! ## Determinism contract
 //!
 //! A run of the same calls under the same configuration is reproducible
 //! in full: every [`CheckResult`] and the [`SessionStats`]. The results
 //! — counterexample traces included — are moreover the same for every
-//! entry point and every shard count; the
+//! batch position and every shard count; the
 //! shard count only decides which session's counters the frame and
 //! solver work lands in. This is by construction: which engine answers
 //! — the *source* of a verdict, and with it the shape of its trace — is
 //! a function of the design, the limits and the backend, never of the
-//! property's kind or of what was decided before it; explicit-state
-//! verdicts carry the direct walk's first violation; SAT verdicts are
-//! solver-state-independent (a session asks scoped queries and reads
-//! no model), and a violated one's trace is replayed by the session on
-//! a clone of a pristine unrolling prefix, whose model depends only on
-//! the design and the property; and a sharded worklist is dealt onto
-//! its sessions in a fixed round-robin and merged back in worklist
-//! order.
+//! property's consequents or of what was decided before it;
+//! explicit-state verdicts carry the direct walk's first violation; SAT
+//! verdicts are solver-state-independent (a session asks scoped queries
+//! and reads no model), and a violated one's trace is replayed by the
+//! session on a clone of a pristine unrolling prefix, whose model
+//! depends only on the design and the property; and a sharded worklist
+//! is dealt onto its sessions in a fixed round-robin and merged back in
+//! worklist order.
 
 use crate::blast::{blast, Blasted};
-use crate::bmc::{PristinePrefixes, UnrollProperty};
+use crate::bmc::PristinePrefixes;
 use crate::error::McError;
 use crate::explicit::{explicit_check, ExplicitLimits, ReachableStates};
-use crate::prop::{CheckResult, TemporalProperty, WindowProperty};
+use crate::prop::{CheckResult, WindowProperty};
 use crate::session::{cancel_requested, CheckSession, SessionStats};
 use gm_cache::FxMap;
 use gm_rtl::{elaborate, Elab, Module};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
-/// Which engine decides a property — of either kind: no backend routes
-/// by [`WindowProperty`] versus [`TemporalProperty`].
+/// Which engine decides a property, whatever its consequents: no backend
+/// routes by consequent count or [`crate::ConsequentKind`].
 #[derive(Clone, Copy, Debug, PartialEq, Default)]
 pub enum Backend {
     /// Explicit-state when the design fits the limits, otherwise BMC
@@ -64,20 +65,6 @@ pub enum Backend {
         /// Maximum induction depth.
         max_k: u32,
     },
-}
-
-/// A property in the one form the [`Checker`] decides it in: every
-/// single-consequent property is a `Window`, whichever type it arrived
-/// as, so the two spellings are one decision (and one batch entry);
-/// only multi-consequent temporal properties stay `Temporal`. The split
-/// is a dedupe key, not a route: both variants are decided by the same
-/// engines. Built by [`UnrollProperty::normalized`].
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub enum Normalized {
-    /// A single-consequent window implication.
-    Window(WindowProperty),
-    /// A conjunctive / disjunctive window over two or more consequents.
-    Temporal(TemporalProperty),
 }
 
 /// What a worker needs from the [`Checker`] to decide one property,
@@ -112,11 +99,12 @@ struct DecideParams {
 /// let mut checker = Checker::new(&m)?;
 /// let d = m.require("d")?;
 /// let q = m.require("q")?;
-/// let prop = WindowProperty {
-///     antecedent: vec![BitAtom::new(d, 0, 0, true)],
-///     consequent: BitAtom::new(q, 0, 1, true),
-/// };
-/// assert_eq!(checker.check(&prop)?, CheckResult::Proved);
+/// let prop = WindowProperty::implication(
+///     vec![BitAtom::new(d, 0, 0, true)],
+///     BitAtom::new(q, 0, 1, true),
+/// );
+/// let single = checker.check_batch(std::slice::from_ref(&prop))?;
+/// assert_eq!(single, [CheckResult::Proved]);
 /// // Batches reuse the same session and decide an in-batch duplicate
 /// // once: one decision above, one more here, and one duplicate.
 /// let batch = checker.check_batch(&[prop.clone(), prop.clone()])?;
@@ -263,7 +251,7 @@ impl Checker {
     /// Installs (or with `None` clears) a cooperative cancel token.
     ///
     /// While the token is raised, every in-flight and future decision —
-    /// single checks, batch items, every shard worker — returns
+    /// inline batch items, every shard worker — returns
     /// [`McError::Cancelled`] at its next poll point: decision entry,
     /// and between SAT queries inside the BMC / k-induction unrolling
     /// loops. A cancelled decision leaves nothing behind, so re-checking
@@ -326,52 +314,16 @@ impl Checker {
         }
     }
 
-    /// Decides `prop` with the configured backend.
-    ///
-    /// A single-consequent [`TemporalProperty`] *is* a
-    /// [`WindowProperty`] and is decided as one. Every property, single-
-    /// or multi-consequent (bounded eventualities and stability
-    /// windows), takes the same route: [`Backend::Explicit`] and — on a
-    /// design within the explicit limits — [`Backend::Auto`] decide it
-    /// exactly by explicit-state reachability, whose violated verdicts
-    /// carry the direct walk's first counterexample; [`Backend::Bmc`] /
-    /// [`Backend::KInduction`] respect their configured bounds, and
-    /// `Auto` over the limits runs BMC then k-induction. Violated SAT
-    /// verdicts carry the canonical counterexample.
-    ///
-    /// Nothing is remembered: checking the same property again decides
-    /// it again, identically.
-    ///
-    /// # Errors
-    ///
-    /// Fails if a forced backend exceeds its limits (`Auto` degrades to
-    /// the SAT engines instead of failing), and with
-    /// [`McError::Cancelled`] when the cooperative cancel token is
-    /// raised mid-decision.
-    pub fn check<P: UnrollProperty>(&mut self, prop: &P) -> Result<CheckResult, McError> {
-        self.ensure_reach_for_backend();
-        let params = self.params();
-        self.decide_inline(&params, &prop.normalized())
-    }
-
-    /// Decides one property on the main session.
-    fn decide_inline(
-        &mut self,
-        params: &DecideParams,
-        prop: &Normalized,
-    ) -> Result<CheckResult, McError> {
-        let reach = self.reach.as_deref();
-        decide_one(
-            &self.module,
-            &self.blasted,
-            reach,
-            params,
-            &mut self.session,
-            prop,
-        )
-    }
-
     /// Decides a whole batch of properties, in input order.
+    ///
+    /// Every property takes the same route, whatever its consequents:
+    /// [`Backend::Explicit`] and — on a design within the explicit
+    /// limits — [`Backend::Auto`] decide it exactly by explicit-state
+    /// reachability, whose violated verdicts carry the direct walk's
+    /// first counterexample; [`Backend::Bmc`] / [`Backend::KInduction`]
+    /// respect their configured bounds, and `Auto` over the limits runs
+    /// BMC then k-induction. Violated SAT verdicts carry the canonical
+    /// counterexample.
     ///
     /// Each distinct property of the batch is decided once: the batch
     /// is deduped first, and every later position of a property takes
@@ -396,17 +348,39 @@ impl Checker {
     ///
     /// # Errors
     ///
-    /// Same contract as [`Checker::check`], failing on the first
-    /// property that errors in input order, whatever the shard count.
-    pub fn check_batch<P: UnrollProperty>(
+    /// Fails if a forced backend exceeds its limits (`Auto` degrades to
+    /// the SAT engines instead of failing), and with
+    /// [`McError::Cancelled`] when the cooperative cancel token is
+    /// raised mid-decision — on the first property that errors in input
+    /// order, whatever the shard count.
+    pub fn check_batch(&mut self, props: &[WindowProperty]) -> Result<Vec<CheckResult>, McError> {
+        self.batch("mc.check_batch", props)
+    }
+
+    /// [`Checker::check_batch`] recorded under the `mc.check_temporal_batch`
+    /// span, so a trace tells the temporal-template pass's checking time
+    /// from the combinational pass's.
+    ///
+    /// # Errors
+    ///
+    /// As [`Checker::check_batch`].
+    pub fn check_temporal_batch(
         &mut self,
-        props: &[P],
+        props: &[WindowProperty],
     ) -> Result<Vec<CheckResult>, McError> {
-        let mut span = gm_trace::span("mc", P::BATCH_SPAN);
+        self.batch("mc.check_temporal_batch", props)
+    }
+
+    /// Decides `props` under a span named `name`.
+    fn batch(
+        &mut self,
+        name: &'static str,
+        props: &[WindowProperty],
+    ) -> Result<Vec<CheckResult>, McError> {
+        let mut span = gm_trace::span("mc", name);
         span.arg("props", props.len());
         let before = span.is_active().then(|| self.session_stats());
-        let props: Vec<Normalized> = props.iter().map(P::normalized).collect();
-        let results = self.decide_batch(&props);
+        let results = self.decide_batch(props);
         if let Some(before) = before {
             // Who answered: an earlier position of the batch (the
             // `memo` arg counts in-batch duplicates), the explicit
@@ -419,14 +393,14 @@ impl Checker {
         results
     }
 
-    /// [`Checker::check_batch`] on normalized properties: dedupe,
-    /// decide each distinct property once (inline, or on the shard
-    /// pool), scatter the verdicts back over the batch.
-    fn decide_batch(&mut self, props: &[Normalized]) -> Result<Vec<CheckResult>, McError> {
+    /// The batch itself: dedupe, decide each distinct property once
+    /// (inline, or on the shard pool), scatter the verdicts back over
+    /// the batch.
+    fn decide_batch(&mut self, props: &[WindowProperty]) -> Result<Vec<CheckResult>, McError> {
         // Dedupe in first-occurrence order: `first[u]` is where the
         // `u`-th distinct property first occurs, `slot[i]` which
         // distinct property position `i` holds.
-        let mut index_of: FxMap<&Normalized, usize> = FxMap::default();
+        let mut index_of: FxMap<&WindowProperty, usize> = FxMap::default();
         let mut first: Vec<usize> = Vec::new();
         let slot: Vec<usize> = (props.iter().enumerate())
             .map(|(i, prop)| {
@@ -443,8 +417,16 @@ impl Checker {
         let params = self.params();
         let decided = if self.shards == 1 {
             let mut decided = Vec::with_capacity(first.len());
+            let (module, blasted, reach) = (&*self.module, &*self.blasted, self.reach.as_deref());
             for &i in &first {
-                let res = self.decide_inline(&params, &props[i]);
+                let res = decide(
+                    module,
+                    blasted,
+                    reach,
+                    &params,
+                    &mut self.session,
+                    &props[i],
+                );
                 let failed = res.is_err();
                 decided.push(res);
                 if failed {
@@ -477,7 +459,7 @@ impl Checker {
     fn decide_pooled(
         &mut self,
         params: &DecideParams,
-        unique: Vec<&Normalized>,
+        unique: Vec<&WindowProperty>,
     ) -> Vec<Result<CheckResult, McError>> {
         let shards = self.shards;
         while self.shard_sessions.len() < shards {
@@ -486,7 +468,7 @@ impl Checker {
         }
         let mut decided: Vec<Option<Result<CheckResult, McError>>> = vec![None; unique.len()];
         let mut idle: Vec<CheckSession> = self.shard_sessions.drain(..).collect();
-        let mut work: Vec<(CheckSession, Vec<(usize, &Normalized)>)> = (idle
+        let mut work: Vec<(CheckSession, Vec<(usize, &WindowProperty)>)> = (idle
             .drain(..shards.min(unique.len())))
         .map(|s| (s, Vec::new()))
         .collect();
@@ -502,7 +484,7 @@ impl Checker {
                             .map(|(u, prop)| {
                                 (
                                     u,
-                                    decide_one(module, blasted, reach, params, &mut session, prop),
+                                    decide(module, blasted, reach, params, &mut session, prop),
                                 )
                             })
                             .collect();
@@ -528,31 +510,16 @@ impl Checker {
 }
 
 /// Decides one property against one session — the single source of
-/// truth shared by [`Checker::check`] and every shard worker.
-fn decide_one(
+/// truth shared by the inline batch and every shard worker. Which
+/// engine answers depends on the backend, the design and the limits —
+/// never on the property's consequents.
+fn decide(
     module: &Module,
     blasted: &Blasted,
     reach: Option<&ReachableStates>,
     params: &DecideParams,
     session: &mut CheckSession,
-    prop: &Normalized,
-) -> Result<CheckResult, McError> {
-    match prop {
-        Normalized::Window(p) => decide(module, blasted, reach, params, session, p),
-        Normalized::Temporal(p) => decide(module, blasted, reach, params, session, p),
-    }
-}
-
-/// [`decide_one`] for either property kind. Which engine answers
-/// depends on the backend, the design and the limits — never on the
-/// kind.
-fn decide<P: UnrollProperty>(
-    module: &Module,
-    blasted: &Blasted,
-    reach: Option<&ReachableStates>,
-    params: &DecideParams,
-    session: &mut CheckSession,
-    prop: &P,
+    prop: &WindowProperty,
 ) -> Result<CheckResult, McError> {
     let cancel = params.cancel.as_deref();
     if cancel_requested(cancel) {
@@ -613,6 +580,7 @@ mod tests {
     use super::*;
     use crate::prop::{BitAtom, ConsequentKind};
     use gm_rtl::parse_verilog;
+    use std::slice::from_ref;
 
     const ARBITER2: &str = "
     module arbiter2(input clk, input rst, input req0, input req1,
@@ -635,32 +603,35 @@ mod tests {
         // A4 from the paper: req0@0 & !req1@1 |-> gnt0@2 — spurious
         // (the paper refines it further), let's see both engines refute it
         // or both prove its refinement.
-        let spurious = WindowProperty {
-            antecedent: vec![
+        let spurious = WindowProperty::implication(
+            vec![
                 BitAtom::new(req0, 0, 0, true),
                 BitAtom::new(req1, 0, 1, false),
             ],
-            consequent: BitAtom::new(gnt0, 0, 2, true),
-        };
+            BitAtom::new(gnt0, 0, 2, true),
+        );
         let mut auto = Checker::new(&m).unwrap();
-        let auto_res = auto.check(&spurious).unwrap();
+        let auto_res = auto.check_batch(from_ref(&spurious)).unwrap();
         let mut sat = Checker::new(&m)
             .unwrap()
             .with_backend(Backend::KInduction { max_k: 8 });
-        let sat_res = sat.check(&spurious).unwrap();
-        assert!(matches!(auto_res, CheckResult::Violated(_)));
-        assert!(matches!(sat_res, CheckResult::Violated(_)));
+        let sat_res = sat.check_batch(from_ref(&spurious)).unwrap();
+        assert!(matches!(auto_res[..], [CheckResult::Violated(_)]));
+        assert!(matches!(sat_res[..], [CheckResult::Violated(_)]));
 
         // A7: req0@0 & req0@1 & !req1@1 |-> gnt0@2 — true.
-        let a7 = WindowProperty {
-            antecedent: vec![
+        let a7 = WindowProperty::implication(
+            vec![
                 BitAtom::new(req0, 0, 0, true),
                 BitAtom::new(req0, 0, 1, true),
                 BitAtom::new(req1, 0, 1, false),
             ],
-            consequent: BitAtom::new(gnt0, 0, 2, true),
-        };
-        assert_eq!(auto.check(&a7).unwrap(), CheckResult::Proved);
+            BitAtom::new(gnt0, 0, 2, true),
+        );
+        assert_eq!(
+            auto.check_batch(from_ref(&a7)).unwrap(),
+            [CheckResult::Proved]
+        );
     }
 
     #[test]
@@ -676,10 +647,8 @@ mod tests {
         let grant: Vec<BitAtom> = (no_grant.iter())
             .map(|a| BitAtom { value: true, ..*a })
             .collect();
-        let temporal = |antecedent, consequents: &[BitAtom], kind| TemporalProperty {
-            antecedent,
-            consequents: consequents.to_vec(),
-            kind,
+        let temporal = |antecedent, consequents: &[BitAtom], kind| {
+            WindowProperty::new(antecedent, consequents.to_vec(), kind)
         };
         // gnt0 rises only on req0: idle for two cycles keeps it low for
         // two, idle for one keeps it low for one; and a request is not
@@ -712,7 +681,7 @@ mod tests {
             ..ExplicitLimits::default()
         });
         assert_eq!(
-            tight.check(&props[0]),
+            tight.check_batch(&props[..1]),
             Err(McError::StateSpaceExceeded { limit: 2 })
         );
         assert_eq!(tight.session_stats().sat_queries, 0);
@@ -723,15 +692,15 @@ mod tests {
         let m = parse_verilog(ARBITER2).unwrap();
         let req0 = m.require("req0").unwrap();
         let gnt0 = m.require("gnt0").unwrap();
-        let window = WindowProperty {
-            antecedent: vec![BitAtom::new(req0, 0, 0, false)],
-            consequent: BitAtom::new(gnt0, 0, 1, false),
-        };
-        let stable = TemporalProperty {
-            antecedent: window.antecedent.clone(),
-            consequents: vec![window.consequent, BitAtom::new(gnt0, 0, 2, false)],
-            kind: ConsequentKind::All,
-        };
+        let window = WindowProperty::implication(
+            vec![BitAtom::new(req0, 0, 0, false)],
+            BitAtom::new(gnt0, 0, 1, false),
+        );
+        let stable = WindowProperty::new(
+            window.antecedent.clone(),
+            vec![window.consequents[0], BitAtom::new(gnt0, 0, 2, false)],
+            ConsequentKind::All,
+        );
         // (backend, shards) -> (memo, explicit, sat) of the temporal
         // batch below: its second `stable` is an in-batch duplicate, and
         // its single-consequent view is decided again — nothing carries
@@ -748,12 +717,13 @@ mod tests {
                     .unwrap()
                     .with_backend(backend)
                     .with_shards(shards);
-                c.check_batch(std::slice::from_ref(&window)).unwrap();
-                let single = TemporalProperty {
-                    consequents: vec![window.consequent],
-                    ..stable.clone()
-                };
-                c.check_batch(&[single, stable.clone(), stable.clone()])
+                c.check_batch(from_ref(&window)).unwrap();
+                let single = WindowProperty::new(
+                    stable.antecedent.clone(),
+                    window.consequents.clone(),
+                    ConsequentKind::All,
+                );
+                c.check_temporal_batch(&[single, stable.clone(), stable.clone()])
                     .unwrap();
             }
             let events = sink.events();
@@ -786,14 +756,17 @@ mod tests {
         let m = parse_verilog(ARBITER2).unwrap();
         let gnt0 = m.require("gnt0").unwrap();
         let gnt1 = m.require("gnt1").unwrap();
-        let mutex = WindowProperty {
-            antecedent: vec![BitAtom::new(gnt0, 0, 0, true)],
-            consequent: BitAtom::new(gnt1, 0, 0, false),
-        };
+        let mutex = WindowProperty::implication(
+            vec![BitAtom::new(gnt0, 0, 0, true)],
+            BitAtom::new(gnt1, 0, 0, false),
+        );
         let mut c = Checker::new(&m)
             .unwrap()
             .with_backend(Backend::Bmc { bound: 8 });
-        assert_eq!(c.check(&mutex).unwrap(), CheckResult::Unknown { bound: 8 });
+        assert_eq!(
+            c.check_batch(from_ref(&mutex)).unwrap(),
+            [CheckResult::Unknown { bound: 8 }]
+        );
     }
 
     #[test]
@@ -802,15 +775,15 @@ mod tests {
         let elab = gm_rtl::elaborate(&m).unwrap();
         let gnt0 = m.require("gnt0").unwrap();
         let gnt1 = m.require("gnt1").unwrap();
-        let mutex = WindowProperty {
-            antecedent: vec![BitAtom::new(gnt0, 0, 0, true)],
-            consequent: BitAtom::new(gnt1, 0, 0, false),
-        };
+        let mutex = WindowProperty::implication(
+            vec![BitAtom::new(gnt0, 0, 0, true)],
+            BitAtom::new(gnt1, 0, 0, false),
+        );
         let mut from_elab = Checker::from_elab(&m, &elab).unwrap();
         let mut fresh = Checker::new(&m).unwrap();
         assert_eq!(
-            from_elab.check(&mutex).unwrap(),
-            fresh.check(&mutex).unwrap()
+            from_elab.check_batch(from_ref(&mutex)).unwrap(),
+            fresh.check_batch(from_ref(&mutex)).unwrap()
         );
     }
 
@@ -819,17 +792,17 @@ mod tests {
         let m = parse_verilog(ARBITER2).unwrap();
         let req0 = m.require("req0").unwrap();
         let gnt0 = m.require("gnt0").unwrap();
-        let spurious = WindowProperty {
-            antecedent: vec![BitAtom::new(req0, 0, 0, false)],
-            consequent: BitAtom::new(gnt0, 0, 1, true),
-        };
-        let a2 = WindowProperty {
-            antecedent: vec![
+        let spurious = WindowProperty::implication(
+            vec![BitAtom::new(req0, 0, 0, false)],
+            BitAtom::new(gnt0, 0, 1, true),
+        );
+        let a2 = WindowProperty::implication(
+            vec![
                 BitAtom::new(req0, 0, 0, false),
                 BitAtom::new(req0, 0, 1, false),
             ],
-            consequent: BitAtom::new(gnt0, 0, 2, false),
-        };
+            BitAtom::new(gnt0, 0, 2, false),
+        );
         // The batch contains a duplicate: only two distinct decisions.
         let batch = vec![spurious.clone(), a2.clone(), spurious.clone()];
         let mut c = Checker::new(&m).unwrap();
@@ -851,21 +824,55 @@ mod tests {
     }
 
     #[test]
+    fn a_single_consequent_is_one_property_whichever_template_spelled_it() {
+        let m = parse_verilog(ARBITER2).unwrap();
+        let req0 = m.require("req0").unwrap();
+        let gnt0 = m.require("gnt0").unwrap();
+        // A combinational candidate, the same atoms spelled as a `Next`
+        // template's `All` singleton, and a stability window.
+        let idle = vec![BitAtom::new(req0, 0, 0, false)];
+        let grant = BitAtom::new(gnt0, 0, 1, true);
+        let implication = WindowProperty::implication(idle.clone(), grant);
+        let next = WindowProperty::new(idle.clone(), vec![grant], ConsequentKind::All);
+        let stable = WindowProperty::new(
+            idle,
+            vec![grant, BitAtom::new(gnt0, 0, 2, true)],
+            ConsequentKind::All,
+        );
+        for backend in [Backend::Auto, Backend::Bmc { bound: 4 }] {
+            let mut c = Checker::new(&m).unwrap().with_backend(backend);
+            let results = c.check_batch(&[implication.clone(), next.clone(), stable.clone()]);
+            let results = results.unwrap();
+            assert!(
+                matches!(results[0], CheckResult::Violated(_)),
+                "{backend:?}"
+            );
+            assert_eq!(results[0], results[1], "{backend:?}: verdict and trace");
+            let stats = c.session_stats();
+            assert_eq!(
+                (stats.engine_queries(), stats.memo_hits),
+                (2, 1),
+                "{backend:?}: the two singletons are one decision"
+            );
+        }
+    }
+
+    #[test]
     fn sharded_batch_matches_sequential_including_memo_and_stats() {
         let m = parse_verilog(ARBITER2).unwrap();
         let req0 = m.require("req0").unwrap();
         let gnt0 = m.require("gnt0").unwrap();
-        let spurious = WindowProperty {
-            antecedent: vec![BitAtom::new(req0, 0, 0, false)],
-            consequent: BitAtom::new(gnt0, 0, 1, true),
-        };
-        let a2 = WindowProperty {
-            antecedent: vec![
+        let spurious = WindowProperty::implication(
+            vec![BitAtom::new(req0, 0, 0, false)],
+            BitAtom::new(gnt0, 0, 1, true),
+        );
+        let a2 = WindowProperty::implication(
+            vec![
                 BitAtom::new(req0, 0, 0, false),
                 BitAtom::new(req0, 0, 1, false),
             ],
-            consequent: BitAtom::new(gnt0, 0, 2, false),
-        };
+            BitAtom::new(gnt0, 0, 2, false),
+        );
         let batch = vec![spurious.clone(), a2.clone(), spurious.clone(), a2];
         let mut plain = Checker::new(&m).unwrap();
         let sequential = plain.check_batch(&batch).unwrap();
@@ -896,13 +903,13 @@ mod tests {
         let m = gm_designs::fetch_stage();
         let stall = m.require("stall_in").unwrap();
         let valid = m.require("valid").unwrap();
-        let prop = WindowProperty {
-            antecedent: vec![BitAtom::new(stall, 0, 0, true)],
-            consequent: BitAtom::new(valid, 0, 1, true),
-        };
+        let prop = WindowProperty::implication(
+            vec![BitAtom::new(stall, 0, 0, true)],
+            BitAtom::new(valid, 0, 1, true),
+        );
         let mut c = Checker::new(&m).unwrap();
         let cold = c.approx_bytes();
-        c.check(&prop).unwrap();
+        c.check_batch(from_ref(&prop)).unwrap();
         assert_eq!(c.session_stats().explicit_queries, 1);
         let states = c.reachable_count().unwrap();
         let successor_table = 4 * states * (1usize << c.blasted().aig.input_count());
@@ -924,15 +931,18 @@ mod tests {
         let done = m.require("done").unwrap();
         // go@0 |-> done@1: refuted at reset, so the session unrolls two
         // frames and one depth-1 prefix is kept.
-        let prop = WindowProperty {
-            antecedent: vec![BitAtom::new(go, 0, 0, true)],
-            consequent: BitAtom::new(done, 0, 1, true),
-        };
+        let prop = WindowProperty::implication(
+            vec![BitAtom::new(go, 0, 0, true)],
+            BitAtom::new(done, 0, 1, true),
+        );
         let mut c = Checker::new(&m)
             .unwrap()
             .with_backend(Backend::Bmc { bound: 0 });
         let cold = c.approx_bytes();
-        assert!(matches!(c.check(&prop).unwrap(), CheckResult::Violated(_)));
+        assert!(matches!(
+            c.check_batch(from_ref(&prop)).unwrap()[..],
+            [CheckResult::Violated(_)]
+        ));
         // Two frames of b18_lite in the clause arena alone: a header
         // word per clause and, per encoded AND gate, two binary clauses
         // and a ternary one.
@@ -966,7 +976,7 @@ mod tests {
             outside(&mut two_frames)
         );
         // A scoped query leaves its cone behind as scratch.
-        let v = prop.encode_violation(&mut two_frames, 0);
+        let v = two_frames.violation_lit(0, &prop);
         let before = outside(&mut two_frames);
         two_frames.solve_scoped(&[v]);
         let cone = 4 * two_frames.scope_len();
@@ -979,17 +989,17 @@ mod tests {
         let req0 = m.require("req0").unwrap();
         let gnt0 = m.require("gnt0").unwrap();
         let props = vec![
-            WindowProperty {
-                antecedent: vec![BitAtom::new(req0, 0, 0, false)],
-                consequent: BitAtom::new(gnt0, 0, 1, true),
-            },
-            WindowProperty {
-                antecedent: vec![
+            WindowProperty::implication(
+                vec![BitAtom::new(req0, 0, 0, false)],
+                BitAtom::new(gnt0, 0, 1, true),
+            ),
+            WindowProperty::implication(
+                vec![
                     BitAtom::new(req0, 0, 0, false),
                     BitAtom::new(req0, 0, 1, false),
                 ],
-                consequent: BitAtom::new(gnt0, 0, 2, false),
-            },
+                BitAtom::new(gnt0, 0, 2, false),
+            ),
         ];
         let mut fresh = Checker::new(&m).unwrap();
         let expected = fresh.check_batch(&props).unwrap();

@@ -41,7 +41,7 @@ fn canonical_sweep(bytes: &[u8]) -> Result<(usize, usize, usize), TestCaseError>
         let windows: Vec<WindowProperty> = (0..6)
             .map(|_| random_property(&sigs, recipe.next() as u32 % 4, &mut recipe))
             .collect();
-        let temporals: Vec<TemporalProperty> = (0..4)
+        let temporals: Vec<WindowProperty> = (0..4)
             .map(|_| random_temporal_property(&sigs, recipe.next() as u32 % 4, &mut recipe))
             .collect();
         for backend in [
@@ -109,11 +109,11 @@ const HISTORY: usize = 50;
 
 /// `prop` through both SAT engines: what `session` answers next to what
 /// the one-shot engine answers on a fresh unrolling.
-fn session_and_one_shot<P: UnrollProperty>(
+fn session_and_one_shot(
     session: &mut CheckSession,
     m: &Module,
     blasted: &Blasted,
-    prop: &P,
+    prop: &WindowProperty,
 ) -> [(&'static str, CheckResult, CheckResult); 2] {
     [
         (
@@ -240,8 +240,8 @@ fn shaped(
     sigs: &[SignalId],
     depth: u32,
     recipe: &mut Recipe,
-) -> TemporalProperty {
-    let mut consequents = vec![window.consequent];
+) -> WindowProperty {
+    let mut consequents = vec![window.consequents[0]];
     if shape != 2 {
         for _ in 0..1 + recipe.next() % 2 {
             let sig = sigs[recipe.next() % sigs.len()];
@@ -249,7 +249,7 @@ fn shaped(
             consequents.push(BitAtom::new(sig, 0, offset, recipe.next() & 1 == 1));
         }
     }
-    TemporalProperty {
+    WindowProperty {
         antecedent: window.antecedent,
         consequents,
         kind: if shape == 1 {
@@ -389,21 +389,21 @@ fn b18_violated(m: &Module, variants: u32) -> Vec<WindowProperty> {
             let extra = BitAtom::new(a_in, i % 4, 0, i < 4);
             [
                 // Depth 0: go |-> sel.
-                WindowProperty {
-                    antecedent: vec![BitAtom::new(go, 0, 0, true), extra],
-                    consequent: BitAtom::new(sel, 0, 0, true),
-                },
+                WindowProperty::implication(
+                    vec![BitAtom::new(go, 0, 0, true), extra],
+                    BitAtom::new(sel, 0, 0, true),
+                ),
                 // Depth 1: go@0 |-> done@1 (done needs two more phases).
-                WindowProperty {
-                    antecedent: vec![BitAtom::new(go, 0, 0, true), extra],
-                    consequent: BitAtom::new(done, 0, 1, true),
-                },
+                WindowProperty::implication(
+                    vec![BitAtom::new(go, 0, 0, true), extra],
+                    BitAtom::new(done, 0, 1, true),
+                ),
                 // Depth 2: go@0 |-> !done@2 holds in the window at
                 // reset and fails in the next one (W1 -> XFER -> done).
-                WindowProperty {
-                    antecedent: vec![BitAtom::new(go, 0, 0, true), extra],
-                    consequent: BitAtom::new(done, 0, 2, false),
-                },
+                WindowProperty::implication(
+                    vec![BitAtom::new(go, 0, 0, true), extra],
+                    BitAtom::new(done, 0, 2, false),
+                ),
             ]
         })
         .collect()

@@ -6,12 +6,12 @@
 //! every reachable state, so — unlike k-induction — it never answers
 //! `Unknown` and never reports violations from unreachable states.
 //! The reachable set is computed once per design and shared across all
-//! assertion checks of a refinement run. It decides every bounded-window
-//! property — [`crate::WindowProperty`] and [`crate::TemporalProperty`]
-//! alike — through one evaluator, on the violation the property hands
-//! it ([`crate::UnrollProperty::violation`]): a conjunction of *must*
-//! literals (the antecedent, and under [`ConsequentKind::Any`] every
-//! inverted consequent — a window property's single one included) plus,
+//! assertion checks of a refinement run. It decides every
+//! [`crate::WindowProperty`] — a single-consequent implication or a
+//! temporal window over several consequents — through one evaluator,
+//! on the property's violation: a conjunction of *must* literals (the
+//! antecedent, and under [`ConsequentKind::Any`] every inverted
+//! consequent — a single one included, which is always `Any`) plus,
 //! under [`ConsequentKind::All`], one disjunction of *fail* literals
 //! (the inverted consequents, of which one has to hold).
 //!
@@ -97,9 +97,10 @@
 
 use crate::aig::{Aig, AigLit, AigNode};
 use crate::blast::Blasted;
-use crate::bmc::UnrollProperty;
 use crate::error::McError;
-use crate::prop::{assemble_input_vector, BitAtom, CexTrace, CheckResult, ConsequentKind};
+use crate::prop::{
+    assemble_input_vector, BitAtom, CexTrace, CheckResult, ConsequentKind, WindowProperty,
+};
 use gm_rtl::Module;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -590,8 +591,8 @@ impl ReachableStates {
 struct Terms {
     depth: usize,
     /// `(offset, literal)`: the antecedent atoms, and under
-    /// [`ConsequentKind::Any`] (a [`crate::WindowProperty`] included)
-    /// every inverted consequent.
+    /// [`ConsequentKind::Any`] (every single-consequent property
+    /// included) every inverted consequent.
     must: Vec<(usize, AigLit)>,
     /// Under [`ConsequentKind::All`], the inverted consequents: one of
     /// them has to hold, so an empty list is never violated. `None`
@@ -600,17 +601,16 @@ struct Terms {
 }
 
 impl Terms {
-    fn new<P: UnrollProperty>(blasted: &Blasted, prop: &P) -> Self {
-        let violation = prop.violation();
+    fn new(blasted: &Blasted, prop: &WindowProperty) -> Self {
         let lit = |a: &BitAtom, value: bool| {
             let lit = blasted.signal_bit(a.signal, a.bit);
             (a.offset as usize, if value { lit } else { !lit })
         };
-        let atoms = violation.antecedent.len() + violation.consequents.len();
+        let atoms = prop.antecedent.len() + prop.consequents.len();
         let mut must = Vec::with_capacity(atoms);
-        must.extend(violation.antecedent.iter().map(|a| lit(a, a.value)));
-        let failures = violation.consequents.iter().map(|c| lit(c, !c.value));
-        let fail = match violation.kind {
+        must.extend(prop.antecedent.iter().map(|a| lit(a, a.value)));
+        let failures = prop.consequents.iter().map(|c| lit(c, !c.value));
+        let fail = match prop.kind {
             ConsequentKind::Any => {
                 must.extend(failures);
                 None
@@ -618,7 +618,7 @@ impl Terms {
             ConsequentKind::All => Some(failures.collect::<Vec<_>>()),
         };
         Terms {
-            depth: prop.window_depth() as usize,
+            depth: prop.depth() as usize,
             must,
             fail,
         }
@@ -630,8 +630,7 @@ impl Terms {
     }
 }
 
-/// Checks `prop` — of either kind — against every reachable window of
-/// the design.
+/// Checks `prop` against every reachable window of the design.
 ///
 /// Decided on the design's tables when the `(state, input)` space fits
 /// the budget and by the direct walk otherwise (see the module docs);
@@ -641,18 +640,18 @@ impl Terms {
 ///
 /// Fails when the design is over the table budget and `(depth + 1) *
 /// input_bits` exceeds the walk's window budget.
-pub fn explicit_check<P: UnrollProperty>(
+pub fn explicit_check(
     module: &Module,
     blasted: &Blasted,
     reach: &ReachableStates,
-    prop: &P,
+    prop: &WindowProperty,
     limits: &ExplicitLimits,
 ) -> Result<CheckResult, McError> {
     if reach.cache_enabled() {
         let terms = Terms::new(blasted, prop);
         return Ok(explicit_check_cached(module, blasted, reach, &terms));
     }
-    let cycles = prop.window_depth().saturating_add(1);
+    let cycles = prop.depth().saturating_add(1);
     let window_bits = cycles.saturating_mul(reach.input_bits);
     if window_bits > limits.max_window_bits.min(63) {
         return Err(McError::WindowTooWide {

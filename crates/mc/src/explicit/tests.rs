@@ -1,7 +1,7 @@
 use super::*;
 use crate::blast::blast;
 use crate::bmc::{bmc, k_induction};
-use crate::prop::{BitAtom, TemporalProperty, WindowProperty};
+use crate::prop::{BitAtom, WindowProperty};
 use crate::testgen::{
     self, random_module, random_property, random_temporal_property, seeded_recipe, Recipe,
 };
@@ -34,12 +34,12 @@ fn setup_module(m: Module) -> (Module, Blasted, ReachableStates) {
 }
 
 /// The tabled pass alone, whatever the table budget says.
-fn tabled<P: UnrollProperty>(m: &Module, b: &Blasted, r: &ReachableStates, p: &P) -> CheckResult {
+fn tabled(m: &Module, b: &Blasted, r: &ReachableStates, p: &WindowProperty) -> CheckResult {
     explicit_check_cached(m, b, r, &Terms::new(b, p))
 }
 
 /// The direct walk alone: the reference.
-fn walk<P: UnrollProperty>(m: &Module, b: &Blasted, r: &ReachableStates, p: &P) -> CheckResult {
+fn walk(m: &Module, b: &Blasted, r: &ReachableStates, p: &WindowProperty) -> CheckResult {
     explicit_check_direct(m, b, r, &Terms::new(b, p))
 }
 
@@ -57,10 +57,10 @@ fn mutual_exclusion_is_proved() {
     let gnt0 = m.require("gnt0").unwrap();
     let gnt1 = m.require("gnt1").unwrap();
     // gnt0@0 |-> !gnt1@0 — holds on reachable states only.
-    let prop = WindowProperty {
-        antecedent: vec![BitAtom::new(gnt0, 0, 0, true)],
-        consequent: BitAtom::new(gnt1, 0, 0, false),
-    };
+    let prop = WindowProperty::implication(
+        vec![BitAtom::new(gnt0, 0, 0, true)],
+        BitAtom::new(gnt1, 0, 0, false),
+    );
     let res = explicit_check(&m, &b, &r, &prop, &ExplicitLimits::default()).unwrap();
     assert_eq!(res, CheckResult::Proved);
 }
@@ -71,10 +71,10 @@ fn paper_assertion_a0_is_violated_with_trace() {
     let req0 = m.require("req0").unwrap();
     let gnt0 = m.require("gnt0").unwrap();
     // The paper's A0: !req0@0 |-> gnt0@1 — spurious.
-    let prop = WindowProperty {
-        antecedent: vec![BitAtom::new(req0, 0, 0, false)],
-        consequent: BitAtom::new(gnt0, 0, 1, true),
-    };
+    let prop = WindowProperty::implication(
+        vec![BitAtom::new(req0, 0, 0, false)],
+        BitAtom::new(gnt0, 0, 1, true),
+    );
     match explicit_check(&m, &b, &r, &prop, &ExplicitLimits::default()).unwrap() {
         CheckResult::Violated(cex) => {
             // Replaying the trace must end with the violation: verify
@@ -102,13 +102,13 @@ fn paper_assertion_a2_is_proved() {
     let req0 = m.require("req0").unwrap();
     let gnt0 = m.require("gnt0").unwrap();
     // A2: !req0@0 & !req0@1 |-> !gnt0@2 (paper: ~req0 & X~req0 => XX~gnt0).
-    let prop = WindowProperty {
-        antecedent: vec![
+    let prop = WindowProperty::implication(
+        vec![
             BitAtom::new(req0, 0, 0, false),
             BitAtom::new(req0, 0, 1, false),
         ],
-        consequent: BitAtom::new(gnt0, 0, 2, false),
-    };
+        BitAtom::new(gnt0, 0, 2, false),
+    );
     let res = explicit_check(&m, &b, &r, &prop, &ExplicitLimits::default()).unwrap();
     assert_eq!(res, CheckResult::Proved);
 }
@@ -125,21 +125,21 @@ fn cached_walk_matches_direct_walk_exactly() {
     let gnt0 = m.require("gnt0").unwrap();
     let gnt1 = m.require("gnt1").unwrap();
     let props = vec![
-        WindowProperty {
-            antecedent: vec![BitAtom::new(req0, 0, 0, false)],
-            consequent: BitAtom::new(gnt0, 0, 1, true),
-        },
-        WindowProperty {
-            antecedent: vec![BitAtom::new(gnt0, 0, 0, true)],
-            consequent: BitAtom::new(gnt1, 0, 0, false),
-        },
-        WindowProperty {
-            antecedent: vec![
+        WindowProperty::implication(
+            vec![BitAtom::new(req0, 0, 0, false)],
+            BitAtom::new(gnt0, 0, 1, true),
+        ),
+        WindowProperty::implication(
+            vec![BitAtom::new(gnt0, 0, 0, true)],
+            BitAtom::new(gnt1, 0, 0, false),
+        ),
+        WindowProperty::implication(
+            vec![
                 BitAtom::new(req0, 0, 0, true),
                 BitAtom::new(req1, 0, 1, false),
             ],
-            consequent: BitAtom::new(gnt0, 0, 2, true),
-        },
+            BitAtom::new(gnt0, 0, 2, true),
+        ),
     ];
     for p in &props {
         assert_eq!(
@@ -165,10 +165,10 @@ fn clone_resets_the_cache_but_keeps_the_states() {
     let (m, b, r) = setup(ARBITER2);
     let gnt0 = m.require("gnt0").unwrap();
     let gnt1 = m.require("gnt1").unwrap();
-    let prop = WindowProperty {
-        antecedent: vec![BitAtom::new(gnt0, 0, 0, true)],
-        consequent: BitAtom::new(gnt1, 0, 0, false),
-    };
+    let prop = WindowProperty::implication(
+        vec![BitAtom::new(gnt0, 0, 0, true)],
+        BitAtom::new(gnt1, 0, 0, false),
+    );
     explicit_check(&m, &b, &r, &prop, &ExplicitLimits::default()).unwrap();
     assert!(r.cache_stats().entries > 0);
     let fresh = r.clone();
@@ -202,9 +202,9 @@ fn limits_are_enforced() {
 
 /// Decides `prop` on the tables and by the direct walk and requires
 /// the same verdict and trace.
-fn tabled_like_the_walk<P: UnrollProperty>(
+fn tabled_like_the_walk(
     (m, b, r): &(Module, Blasted, ReachableStates),
-    prop: &P,
+    prop: &WindowProperty,
     shown: impl std::fmt::Display,
 ) -> Result<CheckResult, TestCaseError> {
     let result = tabled(m, b, r, prop);
@@ -296,7 +296,7 @@ fn identity_sweep_sees_both_verdicts() {
 /// Replays `cex` on the interpreter and evaluates `prop` on the trace's
 /// last window, from the property's definition: whether the window
 /// violates it, and the offset of its earliest failing consequent.
-fn replay(m: &Module, prop: &TemporalProperty, cex: &CexTrace) -> (bool, Option<u32>) {
+fn replay(m: &Module, prop: &WindowProperty, cex: &CexTrace) -> (bool, Option<u32>) {
     let mut sim = Simulator::new(m).unwrap();
     let trace = sim.run_vectors(&cex.inputs, &mut NopObserver);
     let Some(base) = trace.len().checked_sub(prop.depth() as usize + 1) else {
@@ -366,7 +366,7 @@ fn engines_sweep(bytes: &[u8], tally: &mut Tally) -> Result<(), TestCaseError> {
                         );
                     }
                     tally.proved += 1;
-                    let antecedent_alone = TemporalProperty {
+                    let antecedent_alone = WindowProperty {
                         consequents: Vec::new(),
                         kind: ConsequentKind::Any,
                         ..prop.clone()
@@ -481,7 +481,7 @@ fn empty_consequent_lists_mean_what_the_sat_encoding_documents() {
         (&unreachable, ConsequentKind::All, false),
         (&unreachable, ConsequentKind::Any, false),
     ] {
-        let prop = TemporalProperty {
+        let prop = WindowProperty {
             antecedent: antecedent.clone(),
             consequents: Vec::new(),
             kind,
@@ -513,10 +513,10 @@ fn the_window_budget_bounds_the_walk_only() {
     assert!(r.cache_enabled());
     let stall = m.require("stall_in").unwrap();
     let valid = m.require("valid").unwrap();
-    let wide = WindowProperty {
-        antecedent: vec![BitAtom::new(stall, 0, 0, true)],
-        consequent: BitAtom::new(valid, 0, 3, true),
-    };
+    let wide = WindowProperty::implication(
+        vec![BitAtom::new(stall, 0, 0, true)],
+        BitAtom::new(valid, 0, 3, true),
+    );
     assert!((wide.depth() + 1) * r.input_bits > limits.max_window_bits);
     assert!(matches!(
         explicit_check(&m, &b, &r, &wide, &limits),
@@ -532,10 +532,10 @@ fn the_window_budget_bounds_the_walk_only() {
     );
     assert!(!r.cache_enabled(), "{} pairs", r.pairs());
     let (q, y) = (m.require("q").unwrap(), m.require("y").unwrap());
-    let prop = WindowProperty {
-        antecedent: vec![BitAtom::new(q, 0, 0, true)],
-        consequent: BitAtom::new(y, 0, 2, true),
-    };
+    let prop = WindowProperty::implication(
+        vec![BitAtom::new(q, 0, 0, true)],
+        BitAtom::new(y, 0, 2, true),
+    );
     assert_eq!(
         explicit_check(&m, &b, &r, &prop, &limits),
         Err(McError::WindowTooWide {
@@ -620,9 +620,11 @@ fn threads_sharing_cold_tables_match_the_sequential_results() {
     let props: Vec<WindowProperty> = bits
         .iter()
         .flat_map(|&(a, abit)| {
-            bits.iter().map(move |&(c, cbit)| WindowProperty {
-                antecedent: vec![BitAtom::new(a, abit, 0, true)],
-                consequent: BitAtom::new(c, cbit, 1, false),
+            bits.iter().map(move |&(c, cbit)| {
+                WindowProperty::implication(
+                    vec![BitAtom::new(a, abit, 0, true)],
+                    BitAtom::new(c, cbit, 1, false),
+                )
             })
         })
         .collect();

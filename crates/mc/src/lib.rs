@@ -6,10 +6,10 @@
 //!
 //! Pipeline: [`blast`] compiles an elaborated `gm-rtl` module into an
 //! and-inverter graph ([`Aig`]) with hash-consing; properties are
-//! [`WindowProperty`]s (bounded-window implications, the shape of every
-//! decision-tree assertion) and [`TemporalProperty`]s (the same over a
-//! conjunction or disjunction of consequents); three engines decide
-//! both kinds:
+//! [`WindowProperty`]s — bounded-window implications from antecedent
+//! atoms to one consequent (the shape of every decision-tree assertion)
+//! or to a conjunction or disjunction of several (the temporal
+//! templates); three engines decide them:
 //!
 //! * **explicit-state reachability** ([`ReachableStates`],
 //!   [`explicit_check`]) — exact for benchmark-scale designs, never
@@ -38,10 +38,10 @@
 //!   everything the unrolling has accumulated, and reads no model;
 //! * [`Checker`] bit-blasts once, lazily computes the reachable state
 //!   set once, routes queries to the configured backend through its
-//!   persistent session, and accepts single properties
-//!   ([`Checker::check`]) or whole worklists ([`Checker::check_batch`],
-//!   each distinct property decided once) of either kind,
-//!   [`WindowProperty`] or [`TemporalProperty`];
+//!   persistent session, and decides whole worklists
+//!   ([`Checker::check_batch`], each distinct property decided once;
+//!   [`Checker::check_temporal_batch`] is the same under the temporal
+//!   pass's span name) whatever their consequents;
 //! * [`Checker::with_shards`] splits every worklist across a pool of
 //!   persistent `Send` shard sessions (one scoped worker thread each,
 //!   all over one `Arc`-shared blasted design), dealt round-robin and
@@ -53,7 +53,7 @@
 //! point and every shard count (which only
 //! decides which session's counters the work lands in). Which engine
 //! answers depends on the design, the limits and the backend, never on
-//! the property's kind; explicit-state verdicts carry the first
+//! the property's consequents; explicit-state verdicts carry the first
 //! violation of a fixed depth-first order, SAT verdicts are
 //! solver-state-independent, and violated SAT verdicts carry
 //! *canonical* traces re-extracted independently of session history
@@ -84,9 +84,9 @@ mod testgen;
 pub use aig::{Aig, AigLit, AigNode, Latch};
 pub use aiger::{blasted_to_aiger, parse_aiger, to_aiger, ParsedAiger};
 pub use blast::{blast, Blasted};
-pub use bmc::{bmc, k_induction, UnrollProperty, Unroller};
+pub use bmc::{bmc, k_induction, Unroller};
 pub use check::{Backend, Checker};
 pub use error::McError;
 pub use explicit::{explicit_check, ExplicitCacheStats, ExplicitLimits, ReachableStates};
-pub use prop::{BitAtom, CexTrace, CheckResult, ConsequentKind, TemporalProperty, WindowProperty};
+pub use prop::{BitAtom, CexTrace, CheckResult, ConsequentKind, WindowProperty};
 pub use session::{CheckSession, SessionStats};

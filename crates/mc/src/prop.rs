@@ -2,8 +2,9 @@
 //!
 //! A mined assertion is an implication over a bounded window of cycles:
 //! a conjunction of (signal, bit, offset, value) atoms implies one
-//! consequent atom. Model checking decides `G (antecedent -> consequent)`
-//! over all reachable windows; a violation yields a reset-rooted input
+//! consequent atom, or — for the temporal templates — a conjunction or
+//! disjunction of several. Model checking decides
+//! `G (antecedent -> consequents)` over all reachable windows; a violation yields a reset-rooted input
 //! trace that the engine replays through the simulator (the paper's
 //! `Ctx_simulation()`).
 
@@ -38,26 +39,83 @@ impl BitAtom {
     }
 }
 
-/// A windowed safety property: `G (/\ antecedent -> consequent)`.
+/// How a [`WindowProperty`]'s consequent atoms combine.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum ConsequentKind {
+    /// Every consequent atom must hold (stability windows `a -> G<=k b`:
+    /// one atom per cycle of the window).
+    All,
+    /// At least one consequent atom must hold (bounded eventuality
+    /// `a -> F<=k b`: one atom per cycle the target may fire in). A
+    /// single consequent is always `Any` (see [`WindowProperty::new`]).
+    Any,
+}
+
+/// A bounded safety property: `G (/\ antecedent -> C)` where `C` is a
+/// conjunction ([`ConsequentKind::All`]) or disjunction
+/// ([`ConsequentKind::Any`]) of consequent atoms at (possibly distinct)
+/// offsets.
 ///
-/// Hashable so batch checkers can dedupe properties (distinct mining
-/// targets often produce the same implication).
+/// One type covers every template the miner produces: a decision-tree
+/// assertion is an implication with one consequent
+/// ([`WindowProperty::implication`]); next-cycle implications
+/// (`a -> Xb`) are one consequent at a later offset; bounded
+/// eventualities (`a -> F<=k b`) are `Any` over offsets `d..=d+k`, and
+/// stability windows (`a -> G<=k b`) `All` over the same offsets. All
+/// stay bounded safety properties over finite windows, so every engine —
+/// explicit state, BMC, k-induction — decides them alike.
+///
+/// With one consequent `All` and `Any` mean the same property, so it
+/// has one spelling, `Any`: both constructors store it so, and the
+/// checker dedupes, encodes and decides it as one disjunctive window
+/// (no consequent gate, no second explicit-state set). A struct literal
+/// with one `All` consequent gets the same verdict and trace, but is
+/// deduped apart from its `Any` spelling: build through the
+/// constructors. Hashable so
+/// batch checkers can dedupe properties (distinct mining targets often
+/// produce the same implication).
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct WindowProperty {
     /// Antecedent atoms (conjoined). Empty means `true`.
     pub antecedent: Vec<BitAtom>,
-    /// The consequent atom.
-    pub consequent: BitAtom,
+    /// Consequent atoms, combined per `kind`. Must be non-empty.
+    pub consequents: Vec<BitAtom>,
+    /// How the consequents combine.
+    pub kind: ConsequentKind,
 }
 
 impl WindowProperty {
+    /// The implication `/\ antecedent -> consequent`.
+    pub fn implication(antecedent: Vec<BitAtom>, consequent: BitAtom) -> Self {
+        WindowProperty {
+            antecedent,
+            consequents: vec![consequent],
+            kind: ConsequentKind::Any,
+        }
+    }
+
+    /// The property `/\ antecedent -> consequents` combined per `kind`,
+    /// a single consequent stored as `Any` whatever `kind` says.
+    pub fn new(antecedent: Vec<BitAtom>, consequents: Vec<BitAtom>, kind: ConsequentKind) -> Self {
+        let kind = if consequents.len() == 1 {
+            ConsequentKind::Any
+        } else {
+            kind
+        };
+        WindowProperty {
+            antecedent,
+            consequents,
+            kind,
+        }
+    }
+
     /// The window depth: the largest offset used by any atom. The window
     /// spans `depth() + 1` cycles.
     pub fn depth(&self) -> u32 {
         self.antecedent
             .iter()
+            .chain(self.consequents.iter())
             .map(|a| a.offset)
-            .chain(std::iter::once(self.consequent.offset))
             .max()
             .unwrap_or(0)
     }
@@ -99,107 +157,6 @@ impl fmt::Display for DisplayProperty<'_> {
             }
         }
         write!(f, " |-> ")?;
-        atom(f, &self.prop.consequent)
-    }
-}
-
-/// How a [`TemporalProperty`]'s consequent atoms combine.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum ConsequentKind {
-    /// Every consequent atom must hold (stability windows `a -> G<=k b`:
-    /// one atom per cycle of the window).
-    All,
-    /// At least one consequent atom must hold (bounded eventuality
-    /// `a -> F<=k b`: one atom per cycle the target may fire in).
-    Any,
-}
-
-/// A windowed temporal safety property: `G (/\ antecedent -> C)` where
-/// `C` is a conjunction ([`ConsequentKind::All`]) or disjunction
-/// ([`ConsequentKind::Any`]) of consequent atoms at (possibly distinct)
-/// offsets.
-///
-/// This generalizes [`WindowProperty`] — which is the
-/// single-consequent special case — to the temporal templates the miner
-/// produces: next-cycle implications (`a -> Xb`), bounded eventualities
-/// (`a -> F<=k b`, `Any` over offsets `d..=d+k`), and stability windows
-/// (`a -> G<=k b`, `All` over the same offsets). All three stay bounded
-/// safety properties over finite windows, so every engine — explicit
-/// state, BMC, k-induction — decides them exactly like window
-/// properties.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct TemporalProperty {
-    /// Antecedent atoms (conjoined). Empty means `true`.
-    pub antecedent: Vec<BitAtom>,
-    /// Consequent atoms, combined per `kind`. Must be non-empty.
-    pub consequents: Vec<BitAtom>,
-    /// How the consequents combine.
-    pub kind: ConsequentKind,
-}
-
-impl TemporalProperty {
-    /// The window depth: the largest offset used by any atom. The window
-    /// spans `depth() + 1` cycles.
-    pub fn depth(&self) -> u32 {
-        self.antecedent
-            .iter()
-            .chain(self.consequents.iter())
-            .map(|a| a.offset)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// The single-consequent view, when one exists: a one-atom temporal
-    /// property is exactly a [`WindowProperty`] (the `All`/`Any`
-    /// distinction collapses), so the checker decides the two
-    /// spellings as one.
-    pub fn as_window(&self) -> Option<WindowProperty> {
-        match self.consequents.as_slice() {
-            [single] => Some(WindowProperty {
-                antecedent: self.antecedent.clone(),
-                consequent: *single,
-            }),
-            _ => None,
-        }
-    }
-
-    /// Formats the property with signal names for diagnostics.
-    pub fn display<'a>(&'a self, module: &'a Module) -> DisplayTemporal<'a> {
-        DisplayTemporal { prop: self, module }
-    }
-}
-
-/// Helper returned by [`TemporalProperty::display`].
-#[derive(Debug)]
-pub struct DisplayTemporal<'a> {
-    prop: &'a TemporalProperty,
-    module: &'a Module,
-}
-
-impl fmt::Display for DisplayTemporal<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let atom = |f: &mut fmt::Formatter<'_>, a: &BitAtom| -> fmt::Result {
-            let sig = self.module.signal(a.signal);
-            if !a.value {
-                write!(f, "!")?;
-            }
-            write!(f, "{}", sig.name())?;
-            if sig.width() > 1 {
-                write!(f, "[{}]", a.bit)?;
-            }
-            write!(f, "@{}", a.offset)
-        };
-        if self.prop.antecedent.is_empty() {
-            write!(f, "true")?;
-        } else {
-            for (i, a) in self.prop.antecedent.iter().enumerate() {
-                if i > 0 {
-                    write!(f, " & ")?;
-                }
-                atom(f, a)?;
-            }
-        }
-        write!(f, " |-> ")?;
         let sep = match self.prop.kind {
             ConsequentKind::All => " & ",
             ConsequentKind::Any => " | ",
@@ -218,26 +175,6 @@ impl fmt::Display for DisplayTemporal<'_> {
         }
         Ok(())
     }
-}
-
-/// What violates one window of a bounded property, in the one form every
-/// property kind reduces to: all `antecedent` atoms hold and the
-/// `consequents` fail as `kind` says — [`ConsequentKind::All`]: some
-/// consequent is false (never, when there is none);
-/// [`ConsequentKind::Any`]: every consequent is false. A
-/// [`WindowProperty`]'s single consequent fails the same way under
-/// either kind; it is viewed as `Any`, whose inverted consequents simply
-/// join the antecedent's conjunction. Built by
-/// [`crate::UnrollProperty::violation`].
-#[doc(hidden)]
-#[derive(Clone, Copy, Debug)]
-pub struct Violation<'a> {
-    /// Atoms that all hold in a violating window.
-    pub antecedent: &'a [BitAtom],
-    /// Atoms whose combination fails in a violating window.
-    pub consequents: &'a [BitAtom],
-    /// How the consequents combine.
-    pub kind: ConsequentKind,
 }
 
 /// A counterexample: a reset-rooted sequence of data-input vectors that
@@ -313,36 +250,33 @@ mod tests {
         let m = parse_verilog("module m(input a, output y); assign y = a; endmodule").unwrap();
         let a = m.require("a").unwrap();
         let y = m.require("y").unwrap();
-        let p = WindowProperty {
-            antecedent: vec![BitAtom::new(a, 0, 0, true), BitAtom::new(a, 0, 1, false)],
-            consequent: BitAtom::new(y, 0, 2, true),
-        };
+        let p = WindowProperty::implication(
+            vec![BitAtom::new(a, 0, 0, true), BitAtom::new(a, 0, 1, false)],
+            BitAtom::new(y, 0, 2, true),
+        );
         assert_eq!(p.depth(), 2);
         let display = format!("{}", p.display(&m));
         assert_eq!(display, "a@0 & !a@1 |-> y@2");
     }
 
     #[test]
-    fn temporal_depth_display_and_window_view() {
+    fn multi_consequent_depth_and_display() {
         let m = parse_verilog("module m(input a, output y); assign y = a; endmodule").unwrap();
         let a = m.require("a").unwrap();
         let y = m.require("y").unwrap();
-        let p = TemporalProperty {
-            antecedent: vec![BitAtom::new(a, 0, 0, true)],
-            consequents: vec![BitAtom::new(y, 0, 1, true), BitAtom::new(y, 0, 2, true)],
-            kind: ConsequentKind::Any,
-        };
+        let p = WindowProperty::new(
+            vec![BitAtom::new(a, 0, 0, true)],
+            vec![BitAtom::new(y, 0, 1, true), BitAtom::new(y, 0, 2, true)],
+            ConsequentKind::Any,
+        );
         assert_eq!(p.depth(), 2);
-        assert!(p.as_window().is_none());
         assert_eq!(format!("{}", p.display(&m)), "a@0 |-> (y@1 | y@2)");
 
-        let single = TemporalProperty {
-            antecedent: vec![BitAtom::new(a, 0, 0, true)],
-            consequents: vec![BitAtom::new(y, 0, 1, false)],
-            kind: ConsequentKind::All,
-        };
-        let w = single.as_window().expect("single consequent");
-        assert_eq!(w.consequent, BitAtom::new(y, 0, 1, false));
+        let single = WindowProperty::new(
+            vec![BitAtom::new(a, 0, 0, true)],
+            vec![BitAtom::new(y, 0, 1, false)],
+            ConsequentKind::All,
+        );
         assert_eq!(format!("{}", single.display(&m)), "a@0 |-> !y@1");
     }
 
@@ -350,10 +284,7 @@ mod tests {
     fn empty_antecedent_displays_true() {
         let m = parse_verilog("module m(input a, output y); assign y = a; endmodule").unwrap();
         let y = m.require("y").unwrap();
-        let p = WindowProperty {
-            antecedent: vec![],
-            consequent: BitAtom::new(y, 0, 0, false),
-        };
+        let p = WindowProperty::implication(vec![], BitAtom::new(y, 0, 0, false));
         assert_eq!(p.depth(), 0);
         assert_eq!(format!("{}", p.display(&m)), "true |-> !y@0");
     }

@@ -14,8 +14,8 @@
 //! Only what it cannot assume. A violated window is posed as its atoms'
 //! own literals ([`Unroller::violation_assumptions`]): the antecedent's,
 //! then the inverted consequents of a disjunctive (`Any`) property —
-//! every [`crate::WindowProperty`] — or one `¬AND(consequents)` gate
-//! literal of a conjunctive (`All`) one. A base query (a BMC window, an
+//! every single-consequent implication among them — or one
+//! `¬AND(consequents)` gate literal of a conjunctive (`All`) one. A base query (a BMC window, an
 //! induction base case) assumes that list and nothing else, so for an
 //! `Any` property it allocates no variable once its frames exist. An
 //! induction step at depth `k` assumes `holds(j)` for the windows
@@ -64,9 +64,9 @@
 //! return.
 
 use crate::blast::Blasted;
-use crate::bmc::{canonical_cex, PristinePrefixes, UnrollProperty, Unroller};
+use crate::bmc::{canonical_cex, PristinePrefixes, Unroller};
 use crate::error::McError;
-use crate::prop::{CexTrace, CheckResult};
+use crate::prop::{CexTrace, CheckResult, WindowProperty};
 use gm_rtl::Module;
 use gm_sat::{Lit, SolveResult, SolverStats};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -334,8 +334,8 @@ impl CheckSession {
 
     /// Asks the reset-rooted unrolling whether the window starting at
     /// `start` can violate `prop`, assuming the violation's literals.
-    fn base_violation<P: UnrollProperty>(&mut self, prop: &P, start: usize) -> bool {
-        let depth = prop.window_depth() as usize;
+    fn base_violation(&mut self, prop: &WindowProperty, start: usize) -> bool {
+        let depth = prop.depth() as usize;
         let base = Self::unroller(
             &mut self.base,
             self.prefixes.blasted(),
@@ -345,17 +345,17 @@ impl CheckSession {
         Self::extend_frames(base, start + depth, &mut self.stats);
         let vars = base.solver().num_vars();
         self.assumptions.clear();
-        base.violation_assumptions(start, &prop.violation(), &mut self.assumptions);
+        base.violation_assumptions(start, prop, &mut self.assumptions);
         Self::solve(base, &self.assumptions, vars, &mut self.stats) == SolveResult::Sat
     }
 
     /// The trace of a violation [`CheckSession::base_violation`] just
     /// found at `start` (every earlier start having been refuted): the
     /// one-shot scan's, replayed on a clone of the pristine prefix.
-    fn canonical_trace<P: UnrollProperty>(
+    fn canonical_trace(
         &mut self,
         module: &Module,
-        prop: &P,
+        prop: &WindowProperty,
         start: usize,
     ) -> CexTrace {
         let mut span = gm_trace::span("mc", "mc.canonical_cex");
@@ -366,7 +366,7 @@ impl CheckSession {
         // The replay stopped at the violating start, whose window ends
         // the trace: the prefix covered the first start's window and
         // every later start encoded one more frame.
-        let depth = prop.window_depth() as usize;
+        let depth = prop.depth() as usize;
         let starts = cex.len() - depth;
         span.arg("depth", depth);
         span.arg("starts", starts);
@@ -391,10 +391,10 @@ impl CheckSession {
     /// per window start of the scan): [`McError::Cancelled`] as soon as
     /// it is raised, no partial verdict published. Infallible with
     /// `None`.
-    pub fn bmc<P: UnrollProperty>(
+    pub fn bmc(
         &mut self,
         module: &Module,
-        prop: &P,
+        prop: &WindowProperty,
         max_start: u32,
         cancel: Option<&AtomicBool>,
     ) -> Result<CheckResult, McError> {
@@ -430,14 +430,14 @@ impl CheckSession {
     ///
     /// `cancel` is polled once per induction depth `k`, with the
     /// contract of [`CheckSession::bmc`].
-    pub fn k_induction<P: UnrollProperty>(
+    pub fn k_induction(
         &mut self,
         module: &Module,
-        prop: &P,
+        prop: &WindowProperty,
         max_k: u32,
         cancel: Option<&AtomicBool>,
     ) -> Result<CheckResult, McError> {
-        let depth = prop.window_depth() as usize;
+        let depth = prop.depth() as usize;
         // The step query's assumptions: windows `0..k` hold, then
         // window `k`'s violation literals. One vector for the whole
         // call; each depth drops the previous depth's violation and
@@ -470,9 +470,9 @@ impl CheckSession {
             let vars = step.solver().num_vars();
             if let Some(held) = k.checked_sub(1) {
                 assumptions.truncate(held);
-                assumptions.push(prop.encode_holds(step, held));
+                assumptions.push(!step.violation_lit(held, prop));
             }
-            step.violation_assumptions(k, &prop.violation(), &mut assumptions);
+            step.violation_assumptions(k, prop, &mut assumptions);
             if Self::solve(step, &assumptions, vars, &mut self.stats) == SolveResult::Unsat {
                 return Ok(CheckResult::Proved);
             }
@@ -486,7 +486,7 @@ mod tests {
     use super::*;
     use crate::blast::blast;
     use crate::bmc::{bmc, k_induction};
-    use crate::prop::{BitAtom, ConsequentKind, TemporalProperty, WindowProperty};
+    use crate::prop::{BitAtom, ConsequentKind, WindowProperty};
     use gm_rtl::{elaborate, parse_verilog};
 
     const DFF: &str = "
@@ -508,14 +508,14 @@ mod tests {
         let (m, b) = setup(DFF);
         let d = m.require("d").unwrap();
         let q = m.require("q").unwrap();
-        let proved = WindowProperty {
-            antecedent: vec![BitAtom::new(d, 0, 0, true)],
-            consequent: BitAtom::new(q, 0, 1, true),
-        };
-        let violated = WindowProperty {
-            antecedent: vec![BitAtom::new(d, 0, 0, true)],
-            consequent: BitAtom::new(q, 0, 1, false),
-        };
+        let proved = WindowProperty::implication(
+            vec![BitAtom::new(d, 0, 0, true)],
+            BitAtom::new(q, 0, 1, true),
+        );
+        let violated = WindowProperty::implication(
+            vec![BitAtom::new(d, 0, 0, true)],
+            BitAtom::new(q, 0, 1, false),
+        );
         let mut session = CheckSession::new(b.clone());
         for prop in [&proved, &violated] {
             assert_eq!(
@@ -551,12 +551,12 @@ mod tests {
         let q = m.require("q").unwrap();
         // Never violated and not provable at k ≤ 1, so every query of
         // each call below is asked.
-        let low = WindowProperty {
-            antecedent: vec![BitAtom::new(d, 0, 0, true)],
-            consequent: BitAtom::new(q, 0, 0, false),
-        };
+        let low = WindowProperty::implication(
+            vec![BitAtom::new(d, 0, 0, true)],
+            BitAtom::new(q, 0, 0, false),
+        );
         // Two consequents neither of which is a constant at reset.
-        let stays_high = TemporalProperty {
+        let stays_high = WindowProperty {
             antecedent: vec![BitAtom::new(d, 0, 0, true)],
             consequents: vec![BitAtom::new(q, 1, 1, true), BitAtom::new(q, 1, 2, true)],
             kind: ConsequentKind::All,
@@ -590,10 +590,10 @@ mod tests {
         let (m, b) = setup(DFF);
         let d = m.require("d").unwrap();
         let q = m.require("q").unwrap();
-        let prop = WindowProperty {
-            antecedent: vec![BitAtom::new(d, 0, 0, true)],
-            consequent: BitAtom::new(q, 0, 1, true),
-        };
+        let prop = WindowProperty::implication(
+            vec![BitAtom::new(d, 0, 0, true)],
+            BitAtom::new(q, 0, 1, true),
+        );
         let mut session = CheckSession::new(b);
         let first = session.k_induction(&m, &prop, 4, None).unwrap();
         let after_first = session.stats();

@@ -3,7 +3,7 @@
 //! properties over their signals, both drawn from a byte recipe so a
 //! proptest case shrinks to a short byte string.
 
-use crate::prop::{BitAtom, ConsequentKind, TemporalProperty, WindowProperty};
+use crate::prop::{BitAtom, ConsequentKind, WindowProperty};
 use gm_rtl::{Bv, Expr, Module, ModuleBuilder, SignalId};
 
 /// A byte cursor over a proptest recipe, wrapping around.
@@ -132,10 +132,7 @@ pub(crate) fn random_property(
     } else {
         atom_at(depth, recipe)
     };
-    WindowProperty {
-        antecedent,
-        consequent,
-    }
+    WindowProperty::implication(antecedent, consequent)
 }
 
 /// A random multi-consequent temporal property of window depth exactly
@@ -145,15 +142,15 @@ pub(crate) fn random_temporal_property(
     sigs: &[SignalId],
     depth: u32,
     recipe: &mut Recipe,
-) -> TemporalProperty {
+) -> WindowProperty {
     let window = random_property(sigs, depth, recipe);
-    let mut consequents = vec![window.consequent];
+    let mut consequents = vec![window.consequents[0]];
     for _ in 0..1 + recipe.next() % 2 {
         let sig = sigs[recipe.next() % sigs.len()];
         let offset = recipe.next() as u32 % (depth + 1);
         consequents.push(BitAtom::new(sig, 0, offset, recipe.next() & 1 == 1));
     }
-    TemporalProperty {
+    WindowProperty {
         antecedent: window.antecedent,
         consequents,
         kind: if recipe.next() & 1 == 1 {

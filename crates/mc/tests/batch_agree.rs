@@ -1,6 +1,6 @@
 //! Cross-validation of batched vs sequential checking.
 //!
-//! `Checker::check_batch` must agree with per-property `check` on every
+//! `Checker::check_batch` must agree with one-property batches on every
 //! catalog design, for every backend, deciding each distinct property of
 //! a batch once. The properties are generated deterministically per
 //! design (a fixed LCG), mixing proved, violated and unknown verdicts.
@@ -51,10 +51,10 @@ fn properties_for(module: &Module, count: usize) -> Vec<WindowProperty> {
             let out = outputs[rng.below(outputs.len() as u64) as usize];
             let bit = rng.below(u64::from(module.signal_width(out))) as u32;
             let offset = 1 + rng.below(2) as u32;
-            WindowProperty {
+            WindowProperty::implication(
                 antecedent,
-                consequent: BitAtom::new(out, bit, offset, rng.below(2) == 1),
-            }
+                BitAtom::new(out, bit, offset, rng.below(2) == 1),
+            )
         })
         .collect()
 }
@@ -110,7 +110,7 @@ fn cex_violates(module: &Module, prop: &WindowProperty, cex: &CexTrace) -> bool 
     }
     let base = trace.len() - 1 - depth;
     let atom_holds = |a: &BitAtom| trace.bit(base + a.offset as usize, a.signal, a.bit) == a.value;
-    prop.antecedent.iter().all(atom_holds) && !atom_holds(&prop.consequent)
+    prop.antecedent.iter().all(atom_holds) && !atom_holds(&prop.consequents[0])
 }
 
 #[test]
@@ -126,7 +126,8 @@ fn check_batch_agrees_with_sequential_check_on_all_catalog_designs() {
             // session code involved), a fresh checker per property for
             // Auto/Explicit (fresh session each, so nothing persists
             // across properties). A reference that merely looped the
-            // batch checker's own `check` would be tautological.
+            // batch checker's own one-property batches would be
+            // tautological.
             let sequential: Result<Vec<CheckResult>, McError> = props
                 .iter()
                 .map(|p| match backend {
@@ -134,7 +135,9 @@ fn check_batch_agrees_with_sequential_check_on_all_catalog_designs() {
                     Backend::KInduction { max_k } => {
                         Ok(gm_mc::k_induction(&module, &blasted, p, max_k))
                     }
-                    Backend::Auto | Backend::Explicit => checker(&module, backend).check(p),
+                    Backend::Auto | Backend::Explicit => (checker(&module, backend))
+                        .check_batch(std::slice::from_ref(p))
+                        .map(|mut one| one.remove(0)),
                 })
                 .collect();
             let sequential = match sequential {

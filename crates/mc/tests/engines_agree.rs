@@ -81,15 +81,15 @@ fn random_property(module: &Module, recipe: &[u8]) -> WindowProperty {
         }
     }
     let last = recipe.last().copied().unwrap_or(0);
-    WindowProperty {
+    WindowProperty::implication(
         antecedent,
-        consequent: BitAtom::new(
+        BitAtom::new(
             signals[2 + (last % 2) as usize],
             0,
             1 + u32::from(last % 2),
             last % 3 == 0,
         ),
-    }
+    )
 }
 
 /// Replays a counterexample from reset and confirms the violation.
@@ -108,7 +108,7 @@ fn cex_violates(module: &Module, prop: &WindowProperty, cex: &gm_mc::CexTrace) -
     // The violating window ends at the final cycle of the trace.
     let base = trace.len() - 1 - depth;
     let atom_holds = |a: &BitAtom| trace.bit(base + a.offset as usize, a.signal, a.bit) == a.value;
-    prop.antecedent.iter().all(atom_holds) && !atom_holds(&prop.consequent)
+    prop.antecedent.iter().all(atom_holds) && !atom_holds(&prop.consequents[0])
 }
 
 proptest! {

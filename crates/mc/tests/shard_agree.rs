@@ -14,7 +14,7 @@
 
 use gm_mc::{
     bmc, Backend, BitAtom, CexTrace, CheckResult, Checker, ConsequentKind, ExplicitLimits,
-    TemporalProperty, WindowProperty,
+    WindowProperty,
 };
 use gm_rtl::{Bv, Module, SignalId};
 use gm_sim::{NopObserver, Simulator};
@@ -63,10 +63,10 @@ fn properties_for(module: &Module, seed: u64, count: usize) -> Vec<WindowPropert
             let out = outputs[rng.below(outputs.len() as u64) as usize];
             let bit = rng.below(u64::from(module.signal_width(out))) as u32;
             let offset = 1 + rng.below(2) as u32;
-            WindowProperty {
+            WindowProperty::implication(
                 antecedent,
-                consequent: BitAtom::new(out, bit, offset, rng.below(2) == 1),
-            }
+                BitAtom::new(out, bit, offset, rng.below(2) == 1),
+            )
         })
         .collect()
 }
@@ -74,13 +74,13 @@ fn properties_for(module: &Module, seed: u64, count: usize) -> Vec<WindowPropert
 /// Multi-consequent temporal properties over the same mix: each window
 /// property's consequent joined by the same output bit one cycle later,
 /// alternately as a stability (`All`) and an eventuality (`Any`) window.
-fn temporal_properties_for(module: &Module, seed: u64, count: usize) -> Vec<TemporalProperty> {
+fn temporal_properties_for(module: &Module, seed: u64, count: usize) -> Vec<WindowProperty> {
     properties_for(module, seed, count)
         .into_iter()
         .enumerate()
         .map(|(i, p)| {
-            let c = p.consequent;
-            TemporalProperty {
+            let c = p.consequents[0];
+            WindowProperty {
                 antecedent: p.antecedent,
                 consequents: vec![c, BitAtom::new(c.signal, c.bit, c.offset + 1, c.value)],
                 kind: if i % 2 == 0 {
@@ -112,17 +112,12 @@ fn checker(module: &Module, backend: Backend) -> Checker {
 
 /// Replays a counterexample from reset and confirms the violation.
 fn cex_violates(module: &Module, prop: &WindowProperty, cex: &CexTrace) -> bool {
-    let temporal = TemporalProperty {
-        antecedent: prop.antecedent.clone(),
-        consequents: vec![prop.consequent],
-        kind: ConsequentKind::All,
-    };
-    temporal_cex_violates(module, &temporal, cex)
+    temporal_cex_violates(module, prop, cex)
 }
 
 /// Replays a counterexample from reset on the interpreter and confirms
 /// that its last window violates the temporal property.
-fn temporal_cex_violates(module: &Module, prop: &TemporalProperty, cex: &CexTrace) -> bool {
+fn temporal_cex_violates(module: &Module, prop: &WindowProperty, cex: &CexTrace) -> bool {
     let mut sim = Simulator::new(module).unwrap();
     if let Some(rst) = module.reset() {
         sim.set_input(rst, Bv::one_bit());
@@ -160,16 +155,16 @@ fn sharded_equals_batched_equals_sequential_on_all_catalog_designs() {
             let mut seq_checker = checker(&module, backend);
             let sequential: Vec<CheckResult> = props
                 .iter()
-                .map(|p| seq_checker.check(p).unwrap())
+                .flat_map(|p| seq_checker.check_batch(std::slice::from_ref(p)).unwrap())
                 .collect();
             let sequential_temporal: Vec<CheckResult> = temporals
                 .iter()
-                .map(|p| seq_checker.check(p).unwrap())
+                .flat_map(|p| (seq_checker.check_temporal_batch(std::slice::from_ref(p))).unwrap())
                 .collect();
             // Single-session batches.
             let mut batch_checker = checker(&module, backend);
             let batched = batch_checker.check_batch(&props).unwrap();
-            let batched_temporal = batch_checker.check_batch(&temporals).unwrap();
+            let batched_temporal = batch_checker.check_temporal_batch(&temporals).unwrap();
             assert_eq!(
                 (&sequential, &sequential_temporal),
                 (&batched, &batched_temporal),
@@ -180,7 +175,7 @@ fn sharded_equals_batched_equals_sequential_on_all_catalog_designs() {
             for shards in SHARD_COUNTS {
                 let mut sharded_checker = checker(&module, backend).with_shards(shards);
                 let sharded = sharded_checker.check_batch(&props).unwrap();
-                let sharded_temporal = sharded_checker.check_batch(&temporals).unwrap();
+                let sharded_temporal = sharded_checker.check_temporal_batch(&temporals).unwrap();
                 assert_eq!(
                     (&batched, &batched_temporal),
                     (&sharded, &sharded_temporal),

@@ -179,10 +179,10 @@ fn byte_budget_evicts_lru_first_and_never_exceeds_budget() {
     let y = module_a.require("y").unwrap();
     let mut parked = Checker::new(&module_a).unwrap();
     parked
-        .check_batch(&[gm_mc::WindowProperty {
-            antecedent: vec![gm_mc::BitAtom::new(x, 0, 0, true)],
-            consequent: gm_mc::BitAtom::new(y, 0, 0, true),
-        }])
+        .check_batch(&[gm_mc::WindowProperty::implication(
+            vec![gm_mc::BitAtom::new(x, 0, 0, true)],
+            gm_mc::BitAtom::new(y, 0, 0, true),
+        )])
         .unwrap();
     assert!(parked.approx_bytes() > 0, "warm checkers account bytes");
     let sole_budget = canon(A).len() + parked.approx_bytes() - 1;
