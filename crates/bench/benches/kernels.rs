@@ -388,16 +388,16 @@ fn bench_temporal_batch(c: &mut Criterion) {
             let (second, second_bit) = features[(i + 1) % features.len()];
             for (j, &(target, bit)) in targets.iter().enumerate() {
                 for value in [false, true] {
-                    props.push(WindowProperty {
-                        antecedent: vec![
+                    props.push(WindowProperty::new(
+                        vec![
                             BitAtom::new(first, first_bit, 0, (i + j) % 2 == 0),
                             BitAtom::new(second, second_bit, 1, value),
                         ],
-                        consequents: (2..=3)
+                        (2..=3)
                             .map(|offset| BitAtom::new(target, bit, offset, value))
                             .collect(),
                         kind,
-                    });
+                    ));
                 }
             }
         }

@@ -16,6 +16,7 @@ use crate::prop::{
 use gm_cache::FxMap;
 use gm_rtl::Module;
 use gm_sat::{Lit, SolveResult, Solver, Var};
+use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -76,10 +77,13 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// Everything an unrolling owns is a flat vector (the solver's arena,
 /// watch pool and per-variable tables, one frame-literal table, one
 /// gate table) or a table of `Copy` entries, so [`Clone`] is a handful
-/// of `memcpy`s — which is what lets canonical counterexample
-/// extraction start from a copy of a pristine prefix (the checker keeps
-/// one per window depth) instead of re-encoding the design.
-#[derive(Clone, Debug)]
+/// of `memcpy`s, and [`Clone::clone_from`] the same `memcpy`s into the
+/// target's own allocations — which is what lets canonical
+/// counterexample extraction start from a pristine prefix (the checker
+/// keeps one per window depth) instead of re-encoding the design, on a
+/// scratch unrolling each session refills for every extraction and
+/// never frees.
+#[derive(Debug)]
 pub struct Unroller {
     blasted: Arc<Blasted>,
     solver: Solver,
@@ -100,6 +104,52 @@ pub struct Unroller {
     /// stamped into [`Gate::walk`].
     cone: Vec<Var>,
     cone_epoch: u32,
+}
+
+/// Field by field, so [`Clone::clone_from`] refills every table in the
+/// allocation the target already has. The AND cache is refilled in
+/// place only while its bucket count equals the source's: a checker's
+/// pristine prefixes keep headroom in theirs so that it stays so.
+impl Clone for Unroller {
+    fn clone(&self) -> Self {
+        Unroller {
+            blasted: self.blasted.clone(),
+            solver: self.solver.clone(),
+            true_lit: self.true_lit,
+            frame_lits: self.frame_lits.clone(),
+            frames: self.frames,
+            free_init: self.free_init,
+            and_cache: self.and_cache.clone(),
+            gates: self.gates.clone(),
+            cone: self.cone.clone(),
+            cone_epoch: self.cone_epoch,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Unroller {
+            blasted,
+            solver,
+            true_lit,
+            frame_lits,
+            frames,
+            free_init,
+            and_cache,
+            gates,
+            cone,
+            cone_epoch,
+        } = source;
+        self.blasted.clone_from(blasted);
+        self.solver.clone_from(solver);
+        self.true_lit = *true_lit;
+        self.frame_lits.clone_from(frame_lits);
+        self.frames = *frames;
+        self.free_init = *free_init;
+        self.and_cache.clone_from(and_cache);
+        self.gates.clone_from(gates);
+        self.cone.clone_from(cone);
+        self.cone_epoch = *cone_epoch;
+    }
 }
 
 /// A solver variable as the cone walk sees it.
@@ -174,16 +224,14 @@ impl Unroller {
             + self.cone.capacity() * size_of::<Var>()
     }
 
-    /// A fresh solver variable with its gate-table row.
-    fn new_var(&mut self, fanin: [Lit; 2]) -> Lit {
-        self.gates.push(Gate { fanin, walk: 0 });
-        self.solver.new_var().positive()
-    }
-
-    /// A fresh variable no gate defines: a primary input or a free
-    /// initial latch value.
+    /// A fresh variable no gate defines, with its gate-table row: a
+    /// primary input or a free initial latch value.
     fn free_var(&mut self) -> Lit {
-        self.new_var([self.true_lit; 2])
+        self.gates.push(Gate {
+            fanin: [self.true_lit; 2],
+            walk: 0,
+        });
+        self.solver.new_var().positive()
     }
 
     /// Leaves in `self.cone` every variable `roots` are functions of:
@@ -250,15 +298,16 @@ impl Unroller {
         } else {
             (b, a)
         };
-        if let Some(&out) = self.and_cache.get(&key) {
-            return out;
+        match self.and_cache.entry(key) {
+            Entry::Occupied(cached) => *cached.get(),
+            Entry::Vacant(slot) => {
+                self.gates.push(Gate {
+                    fanin: [a, b],
+                    walk: 0,
+                });
+                *slot.insert(self.solver.new_and(a, b))
+            }
         }
-        let out = self.new_var([a, b]);
-        self.solver.add_clause(&[!out, a]);
-        self.solver.add_clause(&[!out, b]);
-        self.solver.add_clause(&[out, !a, !b]);
-        self.and_cache.insert(key, out);
-        out
     }
 
     /// Ensures frames `0..=frame` exist.
@@ -424,16 +473,21 @@ pub fn bmc(
     prop: &WindowProperty,
     max_start: u32,
 ) -> CheckResult {
-    bmc_scan(module, Unroller::from_ref(blasted, false), prop, max_start)
+    bmc_scan(
+        module,
+        &mut Unroller::from_ref(blasted, false),
+        prop,
+        max_start,
+    )
 }
 
-/// Scans window starts `0..=max_start` on `unroller` — fresh, or a clone
-/// of a [`PristinePrefixes`] entry, which is the same solver state a
+/// Scans window starts `0..=max_start` on `unroller` — fresh, or refilled
+/// from a [`PristinePrefixes`] entry, which is the same solver state a
 /// fresh one reaches after its first `ensure_frame` — and stops at the
 /// first violated window.
 fn bmc_scan(
     module: &Module,
-    mut unroller: Unroller,
+    unroller: &mut Unroller,
     prop: &WindowProperty,
     max_start: u32,
 ) -> CheckResult {
@@ -471,10 +525,21 @@ pub(crate) fn last_scan_start(blasted: &Blasted, max_start: u32) -> usize {
 ///
 /// An entry is built once — `Unroller::new` plus `ensure_frame(depth)`,
 /// exactly the state a one-shot [`bmc`] scan is in before it encodes
-/// its first violation literal — and never solved on; extraction works
-/// on a clone. Like the reachable set, the entries depend only on the
-/// design, so they are invisible to [`crate::SessionStats`], shared by
-/// every shard session, and survive [`crate::Checker::reset_for_reuse`].
+/// its first violation literal — and never solved on; extraction
+/// refills a session's scratch unrolling from it
+/// ([`Clone::clone_from`]) and scans there. Like the reachable set, the
+/// entries depend only on the design, so they are invisible to
+/// [`crate::SessionStats`], shared by every shard session, and survive
+/// [`crate::Checker::reset_for_reuse`].
+///
+/// An entry's AND cache is built with room for one more frame's gates
+/// (on a design with latches) and a violation literal's beyond what it
+/// holds. The scratch copy inherits that bucket count, so a scan that
+/// encodes up to that much never rehashes it, and the next refill
+/// copies into the same buckets instead of reallocating them (a map
+/// refills in place only from a source with as many buckets). Headroom
+/// is capacity, not state: the scan, and every trace, are those of a
+/// fresh unrolling.
 #[derive(Debug)]
 pub(crate) struct PristinePrefixes {
     blasted: Arc<Blasted>,
@@ -503,13 +568,23 @@ impl PristinePrefixes {
 
     /// The prefix for `depth`, built on first use. Building happens
     /// under the lock, so concurrent shard workers asking for one cold
-    /// depth build it once; cloning the entry happens outside it.
+    /// depth build it once; refilling a scratch from the entry happens
+    /// outside it.
     fn get(&self, depth: usize) -> Arc<Unroller> {
         self.lock()
             .entry(depth)
             .or_insert_with(|| {
                 let mut prefix = Unroller::new(self.blasted.clone(), false);
                 prefix.ensure_frame(depth);
+                let aig = &self.blasted.aig;
+                // A latch-free design's scan never leaves the window at
+                // reset (see `last_scan_start`): no frame past the prefix.
+                let frame = if aig.latch_count() == 0 {
+                    0
+                } else {
+                    aig.and_count()
+                };
+                prefix.and_cache.reserve(frame + VIOLATION_HEADROOM);
                 Arc::new(prefix)
             })
             .clone()
@@ -533,6 +608,11 @@ impl PristinePrefixes {
     }
 }
 
+/// AND-cache room a prefix keeps, beyond one frame's gates, for the
+/// violation literals a scan encodes: an AND chain of one gate per
+/// atom, at each start it tries.
+const VIOLATION_HEADROOM: usize = 64;
+
 /// Derives the *canonical* counterexample of a property violated
 /// within `limit` window starts.
 ///
@@ -543,12 +623,13 @@ impl PristinePrefixes {
 /// varies with its learnt-clause history (and hence with the shard
 /// partition), so a [`crate::CheckSession`] takes verdicts from it and
 /// nothing else, and gets the trace of a violated one here. The private
-/// unrolling is a clone
-/// of the pristine prefix for the property's depth, put through the
-/// very scan the one-shot [`bmc`] runs, so the trace is bit-for-bit the
-/// one [`bmc`] / [`k_induction`] produce on a fresh unrolling. The scan
-/// stops at the first violating start, so the work (and the trace) is
-/// independent of `limit` as long as `limit` covers the violation.
+/// unrolling is `scratch`, refilled ([`Clone::clone_from`]) with the
+/// pristine prefix for the property's depth — whatever it held before —
+/// and put through the very scan the one-shot [`bmc`] runs, so the
+/// trace is bit-for-bit the one [`bmc`] / [`k_induction`] produce on a
+/// fresh unrolling. The scan stops at the first violating start, so the
+/// work (and the trace) is independent of `limit` as long as `limit`
+/// covers the violation.
 ///
 /// Returns `None` when no violation exists within `limit`.
 pub(crate) fn canonical_cex(
@@ -556,9 +637,10 @@ pub(crate) fn canonical_cex(
     prefixes: &PristinePrefixes,
     prop: &WindowProperty,
     limit: u32,
+    scratch: &mut Unroller,
 ) -> Option<CexTrace> {
-    let prefix = prefixes.get(prop.depth() as usize);
-    match bmc_scan(module, Unroller::clone(&prefix), prop, limit) {
+    scratch.clone_from(&prefixes.get(prop.depth() as usize));
+    match bmc_scan(module, scratch, prop, limit) {
         CheckResult::Violated(cex) => Some(cex),
         _ => None,
     }

@@ -984,6 +984,64 @@ mod tests {
     }
 
     #[test]
+    fn approx_bytes_counts_the_extraction_scratch() {
+        let m = gm_designs::b18_lite();
+        let go = m.require("go").unwrap();
+        let done = m.require("done").unwrap();
+        // Two depth-1 windows over the same frames: one that holds
+        // (its consequent is an antecedent atom) and go@0 |-> done@1,
+        // refuted at reset.
+        let holds = WindowProperty::implication(
+            vec![BitAtom::new(go, 0, 0, true), BitAtom::new(done, 0, 1, true)],
+            BitAtom::new(done, 0, 1, true),
+        );
+        let violated = WindowProperty::implication(
+            vec![BitAtom::new(go, 0, 0, true)],
+            BitAtom::new(done, 0, 1, true),
+        );
+        let mut c = Checker::new(&m)
+            .unwrap()
+            .with_backend(Backend::Bmc { bound: 0 });
+        assert!(matches!(
+            c.check_batch(from_ref(&holds)).unwrap()[..],
+            [CheckResult::Unknown { .. }]
+        ));
+        assert!(c.session.scratch().is_none(), "no extraction yet");
+        let before = c.approx_bytes();
+        assert!(matches!(
+            c.check_batch(from_ref(&violated)).unwrap()[..],
+            [CheckResult::Violated(_)]
+        ));
+        let scratch = (c.session.scratch())
+            .expect("the first violated verdict builds the scratch")
+            .approx_bytes();
+        let prefixes = c.prefixes.approx_bytes();
+        // The session bills its scratch next to its base unrolling.
+        let base = c.session.base_unroller().approx_bytes();
+        assert_eq!(c.session.approx_bytes(), base + scratch);
+        // The scratch holds at least the clause arena of the prefix it
+        // was refilled from: a header word and, per AND gate, two binary
+        // clauses and a ternary one.
+        let [(depth, prefix)] = &c.prefixes.snapshot()[..] else {
+            panic!("one depth-1 prefix");
+        };
+        assert_eq!(*depth, 1);
+        let clauses = crate::Unroller::clone(prefix).solver().num_clauses();
+        let arena = 4 * (clauses + clauses / 3 * 7);
+        assert!(scratch >= arena, "{scratch} < {arena}");
+        // Both are billed on top of what the checker held before.
+        assert!(
+            c.approx_bytes() >= before + prefixes + scratch,
+            "{before} -> {} with a {prefixes}-byte prefix and a {scratch}-byte scratch",
+            c.approx_bytes()
+        );
+        // The next extraction refills the same scratch.
+        c.check_batch(from_ref(&violated)).unwrap();
+        assert_eq!(c.session_stats().cex_canonicalized, 2);
+        assert_eq!(c.session.scratch().unwrap().approx_bytes(), scratch);
+    }
+
+    #[test]
     fn reset_for_reuse_replays_byte_identically() {
         let m = parse_verilog(ARBITER2).unwrap();
         let req0 = m.require("req0").unwrap();

@@ -1,13 +1,14 @@
-//! Canonical counterexamples from cloned pristine prefixes: the traces
-//! must be those of the one-shot [`bmc`] on a fresh unrolling, under
-//! every dispatch and after any session history, and the prefixes
-//! themselves must stay pristine. A session assumes a violation's atom
+//! Canonical counterexamples from pristine prefixes, replayed on each
+//! session's one scratch unrolling: the traces must be those of the
+//! one-shot [`bmc`] on a fresh unrolling, under every dispatch, after
+//! any session history and whatever the scratch held before, and the
+//! prefixes themselves must stay pristine. A session assumes a violation's atom
 //! literals where the one-shot engines assume one AND-chain literal;
 //! the results must not tell the two apart.
 
 use super::*;
 use crate::bmc::{bmc, canonical_cex, k_induction};
-use crate::prop::{BitAtom, ConsequentKind};
+use crate::prop::{BitAtom, CexTrace, ConsequentKind};
 use crate::testgen::{
     cases, random_module, random_property, random_temporal_property, seeded_recipe, Recipe,
 };
@@ -191,6 +192,116 @@ fn history_sweep_sees_late_violations_and_late_proofs() {
         "{violated} violated with history behind them"
     );
     assert!(proved >= 20, "{proved} proved with history behind them");
+}
+
+/// Properties one session decides per module in [`scratch_reuse_sweep`].
+const PER_SCRATCH_SESSION: usize = 48;
+
+/// What [`scratch_reuse_sweep`] compared: violated traces by window
+/// depth, and how many of them sat beyond the first window start.
+#[derive(Debug, Default)]
+struct ScratchTally {
+    by_depth: [usize; 4],
+    late: usize,
+}
+
+/// `prop`'s canonical trace on a fresh prefix and a fresh scratch: what
+/// a session's reused scratch must reproduce.
+fn fresh_canonical(m: &Module, blasted: &Arc<Blasted>, prop: &WindowProperty) -> Option<CexTrace> {
+    let mut scratch = Unroller::new(blasted.clone(), false);
+    canonical_cex(
+        m,
+        &PristinePrefixes::new(blasted.clone()),
+        prop,
+        BOUND,
+        &mut scratch,
+    )
+}
+
+/// One session per random latched module decides window and temporal
+/// properties of depths 0–3 through BMC, so one scratch unrolling is
+/// refilled from prefixes of every depth, after scans that stopped at
+/// every start. Every violated trace must be the one [`canonical_cex`]
+/// finds on a fresh prefix with a fresh scratch, and the one-shot
+/// [`bmc`]'s.
+fn scratch_reuse_sweep(bytes: &[u8], tally: &mut ScratchTally) -> Result<(), TestCaseError> {
+    let mut recipe = Recipe::new(bytes);
+    for (inputs, regs) in [(1usize, 2usize), (2, 3), (3, 3)] {
+        let (m, sigs) = random_module(inputs, regs, &mut recipe);
+        let blasted = Arc::new(checker(&m, Backend::Auto).blasted().clone());
+        let mut session = CheckSession::new(blasted.clone());
+        for i in 0..PER_SCRATCH_SESSION {
+            let depth = recipe.next() as u32 % 4;
+            let prop = if i % 2 == 0 {
+                random_property(&sigs, depth, &mut recipe)
+            } else {
+                random_temporal_property(&sigs, depth, &mut recipe)
+            };
+            let got = session.bmc(&m, &prop, BOUND, None).unwrap();
+            let CheckResult::Violated(cex) = &got else {
+                continue;
+            };
+            let fresh = fresh_canonical(&m, &blasted, &prop);
+            prop_assert_eq!(Some(cex), fresh.as_ref(), "property {}", i);
+            prop_assert_eq!(&got, &bmc(&m, &blasted, &prop, BOUND), "property {}", i);
+            tally.by_depth[prop.depth() as usize] += 1;
+            tally.late += usize::from(cex.len() > prop.depth() as usize + 1);
+        }
+        prop_assert_eq!(
+            session.scratch().is_some(),
+            session.stats().cex_canonicalized > 0
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases(32)))]
+
+    #[test]
+    fn a_reused_scratch_returns_the_fresh_prefix_traces(
+        bytes in prop::collection::vec(any::<u8>(), 256..1024),
+    ) {
+        scratch_reuse_sweep(&bytes, &mut ScratchTally::default())?;
+    }
+}
+
+/// The oracle above reaches every depth and late starts, and `b18_lite`
+/// — whose depth-2 properties fail only in the window after reset —
+/// refills one scratch from three prefixes in turn.
+#[test]
+fn a_reused_scratch_sees_every_depth_and_late_starts() {
+    let mut tally = ScratchTally::default();
+    for seed in 0u64..8 {
+        scratch_reuse_sweep(&seeded_recipe(seed, 600), &mut tally).unwrap();
+    }
+    println!("{tally:?}");
+    assert!(
+        tally.by_depth.iter().all(|&n| n >= 20),
+        "violations by depth: {:?}",
+        tally.by_depth
+    );
+    assert!(
+        tally.late >= 20,
+        "{} violated beyond the first start",
+        tally.late
+    );
+
+    let m = gm_designs::b18_lite();
+    let blasted = Arc::new(checker(&m, Backend::Auto).blasted().clone());
+    let mut session = CheckSession::new(blasted.clone());
+    let mut late = 0;
+    for prop in b18_violated(&m, 8) {
+        let got = session.bmc(&m, &prop, BOUND, None).unwrap();
+        let CheckResult::Violated(cex) = &got else {
+            panic!("{prop:?} holds");
+        };
+        assert_eq!(Some(cex), fresh_canonical(&m, &blasted, &prop).as_ref());
+        assert_eq!(got, bmc(&m, &blasted, &prop, BOUND));
+        late += usize::from(cex.len() > prop.depth() as usize + 1);
+    }
+    assert_eq!(session.stats().cex_canonicalized, 24);
+    assert_eq!(late, 8, "the depth-2 properties fail at start 1");
 }
 
 /// Property shapes [`assumed_violation_sweep`] decides, by how a session
@@ -468,7 +579,11 @@ fn four_workers_sharing_cold_prefixes_match_the_sequential_results() {
     let props = b18_violated(&m, 8);
     let sequential: Vec<Option<crate::CexTrace>> = props
         .iter()
-        .map(|p| canonical_cex(&m, &PristinePrefixes::new(blasted.clone()), p, BOUND))
+        .map(|p| {
+            let fresh = PristinePrefixes::new(blasted.clone());
+            let mut scratch = Unroller::new(blasted.clone(), false);
+            canonical_cex(&m, &fresh, p, BOUND, &mut scratch)
+        })
         .collect();
     for (p, cex) in props.iter().zip(&sequential) {
         let one_shot = bmc(&m, &blasted, p, BOUND);
@@ -484,10 +599,11 @@ fn four_workers_sharing_cold_prefixes_match_the_sequential_results() {
             .map(|t| {
                 let (m, shared, props, barrier) = (&m, &shared, &props, &barrier);
                 scope.spawn(move || {
+                    let mut scratch = Unroller::new(shared.blasted().clone(), false);
                     barrier.wait();
                     (t..props.len())
                         .step_by(THREADS)
-                        .map(|i| (i, canonical_cex(m, shared, &props[i], BOUND)))
+                        .map(|i| (i, canonical_cex(m, shared, &props[i], BOUND, &mut scratch)))
                         .collect::<Vec<_>>()
                 })
             })

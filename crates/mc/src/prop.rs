@@ -69,12 +69,37 @@ pub enum ConsequentKind {
 /// has one spelling, `Any`: both constructors store it so, and the
 /// checker dedupes, encodes and decides it as one disjunctive window
 /// (no consequent gate, no second explicit-state set). A struct literal
-/// with one `All` consequent gets the same verdict and trace, but is
-/// deduped apart from its `Any` spelling: build through the
-/// constructors. Hashable so
-/// batch checkers can dedupe properties (distinct mining targets often
-/// produce the same implication).
+/// with one `All` consequent would get the same verdict and trace, but
+/// be deduped apart from its `Any` spelling, so outside this crate the
+/// type is `#[non_exhaustive]`: the constructors are the only way to
+/// build one, while the fields stay readable:
+///
+/// ```
+/// use gm_mc::{BitAtom, ConsequentKind, WindowProperty};
+/// use gm_rtl::SignalId;
+///
+/// let atom = BitAtom::new(SignalId::from_raw(0), 0, 0, true);
+/// let one = WindowProperty::new(vec![], vec![atom], ConsequentKind::All);
+/// assert_eq!(one.kind, ConsequentKind::Any);
+/// ```
+///
+/// ```compile_fail,E0639
+/// use gm_mc::{BitAtom, ConsequentKind, WindowProperty};
+/// use gm_rtl::SignalId;
+///
+/// let atom = BitAtom::new(SignalId::from_raw(0), 0, 0, true);
+/// // A struct literal of a non-exhaustive type from another crate.
+/// let one_all = WindowProperty {
+///     antecedent: vec![],
+///     consequents: vec![atom],
+///     kind: ConsequentKind::All,
+/// };
+/// ```
+///
+/// Hashable so batch checkers can dedupe properties (distinct mining
+/// targets often produce the same implication).
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[non_exhaustive]
 pub struct WindowProperty {
     /// Antecedent atoms (conjoined). Empty means `true`.
     pub antecedent: Vec<BitAtom>,

@@ -50,14 +50,19 @@
 //!
 //! The trace of a `Violated` verdict is not taken from the session's
 //! solver either: the session replays the scan, up to the violating
-//! start it just found, on a private clone of the pristine,
+//! start it just found, on a private copy of the pristine,
 //! never-solved unrolling prefix for the property's depth (the
 //! [`crate::Checker`] shares one set of prefixes among all its
 //! sessions) — the solver state a fresh one-shot unrolling would be in,
 //! without re-encoding the design — and counts it in
-//! [`SessionStats::cex_canonicalized`]. That full-model path is
-//! search-pinned (`gm_sat`'s `search_identity` suite); the scoped one is
-//! not and need not be. Every result — and every downstream
+//! [`SessionStats::cex_canonicalized`]. The copy is the session's one
+//! *scratch* unrolling, built at the first extraction and refilled from
+//! the prefix ([`Clone::clone_from`]) at every later one, whatever the
+//! previous scan left in it: once its tables have grown to the largest
+//! prefix and scan seen, a refill copies into them instead of
+//! allocating. That full-model path is search-pinned (`gm_sat`'s
+//! `search_identity` suite); the scoped one is not and need not be.
+//! Every result — and every downstream
 //! closure-outcome artifact — is therefore identical regardless of
 //! shard count, batch order or what the session decided before, and
 //! equal to what the one-shot [`crate::bmc`] / [`crate::k_induction`]
@@ -132,14 +137,15 @@ pub struct SessionStats {
     pub frames_reused: u64,
     /// Unrollers constructed (at most one reset-rooted plus one
     /// free-init per session). The checker's pristine per-depth
-    /// prefixes and the clones canonical counterexample extraction
-    /// works on belong to no session and are not counted here; each
-    /// extraction is counted in [`SessionStats::cex_canonicalized`].
+    /// prefixes belong to no session, and the session's extraction
+    /// scratch is refilled from them rather than built for a query:
+    /// neither is counted here; each extraction is counted in
+    /// [`SessionStats::cex_canonicalized`].
     pub unrollers_built: u64,
-    /// Violated SAT verdicts whose counterexample was re-extracted on a
-    /// clone of the pristine unrolling prefix (the determinism
-    /// contract: traces must not depend on session history or shard
-    /// partition).
+    /// Violated SAT verdicts whose counterexample was re-extracted on
+    /// the session's scratch unrolling, refilled from the pristine
+    /// prefix for the property's depth (the determinism contract:
+    /// traces must not depend on session history or shard partition).
     pub cex_canonicalized: u64,
 }
 
@@ -213,6 +219,9 @@ pub struct CheckSession {
     prefixes: Arc<PristinePrefixes>,
     base: Option<Unroller>,
     step: Option<Unroller>,
+    /// Where violated verdicts get their traces: refilled from a
+    /// pristine prefix for every extraction, built on the first.
+    scratch: Option<Unroller>,
     stats: SessionStats,
     /// A base query's assumptions, kept so no query allocates them.
     assumptions: Vec<Lit>,
@@ -232,6 +241,7 @@ impl CheckSession {
             prefixes,
             base: None,
             step: None,
+            scratch: None,
             stats: SessionStats::default(),
             assumptions: Vec::new(),
         }
@@ -248,12 +258,16 @@ impl CheckSession {
     }
 
     /// Approximate resident size of the session's unrollings (see
-    /// [`Unroller::approx_bytes`]) — the number a long-lived service
-    /// weighs when deciding which warm design state to evict. The
-    /// pristine prefixes are billed by whoever shares them out.
+    /// [`Unroller::approx_bytes`]), its extraction scratch included —
+    /// the number a long-lived service weighs when deciding which warm
+    /// design state to evict. The pristine prefixes are billed by
+    /// whoever shares them out.
     pub fn approx_bytes(&self) -> usize {
-        self.base.as_ref().map_or(0, Unroller::approx_bytes)
-            + self.step.as_ref().map_or(0, Unroller::approx_bytes)
+        [&self.base, &self.step, &self.scratch]
+            .into_iter()
+            .flatten()
+            .map(Unroller::approx_bytes)
+            .sum()
     }
 
     pub(crate) fn note_memo_hits(&mut self, duplicates: u64) {
@@ -280,6 +294,12 @@ impl CheckSession {
             stats.unrollers_built += 1;
         }
         slot.as_mut().expect("unroller just ensured")
+    }
+
+    /// The extraction scratch, once the first violated verdict built it.
+    #[cfg(test)]
+    pub(crate) fn scratch(&self) -> Option<&Unroller> {
+        self.scratch.as_ref()
     }
 
     /// The reset-rooted unrolling base queries ask, built if need be.
@@ -351,7 +371,8 @@ impl CheckSession {
 
     /// The trace of a violation [`CheckSession::base_violation`] just
     /// found at `start` (every earlier start having been refuted): the
-    /// one-shot scan's, replayed on a clone of the pristine prefix.
+    /// one-shot scan's, replayed on the scratch unrolling refilled from
+    /// the pristine prefix.
     fn canonical_trace(
         &mut self,
         module: &Module,
@@ -361,7 +382,11 @@ impl CheckSession {
         let mut span = gm_trace::span("mc", "mc.canonical_cex");
         self.stats.cex_canonicalized += 1;
         let limit = u32::try_from(start).expect("window starts are bounded by a u32");
-        let cex = canonical_cex(module, &self.prefixes, prop, limit)
+        let blasted = self.prefixes.blasted();
+        let scratch = self
+            .scratch
+            .get_or_insert_with(|| Unroller::new(blasted.clone(), false));
+        let cex = canonical_cex(module, &self.prefixes, prop, limit, scratch)
             .expect("a scoped Sat verdict is the full query's: the replay finds the violation");
         // The replay stopped at the violating start, whose window ends
         // the trace: the prefix covered the first start's window and

@@ -80,15 +80,15 @@ fn temporal_properties_for(module: &Module, seed: u64, count: usize) -> Vec<Wind
         .enumerate()
         .map(|(i, p)| {
             let c = p.consequents[0];
-            WindowProperty {
-                antecedent: p.antecedent,
-                consequents: vec![c, BitAtom::new(c.signal, c.bit, c.offset + 1, c.value)],
-                kind: if i % 2 == 0 {
+            WindowProperty::new(
+                p.antecedent,
+                vec![c, BitAtom::new(c.signal, c.bit, c.offset + 1, c.value)],
+                if i % 2 == 0 {
                     ConsequentKind::All
                 } else {
                     ConsequentKind::Any
                 },
-            }
+            )
         })
         .collect()
 }

@@ -71,11 +71,7 @@ impl<'s> Tseitin<'s> {
         if b == self.true_lit || a == b {
             return a;
         }
-        let out = self.fresh();
-        self.solver.add_clause(&[!out, a]);
-        self.solver.add_clause(&[!out, b]);
-        self.solver.add_clause(&[out, !a, !b]);
-        out
+        self.solver.new_and(a, b)
     }
 
     /// `out <-> a | b` via De Morgan.

@@ -4,11 +4,28 @@ use crate::lit::Var;
 
 /// A binary max-heap of variables keyed by an external activity array,
 /// with O(log n) insert/remove and O(1) membership queries.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct VarOrder {
     heap: Vec<Var>,
     /// Position of each variable in `heap`, or `usize::MAX` if absent.
     pos: Vec<usize>,
+}
+
+/// Field by field, so [`Clone::clone_from`] refills the target's
+/// allocations instead of replacing them.
+impl Clone for VarOrder {
+    fn clone(&self) -> Self {
+        VarOrder {
+            heap: self.heap.clone(),
+            pos: self.pos.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let VarOrder { heap, pos } = source;
+        self.heap.clone_from(heap);
+        self.pos.clone_from(pos);
+    }
 }
 
 const ABSENT: usize = usize::MAX;

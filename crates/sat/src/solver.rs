@@ -62,11 +62,27 @@ const NO_REASON: u32 = u32::MAX;
 /// capacities). Order inside a list is search state and is preserved by
 /// every operation. Keeping the lists flat is what makes cloning a
 /// solver a handful of `memcpy`s instead of two allocations per
-/// variable.
-#[derive(Clone, Debug, Default)]
+/// variable, and refilling a warm copy ([`Clone::clone_from`]) the same
+/// `memcpy`s into the allocations it already has.
+#[derive(Debug, Default)]
 struct Watches {
     pool: Vec<u32>,
     lists: Vec<WatchList>,
+}
+
+impl Clone for Watches {
+    fn clone(&self) -> Self {
+        Watches {
+            pool: self.pool.clone(),
+            lists: self.lists.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Watches { pool, lists } = source;
+        self.pool.clone_from(pool);
+        self.lists.clone_from(lists);
+    }
 }
 
 #[derive(Clone, Copy, Debug, Default)]
@@ -167,7 +183,7 @@ impl std::ops::AddAssign for SolverStats {
 /// s.add_clause(&[b.negative()]);
 /// assert_eq!(s.solve(), SolveResult::Unsat);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Solver {
     /// Every clause (original and learnt) back to back: a header word
     /// holding the length, then the literals. A clause is addressed by
@@ -216,6 +232,66 @@ impl Default for Solver {
     }
 }
 
+/// A copy continues the same search: every table, the trail, the
+/// decision heap and the statistics. [`Clone::clone_from`] refills the
+/// target field by field, each vector into the allocation it already
+/// has, so a solver refilled from same-sized sources again and again
+/// allocates nothing after the first time.
+impl Clone for Solver {
+    fn clone(&self) -> Self {
+        let mut copy = Solver::new();
+        copy.clone_from(self);
+        copy
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Solver {
+            arena,
+            num_clauses,
+            watches,
+            assign,
+            level,
+            reason,
+            trail,
+            trail_lim,
+            qhead,
+            activity,
+            var_inc,
+            order,
+            phase,
+            seen,
+            scope_stamp,
+            scope_epoch,
+            learnt,
+            unminimized,
+            unsat,
+            stats,
+            last_call,
+        } = source;
+        self.arena.clone_from(arena);
+        self.num_clauses = *num_clauses;
+        self.watches.clone_from(watches);
+        self.assign.clone_from(assign);
+        self.level.clone_from(level);
+        self.reason.clone_from(reason);
+        self.trail.clone_from(trail);
+        self.trail_lim.clone_from(trail_lim);
+        self.qhead = *qhead;
+        self.activity.clone_from(activity);
+        self.var_inc = *var_inc;
+        self.order.clone_from(order);
+        self.phase.clone_from(phase);
+        self.seen.clone_from(seen);
+        self.scope_stamp.clone_from(scope_stamp);
+        self.scope_epoch = *scope_epoch;
+        self.learnt.clone_from(learnt);
+        self.unminimized.clone_from(unminimized);
+        self.unsat = *unsat;
+        self.stats = *stats;
+        self.last_call = *last_call;
+    }
+}
+
 impl Solver {
     /// Creates an empty solver.
     pub fn new() -> Self {
@@ -260,6 +336,50 @@ impl Solver {
             self.order.insert(v, &self.activity);
         }
         v
+    }
+
+    /// Allocates a variable `o` and defines it as `a ∧ b`: the clauses
+    /// `[¬o, a]`, `[¬o, b]` and `[o, ¬a, ¬b]`, in that order. The
+    /// solver this leaves is the one [`Solver::new_var`] and three
+    /// [`Solver::add_clause`] calls leave — the same arena words,
+    /// watchers and heap insertions, in the same order. When those
+    /// calls would simplify nothing — at decision level 0, not
+    /// unsatisfiable, `a` and `b` unassigned and on two distinct
+    /// variables — their bookkeeping is skipped; otherwise they are
+    /// made.
+    ///
+    /// # Panics
+    ///
+    /// If `a` or `b` names an unallocated variable.
+    pub fn new_and(&mut self, a: Lit, b: Lit) -> Lit {
+        for l in [a, b] {
+            assert!(
+                l.var().index() < self.num_vars(),
+                "literal {l} references an unallocated variable"
+            );
+        }
+        let out = self.new_var().positive();
+        let unassigned = |l: Lit| self.lit_value(l).is_undef();
+        if self.trail_lim.is_empty()
+            && !self.unsat
+            && unassigned(a)
+            && unassigned(b)
+            && a.var() != b.var()
+        {
+            for (first, second) in [(!out, a), (!out, b)] {
+                let cref = self.arena.len();
+                self.arena.extend_from_slice(&[Lit(0), first, second]);
+                self.attach_clause(cref);
+            }
+            let cref = self.arena.len();
+            self.arena.extend_from_slice(&[Lit(0), out, !a, !b]);
+            self.attach_clause(cref);
+        } else {
+            self.add_clause(&[!out, a]);
+            self.add_clause(&[!out, b]);
+            self.add_clause(&[out, !a, !b]);
+        }
+        out
     }
 
     /// Whether the current query may decide `v`.
