@@ -19,7 +19,11 @@
 //!    the test suite, replay them from reset as one batch
 //!    ([`gm_sim::Replay`]) with the run's coverage suite observing,
 //!    extend every target's dataset in bulk, and re-split only the
-//!    refuted leaves;
+//!    refuted leaves. The pass's traces are absorbed target-major: each
+//!    target takes every trace in order before the next target starts,
+//!    working in its own dataset and tree only, which is what a
+//!    trace-by-trace loop over the targets would leave (no target reads
+//!    another's state), while each tree's kept buffers stay warm;
 //! 6. **report** — read the coverage suite, refresh the input-space
 //!    term of every target whose proved set grew, and push the
 //!    [`IterationReport`]; repeat until every leaf is proved (*coverage
@@ -185,13 +189,13 @@ struct TargetState {
 
 impl TargetState {
     /// Freezes `leaf` as proved (or assumed true) and files its
-    /// assertion at the leaf's place in the kept list.
-    fn set_proved(&mut self, leaf: usize) {
+    /// assertion — the candidate built from the leaf for the worklist —
+    /// at the leaf's place in the kept list.
+    fn set_proved(&mut self, leaf: usize, assertion: Assertion) {
         self.tree.set_proved(leaf);
         if let Err(at) = self.proved_leaves.binary_search(&leaf) {
             self.proved_leaves.insert(at, leaf);
-            self.proved
-                .insert(at, assertion_at(&self.tree, &self.spec, leaf));
+            self.proved.insert(at, assertion);
             self.input_space_stale = true;
         }
     }
@@ -738,12 +742,12 @@ impl<'m> Engine<'m> {
             .all(|t| t.stuck.is_none() && t.tree.converged())
     }
 
-    /// Collects the full cross-target worklist of pure open leaves,
-    /// target-major and ascending by leaf within a target (the
-    /// `cex-{iteration}-{n}` labels follow this order), reading each
-    /// tree's kept candidate set. Trees are stable while the worklist is
-    /// pending (counterexample absorption is deferred past the
-    /// dispatch).
+    /// Collects the full cross-target worklist of pure open leaves and
+    /// their candidate assertions, target-major and ascending by leaf
+    /// within a target (the `cex-{iteration}-{n}` labels follow this
+    /// order), reading each tree's kept candidate set. Trees are stable
+    /// while the worklist is pending (counterexample absorption is
+    /// deferred past the dispatch), so each assertion is built once.
     ///
     /// When refinement is enabled and an uncovered-point index is
     /// available, the worklist is coverage-ranked: candidates whose
@@ -752,19 +756,17 @@ impl<'m> Engine<'m> {
     /// synthesizer extends — steer toward uncovered logic. The sort is
     /// stable with the collection order as tie-break, so ranking is
     /// deterministic; with refinement off the order is untouched.
-    fn open_candidates(&self) -> Vec<(usize, usize)> {
-        let mut worklist: Vec<(usize, usize)> = Vec::new();
-        for (ti, t) in self.targets.iter().enumerate() {
-            if t.stuck.is_some() {
-                continue;
-            }
-            worklist.extend(t.tree.candidate_leaves().map(|leaf| (ti, leaf)));
-        }
+    fn open_candidates(&self) -> Vec<(usize, usize, Assertion)> {
+        let live = (self.targets.iter().enumerate()).filter(|(_, t)| t.stuck.is_none());
+        let mut worklist: Vec<(usize, usize, Assertion)> = live
+            .flat_map(|(ti, t)| {
+                let candidate = move |leaf| (ti, leaf, assertion_at(&t.tree, &t.spec, leaf));
+                t.tree.candidate_leaves().map(candidate)
+            })
+            .collect();
         if self.config.refine.enabled() {
             if let Some(index) = &self.last_uncovered {
-                let gain_of = |&(ti, leaf): &(usize, usize)| -> usize {
-                    let t = &self.targets[ti];
-                    let a = assertion_at(&t.tree, &t.spec, leaf);
+                let gain_of = |(_, _, a): &(usize, usize, Assertion)| -> usize {
                     let mut sigs: Vec<SignalId> =
                         a.literals.iter().map(|(f, _)| f.signal).collect();
                     sigs.push(a.target.signal);
@@ -822,30 +824,33 @@ impl<'m> Engine<'m> {
 
     /// The combinational pass (see [`Engine::iteration_pass`]).
     fn window_pass(&mut self, iteration: u32) -> Result<PassCounts, EngineError> {
-        let (worklist, props): (Vec<(usize, usize)>, Vec<WindowProperty>) =
-            (self.open_candidates().into_iter())
-                .map(|(ti, leaf)| {
-                    let t = &self.targets[ti];
-                    let prop = assertion_property(&assertion_at(&t.tree, &t.spec, leaf));
-                    ((ti, leaf), prop)
-                })
-                .filter(|(_, prop)| !self.window_unknown.contains(prop))
-                .unzip();
+        let candidates = self.open_candidates();
+        let mut worklist = Vec::with_capacity(candidates.len());
+        let mut props = Vec::with_capacity(candidates.len());
+        for (ti, leaf, assertion) in candidates {
+            let prop = assertion_property(&assertion);
+            if !self.window_unknown.contains(&prop) {
+                worklist.push((ti, leaf, assertion));
+                props.push(prop);
+            }
+        }
         // Dedupe identical properties across targets: distinct target
         // bits often mine the same implication, which must cost one
-        // query, not one per leaf. First occurrences move into the
-        // batch; nothing is cloned.
-        let mut index_of: FxMap<&WindowProperty, usize> = FxMap::default();
+        // query, not one per leaf. `slot[i]` is which distinct property
+        // worklist entry `i` asks; first occurrences move into the
+        // batch, and nothing is cloned.
+        let mut index_of: FxMap<&WindowProperty, usize> =
+            FxMap::with_capacity_and_hasher(props.len(), Default::default());
         let mut first = vec![false; props.len()];
-        let mut prop_leaves: Vec<Vec<(usize, usize)>> = Vec::new();
-        for (i, (prop, &target_leaf)) in props.iter().zip(&worklist).enumerate() {
-            let idx = *index_of.entry(prop).or_insert_with(|| {
-                first[i] = true;
-                prop_leaves.push(Vec::new());
-                prop_leaves.len() - 1
-            });
-            prop_leaves[idx].push(target_leaf);
-        }
+        let slot: Vec<usize> = (props.iter().enumerate())
+            .map(|(i, prop)| {
+                let next = index_of.len();
+                *index_of.entry(prop).or_insert_with(|| {
+                    first[i] = true;
+                    next
+                })
+            })
+            .collect();
         let unique: Vec<WindowProperty> = (props.into_iter().zip(first))
             .filter_map(|(prop, first)| first.then_some(prop))
             .collect();
@@ -853,32 +858,33 @@ impl<'m> Engine<'m> {
         // configured shard sessions (identical results either way — see
         // the module docs' determinism contract).
         let results = self.checker.check_batch(&unique)?;
+        // Every leaf takes its property's verdict; a proved (or assumed)
+        // one files the assertion its candidate was built with.
         let mut refuted = 0usize;
-        let mut cex_count = 0usize;
-        for (idx, (prop, res)) in unique.into_iter().zip(results).enumerate() {
-            match res {
-                CheckResult::Proved => {
-                    for &(ti, leaf) in &prop_leaves[idx] {
-                        self.targets[ti].set_proved(leaf);
+        for ((ti, leaf, assertion), &u) in worklist.into_iter().zip(&slot) {
+            match results[u] {
+                CheckResult::Proved => self.targets[ti].set_proved(leaf, assertion),
+                CheckResult::Violated(_) => refuted += 1,
+                CheckResult::Unknown { .. } => {
+                    if self.config.unknown == UnknownPolicy::AssumeTrue {
+                        self.unknown_assumed += 1;
+                        self.targets[ti].set_proved(leaf, assertion);
                     }
                 }
+            }
+        }
+        let mut cex_count = 0usize;
+        for (prop, res) in unique.into_iter().zip(results) {
+            match res {
                 CheckResult::Violated(cex) => {
-                    refuted += prop_leaves[idx].len();
                     cex_count += 1;
                     let label = format!("cex-{iteration}-{cex_count}");
                     self.suite.push(label, cex.inputs);
                 }
-                CheckResult::Unknown { .. } => match self.config.unknown {
-                    UnknownPolicy::AssumeTrue => {
-                        for &(ti, leaf) in &prop_leaves[idx] {
-                            self.unknown_assumed += 1;
-                            self.targets[ti].set_proved(leaf);
-                        }
-                    }
-                    UnknownPolicy::LeaveOpen => {
-                        self.window_unknown.insert(prop);
-                    }
-                },
+                CheckResult::Unknown { .. } if self.config.unknown == UnknownPolicy::LeaveOpen => {
+                    self.window_unknown.insert(prop);
+                }
+                _ => {}
             }
         }
         self.absorb_suite_tail(cex_count)?;
@@ -965,9 +971,7 @@ impl<'m> Engine<'m> {
     fn absorb_suite_tail(&mut self, count: usize) -> Result<(), EngineError> {
         let len = self.suite.len();
         let traces = self.replay_traces(None, len - count..len)?;
-        for trace in &traces {
-            self.absorb_trace(trace);
-        }
+        self.absorb_traces(&traces);
         Ok(())
     }
 
@@ -1034,32 +1038,41 @@ impl<'m> Engine<'m> {
             winners.push(label, variants.segment(i).vectors);
         }
         let traces = self.replay_traces(Some(&winners), 0..winners.len())?;
-        for (segment, trace) in winners.segments().zip(&traces) {
+        for segment in winners.segments() {
             self.suite.push(segment.label, segment.vectors);
-            self.absorb_trace(trace);
         }
+        self.absorb_traces(&traces);
         Ok(winners.len())
     }
 
-    /// Feeds a counterexample trace into every target's dataset and tree
-    /// (the shared test suite improves all outputs, §3).
-    fn absorb_trace(&mut self, trace: &Trace) {
+    /// Feeds a pass's traces into every target's dataset and tree (the
+    /// shared test suite improves all outputs, §3), target-major: each
+    /// target takes every trace in order, until one leaves it stuck.
+    /// A target works in its own dataset, tree and `stuck` only, so the
+    /// order across targets changes nothing.
+    fn absorb_traces(&mut self, traces: &[Trace]) {
+        if traces.is_empty() {
+            return;
+        }
         let mut span = gm_trace::span("mine", "mine.absorb");
         let mut short = 0usize;
         let (mut absorbed, mut resplit_leaves) = (0usize, 0usize);
         for t in &mut self.targets {
-            if t.stuck.is_some() {
-                continue;
-            }
-            let rows = t.dataset.add_trace(&t.spec, trace);
-            short += rows.short_traces;
-            absorbed += rows.rows.len();
-            match t.tree.add_rows(&t.dataset, &rows.rows) {
-                Ok(resplit) => resplit_leaves += resplit,
-                Err(e) => t.stuck = Some(e),
+            for trace in traces {
+                if t.stuck.is_some() {
+                    break;
+                }
+                let rows = t.dataset.add_trace(&t.spec, trace);
+                short += rows.short_traces;
+                absorbed += rows.rows.len();
+                match t.tree.add_rows(&t.dataset, &rows.rows) {
+                    Ok(resplit) => resplit_leaves += resplit,
+                    Err(e) => t.stuck = Some(e),
+                }
             }
         }
         self.short_traces += short;
+        span.arg("traces", traces.len());
         span.arg("rows", absorbed);
         span.arg("resplit_leaves", resplit_leaves);
     }

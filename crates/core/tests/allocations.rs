@@ -1,0 +1,148 @@
+//! What the closure loop's per-query and per-row steps allocate, read
+//! from a counting global allocator: a warm checker session decides an
+//! explicit-state property without allocating, and a tree takes rows
+//! that land in pure leaves without allocating. Each thread counts its
+//! own allocations, so the harness's other test threads never show up.
+//!
+//! The benchmark measures an optimised build, so run it there too:
+//! `cargo test --release -q -p goldmine --test allocations`.
+
+use gm_mc::{blast, BitAtom, CheckResult, CheckSession, ConsequentKind, ExplicitLimits};
+use gm_mc::{ReachableStates, WindowProperty};
+use gm_mine::{DecisionTree, Feature, MiningSpec, Row, Target};
+use gm_rtl::{elaborate, SignalId};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+/// The system allocator, counting every allocation and reallocation
+/// of the calling thread.
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call is forwarded to `System` with its arguments; the
+// counter is a const-initialised thread-local with no destructor, so
+// reading it never allocates and never fails.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// `f`'s result and how many allocations it made on this thread.
+fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+#[test]
+fn a_warm_session_proves_without_allocating() {
+    let m = gm_designs::by_name("arbiter2").unwrap().module();
+    let elab = elaborate(&m).unwrap();
+    let blasted = Arc::new(blast(&m, &elab).unwrap());
+    let limits = ExplicitLimits::default();
+    let reach = ReachableStates::explore(&blasted, &limits).unwrap();
+    let (gnt0, gnt1) = (m.require("gnt0").unwrap(), m.require("gnt1").unwrap());
+    // Mutual exclusion, and a two-cycle window that no grant outlasts
+    // both ways: proved on the reachable states only.
+    let exclusive = WindowProperty::implication(
+        vec![BitAtom::new(gnt0, 0, 0, true)],
+        BitAtom::new(gnt1, 0, 0, false),
+    );
+    let window = WindowProperty::new(
+        vec![BitAtom::new(gnt0, 0, 0, true)],
+        vec![
+            BitAtom::new(gnt1, 0, 0, false),
+            BitAtom::new(gnt1, 0, 2, false),
+        ],
+        ConsequentKind::Any,
+    );
+    let mut session = CheckSession::new(blasted);
+    for prop in [&exclusive, &window] {
+        // The first check builds the tables and grows the scratch.
+        let cold = session.explicit(&m, &reach, prop, &limits);
+        assert_eq!(cold, Ok(CheckResult::Proved), "{}", prop.display(&m));
+    }
+    for prop in [&exclusive, &window, &exclusive] {
+        let (warm, allocations) = allocations_in(|| session.explicit(&m, &reach, prop, &limits));
+        assert_eq!(warm, Ok(CheckResult::Proved));
+        assert_eq!(allocations, 0, "{}", prop.display(&m));
+    }
+}
+
+#[test]
+fn rows_that_land_in_pure_leaves_allocate_nothing() {
+    // Three features; the target is `f0 & f1 | f2`, so every leaf of
+    // the fitted tree is pure and stays pure under more of the same.
+    let features: Vec<Feature> = (0..3)
+        .map(|i| Feature {
+            signal: SignalId::from_raw(i),
+            bit: 0,
+            offset: 0,
+        })
+        .collect();
+    let spec = MiningSpec {
+        features,
+        initial_active: 3,
+        target: Target {
+            signal: SignalId::from_raw(3),
+            bit: 0,
+            offset: 0,
+        },
+        window: 0,
+    };
+    let mut data = gm_mine::Dataset::new();
+    let push_all = |data: &mut gm_mine::Dataset| {
+        let first = data.len();
+        for combo in 0..8u32 {
+            let f: Vec<bool> = (0..3).map(|i| combo >> i & 1 == 1).collect();
+            let target = f[0] && f[1] || f[2];
+            data.push_row(Row {
+                features: f,
+                target,
+            });
+        }
+        first..data.len()
+    };
+    push_all(&mut data);
+    push_all(&mut data);
+    let mut tree = DecisionTree::new(&spec);
+    tree.fit(&data).unwrap();
+    let nodes = tree.node_count();
+    // The first batch grows every leaf's row list and the tree's
+    // buffers; the second fits in what the first left.
+    let warm = push_all(&mut data);
+    assert_eq!(tree.add_rows(&data, warm), Ok(0));
+    let batch = push_all(&mut data);
+    let (added, allocations) = allocations_in(|| tree.add_rows(&data, batch));
+    assert_eq!(added, Ok(0), "no leaf re-split");
+    assert_eq!(allocations, 0);
+    assert_eq!(tree.node_count(), nodes);
+    assert_eq!(tree.candidate_count(), tree.leaves().len());
+}

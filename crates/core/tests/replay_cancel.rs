@@ -38,7 +38,9 @@
 //! token raised anywhere from the batch's end to the replay's lands in
 //! the replay. A reference recording says when that window opens and
 //! how long it lasts, counted from the last time the sink grew before
-//! it; the watcher raises the token that long after the sink reaches
+//! it (the recorded run flushes its staged events at every report, so
+//! the sink grows at least once an iteration, however few spans a pass
+//! records); the watcher raises the token that long after the sink reaches
 //! the same length, and the recorded `sim.batch` (`cancelled`,
 //! `traces`) says where the cancel landed. An early or late landing
 //! moves the delay and is tried again. The refinement case pins the
@@ -154,7 +156,8 @@ fn record(
 /// [`record`], with the token raised `delay` after the sink first holds
 /// more than `events` events. Also returns every length the watcher saw
 /// the sink grow to: the run's events are visible to another thread
-/// only in the batches the recorder flushes.
+/// only in the batches the recorder flushes — whenever 64 are staged,
+/// and here also at every report.
 fn record_raising(
     m: &Module,
     elab: &Elab,
@@ -189,7 +192,10 @@ fn record_raising(
             lengths
         });
         let _guard = gm_trace::push_thread_sink(sink.clone());
-        let (outcome, checker) = engine.run_reclaim(|_| true);
+        let (outcome, checker) = engine.run_reclaim(|_| {
+            gm_trace::flush_thread();
+            true
+        });
         done.store(true, Ordering::Release);
         (outcome, checker, watcher.join().unwrap())
     });

@@ -10,9 +10,7 @@
 
 use crate::aig::{AigLit, AigNode};
 use crate::blast::Blasted;
-use crate::prop::{
-    assemble_input_vector, BitAtom, CexTrace, CheckResult, ConsequentKind, WindowProperty,
-};
+use crate::prop::{BitAtom, CexTrace, CheckResult, ConsequentKind, InputAssembler, WindowProperty};
 use gm_cache::FxMap;
 use gm_rtl::Module;
 use gm_sat::{Lit, SolveResult, Solver, Var};
@@ -444,9 +442,10 @@ impl Unroller {
     pub fn extract_cex(&self, module: &Module, last: usize) -> CexTrace {
         let mut inputs = Vec::with_capacity(last + 1);
         let nodes = self.blasted.aig.len();
+        let assemble = InputAssembler::new(module, &self.blasted);
         for f in 0..=last {
             let frame = &self.frame_lits[f * nodes..(f + 1) * nodes];
-            let vec = assemble_input_vector(module, &self.blasted, |i| {
+            let vec = assemble.vector(|i| {
                 let node = self.blasted.aig.input_node(i);
                 self.solver.model_value(frame[node])
             });

@@ -36,7 +36,7 @@
 use crate::blast::{blast, Blasted};
 use crate::bmc::PristinePrefixes;
 use crate::error::McError;
-use crate::explicit::{explicit_check, ExplicitLimits, ReachableStates};
+use crate::explicit::{ExplicitLimits, ReachableStates};
 use crate::prop::{CheckResult, WindowProperty};
 use crate::session::{cancel_requested, CheckSession, SessionStats};
 use gm_cache::FxMap;
@@ -400,8 +400,9 @@ impl Checker {
         // Dedupe in first-occurrence order: `first[u]` is where the
         // `u`-th distinct property first occurs, `slot[i]` which
         // distinct property position `i` holds.
-        let mut index_of: FxMap<&WindowProperty, usize> = FxMap::default();
-        let mut first: Vec<usize> = Vec::new();
+        let mut index_of: FxMap<&WindowProperty, usize> =
+            FxMap::with_capacity_and_hasher(props.len(), Default::default());
+        let mut first: Vec<usize> = Vec::with_capacity(props.len());
         let slot: Vec<usize> = (props.iter().enumerate())
             .map(|(i, prop)| {
                 *index_of.entry(prop).or_insert_with(|| {
@@ -417,16 +418,9 @@ impl Checker {
         let params = self.params();
         let decided = if self.shards == 1 {
             let mut decided = Vec::with_capacity(first.len());
-            let (module, blasted, reach) = (&*self.module, &*self.blasted, self.reach.as_deref());
+            let (module, reach) = (&*self.module, self.reach.as_deref());
             for &i in &first {
-                let res = decide(
-                    module,
-                    blasted,
-                    reach,
-                    &params,
-                    &mut self.session,
-                    &props[i],
-                );
+                let res = decide(module, reach, &params, &mut self.session, &props[i]);
                 let failed = res.is_err();
                 decided.push(res);
                 if failed {
@@ -475,18 +469,13 @@ impl Checker {
         for (u, prop) in unique.into_iter().enumerate() {
             work[u % shards].1.push((u, prop));
         }
-        let (module, blasted, reach) = (&*self.module, &*self.blasted, self.reach.as_deref());
+        let (module, reach) = (&*self.module, self.reach.as_deref());
         let joined: Vec<ShardYield> = std::thread::scope(|scope| {
             let handles: Vec<_> = (work.into_iter())
                 .map(|(mut session, items)| {
                     scope.spawn(move || {
                         let results = (items.into_iter())
-                            .map(|(u, prop)| {
-                                (
-                                    u,
-                                    decide(module, blasted, reach, params, &mut session, prop),
-                                )
-                            })
+                            .map(|(u, prop)| (u, decide(module, reach, params, &mut session, prop)))
                             .collect();
                         (session, results)
                     })
@@ -515,7 +504,6 @@ impl Checker {
 /// never on the property's consequents.
 fn decide(
     module: &Module,
-    blasted: &Blasted,
     reach: Option<&ReachableStates>,
     params: &DecideParams,
     session: &mut CheckSession,
@@ -536,9 +524,7 @@ fn decide(
         let reach = reach.ok_or(McError::StateSpaceExceeded {
             limit: params.limits.max_states,
         })?;
-        let res = explicit_check(module, blasted, reach, prop, &params.limits)?;
-        session.note_explicit_query();
-        Ok(res)
+        session.explicit(module, reach, prop, &params.limits)
     };
     // The SAT engines run on the session's shared unrollings; one
     // property decision, however many queries it takes. A violated
@@ -922,6 +908,43 @@ mod tests {
         // What a parked checker keeps warm is what it is billed for.
         c.reset_for_reuse();
         assert!(c.approx_bytes() >= successor_table);
+    }
+
+    #[test]
+    fn approx_bytes_counts_the_explicit_scratch() {
+        let m = gm_designs::fetch_stage();
+        let stall = m.require("stall_in").unwrap();
+        let valid = m.require("valid").unwrap();
+        let at = |offset| {
+            WindowProperty::implication(
+                vec![BitAtom::new(stall, 0, 0, true)],
+                BitAtom::new(valid, 0, offset, true),
+            )
+        };
+        let mut c = Checker::new(&m).unwrap();
+        assert_eq!(c.session.approx_bytes(), 0, "no unrolling, no scratch");
+        c.check_batch(&[at(1)]).unwrap();
+        assert_eq!(c.session_stats().explicit_queries, 1);
+        // A depth-1 window: two `done` sets of a word per 64 pairs,
+        // back to back, and a live-state vector of a bit per state.
+        let states = c.reachable_count().unwrap();
+        let words = (states << c.blasted().aig.input_count()).div_ceil(64);
+        let scratch = c.session.approx_bytes();
+        assert!(
+            scratch >= 8 * (2 * words + states.div_ceil(64)),
+            "{scratch} bytes for {words}-word sets"
+        );
+        // The checker bills it next to the reachable set and its tables.
+        let reach = c.reach.as_ref().unwrap().approx_bytes();
+        assert!(c.approx_bytes() >= reach + scratch);
+        // A query of the same shape reuses it; a deeper one grows it.
+        c.check_batch(&[at(1)]).unwrap();
+        assert_eq!(c.session.approx_bytes(), scratch);
+        c.check_batch(&[at(3)]).unwrap();
+        assert!(c.session.approx_bytes() >= scratch + 8 * 2 * words);
+        // A recycled checker's sessions start without one.
+        c.reset_for_reuse();
+        assert_eq!(c.session.approx_bytes(), 0);
     }
 
     #[test]

@@ -87,6 +87,18 @@
 //! *defines* the canonical counterexample of every property the engine
 //! decides.
 //!
+//! **Scratch.** A check's sets live in an [`ExplicitScratch`] its caller
+//! keeps: the `done_k`/`open_k` sets back to back as `(depth + 1) ·
+//! words` words each, the failing set, the two live-state vectors, the
+//! property's literal nodes and their observation bitsets, and the
+//! property's terms. A [`crate::CheckSession`] decides every explicit
+//! query on its own scratch, so a warm session's check allocates
+//! nothing on the tables; the scratch grows to the deepest window and
+//! the widest design it has decided and is dropped with the session.
+//! Every set is written before it is read, so nothing one check leaves
+//! there reaches the next. [`explicit_check`] is the same check on a
+//! fresh scratch.
+//!
 //! **Budgets.** Tables are built only while `states · 2^input_bits`
 //! stays within 2^22 pairs (16 MiB of successors, 512 KiB per
 //! observation bitset); beyond that every check is the direct walk.
@@ -98,9 +110,7 @@
 use crate::aig::{Aig, AigLit, AigNode};
 use crate::blast::Blasted;
 use crate::error::McError;
-use crate::prop::{
-    assemble_input_vector, BitAtom, CexTrace, CheckResult, ConsequentKind, WindowProperty,
-};
+use crate::prop::{BitAtom, CexTrace, CheckResult, ConsequentKind, InputAssembler, WindowProperty};
 use gm_rtl::Module;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -464,11 +474,11 @@ impl ReachableStates {
         })
     }
 
-    /// Observation bitsets for AIG nodes `nodes`, in order. Nodes not
-    /// yet tabled are filled by one shared pass over every pair —
-    /// across a refinement run most calls find every slot filled and
-    /// evaluate nothing.
-    fn observations(&self, aig: &Aig, nodes: &[usize]) -> Vec<&[u64]> {
+    /// Observation bitsets for AIG nodes `nodes`, in order, written over
+    /// `out`. Nodes not yet tabled are filled by one shared pass over
+    /// every pair — across a refinement run most calls find every slot
+    /// filled and evaluate nothing.
+    fn observations<'r>(&'r self, aig: &Aig, nodes: &[usize], out: &mut Vec<&'r [u64]>) {
         let slots = &self.tables.obs;
         let mut missing: Vec<usize> = nodes
             .iter()
@@ -494,10 +504,10 @@ impl ReachableStates {
                 let _ = slots[n].set(bits.into_boxed_slice());
             }
         }
-        nodes
-            .iter()
-            .map(|&n| &**slots[n].get().expect("observation slot filled above"))
-            .collect()
+        out.clear();
+        out.extend(
+            (nodes.iter()).map(|&n| &**slots[n].get().expect("observation slot filled above")),
+        );
     }
 
     /// The number of reachable states.
@@ -510,29 +520,20 @@ impl ReachableStates {
         self.states.is_empty()
     }
 
-    /// Reconstructs the input sequence leading from reset to the state at
-    /// `state_index`.
-    fn path_to(&self, state_index: usize) -> Vec<u64> {
-        let mut rev = Vec::new();
-        let mut cur = state_index;
-        while let Some((prev, word)) = self.parent[cur] {
-            rev.push(word);
-            cur = prev;
-        }
-        rev.reverse();
-        rev
-    }
-
-    /// The states owning a pair of `set`, as a bitset over state
-    /// indices; `None` when `set` is empty. One pass over the words of
+    /// Writes over `live` the states owning a pair of `set`, as a bitset
+    /// over state indices, and returns whether there is one (`live` is
+    /// all zero when `set` is empty). One pass over the words of
     /// `set` from its first non-zero one: a state owns `2^input_bits`
     /// consecutive pairs, so from 6 input bits on it owns whole words
     /// and is live when one of them is non-zero; below that each word
     /// holds `64 >> input_bits` states, and a fold ORs every state's
     /// lane group onto its lowest lane.
-    fn owners(&self, set: &[u64]) -> Option<Vec<u64>> {
-        let first = set.iter().position(|&w| w != 0)?;
-        let mut live = vec![0u64; self.states.len().div_ceil(64)];
+    fn owners(&self, set: &[u64], live: &mut Vec<u64>) -> bool {
+        live.clear();
+        live.resize(self.states.len().div_ceil(64), 0);
+        let Some(first) = set.iter().position(|&w| w != 0) else {
+            return false;
+        };
         let mut mark = |state: usize| live[state >> 6] |= 1u64 << (state & 63);
         if self.input_bits >= 6 {
             let per_state = 1usize << (self.input_bits - 6);
@@ -561,7 +562,7 @@ impl ReachableStates {
                 }
             }
         }
-        Some(live)
+        true
     }
 
     /// The violated verdict for a window of input `words` starting at
@@ -573,12 +574,14 @@ impl ReachableStates {
         start: usize,
         words: &[u64],
     ) -> CheckResult {
-        let inputs = self
-            .path_to(start)
-            .iter()
-            .chain(words)
-            .map(|&w| assemble_input_vector(module, blasted, |i| (w >> i) & 1 == 1))
-            .collect();
+        let assemble = InputAssembler::new(module, blasted);
+        let vector = |w: u64| assemble.vector(|i| (w >> i) & 1 == 1);
+        // The BFS hops into `start`, last one first.
+        let hops = std::iter::successors(self.parent[start], |&(prev, _)| self.parent[prev]);
+        let mut inputs = Vec::with_capacity(hops.clone().count() + words.len());
+        inputs.extend(hops.map(|(_, w)| vector(w)));
+        inputs.reverse();
+        inputs.extend(words.iter().map(|&w| vector(w)));
         CheckResult::Violated(CexTrace { inputs })
     }
 }
@@ -588,58 +591,151 @@ impl ReachableStates {
 /// `must` literal is true at its offset and, if the property has a
 /// disjunction of consequent failures, some `fail` literal is true at
 /// its offset too.
+#[derive(Debug, Default)]
 struct Terms {
     depth: usize,
     /// `(offset, literal)`: the antecedent atoms, and under
     /// [`ConsequentKind::Any`] (every single-consequent property
     /// included) every inverted consequent.
     must: Vec<(usize, AigLit)>,
-    /// Under [`ConsequentKind::All`], the inverted consequents: one of
-    /// them has to hold, so an empty list is never violated. `None`
-    /// when the violation is the plain conjunction.
-    fail: Option<Vec<(usize, AigLit)>>,
+    /// Whether the violation has a disjunction: under
+    /// [`ConsequentKind::All`] one of `fail` has to hold, so an empty
+    /// list is never violated. Otherwise the violation is the plain
+    /// conjunction.
+    disjunctive: bool,
+    /// Under [`ConsequentKind::All`], the inverted consequents; empty
+    /// otherwise.
+    fail: Vec<(usize, AigLit)>,
 }
 
 impl Terms {
-    fn new(blasted: &Blasted, prop: &WindowProperty) -> Self {
+    /// Writes `prop`'s terms over these.
+    fn fill(&mut self, blasted: &Blasted, prop: &WindowProperty) {
         let lit = |a: &BitAtom, value: bool| {
             let lit = blasted.signal_bit(a.signal, a.bit);
             (a.offset as usize, if value { lit } else { !lit })
         };
-        let atoms = prop.antecedent.len() + prop.consequents.len();
-        let mut must = Vec::with_capacity(atoms);
-        must.extend(prop.antecedent.iter().map(|a| lit(a, a.value)));
+        self.depth = prop.depth() as usize;
+        self.must.clear();
+        self.fail.clear();
+        let antecedent = prop.antecedent.iter().map(|a| lit(a, a.value));
+        self.must.extend(antecedent);
         let failures = prop.consequents.iter().map(|c| lit(c, !c.value));
-        let fail = match prop.kind {
-            ConsequentKind::Any => {
-                must.extend(failures);
-                None
-            }
-            ConsequentKind::All => Some(failures.collect::<Vec<_>>()),
-        };
-        Terms {
-            depth: prop.depth() as usize,
-            must,
-            fail,
+        self.disjunctive = prop.kind == ConsequentKind::All;
+        if self.disjunctive {
+            self.fail.extend(failures);
+        } else {
+            self.must.extend(failures);
         }
-    }
-
-    /// The consequent failures (empty without a disjunction).
-    fn failures(&self) -> &[(usize, AigLit)] {
-        self.fail.as_deref().unwrap_or(&[])
     }
 }
 
-/// Checks `prop` against every reachable window of the design.
-///
-/// Decided on the design's tables when the `(state, input)` space fits
-/// the budget and by the direct walk otherwise (see the module docs);
-/// the verdict and any counterexample trace are the same either way.
+/// The buffers an explicit check works in (see the module docs'
+/// *Scratch*): kept by a [`crate::CheckSession`] across its queries, or
+/// made fresh for one check by [`explicit_check`] and by callers that
+/// pass `&mut ExplicitScratch::default()` to [`ExplicitScratch::check`].
+#[derive(Debug, Default)]
+pub struct ExplicitScratch {
+    terms: Terms,
+    sets: LiveSets,
+    /// The AIG node of every literal of `terms`, `must` then `fail`.
+    nodes: Vec<usize>,
+    /// Their observation bitsets, index for index. Empty between checks:
+    /// the slices borrow the reachable set for one check only, and the
+    /// list keeps just its allocation (see [`recycle`]).
+    obs: Vec<&'static [u64]>,
+}
+
+/// The sets of the tabled pass, written before they are read.
+#[derive(Debug, Default)]
+struct LiveSets {
+    /// `done_k` for `k = 0..=depth`, `words` words each, back to back.
+    done: Vec<u64>,
+    /// `open_k` likewise; used by disjunctive properties only.
+    open: Vec<u64>,
+    /// The pairs at which a consequent fails at the offset in hand.
+    failing: Vec<u64>,
+    /// The states owning a pair of `done_{k+1}` / `open_{k+1}`.
+    live_done: Vec<u64>,
+    live_open: Vec<u64>,
+    /// The window's input words, one per cycle.
+    window: Vec<u64>,
+}
+
+/// An empty list on `list`'s allocation, for slices of another lifetime.
+/// The in-place `collect` keeps the allocation: both element types have
+/// one layout.
+fn recycle<'b>(mut list: Vec<&[u64]>) -> Vec<&'b [u64]> {
+    list.clear();
+    list.into_iter().map(|_| unreachable!("cleared")).collect()
+}
+
+impl ExplicitScratch {
+    /// Checks `prop` against every reachable window of the design, in
+    /// these buffers.
+    ///
+    /// Decided on the design's tables when the `(state, input)` space
+    /// fits the budget and by the direct walk otherwise (see the module
+    /// docs); the verdict and any counterexample trace are the same
+    /// either way, and whatever the scratch decided before.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the design is over the table budget and `(depth + 1) *
+    /// input_bits` exceeds the walk's window budget.
+    pub fn check(
+        &mut self,
+        module: &Module,
+        blasted: &Blasted,
+        reach: &ReachableStates,
+        prop: &WindowProperty,
+        limits: &ExplicitLimits,
+    ) -> Result<CheckResult, McError> {
+        if reach.cache_enabled() {
+            self.terms.fill(blasted, prop);
+            return Ok(explicit_check_cached(module, blasted, reach, self));
+        }
+        let cycles = prop.depth().saturating_add(1);
+        let window_bits = cycles.saturating_mul(reach.input_bits);
+        if window_bits > limits.max_window_bits.min(63) {
+            return Err(McError::WindowTooWide {
+                bits: window_bits,
+                limit: limits.max_window_bits.min(63),
+            });
+        }
+        self.terms.fill(blasted, prop);
+        Ok(explicit_check_direct(module, blasted, reach, &self.terms))
+    }
+
+    /// Approximate resident size of the buffers: what they have grown to.
+    pub fn approx_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let LiveSets {
+            done,
+            open,
+            failing,
+            live_done,
+            live_open,
+            window,
+        } = &self.sets;
+        let words = [done, open, failing, live_done, live_open, window]
+            .iter()
+            .map(|v| v.capacity())
+            .sum::<usize>();
+        let literals = self.terms.must.capacity() + self.terms.fail.capacity();
+        words * size_of::<u64>()
+            + literals * size_of::<(usize, AigLit)>()
+            + self.nodes.capacity() * size_of::<usize>()
+            + self.obs.capacity() * size_of::<&[u64]>()
+    }
+}
+
+/// Checks `prop` against every reachable window of the design: a
+/// one-shot [`ExplicitScratch::check`] on a fresh scratch.
 ///
 /// # Errors
 ///
-/// Fails when the design is over the table budget and `(depth + 1) *
-/// input_bits` exceeds the walk's window budget.
+/// As [`ExplicitScratch::check`].
 pub fn explicit_check(
     module: &Module,
     blasted: &Blasted,
@@ -647,20 +743,7 @@ pub fn explicit_check(
     prop: &WindowProperty,
     limits: &ExplicitLimits,
 ) -> Result<CheckResult, McError> {
-    if reach.cache_enabled() {
-        let terms = Terms::new(blasted, prop);
-        return Ok(explicit_check_cached(module, blasted, reach, &terms));
-    }
-    let cycles = prop.depth().saturating_add(1);
-    let window_bits = cycles.saturating_mul(reach.input_bits);
-    if window_bits > limits.max_window_bits.min(63) {
-        return Err(McError::WindowTooWide {
-            bits: window_bits,
-            limit: limits.max_window_bits.min(63),
-        });
-    }
-    let terms = Terms::new(blasted, prop);
-    Ok(explicit_check_direct(module, blasted, reach, &terms))
+    ExplicitScratch::default().check(module, blasted, reach, prop, limits)
 }
 
 /// The words of the bitset of pairs at which `lit` is true, given its
@@ -685,42 +768,71 @@ fn retain_live_successors(set: &mut [u64], exempt: Option<&[u64]>, succ: &[u32],
     }
 }
 
-/// The tabled check: a backward live-set pass over the observation
-/// bitsets (see the module docs for the sets and the traversal-order
-/// argument that makes its trace the direct walk's).
+/// The tabled check of `scratch.terms`: a backward live-set pass over
+/// the observation bitsets (see the module docs for the sets and the
+/// traversal-order argument that makes its trace the direct walk's).
 fn explicit_check_cached(
     module: &Module,
     blasted: &Blasted,
     reach: &ReachableStates,
-    terms: &Terms,
+    scratch: &mut ExplicitScratch,
 ) -> CheckResult {
-    let aig = &blasted.aig;
+    let ExplicitScratch {
+        terms,
+        sets,
+        nodes,
+        obs,
+    } = scratch;
+    nodes.clear();
+    let literals = terms.must.iter().chain(&terms.fail);
+    nodes.extend(literals.map(|&(_, lit)| lit.node()));
+    let mut bitsets = recycle(std::mem::take(obs));
+    reach.observations(&blasted.aig, nodes, &mut bitsets);
+    let result = live_set_pass(module, blasted, reach, terms, &bitsets, sets);
+    *obs = recycle(bitsets);
+    result
+}
+
+/// The pass itself, given every literal's observation bitset (`must`
+/// then `fail`, as in `terms`).
+fn live_set_pass(
+    module: &Module,
+    blasted: &Blasted,
+    reach: &ReachableStates,
+    terms: &Terms,
+    obs: &[&[u64]],
+    sets: &mut LiveSets,
+) -> CheckResult {
+    let LiveSets {
+        done,
+        open,
+        failing,
+        live_done,
+        live_open,
+        window,
+    } = sets;
     let depth = terms.depth;
     let combos = 1usize << reach.input_bits;
     let pairs = reach.states.len() * combos;
-    let succ = reach.successors(aig);
-    let literals = terms.must.iter().chain(terms.failures());
-    let nodes: Vec<usize> = literals.map(|&(_, lit)| lit.node()).collect();
-    let obs = reach.observations(aig, &nodes);
+    let succ = reach.successors(&blasted.aig);
     let (must_obs, fail_obs) = obs.split_at(terms.must.len());
     // No consequent can fail below this offset.
-    let first_fail = terms.failures().iter().map(|&(offset, _)| offset).min();
+    let first_fail = terms.fail.iter().map(|&(offset, _)| offset).min();
 
     let words = pairs.div_ceil(64);
     let tail = !0u64 >> ((64 - pairs % 64) % 64);
     // Per offset: the pairs a window that has already failed a
     // consequent (or has none to fail) can continue through, and the
     // pairs one that has not yet failed can.
-    let mut done: Vec<Vec<u64>> = vec![Vec::new(); depth + 1];
-    let mut open: Vec<Vec<u64>> = match terms.fail {
-        Some(_) => vec![Vec::new(); depth + 1],
-        None => Vec::new(),
-    };
-    let mut live_done: Vec<u64> = Vec::new();
-    let mut live_open: Vec<u64> = Vec::new();
+    done.resize((depth + 1) * words, 0);
+    if terms.disjunctive {
+        open.resize((depth + 1) * words, 0);
+        failing.resize(words, 0);
+    }
     for k in (0..=depth).rev() {
-        let mut set = vec![!0u64; words];
-        *set.last_mut().expect("at least the reset state's pairs") &= tail;
+        let set = &mut done[k * words..][..words];
+        set.fill(!0);
+        set[words - 1] &= tail;
         for (&(offset, lit), bits) in terms.must.iter().zip(must_obs) {
             if offset == k {
                 for (word, b) in set.iter_mut().zip(literal_words(bits, lit)) {
@@ -729,61 +841,60 @@ fn explicit_check_cached(
             }
         }
         if k < depth {
-            retain_live_successors(&mut set, None, succ, &live_done);
+            retain_live_successors(set, None, succ, live_done);
         }
-        match reach.owners(&set) {
-            Some(owners) => live_done = owners,
-            None => return CheckResult::Proved,
+        if !reach.owners(set, live_done) {
+            return CheckResult::Proved;
         }
-        if terms.fail.is_some() {
+        if terms.disjunctive {
             // A pair of `done_k` stays open when a consequent fails at
             // it or its successor is still open.
-            let mut failing = vec![0u64; words];
-            for (&(offset, lit), bits) in terms.failures().iter().zip(fail_obs) {
+            failing.fill(0);
+            for (&(offset, lit), bits) in terms.fail.iter().zip(fail_obs) {
                 if offset == k {
                     for (word, b) in failing.iter_mut().zip(literal_words(bits, lit)) {
                         *word |= b;
                     }
                 }
             }
-            let mut pending = set.clone();
+            let pending = &mut open[k * words..][..words];
+            pending.copy_from_slice(set);
             if k < depth {
-                retain_live_successors(&mut pending, Some(&failing), succ, &live_open);
+                retain_live_successors(pending, Some(failing.as_slice()), succ, live_open);
             } else {
-                for (word, &f) in pending.iter_mut().zip(&failing) {
+                for (word, &f) in pending.iter_mut().zip(failing.iter()) {
                     *word &= f;
                 }
             }
-            match reach.owners(&pending) {
-                Some(owners) => live_open = owners,
-                None if first_fail.is_none_or(|first| first >= k) => return CheckResult::Proved,
-                None => live_open = vec![0u64; live_done.len()],
+            // Without an open pair `live_open` is all zero: nothing is
+            // open at `k` any more.
+            if !reach.owners(pending, live_open) && first_fail.is_none_or(|first| first >= k) {
+                return CheckResult::Proved;
             }
-            open[k] = pending;
         }
-        done[k] = set;
     }
     // The window the depth-first walk reaches first.
-    let mut failed = terms.fail.is_none();
-    let starts = if failed { &live_done } else { &live_open };
+    let mut failed = !terms.disjunctive;
+    let starts = if failed { &*live_done } else { &*live_open };
     let start = next_set_bit(starts, 0).expect("the start set is non-empty here");
     let mut state = start;
-    let mut inputs = Vec::with_capacity(depth + 1);
+    window.clear();
     for k in 0..=depth {
-        let set = if failed { &done[k] } else { &open[k] };
+        let set = if failed { &*done } else { &*open };
+        let set = &set[k * words..][..words];
         let base = state * combos;
         let word = (0..combos)
             .rev()
             .find(|&u| bitset_get(set, base + u))
             .expect("a live state owns an alive pair");
-        inputs.push(word as u64);
+        window.push(word as u64);
         failed = failed
-            || (terms.failures().iter().zip(fail_obs)).any(|(&(offset, lit), bits)| {
+            || (terms.fail.iter().zip(fail_obs)).any(|(&(offset, lit), bits)| {
                 offset == k && bitset_get(bits, base + word) != lit.is_complemented()
             });
         state = succ[base + word] as usize;
     }
-    reach.violation(module, blasted, start, &inputs)
+    reach.violation(module, blasted, start, window)
 }
 
 /// The direct walk for designs over the table budget, and the reference
@@ -804,7 +915,7 @@ fn explicit_check_direct(
         // violation has no disjunction)
         type WindowFrame = (usize, Vec<bool>, Vec<u64>, bool);
         let start = unpack(packed, reach.state_bits);
-        let mut stack: Vec<WindowFrame> = vec![(0, start, Vec::new(), terms.fail.is_none())];
+        let mut stack: Vec<WindowFrame> = vec![(0, start, Vec::new(), !terms.disjunctive)];
         while let Some((offset, latches, words, failed)) = stack.pop() {
             if offset > terms.depth {
                 if failed {
@@ -819,7 +930,7 @@ fn explicit_check_direct(
                     continue;
                 }
                 let fails = |&(at, lit): &(usize, AigLit)| at == offset && value(lit);
-                let failed = failed || terms.failures().iter().any(fails);
+                let failed = failed || terms.fail.iter().any(fails);
                 let mut w = words.clone();
                 w.push(u);
                 stack.push((offset + 1, aig.next_state(&vals), w, failed));

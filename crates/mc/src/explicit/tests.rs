@@ -2,13 +2,14 @@ use super::*;
 use crate::blast::blast;
 use crate::bmc::{bmc, k_induction};
 use crate::prop::{BitAtom, WindowProperty};
+use crate::session::CheckSession;
 use crate::testgen::{
     self, random_module, random_property, random_temporal_property, seeded_recipe, Recipe,
 };
 use gm_rtl::{elaborate, parse_verilog, SignalId};
 use gm_sim::{NopObserver, Simulator};
 use proptest::prelude::*;
-use std::sync::Barrier;
+use std::sync::{Arc, Barrier};
 
 const ARBITER2: &str = "
 module arbiter2(input clk, input rst, input req0, input req1,
@@ -33,14 +34,59 @@ fn setup_module(m: Module) -> (Module, Blasted, ReachableStates) {
     (m, b, r)
 }
 
-/// The tabled pass alone, whatever the table budget says.
+/// The tabled pass alone, whatever the table budget says, on `scratch`.
+fn tabled_on(
+    scratch: &mut ExplicitScratch,
+    m: &Module,
+    b: &Blasted,
+    r: &ReachableStates,
+    p: &WindowProperty,
+) -> CheckResult {
+    scratch.terms.fill(b, p);
+    explicit_check_cached(m, b, r, scratch)
+}
+
+/// The tabled pass alone on a fresh scratch.
 fn tabled(m: &Module, b: &Blasted, r: &ReachableStates, p: &WindowProperty) -> CheckResult {
-    explicit_check_cached(m, b, r, &Terms::new(b, p))
+    tabled_on(&mut ExplicitScratch::default(), m, b, r, p)
 }
 
 /// The direct walk alone: the reference.
 fn walk(m: &Module, b: &Blasted, r: &ReachableStates, p: &WindowProperty) -> CheckResult {
-    explicit_check_direct(m, b, r, &Terms::new(b, p))
+    let mut terms = Terms::default();
+    terms.fill(b, p);
+    explicit_check_direct(m, b, r, &terms)
+}
+
+/// One scratch carried through a whole sweep, and a record of how the
+/// work handed to it moved: a check deeper or shallower than the one
+/// before it, and one over a design of another pair-word count.
+#[derive(Default)]
+struct Carried {
+    scratch: ExplicitScratch,
+    last: Option<(usize, usize)>,
+    deeper: usize,
+    shallower: usize,
+    rewidened: usize,
+}
+
+impl Carried {
+    fn tabled(
+        &mut self,
+        m: &Module,
+        b: &Blasted,
+        r: &ReachableStates,
+        p: &WindowProperty,
+    ) -> CheckResult {
+        let now = (p.depth() as usize, (r.pairs() as usize).div_ceil(64));
+        if let Some((depth, words)) = self.last {
+            self.deeper += usize::from(now.0 > depth);
+            self.shallower += usize::from(now.0 < depth);
+            self.rewidened += usize::from(now.1 != words);
+        }
+        self.last = Some(now);
+        tabled_on(&mut self.scratch, m, b, r, p)
+    }
 }
 
 #[test]
@@ -200,14 +246,15 @@ fn limits_are_enforced() {
     ));
 }
 
-/// Decides `prop` on the tables and by the direct walk and requires
-/// the same verdict and trace.
+/// Decides `prop` on the tables, on the carried scratch, and by the
+/// direct walk and requires the same verdict and trace.
 fn tabled_like_the_walk(
+    carried: &mut Carried,
     (m, b, r): &(Module, Blasted, ReachableStates),
     prop: &WindowProperty,
     shown: impl std::fmt::Display,
 ) -> Result<CheckResult, TestCaseError> {
-    let result = tabled(m, b, r, prop);
+    let result = carried.tabled(m, b, r, prop);
     prop_assert_eq!(
         &result,
         &walk(m, b, r, prop),
@@ -224,11 +271,14 @@ fn tabled_like_the_walk(
 /// traces: input widths below 6 bits put several states in one flat
 /// word (pair counts off the multiple of 64), widths from 6 up put
 /// several words in one state; no registers is a single-state
-/// latch-free design. Returns how many properties were proved, how many
-/// violated at depth 2 or more, and how many multi-consequent ones were
-/// violated over bitsets of more than one word.
-fn identity_sweep(bytes: &[u8]) -> Result<(usize, usize, usize), TestCaseError> {
+/// latch-free design. Every tabled check runs on one scratch, carried
+/// across the designs, depths and consequent kinds. Returns how many
+/// properties were proved, how many violated at depth 2 or more, and
+/// how many multi-consequent ones were violated over bitsets of more
+/// than one word, and the carried scratch.
+fn identity_sweep(bytes: &[u8]) -> Result<(usize, usize, usize, Carried), TestCaseError> {
     let mut recipe = Recipe::new(bytes);
+    let mut carried = Carried::default();
     let (mut proved, mut deep_violations, mut wide_temporal) = (0, 0, 0);
     for inputs in [0usize, 1, 3, 5, 6, 7, 8] {
         for regs in [0usize, 1, 3] {
@@ -243,21 +293,22 @@ fn identity_sweep(bytes: &[u8]) -> Result<(usize, usize, usize), TestCaseError> 
                 let depth = recipe.next() as u32 % (max_depth + 1);
                 let window = random_property(&sigs, depth, &mut recipe);
                 prop_assert_eq!(window.depth(), depth);
-                match tabled_like_the_walk(&design, &window, window.display(m))? {
+                match tabled_like_the_walk(&mut carried, &design, &window, window.display(m))? {
                     CheckResult::Proved => proved += 1,
                     CheckResult::Violated(_) if depth >= 2 => deep_violations += 1,
                     _ => {}
                 }
                 let temporal = random_temporal_property(&sigs, depth, &mut recipe);
                 prop_assert_eq!(temporal.depth(), depth);
-                let result = tabled_like_the_walk(&design, &temporal, temporal.display(m))?;
+                let result =
+                    tabled_like_the_walk(&mut carried, &design, &temporal, temporal.display(m))?;
                 if result != CheckResult::Proved && r.pairs() > 64 {
                     wide_temporal += 1;
                 }
             }
         }
     }
-    Ok((proved, deep_violations, wide_temporal))
+    Ok((proved, deep_violations, wide_temporal, carried))
 }
 
 proptest! {
@@ -277,7 +328,7 @@ fn identity_sweep_sees_both_verdicts() {
     // are neither all vacuous nor all refuted at the first cycle.
     let (mut proved, mut deep_violations, mut wide_temporal) = (0, 0, 0);
     for seed in 0u64..16 {
-        let (p, v, w) = identity_sweep(&seeded_recipe(seed, 200)).unwrap();
+        let (p, v, w, _) = identity_sweep(&seeded_recipe(seed, 200)).unwrap();
         proved += p;
         deep_violations += v;
         wide_temporal += w;
@@ -290,6 +341,86 @@ fn identity_sweep_sees_both_verdicts() {
     assert!(
         wide_temporal >= 100,
         "{wide_temporal} multi-consequent violations over multi-word bitsets"
+    );
+}
+
+#[test]
+fn the_carried_scratch_sees_its_work_grow_and_shrink() {
+    // One scratch per sweep only proves reuse if the work handed to it
+    // moves both ways: a deeper window after a shallower one (the live
+    // sets grow), a shallower one after a deeper one (stale offsets
+    // past the window stay behind), and a design of another pair-word
+    // count (every set is resized).
+    let (mut deeper, mut shallower, mut rewidened) = (0, 0, 0);
+    for seed in 0u64..16 {
+        let (.., carried) = identity_sweep(&seeded_recipe(seed, 200)).unwrap();
+        deeper += carried.deeper;
+        shallower += carried.shallower;
+        rewidened += carried.rewidened;
+    }
+    assert!(deeper >= 100, "{deeper} steps to a deeper window");
+    assert!(shallower >= 100, "{shallower} steps to a shallower window");
+    assert!(
+        rewidened >= 100,
+        "{rewidened} changes of the pair-word count"
+    );
+}
+
+/// Decides random properties of both kinds, depths 0–3, on one
+/// [`CheckSession`] per random design — its scratch carried from query
+/// to query — and requires each verdict and trace to be
+/// [`explicit_check`]'s on a fresh scratch. Returns how many were
+/// proved and how many violated.
+fn session_sweep(bytes: &[u8]) -> Result<(usize, usize), TestCaseError> {
+    let mut recipe = Recipe::new(bytes);
+    let limits = ExplicitLimits::default();
+    let (mut proved, mut violated) = (0, 0);
+    for _ in 0..3 {
+        let (inputs, regs) = (1 + recipe.next() % 7, recipe.next() % 4);
+        let (module, sigs) = random_module(inputs, regs, &mut recipe);
+        let (m, b, r) = setup_module(module);
+        let mut session = CheckSession::new(Arc::new(b.clone()));
+        for _ in 0..8 {
+            let depth = recipe.next() as u32 % 4;
+            let prop = match recipe.next() % 2 {
+                0 => random_property(&sigs, depth, &mut recipe),
+                _ => random_temporal_property(&sigs, depth, &mut recipe),
+            };
+            let fresh = explicit_check(&m, &b, &r, &prop, &limits).unwrap();
+            let kept = session.explicit(&m, &r, &prop, &limits).unwrap();
+            prop_assert_eq!(&kept, &fresh, "{}", prop.display(&m));
+            match fresh {
+                CheckResult::Proved => proved += 1,
+                _ => violated += 1,
+            }
+        }
+        prop_assert_eq!(session.stats().explicit_queries, 8);
+    }
+    Ok((proved, violated))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+    #[test]
+    fn a_session_decides_like_a_fresh_scratch(
+        bytes in prop::collection::vec(any::<u8>(), 256..1024),
+    ) {
+        session_sweep(&bytes)?;
+    }
+}
+
+#[test]
+fn the_session_sweep_sees_both_verdicts() {
+    let (mut proved, mut violated) = (0, 0);
+    for seed in 0u64..16 {
+        let (p, v) = session_sweep(&seeded_recipe(seed, 200)).unwrap();
+        proved += p;
+        violated += v;
+    }
+    assert!(
+        proved >= 50 && violated >= 50,
+        "{proved} proved, {violated} violated"
     );
 }
 
@@ -342,6 +473,7 @@ const SAT_BOUND: u32 = 4;
 /// trace.
 fn engines_sweep(bytes: &[u8], tally: &mut Tally) -> Result<(), TestCaseError> {
     let mut recipe = Recipe::new(bytes);
+    let mut carried = Carried::default();
     for _ in 0..3 {
         let (regs, inputs) = (recipe.next() % 4, 1 + recipe.next() % 3);
         let (module, sigs) = random_module(inputs, regs, &mut recipe);
@@ -350,7 +482,7 @@ fn engines_sweep(bytes: &[u8], tally: &mut Tally) -> Result<(), TestCaseError> {
         for _ in 0..4 {
             let depth = recipe.next() as u32 % 4;
             let prop = random_temporal_property(&sigs, depth, &mut recipe);
-            let exact = tabled_like_the_walk(&design, &prop, prop.display(m))?;
+            let exact = tabled_like_the_walk(&mut carried, &design, &prop, prop.display(m))?;
             let sat = [
                 ("bmc", bmc(m, b, &prop, SAT_BOUND)),
                 ("k-induction", k_induction(m, b, &prop, SAT_BOUND)),
@@ -371,7 +503,7 @@ fn engines_sweep(bytes: &[u8], tally: &mut Tally) -> Result<(), TestCaseError> {
                         kind: ConsequentKind::Any,
                         ..prop.clone()
                     };
-                    if tabled(m, b, r, &antecedent_alone) == CheckResult::Proved {
+                    if carried.tabled(m, b, r, &antecedent_alone) == CheckResult::Proved {
                         tally.vacuous += 1;
                     }
                 }
@@ -486,7 +618,8 @@ fn empty_consequent_lists_mean_what_the_sat_encoding_documents() {
             consequents: Vec::new(),
             kind,
         };
-        let exact = tabled_like_the_walk(&design, &prop, prop.display(m)).unwrap();
+        let exact =
+            tabled_like_the_walk(&mut Carried::default(), &design, &prop, prop.display(m)).unwrap();
         let refuted = bmc(m, b, &prop, 4);
         if violated {
             // Nearest start: one cycle to raise gnt0, then the window.
@@ -582,7 +715,8 @@ fn lane_evaluation_matches_scalar_evaluation_on_the_catalog() {
 
         let succ = r.successors(aig);
         let nodes: Vec<usize> = (0..aig.len()).collect();
-        let obs = r.observations(aig, &nodes);
+        let mut obs = Vec::new();
+        r.observations(aig, &nodes, &mut obs);
         let mut ev = LaneEval::new(aig, r.input_bits);
         let combos = 1usize << r.input_bits;
         assert_eq!(succ.len(), states.len() * combos);

@@ -87,6 +87,8 @@ pub use blast::{blast, Blasted};
 pub use bmc::{bmc, k_induction, Unroller};
 pub use check::{Backend, Checker};
 pub use error::McError;
-pub use explicit::{explicit_check, ExplicitCacheStats, ExplicitLimits, ReachableStates};
+pub use explicit::{
+    explicit_check, ExplicitCacheStats, ExplicitLimits, ExplicitScratch, ReachableStates,
+};
 pub use prop::{BitAtom, CexTrace, CheckResult, ConsequentKind, WindowProperty};
 pub use session::{CheckSession, SessionStats};

@@ -222,25 +222,47 @@ impl CexTrace {
     }
 }
 
-/// Groups per-bit AIG input values into per-signal input vectors.
-///
-/// `bit_of` maps a dense AIG input index to its boolean value.
-pub(crate) fn assemble_input_vector(
-    module: &Module,
-    blasted: &Blasted,
-    bit_of: impl Fn(usize) -> bool,
-) -> InputVector {
-    let mut vec: Vec<(SignalId, Bv)> = module
-        .data_inputs()
-        .into_iter()
-        .map(|s| (s, Bv::zeros(module.signal_width(s))))
-        .collect();
-    for (i, &(sig, bit)) in blasted.input_bits.iter().enumerate() {
-        if let Some(entry) = vec.iter_mut().find(|(s, _)| *s == sig) {
-            entry.1 = entry.1.with_bit(bit, bit_of(i));
-        }
+/// Groups per-bit AIG input values into per-signal input vectors. Built
+/// once per trace: the all-zero vector and each input bit's place in it
+/// are worked out here, so a cycle's vector is one copy of the template
+/// with its bits set.
+pub(crate) struct InputAssembler {
+    /// Every data input at zero, in signal order.
+    zeros: InputVector,
+    /// Per dense AIG input index: the slot of its signal in `zeros` and
+    /// the bit, or `None` when the signal is no data input.
+    slots: Vec<Option<(usize, u32)>>,
+}
+
+impl InputAssembler {
+    pub(crate) fn new(module: &Module, blasted: &Blasted) -> Self {
+        let zeros: InputVector = module
+            .data_inputs()
+            .into_iter()
+            .map(|s| (s, Bv::zeros(module.signal_width(s))))
+            .collect();
+        let slots = (blasted.input_bits.iter())
+            .map(|&(sig, bit)| {
+                zeros
+                    .iter()
+                    .position(|&(s, _)| s == sig)
+                    .map(|at| (at, bit))
+            })
+            .collect();
+        InputAssembler { zeros, slots }
     }
-    vec
+
+    /// One cycle's vector; `bit_of` maps a dense AIG input index to its
+    /// boolean value.
+    pub(crate) fn vector(&self, bit_of: impl Fn(usize) -> bool) -> InputVector {
+        let mut vec = self.zeros.clone();
+        for (i, slot) in self.slots.iter().enumerate() {
+            if let Some((at, bit)) = *slot {
+                vec[at].1 = vec[at].1.with_bit(bit, bit_of(i));
+            }
+        }
+        vec
+    }
 }
 
 /// The result of a model-checking query.

@@ -71,6 +71,7 @@
 use crate::blast::Blasted;
 use crate::bmc::{canonical_cex, PristinePrefixes, Unroller};
 use crate::error::McError;
+use crate::explicit::{ExplicitLimits, ExplicitScratch, ReachableStates};
 use crate::prop::{CexTrace, CheckResult, WindowProperty};
 use gm_rtl::Module;
 use gm_sat::{Lit, SolveResult, SolverStats};
@@ -211,7 +212,9 @@ impl SessionStats {
 /// can contaminate a later one (a unit on a gate output would void the
 /// scoped verdicts: see the solver's contract), and each costs its own
 /// cone, where it is decided and propagated (see the module docs for
-/// which gates a query still adds).
+/// which gates a query still adds). It also owns the
+/// [`ExplicitScratch`] its explicit-state queries are decided on
+/// ([`CheckSession::explicit`]).
 #[derive(Debug)]
 pub struct CheckSession {
     /// The design, and where violated verdicts get their traces (see
@@ -225,6 +228,9 @@ pub struct CheckSession {
     stats: SessionStats,
     /// A base query's assumptions, kept so no query allocates them.
     assumptions: Vec<Lit>,
+    /// Where every explicit-state query is decided (see
+    /// [`CheckSession::explicit`]).
+    explicit: ExplicitScratch,
 }
 
 impl CheckSession {
@@ -244,6 +250,7 @@ impl CheckSession {
             scratch: None,
             stats: SessionStats::default(),
             assumptions: Vec::new(),
+            explicit: ExplicitScratch::default(),
         }
     }
 
@@ -258,24 +265,44 @@ impl CheckSession {
     }
 
     /// Approximate resident size of the session's unrollings (see
-    /// [`Unroller::approx_bytes`]), its extraction scratch included —
-    /// the number a long-lived service weighs when deciding which warm
-    /// design state to evict. The pristine prefixes are billed by
+    /// [`Unroller::approx_bytes`]), its extraction scratch included,
+    /// and of its explicit-state scratch — the number a long-lived
+    /// service weighs when deciding which warm design state to evict.
+    /// The pristine prefixes and the reachable set are billed by
     /// whoever shares them out.
     pub fn approx_bytes(&self) -> usize {
         [&self.base, &self.step, &self.scratch]
             .into_iter()
             .flatten()
             .map(Unroller::approx_bytes)
-            .sum()
+            .sum::<usize>()
+            + self.explicit.approx_bytes()
+    }
+
+    /// Decides `prop` by explicit-state reachability on `reach`, the
+    /// reachable set of this session's design, in the session's
+    /// [`ExplicitScratch`]: the verdict and trace of
+    /// [`crate::explicit_check`], and once the scratch has grown to the
+    /// query, no allocation outside a violated verdict's trace.
+    ///
+    /// # Errors
+    ///
+    /// As [`ExplicitScratch::check`].
+    pub fn explicit(
+        &mut self,
+        module: &Module,
+        reach: &ReachableStates,
+        prop: &WindowProperty,
+        limits: &ExplicitLimits,
+    ) -> Result<CheckResult, McError> {
+        let blasted = self.prefixes.blasted();
+        let res = self.explicit.check(module, blasted, reach, prop, limits)?;
+        self.stats.explicit_queries += 1;
+        Ok(res)
     }
 
     pub(crate) fn note_memo_hits(&mut self, duplicates: u64) {
         self.stats.memo_hits += duplicates;
-    }
-
-    pub(crate) fn note_explicit_query(&mut self) {
-        self.stats.explicit_queries += 1;
     }
 
     pub(crate) fn note_sat_decision(&mut self) {

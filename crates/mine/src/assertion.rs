@@ -9,8 +9,8 @@
 use crate::bits::bit;
 use crate::features::{Feature, MiningSpec, Target};
 use crate::tree::{DecisionTree, LeafStatus};
+use gm_cache::FxMap;
 use gm_rtl::Module;
-use std::collections::HashMap;
 
 /// A mined candidate assertion for one output bit.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -183,11 +183,10 @@ impl Assertion {
 
 /// Extracts the assertion at a (pure) leaf of the tree.
 pub fn assertion_at(tree: &DecisionTree, spec: &MiningSpec, leaf: usize) -> Assertion {
-    let literals = tree
-        .path(leaf)
-        .into_iter()
-        .map(|(f, v)| (spec.features[f], v))
-        .collect();
+    let up = tree.path_up(leaf);
+    let mut literals = Vec::with_capacity(up.clone().count());
+    literals.extend(up.map(|(f, v)| (spec.features[f], v)));
+    literals.reverse();
     Assertion {
         literals,
         target: spec.target,
@@ -237,7 +236,7 @@ struct CubeSet {
 
 impl CubeSet {
     fn new(assertions: &[Assertion], module: &Module) -> CubeSet {
-        let mut index_of: HashMap<Feature, u32> = HashMap::new();
+        let mut index_of: FxMap<Feature, u32> = FxMap::default();
         // `order`, and beside it the value each literal requires.
         let (mut order, mut required) = (Vec::new(), Vec::new());
         let mut starts = vec![0];

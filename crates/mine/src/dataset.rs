@@ -40,8 +40,9 @@ pub struct Row {
     pub target: bool,
 }
 
-/// What one extraction pass added: the indices of the new rows, plus
-/// the number of traces that were too short to yield even one window.
+/// What one extraction pass added: the indices of the new rows — one
+/// contiguous range, since a dataset only appends — plus the number of
+/// traces that were too short to yield even one window.
 ///
 /// The refinement loop treats the two empty cases differently — a
 /// short trace means the stimulus was *dropped* (the engine counts it
@@ -52,7 +53,7 @@ pub struct Row {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExtractedRows {
     /// Indices of the rows added to the dataset.
-    pub rows: Vec<usize>,
+    pub rows: RowRange,
     /// Traces shorter than the window span, which yielded nothing.
     pub short_traces: usize,
 }
@@ -63,10 +64,59 @@ impl ExtractedRows {
         self.rows.is_empty()
     }
 
-    /// Folds another pass's outcome into this one.
+    /// Folds the outcome of the next pass over the same dataset into
+    /// this one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if both added rows and `other`'s do not follow this one's.
     pub fn extend(&mut self, other: ExtractedRows) {
-        self.rows.extend(other.rows);
+        if self.rows.is_empty() {
+            self.rows = other.rows;
+        } else if !other.rows.is_empty() {
+            assert_eq!(self.rows.end, other.rows.start, "rows of one dataset");
+            self.rows.end = other.rows.end;
+        }
         self.short_traces += other.short_traces;
+    }
+}
+
+/// A contiguous range of row indices: what one or more extraction
+/// passes over one dataset added. A reference iterates as the indices
+/// (what [`crate::DecisionTree::add_rows`] takes), and the range
+/// compares equal to a list of them.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RowRange {
+    /// The first row.
+    pub start: usize,
+    /// One past the last row.
+    pub end: usize,
+}
+
+impl RowRange {
+    /// The number of rows.
+    pub fn len(&self) -> usize {
+        self.end - self.start
+    }
+
+    /// Whether the range holds no row.
+    pub fn is_empty(&self) -> bool {
+        self.start == self.end
+    }
+}
+
+impl IntoIterator for &RowRange {
+    type Item = usize;
+    type IntoIter = std::ops::Range<usize>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.start..self.end
+    }
+}
+
+impl PartialEq<Vec<usize>> for RowRange {
+    fn eq(&self, rows: &Vec<usize>) -> bool {
+        self.into_iter().eq(rows.iter().copied())
     }
 }
 
@@ -378,7 +428,10 @@ impl Dataset {
                 self.future_end.push(self.futures.len());
             }
         }
-        out.rows = (first..self.len()).collect();
+        out.rows = RowRange {
+            start: first,
+            end: self.len(),
+        };
         out
     }
 

@@ -27,7 +27,8 @@
 //! pinned bit for bit (see the module docs of `tree.rs` for the order
 //! contract, `tests/fit_identity.rs` for the goldens). The work is
 //! visible to the flight recorder as `mine.extract`, `mine.fit`,
-//! `mine.absorb` (opened by the engine, one per absorbed trace) and
+//! `mine.absorb` (opened by the engine, one per pass of absorbed
+//! traces) and
 //! `mine.candidates`.
 
 #![warn(missing_docs)]
@@ -43,7 +44,7 @@ pub use assertion::{
     assertion_at, input_space_coverage, input_space_overlap, open_candidates, proved_assertions,
     Assertion,
 };
-pub use dataset::{Dataset, ExtractedRows, Row};
+pub use dataset::{Dataset, ExtractedRows, Row, RowRange};
 pub use features::{Feature, MiningSpec, Target};
 pub use temporal::{temporal_candidates, TemporalAssertion, TemporalTemplate};
 pub use tree::{DecisionTree, LeafStatus, MineError, Node};

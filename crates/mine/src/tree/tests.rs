@@ -66,7 +66,7 @@ fn stale_leaf_ids_are_rejected_after_resplit() {
         features: vec![true, true],
         target: false,
     });
-    assert_eq!(tree.add_rows(&ds, &[cex]), Ok(1));
+    assert_eq!(tree.add_rows(&ds, [cex]), Ok(1));
 
     // The id still names a node — but not a leaf, and not the cube
     // it used to be: treating it as one would check a strictly
@@ -139,7 +139,7 @@ fn incremental_add_preserves_structure_and_resplits_leaf() {
         features: vec![true, false],
         target: false,
     });
-    tree.add_rows(&ds, &[2]).unwrap();
+    tree.add_rows(&ds, [2]).unwrap();
     assert_eq!(
         tree.leaf_status(zero_leaf),
         LeafStatus::Proved,
