@@ -133,7 +133,8 @@ impl RefineConfig {
     }
 }
 
-/// Which output bits to mine.
+/// Which output bits to mine. A bit the selection names more than once
+/// is mined once, in the place it is first named.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub enum TargetSelection {
     /// Every bit of every primary output.
@@ -162,8 +163,10 @@ pub struct EngineConfig {
     pub unknown: UnknownPolicy,
     /// Target outputs.
     pub targets: TargetSelection,
-    /// How each iteration's deduped verification worklists (window and
-    /// temporal) are split across concurrent verification sessions.
+    /// How each iteration's verification worklists (window and
+    /// temporal; neither holds a property twice, since targets are
+    /// distinct bits and leaves distinct paths) are split across
+    /// concurrent verification sessions.
     /// Results are identical for every policy — see [`ShardPolicy`].
     pub shards: ShardPolicy,
     /// Record per-iteration coverage of the accumulated suite. The

@@ -8,13 +8,14 @@
 //!    build its feature space;
 //! 3. **A-Miner** — fit one incremental decision tree per output bit;
 //! 4. **Formal verification** — collect every 100%-confidence candidate
-//!    across all targets into one worklist, dedupe identical properties
-//!    (distinct target bits often mine the same implication), and
-//!    dispatch the whole batch through the checker's persistent
-//!    verification session ([`gm_mc::Checker::check_batch`]): one shared
-//!    unrolling per iteration. Proved leaves freeze, refuted ones yield
+//!    across all targets into one worklist and dispatch the whole batch
+//!    through the checker's persistent verification session
+//!    ([`gm_mc::Checker::check_batch`]): one shared unrolling per
+//!    iteration. Proved leaves freeze, refuted ones yield
 //!    counterexample traces, and a property left open on an `Unknown`
-//!    verdict is remembered, so no decided property is asked again;
+//!    verdict is remembered, so no decided property is asked again. The
+//!    temporal pass decides the leaves' temporal templates through the
+//!    same batch routine;
 //! 5. **Ctx_simulation** — move the iteration's counterexamples into
 //!    the test suite, replay them from reset as one batch
 //!    ([`gm_sim::Replay`]) with the run's coverage suite observing,
@@ -32,8 +33,11 @@
 //! Each [`IterationReport`] carries the verification session's stats
 //! delta ([`gm_mc::SessionStats`]): queries by engine, solver
 //! conflicts/propagations, and unrolling frames reused. Its `memo_hits`
-//! (in-batch duplicates) stays 0: the engine dedupes every batch itself
-//! (`tests/no_repeated_queries.rs`).
+//! (in-batch duplicates) stays 0: the engine never hands the checker a
+//! duplicate (`tests/no_repeated_queries.rs`) — targets are distinct
+//! bits and a consequent names its target's bit, a tree's leaves are
+//! distinct paths, and a decided property that would be proposed again
+//! is remembered.
 //!
 //! ## What an iteration costs
 //!
@@ -71,7 +75,7 @@
 //! ## Sharded verification and the determinism contract
 //!
 //! The verification step is embarrassingly parallel across the
-//! deduped worklist, and [`crate::ShardPolicy`] splits it across a pool
+//! worklist, and [`crate::ShardPolicy`] splits it across a pool
 //! of persistent shard sessions (one scoped worker thread each, all
 //! over the same bit-blasted design — blasting happens once per run).
 //! The shard lifecycle: sessions are created lazily on the first
@@ -96,12 +100,12 @@
 use crate::config::{EngineConfig, SeedStimulus, TargetSelection, UnknownPolicy};
 use crate::error::EngineError;
 use crate::report::{ClosureOutcome, IterTiming, IterationReport, TargetSummary};
-use gm_cache::{FxMap, FxSet};
+use gm_cache::FxSet;
 use gm_coverage::{CoverageSuite, GainObserver, UncoveredIndex};
 use gm_mc::{BitAtom, CheckResult, Checker, ConsequentKind, McError, SessionStats, WindowProperty};
 use gm_mine::{
     assertion_at, input_space_coverage, temporal_candidates, Assertion, Dataset, DecisionTree,
-    MiningSpec, TemporalAssertion, TemporalTemplate,
+    MiningSpec, TemporalTemplate,
 };
 use gm_rtl::{cone_of, elaborate, Module, SignalId};
 use gm_sim::{
@@ -111,25 +115,12 @@ use gm_sim::{
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
-/// Converts a mined assertion into the model checker's property form.
+/// Converts a mined assertion into the model checker's property form:
+/// the value demanded at every consequent offset
+/// ([`ConsequentKind::All`]), or at *some* offset for a bounded
+/// eventuality ([`ConsequentKind::Any`]). A point consequent — `Now` or
+/// `Next` — is one atom, which [`WindowProperty::new`] stores as `Any`.
 pub fn assertion_property(a: &Assertion) -> WindowProperty {
-    WindowProperty::implication(
-        a.literals
-            .iter()
-            .map(|(f, v)| BitAtom::new(f.signal, f.bit, f.offset, *v))
-            .collect(),
-        BitAtom::new(a.target.signal, a.target.bit, a.target.offset, a.value),
-    )
-}
-
-/// Converts a mined temporal assertion into the model checker's
-/// property form: `Next`/`Stability` templates demand the value at
-/// every consequent offset (conjunctive, [`ConsequentKind::All`]),
-/// bounded eventuality demands it at *some* offset (disjunctive,
-/// [`ConsequentKind::Any`]). A `Next` template's one consequent is
-/// built through [`WindowProperty::new`], so it is the same property —
-/// `Any` of one atom — as a combinational assertion over the same atoms.
-pub fn temporal_property(a: &TemporalAssertion) -> WindowProperty {
     let antecedent = a
         .literals
         .iter()
@@ -141,9 +132,23 @@ pub fn temporal_property(a: &TemporalAssertion) -> WindowProperty {
         .collect();
     let kind = match a.template {
         TemporalTemplate::Eventually { .. } => ConsequentKind::Any,
-        TemporalTemplate::Next { .. } | TemporalTemplate::Stability { .. } => ConsequentKind::All,
+        TemporalTemplate::Now
+        | TemporalTemplate::Next { .. }
+        | TemporalTemplate::Stability { .. } => ConsequentKind::All,
     };
     WindowProperty::new(antecedent, consequents, kind)
+}
+
+/// An iteration's two decision passes. They share one batch routine
+/// ([`Engine::decide`]) and differ in where their candidates come from
+/// and in what a verdict files.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Pass {
+    /// The trees' pure open leaves; a verdict files the leaf's status.
+    Window,
+    /// The leaves' temporal templates; a verdict files the run's
+    /// temporal list.
+    Temporal,
 }
 
 /// Per-iteration progress counters produced by one `iteration_pass`.
@@ -178,7 +183,7 @@ struct TargetState {
     /// The proved leaves in ascending node order — node indices are
     /// stable and a proved leaf never splits, so the list only grows —
     /// and, index for index, their assertions: what
-    /// [`gm_mine::proved_assertions`] would re-derive from the tree.
+    /// [`gm_mine::assertion_at`] would re-derive from each leaf.
     proved_leaves: Vec<usize>,
     proved: Vec<Assertion>,
     /// This target's input-space coverage term, and whether `proved`
@@ -308,17 +313,14 @@ pub struct Engine<'m> {
     /// Cumulative `(target, trace)` pairs dropped as too short to mine
     /// (see [`IterationReport::short_traces`]).
     short_traces: usize,
-    /// Temporal properties already decided this run, so a candidate the
-    /// tree keeps re-proposing is dispatched (and its counterexample
-    /// absorbed) exactly once.
-    temporal_decided: FxSet<WindowProperty>,
-    /// Window properties left open on an `Unknown` verdict under
-    /// [`UnknownPolicy::LeaveOpen`]. Their leaves stay open and pure, so
-    /// the trees keep proposing them; the verdict is deterministic, so
-    /// they are dropped from the worklist instead of being decided again.
-    window_unknown: FxSet<WindowProperty>,
+    /// Decided properties whose candidates the trees keep proposing: a
+    /// window leaf left open on an `Unknown` verdict under
+    /// [`UnknownPolicy::LeaveOpen`], and every temporal candidate (its
+    /// verdict never touches the leaf). Verdicts are deterministic, so
+    /// each is dispatched, and its counterexample absorbed, once.
+    decided: FxSet<WindowProperty>,
     /// Proved (or assumed-true) temporal assertions, in decision order.
-    temporal_proved: Vec<TemporalAssertion>,
+    temporal_proved: Vec<Assertion>,
     /// The uncovered-point index of the latest coverage snapshot, kept
     /// for the refinement pass's gain ranking (only populated when
     /// refinement is enabled).
@@ -404,8 +406,12 @@ impl<'m> Engine<'m> {
                 .collect(),
             TargetSelection::Bits(bits) => bits.clone(),
         };
+        // Each bit is mined once, where the list first names it: a
+        // repeat would grow the same tree again and propose every
+        // property twice.
+        let mut listed = FxSet::default();
+        let target_bits = target_bits.into_iter().filter(|&bit| listed.insert(bit));
         let targets = target_bits
-            .into_iter()
             .map(|(signal, bit)| {
                 let cone = cone_of(module, elab, signal);
                 let spec = MiningSpec::for_output(module, elab, &cone, bit, config.window);
@@ -448,8 +454,7 @@ impl<'m> Engine<'m> {
             compiled,
             cancel: None,
             short_traces: 0,
-            temporal_decided: FxSet::default(),
-            window_unknown: FxSet::default(),
+            decided: FxSet::default(),
             temporal_proved: Vec::new(),
             last_uncovered: None,
             history: Vec::new(),
@@ -782,12 +787,24 @@ impl<'m> Engine<'m> {
         worklist
     }
 
-    /// One verification pass over all open candidates (the §7
-    /// optimization the paper describes): the whole worklist becomes one
-    /// deduped property batch dispatched through the checker's shared
-    /// verification session, and every counterexample trace is absorbed
-    /// in bulk afterwards. The temporal and refinement passes follow
-    /// when enabled.
+    /// The temporal pass's candidates: every live target's temporal
+    /// templates ([`temporal_candidates`]), target-major and in the
+    /// miner's leaf order.
+    fn temporal_worklist(&self) -> Vec<(usize, usize, Assertion)> {
+        let live = (self.targets.iter().enumerate()).filter(|(_, t)| t.stuck.is_none());
+        live.flat_map(|(ti, t)| {
+            let candidates = temporal_candidates(&t.tree, &t.spec, &t.dataset).into_iter();
+            candidates.map(move |(leaf, assertion)| (ti, leaf, assertion))
+        })
+        .collect()
+    }
+
+    /// One iteration's passes. The window pass decides every open
+    /// candidate as one property batch through the checker's shared
+    /// verification session (the §7 optimization the paper describes);
+    /// the temporal pass decides the leaves' temporal templates the same
+    /// way ([`Engine::decide`]), and the refinement pass follows when
+    /// enabled.
     fn iteration_pass(&mut self, iteration: u32) -> Result<PassCounts, EngineError> {
         // The counterexamples this iteration discovers are moved into
         // the suite, in decision order, from here on: the refinement
@@ -796,14 +813,19 @@ impl<'m> Engine<'m> {
         let first_cex = self.suite.len();
         let verify_start = std::time::Instant::now();
         let mut verify_span = gm_trace::span("engine", "engine.verify");
-        let mut counts = self.window_pass(iteration)?;
-        verify_span.arg("refuted", counts.refuted);
+        let (_, refuted) = self.decide(Pass::Window, iteration, self.open_candidates())?;
+        verify_span.arg("refuted", refuted);
         drop(verify_span);
+        let mut counts = PassCounts {
+            refuted,
+            ..PassCounts::default()
+        };
         counts.timing.verify_ns = verify_start.elapsed().as_nanos() as u64;
         if self.config.temporal.enabled() {
             let temporal_start = std::time::Instant::now();
             let mut span = gm_trace::span("engine", "engine.temporal");
-            let (dispatched, refuted) = self.temporal_pass(iteration)?;
+            let candidates = self.temporal_worklist();
+            let (dispatched, refuted) = self.decide(Pass::Temporal, iteration, candidates)?;
             span.arg("candidates", dispatched);
             span.arg("refuted", refuted);
             drop(span);
@@ -822,145 +844,77 @@ impl<'m> Engine<'m> {
         Ok(counts)
     }
 
-    /// The combinational pass (see [`Engine::iteration_pass`]).
-    fn window_pass(&mut self, iteration: u32) -> Result<PassCounts, EngineError> {
-        let candidates = self.open_candidates();
-        let mut worklist = Vec::with_capacity(candidates.len());
+    /// Decides one pass's `(target, leaf, assertion)` candidates as one
+    /// batch: drops those whose property is remembered as decided,
+    /// dispatches the rest, files each verdict, pushes the
+    /// counterexamples as `cex-*` (`tcex-*`) segments in decision order
+    /// and absorbs them. Returns `(dispatched, refuted)`.
+    ///
+    /// A window verdict files the leaf's status: proved (or assumed
+    /// true) leaves freeze, refuted ones re-split on their
+    /// counterexample, and one left open on `Unknown` is remembered. A
+    /// temporal verdict never touches the leaf — a refuted stability
+    /// window says nothing about the leaf's single-cycle implication —
+    /// so a proved one joins the run's temporal list and every one is
+    /// remembered, which is also what makes the temporal pass converge.
+    /// The two passes never remember each other's properties: a window
+    /// property has one consequent, at the target offset, and a temporal
+    /// one a later offset or several.
+    ///
+    /// The batch holds no duplicate, so nothing is deduped here: targets
+    /// are distinct bits and a consequent names its target's bit, and a
+    /// tree's leaves are distinct paths.
+    fn decide(
+        &mut self,
+        pass: Pass,
+        iteration: u32,
+        candidates: Vec<(usize, usize, Assertion)>,
+    ) -> Result<(usize, usize), EngineError> {
+        let mut batch = Vec::with_capacity(candidates.len());
         let mut props = Vec::with_capacity(candidates.len());
         for (ti, leaf, assertion) in candidates {
             let prop = assertion_property(&assertion);
-            if !self.window_unknown.contains(&prop) {
-                worklist.push((ti, leaf, assertion));
+            if !self.decided.contains(&prop) {
+                batch.push((ti, leaf, assertion));
                 props.push(prop);
             }
         }
-        // Dedupe identical properties across targets: distinct target
-        // bits often mine the same implication, which must cost one
-        // query, not one per leaf. `slot[i]` is which distinct property
-        // worklist entry `i` asks; first occurrences move into the
-        // batch, and nothing is cloned.
-        let mut index_of: FxMap<&WindowProperty, usize> =
-            FxMap::with_capacity_and_hasher(props.len(), Default::default());
-        let mut first = vec![false; props.len()];
-        let slot: Vec<usize> = (props.iter().enumerate())
-            .map(|(i, prop)| {
-                let next = index_of.len();
-                *index_of.entry(prop).or_insert_with(|| {
-                    first[i] = true;
-                    next
-                })
-            })
-            .collect();
-        let unique: Vec<WindowProperty> = (props.into_iter().zip(first))
-            .filter_map(|(prop, first)| first.then_some(prop))
-            .collect();
-        // One batched dispatch for the whole iteration, split across the
-        // configured shard sessions (identical results either way — see
-        // the module docs' determinism contract).
-        let results = self.checker.check_batch(&unique)?;
-        // Every leaf takes its property's verdict; a proved (or assumed)
-        // one files the assertion its candidate was built with.
+        // One dispatch for the whole pass, split across the configured
+        // shard sessions (identical results either way — see the module
+        // docs' determinism contract).
+        let (results, prefix) = match pass {
+            Pass::Window => (self.checker.check_batch(&props)?, "cex"),
+            Pass::Temporal => (self.checker.check_temporal_batch(&props)?, "tcex"),
+        };
+        let dispatched = props.len();
         let mut refuted = 0usize;
-        for ((ti, leaf, assertion), &u) in worklist.into_iter().zip(&slot) {
-            match results[u] {
-                CheckResult::Proved => self.targets[ti].set_proved(leaf, assertion),
-                CheckResult::Violated(_) => refuted += 1,
-                CheckResult::Unknown { .. } => {
-                    if self.config.unknown == UnknownPolicy::AssumeTrue {
-                        self.unknown_assumed += 1;
-                        self.targets[ti].set_proved(leaf, assertion);
-                    }
-                }
-            }
-        }
-        let mut cex_count = 0usize;
-        for (prop, res) in unique.into_iter().zip(results) {
-            match res {
+        for (((ti, leaf, assertion), prop), result) in batch.into_iter().zip(props).zip(results) {
+            let (holds, open) = match result {
+                CheckResult::Proved => (true, false),
                 CheckResult::Violated(cex) => {
-                    cex_count += 1;
-                    let label = format!("cex-{iteration}-{cex_count}");
-                    self.suite.push(label, cex.inputs);
+                    refuted += 1;
+                    self.suite
+                        .push(format!("{prefix}-{iteration}-{refuted}"), cex.inputs);
+                    (false, false)
                 }
-                CheckResult::Unknown { .. } if self.config.unknown == UnknownPolicy::LeaveOpen => {
-                    self.window_unknown.insert(prop);
+                CheckResult::Unknown { .. } => {
+                    let assume = self.config.unknown == UnknownPolicy::AssumeTrue;
+                    self.unknown_assumed += usize::from(assume);
+                    (assume, !assume)
                 }
+            };
+            match pass {
+                Pass::Window if holds => self.targets[ti].set_proved(leaf, assertion),
+                Pass::Temporal if holds => self.temporal_proved.push(assertion),
                 _ => {}
             }
-        }
-        self.absorb_suite_tail(cex_count)?;
-        Ok(PassCounts {
-            refuted,
-            ..PassCounts::default()
-        })
-    }
-
-    /// One temporal-template pass: collect the undecided temporal
-    /// candidates across all targets (deduped by property), dispatch
-    /// them as one [`Checker::check_temporal_batch`], accumulate proved
-    /// ones into the run's temporal assertion list, and absorb refuted
-    /// ones' counterexamples as `tcex-*` segments. Returns
-    /// `(dispatched, refuted)`.
-    ///
-    /// Unlike combinational candidates, temporal verdicts never touch
-    /// leaf statuses — a refuted stability window says nothing about
-    /// the leaf's single-cycle implication. Decided properties are
-    /// remembered so a candidate the (stable) leaf keeps re-proposing
-    /// costs one query and one counterexample total, which also
-    /// guarantees the pass converges.
-    fn temporal_pass(&mut self, iteration: u32) -> Result<(usize, usize), EngineError> {
-        let mut undecided: Vec<(WindowProperty, TemporalAssertion)> = Vec::new();
-        for t in &self.targets {
-            if t.stuck.is_some() {
-                continue;
-            }
-            for (_leaf, ta) in temporal_candidates(&t.tree, &t.spec, &t.dataset) {
-                let prop = temporal_property(&ta);
-                if !self.temporal_decided.contains(&prop) {
-                    undecided.push((prop, ta));
-                }
+            if open || pass == Pass::Temporal {
+                self.decided.insert(prop);
             }
         }
-        // First occurrences move into the batch; nothing is cloned.
-        let mut seen: FxSet<&WindowProperty> = FxSet::default();
-        let first: Vec<bool> = undecided
-            .iter()
-            .map(|(prop, _)| seen.insert(prop))
-            .collect();
-        let (unique, mined): (Vec<WindowProperty>, Vec<TemporalAssertion>) =
-            (undecided.into_iter().zip(first))
-                .filter_map(|(candidate, first)| first.then_some(candidate))
-                .unzip();
-        let dispatched = unique.len();
-        let results = self.checker.check_temporal_batch(&unique)?;
-        let mut refuted = 0usize;
-        let mut tcex_count = 0usize;
-        for ((prop, ta), res) in unique.into_iter().zip(mined).zip(results) {
-            match res {
-                CheckResult::Proved => {
-                    self.temporal_decided.insert(prop);
-                    self.temporal_proved.push(ta);
-                }
-                CheckResult::Violated(cex) => {
-                    self.temporal_decided.insert(prop);
-                    refuted += 1;
-                    tcex_count += 1;
-                    let label = format!("tcex-{iteration}-{tcex_count}");
-                    self.suite.push(label, cex.inputs);
-                }
-                CheckResult::Unknown { .. } => {
-                    // Decided either way: the verdict is deterministic,
-                    // so re-asking next iteration cannot improve it.
-                    self.temporal_decided.insert(prop);
-                    if self.config.unknown == UnknownPolicy::AssumeTrue {
-                        self.unknown_assumed += 1;
-                        self.temporal_proved.push(ta);
-                    }
-                }
-            }
-        }
-        // Simulation never depended on absorption, so the `tcex-*`
-        // segments replay together and are absorbed in decision order.
-        self.absorb_suite_tail(tcex_count)?;
+        // Simulation never depended on absorption, so the segments
+        // replay together and are absorbed in decision order.
+        self.absorb_suite_tail(refuted)?;
         Ok((dispatched, refuted))
     }
 

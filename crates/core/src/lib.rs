@@ -41,7 +41,7 @@ pub use config::{
     EngineConfig, RefineConfig, SeedStimulus, ShardPolicy, TargetSelection, TemporalConfig,
     UnknownPolicy,
 };
-pub use engine::{assertion_property, temporal_property, Engine, Step, StopReason};
+pub use engine::{assertion_property, Engine, Step, StopReason};
 pub use error::EngineError;
 pub use gm_sim::{CompiledModule, SimBackend, MAX_LANE_BLOCK};
 pub use mutation::{check_fault, fault_campaign, suite_detects_fault, FaultKind, FaultReport};

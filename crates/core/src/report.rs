@@ -2,7 +2,7 @@
 
 use gm_coverage::CoverageReport;
 use gm_mc::SessionStats;
-use gm_mine::{Assertion, MineError, TemporalAssertion};
+use gm_mine::{Assertion, MineError};
 use gm_rtl::SignalId;
 use gm_sim::TestSuite;
 
@@ -96,7 +96,7 @@ pub struct IterationReport {
     /// Verification-session work done during this iteration: queries by
     /// engine, solver conflicts/propagations, unrolling frames encoded
     /// vs reused (`memo_hits`, the checker's in-batch duplicates, is 0:
-    /// the engine dedupes its batches).
+    /// the engine never hands the checker a duplicate).
     pub verification: SessionStats,
     /// Wall-clock phase breakdown of this iteration (excluded from
     /// `Debug`/`PartialEq`; see [`IterTiming`]).
@@ -170,12 +170,13 @@ pub struct ClosureOutcome {
     pub converged: bool,
     /// Per-iteration progress, starting at iteration 0.
     pub iterations: Vec<IterationReport>,
-    /// All proved assertions across targets.
+    /// All proved leaves' assertions across targets, target by target
+    /// in ascending leaf order.
     pub assertions: Vec<Assertion>,
     /// Proved (or assumed-true) temporal assertions, in the
     /// deterministic order they were decided. Empty unless
     /// [`crate::TemporalConfig`] enables temporal mining.
-    pub temporal: Vec<TemporalAssertion>,
+    pub temporal: Vec<Assertion>,
     /// The accumulated validation stimulus: seed patterns plus one
     /// segment per counterexample.
     pub suite: TestSuite,

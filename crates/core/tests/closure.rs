@@ -345,3 +345,39 @@ fn closure_outcomes_byte_identical_across_sim_backends() {
         }
     }
 }
+
+#[test]
+fn a_repeated_target_is_mined_once_where_first_named() {
+    // A target listed twice would grow the same tree twice and file
+    // every proved assertion twice; the engine mines each bit once, in
+    // the place the list first names it, so the outcome is the
+    // single-listing one byte for byte.
+    let m = parse_verilog(ARBITER2).unwrap();
+    let gnt0 = m.require("gnt0").unwrap();
+    let gnt1 = m.require("gnt1").unwrap();
+    let run = |targets| {
+        let config = EngineConfig {
+            targets,
+            stimulus: SeedStimulus::Random { cycles: 32 },
+            ..EngineConfig::default()
+        };
+        format!("{:?}", Engine::new(&m, config).unwrap().run().unwrap())
+    };
+    for (repeated, single) in [
+        (
+            TargetSelection::Bits(vec![(gnt0, 0), (gnt0, 0)]),
+            TargetSelection::Bits(vec![(gnt0, 0)]),
+        ),
+        (
+            TargetSelection::Bits(vec![(gnt0, 0), (gnt1, 0), (gnt0, 0)]),
+            TargetSelection::Bits(vec![(gnt0, 0), (gnt1, 0)]),
+        ),
+        (
+            TargetSelection::Signals(vec![gnt0, gnt1, gnt0]),
+            TargetSelection::Signals(vec![gnt0, gnt1]),
+        ),
+    ] {
+        let label = format!("{repeated:?}");
+        assert_eq!(run(repeated), run(single), "{label}");
+    }
+}

@@ -16,8 +16,7 @@
 //!   then every later segment absorbed in suite order — what the engine
 //!   did, without any of its state), and `outcome.assertions` is, target
 //!   by target, the proved leaves' assertions in ascending leaf order —
-//!   what `gm_mine::proved_assertions` gave when it was asked at the
-//!   end;
+//!   `gm_mine::assertion_at` of each proved leaf, asked at the end;
 //! * the final `input_space_coverage` is `gm_mine::input_space_coverage`
 //!   of each target's assertions, averaged in target order, bit for bit;
 //! * Σ `new_segments` over the recorded `engine.coverage` spans equals

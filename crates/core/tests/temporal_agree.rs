@@ -5,7 +5,9 @@
 
 use gm_mc::{Backend, CheckResult, Checker};
 use gm_rtl::parse_verilog;
-use goldmine::{temporal_property, Engine, EngineConfig, SeedStimulus, SimBackend, TemporalConfig};
+use goldmine::{
+    assertion_property, Engine, EngineConfig, SeedStimulus, SimBackend, TemporalConfig,
+};
 
 /// A sticky bit: once `set` pulses, `q` holds 1 forever — the cleanest
 /// source of provable stability windows (`set |-> q & Xq & XXq`).
@@ -74,7 +76,7 @@ fn proved_temporal_assertions_reverify_on_a_fresh_checker() {
             .unwrap()
             .with_backend(Backend::KInduction { max_k: 8 });
         for a in &outcome.temporal {
-            let prop = temporal_property(a);
+            let prop = assertion_property(a);
             let res = checker.check_batch(std::slice::from_ref(&prop)).unwrap();
             assert_eq!(
                 res,

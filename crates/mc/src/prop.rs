@@ -96,8 +96,11 @@ pub enum ConsequentKind {
 /// };
 /// ```
 ///
-/// Hashable so batch checkers can dedupe properties (distinct mining
-/// targets often produce the same implication).
+/// Hashable so a batch checker can dedupe its batch and a caller can
+/// remember what it has decided. The closure engine never hands the
+/// checker a duplicate: its targets are distinct bits and a consequent
+/// names its target's bit, a tree's leaves are distinct paths, and a
+/// decided property that would be proposed again is remembered.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub struct WindowProperty {

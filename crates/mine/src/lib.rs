@@ -16,8 +16,10 @@
 //!   only the refuted leaf while everything above is preserved
 //!   (Definition 6). It fits on a scratch permutation of the packed
 //!   rows, counting every feature in one bit-sliced pass per node;
-//! * [`Assertion`] renders leaves in LTL / SVA form and carries the
-//!   paper's `2^-depth` input-space accounting;
+//! * [`Assertion`] is a leaf's path implying the target value, at the
+//!   target cycle or in a temporal shape ([`TemporalTemplate`]); it
+//!   renders in LTL / PSL / SVA form, and [`input_space_coverage`] is
+//!   the paper's input-space accounting of a proved set;
 //! * [`temporal_candidates`] proposes next / eventually / stability
 //!   templates from a leaf's recorded lookahead.
 //!
@@ -40,11 +42,8 @@ mod features;
 mod temporal;
 mod tree;
 
-pub use assertion::{
-    assertion_at, input_space_coverage, input_space_overlap, open_candidates, proved_assertions,
-    Assertion,
-};
+pub use assertion::{assertion_at, input_space_coverage, Assertion, TemporalTemplate};
 pub use dataset::{Dataset, ExtractedRows, Row, RowRange};
 pub use features::{Feature, MiningSpec, Target};
-pub use temporal::{temporal_candidates, TemporalAssertion, TemporalTemplate};
+pub use temporal::temporal_candidates;
 pub use tree::{DecisionTree, LeafStatus, MineError, Node};

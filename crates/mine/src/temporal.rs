@@ -13,155 +13,14 @@
 //!   holds for the next `k` cycles.
 //!
 //! Candidates are proposed from the per-row lookahead a
-//! [`Dataset::with_horizon`] records (no re-simulation), rendered in
-//! LTL / PSL / SVA like combinational assertions, and checked by the
-//! BMC / k-induction backend as bounded safety properties.
+//! [`Dataset::with_horizon`] records (no re-simulation). Each is the
+//! leaf's [`Assertion`] with a temporal [`TemporalTemplate`], rendered
+//! and model-checked like a combinational one.
 
-use crate::assertion::{atom_name, ltl_antecedent, psl_antecedent, sva_antecedent, sva_clock};
+use crate::assertion::{assertion_at, Assertion, TemporalTemplate};
 use crate::dataset::Dataset;
-use crate::features::{Feature, MiningSpec, Target};
+use crate::features::MiningSpec;
 use crate::tree::DecisionTree;
-use gm_rtl::Module;
-
-/// The temporal shape of a mined assertion, relative to the target's
-/// window offset `d`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum TemporalTemplate {
-    /// `a -> X^shift b`: the value is implied `shift` cycles after the
-    /// target cycle (`shift >= 1`).
-    Next {
-        /// Cycles past the target cycle.
-        shift: u32,
-    },
-    /// `a -> F<=bound b`: the value is reached at the target cycle or
-    /// within `bound` cycles after it (`bound >= 1`).
-    Eventually {
-        /// The eventuality window length.
-        bound: u32,
-    },
-    /// `a -> G<=bound b`: the value holds at the target cycle and for
-    /// `bound` cycles after it (`bound >= 1`).
-    Stability {
-        /// The stability window length.
-        bound: u32,
-    },
-}
-
-/// A mined temporal candidate assertion for one output bit.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct TemporalAssertion {
-    /// Path literals: feature and required value, in root-to-leaf order.
-    pub literals: Vec<(Feature, bool)>,
-    /// The implied target.
-    pub target: Target,
-    /// The implied target value.
-    pub value: bool,
-    /// The temporal shape.
-    pub template: TemporalTemplate,
-}
-
-impl TemporalAssertion {
-    /// The cycle offsets (relative to the window start) the consequent
-    /// ranges over.
-    pub fn consequent_offsets(&self) -> std::ops::RangeInclusive<u32> {
-        let d = self.target.offset;
-        match self.template {
-            TemporalTemplate::Next { shift } => (d + shift)..=(d + shift),
-            TemporalTemplate::Eventually { bound } | TemporalTemplate::Stability { bound } => {
-                d..=(d + bound)
-            }
-        }
-    }
-
-    /// Renders the assertion in bounded-LTL notation:
-    /// `ant => X^d F<=k cons` / `X^d G<=k cons` / `X^(d+j) cons`.
-    pub fn to_ltl(&self, module: &Module) -> String {
-        let ant = ltl_antecedent(&self.literals, module);
-        let name = atom_name(module, self.target.signal, self.target.bit);
-        let lit = format!("{}{}", if self.value { "" } else { "!" }, name);
-        let cons = match self.template {
-            TemporalTemplate::Next { shift } => {
-                let x = "X ".repeat((self.target.offset + shift) as usize);
-                format!("{x}{lit}")
-            }
-            TemporalTemplate::Eventually { bound } => {
-                let x = "X ".repeat(self.target.offset as usize);
-                format!("{x}F<={bound} {lit}")
-            }
-            TemporalTemplate::Stability { bound } => {
-                let x = "X ".repeat(self.target.offset as usize);
-                format!("{x}G<={bound} {lit}")
-            }
-        };
-        format!("{ant} => {cons}")
-    }
-
-    /// Renders the assertion as a PSL property, using `next[j]` /
-    /// `next_e[d..e]` (exists) / `next_a[d..e]` (all) operators.
-    pub fn to_psl(&self, module: &Module) -> String {
-        let ant = psl_antecedent(&self.literals, module);
-        let name = atom_name(module, self.target.signal, self.target.bit);
-        let lit = format!("{}{}", if self.value { "" } else { "!" }, name);
-        let d = self.target.offset;
-        let cons = match self.template {
-            TemporalTemplate::Next { shift } => format!("next[{}] ({lit})", d + shift),
-            TemporalTemplate::Eventually { bound } => {
-                format!("next_e[{d}..{}] ({lit})", d + bound)
-            }
-            TemporalTemplate::Stability { bound } => {
-                format!("next_a[{d}..{}] ({lit})", d + bound)
-            }
-        };
-        format!("always (({ant}) -> {cons});")
-    }
-
-    /// Renders the assertion as a SystemVerilog property: `##[d:e]`
-    /// delay ranges for eventualities, `[*n]` consecutive repetition
-    /// for stability windows.
-    pub fn to_sva(&self, module: &Module) -> String {
-        let (seq, last_offset) = sva_antecedent(&self.literals, module);
-        let clock = sva_clock(module);
-        let name = atom_name(module, self.target.signal, self.target.bit);
-        let lit = format!("{}{}", if self.value { "" } else { "!" }, name);
-        let d = self.target.offset;
-        let cons = match self.template {
-            TemporalTemplate::Next { shift } => {
-                let delay = (d + shift).saturating_sub(last_offset);
-                format!("##{delay} {lit}")
-            }
-            TemporalTemplate::Eventually { bound } => {
-                let lo = d.saturating_sub(last_offset);
-                format!("##[{lo}:{}] {lit}", lo + bound)
-            }
-            TemporalTemplate::Stability { bound } => {
-                let delay = d.saturating_sub(last_offset);
-                format!("##{delay} {lit} [*{}]", bound + 1)
-            }
-        };
-        format!("@(posedge {clock}) {seq} |-> {cons};")
-    }
-}
-
-/// Builds the temporal assertion at one leaf with the given template.
-fn assertion_with(
-    tree: &DecisionTree,
-    spec: &MiningSpec,
-    leaf: usize,
-    value: bool,
-    template: TemporalTemplate,
-) -> TemporalAssertion {
-    let literals = tree
-        .path(leaf)
-        .into_iter()
-        .map(|(f, v)| (spec.features[f], v))
-        .collect();
-    TemporalAssertion {
-        literals,
-        target: spec.target,
-        value,
-        template,
-    }
-}
 
 /// Whether every row in `rows` has a *conclusive* value `shift` cycles
 /// past its target cycle, and those values all equal `Some(v)`; rows
@@ -202,7 +61,7 @@ pub fn temporal_candidates(
     tree: &DecisionTree,
     spec: &MiningSpec,
     data: &Dataset,
-) -> Vec<(usize, TemporalAssertion)> {
+) -> Vec<(usize, Assertion)> {
     let horizon = data.horizon() as usize;
     let mut out = Vec::new();
     if horizon == 0 {
@@ -216,49 +75,30 @@ pub fn temporal_candidates(
         if rows.is_empty() {
             continue;
         }
+        let mut propose = |value, template| {
+            let assertion = Assertion {
+                value,
+                template,
+                ..assertion_at(tree, spec, leaf)
+            };
+            out.push((leaf, assertion));
+        };
         if tree.is_pure(leaf) {
             let value = tree.node(leaf).prediction();
             // Stability: the longest prefix of the horizon through
             // which every row keeps the leaf's value.
-            let mut bound = 0;
-            for k in 1..=horizon {
-                if agreed_future(data, rows, k) == Some(value) {
-                    bound = k;
-                } else {
-                    break;
-                }
-            }
+            let bound = (1..=horizon)
+                .take_while(|&k| agreed_future(data, rows, k) == Some(value))
+                .count() as u32;
             if bound >= 1 {
-                out.push((
-                    leaf,
-                    assertion_with(
-                        tree,
-                        spec,
-                        leaf,
-                        value,
-                        TemporalTemplate::Stability {
-                            bound: bound as u32,
-                        },
-                    ),
-                ));
+                propose(value, TemporalTemplate::Stability { bound });
             }
         } else {
             // Next: the smallest shift where the rows agree again.
             if let Some((shift, value)) =
-                (1..=horizon).find_map(|j| agreed_future(data, rows, j).map(|v| (j, v)))
+                (1..=horizon).find_map(|j| agreed_future(data, rows, j).map(|v| (j as u32, v)))
             {
-                out.push((
-                    leaf,
-                    assertion_with(
-                        tree,
-                        spec,
-                        leaf,
-                        value,
-                        TemporalTemplate::Next {
-                            shift: shift as u32,
-                        },
-                    ),
-                ));
+                propose(value, TemporalTemplate::Next { shift });
             }
             // Eventually: for each value, the smallest bound within
             // which every row reaches it (conclusively).
@@ -273,18 +113,8 @@ pub fn temporal_candidates(
                     })
                 };
                 if let Some(bound) = (1..=horizon).find(|&k| reached_within(k)) {
-                    out.push((
-                        leaf,
-                        assertion_with(
-                            tree,
-                            spec,
-                            leaf,
-                            value,
-                            TemporalTemplate::Eventually {
-                                bound: bound as u32,
-                            },
-                        ),
-                    ));
+                    let bound = bound as u32;
+                    propose(value, TemporalTemplate::Eventually { bound });
                 }
             }
         }
@@ -297,7 +127,7 @@ pub fn temporal_candidates(
 mod tests {
     use super::*;
     use crate::dataset::Row;
-    use crate::features::Target;
+    use crate::features::{Feature, Target};
     use gm_rtl::parse_verilog;
 
     fn arbiter() -> gm_rtl::Module {
@@ -323,8 +153,8 @@ mod tests {
         }
     }
 
-    fn sample(m: &gm_rtl::Module) -> TemporalAssertion {
-        TemporalAssertion {
+    fn sample(m: &gm_rtl::Module) -> Assertion {
+        Assertion {
             literals: vec![(feat(m, "req0", 0), true), (feat(m, "req1", 1), false)],
             target: Target {
                 signal: m.require("gnt0").unwrap(),

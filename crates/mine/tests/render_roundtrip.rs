@@ -1,7 +1,7 @@
-//! Property-based round-trips for the temporal assertion renderers.
+//! Property-based round-trips for the assertion renderers.
 //!
-//! Random [`TemporalAssertion`]s — multi-offset literal sets, wide-signal
-//! bit atoms, every template — are rendered through `to_ltl` / `to_psl` /
+//! Random [`Assertion`]s — multi-offset literal sets, wide-signal bit
+//! atoms, every template, combinational `Now` included — are rendered through `to_ltl` / `to_psl` /
 //! `to_sva` and parsed back with small test-local grammars. The recovered
 //! structure (literal multiset with offsets, consequent window, template
 //! shape, polarity) must match the source assertion.
@@ -12,7 +12,7 @@
 //! (an equivalent property under `always`-style implicit clocking). LTL
 //! and PSL keep absolute offsets and are compared un-shifted.
 
-use gm_mine::{Feature, Target, TemporalAssertion, TemporalTemplate};
+use gm_mine::{Assertion, Feature, Target, TemporalTemplate};
 use gm_rtl::{parse_verilog, Module, SignalId};
 use proptest::prelude::*;
 
@@ -55,7 +55,7 @@ fn build(
     kind: u8,
     span: u32,
     value: bool,
-) -> TemporalAssertion {
+) -> Assertion {
     let pool = pool(m);
     let literals = raw_lits
         .iter()
@@ -71,12 +71,13 @@ fn build(
             )
         })
         .collect();
-    let template = match kind % 3 {
+    let template = match kind % 4 {
         0 => TemporalTemplate::Next { shift: span },
         1 => TemporalTemplate::Eventually { bound: span },
-        _ => TemporalTemplate::Stability { bound: span },
+        2 => TemporalTemplate::Stability { bound: span },
+        _ => TemporalTemplate::Now,
     };
-    TemporalAssertion {
+    Assertion {
         literals,
         target: Target {
             signal: m.require("y").unwrap(),
@@ -91,7 +92,8 @@ fn build(
 /// Template shape recovered from concrete syntax.
 #[derive(Debug, PartialEq, Eq)]
 enum Shape {
-    /// A single implied cycle (`##N lit` / `next[n]`).
+    /// A single implied cycle (`##N lit` / `next[n]`, or PSL's bare
+    /// literal at offset 0).
     Point,
     /// An existential window (`##[lo:hi]` / `next_e`).
     Range,
@@ -99,7 +101,7 @@ enum Shape {
     Repeat(u32),
 }
 
-/// Renderer-independent normal form of a temporal assertion.
+/// Renderer-independent normal form of an assertion.
 #[derive(Debug, PartialEq, Eq)]
 struct Norm {
     /// `(atom, cycle, polarity)` literal multiset, sorted.
@@ -111,7 +113,7 @@ struct Norm {
 }
 
 /// What every parser must recover, shifted down by `base` cycles.
-fn expected(m: &Module, a: &TemporalAssertion, base: u32) -> Norm {
+fn expected(m: &Module, a: &Assertion, base: u32) -> Norm {
     let mut ant: Vec<_> = a
         .literals
         .iter()
@@ -120,7 +122,7 @@ fn expected(m: &Module, a: &TemporalAssertion, base: u32) -> Norm {
     ant.sort();
     let offsets = a.consequent_offsets();
     let shape = match a.template {
-        TemporalTemplate::Next { .. } => Shape::Point,
+        TemporalTemplate::Now | TemporalTemplate::Next { .. } => Shape::Point,
         TemporalTemplate::Eventually { .. } => Shape::Range,
         TemporalTemplate::Stability { bound } => Shape::Repeat(bound + 1),
     };
@@ -134,7 +136,7 @@ fn expected(m: &Module, a: &TemporalAssertion, base: u32) -> Norm {
 }
 
 /// The SVA anchor cycle: the earliest literal offset (0 when empty).
-fn sva_base(a: &TemporalAssertion) -> u32 {
+fn sva_base(a: &Assertion) -> u32 {
     a.literals.iter().map(|(f, _)| f.offset).min().unwrap_or(0)
 }
 
@@ -285,13 +287,23 @@ fn parse_psl(s: &str) -> Norm {
     }
     ant.sort();
 
-    let (op, rest) = cons_s.split_once('[').expect("windowed consequent");
+    // A point consequent at offset 0 is the bare literal.
+    let Some((op, rest)) = cons_s.split_once('[') else {
+        return Norm {
+            ant,
+            cons: split_literal(cons_s),
+            lo: 0,
+            hi: 0,
+            shape: Shape::Point,
+        };
+    };
     let (window, lit) = rest.split_once("] (").expect("window then literal");
     let lit = lit.strip_suffix(')').unwrap();
     let (cname, cv) = split_literal(lit);
     let (shape, lo, hi) = match op {
         "next" => {
             let k: u32 = window.parse().unwrap();
+            assert!(k > 0, "a point consequent at offset 0 renders bare: {s}");
             (Shape::Point, k, k)
         }
         "next_e" | "next_a" => {
@@ -321,7 +333,7 @@ proptest! {
     #[test]
     fn renderings_round_trip(
         raw_lits in prop::collection::vec((0u32..16, 0u32..8, prop::bool::ANY), 0..5),
-        shape_raw in (0u32..4, 0u8..3, 1u32..4),
+        shape_raw in (0u32..4, 0u8..4, 1u32..4),
         value in prop::bool::ANY,
     ) {
         let (d, kind, span) = shape_raw;
@@ -341,7 +353,7 @@ proptest! {
 
     #[test]
     fn consequent_offsets_match_the_rendered_window(
-        shape_raw in (0u8..3, 1u32..4, 0u32..4),
+        shape_raw in (0u8..4, 1u32..4, 0u32..4),
     ) {
         let (kind, span, d) = shape_raw;
         // With no antecedent literals every renderer is absolute, so the
@@ -371,7 +383,7 @@ fn same_offset_literals_group_without_a_zero_delay() {
     // separated by a spurious `##0`; negation binds to the bit atom.
     let m = module();
     let w = m.require("w").unwrap();
-    let a = TemporalAssertion {
+    let a = Assertion {
         literals: vec![
             (
                 Feature {

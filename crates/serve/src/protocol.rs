@@ -470,18 +470,25 @@ impl WireConfig {
     /// # Errors
     ///
     /// Fails when a size is above its bound ([`MAX_WINDOW`] and
-    /// the constants after it) or a named target signal does not exist
-    /// in `module`.
+    /// the constants after it), a named target signal does not exist
+    /// in `module`, or a target bit is not below its signal's width.
     pub fn to_engine(&self, module: &Module) -> Result<EngineConfig, ProtocolError> {
         let targets = match &self.targets {
             WireTargets::AllOutputs => TargetSelection::AllOutputs,
             WireTargets::Bits(bits) => TargetSelection::Bits(
                 bits.iter()
                     .map(|(name, bit)| {
-                        module
-                            .require(name)
-                            .map(|sig| (sig, *bit))
-                            .map_err(|_| ProtocolError(format!("unknown target signal '{name}'")))
+                        let sig = module.require(name).map_err(|_| {
+                            ProtocolError(format!("unknown target signal '{name}'"))
+                        })?;
+                        let width = module.signal_width(sig);
+                        if *bit >= width {
+                            return Err(ProtocolError(format!(
+                                "target bit {bit} of '{name}' is out of range: \
+                                 the signal is {width} bits wide"
+                            )));
+                        }
+                        Ok((sig, *bit))
                     })
                     .collect::<Result<Vec<_>, _>>()?,
             ),
@@ -2027,6 +2034,32 @@ mod tests {
         // Unknown signal names are rejected, not silently dropped.
         let bad = WireConfig::default().with_bit_targets(vec![("nope".into(), 0)]);
         assert!(bad.to_engine(&m).is_err());
+    }
+
+    #[test]
+    fn an_out_of_range_target_bit_is_refused_at_the_wire() {
+        // An engine mining bit 7 of a one-bit grant panics in row
+        // extraction; the wire must refuse the config instead.
+        let m = gm_rtl::parse_verilog(
+            "module arbiter2(input clk, input rst, input req0, input req1,
+                             output reg gnt0, output reg gnt1);
+               always @(posedge clk)
+                 if (rst) begin gnt0 <= 0; gnt1 <= 0; end
+                 else begin
+                   gnt0 <= (~gnt0 & req0) | (gnt0 & req0 & ~req1);
+                   gnt1 <= (gnt0 & req1) | (~gnt0 & ~req0 & req1);
+                 end
+             endmodule",
+        )
+        .unwrap();
+        let bad = WireConfig::default().with_bit_targets(vec![("gnt0".into(), 7)]);
+        let err = bad.to_engine(&m).unwrap_err();
+        assert!(
+            err.0.contains("'gnt0'") && err.0.contains("1 bits wide"),
+            "{err}"
+        );
+        let last = WireConfig::default().with_bit_targets(vec![("gnt1".into(), 0)]);
+        assert!(last.to_engine(&m).is_ok());
     }
 
     #[test]
