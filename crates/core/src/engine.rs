@@ -3,7 +3,7 @@
 //! One [`Engine`] run executes the full loop:
 //!
 //! 1. **Data generator** — simulate the seed stimulus (random, directed,
-//!    or none) into traces;
+//!    or none), capturing the bits every target's spec reads;
 //! 2. **Static analyzer** — compute each target output's logic cone and
 //!    build its feature space;
 //! 3. **A-Miner** — fit one incremental decision tree per output bit;
@@ -18,13 +18,18 @@
 //!    same batch routine;
 //! 5. **Ctx_simulation** — move the iteration's counterexamples into
 //!    the test suite, replay them from reset as one batch
-//!    ([`gm_sim::Replay`]) with the run's coverage suite observing,
-//!    extend every target's dataset in bulk, and re-split only the
-//!    refuted leaves. The pass's traces are absorbed target-major: each
-//!    target takes every trace in order before the next target starts,
-//!    working in its own dataset and tree only, which is what a
-//!    trace-by-trace loop over the targets would leave (no target reads
-//!    another's state), while each tree's kept buffers stay warm;
+//!    ([`gm_sim::Replay`]) with the run's coverage suite observing and
+//!    the run's [`ConeCapture`] recording, per cycle, every bit any
+//!    target's spec reads, extend every target's dataset in bulk, and
+//!    re-split only the refuted leaves. The pass is absorbed
+//!    trace-major: each trace's windows are cut once per *layout* —
+//!    the targets whose specs share their features and target offset —
+//!    by the layout's first live target, its layout-mates copy those
+//!    rows and read only their own target bits, and every live target
+//!    routes its rows into its tree. Each target still takes the traces
+//!    in push order and stops at its first error, working in its own
+//!    dataset and tree only, so no target's result depends on the
+//!    order;
 //! 6. **report** — read the coverage suite, refresh the input-space
 //!    term of every target whose proved set grew, and push the
 //!    [`IterationReport`]; repeat until every leaf is proved (*coverage
@@ -49,7 +54,7 @@
 //! `tests/incremental_snapshot.rs` and the benchmark):
 //!
 //! * **one [`CoverageSuite`] per run**, the observer of every replay
-//!   that produces traces — the seed, each pass's `cex-*`/`tcex-*`
+//!   the miner absorbs — the seed, each pass's `cex-*`/`tcex-*`
 //!   tail and the refinement winners — so each segment the suite
 //!   absorbs is simulated once, for the miner and for coverage alike,
 //!   and a report reads the suite without replaying anything. Sound
@@ -104,13 +109,13 @@ use gm_cache::FxSet;
 use gm_coverage::{CoverageSuite, GainObserver, UncoveredIndex};
 use gm_mc::{BitAtom, CheckResult, Checker, ConsequentKind, McError, SessionStats, WindowProperty};
 use gm_mine::{
-    assertion_at, input_space_coverage, temporal_candidates, Assertion, Dataset, DecisionTree,
-    MiningSpec, TemporalTemplate,
+    assertion_at, input_space_coverage, temporal_candidates, Assertion, ConeCapture, Dataset,
+    DecisionTree, ExtractedRows, MiningSpec, TemporalTemplate, WindowPlan,
 };
 use gm_rtl::{cone_of, elaborate, Module, SignalId};
 use gm_sim::{
     collect_vectors, CompiledModule, DirectedVariants, NopObserver, RandomStimulus, Replay,
-    SimBackend, TestSuite, Trace,
+    SimBackend, TestSuite,
 };
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -177,6 +182,8 @@ struct TargetState {
     signal: SignalId,
     bit: u32,
     spec: MiningSpec,
+    /// How the spec's windows are read out of the run's capture.
+    plan: WindowPlan,
     dataset: Dataset,
     tree: DecisionTree,
     stuck: Option<gm_mine::MineError>,
@@ -290,6 +297,11 @@ pub struct Engine<'m> {
     config: EngineConfig,
     checker: Checker,
     targets: Vec<TargetState>,
+    /// Every target's cone bits, captured per cycle of the last
+    /// replay, and the targets grouped by layout (equal features and
+    /// target offset, so equal feature words), ascending in each group.
+    capture: ConeCapture,
+    layouts: Vec<Vec<usize>>,
     suite: TestSuite,
     /// The run's one coverage suite, observing every trace replay
     /// (`None` when coverage is not recorded, and after a cancelled
@@ -354,11 +366,13 @@ impl<'m> Engine<'m> {
     ///
     /// # Errors
     ///
-    /// Propagates elaboration and blasting failures.
+    /// Propagates elaboration and blasting failures, and
+    /// [`EngineError::Target`] for a selected bit past its signal's
+    /// width.
     pub fn new(module: &'m Module, config: EngineConfig) -> Result<Self, EngineError> {
         let elab = elaborate(module)?;
         let checker = Checker::from_elab(module, &elab)?;
-        Ok(Engine::with_artifacts(module, &elab, checker, None, config))
+        Engine::with_artifacts(module, &elab, checker, None, config)
     }
 
     /// Prepares an engine from pre-built design artifacts: an
@@ -381,19 +395,18 @@ impl<'m> Engine<'m> {
     /// a supplied one — the design's probed tape
     /// ([`CompiledModule::with_elab`]) — is shared by `Arc`, never
     /// cloned.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::Target`] for a selected bit past its signal's
+    /// width.
     pub fn with_artifacts(
         module: &'m Module,
         elab: &gm_rtl::Elab,
         checker: Checker,
         compiled: Option<Arc<CompiledModule>>,
         config: EngineConfig,
-    ) -> Self {
-        let mut checker = checker
-            .with_backend(config.backend)
-            .with_shards(config.shards.shard_count());
-        // A parked checker must never carry a previous request's raised
-        // cancel token into this run.
-        checker.set_cancel(None);
+    ) -> Result<Self, EngineError> {
         let target_bits: Vec<(SignalId, u32)> = match &config.targets {
             TargetSelection::AllOutputs => module
                 .outputs()
@@ -411,25 +424,46 @@ impl<'m> Engine<'m> {
         // property twice.
         let mut listed = FxSet::default();
         let target_bits = target_bits.into_iter().filter(|&bit| listed.insert(bit));
-        let targets = target_bits
+        let specs: Vec<(SignalId, u32, MiningSpec)> = target_bits
             .map(|(signal, bit)| {
                 let cone = cone_of(module, elab, signal);
                 let spec = MiningSpec::for_output(module, elab, &cone, bit, config.window);
-                let tree = DecisionTree::new(&spec);
-                TargetState {
-                    signal,
-                    bit,
-                    spec,
-                    dataset: Dataset::with_horizon(config.temporal.horizon),
-                    tree,
-                    stuck: None,
-                    proved_leaves: Vec::new(),
-                    proved: Vec::new(),
-                    input_space: 0.0,
-                    input_space_stale: false,
-                }
+                (signal, bit, spec)
             })
             .collect();
+        let (capture, plans) = ConeCapture::new(module, specs.iter().map(|(_, _, spec)| spec))?;
+        let targets: Vec<TargetState> = (specs.into_iter().zip(plans))
+            .map(|((signal, bit, spec), plan)| TargetState {
+                signal,
+                bit,
+                tree: DecisionTree::new(&spec),
+                spec,
+                plan,
+                dataset: Dataset::with_horizon(config.temporal.horizon),
+                stuck: None,
+                proved_leaves: Vec::new(),
+                proved: Vec::new(),
+                input_space: 0.0,
+                input_space_stale: false,
+            })
+            .collect();
+        let mut layouts: Vec<Vec<usize>> = Vec::new();
+        for (ti, t) in targets.iter().enumerate() {
+            let lead = |layout: &&mut Vec<usize>| {
+                let lead = &targets[layout[0]].spec;
+                lead.features == t.spec.features && lead.target.offset == t.spec.target.offset
+            };
+            match layouts.iter_mut().find(lead) {
+                Some(layout) => layout.push(ti),
+                None => layouts.push(vec![ti]),
+            }
+        }
+        let mut checker = checker
+            .with_backend(config.backend)
+            .with_shards(config.shards.shard_count());
+        // A parked checker must never carry a previous request's raised
+        // cancel token into this run.
+        checker.set_cancel(None);
         // Attribute only work done *during this run* to its iteration
         // reports: a warm checker may arrive with non-zero counters.
         let reported_stats = checker.session_stats();
@@ -441,11 +475,13 @@ impl<'m> Engine<'m> {
         let compiled = (config.sim_backend != SimBackend::Interpreter)
             .then(|| compiled.unwrap_or_else(|| Arc::new(CompiledModule::with_elab(module, elab))));
         let coverage = config.record_coverage.then(|| CoverageSuite::new(module));
-        Engine {
+        Ok(Engine {
             module,
             config,
             checker,
             targets,
+            capture,
+            layouts,
             suite: TestSuite::new(),
             coverage,
             unreported: 0,
@@ -460,7 +496,7 @@ impl<'m> Engine<'m> {
             history: Vec::new(),
             stopped: None,
             run_span: None,
-        }
+        })
     }
 
     /// Installs a cooperative cancel token for the run. Unlike a caller
@@ -495,27 +531,33 @@ impl<'m> Engine<'m> {
     }
 
     /// Replays segments `range` of `other` — of the run's own suite
-    /// when `None` — as one batch into traces, with the run's coverage
-    /// suite observing. The coverage suite is taken out for the replay
-    /// and put back only once it completes; a raised cancel token
-    /// surfaces as [`McError::Cancelled`] with nothing absorbed, and the
-    /// half-fed coverage suite dropped.
-    fn replay_traces(
+    /// when `None` — as one batch into the run's capture, with the
+    /// run's coverage suite observing. The coverage suite is taken out
+    /// for the replay and put back only once it completes; a raised
+    /// cancel token surfaces as [`McError::Cancelled`] with nothing
+    /// captured, and the half-fed coverage suite dropped.
+    fn capture_replay(
         &mut self,
         other: Option<&TestSuite>,
         range: std::ops::Range<usize>,
-    ) -> Result<Vec<Trace>, EngineError> {
+    ) -> Result<(), EngineError> {
         let mut coverage = self.coverage.take();
-        let (suite, replay) = (other.unwrap_or(&self.suite), self.replay());
-        let shown = range.len();
-        let traces = match &mut coverage {
-            Some(cov) => replay.traces(suite, range, cov)?,
-            None => replay.traces(suite, range, &mut NopObserver)?,
+        let replay = Replay {
+            module: self.module,
+            compiled: self.compiled.as_deref(),
+            block: self.config.sim_backend.lane_block(),
+            cancel: self.cancel.as_deref(),
         };
-        let traces = traces.ok_or(McError::Cancelled)?;
+        let (suite, capture) = (other.unwrap_or(&self.suite), &mut self.capture);
+        let shown = range.len();
+        let done = match &mut coverage {
+            Some(cov) => capture.replay(&replay, suite, range, cov)?,
+            None => capture.replay(&replay, suite, range, &mut NopObserver)?,
+        };
+        done.ok_or(McError::Cancelled)?;
         self.coverage = coverage;
         self.unreported += shown;
-        Ok(traces)
+        Ok(())
     }
 
     /// The accumulated test suite (useful mid-run from examples).
@@ -600,7 +642,7 @@ impl<'m> Engine<'m> {
         // A raised cancel token surfaces as `McError::Cancelled` from
         // the checker or a replay. The interrupted pass's results are
         // discarded whole — a failed batch never touches the trees, a
-        // cancelled replay's traces are never absorbed (see
+        // cancelled replay leaves nothing captured to absorb (see
         // `iteration_pass`) and its half-fed coverage suite is dropped,
         // and no report is pushed — so the outcome stays valid, just
         // truncated.
@@ -718,18 +760,21 @@ impl<'m> Engine<'m> {
         };
         if !seed_vectors.is_empty() {
             self.suite.push("seed", seed_vectors);
-            let traces = self.replay_traces(None, 0..1)?;
+            self.capture_replay(None, 0..1)?;
             let mut short = 0usize;
-            for t in &mut self.targets {
-                let mut span = gm_trace::span("mine", "mine.extract");
-                let rows = t.dataset.add_trace(&t.spec, &traces[0]);
-                span.arg("rows", rows.rows.len());
-                span.arg("features", t.spec.features.len());
-                span.arg("short_traces", rows.short_traces);
-                // The extraction report tells short traces apart from
-                // (impossible here) zero-row long traces.
-                debug_assert!(!rows.rows.is_empty() || rows.short_traces > 0);
-                short += rows.short_traces;
+            for layout in &self.layouts {
+                let mut cutter = None;
+                for &ti in layout {
+                    let mut span = gm_trace::span("mine", "mine.extract");
+                    let rows = take_trace(&mut self.targets, ti, &mut cutter, &self.capture, 0);
+                    span.arg("rows", rows.rows.len());
+                    span.arg("features", self.targets[ti].spec.features.len());
+                    span.arg("short_traces", rows.short_traces);
+                    // The extraction report tells short traces apart from
+                    // (impossible here) zero-row long traces.
+                    debug_assert!(!rows.rows.is_empty() || rows.short_traces > 0);
+                    short += rows.short_traces;
+                }
             }
             self.short_traces += short;
         }
@@ -924,8 +969,8 @@ impl<'m> Engine<'m> {
     /// absorbs their traces in push order.
     fn absorb_suite_tail(&mut self, count: usize) -> Result<(), EngineError> {
         let len = self.suite.len();
-        let traces = self.replay_traces(None, len - count..len)?;
-        self.absorb_traces(&traces);
+        self.capture_replay(None, len - count..len)?;
+        self.absorb_capture();
         Ok(())
     }
 
@@ -940,9 +985,9 @@ impl<'m> Engine<'m> {
     /// one straight into a scratch suite, one observe-only replay of
     /// that suite scores all of them at once ([`GainObserver`]), and
     /// only the at most `max_absorb` winners are replayed again, as one
-    /// batch, into the traces the miner absorbs and the coverage suite
-    /// observes. Nothing reaches the suite or the trees until those
-    /// traces are back: a cancelled batch, either one, discards the pass
+    /// batch, into the capture the miner absorbs, the coverage suite
+    /// observing. Nothing reaches the suite or the trees until that
+    /// replay is back: a cancelled batch, either one, discards the pass
     /// whole.
     ///
     /// Scores are computed against the frozen snapshot index, not
@@ -991,42 +1036,51 @@ impl<'m> Engine<'m> {
             let label = format!("dir-{iteration}-{}", winners.len() + 1);
             winners.push(label, variants.segment(i).vectors);
         }
-        let traces = self.replay_traces(Some(&winners), 0..winners.len())?;
+        self.capture_replay(Some(&winners), 0..winners.len())?;
         for segment in winners.segments() {
             self.suite.push(segment.label, segment.vectors);
         }
-        self.absorb_traces(&traces);
+        self.absorb_capture();
         Ok(winners.len())
     }
 
-    /// Feeds a pass's traces into every target's dataset and tree (the
-    /// shared test suite improves all outputs, §3), target-major: each
-    /// target takes every trace in order, until one leaves it stuck.
-    /// A target works in its own dataset, tree and `stuck` only, so the
-    /// order across targets changes nothing.
-    fn absorb_traces(&mut self, traces: &[Trace]) {
-        if traces.is_empty() {
+    /// Feeds the captured pass into every live target's dataset and
+    /// tree (the shared test suite improves all outputs, §3),
+    /// trace-major: each trace is cut once per layout and taken by
+    /// every live target in it, so each target takes every trace in
+    /// order, until one leaves it stuck. A target works in its own
+    /// dataset, tree and `stuck` only, and reads its layout-mates' rows
+    /// of the trace it is taking, never their state.
+    fn absorb_capture(&mut self) {
+        let traces = self.capture.trace_count();
+        if traces == 0 {
             return;
         }
         let mut span = gm_trace::span("mine", "mine.absorb");
-        let mut short = 0usize;
-        let (mut absorbed, mut resplit_leaves) = (0usize, 0usize);
-        for t in &mut self.targets {
-            for trace in traces {
-                if t.stuck.is_some() {
-                    break;
-                }
-                let rows = t.dataset.add_trace(&t.spec, trace);
-                short += rows.short_traces;
-                absorbed += rows.rows.len();
-                match t.tree.add_rows(&t.dataset, &rows.rows) {
-                    Ok(resplit) => resplit_leaves += resplit,
-                    Err(e) => t.stuck = Some(e),
+        let (mut short, mut absorbed, mut resplit_leaves, mut cuts) = (0usize, 0usize, 0usize, 0);
+        for trace in 0..traces {
+            for layout in &self.layouts {
+                let mut cutter = None;
+                for &ti in layout {
+                    if self.targets[ti].stuck.is_some() {
+                        continue;
+                    }
+                    cuts += usize::from(cutter.is_none());
+                    let rows = take_trace(&mut self.targets, ti, &mut cutter, &self.capture, trace);
+                    short += rows.short_traces;
+                    absorbed += rows.rows.len();
+                    let t = &mut self.targets[ti];
+                    match t.tree.add_rows(&t.dataset, &rows.rows) {
+                        Ok(resplit) => resplit_leaves += resplit,
+                        Err(e) => t.stuck = Some(e),
+                    }
                 }
             }
         }
         self.short_traces += short;
-        span.arg("traces", traces.len());
+        span.arg("traces", traces);
+        span.arg("layouts", self.layouts.len());
+        span.arg("cuts", cuts);
         span.arg("rows", absorbed);
         span.arg("resplit_leaves", resplit_leaves);
     }
@@ -1091,3 +1145,32 @@ impl<'m> Engine<'m> {
         }
     }
 }
+
+/// Adds trace `trace` of `capture` to target `ti`'s dataset. The first
+/// target of a layout to take the trace cuts its windows and becomes
+/// the layout's `cutter` (with the first row it cut); the layout-mates
+/// after it copy those rows and read only their own target bits.
+fn take_trace(
+    targets: &mut [TargetState],
+    ti: usize,
+    cutter: &mut Option<(usize, usize)>,
+    capture: &ConeCapture,
+    trace: usize,
+) -> ExtractedRows {
+    let (before, rest) = targets.split_at_mut(ti);
+    let t = &mut rest[0];
+    match *cutter {
+        Some((ci, first)) => {
+            t.dataset
+                .add_windows_from(&before[ci].dataset, first, &t.plan, capture, trace)
+        }
+        None => {
+            let rows = t.dataset.add_windows(&t.plan, capture, trace);
+            *cutter = Some((ti, rows.rows.start));
+            rows
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests;

@@ -1,6 +1,7 @@
 //! Engine errors.
 
 use gm_mc::McError;
+use gm_mine::BitOutOfRange;
 use gm_rtl::RtlError;
 use std::error::Error as StdError;
 use std::fmt;
@@ -15,6 +16,8 @@ pub enum EngineError {
     Rtl(RtlError),
     /// Model checking failed (limits exceeded on a forced backend).
     Mc(McError),
+    /// A selected target bit is past its signal's width.
+    Target(BitOutOfRange),
 }
 
 impl EngineError {
@@ -25,7 +28,7 @@ impl EngineError {
     /// transient faults ([`McError::retryable`]) are worth a retry.
     pub fn retryable(&self) -> bool {
         match self {
-            EngineError::Rtl(_) => false,
+            EngineError::Rtl(_) | EngineError::Target(_) => false,
             EngineError::Mc(e) => e.retryable(),
         }
     }
@@ -36,6 +39,7 @@ impl fmt::Display for EngineError {
         match self {
             EngineError::Rtl(e) => write!(f, "rtl: {e}"),
             EngineError::Mc(e) => write!(f, "model checking: {e}"),
+            EngineError::Target(e) => write!(f, "target: {e}"),
         }
     }
 }
@@ -45,6 +49,7 @@ impl StdError for EngineError {
         match self {
             EngineError::Rtl(e) => Some(e),
             EngineError::Mc(e) => Some(e),
+            EngineError::Target(e) => Some(e),
         }
     }
 }
@@ -52,6 +57,12 @@ impl StdError for EngineError {
 impl From<RtlError> for EngineError {
     fn from(e: RtlError) -> Self {
         EngineError::Rtl(e)
+    }
+}
+
+impl From<BitOutOfRange> for EngineError {
+    fn from(e: BitOutOfRange) -> Self {
+        EngineError::Target(e)
     }
 }
 

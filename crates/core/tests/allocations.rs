@@ -1,16 +1,19 @@
 //! What the closure loop's per-query and per-row steps allocate, read
 //! from a counting global allocator: a warm checker session decides an
-//! explicit-state property without allocating, and a tree takes rows
-//! that land in pure leaves without allocating. Each thread counts its
-//! own allocations, so the harness's other test threads never show up.
+//! explicit-state property without allocating, a warm cone capture
+//! rides a replay and several same-layout datasets cut a pass from it
+//! without allocating, and a tree takes rows that land in pure leaves
+//! without allocating. Each thread counts its own allocations, so the
+//! harness's other test threads never show up.
 //!
 //! The benchmark measures an optimised build, so run it there too:
 //! `cargo test --release -q -p goldmine --test allocations`.
 
 use gm_mc::{blast, BitAtom, CheckResult, CheckSession, ConsequentKind, ExplicitLimits};
 use gm_mc::{ReachableStates, WindowProperty};
-use gm_mine::{DecisionTree, Feature, MiningSpec, Row, Target};
-use gm_rtl::{elaborate, SignalId};
+use gm_mine::{ConeCapture, Dataset, DecisionTree, Feature, MiningSpec, Row, Target};
+use gm_rtl::{cone_of, elaborate, SignalId};
+use gm_sim::{collect_vectors, CompiledModule, NopObserver, RandomStimulus, Replay, TestSuite};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -145,4 +148,77 @@ fn rows_that_land_in_pure_leaves_allocate_nothing() {
     assert_eq!(allocations, 0);
     assert_eq!(tree.node_count(), nodes);
     assert_eq!(tree.candidate_count(), tree.leaves().len());
+}
+
+#[test]
+fn a_warm_pass_is_captured_and_cut_without_allocating() {
+    let m = gm_designs::by_name("b12_lite").unwrap().module();
+    let elab = elaborate(&m).unwrap();
+    let specs: Vec<MiningSpec> = (m.outputs().into_iter())
+        .flat_map(|s| {
+            let cone = cone_of(&m, &elab, s);
+            (0..m.signal_width(s)).map(move |bit| (cone.clone(), bit))
+        })
+        .map(|(cone, bit)| MiningSpec::for_output(&m, &elab, &cone, bit, 1))
+        .collect();
+    // The specs that share the first spec's layout: one cuts, the rest
+    // copy its rows.
+    let layout: Vec<usize> = (0..specs.len())
+        .filter(|&s| {
+            let (lead, spec) = (&specs[0], &specs[s]);
+            lead.features == spec.features && lead.target.offset == spec.target.offset
+        })
+        .collect();
+    assert!(layout.len() > 2, "{layout:?}");
+    let (mut capture, plans) = ConeCapture::new(&m, &specs).unwrap();
+    let compiled = CompiledModule::with_elab(&m, &elab);
+    let replay = Replay {
+        module: &m,
+        compiled: Some(&compiled),
+        block: 1,
+        cancel: None,
+    };
+    let mut suite = TestSuite::new();
+    for seed in 0..12u64 {
+        let mut stim = RandomStimulus::new(&m, seed, 8 + seed);
+        suite.push(format!("cex-{seed}"), collect_vectors(&mut stim));
+    }
+    let pass = 0..suite.len();
+
+    // The first replay grows the capture; later ones allocate what the
+    // replay itself does, and nothing more.
+    let done = capture.replay(&replay, &suite, pass.clone(), &mut NopObserver);
+    assert_eq!(done.unwrap(), Some(()));
+    let (observed, bare) =
+        allocations_in(|| replay.observe(&suite, pass.clone(), &mut NopObserver));
+    assert_eq!(observed.unwrap(), Some(()));
+    let (captured, allocations) =
+        allocations_in(|| capture.replay(&replay, &suite, pass.clone(), &mut NopObserver));
+    assert_eq!(captured.unwrap(), Some(()));
+    assert_eq!(
+        allocations, bare,
+        "the capture allocates nothing of its own"
+    );
+
+    let cut_pass = |datasets: &mut [Dataset]| {
+        let (lead, mates) = datasets.split_first_mut().unwrap();
+        for trace in 0..capture.trace_count() {
+            let rows = lead.add_windows(&plans[layout[0]], &capture, trace);
+            for (mate, &s) in mates.iter_mut().zip(&layout[1..]) {
+                mate.add_windows_from(lead, rows.rows.start, &plans[s], &capture, trace);
+            }
+        }
+    };
+    // Datasets with room for one more pass: two passes cloned (a clone
+    // holds exactly its rows), then a third, which doubles each one's
+    // storage.
+    let mut datasets = vec![Dataset::with_horizon(2); layout.len()];
+    cut_pass(&mut datasets);
+    cut_pass(&mut datasets);
+    let mut datasets = datasets.clone();
+    cut_pass(&mut datasets);
+    let rows = datasets[0].len();
+    let ((), allocations) = allocations_in(|| cut_pass(&mut datasets));
+    assert!(datasets.iter().all(|d| d.len() == rows * 4 / 3));
+    assert_eq!(allocations, 0, "cutting a pass allocates nothing");
 }

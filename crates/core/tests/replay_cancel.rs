@@ -41,11 +41,13 @@
 //! it (the recorded run flushes its staged events at every report, so
 //! the sink grows at least once an iteration, however few spans a pass
 //! records); the watcher raises the token that long after the sink reaches
-//! the same length, and the recorded `sim.batch` (`cancelled`,
-//! `traces`) says where the cancel landed. An early or late landing
-//! moves the delay and is tried again. The refinement case pins the
-//! same landing on a refinement's first batch, the observe-only replay
-//! that scores its variants (`traces: false`, inside `engine.refine`).
+//! the same length, and the recorded `sim.batch` (`cancelled`, and the
+//! pass span around it) says where the cancel landed. An early or late
+//! landing moves the delay and is tried again. The refinement case pins
+//! the same landing on a refinement's first batch, the replay that
+//! scores its variants (inside `engine.refine`). No engine replay
+//! materialises traces (`traces: false` on every batch): the miner's
+//! rows are captured off the tape.
 
 use gm_coverage::CoverageSuite;
 use gm_designs::catalog;
@@ -166,8 +168,9 @@ fn record_raising(
     raise: Option<(usize, Duration)>,
 ) -> (ClosureOutcome, Checker, Vec<TraceEvent>, Vec<usize>) {
     let token = Arc::new(AtomicBool::new(false));
-    let engine =
-        Engine::with_artifacts(m, elab, checker, None, config.clone()).with_cancel(token.clone());
+    let engine = Engine::with_artifacts(m, elab, checker, None, config.clone())
+        .unwrap()
+        .with_cancel(token.clone());
     let sink = TraceSink::with_capacity(1 << 20);
     let done = AtomicBool::new(false);
     let (outcome, checker, lengths) = std::thread::scope(|threads| {
@@ -202,16 +205,16 @@ fn record_raising(
     (outcome.unwrap(), checker, sink.events(), lengths)
 }
 
-/// What every cancelled-replay outcome must satisfy. `traces` is what
-/// the cancelled batch collected: traces for a counterexample replay,
-/// scores only for a refinement's first batch.
+/// What every cancelled-replay outcome must satisfy. `pass` is the
+/// engine span the cancelled batch ran in: `engine.verify` for a
+/// counterexample replay, `engine.refine` for a refinement's batch.
 fn assert_cut_cleanly(
     m: &Module,
     full: &ClosureOutcome,
     cut: &ClosureOutcome,
     events: &[TraceEvent],
     boundary: u32,
-    traces: bool,
+    pass: &str,
 ) {
     assert!(cut.interrupted, "the token landed mid-iteration");
     // The last report predates the cancelled pass, and everything up to
@@ -230,7 +233,14 @@ fn assert_cut_cleanly(
     match last_batch {
         Some(last_batch) => {
             assert_eq!(arg(last_batch, "cancelled"), &ArgValue::Bool(true));
-            assert_eq!(arg(last_batch, "traces"), &ArgValue::Bool(traces));
+            assert_eq!(arg(last_batch, "traces"), &ArgValue::Bool(false));
+            let around = (events.iter().filter(|e| e.name == pass)).max_by_key(|e| e.ts_ns);
+            let around = around.unwrap_or_else(|| panic!("no {pass} span"));
+            assert!(
+                around.ts_ns <= last_batch.ts_ns
+                    && last_batch.ts_ns + last_batch.dur_ns() <= around.ts_ns + around.dur_ns(),
+                "the cancelled batch ran in {pass}"
+            );
         }
         None => {
             let verified = (events.iter())
@@ -321,7 +331,7 @@ fn a_cancel_inside_a_counterexample_batch_interrupts_before_absorption() {
     }
     let (cut, events) = landed.expect("the token never landed inside a counterexample replay");
     let boundary = cut.iterations.len() as u32 - 1;
-    assert_cut_cleanly(&m, &full, &cut, &events, boundary, true);
+    assert_cut_cleanly(&m, &full, &cut, &events, boundary, "engine.verify");
     assert!(!cut.converged, "the refuted leaves were never re-split");
     // The counterexamples were pushed for replay and nothing else: the
     // suite is the reported prefix, then the batch's `cex-*` segments.
@@ -347,13 +357,12 @@ fn a_cancel_inside_a_compiled_counterexample_batch_interrupts_before_absorption(
         .unwrap()
         .run_reclaim(|_| true);
     cold.unwrap();
-    // A counterexample replay is the trace-collecting batch right after
-    // a verification batch.
+    // A counterexample replay is the batch right after a verification
+    // batch: with nothing refuted, the next event is the end of
+    // `engine.verify`, and a refinement's batches come after that.
     let cex_replay = |events: &[TraceEvent], at: usize| {
         let (verify, replay) = (&events[at], events.get(at + 1));
-        verify.name == "mc.check_batch"
-            && replay
-                .is_some_and(|r| r.name == "sim.batch" && arg(r, "traces") == &ArgValue::Bool(true))
+        verify.name == "mc.check_batch" && replay.is_some_and(|r| r.name == "sim.batch")
     };
     let batches_to = |events: &[TraceEvent], at: usize| {
         (events[..=at].iter())
@@ -446,7 +455,7 @@ fn a_cancel_inside_a_compiled_counterexample_batch_interrupts_before_absorption(
     let (full, cut, events) =
         landed.expect("the token never landed inside a counterexample replay");
     let boundary = cut.iterations.len() as u32 - 1;
-    assert_cut_cleanly(&m, &full, &cut, &events, boundary, true);
+    assert_cut_cleanly(&m, &full, &cut, &events, boundary, "engine.verify");
     assert!(!cut.converged, "the refuted leaves were never re-split");
     // The counterexamples were pushed for replay and nothing else: the
     // suite is the reported prefix, then the cancelled batch's `cex-*`
@@ -493,7 +502,7 @@ fn a_cancel_inside_a_refinement_batch_discards_the_pass_whole() {
     // The refinement's first poll is its observe-only scoring batch,
     // inside the run's last `engine.refine` span.
     assert!(events.iter().any(|e| e.name == "sim.batch"));
-    assert_cut_cleanly(&m, &full, &cut, &events, boundary, false);
+    assert_cut_cleanly(&m, &full, &cut, &events, boundary, "engine.refine");
     let last = |name: &str| (events.iter().filter(|e| e.name == name)).max_by_key(|e| e.ts_ns);
     let (batch, refine) = (last("sim.batch").unwrap(), last("engine.refine").unwrap());
     assert!(
@@ -525,18 +534,32 @@ fn compiled_runs_replay_one_batch_per_pass_and_never_per_segment() {
         events.iter().all(|e| e.name != "sim.segment"),
         "only the interpreter replays segment by segment"
     );
-    // Every trace-collecting batch is the one replay of an engine pass.
+    // Every absorbing batch — all but a refinement's first, which
+    // scores its variants — is the one replay of an engine pass, and no
+    // batch materialises traces: the miner captures its rows off the
+    // tape.
     let within = |outer: &TraceEvent, inner: &TraceEvent| {
         outer.ts_ns <= inner.ts_ns && inner.ts_ns + inner.dur_ns() <= outer.ts_ns + outer.dur_ns()
     };
-    let replays: Vec<&TraceEvent> = events
-        .iter()
-        .filter(|e| e.name == "sim.batch" && arg(e, "traces") == &ArgValue::Bool(true))
-        .collect();
     let passes: Vec<&TraceEvent> = events
         .iter()
         .filter(|e| ["engine.seed", "engine.verify", "engine.refine"].contains(&e.name))
         .collect();
+    let batches = events.iter().filter(|e| e.name == "sim.batch");
+    assert!(batches
+        .clone()
+        .all(|e| arg(e, "traces") == &ArgValue::Bool(false)));
+    let scoring = |batch: &TraceEvent| {
+        passes.iter().any(|p| {
+            p.name == "engine.refine"
+                && (events
+                    .iter()
+                    .filter(|e| e.name == "sim.batch" && within(p, e)))
+                .min_by_key(|e| e.ts_ns)
+                .is_some_and(|first| std::ptr::eq(first, batch))
+        })
+    };
+    let replays: Vec<&TraceEvent> = batches.filter(|e| !scoring(e)).collect();
     for pass in &passes {
         let inside = replays.iter().filter(|r| within(pass, r)).count();
         assert!(inside <= 1, "{} replayed {inside} batches", pass.name);

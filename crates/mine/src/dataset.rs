@@ -15,20 +15,26 @@
 //!
 //! # Extraction
 //!
-//! [`Dataset::add_trace`] works from a per-spec *plan* built on first
-//! use and kept with the dataset: the distinct signal bits the spec
-//! reads (its cone), and the runs of consecutive features that read
-//! consecutive cone bits at one window offset. Per trace it gathers one
-//! packed *cone word* per cycle from the raw trace row, then assembles
-//! each window's feature words by shifting those runs into place — no
-//! per-row allocation, and each trace bit is probed once per cycle
-//! instead of once per window it appears in.
+//! Rows are cut from a [`ConeCapture`]: one packed *cone word* block per
+//! cycle holding every bit the capture's specs read. A spec's
+//! [`WindowPlan`] lists the runs of consecutive features that read
+//! consecutive cone bits at one window offset, and
+//! [`Dataset::add_windows`] assembles each window's feature words by
+//! shifting those runs into place — no per-row allocation, and each
+//! simulated bit is probed once per cycle instead of once per window it
+//! appears in. Targets whose specs share their features and target
+//! offset cut the same feature words, so the closure engine cuts a
+//! trace once per such layout and the layout-mates copy the rows
+//! ([`Dataset::add_windows_from`]), reading only their own target bits.
+//! [`Dataset::add_suite`] captures straight off its replay, and
+//! [`Dataset::add_trace`] captures from a [`Trace`] first: one cutter
+//! for every entry point.
 
 use crate::bits::{bit, get_bits, put_bits, Bits};
+use crate::capture::{ConeCapture, WindowPlan};
 use crate::features::MiningSpec;
 use gm_rtl::Module;
 use gm_sim::{CompiledModule, NopObserver, Replay, SimBackend, TestSuite, Trace};
-use std::collections::HashMap;
 
 /// One hand-built training example, for [`Dataset::push_row`]: feature
 /// values (aligned with [`MiningSpec::features`]) and the target value.
@@ -120,109 +126,6 @@ impl PartialEq<Vec<usize>> for RowRange {
     }
 }
 
-/// Up to 64 consecutive features that read consecutive cone bits at
-/// one window offset: a window copies them with two shifts.
-#[derive(Clone, Debug)]
-struct Run {
-    /// Cycle offset within the window.
-    offset: usize,
-    /// First cone bit read.
-    src: usize,
-    /// First feature written.
-    dst: usize,
-    len: usize,
-}
-
-/// How one spec's windows are read out of a trace.
-#[derive(Clone, Debug)]
-struct Plan {
-    /// The spec the plan was built from; a call with another rebuilds.
-    spec: MiningSpec,
-    span: usize,
-    /// The distinct `(signal index, bit)` pairs the spec reads, in
-    /// first-use order: entry `k` is bit `k` of a cycle's cone words.
-    cone: Vec<(usize, u32)>,
-    cone_words: usize,
-    runs: Vec<Run>,
-    /// The target's cone bit.
-    target: usize,
-    /// The cone words of the trace being extracted, `cone_words` per
-    /// cycle; kept only for its allocation.
-    cycles: Vec<u64>,
-}
-
-impl Plan {
-    fn new(spec: &MiningSpec) -> Plan {
-        let mut cone: Vec<(usize, u32)> = Vec::new();
-        let mut index: HashMap<(usize, u32), usize> = HashMap::new();
-        let mut cone_bit = |signal: gm_rtl::SignalId, bit: u32| {
-            *index.entry((signal.index(), bit)).or_insert_with(|| {
-                cone.push((signal.index(), bit));
-                cone.len() - 1
-            })
-        };
-        let mut runs: Vec<Run> = Vec::new();
-        for (dst, f) in spec.features.iter().enumerate() {
-            let src = cone_bit(f.signal, f.bit);
-            let offset = f.offset as usize;
-            match runs.last_mut() {
-                Some(run)
-                    if run.offset == offset
-                        && run.src + run.len == src
-                        && run.dst + run.len == dst
-                        && run.len < 64 =>
-                {
-                    run.len += 1;
-                }
-                _ => runs.push(Run {
-                    offset,
-                    src,
-                    dst,
-                    len: 1,
-                }),
-            }
-        }
-        let target = cone_bit(spec.target.signal, spec.target.bit);
-        Plan {
-            spec: spec.clone(),
-            span: spec.span() as usize,
-            cone_words: cone.len().div_ceil(64),
-            cone,
-            runs,
-            target,
-            cycles: Vec::new(),
-        }
-    }
-
-    /// Gathers the cone words of every cycle of `trace`.
-    fn load(&mut self, trace: &Trace) {
-        for &(signal, bit) in &self.cone {
-            assert!(
-                bit < trace.widths()[signal],
-                "spec reads bit {bit} of `{}`, which is narrower",
-                trace.names()[signal]
-            );
-        }
-        let cw = self.cone_words;
-        self.cycles.clear();
-        self.cycles.resize(trace.len() * cw, 0);
-        for (cycle, words) in self.cycles.chunks_exact_mut(cw).enumerate() {
-            let raw = trace.raw_row(cycle);
-            for (k, &(signal, bit)) in self.cone.iter().enumerate() {
-                words[k / 64] |= ((raw[signal] >> bit) & 1) << (k % 64);
-            }
-        }
-    }
-
-    fn cone_words_at(&self, cycle: usize) -> &[u64] {
-        &self.cycles[cycle * self.cone_words..][..self.cone_words]
-    }
-
-    fn target_at(&self, cycle: usize) -> bool {
-        bit(self.cone_words_at(cycle), self.target)
-    }
-}
-
 /// A growing set of rows for one mining target (see the module docs
 /// for the packed layout).
 ///
@@ -237,7 +140,7 @@ impl Plan {
 /// end (clipped at the trace boundary). The temporal miner reads these
 /// to propose next-cycle, bounded-eventuality and stability templates
 /// without re-simulating.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Default)]
 pub struct Dataset {
     horizon: u32,
     /// Features per row (0 until the first row arrives).
@@ -252,7 +155,24 @@ pub struct Dataset {
     futures: Bits,
     /// One entry per row; left empty by a dataset with no horizon.
     future_end: Vec<usize>,
-    plan: Option<Plan>,
+    /// What [`Dataset::add_trace`] cuts with: the spec it was built
+    /// for, a capture of that spec alone and its plan, kept for the
+    /// next call with the same spec.
+    from_trace: Option<(MiningSpec, ConeCapture, WindowPlan)>,
+}
+
+impl std::fmt::Debug for Dataset {
+    /// The rows, without the buffers [`Dataset::add_trace`] works in.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Dataset")
+            .field("horizon", &self.horizon)
+            .field("features", &self.features)
+            .field("feature_words", &self.feature_words)
+            .field("targets", &self.targets)
+            .field("futures", &self.futures)
+            .field("future_end", &self.future_end)
+            .finish()
+    }
 }
 
 impl Dataset {
@@ -388,42 +308,107 @@ impl Dataset {
     /// # Panics
     ///
     /// Panics if `spec` has a different number of features than the
-    /// rows already present.
+    /// rows already present, or reads a bit a signal of the trace does
+    /// not have.
     pub fn add_trace(&mut self, spec: &MiningSpec, trace: &Trace) -> ExtractedRows {
-        let mut plan = match self.plan.take() {
-            Some(plan) if plan.spec == *spec => plan,
-            _ => Plan::new(spec),
+        let (kept, mut capture, plan) = match self.from_trace.take() {
+            Some(kept) if kept.0 == *spec => kept,
+            _ => {
+                let (capture, mut plans) = ConeCapture::of([spec]);
+                (spec.clone(), capture, plans.remove(0))
+            }
         };
-        let out = self.extract(&mut plan, trace);
-        self.plan = Some(plan);
+        capture.load_trace(trace);
+        let out = self.add_windows(&plan, &capture, 0);
+        self.from_trace = Some((kept, capture, plan));
         out
     }
 
-    fn extract(&mut self, plan: &mut Plan, trace: &Trace) -> ExtractedRows {
+    /// Extracts every complete window of trace `trace` of `capture` as
+    /// a row, reading it with `plan` (one of the capture's plans). The
+    /// rows are those [`Dataset::add_trace`] extracts from the trace
+    /// the capture recorded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `plan` has a different number of features than the
+    /// rows already present.
+    pub fn add_windows(
+        &mut self,
+        plan: &WindowPlan,
+        capture: &ConeCapture,
+        trace: usize,
+    ) -> ExtractedRows {
+        self.cut(plan, capture, trace, None)
+    }
+
+    /// [`Dataset::add_windows`] for a plan with the same features and
+    /// target offset as the one `cut` took the same trace with, its
+    /// rows starting at `first`: the feature words are copied from
+    /// `cut`, and only the target bits are read from the capture.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cut` holds fewer rows from `first` on than the trace
+    /// has windows, or rows of another width.
+    pub fn add_windows_from(
+        &mut self,
+        cut: &Dataset,
+        first: usize,
+        plan: &WindowPlan,
+        capture: &ConeCapture,
+        trace: usize,
+    ) -> ExtractedRows {
+        self.cut(plan, capture, trace, Some((cut, first)))
+    }
+
+    /// The one window cutter: feature words assembled from `plan`'s
+    /// runs, or copied from rows `from` already cut, then the targets
+    /// and futures.
+    fn cut(
+        &mut self,
+        plan: &WindowPlan,
+        capture: &ConeCapture,
+        trace: usize,
+        from: Option<(&Dataset, usize)>,
+    ) -> ExtractedRows {
         let mut out = ExtractedRows::default();
-        if trace.len() < plan.span {
+        let len = capture.trace_len(trace);
+        if len < plan.span {
             out.short_traces = 1;
             return out;
         }
-        self.set_feature_count(plan.spec.features.len());
-        plan.load(trace);
+        self.set_feature_count(plan.features);
+        let (cone, cw) = (capture.trace_words(trace), capture.words());
+        let cone_at = |cycle: usize| &cone[cycle * cw..][..cw];
         let words = self.words();
-        let target_offset = plan.spec.target.offset as usize;
         let first = self.len();
-        let windows = trace.len() - plan.span + 1;
-        self.feature_words.resize((first + windows) * words, 0);
-        for start in 0..windows {
-            let row = &mut self.feature_words[(first + start) * words..][..words];
-            for run in &plan.runs {
-                let cone = plan.cone_words_at(start + run.offset);
-                put_bits(row, run.dst, run.len, get_bits(cone, run.src, run.len));
+        let windows = len - plan.span + 1;
+        match from {
+            Some((cut, row)) => {
+                assert_eq!(cut.features, self.features, "rows of one layout");
+                let src = &cut.feature_words[row * words..(row + windows) * words];
+                self.feature_words.extend_from_slice(src);
             }
-            let target_cycle = start + target_offset;
-            self.targets.push(plan.target_at(target_cycle));
+            None => {
+                self.feature_words.resize((first + windows) * words, 0);
+                for start in 0..windows {
+                    let row = &mut self.feature_words[(first + start) * words..][..words];
+                    for run in &plan.runs {
+                        let bits = get_bits(cone_at(start + run.offset), run.src, run.len);
+                        put_bits(row, run.dst, run.len, bits);
+                    }
+                }
+            }
+        }
+        let target_at = |cycle: usize| bit(cone_at(cycle), plan.target);
+        for start in 0..windows {
+            let target_cycle = start + plan.target_offset;
+            self.targets.push(target_at(target_cycle));
             if self.horizon > 0 {
-                let recorded = (trace.len() - 1 - target_cycle).min(self.horizon as usize);
+                let recorded = (len - 1 - target_cycle).min(self.horizon as usize);
                 for j in 1..=recorded {
-                    self.futures.push(plan.target_at(target_cycle + j));
+                    self.futures.push(target_at(target_cycle + j));
                 }
                 self.future_end.push(self.futures.len());
             }
@@ -449,14 +434,21 @@ impl Dataset {
     }
 
     /// Simulates every segment of `suite` on `module` through the
-    /// chosen simulation backend and adds the resulting traces — the
-    /// dataset-extraction path of the paper's data generator. The
-    /// compiled tape produces traces bit-identical to the interpreter,
-    /// so the extracted rows never depend on the backend.
+    /// chosen simulation backend and adds every window of each — the
+    /// dataset-extraction path of the paper's data generator. The rows
+    /// are captured off the replay ([`ConeCapture::replay`]), no trace
+    /// is built, and they are the rows [`Dataset::add_trace`] cuts from
+    /// the segments' traces on either backend.
     ///
     /// # Errors
     ///
     /// Propagates elaboration errors from simulation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `spec` reads a bit a signal of `module` does not have,
+    /// or has a different number of features than the rows already
+    /// present.
     pub fn add_suite(
         &mut self,
         spec: &MiningSpec,
@@ -471,15 +463,20 @@ impl Dataset {
         let compiled = (backend != SimBackend::Interpreter)
             .then(|| CompiledModule::compile(module))
             .transpose()?;
-        let traces = Replay {
+        let (mut capture, plans) =
+            ConeCapture::new(module, [spec]).unwrap_or_else(|e| panic!("{e}"));
+        let replay = Replay {
             module,
             compiled: compiled.as_ref(),
             block: backend.lane_block(),
             cancel: None,
+        };
+        (capture.replay(&replay, suite, 0..suite.len(), &mut NopObserver)?)
+            .expect("no cancel token");
+        let mut added = ExtractedRows::default();
+        for trace in 0..capture.trace_count() {
+            added.extend(self.add_windows(&plans[0], &capture, trace));
         }
-        .traces(suite, 0..suite.len(), &mut NopObserver)?
-        .expect("no cancel token");
-        let added = self.add_traces(spec, &traces);
         span.arg("rows", added.rows.len());
         span.arg("features", spec.features.len());
         span.arg("short_traces", added.short_traces);

@@ -7,10 +7,13 @@
 //!   cone inputs across the mining window, with state registers at the
 //!   farthest-back offset as *extension* candidates (activated only when
 //!   the window cannot explain the output, the paper's §6 move);
-//! * [`Dataset`] extracts windowed rows from [`gm_sim::Trace`]s and
-//!   stores them bit-packed: `ceil(F / 64)` feature words per row in one
-//!   flat vector, a target bit, and the post-window target bits the
-//!   temporal miner looks ahead into;
+//! * [`ConeCapture`] records, per cycle of a replay, the bits a set of
+//!   specs read, straight off the simulator (no all-signal
+//!   [`gm_sim::Trace`]), with a [`WindowPlan`] per spec;
+//! * [`Dataset`] cuts windowed rows from a capture (or a
+//!   [`gm_sim::Trace`]) and stores them bit-packed: `ceil(F / 64)`
+//!   feature words per row in one flat vector, a target bit, and the
+//!   post-window target bits the temporal miner looks ahead into;
 //! * [`DecisionTree`] is the incremental tree of §3: strict-improvement
 //!   variance splits (100% confidence), counterexample rows re-split
 //!   only the refuted leaf while everything above is preserved
@@ -37,12 +40,14 @@
 
 mod assertion;
 mod bits;
+mod capture;
 mod dataset;
 mod features;
 mod temporal;
 mod tree;
 
 pub use assertion::{assertion_at, input_space_coverage, Assertion, TemporalTemplate};
+pub use capture::{BitOutOfRange, ConeCapture, WindowPlan};
 pub use dataset::{Dataset, ExtractedRows, Row, RowRange};
 pub use features::{Feature, MiningSpec, Target};
 pub use temporal::temporal_candidates;

@@ -28,7 +28,10 @@
 //! leaves keep row-id lists.
 //!
 //! A refinement run calls [`DecisionTree::add_rows`] once per absorbed
-//! trace, so the tree keeps what a call works in across calls: its
+//! trace. A row is routed by a compact split table, one word per node
+//! (the split feature and the zero child, whose sibling is the next
+//! node), rather than by the nodes themselves, which only take the
+//! row's counts. The tree keeps what a call works in across calls: its
 //! touched leaves (a list, and one bit per node, all clear between
 //! calls) and the re-split scratch's open-feature mask. A call whose
 //! rows land in pure leaves allocates nothing, unless a leaf's row list
@@ -154,6 +157,10 @@ impl std::error::Error for MineError {}
 #[derive(Clone)]
 pub struct DecisionTree {
     nodes: Vec<Node>,
+    /// The split table [`DecisionTree::add_rows`] routes by: one word
+    /// per node, 0 on a leaf and `feature << 32 | zero` on a split
+    /// (`one` is `zero + 1`; a child is never node 0).
+    route: Vec<u64>,
     /// Features `0..active` participate in splits; the rest are
     /// extension candidates.
     active: usize,
@@ -217,6 +224,7 @@ impl DecisionTree {
                 parent: None,
                 kind: NodeKind::Leaf(LeafStatus::Open),
             }],
+            route: vec![0],
             active: spec.initial_active,
             initial_active: spec.initial_active,
             total_features: spec.features.len(),
@@ -462,25 +470,23 @@ impl DecisionTree {
         for ri in new_rows {
             let ri = *ri.borrow();
             let words = data.row_words(ri);
-            let target = data.target(ri);
+            let target = usize::from(data.target(ri));
             let mut cur = 0usize;
             loop {
                 let node = &mut self.nodes[cur];
                 node.count += 1;
-                node.ones += usize::from(target);
-                match node.kind {
-                    NodeKind::Leaf(_) => {
-                        node.rows.push(row_id(ri));
-                        if !bit(is_touched, cur) {
-                            set_bits(is_touched, cur..cur + 1);
-                            touched.push(cur);
-                        }
-                        break;
+                node.ones += target;
+                let step = self.route[cur];
+                if step == 0 {
+                    node.rows.push(row_id(ri));
+                    if !bit(is_touched, cur) {
+                        set_bits(is_touched, cur..cur + 1);
+                        touched.push(cur);
                     }
-                    NodeKind::Split { feature, zero, one } => {
-                        cur = if bit(words, feature) { one } else { zero };
-                    }
+                    break;
                 }
+                let feature = (step >> 32) as usize;
+                cur = (step as u32) as usize + usize::from(bit(words, feature));
             }
         }
         for &leaf in touched.iter() {
@@ -570,6 +576,7 @@ impl DecisionTree {
                 parent: Some((node, side)),
                 kind: NodeKind::Leaf(LeafStatus::Open),
             });
+            self.route.push(0);
             self.sync_candidate(self.nodes.len() - 1);
         }
         // Only an open, impure leaf splits (a proved one that turned
@@ -581,6 +588,8 @@ impl DecisionTree {
             zero,
             one,
         };
+        let half = |i: usize| u64::from(u32::try_from(i).expect("indices fit in 32 bits"));
+        self.route[node] = half(split.feature) << 32 | half(zero);
         let (word, mask) = (split.feature / 64, 1u64 << (split.feature % 64));
         scratch.open[word] &= !mask;
         let grown = match self.grow(scratch, zero, lo, mid) {

@@ -1031,13 +1031,16 @@ fn run_attempt(shared: &Arc<Shared>, id: u64, claim: &Claim, warm: Reclaimed) ->
             c
         })
     });
-    let (outcome, reclaimed) = match checker_result {
-        Err(e) => (Err(EngineError::from(e)), None),
-        Ok(checker) => {
+    let engine = checker_result
+        .map_err(EngineError::from)
+        .and_then(|checker| {
+            Engine::with_artifacts(module, elab, checker, compiled, config.clone())
+        });
+    let (outcome, reclaimed) = match engine {
+        Err(e) => (Err(e), None),
+        Ok(engine) => {
             let cancel = &claim.cancel;
-            let mut engine =
-                Engine::with_artifacts(module, elab, checker, compiled, config.clone())
-                    .with_cancel(cancel.clone());
+            let mut engine = engine.with_cancel(cancel.clone());
             let progress = |report: &IterationReport| {
                 lock_state(&shared.state).progress(id, ProgressEvent::from_report(report));
             };

@@ -87,7 +87,7 @@ impl PackedStimulus {
     }
 
     /// Cycles of every segment, in push order.
-    pub(crate) fn lens(&self) -> &[usize] {
+    pub fn lens(&self) -> &[usize] {
         &self.lens
     }
 
