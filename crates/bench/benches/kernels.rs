@@ -622,7 +622,11 @@ fn bench_mining(c: &mut Criterion) {
 
     // The two levers of a `suite_replay` mining item, one at a time, at
     // that workload's size: 256 segments x 128 cycles, window 2,
-    // horizon 2 = 32 000 rows.
+    // horizon 2 = 32 000 rows. Both fits run the stride-2 record move and
+    // count pass. `b18_lite`'s tree (46 features, 17 695 nodes, ~3.6
+    // rows a leaf) is mostly small nodes, so it weighs each node's
+    // decode and scoring; `fetch_stage`'s (26 features, 1 559 nodes)
+    // weighs the passes over large ones.
     for (name, module, output, bit) in [
         ("b18_lite", gm_designs::b18_lite(), "bus", 0),
         ("fetch_stage", gm_designs::fetch_stage(), "pc", 1),

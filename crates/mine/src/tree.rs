@@ -21,11 +21,18 @@
 //! records `[id << 1 | target, feature words...]` ([`Scratch`]). Every
 //! node owns a contiguous run of records; splitting a node partitions
 //! its run stably in place (zero side first), so the children own the
-//! two halves and nothing is allocated per node. The split search gets
-//! the `c1`/`o1` counts of *every* feature from one pass over the
-//! node's run per feature word — a bit-sliced positional popcount
-//! ([`Planes`]) — rather than one walk over the rows per feature. Only
-//! leaves keep row-id lists.
+//! two halves and nothing is allocated per node. A record moves as one
+//! fixed-width copy: the partition is compiled once per stride of two
+//! to four words (up to 192 features), with a strided fallback past
+//! that, and so is the count pass below. The split search gets the
+//! `c1`/`o1` counts of *every* feature from one pass over the node's
+//! run per feature word — a bit-sliced positional popcount ([`Planes`])
+//! over only as many planes as the node's row count needs — rather than
+//! one walk over the rows per feature, and decodes all 64 positions'
+//! counts at once, by transposing the planes in 8×8 bit blocks. A node
+//! of fewer than 2^13 rows scores its candidates in `u64`, where every
+//! cross product fits; a larger one in `u128`. Only leaves keep row-id
+//! lists.
 //!
 //! A refinement run calls [`DecisionTree::add_rows`] once per absorbed
 //! trace. A row is routed by a compact split table, one word per node
@@ -33,7 +40,8 @@
 //! node), rather than by the nodes themselves, which only take the
 //! row's counts. The tree keeps what a call works in across calls: its
 //! touched leaves (a list, and one bit per node, all clear between
-//! calls) and the re-split scratch's open-feature mask. A call whose
+//! calls) and the re-split scratch's open-feature mask and split-search
+//! counters (boxed, so the buffers stay small to move). A call whose
 //! rows land in pure leaves allocates nothing, unless a leaf's row list
 //! outgrows its capacity. A call that re-splits loads its leaves one
 //! after another into the scratch's records, which are dropped when it
@@ -65,6 +73,7 @@ use crate::dataset::Dataset;
 use crate::features::MiningSpec;
 use std::borrow::Borrow;
 use std::fmt;
+use std::ops::{Add, Mul};
 
 /// Verification status of a leaf's candidate assertion.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -623,53 +632,91 @@ struct BestSplit {
 /// `j` of each position's count. Adding a word is a ripple-carry over
 /// the planes; eight words go in through a carry-save adder tree
 /// (Harley–Seal) that touches the upper planes once per eight.
-struct Planes([u64; Planes::LEN]);
+///
+/// A split search clears the planes for the node it counts: counts
+/// below `2^len` never carry past plane `len - 1`, so a carry ripples
+/// that far and no further, and only the groups of eight planes those
+/// reach are cleared and decoded (see [`Planes::decode`]).
+#[derive(Default)]
+struct Planes {
+    /// The planes in groups of eight: enough for `2^32` rows (33
+    /// planes), the most 32-bit row ids can name.
+    groups: [[u64; 8]; 5],
+    /// The planes the counts reach.
+    len: usize,
+}
 
 impl Planes {
-    /// Enough for `2^32` rows, the most 32-bit row ids can name.
-    const LEN: usize = 33;
-
-    fn new() -> Self {
-        Planes([0; Planes::LEN])
+    /// Zero counts, for adding fewer than `2^len` words.
+    fn clear(&mut self, len: usize) {
+        self.len = len;
+        self.groups[..len.div_ceil(8)].fill([0; 8]);
     }
 
     fn add(&mut self, word: u64) {
         self.carry_into(0, word);
     }
 
-    fn carry_into(&mut self, mut plane: usize, mut carry: u64) {
-        while carry != 0 {
-            let p = &mut self.0[plane];
+    /// Branch-free: the ripple always runs to the top plane.
+    fn carry_into(&mut self, plane: usize, mut carry: u64) {
+        for p in &mut self.groups.as_flattened_mut()[plane..self.len] {
             (*p, carry) = (*p ^ carry, *p & carry);
-            plane += 1;
         }
+        debug_assert_eq!(carry, 0, "a count outgrew its {} planes", self.len);
     }
 
+    /// Adds eight words; needs `len >= 4`, as adding eight words does.
     fn add8(&mut self, x: [u64; 8]) {
         /// `a + b + c` per position: (sum bit, carry bit).
         fn csa(a: u64, b: u64, c: u64) -> (u64, u64) {
             let u = a ^ b;
             (u ^ c, (a & b) | (u & c))
         }
-        let [ones, twos, fours] = [self.0[0], self.0[1], self.0[2]];
-        let (ones, twos_a) = csa(ones, x[0], x[1]);
+        let low = &mut self.groups[0];
+        let (ones, twos_a) = csa(low[0], x[0], x[1]);
         let (ones, twos_b) = csa(ones, x[2], x[3]);
-        let (twos, fours_a) = csa(twos, twos_a, twos_b);
+        let (twos, fours_a) = csa(low[1], twos_a, twos_b);
         let (ones, twos_a) = csa(ones, x[4], x[5]);
         let (ones, twos_b) = csa(ones, x[6], x[7]);
         let (twos, fours_b) = csa(twos, twos_a, twos_b);
-        let (fours, eights) = csa(fours, fours_a, fours_b);
-        [self.0[0], self.0[1], self.0[2]] = [ones, twos, fours];
+        let (fours, eights) = csa(low[2], fours_a, fours_b);
+        [low[0], low[1], low[2]] = [ones, twos, fours];
         self.carry_into(3, eights);
     }
 
-    /// The count at bit position `bit`, reading the low `planes` planes.
-    fn count(&self, bit: u32, planes: usize) -> usize {
-        self.0[..planes]
-            .iter()
-            .enumerate()
-            .map(|(j, p)| (((p >> bit) & 1) as usize) << j)
-            .sum()
+    /// Decodes all 64 counts at once, in place: each group of eight
+    /// planes is transposed as eight 8×8 bit blocks, one per byte, so
+    /// that byte `k` of the group's word `i` holds the group's eight
+    /// bits of the count at position `8k + i`.
+    fn decode(&mut self) -> Counts<'_> {
+        let groups = &mut self.groups[..self.len.div_ceil(8)];
+        for group in groups.iter_mut() {
+            for (shift, mask) in [
+                (4, 0x0f0f_0f0f_0f0f_0f0f),
+                (2, 0x3333_3333_3333_3333),
+                (1, 0x5555_5555_5555_5555),
+            ] {
+                for j in (0..8).filter(|j| j & shift == 0) {
+                    let t = ((group[j] >> shift) ^ group[j + shift]) & mask;
+                    group[j + shift] ^= t;
+                    group[j] ^= t << shift;
+                }
+            }
+        }
+        Counts(groups)
+    }
+}
+
+/// The counts [`Planes::decode`] left in its planes.
+struct Counts<'a>(&'a [[u64; 8]]);
+
+impl Counts<'_> {
+    /// The count at bit position `bit`.
+    fn get(&self, bit: u32) -> usize {
+        let (i, shift) = (bit as usize % 8, bit / 8 * 8);
+        (self.0.iter().rev()).fold(0, |count, group| {
+            count << 8 | ((group[i] >> shift) & 0xff) as usize
+        })
     }
 }
 
@@ -686,6 +733,10 @@ struct Scratch {
     spill: Vec<u64>,
     /// The features the node being searched may split on, one bit each.
     open: Vec<u64>,
+    /// The split search's per-feature counters: rows that set the
+    /// feature, and those of them with target 1. Boxed on the first
+    /// search, so that a tree's kept scratch stays small to move.
+    counters: Option<Box<[Planes; 2]>>,
 }
 
 impl Scratch {
@@ -722,62 +773,71 @@ impl Scratch {
     /// children's summed squared error. Exact integer scoring: maximize
     /// `ones0²·count1 + ones1²·count0` over `count0·count1`, strictly
     /// above the parent's `ones²/count`; the lowest feature wins a tie.
-    fn best_split(&self, lo: usize, hi: usize, count: usize, ones: usize) -> Option<BestSplit> {
-        let records = &self.records[lo * self.stride..hi * self.stride];
+    fn best_split(&mut self, lo: usize, hi: usize, count: usize, ones: usize) -> Option<BestSplit> {
+        // Every cross product of two scores is below count⁵/16, which
+        // 64 bits hold for fewer than 2^13 rows.
+        if count < 1 << 13 {
+            self.search::<u64>(lo, hi, count, ones)
+        } else {
+            self.search::<u128>(lo, hi, count, ones)
+        }
+    }
+
+    /// [`Scratch::best_split`], scoring in `T`.
+    fn search<T: Score>(
+        &mut self,
+        lo: usize,
+        hi: usize,
+        count: usize,
+        ones: usize,
+    ) -> Option<BestSplit> {
+        let Scratch {
+            stride,
+            records,
+            open,
+            counters,
+            ..
+        } = self;
+        let [c1, o1] = &mut **counters.get_or_insert_with(Box::default);
+        let stride = *stride;
+        let records = &records[lo * stride..hi * stride];
         let planes = (usize::BITS - count.leading_zeros()) as usize;
-        let parent_num = (ones as u128) * (ones as u128);
-        let parent_den = count as u128;
-        let mut best: Option<(BestSplit, u128, u128)> = None;
-        for (word, &open) in self.open.iter().enumerate() {
+        let int = |v: usize| T::from(v as u64);
+        let (parent_num, parent_den) = (int(ones) * int(ones), int(count));
+        let mut best: Option<(BestSplit, T, T)> = None;
+        for (word, &open) in open.iter().enumerate() {
             if open == 0 {
                 continue;
             }
-            // One pass: per feature of this word, the rows that set it
-            // (`c1`) and those of them with target 1 (`o1`); `any` /
-            // `all` collect the features some / all rows set.
-            let (mut c1, mut o1) = (Planes::new(), Planes::new());
-            let (mut any, mut all) = (0u64, !0u64);
-            let column = |record: &[u64]| {
-                let x = record[1 + word] & open;
-                (x, x & 0u64.wrapping_sub(record[0] & 1))
+            c1.clear(planes);
+            o1.clear(planes);
+            // Each arm inlines its own copy of the pass, with the stride
+            // a constant.
+            let (any, all) = match stride {
+                2 => count_column(records, 2, word, open, c1, o1),
+                3 => count_column(records, 3, word, open, c1, o1),
+                4 => count_column(records, 4, word, open, c1, o1),
+                _ => count_column(records, stride, word, open, c1, o1),
             };
-            let mut blocks = records.chunks_exact(8 * self.stride);
-            for block in &mut blocks {
-                let mut x = [0u64; 8];
-                let mut t = [0u64; 8];
-                for (i, record) in block.chunks_exact(self.stride).enumerate() {
-                    (x[i], t[i]) = column(record);
-                    any |= x[i];
-                    all &= x[i];
-                }
-                c1.add8(x);
-                o1.add8(t);
-            }
-            for record in blocks.remainder().chunks_exact(self.stride) {
-                let (x, t) = column(record);
-                any |= x;
-                all &= x;
-                c1.add(x);
-                o1.add(t);
-            }
+            let (c1_at, o1_at) = (c1.decode(), o1.decode());
             // Only a feature that some rows set and some do not can
             // split; ascending order keeps the lowest index on a tie.
             let mut candidates = any & !all;
             while candidates != 0 {
                 let b = candidates.trailing_zeros();
                 candidates &= candidates - 1;
-                let (c1, o1) = (c1.count(b, planes), o1.count(b, planes));
-                let (c0, o0) = (count - c1, ones - o1);
+                let (c1, o1) = (c1_at.get(b), o1_at.get(b));
+                let [c0, o0, c1t, o1t] = [count - c1, ones - o1, c1, o1].map(int);
                 // score = o0²/c0 + o1²/c1 = (o0²·c1 + o1²·c0) / (c0·c1)
-                let num = (o0 as u128).pow(2) * c1 as u128 + (o1 as u128).pow(2) * c0 as u128;
-                let den = c0 as u128 * c1 as u128;
+                let num = o0 * o0 * c1t + o1t * o1t * c0;
+                let den = c0 * c1t;
                 // Strict improvement over the parent: num/den > parent_num/parent_den.
                 if num * parent_den <= parent_num * den {
                     continue;
                 }
                 if best
                     .as_ref()
-                    .is_none_or(|(_, best_num, best_den)| num * best_den > best_num * den)
+                    .is_none_or(|&(_, best_num, best_den)| num * best_den > best_num * den)
                 {
                     let feature = word * 64 + b as usize;
                     best = Some((BestSplit { feature, c1, o1 }, num, den));
@@ -792,23 +852,105 @@ impl Scratch {
     fn partition(&mut self, lo: usize, hi: usize, feature: usize) {
         let stride = self.stride;
         let records = &mut self.records[lo * stride..hi * stride];
+        let spill = &mut self.spill[..records.len()];
         let (word, shift) = (1 + feature / 64, feature % 64);
-        // Branch-free: every record is written to both sides' next
-        // slot, and only the slot of the side it belongs to advances.
-        // `zeros <= i` always, so no unread record is overwritten.
-        let (mut zeros, mut ones) = (0, 0);
-        for i in 0..hi - lo {
-            let one = ((records[i * stride + word] >> shift) & 1) as usize;
-            for k in 0..stride {
-                let v = records[i * stride + k];
-                records[zeros * stride + k] = v;
-                self.spill[ones * stride + k] = v;
-            }
-            zeros += 1 - one;
-            ones += one;
+        match stride {
+            2 => partition_records::<2>(records, spill, word, shift),
+            3 => partition_records::<3>(records, spill, word, shift),
+            4 => partition_records::<4>(records, spill, word, shift),
+            _ => partition_strided(records, spill, stride, word, shift),
         }
-        records[zeros * stride..].copy_from_slice(&self.spill[..ones * stride]);
     }
+}
+
+/// The integer a split search scores in: `u64` where its node's cross
+/// products fit, `u128` elsewhere.
+trait Score: Copy + From<u64> + PartialOrd + Add<Output = Self> + Mul<Output = Self> {}
+
+impl Score for u64 {}
+impl Score for u128 {}
+
+/// One pass over `stride`-word records: adds each record's feature word
+/// `word` (masked by `open`) to `c1`, and to `o1` as well if its target
+/// is 1. Returns the features some and all records set.
+#[inline(always)]
+fn count_column(
+    records: &[u64],
+    stride: usize,
+    word: usize,
+    open: u64,
+    c1: &mut Planes,
+    o1: &mut Planes,
+) -> (u64, u64) {
+    let (mut any, mut all) = (0u64, !0u64);
+    let column = |record: &[u64]| {
+        let x = record[1 + word] & open;
+        (x, x & 0u64.wrapping_sub(record[0] & 1))
+    };
+    let mut blocks = records.chunks_exact(8 * stride);
+    for block in &mut blocks {
+        let mut x = [0u64; 8];
+        let mut t = [0u64; 8];
+        for (i, record) in block.chunks_exact(stride).enumerate() {
+            (x[i], t[i]) = column(record);
+            any |= x[i];
+            all &= x[i];
+        }
+        c1.add8(x);
+        o1.add8(t);
+    }
+    for record in blocks.remainder().chunks_exact(stride) {
+        let (x, t) = column(record);
+        any |= x;
+        all &= x;
+        c1.add(x);
+        o1.add(t);
+    }
+    (any, all)
+}
+
+/// [`Scratch::partition`] over `W`-word records, `spill` parking the
+/// one side: each record moves as one `[u64; W]` copy. Branch-free:
+/// every record is written to both sides' next slot, and only the slot
+/// of the side it belongs to advances. `zeros <= i` always, so no
+/// unread record is overwritten.
+fn partition_records<const W: usize>(
+    records: &mut [u64],
+    spill: &mut [u64],
+    word: usize,
+    shift: usize,
+) {
+    let records = records.as_chunks_mut::<W>().0;
+    let spill = spill.as_chunks_mut::<W>().0;
+    let (mut zeros, mut ones) = (0, 0);
+    for i in 0..records.len() {
+        let record = records[i];
+        let one = ((record[word] >> shift) & 1) as usize;
+        records[zeros] = record;
+        spill[ones] = record;
+        zeros += 1 - one;
+        ones += one;
+    }
+    records[zeros..].copy_from_slice(&spill[..ones]);
+}
+
+/// [`partition_records`] for strides it is not compiled for.
+fn partition_strided(
+    records: &mut [u64],
+    spill: &mut [u64],
+    stride: usize,
+    word: usize,
+    shift: usize,
+) {
+    let (mut zeros, mut ones) = (0, 0);
+    for i in (0..records.len()).step_by(stride) {
+        let one = ((records[i + word] >> shift) & 1) as usize;
+        spill[ones * stride..][..stride].copy_from_slice(&records[i..][..stride]);
+        records.copy_within(i..i + stride, zeros * stride);
+        zeros += 1 - one;
+        ones += one;
+    }
+    records[zeros * stride..].copy_from_slice(&spill[..ones * stride]);
 }
 
 #[cfg(test)]

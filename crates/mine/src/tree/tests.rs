@@ -212,7 +212,7 @@ fn converged_only_when_all_leaves_proved() {
 fn planes_count_every_position() {
     // Position b is set in every word whose index has bit pattern
     // (i * (b + 1)) % 7 < 3: 64 different counts, through the blocked
-    // and the single-word path.
+    // and the single-word path, decoded all at once.
     let words: Vec<u64> = (0..1003u64)
         .map(|i| {
             (0..64)
@@ -220,7 +220,8 @@ fn planes_count_every_position() {
                 .fold(0, |w, b| w | 1 << b)
         })
         .collect();
-    let mut planes = Planes::new();
+    let mut planes = Planes::default();
+    planes.clear(10);
     let mut blocks = words.chunks_exact(8);
     for block in &mut blocks {
         planes.add8(block.try_into().unwrap());
@@ -228,9 +229,83 @@ fn planes_count_every_position() {
     for &w in blocks.remainder() {
         planes.add(w);
     }
+    let counts = planes.decode();
     for b in 0..64 {
         let expected = words.iter().filter(|w| (*w >> b) & 1 == 1).count();
-        assert_eq!(planes.count(b, 10), expected, "position {b}");
+        assert_eq!(counts.get(b), expected, "position {b}");
+    }
+
+    // Every depth a count can need, 1..=33 planes: each position's
+    // count is written straight into the planes, the even ones one
+    // below the top plane's bit, and one added word carries those into
+    // the top plane. The planes past the depth's groups of eight hold
+    // junk, which clearing must leave and decoding must not read.
+    let rng = &mut TestRng::new(0x5eed);
+    for depth in 1..=33 {
+        let mut planes = Planes {
+            groups: [[!0; 8]; 5],
+            len: 0,
+        };
+        planes.clear(depth);
+        let top = 1u64 << (depth - 1);
+        let counts: Vec<u64> = (0..64)
+            .map(|b| match b % 2 {
+                0 => top - 1,
+                _ => rng.next_u64() % top,
+            })
+            .collect();
+        let words = planes.groups.as_flattened_mut();
+        for (j, plane) in words[..depth].iter_mut().enumerate() {
+            *plane = (0..64).fold(0, |w, b| w | ((counts[b] >> j) & 1) << b);
+        }
+        let added = rng.next_u64() | 0x5555_5555_5555_5555;
+        planes.add(added);
+        let decoded = planes.decode();
+        for (b, &count) in counts.iter().enumerate() {
+            let expected = count + ((added >> b) & 1);
+            assert_eq!(
+                decoded.get(b as u32) as u64,
+                expected,
+                "depth {depth}, position {b}"
+            );
+        }
+    }
+}
+
+#[test]
+fn narrow_scores_pick_the_split_wide_ones_do() {
+    // A node of fewer than 2^13 rows is scored in u64, a larger one in
+    // u128 as every node once was: up to the largest narrow node, both
+    // must pick the same split. Features 16..64 copy features 0..16 (a
+    // tie, the lowest index must win) or differ from one in a single
+    // row (a near tie), so the winner often turns on the last digits
+    // of products as large as the narrow path ever forms.
+    let rng = &mut TestRng::new(0x0de1);
+    for count in [2, 3, 9, 100, 1000, 4095, 4096, 8191] {
+        for _ in 0..4 {
+            let mut data = Dataset::new();
+            let bias = [1, 2, 4, 8][below(rng, 4)];
+            for row in 0..count {
+                let mut features: Vec<bool> = (0..16).map(|_| below(rng, 8) < bias).collect();
+                for f in 16..64 {
+                    let copy = features[f % 16];
+                    features.push(copy ^ (f >= 32 && row == f));
+                }
+                let target = below(rng, 3) == 0 || features[3] && below(rng, 4) > 0;
+                data.push_row(Row { features, target });
+            }
+            let ones = data.target_ones();
+            if ones == 0 || ones == count {
+                continue;
+            }
+            let mut scratch = Scratch::default();
+            scratch.load(&data, 0..count);
+            scratch.open = vec![!0];
+            let pick = |split: Option<BestSplit>| split.map(|s| (s.feature, s.c1, s.o1));
+            let narrow = pick(scratch.search::<u64>(0, count, count, ones));
+            let wide = pick(scratch.search::<u128>(0, count, count, ones));
+            assert_eq!(narrow, wide, "{count} rows, {ones} ones");
+        }
     }
 }
 
@@ -539,7 +614,16 @@ struct Tally {
     partial_fits: usize,
     proved_contradicted: usize,
     resplit: usize,
+    /// Splits of nodes with at least 512 rows.
+    large_splits: usize,
+    /// Cases by feature words: one word, two, three, four (records of
+    /// stride 2 to 5).
+    strides: [usize; 4],
 }
+
+/// The feature totals a case draws from: one to four feature words, at
+/// and around the word boundaries.
+const TOTALS: [usize; 10] = [1, 7, 63, 64, 65, 128, 129, 130, 192, 200];
 
 fn below(rng: &mut TestRng, n: usize) -> usize {
     rng.below(n as u128) as usize
@@ -554,13 +638,14 @@ fn below(rng: &mut TestRng, n: usize) -> usize {
 /// with a flipped target — outright contradictions are all common.
 fn run_case(seed: u64, tally: &mut Tally) {
     let rng = &mut TestRng::new(seed);
-    let total = [1, 7, 63, 64, 65, 130][below(rng, 6)];
+    let total = TOTALS[below(rng, TOTALS.len())];
     let initial_active = match below(rng, 3) {
         0 => total,
         _ => below(rng, total + 1),
     };
     let spec = spec(initial_active, total - initial_active);
     tally.multi_word += usize::from(total > 64);
+    tally.strides[total.div_ceil(64) - 1] += 1;
 
     let relevant: Vec<usize> = (0..1 + below(rng, 4)).map(|_| below(rng, total)).collect();
     let truth_table = rng.next_u64();
@@ -588,7 +673,14 @@ fn run_case(seed: u64, tally: &mut Tally) {
     };
 
     let mut both = Lockstep::new(&spec);
-    for _ in 0..below(rng, 65) {
+    // One case in four is large enough that its top nodes hold hundreds
+    // of records: their counts reach ten planes and more, go in through
+    // the blocked adds, and their partitions move hundreds of records.
+    let rows = match below(rng, 4) {
+        0 => 512 + below(rng, 512),
+        _ => below(rng, 65),
+    };
+    for _ in 0..rows {
         let (features, target) = random_row(rng);
         both.push(features, target);
     }
@@ -610,6 +702,10 @@ fn run_case(seed: u64, tally: &mut Tally) {
     };
     let fitted = both.fit().map(|()| 0);
     tally.partial_fits += usize::from(fitted.is_err());
+    let tree = &both.packed;
+    tally.large_splits += (0..tree.node_count())
+        .filter(|&i| !tree.is_leaf(i) && tree.node(i).row_count() >= 512)
+        .count();
     note(&both, fitted, tally);
 
     for leaf in both.packed.leaves() {
@@ -668,13 +764,15 @@ fn the_reference_comparison_is_not_vacuous() {
     assert!(floor >= 100, "run at least 600 cases");
     println!(
         "{} multi-word, {} extensions, {} contradictory ({} in fit), {} proved contradicted, \
-         {} re-split",
+         {} re-split, {} splits of 512+ rows, cases by stride 2..=5 {:?}",
         tally.multi_word,
         tally.extensions,
         tally.contradictory,
         tally.partial_fits,
         tally.proved_contradicted,
-        tally.resplit
+        tally.resplit,
+        tally.large_splits,
+        tally.strides
     );
     assert!(tally.multi_word >= floor, "{} multi-word", tally.multi_word);
     assert!(tally.extensions >= floor, "{} extensions", tally.extensions);
@@ -694,6 +792,18 @@ fn the_reference_comparison_is_not_vacuous() {
         tally.proved_contradicted
     );
     assert!(tally.resplit >= floor, "{} leaves re-split", tally.resplit);
+    assert!(
+        tally.large_splits >= floor,
+        "{} splits of 512+ rows",
+        tally.large_splits
+    );
+    for (words, &cases) in tally.strides.iter().enumerate() {
+        assert!(
+            cases >= floor / 4,
+            "{cases} cases of {} feature words",
+            words + 1
+        );
+    }
 }
 
 // ---------------------------------------------------------------------
