@@ -21,18 +21,16 @@
 //! records `[id << 1 | target, feature words...]` ([`Scratch`]). Every
 //! node owns a contiguous run of records; splitting a node partitions
 //! its run stably in place (zero side first), so the children own the
-//! two halves and nothing is allocated per node. A record moves as one
-//! fixed-width copy: the partition is compiled once per stride of two
-//! to four words (up to 192 features), with a strided fallback past
-//! that, and so is the count pass below. The split search gets the
-//! `c1`/`o1` counts of *every* feature from one pass over the node's
-//! run per feature word — a bit-sliced positional popcount ([`Planes`])
-//! over only as many planes as the node's row count needs — rather than
-//! one walk over the rows per feature, and decodes all 64 positions'
-//! counts at once, by transposing the planes in 8×8 bit blocks. A node
-//! of fewer than 2^13 rows scores its candidates in `u64`, where every
-//! cross product fits; a larger one in `u128`. Only leaves keep row-id
-//! lists.
+//! two halves and nothing is allocated per node. A record of two words
+//! (up to 64 features, as every benchmark workload's are) moves as one
+//! fixed-width `[u64; 2]` copy, and the count pass below runs with the
+//! stride a constant; wider records take a strided path. The split
+//! search gets the `c1`/`o1` counts of *every* feature from one pass
+//! over the node's run per feature word — a bit-sliced positional
+//! popcount ([`Planes`]) over only as many planes as the node's row
+//! count needs — rather than one walk over the rows per feature, and
+//! decodes all 64 positions' counts at once, by transposing the planes
+//! in 8×8 bit blocks. Only leaves keep row-id lists.
 //!
 //! A refinement run calls [`DecisionTree::add_rows`] once per absorbed
 //! trace. A row is routed by a compact split table, one word per node
@@ -40,8 +38,7 @@
 //! node), rather than by the nodes themselves, which only take the
 //! row's counts. The tree keeps what a call works in across calls: its
 //! touched leaves (a list, and one bit per node, all clear between
-//! calls) and the re-split scratch's open-feature mask and split-search
-//! counters (boxed, so the buffers stay small to move). A call whose
+//! calls) and the re-split scratch's open-feature mask. A call whose
 //! rows land in pure leaves allocates nothing, unless a leaf's row list
 //! outgrows its capacity. A call that re-splits loads its leaves one
 //! after another into the scratch's records, which are dropped when it
@@ -73,7 +70,6 @@ use crate::dataset::Dataset;
 use crate::features::MiningSpec;
 use std::borrow::Borrow;
 use std::fmt;
-use std::ops::{Add, Mul};
 
 /// Verification status of a leaf's candidate assertion.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -733,10 +729,6 @@ struct Scratch {
     spill: Vec<u64>,
     /// The features the node being searched may split on, one bit each.
     open: Vec<u64>,
-    /// The split search's per-feature counters: rows that set the
-    /// feature, and those of them with target 1. Boxed on the first
-    /// search, so that a tree's kept scratch stays small to move.
-    counters: Option<Box<[Planes; 2]>>,
 }
 
 impl Scratch {
@@ -773,51 +765,26 @@ impl Scratch {
     /// children's summed squared error. Exact integer scoring: maximize
     /// `ones0²·count1 + ones1²·count0` over `count0·count1`, strictly
     /// above the parent's `ones²/count`; the lowest feature wins a tie.
-    fn best_split(&mut self, lo: usize, hi: usize, count: usize, ones: usize) -> Option<BestSplit> {
-        // Every cross product of two scores is below count⁵/16, which
-        // 64 bits hold for fewer than 2^13 rows.
-        if count < 1 << 13 {
-            self.search::<u64>(lo, hi, count, ones)
-        } else {
-            self.search::<u128>(lo, hi, count, ones)
-        }
-    }
-
-    /// [`Scratch::best_split`], scoring in `T`.
-    fn search<T: Score>(
-        &mut self,
-        lo: usize,
-        hi: usize,
-        count: usize,
-        ones: usize,
-    ) -> Option<BestSplit> {
-        let Scratch {
-            stride,
-            records,
-            open,
-            counters,
-            ..
-        } = self;
-        let [c1, o1] = &mut **counters.get_or_insert_with(Box::default);
-        let stride = *stride;
-        let records = &records[lo * stride..hi * stride];
+    fn best_split(&self, lo: usize, hi: usize, count: usize, ones: usize) -> Option<BestSplit> {
+        let records = &self.records[lo * self.stride..hi * self.stride];
         let planes = (usize::BITS - count.leading_zeros()) as usize;
-        let int = |v: usize| T::from(v as u64);
-        let (parent_num, parent_den) = (int(ones) * int(ones), int(count));
-        let mut best: Option<(BestSplit, T, T)> = None;
-        for (word, &open) in open.iter().enumerate() {
+        let parent_num = (ones as u128) * (ones as u128);
+        let parent_den = count as u128;
+        // Per feature of a word, the rows that set it (`c1`) and those
+        // of them with target 1 (`o1`).
+        let (mut c1, mut o1) = (Planes::default(), Planes::default());
+        let mut best: Option<(BestSplit, u128, u128)> = None;
+        for (word, &open) in self.open.iter().enumerate() {
             if open == 0 {
                 continue;
             }
             c1.clear(planes);
             o1.clear(planes);
-            // Each arm inlines its own copy of the pass, with the stride
-            // a constant.
-            let (any, all) = match stride {
-                2 => count_column(records, 2, word, open, c1, o1),
-                3 => count_column(records, 3, word, open, c1, o1),
-                4 => count_column(records, 4, word, open, c1, o1),
-                _ => count_column(records, stride, word, open, c1, o1),
+            // Stride 2 (up to 64 features) inlines its own copy of the
+            // pass, with the stride a constant.
+            let (any, all) = match self.stride {
+                2 => count_column(records, 2, word, open, &mut c1, &mut o1),
+                stride => count_column(records, stride, word, open, &mut c1, &mut o1),
             };
             let (c1_at, o1_at) = (c1.decode(), o1.decode());
             // Only a feature that some rows set and some do not can
@@ -827,17 +794,17 @@ impl Scratch {
                 let b = candidates.trailing_zeros();
                 candidates &= candidates - 1;
                 let (c1, o1) = (c1_at.get(b), o1_at.get(b));
-                let [c0, o0, c1t, o1t] = [count - c1, ones - o1, c1, o1].map(int);
+                let (c0, o0) = (count - c1, ones - o1);
                 // score = o0²/c0 + o1²/c1 = (o0²·c1 + o1²·c0) / (c0·c1)
-                let num = o0 * o0 * c1t + o1t * o1t * c0;
-                let den = c0 * c1t;
+                let num = (o0 as u128).pow(2) * c1 as u128 + (o1 as u128).pow(2) * c0 as u128;
+                let den = c0 as u128 * c1 as u128;
                 // Strict improvement over the parent: num/den > parent_num/parent_den.
                 if num * parent_den <= parent_num * den {
                     continue;
                 }
                 if best
                     .as_ref()
-                    .is_none_or(|&(_, best_num, best_den)| num * best_den > best_num * den)
+                    .is_none_or(|(_, best_num, best_den)| num * best_den > best_num * den)
                 {
                     let feature = word * 64 + b as usize;
                     best = Some((BestSplit { feature, c1, o1 }, num, den));
@@ -856,19 +823,10 @@ impl Scratch {
         let (word, shift) = (1 + feature / 64, feature % 64);
         match stride {
             2 => partition_records::<2>(records, spill, word, shift),
-            3 => partition_records::<3>(records, spill, word, shift),
-            4 => partition_records::<4>(records, spill, word, shift),
             _ => partition_strided(records, spill, stride, word, shift),
         }
     }
 }
-
-/// The integer a split search scores in: `u64` where its node's cross
-/// products fit, `u128` elsewhere.
-trait Score: Copy + From<u64> + PartialOrd + Add<Output = Self> + Mul<Output = Self> {}
-
-impl Score for u64 {}
-impl Score for u128 {}
 
 /// One pass over `stride`-word records: adds each record's feature word
 /// `word` (masked by `open`) to `c1`, and to `o1` as well if its target

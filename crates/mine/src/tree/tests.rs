@@ -272,43 +272,6 @@ fn planes_count_every_position() {
     }
 }
 
-#[test]
-fn narrow_scores_pick_the_split_wide_ones_do() {
-    // A node of fewer than 2^13 rows is scored in u64, a larger one in
-    // u128 as every node once was: up to the largest narrow node, both
-    // must pick the same split. Features 16..64 copy features 0..16 (a
-    // tie, the lowest index must win) or differ from one in a single
-    // row (a near tie), so the winner often turns on the last digits
-    // of products as large as the narrow path ever forms.
-    let rng = &mut TestRng::new(0x0de1);
-    for count in [2, 3, 9, 100, 1000, 4095, 4096, 8191] {
-        for _ in 0..4 {
-            let mut data = Dataset::new();
-            let bias = [1, 2, 4, 8][below(rng, 4)];
-            for row in 0..count {
-                let mut features: Vec<bool> = (0..16).map(|_| below(rng, 8) < bias).collect();
-                for f in 16..64 {
-                    let copy = features[f % 16];
-                    features.push(copy ^ (f >= 32 && row == f));
-                }
-                let target = below(rng, 3) == 0 || features[3] && below(rng, 4) > 0;
-                data.push_row(Row { features, target });
-            }
-            let ones = data.target_ones();
-            if ones == 0 || ones == count {
-                continue;
-            }
-            let mut scratch = Scratch::default();
-            scratch.load(&data, 0..count);
-            scratch.open = vec![!0];
-            let pick = |split: Option<BestSplit>| split.map(|s| (s.feature, s.c1, s.o1));
-            let narrow = pick(scratch.search::<u64>(0, count, count, ones));
-            let wide = pick(scratch.search::<u128>(0, count, count, ones));
-            assert_eq!(narrow, wide, "{count} rows, {ones} ones");
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // The scalar reference
 // ---------------------------------------------------------------------
@@ -621,9 +584,17 @@ struct Tally {
     strides: [usize; 4],
 }
 
-/// The feature totals a case draws from: one to four feature words, at
-/// and around the word boundaries.
-const TOTALS: [usize; 10] = [1, 7, 63, 64, 65, 128, 129, 130, 192, 200];
+/// What a case draws its feature total and row count from.
+#[derive(Clone, Copy)]
+enum Shape {
+    /// 1, 7, 63, 64, 65 or 130 features, at most 64 rows.
+    Small,
+    /// One to four feature words, at and around the word boundaries;
+    /// every other case holds 512–1023 rows, so that its top nodes'
+    /// counts reach ten planes and more, go in through the blocked
+    /// adds, and their partitions move hundreds of records.
+    Edge,
+}
 
 fn below(rng: &mut TestRng, n: usize) -> usize {
     rng.below(n as u128) as usize
@@ -636,9 +607,12 @@ fn below(rng: &mut TestRng, n: usize) -> usize {
 /// which may lie in the extension range; rows are a few base patterns
 /// with a couple of bits flipped, so duplicates, near-duplicates and —
 /// with a flipped target — outright contradictions are all common.
-fn run_case(seed: u64, tally: &mut Tally) {
+fn run_case(seed: u64, shape: Shape, tally: &mut Tally) {
     let rng = &mut TestRng::new(seed);
-    let total = TOTALS[below(rng, TOTALS.len())];
+    let total = match shape {
+        Shape::Small => [1, 7, 63, 64, 65, 130][below(rng, 6)],
+        Shape::Edge => [1, 63, 64, 65, 128, 129, 192, 200][below(rng, 8)],
+    };
     let initial_active = match below(rng, 3) {
         0 => total,
         _ => below(rng, total + 1),
@@ -673,11 +647,8 @@ fn run_case(seed: u64, tally: &mut Tally) {
     };
 
     let mut both = Lockstep::new(&spec);
-    // One case in four is large enough that its top nodes hold hundreds
-    // of records: their counts reach ten planes and more, go in through
-    // the blocked adds, and their partitions move hundreds of records.
-    let rows = match below(rng, 4) {
-        0 => 512 + below(rng, 512),
+    let rows = match shape {
+        Shape::Edge if below(rng, 2) == 0 => 512 + below(rng, 512),
         _ => below(rng, 65),
     };
     for _ in 0..rows {
@@ -747,18 +718,31 @@ proptest! {
 
     #[test]
     fn packed_fit_equals_the_scalar_reference(seed in any::<u64>()) {
-        run_case(seed, &mut Tally::default());
+        run_case(seed, Shape::Small, &mut Tally::default());
+    }
+
+    #[test]
+    fn packed_fit_equals_the_scalar_reference_at_the_edges(seed in any::<u64>()) {
+        run_case(seed, Shape::Edge, &mut Tally::default());
     }
 }
 
-/// The property above is only as strong as what its cases reach: over
-/// the very same seeds, count the hard paths that were compared.
+/// The properties above are only as strong as what their cases reach:
+/// over the very same seeds, count the hard paths that were compared.
 #[test]
 fn the_reference_comparison_is_not_vacuous() {
     let mut tally = Tally::default();
     for case in 0..cases() {
-        let mut rng = proptest::rng_for_case("packed_fit_equals_the_scalar_reference", case);
-        run_case(any::<u64>().generate(&mut rng), &mut tally);
+        for (name, shape) in [
+            ("packed_fit_equals_the_scalar_reference", Shape::Small),
+            (
+                "packed_fit_equals_the_scalar_reference_at_the_edges",
+                Shape::Edge,
+            ),
+        ] {
+            let mut rng = proptest::rng_for_case(name, case);
+            run_case(any::<u64>().generate(&mut rng), shape, &mut tally);
+        }
     }
     let floor = cases() as usize / 6;
     assert!(floor >= 100, "run at least 600 cases");
