@@ -552,8 +552,8 @@ fn bench_campaign(c: &mut Criterion) {
 
 /// Server throughput: repeated submissions of a small design mix
 /// through the persistent service — the steady-state request path
-/// (content-addressed cache hits, parked warm checkers, work-stealing
-/// dispatch) rather than a fresh engine per design.
+/// (content-addressed cache hits, parked warm checkers, one shared job
+/// queue) rather than a fresh engine per design.
 fn bench_serve_throughput(c: &mut Criterion) {
     use gm_serve::{ClosureService, ServeConfig, SubmitOptions};
     let designs: Vec<_> = ["cex_small", "b01", "b02"]

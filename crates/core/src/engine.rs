@@ -565,49 +565,17 @@ impl<'m> Engine<'m> {
         &self.suite
     }
 
-    /// Runs the refinement loop to convergence or budget exhaustion.
+    /// Runs the refinement loop to convergence or budget exhaustion:
+    /// [`Engine::step`] until it stops, then [`Engine::finish`].
     ///
     /// # Errors
     ///
     /// Propagates simulation and model-checking failures. Mining
     /// failures (contradictory windows) are per-target and reported in
     /// the outcome's [`TargetSummary::stuck`] instead.
-    pub fn run(self) -> Result<ClosureOutcome, EngineError> {
-        self.run_reclaim(|_| true).0
-    }
-
-    /// Runs the loop, invoking `on_iteration` after every recorded
-    /// [`IterationReport`] (including the iteration-0 seed snapshot).
-    /// Returning `false` stops the run at that iteration boundary,
-    /// exactly as a [`Engine::step`] caller that stops stepping there.
-    /// Observers that always return `true` leave the outcome exactly as
-    /// [`Engine::run`] produces it.
-    ///
-    /// Also hands the checker back (see [`Engine::finish`]), on the
-    /// error path too.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Engine::run`].
-    pub fn run_reclaim(
-        mut self,
-        mut on_iteration: impl FnMut(&IterationReport) -> bool,
-    ) -> (Result<ClosureOutcome, EngineError>, Checker) {
-        let ran = loop {
-            match self.step() {
-                Ok(Step::Continue(report)) if on_iteration(report) => {}
-                Ok(Step::Continue(_)) => break Ok(()),
-                Ok(Step::Stop { last, .. }) => {
-                    if let Some(report) = last {
-                        on_iteration(report);
-                    }
-                    break Ok(());
-                }
-                Err(e) => break Err(e),
-            }
-        };
-        let (outcome, checker) = self.finish();
-        (ran.map(|()| outcome), checker)
+    pub fn run(mut self) -> Result<ClosureOutcome, EngineError> {
+        while let Step::Continue(_) = self.step()? {}
+        Ok(self.finish().0)
     }
 
     /// Advances the run by one report: the first call seeds and returns

@@ -190,8 +190,7 @@ pub struct ClosureOutcome {
     /// is still valid — proved assertions are sound, the suite replays —
     /// it just reflects only the work completed before the cancel
     /// landed. A caller that stops stepping at an iteration boundary
-    /// (or a `run_reclaim` observer that returns `false`) leaves this
-    /// `false`.
+    /// leaves this `false`.
     pub interrupted: bool,
 }
 

@@ -55,7 +55,10 @@ use gm_mc::Checker;
 use gm_rtl::{elaborate, Elab, Module};
 use gm_sim::{NopObserver, Replay, Segment, SimBackend};
 use gm_trace::{ArgValue, TraceEvent, TraceSink};
-use goldmine::{ClosureOutcome, Engine, EngineConfig, RefineConfig, SeedStimulus, TargetSelection};
+use goldmine::{
+    ClosureOutcome, Engine, EngineConfig, EngineError, IterationReport, RefineConfig, SeedStimulus,
+    Step, TargetSelection,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -93,6 +96,27 @@ fn interpreted_b12_lite() -> (Module, EngineConfig) {
     (m, config)
 }
 
+/// Steps `engine` to its end, handing every report to `on_report`, and
+/// finishes it: the outcome (or the error that ended the run) and the
+/// checker.
+fn run_observed(
+    mut engine: Engine<'_>,
+    mut on_report: impl FnMut(&IterationReport),
+) -> (Result<ClosureOutcome, EngineError>, Checker) {
+    let ran = loop {
+        match engine.step() {
+            Ok(Step::Continue(report)) => on_report(report),
+            Ok(Step::Stop { last, .. }) => {
+                last.into_iter().for_each(&mut on_report);
+                break Ok(());
+            }
+            Err(e) => break Err(e),
+        }
+    };
+    let (outcome, checker) = engine.finish();
+    (ran.map(|()| outcome), checker)
+}
+
 fn arg<'e>(event: &'e TraceEvent, key: &str) -> &'e ArgValue {
     let found = event.args.iter().find(|(k, _)| *k == key);
     &found
@@ -120,11 +144,10 @@ fn cancel_in_iteration_after(
     let sink = TraceSink::new();
     let cut = {
         let _guard = gm_trace::push_thread_sink(sink.clone());
-        let (cut, _checker) = engine.run_reclaim(|report| {
+        let (cut, _checker) = run_observed(engine, |report| {
             if report.iteration == boundary {
                 token.store(true, Ordering::Release);
             }
-            true
         });
         cut.unwrap()
     };
@@ -195,10 +218,7 @@ fn record_raising(
             lengths
         });
         let _guard = gm_trace::push_thread_sink(sink.clone());
-        let (outcome, checker) = engine.run_reclaim(|_| {
-            gm_trace::flush_thread();
-            true
-        });
+        let (outcome, checker) = run_observed(engine, |_| gm_trace::flush_thread());
         done.store(true, Ordering::Release);
         (outcome, checker, watcher.join().unwrap())
     });
@@ -287,9 +307,7 @@ fn assert_cut_cleanly(
 fn a_cancel_inside_a_counterexample_batch_interrupts_before_absorption() {
     let (m, config) = interpreted_b12_lite();
     let elab = elaborate(&m).unwrap();
-    let (cold, checker) = Engine::new(&m, config.clone())
-        .unwrap()
-        .run_reclaim(|_| true);
+    let (cold, checker) = run_observed(Engine::new(&m, config.clone()).unwrap(), |_| {});
     cold.unwrap();
     // Each verification batch of the reference recording: where it
     // ended, and how many counterexample segments were replayed right
@@ -353,9 +371,7 @@ fn a_cancel_inside_a_compiled_counterexample_batch_interrupts_before_absorption(
         ..config
     };
     let elab = elaborate(&m).unwrap();
-    let (cold, checker) = Engine::new(&m, config.clone())
-        .unwrap()
-        .run_reclaim(|_| true);
+    let (cold, checker) = run_observed(Engine::new(&m, config.clone()).unwrap(), |_| {});
     cold.unwrap();
     // A counterexample replay is the batch right after a verification
     // batch: with nothing refuted, the next event is the end of

@@ -93,14 +93,13 @@ fn main() -> ExitCode {
         Ok(()) => {
             let stats = service.stats();
             println!(
-                "gmserved: clean shutdown — {} submitted, {} completed, {} failed, {} cancelled, cache {}/{} hits, {} steals",
+                "gmserved: clean shutdown — {} submitted, {} completed, {} failed, {} cancelled, cache {}/{} hits",
                 stats.submitted,
                 stats.completed,
                 stats.failed,
                 stats.cancelled,
                 stats.cache_hits,
                 stats.cache_hits + stats.cache_misses,
-                stats.steals,
             );
             ExitCode::SUCCESS
         }

@@ -10,12 +10,11 @@
 //!   [`protocol::read_frame`]), written and parsed by the hand-written
 //!   [`json`] codec, that work identically in-process and across a
 //!   Unix-domain socket;
-//! * the scheduler — the service's long-lived workers each own a local
-//!   queue (jobs dealt round-robin at submission, popped oldest-first)
-//!   and an idle worker steals from the back of a peer's, so expensive
-//!   designs bunched onto one worker never leave the rest idle; a
-//!   one-shot batch of jobs is an in-process [`ClosureService`] too —
-//!   submit every job, then wait on each;
+//! * the queue — the service's long-lived workers claim from one FIFO
+//!   of job ids kept in the job table, oldest job first, under the
+//!   table's lock, and an idle worker waits on a condvar paired with
+//!   it; a one-shot batch of jobs is an in-process [`ClosureService`]
+//!   too — submit every job, then wait on each;
 //! * [`cache`] — a content-addressed [`DesignCache`]: submissions
 //!   hash the parsed module, repeated designs reuse the elaboration,
 //!   bit-blasted AIG, reachable set and explicit-engine tables, under
@@ -27,7 +26,7 @@
 //!
 //! Serving never changes results: a served job's
 //! [`goldmine::ClosureOutcome`] is byte-identical to a standalone
-//! [`goldmine::Engine`] run wherever the scheduler ran it and in every
+//! [`goldmine::Engine`] run whichever worker ran it and in every
 //! cache state (enforced by `tests/serve_agree.rs` across the whole design
 //! catalog).
 //!
@@ -64,7 +63,6 @@ mod lifecycle;
 pub mod net;
 pub mod protocol;
 pub mod retry;
-mod scheduler;
 pub mod service;
 
 pub use cache::{content_key, CacheStats, DesignCache};

@@ -1,12 +1,14 @@
 //! The job table as a pure lifecycle state machine.
 //!
-//! [`JobTable`] holds every job record, the finished-record FIFO, the
-//! [`DesignCache`] and the service's own counters. Every change to it
-//! is a transition method that takes the clock reading (`now_ns`, on
-//! the `gm_trace` clock) as an argument and never locks, sleeps or
-//! spawns, so the whole lifecycle is unit-testable without threads or
-//! clocks, like `retry.rs`. The service drives it, calling one
-//! transition under its one state lock:
+//! [`JobTable`] holds every job record, the queue (a FIFO of job ids in
+//! admission order, which the workers claim from), the finished-record
+//! FIFO, the [`DesignCache`] and the service's own counters. Every
+//! change to it is a transition method that takes the clock reading
+//! (`now_ns`, on the `gm_trace` clock) as an argument and never locks,
+//! sleeps or spawns, so the whole lifecycle is unit-testable without
+//! threads or clocks, like `retry.rs`. The service drives it, calling
+//! one transition under its one state lock; a worker claims the oldest
+//! job still queued ([`JobTable::claim_next`]):
 //!
 //! ```text
 //! admit ─→ Queued ─claim─→ Running ─(progress | restart)*─→ end ─→ Done | Failed | Cancelled
@@ -153,6 +155,9 @@ pub(crate) fn terminal(state: JobState) -> bool {
 pub(crate) struct JobTable {
     config: ServeConfig,
     jobs: HashMap<u64, JobRecord>,
+    /// Admitted job ids, oldest first: the queue the workers claim
+    /// from. An id that ended while queued stays until a claim skips it.
+    queue: VecDeque<u64>,
     /// Finished job ids in completion order — the FIFO behind
     /// [`ServeConfig::retain_jobs`].
     finished: VecDeque<u64>,
@@ -172,6 +177,7 @@ impl JobTable {
             cache: DesignCache::with_max_bytes(config.cache_capacity, config.cache_max_bytes),
             config,
             jobs: HashMap::new(),
+            queue: VecDeque::new(),
             finished: VecDeque::new(),
             next_id: 1,
             stats: ServeStats::default(),
@@ -190,7 +196,8 @@ impl JobTable {
     }
 
     /// The counters with the job-state gauges and the cache's values
-    /// filled in (the scheduler's stay zero). Read under one lock, so
+    /// filled in (`workers` stays zero: the service fills it in). Read
+    /// under one lock, so
     /// `submitted == queued + running + completed + failed + cancelled`.
     pub(crate) fn snapshot(&self) -> ServeStats {
         let cache = self.cache.stats();
@@ -213,13 +220,13 @@ impl JobTable {
         }
     }
 
-    /// Admits a submission as a new `Queued` job, returning its id and
-    /// whether the design was cached. Admission control runs first,
-    /// before any build work: past [`ServeConfig::max_queued`] or
-    /// [`ServeConfig::max_queued_bytes`] the request is shed. An
-    /// uncached design comes back as [`Refusal::Build`] until its
-    /// artifacts are built; the cache checkout then hands the job the
-    /// design's warm checker and tape.
+    /// Admits a submission as a new `Queued` job at the back of the
+    /// queue, returning its id and whether the design was cached.
+    /// Admission control runs first, before any build work: past
+    /// [`ServeConfig::max_queued`] or [`ServeConfig::max_queued_bytes`]
+    /// the request is shed. An uncached design comes back as
+    /// [`Refusal::Build`] until its artifacts are built; the cache
+    /// checkout then hands the job the design's warm checker and tape.
     pub(crate) fn admit(
         &mut self,
         sub: Box<Submission>,
@@ -301,6 +308,7 @@ impl JobTable {
             trace,
         };
         self.jobs.insert(id, record);
+        self.queue.push_back(id);
         Ok((id, out.hit))
     }
 
@@ -308,7 +316,7 @@ impl JobTable {
     /// samples the queue-latency histogram. A job whose token is
     /// already raised ends `Cancelled` instead (`None`, as for a job no
     /// longer queued).
-    pub(crate) fn claim(&mut self, id: u64, now_ns: u64) -> Option<Claim> {
+    fn claim(&mut self, id: u64, now_ns: u64) -> Option<Claim> {
         let job = self
             .jobs
             .get_mut(&id)
@@ -331,6 +339,39 @@ impl JobTable {
             trace: job.trace.clone(),
             submitted_ns: job.submitted_ns,
         })
+    }
+
+    /// Claims the oldest job still queued, popping the ids before it
+    /// that ended while queued. A job whose token is raised ends
+    /// `Cancelled` at its claim and the next one is taken. Returns the
+    /// claim (`None` once the queue is empty) and whether a job ended
+    /// at its claim on the way.
+    pub(crate) fn claim_next(&mut self, now_ns: u64) -> (Option<(u64, Claim)>, bool) {
+        let mut ended = false;
+        while let Some(id) = self.queue.pop_front() {
+            let queued = self.is_queued(id);
+            match self.claim(id, now_ns) {
+                Some(claim) => return (Some((id, claim)), ended),
+                None => ended |= queued,
+            }
+        }
+        (None, ended)
+    }
+
+    /// Shutdown's drain: empties the queue, ending every job still
+    /// queued `Cancelled` — no worker will claim it.
+    pub(crate) fn abandon_queued(&mut self, now_ns: u64) {
+        for id in std::mem::take(&mut self.queue) {
+            if self.is_queued(id) {
+                self.end(id, Ending::Cancelled, Reclaimed::default(), now_ns);
+            }
+        }
+    }
+
+    fn is_queued(&self, id: u64) -> bool {
+        self.jobs
+            .get(&id)
+            .is_some_and(|j| j.state == JobState::Queued)
     }
 
     /// Appends one iteration's progress event.
@@ -658,6 +699,78 @@ mod tests {
             s.verify_sat_queries, verify.sat_queries,
             "the run's work still counts"
         );
+    }
+
+    #[test]
+    fn claims_follow_admission_order_and_hand_each_job_out_once() {
+        let mut t = table(8, 0);
+        let ids: Vec<u64> = (0..5).map(|_| admit(&mut t, None, 0).unwrap()).collect();
+        let mut claimed = Vec::new();
+        while let (Some((id, _claim)), ended) = t.claim_next(MS) {
+            assert!(!ended);
+            assert_eq!(t.job(id).unwrap().state, JobState::Running);
+            claimed.push(id);
+        }
+        assert_eq!(claimed, ids);
+        assert!(
+            t.claim(ids[0], 2 * MS).is_none(),
+            "a running job is not claimed again"
+        );
+        let later = admit(&mut t, None, 3 * MS).unwrap();
+        assert_eq!(t.claim_next(4 * MS).0.map(|(id, _)| id), Some(later));
+        assert_eq!(t.snapshot().queue_seconds.count(), 6);
+    }
+
+    #[test]
+    fn claims_skip_jobs_that_ended_while_queued() {
+        let mut t = table(8, 0);
+        let expired = admit(&mut t, Some(5), 0).unwrap();
+        let next = admit(&mut t, None, 0).unwrap();
+        assert!(t.expire(5 * MS));
+        let (claim, ended) = t.claim_next(6 * MS);
+        assert_eq!(claim.map(|(id, _)| id), Some(next));
+        assert!(
+            !ended,
+            "the expired job ended at its deadline, not at a claim"
+        );
+        assert_eq!(t.job(expired).unwrap().state, JobState::Failed);
+        // Shutdown's drain ends what is still queued and leaves the
+        // running job to its worker.
+        let abandoned = admit(&mut t, None, 7 * MS).unwrap();
+        t.abandon_queued(8 * MS);
+        assert_eq!(t.job(abandoned).unwrap().state, JobState::Cancelled);
+        assert_eq!(t.job(next).unwrap().state, JobState::Running);
+        assert!(t.claim_next(9 * MS).0.is_none() && t.queue.is_empty());
+        let s = t.snapshot();
+        assert_eq!((s.failed, s.cancelled, s.running), (1, 1, 1));
+    }
+
+    #[test]
+    fn a_raised_token_ends_its_job_at_the_claim_and_the_next_one_is_claimed() {
+        let mut t = table(8, 0);
+        let cancelled = admit(&mut t, None, 0).unwrap();
+        let next = admit(&mut t, None, 0).unwrap();
+        assert_eq!(t.cancel(cancelled), Some(JobState::Queued));
+        let (claim, ended) = t.claim_next(MS);
+        assert_eq!(claim.map(|(id, _)| id), Some(next));
+        assert!(ended, "the cancelled job ended at its claim");
+        assert_eq!(t.job(cancelled).unwrap().state, JobState::Cancelled);
+        let s = t.snapshot();
+        assert_eq!((s.cancelled, s.running, s.queue_seconds.count()), (1, 1, 1));
+    }
+
+    #[test]
+    fn an_empty_queue_hands_out_nothing() {
+        let mut t = table(8, 0);
+        assert!(matches!(t.claim_next(0), (None, false)));
+        let id = admit(&mut t, None, 0).unwrap();
+        t.cancel(id);
+        assert!(
+            matches!(t.claim_next(MS), (None, true)),
+            "only a cancelled job was queued"
+        );
+        assert!(matches!(t.claim_next(2 * MS), (None, false)));
+        assert_eq!(t.snapshot().queue_seconds.count(), 0);
     }
 
     proptest! {

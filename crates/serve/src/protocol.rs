@@ -741,7 +741,7 @@ wire_struct! {
 /// The lifecycle state of a served job.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum JobState {
-    /// Waiting in a worker queue.
+    /// Waiting in the queue.
     Queued,
     /// A worker is running the closure loop.
     Running,
@@ -975,7 +975,7 @@ macro_rules! serve_stats {
 serve_stats! {
     /// Jobs accepted.
     submitted: u64 => Counter, required, "jobs_submitted_total", "Jobs accepted.";
-    /// Jobs waiting in a worker queue right now (gauge).
+    /// Jobs waiting in the queue right now (gauge).
     queued: u64 => Gauge, required, "jobs_queued", "Jobs waiting in a worker queue.";
     /// Jobs a worker is running right now (gauge).
     running: u64 => Gauge, required, "jobs_running", "Jobs currently running.";
@@ -987,8 +987,10 @@ serve_stats! {
     cancelled: u64 => Counter, required, "jobs_cancelled_total", "Jobs cancelled.";
     /// Worker-pool size.
     workers: u64 => Gauge, required, "workers", "Worker-pool size.";
-    /// Jobs a worker claimed from a peer's queue.
-    steals: u64 => Counter, required, "steals_total", "Jobs claimed from a peer's queue.";
+    /// Always 0 since the workers claim from one queue: there is no
+    /// peer's queue to steal from. Kept because clients read the key.
+    steals: u64 => Counter, required,
+        "steals_total", "Always 0 since one queue: jobs claimed from a peer's queue.";
     /// Design-cache entries currently resident.
     cache_entries: u64 => Gauge, required, "cache_entries", "Design-cache entries resident.";
     /// Submissions whose design was already cached.

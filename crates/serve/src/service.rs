@@ -1,7 +1,7 @@
 //! The persistent closure service.
 //!
-//! A [`ClosureService`] owns a pool of long-lived workers running the
-//! work-stealing queue discipline (`scheduler.rs`), a job table, and the
+//! A [`ClosureService`] owns a pool of long-lived workers, a job table
+//! whose one FIFO queue they all claim from, oldest job first, and the
 //! content-addressed [`crate::DesignCache`]. Requests arrive through the typed
 //! API ([`ClosureService::submit_module`] & co., used in-process) or
 //! through [`ClosureService::handle_request`] (the wire dispatcher the
@@ -46,17 +46,19 @@
 //!   [`ServeConfig::drain_timeout_ms`].
 //!
 //! The job table itself is a pure state machine (`lifecycle.rs`): this
-//! module only drives it — submission, the workers' retry loop, the
-//! supervisor tick and shutdown each call one transition under the
-//! state lock. The README's *Resilience* section has the transition
-//! table: which event ends a job how, and which counter it moves.
+//! module only drives it — submission, the workers' claims and retry
+//! loop, the supervisor tick and shutdown each call one transition
+//! under the state lock. An idle worker waits on a condvar paired with
+//! that lock, so a submission or a shutdown cannot slip between its
+//! look at the queue and its wait. The README's *Resilience* section
+//! has the transition table: which event ends a job how, and which
+//! counter it moves.
 
 use crate::lifecycle::{terminal, Claim, Ending, JobTable, Reclaimed, Refusal, Submission};
 use crate::protocol::{
     ClosureSummary, JobState, ProgressEvent, Request, Response, ServeStats, WireConfig,
 };
 use crate::retry::RetryPolicy;
-use crate::scheduler::StealQueues;
 use gm_mc::Checker;
 use gm_rtl::Module;
 use goldmine::{
@@ -259,9 +261,12 @@ fn lock_state(state: &Mutex<JobTable>) -> MutexGuard<'_, JobTable> {
 }
 
 struct Shared {
+    /// The construction config, `workers` resolved to the pool size.
     config: ServeConfig,
-    queues: StealQueues<u64>,
     state: Mutex<JobTable>,
+    /// Notified (with the state mutex) when a job is queued and when
+    /// shutdown begins: idle workers wait on it.
+    work_cv: Condvar,
     /// Notified (with the state mutex) whenever a job reaches a
     /// terminal state.
     done_cv: Condvar,
@@ -305,11 +310,7 @@ pub struct ClosureService {
 
 impl std::fmt::Debug for ClosureService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "ClosureService({} workers)",
-            self.shared.queues.worker_count()
-        )
+        write!(f, "ClosureService({} workers)", self.shared.config.workers)
     }
 }
 
@@ -319,15 +320,14 @@ const SUPERVISOR_TICK: Duration = Duration::from_millis(10);
 impl ClosureService {
     /// Starts the service: spawns the worker pool and the supervisor,
     /// and returns the handle. Workers idle until submissions arrive.
-    pub fn new(config: ServeConfig) -> Self {
-        let workers = if config.workers == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            config.workers
-        };
+    pub fn new(mut config: ServeConfig) -> Self {
+        if config.workers == 0 {
+            config.workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        }
+        let workers = config.workers;
         let shared = Arc::new(Shared {
-            queues: StealQueues::new(workers),
             state: Mutex::new(JobTable::new(config.clone())),
+            work_cv: Condvar::new(),
             done_cv: Condvar::new(),
             open: AtomicBool::new(true),
             workers: Mutex::new(Vec::new()),
@@ -425,13 +425,12 @@ impl ClosureService {
             }
             match st.admit(sub, gm_trace::now_ns()) {
                 Ok((id, cached)) => {
-                    // Deal to the owning worker's local queue (still
-                    // under the state lock: `shutdown`'s post-join drain
-                    // takes the same lock, so a submission racing
-                    // shutdown either saw `open` false above or its id
-                    // is visible to the drain); idle peers steal.
-                    let worker = (id - 1) as usize % self.shared.queues.worker_count();
-                    self.shared.queues.push(worker, id);
+                    // `admit` queued the id. Wake every idle worker,
+                    // not one: those that find the queue empty wait
+                    // again, and `serve_mix` measured one wake-up per
+                    // submission ~10% slower in `wall_s` (2-core Xeon).
+                    drop(st);
+                    self.shared.work_cv.notify_all();
                     return Ok((id, cached));
                 }
                 Err(Refusal::Shed(e)) => return Err(e),
@@ -480,12 +479,7 @@ impl ClosureService {
     /// [`ClosureService::take_outcome`]. Returns whether the job
     /// existed and was still cancellable.
     pub fn cancel(&self, job: u64) -> bool {
-        let state = self.state().cancel(job);
-        if state == Some(JobState::Queued) {
-            // A worker's claim ends the job; wake any parked one.
-            self.shared.queues.notify_all();
-        }
-        state.is_some()
+        self.state().cancel(job).is_some()
     }
 
     /// Blocks until `job` reaches a terminal state; returns it (`None`
@@ -573,8 +567,7 @@ impl ClosureService {
     /// count as submitted).
     pub fn stats(&self) -> ServeStats {
         ServeStats {
-            workers: self.shared.queues.worker_count() as u64,
-            steals: self.shared.queues.steals(),
+            workers: self.shared.config.workers as u64,
             ..self.state().snapshot()
         }
     }
@@ -692,7 +685,10 @@ impl ClosureService {
     /// accepting submissions and let the workers drain. Idempotent.
     pub fn begin_shutdown(&self) {
         self.shared.open.store(false, Ordering::Release);
-        self.shared.queues.notify_all();
+        // Through the state lock: a worker between its look at `open`
+        // and its wait holds it, so the wake-up cannot fall in between.
+        drop(self.state());
+        self.shared.work_cv.notify_all();
     }
 
     /// Stops accepting submissions, drains queued and running jobs, and
@@ -721,10 +717,10 @@ impl ClosureService {
                     // Timed out: cancel everything still live. Running
                     // jobs stop mid-iteration; queued ones end here so
                     // the joins below never wait on them.
-                    let now_ns = gm_trace::now_ns();
                     for id in st.live_ids() {
-                        abandon(&mut st, id, now_ns);
+                        st.cancel(id);
                     }
+                    st.abandon_queued(gm_trace::now_ns());
                     break;
                 }
                 st = self
@@ -736,7 +732,6 @@ impl ClosureService {
             }
             drop(st);
             self.shared.done_cv.notify_all();
-            self.shared.queues.notify_all();
         }
         let handles: Vec<JoinHandle<()>> = {
             let mut slots = self
@@ -749,17 +744,10 @@ impl ClosureService {
         for h in handles {
             let _ = h.join();
         }
-        // A submission that raced the close can have pushed after the
-        // workers exited; end anything left in the queues as cancelled
-        // so no waiter blocks on a job nobody will run.
-        let mut st = self.state();
-        let now_ns = gm_trace::now_ns();
-        for w in 0..self.shared.queues.worker_count() {
-            while let Some(id) = self.shared.queues.pop(w) {
-                abandon(&mut st, id, now_ns);
-            }
-        }
-        drop(st);
+        // Workers that died (`worker.exit`) once the supervisor had
+        // stopped respawning can leave jobs queued; end them as
+        // cancelled so no waiter blocks on a job nobody will run.
+        self.state().abandon_queued(gm_trace::now_ns());
         self.shared.done_cv.notify_all();
     }
 }
@@ -770,39 +758,44 @@ impl Drop for ClosureService {
     }
 }
 
-/// Shutdown's drain: raises `id`'s token and, while it is still queued,
-/// ends it `Cancelled` on the spot — no worker will claim it.
-fn abandon(st: &mut JobTable, id: u64, now_ns: u64) {
-    if st.cancel(id) == Some(JobState::Queued) {
-        st.end(id, Ending::Cancelled, Reclaimed::default(), now_ns);
-    }
-}
-
 fn spawn_worker(shared: &Arc<Shared>, w: usize) -> JoinHandle<()> {
     let shared = shared.clone();
     std::thread::Builder::new()
         .name(format!("gmserve-worker-{w}"))
-        .spawn(move || worker_loop(&shared, w))
+        .spawn(move || worker_loop(&shared))
         .expect("spawn service worker")
 }
 
-fn worker_loop(shared: &Arc<Shared>, w: usize) {
+/// Claims and runs jobs until the service is closed and the queue has
+/// nothing left to claim.
+fn worker_loop(shared: &Arc<Shared>) {
     loop {
         // Injected worker death: return without touching the queue —
-        // unclaimed jobs stay queued for stealers and for the slot's
-        // supervisor-respawned replacement.
+        // unclaimed jobs stay queued for the other workers and for the
+        // slot's supervisor-respawned replacement.
         if gm_fault::fire("worker.exit") {
             return;
         }
-        match shared.queues.pop(w) {
-            Some(id) => run_job(shared, id),
-            None => {
-                if !shared.open.load(Ordering::Acquire) {
-                    break;
-                }
-                shared.queues.park(|| !shared.open.load(Ordering::Acquire));
+        let mut st = lock_state(&shared.state);
+        let (id, claim, started_ns) = loop {
+            let now_ns = gm_trace::now_ns();
+            let (next, ended) = st.claim_next(now_ns);
+            if ended {
+                shared.done_cv.notify_all();
             }
-        }
+            if let Some((id, claim)) = next {
+                break (id, claim, now_ns);
+            }
+            if !shared.open.load(Ordering::Acquire) {
+                return;
+            }
+            st = shared
+                .work_cv
+                .wait(st)
+                .unwrap_or_else(PoisonError::into_inner);
+        };
+        drop(st);
+        run_job(shared, id, claim, started_ns);
     }
 }
 
@@ -819,8 +812,8 @@ fn supervisor_loop(shared: &Arc<Shared>) {
 }
 
 /// Joins and respawns any worker slot whose thread has died. The queue
-/// structure outlives the thread, so the replacement resumes exactly
-/// where the dead worker stopped.
+/// lives in the job table, so the replacement claims from it like any
+/// other worker.
 fn respawn_dead_workers(shared: &Arc<Shared>) {
     let mut slots = shared
         .workers
@@ -890,17 +883,10 @@ fn wait_backoff(cancel: &AtomicBool, ms: u64) {
     }
 }
 
-/// Executes one job end to end on the claiming worker: a bounded retry
-/// loop of panic-isolated attempts, then a single end.
-fn run_job(shared: &Arc<Shared>, id: u64) {
-    let started_ns = gm_trace::now_ns();
-    let claim = lock_state(&shared.state).claim(id, started_ns);
-    let Some(mut claim) = claim else {
-        // No longer queued, or ended on the spot for a raised token.
-        shared.done_cv.notify_all();
-        return;
-    };
-
+/// Executes one job end to end on the worker that claimed it at
+/// `started_ns`: a bounded retry loop of panic-isolated attempts, then a
+/// single end.
+fn run_job(shared: &Arc<Shared>, id: u64, mut claim: Claim, started_ns: u64) {
     // Install the per-job flight recorder (when the submission asked
     // for one) for the whole claim→end window: every span the engine,
     // checker, and simulator open on this thread records into the

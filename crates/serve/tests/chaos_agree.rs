@@ -93,11 +93,15 @@ fn tiny_config() -> EngineConfig {
     }
 }
 
-/// A 16-bit counter whose sole q[15] counterexample sits ~32768 frames
-/// deep: one BMC dispatch scans tens of thousands of window starts, so
-/// uncancelled the job runs for minutes — the shape that proves
-/// deadlines and drains interrupt *mid-iteration*, not at boundaries.
-fn slow_job() -> (gm_rtl::Module, EngineConfig) {
+/// A job that holds its worker until it is cancelled, and the guard of
+/// the one-shot `sat.stall` plan that wedges it: a 16-bit counter whose
+/// q[15] candidates go to BMC, where the first SAT dispatch stalls until
+/// the token rises. Left to run, the counter's own closure ends in
+/// ~0.3 s — too short to outlive a drain or a deadline reliably, so the
+/// stall, not the design, is what makes the job slow. Deadlines, drains
+/// and cancels must still cut it loose *mid-iteration*; callers assert
+/// that the stall fired.
+fn slow_job() -> (gm_rtl::Module, EngineConfig, gm_fault::FaultGuard) {
     let m = gm_rtl::parse_verilog(
         "module cnt16(input clk, input rst, output reg [15:0] q);
            always @(posedge clk) if (rst) q <= 0; else q <= q + 1;
@@ -115,7 +119,9 @@ fn slow_job() -> (gm_rtl::Module, EngineConfig) {
         shards: ShardPolicy::Off,
         ..EngineConfig::default()
     };
-    (m, config)
+    let stall =
+        gm_fault::arm(gm_fault::FaultPlan::new(7).point_limited("sat.stall", gm_fault::PPM, 1));
+    (m, config, stall)
 }
 
 fn poll_until(
@@ -311,7 +317,7 @@ fn queued_jobs_expire_at_their_deadline_without_running() {
         workers: 1,
         ..ServeConfig::default()
     });
-    let (slow_module, slow_config) = slow_job();
+    let (slow_module, slow_config, stall) = slow_job();
     let (slow, _) = service
         .submit_module("hog", slow_module, slow_config, SubmitOptions::default())
         .unwrap();
@@ -337,6 +343,7 @@ fn queued_jobs_expire_at_their_deadline_without_running() {
     assert_eq!(service.stats().jobs_deadline_exceeded, 1);
     assert!(service.cancel(slow));
     assert_eq!(service.wait(slow), Some(JobState::Cancelled));
+    assert_eq!(stall.fired("sat.stall"), 1, "the stall must have fired");
     service.shutdown();
 }
 
@@ -351,7 +358,7 @@ fn overload_sheds_submissions_with_the_typed_refusal() {
         max_queued: 1,
         ..ServeConfig::default()
     });
-    let (slow_module, slow_config) = slow_job();
+    let (slow_module, slow_config, stall) = slow_job();
     let (slow, _) = service
         .submit_module("hog", slow_module, slow_config, SubmitOptions::default())
         .unwrap();
@@ -401,6 +408,7 @@ fn overload_sheds_submissions_with_the_typed_refusal() {
     );
     assert!(service.cancel(slow));
     assert_eq!(service.wait(slow), Some(JobState::Cancelled));
+    assert_eq!(stall.fired("sat.stall"), 1, "the stall must have fired");
     assert_eq!(service.wait(queued), Some(JobState::Done));
     service.shutdown();
 }
@@ -448,7 +456,7 @@ fn shutdown_drain_is_bounded_by_the_drain_timeout() {
         drain_timeout_ms: 300,
         ..ServeConfig::default()
     });
-    let (slow_module, slow_config) = slow_job();
+    let (slow_module, slow_config, stall) = slow_job();
     let (slow, _) = service
         .submit_module("hog", slow_module, slow_config, SubmitOptions::default())
         .unwrap();
@@ -467,6 +475,7 @@ fn shutdown_drain_is_bounded_by_the_drain_timeout() {
         JobState::Cancelled,
         "the job that outlived the drain is cancelled, not lost"
     );
+    assert_eq!(stall.fired("sat.stall"), 1, "the stall must have fired");
 }
 
 /// Network faults stay scoped to one connection: an injected abrupt

@@ -851,7 +851,7 @@ impl CompiledModule {
                 &LaneSet::new(&lanes),
             );
             residual.refresh(obs);
-            sim.reset_on(residual.tape(), &lanes, obs);
+            sim.apply_reset(residual.tape(), &lanes, obs);
             // Until every lane of the pass has ended.
             for t in 0usize.. {
                 let mut active = [0u64; W];
@@ -877,7 +877,7 @@ impl CompiledModule {
                     residual.refresh(obs);
                 }
                 let tape = residual.tape();
-                sim.settle_on(tape, &active, Some(obs));
+                sim.settle(tape, &active, Some(obs));
                 let snap = sim.snapshot();
                 obs.on_cycle_end(sim.cycle(), &LaneSet::new(&active), &snap);
                 if trace_shape.is_some() {
@@ -895,7 +895,7 @@ impl CompiledModule {
                         }
                     }
                 }
-                sim.clock_edge_on(tape, &active, Some(obs));
+                sim.clock_edge(tape, &active, Some(obs));
             }
             sim.drain_probes_to(obs);
         }
@@ -1423,8 +1423,11 @@ impl LaneSnapshot<'_> {
 /// true/false word pair per probe per block word) and are delivered
 /// through [`BatchSim::drain_probes_to`] — automatically at the end of
 /// every [`BatchSim::step_observed`].
+///
+/// Every method that runs a tape takes it as an argument: the module's
+/// tape or a residual of it (see [`Residual`]).
 #[derive(Debug)]
-pub struct BatchSim<'c, const W: usize = 1> {
+struct BatchSim<'c, const W: usize = 1> {
     c: &'c CompiledModule,
     words: Vec<u64>,
     probe_true: Vec<u64>,
@@ -1434,7 +1437,7 @@ pub struct BatchSim<'c, const W: usize = 1> {
 
 impl<'c, const W: usize> BatchSim<'c, W> {
     /// Creates an executor with every lane at the reset state.
-    pub fn new(c: &'c CompiledModule) -> Self {
+    fn new(c: &'c CompiledModule) -> Self {
         let mut words = vec![0u64; c.words_total * W];
         for &(r, bits) in &c.const_inits {
             broadcast::<W>(&mut words, c.base[r as usize], c.widths[r as usize], bits);
@@ -1452,20 +1455,8 @@ impl<'c, const W: usize> BatchSim<'c, W> {
     }
 
     /// The number of completed cycles (shared by every lane).
-    pub fn cycle(&self) -> u64 {
+    fn cycle(&self) -> u64 {
         self.cycle
-    }
-
-    /// Drives an input in one lane.
-    pub fn set_input_lane(&mut self, lane: u32, sig: SignalId, value: Bv) {
-        let w = self.c.widths[sig.index()];
-        let bits = value.resize(w).bits();
-        let b = self.c.base[sig.index()] as usize;
-        let (word, bit) = ((lane / 64) as usize, lane % 64);
-        for i in 0..w as usize {
-            let slot = &mut self.words[(b + i) * W + word];
-            *slot = (*slot & !(1u64 << bit)) | (((bits >> i) & 1) << bit);
-        }
     }
 
     /// Drives block word `word` from one cycle record of a
@@ -1473,7 +1464,7 @@ impl<'c, const W: usize> BatchSim<'c, W> {
     /// `rows[r]` the arena row of packed row `r`. Lanes outside a
     /// row's `drv` word hold their value.
     #[inline]
-    pub(crate) fn drive_word(&mut self, word: usize, rows: &[u32], pairs: &[u64]) {
+    fn drive_word(&mut self, word: usize, rows: &[u32], pairs: &[u64]) {
         for (pair, &row) in pairs.chunks_exact(2).zip(rows) {
             let slot = &mut self.words[row as usize * W + word];
             *slot = (*slot & !pair[1]) | pair[0];
@@ -1481,19 +1472,14 @@ impl<'c, const W: usize> BatchSim<'c, W> {
     }
 
     /// Drives an input identically in every lane.
-    pub fn set_input_all(&mut self, sig: SignalId, value: Bv) {
+    fn set_input_all(&mut self, sig: SignalId, value: Bv) {
         let w = self.c.widths[sig.index()];
         let bits = value.resize(w).bits();
         broadcast::<W>(&mut self.words, self.c.base[sig.index()], w, bits);
     }
 
-    /// The value of `sig` in lane `lane`.
-    pub fn lane_value(&self, sig: SignalId, lane: u32) -> Bv {
-        self.snapshot().value(sig, lane)
-    }
-
     /// The settled snapshot view.
-    pub fn snapshot(&self) -> LaneSnapshot<'_> {
+    fn snapshot(&self) -> LaneSnapshot<'_> {
         LaneSnapshot {
             widths: &self.c.widths[..self.c.n_signals],
             words: &self.words,
@@ -1502,16 +1488,9 @@ impl<'c, const W: usize> BatchSim<'c, W> {
         }
     }
 
-    /// Settles combinational logic in every lane; observations are
-    /// restricted to `active` lanes.
-    pub fn settle(&mut self, active: &[u64; W], obs: Option<&mut dyn BatchObserver>) {
-        let c = self.c;
-        self.settle_on(&c.tape, active, obs);
-    }
-
-    /// [`BatchSim::settle`] running `tape`: the module's tape or a
-    /// residual of it (the `*_on` methods below likewise).
-    fn settle_on(&mut self, tape: &Tape, active: &[u64; W], obs: Option<&mut dyn BatchObserver>) {
+    /// Settles the combinational processes of `tape` in every lane;
+    /// observations are restricted to `active` lanes.
+    fn settle(&mut self, tape: &Tape, active: &[u64; W], obs: Option<&mut dyn BatchObserver>) {
         let mut o = obs;
         exec_wide::<W>(
             self.c,
@@ -1526,12 +1505,7 @@ impl<'c, const W: usize> BatchSim<'c, W> {
 
     /// Fires the sequential processes of `tape` and commits next state
     /// in every lane; observations are restricted to `active` lanes.
-    fn clock_edge_on(
-        &mut self,
-        tape: &Tape,
-        active: &[u64; W],
-        obs: Option<&mut dyn BatchObserver>,
-    ) {
+    fn clock_edge(&mut self, tape: &Tape, active: &[u64; W], obs: Option<&mut dyn BatchObserver>) {
         for &(cur, next) in &self.c.state_pairs {
             let (cb, nb) = (
                 self.c.base[cur as usize] as usize,
@@ -1563,17 +1537,12 @@ impl<'c, const W: usize> BatchSim<'c, W> {
         self.cycle += 1;
     }
 
-    /// Runs one full clock cycle, reporting events to `obs` (including
-    /// a probe drain after the edge).
-    pub fn step_observed(&mut self, active: &[u64; W], obs: &mut dyn BatchObserver) {
-        let c = self.c;
-        self.step_on(&c.tape, active, obs);
-    }
-
-    fn step_on(&mut self, tape: &Tape, active: &[u64; W], obs: &mut dyn BatchObserver) {
-        self.settle_on(tape, active, Some(obs));
+    /// Runs one full clock cycle of `tape`, reporting events to `obs`
+    /// (including a probe drain after the edge).
+    fn step_observed(&mut self, tape: &Tape, active: &[u64; W], obs: &mut dyn BatchObserver) {
+        self.settle(tape, active, Some(obs));
         obs.on_cycle_end(self.cycle, &LaneSet::new(active), &self.snapshot());
-        self.clock_edge_on(tape, active, Some(obs));
+        self.clock_edge(tape, active, Some(obs));
         self.drain_probes_to(obs);
     }
 
@@ -1581,7 +1550,7 @@ impl<'c, const W: usize> BatchSim<'c, W> {
     /// cumulative since executor construction and monotone, so draining
     /// repeatedly (or once at the end of a multi-cycle run) yields the
     /// same collector state as a per-cycle drain.
-    pub fn drain_probes_to(&self, obs: &mut dyn BatchObserver) {
+    fn drain_probes_to(&self, obs: &mut dyn BatchObserver) {
         if self.c.probes.is_empty() {
             return;
         }
@@ -1593,22 +1562,18 @@ impl<'c, const W: usize> BatchSim<'c, W> {
         });
     }
 
-    /// Drives the suite reset protocol in every active lane: zero the
-    /// data inputs, pulse the designated reset for one observed cycle,
-    /// deassert it. A no-op for modules without a reset input.
-    pub fn apply_reset(&mut self, active: &[u64; W], obs: &mut dyn BatchObserver) {
-        let c = self.c;
-        self.reset_on(&c.tape, active, obs);
-    }
-
-    fn reset_on(&mut self, tape: &Tape, active: &[u64; W], obs: &mut dyn BatchObserver) {
+    /// Drives the suite reset protocol in every active lane, running
+    /// `tape`: zero the data inputs, pulse the designated reset for one
+    /// observed cycle, deassert it. A no-op for modules without a reset
+    /// input.
+    fn apply_reset(&mut self, tape: &Tape, active: &[u64; W], obs: &mut dyn BatchObserver) {
         let c = self.c;
         if let Some(rst) = c.reset {
             for &d in &c.data_inputs {
                 broadcast::<W>(&mut self.words, c.base[d.index()], c.widths[d.index()], 0);
             }
             self.set_input_all(rst, Bv::one_bit());
-            self.step_on(tape, active, obs);
+            self.step_observed(tape, active, obs);
             self.set_input_all(rst, Bv::zero_bit());
         }
     }
@@ -2036,7 +2001,6 @@ fn barrel_wide<const W: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::Simulator;
     use crate::stim::{collect_vectors, InputVector, RandomStimulus};
     use crate::NopObserver;
     use gm_rtl::parse_verilog;
@@ -2148,34 +2112,6 @@ mod tests {
         for (seg, got) in suite.segments().zip(&batched) {
             let want = crate::suite::run_segment(&m, &seg.vectors, &mut NopObserver).unwrap();
             assert_eq!(*got, want, "{}", seg.label);
-        }
-    }
-
-    #[test]
-    fn batch_step_matches_simulator_step() {
-        // Lanes 0 and 70 (second block word) are driven identically and
-        // must both track the interpreter cycle by cycle.
-        let m = parse_verilog(ARBITER2).unwrap();
-        let c = CompiledModule::compile(&m).unwrap();
-        let mut interp = Simulator::new(&m).unwrap();
-        let mut comp = BatchSim::<2>::new(&c);
-        let req0 = m.require("req0").unwrap();
-        let req1 = m.require("req1").unwrap();
-        let active = [1u64, 1 << 6];
-        for t in 0..16u64 {
-            let (v0, v1) = (Bv::from_bool(t % 2 == 0), Bv::from_bool(t % 3 == 0));
-            interp.set_inputs(&[(req0, v0), (req1, v1)]);
-            for lane in [0, 70] {
-                comp.set_input_lane(lane, req0, v0);
-                comp.set_input_lane(lane, req1, v1);
-            }
-            interp.step();
-            comp.step_observed(&active, &mut NopObserver);
-            for sig in m.signal_ids() {
-                for lane in [0, 70] {
-                    assert_eq!(interp.value(sig), comp.lane_value(sig, lane), "cycle {t}");
-                }
-            }
         }
     }
 

@@ -20,7 +20,7 @@
 //! compiled backend ([`CompiledModule`]), which lowers the design once
 //! into a flat instruction tape with one executor: bit-parallel in lane
 //! blocks of 1–8 words — 64 to 512 stimulus vectors per pass
-//! ([`BatchSim`], bit `k` of block word `j` = vector `j*64 + k`) — with
+//! (bit `k` of block word `j` = vector `j*64 + k`) — with
 //! boolean-node coverage probes fused into the tape and drained in bulk
 //! ([`BatchObserver::drain_probes`]), and every observation point
 //! dropped from the tape, within a pass, once the observer reports it
@@ -57,8 +57,8 @@ mod suite;
 mod trace;
 
 pub use compile::{
-    BatchObserver, BatchSim, CompileOptions, CompiledModule, LaneSet, LaneSnapshot, ObsPoint,
-    ProbeHits, SimBackend, MAX_LANE_BLOCK,
+    BatchObserver, CompileOptions, CompiledModule, LaneSet, LaneSnapshot, ObsPoint, ProbeHits,
+    SimBackend, MAX_LANE_BLOCK,
 };
 pub use packed::PackedStimulus;
 pub use replay::Replay;

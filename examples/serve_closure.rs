@@ -173,11 +173,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let stats = conn.stats()?;
     println!(
-        "\nserver: {} submitted, {} completed on {} workers ({} steals); cache {} hits / {} misses / {} evictions ({} KiB resident)",
+        "\nserver: {} submitted, {} completed on {} workers; cache {} hits / {} misses / {} evictions ({} KiB resident)",
         stats.submitted,
         stats.completed,
         stats.workers,
-        stats.steals,
         stats.cache_hits,
         stats.cache_misses,
         stats.cache_evictions,

@@ -15,7 +15,7 @@
 //! * [`goldmine`] — the counterexample-guided refinement engine
 //! * [`gm_designs`] — benchmark designs used by the paper's experiments
 //! * [`gm_serve`] — the persistent closure service (wire protocol,
-//!   work-stealing scheduler, content-addressed design cache,
+//!   one FIFO job queue, content-addressed design cache,
 //!   `gmserved` daemon)
 
 pub use gm_coverage;
