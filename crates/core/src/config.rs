@@ -186,9 +186,12 @@ pub struct EngineConfig {
     /// Every backend produces a byte-identical [`crate::ClosureOutcome`]
     /// — the compiled tape is proven trace- and coverage-identical to
     /// the interpreter by `sim/compiled_agree`, for every lane-block
-    /// width. The default is the 64-lane compiled backend; a wider
-    /// [`SimBackend::CompiledBatch`] block takes a pass to up to 512
-    /// stimulus vectors for suite-heavy workloads.
+    /// width. A [`SimBackend::CompiledBatch`] block is the widest a
+    /// replay may use: each replay narrows it to the lane groups its
+    /// segments fill, so one of at most 64 segments runs the one-word
+    /// executor whatever the block. The default is
+    /// `CompiledBatch(`[`gm_sim::MAX_LANE_BLOCK`]`)`: a replay of 1,024
+    /// segments takes two 512-lane passes.
     pub sim_backend: SimBackend,
 }
 

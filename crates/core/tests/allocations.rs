@@ -2,9 +2,10 @@
 //! from a counting global allocator: a warm checker session decides an
 //! explicit-state property without allocating, a warm cone capture
 //! rides a replay and several same-layout datasets cut a pass from it
-//! without allocating, and a tree takes rows that land in pure leaves
-//! without allocating. Each thread counts its own allocations, so the
-//! harness's other test threads never show up.
+//! without allocating, a tree takes rows that land in pure leaves
+//! without allocating, and a replay allocates per call, not per pass.
+//! Each thread counts its own allocations, so the harness's other test
+//! threads never show up.
 //!
 //! The benchmark measures an optimised build, so run it there too:
 //! `cargo test --release -q -p goldmine --test allocations`.
@@ -221,4 +222,32 @@ fn a_warm_pass_is_captured_and_cut_without_allocating() {
     let ((), allocations) = allocations_in(|| cut_pass(&mut datasets));
     assert!(datasets.iter().all(|d| d.len() == rows * 4 / 3));
     assert_eq!(allocations, 0, "cutting a pass allocates nothing");
+}
+
+#[test]
+fn a_replay_allocates_per_call_not_per_pass() {
+    let m = gm_designs::by_name("b12_lite").unwrap().module();
+    let compiled = CompiledModule::compile(&m).unwrap();
+    let mut suite = TestSuite::new();
+    for seed in 0..640u64 {
+        let mut stim = RandomStimulus::new(&m, seed, 3);
+        suite.push(format!("s{seed}"), collect_vectors(&mut stim));
+    }
+    let allocations = |block: usize, segments: usize| {
+        let replay = Replay {
+            module: &m,
+            compiled: Some(&compiled),
+            block,
+            cancel: None,
+        };
+        let (done, n) = allocations_in(|| replay.observe(&suite, 0..segments, &mut NopObserver));
+        assert_eq!(done.unwrap(), Some(()));
+        n
+    };
+    // One pass against ten at one word, one against two at eight: the
+    // register file is built once per call.
+    let one_pass = allocations(1, 64);
+    assert_eq!(allocations(1, 640), one_pass);
+    assert_eq!(allocations(8, 512), one_pass);
+    assert_eq!(allocations(8, 640), one_pass);
 }

@@ -390,13 +390,19 @@ pub struct WireConfig {
     /// default.
     pub refine_max_absorb: u64,
     /// Simulation backend; on the wire `"interpreter"`, `"batch"` (the
-    /// 64-lane compiled batch) or `["wide", W]` for a lane block of `W`
-    /// words, `W` in `1..=`[`MAX_LANE_BLOCK`]. Absent on the wire = the
-    /// default (`"batch"`), and the `"scalar"` older clients may still
-    /// send (a one-vector executor of the same tape, since removed) is
-    /// read as `"batch"` — both keep working unchanged. Every backend
-    /// yields a byte-identical outcome (`sim/compiled_agree`); the knob
-    /// only trades throughput.
+    /// 64-lane compiled batch) or `["wide", W]` for lane blocks of up to
+    /// `W` words, `W` in `1..=`[`MAX_LANE_BLOCK`]. A block is the widest
+    /// a replay may use: each replay narrows it to the lane groups its
+    /// segments fill. Absent on the wire = `"batch"`, the wire's default
+    /// since before wide blocks existed, and the `"scalar"` older
+    /// clients may still send (a one-vector executor of the same tape,
+    /// since removed) is read as `"batch"` — both keep working
+    /// unchanged. The engine's own default is wider,
+    /// `CompiledBatch(`[`MAX_LANE_BLOCK`]`)`: a client sends
+    /// `["wide", 8]` to get it, as [`WireConfig::default`] (the wire form
+    /// of [`EngineConfig::default`]) does. Every backend yields a
+    /// byte-identical outcome (`sim/compiled_agree`); the knob only
+    /// trades throughput.
     pub sim_backend: SimBackend,
 }
 
@@ -2076,7 +2082,15 @@ mod tests {
         }
         let back = WireConfig::decode(&json, "config").unwrap();
         assert_eq!(back.sim_backend, SimBackend::CompiledBatch(1));
-        assert_eq!(back, WireConfig::default());
+        assert_eq!(
+            back,
+            WireConfig {
+                sim_backend: SimBackend::CompiledBatch(1),
+                ..WireConfig::default()
+            }
+        );
+        // The engine's default block is the widest, and travels as such.
+        assert_eq!(default.sim_backend.encode(), tagged("wide", 8));
         // Out-of-range lane blocks are rejected loudly.
         let wide = |w: u64| {
             let mut json = default.encode();
@@ -2120,11 +2134,17 @@ mod tests {
     /// the writer emits, multi-byte UTF-8 included.
     #[test]
     fn encoded_frames_match_the_golden_bytes() {
+        // The engine's defaults on the 64-lane batch: the frame clients
+        // sent before the engine's default block widened.
+        let batch = WireConfig {
+            sim_backend: SimBackend::CompiledBatch(1),
+            ..WireConfig::default()
+        };
         let submit = Request::Submit {
             name: "arbiter2".into(),
             source: "module m(input a, output y);\n  assign y = a; // \"q\" \\ \tπ\nendmodule"
                 .into(),
-            config: WireConfig::default().with_bit_targets(vec![("gnt0".into(), 0)]),
+            config: batch.with_bit_targets(vec![("gnt0".into(), 0)]),
             trace: true,
             deadline_ms: Some(1500),
         };

@@ -34,8 +34,14 @@
 //! lane-parallel for free; arithmetic ripples carries across the
 //! bit-sliced words; predication masks become per-lane words. One tape
 //! execution simulates up to `64·W` independent reset-rooted segments
-//! simultaneously, and the per-instruction inner loops unroll over the
-//! block so tape dispatch amortizes across `W` words. Ragged segment
+//! simultaneously. An instruction carries its operands' arena rows and
+//! widths and runs over their `width·W` words as contiguous slices, so
+//! tape dispatch amortizes across `W` words. A caller's block is the widest
+//! a replay may use: the replay runs the narrowest supported block that
+//! holds its lane groups, so a replay of at most 64 segments runs the
+//! one-word executor whatever the block, and the default
+//! ([`SimBackend::default`], [`MAX_LANE_BLOCK`] words) takes a
+//! 1,024-segment suite in two passes. Ragged segment
 //! tails keep the active-lane-mask treatment at every 64-lane boundary
 //! of the block. A lone segment is a batch of one lane — which is why
 //! callers with several segments to replay hand them over together
@@ -119,27 +125,31 @@ pub enum SimBackend {
     /// The tree-walking interpreter ([`crate::Simulator`]): the
     /// reference semantics and the differential oracle.
     Interpreter,
-    /// The compiled tape in bit-parallel mode over a lane block of `W`
-    /// 64-lane words: bit `k` of every tape word carries stimulus
-    /// vector `k`, so one tape execution simulates up to `64·W`
-    /// segments. The width is normalized to the nearest supported
-    /// block (1, 2, 4 or 8 words → 64–512 lanes — see
-    /// [`SimBackend::lane_block`]). The default is `CompiledBatch(1)`,
-    /// the 64-lane batch.
+    /// The compiled tape in bit-parallel mode over lane blocks of up
+    /// to `W` 64-lane words: bit `k` of every tape word carries
+    /// stimulus vector `k`, so one tape execution simulates up to
+    /// `64·W` segments. `W` is the widest block a replay may use: each
+    /// replay narrows it to the lane groups its segments fill (a replay
+    /// of at most 64 segments runs one word, one of 129 to 256 four),
+    /// and normalizes it to a supported block (1, 2, 4 or 8 words →
+    /// 64–512 lanes — see [`SimBackend::lane_block`]). The default is
+    /// `CompiledBatch(MAX_LANE_BLOCK)`: every replay runs as wide as
+    /// its segments fill.
     CompiledBatch(u8),
 }
 
 impl Default for SimBackend {
     fn default() -> Self {
-        SimBackend::CompiledBatch(1)
+        SimBackend::CompiledBatch(MAX_LANE_BLOCK as u8)
     }
 }
 
 impl SimBackend {
-    /// Words per lane block for the batch executors — 1, 2, 4 or 8,
-    /// rounding an unsupported requested width up to the next
-    /// supported one (capped at [`MAX_LANE_BLOCK`]). The interpreter
-    /// runs one vector at a time and reports 1.
+    /// The widest lane block, in words, a replay may run — 1, 2, 4 or
+    /// 8, rounding an unsupported requested width up to the next
+    /// supported one (capped at [`MAX_LANE_BLOCK`]). A replay narrows it
+    /// to the lane groups its segments fill. The interpreter runs one
+    /// vector at a time and reports 1.
     pub fn lane_block(&self) -> usize {
         match self {
             SimBackend::Interpreter => 1,
@@ -147,8 +157,8 @@ impl SimBackend {
         }
     }
 
-    /// Stimulus vectors simulated per pass: `64·lane_block` for the
-    /// compiled tape, 1 for the interpreter.
+    /// Stimulus vectors simulated per pass at most: `64·lane_block`
+    /// for the compiled tape, 1 for the interpreter.
     pub fn lanes(&self) -> usize {
         match self {
             SimBackend::Interpreter => 1,
@@ -332,8 +342,25 @@ impl BatchObserver for crate::NopObserver {
     }
 }
 
-/// Register index into a compiled tape's register file.
-type Reg = u32;
+/// A register of a compiled tape's register file, as instructions
+/// carry it: its first bit row in the bit-sliced arena and its width
+/// in bits. The executor reads an operand's words straight off the
+/// instruction, looking nothing up.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+struct Reg {
+    row: u32,
+    width: u32,
+}
+
+impl Reg {
+    /// The register's words in a `W`-word arena: bit `i`, block word
+    /// `j` at `i·W + j` of the range, `width·W` words in all.
+    #[inline(always)]
+    fn words<const W: usize>(self) -> Range<usize> {
+        let start = self.row as usize * W;
+        start..start + self.width as usize * W
+    }
+}
 
 /// One tape instruction. Operand semantics mirror [`Bv`]: operands are
 /// zero-extended to the destination width, arithmetic wraps, predicates
@@ -615,10 +642,10 @@ pub struct CompiledModule {
     /// stripped — the residual once every point is closed. `None`
     /// without probes: `tape` is that tape then.
     bare: Option<Tape>,
-    /// Width of each register.
+    /// Width of each register, by register number (signals first).
     widths: Vec<u32>,
     /// Per-register bit offset for the bit-sliced arena (one lane-block
-    /// of words per bit).
+    /// of words per bit), by register number.
     base: Vec<u32>,
     /// Total bit rows in the bit-sliced arena (× block words = arena
     /// size).
@@ -728,17 +755,19 @@ impl CompiledModule {
         &self.widths[..self.n_signals]
     }
 
-    /// Runs segments `range` of `suite` through a batch executor with a
-    /// lane block of `block` words (`64·block` lanes per pass),
-    /// `collect_traces` deciding whether per-lane traces are
-    /// materialized (coverage-only callers skip the transpose). `block`
-    /// is normalized to the nearest supported width (1, 2, 4, 8).
+    /// Runs segments `range` of `suite` through a batch executor of at
+    /// most `block` words per lane block, `collect_traces` deciding
+    /// whether per-lane traces are materialized (coverage-only callers
+    /// skip the transpose). `block` is the widest block the call may
+    /// use: it narrows to the range's lane groups (a range in one group
+    /// runs the one-word executor, one in three groups four words) and
+    /// is normalized to a supported width (1, 2, 4, 8).
     ///
-    /// A pass reads `block` consecutive lane groups of the suite's
-    /// packed form where they lie; lane `k` of group `g` replays segment
-    /// `64·g + k` from reset exactly as a run of its own would, and lanes
-    /// outside the range are masked out of the reset and active words
-    /// (they compute, but nothing observes them).
+    /// A pass reads one block's worth of consecutive lane groups of the
+    /// suite's packed form where they lie; lane `k` of group `g` replays
+    /// segment `64·g + k` from reset exactly as a run of its own would,
+    /// and lanes outside the range are masked out of the reset and
+    /// active words (they compute, but nothing observes them).
     ///
     /// The cooperative `cancel` token is polled once per simulated cycle
     /// of every pass; a raised token returns `None` — no partial traces
@@ -762,8 +791,6 @@ impl CompiledModule {
             span.arg("segments", range.len());
             span.arg("first_segment", range.start);
             span.arg("groups", lane_groups(&range).len());
-            span.arg("lane_block", Self::normalized_block(block));
-            span.arg("lanes", 64 * Self::normalized_block(block));
             span.arg("probes", self.probes.len());
             span.arg("traces", collect_traces);
             span.arg(
@@ -771,7 +798,7 @@ impl CompiledModule {
                 stimulus.lens()[range.clone()].iter().sum::<usize>(),
             );
         }
-        let out = self.run_segments_batched_untraced(
+        let (out, work) = self.run_segments_batched_untraced(
             module,
             &stimulus,
             range,
@@ -780,6 +807,10 @@ impl CompiledModule {
             cancel,
             block,
         );
+        span.arg("lane_block", work.lane_block);
+        span.arg("lanes", 64 * work.lane_block);
+        span.arg("passes", work.passes);
+        span.arg("tape_runs", work.tape_runs);
         span.arg("cancelled", out.is_none());
         out
     }
@@ -788,7 +819,7 @@ impl CompiledModule {
     /// width check ([`TestSuite::feed`]) — the pre-trace machine code,
     /// kept callable so the recorder-overhead bench can measure the
     /// instrumented entry against a true baseline on identical inner
-    /// code.
+    /// code. Returns the traces and the work the replay took.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_segments_batched_untraced(
         &self,
@@ -799,14 +830,19 @@ impl CompiledModule {
         collect_traces: bool,
         cancel: Option<&std::sync::atomic::AtomicBool>,
         block: usize,
-    ) -> Option<Vec<Trace>> {
+    ) -> (Option<Vec<Trace>>, BatchWork) {
         let shape = collect_traces.then(|| TraceShape::for_module(module));
-        match Self::normalized_block(block) {
-            1 => self.run_segments_blocked::<1>(stimulus, range, obs, shape, cancel),
-            2 => self.run_segments_blocked::<2>(stimulus, range, obs, shape, cancel),
-            4 => self.run_segments_blocked::<4>(stimulus, range, obs, shape, cancel),
-            _ => self.run_segments_blocked::<8>(stimulus, range, obs, shape, cancel),
-        }
+        let mut work = BatchWork {
+            lane_block: Self::normalized_block(block.min(lane_groups(&range).len())),
+            ..BatchWork::default()
+        };
+        let out = match work.lane_block {
+            1 => self.run_segments_blocked::<1>(stimulus, range, obs, shape, cancel, &mut work),
+            2 => self.run_segments_blocked::<2>(stimulus, range, obs, shape, cancel, &mut work),
+            4 => self.run_segments_blocked::<4>(stimulus, range, obs, shape, cancel, &mut work),
+            _ => self.run_segments_blocked::<8>(stimulus, range, obs, shape, cancel, &mut work),
+        };
+        (out, work)
     }
 
     /// Maps a requested lane-block width onto the supported monomorphized
@@ -827,6 +863,7 @@ impl CompiledModule {
         obs: &mut dyn BatchObserver,
         trace_shape: Option<std::sync::Arc<TraceShape>>,
         cancel: Option<&std::sync::atomic::AtomicBool>,
+        work: &mut BatchWork,
     ) -> Option<Vec<Trace>> {
         let cancelled = || cancel.is_some_and(|c| c.load(std::sync::atomic::Ordering::Acquire));
         let mut traces: Vec<Trace> = match &trace_shape {
@@ -841,11 +878,14 @@ impl CompiledModule {
         let mut stage = vec![0u64; trace_shape.as_ref().map_or(0, |_| 64 * stride)];
         let rows = stimulus.arena_rows(&self.base);
         let mut residual = Residual::new(self);
+        // One register file for the call, back at power-on every pass.
+        let mut sim = BatchSim::<W>::new(self);
         for first in lane_groups(&range).step_by(W) {
             // Block word `j` reads lane group `first + j`, masked to the
             // range's lanes.
             let lanes: [u64; W] = std::array::from_fn(|j| lanes_in(&range, first + j));
-            let mut sim = BatchSim::<W>::new(self);
+            sim.reset();
+            work.passes += 1;
             obs.on_pass_start(
                 (first * GROUP_LANES).max(range.start) - range.start,
                 &LaneSet::new(&lanes),
@@ -865,6 +905,7 @@ impl CompiledModule {
                     break;
                 }
                 if cancelled() {
+                    work.tape_runs = sim.runs;
                     return None;
                 }
                 // What the observer closed so far goes unobserved:
@@ -899,8 +940,21 @@ impl CompiledModule {
             }
             sim.drain_probes_to(obs);
         }
+        work.tape_runs = sim.runs;
         Some(traces)
     }
+}
+
+/// What one batched replay ran: the `sim.batch` span's work counters.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct BatchWork {
+    /// Words per lane block the replay ran at: the block it was given,
+    /// narrowed to the range's lane groups.
+    lane_block: usize,
+    /// Passes over the tape, one per block of lane groups.
+    passes: usize,
+    /// Settle-and-edge runs of the tape, reset cycles included.
+    tape_runs: usize,
 }
 
 /// The lane groups segments `range` lie in.
@@ -941,7 +995,11 @@ struct ProbeCtx {
 /// Lowers statements and expressions into tape instructions.
 struct Compiler<'m> {
     module: &'m Module,
+    /// Width and first arena row of every register so far, by register
+    /// number (signals first), and the arena rows they take.
     widths: Vec<u32>,
+    base: Vec<u32>,
+    rows: u32,
     consts: HashMap<(u64, u32), Reg>,
     const_inits: Vec<(Reg, u64)>,
     probes: Vec<(StmtId, ExprRole, u32)>,
@@ -958,7 +1016,9 @@ impl<'m> Compiler<'m> {
         let n = module.signals().len();
         let mut c = Compiler {
             module,
-            widths: module.signals().iter().map(|s| s.width()).collect(),
+            widths: Vec::new(),
+            base: Vec::new(),
+            rows: 0,
             consts: HashMap::new(),
             const_inits: Vec::new(),
             probes: Vec::new(),
@@ -966,11 +1026,14 @@ impl<'m> Compiler<'m> {
             next_of: vec![None; n],
             in_seq: false,
         };
+        for s in module.signals() {
+            c.reg(s.width());
+        }
         let mut state_pairs = Vec::new();
         for sig in elab.state_signals() {
             let shadow = c.reg(module.signal_width(sig));
             c.next_of[sig.index()] = Some(shadow);
-            state_pairs.push((sig.index() as Reg, shadow));
+            state_pairs.push((c.signal(sig), shadow));
         }
         let ones = c.const_reg(1, 1);
         for &pi in elab.comb_order() {
@@ -987,18 +1050,12 @@ impl<'m> Compiler<'m> {
         }
         let seq = std::mem::take(&mut c.tape);
 
-        let mut base = Vec::with_capacity(c.widths.len());
-        let mut off = 0u32;
-        for &w in &c.widths {
-            base.push(off);
-            off += w;
-        }
         let tape = Tape { comb, seq };
         CompiledModule {
             bare: Some(tape.residual(&c.probes, |_| true)),
             tape,
-            base,
-            words_total: off as usize,
+            words_total: c.rows as usize,
+            base: c.base,
             n_signals: n,
             sig_init: module.signals().iter().map(|s| s.init().bits()).collect(),
             state_pairs,
@@ -1010,9 +1067,22 @@ impl<'m> Compiler<'m> {
         }
     }
 
+    /// A fresh register of `width` bits, on the arena rows after the
+    /// last one's.
     fn reg(&mut self, width: u32) -> Reg {
+        let row = self.rows;
+        self.rows += width;
+        self.base.push(row);
         self.widths.push(width);
-        (self.widths.len() - 1) as Reg
+        Reg { row, width }
+    }
+
+    /// The register mirroring signal `sig`.
+    fn signal(&self, sig: SignalId) -> Reg {
+        Reg {
+            row: self.base[sig.index()],
+            width: self.widths[sig.index()],
+        }
     }
 
     fn const_reg(&mut self, bits: u64, width: u32) -> Reg {
@@ -1037,7 +1107,7 @@ impl<'m> Compiler<'m> {
     /// 1-bit truthiness of a register (the register itself when already
     /// one bit wide).
     fn truthy(&mut self, r: Reg) -> Reg {
-        if self.widths[r as usize] == 1 {
+        if r.width == 1 {
             r
         } else {
             let d = self.reg(1);
@@ -1065,7 +1135,7 @@ impl<'m> Compiler<'m> {
     }
 
     fn resize_to(&mut self, r: Reg, w: u32) -> Reg {
-        if self.widths[r as usize] == w {
+        if r.width == w {
             r
         } else {
             let d = self.reg(w);
@@ -1096,7 +1166,7 @@ impl<'m> Compiler<'m> {
         });
         let r = match e {
             Expr::Const(b) => self.const_reg(b.bits(), b.width()),
-            Expr::Signal(s) => s.index() as Reg,
+            Expr::Signal(s) => self.signal(*s),
             Expr::Unary(op, a) => {
                 let ra = self.compile_expr(a, probe);
                 let d = self.reg(w);
@@ -1188,7 +1258,7 @@ impl<'m> Compiler<'m> {
                 let regs: Vec<Reg> = parts.iter().map(|p| self.compile_expr(p, probe)).collect();
                 let mut acc = regs[0];
                 for &lo in &regs[1..] {
-                    let wd = self.widths[acc as usize] + self.widths[lo as usize];
+                    let wd = acc.width + lo.width;
                     let d = self.reg(wd);
                     self.emit(Inst::Concat { d, hi: acc, lo });
                     acc = d;
@@ -1251,7 +1321,7 @@ impl<'m> Compiler<'m> {
                 let d = if self.in_seq {
                     self.next_of[lhs.index()].expect("sequential writes target state signals")
                 } else {
-                    lhs.index() as Reg
+                    self.signal(*lhs)
                 };
                 self.emit(Inst::Store { d, src, mask });
             }
@@ -1416,8 +1486,8 @@ impl LaneSnapshot<'_> {
 /// `W` words: bit `k` of block word `j` carries stimulus vector
 /// `j*64 + k`, so one tape execution advances up to `64·W` independent
 /// simulations by one cycle. `W` must be one of 1, 2, 4, 8 (the widths
-/// [`SimBackend::lane_block`] normalizes to); the default `W = 1` is
-/// the 64-lane executor.
+/// [`SimBackend::lane_block`] normalizes to). A replay builds one and
+/// [`BatchSim::reset`]s it for each of its passes.
 ///
 /// Fused boolean-node probe hits accumulate inside the executor (one
 /// true/false word pair per probe per block word) and are delivered
@@ -1433,28 +1503,46 @@ struct BatchSim<'c, const W: usize = 1> {
     probe_true: Vec<u64>,
     probe_false: Vec<u64>,
     cycle: u64,
+    /// Settle-and-edge runs of the tape since construction, across
+    /// resets.
+    runs: usize,
 }
 
 impl<'c, const W: usize> BatchSim<'c, W> {
     /// Creates an executor with every lane at the reset state.
     fn new(c: &'c CompiledModule) -> Self {
-        let mut words = vec![0u64; c.words_total * W];
-        for &(r, bits) in &c.const_inits {
-            broadcast::<W>(&mut words, c.base[r as usize], c.widths[r as usize], bits);
-        }
-        for i in 0..c.n_signals {
-            broadcast::<W>(&mut words, c.base[i], c.widths[i], c.sig_init[i]);
-        }
-        BatchSim {
+        let mut sim = BatchSim {
             c,
-            words,
+            words: vec![0u64; c.words_total * W],
             probe_true: vec![0u64; c.probes.len() * W],
             probe_false: vec![0u64; c.probes.len() * W],
             cycle: 0,
-        }
+            runs: 0,
+        };
+        sim.reset();
+        sim
     }
 
-    /// The number of completed cycles (shared by every lane).
+    /// Puts every lane back at the power-on state, as a new executor
+    /// would be: constants and signal initial values broadcast, every
+    /// other register and every probe hit cleared, the cycle count at
+    /// zero. The run count is kept.
+    fn reset(&mut self) {
+        let c = self.c;
+        self.words.fill(0);
+        for &(r, bits) in &c.const_inits {
+            broadcast::<W>(&mut self.words, r.row, r.width, bits);
+        }
+        for i in 0..c.n_signals {
+            broadcast::<W>(&mut self.words, c.base[i], c.widths[i], c.sig_init[i]);
+        }
+        self.probe_true.fill(0);
+        self.probe_false.fill(0);
+        self.cycle = 0;
+    }
+
+    /// The number of completed cycles since the last reset (shared by
+    /// every lane).
     fn cycle(&self) -> u64 {
         self.cycle
     }
@@ -1491,50 +1579,36 @@ impl<'c, const W: usize> BatchSim<'c, W> {
     /// Settles the combinational processes of `tape` in every lane;
     /// observations are restricted to `active` lanes.
     fn settle(&mut self, tape: &Tape, active: &[u64; W], obs: Option<&mut dyn BatchObserver>) {
-        let mut o = obs;
-        exec_wide::<W>(
-            self.c,
-            &mut self.words,
-            &mut self.probe_true,
-            &mut self.probe_false,
-            &tape.comb,
+        let mut watch = Watch {
             active,
-            &mut o,
-        );
+            probe_true: &mut self.probe_true,
+            probe_false: &mut self.probe_false,
+            obs: obs.map(|o| o as &mut dyn BatchObserver),
+        };
+        exec_wide::<W>(&mut self.words, &tape.comb, &mut watch);
     }
 
     /// Fires the sequential processes of `tape` and commits next state
     /// in every lane; observations are restricted to `active` lanes.
     fn clock_edge(&mut self, tape: &Tape, active: &[u64; W], obs: Option<&mut dyn BatchObserver>) {
-        for &(cur, next) in &self.c.state_pairs {
-            let (cb, nb) = (
-                self.c.base[cur as usize] as usize,
-                self.c.base[next as usize] as usize,
-            );
-            for i in 0..self.c.widths[cur as usize] as usize * W {
-                self.words[nb * W + i] = self.words[cb * W + i];
-            }
+        let c = self.c;
+        for &(cur, next) in &c.state_pairs {
+            self.words
+                .copy_within(cur.words::<W>(), next.words::<W>().start);
         }
-        let mut o = obs;
-        exec_wide::<W>(
-            self.c,
-            &mut self.words,
-            &mut self.probe_true,
-            &mut self.probe_false,
-            &tape.seq,
+        let mut watch = Watch {
             active,
-            &mut o,
-        );
-        for &(cur, next) in &self.c.state_pairs {
-            let (cb, nb) = (
-                self.c.base[cur as usize] as usize,
-                self.c.base[next as usize] as usize,
-            );
-            for i in 0..self.c.widths[cur as usize] as usize * W {
-                self.words[cb * W + i] = self.words[nb * W + i];
-            }
+            probe_true: &mut self.probe_true,
+            probe_false: &mut self.probe_false,
+            obs: obs.map(|o| o as &mut dyn BatchObserver),
+        };
+        exec_wide::<W>(&mut self.words, &tape.seq, &mut watch);
+        for &(cur, next) in &c.state_pairs {
+            self.words
+                .copy_within(next.words::<W>(), cur.words::<W>().start);
         }
         self.cycle += 1;
+        self.runs += 1;
     }
 
     /// Runs one full clock cycle of `tape`, reporting events to `obs`
@@ -1590,334 +1664,326 @@ fn broadcast<const W: usize>(words: &mut [u64], base: u32, width: u32, bits: u64
     }
 }
 
+/// The words of an instruction's destination, writable, beside the
+/// words of its sources, readable. Lowering allocates an expression's
+/// result register after its operands', so every source lies below the
+/// destination; a source that did not would panic here.
+#[inline(always)]
+fn dest_and_sources<const N: usize>(
+    words: &mut [u64],
+    d: Range<usize>,
+    srcs: [Range<usize>; N],
+) -> (&mut [u64], [&[u64]; N]) {
+    let (lo, hi) = words.split_at_mut(d.start);
+    let lo: &[u64] = lo;
+    (&mut hi[..d.len()], srcs.map(|s| &lo[s]))
+}
+
+/// `dst[k] = f(k, a[k], b[k])` for every word `k` of `dst`, lowest
+/// first, each source reading as zero past its own words (operands
+/// zero-extend). One loop when both sources cover `dst`; otherwise the
+/// words both cover, the words one covers and the rest run as separate
+/// loops, so no word tests its index.
+#[inline(always)]
+fn map2(dst: &mut [u64], a: &[u64], b: &[u64], mut f: impl FnMut(usize, u64, u64) -> u64) {
+    let n = dst.len();
+    if a.len() >= n && b.len() >= n {
+        for (k, ((o, &x), &y)) in dst.iter_mut().zip(a).zip(b).enumerate() {
+            *o = f(k, x, y);
+        }
+        return;
+    }
+    let (a, b) = (&a[..a.len().min(n)], &b[..b.len().min(n)]);
+    let (both, one) = (a.len().min(b.len()), a.len().max(b.len()));
+    let (head, rest) = dst.split_at_mut(both);
+    let (mid, tail) = rest.split_at_mut(one - both);
+    for (k, ((o, &x), &y)) in head.iter_mut().zip(a).zip(b).enumerate() {
+        *o = f(k, x, y);
+    }
+    for (k, (o, &x)) in mid.iter_mut().zip(&a[both..]).enumerate() {
+        *o = f(both + k, x, 0);
+    }
+    for (k, (o, &y)) in mid.iter_mut().zip(&b[both..]).enumerate() {
+        *o = f(both + k, 0, y);
+    }
+    for (k, o) in tail.iter_mut().enumerate() {
+        *o = f(one + k, 0, 0);
+    }
+}
+
+/// `dst[k] = f(k, a[k])` for every word `k` of `dst`, lowest first, the
+/// source reading as zero past its own words.
+#[inline(always)]
+fn map1(dst: &mut [u64], a: &[u64], mut f: impl FnMut(usize, u64) -> u64) {
+    let (head, tail) = dst.split_at_mut(a.len().min(dst.len()));
+    for (k, (o, &x)) in head.iter_mut().zip(a).enumerate() {
+        *o = f(k, x);
+    }
+    let n = head.len();
+    for (k, o) in tail.iter_mut().enumerate() {
+        *o = f(n + k, 0);
+    }
+}
+
+/// `f(k, a[k], b[k])` for every word `k` either source covers, lowest
+/// first, the shorter reading as zero past its words.
+#[inline(always)]
+fn fold2(a: &[u64], b: &[u64], mut f: impl FnMut(usize, u64, u64)) {
+    let both = a.len().min(b.len());
+    for (k, (&x, &y)) in a[..both].iter().zip(&b[..both]).enumerate() {
+        f(k, x, y);
+    }
+    for (k, &x) in a.iter().enumerate().skip(both) {
+        f(k, x, 0);
+    }
+    for (k, &y) in b.iter().enumerate().skip(both) {
+        f(k, 0, y);
+    }
+}
+
+/// The `W` words of a one-bit register (a mask or a predicate).
+#[inline(always)]
+fn bit_words<const W: usize>(words: &[u64]) -> [u64; W] {
+    *words
+        .first_chunk()
+        .expect("a one-bit register holds W words")
+}
+
+/// Where a tape run's observation instructions report: the lanes
+/// events are masked to, the fused probe-hit words and the observer,
+/// behind the one reference the executor's instruction loop carries.
+struct Watch<'a, const W: usize> {
+    active: &'a [u64; W],
+    probe_true: &'a mut [u64],
+    probe_false: &'a mut [u64],
+    obs: Option<&'a mut dyn BatchObserver>,
+}
+
 /// Executes one tape in bit-parallel mode over a lane block of `W`
 /// words. Every lane computes on every instruction; observation events
-/// are masked to `active`. Boolean-node probes are *fused*: instead of
-/// dispatching through the observer per instruction, their per-lane
-/// true/false hits OR-accumulate into `pt`/`pf` (one word per probe
-/// per block word) for a bulk drain after the run.
-fn exec_wide<const W: usize>(
-    c: &CompiledModule,
-    words: &mut [u64],
-    pt: &mut [u64],
-    pf: &mut [u64],
-    tape: &[Inst],
-    active: &[u64; W],
-    obs: &mut Option<&mut dyn BatchObserver>,
-) {
-    let base = &c.base;
-    let widths = &c.widths;
-    let observing = obs.is_some();
-    // Reads zero-extend: bits beyond a register's width read as zero.
-    macro_rules! gw {
-        ($r:expr, $i:expr, $j:expr) => {{
-            let r = $r as usize;
-            if ($i as u32) < widths[r] {
-                words[(base[r] as usize + $i as usize) * W + $j]
-            } else {
-                0u64
-            }
-        }};
-    }
-    macro_rules! di {
-        ($d:expr, $i:expr, $j:expr) => {
-            (base[$d as usize] as usize + $i as usize) * W + $j
-        };
-    }
+/// are masked to `watch.active`. Boolean-node probes are *fused*:
+/// instead of dispatching through the observer per instruction, their
+/// per-lane true/false hits OR-accumulate into the watch's probe words
+/// (one word per probe per block word) for a bulk drain after the run.
+///
+/// An instruction carries its operands' arena rows and widths
+/// ([`Reg`]), so it looks nothing up: it runs over their words as
+/// contiguous `width·W` slices (bit `i`, block word `j` at `i·W + j`).
+/// Bitwise operations are one loop over the words, carries and
+/// comparisons keep one state word per block word (`k % W`), and every
+/// result — shifts and products included — is built in the
+/// destination's own words.
+fn exec_wide<const W: usize>(words: &mut [u64], tape: &[Inst], watch: &mut Watch<'_, W>) {
+    let at = Reg::words::<W>;
     for inst in tape {
         match *inst {
             Inst::And { d, a, b } => {
-                for i in 0..widths[d as usize] {
-                    for j in 0..W {
-                        words[di!(d, i, j)] = gw!(a, i, j) & gw!(b, i, j);
-                    }
-                }
+                let (dst, [a, b]) = dest_and_sources(words, at(d), [at(a), at(b)]);
+                map2(dst, a, b, |_, x, y| x & y);
             }
             Inst::Or { d, a, b } => {
-                for i in 0..widths[d as usize] {
-                    for j in 0..W {
-                        words[di!(d, i, j)] = gw!(a, i, j) | gw!(b, i, j);
-                    }
-                }
+                let (dst, [a, b]) = dest_and_sources(words, at(d), [at(a), at(b)]);
+                map2(dst, a, b, |_, x, y| x | y);
             }
             Inst::Xor { d, a, b } => {
-                for i in 0..widths[d as usize] {
-                    for j in 0..W {
-                        words[di!(d, i, j)] = gw!(a, i, j) ^ gw!(b, i, j);
-                    }
-                }
+                let (dst, [a, b]) = dest_and_sources(words, at(d), [at(a), at(b)]);
+                map2(dst, a, b, |_, x, y| x ^ y);
+            }
+            Inst::AndNot { d, a, b } => {
+                let (dst, [a, b]) = dest_and_sources(words, at(d), [at(a), at(b)]);
+                map2(dst, a, b, |_, x, y| x & !y);
             }
             Inst::Not { d, a } => {
-                for i in 0..widths[d as usize] {
-                    for j in 0..W {
-                        words[di!(d, i, j)] = !gw!(a, i, j);
-                    }
-                }
+                let (dst, [a]) = dest_and_sources(words, at(d), [at(a)]);
+                map1(dst, a, |_, x| !x);
+            }
+            Inst::Resize { d, a } => {
+                let (dst, [a]) = dest_and_sources(words, at(d), [at(a)]);
+                map1(dst, a, |_, x| x);
+            }
+            // Bits `lo..` (`bit`, `amt..`) of the source, zero past its
+            // width.
+            Inst::Slice { d, a, lo: from }
+            | Inst::Index { d, a, bit: from }
+            | Inst::ShrC { d, a, amt: from } => {
+                let (dst, [a]) = dest_and_sources(words, at(d), [at(a)]);
+                let a = &a[(from as usize * W).min(a.len())..];
+                map1(dst, a, |_, x| x);
+            }
+            Inst::ShlC { d, a, amt } => {
+                let (dst, [a]) = dest_and_sources(words, at(d), [at(a)]);
+                let (low, high) = dst.split_at_mut((amt as usize * W).min(dst.len()));
+                low.fill(0);
+                map1(high, a, |_, x| x);
+            }
+            Inst::Concat { d, hi, lo } => {
+                let (dst, [hi, lo]) = dest_and_sources(words, at(d), [at(hi), at(lo)]);
+                let (low, high) = dst.split_at_mut(lo.len());
+                low.copy_from_slice(lo);
+                high.copy_from_slice(hi);
             }
             Inst::Neg { d, a } => {
                 // ~a + 1 via a carry ripple seeded with all-ones.
+                let (dst, [a]) = dest_and_sources(words, at(d), [at(a)]);
                 let mut carry = [u64::MAX; W];
-                for i in 0..widths[d as usize] {
-                    for j in 0..W {
-                        let x = !gw!(a, i, j);
-                        words[di!(d, i, j)] = x ^ carry[j];
-                        carry[j] &= x;
-                    }
-                }
+                map1(dst, a, |k, x| {
+                    let (x, c) = (!x, &mut carry[k % W]);
+                    let out = x ^ *c;
+                    *c &= x;
+                    out
+                });
             }
             Inst::Add { d, a, b } => {
+                let (dst, [a, b]) = dest_and_sources(words, at(d), [at(a), at(b)]);
                 let mut carry = [0u64; W];
-                for i in 0..widths[d as usize] {
-                    for j in 0..W {
-                        let x = gw!(a, i, j);
-                        let y = gw!(b, i, j);
-                        words[di!(d, i, j)] = x ^ y ^ carry[j];
-                        carry[j] = (x & y) | (carry[j] & (x ^ y));
-                    }
-                }
+                map2(dst, a, b, |k, x, y| {
+                    let c = &mut carry[k % W];
+                    let out = x ^ y ^ *c;
+                    *c = (x & y) | (*c & (x ^ y));
+                    out
+                });
             }
             Inst::Sub { d, a, b } => {
+                let (dst, [a, b]) = dest_and_sources(words, at(d), [at(a), at(b)]);
                 let mut borrow = [0u64; W];
-                for i in 0..widths[d as usize] {
-                    for j in 0..W {
-                        let x = gw!(a, i, j);
-                        let y = gw!(b, i, j);
-                        words[di!(d, i, j)] = x ^ y ^ borrow[j];
-                        borrow[j] = (!x & y) | (!(x ^ y) & borrow[j]);
-                    }
-                }
+                map2(dst, a, b, |k, x, y| {
+                    let c = &mut borrow[k % W];
+                    let out = x ^ y ^ *c;
+                    *c = (!x & y) | (!(x ^ y) & *c);
+                    out
+                });
             }
             Inst::Mul { d, a, b } => {
-                let w = widths[d as usize];
-                let mut acc = [[0u64; W]; 64];
-                for s in 0..w.min(widths[b as usize]) {
+                // Shift-and-add, accumulated in the destination's words.
+                let (dst, [a, b]) = dest_and_sources(words, at(d), [at(a), at(b)]);
+                dst.fill(0);
+                let (wd, wa) = (dst.len() / W, a.len() / W);
+                for s in 0..wd.min(b.len() / W) {
                     for j in 0..W {
-                        let m = gw!(b, s, j);
+                        let m = b[s * W + j];
                         if m == 0 {
                             continue;
                         }
                         let mut carry = 0u64;
-                        for i in s..w {
-                            let x = acc[i as usize][j];
-                            let y = gw!(a, i - s, j) & m;
-                            acc[i as usize][j] = x ^ y ^ carry;
-                            carry = (x & y) | (carry & (x ^ y));
+                        for i in s..wd {
+                            let y = if i - s < wa {
+                                a[(i - s) * W + j] & m
+                            } else if carry == 0 {
+                                break;
+                            } else {
+                                0
+                            };
+                            let x = &mut dst[i * W + j];
+                            let sum = *x ^ y ^ carry;
+                            carry = (*x & y) | (carry & (*x ^ y));
+                            *x = sum;
                         }
                     }
                 }
-                for i in 0..w {
-                    for j in 0..W {
-                        words[di!(d, i, j)] = acc[i as usize][j];
-                    }
-                }
             }
-            Inst::Eq { d, a, b } => {
-                let wm = widths[a as usize].max(widths[b as usize]);
+            Inst::Eq { d, a, b } | Inst::Ne { d, a, b } => {
+                let (dst, [a, b]) = dest_and_sources(words, at(d), [at(a), at(b)]);
                 let mut eq = [u64::MAX; W];
-                for i in 0..wm {
-                    for j in 0..W {
-                        eq[j] &= !(gw!(a, i, j) ^ gw!(b, i, j));
-                    }
-                }
-                for j in 0..W {
-                    words[di!(d, 0, j)] = eq[j];
-                }
-            }
-            Inst::Ne { d, a, b } => {
-                let wm = widths[a as usize].max(widths[b as usize]);
-                let mut eq = [u64::MAX; W];
-                for i in 0..wm {
-                    for j in 0..W {
-                        eq[j] &= !(gw!(a, i, j) ^ gw!(b, i, j));
-                    }
-                }
-                for j in 0..W {
-                    words[di!(d, 0, j)] = !eq[j];
+                fold2(a, b, |k, x, y| eq[k % W] &= !(x ^ y));
+                let ne = matches!(inst, Inst::Ne { .. });
+                for (o, e) in dst.iter_mut().zip(eq) {
+                    *o = if ne { !e } else { e };
                 }
             }
             Inst::Lt { d, a, b } => {
-                let wm = widths[a as usize].max(widths[b as usize]);
+                let (dst, [a, b]) = dest_and_sources(words, at(d), [at(a), at(b)]);
                 let mut lt = [0u64; W];
-                for i in 0..wm {
-                    for j in 0..W {
-                        let x = gw!(a, i, j);
-                        let y = gw!(b, i, j);
-                        lt[j] = (!x & y) | (!(x ^ y) & lt[j]);
-                    }
-                }
-                for j in 0..W {
-                    words[di!(d, 0, j)] = lt[j];
+                fold2(a, b, |k, x, y| {
+                    let l = &mut lt[k % W];
+                    *l = (!x & y) | (!(x ^ y) & *l);
+                });
+                for (o, l) in dst.iter_mut().zip(lt) {
+                    *o = l;
                 }
             }
             Inst::Le { d, a, b } => {
-                let wm = widths[a as usize].max(widths[b as usize]);
-                let mut lt = [0u64; W];
-                let mut eq = [u64::MAX; W];
-                for i in 0..wm {
-                    for j in 0..W {
-                        let x = gw!(a, i, j);
-                        let y = gw!(b, i, j);
-                        lt[j] = (!x & y) | (!(x ^ y) & lt[j]);
-                        eq[j] &= !(x ^ y);
-                    }
-                }
-                for j in 0..W {
-                    words[di!(d, 0, j)] = lt[j] | eq[j];
+                let (dst, [a, b]) = dest_and_sources(words, at(d), [at(a), at(b)]);
+                let (mut lt, mut eq) = ([0u64; W], [u64::MAX; W]);
+                fold2(a, b, |k, x, y| {
+                    let l = &mut lt[k % W];
+                    *l = (!x & y) | (!(x ^ y) & *l);
+                    eq[k % W] &= !(x ^ y);
+                });
+                for ((o, l), e) in dst.iter_mut().zip(lt).zip(eq) {
+                    *o = l | e;
                 }
             }
-            Inst::Shl { d, a, amt } => {
-                let w = widths[d as usize];
-                let mut cur = [[0u64; W]; 64];
-                for i in 0..w {
-                    for j in 0..W {
-                        cur[i as usize][j] = gw!(a, i, j);
-                    }
-                }
-                barrel_wide::<W>(&mut cur, w, c, words, amt, true);
-                for i in 0..w {
-                    for j in 0..W {
-                        words[di!(d, i, j)] = cur[i as usize][j];
-                    }
-                }
-            }
-            Inst::Shr { d, a, amt } => {
-                let w = widths[d as usize];
-                let mut cur = [[0u64; W]; 64];
-                for i in 0..w {
-                    for j in 0..W {
-                        cur[i as usize][j] = gw!(a, i, j);
-                    }
-                }
-                barrel_wide::<W>(&mut cur, w, c, words, amt, false);
-                for i in 0..w {
-                    for j in 0..W {
-                        words[di!(d, i, j)] = cur[i as usize][j];
-                    }
-                }
-            }
-            Inst::ShlC { d, a, amt } => {
-                let w = widths[d as usize];
-                for i in (0..w).rev() {
-                    for j in 0..W {
-                        words[di!(d, i, j)] = if i >= amt { gw!(a, i - amt, j) } else { 0 };
-                    }
-                }
-            }
-            Inst::ShrC { d, a, amt } => {
-                let w = widths[d as usize];
-                for i in 0..w {
-                    for j in 0..W {
-                        words[di!(d, i, j)] = gw!(a, i + amt, j);
-                    }
-                }
+            Inst::Shl { d, a, amt } | Inst::Shr { d, a, amt } => {
+                let (dst, [a, amt]) = dest_and_sources(words, at(d), [at(a), at(amt)]);
+                map1(dst, a, |_, x| x);
+                barrel::<W>(dst, amt, matches!(inst, Inst::Shl { .. }));
             }
             Inst::RedAnd { d, a } => {
+                let (dst, [a]) = dest_and_sources(words, at(d), [at(a)]);
                 let mut r = [u64::MAX; W];
-                for i in 0..widths[a as usize] {
-                    for j in 0..W {
-                        r[j] &= gw!(a, i, j);
-                    }
+                for (k, &x) in a.iter().enumerate() {
+                    r[k % W] &= x;
                 }
-                for j in 0..W {
-                    words[di!(d, 0, j)] = r[j];
+                for (o, r) in dst.iter_mut().zip(r) {
+                    *o = r;
                 }
             }
-            Inst::RedOr { d, a } | Inst::Truth { d, a } => {
+            Inst::RedOr { d, a } | Inst::Truth { d, a } | Inst::LogicNot { d, a } => {
+                let (dst, [a]) = dest_and_sources(words, at(d), [at(a)]);
                 let mut r = [0u64; W];
-                for i in 0..widths[a as usize] {
-                    for j in 0..W {
-                        r[j] |= gw!(a, i, j);
-                    }
+                for (k, &x) in a.iter().enumerate() {
+                    r[k % W] |= x;
                 }
-                for j in 0..W {
-                    words[di!(d, 0, j)] = r[j];
+                let not = matches!(inst, Inst::LogicNot { .. });
+                for (o, r) in dst.iter_mut().zip(r) {
+                    *o = if not { !r } else { r };
                 }
             }
             Inst::RedXor { d, a } => {
+                let (dst, [a]) = dest_and_sources(words, at(d), [at(a)]);
                 let mut r = [0u64; W];
-                for i in 0..widths[a as usize] {
-                    for j in 0..W {
-                        r[j] ^= gw!(a, i, j);
-                    }
+                for (k, &x) in a.iter().enumerate() {
+                    r[k % W] ^= x;
                 }
-                for j in 0..W {
-                    words[di!(d, 0, j)] = r[j];
-                }
-            }
-            Inst::LogicNot { d, a } => {
-                let mut r = [0u64; W];
-                for i in 0..widths[a as usize] {
-                    for j in 0..W {
-                        r[j] |= gw!(a, i, j);
-                    }
-                }
-                for j in 0..W {
-                    words[di!(d, 0, j)] = !r[j];
+                for (o, r) in dst.iter_mut().zip(r) {
+                    *o = r;
                 }
             }
             Inst::Mux { d, c: cnd, t, e } => {
-                for j in 0..W {
-                    let m = gw!(cnd, 0, j);
-                    for i in 0..widths[d as usize] {
-                        words[di!(d, i, j)] = (m & gw!(t, i, j)) | (!m & gw!(e, i, j));
-                    }
-                }
-            }
-            Inst::Index { d, a, bit } => {
-                for j in 0..W {
-                    words[di!(d, 0, j)] = gw!(a, bit, j);
-                }
-            }
-            Inst::Slice { d, a, lo } => {
-                for i in 0..widths[d as usize] {
-                    for j in 0..W {
-                        words[di!(d, i, j)] = gw!(a, lo + i, j);
-                    }
-                }
-            }
-            Inst::Concat { d, hi, lo } => {
-                let wl = widths[lo as usize];
-                for i in 0..wl {
-                    for j in 0..W {
-                        words[di!(d, i, j)] = gw!(lo, i, j);
-                    }
-                }
-                for i in 0..widths[hi as usize] {
-                    for j in 0..W {
-                        words[di!(d, wl + i, j)] = gw!(hi, i, j);
-                    }
-                }
-            }
-            Inst::Resize { d, a } => {
-                for i in 0..widths[d as usize] {
-                    for j in 0..W {
-                        words[di!(d, i, j)] = gw!(a, i, j);
-                    }
-                }
-            }
-            Inst::AndNot { d, a, b } => {
-                for j in 0..W {
-                    words[di!(d, 0, j)] = gw!(a, 0, j) & !gw!(b, 0, j);
-                }
+                let (dst, [cnd, t, e]) = dest_and_sources(words, at(d), [at(cnd), at(t), at(e)]);
+                let m = bit_words::<W>(cnd);
+                map2(dst, t, e, |k, x, y| {
+                    let m = m[k % W];
+                    (m & x) | (!m & y)
+                });
             }
             Inst::Store { d, src, mask } => {
-                for j in 0..W {
-                    let m = gw!(mask, 0, j);
-                    for i in 0..widths[d as usize] {
-                        let idx = di!(d, i, j);
-                        words[idx] = (m & gw!(src, i, j)) | (!m & words[idx]);
-                    }
+                // `x = x` merges a register with itself: nothing moves.
+                if src == d {
+                    continue;
+                }
+                let m = bit_words::<W>(&words[at(mask)]);
+                let (d, src) = (at(d), at(src));
+                let (dst, src): (&mut [u64], &[u64]) = if src.start >= d.end {
+                    let (lo, hi) = words.split_at_mut(d.end);
+                    (&mut lo[d.start..], &hi[src.start - d.end..src.end - d.end])
+                } else {
+                    let (lo, hi) = words.split_at_mut(d.start);
+                    (&mut hi[..d.len()], &lo[src])
+                };
+                for (k, (o, &x)) in dst.iter_mut().zip(src).enumerate() {
+                    let m = m[k % W];
+                    *o = (m & x) | (!m & *o);
+                }
+                for k in src.len()..dst.len() {
+                    dst[k] &= !m[k % W];
                 }
             }
             Inst::ObsStmt { stmt, mask } => {
-                if let Some(o) = obs.as_deref_mut() {
-                    let mut l = [0u64; W];
-                    let mut any = 0u64;
-                    for (j, slot) in l.iter_mut().enumerate() {
-                        *slot = gw!(mask, 0, j) & active[j];
-                        any |= *slot;
-                    }
-                    if any != 0 {
+                if let Some(o) = watch.obs.as_deref_mut() {
+                    let m = bit_words::<W>(&words[at(mask)]);
+                    let l: [u64; W] = std::array::from_fn(|j| m[j] & watch.active[j]);
+                    if l != [0; W] {
                         o.on_stmt(stmt, &LaneSet::new(&l));
                     }
                 }
@@ -1927,26 +1993,25 @@ fn exec_wide<const W: usize>(
                 outcome,
                 mask,
             } => {
-                if let Some(o) = obs.as_deref_mut() {
-                    let mut l = [0u64; W];
-                    let mut any = 0u64;
-                    for (j, slot) in l.iter_mut().enumerate() {
-                        *slot = gw!(mask, 0, j) & active[j];
-                        any |= *slot;
-                    }
-                    if any != 0 {
+                if let Some(o) = watch.obs.as_deref_mut() {
+                    let m = bit_words::<W>(&words[at(mask)]);
+                    let l: [u64; W] = std::array::from_fn(|j| m[j] & watch.active[j]);
+                    if l != [0; W] {
                         o.on_branch(stmt, outcome, &LaneSet::new(&l));
                     }
                 }
             }
             Inst::ObsBool { probe, val, mask } => {
-                if observing {
+                if watch.obs.is_some() {
+                    let m = bit_words::<W>(&words[at(mask)]);
+                    let v = bit_words::<W>(&words[at(val)]);
                     let pb = probe as usize * W;
+                    let pt = &mut watch.probe_true[pb..pb + W];
+                    let pf = &mut watch.probe_false[pb..pb + W];
                     for j in 0..W {
-                        let m = gw!(mask, 0, j) & active[j];
-                        let v = gw!(val, 0, j);
-                        pt[pb + j] |= v & m;
-                        pf[pb + j] |= !v & m;
+                        let m = m[j] & watch.active[j];
+                        pt[j] |= v[j] & m;
+                        pf[j] |= !v[j] & m;
                     }
                 }
             }
@@ -1954,44 +2019,51 @@ fn exec_wide<const W: usize>(
     }
 }
 
-/// Lane-parallel barrel shifter over a `W`-word block: conditionally
-/// shifts `cur` (width `w`, `W` words per bit) by each power of two
-/// under the per-lane words of the `amt` register. Amount bits whose
-/// power reaches the width force the affected lanes to zero, so
-/// amounts at or beyond the width produce zero — matching
+/// Lane-parallel barrel shifter over a `W`-word block, in place:
+/// conditionally shifts `dst` (`W` words per bit) by each power of two
+/// under the per-lane words of the amount register's `amt` words.
+/// Amount bits whose power reaches the width force the affected lanes
+/// to zero, so amounts at or beyond the width produce zero — matching
 /// [`Bv::shl`]/[`Bv::shr`].
-fn barrel_wide<const W: usize>(
-    cur: &mut [[u64; W]; 64],
-    w: u32,
-    c: &CompiledModule,
-    words: &[u64],
-    amt: Reg,
-    left: bool,
-) {
-    let wa = c.widths[amt as usize];
-    let ab = c.base[amt as usize] as usize;
-    for s in 0..wa {
-        for j in 0..W {
-            let m = words[(ab + s as usize) * W + j];
-            if m == 0 {
-                continue;
-            }
-            if s >= 6 || (1u32 << s) >= w {
-                for row in cur.iter_mut().take(w as usize) {
-                    row[j] &= !m;
+fn barrel<const W: usize>(dst: &mut [u64], amt: &[u64], left: bool) {
+    let (rows, _) = dst.as_chunks_mut::<W>();
+    let w = rows.len();
+    for (s, m) in amt.as_chunks::<W>().0.iter().enumerate() {
+        if *m == [0; W] {
+            continue;
+        }
+        if s >= 6 || (1usize << s) >= w {
+            for row in rows.iter_mut() {
+                for j in 0..W {
+                    row[j] &= !m[j];
                 }
-            } else {
-                let k = 1usize << s;
-                if left {
-                    for i in (0..w as usize).rev() {
-                        let shifted = if i >= k { cur[i - k][j] } else { 0 };
-                        cur[i][j] = (m & shifted) | (!m & cur[i][j]);
-                    }
-                } else {
-                    for i in 0..w as usize {
-                        let shifted = if i + k < w as usize { cur[i + k][j] } else { 0 };
-                        cur[i][j] = (m & shifted) | (!m & cur[i][j]);
-                    }
+            }
+            continue;
+        }
+        let k = 1usize << s;
+        // Left: every row takes the one `k` below, highest first so
+        // each reads a row not yet moved; right: the one `k` above,
+        // lowest first. The `k` rows shifted in become zero.
+        if left {
+            for i in (k..w).rev() {
+                for j in 0..W {
+                    rows[i][j] = (m[j] & rows[i - k][j]) | (!m[j] & rows[i][j]);
+                }
+            }
+            for row in &mut rows[..k] {
+                for j in 0..W {
+                    row[j] &= !m[j];
+                }
+            }
+        } else {
+            for i in 0..w - k {
+                for j in 0..W {
+                    rows[i][j] = (m[j] & rows[i + k][j]) | (!m[j] & rows[i][j]);
+                }
+            }
+            for row in &mut rows[w - k..] {
+                for j in 0..W {
+                    row[j] &= !m[j];
                 }
             }
         }
@@ -2159,7 +2231,8 @@ mod tests {
 
     #[test]
     fn lane_block_normalizes_widths() {
-        assert_eq!(SimBackend::default(), SimBackend::CompiledBatch(1));
+        assert_eq!(SimBackend::default(), SimBackend::CompiledBatch(8));
+        assert_eq!(SimBackend::default().lane_block(), MAX_LANE_BLOCK);
         assert_eq!(SimBackend::CompiledBatch(1).lane_block(), 1);
         assert_eq!(SimBackend::CompiledBatch(0).lane_block(), 1);
         assert_eq!(SimBackend::CompiledBatch(2).lane_block(), 2);

@@ -10,7 +10,8 @@
 //! * `None` — the interpreter oracle walks [`crate::run_segment`] one
 //!   segment at a time, polling the cancel token between segments;
 //! * `Some(tape)` — the segments ride the lane-batched tape together,
-//!   `64·block` per pass, the token polled once per simulated cycle.
+//!   up to `64·block` per pass, the token polled once per simulated
+//!   cycle.
 //!
 //! Traces and coverage are identical either way (`sim/compiled_agree`),
 //! so the choice never shows in a result. What is replayed is always a
@@ -53,8 +54,9 @@ pub struct Replay<'a> {
     /// Its instruction tape, or `None` for the interpreter. A tape
     /// compiled without probes must not be given a coverage observer.
     pub compiled: Option<&'a CompiledModule>,
-    /// Words per lane block for the tape (normalized to 1, 2, 4 or 8 —
-    /// see [`crate::SimBackend::lane_block`]); ignored by the
+    /// The widest lane block, in words, the tape may run (normalized to
+    /// 1, 2, 4 or 8 — see [`crate::SimBackend::lane_block`]): a replay
+    /// narrows it to the lane groups its range fills. Ignored by the
     /// interpreter.
     pub block: usize,
     /// Cooperative cancel token. A raised token ends the replay with
@@ -190,7 +192,9 @@ mod tests {
     fn both_sides_of_the_seam_return_the_same_traces() {
         let m = parse_verilog(COUNTER).unwrap();
         let c = CompiledModule::compile(&m).unwrap();
-        let segs = segments(&m, 70);
+        // Enough segments for every block to run at its own width.
+        let n = 257;
+        let segs = segments(&m, n as u64);
         let replay = |compiled, block| Replay {
             module: &m,
             compiled,
@@ -198,14 +202,14 @@ mod tests {
             cancel: None,
         };
         let want = replay(None, 1)
-            .traces(&segs, 0..70, &mut NopObserver)
+            .traces(&segs, 0..n, &mut NopObserver)
             .unwrap();
-        assert_eq!(want.as_ref().map(Vec::len), Some(70));
+        assert_eq!(want.as_ref().map(Vec::len), Some(n));
         let want = want.unwrap();
         for block in [1, 2, 8] {
-            let got = replay(Some(&c), block).traces(&segs, 0..70, &mut NopObserver);
+            let got = replay(Some(&c), block).traces(&segs, 0..n, &mut NopObserver);
             assert_eq!(got.unwrap().as_ref(), Some(&want), "block {block}");
-            let observed = replay(Some(&c), block).observe(&segs, 0..70, &mut NopObserver);
+            let observed = replay(Some(&c), block).observe(&segs, 0..n, &mut NopObserver);
             assert_eq!(observed.unwrap(), Some(()));
             // A range across the group seam is those segments alone.
             let got = replay(Some(&c), block).traces(&segs, 60..67, &mut NopObserver);

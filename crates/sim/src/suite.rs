@@ -203,12 +203,13 @@ impl TestSuite {
     }
 
     /// Runs every segment through the compiled bit-parallel executor
-    /// with a lane block of `block` words (lane `k` of each pass
-    /// replays segment `chunk*64*block + k` from reset), returning one
-    /// trace per segment — trace- and coverage-identical to
-    /// [`TestSuite::run`] with the interpreter. `block` is normalized
-    /// to a supported width (1, 2, 4, 8); pass
-    /// [`crate::SimBackend::lane_block`] when routing a config.
+    /// with lane blocks of up to `block` words (narrowed to the lane
+    /// groups the suite fills; lane `k` of each pass replays segment
+    /// `chunk*64*block + k` from reset), returning one trace per
+    /// segment — trace- and coverage-identical to [`TestSuite::run`]
+    /// with the interpreter. `block` is normalized to a supported width
+    /// (1, 2, 4, 8); pass [`crate::SimBackend::lane_block`] when routing
+    /// a config.
     pub fn run_compiled(
         &self,
         module: &Module,

@@ -38,9 +38,10 @@ use gm_rtl::{Bv, Module, SignalId, StmtId};
 use gm_sim::{
     BranchOutcome, CompileOptions, CompiledModule, NopObserver, Replay, TestSuite, Trace,
 };
+use gm_trace::ArgValue;
 use proptest::prelude::*;
 use proptest::TestRng;
-use support::{random_module, random_suite, thinned_suite, BLOCKS};
+use support::{filled, random_module, random_suite, segments_to_fill, thinned_suite, BLOCKS};
 
 /// Everything a backend run produces that must agree.
 #[derive(Debug, PartialEq)]
@@ -154,6 +155,67 @@ fn segment_counts_straddle_every_block_boundary() {
         let lengths: Vec<u64> = (0..count as u64).map(|i| (i * 5) % 11).collect();
         let suite = random_suite(&module, 0x5EED ^ count as u64, &lengths);
         assert_backends_agree(&module, &suite, &format!("arbiter4 x{count}"));
+    }
+}
+
+/// The lane block each segment count runs at, given W = 1, 2, 4 and 8:
+/// the narrowest supported block that holds the range's lane groups, at
+/// most the one given.
+const BLOCK_RUN: [(usize, [usize; 4]); 10] = [
+    (1, [1, 1, 1, 1]),
+    (64, [1, 1, 1, 1]),
+    (65, [1, 2, 2, 2]),
+    (128, [1, 2, 2, 2]),
+    (129, [1, 2, 4, 4]),
+    (256, [1, 2, 4, 4]),
+    (257, [1, 2, 4, 8]),
+    (512, [1, 2, 4, 8]),
+    (513, [1, 2, 4, 8]),
+    (1024, [1, 2, 4, 8]),
+];
+
+#[test]
+fn a_replay_runs_the_widest_block_its_segments_fill() {
+    // Two cycles a segment: every pass runs the reset cycle and two more.
+    let module = gm_designs::arbiter4();
+    assert!(module.reset().is_some());
+    let compiled = CompiledModule::compile(&module).expect("compiles");
+    let suite = random_suite(&module, 0x7AB1E, &[2; 1024]);
+    for (segments, run) in BLOCK_RUN {
+        for (block, want) in BLOCKS.into_iter().zip(run) {
+            // What the random-module suites fill to: the fewest segments
+            // that run a width.
+            assert!(segments >= segments_to_fill(want));
+            assert!(want == block || segments < segments_to_fill(2 * want));
+            let sink = gm_trace::TraceSink::new();
+            {
+                let _recording = gm_trace::push_thread_sink(sink.clone());
+                let replay = Replay {
+                    module: &module,
+                    compiled: Some(&compiled),
+                    block,
+                    cancel: None,
+                };
+                let done = replay.observe(&suite, 0..segments, &mut NopObserver);
+                assert_eq!(done.unwrap(), Some(()));
+            }
+            let events = sink.events();
+            let batch = events.iter().find(|e| e.name == "sim.batch");
+            let batch = batch.expect("one sim.batch span");
+            let arg = |key: &str| {
+                let found = batch.args.iter().find(|(k, _)| *k == key);
+                found
+                    .unwrap_or_else(|| panic!("sim.batch has no `{key}`"))
+                    .1
+                    .clone()
+            };
+            let passes = segments.div_ceil(64 * want) as u64;
+            let label = format!("{segments} segments at W={block}");
+            assert_eq!(arg("lane_block"), ArgValue::U64(want as u64), "{label}");
+            assert_eq!(arg("lanes"), ArgValue::U64(64 * want as u64), "{label}");
+            assert_eq!(arg("passes"), ArgValue::U64(passes), "{label}");
+            assert_eq!(arg("tape_runs"), ArgValue::U64(3 * passes), "{label}");
+        }
     }
 }
 
@@ -324,7 +386,8 @@ proptest! {
 
     /// Random modules x random vector suites: the tape and the
     /// interpreter agree on traces, coverage ratios and uncovered point
-    /// sets.
+    /// sets. Short segments fill the suite to the block it names, so
+    /// every width's executor runs.
     #[test]
     fn random_modules_and_vectors_agree(
         seed in any::<u64>(),
@@ -339,6 +402,7 @@ proptest! {
         gm_rtl::elaborate(&module).expect("generated modules are legal");
         let lengths: Vec<u64> = (0..nseg as u64).map(|i| (len + 3 * i) % 19).collect();
         let suite = random_suite(&module, seed ^ 0x9E37, &lengths);
+        let suite = filled(&module, &suite, block, seed ^ 0xF111);
         let interp = run_interpreter(&module, &suite);
         let batch = run_compiled_batch(&module, &suite, block);
         prop_assert_eq!(&interp, &batch, "batch W={} diverged (seed {})", block, seed);
@@ -354,13 +418,15 @@ proptest! {
 
     /// Random modules x the engine's replay shapes (one segment, ragged
     /// inside a chunk, ragged across its boundary), at every lane
-    /// block.
+    /// block: each shape leads a suite short segments fill to the
+    /// block, so every width's executor runs it.
     #[test]
     fn random_modules_agree_on_one_segment_and_ragged_suites(seed in any::<u64>()) {
         let module = random_module(seed);
         for (shape, suite) in engine_shaped_suites(&module, seed ^ 0x51DE) {
-            let interp = run_interpreter(&module, &suite);
             for block in BLOCKS {
+                let suite = filled(&module, &suite, block, seed ^ 0xF111);
+                let interp = run_interpreter(&module, &suite);
                 let batch = run_compiled_batch(&module, &suite, block);
                 prop_assert_eq!(
                     &interp, &batch,

@@ -10,6 +10,27 @@ use proptest::TestRng;
 /// Every lane-block width the batch executor supports.
 pub const BLOCKS: [usize; 4] = [1, 2, 4, 8];
 
+/// The fewest segments whose replay at lane block `block` runs the
+/// `block`-word executor: a replay narrows its block to the lane groups
+/// its segments fill, so 1, 65, 129 and 257 for W = 1, 2, 4 and 8.
+pub fn segments_to_fill(block: usize) -> usize {
+    64 * (block / 2) + 1
+}
+
+/// `suite` followed by short random segments (0–2 cycles, segment `i`
+/// of them seeded `seed + i`) up to [`segments_to_fill`]`(block)`, so a
+/// replay at `block` runs a block of that width.
+pub fn filled(module: &Module, suite: &TestSuite, block: usize, seed: u64) -> TestSuite {
+    let short: Vec<u64> = (suite.len()..segments_to_fill(block))
+        .map(|i| i as u64 % 3)
+        .collect();
+    let mut grown = suite.clone();
+    for segment in random_suite(module, seed, &short).segments() {
+        grown.push(segment.label, segment.vectors);
+    }
+    grown
+}
+
 /// A suite of random segments of the given `lengths` over the data
 /// inputs of `module`, segment `i` seeded `base_seed + i`.
 pub fn random_suite(module: &Module, base_seed: u64, lengths: &[u64]) -> TestSuite {
