@@ -440,18 +440,24 @@ impl Unroller {
     /// Extracts the model's input assignments for frames `0..=last` as a
     /// counterexample trace.
     pub fn extract_cex(&self, module: &Module, last: usize) -> CexTrace {
-        let mut inputs = Vec::with_capacity(last + 1);
-        let nodes = self.blasted.aig.len();
-        let assemble = InputAssembler::new(module, &self.blasted);
+        let mut bits = vec![false; (last + 1) * self.blasted.aig.input_count()];
+        self.read_inputs(last, &mut bits);
+        InputAssembler::new(module, &self.blasted).trace(&bits, last + 1)
+    }
+
+    /// Writes the model's input bits for frames `0..=last` into the
+    /// front of `bits`, frame by frame in dense input order (what
+    /// [`InputAssembler::trace`] reads). Allocates nothing.
+    pub(crate) fn read_inputs(&self, last: usize, bits: &mut [bool]) {
+        let (nodes, inputs) = (self.blasted.aig.len(), self.blasted.aig.input_count());
         for f in 0..=last {
             let frame = &self.frame_lits[f * nodes..(f + 1) * nodes];
-            let vec = assemble.vector(|i| {
-                let node = self.blasted.aig.input_node(i);
-                self.solver.model_value(frame[node])
-            });
-            inputs.push(vec);
+            for (i, bit) in bits[f * inputs..(f + 1) * inputs].iter_mut().enumerate() {
+                *bit = self
+                    .solver
+                    .model_value(frame[self.blasted.aig.input_node(i)]);
+            }
         }
-        CexTrace { inputs }
     }
 }
 
@@ -472,35 +478,31 @@ pub fn bmc(
     prop: &WindowProperty,
     max_start: u32,
 ) -> CheckResult {
-    bmc_scan(
-        module,
-        &mut Unroller::from_ref(blasted, false),
-        prop,
-        max_start,
-    )
+    let mut unroller = Unroller::from_ref(blasted, false);
+    match first_violation(&mut unroller, prop, max_start) {
+        Some(start) => {
+            CheckResult::Violated(unroller.extract_cex(module, start + prop.depth() as usize))
+        }
+        None => CheckResult::Unknown { bound: max_start },
+    }
 }
 
 /// Scans window starts `0..=max_start` on `unroller` — fresh, or refilled
 /// from a [`PristinePrefixes`] entry, which is the same solver state a
 /// fresh one reaches after its first `ensure_frame` — and stops at the
-/// first violated window.
-fn bmc_scan(
-    module: &Module,
+/// first violated window: its start, whose model the solver holds.
+fn first_violation(
     unroller: &mut Unroller,
     prop: &WindowProperty,
     max_start: u32,
-) -> CheckResult {
+) -> Option<usize> {
     let depth = prop.depth() as usize;
     let last_start = last_scan_start(&unroller.blasted, max_start);
-    for start in 0..=last_start {
+    (0..=last_start).find(|&start| {
         unroller.ensure_frame(start + depth);
         let v = unroller.violation_lit(start, prop);
-        if unroller.solver().solve_with_assumptions(&[v]) == SolveResult::Sat {
-            let cex = unroller.extract_cex(module, start + depth);
-            return CheckResult::Violated(cex);
-        }
-    }
-    CheckResult::Unknown { bound: max_start }
+        unroller.solver().solve_with_assumptions(&[v]) == SolveResult::Sat
+    })
 }
 
 /// The last window start a BMC scan must try. A latch-free design is
@@ -524,25 +526,37 @@ pub(crate) fn last_scan_start(blasted: &Blasted, max_start: u32) -> usize {
 ///
 /// An entry is built once — `Unroller::new` plus `ensure_frame(depth)`,
 /// exactly the state a one-shot [`bmc`] scan is in before it encodes
-/// its first violation literal — and never solved on; extraction
+/// its first violation literal — and never solved on (growing its room,
+/// below, changes its capacity only); extraction
 /// refills a session's scratch unrolling from it
 /// ([`Clone::clone_from`]) and scans there. Like the reachable set, the
 /// entries depend only on the design, so they are invisible to
 /// [`crate::SessionStats`], shared by every shard session, and survive
 /// [`crate::Checker::reset_for_reuse`].
 ///
-/// An entry's AND cache is built with room for one more frame's gates
-/// (on a design with latches) and a violation literal's beyond what it
-/// holds. The scratch copy inherits that bucket count, so a scan that
-/// encodes up to that much never rehashes it, and the next refill
-/// copies into the same buckets instead of reallocating them (a map
-/// refills in place only from a source with as many buckets). Headroom
-/// is capacity, not state: the scan, and every trace, are those of a
-/// fresh unrolling.
+/// Every entry's AND cache keeps room for what the deepest extraction
+/// seen so far encodes beyond its prefix: one frame's gates per window
+/// start past the first, and a violation literal's chain at every
+/// start. The room grows with the starts that actually occur, never
+/// with the bound a caller allows, and when it grows every entry grows
+/// with it, so all entries share one bucket count. A scratch copy
+/// inherits that bucket count, so a scan never rehashes it, and the
+/// next refill, from whichever depth, copies into the same buckets
+/// instead of reallocating them (a map refills in place only from a
+/// source with as many buckets) — which is what keeps an extraction on
+/// a warm scratch free of allocation. Headroom is capacity, not state:
+/// the scan, and every trace, are those of a fresh unrolling.
 #[derive(Debug)]
 pub(crate) struct PristinePrefixes {
     blasted: Arc<Blasted>,
-    by_depth: Mutex<BTreeMap<usize, Arc<Unroller>>>,
+    state: Mutex<Prefixes>,
+}
+
+/// The entries, and the AND-cache capacity every one of them keeps.
+#[derive(Debug, Default)]
+struct Prefixes {
+    by_depth: BTreeMap<usize, Arc<Unroller>>,
+    room: usize,
 }
 
 impl PristinePrefixes {
@@ -550,7 +564,7 @@ impl PristinePrefixes {
     pub(crate) fn new(blasted: Arc<Blasted>) -> Self {
         PristinePrefixes {
             blasted,
-            by_depth: Mutex::default(),
+            state: Mutex::default(),
         }
     }
 
@@ -559,40 +573,44 @@ impl PristinePrefixes {
         &self.blasted
     }
 
-    /// An entry is inserted only once fully built, so the map is valid
-    /// even if a builder panicked while holding the lock.
-    fn lock(&self) -> MutexGuard<'_, BTreeMap<usize, Arc<Unroller>>> {
-        self.by_depth.lock().unwrap_or_else(PoisonError::into_inner)
+    /// An entry is inserted only once fully built, and grown only on a
+    /// copy when shared, so the map is valid even if a builder panicked
+    /// while holding the lock.
+    fn lock(&self) -> MutexGuard<'_, Prefixes> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The prefix for `depth`, built on first use. Building happens
-    /// under the lock, so concurrent shard workers asking for one cold
-    /// depth build it once; refilling a scratch from the entry happens
-    /// outside it.
-    fn get(&self, depth: usize) -> Arc<Unroller> {
-        self.lock()
-            .entry(depth)
-            .or_insert_with(|| {
-                let mut prefix = Unroller::new(self.blasted.clone(), false);
-                prefix.ensure_frame(depth);
-                let aig = &self.blasted.aig;
-                // A latch-free design's scan never leaves the window at
-                // reset (see `last_scan_start`): no frame past the prefix.
-                let frame = if aig.latch_count() == 0 {
-                    0
-                } else {
-                    aig.and_count()
-                };
-                prefix.and_cache.reserve(frame + VIOLATION_HEADROOM);
-                Arc::new(prefix)
-            })
-            .clone()
+    /// The prefix for `depth`, built on first use, with AND-cache room
+    /// for the scan to a violation at window `start` (see the type's
+    /// docs). Building and growing happen under the lock, so concurrent
+    /// shard workers asking for one cold depth build it once; refilling
+    /// a scratch from the entry happens outside it.
+    pub(crate) fn get(&self, depth: usize, start: usize) -> Arc<Unroller> {
+        let mut guard = self.lock();
+        let Prefixes { by_depth, room } = &mut *guard;
+        let prefix = by_depth.entry(depth).or_insert_with(|| {
+            let mut prefix = Unroller::new(self.blasted.clone(), false);
+            prefix.ensure_frame(depth);
+            Arc::new(prefix)
+        });
+        let frame = self.blasted.aig.and_count();
+        let scan = start * frame + (start + 1) * VIOLATION_HEADROOM;
+        *room = (*room).max(prefix.and_cache.len() + scan);
+        for prefix in by_depth.values_mut() {
+            if prefix.and_cache.capacity() < *room {
+                // A copy when an extraction still holds the entry.
+                let cache = &mut Arc::make_mut(prefix).and_cache;
+                cache.reserve(*room - cache.len());
+            }
+        }
+        by_depth[&depth].clone()
     }
 
     /// The prefixes built so far, by depth.
     #[cfg(test)]
     pub(crate) fn snapshot(&self) -> Vec<(usize, Arc<Unroller>)> {
         self.lock()
+            .by_depth
             .iter()
             .map(|(&depth, prefix)| (depth, prefix.clone()))
             .collect()
@@ -601,19 +619,20 @@ impl PristinePrefixes {
     /// Approximate resident size of every prefix built so far.
     pub(crate) fn approx_bytes(&self) -> usize {
         self.lock()
+            .by_depth
             .values()
             .map(|prefix| prefix.approx_bytes())
             .sum()
     }
 }
 
-/// AND-cache room a prefix keeps, beyond one frame's gates, for the
-/// violation literals a scan encodes: an AND chain of one gate per
-/// atom, at each start it tries.
+/// AND-cache room a prefix keeps, per window start a scan can try, for
+/// the violation literal encoded there: an AND chain of one gate per
+/// atom.
 const VIOLATION_HEADROOM: usize = 64;
 
 /// Derives the *canonical* counterexample of a property violated
-/// within `limit` window starts.
+/// within `limit` window starts, as the model's input bits.
 ///
 /// The trace is extracted from a private unrolling whose solver state
 /// depends only on the design and `prop` — never on which other properties
@@ -622,27 +641,33 @@ const VIOLATION_HEADROOM: usize = 64;
 /// varies with its learnt-clause history (and hence with the shard
 /// partition), so a [`crate::CheckSession`] takes verdicts from it and
 /// nothing else, and gets the trace of a violated one here. The private
-/// unrolling is `scratch`, refilled ([`Clone::clone_from`]) with the
-/// pristine prefix for the property's depth — whatever it held before —
-/// and put through the very scan the one-shot [`bmc`] runs, so the
-/// trace is bit-for-bit the one [`bmc`] / [`k_induction`] produce on a
-/// fresh unrolling. The scan stops at the first violating start, so the
-/// work (and the trace) is independent of `limit` as long as `limit`
-/// covers the violation.
+/// unrolling is `scratch`, refilled ([`Clone::clone_from`]) with
+/// `prefix`, the pristine prefix for the property's depth — whatever it
+/// held before — and put through the very scan the one-shot [`bmc`]
+/// runs, so the trace is bit-for-bit the one [`bmc`] / [`k_induction`]
+/// produce on a fresh unrolling. The scan stops at the first violating
+/// start, so the work (and the trace) is independent of `limit` as long
+/// as `limit` covers the violation.
 ///
-/// Returns `None` when no violation exists within `limit`.
+/// Returns the violating start, having written the input bits of frames
+/// `0..=start + depth` into the front of `bits` (see
+/// [`Unroller::read_inputs`]), or `None` when no violation exists
+/// within `limit`. `bits` must have room for `limit + depth + 1`
+/// frames. Nothing here allocates once `scratch` has held as much as
+/// `prefix` and the scan need: the caller owns every buffer, which is
+/// what lets extraction run on a thread of its own (see
+/// `crate::check::extract`).
 pub(crate) fn canonical_cex(
-    module: &Module,
-    prefixes: &PristinePrefixes,
+    prefix: &Unroller,
     prop: &WindowProperty,
     limit: u32,
     scratch: &mut Unroller,
-) -> Option<CexTrace> {
-    scratch.clone_from(&prefixes.get(prop.depth() as usize));
-    match bmc_scan(module, scratch, prop, limit) {
-        CheckResult::Violated(cex) => Some(cex),
-        _ => None,
-    }
+    bits: &mut [bool],
+) -> Option<usize> {
+    scratch.clone_from(prefix);
+    let start = first_violation(scratch, prop, limit)?;
+    scratch.read_inputs(start + prop.depth() as usize, bits);
+    Some(start)
 }
 
 /// k-induction: tries to prove the property outright.

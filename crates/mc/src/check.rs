@@ -27,18 +27,20 @@
 //! property's consequents or of what was decided before it;
 //! explicit-state verdicts carry the direct walk's first violation; SAT
 //! verdicts are solver-state-independent (a session asks scoped queries
-//! and reads no model), and a violated one's trace is replayed by the
-//! session on a clone of a pristine unrolling prefix, whose model
-//! depends only on the design and the property; and a sharded worklist
-//! is dealt onto its sessions in a fixed round-robin and merged back in
+//! and reads no model), and a violated one's trace is the scan up to
+//! its violating start replayed on a copy of a pristine unrolling
+//! prefix, whose model depends only on the design, the property and
+//! that start — whichever thread replays it; and a sharded worklist is
+//! dealt onto its sessions in a fixed round-robin and merged back in
 //! worklist order.
 
 use crate::blast::{blast, Blasted};
 use crate::bmc::PristinePrefixes;
 use crate::error::McError;
 use crate::explicit::{ExplicitLimits, ReachableStates};
-use crate::prop::{CheckResult, WindowProperty};
-use crate::session::{cancel_requested, CheckSession, SessionStats};
+use crate::prop::{CheckResult, InputAssembler, WindowProperty};
+use crate::session::{cancel_requested, CheckSession, Decision, SessionStats};
+use extract::{Extractions, Handoff};
 use gm_cache::FxMap;
 use gm_rtl::{elaborate, Elab, Module};
 use std::sync::atomic::AtomicBool;
@@ -337,7 +339,11 @@ impl Checker {
     /// unrollings.
     ///
     /// With [`Checker::with_shards`] at 1, the default, the distinct
-    /// properties are decided inline on the main session. Above 1 they
+    /// properties are decided inline on the main session, and on a
+    /// design with latches the traces of its violated SAT verdicts are
+    /// extracted on a helper thread while it decides the next ones
+    /// (spawned at the batch's first violated SAT verdict, so a batch
+    /// the explicit engine decides whole starts no thread). Above 1 they
     /// are dealt round-robin onto that many persistent shard sessions
     /// (all over the same `Arc<Blasted>` — blasting still happens once
     /// per checker), one scoped worker thread each. Results are
@@ -394,8 +400,9 @@ impl Checker {
     }
 
     /// The batch itself: dedupe, decide each distinct property once
-    /// (inline, or on the shard pool), scatter the verdicts back over
-    /// the batch.
+    /// (inline, with violated SAT verdicts' traces extracted beside the
+    /// search, or on the shard pool), scatter the verdicts back over the
+    /// batch.
     fn decide_batch(&mut self, props: &[WindowProperty]) -> Result<Vec<CheckResult>, McError> {
         // Dedupe in first-occurrence order: `first[u]` is where the
         // `u`-th distinct property first occurs, `slot[i]` which
@@ -417,17 +424,7 @@ impl Checker {
         self.ensure_reach_for_backend();
         let params = self.params();
         let decided = if self.shards == 1 {
-            let mut decided = Vec::with_capacity(first.len());
-            let (module, reach) = (&*self.module, self.reach.as_deref());
-            for &i in &first {
-                let res = decide(module, reach, &params, &mut self.session, &props[i]);
-                let failed = res.is_err();
-                decided.push(res);
-                if failed {
-                    break;
-                }
-            }
-            decided
+            self.decide_inline(&params, first.iter().map(|&i| &props[i]).collect())
         } else {
             self.decide_pooled(&params, first.iter().map(|&i| &props[i]).collect())
         };
@@ -441,6 +438,62 @@ impl Checker {
             return Ok(decided);
         }
         Ok(slot.into_iter().map(|u| decided[u].clone()).collect())
+    }
+
+    /// Decides `unique` on the main session, in `unique` order, up to
+    /// the first property that fails. On a design with latches the
+    /// session's search hands each violated SAT verdict's start to
+    /// [`Extractions`], which extracts the traces on a helper thread
+    /// while the session decides the next properties (see [`extract`]).
+    /// On a latch-free design a violation's scan is the one window at
+    /// reset (see `last_scan_start`), about one query, and the session
+    /// extracts it at once, as a shard worker does. Either way the
+    /// traces are the canonical scan's.
+    fn decide_inline(
+        &mut self,
+        params: &DecideParams,
+        unique: Vec<&WindowProperty>,
+    ) -> Vec<Result<CheckResult, McError>> {
+        let (module, reach) = (&*self.module, self.reach.as_deref());
+        let (session, blasted) = (&mut self.session, &*self.blasted);
+        let beside = blasted.aig.latch_count() > 0;
+        let handoff = Handoff::default();
+        std::thread::scope(|scope| {
+            let mut extractions = Extractions::new(scope, &handoff, params.cancel.as_deref());
+            let mut decided = Vec::with_capacity(unique.len());
+            for &prop in &unique {
+                let res = decide(module, reach, params, session, prop).map(|d| match d {
+                    Decision::Refuted { start } if beside => {
+                        extractions.push(session, prop, start);
+                        d
+                    }
+                    d => Decision::Final(session.resolve(module, prop, d)),
+                });
+                let failed = res.is_err();
+                decided.push(res);
+                if failed {
+                    break;
+                }
+            }
+            let mut extractions = extractions.finish(session).into_iter();
+            let mut assemble = None;
+            (decided.into_iter().zip(unique))
+                .map(|(res, prop)| match res? {
+                    Decision::Final(res) => Ok(res),
+                    Decision::Refuted { start } => {
+                        let extraction = (extractions.next())
+                            .filter(|e| e.is_of(prop, start))
+                            .expect("every violated verdict was handed over, in order");
+                        let assemble =
+                            assemble.get_or_insert_with(|| InputAssembler::new(module, blasted));
+                        // A raised token dropped it: no partial verdict.
+                        (extraction.trace(assemble))
+                            .map(CheckResult::Violated)
+                            .ok_or(McError::Cancelled)
+                    }
+                })
+                .collect()
+        })
     }
 
     /// Decides `unique` on the shard sessions, in `unique` order.
@@ -470,12 +523,18 @@ impl Checker {
             work[u % shards].1.push((u, prop));
         }
         let (module, reach) = (&*self.module, self.reach.as_deref());
+        let sink = gm_trace::thread_sink();
         let joined: Vec<ShardYield> = std::thread::scope(|scope| {
             let handles: Vec<_> = (work.into_iter())
                 .map(|(mut session, items)| {
+                    let sink = sink.clone();
                     scope.spawn(move || {
+                        let _sink = sink.map(gm_trace::push_thread_sink);
                         let results = (items.into_iter())
-                            .map(|(u, prop)| (u, decide(module, reach, params, &mut session, prop)))
+                            .map(|(u, prop)| {
+                                let res = decide(module, reach, params, &mut session, prop);
+                                (u, res.map(|d| session.resolve(module, prop, d)))
+                            })
                             .collect();
                         (session, results)
                     })
@@ -501,14 +560,17 @@ impl Checker {
 /// Decides one property against one session — the single source of
 /// truth shared by the inline batch and every shard worker. Which
 /// engine answers depends on the backend, the design and the limits —
-/// never on the property's consequents.
+/// never on the property's consequents. A violated SAT verdict comes
+/// back as its window start, [`Decision::Refuted`]: the caller extracts
+/// its trace, a shard worker on its own thread
+/// ([`CheckSession::resolve`]), the inline batch beside the search.
 fn decide(
     module: &Module,
     reach: Option<&ReachableStates>,
     params: &DecideParams,
     session: &mut CheckSession,
     prop: &WindowProperty,
-) -> Result<CheckResult, McError> {
+) -> Result<Decision, McError> {
     let cancel = params.cancel.as_deref();
     if cancel_requested(cancel) {
         return Err(McError::Cancelled);
@@ -527,29 +589,28 @@ fn decide(
         session.explicit(module, reach, prop, &params.limits)
     };
     // The SAT engines run on the session's shared unrollings; one
-    // property decision, however many queries it takes. A violated
-    // verdict comes back carrying its canonical trace.
+    // property decision, however many queries it takes.
     match params.backend {
-        Backend::Explicit => explicit(session),
+        Backend::Explicit => explicit(session).map(Decision::Final),
         Backend::Auto => {
             if let Ok(res) = explicit(session) {
-                return Ok(res);
+                return Ok(Decision::Final(res));
             }
             // Over the explicit limits: BMC to refute, k-induction to
             // prove.
             session.note_sat_decision();
-            match session.bmc(module, prop, params.bmc_bound, cancel)? {
-                refuted @ CheckResult::Violated(_) => Ok(refuted),
-                _ => session.k_induction(module, prop, params.kind_max_k, cancel),
+            match session.bmc_decision(prop, params.bmc_bound, cancel)? {
+                refuted @ Decision::Refuted { .. } => Ok(refuted),
+                _ => session.k_induction_decision(prop, params.kind_max_k, cancel),
             }
         }
         Backend::Bmc { bound } => {
             session.note_sat_decision();
-            session.bmc(module, prop, bound, cancel)
+            session.bmc_decision(prop, bound, cancel)
         }
         Backend::KInduction { max_k } => {
             session.note_sat_decision();
-            session.k_induction(module, prop, max_k, cancel)
+            session.k_induction_decision(prop, max_k, cancel)
         }
     }
 }
@@ -557,6 +618,8 @@ fn decide(
 /// What one shard worker hands back when it joins: its session (with
 /// accumulated stats) and the decided results, tagged by worklist index.
 type ShardYield = (CheckSession, Vec<(usize, Result<CheckResult, McError>)>);
+
+mod extract;
 
 #[cfg(test)]
 mod prefix_tests;
@@ -1062,6 +1125,44 @@ mod tests {
         c.check_batch(from_ref(&violated)).unwrap();
         assert_eq!(c.session_stats().cex_canonicalized, 2);
         assert_eq!(c.session.scratch().unwrap().approx_bytes(), scratch);
+    }
+
+    /// A prefix's AND-cache room follows the violating starts that
+    /// occur, not the bound a caller allows: a property violated at
+    /// reset costs the same under the largest bound as under bound 0,
+    /// whether extracted on the helper or by a shard worker.
+    #[test]
+    fn a_huge_bound_costs_only_the_starts_scanned() {
+        let m = gm_designs::b18_lite();
+        let go = m.require("go").unwrap();
+        let done = m.require("done").unwrap();
+        let prop = WindowProperty::implication(
+            vec![BitAtom::new(go, 0, 0, true)],
+            BitAtom::new(done, 0, 1, true),
+        );
+        let bytes = |backend: Backend, shards: usize| {
+            let mut c = Checker::new(&m)
+                .unwrap()
+                .with_backend(backend)
+                .with_shards(shards);
+            assert!(matches!(
+                c.check_batch(from_ref(&prop)).unwrap()[..],
+                [CheckResult::Violated(_)]
+            ));
+            c.approx_bytes()
+        };
+        for shards in [1, 2] {
+            assert_eq!(
+                bytes(Backend::Bmc { bound: u32::MAX }, shards),
+                bytes(Backend::Bmc { bound: 0 }, shards),
+                "{shards} shards"
+            );
+            assert_eq!(
+                bytes(Backend::KInduction { max_k: u32::MAX }, shards),
+                bytes(Backend::KInduction { max_k: 0 }, shards),
+                "{shards} shards"
+            );
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use super::*;
 use crate::bmc::{bmc, canonical_cex, k_induction};
-use crate::prop::{BitAtom, CexTrace, ConsequentKind};
+use crate::prop::{BitAtom, CexTrace, ConsequentKind, InputAssembler};
 use crate::testgen::{
     cases, random_module, random_property, random_temporal_property, seeded_recipe, Recipe,
 };
@@ -205,15 +205,30 @@ struct ScratchTally {
     late: usize,
 }
 
+/// `prop`'s canonical trace within [`BOUND`] starts, scanned on
+/// `scratch` refilled from `prefixes`' entry for its depth.
+fn canonical_trace(
+    m: &Module,
+    prefixes: &PristinePrefixes,
+    prop: &WindowProperty,
+    scratch: &mut Unroller,
+) -> Option<CexTrace> {
+    let depth = prop.depth() as usize;
+    let frames = |start: usize| start + depth + 1;
+    let blasted = prefixes.blasted();
+    let mut bits = vec![false; frames(BOUND as usize) * blasted.aig.input_count()];
+    let start = canonical_cex(&prefixes.get(depth, 0), prop, BOUND, scratch, &mut bits)?;
+    Some(InputAssembler::new(m, blasted).trace(&bits, frames(start)))
+}
+
 /// `prop`'s canonical trace on a fresh prefix and a fresh scratch: what
 /// a session's reused scratch must reproduce.
 fn fresh_canonical(m: &Module, blasted: &Arc<Blasted>, prop: &WindowProperty) -> Option<CexTrace> {
     let mut scratch = Unroller::new(blasted.clone(), false);
-    canonical_cex(
+    canonical_trace(
         m,
         &PristinePrefixes::new(blasted.clone()),
         prop,
-        BOUND,
         &mut scratch,
     )
 }
@@ -221,7 +236,7 @@ fn fresh_canonical(m: &Module, blasted: &Arc<Blasted>, prop: &WindowProperty) ->
 /// One session per random latched module decides window and temporal
 /// properties of depths 0–3 through BMC, so one scratch unrolling is
 /// refilled from prefixes of every depth, after scans that stopped at
-/// every start. Every violated trace must be the one [`canonical_cex`]
+/// every start. Every violated trace must be the one [`canonical_trace`]
 /// finds on a fresh prefix with a fresh scratch, and the one-shot
 /// [`bmc`]'s.
 fn scratch_reuse_sweep(bytes: &[u8], tally: &mut ScratchTally) -> Result<(), TestCaseError> {
@@ -582,7 +597,7 @@ fn four_workers_sharing_cold_prefixes_match_the_sequential_results() {
         .map(|p| {
             let fresh = PristinePrefixes::new(blasted.clone());
             let mut scratch = Unroller::new(blasted.clone(), false);
-            canonical_cex(&m, &fresh, p, BOUND, &mut scratch)
+            canonical_trace(&m, &fresh, p, &mut scratch)
         })
         .collect();
     for (p, cex) in props.iter().zip(&sequential) {
@@ -603,7 +618,7 @@ fn four_workers_sharing_cold_prefixes_match_the_sequential_results() {
                     barrier.wait();
                     (t..props.len())
                         .step_by(THREADS)
-                        .map(|i| (i, canonical_cex(m, shared, &props[i], BOUND, &mut scratch)))
+                        .map(|i| (i, canonical_trace(m, shared, &props[i], &mut scratch)))
                         .collect::<Vec<_>>()
                 })
             })
@@ -620,4 +635,41 @@ fn four_workers_sharing_cold_prefixes_match_the_sequential_results() {
         3,
         "one prefix per depth, not per worker"
     );
+}
+
+/// A span records into its own thread's sink, so the threads a batch
+/// hands work to push the caller's: whether the extractions run on the
+/// helper beside the main session or on shard workers, a recording
+/// pushed on the calling thread sees every query and every extraction.
+#[test]
+fn spans_follow_the_work_onto_helper_threads() {
+    let m = gm_designs::b18_lite();
+    let props = b18_violated(&m, 8);
+    for shards in [1, 2] {
+        let mut c = checker(&m, Backend::KInduction { max_k: 2 }).with_shards(shards);
+        let sink = gm_trace::TraceSink::new();
+        let results = {
+            let _sink = gm_trace::push_thread_sink(sink.clone());
+            c.check_batch(&props).unwrap()
+        };
+        assert!(results
+            .iter()
+            .all(|r| matches!(r, CheckResult::Violated(_))));
+        let here = gm_trace::current_tid();
+        let events = sink.events();
+        let elsewhere = |name: &str| {
+            (events.iter().filter(|e| e.name == name))
+                .map(|e| e.tid != here)
+                .collect::<Vec<_>>()
+        };
+        let extractions = elsewhere("mc.canonical_cex");
+        assert_eq!(extractions.len(), props.len(), "{shards} shards");
+        assert!(extractions.iter().all(|&e| e), "{shards} shards");
+        let queries = elsewhere("mc.sat_query");
+        assert_eq!(queries.len() as u64, c.session_stats().sat_queries);
+        assert!(
+            queries.iter().all(|&e| e == (shards > 1)),
+            "{shards} shards"
+        );
+    }
 }

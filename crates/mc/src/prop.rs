@@ -266,6 +266,16 @@ impl InputAssembler {
         }
         vec
     }
+
+    /// The trace of `frames` cycles whose input bits `bits` holds frame
+    /// by frame, in dense AIG input order.
+    pub(crate) fn trace(&self, bits: &[bool], frames: usize) -> CexTrace {
+        let inputs = self.slots.len();
+        let inputs = (0..frames)
+            .map(|f| self.vector(|i| bits[f * inputs + i]))
+            .collect();
+        CexTrace { inputs }
+    }
 }
 
 /// The result of a model-checking query.

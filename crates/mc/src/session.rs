@@ -49,22 +49,35 @@
 //! calls made on it.
 //!
 //! The trace of a `Violated` verdict is not taken from the session's
-//! solver either: the session replays the scan, up to the violating
-//! start it just found, on a private copy of the pristine,
-//! never-solved unrolling prefix for the property's depth (the
-//! [`crate::Checker`] shares one set of prefixes among all its
-//! sessions) — the solver state a fresh one-shot unrolling would be in,
-//! without re-encoding the design — and counts it in
-//! [`SessionStats::cex_canonicalized`]. The copy is the session's one
-//! *scratch* unrolling, built at the first extraction and refilled from
-//! the prefix ([`Clone::clone_from`]) at every later one, whatever the
-//! previous scan left in it: once its tables have grown to the largest
-//! prefix and scan seen, a refill copies into them instead of
-//! allocating. That full-model path is search-pinned (`gm_sat`'s
-//! `search_identity` suite); the scoped one is not and need not be.
-//! Every result — and every downstream
-//! closure-outcome artifact — is therefore identical regardless of
-//! shard count, batch order or what the session decided before, and
+//! solver either. The session's search yields the violating start, and
+//! the trace is the scan up to that start replayed on a private copy of
+//! the pristine, never-solved unrolling prefix for the property's depth
+//! (the [`crate::Checker`] shares one set of prefixes among all its
+//! sessions): the solver state a fresh one-shot unrolling would be in,
+//! without re-encoding the design. Each such extraction is counted in
+//! [`SessionStats::cex_canonicalized`]. That full-model path is
+//! search-pinned (`gm_sat`'s `search_identity` suite); the scoped one is
+//! not and need not be.
+//!
+//! The copy is the session's one *scratch* unrolling, built at the first
+//! extraction and refilled from the prefix ([`Clone::clone_from`]) at
+//! every later one, whatever the previous scan left in it. Once its
+//! tables have grown to the largest prefix and scan seen, a refill
+//! copies into them instead of allocating (every prefix keeps AND-cache
+//! room for the deepest extraction seen, so a scan never rehashes the
+//! copy).
+//! [`CheckSession::bmc`] and [`CheckSession::k_induction`] extract on
+//! the calling thread, and so do shard workers. The checker's
+//! single-session batches hand the scratch and the violating starts to
+//! a helper thread that extracts while the session decides the next
+//! properties (`crate::check::extract`). Where an extraction runs
+//! cannot change its trace: the trace is a function of the design, the
+//! property and the start alone, and the scratch is refilled before
+//! every scan.
+//!
+//! Every result — and every downstream closure-outcome artifact — is
+//! therefore identical regardless of shard count, batch order, the
+//! thread that extracted it or what the session decided before, and
 //! equal to what the one-shot [`crate::bmc`] / [`crate::k_induction`]
 //! return.
 
@@ -72,7 +85,7 @@ use crate::blast::Blasted;
 use crate::bmc::{canonical_cex, PristinePrefixes, Unroller};
 use crate::error::McError;
 use crate::explicit::{ExplicitLimits, ExplicitScratch, ReachableStates};
-use crate::prop::{CexTrace, CheckResult, WindowProperty};
+use crate::prop::{CexTrace, CheckResult, InputAssembler, WindowProperty};
 use gm_rtl::Module;
 use gm_sat::{Lit, SolveResult, SolverStats};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -396,35 +409,56 @@ impl CheckSession {
         Self::solve(base, &self.assumptions, vars, &mut self.stats) == SolveResult::Sat
     }
 
-    /// The trace of a violation [`CheckSession::base_violation`] just
-    /// found at `start` (every earlier start having been refuted): the
-    /// one-shot scan's, replayed on the scratch unrolling refilled from
-    /// the pristine prefix.
-    fn canonical_trace(
+    /// The extraction of `prop`'s violation at `start`, the one
+    /// [`CheckSession::base_violation`] found there (every earlier start
+    /// having been refuted): its prefix is built, and its bit buffer
+    /// allocated, here on the calling thread.
+    pub(crate) fn extraction<'p>(&self, prop: &'p WindowProperty, start: usize) -> Extraction<'p> {
+        let depth = prop.depth() as usize;
+        let inputs = self.blasted().aig.input_count();
+        Extraction {
+            prop,
+            start,
+            prefix: self.prefixes.get(depth, start),
+            bits: vec![false; (start + depth + 1) * inputs],
+            extracted: false,
+        }
+    }
+
+    /// The scratch unrolling, for extractions to run on until
+    /// [`CheckSession::restore_scratch`] hands it back: the session's
+    /// own, or a fresh one before the first extraction.
+    pub(crate) fn take_scratch(&mut self) -> Unroller {
+        let blasted = self.prefixes.blasted();
+        (self.scratch.take()).unwrap_or_else(|| Unroller::new(blasted.clone(), false))
+    }
+
+    /// Takes the scratch back from the thread that made `extractions`
+    /// canonical extractions on it.
+    pub(crate) fn restore_scratch(&mut self, scratch: Unroller, extractions: u64) {
+        self.scratch = Some(scratch);
+        self.stats.cex_canonicalized += extractions;
+    }
+
+    /// A violated verdict with its trace, extracted on this thread, or
+    /// any other decision as it is.
+    pub(crate) fn resolve(
         &mut self,
         module: &Module,
         prop: &WindowProperty,
-        start: usize,
-    ) -> CexTrace {
-        let mut span = gm_trace::span("mc", "mc.canonical_cex");
-        self.stats.cex_canonicalized += 1;
-        let limit = u32::try_from(start).expect("window starts are bounded by a u32");
-        let blasted = self.prefixes.blasted();
-        let scratch = self
-            .scratch
-            .get_or_insert_with(|| Unroller::new(blasted.clone(), false));
-        let cex = canonical_cex(module, &self.prefixes, prop, limit, scratch)
-            .expect("a scoped Sat verdict is the full query's: the replay finds the violation");
-        // The replay stopped at the violating start, whose window ends
-        // the trace: the prefix covered the first start's window and
-        // every later start encoded one more frame.
-        let depth = prop.depth() as usize;
-        let starts = cex.len() - depth;
-        span.arg("depth", depth);
-        span.arg("starts", starts);
-        span.arg("frames_cloned", depth + 1);
-        span.arg("frames_encoded", starts - 1);
-        cex
+        decision: Decision,
+    ) -> CheckResult {
+        match decision {
+            Decision::Final(res) => res,
+            Decision::Refuted { start } => {
+                let mut extraction = self.extraction(prop, start);
+                let mut scratch = self.take_scratch();
+                extraction.run(&mut scratch);
+                self.restore_scratch(scratch, 1);
+                let assemble = InputAssembler::new(module, self.blasted());
+                CheckResult::Violated(extraction.trace(&assemble).expect("extracted just now"))
+            }
+        }
     }
 
     /// Bounded model checking against the shared reset-rooted unrolling:
@@ -450,6 +484,18 @@ impl CheckSession {
         max_start: u32,
         cancel: Option<&AtomicBool>,
     ) -> Result<CheckResult, McError> {
+        let decision = self.bmc_decision(prop, max_start, cancel)?;
+        Ok(self.resolve(module, prop, decision))
+    }
+
+    /// [`CheckSession::bmc`]'s scan, whose violated verdict is the
+    /// violating start: its trace is extracted by the caller.
+    pub(crate) fn bmc_decision(
+        &mut self,
+        prop: &WindowProperty,
+        max_start: u32,
+        cancel: Option<&AtomicBool>,
+    ) -> Result<Decision, McError> {
         let last_start = crate::bmc::last_scan_start(self.blasted(), max_start);
         for start in 0..=last_start {
             if cancel_requested(cancel) {
@@ -462,14 +508,10 @@ impl CheckSession {
             span.arg("start", start as u64);
             if self.base_violation(prop, start) {
                 span.arg("violated", true);
-                // The replay is its own span, beside this window's.
-                drop(span);
-                return Ok(CheckResult::Violated(
-                    self.canonical_trace(module, prop, start),
-                ));
+                return Ok(Decision::Refuted { start });
             }
         }
-        Ok(CheckResult::Unknown { bound: max_start })
+        Ok(Decision::Final(CheckResult::Unknown { bound: max_start }))
     }
 
     /// k-induction against the shared unrollings: base cases on the
@@ -489,6 +531,18 @@ impl CheckSession {
         max_k: u32,
         cancel: Option<&AtomicBool>,
     ) -> Result<CheckResult, McError> {
+        let decision = self.k_induction_decision(prop, max_k, cancel)?;
+        Ok(self.resolve(module, prop, decision))
+    }
+
+    /// [`CheckSession::k_induction`]'s search, whose violated verdict is
+    /// the violating start: its trace is extracted by the caller.
+    pub(crate) fn k_induction_decision(
+        &mut self,
+        prop: &WindowProperty,
+        max_k: u32,
+        cancel: Option<&AtomicBool>,
+    ) -> Result<Decision, McError> {
         let depth = prop.depth() as usize;
         // The step query's assumptions: windows `0..k` hold, then
         // window `k`'s violation literals. One vector for the whole
@@ -507,9 +561,7 @@ impl CheckSession {
             // Base: violation in the window starting at k from reset?
             if self.base_violation(prop, k) {
                 span.arg("violated", true);
-                // The replay is its own span, beside this depth's.
-                drop(span);
-                return Ok(CheckResult::Violated(self.canonical_trace(module, prop, k)));
+                return Ok(Decision::Refuted { start: k });
             }
             // Step: from a free state, k windows hold but window k fails?
             let step = Self::unroller(
@@ -526,10 +578,88 @@ impl CheckSession {
             }
             step.violation_assumptions(k, prop, &mut assumptions);
             if Self::solve(step, &assumptions, vars, &mut self.stats) == SolveResult::Unsat {
-                return Ok(CheckResult::Proved);
+                return Ok(Decision::Final(CheckResult::Proved));
             }
         }
-        Ok(CheckResult::Unknown { bound: max_k })
+        Ok(Decision::Final(CheckResult::Unknown { bound: max_k }))
+    }
+}
+
+/// What a session's SAT engines decided about one property, before a
+/// violated verdict has its trace.
+#[derive(Debug)]
+pub(crate) enum Decision {
+    /// The result as it stands: a proof, an `Unknown`, or (from the
+    /// explicit engine) a violation with its trace.
+    Final(CheckResult),
+    /// Violated in the window at `start`, every earlier start refuted:
+    /// the trace is the canonical scan's ([`crate::bmc::canonical_cex`]).
+    Refuted {
+        /// The violating window start.
+        start: usize,
+    },
+}
+
+/// One violated verdict's trace, from its violating start to the
+/// model's input bits. [`CheckSession::extraction`] builds it on the
+/// deciding thread; [`Extraction::run`], the one extraction routine,
+/// fills it on any thread, allocating nothing once the scratch is warm.
+#[derive(Debug)]
+pub(crate) struct Extraction<'p> {
+    prop: &'p WindowProperty,
+    /// The violating window start the session found.
+    start: usize,
+    /// The pristine prefix for the property's depth.
+    prefix: Arc<Unroller>,
+    /// The model's input bits, frame by frame: room for frames
+    /// `0..=start + depth`, filled by the extraction.
+    bits: Vec<bool>,
+    extracted: bool,
+}
+
+impl Extraction<'_> {
+    /// The pristine prefix the scan starts from.
+    pub(crate) fn prefix(&self) -> &Unroller {
+        &self.prefix
+    }
+
+    /// Whether this is the extraction of `prop`'s violation at `start`.
+    pub(crate) fn is_of(&self, prop: &WindowProperty, start: usize) -> bool {
+        std::ptr::eq(self.prop, prop) && self.start == start
+    }
+
+    /// Whether [`Extraction::run`] ran (a raised token can drop it).
+    pub(crate) fn extracted(&self) -> bool {
+        self.extracted
+    }
+
+    /// The canonical scan ([`canonical_cex`]) on `scratch`, refilled
+    /// from the prefix, under the `mc.canonical_cex` span. The counting
+    /// is the session's, when the scratch comes back
+    /// ([`CheckSession::restore_scratch`]).
+    pub(crate) fn run(&mut self, scratch: &mut Unroller) {
+        let mut span = gm_trace::span("mc", "mc.canonical_cex");
+        let limit = u32::try_from(self.start).expect("window starts are bounded by a u32");
+        let found = canonical_cex(&self.prefix, self.prop, limit, scratch, &mut self.bits);
+        assert!(
+            found == Some(self.start),
+            "a scoped Sat verdict is the full query's: the replay finds the violation"
+        );
+        // The replay stopped at the violating start, whose window ends
+        // the trace: the prefix covered the first start's window and
+        // every later start encoded one more frame.
+        let depth = self.prop.depth() as usize;
+        span.arg("depth", depth);
+        span.arg("starts", self.start + 1);
+        span.arg("frames_cloned", depth + 1);
+        span.arg("frames_encoded", self.start);
+        self.extracted = true;
+    }
+
+    /// The extracted trace, or `None` when it never ran.
+    pub(crate) fn trace(&self, assemble: &InputAssembler) -> Option<CexTrace> {
+        let frames = self.start + self.prop.depth() as usize + 1;
+        self.extracted.then(|| assemble.trace(&self.bits, frames))
     }
 }
 

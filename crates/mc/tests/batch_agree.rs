@@ -229,3 +229,60 @@ fn repeated_batches_are_deterministic_and_fully_memoized() {
         );
     }
 }
+
+/// The designs the SAT engines decide in the closure benchmark: two
+/// latched blocks and two latch-free stages.
+const SAT_DESIGNS: [&str; 4] = ["b17_lite", "b18_lite", "decode_stage", "wb_stage"];
+
+/// What the SAT engines answer on a fresh unrolling per property, with
+/// `checker`'s bounds: the one-shot `bmc` / `k_induction`, and for
+/// `Auto` over the explicit limits BMC to refute, then k-induction.
+fn one_shot(
+    module: &Module,
+    blasted: &gm_mc::Blasted,
+    backend: Backend,
+    p: &WindowProperty,
+) -> CheckResult {
+    match backend {
+        Backend::Bmc { bound } => gm_mc::bmc(module, blasted, p, bound),
+        Backend::KInduction { max_k } => gm_mc::k_induction(module, blasted, p, max_k),
+        Backend::Auto | Backend::Explicit => match gm_mc::bmc(module, blasted, p, 4) {
+            refuted @ CheckResult::Violated(_) => refuted,
+            _ => gm_mc::k_induction(module, blasted, p, 3),
+        },
+    }
+}
+
+/// An oracle that is not the batch checker itself: on the designs the
+/// SAT engines decide, every result of a whole batch — every violated
+/// verdict's trace byte for byte — is the one-shot engines' on a fresh
+/// unrolling. Batches of 48 hand the latched designs' traces to the
+/// extraction helper; the latch-free designs' are extracted as each
+/// verdict is found.
+#[test]
+fn sat_decided_batches_carry_the_one_shot_traces() {
+    let mut violated = 0;
+    for name in SAT_DESIGNS {
+        let module = gm_designs::by_name(name).unwrap().module();
+        let elab = gm_rtl::elaborate(&module).unwrap();
+        let blasted = gm_mc::blast(&module, &elab).unwrap();
+        let props = properties_for(&module, 48);
+        for backend in [
+            Backend::Auto,
+            Backend::Bmc { bound: 4 },
+            Backend::KInduction { max_k: 3 },
+        ] {
+            let mut batch = checker(&module, backend);
+            let batched = batch.check_batch(&props).unwrap();
+            assert_eq!(batch.session_stats().explicit_queries, 0, "{name}");
+            for (i, (p, got)) in props.iter().zip(&batched).enumerate() {
+                let want = one_shot(&module, &blasted, backend, p);
+                assert_eq!(got, &want, "{name} ({backend:?}), property {i}");
+            }
+            violated += (batched.iter())
+                .filter(|r| matches!(r, CheckResult::Violated(_)))
+                .count();
+        }
+    }
+    assert!(violated >= 480, "{violated} violated traces compared");
+}

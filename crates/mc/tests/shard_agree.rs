@@ -240,8 +240,83 @@ fn sharded_equals_batched_equals_sequential_on_all_catalog_designs() {
     );
 }
 
+/// The designs the SAT engines decide in the closure benchmark: two
+/// latched blocks and two latch-free stages.
+const SAT_DESIGNS: [&str; 4] = ["b17_lite", "b18_lite", "decode_stage", "wb_stage"];
+
+/// What the SAT engines answer on a fresh unrolling per property, with
+/// `checker`'s bounds: the one-shot `bmc` / `k_induction`, and for
+/// `Auto` over the explicit limits BMC to refute, then k-induction.
+fn one_shot(
+    module: &Module,
+    blasted: &gm_mc::Blasted,
+    backend: Backend,
+    p: &WindowProperty,
+) -> CheckResult {
+    match backend {
+        Backend::Bmc { bound } => bmc(module, blasted, p, bound),
+        Backend::KInduction { max_k } => gm_mc::k_induction(module, blasted, p, max_k),
+        Backend::Auto | Backend::Explicit => match bmc(module, blasted, p, 4) {
+            refuted @ CheckResult::Violated(_) => refuted,
+            _ => gm_mc::k_induction(module, blasted, p, 3),
+        },
+    }
+}
+
+/// Sharded and single-session batches agree with each other above; on
+/// the designs the SAT engines decide, both also agree with an oracle
+/// outside the checker: every result — every violated verdict's trace
+/// byte for byte — is the one-shot engines' on a fresh unrolling,
+/// whether a shard worker, the main session's extraction helper or the
+/// main session itself extracted it.
+#[test]
+fn sharded_sat_batches_carry_the_one_shot_traces() {
+    let mut violated = 0;
+    for name in SAT_DESIGNS {
+        let module = gm_designs::by_name(name).unwrap().module();
+        let elab = gm_rtl::elaborate(&module).unwrap();
+        let blasted = gm_mc::blast(&module, &elab).unwrap();
+        let props = temporal_properties_for(&module, 0x0E5D_0000, 16)
+            .into_iter()
+            .chain(properties_for(&module, 0x0E5D_0000, 32))
+            .collect::<Vec<_>>();
+        for backend in [
+            Backend::Auto,
+            Backend::Bmc { bound: 4 },
+            Backend::KInduction { max_k: 3 },
+        ] {
+            let want: Vec<CheckResult> = (props.iter())
+                .map(|p| one_shot(&module, &blasted, backend, p))
+                .collect();
+            for shards in [1, 2, 4] {
+                let mut sharded = checker(&module, backend).with_shards(shards);
+                let got = sharded.check_batch(&props).unwrap();
+                assert_eq!(sharded.session_stats().explicit_queries, 0, "{name}");
+                for (i, (got, want)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(
+                        got, want,
+                        "{name} ({backend:?}, {shards} shards), property {i}"
+                    );
+                }
+            }
+            violated += (want.iter())
+                .filter(|r| matches!(r, CheckResult::Violated(_)))
+                .count();
+        }
+    }
+    assert!(violated >= 400, "{violated} violated traces compared");
+}
+
+/// Proptest cases: `tier1` unless `PROPTEST_CASES` says otherwise.
+fn cases(tier1: u32) -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|n| n.parse().ok())
+        .unwrap_or(tier1)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(cases(24)))]
 
     /// Arbitrary worklists (duplicates included) under arbitrary shard
     /// counts merge to the single-session batch results and duplicate

@@ -2763,4 +2763,34 @@ mod tests {
             check(&frame, *request, &applied);
         }
     }
+
+    /// A backend's bound is not limited on the wire, and need not be:
+    /// the checker sizes nothing from it. A decoded `["bmc", u32::MAX]`
+    /// or `["kind", u32::MAX]` refuting a property at reset costs what
+    /// bound 0 costs.
+    #[test]
+    fn a_huge_wire_bound_costs_only_the_starts_scanned() {
+        use gm_mc::{BitAtom, CheckResult, Checker, WindowProperty};
+        let m = gm_designs::b18_lite();
+        let go = m.require("go").unwrap();
+        let done = m.require("done").unwrap();
+        let prop = WindowProperty::implication(
+            vec![BitAtom::new(go, 0, 0, true)],
+            BitAtom::new(done, 0, 1, true),
+        );
+        let bytes = |backend: Backend| {
+            let mut c = Checker::new(&m).unwrap().with_backend(backend);
+            let res = c.check_batch(std::slice::from_ref(&prop)).unwrap();
+            assert!(matches!(res[..], [CheckResult::Violated(_)]));
+            c.approx_bytes()
+        };
+        for (wire, small) in [
+            (r#"["bmc", 4294967295]"#, Backend::Bmc { bound: 0 }),
+            (r#"["kind", 4294967295]"#, Backend::KInduction { max_k: 0 }),
+        ] {
+            let huge = Backend::decode(&json::parse(wire).unwrap(), "backend").unwrap();
+            assert_ne!(huge, small);
+            assert_eq!(bytes(huge), bytes(small), "{wire}");
+        }
+    }
 }

@@ -580,15 +580,22 @@ impl Drop for ThreadSinkGuard {
     }
 }
 
+/// The calling thread's own sink, as [`push_thread_sink`] installed it
+/// (not the global fallback). A span records into the sink of the
+/// thread that opens it, so a thread that hands work to a helper
+/// thread passes this along, and the helper pushes it, to keep the
+/// helper's spans in the same recording.
+pub fn thread_sink() -> Option<TraceSink> {
+    THREAD.with(|t| t.borrow().sink.clone())
+}
+
 /// Flushes the calling thread's staged events to their sink.
 pub fn flush_thread() {
     THREAD.with(|t| t.borrow_mut().flush());
 }
 
 fn current_sink() -> Option<TraceSink> {
-    THREAD
-        .with(|t| t.borrow().sink.clone())
-        .or_else(|| GLOBAL.get().cloned())
+    thread_sink().or_else(|| GLOBAL.get().cloned())
 }
 
 // ---------------------------------------------------------------------
@@ -868,6 +875,25 @@ mod tests {
         assert_eq!(events.len(), 2);
         let tids: Vec<u32> = events.iter().map(|e| e.tid).collect();
         assert_ne!(tids[0], tids[1], "distinct threads get distinct tids");
+    }
+
+    #[test]
+    fn a_helper_thread_records_where_its_spawner_does() {
+        let sink = TraceSink::new();
+        assert!(thread_sink().is_none(), "no thread sink before the push");
+        let _install = push_thread_sink(sink.clone());
+        let handed = thread_sink().expect("the pushed sink");
+        assert!(handed.same_sink(&sink));
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                let _install = push_thread_sink(handed);
+                drop(span("test", "helper"));
+            });
+        });
+        let events = sink.events();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].name, "helper");
+        assert_ne!(events[0].tid, current_tid());
     }
 
     #[test]
