@@ -71,7 +71,10 @@
 //!   so the list only ever gains entries;
 //! * **each target's input-space term**, recomputed
 //!   ([`gm_mine::input_space_coverage`], an exact union measure) only
-//!   when that list grew — it is a function of the list alone;
+//!   when that list grew — it is a function of the list alone — over
+//!   input cubes kept beside the list ([`gm_mine::InputSpace`]): a list
+//!   that grew at its end adds only the new proofs' cubes, and a proof
+//!   filed before the last one rebuilds them;
 //! * **each tree's candidate set and open-leaf count**
 //!   ([`DecisionTree::candidate_leaves`], [`DecisionTree::converged`]),
 //!   maintained by the tree as rows and proofs arrive, so building the
@@ -109,8 +112,8 @@ use gm_cache::FxSet;
 use gm_coverage::{CoverageSuite, GainObserver, UncoveredIndex};
 use gm_mc::{BitAtom, CheckResult, Checker, ConsequentKind, McError, SessionStats, WindowProperty};
 use gm_mine::{
-    assertion_at, input_space_coverage, temporal_candidates, Assertion, ConeCapture, Dataset,
-    DecisionTree, ExtractedRows, MiningSpec, TemporalTemplate, WindowPlan,
+    assertion_at, temporal_candidates, Assertion, ConeCapture, Dataset, DecisionTree,
+    ExtractedRows, InputSpace, MiningSpec, TemporalTemplate, WindowPlan,
 };
 use gm_rtl::{cone_of, elaborate, Module, SignalId};
 use gm_sim::{
@@ -193,10 +196,9 @@ struct TargetState {
     /// [`gm_mine::assertion_at`] would re-derive from each leaf.
     proved_leaves: Vec<usize>,
     proved: Vec<Assertion>,
-    /// This target's input-space coverage term, and whether `proved`
-    /// has grown since it was computed.
-    input_space: f64,
-    input_space_stale: bool,
+    /// This target's input-space coverage term: the cubes of `proved`,
+    /// kept as the list grows.
+    input_space: InputSpace,
 }
 
 impl TargetState {
@@ -208,7 +210,7 @@ impl TargetState {
         if let Err(at) = self.proved_leaves.binary_search(&leaf) {
             self.proved_leaves.insert(at, leaf);
             self.proved.insert(at, assertion);
-            self.input_space_stale = true;
+            self.input_space.inserted(at);
         }
     }
 }
@@ -443,8 +445,7 @@ impl<'m> Engine<'m> {
                 stuck: None,
                 proved_leaves: Vec::new(),
                 proved: Vec::new(),
-                input_space: 0.0,
-                input_space_stale: false,
+                input_space: InputSpace::default(),
             })
             .collect();
         let mut layouts: Vec<Vec<usize>> = Vec::new();
@@ -1061,11 +1062,8 @@ impl<'m> Engine<'m> {
         let mut candidates = 0usize;
         let mut isc_sum = 0.0f64;
         for t in &mut self.targets {
-            if std::mem::take(&mut t.input_space_stale) {
-                t.input_space = input_space_coverage(&t.proved, self.module);
-            }
             proved_total += t.proved.len();
-            isc_sum += t.input_space;
+            isc_sum += t.input_space.coverage(&t.proved, self.module);
             candidates += t.tree.candidate_count();
         }
         let input_space = if self.targets.is_empty() {

@@ -142,6 +142,9 @@ pub struct Checker {
     shard_sessions: Vec<CheckSession>,
     /// Cooperative cancel token (see [`Checker::set_cancel`]).
     cancel: Option<Arc<AtomicBool>>,
+    /// Extractions the deciding thread of an inline batch made itself,
+    /// over the checker's life: the batch span's `stolen` arg.
+    stolen: u64,
 }
 
 impl Checker {
@@ -178,6 +181,7 @@ impl Checker {
             reach_failed: false,
             shard_sessions: Vec::new(),
             cancel: None,
+            stolen: 0,
         })
     }
 
@@ -342,8 +346,10 @@ impl Checker {
     /// properties are decided inline on the main session, and on a
     /// design with latches the traces of its violated SAT verdicts are
     /// extracted on a helper thread while it decides the next ones
-    /// (spawned at the batch's first violated SAT verdict, so a batch
-    /// the explicit engine decides whole starts no thread). Above 1 they
+    /// (spawned at the batch's second violated SAT verdict, so a batch
+    /// the explicit engine decides whole starts no thread); once the
+    /// decisions run out, the deciding thread extracts what the helper
+    /// has not yet begun, beside it. Above 1 they
     /// are dealt round-robin onto that many persistent shard sessions
     /// (all over the same `Arc<Blasted>` — blasting still happens once
     /// per checker), one scoped worker thread each. Results are
@@ -385,16 +391,20 @@ impl Checker {
     ) -> Result<Vec<CheckResult>, McError> {
         let mut span = gm_trace::span("mc", name);
         span.arg("props", props.len());
-        let before = span.is_active().then(|| self.session_stats());
+        let before = span
+            .is_active()
+            .then(|| (self.session_stats(), self.stolen));
         let results = self.decide_batch(props);
-        if let Some(before) = before {
+        if let Some((before, stolen)) = before {
             // Who answered: an earlier position of the batch (the
             // `memo` arg counts in-batch duplicates), the explicit
-            // engine, or SAT.
+            // engine, or SAT; and how many traces the deciding thread
+            // extracted itself rather than its helper.
             let answered = self.session_stats() - before;
             span.arg("memo", answered.memo_hits);
             span.arg("explicit", answered.explicit_queries);
             span.arg("sat", answered.sat_decided);
+            span.arg("stolen", self.stolen - stolen);
         }
         results
     }
@@ -444,11 +454,14 @@ impl Checker {
     /// the first property that fails. On a design with latches the
     /// session's search hands each violated SAT verdict's start to
     /// [`Extractions`], which extracts the traces on a helper thread
-    /// while the session decides the next properties (see [`extract`]).
-    /// On a latch-free design a violation's scan is the one window at
-    /// reset (see `last_scan_start`), about one query, and the session
-    /// extracts it at once, as a shard worker does. Either way the
-    /// traces are the canonical scan's.
+    /// while the session decides the next properties, and once the
+    /// decisions run out also on this thread, newest first (see
+    /// [`extract`]). They come back in hand-over order, the order of
+    /// the violated verdicts here. On a latch-free design a
+    /// violation's scan is the one window at reset (see
+    /// `last_scan_start`), about one query, and the session extracts it
+    /// at once, as a shard worker does. Either way the traces are the
+    /// canonical scan's.
     fn decide_inline(
         &mut self,
         params: &DecideParams,
@@ -456,6 +469,7 @@ impl Checker {
     ) -> Vec<Result<CheckResult, McError>> {
         let (module, reach) = (&*self.module, self.reach.as_deref());
         let (session, blasted) = (&mut self.session, &*self.blasted);
+        let stolen = &mut self.stolen;
         let beside = blasted.aig.latch_count() > 0;
         let handoff = Handoff::default();
         std::thread::scope(|scope| {
@@ -475,7 +489,8 @@ impl Checker {
                     break;
                 }
             }
-            let mut extractions = extractions.finish(session).into_iter();
+            let (mut extractions, by_this_thread) = extractions.finish(session);
+            *stolen += by_this_thread;
             let mut assemble = None;
             (decided.into_iter().zip(unique))
                 .map(|(res, prop)| match res? {
@@ -1125,6 +1140,42 @@ mod tests {
         c.check_batch(from_ref(&violated)).unwrap();
         assert_eq!(c.session_stats().cex_canonicalized, 2);
         assert_eq!(c.session.scratch().unwrap().approx_bytes(), scratch);
+    }
+
+    /// A batch with two violated verdicts starts the extraction helper
+    /// on the session's second scratch, and the session bills both.
+    #[test]
+    fn approx_bytes_counts_the_helper_scratch() {
+        let m = gm_designs::b18_lite();
+        let go = m.require("go").unwrap();
+        let sel = m.require("sel").unwrap();
+        let done = m.require("done").unwrap();
+        let props = [
+            WindowProperty::implication(
+                vec![BitAtom::new(go, 0, 0, true)],
+                BitAtom::new(done, 0, 1, true),
+            ),
+            WindowProperty::implication(
+                vec![BitAtom::new(go, 0, 0, true)],
+                BitAtom::new(sel, 0, 0, true),
+            ),
+        ];
+        let mut c = Checker::new(&m)
+            .unwrap()
+            .with_backend(Backend::Bmc { bound: 0 });
+        let results = c.check_batch(&props).unwrap();
+        assert!(results
+            .iter()
+            .all(|r| matches!(r, CheckResult::Violated(_))));
+        assert_eq!(c.session_stats().cex_canonicalized, 2);
+        let helper = (c.session.helper_scratch())
+            .expect("the second violated verdict starts the helper")
+            .approx_bytes();
+        // The deciding thread's own scratch exists when it extracted.
+        let own = c.session.scratch().map_or(0, crate::Unroller::approx_bytes);
+        let base = c.session.base_unroller().approx_bytes();
+        assert!(helper > 0);
+        assert_eq!(c.session.approx_bytes(), base + helper + own);
     }
 
     /// A prefix's AND-cache room follows the violating starts that

@@ -59,21 +59,23 @@
 //! search-pinned (`gm_sat`'s `search_identity` suite); the scoped one is
 //! not and need not be.
 //!
-//! The copy is the session's one *scratch* unrolling, built at the first
-//! extraction and refilled from the prefix ([`Clone::clone_from`]) at
-//! every later one, whatever the previous scan left in it. Once its
-//! tables have grown to the largest prefix and scan seen, a refill
-//! copies into them instead of allocating (every prefix keeps AND-cache
-//! room for the deepest extraction seen, so a scan never rehashes the
-//! copy).
+//! The copy is one of the session's two *scratch* unrollings, each
+//! built at its first extraction and refilled from the prefix
+//! ([`Clone::clone_from`]) at every later one, whatever the previous
+//! scan left in it. Once a scratch's tables have grown to the largest
+//! prefix and scan it has seen, a refill copies into them instead of
+//! allocating (every prefix keeps AND-cache room for the deepest
+//! extraction seen, so a scan never rehashes the copy).
 //! [`CheckSession::bmc`] and [`CheckSession::k_induction`] extract on
-//! the calling thread, and so do shard workers. The checker's
-//! single-session batches hand the scratch and the violating starts to
-//! a helper thread that extracts while the session decides the next
-//! properties (`crate::check::extract`). Where an extraction runs
-//! cannot change its trace: the trace is a function of the design, the
-//! property and the start alone, and the scratch is refilled before
-//! every scan.
+//! the calling thread, on the session's own scratch, and so do shard
+//! workers. The checker's single-session batches hand the violating
+//! starts and the second, *helper* scratch to a helper thread that
+//! extracts while the session decides the next properties; once the
+//! decisions run out, the deciding thread extracts what is still
+//! pending on its own scratch, beside the helper
+//! (`crate::check::extract`). Where an extraction runs cannot change
+//! its trace: the trace is a function of the design, the property and
+//! the start alone, and a scratch is refilled before every scan.
 //!
 //! Every result — and every downstream closure-outcome artifact — is
 //! therefore identical regardless of shard count, batch order, the
@@ -152,12 +154,12 @@ pub struct SessionStats {
     /// Unrollers constructed (at most one reset-rooted plus one
     /// free-init per session). The checker's pristine per-depth
     /// prefixes belong to no session, and the session's extraction
-    /// scratch is refilled from them rather than built for a query:
+    /// scratches are refilled from them rather than built for a query:
     /// neither is counted here; each extraction is counted in
     /// [`SessionStats::cex_canonicalized`].
     pub unrollers_built: u64,
     /// Violated SAT verdicts whose counterexample was re-extracted on
-    /// the session's scratch unrolling, refilled from the pristine
+    /// one of the session's scratch unrollings, refilled from the pristine
     /// prefix for the property's depth (the determinism contract:
     /// traces must not depend on session history or shard partition).
     pub cex_canonicalized: u64,
@@ -235,9 +237,12 @@ pub struct CheckSession {
     prefixes: Arc<PristinePrefixes>,
     base: Option<Unroller>,
     step: Option<Unroller>,
-    /// Where violated verdicts get their traces: refilled from a
-    /// pristine prefix for every extraction, built on the first.
+    /// Where violated verdicts get their traces on the calling thread:
+    /// refilled from a pristine prefix for every extraction, built on
+    /// the first.
     scratch: Option<Unroller>,
+    /// The same for the extraction helper of the checker's batches.
+    helper_scratch: Option<Unroller>,
     stats: SessionStats,
     /// A base query's assumptions, kept so no query allocates them.
     assumptions: Vec<Lit>,
@@ -261,6 +266,7 @@ impl CheckSession {
             base: None,
             step: None,
             scratch: None,
+            helper_scratch: None,
             stats: SessionStats::default(),
             assumptions: Vec::new(),
             explicit: ExplicitScratch::default(),
@@ -278,13 +284,13 @@ impl CheckSession {
     }
 
     /// Approximate resident size of the session's unrollings (see
-    /// [`Unroller::approx_bytes`]), its extraction scratch included,
+    /// [`Unroller::approx_bytes`]), both extraction scratches included,
     /// and of its explicit-state scratch — the number a long-lived
     /// service weighs when deciding which warm design state to evict.
     /// The pristine prefixes and the reachable set are billed by
     /// whoever shares them out.
     pub fn approx_bytes(&self) -> usize {
-        [&self.base, &self.step, &self.scratch]
+        [&self.base, &self.step, &self.scratch, &self.helper_scratch]
             .into_iter()
             .flatten()
             .map(Unroller::approx_bytes)
@@ -336,10 +342,17 @@ impl CheckSession {
         slot.as_mut().expect("unroller just ensured")
     }
 
-    /// The extraction scratch, once the first violated verdict built it.
+    /// The calling thread's extraction scratch, once an extraction
+    /// there built it.
     #[cfg(test)]
     pub(crate) fn scratch(&self) -> Option<&Unroller> {
         self.scratch.as_ref()
+    }
+
+    /// The extraction helper's scratch, once a helper started on it.
+    #[cfg(test)]
+    pub(crate) fn helper_scratch(&self) -> Option<&Unroller> {
+        self.helper_scratch.as_ref()
     }
 
     /// The reset-rooted unrolling base queries ask, built if need be.
@@ -425,19 +438,33 @@ impl CheckSession {
         }
     }
 
-    /// The scratch unrolling, for extractions to run on until
-    /// [`CheckSession::restore_scratch`] hands it back: the session's
-    /// own, or a fresh one before the first extraction.
+    /// The calling thread's scratch unrolling, for extractions to run
+    /// on until [`CheckSession::restore_scratch`] hands it back: the
+    /// session's own, or a fresh one before the first extraction.
     pub(crate) fn take_scratch(&mut self) -> Unroller {
-        let blasted = self.prefixes.blasted();
-        (self.scratch.take()).unwrap_or_else(|| Unroller::new(blasted.clone(), false))
+        Self::take(&mut self.scratch, self.prefixes.blasted())
     }
 
-    /// Takes the scratch back from the thread that made `extractions`
-    /// canonical extractions on it.
+    /// Takes the scratch back, `extractions` canonical extractions
+    /// later.
     pub(crate) fn restore_scratch(&mut self, scratch: Unroller, extractions: u64) {
         self.scratch = Some(scratch);
         self.stats.cex_canonicalized += extractions;
+    }
+
+    /// [`CheckSession::take_scratch`] for the extraction helper.
+    pub(crate) fn take_helper_scratch(&mut self) -> Unroller {
+        Self::take(&mut self.helper_scratch, self.prefixes.blasted())
+    }
+
+    /// [`CheckSession::restore_scratch`] for the extraction helper.
+    pub(crate) fn restore_helper_scratch(&mut self, scratch: Unroller, extractions: u64) {
+        self.helper_scratch = Some(scratch);
+        self.stats.cex_canonicalized += extractions;
+    }
+
+    fn take(slot: &mut Option<Unroller>, blasted: &Arc<Blasted>) -> Unroller {
+        (slot.take()).unwrap_or_else(|| Unroller::new(blasted.clone(), false))
     }
 
     /// A violated verdict with its trace, extracted on this thread, or

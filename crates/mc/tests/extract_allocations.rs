@@ -1,6 +1,7 @@
 //! A batch's counterexamples are extracted on a helper thread beside the
-//! search, and once warm that helper allocates nothing: every buffer it
-//! fills was made by the deciding thread.
+//! search (and, once the search is done, on the deciding thread too),
+//! and once warm that helper allocates nothing: every buffer it fills
+//! was made by the deciding thread.
 //!
 //! A counting global allocator counts every allocation of the process
 //! and, separately, of each thread. While a batch runs, whatever the
@@ -122,10 +123,15 @@ fn a_warm_batch_extracts_beside_the_search_without_allocating_there() {
         assert_eq!(checker.check_batch(&props).unwrap(), cold);
     }
     let here = gm_trace::current_tid();
-    let helper = (sink.events().iter())
-        .filter(|e| e.name == "mc.canonical_cex" && e.tid != here)
-        .count();
-    assert_eq!(helper, props.len(), "extractions on the helper");
+    let events = sink.events();
+    let on = |helper: bool| {
+        (events.iter())
+            .filter(|e| e.name == "mc.canonical_cex" && (e.tid != here) == helper)
+            .count()
+    };
+    let (helper, deciding) = (on(true), on(false));
+    assert_eq!(helper + deciding, props.len(), "every extraction once");
+    assert!(helper >= 1, "{helper} extractions on the helper");
     let extracted = checker.session_stats().cex_canonicalized;
     for _ in 0..3 {
         let (warm, allocations) = elsewhere(|| checker.check_batch(&props));

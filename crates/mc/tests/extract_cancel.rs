@@ -1,9 +1,10 @@
-//! A batch's cancel token reaches the thread that extracts its
-//! counterexamples beside the search: raised while extractions are
-//! still queued there, it drops them, and the batch fails with
+//! A batch's cancel token reaches both threads that extract its
+//! counterexamples, the helper beside the search and the deciding
+//! thread once its decisions run out: raised while extractions are
+//! still queued, it drops them, and the batch fails with
 //! `McError::Cancelled` and no partial verdict. The token is raised
-//! while the `mc.extract_stall` fault point holds the helper at its
-//! first poll, before its first extraction.
+//! while the `mc.extract_stall` fault point holds each of the two at
+//! its first poll, before its first extraction.
 //!
 //! Fault plans are process-wide, so this test has a binary of its own.
 
@@ -54,14 +55,15 @@ fn a_token_raised_with_extractions_queued_cancels_the_batch() {
     let mut c = checker(&m);
     let token = Arc::new(AtomicBool::new(false));
     c.set_cancel(Some(token.clone()));
-    let plan = gm_fault::FaultPlan::new(1).point_limited("mc.extract_stall", gm_fault::PPM, 1);
+    let plan = gm_fault::FaultPlan::new(1).point_limited("mc.extract_stall", gm_fault::PPM, 2);
     let stall = gm_fault::arm(plan);
     let cancelled = std::thread::scope(|scope| {
         scope.spawn(|| {
-            // Raise the token once the helper is held; should it never
-            // be, the assertion on `fired` below says so.
+            // Raise the token once both extracting threads are held;
+            // should they never be, the assertion on `fired` below
+            // says so.
             let give_up = Instant::now() + Duration::from_secs(30);
-            while stall.fired("mc.extract_stall") == 0 && Instant::now() < give_up {
+            while stall.fired("mc.extract_stall") < 2 && Instant::now() < give_up {
                 std::thread::sleep(Duration::from_millis(1));
             }
             token.store(true, Ordering::Release);
@@ -70,12 +72,12 @@ fn a_token_raised_with_extractions_queued_cancels_the_batch() {
     });
     assert_eq!(
         stall.fired("mc.extract_stall"),
-        1,
-        "the helper never stalled"
+        2,
+        "the helper and the deciding thread did not both stall"
     );
     assert_eq!(cancelled, Err(McError::Cancelled));
-    // The helper stalled before its first extraction and then dropped
-    // every extraction queued to it.
+    // Both threads stalled before their first extraction and then
+    // dropped every extraction still queued.
     assert_eq!(c.session_stats().cex_canonicalized, 0);
     drop(stall);
 

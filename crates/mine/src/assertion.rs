@@ -264,8 +264,11 @@ pub fn assertion_at(tree: &DecisionTree, spec: &MiningSpec, leaf: usize) -> Asse
 /// and a *value* mask (what each must be), `words` words each — as many
 /// as the set's distinct features need, so there is no feature cap. A
 /// contradictory projection (the same input atom required both `0` and
-/// `1`) is an empty cube and is left out.
+/// `1`) is an empty cube and is left out. Cubes are pushed one at a
+/// time, so a set that grows at its end keeps what it has.
+#[derive(Debug)]
 struct CubeSet {
+    index_of: FxMap<Feature, u32>,
     words: usize,
     /// Cube `c` owns `care[c * words..][..words]`; `value` likewise.
     care: Vec<u64>,
@@ -275,59 +278,103 @@ struct CubeSet {
     /// which literal came first on the path, and the split order below
     /// depends on it.
     order: Vec<u32>,
+    /// Beside `order`, the value each literal requires.
+    required: Vec<bool>,
     starts: Vec<usize>,
+}
+
+impl Default for CubeSet {
+    fn default() -> CubeSet {
+        CubeSet {
+            index_of: FxMap::default(),
+            words: 0,
+            care: Vec::new(),
+            value: Vec::new(),
+            order: Vec::new(),
+            required: Vec::new(),
+            starts: vec![0],
+        }
+    }
 }
 
 impl CubeSet {
     fn new(assertions: &[Assertion], module: &Module) -> CubeSet {
-        let mut index_of: FxMap<Feature, u32> = FxMap::default();
-        // `order`, and beside it the value each literal requires.
-        let (mut order, mut required) = (Vec::new(), Vec::new());
-        let mut starts = vec![0];
-        'cubes: for a in assertions {
-            let start = order.len();
-            for &(f, v) in &a.literals {
-                if !module.signal(f.signal).is_input() {
-                    continue;
+        let mut set = CubeSet::default();
+        for a in assertions {
+            set.push(a, module);
+        }
+        set
+    }
+
+    /// Adds `a`'s cube after the others, unless it is contradictory.
+    /// Its features are numbered either way.
+    fn push(&mut self, a: &Assertion, module: &Module) {
+        let start = self.order.len();
+        for &(f, v) in &a.literals {
+            if !module.signal(f.signal).is_input() {
+                continue;
+            }
+            let next = self.index_of.len() as u32;
+            let local = *self.index_of.entry(f).or_insert(next);
+            match self.order[start..].iter().position(|&g| g == local) {
+                Some(at) if self.required[start + at] != v => {
+                    self.order.truncate(start);
+                    self.required.truncate(start);
+                    return;
                 }
-                let next = index_of.len() as u32;
-                let local = *index_of.entry(f).or_insert(next);
-                match order[start..].iter().position(|&g| g == local) {
-                    Some(at) if required[start + at] != v => {
-                        order.truncate(start);
-                        required.truncate(start);
-                        continue 'cubes;
-                    }
-                    Some(_) => {}
-                    None => {
-                        order.push(local);
-                        required.push(v);
-                    }
+                Some(_) => {}
+                None => {
+                    self.order.push(local);
+                    self.required.push(v);
                 }
             }
-            starts.push(order.len());
         }
-        let words = index_of.len().div_ceil(64);
-        let cubes = starts.len() - 1;
-        let (mut care, mut value) = (vec![0u64; cubes * words], vec![0u64; cubes * words]);
-        for c in 0..cubes {
-            for at in starts[c]..starts[c + 1] {
-                let (word, mask) = (c * words + order[at] as usize / 64, 1 << (order[at] % 64));
-                care[word] |= mask;
-                value[word] |= if required[at] { mask } else { 0 };
-            }
+        self.starts.push(self.order.len());
+        let (words, cubes) = (self.index_of.len().div_ceil(64), self.len());
+        let mut first = cubes - 1;
+        if words != self.words {
+            // A wider mask moves every cube's words.
+            (self.words, first) = (words, 0);
+            self.care.clear();
+            self.value.clear();
         }
-        CubeSet {
-            words,
-            care,
-            value,
-            order,
-            starts,
+        self.care.resize(cubes * words, 0);
+        self.value.resize(cubes * words, 0);
+        (first..cubes).for_each(|c| self.mask(c));
+    }
+
+    /// Writes cube `c`'s masks from its literals.
+    fn mask(&mut self, c: usize) {
+        for at in self.starts[c]..self.starts[c + 1] {
+            let f = self.order[at] as usize;
+            let (word, mask) = (c * self.words + f / 64, 1 << (f % 64));
+            self.care[word] |= mask;
+            self.value[word] |= if self.required[at] { mask } else { 0 };
         }
+    }
+
+    fn clear(&mut self) {
+        self.index_of.clear();
+        self.words = 0;
+        self.care.clear();
+        self.value.clear();
+        self.order.clear();
+        self.required.clear();
+        self.starts.truncate(1);
     }
 
     fn len(&self) -> usize {
         self.starts.len() - 1
+    }
+
+    /// The union measure, [`input_space_coverage`]'s value.
+    fn coverage(&self) -> f64 {
+        let union = self.union_measure();
+        debug_assert!(
+            (0.0..=1.0 + 1e-12).contains(&union),
+            "union measure must be a probability, got {union}"
+        );
+        union.min(1.0)
     }
 
     /// The exact measure of the union of the cubes over uniformly random
@@ -393,12 +440,45 @@ impl CubeSet {
 /// the shared mass, and clamping the sum at 1.0 masquerades as exact
 /// convergence.
 pub fn input_space_coverage(assertions: &[Assertion], module: &Module) -> f64 {
-    let union = CubeSet::new(assertions, module).union_measure();
-    debug_assert!(
-        (0.0..=1.0 + 1e-12).contains(&union),
-        "union measure must be a probability, got {union}"
-    );
-    union.min(1.0)
+    CubeSet::new(assertions, module).coverage()
+}
+
+/// [`input_space_coverage`] of an assertion list that grows, kept with
+/// the list: the cubes of the assertions already measured stay, and a
+/// list that grew at its end only adds the new ones' cubes. An
+/// assertion inserted before the last one measured rebuilds the cubes,
+/// since their order decides the measure's splits.
+#[derive(Debug, Default)]
+pub struct InputSpace {
+    cubes: CubeSet,
+    /// The list's first `measured` assertions are in `cubes`, in order.
+    measured: usize,
+    coverage: f64,
+}
+
+impl InputSpace {
+    /// Notes that the list gained an assertion at index `at`.
+    pub fn inserted(&mut self, at: usize) {
+        if at < self.measured {
+            self.cubes.clear();
+            self.measured = 0;
+        }
+    }
+
+    /// `input_space_coverage(assertions, module)` of the list as it
+    /// stands, every insertion since the last call noted: measured
+    /// again only when the list grew.
+    pub fn coverage(&mut self, assertions: &[Assertion], module: &Module) -> f64 {
+        debug_assert!(self.measured <= assertions.len(), "the list only grows");
+        if self.measured < assertions.len() {
+            for a in &assertions[self.measured..] {
+                self.cubes.push(a, module);
+            }
+            self.measured = assertions.len();
+            self.coverage = self.cubes.coverage();
+        }
+        self.coverage
+    }
 }
 
 #[cfg(test)]
@@ -665,16 +745,14 @@ mod tests {
         rng.below(n as u128) as usize
     }
 
-    /// One random assertion set, measured both ways (panics where the
-    /// bits differ). Either a handful of short cubes over a few
-    /// features — heavy overlap, repeated and contradicting literals,
-    /// the empty cube — or the leaves of a random tree of up to 220
-    /// leaves, some missing, some twice, a couple of its splits on the
-    /// register (projected away, so whole subtrees overlap), which is
-    /// the shape the engine feeds it and reaches three mask words.
-    fn run_case(seed: u64, tally: &mut Tally) {
-        let rng = &mut TestRng::new(seed);
-        let m = wide();
+    /// One random assertion set over `m`, [`wide`]. Either a handful
+    /// of short cubes over a few features — heavy overlap, repeated and
+    /// contradicting literals, the empty cube — or the leaves of a
+    /// random tree of up to 220 leaves, some missing, some twice, a
+    /// couple of its splits on the register (projected away, so whole
+    /// subtrees overlap), which is the shape the engine feeds it and
+    /// reaches three mask words.
+    fn random_set(rng: &mut TestRng, m: &gm_rtl::Module) -> Vec<Assertion> {
         let inputs: Vec<Feature> = ["a", "b", "c"]
             .iter()
             .flat_map(|name| {
@@ -756,7 +834,15 @@ mod tests {
                 set.push(short_cube(rng, 8));
             }
         }
+        set
+    }
 
+    /// One random set, measured both ways (panics where the bits
+    /// differ).
+    fn run_case(seed: u64, tally: &mut Tally) {
+        let rng = &mut TestRng::new(seed);
+        let m = wide();
+        let set = random_set(rng, &m);
         let cubes = reference::cubes(&set, &m);
         let mut features: Vec<Feature> = cubes.iter().flatten().map(|(f, _)| *f).collect();
         features.sort_unstable();
@@ -794,6 +880,59 @@ mod tests {
         fn packed_measure_equals_the_vec_reference(seed in any::<u64>()) {
             run_case(seed, &mut Tally::default());
         }
+    }
+
+    /// A random set filed one assertion at a time into a list — at its
+    /// end, mostly, as the engine files proofs in leaf order, and now
+    /// and then before the end, which rebuilds the cubes — measured by
+    /// the kept [`InputSpace`] after some filings and by
+    /// [`input_space_coverage`] over the whole list: the bits agree.
+    /// Returns how many filings landed before the end of a list that
+    /// had been measured.
+    fn filing_case(seed: u64) -> usize {
+        let rng = &mut TestRng::new(seed);
+        let m = wide();
+        let (mut list, mut space, mut rebuilt) = (Vec::new(), InputSpace::default(), 0);
+        let mut measured = 0;
+        for a in random_set(rng, &m) {
+            let at = match below(rng, 4) {
+                0 => below(rng, list.len() + 1),
+                _ => list.len(),
+            };
+            rebuilt += usize::from(at < measured);
+            list.insert(at, a);
+            space.inserted(at);
+            if below(rng, 3) == 0 {
+                let (kept, whole) = (space.coverage(&list, &m), input_space_coverage(&list, &m));
+                assert_eq!(kept.to_bits(), whole.to_bits(), "{kept} vs {whole}");
+                measured = list.len();
+            }
+        }
+        let (kept, whole) = (space.coverage(&list, &m), input_space_coverage(&list, &m));
+        assert_eq!(kept.to_bits(), whole.to_bits(), "{kept} vs {whole}");
+        rebuilt
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+        #[test]
+        fn kept_cubes_measure_what_the_whole_list_does(seed in any::<u64>()) {
+            filing_case(seed);
+        }
+    }
+
+    /// Over the very same seeds, filings before the end were compared.
+    #[test]
+    fn the_filing_comparison_is_not_vacuous() {
+        let rebuilt: usize = (0..cases())
+            .map(|case| {
+                let mut rng =
+                    proptest::rng_for_case("kept_cubes_measure_what_the_whole_list_does", case);
+                filing_case(any::<u64>().generate(&mut rng))
+            })
+            .sum();
+        assert!(rebuilt >= cases() as usize, "{rebuilt} rebuilds");
     }
 
     /// Over the very same seeds, the hard shapes were all compared.

@@ -22,7 +22,8 @@
 //! * [`Assertion`] is a leaf's path implying the target value, at the
 //!   target cycle or in a temporal shape ([`TemporalTemplate`]); it
 //!   renders in LTL / PSL / SVA form, and [`input_space_coverage`] is
-//!   the paper's input-space accounting of a proved set;
+//!   the paper's input-space accounting of a proved set ([`InputSpace`]
+//!   keeps it for a set that grows);
 //! * [`temporal_candidates`] proposes next / eventually / stability
 //!   templates from a leaf's recorded lookahead.
 //!
@@ -46,7 +47,7 @@ mod features;
 mod temporal;
 mod tree;
 
-pub use assertion::{assertion_at, input_space_coverage, Assertion, TemporalTemplate};
+pub use assertion::{assertion_at, input_space_coverage, Assertion, InputSpace, TemporalTemplate};
 pub use capture::{BitOutOfRange, ConeCapture, WindowPlan};
 pub use dataset::{Dataset, ExtractedRows, Row, RowRange};
 pub use features::{Feature, MiningSpec, Target};
