@@ -216,7 +216,7 @@ fn bench_sat_session(c: &mut Criterion) {
     let mut session = CheckSession::new(blasted);
     let pass = |session: &mut CheckSession| {
         for p in &props {
-            black_box(session.k_induction(&module, p, 2, None).unwrap());
+            black_box(session.k_induction(p, 2, None).unwrap());
         }
     };
     pass(&mut session);
@@ -305,10 +305,10 @@ fn bench_model_checking(c: &mut Criterion) {
         b.iter(|| ReachableStates::explore(&blasted, &ExplicitLimits::default()).unwrap());
     });
     c.bench_function("mc/k_induction_prove_a2", |b| {
-        b.iter(|| k_induction(&module, &blasted, &a2, 8));
+        b.iter(|| k_induction(&blasted, &a2, 8));
     });
     c.bench_function("mc/bmc_refute_a0", |b| {
-        b.iter(|| bmc(&module, &blasted, &a0, 8));
+        b.iter(|| bmc(&blasted, &a0, 8));
     });
     c.bench_function("mc/checker_amortized_both", |b| {
         b.iter_batched(
@@ -348,17 +348,17 @@ fn bench_explicit_tables(c: &mut Criterion) {
     let eight_literals =
         WindowProperty::implication(antecedent, BitAtom::new(sig("valid"), 0, 1, true));
     let warm = ReachableStates::explore(&blasted, &limits).unwrap();
-    let res = explicit_check(&module, &blasted, &warm, &proved, &limits).unwrap();
+    let res = explicit_check(&blasted, &warm, &proved, &limits).unwrap();
     assert_eq!(res, CheckResult::Proved);
-    explicit_check(&module, &blasted, &warm, &eight_literals, &limits).unwrap();
+    explicit_check(&blasted, &warm, &eight_literals, &limits).unwrap();
     assert_eq!(warm.cache_stats().obs_nodes, 8);
     c.bench_function("mc/explicit_check_fetch_stage_proved", |b| {
-        b.iter(|| explicit_check(&module, &blasted, &warm, &proved, &limits).unwrap());
+        b.iter(|| explicit_check(&blasted, &warm, &proved, &limits).unwrap());
     });
     c.bench_function("mc/explicit_tables_fetch_stage", |b| {
         b.iter(|| {
             let cold = ReachableStates::explore(&blasted, &limits).unwrap();
-            explicit_check(&module, &blasted, &cold, &eight_literals, &limits).unwrap()
+            explicit_check(&blasted, &cold, &eight_literals, &limits).unwrap()
         });
     });
 }
@@ -443,7 +443,7 @@ fn bench_batched_checking(c: &mut Criterion) {
         b.iter(|| {
             props
                 .iter()
-                .map(|p| k_induction(&module, &blasted, p, 2))
+                .map(|p| k_induction(&blasted, p, 2))
                 .collect::<Vec<_>>()
         });
     });

@@ -112,13 +112,13 @@ use gm_cache::FxSet;
 use gm_coverage::{CoverageSuite, GainObserver, UncoveredIndex};
 use gm_mc::{BitAtom, CheckResult, Checker, ConsequentKind, McError, SessionStats, WindowProperty};
 use gm_mine::{
-    assertion_at, temporal_candidates, Assertion, ConeCapture, Dataset, DecisionTree,
-    ExtractedRows, InputSpace, MiningSpec, TemporalTemplate, WindowPlan,
+    temporal_candidates, Assertion, ConeCapture, Dataset, DecisionTree, ExtractedRows, Feature,
+    InputSpace, MiningSpec, Target, TemporalTemplate, WindowPlan,
 };
 use gm_rtl::{cone_of, elaborate, Module, SignalId};
 use gm_sim::{
     collect_vectors, CompiledModule, DirectedVariants, NopObserver, RandomStimulus, Replay,
-    SimBackend, TestSuite,
+    SegmentLabel, SimBackend, TestSuite,
 };
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -129,22 +129,108 @@ use std::sync::Arc;
 /// eventuality ([`ConsequentKind::Any`]). A point consequent — `Now` or
 /// `Next` — is one atom, which [`WindowProperty::new`] stores as `Any`.
 pub fn assertion_property(a: &Assertion) -> WindowProperty {
-    let antecedent = a
-        .literals
-        .iter()
-        .map(|(f, v)| BitAtom::new(f.signal, f.bit, f.offset, *v))
-        .collect();
-    let consequents = a
-        .consequent_offsets()
-        .map(|off| BitAtom::new(a.target.signal, a.target.bit, off, a.value))
-        .collect();
+    let mut prop = WindowProperty::new(Vec::new(), Vec::new(), ConsequentKind::Any);
+    write_property(&mut prop, a);
+    prop
+}
+
+/// [`assertion_property`] of `a`, written over `prop` in place.
+fn write_property(prop: &mut WindowProperty, a: &Assertion) {
+    let consequents = (a.consequent_offsets())
+        .map(|off| BitAtom::new(a.target.signal, a.target.bit, off, a.value));
     let kind = match a.template {
         TemporalTemplate::Eventually { .. } => ConsequentKind::Any,
         TemporalTemplate::Now
         | TemporalTemplate::Next { .. }
         | TemporalTemplate::Stability { .. } => ConsequentKind::All,
     };
-    WindowProperty::new(antecedent, consequents, kind)
+    prop.rewrite(
+        a.literals.iter().map(|&(f, v)| atom(f, v)),
+        consequents,
+        kind,
+    );
+}
+
+/// The property of leaf `leaf` of `t`'s tree —
+/// `assertion_property(&assertion_at(&t.tree, &t.spec, leaf))` — written
+/// over `prop` in place, read off the tree without building the
+/// assertion.
+fn write_leaf_property(prop: &mut WindowProperty, t: &TargetState, leaf: usize) {
+    let target = t.spec.target;
+    let value = t.tree.node(leaf).prediction();
+    let consequent = BitAtom::new(target.signal, target.bit, target.offset, value);
+    let up = t
+        .tree
+        .path_up(leaf)
+        .map(|(f, v)| atom(t.spec.features[f], v));
+    // Room for the whole path at once: the walk up has no length to
+    // reserve by, and a slot written deeper than before would grow
+    // step by step.
+    prop.antecedent.clear();
+    prop.antecedent.reserve(up.clone().count());
+    prop.rewrite(up, [consequent], ConsequentKind::All);
+    prop.antecedent.reverse();
+}
+
+/// A path literal as a property atom.
+fn atom(f: Feature, value: bool) -> BitAtom {
+    BitAtom::new(f.signal, f.bit, f.offset, value)
+}
+
+/// The assertion of the leaf whose property [`write_leaf_property`]
+/// wrote as `prop` for `target` — `assertion_at` of the same leaf —
+/// read back off the property's atoms, which hold the path literals in
+/// order, rather than off the tree.
+fn leaf_assertion(prop: &WindowProperty, target: Target) -> Assertion {
+    let literals = (prop.antecedent.iter())
+        .map(|a| {
+            let feature = Feature {
+                signal: a.signal,
+                bit: a.bit,
+                offset: a.offset,
+            };
+            (feature, a.value)
+        })
+        .collect();
+    Assertion {
+        literals,
+        target,
+        value: prop.consequents[0].value,
+        template: TemporalTemplate::Now,
+    }
+}
+
+/// One pass's candidates, kept across passes: the properties are
+/// rewritten in place, so a warm pass builds none. The first `n` of
+/// each list, for the `n` the pass loaded, are its batch.
+#[derive(Default)]
+struct Worklist {
+    props: Vec<WindowProperty>,
+    /// Beside each property: its target and leaf.
+    at: Vec<(usize, usize)>,
+    /// Beside each property of a temporal pass: its assertion.
+    temporal: Vec<Assertion>,
+}
+
+impl Worklist {
+    /// Slot `n`'s property to write over, made when the storage has
+    /// never held that many.
+    fn slot(&mut self, n: usize) -> &mut WindowProperty {
+        if n == self.props.len() {
+            self.props.push(WindowProperty::new(
+                Vec::new(),
+                Vec::new(),
+                ConsequentKind::Any,
+            ));
+        }
+        &mut self.props[n]
+    }
+
+    /// Slot `i`'s property, moved out (the slot is left empty).
+    fn take(&mut self, i: usize) -> WindowProperty {
+        let empty = WindowProperty::new(Vec::new(), Vec::new(), ConsequentKind::Any);
+        std::mem::replace(&mut self.props[i], empty)
+    }
 }
 
 /// An iteration's two decision passes. They share one batch routine
@@ -333,6 +419,9 @@ pub struct Engine<'m> {
     /// verdict never touches the leaf). Verdicts are deterministic, so
     /// each is dispatched, and its counterexample absorbed, once.
     decided: FxSet<WindowProperty>,
+    /// The pass in hand's candidates, their properties rewritten in
+    /// place every pass.
+    work: Worklist,
     /// Proved (or assumed-true) temporal assertions, in decision order.
     temporal_proved: Vec<Assertion>,
     /// The uncovered-point index of the latest coverage snapshot, kept
@@ -492,6 +581,7 @@ impl<'m> Engine<'m> {
             cancel: None,
             short_traces: 0,
             decided: FxSet::default(),
+            work: Worklist::default(),
             temporal_proved: Vec::new(),
             last_uncovered: None,
             history: Vec::new(),
@@ -761,12 +851,16 @@ impl<'m> Engine<'m> {
             .all(|t| t.stuck.is_none() && t.tree.converged())
     }
 
-    /// Collects the full cross-target worklist of pure open leaves and
-    /// their candidate assertions, target-major and ascending by leaf
-    /// within a target (the `cex-{iteration}-{n}` labels follow this
-    /// order), reading each tree's kept candidate set. Trees are stable
-    /// while the worklist is pending (counterexample absorption is
-    /// deferred past the dispatch), so each assertion is built once.
+    /// Loads the window pass's worklist: every live target's pure open
+    /// leaves, target-major and ascending by leaf within a target (the
+    /// `cex-{iteration}-{n}` labels follow this order), read off each
+    /// tree's kept candidate set, each leaf's property written in
+    /// place ([`write_leaf_property`]) and dropped when it is
+    /// remembered as decided. Returns how many are left. Trees are
+    /// stable while the worklist is pending (counterexample absorption
+    /// is deferred past the dispatch), so the assertion of a leaf filed
+    /// as proved is read back off its property then
+    /// ([`leaf_assertion`]).
     ///
     /// When refinement is enabled and an uncovered-point index is
     /// available, the worklist is coverage-ranked: candidates whose
@@ -775,42 +869,61 @@ impl<'m> Engine<'m> {
     /// synthesizer extends — steer toward uncovered logic. The sort is
     /// stable with the collection order as tie-break, so ranking is
     /// deterministic; with refinement off the order is untouched.
-    fn open_candidates(&self) -> Vec<(usize, usize, Assertion)> {
+    fn window_worklist(&mut self) -> usize {
+        let work = &mut self.work;
+        work.at.clear();
         let live = (self.targets.iter().enumerate()).filter(|(_, t)| t.stuck.is_none());
-        let mut worklist: Vec<(usize, usize, Assertion)> = live
-            .flat_map(|(ti, t)| {
-                let candidate = move |leaf| (ti, leaf, assertion_at(&t.tree, &t.spec, leaf));
-                t.tree.candidate_leaves().map(candidate)
-            })
-            .collect();
-        if self.config.refine.enabled() {
-            if let Some(index) = &self.last_uncovered {
-                let gain_of = |(_, _, a): &(usize, usize, Assertion)| -> usize {
-                    let mut sigs: Vec<SignalId> =
-                        a.literals.iter().map(|(f, _)| f.signal).collect();
-                    sigs.push(a.target.signal);
-                    sigs.sort_unstable();
-                    sigs.dedup();
-                    sigs.into_iter().map(|s| index.signal_gain(s)).sum()
-                };
-                // Stable, so the order and every `cex-*` label are
-                // those of a plain sort; each key is computed once.
-                worklist.sort_by_cached_key(|cand| std::cmp::Reverse(gain_of(cand)));
+        for (ti, t) in live {
+            for leaf in t.tree.candidate_leaves() {
+                let prop = work.slot(work.at.len());
+                write_leaf_property(prop, t, leaf);
+                if !self.decided.contains(prop) {
+                    work.at.push((ti, leaf));
+                }
             }
         }
-        worklist
+        let n = work.at.len();
+        let index = self.last_uncovered.as_ref();
+        if let Some(index) = index.filter(|_| self.config.refine.enabled()) {
+            let gain_of = |prop: &WindowProperty| -> usize {
+                let atoms = prop.antecedent.iter().chain(&prop.consequents);
+                let mut sigs: Vec<SignalId> = atoms.map(|a| a.signal).collect();
+                sigs.sort_unstable();
+                sigs.dedup();
+                sigs.into_iter().map(|s| index.signal_gain(s)).sum()
+            };
+            // Stable, so the order and every `cex-*` label are those of
+            // a plain sort; each key is computed once.
+            let mut ranked: Vec<_> = work.at.drain(..).zip(work.props.drain(..n)).collect();
+            ranked.sort_by_cached_key(|(_, prop)| std::cmp::Reverse(gain_of(prop)));
+            let (at, props): (Vec<_>, Vec<_>) = ranked.into_iter().unzip();
+            work.at = at;
+            work.props.splice(0..0, props);
+        }
+        n
     }
 
-    /// The temporal pass's candidates: every live target's temporal
-    /// templates ([`temporal_candidates`]), target-major and in the
-    /// miner's leaf order.
-    fn temporal_worklist(&self) -> Vec<(usize, usize, Assertion)> {
+    /// Loads the temporal pass's worklist: every live target's
+    /// temporal templates ([`temporal_candidates`]), target-major and
+    /// in the miner's leaf order, each property written in place and
+    /// dropped when it is remembered as decided. Returns how many are
+    /// left.
+    fn temporal_worklist(&mut self) -> usize {
+        let work = &mut self.work;
+        work.at.clear();
+        work.temporal.clear();
         let live = (self.targets.iter().enumerate()).filter(|(_, t)| t.stuck.is_none());
-        live.flat_map(|(ti, t)| {
-            let candidates = temporal_candidates(&t.tree, &t.spec, &t.dataset).into_iter();
-            candidates.map(move |(leaf, assertion)| (ti, leaf, assertion))
-        })
-        .collect()
+        for (ti, t) in live {
+            for (leaf, assertion) in temporal_candidates(&t.tree, &t.spec, &t.dataset) {
+                let prop = work.slot(work.at.len());
+                write_property(prop, &assertion);
+                if !self.decided.contains(prop) {
+                    work.at.push((ti, leaf));
+                    work.temporal.push(assertion);
+                }
+            }
+        }
+        work.at.len()
     }
 
     /// One iteration's passes. The window pass decides every open
@@ -827,7 +940,8 @@ impl<'m> Engine<'m> {
         let first_cex = self.suite.len();
         let verify_start = std::time::Instant::now();
         let mut verify_span = gm_trace::span("engine", "engine.verify");
-        let (_, refuted) = self.decide(Pass::Window, iteration, self.open_candidates())?;
+        let candidates = self.window_worklist();
+        let (_, refuted) = self.decide(Pass::Window, iteration, candidates)?;
         verify_span.arg("refuted", refuted);
         drop(verify_span);
         let mut counts = PassCounts {
@@ -858,22 +972,27 @@ impl<'m> Engine<'m> {
         Ok(counts)
     }
 
-    /// Decides one pass's `(target, leaf, assertion)` candidates as one
-    /// batch: drops those whose property is remembered as decided,
-    /// dispatches the rest, files each verdict, pushes the
-    /// counterexamples as `cex-*` (`tcex-*`) segments in decision order
-    /// and absorbs them. Returns `(dispatched, refuted)`.
+    /// Decides one pass's worklist, its first `n` candidates (see
+    /// [`Engine::window_worklist`], [`Engine::temporal_worklist`]), as
+    /// one batch: dispatches it, files each verdict, writes the
+    /// counterexamples into the suite as `cex-*` (`tcex-*`) segments in
+    /// decision order and absorbs them. Returns `(dispatched, refuted)`.
     ///
     /// A window verdict files the leaf's status: proved (or assumed
-    /// true) leaves freeze, refuted ones re-split on their
-    /// counterexample, and one left open on `Unknown` is remembered. A
-    /// temporal verdict never touches the leaf — a refuted stability
-    /// window says nothing about the leaf's single-cycle implication —
-    /// so a proved one joins the run's temporal list and every one is
-    /// remembered, which is also what makes the temporal pass converge.
-    /// The two passes never remember each other's properties: a window
-    /// property has one consequent, at the target offset, and a temporal
-    /// one a later offset or several.
+    /// true) leaves freeze, with the assertion read off their property,
+    /// refuted ones re-split on their counterexample, and one left open
+    /// on `Unknown` is remembered. A temporal verdict never touches the
+    /// leaf — a refuted stability window says nothing about the leaf's
+    /// single-cycle implication — so a proved one joins the run's
+    /// temporal list and every one is remembered, which is also what
+    /// makes the temporal pass converge. The two passes never remember
+    /// each other's properties: a window property has one consequent,
+    /// at the target offset, and a temporal one a later offset or
+    /// several.
+    ///
+    /// A counterexample goes from the checker's buffer straight into
+    /// the suite's lanes ([`TestSuite::push_bits`]), so it is packed
+    /// once and builds no vector, and its label is kept as numbers.
     ///
     /// The batch holds no duplicate, so nothing is deduped here: targets
     /// are distinct bits and a consequent names its target's bit, and a
@@ -882,33 +1001,26 @@ impl<'m> Engine<'m> {
         &mut self,
         pass: Pass,
         iteration: u32,
-        candidates: Vec<(usize, usize, Assertion)>,
+        n: usize,
     ) -> Result<(usize, usize), EngineError> {
-        let mut batch = Vec::with_capacity(candidates.len());
-        let mut props = Vec::with_capacity(candidates.len());
-        for (ti, leaf, assertion) in candidates {
-            let prop = assertion_property(&assertion);
-            if !self.decided.contains(&prop) {
-                batch.push((ti, leaf, assertion));
-                props.push(prop);
-            }
-        }
         // One dispatch for the whole pass, split across the configured
         // shard sessions (identical results either way — see the module
         // docs' determinism contract).
-        let (results, prefix) = match pass {
-            Pass::Window => (self.checker.check_batch(&props)?, "cex"),
-            Pass::Temporal => (self.checker.check_temporal_batch(&props)?, "tcex"),
+        let props = &self.work.props[..n];
+        let (results, kind) = match pass {
+            Pass::Window => (self.checker.check_batch(props)?, "cex"),
+            Pass::Temporal => (self.checker.check_temporal_batch(props)?, "tcex"),
         };
-        let dispatched = props.len();
+        let mut temporal = std::mem::take(&mut self.work.temporal).into_iter();
         let mut refuted = 0usize;
-        for (((ti, leaf, assertion), prop), result) in batch.into_iter().zip(props).zip(results) {
+        for (i, result) in results.into_iter().enumerate() {
+            let (ti, leaf) = self.work.at[i];
             let (holds, open) = match result {
                 CheckResult::Proved => (true, false),
                 CheckResult::Violated(cex) => {
                     refuted += 1;
-                    self.suite
-                        .push(format!("{prefix}-{iteration}-{refuted}"), cex.inputs);
+                    let label = SegmentLabel::numbered(kind, iteration, refuted);
+                    (self.suite).push_bits(label, cex.layout(), cex.bits(), cex.len());
                     (false, false)
                 }
                 CheckResult::Unknown { .. } => {
@@ -918,18 +1030,27 @@ impl<'m> Engine<'m> {
                 }
             };
             match pass {
-                Pass::Window if holds => self.targets[ti].set_proved(leaf, assertion),
-                Pass::Temporal if holds => self.temporal_proved.push(assertion),
-                _ => {}
+                Pass::Window if holds => {
+                    let t = &mut self.targets[ti];
+                    let assertion = leaf_assertion(&self.work.props[i], t.spec.target);
+                    t.set_proved(leaf, assertion);
+                }
+                Pass::Temporal => {
+                    let assertion = temporal.next().expect("one assertion per candidate");
+                    if holds {
+                        self.temporal_proved.push(assertion);
+                    }
+                }
+                Pass::Window => {}
             }
             if open || pass == Pass::Temporal {
-                self.decided.insert(prop);
+                self.decided.insert(self.work.take(i));
             }
         }
         // Simulation never depended on absorption, so the segments
         // replay together and are absorbed in decision order.
         self.absorb_suite_tail(refuted)?;
-        Ok((dispatched, refuted))
+        Ok((n, refuted))
     }
 
     /// Ctx_simulation for one pass: replays the `count` counterexample
@@ -978,8 +1099,8 @@ impl<'m> Engine<'m> {
             .config
             .seed
             .wrapping_add((iteration as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        // The variants are a suite of their own; labels are given to the
-        // winners only.
+        // The variants are a suite of their own, and so are the winners;
+        // labels are given as the winners join the run's suite.
         let mut variants = TestSuite::new();
         let mut writer = DirectedVariants::new(self.module, rc.extra_cycles);
         if first_cex == self.suite.len() {
@@ -1002,12 +1123,12 @@ impl<'m> Engine<'m> {
             .take(rc.max_absorb)
             .take_while(|&&(_, gain)| gain > 0)
         {
-            let label = format!("dir-{iteration}-{}", winners.len() + 1);
-            winners.push(label, variants.segment(i).vectors);
+            winners.push("", variants.segment(i).vectors);
         }
         self.capture_replay(Some(&winners), 0..winners.len())?;
-        for segment in winners.segments() {
-            self.suite.push(segment.label, segment.vectors);
+        for (k, segment) in winners.segments().enumerate() {
+            let label = SegmentLabel::numbered("dir", iteration, k + 1);
+            self.suite.push(label, segment.vectors);
         }
         self.absorb_capture();
         Ok(winners.len())

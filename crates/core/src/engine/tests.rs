@@ -162,3 +162,77 @@ fn a_target_bit_past_its_signal_is_a_typed_error() {
     let err = Engine::with_artifacts(&m, &elab, checker, None, config).unwrap_err();
     assert_eq!(err, want);
 }
+
+/// Every pass numbers its segments `{kind}-{iteration}-{n}` from 1 in
+/// decision order — counterexamples, then temporal ones, then directed
+/// winners — whatever form the suite keeps the label in: read back as
+/// text, the labels of a run of several iterations are exactly that
+/// sequence.
+#[test]
+fn segment_labels_read_back_as_their_iteration_and_place() {
+    // A short seed leaves coverage for the directed variants to gain.
+    let temporal = |window| EngineConfig {
+        window,
+        stimulus: SeedStimulus::Random { cycles: 4 },
+        temporal: crate::TemporalConfig { horizon: 2 },
+        refine: crate::RefineConfig {
+            variants: 4,
+            ..crate::RefineConfig::default()
+        },
+        ..EngineConfig::default()
+    };
+    let mut runs = vec![(
+        gm_designs::by_name("b12_lite").unwrap().module(),
+        EngineConfig::default(),
+    )];
+    for name in ["arbiter4", "b01", "b02", "b09"] {
+        let info = gm_designs::by_name(name).unwrap();
+        runs.push((info.module(), temporal(info.window)));
+    }
+    let (mut kinds_seen, mut longest) = ([false; 3], 0);
+    for (m, config) in &runs {
+        let outcome = Engine::new(m, config.clone()).unwrap().run().unwrap();
+        longest = longest.max(outcome.iterations.len() - 1);
+        let mut expected = vec!["seed".to_string()];
+        for report in &outcome.iterations[1..] {
+            let i = report.iteration;
+            let passes = [
+                ("cex", report.refuted),
+                ("tcex", report.temporal_refuted),
+                ("dir", report.directed_absorbed),
+            ];
+            for (k, (kind, count)) in passes.into_iter().enumerate() {
+                kinds_seen[k] |= count > 0;
+                expected.extend((1..=count).map(|n| format!("{kind}-{i}-{n}")));
+            }
+        }
+        let labels: Vec<String> = outcome.suite.segments().map(|s| s.label).collect();
+        assert_eq!(labels, expected, "{}", m.name());
+    }
+    assert!(longest >= 3, "{longest} iterations at most");
+    assert_eq!(kinds_seen, [true; 3], "every kind of segment was labelled");
+}
+
+/// The window pass writes a leaf's property straight off the tree, and
+/// reads a proved leaf's assertion back off that property: they must
+/// be the assertion built from the leaf and its property, for every
+/// candidate of every pass of a run.
+#[test]
+fn a_leaf_property_is_its_assertion_property() {
+    let m = gm_designs::by_name("b12_lite").unwrap().module();
+    let mut engine = Engine::new(&m, EngineConfig::default()).unwrap();
+    let mut prop = WindowProperty::new(Vec::new(), Vec::new(), ConsequentKind::Any);
+    let mut compared = 0;
+    while let Step::Continue(_) = engine.step().unwrap() {
+        for t in &engine.targets {
+            for leaf in t.tree.candidate_leaves() {
+                write_leaf_property(&mut prop, t, leaf);
+                let assertion = gm_mine::assertion_at(&t.tree, &t.spec, leaf);
+                assert_eq!(prop, assertion_property(&assertion));
+                assert_eq!(leaf_assertion(&prop, t.spec.target), assertion);
+                compared += 1;
+            }
+        }
+    }
+    assert!(compared > 100, "{compared}");
+}

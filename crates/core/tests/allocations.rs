@@ -1,9 +1,11 @@
 //! What the closure loop's per-query and per-row steps allocate, read
 //! from a counting global allocator: a warm checker session decides an
-//! explicit-state property without allocating, a warm cone capture
-//! rides a replay and several same-layout datasets cut a pass from it
-//! without allocating, a tree takes rows that land in pure leaves
-//! without allocating, and a replay allocates per call, not per pass.
+//! explicit-state property without allocating, and a violated one's
+//! counterexample reaches a suite with room for it in one allocation,
+//! a warm cone capture rides a replay and several same-layout datasets
+//! cut a pass from it without allocating, a tree takes rows that land
+//! in pure leaves without allocating, a replay allocates per call, not
+//! per pass, and a whole closure run stays under a pinned count.
 //! Each thread counts its own allocations, so the harness's other test
 //! threads never show up.
 //!
@@ -14,7 +16,9 @@ use gm_mc::{blast, BitAtom, CheckResult, CheckSession, ConsequentKind, ExplicitL
 use gm_mc::{ReachableStates, WindowProperty};
 use gm_mine::{ConeCapture, Dataset, DecisionTree, Feature, MiningSpec, Row, Target};
 use gm_rtl::{cone_of, elaborate, SignalId};
-use gm_sim::{collect_vectors, CompiledModule, NopObserver, RandomStimulus, Replay, TestSuite};
+use gm_sim::{collect_vectors, CompiledModule, NopObserver, RandomStimulus, Replay};
+use gm_sim::{SegmentLabel, TestSuite};
+use goldmine::{Engine, EngineConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -90,14 +94,74 @@ fn a_warm_session_proves_without_allocating() {
     let mut session = CheckSession::new(blasted);
     for prop in [&exclusive, &window] {
         // The first check builds the tables and grows the scratch.
-        let cold = session.explicit(&m, &reach, prop, &limits);
+        let cold = session.explicit(&reach, prop, &limits);
         assert_eq!(cold, Ok(CheckResult::Proved), "{}", prop.display(&m));
     }
     for prop in [&exclusive, &window, &exclusive] {
-        let (warm, allocations) = allocations_in(|| session.explicit(&m, &reach, prop, &limits));
+        let (warm, allocations) = allocations_in(|| session.explicit(&reach, prop, &limits));
         assert_eq!(warm, Ok(CheckResult::Proved));
         assert_eq!(allocations, 0, "{}", prop.display(&m));
     }
+}
+
+#[test]
+fn a_warm_violated_verdict_reaches_the_suite_in_one_allocation() {
+    let m = gm_designs::by_name("arbiter2").unwrap().module();
+    let elab = elaborate(&m).unwrap();
+    let blasted = Arc::new(blast(&m, &elab).unwrap());
+    let limits = ExplicitLimits::default();
+    let reach = ReachableStates::explore(&blasted, &limits).unwrap();
+    let (req1, gnt0) = (m.require("req1").unwrap(), m.require("gnt0").unwrap());
+    // `req1@0 |-> gnt0@1` fails from reset with a grant to port 1: a
+    // trace with a BFS prefix and a two-cycle window.
+    let violated = WindowProperty::implication(
+        vec![BitAtom::new(req1, 0, 0, true)],
+        BitAtom::new(gnt0, 0, 1, true),
+    );
+    let mut session = CheckSession::new(blasted);
+    let mut suite = TestSuite::new();
+    let decide = |session: &mut CheckSession| match session.explicit(&reach, &violated, &limits) {
+        Ok(CheckResult::Violated(cex)) => cex,
+        other => panic!("{other:?}"),
+    };
+    // The first check builds the tables and grows the scratch; its
+    // segment teaches the suite the input rows and makes its lane group
+    // hold the records the warm segments, as long, fill beside it.
+    let cold = decide(&mut session);
+    suite.push_bits("cold", cold.layout(), cold.bits(), cold.len());
+    for n in 1..4 {
+        let ((), allocations) = allocations_in(|| {
+            let cex = decide(&mut session);
+            let label = SegmentLabel::numbered("cex", 1, n);
+            suite.push_bits(label, cex.layout(), cex.bits(), cex.len());
+        });
+        assert!(allocations <= 1, "{allocations} allocations");
+    }
+    for segment in suite.segments() {
+        assert_eq!(segment.vectors, cold.inputs());
+    }
+    assert_eq!(suite.segment(3).label, "cex-1-3");
+}
+
+/// Allocations of the whole `b12_lite` closure below, debug and
+/// release builds alike, before counterexamples were written straight
+/// into the suite's lanes and a pass's properties were rewritten in
+/// place.
+const ROUND_BEFORE: u64 = 41_541;
+
+#[test]
+fn a_closure_run_allocates_per_pass_not_per_candidate() {
+    let m = gm_designs::by_name("b12_lite").unwrap().module();
+    let (outcome, allocations) = allocations_in(|| {
+        let engine = Engine::new(&m, EngineConfig::default()).unwrap();
+        engine.run().unwrap()
+    });
+    assert!(outcome.converged);
+    let bound = ROUND_BEFORE * 65 / 100;
+    assert!(
+        allocations <= bound,
+        "{allocations} allocations, over {bound} (65% of {ROUND_BEFORE})"
+    );
 }
 
 #[test]

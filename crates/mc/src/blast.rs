@@ -11,6 +11,8 @@ use crate::aig::{Aig, AigLit};
 use gm_rtl::{
     BinaryOp, Bv, Elab, Expr, Module, Result, RtlError, SignalId, Stmt, StmtKind, UnaryOp,
 };
+use gm_sim::InputLayout;
+use std::sync::Arc;
 
 /// A bit-blasted module.
 #[derive(Clone, Debug)]
@@ -22,6 +24,11 @@ pub struct Blasted {
     pub signal_lits: Vec<Vec<AigLit>>,
     /// For AIG input `i`, the (signal, bit) it represents.
     pub input_bits: Vec<(SignalId, u32)>,
+    /// The same inputs as one row of bits per cycle: AIG input `i` is
+    /// bit `i` of the row (data inputs in signal order, each LSB
+    /// first). Counterexample traces are kept in this form and share
+    /// it by `Arc`, so the design's one decoder is built here.
+    pub input_layout: Arc<InputLayout>,
     /// For AIG latch `i`, the (signal, bit) it represents.
     pub latch_bits: Vec<(SignalId, u32)>,
 }
@@ -124,10 +131,13 @@ pub fn blast(module: &Module, elab: &Elab) -> Result<Blasted> {
         aig.set_latch_next(li, lit);
     }
 
+    let input_layout = Arc::new(InputLayout::new(module));
+    debug_assert_eq!(input_layout.bits(), input_bits.len());
     Ok(Blasted {
         aig,
         signal_lits,
         input_bits,
+        input_layout,
         latch_bits,
     })
 }

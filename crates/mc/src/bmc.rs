@@ -10,9 +10,8 @@
 
 use crate::aig::{AigLit, AigNode};
 use crate::blast::Blasted;
-use crate::prop::{BitAtom, CexTrace, CheckResult, ConsequentKind, InputAssembler, WindowProperty};
+use crate::prop::{BitAtom, CexTrace, CheckResult, ConsequentKind, WindowProperty};
 use gm_cache::FxMap;
-use gm_rtl::Module;
 use gm_sat::{Lit, SolveResult, Solver, Var};
 use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
@@ -162,6 +161,11 @@ struct Gate {
 }
 
 impl Unroller {
+    /// The design this unrolls.
+    pub(crate) fn blasted(&self) -> &Blasted {
+        &self.blasted
+    }
+
     /// Creates an unroller. `free_init` leaves frame-0 latches
     /// unconstrained (for induction steps) instead of pinning them to the
     /// reset state.
@@ -439,23 +443,30 @@ impl Unroller {
 
     /// Extracts the model's input assignments for frames `0..=last` as a
     /// counterexample trace.
-    pub fn extract_cex(&self, module: &Module, last: usize) -> CexTrace {
-        let mut bits = vec![false; (last + 1) * self.blasted.aig.input_count()];
+    pub fn extract_cex(&self, last: usize) -> CexTrace {
+        let layout = self.blasted.input_layout.clone();
+        let mut bits = vec![0; (last + 1) * layout.words()];
         self.read_inputs(last, &mut bits);
-        InputAssembler::new(module, &self.blasted).trace(&bits, last + 1)
+        CexTrace::new(layout, last + 1, bits)
     }
 
     /// Writes the model's input bits for frames `0..=last` into the
-    /// front of `bits`, frame by frame in dense input order (what
-    /// [`InputAssembler::trace`] reads). Allocates nothing.
-    pub(crate) fn read_inputs(&self, last: usize, bits: &mut [bool]) {
+    /// front of `bits`, frame by frame, each frame's AIG inputs as its
+    /// row of the design's input layout ([`Blasted::input_layout`]:
+    /// input `i` is bit `i`, packed into `u64` words) — a
+    /// [`CexTrace`]'s buffer. Allocates nothing.
+    pub(crate) fn read_inputs(&self, last: usize, bits: &mut [u64]) {
         let (nodes, inputs) = (self.blasted.aig.len(), self.blasted.aig.input_count());
+        let stride = self.blasted.input_layout.words();
         for f in 0..=last {
             let frame = &self.frame_lits[f * nodes..(f + 1) * nodes];
-            for (i, bit) in bits[f * inputs..(f + 1) * inputs].iter_mut().enumerate() {
-                *bit = self
+            let row = &mut bits[f * stride..][..stride];
+            row.fill(0);
+            for i in 0..inputs {
+                let value = self
                     .solver
                     .model_value(frame[self.blasted.aig.input_node(i)]);
+                row[i / 64] |= u64::from(value) << (i % 64);
             }
         }
     }
@@ -472,17 +483,10 @@ impl Unroller {
 /// workloads should use [`crate::CheckSession`] (or
 /// [`crate::Checker::check_batch`]), which keeps the unrolling and the
 /// solver's learnt clauses alive across properties.
-pub fn bmc(
-    module: &Module,
-    blasted: &Blasted,
-    prop: &WindowProperty,
-    max_start: u32,
-) -> CheckResult {
+pub fn bmc(blasted: &Blasted, prop: &WindowProperty, max_start: u32) -> CheckResult {
     let mut unroller = Unroller::from_ref(blasted, false);
     match first_violation(&mut unroller, prop, max_start) {
-        Some(start) => {
-            CheckResult::Violated(unroller.extract_cex(module, start + prop.depth() as usize))
-        }
+        Some(start) => CheckResult::Violated(unroller.extract_cex(start + prop.depth() as usize)),
         None => CheckResult::Unknown { bound: max_start },
     }
 }
@@ -662,7 +666,7 @@ pub(crate) fn canonical_cex(
     prop: &WindowProperty,
     limit: u32,
     scratch: &mut Unroller,
-    bits: &mut [bool],
+    bits: &mut [u64],
 ) -> Option<usize> {
     scratch.clone_from(prefix);
     let start = first_violation(scratch, prop, limit)?;
@@ -677,12 +681,7 @@ pub(crate) fn canonical_cex(
 /// step case assumes the property on `k` consecutive windows from an
 /// arbitrary state and asks whether the next window can fail. If the
 /// step is UNSAT the property is proved.
-pub fn k_induction(
-    module: &Module,
-    blasted: &Blasted,
-    prop: &WindowProperty,
-    max_k: u32,
-) -> CheckResult {
+pub fn k_induction(blasted: &Blasted, prop: &WindowProperty, max_k: u32) -> CheckResult {
     // Clone the design into one shared handle for every unroller below.
     let shared = Arc::new(blasted.clone());
     let depth = prop.depth() as usize;
@@ -693,7 +692,7 @@ pub fn k_induction(
         base.ensure_frame(k + depth);
         let v = base.violation_lit(k, prop);
         if base.solver().solve_with_assumptions(&[v]) == SolveResult::Sat {
-            let cex = base.extract_cex(module, k + depth);
+            let cex = base.extract_cex(k + depth);
             return CheckResult::Violated(cex);
         }
         // Step: from a free state, k windows hold but window k fails?
@@ -743,10 +742,10 @@ mod tests {
             vec![BitAtom::new(a, 0, 0, true)],
             BitAtom::new(y, 0, 0, true),
         );
-        match bmc(&m, &b, &prop, 0) {
+        match bmc(&b, &prop, 0) {
             CheckResult::Violated(cex) => {
                 assert_eq!(cex.len(), 1);
-                let (sig, v) = cex.inputs[0][0];
+                let (sig, v) = cex.inputs()[0][0];
                 assert_eq!(sig, a);
                 assert!(v.is_nonzero());
             }
@@ -763,7 +762,7 @@ mod tests {
             vec![BitAtom::new(a, 0, 0, true)],
             BitAtom::new(y, 0, 0, false),
         );
-        assert_eq!(bmc(&m, &b, &prop, 5), CheckResult::Unknown { bound: 5 });
+        assert_eq!(bmc(&b, &prop, 5), CheckResult::Unknown { bound: 5 });
     }
 
     #[test]
@@ -776,7 +775,7 @@ mod tests {
             vec![BitAtom::new(d, 0, 0, true)],
             BitAtom::new(q, 0, 1, true),
         );
-        assert_eq!(k_induction(&m, &b, &prop, 4), CheckResult::Proved);
+        assert_eq!(k_induction(&b, &prop, 4), CheckResult::Proved);
     }
 
     #[test]
@@ -789,11 +788,11 @@ mod tests {
             vec![BitAtom::new(d, 0, 0, true)],
             BitAtom::new(q, 0, 1, false),
         );
-        match k_induction(&m, &b, &prop, 4) {
+        match k_induction(&b, &prop, 4) {
             CheckResult::Violated(cex) => {
                 assert!(!cex.is_empty());
                 // The violating input must set d at the window start.
-                let (sig, v) = cex.inputs[cex.len() - 2][0];
+                let (sig, v) = cex.inputs()[cex.len() - 2][0];
                 assert_eq!(sig, d);
                 assert!(v.is_nonzero());
             }
@@ -813,7 +812,7 @@ mod tests {
             consequents: vec![BitAtom::new(q, 0, 1, true), BitAtom::new(q, 0, 2, true)],
             kind: ConsequentKind::Any,
         };
-        assert_eq!(k_induction(&m, &b, &eventually, 4), CheckResult::Proved);
+        assert_eq!(k_induction(&b, &eventually, 4), CheckResult::Proved);
         // d@0 |-> G<=1 q@1: q@2 tracks the free input d@1, so the
         // conjunctive window is violated.
         let stable = WindowProperty {
@@ -821,12 +820,12 @@ mod tests {
             consequents: vec![BitAtom::new(q, 0, 1, true), BitAtom::new(q, 0, 2, true)],
             kind: ConsequentKind::All,
         };
-        match k_induction(&m, &b, &stable, 4) {
+        match k_induction(&b, &stable, 4) {
             CheckResult::Violated(cex) => {
                 // The violating run must deassert d somewhere after the
                 // window start; BMC must agree on the verdict.
                 assert!(!cex.is_empty());
-                assert!(matches!(bmc(&m, &b, &stable, 4), CheckResult::Violated(_)));
+                assert!(matches!(bmc(&b, &stable, 4), CheckResult::Violated(_)));
             }
             other => panic!("expected violation, got {other:?}"),
         }
@@ -836,7 +835,7 @@ mod tests {
             consequents: vec![BitAtom::new(q, 0, 1, true), BitAtom::new(q, 0, 2, true)],
             kind: ConsequentKind::All,
         };
-        assert_eq!(k_induction(&m, &b, &stable_ok, 4), CheckResult::Proved);
+        assert_eq!(k_induction(&b, &stable_ok, 4), CheckResult::Proved);
     }
 
     #[test]
@@ -856,6 +855,6 @@ mod tests {
             vec![BitAtom::new(q, 0, 0, true), BitAtom::new(q, 1, 0, true)],
             BitAtom::new(q, 0, 1, true),
         );
-        assert_eq!(k_induction(&m, &b, &prop, 4), CheckResult::Proved);
+        assert_eq!(k_induction(&b, &prop, 4), CheckResult::Proved);
     }
 }

@@ -38,7 +38,7 @@ use crate::blast::{blast, Blasted};
 use crate::bmc::PristinePrefixes;
 use crate::error::McError;
 use crate::explicit::{ExplicitLimits, ReachableStates};
-use crate::prop::{CheckResult, InputAssembler, WindowProperty};
+use crate::prop::{CheckResult, WindowProperty};
 use crate::session::{cancel_requested, CheckSession, Decision, SessionStats};
 use extract::{Extractions, Handoff};
 use gm_cache::FxMap;
@@ -85,9 +85,9 @@ struct DecideParams {
 
 /// A reusable model checker for one module.
 ///
-/// The checker owns its module (an `Arc` clone of the one it was built
-/// from), so it is `Send` and free of borrow lifetimes — sharded
-/// batches move sessions into scoped worker threads.
+/// The checker owns its blasted design (an `Arc` its sessions share),
+/// so it is `Send` and free of borrow lifetimes — sharded batches move
+/// sessions into scoped worker threads.
 ///
 /// # Examples
 ///
@@ -120,7 +120,6 @@ struct DecideParams {
 /// ```
 #[derive(Debug)]
 pub struct Checker {
-    module: Arc<Module>,
     blasted: Arc<Blasted>,
     backend: Backend,
     limits: ExplicitLimits,
@@ -168,7 +167,6 @@ impl Checker {
         let blasted = Arc::new(blast(module, elab)?);
         let prefixes = Arc::new(PristinePrefixes::new(blasted.clone()));
         Ok(Checker {
-            module: Arc::new(module.clone()),
             session: CheckSession::sharing(prefixes.clone()),
             prefixes,
             blasted,
@@ -434,7 +432,7 @@ impl Checker {
         self.ensure_reach_for_backend();
         let params = self.params();
         let decided = if self.shards == 1 {
-            self.decide_inline(&params, first.iter().map(|&i| &props[i]).collect())
+            self.decide_on_main(&params, first.iter().map(|&i| &props[i]).collect())
         } else {
             self.decide_pooled(&params, first.iter().map(|&i| &props[i]).collect())
         };
@@ -462,12 +460,12 @@ impl Checker {
     /// `last_scan_start`), about one query, and the session extracts it
     /// at once, as a shard worker does. Either way the traces are the
     /// canonical scan's.
-    fn decide_inline(
+    fn decide_on_main(
         &mut self,
         params: &DecideParams,
         unique: Vec<&WindowProperty>,
     ) -> Vec<Result<CheckResult, McError>> {
-        let (module, reach) = (&*self.module, self.reach.as_deref());
+        let reach = self.reach.as_deref();
         let (session, blasted) = (&mut self.session, &*self.blasted);
         let stolen = &mut self.stolen;
         let beside = blasted.aig.latch_count() > 0;
@@ -476,12 +474,12 @@ impl Checker {
             let mut extractions = Extractions::new(scope, &handoff, params.cancel.as_deref());
             let mut decided = Vec::with_capacity(unique.len());
             for &prop in &unique {
-                let res = decide(module, reach, params, session, prop).map(|d| match d {
+                let res = decide(reach, params, session, prop).map(|d| match d {
                     Decision::Refuted { start } if beside => {
                         extractions.push(session, prop, start);
                         d
                     }
-                    d => Decision::Final(session.resolve(module, prop, d)),
+                    d => Decision::Final(session.resolve(prop, d)),
                 });
                 let failed = res.is_err();
                 decided.push(res);
@@ -491,7 +489,6 @@ impl Checker {
             }
             let (mut extractions, by_this_thread) = extractions.finish(session);
             *stolen += by_this_thread;
-            let mut assemble = None;
             (decided.into_iter().zip(unique))
                 .map(|(res, prop)| match res? {
                     Decision::Final(res) => Ok(res),
@@ -499,10 +496,8 @@ impl Checker {
                         let extraction = (extractions.next())
                             .filter(|e| e.is_of(prop, start))
                             .expect("every violated verdict was handed over, in order");
-                        let assemble =
-                            assemble.get_or_insert_with(|| InputAssembler::new(module, blasted));
                         // A raised token dropped it: no partial verdict.
-                        (extraction.trace(assemble))
+                        (extraction.into_trace())
                             .map(CheckResult::Violated)
                             .ok_or(McError::Cancelled)
                     }
@@ -537,7 +532,7 @@ impl Checker {
         for (u, prop) in unique.into_iter().enumerate() {
             work[u % shards].1.push((u, prop));
         }
-        let (module, reach) = (&*self.module, self.reach.as_deref());
+        let reach = self.reach.as_deref();
         let sink = gm_trace::thread_sink();
         let joined: Vec<ShardYield> = std::thread::scope(|scope| {
             let handles: Vec<_> = (work.into_iter())
@@ -547,8 +542,8 @@ impl Checker {
                         let _sink = sink.map(gm_trace::push_thread_sink);
                         let results = (items.into_iter())
                             .map(|(u, prop)| {
-                                let res = decide(module, reach, params, &mut session, prop);
-                                (u, res.map(|d| session.resolve(module, prop, d)))
+                                let res = decide(reach, params, &mut session, prop);
+                                (u, res.map(|d| session.resolve(prop, d)))
                             })
                             .collect();
                         (session, results)
@@ -580,7 +575,6 @@ impl Checker {
 /// its trace, a shard worker on its own thread
 /// ([`CheckSession::resolve`]), the inline batch beside the search.
 fn decide(
-    module: &Module,
     reach: Option<&ReachableStates>,
     params: &DecideParams,
     session: &mut CheckSession,
@@ -601,7 +595,7 @@ fn decide(
         let reach = reach.ok_or(McError::StateSpaceExceeded {
             limit: params.limits.max_states,
         })?;
-        session.explicit(module, reach, prop, &params.limits)
+        session.explicit(reach, prop, &params.limits)
     };
     // The SAT engines run on the session's shared unrollings; one
     // property decision, however many queries it takes.

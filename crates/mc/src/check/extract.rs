@@ -23,8 +23,9 @@
 //! nothing. The deciding thread builds each prefix, sizes the helper's
 //! scratch before the helper starts, allocates each extraction's
 //! input-bit buffer and its slot before handing it over
-//! ([`CheckSession::extraction`]), takes every extraction back, buffer
-//! and prefix handle included, and assembles the traces itself. (A
+//! ([`CheckSession::extraction`]), and takes every extraction back,
+//! buffer and prefix handle included; the buffer becomes the trace as
+//! it is, on this thread. (A
 //! helper thread that allocates gets an allocator arena of its own, and
 //! with it a higher peak resident size.) Its own scratch is the one
 //! [`CheckSession`] extracts on everywhere else, kept across batches.

@@ -8,7 +8,7 @@
 
 use super::*;
 use crate::bmc::{bmc, canonical_cex, k_induction};
-use crate::prop::{BitAtom, CexTrace, ConsequentKind, InputAssembler};
+use crate::prop::{BitAtom, CexTrace, ConsequentKind};
 use crate::testgen::{
     cases, random_module, random_property, random_temporal_property, seeded_recipe, Recipe,
 };
@@ -70,10 +70,10 @@ fn canonical_sweep(bytes: &[u8]) -> Result<(usize, usize, usize), TestCaseError>
             let blasted = off.blasted();
             let one_shot = windows
                 .iter()
-                .map(|p| (p.depth(), false, bmc(&m, blasted, p, BOUND)))
+                .map(|p| (p.depth(), false, bmc(blasted, p, BOUND)))
                 .chain(temporals.iter().map(|p| {
                     let multi = p.consequents.len() > 1;
-                    (p.depth(), multi, bmc(&m, blasted, p, BOUND))
+                    (p.depth(), multi, bmc(blasted, p, BOUND))
                 }));
             for (got, (depth, is_multi, want)) in sequential.iter().chain(&temporal).zip(one_shot) {
                 if let CheckResult::Violated(cex) = got {
@@ -112,20 +112,19 @@ const HISTORY: usize = 50;
 /// the one-shot engine answers on a fresh unrolling.
 fn session_and_one_shot(
     session: &mut CheckSession,
-    m: &Module,
     blasted: &Blasted,
     prop: &WindowProperty,
 ) -> [(&'static str, CheckResult, CheckResult); 2] {
     [
         (
             "bmc",
-            session.bmc(m, prop, BOUND, None).unwrap(),
-            bmc(m, blasted, prop, BOUND),
+            session.bmc(prop, BOUND, None).unwrap(),
+            bmc(blasted, prop, BOUND),
         ),
         (
             "k_induction",
-            session.k_induction(m, prop, BOUND, None).unwrap(),
-            k_induction(m, blasted, prop, BOUND),
+            session.k_induction(prop, BOUND, None).unwrap(),
+            k_induction(blasted, prop, BOUND),
         ),
     ]
 }
@@ -147,10 +146,10 @@ fn history_sweep(bytes: &[u8]) -> Result<(usize, usize), TestCaseError> {
             let depth = recipe.next() as u32 % 4;
             let compared = if i % 2 == 0 {
                 let prop = random_property(&sigs, depth, &mut recipe);
-                session_and_one_shot(&mut session, &m, &blasted, &prop)
+                session_and_one_shot(&mut session, &blasted, &prop)
             } else {
                 let prop = random_temporal_property(&sigs, depth, &mut recipe);
-                session_and_one_shot(&mut session, &m, &blasted, &prop)
+                session_and_one_shot(&mut session, &blasted, &prop)
             };
             for (engine, got, want) in compared {
                 prop_assert_eq!(&got, &want, "{} after {} properties", engine, i);
@@ -208,7 +207,6 @@ struct ScratchTally {
 /// `prop`'s canonical trace within [`BOUND`] starts, scanned on
 /// `scratch` refilled from `prefixes`' entry for its depth.
 fn canonical_trace(
-    m: &Module,
     prefixes: &PristinePrefixes,
     prop: &WindowProperty,
     scratch: &mut Unroller,
@@ -216,21 +214,18 @@ fn canonical_trace(
     let depth = prop.depth() as usize;
     let frames = |start: usize| start + depth + 1;
     let blasted = prefixes.blasted();
-    let mut bits = vec![false; frames(BOUND as usize) * blasted.aig.input_count()];
+    let layout = blasted.input_layout.clone();
+    let mut bits = vec![0; frames(BOUND as usize) * layout.words()];
     let start = canonical_cex(&prefixes.get(depth, 0), prop, BOUND, scratch, &mut bits)?;
-    Some(InputAssembler::new(m, blasted).trace(&bits, frames(start)))
+    bits.truncate(frames(start) * layout.words());
+    Some(CexTrace::new(layout, frames(start), bits))
 }
 
 /// `prop`'s canonical trace on a fresh prefix and a fresh scratch: what
 /// a session's reused scratch must reproduce.
-fn fresh_canonical(m: &Module, blasted: &Arc<Blasted>, prop: &WindowProperty) -> Option<CexTrace> {
+fn fresh_canonical(blasted: &Arc<Blasted>, prop: &WindowProperty) -> Option<CexTrace> {
     let mut scratch = Unroller::new(blasted.clone(), false);
-    canonical_trace(
-        m,
-        &PristinePrefixes::new(blasted.clone()),
-        prop,
-        &mut scratch,
-    )
+    canonical_trace(&PristinePrefixes::new(blasted.clone()), prop, &mut scratch)
 }
 
 /// One session per random latched module decides window and temporal
@@ -252,13 +247,13 @@ fn scratch_reuse_sweep(bytes: &[u8], tally: &mut ScratchTally) -> Result<(), Tes
             } else {
                 random_temporal_property(&sigs, depth, &mut recipe)
             };
-            let got = session.bmc(&m, &prop, BOUND, None).unwrap();
+            let got = session.bmc(&prop, BOUND, None).unwrap();
             let CheckResult::Violated(cex) = &got else {
                 continue;
             };
-            let fresh = fresh_canonical(&m, &blasted, &prop);
+            let fresh = fresh_canonical(&blasted, &prop);
             prop_assert_eq!(Some(cex), fresh.as_ref(), "property {}", i);
-            prop_assert_eq!(&got, &bmc(&m, &blasted, &prop, BOUND), "property {}", i);
+            prop_assert_eq!(&got, &bmc(&blasted, &prop, BOUND), "property {}", i);
             tally.by_depth[prop.depth() as usize] += 1;
             tally.late += usize::from(cex.len() > prop.depth() as usize + 1);
         }
@@ -307,12 +302,12 @@ fn a_reused_scratch_sees_every_depth_and_late_starts() {
     let mut session = CheckSession::new(blasted.clone());
     let mut late = 0;
     for prop in b18_violated(&m, 8) {
-        let got = session.bmc(&m, &prop, BOUND, None).unwrap();
+        let got = session.bmc(&prop, BOUND, None).unwrap();
         let CheckResult::Violated(cex) = &got else {
             panic!("{prop:?} holds");
         };
-        assert_eq!(Some(cex), fresh_canonical(&m, &blasted, &prop).as_ref());
-        assert_eq!(got, bmc(&m, &blasted, &prop, BOUND));
+        assert_eq!(Some(cex), fresh_canonical(&blasted, &prop).as_ref());
+        assert_eq!(got, bmc(&blasted, &prop, BOUND));
         late += usize::from(cex.len() > prop.depth() as usize + 1);
     }
     assert_eq!(session.stats().cex_canonicalized, 24);
@@ -417,10 +412,10 @@ fn assumed_violation_sweep(bytes: &[u8]) -> Result<[[usize; 2]; SHAPES], TestCas
             let shape = i % SHAPES;
             let vars = session.base_unroller().solver().num_vars();
             let compared = if shape == 0 {
-                session_and_one_shot(&mut session, &m, &blasted, &window)
+                session_and_one_shot(&mut session, &blasted, &window)
             } else {
                 let prop = shaped(window, shape, &sigs, depth, &mut recipe);
-                session_and_one_shot(&mut session, &m, &blasted, &prop)
+                session_and_one_shot(&mut session, &blasted, &prop)
             };
             if shape < 3 {
                 prop_assert_eq!(
@@ -597,11 +592,11 @@ fn four_workers_sharing_cold_prefixes_match_the_sequential_results() {
         .map(|p| {
             let fresh = PristinePrefixes::new(blasted.clone());
             let mut scratch = Unroller::new(blasted.clone(), false);
-            canonical_trace(&m, &fresh, p, &mut scratch)
+            canonical_trace(&fresh, p, &mut scratch)
         })
         .collect();
     for (p, cex) in props.iter().zip(&sequential) {
-        let one_shot = bmc(&m, &blasted, p, BOUND);
+        let one_shot = bmc(&blasted, p, BOUND);
         assert_eq!(cex.clone().map(CheckResult::Violated), Some(one_shot));
     }
 
@@ -612,13 +607,13 @@ fn four_workers_sharing_cold_prefixes_match_the_sequential_results() {
     std::thread::scope(|scope| {
         let workers: Vec<_> = (0..THREADS)
             .map(|t| {
-                let (m, shared, props, barrier) = (&m, &shared, &props, &barrier);
+                let (shared, props, barrier) = (&shared, &props, &barrier);
                 scope.spawn(move || {
                     let mut scratch = Unroller::new(shared.blasted().clone(), false);
                     barrier.wait();
                     (t..props.len())
                         .step_by(THREADS)
-                        .map(|i| (i, canonical_trace(m, shared, &props[i], &mut scratch)))
+                        .map(|i| (i, canonical_trace(shared, &props[i], &mut scratch)))
                         .collect::<Vec<_>>()
                 })
             })

@@ -110,8 +110,7 @@
 use crate::aig::{Aig, AigLit, AigNode};
 use crate::blast::Blasted;
 use crate::error::McError;
-use crate::prop::{BitAtom, CexTrace, CheckResult, ConsequentKind, InputAssembler, WindowProperty};
-use gm_rtl::Module;
+use crate::prop::{BitAtom, CexTrace, CheckResult, ConsequentKind, WindowProperty};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -566,23 +565,24 @@ impl ReachableStates {
     }
 
     /// The violated verdict for a window of input `words` starting at
-    /// state `start`: the BFS path from reset, then the window.
-    fn violation(
-        &self,
-        module: &Module,
-        blasted: &Blasted,
-        start: usize,
-        words: &[u64],
-    ) -> CheckResult {
-        let assemble = InputAssembler::new(module, blasted);
-        let vector = |w: u64| assemble.vector(|i| (w >> i) & 1 == 1);
+    /// state `start`: the BFS path from reset, then the window. An
+    /// input word is its cycle's row of the design's input layout
+    /// as is — explored designs have at most 63 input bits, so a row
+    /// is one word, or none without inputs — so the trace is the words
+    /// in one buffer, its only allocation.
+    fn violation(&self, blasted: &Blasted, start: usize, words: &[u64]) -> CheckResult {
+        let layout = &blasted.input_layout;
         // The BFS hops into `start`, last one first.
         let hops = std::iter::successors(self.parent[start], |&(prev, _)| self.parent[prev]);
-        let mut inputs = Vec::with_capacity(hops.clone().count() + words.len());
-        inputs.extend(hops.map(|(_, w)| vector(w)));
-        inputs.reverse();
-        inputs.extend(words.iter().map(|&w| vector(w)));
-        CheckResult::Violated(CexTrace { inputs })
+        let cycles = hops.clone().count() + words.len();
+        let mut bits = Vec::new();
+        if layout.words() == 1 {
+            bits.reserve_exact(cycles);
+            bits.extend(hops.map(|(_, w)| w));
+            bits.reverse();
+            bits.extend_from_slice(words);
+        }
+        CheckResult::Violated(CexTrace::new(layout.clone(), cycles, bits))
     }
 }
 
@@ -685,7 +685,6 @@ impl ExplicitScratch {
     /// input_bits` exceeds the walk's window budget.
     pub fn check(
         &mut self,
-        module: &Module,
         blasted: &Blasted,
         reach: &ReachableStates,
         prop: &WindowProperty,
@@ -693,7 +692,7 @@ impl ExplicitScratch {
     ) -> Result<CheckResult, McError> {
         if reach.cache_enabled() {
             self.terms.fill(blasted, prop);
-            return Ok(explicit_check_cached(module, blasted, reach, self));
+            return Ok(explicit_check_cached(blasted, reach, self));
         }
         let cycles = prop.depth().saturating_add(1);
         let window_bits = cycles.saturating_mul(reach.input_bits);
@@ -704,7 +703,7 @@ impl ExplicitScratch {
             });
         }
         self.terms.fill(blasted, prop);
-        Ok(explicit_check_direct(module, blasted, reach, &self.terms))
+        Ok(explicit_check_direct(blasted, reach, &self.terms))
     }
 
     /// Approximate resident size of the buffers: what they have grown to.
@@ -737,13 +736,12 @@ impl ExplicitScratch {
 ///
 /// As [`ExplicitScratch::check`].
 pub fn explicit_check(
-    module: &Module,
     blasted: &Blasted,
     reach: &ReachableStates,
     prop: &WindowProperty,
     limits: &ExplicitLimits,
 ) -> Result<CheckResult, McError> {
-    ExplicitScratch::default().check(module, blasted, reach, prop, limits)
+    ExplicitScratch::default().check(blasted, reach, prop, limits)
 }
 
 /// The words of the bitset of pairs at which `lit` is true, given its
@@ -772,7 +770,6 @@ fn retain_live_successors(set: &mut [u64], exempt: Option<&[u64]>, succ: &[u32],
 /// the observation bitsets (see the module docs for the sets and the
 /// traversal-order argument that makes its trace the direct walk's).
 fn explicit_check_cached(
-    module: &Module,
     blasted: &Blasted,
     reach: &ReachableStates,
     scratch: &mut ExplicitScratch,
@@ -788,7 +785,7 @@ fn explicit_check_cached(
     nodes.extend(literals.map(|&(_, lit)| lit.node()));
     let mut bitsets = recycle(std::mem::take(obs));
     reach.observations(&blasted.aig, nodes, &mut bitsets);
-    let result = live_set_pass(module, blasted, reach, terms, &bitsets, sets);
+    let result = live_set_pass(blasted, reach, terms, &bitsets, sets);
     *obs = recycle(bitsets);
     result
 }
@@ -796,7 +793,6 @@ fn explicit_check_cached(
 /// The pass itself, given every literal's observation bitset (`must`
 /// then `fail`, as in `terms`).
 fn live_set_pass(
-    module: &Module,
     blasted: &Blasted,
     reach: &ReachableStates,
     terms: &Terms,
@@ -894,19 +890,14 @@ fn live_set_pass(
             });
         state = succ[base + word] as usize;
     }
-    reach.violation(module, blasted, start, window)
+    reach.violation(blasted, start, window)
 }
 
 /// The direct walk for designs over the table budget, and the reference
 /// the tabled check is tested against: a depth-first search over input
 /// sequences with antecedent pruning, every visited `(state, input)`
 /// pair evaluating the AIG.
-fn explicit_check_direct(
-    module: &Module,
-    blasted: &Blasted,
-    reach: &ReachableStates,
-    terms: &Terms,
-) -> CheckResult {
+fn explicit_check_direct(blasted: &Blasted, reach: &ReachableStates, terms: &Terms) -> CheckResult {
     let aig = &blasted.aig;
     let combos = 1u64 << reach.input_bits;
     for (si, &packed) in reach.states.iter().enumerate() {
@@ -919,7 +910,7 @@ fn explicit_check_direct(
         while let Some((offset, latches, words, failed)) = stack.pop() {
             if offset > terms.depth {
                 if failed {
-                    return reach.violation(module, blasted, si, &words);
+                    return reach.violation(blasted, si, &words);
                 }
                 continue;
             }

@@ -6,7 +6,7 @@ use crate::session::CheckSession;
 use crate::testgen::{
     self, random_module, random_property, random_temporal_property, seeded_recipe, Recipe,
 };
-use gm_rtl::{elaborate, parse_verilog, SignalId};
+use gm_rtl::{elaborate, parse_verilog, Module, SignalId};
 use gm_sim::{NopObserver, Simulator};
 use proptest::prelude::*;
 use std::sync::{Arc, Barrier};
@@ -37,13 +37,13 @@ fn setup_module(m: Module) -> (Module, Blasted, ReachableStates) {
 /// The tabled pass alone, whatever the table budget says, on `scratch`.
 fn tabled_on(
     scratch: &mut ExplicitScratch,
-    m: &Module,
+    _m: &Module,
     b: &Blasted,
     r: &ReachableStates,
     p: &WindowProperty,
 ) -> CheckResult {
     scratch.terms.fill(b, p);
-    explicit_check_cached(m, b, r, scratch)
+    explicit_check_cached(b, r, scratch)
 }
 
 /// The tabled pass alone on a fresh scratch.
@@ -52,10 +52,10 @@ fn tabled(m: &Module, b: &Blasted, r: &ReachableStates, p: &WindowProperty) -> C
 }
 
 /// The direct walk alone: the reference.
-fn walk(m: &Module, b: &Blasted, r: &ReachableStates, p: &WindowProperty) -> CheckResult {
+fn walk(_m: &Module, b: &Blasted, r: &ReachableStates, p: &WindowProperty) -> CheckResult {
     let mut terms = Terms::default();
     terms.fill(b, p);
-    explicit_check_direct(m, b, r, &terms)
+    explicit_check_direct(b, r, &terms)
 }
 
 /// One scratch carried through a whole sweep, and a record of how the
@@ -107,7 +107,7 @@ fn mutual_exclusion_is_proved() {
         vec![BitAtom::new(gnt0, 0, 0, true)],
         BitAtom::new(gnt1, 0, 0, false),
     );
-    let res = explicit_check(&m, &b, &r, &prop, &ExplicitLimits::default()).unwrap();
+    let res = explicit_check(&b, &r, &prop, &ExplicitLimits::default()).unwrap();
     assert_eq!(res, CheckResult::Proved);
 }
 
@@ -121,7 +121,7 @@ fn paper_assertion_a0_is_violated_with_trace() {
         vec![BitAtom::new(req0, 0, 0, false)],
         BitAtom::new(gnt0, 0, 1, true),
     );
-    match explicit_check(&m, &b, &r, &prop, &ExplicitLimits::default()).unwrap() {
+    match explicit_check(&b, &r, &prop, &ExplicitLimits::default()).unwrap() {
         CheckResult::Violated(cex) => {
             // Replaying the trace must end with the violation: verify
             // by simulation.
@@ -130,7 +130,7 @@ fn paper_assertion_a0_is_violated_with_trace() {
             sim.set_input(rst, gm_rtl::Bv::one_bit());
             sim.step();
             sim.set_input(rst, gm_rtl::Bv::zero_bit());
-            let trace = sim.run_vectors(&cex.inputs, &mut gm_sim::NopObserver);
+            let trace = sim.run_vectors(&cex.inputs(), &mut gm_sim::NopObserver);
             let last = trace.len() - 1;
             assert!(
                 !trace.bit(last - 1, req0, 0),
@@ -155,7 +155,7 @@ fn paper_assertion_a2_is_proved() {
         ],
         BitAtom::new(gnt0, 0, 2, false),
     );
-    let res = explicit_check(&m, &b, &r, &prop, &ExplicitLimits::default()).unwrap();
+    let res = explicit_check(&b, &r, &prop, &ExplicitLimits::default()).unwrap();
     assert_eq!(res, CheckResult::Proved);
 }
 
@@ -215,13 +215,13 @@ fn clone_resets_the_cache_but_keeps_the_states() {
         vec![BitAtom::new(gnt0, 0, 0, true)],
         BitAtom::new(gnt1, 0, 0, false),
     );
-    explicit_check(&m, &b, &r, &prop, &ExplicitLimits::default()).unwrap();
+    explicit_check(&b, &r, &prop, &ExplicitLimits::default()).unwrap();
     assert!(r.cache_stats().entries > 0);
     let fresh = r.clone();
     assert_eq!(fresh.states, r.states);
     assert_eq!(fresh.cache_stats().entries, 0, "clone starts cold");
     assert_eq!(
-        explicit_check(&m, &b, &fresh, &prop, &ExplicitLimits::default()).unwrap(),
+        explicit_check(&b, &fresh, &prop, &ExplicitLimits::default()).unwrap(),
         CheckResult::Proved
     );
 }
@@ -386,8 +386,8 @@ fn session_sweep(bytes: &[u8]) -> Result<(usize, usize), TestCaseError> {
                 0 => random_property(&sigs, depth, &mut recipe),
                 _ => random_temporal_property(&sigs, depth, &mut recipe),
             };
-            let fresh = explicit_check(&m, &b, &r, &prop, &limits).unwrap();
-            let kept = session.explicit(&m, &r, &prop, &limits).unwrap();
+            let fresh = explicit_check(&b, &r, &prop, &limits).unwrap();
+            let kept = session.explicit(&r, &prop, &limits).unwrap();
             prop_assert_eq!(&kept, &fresh, "{}", prop.display(&m));
             match fresh {
                 CheckResult::Proved => proved += 1,
@@ -429,7 +429,7 @@ fn the_session_sweep_sees_both_verdicts() {
 /// violates it, and the offset of its earliest failing consequent.
 fn replay(m: &Module, prop: &WindowProperty, cex: &CexTrace) -> (bool, Option<u32>) {
     let mut sim = Simulator::new(m).unwrap();
-    let trace = sim.run_vectors(&cex.inputs, &mut NopObserver);
+    let trace = sim.run_vectors(&cex.inputs(), &mut NopObserver);
     let Some(base) = trace.len().checked_sub(prop.depth() as usize + 1) else {
         return (false, None);
     };
@@ -484,8 +484,8 @@ fn engines_sweep(bytes: &[u8], tally: &mut Tally) -> Result<(), TestCaseError> {
             let prop = random_temporal_property(&sigs, depth, &mut recipe);
             let exact = tabled_like_the_walk(&mut carried, &design, &prop, prop.display(m))?;
             let sat = [
-                ("bmc", bmc(m, b, &prop, SAT_BOUND)),
-                ("k-induction", k_induction(m, b, &prop, SAT_BOUND)),
+                ("bmc", bmc(b, &prop, SAT_BOUND)),
+                ("k-induction", k_induction(b, &prop, SAT_BOUND)),
             ];
             match &exact {
                 CheckResult::Proved => {
@@ -620,7 +620,7 @@ fn empty_consequent_lists_mean_what_the_sat_encoding_documents() {
         };
         let exact =
             tabled_like_the_walk(&mut Carried::default(), &design, &prop, prop.display(m)).unwrap();
-        let refuted = bmc(m, b, &prop, 4);
+        let refuted = bmc(b, &prop, 4);
         if violated {
             // Nearest start: one cycle to raise gnt0, then the window.
             let CheckResult::Violated(cex) = &exact else {
@@ -652,7 +652,7 @@ fn the_window_budget_bounds_the_walk_only() {
     );
     assert!((wide.depth() + 1) * r.input_bits > limits.max_window_bits);
     assert!(matches!(
-        explicit_check(&m, &b, &r, &wide, &limits),
+        explicit_check(&b, &r, &wide, &limits),
         Ok(CheckResult::Violated(_))
     ));
     // Over the table budget the walk enumerates input sequences, and
@@ -670,7 +670,7 @@ fn the_window_budget_bounds_the_walk_only() {
         BitAtom::new(y, 0, 2, true),
     );
     assert_eq!(
-        explicit_check(&m, &b, &r, &prop, &limits),
+        explicit_check(&b, &r, &prop, &limits),
         Err(McError::WindowTooWide {
             bits: 36,
             limit: 24
@@ -766,7 +766,7 @@ fn threads_sharing_cold_tables_match_the_sequential_results() {
     let cold = r.clone();
     let sequential: Vec<CheckResult> = props
         .iter()
-        .map(|p| explicit_check(&m, &b, &cold, p, &limits).unwrap())
+        .map(|p| explicit_check(&b, &cold, p, &limits).unwrap())
         .collect();
     assert!(sequential.contains(&CheckResult::Proved));
     assert!(sequential.iter().any(|r| *r != CheckResult::Proved));
@@ -779,12 +779,12 @@ fn threads_sharing_cold_tables_match_the_sequential_results() {
     std::thread::scope(|scope| {
         let workers: Vec<_> = (0..THREADS)
             .map(|t| {
-                let (m, b, shared, props, barrier) = (&m, &b, &shared, &props, &barrier);
+                let (b, shared, props, barrier) = (&b, &shared, &props, &barrier);
                 scope.spawn(move || {
                     barrier.wait();
                     (t..props.len())
                         .step_by(THREADS)
-                        .map(|i| (i, explicit_check(m, b, shared, &props[i], &limits).unwrap()))
+                        .map(|i| (i, explicit_check(b, shared, &props[i], &limits).unwrap()))
                         .collect::<Vec<_>>()
                 })
             })

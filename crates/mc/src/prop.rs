@@ -7,11 +7,19 @@
 //! `G (antecedent -> consequents)` over all reachable windows; a violation yields a reset-rooted input
 //! trace that the engine replays through the simulator (the paper's
 //! `Ctx_simulation()`).
+//!
+//! A trace ([`CexTrace`]) is kept as the checker finds it: each cycle's
+//! AIG input bits, packed into words in one buffer, beside the design's
+//! input layout. From there it goes into the engine's test suite's
+//! lanes without becoming vectors; [`CexTrace::inputs`] reads it back
+//! as vectors where a caller wants them.
 
+#[cfg(doc)]
 use crate::blast::Blasted;
-use gm_rtl::{Bv, Module, SignalId};
-use gm_sim::InputVector;
+use gm_rtl::{Module, SignalId};
+use gm_sim::{InputLayout, InputVector};
 use std::fmt;
+use std::sync::Arc;
 
 /// One observation in a window property: signal bit `bit` of `signal`,
 /// `offset` cycles after the window start, equals `value`.
@@ -137,6 +145,27 @@ impl WindowProperty {
         }
     }
 
+    /// Rewrites this property as [`WindowProperty::new`] would build it
+    /// from `antecedent`, `consequents` and `kind`, on the allocations
+    /// it has: a caller that keeps its properties across batches
+    /// rewrites them in place.
+    pub fn rewrite(
+        &mut self,
+        antecedent: impl IntoIterator<Item = BitAtom>,
+        consequents: impl IntoIterator<Item = BitAtom>,
+        kind: ConsequentKind,
+    ) {
+        self.antecedent.clear();
+        self.antecedent.extend(antecedent);
+        self.consequents.clear();
+        self.consequents.extend(consequents);
+        self.kind = if self.consequents.len() == 1 {
+            ConsequentKind::Any
+        } else {
+            kind
+        };
+    }
+
     /// The window depth: the largest offset used by any atom. The window
     /// spans `depth() + 1` cycles.
     pub fn depth(&self) -> u32 {
@@ -205,76 +234,75 @@ impl fmt::Display for DisplayProperty<'_> {
     }
 }
 
-/// A counterexample: a reset-rooted sequence of data-input vectors that
+/// A counterexample: a reset-rooted run of data-input cycles that
 /// drives the design through a window violating the property.
-#[derive(Clone, Debug, Default, PartialEq)]
+///
+/// It is kept in the form the checker finds it in: per cycle, the
+/// design's AIG input bits as one row of its
+/// [`Blasted::input_layout`] — data inputs in signal order, each LSB
+/// first — packed into `u64` words, every cycle in one buffer. The
+/// layout is the design's one decoder, shared by `Arc`, so a trace
+/// costs its buffer and nothing else. [`CexTrace::inputs`] reads the
+/// cycles back as input vectors (every data input once, at its width);
+/// [`gm_sim::TestSuite::push_bits`] writes them straight into a
+/// suite's lanes without building one. `Debug` renders the read-back
+/// vectors.
+#[derive(Clone, PartialEq)]
 pub struct CexTrace {
-    /// One input vector per cycle, starting at the reset state.
-    pub inputs: Vec<InputVector>,
+    layout: Arc<InputLayout>,
+    cycles: usize,
+    /// Cycle `t` owns `bits[t * layout.words()..][..layout.words()]`.
+    bits: Vec<u64>,
 }
 
 impl CexTrace {
+    /// The trace of `cycles` cycles whose input bits `bits` holds in
+    /// `layout`'s rows, `layout.words()` words per cycle.
+    pub(crate) fn new(layout: Arc<InputLayout>, cycles: usize, bits: Vec<u64>) -> Self {
+        debug_assert_eq!(bits.len(), cycles * layout.words());
+        CexTrace {
+            layout,
+            cycles,
+            bits,
+        }
+    }
+
     /// The number of cycles in the trace.
     pub fn len(&self) -> usize {
-        self.inputs.len()
+        self.cycles
     }
 
     /// Whether the trace is empty.
     pub fn is_empty(&self) -> bool {
-        self.inputs.is_empty()
+        self.cycles == 0
+    }
+
+    /// The layout of every cycle's input bits.
+    pub fn layout(&self) -> &InputLayout {
+        &self.layout
+    }
+
+    /// Every cycle's input bits, back to back, `layout().words()` words
+    /// per cycle.
+    pub fn bits(&self) -> &[u64] {
+        &self.bits
+    }
+
+    /// The input vectors, one per cycle, starting at the reset state:
+    /// the trace read back through its layout.
+    pub fn inputs(&self) -> Vec<InputVector> {
+        let stride = self.layout.words();
+        (0..self.cycles)
+            .map(|t| self.layout.vector(&self.bits[t * stride..][..stride]))
+            .collect()
     }
 }
 
-/// Groups per-bit AIG input values into per-signal input vectors. Built
-/// once per trace: the all-zero vector and each input bit's place in it
-/// are worked out here, so a cycle's vector is one copy of the template
-/// with its bits set.
-pub(crate) struct InputAssembler {
-    /// Every data input at zero, in signal order.
-    zeros: InputVector,
-    /// Per dense AIG input index: the slot of its signal in `zeros` and
-    /// the bit, or `None` when the signal is no data input.
-    slots: Vec<Option<(usize, u32)>>,
-}
-
-impl InputAssembler {
-    pub(crate) fn new(module: &Module, blasted: &Blasted) -> Self {
-        let zeros: InputVector = module
-            .data_inputs()
-            .into_iter()
-            .map(|s| (s, Bv::zeros(module.signal_width(s))))
-            .collect();
-        let slots = (blasted.input_bits.iter())
-            .map(|&(sig, bit)| {
-                zeros
-                    .iter()
-                    .position(|&(s, _)| s == sig)
-                    .map(|at| (at, bit))
-            })
-            .collect();
-        InputAssembler { zeros, slots }
-    }
-
-    /// One cycle's vector; `bit_of` maps a dense AIG input index to its
-    /// boolean value.
-    pub(crate) fn vector(&self, bit_of: impl Fn(usize) -> bool) -> InputVector {
-        let mut vec = self.zeros.clone();
-        for (i, slot) in self.slots.iter().enumerate() {
-            if let Some((at, bit)) = *slot {
-                vec[at].1 = vec[at].1.with_bit(bit, bit_of(i));
-            }
-        }
-        vec
-    }
-
-    /// The trace of `frames` cycles whose input bits `bits` holds frame
-    /// by frame, in dense AIG input order.
-    pub(crate) fn trace(&self, bits: &[bool], frames: usize) -> CexTrace {
-        let inputs = self.slots.len();
-        let inputs = (0..frames)
-            .map(|f| self.vector(|i| bits[f * inputs + i]))
-            .collect();
-        CexTrace { inputs }
+impl fmt::Debug for CexTrace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CexTrace")
+            .field("inputs", &self.inputs())
+            .finish()
     }
 }
 

@@ -87,8 +87,7 @@ use crate::blast::Blasted;
 use crate::bmc::{canonical_cex, PristinePrefixes, Unroller};
 use crate::error::McError;
 use crate::explicit::{ExplicitLimits, ExplicitScratch, ReachableStates};
-use crate::prop::{CexTrace, CheckResult, InputAssembler, WindowProperty};
-use gm_rtl::Module;
+use crate::prop::{CexTrace, CheckResult, WindowProperty};
 use gm_sat::{Lit, SolveResult, SolverStats};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -309,13 +308,12 @@ impl CheckSession {
     /// As [`ExplicitScratch::check`].
     pub fn explicit(
         &mut self,
-        module: &Module,
         reach: &ReachableStates,
         prop: &WindowProperty,
         limits: &ExplicitLimits,
     ) -> Result<CheckResult, McError> {
         let blasted = self.prefixes.blasted();
-        let res = self.explicit.check(module, blasted, reach, prop, limits)?;
+        let res = self.explicit.check(blasted, reach, prop, limits)?;
         self.stats.explicit_queries += 1;
         Ok(res)
     }
@@ -428,12 +426,12 @@ impl CheckSession {
     /// allocated, here on the calling thread.
     pub(crate) fn extraction<'p>(&self, prop: &'p WindowProperty, start: usize) -> Extraction<'p> {
         let depth = prop.depth() as usize;
-        let inputs = self.blasted().aig.input_count();
+        let row = self.blasted().input_layout.words();
         Extraction {
             prop,
             start,
             prefix: self.prefixes.get(depth, start),
-            bits: vec![false; (start + depth + 1) * inputs],
+            bits: vec![0; (start + depth + 1) * row],
             extracted: false,
         }
     }
@@ -469,12 +467,7 @@ impl CheckSession {
 
     /// A violated verdict with its trace, extracted on this thread, or
     /// any other decision as it is.
-    pub(crate) fn resolve(
-        &mut self,
-        module: &Module,
-        prop: &WindowProperty,
-        decision: Decision,
-    ) -> CheckResult {
+    pub(crate) fn resolve(&mut self, prop: &WindowProperty, decision: Decision) -> CheckResult {
         match decision {
             Decision::Final(res) => res,
             Decision::Refuted { start } => {
@@ -482,8 +475,7 @@ impl CheckSession {
                 let mut scratch = self.take_scratch();
                 extraction.run(&mut scratch);
                 self.restore_scratch(scratch, 1);
-                let assemble = InputAssembler::new(module, self.blasted());
-                CheckResult::Violated(extraction.trace(&assemble).expect("extracted just now"))
+                CheckResult::Violated(extraction.into_trace().expect("extracted just now"))
             }
         }
     }
@@ -506,13 +498,12 @@ impl CheckSession {
     /// `None`.
     pub fn bmc(
         &mut self,
-        module: &Module,
         prop: &WindowProperty,
         max_start: u32,
         cancel: Option<&AtomicBool>,
     ) -> Result<CheckResult, McError> {
         let decision = self.bmc_decision(prop, max_start, cancel)?;
-        Ok(self.resolve(module, prop, decision))
+        Ok(self.resolve(prop, decision))
     }
 
     /// [`CheckSession::bmc`]'s scan, whose violated verdict is the
@@ -553,13 +544,12 @@ impl CheckSession {
     /// contract of [`CheckSession::bmc`].
     pub fn k_induction(
         &mut self,
-        module: &Module,
         prop: &WindowProperty,
         max_k: u32,
         cancel: Option<&AtomicBool>,
     ) -> Result<CheckResult, McError> {
         let decision = self.k_induction_decision(prop, max_k, cancel)?;
-        Ok(self.resolve(module, prop, decision))
+        Ok(self.resolve(prop, decision))
     }
 
     /// [`CheckSession::k_induction`]'s search, whose violated verdict is
@@ -638,9 +628,10 @@ pub(crate) struct Extraction<'p> {
     start: usize,
     /// The pristine prefix for the property's depth.
     prefix: Arc<Unroller>,
-    /// The model's input bits, frame by frame: room for frames
-    /// `0..=start + depth`, filled by the extraction.
-    bits: Vec<bool>,
+    /// The model's input bits, one row of the design's input layout
+    /// per frame: room for frames `0..=start + depth`, filled by the
+    /// extraction, and the trace's buffer once it is done.
+    bits: Vec<u64>,
     extracted: bool,
 }
 
@@ -683,10 +674,13 @@ impl Extraction<'_> {
         self.extracted = true;
     }
 
-    /// The extracted trace, or `None` when it never ran.
-    pub(crate) fn trace(&self, assemble: &InputAssembler) -> Option<CexTrace> {
+    /// The extracted trace, on this extraction's buffer, or `None` when
+    /// it never ran.
+    pub(crate) fn into_trace(self) -> Option<CexTrace> {
         let frames = self.start + self.prop.depth() as usize + 1;
-        self.extracted.then(|| assemble.trace(&self.bits, frames))
+        let layout = self.prefix.blasted().input_layout.clone();
+        self.extracted
+            .then(|| CexTrace::new(layout, frames, self.bits))
     }
 }
 
@@ -728,13 +722,10 @@ mod tests {
         let mut session = CheckSession::new(b.clone());
         for prop in [&proved, &violated] {
             assert_eq!(
-                session.k_induction(&m, prop, 4, None).unwrap(),
-                k_induction(&m, &b, prop, 4)
+                session.k_induction(prop, 4, None).unwrap(),
+                k_induction(&b, prop, 4)
             );
-            assert_eq!(
-                session.bmc(&m, prop, 4, None).unwrap(),
-                bmc(&m, &b, prop, 4)
-            );
+            assert_eq!(session.bmc(prop, 4, None).unwrap(), bmc(&b, prop, 4));
         }
         let stats = session.stats();
         assert!(stats.sat_queries > 0);
@@ -774,9 +765,9 @@ mod tests {
         let sink = gm_trace::TraceSink::new();
         {
             let _guard = gm_trace::push_thread_sink(sink.clone());
-            session.bmc(&m, &low, 2, None).unwrap();
-            session.bmc(&m, &stays_high, 0, None).unwrap();
-            let unknown = session.k_induction(&m, &low, 1, None).unwrap();
+            session.bmc(&low, 2, None).unwrap();
+            session.bmc(&stays_high, 0, None).unwrap();
+            let unknown = session.k_induction(&low, 1, None).unwrap();
             assert_eq!(unknown, CheckResult::Unknown { bound: 1 });
         }
         let new_vars: Vec<u64> = (sink.events().iter())
@@ -804,9 +795,9 @@ mod tests {
             BitAtom::new(q, 0, 1, true),
         );
         let mut session = CheckSession::new(b);
-        let first = session.k_induction(&m, &prop, 4, None).unwrap();
+        let first = session.k_induction(&prop, 4, None).unwrap();
         let after_first = session.stats();
-        let second = session.k_induction(&m, &prop, 4, None).unwrap();
+        let second = session.k_induction(&prop, 4, None).unwrap();
         let delta = session.stats() - after_first;
         assert_eq!(first, second);
         assert_eq!(delta.frames_encoded, 0, "everything already unrolled");

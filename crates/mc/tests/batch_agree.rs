@@ -103,7 +103,7 @@ fn cex_violates(module: &Module, prop: &WindowProperty, cex: &CexTrace) -> bool 
         sim.step();
         sim.set_input(rst, Bv::zero_bit());
     }
-    let trace = sim.run_vectors(&cex.inputs, &mut NopObserver);
+    let trace = sim.run_vectors(&cex.inputs(), &mut NopObserver);
     let depth = prop.depth() as usize;
     if trace.len() < depth + 1 {
         return false;
@@ -131,10 +131,8 @@ fn check_batch_agrees_with_sequential_check_on_all_catalog_designs() {
             let sequential: Result<Vec<CheckResult>, McError> = props
                 .iter()
                 .map(|p| match backend {
-                    Backend::Bmc { bound } => Ok(gm_mc::bmc(&module, &blasted, p, bound)),
-                    Backend::KInduction { max_k } => {
-                        Ok(gm_mc::k_induction(&module, &blasted, p, max_k))
-                    }
+                    Backend::Bmc { bound } => Ok(gm_mc::bmc(&blasted, p, bound)),
+                    Backend::KInduction { max_k } => Ok(gm_mc::k_induction(&blasted, p, max_k)),
                     Backend::Auto | Backend::Explicit => (checker(&module, backend))
                         .check_batch(std::slice::from_ref(p))
                         .map(|mut one| one.remove(0)),
@@ -237,18 +235,13 @@ const SAT_DESIGNS: [&str; 4] = ["b17_lite", "b18_lite", "decode_stage", "wb_stag
 /// What the SAT engines answer on a fresh unrolling per property, with
 /// `checker`'s bounds: the one-shot `bmc` / `k_induction`, and for
 /// `Auto` over the explicit limits BMC to refute, then k-induction.
-fn one_shot(
-    module: &Module,
-    blasted: &gm_mc::Blasted,
-    backend: Backend,
-    p: &WindowProperty,
-) -> CheckResult {
+fn one_shot(blasted: &gm_mc::Blasted, backend: Backend, p: &WindowProperty) -> CheckResult {
     match backend {
-        Backend::Bmc { bound } => gm_mc::bmc(module, blasted, p, bound),
-        Backend::KInduction { max_k } => gm_mc::k_induction(module, blasted, p, max_k),
-        Backend::Auto | Backend::Explicit => match gm_mc::bmc(module, blasted, p, 4) {
+        Backend::Bmc { bound } => gm_mc::bmc(blasted, p, bound),
+        Backend::KInduction { max_k } => gm_mc::k_induction(blasted, p, max_k),
+        Backend::Auto | Backend::Explicit => match gm_mc::bmc(blasted, p, 4) {
             refuted @ CheckResult::Violated(_) => refuted,
-            _ => gm_mc::k_induction(module, blasted, p, 3),
+            _ => gm_mc::k_induction(blasted, p, 3),
         },
     }
 }
@@ -276,7 +269,7 @@ fn sat_decided_batches_carry_the_one_shot_traces() {
             let batched = batch.check_batch(&props).unwrap();
             assert_eq!(batch.session_stats().explicit_queries, 0, "{name}");
             for (i, (p, got)) in props.iter().zip(&batched).enumerate() {
-                let want = one_shot(&module, &blasted, backend, p);
+                let want = one_shot(&blasted, backend, p);
                 assert_eq!(got, &want, "{name} ({backend:?}), property {i}");
             }
             violated += (batched.iter())

@@ -100,7 +100,7 @@ fn cex_violates(module: &Module, prop: &WindowProperty, cex: &gm_mc::CexTrace) -
         sim.step();
         sim.set_input(rst, Bv::zero_bit());
     }
-    let trace = sim.run_vectors(&cex.inputs, &mut NopObserver);
+    let trace = sim.run_vectors(&cex.inputs(), &mut NopObserver);
     let depth = prop.depth() as usize;
     if trace.len() < depth + 1 {
         return false;
@@ -122,12 +122,12 @@ proptest! {
         let prop = random_property(&module, &recipe);
         let limits = ExplicitLimits::default();
         let reach = ReachableStates::explore(&blasted, &limits).unwrap();
-        let exact = explicit_check(&module, &blasted, &reach, &prop, &limits).unwrap();
+        let exact = explicit_check(&blasted, &reach, &prop, &limits).unwrap();
 
         // Generous BMC bound: reachable diameter + window depth.
         let bound = (reach.len() as u32) + prop.depth() + 2;
-        let bmc_res = bmc(&module, &blasted, &prop, bound);
-        let kind_res = k_induction(&module, &blasted, &prop, 6);
+        let bmc_res = bmc(&blasted, &prop, bound);
+        let kind_res = k_induction(&blasted, &prop, 6);
 
         match &exact {
             CheckResult::Proved => {

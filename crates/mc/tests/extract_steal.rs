@@ -121,15 +121,10 @@ fn properties(module: &Module, count: usize) -> Vec<WindowProperty> {
     props
 }
 
-fn one_shot(
-    module: &Module,
-    blasted: &gm_mc::Blasted,
-    backend: Backend,
-    p: &WindowProperty,
-) -> CheckResult {
+fn one_shot(blasted: &gm_mc::Blasted, backend: Backend, p: &WindowProperty) -> CheckResult {
     match backend {
-        Backend::Bmc { bound } => gm_mc::bmc(module, blasted, p, bound),
-        Backend::KInduction { max_k } => gm_mc::k_induction(module, blasted, p, max_k),
+        Backend::Bmc { bound } => gm_mc::bmc(blasted, p, bound),
+        Backend::KInduction { max_k } => gm_mc::k_induction(blasted, p, max_k),
         other => unreachable!("{other:?}"),
     }
 }
@@ -213,7 +208,7 @@ fn stolen_extractions_carry_the_one_shot_traces_once_each() {
             for round in 0..2 {
                 let held = held_batch(&mut checker, &props);
                 for (i, (p, got)) in props.iter().zip(&held.results).enumerate() {
-                    let want = one_shot(&module, &blasted, backend, p);
+                    let want = one_shot(&blasted, backend, p);
                     assert_eq!(
                         got, &want,
                         "{name} ({backend:?}) round {round}, property {i}"

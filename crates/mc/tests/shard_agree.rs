@@ -124,7 +124,7 @@ fn temporal_cex_violates(module: &Module, prop: &WindowProperty, cex: &CexTrace)
         sim.step();
         sim.set_input(rst, Bv::zero_bit());
     }
-    let trace = sim.run_vectors(&cex.inputs, &mut NopObserver);
+    let trace = sim.run_vectors(&cex.inputs(), &mut NopObserver);
     let depth = prop.depth() as usize;
     if trace.len() < depth + 1 {
         return false;
@@ -211,7 +211,7 @@ fn sharded_equals_batched_equals_sequential_on_all_catalog_designs() {
             // the explicit tables where the design fits them — exact,
             // so a violation the four-start scan misses starts later.
             for (p, r) in temporals.iter().zip(&batched_temporal) {
-                let one_shot = bmc(&module, batch_checker.blasted(), p, 4);
+                let one_shot = bmc(batch_checker.blasted(), p, 4);
                 let scan_refutes = matches!(one_shot, CheckResult::Violated(_));
                 match r {
                     CheckResult::Violated(cex) => {
@@ -247,18 +247,13 @@ const SAT_DESIGNS: [&str; 4] = ["b17_lite", "b18_lite", "decode_stage", "wb_stag
 /// What the SAT engines answer on a fresh unrolling per property, with
 /// `checker`'s bounds: the one-shot `bmc` / `k_induction`, and for
 /// `Auto` over the explicit limits BMC to refute, then k-induction.
-fn one_shot(
-    module: &Module,
-    blasted: &gm_mc::Blasted,
-    backend: Backend,
-    p: &WindowProperty,
-) -> CheckResult {
+fn one_shot(blasted: &gm_mc::Blasted, backend: Backend, p: &WindowProperty) -> CheckResult {
     match backend {
-        Backend::Bmc { bound } => bmc(module, blasted, p, bound),
-        Backend::KInduction { max_k } => gm_mc::k_induction(module, blasted, p, max_k),
-        Backend::Auto | Backend::Explicit => match bmc(module, blasted, p, 4) {
+        Backend::Bmc { bound } => bmc(blasted, p, bound),
+        Backend::KInduction { max_k } => gm_mc::k_induction(blasted, p, max_k),
+        Backend::Auto | Backend::Explicit => match bmc(blasted, p, 4) {
             refuted @ CheckResult::Violated(_) => refuted,
-            _ => gm_mc::k_induction(module, blasted, p, 3),
+            _ => gm_mc::k_induction(blasted, p, 3),
         },
     }
 }
@@ -286,7 +281,7 @@ fn sharded_sat_batches_carry_the_one_shot_traces() {
             Backend::KInduction { max_k: 3 },
         ] {
             let want: Vec<CheckResult> = (props.iter())
-                .map(|p| one_shot(&module, &blasted, backend, p))
+                .map(|p| one_shot(&blasted, backend, p))
                 .collect();
             for shards in [1, 2, 4] {
                 let mut sharded = checker(&module, backend).with_shards(shards);

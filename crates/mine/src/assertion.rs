@@ -367,14 +367,104 @@ impl CubeSet {
         self.starts.len() - 1
     }
 
+    /// The distinct features numbered so far.
+    fn features(&self) -> usize {
+        self.index_of.len()
+    }
+
     /// The union measure, [`input_space_coverage`]'s value.
     fn coverage(&self) -> f64 {
-        let union = self.union_measure();
-        debug_assert!(
-            (0.0..=1.0 + 1e-12).contains(&union),
-            "union measure must be a probability, got {union}"
-        );
-        union.min(1.0)
+        clamp(self.union_measure())
+    }
+
+    /// The measure of the union of cubes `from..` outside the union of
+    /// the cubes before them, by the same Shannon expansion as
+    /// [`CubeSet::union_measure`] over the newer cubes' variables only:
+    /// a region an older cube covers adds nothing, and one a newer cube
+    /// covers adds what the older ones leave of it. `fresh`, `kept` and
+    /// `decided` are the recursion's buffers, kept by the caller.
+    fn gain(
+        &self,
+        from: usize,
+        fresh: &mut Vec<u32>,
+        kept: &mut Vec<u32>,
+        decided: &mut Vec<u64>,
+    ) -> f64 {
+        fresh.clear();
+        fresh.extend(from as u32..self.len() as u32);
+        kept.clear();
+        kept.extend(0..from as u32);
+        decided.clear();
+        decided.resize(self.words, 0);
+        self.gain_in(fresh, 0, kept, 0, decided)
+    }
+
+    /// The measure of the union of the cubes `fresh[lo_f..]` outside
+    /// the union of the cubes `kept[lo_k..]`, both co-factored on the
+    /// `decided` variables, splitting on the first remaining literal of
+    /// the first fresh cube. Both lists are stacks, as in
+    /// [`CubeSet::measure`].
+    fn gain_in(
+        &self,
+        fresh: &mut Vec<u32>,
+        lo_f: usize,
+        kept: &mut Vec<u32>,
+        lo_k: usize,
+        decided: &mut [u64],
+    ) -> f64 {
+        let (hi_f, hi_k) = (fresh.len(), kept.len());
+        if lo_f == hi_f {
+            return 0.0;
+        }
+        if kept[lo_k..].iter().any(|&c| self.settled(c, decided)) {
+            return 0.0;
+        }
+        if fresh[lo_f..].iter().any(|&c| self.settled(c, decided)) {
+            return 1.0 - self.measure(kept, lo_k, decided);
+        }
+        let var = self.split(fresh[lo_f] as usize, decided);
+        decided[var / 64] |= 1 << (var % 64);
+        let halves = [false, true].map(|val| {
+            self.cofactor(fresh, lo_f, hi_f, var, val);
+            if fresh.len() == hi_f {
+                // No newer cube reaches this half: it adds nothing.
+                return 0.0;
+            }
+            self.cofactor(kept, lo_k, hi_k, var, val);
+            let half = self.gain_in(fresh, hi_f, kept, hi_k, decided);
+            fresh.truncate(hi_f);
+            kept.truncate(hi_k);
+            half
+        });
+        decided[var / 64] &= !(1 << (var % 64));
+        0.5 * halves[0] + 0.5 * halves[1]
+    }
+
+    /// Whether cube `c` tests no variable outside `decided`.
+    fn settled(&self, c: u32, decided: &[u64]) -> bool {
+        let care = &self.care[c as usize * self.words..][..self.words];
+        care.iter().zip(decided).all(|(m, d)| m & !d == 0)
+    }
+
+    /// The first literal of cube `c`, in path order, outside `decided`.
+    fn split(&self, c: usize, decided: &[u64]) -> usize {
+        self.order[self.starts[c]..self.starts[c + 1]]
+            .iter()
+            .map(|&f| f as usize)
+            .find(|&f| !bit(decided, f))
+            .expect("an unsettled cube has an undecided literal")
+    }
+
+    /// Pushes the cubes of `live[lo..hi]` that agree with `var = val`
+    /// (or do not test `var`) onto `live`, in order.
+    fn cofactor(&self, live: &mut Vec<u32>, lo: usize, hi: usize, var: usize, val: bool) {
+        for i in lo..hi {
+            let c = live[i] as usize;
+            let (care, value) = (&self.care[c * self.words..], &self.value[c * self.words..]);
+            if !bit(care, var) || bit(value, var) == val {
+                live.push(c as u32);
+            }
+        }
     }
 
     /// The exact measure of the union of the cubes over uniformly random
@@ -400,27 +490,14 @@ impl CubeSet {
         if lo == hi {
             return 0.0;
         }
-        let care = |c: u32| &self.care[c as usize * self.words..][..self.words];
-        let value = |c: u32| &self.value[c as usize * self.words..][..self.words];
-        let settled = |c: u32| care(c).iter().zip(&*decided).all(|(m, d)| m & !d == 0);
-        if live[lo..].iter().any(|&c| settled(c)) {
+        if live[lo..].iter().any(|&c| self.settled(c, decided)) {
             // An unconditional cube covers the whole space.
             return 1.0;
         }
-        let first = live[lo] as usize;
-        let var = self.order[self.starts[first]..self.starts[first + 1]]
-            .iter()
-            .map(|&f| f as usize)
-            .find(|&f| !bit(decided, f))
-            .expect("an unsettled cube has an undecided literal");
+        let var = self.split(live[lo] as usize, decided);
         decided[var / 64] |= 1 << (var % 64);
         let halves = [false, true].map(|val| {
-            for i in lo..hi {
-                let c = live[i];
-                if !bit(care(c), var) || bit(value(c), var) == val {
-                    live.push(c);
-                }
-            }
+            self.cofactor(live, lo, hi, var, val);
             let half = self.measure(live, hi, decided);
             live.truncate(hi);
             half
@@ -443,41 +520,83 @@ pub fn input_space_coverage(assertions: &[Assertion], module: &Module) -> f64 {
     CubeSet::new(assertions, module).coverage()
 }
 
+/// A union measure as a coverage share.
+fn clamp(union: f64) -> f64 {
+    debug_assert!(
+        (0.0..=1.0 + 1e-12).contains(&union),
+        "union measure must be a probability, got {union}"
+    );
+    union.min(1.0)
+}
+
+/// Up to this many distinct features, every measure the union takes —
+/// the union's, a cube's, a cofactor's — is a multiple of `2^-features`
+/// no larger than 1, exactly representable in an `f64`'s 53 significant
+/// bits, so every sum and halving on the way is exact and the order of
+/// summation cannot show.
+const EXACT_FEATURES: usize = 52;
+
 /// [`input_space_coverage`] of an assertion list that grows, kept with
-/// the list: the cubes of the assertions already measured stay, and a
-/// list that grew at its end only adds the new ones' cubes. An
-/// assertion inserted before the last one measured rebuilds the cubes,
-/// since their order decides the measure's splits.
+/// the list. While the list's cubes test at most 52 distinct features,
+/// the assertions filed since the last measure add their cubes'
+/// measure outside the union kept so far, wherever they were filed:
+/// every measure is exact there, so the sum is bit for bit the whole
+/// list's union measure. Past that, the list is measured whole, in its
+/// order, as [`input_space_coverage`] measures it.
 #[derive(Debug, Default)]
 pub struct InputSpace {
+    /// The cubes of the measured assertions, in the order they were
+    /// measured.
     cubes: CubeSet,
-    /// The list's first `measured` assertions are in `cubes`, in order.
+    /// The list indices of the assertions filed since the last measure.
+    fresh: Vec<usize>,
+    /// How many of the list's assertions `cubes` holds.
     measured: usize,
-    coverage: f64,
+    /// The union measure of `cubes`.
+    union: f64,
+    /// The recursion's buffers.
+    fresh_cubes: Vec<u32>,
+    kept_cubes: Vec<u32>,
+    decided: Vec<u64>,
 }
 
 impl InputSpace {
     /// Notes that the list gained an assertion at index `at`.
     pub fn inserted(&mut self, at: usize) {
-        if at < self.measured {
-            self.cubes.clear();
-            self.measured = 0;
+        for index in &mut self.fresh {
+            *index += usize::from(*index >= at);
         }
+        self.fresh.push(at);
     }
 
     /// `input_space_coverage(assertions, module)` of the list as it
-    /// stands, every insertion since the last call noted: measured
-    /// again only when the list grew.
+    /// stands, every insertion since the last call noted (a list that
+    /// grew at its end alone may skip the notes): measured again only
+    /// when the list grew, and then only for what it gained while the
+    /// measure is exact.
     pub fn coverage(&mut self, assertions: &[Assertion], module: &Module) -> f64 {
-        debug_assert!(self.measured <= assertions.len(), "the list only grows");
-        if self.measured < assertions.len() {
-            for a in &assertions[self.measured..] {
+        let noted = self.measured + self.fresh.len();
+        debug_assert!(noted <= assertions.len(), "the list only grows");
+        self.fresh.extend(noted..assertions.len());
+        if self.fresh.is_empty() {
+            return clamp(self.union);
+        }
+        self.measured = assertions.len();
+        let from = self.cubes.len();
+        for at in self.fresh.drain(..) {
+            self.cubes.push(&assertions[at], module);
+        }
+        if self.cubes.features() <= EXACT_FEATURES {
+            let (fresh, kept) = (&mut self.fresh_cubes, &mut self.kept_cubes);
+            self.union += self.cubes.gain(from, fresh, kept, &mut self.decided);
+        } else {
+            self.cubes.clear();
+            for a in assertions {
                 self.cubes.push(a, module);
             }
-            self.measured = assertions.len();
-            self.coverage = self.cubes.coverage();
+            self.union = self.cubes.union_measure();
         }
-        self.coverage
+        clamp(self.union)
     }
 }
 
@@ -882,35 +1001,60 @@ mod tests {
         }
     }
 
+    /// What one filing case compared.
+    #[derive(Default)]
+    struct Filings {
+        /// Comparisons after a filing before the end of a list that
+        /// had been measured, with the list's cubes testing at most 52
+        /// features: the kept union grew by the filed cube's mass.
+        exact_mid_list: usize,
+        /// Comparisons with the cubes testing more than 52 features:
+        /// the list was measured whole.
+        wide: usize,
+    }
+
     /// A random set filed one assertion at a time into a list — at its
     /// end, mostly, as the engine files proofs in leaf order, and now
-    /// and then before the end, which rebuilds the cubes — measured by
-    /// the kept [`InputSpace`] after some filings and by
-    /// [`input_space_coverage`] over the whole list: the bits agree.
-    /// Returns how many filings landed before the end of a list that
-    /// had been measured.
-    fn filing_case(seed: u64) -> usize {
+    /// and then before the end — measured by the kept [`InputSpace`]
+    /// after some filings and by [`input_space_coverage`] over the
+    /// whole list: the bits agree.
+    fn filing_case(seed: u64) -> Filings {
         let rng = &mut TestRng::new(seed);
         let m = wide();
-        let (mut list, mut space, mut rebuilt) = (Vec::new(), InputSpace::default(), 0);
-        let mut measured = 0;
+        let (mut list, mut space, mut filings) =
+            (Vec::new(), InputSpace::default(), Filings::default());
+        let (mut measured, mut mid_list) = (0, false);
+        let mut compare = |list: &[Assertion], space: &mut InputSpace, mid_list: bool| {
+            let (kept, whole) = (space.coverage(list, &m), input_space_coverage(list, &m));
+            assert_eq!(kept.to_bits(), whole.to_bits(), "{kept} vs {whole}");
+            let mut features: Vec<Feature> = reference::cubes(list, &m)
+                .into_iter()
+                .flatten()
+                .map(|(f, _)| f)
+                .collect();
+            features.sort_unstable();
+            features.dedup();
+            if features.len() > EXACT_FEATURES {
+                filings.wide += 1;
+            } else {
+                filings.exact_mid_list += usize::from(mid_list);
+            }
+        };
         for a in random_set(rng, &m) {
             let at = match below(rng, 4) {
                 0 => below(rng, list.len() + 1),
                 _ => list.len(),
             };
-            rebuilt += usize::from(at < measured);
+            mid_list |= at < measured;
             list.insert(at, a);
             space.inserted(at);
             if below(rng, 3) == 0 {
-                let (kept, whole) = (space.coverage(&list, &m), input_space_coverage(&list, &m));
-                assert_eq!(kept.to_bits(), whole.to_bits(), "{kept} vs {whole}");
-                measured = list.len();
+                compare(&list, &mut space, mid_list);
+                (measured, mid_list) = (list.len(), false);
             }
         }
-        let (kept, whole) = (space.coverage(&list, &m), input_space_coverage(&list, &m));
-        assert_eq!(kept.to_bits(), whole.to_bits(), "{kept} vs {whole}");
-        rebuilt
+        compare(&list, &mut space, mid_list);
+        filings
     }
 
     proptest! {
@@ -922,17 +1066,30 @@ mod tests {
         }
     }
 
-    /// Over the very same seeds, filings before the end were compared.
+    /// Over the very same seeds, filings before the end were compared
+    /// while the kept union grew by masses, and lists past 52 features
+    /// were compared too.
     #[test]
     fn the_filing_comparison_is_not_vacuous() {
-        let rebuilt: usize = (0..cases())
-            .map(|case| {
-                let mut rng =
-                    proptest::rng_for_case("kept_cubes_measure_what_the_whole_list_does", case);
-                filing_case(any::<u64>().generate(&mut rng))
-            })
-            .sum();
-        assert!(rebuilt >= cases() as usize, "{rebuilt} rebuilds");
+        let mut total = Filings::default();
+        for case in 0..cases() {
+            let mut rng =
+                proptest::rng_for_case("kept_cubes_measure_what_the_whole_list_does", case);
+            let filings = filing_case(any::<u64>().generate(&mut rng));
+            total.exact_mid_list += filings.exact_mid_list;
+            total.wide += filings.wide;
+        }
+        println!(
+            "{} exact mid-list comparisons, {} past 52 features",
+            total.exact_mid_list, total.wide
+        );
+        assert!(
+            total.exact_mid_list >= cases() as usize,
+            "{} exact mid-list",
+            total.exact_mid_list
+        );
+        let wide_floor = cases() as usize / 10;
+        assert!(total.wide >= wide_floor, "{} past 52 features", total.wide);
     }
 
     /// Over the very same seeds, the hard shapes were all compared.

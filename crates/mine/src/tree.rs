@@ -360,8 +360,9 @@ impl DecisionTree {
     }
 
     /// The (feature, value) decisions of [`DecisionTree::path`] in
-    /// reverse, from `node` up to the root, read off the parent links.
-    pub(crate) fn path_up(&self, node: usize) -> impl Iterator<Item = (usize, bool)> + Clone + '_ {
+    /// reverse, from `node` up to the root, read off the parent links:
+    /// the path without a list of its own.
+    pub fn path_up(&self, node: usize) -> impl Iterator<Item = (usize, bool)> + Clone + '_ {
         let parent = |node: usize| self.nodes[node].parent;
         let decision = |(up, side): (usize, bool)| match self.nodes[up].kind {
             NodeKind::Split { feature, .. } => (feature, side),

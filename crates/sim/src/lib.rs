@@ -67,7 +67,8 @@ pub use replay::Replay;
 pub use sim::NopObserver as NopBatchObserver;
 pub use sim::{BranchOutcome, ExprRole, MultiObserver, NopObserver, SimObserver, Simulator};
 pub use stim::{
-    collect_vectors, DirectedStimulus, DirectedVariants, InputVector, RandomStimulus, Stimulus,
+    collect_vectors, DirectedStimulus, DirectedVariants, InputLayout, InputVector, RandomStimulus,
+    Stimulus,
 };
-pub use suite::{run_segment, Segment, TestSuite};
+pub use suite::{run_segment, Segment, SegmentLabel, TestSuite};
 pub use trace::Trace;

@@ -107,7 +107,7 @@ impl PackedStimulus {
         self.open(vectors.len());
         let mut regular = true;
         for vector in vectors {
-            regular &= self.push_cycle(vector);
+            regular &= self.push_cycle(vector.iter().copied());
         }
         regular
     }
@@ -128,8 +128,9 @@ impl PackedStimulus {
 
     /// Appends `vector` as the next cycle of the last segment, returning
     /// whether it was regular. This is the one packing core: every lane
-    /// word a suite holds was written here.
-    pub(crate) fn push_cycle(&mut self, vector: &[(SignalId, Bv)]) -> bool {
+    /// word a suite holds was written here, from a stored vector or
+    /// straight from a cycle's input bits ([`crate::InputLayout::values`]).
+    pub(crate) fn push_cycle(&mut self, vector: impl IntoIterator<Item = (SignalId, Bv)>) -> bool {
         let lane = (self.lens.len() - 1) % GROUP_LANES;
         let len = self.lens.last_mut().expect("a segment was opened");
         let t = *len;
@@ -140,7 +141,7 @@ impl PackedStimulus {
         self.words[record] |= bit;
         let mut regular = true;
         let mut prev = None;
-        for &(sig, value) in vector {
+        for (sig, value) in vector {
             let row = match self.row_of.get(sig.index()) {
                 Some(&row) if row != NO_ROW => row,
                 _ => {

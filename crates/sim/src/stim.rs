@@ -12,6 +12,78 @@ use rand::{Rng, SeedableRng};
 /// One cycle's worth of input assignments.
 pub type InputVector = Vec<(SignalId, Bv)>;
 
+/// A module's data inputs as one row of bits per cycle: every data
+/// input in signal order, each LSB first, packed into `u64` words from
+/// bit 0 of the first. It is the order the model checker numbers its
+/// AIG inputs in, and so the form of its counterexample traces: a cycle
+/// of them reads back here as the vector a [`RandomStimulus`] draw
+/// names — every data input once, in signal order, at its width — and
+/// [`TestSuite::push_bits`] packs a whole segment of them into the
+/// lanes without building one.
+///
+/// # Examples
+///
+/// ```
+/// use gm_rtl::Bv;
+/// use gm_sim::InputLayout;
+/// # let m = gm_rtl::parse_verilog(
+/// #   "module m(input clk, input a, input [3:0] b, output y); assign y = a ^ b[0]; endmodule")?;
+/// let layout = InputLayout::new(&m);
+/// assert_eq!((layout.bits(), layout.words()), (5, 1));
+/// // `a` = 1 in bit 0, `b` = 0b0110 in bits 1..5.
+/// let (a, b) = (m.require("a")?, m.require("b")?);
+/// assert_eq!(layout.vector(&[0b01101]), [(a, Bv::one_bit()), (b, Bv::new(6, 4))]);
+/// # Ok::<(), gm_rtl::RtlError>(())
+/// ```
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct InputLayout {
+    /// Each data input and its width, in signal order.
+    signals: Vec<(SignalId, u32)>,
+    /// The widths summed: bits per cycle.
+    bits: usize,
+}
+
+impl InputLayout {
+    /// The layout of `module`'s data inputs.
+    pub fn new(module: &Module) -> Self {
+        let signals: Vec<(SignalId, u32)> = (module.data_inputs().into_iter())
+            .map(|s| (s, module.signal_width(s)))
+            .collect();
+        let bits = signals.iter().map(|&(_, w)| w as usize).sum();
+        InputLayout { signals, bits }
+    }
+
+    /// Input bits per cycle.
+    pub fn bits(&self) -> usize {
+        self.bits
+    }
+
+    /// `u64` words per cycle.
+    pub fn words(&self) -> usize {
+        self.bits.div_ceil(64)
+    }
+
+    /// The vector of the cycle whose bits `cycle` holds, one data input
+    /// at a time, read off the words as it is iterated.
+    pub fn values<'a>(&'a self, cycle: &'a [u64]) -> impl Iterator<Item = (SignalId, Bv)> + 'a {
+        let mut at = 0;
+        self.signals.iter().map(move |&(signal, width)| {
+            let (word, shift) = (at / 64, at % 64);
+            let mut bits = cycle[word] >> shift;
+            if shift + width as usize > 64 {
+                bits |= cycle[word + 1] << (64 - shift);
+            }
+            at += width as usize;
+            (signal, Bv::new(bits, width))
+        })
+    }
+
+    /// [`InputLayout::values`], collected.
+    pub fn vector(&self, cycle: &[u64]) -> InputVector {
+        self.values(cycle).collect()
+    }
+}
+
 /// A source of per-cycle input vectors.
 pub trait Stimulus {
     /// Produces the input vector for the next cycle, or `None` when the

@@ -6,18 +6,28 @@
 //! are reset-rooted), so segments are replayed independently.
 //!
 //! A suite stores its stimulus lane-packed only ([`PackedStimulus`]):
-//! [`TestSuite::push`] packs, and every tape replay reads the lanes in
-//! place. A [`Segment`] is decoded on request — from the lanes when all
-//! its vectors were regular, else from a verbatim copy kept of that
-//! segment alone — so it is always the segment as pushed, and equality
-//! and `Debug` are functions of the pushed segments only.
+//! [`TestSuite::push`] packs, [`TestSuite::push_bits`] packs a segment
+//! given as per-cycle input bits (a counterexample trace's form, see
+//! [`InputLayout`]) without building its vectors, and every tape replay
+//! reads the lanes in place. A [`Segment`] is decoded on request — from
+//! the lanes when all its vectors were regular, else from a verbatim
+//! copy kept of that segment alone — so it is always the segment as
+//! pushed, and equality and `Debug` are functions of the pushed
+//! segments only.
+//!
+//! Labels are kept the same way. A [`SegmentLabel`] is free text or a
+//! numbered label — `cex-3-12` kept as `("cex", 3, 12)` — rendered when
+//! a segment is read, so the closure loop's counterexample and directed
+//! segments cost no string each; [`Segment::label`] is the text either
+//! way, and two labels are equal when their texts are.
 
 use crate::packed::PackedStimulus;
 use crate::sim::{SimObserver, Simulator};
-use crate::stim::InputVector;
+use crate::stim::{InputLayout, InputVector};
 use crate::trace::Trace;
 use gm_rtl::{Bv, Module, Result};
 use std::borrow::Cow;
+use std::fmt;
 use std::ops::Range;
 
 /// A named stimulus segment, run from reset.
@@ -29,11 +39,76 @@ pub struct Segment {
     pub vectors: Vec<InputVector>,
 }
 
+/// A segment's label as a suite stores it (see the module docs).
+#[derive(Clone, Debug, Eq)]
+pub enum SegmentLabel {
+    /// Free text, stored as given.
+    Text(String),
+    /// `{kind}-{iteration}-{n}`, rendered on read.
+    Numbered {
+        /// The text before the numbers (`cex`, `tcex`, `dir`).
+        kind: &'static str,
+        /// The first number: the closure iteration.
+        iteration: u32,
+        /// The second number: the segment's place in its pass.
+        n: u32,
+    },
+}
+
+impl SegmentLabel {
+    /// The label `{kind}-{iteration}-{n}`.
+    pub fn numbered(kind: &'static str, iteration: u32, n: usize) -> Self {
+        let n = u32::try_from(n).expect("a pass numbers fewer than 2^32 segments");
+        SegmentLabel::Numbered { kind, iteration, n }
+    }
+}
+
+impl fmt::Display for SegmentLabel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SegmentLabel::Text(text) => f.write_str(text),
+            SegmentLabel::Numbered { kind, iteration, n } => write!(f, "{kind}-{iteration}-{n}"),
+        }
+    }
+}
+
+/// Equal when the texts are. The numbers after a numbered label's kind
+/// hold no `-`, so its parts are equal exactly when its text is.
+impl PartialEq for SegmentLabel {
+    fn eq(&self, other: &Self) -> bool {
+        use SegmentLabel::{Numbered, Text};
+        match (self, other) {
+            (Text(a), Text(b)) => a == b,
+            (
+                Numbered { kind, iteration, n },
+                Numbered {
+                    kind: k,
+                    iteration: i,
+                    n: m,
+                },
+            ) => (kind, iteration, n) == (k, i, m),
+            _ => self.to_string() == other.to_string(),
+        }
+    }
+}
+
+impl From<String> for SegmentLabel {
+    fn from(text: String) -> Self {
+        SegmentLabel::Text(text)
+    }
+}
+
+impl From<&str> for SegmentLabel {
+    fn from(text: &str) -> Self {
+        SegmentLabel::Text(text.to_string())
+    }
+}
+
 /// An ordered collection of segments forming the validation stimulus,
 /// stored lane-packed (see the module docs).
 #[derive(Clone, Default, PartialEq)]
 pub struct TestSuite {
-    labels: Vec<String>,
+    labels: Vec<SegmentLabel>,
     stimulus: PackedStimulus,
     /// The segments with an irregular vector, as pushed, by ascending
     /// index.
@@ -56,7 +131,7 @@ impl TestSuite {
     }
 
     /// Appends a segment, packing it into the lanes at once.
-    pub fn push(&mut self, label: impl Into<String>, vectors: Vec<InputVector>) {
+    pub fn push(&mut self, label: impl Into<SegmentLabel>, vectors: Vec<InputVector>) {
         let index = self.labels.len();
         self.labels.push(label.into());
         if !self.stimulus.push(&vectors) {
@@ -73,36 +148,95 @@ impl TestSuite {
     /// so a regular segment costs its lane words and nothing else.
     pub(crate) fn push_with(
         &mut self,
-        label: impl Into<String>,
+        label: impl Into<SegmentLabel>,
         cycles: usize,
         out: &mut InputVector,
         mut fill: impl FnMut(usize, &mut InputVector),
     ) {
-        let index = self.labels.len();
-        self.labels.push(label.into());
-        self.stimulus.open(cycles);
-        let mut verbatim: Option<Vec<InputVector>> = None;
+        let index = self.open(label.into(), cycles);
+        let mut verbatim = None;
         for t in 0..cycles {
             out.clear();
             fill(t, out);
-            let regular = self.stimulus.push_cycle(out);
-            match &mut verbatim {
-                Some(kept) => kept.push(out.clone()),
-                // The cycles before were regular: they read back as is.
-                None if !regular => {
-                    let mut kept: Vec<InputVector> = (0..t)
-                        .map(|u| {
-                            let mut vector = Vec::new();
-                            self.stimulus.decode_cycle(index, u, &mut vector);
-                            vector
-                        })
-                        .collect();
-                    kept.push(out.clone());
-                    verbatim = Some(kept);
-                }
-                None => {}
-            }
+            let regular = self.stimulus.push_cycle(out.iter().copied());
+            self.keep(index, t, regular, &mut verbatim, || out.clone());
         }
+        self.close(index, verbatim);
+    }
+
+    /// Appends a segment of `cycles` cycles given as input bits in
+    /// `layout`'s order, cycle `t` in `words[t * layout.words()..]`,
+    /// written straight into the lanes: the segment [`TestSuite::push`]
+    /// of the cycles' vectors ([`InputLayout::vector`]) would store,
+    /// with no vector built unless one is irregular. A regular segment
+    /// allocates nothing when its lane group already holds its records
+    /// and the suite's lists have room for one more segment.
+    ///
+    /// # Panics
+    ///
+    /// When `words` holds fewer than `cycles` cycles.
+    pub fn push_bits(
+        &mut self,
+        label: impl Into<SegmentLabel>,
+        layout: &InputLayout,
+        words: &[u64],
+        cycles: usize,
+    ) {
+        let stride = layout.words();
+        assert!(
+            words.len() >= cycles * stride,
+            "{cycles} cycles of input bits"
+        );
+        let index = self.open(label.into(), cycles);
+        let mut verbatim = None;
+        for t in 0..cycles {
+            let cycle = &words[t * stride..][..stride];
+            let regular = self.stimulus.push_cycle(layout.values(cycle));
+            self.keep(index, t, regular, &mut verbatim, || layout.vector(cycle));
+        }
+        self.close(index, verbatim);
+    }
+
+    /// Labels segment `index`, the next, and opens its lane with room
+    /// for `cycles` cycles.
+    fn open(&mut self, label: SegmentLabel, cycles: usize) -> usize {
+        let index = self.labels.len();
+        self.labels.push(label);
+        self.stimulus.open(cycles);
+        index
+    }
+
+    /// Files cycle `t` of segment `index`, just packed, `regular` or
+    /// not, into the segment's verbatim copy: begun at the first
+    /// irregular cycle with the regular ones before it read back from
+    /// the lanes, and `vector()` then asked for each cycle from there.
+    fn keep(
+        &self,
+        index: usize,
+        t: usize,
+        regular: bool,
+        verbatim: &mut Option<Vec<InputVector>>,
+        vector: impl FnOnce() -> InputVector,
+    ) {
+        match verbatim {
+            Some(kept) => kept.push(vector()),
+            None if !regular => {
+                let mut kept: Vec<InputVector> = (0..t)
+                    .map(|u| {
+                        let mut cycle = Vec::new();
+                        self.stimulus.decode_cycle(index, u, &mut cycle);
+                        cycle
+                    })
+                    .collect();
+                kept.push(vector());
+                *verbatim = Some(kept);
+            }
+            None => {}
+        }
+    }
+
+    /// Ends segment `index`, keeping its verbatim copy if it has one.
+    fn close(&mut self, index: usize, verbatim: Option<Vec<InputVector>>) {
         if let Some(kept) = verbatim {
             self.verbatim.push((index, kept));
         }
@@ -133,7 +267,7 @@ impl TestSuite {
             Err(_) => self.stimulus.decode(s),
         };
         Segment {
-            label: self.labels[s].clone(),
+            label: self.labels[s].to_string(),
             vectors,
         }
     }
